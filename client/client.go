@@ -546,8 +546,9 @@ func (c *Conn) Renew(key uint64, ttl time.Duration) (uint64, error) {
 	return tok, nil
 }
 
-// Token asks the server for key's current (latest-minted) fencing token —
-// any session's, not just this one's.
+// Token asks the server for key's fencing high-water mark — any session's,
+// not just this one's: no live grant of key carries a larger token, and
+// every later grant will.
 func (c *Conn) Token(key uint64) (uint64, error) {
 	fields, err := c.roundTrip("token", fmtKey(key))
 	if err != nil {

@@ -14,9 +14,8 @@ import (
 // incarnation, so the old holder's Unlock releases the wrong lock and the
 // orphan's grant never comes. The first test demonstrates the hazard is
 // real (so nobody "fixes" the docs by assuming it away); the second shows
-// the discipline that makes Free safe — quiesce first, free second —
-// which is exactly what glsd's key refcounts enforce at the server layer
-// (see server/fencing.go).
+// the supported way to free under concurrency — reach the key through Pin
+// and let the last Unpin free it — which is what glsd does (see pin.go).
 
 // TestFreeWithQueuedWaiterOrphans demonstrates the documented hazard, step
 // by step:
@@ -34,8 +33,8 @@ import (
 //     because cancellation never goes through the table.
 //
 // None of this is a regression to fix at this layer — it is why Free's
-// contract requires quiescence, and why glsd refuses to free a key whose
-// refcount (holders + waiters + in-flight attempts) is nonzero.
+// contract requires quiescence, and why glsd frees keys only through
+// Unpin, which counts holders, waiters and in-flight attempts alike.
 func TestFreeWithQueuedWaiterOrphans(t *testing.T) {
 	s := New(Options{})
 	defer s.Close()
@@ -105,33 +104,41 @@ func TestFreeWithQueuedWaiterOrphans(t *testing.T) {
 	}
 }
 
-// TestFreeAfterQuiesceIsSafe shows the discipline the contract asks of
-// callers: drain holders and waiters first, Free second, and the key's
-// next incarnation is correctly exclusive. This is the pattern glsd's
-// per-key refcount automates.
+// TestFreeAfterQuiesceIsSafe shows the same shape as the hazard above —
+// a holder, a waiter queued behind it, and the holder letting go of the
+// key — made safe by Pin/Unpin instead of by hand-imposed quiescence: the
+// holder's Unpin cannot free the key while the waiter's pin is out, the
+// waiter is granted the object it queued on, and the last Unpin frees the
+// key with nobody inside it.
 func TestFreeAfterQuiesceIsSafe(t *testing.T) {
 	s := New(Options{})
 	defer s.Close()
 	const key = 0xbeef
+	ctx := context.Background()
 
 	for round := 0; round < 3; round++ {
-		s.Lock(key)
-		granted := make(chan struct{})
-		go func() {
-			s.Lock(key) // queued behind (or arriving after) the holder
-			close(granted)
-		}()
-		s.Unlock(key)
-		<-granted // waiter drained: it is now the holder
-		s.Unlock(key)
-
-		// Quiesced: no holder, no waiters. Free is safe here, and the next
-		// round's Lock re-creates the key and excludes normally.
-		s.Free(key)
-		if !s.TryLock(key) {
-			t.Fatalf("round %d: fresh incarnation not acquirable after quiesced Free", round)
+		holder := s.Pin(key)
+		if !holder.TryLock() {
+			t.Fatalf("round %d: fresh incarnation not acquirable", round)
 		}
-		s.Unlock(key)
-		s.Free(key)
+		waiterPinned := make(chan struct{})
+		waiterDone := make(chan struct{})
+		go func() {
+			defer close(waiterDone)
+			w := s.Pin(key)
+			close(waiterPinned)
+			if err := w.LockCtx(ctx); err != nil { // queues behind the holder
+				t.Errorf("round %d: waiter: %v", round, err)
+			}
+			w.Unlock()
+			w.Unpin() // the last pin: this one frees the key
+		}()
+		<-waiterPinned
+		holder.Unlock()
+		holder.Unpin() // not the last pin: must not free under the waiter
+		<-waiterDone
+		if got := s.Locks(); got != 0 {
+			t.Fatalf("round %d: Locks() = %d after the last Unpin, want 0", round, got)
+		}
 	}
 }

@@ -1,0 +1,112 @@
+package gls
+
+import (
+	"context"
+	"runtime"
+
+	"gls/locks"
+)
+
+// pinsDead is the pin count of an entry whose last Pin is gone and whose
+// Free is in flight or done. The count never leaves this value, so a late
+// Pin that still resolves the dying entry cannot revive it.
+const pinsDead = -1
+
+// Pin is a counted reference to one key's lock object: while any Pin of a
+// key is out the object stays mapped, and the Unpin that drops the last one
+// frees the key, atomically with respect to new Pins — the quiescence
+// Service.Free demands of its callers, decided inside the entry. A Pin acts
+// on its lock object directly, with no table lookup, so its holder can
+// release from any goroutine exactly the object it acquired.
+//
+// Only pinned users are counted: the last Unpin frees the key under a
+// goroutine that reached it through Service.Lock or a Handle alone (the
+// raw-Free hazard), so such calls are safe only while their caller holds a
+// Pin of the key. Like a Handle, a Pin bypasses the debug checks.
+type Pin struct {
+	s *Service
+	e *entry
+}
+
+// Pin resolves key's lock object — creating the GLK lock on first use, like
+// Lock — and takes a reference to it. Every Pin needs exactly one Unpin.
+func (s *Service) Pin(key uint64) Pin {
+	sh := s.shardOf(key)
+	for {
+		e, _ := s.entryIn(sh, key, algoGLK)
+		for n := e.pins.Load(); n != pinsDead; n = e.pins.Load() {
+			if e.pins.CompareAndSwap(n, n+1) {
+				return Pin{s: s, e: e}
+			}
+		}
+		// The last Unpin is between marking this entry dead and deleting
+		// it: let it run, then resolve the next incarnation.
+		runtime.Gosched()
+	}
+}
+
+// TryLock try-acquires the pinned lock.
+func (p Pin) TryLock() bool { return p.e.lock.TryLock() }
+
+// LockCtx acquires the pinned lock, giving up when ctx fires while queued;
+// the contract is Service.LockCtx's (the grant beats the abort, and a
+// context that can never fire takes the plain blocking path).
+func (p Pin) LockCtx(ctx context.Context) error {
+	if c := cancelFromCtx(ctx); !locks.LockWithCancel(p.e.lock, c) {
+		return abortErr(ctx, c)
+	}
+	return nil
+}
+
+// Unlock releases the pinned lock.
+func (p Pin) Unlock() { p.e.lock.Unlock() }
+
+// NextSeq advances the key's sequence and returns the new value. The caller
+// must hold the pinned lock: values are then handed out in grant order and
+// strictly increase per key — across holders, and across Frees of the key,
+// since every value exceeds the shard's floor and the freeing Unpin raises
+// the floor to the entry's last value. A floor raised by a neighbouring key
+// makes this key's next value jump; only "larger than every earlier one" is
+// promised. glsd's fencing tokens are these values.
+func (p Pin) NextSeq() uint64 {
+	next := max(p.e.seq.Load(), p.s.shardOf(p.e.key).seqFloor.Load()) + 1
+	p.e.seq.Store(next)
+	return next
+}
+
+// Seq reports key's sequence high-water mark without creating the key: no
+// pin of key that is still locked got a larger value from NextSeq, and
+// every later NextSeq will return one. For a key that is not mapped this is
+// its shard's floor — 0 until some sequenced key of the shard is freed.
+func (s *Service) Seq(key uint64) uint64 {
+	sh := s.shardOf(key)
+	seq := sh.seqFloor.Load()
+	if e := sh.table.Get(key); e != nil {
+		seq = max(seq, e.seq.Load())
+	}
+	return seq
+}
+
+// Unpin drops the reference, and frees the key if it was the last. Zero is
+// turned into pinsDead by a CAS, so a Pin that slipped in after the
+// decrement keeps the entry alive (and owns its next zero); Pins arriving
+// after the CAS wait for the delete and resolve a fresh lock object.
+func (p Pin) Unpin() {
+	e := p.e
+	switch n := e.pins.Add(-1); {
+	case n < 0:
+		panic("gls: Unpin without a matching Pin")
+	case n > 0 || !e.pins.CompareAndSwap(0, pinsDead):
+		return
+	}
+	// Floor before delete: the key's next incarnation is mapped after the
+	// delete, and so mints above this entry's last value.
+	sh := p.s.shardOf(e.key)
+	for seq := e.seq.Load(); ; {
+		f := sh.seqFloor.Load()
+		if seq <= f || sh.seqFloor.CompareAndSwap(f, seq) {
+			break
+		}
+	}
+	p.s.Free(e.key)
+}

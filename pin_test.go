@@ -1,0 +1,149 @@
+package gls
+
+import (
+	"context"
+	"sync"
+	"testing"
+	"time"
+)
+
+// TestPinChurn runs the whole pin lifecycle from many goroutines over a few
+// keys — Pin, lock, critical section, NextSeq, unlock, Unpin — with every
+// zero pin count freeing its key, so incarnations turn over constantly
+// under the lockers. The critical section is plain memory: the race
+// detector and the inCS flags catch a second locker (one let in through a
+// freed or a revived lock object), and the per-key sequence must rise
+// across every one of those incarnations.
+func TestPinChurn(t *testing.T) {
+	s := New(Options{NumShards: 2})
+	defer s.Close()
+	const goroutines, keys = 8, 3
+	iters := 4000
+	if testing.Short() {
+		iters = 1000
+	}
+	var (
+		inCS    [keys]bool
+		count   [keys]int
+		lastSeq [keys]uint64
+	)
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				k := (g + i) % keys
+				p := s.Pin(uint64(k + 1))
+				if i%4 == 0 {
+					if !p.TryLock() {
+						p.Unpin()
+						continue
+					}
+				} else if err := p.LockCtx(ctx); err != nil {
+					t.Errorf("LockCtx(Background) = %v", err)
+					p.Unpin()
+					return
+				}
+				if inCS[k] {
+					t.Errorf("key %d: two holders at once", k+1)
+				}
+				inCS[k] = true
+				count[k]++
+				if seq := p.NextSeq(); seq <= lastSeq[k] {
+					t.Errorf("key %d: sequence %d after %d", k+1, seq, lastSeq[k])
+				} else {
+					lastSeq[k] = seq
+				}
+				inCS[k] = false
+				p.Unlock()
+				p.Unpin()
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	if got := s.Locks(); got != 0 {
+		t.Errorf("Locks() = %d with every pin dropped, want 0", got)
+	}
+	var creates, frees uint64
+	for _, sh := range s.ShardStats() {
+		creates += sh.Creates
+		frees += sh.Frees
+	}
+	if creates != frees || frees <= keys {
+		t.Errorf("creates = %d, frees = %d: want equal, and more than %d (keys must have turned over)", creates, frees, keys)
+	}
+	for k := range count {
+		// Each key's sequence counts at least its own critical sections;
+		// shard-floor jumps only add.
+		if uint64(count[k]) > lastSeq[k] {
+			t.Errorf("key %d: %d critical sections but sequence only reached %d", k+1, count[k], lastSeq[k])
+		}
+		if got := s.Seq(uint64(k + 1)); got < lastSeq[k] {
+			t.Errorf("key %d: Seq = %d at rest, below its last value %d", k+1, got, lastSeq[k])
+		}
+	}
+}
+
+// TestPinDuringFreeTakesNextIncarnation stages the window inside the last
+// Unpin — count already dead, entry still mapped — and checks that a Pin
+// arriving there neither returns the dying entry nor revives it: it waits
+// for the delete and pins a fresh object.
+func TestPinDuringFreeTakesNextIncarnation(t *testing.T) {
+	s := New(Options{})
+	defer s.Close()
+	const key = 0xdead
+
+	old := s.Pin(key)
+	if !old.TryLock() {
+		t.Fatal("fresh key not acquirable")
+	}
+	if seq := old.NextSeq(); seq != 1 {
+		t.Fatalf("first sequence = %d, want 1", seq)
+	}
+	old.Unlock()
+	// First half of the last Unpin.
+	if !old.e.pins.CompareAndSwap(1, pinsDead) {
+		t.Fatalf("pin count = %d, want 1", old.e.pins.Load())
+	}
+
+	pinned := make(chan Pin)
+	go func() { pinned <- s.Pin(key) }()
+	select {
+	case p := <-pinned:
+		t.Fatalf("Pin returned while the dying entry was still mapped (same entry: %v)", p.e == old.e)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if got := old.e.pins.Load(); got != pinsDead {
+		t.Fatalf("late Pin revived the dying entry: count = %d", got)
+	}
+
+	// Second half: what Unpin does after marking the entry dead.
+	s.shardOf(key).seqFloor.Store(old.e.seq.Load())
+	s.Free(key)
+	var next Pin
+	select {
+	case next = <-pinned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Pin still waiting after the free completed")
+	}
+	if next.e == old.e {
+		t.Fatal("Pin landed on the freed entry")
+	}
+	if !next.TryLock() {
+		t.Fatal("next incarnation not acquirable")
+	}
+	if seq := next.NextSeq(); seq != 2 {
+		t.Fatalf("next incarnation's first sequence = %d, want 2", seq)
+	}
+	next.Unlock()
+	next.Unpin()
+	if got := s.Locks(); got != 0 {
+		t.Fatalf("Locks() = %d after the last Unpin, want 0", got)
+	}
+	if got := s.Seq(key); got != 2 {
+		t.Fatalf("Seq of the freed key = %d, want its shard floor 2", got)
+	}
+}

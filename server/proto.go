@@ -37,6 +37,9 @@ import (
 // session. Durations are milliseconds; 0 or absent selects the server
 // default. Responses are single lines with an uppercase verb; see
 // DESIGN.md §14 for the full response grammar.
+// token <key> answers TOKEN <key> <n>: no live grant of the key carries a
+// token larger than n, every later grant will. For a key nobody holds or
+// waits on, n is its shard's floor (gls.Service.Seq): 0 on a fresh server.
 
 // Op enumerates the wire commands.
 type Op int

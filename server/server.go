@@ -79,13 +79,6 @@ type Options struct {
 	// grant responses carry every (key, token) pair on one line.
 	MaxBatchKeys int
 
-	// KeepIdleLocks disables the server's idle-key reaping. By default the
-	// server frees a key's lock object once no session holds it, no waiter
-	// wants it and no request is touching it — under the key-table stripe
-	// mutex, so the Free can never orphan a queued waiter (see the
-	// Service.Free contract). Fencing tokens survive the Free either way.
-	KeepIdleLocks bool
-
 	// Logf receives server lifecycle and error lines; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -144,7 +137,7 @@ type Stats struct {
 	// Waiting is the number of queued or in-flight asynchronous
 	// acquisitions.
 	Waiting int64
-	// Leases is the expiry heap's size, stale hints included.
+	// Leases is the expiry heap's size: one record per held lease.
 	Leases int
 	// Grants counts leases ever granted (every fencing token minted).
 	Grants uint64
@@ -170,7 +163,6 @@ type Server struct {
 	opts Options
 	svc  *gls.Service
 
-	keys     *keyTable
 	leases   *leaseQueue
 	sessions *sessionSet
 	acq      chan *acquireReq
@@ -218,7 +210,6 @@ func New(opts Options) (*Server, error) {
 	s := &Server{
 		opts:      opts,
 		svc:       gls.New(opts.Service),
-		keys:      newKeyTable(),
 		leases:    newLeaseQueue(),
 		sessions:  newSessionSet(),
 		acq:       make(chan *acquireReq, opts.QueueDepth),
@@ -367,7 +358,7 @@ func (s *Server) handleConn(conn net.Conn) {
 }
 
 // teardown is session death: every queued wait aborts, every held lease is
-// clamped to "now" and handed to the sweeper — disconnect release IS lease
+// clamped to "now" and left to the sweeper — disconnect release IS lease
 // expiry, one code path — and the session leaves the registry.
 func (s *Server) teardown(ss *session) {
 	ss.cancel()
@@ -376,8 +367,7 @@ func (s *Server) teardown(ss *session) {
 	ss.dead = true
 	hadHeld := len(ss.held) > 0
 	for _, g := range ss.held {
-		g.expiry = now
-		s.leases.push(leaseRecord{at: now, sess: ss, key: g.key, token: g.token})
+		s.leases.schedule(g, now)
 	}
 	ss.mu.Unlock()
 	if hadHeld {
@@ -399,24 +389,31 @@ func (s *Server) clampTTL(ttl time.Duration) time.Duration {
 	return ttl
 }
 
-// freeFn returns the idle-key reaper the key table calls at refcount zero,
-// or nil with KeepIdleLocks. It runs under the key's stripe mutex: no
-// acquisition of the key can begin mid-Free, which is exactly the
-// discipline Service.Free requires (a Free with queued waiters would orphan
-// them; see service.go).
-func (s *Server) freeFn() func(uint64) {
-	if s.opts.KeepIdleLocks {
-		return nil
+// pinAll pins every key of a batch before the server touches its locks.
+func (s *Server) pinAll(keys []uint64) []gls.Pin {
+	pins := make([]gls.Pin, len(keys))
+	for i, k := range keys {
+		pins[i] = s.svc.Pin(k)
 	}
-	return s.svc.Free
+	return pins
 }
 
-// releaseGrant returns g's lock to the service and retires the grant's key
-// reference. The caller must have removed g from the session's held map
-// (the single-remover rule); the counter it bumps is the caller's.
+// giveBack releases locks the server holds and drops their pins. The Unpin
+// that finds a key unused — no grant, no waiter, no request in flight —
+// frees its lock object.
+func giveBack(pins ...gls.Pin) {
+	for _, p := range pins {
+		p.Unlock()
+		p.Unpin()
+	}
+}
+
+// releaseGrant returns g's lock to the service and retires the grant's
+// lease record and pin. The caller must have removed g from the session's
+// held map (the single-remover rule); the counter it bumps is the caller's.
 func (s *Server) releaseGrant(g *grant) {
-	s.svc.Unlock(g.key)
-	s.keys.unref(g.key, s.freeFn())
+	giveBack(g.pin) // first: a queued waiter gets the lock before the bookkeeping
+	s.leases.remove(g)
 	s.held.Add(-1)
 }
 
@@ -434,7 +431,7 @@ func (s *Server) dispatch(ss *session, cmd Command) bool {
 	case OpStats:
 		ss.writeLine(s.statsLine())
 	case OpToken:
-		ss.writeLine("TOKEN", fmtKey(cmd.Key), strconv.FormatUint(s.keys.current(cmd.Key), 10))
+		ss.writeLine("TOKEN", fmtKey(cmd.Key), strconv.FormatUint(s.svc.Seq(cmd.Key), 10))
 	case OpTryLock:
 		s.handleTryLock(ss, cmd)
 	case OpUnlock:
@@ -494,19 +491,15 @@ func (s *Server) handleTryLock(ss *session, cmd Command) {
 		return
 	}
 	ttl := s.clampTTL(cmd.TTL)
-	s.keys.ref(cmd.Key)
-	if !s.svc.TryLock(cmd.Key) {
-		s.keys.unref(cmd.Key, s.freeFn())
+	pin := s.svc.Pin(cmd.Key)
+	if !pin.TryLock() {
+		pin.Unpin()
 		ss.writeLine("BUSY", fmtKey(cmd.Key))
 		return
 	}
-	g, alive := ss.registerGrant(cmd.Key, ttl)
+	g, alive := ss.registerGrant(cmd.Key, pin, ttl)
 	if !alive {
-		// The session died under us (Close racing the reader); give the
-		// lock straight back.
-		s.svc.Unlock(cmd.Key)
-		s.keys.unref(cmd.Key, s.freeFn())
-		return
+		return // the session died under us (Close racing the reader)
 	}
 	s.grants.Add(1)
 	s.held.Add(1)
@@ -548,8 +541,7 @@ func (s *Server) handleRenew(ss *session, cmd Command) {
 		return
 	}
 	g.ttl = ttl
-	g.expiry = now.Add(ttl)
-	s.leases.push(leaseRecord{at: g.expiry, sess: ss, key: cmd.Key, token: g.token})
+	s.leases.schedule(g, now.Add(ttl))
 	tok := g.token
 	ss.mu.Unlock()
 	ss.writeLine("RENEWED", fmtKey(cmd.Key), strconv.FormatUint(tok, 10), fmtMillis(ttl))
@@ -568,10 +560,9 @@ func (s *Server) handleCancel(ss *session, cmd Command) {
 	ss.writeLine("OK", "cancel", strconv.FormatUint(cmd.ID, 10))
 }
 
-// handleAsync queues a wait or lockmany: register the wait, take the key
-// refs, acknowledge with QUEUED, then hand the request to the pool. The
-// worker is gated on the acknowledgement so GRANT can never precede QUEUED
-// on the wire.
+// handleAsync queues a wait or lockmany: register the wait, hand the request
+// to the pool, pin its keys and acknowledge with QUEUED. The worker is gated
+// on the acknowledgement so GRANT can never precede QUEUED on the wire.
 func (s *Server) handleAsync(ss *session, cmd Command) {
 	keys := cmd.Keys
 	if cmd.Op == OpWait {
@@ -612,13 +603,11 @@ func (s *Server) handleAsync(ss *session, cmd Command) {
 	ss.waits[cmd.ID] = w
 	ss.mu.Unlock()
 
-	for _, k := range keys {
-		s.keys.ref(k)
-	}
 	s.waiting.Add(1)
 	req := &acquireReq{ss: ss, w: w, ctx: ctx, ready: make(chan struct{})}
 	select {
 	case s.acq <- req:
+		w.pins = s.pinAll(keys) // before ready: the worker starts pinned
 		ss.writeLine("QUEUED", strconv.FormatUint(cmd.ID, 10))
 		close(req.ready)
 	default:
@@ -627,9 +616,6 @@ func (s *Server) handleAsync(ss *session, cmd Command) {
 		delete(ss.waits, cmd.ID)
 		ss.mu.Unlock()
 		cancelTimeout()
-		for _, k := range keys {
-			s.keys.unref(k, s.freeFn())
-		}
 		s.overloads.Add(1)
 		ss.writeErr(protoErrf(ErrCodeOverload, "acquisition queue full (%d pending)", s.opts.QueueDepth))
 	}
@@ -664,40 +650,31 @@ func (s *Server) handleTryLockMany(ss *session, cmd Command) {
 		return
 	}
 	ttl := s.clampTTL(cmd.TTL)
-	for _, k := range keys {
-		s.keys.ref(k)
-	}
+	pins := s.pinAll(keys)
 	if !s.svc.TryLockMany(keys...) {
-		for _, k := range keys {
-			s.keys.unref(k, s.freeFn())
+		for _, p := range pins {
+			p.Unpin()
 		}
 		ss.writeLine("BUSY", "many")
 		return
 	}
-	granted := s.registerMany(ss, keys, ttl)
+	granted := s.registerMany(ss, keys, pins, ttl)
 	if granted == nil {
 		return // session died; registerMany rolled everything back
 	}
 	ss.writeLine(grantManyLine("GRANTEDMANY", 0, false, ttl, keys, granted))
 }
 
-// registerMany records a grant per key of an acquired batch. On a dead
-// session it releases every lock of the batch — the ones it had registered
-// are already clamped by teardown and swept, the rest are returned here —
-// and reports nil.
-func (s *Server) registerMany(ss *session, keys []uint64, ttl time.Duration) map[uint64]uint64 {
+// registerMany records a grant per key of an acquired batch (pins[i] is
+// keys[i]'s). On a dead session every lock not yet registered goes back —
+// a death between iterations leaves the earlier registrations to the
+// teardown clamp and the sweeper — and it reports nil.
+func (s *Server) registerMany(ss *session, keys []uint64, pins []gls.Pin, ttl time.Duration) map[uint64]uint64 {
 	tokens := make(map[uint64]uint64, len(keys))
 	for i, k := range keys {
-		g, alive := ss.registerGrant(k, ttl)
+		g, alive := ss.registerGrant(k, pins[i], ttl)
 		if !alive {
-			// Keys [0, i) were registered before death — impossible, since
-			// dead is set once under ss.mu and registerGrant checks it; a
-			// death between iterations leaves the earlier registrations to
-			// the teardown clamp. Release the rest ourselves.
-			for _, rest := range keys[i:] {
-				s.svc.Unlock(rest)
-				s.keys.unref(rest, s.freeFn())
-			}
+			giveBack(pins[i+1:]...)
 			return nil
 		}
 		s.grants.Add(1)
@@ -768,17 +745,17 @@ func (s *Server) finishWait(ss *session, w *wait) {
 }
 
 // runWait executes one single-key asynchronous acquisition. The enqueue
-// rides Service.LockCtx, so an abandoned wait departs the lock queue
+// rides the pin's LockCtx, so an abandoned wait departs the lock queue
 // cleanly (locks.Cancel protocol) instead of occupying a slot until its
 // turn.
 func (s *Server) runWait(req *acquireReq) {
 	ss, w := req.ss, req.w
-	key := w.keys[0]
+	key, pin := w.keys[0], w.pins[0]
 	idStr := strconv.FormatUint(w.id, 10)
-	err := s.svc.LockCtx(req.ctx, key)
+	err := pin.LockCtx(req.ctx)
 	s.finishWait(ss, w)
 	if err != nil {
-		s.keys.unref(key, s.freeFn())
+		pin.Unpin()
 		if errors.Is(err, context.DeadlineExceeded) {
 			s.timeouts.Add(1)
 			ss.writeLine("TIMEOUT", idStr)
@@ -788,12 +765,10 @@ func (s *Server) runWait(req *acquireReq) {
 		}
 		return
 	}
-	g, alive := ss.registerGrant(key, w.ttl)
+	g, alive := ss.registerGrant(key, pin, w.ttl)
 	if !alive {
-		// Granted after the session died (grant beat the teardown's
-		// cancel): give it straight back.
-		s.svc.Unlock(key)
-		s.keys.unref(key, s.freeFn())
+		// Granted after the session died: the grant beat the teardown's
+		// cancel, and went straight back.
 		s.cancels.Add(1)
 		return
 	}
@@ -805,7 +780,9 @@ func (s *Server) runWait(req *acquireReq) {
 // runLockMany executes one batched asynchronous acquisition via the
 // blocking Service.LockMany — deadlock-free against any other batch by the
 // canonical (shard, key) order, and bounded in time because every blocking
-// hold ahead of it carries a lease. Session death cannot abort the batch
+// hold ahead of it carries a lease. LockMany resolves the keys through the
+// table, which is safe here because the wait's pins keep every key mapped
+// to the object they name. Session death cannot abort the batch
 // mid-acquisition (LockMany has no cancel path); it completes and is then
 // rolled straight back.
 func (s *Server) runLockMany(req *acquireReq) {
@@ -818,15 +795,12 @@ func (s *Server) runLockMany(req *acquireReq) {
 	if aborted {
 		// Cancelled (or the session died) while the batch was being
 		// assembled; the locks were still taken — release them.
-		for _, k := range w.keys {
-			s.svc.Unlock(k)
-			s.keys.unref(k, s.freeFn())
-		}
+		giveBack(w.pins...)
 		s.cancels.Add(1)
 		ss.writeLine("CANCELLED", idStr)
 		return
 	}
-	granted := s.registerMany(ss, w.keys, w.ttl)
+	granted := s.registerMany(ss, w.keys, w.pins, w.ttl)
 	if granted == nil {
 		s.cancels.Add(1)
 		return
@@ -835,9 +809,9 @@ func (s *Server) runLockMany(req *acquireReq) {
 }
 
 // sweeper is the lease-expiry loop: a ticker at Options.SweepInterval plus
-// immediate kicks from session teardown. Each pass drains the due heap
-// records and revalidates every one against the owning session before
-// releasing — the heap holds hints, the session holds the truth.
+// immediate kicks from session teardown. Each pass drains the due grants
+// and revalidates every one against the owning session before releasing —
+// an unlock or renew may have won the race since the pop.
 func (s *Server) sweeper() {
 	defer s.sweepWG.Done()
 	t := time.NewTicker(s.opts.SweepInterval)
@@ -858,30 +832,28 @@ func (s *Server) sweeper() {
 
 // sweepDue releases every lease that is really expired as of now.
 func (s *Server) sweepDue(now time.Time) {
-	for _, rec := range s.leases.due(now) {
-		s.expire(rec, now)
+	for _, g := range s.leases.due(now) {
+		s.expire(g, now)
 	}
 }
 
-// expire revalidates one due lease record and, if the grant it names is
-// still registered with the same token and really past its expiry,
-// releases it: the single-remover delete under the session mutex, then the
-// service unlock, the key unref (which may Free an idle key), and the
-// EXPIRED notice to a still-living client.
-func (s *Server) expire(rec leaseRecord, now time.Time) {
-	ss := rec.sess
+// expire revalidates one due grant and, if it is still registered and
+// really past its expiry, releases it: the single-remover delete under the
+// session mutex, then the unlock and unpin (which may free an idle key),
+// and the EXPIRED notice to a still-living client.
+func (s *Server) expire(g *grant, now time.Time) {
+	ss := g.sess
 	ss.mu.Lock()
-	g := ss.held[rec.key]
-	if g == nil || g.token != rec.token || g.expiry.After(now) {
+	if ss.held[g.key] != g || g.expiry.After(now) {
 		ss.mu.Unlock()
-		return // renewed, already released, or a stale hint
+		return // already released, or renewed (and rescheduled) since the pop
 	}
-	delete(ss.held, rec.key)
+	delete(ss.held, g.key)
 	wasDead := ss.dead
 	ss.mu.Unlock()
 	s.releaseGrant(g)
 	s.expiries.Add(1)
 	if !wasDead {
-		ss.writeLine("EXPIRED", fmtKey(rec.key), strconv.FormatUint(rec.token, 10))
+		ss.writeLine("EXPIRED", fmtKey(g.key), strconv.FormatUint(g.token, 10))
 	}
 }

@@ -494,3 +494,135 @@ func TestOverloadRefusal(t *testing.T) {
 	c.send("ping\r\n")
 	c.expect("PONG") // the refusal left the connection healthy
 }
+
+// shardTotals sums the service's per-shard create and free counters.
+func shardTotals(svc *gls.Service) (creates, frees uint64) {
+	for _, sh := range svc.ShardStats() {
+		creates += sh.Creates
+		frees += sh.Frees
+	}
+	return creates, frees
+}
+
+// TestManyKeysLeaveNothingBehind drives 10 000 distinct keys through
+// trylock+unlock on one session. At rest the server must hold nothing per
+// key: no lock object, no lease record, no grant — and the shard counters
+// show the wire path's whole table traffic, one create and one free per
+// key (the key is resolved once, by the trylock; the unlock and the free
+// go through the grant's pin).
+func TestManyKeysLeaveNothingBehind(t *testing.T) {
+	srv, addr := newTestServer(t, Options{})
+	c := dialT(t, addr)
+	const n, batch = 10000, 100
+	creates0, frees0 := shardTotals(srv.Service())
+	for base := 1; base <= n; base += batch {
+		var req strings.Builder
+		for k := base; k < base+batch; k++ {
+			fmt.Fprintf(&req, "trylock %d\r\nunlock %d\r\n", k, k)
+		}
+		c.send(req.String())
+		for k := base; k < base+batch; k++ {
+			c.expect("GRANTED " + fmtKey(uint64(k)))
+			c.expect("RELEASED " + fmtKey(uint64(k)))
+		}
+	}
+	if got := srv.Service().Locks(); got != 0 {
+		t.Errorf("Locks() = %d after every key was released, want 0", got)
+	}
+	st := srv.Stats()
+	if st.Leases != 0 || st.Held != 0 {
+		t.Errorf("Leases = %d, Held = %d at rest, want 0 and 0", st.Leases, st.Held)
+	}
+	if st.Grants != n || st.Releases != n {
+		t.Errorf("Grants = %d, Releases = %d, want %d each", st.Grants, st.Releases, n)
+	}
+	creates, frees := shardTotals(srv.Service())
+	if creates-creates0 != n || frees-frees0 != n {
+		t.Errorf("table creates/frees = %d/%d for %d trylock+unlock pairs, want one of each per pair",
+			creates-creates0, frees-frees0, n)
+	}
+}
+
+// TestTokenSurvivesIdleReap pins fencing monotonicity to the one thing that
+// outlives a reaped key, its shard's sequence floor: a key's token keeps
+// rising across its own reap, and across a reap of a same-shard neighbour
+// in between.
+func TestTokenSurvivesIdleReap(t *testing.T) {
+	srv, addr := newTestServer(t, Options{Service: gls.Options{NumShards: 4}})
+	svc := srv.Service()
+	c := dialT(t, addr)
+	const a = 7
+	b := uint64(a + 1)
+	for svc.ShardOf(b) != svc.ShardOf(a) {
+		b++
+	}
+	cycle := func(key uint64) uint64 {
+		t.Helper()
+		c.send(fmt.Sprintf("trylock %d\r\n", key))
+		tok := tokenOf(t, c.expect("GRANTED "+fmtKey(key)), 2)
+		c.send(fmt.Sprintf("unlock %d\r\n", key))
+		c.expect("RELEASED " + fmtKey(key))
+		if got := svc.Locks(); got != 0 {
+			t.Fatalf("Locks() = %d after unlocking the only key in use; idle key not reaped", got)
+		}
+		return tok
+	}
+	a1 := cycle(a)
+	a2 := cycle(a)
+	if a2 <= a1 {
+		t.Fatalf("token of key %#x fell across its reap: %d then %d", a, a1, a2)
+	}
+	b1 := cycle(b)
+	a3 := cycle(a)
+	b2 := cycle(b)
+	if a3 <= a2 || b2 <= b1 {
+		t.Fatalf("tokens fell across a neighbour's reap: %#x %d→%d, %#x %d→%d", a, a2, a3, b, b1, b2)
+	}
+	// An unmapped key reports its shard's floor: no live grant is above it,
+	// every later grant will be.
+	c.send(fmt.Sprintf("token %d\r\n", a))
+	floor := tokenOf(t, c.expect("TOKEN "+fmtKey(a)), 2)
+	if a4 := cycle(a); floor < a3 || floor >= a4 {
+		t.Fatalf("token of unmapped key = %d, want in [last grant %d, next grant %d)", floor, a3, a4)
+	}
+}
+
+// TestLeaseHeapTracksHeldLeases: the expiry heap holds one record per held
+// lease — a renew moves the lease's record, a release takes it out, and a
+// dead session's records leave with the sweep that releases its locks.
+func TestLeaseHeapTracksHeldLeases(t *testing.T) {
+	srv, addr := newTestServer(t, Options{SweepInterval: 10 * time.Millisecond})
+	c := dialT(t, addr)
+	wantLeases := func(want int, when string) {
+		t.Helper()
+		if got := srv.Stats().Leases; got != want {
+			t.Fatalf("Leases = %d %s, want %d", got, when, want)
+		}
+	}
+	c.send("trylock 7 60000\r\n")
+	c.expect("GRANTED 0x7")
+	for i := 0; i < 3; i++ {
+		c.send("renew 7 60000\r\n")
+		c.expect("RENEWED 0x7")
+	}
+	wantLeases(1, "after one grant and three renews")
+	c.send("trylock 8 60000\r\n")
+	c.expect("GRANTED 0x8")
+	wantLeases(2, "with two keys held")
+	c.send("unlock 7\r\n")
+	c.expect("RELEASED 0x7")
+	wantLeases(1, "after an unlock")
+
+	_ = c.nc.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Stats().Held != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("dead session's lease not swept: %+v", srv.Stats())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	wantLeases(0, "after the holder died")
+	if got := srv.Service().Locks(); got != 0 {
+		t.Fatalf("Locks() = %d after the holder died, want 0", got)
+	}
+}

@@ -7,6 +7,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"gls"
 )
 
 // Sessions. A session is one client connection's identity on the server:
@@ -18,24 +20,34 @@ import (
 // Single-remover invariant: a session's held map owns the underlying
 // service lock for each granted key. Exactly one path removes a grant from
 // the map — the unlock op, the expiry sweeper, or session teardown — and
-// only the remover calls Service.Unlock, always after the removal. All
-// removals run under session.mu, so a racing unlock and expiry cannot both
-// release, and the mutex hand-over doubles as the happens-before edge that
-// makes a cross-goroutine Unlock safe (the pool worker that acquired
-// published the grant under the same mutex; see DESIGN.md §14).
+// only the remover releases the lock, always after the removal and through
+// the grant's pin, never through the service's key table. All removals run
+// under session.mu, so a racing unlock and expiry cannot both release, and
+// the mutex hand-over doubles as the happens-before edge that makes a
+// cross-goroutine Unlock safe (the pool worker that acquired published the
+// grant under the same mutex; see DESIGN.md §14).
 
 // grant is one held lease: the session's record of a granted key.
 type grant struct {
-	key    uint64
-	token  uint64
-	ttl    time.Duration
+	sess *session
+	key  uint64
+	pin  gls.Pin // the lock object this grant holds; keeps the key mapped
+	// token is the fencing token: pin.NextSeq, minted while the lock is
+	// held, so it rises per key across sessions, expiries and idle-key
+	// frees, and a store can reject a lapsed holder (client.FencedStore).
+	token uint64
+	ttl   time.Duration
+
+	// expiry and idx place the grant in the lease heap (see leaseQueue).
 	expiry time.Time
+	idx    int
 }
 
 // wait is one outstanding asynchronous acquisition (wait or lockmany).
 type wait struct {
 	id     uint64
-	keys   []uint64 // single-element for wait; wire order for lockmany
+	keys   []uint64  // single-element for wait; wire order for lockmany
+	pins   []gls.Pin // keys' lock objects, pinned until granted or abandoned
 	ttl    time.Duration
 	many   bool
 	cancel context.CancelFunc // aborts the pool worker's LockCtx
@@ -86,32 +98,27 @@ func (ss *session) writeErr(perr *ProtoError) {
 	ss.writeLine("ERR", perr.Code, perr.Detail)
 }
 
-// registerGrant mints key's fencing token, records the grant and schedules
-// its lease, while the caller physically holds key's lock. It returns
-// false — and the caller must release the lock and drop its ref — when the
-// session died while the acquisition was in flight. The key's ref is
-// handed from the acquisition attempt to the grant, so no count changes
-// here.
-func (ss *session) registerGrant(key uint64, ttl time.Duration) (*grant, bool) {
+// registerGrant turns an acquisition into a grant, while the caller
+// physically holds pin's lock: it mints key's fencing token, records the
+// grant and schedules its lease. The pin is the grant's from here on. If
+// the session died while the acquisition was in flight, the lock goes
+// straight back instead and registerGrant reports false.
+func (ss *session) registerGrant(key uint64, pin gls.Pin, ttl time.Duration) (*grant, bool) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	if ss.dead {
+		giveBack(pin)
 		return nil, false
 	}
-	g := &grant{
-		key:    key,
-		token:  ss.srv.keys.mint(key),
-		ttl:    ttl,
-		expiry: time.Now().Add(ttl),
-	}
+	g := &grant{sess: ss, key: key, pin: pin, token: pin.NextSeq(), ttl: ttl, idx: -1}
 	ss.held[key] = g
-	ss.srv.leases.push(leaseRecord{at: g.expiry, sess: ss, key: key, token: g.token})
+	ss.srv.leases.schedule(g, time.Now().Add(ttl))
 	return g, true
 }
 
 // takeGrant removes and returns key's grant if this session holds it —
-// the single-remover step shared by unlock and teardown. The caller owns
-// the release (Service.Unlock, then unref) on a true return.
+// the single-remover step of unlock. The caller owns the release
+// (Server.releaseGrant) on a true return.
 func (ss *session) takeGrant(key uint64) (*grant, bool) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()

@@ -133,13 +133,20 @@ type entryHeader struct {
 	rwalgo locks.RWAlgorithm
 }
 
-// entryStats is the mutable debug part of an entry. The profile-mode
-// accumulators that used to live here moved into the telemetry subsystem
-// (each lock's LockStats), so an entry carries only the debug owner word.
+// entryStats is the mutable part of an entry: the debug owner word and the
+// key-lifetime words behind Pin (pin.go). The profile-mode accumulators
+// that used to live here moved into the telemetry subsystem (each lock's
+// LockStats).
 type entryStats struct {
 	// owner is the goroutine currently holding the lock (0 = free).
 	// Maintained only in debug mode.
 	owner atomic.Uint64
+
+	// pins counts outstanding Pins (pinsDead once the last is gone and the
+	// entry is being freed); seq is the last value Pin.NextSeq handed out,
+	// written only by the lock's holder. Both stay 0 for keys nobody pins.
+	pins atomic.Int64
+	seq  atomic.Uint64
 }
 
 // entry is the lock object a key maps to, plus its debug metadata. The
@@ -210,6 +217,11 @@ type shardHeader struct {
 	// a glance (glsbench -shard, ShardStats).
 	creates atomic.Uint64
 	frees   atomic.Uint64
+
+	// seqFloor is the largest Pin sequence a freed entry of this shard
+	// ended on. Every NextSeq exceeds it, so a key freed and re-created
+	// keeps rising — one word per shard, not a record per key ever used.
+	seqFloor atomic.Uint64
 }
 
 // Service is one GLS instance: a sharded concurrent key→lock table plus the
@@ -638,12 +650,12 @@ func (s *Service) initLockWith(a locks.Algorithm, key uint64) {
 //     and only its cancellation path (which never consults the table) can
 //     reclaim the goroutine.
 //
-// Callers that free keys while other goroutines may touch them must
-// impose quiescence externally — e.g. a per-key refcount taken before any
-// service call and a Free only at zero, under a mutex that also excludes
-// new acquisitions (the glsd server's keyTable does exactly this; see
-// package server). Handles add no hazard beyond the above: their caches
-// detect the Free and re-resolve (see Handle).
+// Free stays the paper's unconditional gls_free. Callers that free keys
+// while other goroutines may touch them should reach the key through Pin
+// and let the last Unpin free it: the pin count lives in the entry, so
+// "nobody uses it" and the Free are one atomic step (glsd does this; see
+// pin.go). Handles add no hazard beyond the above: their caches detect the
+// Free and re-resolve (see Handle).
 func (s *Service) Free(key uint64) {
 	if key == 0 {
 		return
