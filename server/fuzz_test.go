@@ -1,6 +1,7 @@
 package server
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -51,6 +52,10 @@ func FuzzParseCommand(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, line string) {
 		cmd, perr := ParseCommand(line, 0)
+		// The connection reader gives the same parser body the line as bytes.
+		if bcmd, bperr := parseCommand([]byte(line), 0); !reflect.DeepEqual(cmd, bcmd) || !reflect.DeepEqual(perr, bperr) {
+			t.Fatalf("ParseCommand(%q) = %+v, %v as a string but %+v, %v as bytes", line, cmd, perr, bcmd, bperr)
+		}
 		if perr != nil {
 			if !knownCodes[perr.Code] {
 				t.Fatalf("ParseCommand(%q): unknown error code %q", line, perr.Code)

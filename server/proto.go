@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"strconv"
-	"strings"
 	"time"
 )
 
@@ -162,11 +161,17 @@ func protoErrf(code, format string, args ...any) *ProtoError {
 // bounds response length (see Options.MaxBatchKeys).
 const MaxBatchKeys = 64
 
-// parseKey parses a non-zero uint64 key, decimal or 0x hex.
-func parseKey(s string) (uint64, *ProtoError) {
-	k, err := strconv.ParseUint(s, 0, 64)
+// byteseq is what a request line arrives as: a string through ParseCommand,
+// the connection reader's own buffer bytes on the wire path. One parser body
+// serves both, so the wire path makes no string per line.
+type byteseq interface{ ~string | ~[]byte }
+
+// parseKey parses a non-zero uint64 key, decimal or 0x hex. (string(f) of
+// a []byte field does not escape into strconv, so it costs no allocation.)
+func parseKey[T byteseq](f T) (uint64, *ProtoError) {
+	k, err := strconv.ParseUint(string(f), 0, 64)
 	if err != nil {
-		return 0, protoErrf(ErrCodeKey, "bad key %q", s)
+		return 0, protoErrf(ErrCodeKey, "bad key %q", string(f))
 	}
 	if k == 0 {
 		return 0, protoErrf(ErrCodeKey, "zero key is not a valid lock")
@@ -176,18 +181,18 @@ func parseKey(s string) (uint64, *ProtoError) {
 
 // parseUint parses a uint64 field (wait ids, millisecond counts), naming
 // the field in the error.
-func parseUint(field, s string) (uint64, *ProtoError) {
-	v, err := strconv.ParseUint(s, 0, 64)
+func parseUint[T byteseq](field string, f T) (uint64, *ProtoError) {
+	v, err := strconv.ParseUint(string(f), 0, 64)
 	if err != nil {
-		return 0, protoErrf(ErrCodeNumber, "bad %s %q", field, s)
+		return 0, protoErrf(ErrCodeNumber, "bad %s %q", field, string(f))
 	}
 	return v, nil
 }
 
 // parseMillis parses a millisecond count into a duration, refusing values
 // that would overflow time.Duration when scaled.
-func parseMillis(field, s string) (time.Duration, *ProtoError) {
-	v, perr := parseUint(field, s)
+func parseMillis[T byteseq](field string, f T) (time.Duration, *ProtoError) {
+	v, perr := parseUint(field, f)
 	if perr != nil {
 		return 0, perr
 	}
@@ -199,189 +204,161 @@ func parseMillis(field, s string) (time.Duration, *ProtoError) {
 
 const maxDuration = time.Duration(1<<63 - 1)
 
+// form is a verb's argument shape. Every request is
+//
+//	verb [id] key [ttl [timeout]]      (single-key: key set, opt trailing durations)
+//	verb [id] [ttl] key [key ...]      (batched: many set, ttl mandatory where present)
+//
+// so one table and one loop parse the whole grammar.
+type form struct {
+	op   Op
+	id   bool // a leading wait id
+	key  bool // one key...
+	opt  int  // ...then up to opt optional durations: ttl, timeout
+	many bool // a batch of keys...
+	ttl  bool // ...after a mandatory ttl
+}
+
+// formOf looks a verb up. (A switch on string(bytes) does not allocate.)
+func formOf[T byteseq](verb T) (form, bool) {
+	switch string(verb) {
+	case "session":
+		return form{op: OpSession}, true
+	case "ping":
+		return form{op: OpPing}, true
+	case "stats":
+		return form{op: OpStats}, true
+	case "quit":
+		return form{op: OpQuit}, true
+	case "trylock":
+		return form{op: OpTryLock, key: true, opt: 1}, true
+	case "wait":
+		return form{op: OpWait, id: true, key: true, opt: 2}, true
+	case "cancel":
+		return form{op: OpCancel, id: true}, true
+	case "unlock":
+		return form{op: OpUnlock, key: true}, true
+	case "renew":
+		return form{op: OpRenew, key: true, opt: 1}, true
+	case "token":
+		return form{op: OpToken, key: true}, true
+	case "trylockmany":
+		return form{op: OpTryLockMany, many: true, ttl: true}, true
+	case "lockmany":
+		return form{op: OpLockMany, id: true, many: true, ttl: true}, true
+	case "unlockmany":
+		return form{op: OpUnlockMany, many: true}, true
+	}
+	return form{}, false
+}
+
+// cut splits s at its first space (the caller has ruled out empty fields).
+func cut[T byteseq](s T) (field, rest T) {
+	for i := 0; i < len(s); i++ {
+		if s[i] == ' ' {
+			return s[:i], s[i+1:]
+		}
+	}
+	return s, s[len(s):]
+}
+
 // ParseCommand parses one request line (already stripped of its LF/CRLF
 // terminator) under the given batch cap. It never panics; any input is
 // either a Command or a *ProtoError. maxBatch <= 0 selects MaxBatchKeys.
 func ParseCommand(line string, maxBatch int) (Command, *ProtoError) {
+	return parseCommand(line, maxBatch)
+}
+
+// parseCommand is the parser body, shared by ParseCommand and the
+// connection reader (which hands it the scanner's own bytes; nothing of
+// line is retained).
+func parseCommand[T byteseq](line T, maxBatch int) (Command, *ProtoError) {
 	if maxBatch <= 0 {
 		maxBatch = MaxBatchKeys
 	}
-	fields := strings.Split(line, " ")
-	// strings.Split never yields an empty slice; an empty line or one with
-	// doubled spaces produces empty fields, which are rejected below (the
-	// wire grammar is single-space separated, like memcached's).
-	for _, f := range fields {
-		if f == "" {
-			return Command{}, protoErrf(ErrCodeCommand, "empty field (single spaces, no leading/trailing space)")
+	// The wire grammar is single-space separated, like memcached's: an empty
+	// line, a leading, trailing or doubled space is an empty field.
+	empty := len(line) == 0 || line[0] == ' ' || line[len(line)-1] == ' '
+	nargs := 0
+	for i := 0; !empty && i < len(line); i++ {
+		if line[i] == ' ' {
+			nargs++
+			empty = line[i+1] == ' ' // in range: the last byte is not a space
 		}
 	}
-	cmd := Command{}
-	verb, args := fields[0], fields[1:]
-	argc := func(min, max int) *ProtoError {
-		if len(args) < min || len(args) > max {
-			return protoErrf(ErrCodeArgs, "%s takes %d-%d args, got %d", verb, min, max, len(args))
-		}
-		return nil
+	if empty {
+		return Command{}, protoErrf(ErrCodeCommand, "empty field (single spaces, no leading/trailing space)")
 	}
-	switch verb {
-	case "session":
-		cmd.Op = OpSession
-		return cmd, argc(0, 0)
-	case "ping":
-		cmd.Op = OpPing
-		return cmd, argc(0, 0)
-	case "stats":
-		cmd.Op = OpStats
-		return cmd, argc(0, 0)
-	case "quit":
-		cmd.Op = OpQuit
-		return cmd, argc(0, 0)
-	case "trylock":
-		cmd.Op = OpTryLock
-		if perr := argc(1, 2); perr != nil {
-			return Command{}, perr
-		}
-		var perr *ProtoError
-		if cmd.Key, perr = parseKey(args[0]); perr != nil {
-			return Command{}, perr
-		}
-		if len(args) == 2 {
-			if cmd.TTL, perr = parseMillis("ttl", args[1]); perr != nil {
-				return Command{}, perr
-			}
-		}
-		return cmd, nil
-	case "wait":
-		cmd.Op = OpWait
-		if perr := argc(2, 4); perr != nil {
-			return Command{}, perr
-		}
-		var perr *ProtoError
-		if cmd.ID, perr = parseUint("id", args[0]); perr != nil {
-			return Command{}, perr
-		}
-		if cmd.Key, perr = parseKey(args[1]); perr != nil {
-			return Command{}, perr
-		}
-		if len(args) >= 3 {
-			if cmd.TTL, perr = parseMillis("ttl", args[2]); perr != nil {
-				return Command{}, perr
-			}
-		}
-		if len(args) == 4 {
-			if cmd.Timeout, perr = parseMillis("timeout", args[3]); perr != nil {
-				return Command{}, perr
-			}
-		}
-		return cmd, nil
-	case "cancel":
-		cmd.Op = OpCancel
-		if perr := argc(1, 1); perr != nil {
-			return Command{}, perr
-		}
-		var perr *ProtoError
-		if cmd.ID, perr = parseUint("id", args[0]); perr != nil {
-			return Command{}, perr
-		}
-		return cmd, nil
-	case "unlock":
-		cmd.Op = OpUnlock
-		if perr := argc(1, 1); perr != nil {
-			return Command{}, perr
-		}
-		var perr *ProtoError
-		if cmd.Key, perr = parseKey(args[0]); perr != nil {
-			return Command{}, perr
-		}
-		return cmd, nil
-	case "renew":
-		cmd.Op = OpRenew
-		if perr := argc(1, 2); perr != nil {
-			return Command{}, perr
-		}
-		var perr *ProtoError
-		if cmd.Key, perr = parseKey(args[0]); perr != nil {
-			return Command{}, perr
-		}
-		if len(args) == 2 {
-			if cmd.TTL, perr = parseMillis("ttl", args[1]); perr != nil {
-				return Command{}, perr
-			}
-		}
-		return cmd, nil
-	case "token":
-		cmd.Op = OpToken
-		if perr := argc(1, 1); perr != nil {
-			return Command{}, perr
-		}
-		var perr *ProtoError
-		if cmd.Key, perr = parseKey(args[0]); perr != nil {
-			return Command{}, perr
-		}
-		return cmd, nil
-	case "trylockmany":
-		cmd.Op = OpTryLockMany
-		if perr := argc(2, 1+maxBatch); perr != nil {
-			if len(args) > 1+maxBatch {
-				return Command{}, protoErrf(ErrCodeTooMany, "%s batch of %d exceeds limit %d", verb, len(args)-1, maxBatch)
-			}
-			return Command{}, perr
-		}
-		var perr *ProtoError
-		if cmd.TTL, perr = parseMillis("ttl", args[0]); perr != nil {
-			return Command{}, perr
-		}
-		if cmd.Keys, perr = parseKeys(args[1:]); perr != nil {
-			return Command{}, perr
-		}
-		return cmd, nil
-	case "lockmany":
-		cmd.Op = OpLockMany
-		if perr := argc(3, 2+maxBatch); perr != nil {
-			if len(args) > 2+maxBatch {
-				return Command{}, protoErrf(ErrCodeTooMany, "%s batch of %d exceeds limit %d", verb, len(args)-2, maxBatch)
-			}
-			return Command{}, perr
-		}
-		var perr *ProtoError
-		if cmd.ID, perr = parseUint("id", args[0]); perr != nil {
-			return Command{}, perr
-		}
-		if cmd.TTL, perr = parseMillis("ttl", args[1]); perr != nil {
-			return Command{}, perr
-		}
-		if cmd.Keys, perr = parseKeys(args[2:]); perr != nil {
-			return Command{}, perr
-		}
-		return cmd, nil
-	case "unlockmany":
-		cmd.Op = OpUnlockMany
-		if perr := argc(1, maxBatch); perr != nil {
-			if len(args) > maxBatch {
-				return Command{}, protoErrf(ErrCodeTooMany, "%s batch of %d exceeds limit %d", verb, len(args), maxBatch)
-			}
-			return Command{}, perr
-		}
-		var perr *ProtoError
-		if cmd.Keys, perr = parseKeys(args); perr != nil {
-			return Command{}, perr
-		}
-		return cmd, nil
+	verb, rest := cut(line)
+	f, ok := formOf(verb)
+	if !ok {
+		return Command{}, protoErrf(ErrCodeCommand, "unknown command %q", string(verb))
 	}
-	return Command{}, protoErrf(ErrCodeCommand, "unknown command %q", verb)
-}
+	min := 0 // the mandatory fields, then what may follow them
+	if f.id {
+		min++
+	}
+	if f.key || f.ttl {
+		min++
+	}
+	max := min + f.opt
+	if f.many {
+		if nargs > min+maxBatch {
+			return Command{}, protoErrf(ErrCodeTooMany, "%s batch of %d exceeds limit %d", string(verb), nargs-min, maxBatch)
+		}
+		min, max = min+1, min+maxBatch
+	}
+	if nargs < min || nargs > max {
+		return Command{}, protoErrf(ErrCodeArgs, "%s takes %d-%d args, got %d", string(verb), min, max, nargs)
+	}
 
-// parseKeys parses a batch operand. Duplicates are allowed on the wire —
-// the service's (shard, key) canonicalization coalesces them, so a client
-// built from a messy key list stays balanced (see gls.LockMany).
-func parseKeys(args []string) ([]uint64, *ProtoError) {
-	keys := make([]uint64, len(args))
-	for i, a := range args {
-		k, perr := parseKey(a)
-		if perr != nil {
-			return nil, perr
+	cmd := Command{Op: f.op}
+	var perr *ProtoError
+	var field T
+	if f.id {
+		field, rest = cut(rest)
+		if cmd.ID, perr = parseUint("id", field); perr != nil {
+			return Command{}, perr
 		}
-		keys[i] = k
+		nargs--
 	}
-	return keys, nil
+	if f.many {
+		if f.ttl {
+			field, rest = cut(rest)
+			if cmd.TTL, perr = parseMillis("ttl", field); perr != nil {
+				return Command{}, perr
+			}
+			nargs--
+		}
+		// Duplicates are allowed on the wire — the service's (shard, key)
+		// canonicalization coalesces them, so a client built from a messy
+		// key list stays balanced (see gls.LockMany).
+		cmd.Keys = make([]uint64, nargs)
+		for i := range cmd.Keys {
+			field, rest = cut(rest)
+			if cmd.Keys[i], perr = parseKey(field); perr != nil {
+				return Command{}, perr
+			}
+		}
+		return cmd, nil
+	}
+	if f.key {
+		field, rest = cut(rest)
+		if cmd.Key, perr = parseKey(field); perr != nil {
+			return Command{}, perr
+		}
+		nargs--
+	}
+	if nargs >= 1 {
+		field, rest = cut(rest)
+		if cmd.TTL, perr = parseMillis("ttl", field); perr != nil {
+			return Command{}, perr
+		}
+	}
+	if nargs == 2 {
+		if cmd.Timeout, perr = parseMillis("timeout", rest); perr != nil {
+			return Command{}, perr
+		}
+	}
+	return cmd, nil
 }

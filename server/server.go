@@ -17,13 +17,12 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net"
 	"runtime"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -339,11 +338,13 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 	sc.Buffer(make([]byte, 0, initial), s.opts.MaxLineBytes)
 	for sc.Scan() {
-		line := strings.TrimSuffix(sc.Text(), "\r")
-		if line == "" {
+		// The scanner's own bytes, valid until the next Scan: the parser
+		// keeps none of them.
+		line := bytes.TrimSuffix(sc.Bytes(), []byte("\r"))
+		if len(line) == 0 {
 			continue
 		}
-		cmd, perr := ParseCommand(line, s.opts.MaxBatchKeys)
+		cmd, perr := parseCommand(line, s.opts.MaxBatchKeys)
 		if perr != nil {
 			ss.writeErr(perr)
 			continue
@@ -422,16 +423,16 @@ func (s *Server) releaseGrant(g *grant) {
 func (s *Server) dispatch(ss *session, cmd Command) bool {
 	switch cmd.Op {
 	case OpSession:
-		ss.writeLine("SESSION", ss.idString())
+		ss.begin("SESSION").num(ss.id).end()
 	case OpPing:
-		ss.writeLine("PONG")
+		ss.begin("PONG").end()
 	case OpQuit:
-		ss.writeLine("BYE")
+		ss.begin("BYE").end()
 		return false
 	case OpStats:
-		ss.writeLine(s.statsLine())
+		ss.begin(s.statsLine()).end()
 	case OpToken:
-		ss.writeLine("TOKEN", fmtKey(cmd.Key), strconv.FormatUint(s.svc.Seq(cmd.Key), 10))
+		ss.begin("TOKEN").key(cmd.Key).num(s.svc.Seq(cmd.Key)).end()
 	case OpTryLock:
 		s.handleTryLock(ss, cmd)
 	case OpUnlock:
@@ -461,13 +462,6 @@ func (s *Server) statsLine() string {
 		st.Expiries, st.Timeouts, st.Cancels, st.Disconnects, st.Overloads)
 }
 
-// fmtKey renders a key for the wire (hex, like the telemetry reports).
-func fmtKey(k uint64) string { return "0x" + strconv.FormatUint(k, 16) }
-
-func fmtMillis(d time.Duration) string {
-	return strconv.FormatInt(d.Milliseconds(), 10)
-}
-
 // holdsAny reports (under ss.mu) a key of keys this session already holds.
 // Re-acquiring a held key would self-deadlock a pool worker until the
 // lease expires, so it is refused up front.
@@ -487,14 +481,14 @@ func (s *Server) handleTryLock(ss *session, cmd Command) {
 	_, held := ss.held[cmd.Key]
 	ss.mu.Unlock()
 	if held {
-		ss.writeErr(protoErrf(ErrCodeHeld, "key %s already held by this session", fmtKey(cmd.Key)))
+		ss.writeErr(protoErrf(ErrCodeHeld, "key %#x already held by this session", cmd.Key))
 		return
 	}
 	ttl := s.clampTTL(cmd.TTL)
 	pin := s.svc.Pin(cmd.Key)
 	if !pin.TryLock() {
 		pin.Unpin()
-		ss.writeLine("BUSY", fmtKey(cmd.Key))
+		ss.begin("BUSY").key(cmd.Key).end()
 		return
 	}
 	g, alive := ss.registerGrant(cmd.Key, pin, ttl)
@@ -503,19 +497,19 @@ func (s *Server) handleTryLock(ss *session, cmd Command) {
 	}
 	s.grants.Add(1)
 	s.held.Add(1)
-	ss.writeLine("GRANTED", fmtKey(cmd.Key), strconv.FormatUint(g.token, 10), fmtMillis(ttl))
+	ss.begin("GRANTED").key(cmd.Key).num(g.token).ms(ttl).end()
 }
 
 // handleUnlock releases a held lease.
 func (s *Server) handleUnlock(ss *session, cmd Command) {
 	g, ok := ss.takeGrant(cmd.Key)
 	if !ok {
-		ss.writeErr(protoErrf(ErrCodeNotHeld, "key %s is not held by this session", fmtKey(cmd.Key)))
+		ss.writeErr(protoErrf(ErrCodeNotHeld, "key %#x is not held by this session", cmd.Key))
 		return
 	}
 	s.releaseGrant(g)
 	s.releases.Add(1)
-	ss.writeLine("RELEASED", fmtKey(cmd.Key))
+	ss.begin("RELEASED").key(cmd.Key).end()
 }
 
 // handleRenew extends a held lease. The expiry time is authoritative: a
@@ -529,7 +523,7 @@ func (s *Server) handleRenew(ss *session, cmd Command) {
 	g, ok := ss.held[cmd.Key]
 	if !ok {
 		ss.mu.Unlock()
-		ss.writeErr(protoErrf(ErrCodeNotHeld, "key %s is not held by this session", fmtKey(cmd.Key)))
+		ss.writeErr(protoErrf(ErrCodeNotHeld, "key %#x is not held by this session", cmd.Key))
 		return
 	}
 	if !now.Before(g.expiry) {
@@ -537,14 +531,14 @@ func (s *Server) handleRenew(ss *session, cmd Command) {
 		ss.mu.Unlock()
 		s.releaseGrant(g)
 		s.expiries.Add(1)
-		ss.writeErr(protoErrf(ErrCodeExpired, "lease on %s expired %v ago", fmtKey(cmd.Key), now.Sub(g.expiry).Round(time.Millisecond)))
+		ss.writeErr(protoErrf(ErrCodeExpired, "lease on %#x expired %v ago", cmd.Key, now.Sub(g.expiry).Round(time.Millisecond)))
 		return
 	}
 	g.ttl = ttl
 	s.leases.schedule(g, now.Add(ttl))
 	tok := g.token
 	ss.mu.Unlock()
-	ss.writeLine("RENEWED", fmtKey(cmd.Key), strconv.FormatUint(tok, 10), fmtMillis(ttl))
+	ss.begin("RENEWED").key(cmd.Key).num(tok).ms(ttl).end()
 }
 
 // handleCancel aborts an outstanding wait. Always acknowledged: the race
@@ -557,7 +551,7 @@ func (s *Server) handleCancel(ss *session, cmd Command) {
 	if w != nil {
 		w.cancel()
 	}
-	ss.writeLine("OK", "cancel", strconv.FormatUint(cmd.ID, 10))
+	ss.begin("OK cancel").num(cmd.ID).end()
 }
 
 // handleAsync queues a wait or lockmany: register the wait, hand the request
@@ -585,7 +579,7 @@ func (s *Server) handleAsync(ss *session, cmd Command) {
 	}
 	if k, held := ss.holdsAny(keys); held {
 		ss.mu.Unlock()
-		ss.writeErr(protoErrf(ErrCodeHeld, "key %s already held by this session", fmtKey(k)))
+		ss.writeErr(protoErrf(ErrCodeHeld, "key %#x already held by this session", k))
 		return
 	}
 	ctx := ss.ctx
@@ -608,7 +602,7 @@ func (s *Server) handleAsync(ss *session, cmd Command) {
 	select {
 	case s.acq <- req:
 		w.pins = s.pinAll(keys) // before ready: the worker starts pinned
-		ss.writeLine("QUEUED", strconv.FormatUint(cmd.ID, 10))
+		ss.begin("QUEUED").num(cmd.ID).end()
 		close(req.ready)
 	default:
 		s.waiting.Add(-1)
@@ -646,7 +640,7 @@ func (s *Server) handleTryLockMany(ss *session, cmd Command) {
 	k, held := ss.holdsAny(keys)
 	ss.mu.Unlock()
 	if held {
-		ss.writeErr(protoErrf(ErrCodeHeld, "key %s already held by this session", fmtKey(k)))
+		ss.writeErr(protoErrf(ErrCodeHeld, "key %#x already held by this session", k))
 		return
 	}
 	ttl := s.clampTTL(cmd.TTL)
@@ -655,14 +649,14 @@ func (s *Server) handleTryLockMany(ss *session, cmd Command) {
 		for _, p := range pins {
 			p.Unpin()
 		}
-		ss.writeLine("BUSY", "many")
+		ss.begin("BUSY many").end()
 		return
 	}
 	granted := s.registerMany(ss, keys, pins, ttl)
 	if granted == nil {
 		return // session died; registerMany rolled everything back
 	}
-	ss.writeLine(grantManyLine("GRANTEDMANY", 0, false, ttl, keys, granted))
+	ss.begin("GRANTEDMANY").ms(ttl).grants(keys, granted).end()
 }
 
 // registerMany records a grant per key of an acquired batch (pins[i] is
@@ -684,25 +678,6 @@ func (s *Server) registerMany(ss *session, keys []uint64, pins []gls.Pin, ttl ti
 	return tokens
 }
 
-// grantManyLine renders a batched grant: VERB [id] ttl key token key token...
-func grantManyLine(verb string, id uint64, withID bool, ttl time.Duration, keys []uint64, tokens map[uint64]uint64) string {
-	var b strings.Builder
-	b.WriteString(verb)
-	if withID {
-		b.WriteByte(' ')
-		b.WriteString(strconv.FormatUint(id, 10))
-	}
-	b.WriteByte(' ')
-	b.WriteString(fmtMillis(ttl))
-	for _, k := range keys {
-		b.WriteByte(' ')
-		b.WriteString(fmtKey(k))
-		b.WriteByte(' ')
-		b.WriteString(strconv.FormatUint(tokens[k], 10))
-	}
-	return b.String()
-}
-
 // handleUnlockMany releases a batch of held leases. Keys not held by this
 // session are skipped and reported in the count — a batch release after a
 // partial expiry should release what remains, not fail entirely.
@@ -716,7 +691,7 @@ func (s *Server) handleUnlockMany(ss *session, cmd Command) {
 			released++
 		}
 	}
-	ss.writeLine("RELEASEDMANY", strconv.Itoa(released))
+	ss.begin("RELEASEDMANY").num(uint64(released)).end()
 }
 
 // worker is one acquisition-pool goroutine: it executes queued waits
@@ -751,17 +726,16 @@ func (s *Server) finishWait(ss *session, w *wait) {
 func (s *Server) runWait(req *acquireReq) {
 	ss, w := req.ss, req.w
 	key, pin := w.keys[0], w.pins[0]
-	idStr := strconv.FormatUint(w.id, 10)
 	err := pin.LockCtx(req.ctx)
 	s.finishWait(ss, w)
 	if err != nil {
 		pin.Unpin()
 		if errors.Is(err, context.DeadlineExceeded) {
 			s.timeouts.Add(1)
-			ss.writeLine("TIMEOUT", idStr)
+			ss.begin("TIMEOUT").num(w.id).end()
 		} else {
 			s.cancels.Add(1)
-			ss.writeLine("CANCELLED", idStr)
+			ss.begin("CANCELLED").num(w.id).end()
 		}
 		return
 	}
@@ -774,7 +748,7 @@ func (s *Server) runWait(req *acquireReq) {
 	}
 	s.grants.Add(1)
 	s.held.Add(1)
-	ss.writeLine("GRANT", idStr, fmtKey(key), strconv.FormatUint(g.token, 10), fmtMillis(w.ttl))
+	ss.begin("GRANT").num(w.id).key(key).num(g.token).ms(w.ttl).end()
 }
 
 // runLockMany executes one batched asynchronous acquisition via the
@@ -787,7 +761,6 @@ func (s *Server) runWait(req *acquireReq) {
 // rolled straight back.
 func (s *Server) runLockMany(req *acquireReq) {
 	ss, w := req.ss, req.w
-	idStr := strconv.FormatUint(w.id, 10)
 	s.svc.LockMany(w.keys...)
 	// Read the context before finishWait retires it (finishWait cancels).
 	aborted := req.ctx.Err() != nil
@@ -797,7 +770,7 @@ func (s *Server) runLockMany(req *acquireReq) {
 		// assembled; the locks were still taken — release them.
 		giveBack(w.pins...)
 		s.cancels.Add(1)
-		ss.writeLine("CANCELLED", idStr)
+		ss.begin("CANCELLED").num(w.id).end()
 		return
 	}
 	granted := s.registerMany(ss, w.keys, w.pins, w.ttl)
@@ -805,7 +778,7 @@ func (s *Server) runLockMany(req *acquireReq) {
 		s.cancels.Add(1)
 		return
 	}
-	ss.writeLine(grantManyLine("GRANTMANY", w.id, true, w.ttl, w.keys, granted))
+	ss.begin("GRANTMANY").num(w.id).ms(w.ttl).grants(w.keys, granted).end()
 }
 
 // sweeper is the lease-expiry loop: a ticker at Options.SweepInterval plus
@@ -854,6 +827,6 @@ func (s *Server) expire(g *grant, now time.Time) {
 	s.releaseGrant(g)
 	s.expiries.Add(1)
 	if !wasDead {
-		ss.writeLine("EXPIRED", fmtKey(g.key), strconv.FormatUint(g.token, 10))
+		ss.begin("EXPIRED").key(g.key).num(g.token).end()
 	}
 }

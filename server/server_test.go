@@ -78,6 +78,9 @@ func (c *tconn) expect(prefix string) string {
 	return line
 }
 
+// fmtKey renders a key as responses carry it.
+func fmtKey(k uint64) string { return "0x" + strconv.FormatUint(k, 16) }
+
 // fields splits a response line.
 func fields(line string) []string { return strings.Fields(line) }
 

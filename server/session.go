@@ -3,8 +3,8 @@ package server
 import (
 	"bufio"
 	"context"
-	"fmt"
 	"net"
+	"strconv"
 	"sync"
 	"time"
 
@@ -77,25 +77,84 @@ type session struct {
 	cancel context.CancelFunc
 }
 
-// writeLine sends one response line (the arguments are joined by spaces).
-// Errors are swallowed: a session whose connection broke is torn down by
-// its reader goroutine, and every other writer just stops mattering.
-func (ss *session) writeLine(parts ...string) {
-	ss.wmu.Lock()
-	defer ss.wmu.Unlock()
-	for i, p := range parts {
-		if i > 0 {
-			_ = ss.bw.WriteByte(' ')
-		}
-		_, _ = ss.bw.WriteString(p)
+// writeTimeout bounds one write to a peer. A write blocks only when the
+// peer has stopped reading and megabytes of unread responses fill the
+// socket; past the bound the connection is closed, so no pool worker and no
+// sweeper pass waits on a stalled reader for longer than this.
+const writeTimeout = 5 * time.Second
+
+// peerWriter is the session's only way to the socket: every write carries a
+// deadline, and a failed one closes the connection, which ends the reader
+// goroutine and so runs the session's teardown. (bufio.Writer keeps the
+// error, so later lines to a broken session are dropped without a syscall.)
+type peerWriter struct{ conn net.Conn }
+
+func (w peerWriter) Write(p []byte) (int, error) {
+	_ = w.conn.SetWriteDeadline(time.Now().Add(writeTimeout)) // a failure here fails the Write too
+	n, err := w.conn.Write(p)
+	if err != nil {
+		_ = w.conn.Close()
 	}
-	_, _ = ss.bw.WriteString("\r\n")
-	_ = ss.bw.Flush()
+	return n, err
+}
+
+// line is one response line under construction in the session's write
+// buffer: begin takes wmu and writes the verb, the field methods append
+// (nothing is rendered to a string on the way), end completes the line,
+// flushes it and releases wmu.
+type line struct {
+	ss *session
+	b  []byte
+}
+
+func (ss *session) begin(verb string) line {
+	ss.wmu.Lock()
+	return line{ss, append(ss.bw.AvailableBuffer(), verb...)}
+}
+
+// key appends a key (hex, like the telemetry reports).
+func (l line) key(k uint64) line {
+	l.b = strconv.AppendUint(append(l.b, " 0x"...), k, 16)
+	return l
+}
+
+// num appends a decimal field: an id, a token, a count.
+func (l line) num(n uint64) line {
+	l.b = strconv.AppendUint(append(l.b, ' '), n, 10)
+	return l
+}
+
+// ms appends a duration in milliseconds.
+func (l line) ms(d time.Duration) line {
+	l.b = strconv.AppendInt(append(l.b, ' '), d.Milliseconds(), 10)
+	return l
+}
+
+// str appends a literal field.
+func (l line) str(s string) line {
+	l.b = append(append(l.b, ' '), s...)
+	return l
+}
+
+// grants appends a batch's (key, token) pairs in wire order.
+func (l line) grants(keys []uint64, tokens map[uint64]uint64) line {
+	for _, k := range keys {
+		l = l.key(k).num(tokens[k])
+	}
+	return l
+}
+
+// end completes the line and flushes it. Write errors need no handling
+// here: peerWriter has closed the connection, and the teardown follows.
+func (l line) end() {
+	_, _ = l.ss.bw.Write(append(l.b, '\r', '\n'))
+	_ = l.ss.bw.Flush()
+	l.ss.wmu.Unlock()
 }
 
 // writeErr sends an ERR line for a rejected request.
 func (ss *session) writeErr(perr *ProtoError) {
-	ss.writeLine("ERR", perr.Code, perr.Detail)
+	ss.begin("ERR").str(perr.Code).str(perr.Detail).end()
 }
 
 // registerGrant turns an acquisition into a grant, while the caller
@@ -149,7 +208,7 @@ func (set *sessionSet) add(srv *Server, conn net.Conn) *session {
 		id:     set.next,
 		srv:    srv,
 		conn:   conn,
-		bw:     bufio.NewWriter(conn),
+		bw:     bufio.NewWriter(peerWriter{conn}),
 		held:   make(map[uint64]*grant),
 		waits:  make(map[uint64]*wait),
 		ctx:    ctx,
@@ -186,6 +245,3 @@ func (set *sessionSet) each(fn func(*session)) {
 		fn(ss)
 	}
 }
-
-// idString renders the session id for the wire.
-func (ss *session) idString() string { return fmt.Sprintf("%d", ss.id) }
