@@ -24,13 +24,11 @@ import (
 // offered rate rather than the generator backing off. Each point then runs
 // a second phase: a quarter of the connections park a waiter on one held
 // key, and the release cascade is timed — exercising the server's claim
-// that blocked waiters cost a bounded worker pool plus the connection
-// reader, never a goroutine per waiter. The phases are sequential on
-// purpose: GLK waiters spin (the paper's locks busy-wait), so pool workers
-// blocked in LockCtx consume CPU, and overlapping them with the paced load
-// would measure scheduler pressure, not the wire path — acutely so on a
-// single-CPU host (see EXPERIMENTS.md). The JSON it emits (BENCH_glsd.json)
-// is the wire-path perf trajectory.
+// that a blocked waiter costs one goroutine parked in the key's FIFO queue
+// and no CPU, so the cascade is one direct hand-off per waiter. The phases
+// are sequential so the latency columns and drain_ms each measure one thing
+// (EXPERIMENTS.md has the small-machine caveats). The JSON it emits
+// (BENCH_glsd.json) is the wire-path perf trajectory.
 
 // serverResult is one measured sweep point.
 type serverResult struct {
@@ -217,8 +215,8 @@ func serverPoint(addr string, conns int, offered float64, d time.Duration) (serv
 
 	// Phase 2 — parked waiters. A control connection holds the park key, a
 	// quarter of the sessions enqueue behind it (each blocks a bench
-	// goroutine here; on the server they cost queue slots plus at most the
-	// fixed worker pool), and the release cascade is timed: every waiter is
+	// goroutine here; on the server each is one goroutine parked in the
+	// key's FIFO queue), and the release cascade is timed: every waiter is
 	// granted in turn and unlocks as it wakes.
 	control, err := client.Dial(addr)
 	if err != nil {

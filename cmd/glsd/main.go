@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	glsd [-addr :4850] [-stats :4851] [-shards N] [-workers N] ...
+//	glsd [-addr :4850] [-stats :4851] [-shards N] [-queue N] ...
 //
 // The stats listener serves the glstat lock report at / (text, ?format=json,
 // ?format=prom, ?top=N — point glsstat -top at it), a Prometheus scrape
@@ -33,15 +33,14 @@ import (
 
 func main() {
 	var (
-		addr    = flag.String("addr", ":4850", "lock protocol listen address")
-		stats   = flag.String("stats", ":4851", "stats HTTP listen address (empty disables)")
-		shards  = flag.Int("shards", 0, "service shard count (0 = auto)")
-		workers = flag.Int("workers", 0, "acquisition pool size (0 = default)")
-		queue   = flag.Int("queue", 0, "acquisition queue depth (0 = default)")
-		ttl     = flag.Duration("ttl", 0, "default lease TTL (0 = 10s)")
-		maxTTL  = flag.Duration("max-ttl", 0, "lease TTL cap (0 = 60s)")
-		sweep   = flag.Duration("sweep", 0, "expiry sweep interval (0 = 50ms, min 10ms)")
-		quiet   = flag.Bool("quiet", false, "suppress log output")
+		addr   = flag.String("addr", ":4850", "lock protocol listen address")
+		stats  = flag.String("stats", ":4851", "stats HTTP listen address (empty disables)")
+		shards = flag.Int("shards", 0, "service shard count (0 = auto)")
+		queue  = flag.Int("queue", 0, "outstanding wait/lockmany bound (0 = 1024)")
+		ttl    = flag.Duration("ttl", 0, "default lease TTL (0 = 10s)")
+		maxTTL = flag.Duration("max-ttl", 0, "lease TTL cap (0 = 60s)")
+		sweep  = flag.Duration("sweep", 0, "expiry sweep interval (0 = 50ms, min 10ms)")
+		quiet  = flag.Bool("quiet", false, "suppress log output")
 	)
 	flag.Parse()
 	if flag.NArg() != 0 {
@@ -63,7 +62,6 @@ func main() {
 		DefaultTTL:    *ttl,
 		MaxTTL:        *maxTTL,
 		SweepInterval: *sweep,
-		Workers:       *workers,
 		QueueDepth:    *queue,
 		Logf:          logf,
 	})

@@ -136,9 +136,13 @@ func runSessionDrop() (string, bool) {
 				expired <- tok
 			}
 		})
-		tok, err := c.TryLock(1, 50*time.Millisecond)
+		// Lock, not TryLock: the last dropped session's lease on key 1 may
+		// still be a sweeper pass away from released when the workers finish.
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		tok, err := c.Lock(ctx, 1, 50*time.Millisecond, 0)
+		cancel()
 		if err != nil {
-			fail("silent TryLock: %v", err)
+			fail("silent Lock: %v", err)
 		} else {
 			mu.Lock()
 			tokens[0] = append(tokens[0], tok)

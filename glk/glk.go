@@ -243,8 +243,8 @@ type lockShared struct {
 // its two lines after the glsx abort counters). It lives on the holder
 // lines because only the holder — inside tryAdapt and decide — reads it.
 type lockConfig struct {
-	samplePeriod         uint32  // sampleIn reload value, in critical sections
-	adaptSamples         uint32  // adaptIn reload value, in samples
+	samplePeriod         uint32 // sampleIn reload value, in critical sections
+	adaptSamples         uint32 // adaptIn reload value, in samples
 	upThreshold          float32
 	downThreshold        float32
 	mutexQueueFloor      float32

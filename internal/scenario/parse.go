@@ -77,7 +77,7 @@ func ParseScenario(data []byte) (*Scenario, error) {
 	}
 	var cur *Phase // nil until the first `phase` directive
 	sawScenario := false
-	seen := map[string]bool{}     // scenario-level once-only directives
+	seen := map[string]bool{}      // scenario-level once-only directives
 	phaseSeen := map[string]bool{} // per-phase once-only directives
 
 	lines := strings.Split(string(data), "\n")

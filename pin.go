@@ -2,6 +2,7 @@ package gls
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 
 	"gls/locks"
@@ -30,10 +31,27 @@ type Pin struct {
 
 // Pin resolves key's lock object — creating the GLK lock on first use, like
 // Lock — and takes a reference to it. Every Pin needs exactly one Unpin.
-func (s *Service) Pin(key uint64) Pin {
+// Because the last Unpin frees the key, the object a GLK lock adapts on
+// lives only as long as its pins overlap: a caller that knows how its keys
+// are waited on should name the algorithm with PinWith instead.
+func (s *Service) Pin(key uint64) Pin { return s.pinWith(algoGLK, key) }
+
+// PinWith is Pin with the explicit algorithm a for a key's first use — the
+// paper's "pre-determined algorithm" for a lock whose behaviour is known
+// (§4.3). The contract is LockWith's: if the key is already mapped, the
+// existing lock is pinned regardless of a. A key's algorithm is decided per
+// incarnation, so the first PinWith after the last Unpin chooses again.
+func (s *Service) PinWith(a locks.Algorithm, key uint64) Pin {
+	if !a.Valid() {
+		panic(fmt.Sprintf("gls: PinWith(%v): unknown algorithm", a))
+	}
+	return s.pinWith(a, key)
+}
+
+func (s *Service) pinWith(a locks.Algorithm, key uint64) Pin {
 	sh := s.shardOf(key)
 	for {
-		e, _ := s.entryIn(sh, key, algoGLK)
+		e, _ := s.entryIn(sh, key, a)
 		for n := e.pins.Load(); n != pinsDead; n = e.pins.Load() {
 			if e.pins.CompareAndSwap(n, n+1) {
 				return Pin{s: s, e: e}

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"gls/locks"
 )
 
 // TestPinChurn runs the whole pin lifecycle from many goroutines over a few
@@ -146,4 +148,58 @@ func TestPinDuringFreeTakesNextIncarnation(t *testing.T) {
 	if got := s.Seq(key); got != 2 {
 		t.Fatalf("Seq of the freed key = %d, want its shard floor 2", got)
 	}
+}
+
+// TestPinWithAlgorithm: a key's first PinWith creates the named algorithm;
+// while the key stays mapped every later Pin or PinWith reuses that object
+// whatever it names; the last Unpin frees it, so the next first use chooses
+// again — and the key's sequence keeps rising through all of it.
+func TestPinWithAlgorithm(t *testing.T) {
+	s := New(Options{})
+	defer s.Close()
+	const key = 0xa190
+
+	first := s.PinWith(locks.Mutex, key)
+	if _, ok := first.e.lock.(*locks.MutexLock); !ok || first.e.algo != locks.Mutex {
+		t.Fatalf("PinWith(Mutex) created %T (algo %v)", first.e.lock, first.e.algo)
+	}
+	for name, p := range map[string]Pin{"Pin": s.Pin(key), "PinWith(MCS)": s.PinWith(locks.MCS, key)} {
+		if p.e != first.e {
+			t.Errorf("%s of a mapped key resolved a second object (%T)", name, p.e.lock)
+		}
+		p.Unpin()
+	}
+	if !first.TryLock() {
+		t.Fatal("fresh key not acquirable")
+	}
+	seq := first.NextSeq()
+	first.Unlock()
+	if got := s.Locks(); got != 1 {
+		t.Fatalf("Locks() = %d with one pin out, want 1", got)
+	}
+	first.Unpin()
+	if got := s.Locks(); got != 0 {
+		t.Fatalf("Locks() = %d after the last Unpin, want 0", got)
+	}
+
+	// Next incarnation: the algorithm is chosen again, the sequence is not.
+	next := s.PinWith(locks.Ticket, key)
+	if next.e == first.e || next.e.algo != locks.Ticket {
+		t.Fatalf("PinWith(Ticket) after the free: same entry %v, algo %v", next.e == first.e, next.e.algo)
+	}
+	if !next.TryLock() {
+		t.Fatal("next incarnation not acquirable")
+	}
+	if got := next.NextSeq(); got <= seq {
+		t.Fatalf("sequence %d after %d across incarnations", got, seq)
+	}
+	next.Unlock()
+	next.Unpin()
+
+	defer func() {
+		if recover() == nil {
+			t.Error("PinWith of an unknown algorithm did not panic")
+		}
+	}()
+	s.PinWith(locks.Algorithm(99), key)
 }

@@ -136,7 +136,7 @@ const (
 	ErrCodeHeld = "held"
 	// ErrCodeDupID is a wait id already outstanding on this session.
 	ErrCodeDupID = "dupid"
-	// ErrCodeOverload is an acquisition queue at capacity.
+	// ErrCodeOverload is a wait refused at the bound on outstanding waits.
 	ErrCodeOverload = "overload"
 )
 

@@ -61,14 +61,14 @@ func TestParseCommandMalformed(t *testing.T) {
 		line string
 		code string
 	}{
-		{"", ErrCodeCommand},               // empty line → empty field
-		{" ", ErrCodeCommand},              // lone space
-		{"trylock  7", ErrCodeCommand},     // doubled space → empty field
-		{" trylock 7", ErrCodeCommand},     // leading space
-		{"trylock 7 ", ErrCodeCommand},     // trailing space
-		{"nonsense", ErrCodeCommand},       // unknown verb
-		{"TRYLOCK 7", ErrCodeCommand},      // verbs are case-sensitive
-		{"session 1", ErrCodeArgs},         // no-arg verb with args
+		{"", ErrCodeCommand},           // empty line → empty field
+		{" ", ErrCodeCommand},          // lone space
+		{"trylock  7", ErrCodeCommand}, // doubled space → empty field
+		{" trylock 7", ErrCodeCommand}, // leading space
+		{"trylock 7 ", ErrCodeCommand}, // trailing space
+		{"nonsense", ErrCodeCommand},   // unknown verb
+		{"TRYLOCK 7", ErrCodeCommand},  // verbs are case-sensitive
+		{"session 1", ErrCodeArgs},     // no-arg verb with args
 		{"ping x", ErrCodeArgs},
 		{"trylock", ErrCodeArgs},           // missing key
 		{"trylock 7 10 20", ErrCodeArgs},   // too many args
@@ -77,20 +77,20 @@ func TestParseCommandMalformed(t *testing.T) {
 		{"cancel", ErrCodeArgs},
 		{"unlock", ErrCodeArgs},
 		{"token", ErrCodeArgs},
-		{"trylockmany 100", ErrCodeArgs},   // no keys
-		{"lockmany 1 100", ErrCodeArgs},    // no keys
+		{"trylockmany 100", ErrCodeArgs}, // no keys
+		{"lockmany 1 100", ErrCodeArgs},  // no keys
 		{"unlockmany", ErrCodeArgs},
-		{"trylock 0", ErrCodeKey},          // zero key is GLS's NULL
+		{"trylock 0", ErrCodeKey}, // zero key is GLS's NULL
 		{"trylock abc", ErrCodeKey},
 		{"trylock -1", ErrCodeKey},
 		{"trylock 18446744073709551616", ErrCodeKey}, // 2^64 overflows
-		{"unlockmany 1 0 3", ErrCodeKey},   // zero key mid-batch
-		{"wait x 7", ErrCodeNumber},        // bad id
+		{"unlockmany 1 0 3", ErrCodeKey},             // zero key mid-batch
+		{"wait x 7", ErrCodeNumber},                  // bad id
 		{"cancel x", ErrCodeNumber},
-		{"trylock 7 x", ErrCodeNumber},     // bad ttl
-		{"wait 1 7 10 x", ErrCodeNumber},   // bad timeout
-		{"trylock 7 99999999999999999999", ErrCodeNumber},   // ttl > 2^64
-		{"trylock 7 18446744073709551615", ErrCodeNumber},   // ttl overflows Duration
+		{"trylock 7 x", ErrCodeNumber},                    // bad ttl
+		{"wait 1 7 10 x", ErrCodeNumber},                  // bad timeout
+		{"trylock 7 99999999999999999999", ErrCodeNumber}, // ttl > 2^64
+		{"trylock 7 18446744073709551615", ErrCodeNumber}, // ttl overflows Duration
 		{"trylockmany x 1 2", ErrCodeNumber},
 	}
 	for _, tc := range cases {

@@ -4,9 +4,15 @@
 // connection's lifetime), lease-based locks (every grant carries a TTL,
 // renewable, reaped by an expiry sweeper), monotonic per-key fencing
 // tokens on every grant, asynchronous acquisition (a blocked client costs
-// an enqueued waiter in a bounded pool, never a parked connection
-// goroutine), and batched wire ops riding gls.LockMany's canonical
-// (shard, key) order.
+// one goroutine parked in the key's own FIFO queue, never a connection's
+// reader and never a CPU), and batched wire ops riding gls.LockMany's
+// canonical (shard, key) order.
+//
+// Every key is a locks.Mutex — spin briefly, then park, release hands the
+// lock to the longest waiter — not the adaptive GLK lock the service gives
+// in-process callers: a glsd waiter stands in for a client a network away,
+// so no hold it waits out is shorter than two round trips, and a key's lock
+// object is freed when idle, before adaptation could learn that.
 //
 // The paper positions GLS as middleware — a locking service applications
 // consume rather than a library they embed; this package is that service's
@@ -22,12 +28,12 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"gls"
+	"gls/locks"
 )
 
 // Options configures a Server. The zero value listens on no address (use
@@ -36,8 +42,8 @@ import (
 type Options struct {
 	// Service configures the underlying gls.Service the server owns. Debug
 	// must be false: debug mode attributes ownership to goroutines, and the
-	// server acquires on pool workers and releases on sweeper or reader
-	// goroutines by design.
+	// server acquires on a wait's goroutine and releases on sweeper or
+	// reader goroutines by design.
 	Service gls.Options
 
 	// DefaultTTL is the lease duration applied when a request carries none
@@ -49,9 +55,8 @@ type Options struct {
 	MaxTTL time.Duration
 
 	// DefaultWaitTimeout bounds a wait op that carries no timeout (default
-	// 60s). Unbounded waits would let one hot key pin the whole acquisition
-	// pool; with every wait bounded and every lease bounded, pool workers
-	// always come back.
+	// 60s). With every wait bounded and every lease bounded, every parked
+	// waiter comes back, so QueueDepth's slots cannot leak to a hot key.
 	DefaultWaitTimeout time.Duration
 
 	// SweepInterval is the expiry sweeper's cadence. It follows the
@@ -60,14 +65,11 @@ type Options struct {
 	// sweeper immediately, so disconnect release does not wait a tick.
 	SweepInterval time.Duration
 
-	// Workers is the acquisition pool size (default 4×GOMAXPROCS, minimum
-	// 8): the maximum number of goroutines ever blocked inside the lock
-	// service on behalf of waiting clients. Every further waiter is a
-	// queued request, not a goroutine.
-	Workers int
-	// QueueDepth bounds the pending acquisition queue (default 1024).
-	// Beyond it, wait requests are refused with ERR overload — open-loop
-	// honesty instead of unbounded buffering.
+	// QueueDepth bounds the outstanding asynchronous acquisitions — wait
+	// and lockmany ops admitted and not yet answered — across all sessions
+	// (default 1024). Each is one goroutine parked in its key's queue: a
+	// few KB of stack and no CPU. Beyond the bound, requests are refused
+	// with ERR overload — open-loop honesty instead of unbounded buffering.
 	QueueDepth int
 
 	// MaxLineBytes bounds one request line (default 4096). A longer line is
@@ -99,12 +101,6 @@ func (o Options) withDefaults() Options {
 	if o.SweepInterval < 10*time.Millisecond {
 		o.SweepInterval = 10 * time.Millisecond
 	}
-	if o.Workers <= 0 {
-		o.Workers = 4 * runtime.GOMAXPROCS(0)
-		if o.Workers < 8 {
-			o.Workers = 8
-		}
-	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 1024
 	}
@@ -120,7 +116,7 @@ func (o Options) withDefaults() Options {
 // Validate reports configuration errors (New returns them).
 func (o Options) Validate() error {
 	if o.Service.Debug {
-		return errors.New("glsd: Service.Debug is not supported: the server acquires on pool workers and releases on the sweeper, so goroutine-attributed ownership checks would misfire")
+		return errors.New("glsd: Service.Debug is not supported: the server acquires on a wait's goroutine and releases on the sweeper, so goroutine-attributed ownership checks would misfire")
 	}
 	return o.Service.Validate()
 }
@@ -133,8 +129,7 @@ type Stats struct {
 	SessionsTotal uint64
 	// Held is the number of currently granted leases.
 	Held int64
-	// Waiting is the number of queued or in-flight asynchronous
-	// acquisitions.
+	// Waiting is the number of outstanding asynchronous acquisitions.
 	Waiting int64
 	// Leases is the expiry heap's size: one record per held lease.
 	Leases int
@@ -151,8 +146,8 @@ type Stats struct {
 	Cancels uint64
 	// Disconnects counts sessions that died with leases still held.
 	Disconnects uint64
-	// Overloads counts waits refused because the acquisition queue was
-	// full.
+	// Overloads counts waits refused because QueueDepth acquisitions were
+	// already outstanding.
 	Overloads uint64
 }
 
@@ -164,14 +159,13 @@ type Server struct {
 
 	leases   *leaseQueue
 	sessions *sessionSet
-	acq      chan *acquireReq
 
 	lnMu sync.Mutex
 	lns  []net.Listener
 
-	connWG   sync.WaitGroup
-	workerWG sync.WaitGroup
-	sweepWG  sync.WaitGroup
+	connWG  sync.WaitGroup
+	waitWG  sync.WaitGroup // one count per asynchronous acquisition's goroutine
+	sweepWG sync.WaitGroup
 
 	sweepStop chan struct{}
 	closed    atomic.Bool
@@ -188,19 +182,8 @@ type Server struct {
 	overloads     atomic.Uint64
 }
 
-// acquireReq is one queued asynchronous acquisition. ready gates the
-// worker until the reader has written the QUEUED response, so a fast grant
-// can never overtake its own acknowledgement on the wire.
-type acquireReq struct {
-	ss    *session
-	w     *wait
-	ctx   context.Context // session lifetime + cancel op + wait timeout
-	ready chan struct{}
-}
-
-// New builds a server (its own gls.Service included) and starts the
-// acquisition pool and the expiry sweeper. It does not listen; call Serve
-// or ListenAndServe.
+// New builds a server (its own gls.Service included) and starts the expiry
+// sweeper. It does not listen; call Serve or ListenAndServe.
 func New(opts Options) (*Server, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -211,12 +194,7 @@ func New(opts Options) (*Server, error) {
 		svc:       gls.New(opts.Service),
 		leases:    newLeaseQueue(),
 		sessions:  newSessionSet(),
-		acq:       make(chan *acquireReq, opts.QueueDepth),
 		sweepStop: make(chan struct{}),
-	}
-	for i := 0; i < opts.Workers; i++ {
-		s.workerWG.Add(1)
-		go s.worker()
 	}
 	s.sweepWG.Add(1)
 	go s.sweeper()
@@ -276,7 +254,7 @@ func (s *Server) Listen(addr string) (net.Listener, error) {
 
 // Serve accepts connections on ln until the listener is closed (Close
 // closes every listener opened through Listen). Each connection runs one
-// reader goroutine; all blocking waits go through the shared pool.
+// reader goroutine; every blocking wait runs on a goroutine of its own.
 func (s *Server) Serve(ln net.Listener) error {
 	for {
 		conn, err := ln.Accept()
@@ -295,8 +273,8 @@ func (s *Server) Serve(ln net.Listener) error {
 }
 
 // Close stops the server: listeners close, live sessions are torn down
-// (their leases clamp to now and sweep), the acquisition pool drains, and
-// the sweeper stops once every held lock is back. Safe to call more than
+// (their leases clamp to now and sweep), the outstanding acquisitions end,
+// and the sweeper stops once every held lock is back. Safe to call more than
 // once; the underlying service is closed last.
 func (s *Server) Close() {
 	if s.closed.Swap(true) {
@@ -311,11 +289,10 @@ func (s *Server) Close() {
 	// path runs the teardown (clamp leases, cancel waits).
 	s.sessions.each(func(ss *session) { _ = ss.conn.Close() })
 	s.connWG.Wait()
-	// No readers ⇒ no new enqueues; drain the pool. In-flight LockCtx
-	// waits were cancelled by the teardowns; a blocking lockmany finishes
-	// once the sweeper (still running) reaps the leases it is stuck behind.
-	close(s.acq)
-	s.workerWG.Wait()
+	// No readers ⇒ no new acquisitions. Parked LockCtx waits were cancelled
+	// by the teardowns; a blocking lockmany finishes once the sweeper (still
+	// running) reaps the leases it is stuck behind.
+	s.waitWG.Wait()
 	close(s.sweepStop)
 	s.sweepWG.Wait()
 	s.svc.Close()
@@ -323,7 +300,7 @@ func (s *Server) Close() {
 
 // handleConn runs one connection: a session, a line scanner, and the
 // dispatch loop. The reader goroutine only ever executes non-blocking
-// operations; anything that could wait is handed to the pool.
+// operations; anything that could wait gets its own goroutine.
 func (s *Server) handleConn(conn net.Conn) {
 	ss := s.sessions.add(s, conn)
 	s.sessionsTotal.Add(1)
@@ -390,11 +367,15 @@ func (s *Server) clampTTL(ttl time.Duration) time.Duration {
 	return ttl
 }
 
+// pin pins key's lock object, creating it as the blocking FIFO lock every
+// glsd key is (see the package comment).
+func (s *Server) pin(key uint64) gls.Pin { return s.svc.PinWith(locks.Mutex, key) }
+
 // pinAll pins every key of a batch before the server touches its locks.
 func (s *Server) pinAll(keys []uint64) []gls.Pin {
 	pins := make([]gls.Pin, len(keys))
 	for i, k := range keys {
-		pins[i] = s.svc.Pin(k)
+		pins[i] = s.pin(k)
 	}
 	return pins
 }
@@ -463,8 +444,8 @@ func (s *Server) statsLine() string {
 }
 
 // holdsAny reports (under ss.mu) a key of keys this session already holds.
-// Re-acquiring a held key would self-deadlock a pool worker until the
-// lease expires, so it is refused up front.
+// Re-acquiring a held key would park the waiter behind its own session
+// until the lease expires, so it is refused up front.
 func (ss *session) holdsAny(keys []uint64) (uint64, bool) {
 	for _, k := range keys {
 		if _, ok := ss.held[k]; ok {
@@ -485,7 +466,7 @@ func (s *Server) handleTryLock(ss *session, cmd Command) {
 		return
 	}
 	ttl := s.clampTTL(cmd.TTL)
-	pin := s.svc.Pin(cmd.Key)
+	pin := s.pin(cmd.Key)
 	if !pin.TryLock() {
 		pin.Unpin()
 		ss.begin("BUSY").key(cmd.Key).end()
@@ -554,18 +535,18 @@ func (s *Server) handleCancel(ss *session, cmd Command) {
 	ss.begin("OK cancel").num(cmd.ID).end()
 }
 
-// handleAsync queues a wait or lockmany: register the wait, hand the request
-// to the pool, pin its keys and acknowledge with QUEUED. The worker is gated
-// on the acknowledgement so GRANT can never precede QUEUED on the wire.
+// handleAsync admits a wait or lockmany: count it against QueueDepth,
+// register the wait, pin its keys, acknowledge with QUEUED and only then
+// start the goroutine that acquires — so GRANT follows QUEUED on the wire by
+// program order. From there the waiter is parked in the lock's own FIFO
+// queue; nothing else stands in for it.
 func (s *Server) handleAsync(ss *session, cmd Command) {
-	keys := cmd.Keys
-	if cmd.Op == OpWait {
-		keys = []uint64{cmd.Key}
-	} else {
-		keys = dedupeKeys(keys)
+	many := cmd.Op == OpLockMany
+	run, keys := s.runWait, []uint64{cmd.Key}
+	if many {
+		run, keys = s.runLockMany, dedupeKeys(cmd.Keys)
 	}
-	ttl := s.clampTTL(cmd.TTL)
-	w := &wait{id: cmd.ID, keys: keys, ttl: ttl, many: cmd.Op == OpLockMany}
+	w := &wait{id: cmd.ID, keys: keys, ttl: s.clampTTL(cmd.TTL)}
 
 	ss.mu.Lock()
 	if ss.dead {
@@ -582,37 +563,36 @@ func (s *Server) handleAsync(ss *session, cmd Command) {
 		ss.writeErr(protoErrf(ErrCodeHeld, "key %#x already held by this session", k))
 		return
 	}
-	ctx := ss.ctx
-	var cancelTimeout context.CancelFunc
-	if !w.many {
+	if s.waiting.Add(1) > int64(s.opts.QueueDepth) {
+		s.waiting.Add(-1)
+		ss.mu.Unlock()
+		s.overloads.Add(1)
+		ss.writeErr(protoErrf(ErrCodeOverload, "acquisition queue full (%d pending)", s.opts.QueueDepth))
+		return
+	}
+	// The wait's context: session lifetime + cancel op (+ timeout; a
+	// lockmany has none, LockMany cannot abandon a half-taken batch).
+	var ctx context.Context
+	if many {
+		ctx, w.cancel = context.WithCancel(ss.ctx)
+	} else {
 		timeout := cmd.Timeout
 		if timeout <= 0 {
 			timeout = s.opts.DefaultWaitTimeout
 		}
-		ctx, cancelTimeout = context.WithTimeout(ctx, timeout)
-	} else {
-		ctx, cancelTimeout = context.WithCancel(ctx)
+		ctx, w.cancel = context.WithTimeout(ss.ctx, timeout)
 	}
-	w.cancel = cancelTimeout
 	ss.waits[cmd.ID] = w
 	ss.mu.Unlock()
 
-	s.waiting.Add(1)
-	req := &acquireReq{ss: ss, w: w, ctx: ctx, ready: make(chan struct{})}
-	select {
-	case s.acq <- req:
-		w.pins = s.pinAll(keys) // before ready: the worker starts pinned
-		ss.begin("QUEUED").num(cmd.ID).end()
-		close(req.ready)
-	default:
+	w.pins = s.pinAll(keys)
+	ss.begin("QUEUED").num(cmd.ID).end()
+	s.waitWG.Add(1)
+	go func() {
+		defer s.waitWG.Done()
+		run(ctx, ss, w)
 		s.waiting.Add(-1)
-		ss.mu.Lock()
-		delete(ss.waits, cmd.ID)
-		ss.mu.Unlock()
-		cancelTimeout()
-		s.overloads.Add(1)
-		ss.writeErr(protoErrf(ErrCodeOverload, "acquisition queue full (%d pending)", s.opts.QueueDepth))
-	}
+	}()
 }
 
 // dedupeKeys coalesces duplicate keys, preserving first-occurrence order
@@ -694,23 +674,6 @@ func (s *Server) handleUnlockMany(ss *session, cmd Command) {
 	ss.begin("RELEASEDMANY").num(uint64(released)).end()
 }
 
-// worker is one acquisition-pool goroutine: it executes queued waits
-// against the lock service, so a blocked client costs an enqueued waiter
-// here — bounded by Options.Workers — and never a parked connection
-// goroutine.
-func (s *Server) worker() {
-	defer s.workerWG.Done()
-	for req := range s.acq {
-		<-req.ready
-		if req.w.many {
-			s.runLockMany(req)
-		} else {
-			s.runWait(req)
-		}
-		s.waiting.Add(-1)
-	}
-}
-
 // finishWait retires the wait record and its timeout context.
 func (s *Server) finishWait(ss *session, w *wait) {
 	ss.mu.Lock()
@@ -719,14 +682,14 @@ func (s *Server) finishWait(ss *session, w *wait) {
 	w.cancel()
 }
 
-// runWait executes one single-key asynchronous acquisition. The enqueue
-// rides the pin's LockCtx, so an abandoned wait departs the lock queue
-// cleanly (locks.Cancel protocol) instead of occupying a slot until its
-// turn.
-func (s *Server) runWait(req *acquireReq) {
-	ss, w := req.ss, req.w
+// runWait executes one single-key asynchronous acquisition on its own
+// goroutine: the pin's LockCtx spins a few tries and then parks in the
+// key's FIFO queue until the releaser hands it the lock, the wait is
+// cancelled, or its deadline passes — an abandoned wait unlinks itself
+// (locks.Cancel protocol) instead of occupying a slot until its turn.
+func (s *Server) runWait(ctx context.Context, ss *session, w *wait) {
 	key, pin := w.keys[0], w.pins[0]
-	err := pin.LockCtx(req.ctx)
+	err := pin.LockCtx(ctx)
 	s.finishWait(ss, w)
 	if err != nil {
 		pin.Unpin()
@@ -759,11 +722,10 @@ func (s *Server) runWait(req *acquireReq) {
 // to the object they name. Session death cannot abort the batch
 // mid-acquisition (LockMany has no cancel path); it completes and is then
 // rolled straight back.
-func (s *Server) runLockMany(req *acquireReq) {
-	ss, w := req.ss, req.w
+func (s *Server) runLockMany(ctx context.Context, ss *session, w *wait) {
 	s.svc.LockMany(w.keys...)
 	// Read the context before finishWait retires it (finishWait cancels).
-	aborted := req.ctx.Err() != nil
+	aborted := ctx.Err() != nil
 	s.finishWait(ss, w)
 	if aborted {
 		// Cancelled (or the session died) while the batch was being
@@ -793,7 +755,7 @@ func (s *Server) sweeper() {
 		select {
 		case <-s.sweepStop:
 			// Final pass: Close clamped every remaining lease before
-			// stopping the pool, so this drain returns the stragglers.
+			// stopping the sweeper, so this drain returns the stragglers.
 			s.sweepDue(time.Now())
 			return
 		case <-t.C:

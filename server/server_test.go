@@ -2,8 +2,10 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"net"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -356,7 +358,7 @@ func TestDebugModeRejected(t *testing.T) {
 // TestConcurrentSessionsOneKey is the -race soak: many sessions contend
 // one key through a mix of trylock, queued waits and abrupt disconnects,
 // exercising the cross-goroutine hand-offs inside the server (reader →
-// pool worker → sweeper) under the detector. The token log is appended
+// wait's goroutine → sweeper) under the detector. The token log is appended
 // inside each critical section — the glsd lease makes those sections
 // disjoint in real time, so append order is grant order — and must come
 // out strictly increasing across sessions, expiries and drops. (The log
@@ -464,38 +466,144 @@ func TestServerCloseDrains(t *testing.T) {
 	}
 }
 
-// TestOverloadRefusal fills the acquisition queue and checks the honest
-// ERR overload (and that the reader survives to serve more requests).
+// TestOverloadRefusal fills the one bound on outstanding acquisitions and
+// checks the honest ERR overload: exact (the bound is one atomic count, not
+// a queue a worker may be draining), rolled back completely (the refused id
+// is reusable and nothing stays pinned or counted), and the reader survives
+// to serve more requests.
 func TestOverloadRefusal(t *testing.T) {
-	_, addr := newTestServer(t, Options{Workers: 1, QueueDepth: 1, SweepInterval: 10 * time.Millisecond})
+	srv, addr := newTestServer(t, Options{QueueDepth: 2, SweepInterval: 10 * time.Millisecond})
 	holder := dialT(t, addr)
 	holder.send("trylock 7 60000\r\n")
 	holder.expect("GRANTED 0x7")
 
-	// One wait occupies the worker, one fills the queue; the rest must be
-	// refused. Keep trying until the refusal is observed (the worker may
-	// drain the queue slot between sends).
 	conns := []*tconn{dialT(t, addr), dialT(t, addr)}
 	for i, c := range conns {
 		c.send(fmt.Sprintf("wait %d 7 0 60000\r\n", i+1))
 		c.expect("QUEUED")
 	}
 	c := dialT(t, addr)
-	got := false
-	for i := 0; i < 50 && !got; i++ {
-		c.send(fmt.Sprintf("wait %d 7 0 60000\r\n", 100+i))
-		line := c.recv()
-		if strings.HasPrefix(line, "ERR overload") {
-			got = true
-		} else if !strings.HasPrefix(line, "QUEUED") {
-			t.Fatalf("unexpected reply %q", line)
-		}
-	}
-	if !got {
-		t.Fatal("queue never reported overload")
+	c.send("wait 100 7 0 60000\r\n")
+	c.expect("ERR overload")
+	c.send("wait 101 9 0 60000\r\n") // a free key is refused too: the bound is on waits, not keys
+	c.expect("ERR overload")
+	if st := srv.Stats(); st.Waiting != 2 || st.Overloads != 2 {
+		t.Fatalf("after two refusals: %+v, want waiting=2 overloads=2", st)
 	}
 	c.send("ping\r\n")
 	c.expect("PONG") // the refusal left the connection healthy
+
+	// A slot that comes back is usable, under the id that was refused.
+	conns[0].send("cancel 1\r\n")
+	conns[0].expect("OK cancel 1")
+	conns[0].expect("CANCELLED 1")
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Stats().Waiting != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("cancelled wait still counted: %+v", srv.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	c.send("wait 100 9 0 60000\r\n")
+	c.expect("QUEUED 100")
+	c.expect("GRANT 100 0x9")
+}
+
+// parkedWaiters counts the goroutines blocked in the blocking lock's parked
+// select — enqueued in some key's FIFO queue, past the spin phase — from a
+// dump of all stacks. Exact only in a test that is not t.Parallel.
+func parkedWaiters() int {
+	buf := make([]byte, 1<<20) // ≈ 1 KB of text per goroutine; the tests park dozens
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		header, _, _ := bytes.Cut(g, []byte("\n"))
+		if bytes.Contains(header, []byte("[select")) && bytes.Contains(g, []byte("locks.(*MutexLock).LockCancel")) {
+			n++
+		}
+	}
+	return n
+}
+
+// waitParked returns once n goroutines are parked in a key's queue.
+func waitParked(t *testing.T, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for parkedWaiters() != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d waiters parked, want %d", parkedWaiters(), n)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// queueBehind parks n fresh sessions' waits on key, one after another —
+// each is in the key's queue before the next is sent — and returns them in
+// arrival order.
+func queueBehind(t *testing.T, addr string, key uint64, n int) []*tconn {
+	t.Helper()
+	waiters := make([]*tconn, n)
+	for i := range waiters {
+		waiters[i] = dialT(t, addr)
+		waiters[i].send(fmt.Sprintf("wait 1 %s 60000 60000\r\n", fmtKey(key)))
+		waiters[i].expect("QUEUED 1")
+		waitParked(t, i+1)
+	}
+	return waiters
+}
+
+// TestFreeKeyWaitNotBlockedByWaiters: waiters on a held key cost a parked
+// goroutine each, so any number of them leaves a wait on a free key
+// unaffected. (A pool of workers running the waits is a head-of-line block:
+// waiters on one held key take every worker, and the free key's wait is
+// QUEUED and then not granted for as long as the first key stays held.)
+func TestFreeKeyWaitNotBlockedByWaiters(t *testing.T) {
+	_, addr := newTestServer(t, Options{})
+	holder := dialT(t, addr)
+	holder.send("trylock 7 60000\r\n")
+	holder.expect("GRANTED 0x7")
+	for i := 0; i < 64; i++ {
+		c := dialT(t, addr)
+		c.send("wait 1 7 60000 60000\r\n")
+		c.expect("QUEUED 1")
+	}
+	other := dialT(t, addr)
+	other.send("wait 1 9\r\n")
+	other.expect("QUEUED 1")
+	_ = other.nc.SetReadDeadline(time.Now().Add(time.Second))
+	line, err := other.br.ReadString('\n')
+	if err != nil || !strings.HasPrefix(line, "GRANT 1 0x9 ") {
+		t.Fatalf("wait on a free key behind 64 waiters on a held one: %q, %v", line, err)
+	}
+}
+
+// TestGrantOrderIsArrivalOrder: the key's queue is FIFO and release hands
+// the lock to its head, so sessions that queued one after another are
+// granted in that order, with rising tokens.
+func TestGrantOrderIsArrivalOrder(t *testing.T) {
+	_, addr := newTestServer(t, Options{})
+	holder := dialT(t, addr)
+	holder.send("trylock 7 60000\r\n")
+	last := tokenOf(t, holder.expect("GRANTED 0x7"), 2)
+	waiters := queueBehind(t, addr, 7, 16)
+
+	holder.send("unlock 7\r\n")
+	holder.expect("RELEASED 0x7")
+	for i, c := range waiters {
+		tok := tokenOf(t, c.expect("GRANT 1 0x7"), 3)
+		if tok <= last {
+			t.Fatalf("waiter %d: token %d after %d", i, tok, last)
+		}
+		last = tok
+		// Nobody behind may have been granted while this one holds.
+		for j := i + 1; j < len(waiters); j++ {
+			if n := waiters[j].br.Buffered(); n != 0 {
+				t.Fatalf("waiter %d has a reply while waiter %d holds the key", j, i)
+			}
+		}
+		c.send("unlock 7\r\n")
+		c.expect("RELEASED 0x7")
+	}
 }
 
 // shardTotals sums the service's per-shard create and free counters.

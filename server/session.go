@@ -24,8 +24,8 @@ import (
 // the grant's pin, never through the service's key table. All removals run
 // under session.mu, so a racing unlock and expiry cannot both release, and
 // the mutex hand-over doubles as the happens-before edge that makes a
-// cross-goroutine Unlock safe (the pool worker that acquired published the
-// grant under the same mutex; see DESIGN.md §14).
+// cross-goroutine Unlock safe (the wait's goroutine that acquired published
+// the grant under the same mutex; see DESIGN.md §14).
 
 // grant is one held lease: the session's record of a granted key.
 type grant struct {
@@ -49,8 +49,7 @@ type wait struct {
 	keys   []uint64  // single-element for wait; wire order for lockmany
 	pins   []gls.Pin // keys' lock objects, pinned until granted or abandoned
 	ttl    time.Duration
-	many   bool
-	cancel context.CancelFunc // aborts the pool worker's LockCtx
+	cancel context.CancelFunc // aborts the parked LockCtx
 }
 
 // session is one connection's server-side state.
@@ -60,8 +59,8 @@ type session struct {
 	conn net.Conn
 
 	// wmu serializes response lines: synchronous responses from the reader
-	// goroutine interleave with asynchronous grants from pool workers and
-	// expiry notices from the sweeper, one whole line at a time.
+	// goroutine interleave with asynchronous grants from waits' goroutines
+	// and expiry notices from the sweeper, one whole line at a time.
 	wmu sync.Mutex
 	bw  *bufio.Writer
 
@@ -79,8 +78,8 @@ type session struct {
 
 // writeTimeout bounds one write to a peer. A write blocks only when the
 // peer has stopped reading and megabytes of unread responses fill the
-// socket; past the bound the connection is closed, so no pool worker and no
-// sweeper pass waits on a stalled reader for longer than this.
+// socket; past the bound the connection is closed, so no grant's goroutine
+// and no sweeper pass waits on a stalled reader for longer than this.
 const writeTimeout = 5 * time.Second
 
 // peerWriter is the session's only way to the socket: every write carries a

@@ -85,17 +85,18 @@ func TestResponseLinesPinned(t *testing.T) {
 	}
 }
 
-// TestStalledReaderDoesNotParkPool: a peer that stops reading must not hold
-// a pool worker (or Close) for longer than the write deadline. The stalled
-// session is the far end of a synchronous in-memory pipe that is never read,
-// so the first flush towards it blocks, with the session's write lock held.
-// It queues a wait on a held key; the key is released, and the pool's one
-// worker has a GRANT for it, which it can deliver only once that flush has
-// given up. Without a deadline on the write the worker never comes back and
-// the second session's wait below never returns.
-func TestStalledReaderDoesNotParkPool(t *testing.T) {
+// TestStalledReaderDelaysNobody: a peer that stops reading costs only
+// itself, and only until the write deadline. The stalled session is the far
+// end of a synchronous in-memory pipe that is never read, so the first
+// flush towards it blocks, with the session's write lock held. It queues a
+// wait on a held key; the key is released, and the wait's goroutine has a
+// GRANT for it, which it can deliver only once that flush has given up.
+// Meanwhile every other session's waits are granted at once; then the
+// deadline closes the stalled session, its lease is swept, and Close
+// returns. Without a deadline on the write neither of those ever happens.
+func TestStalledReaderDelaysNobody(t *testing.T) {
 	t.Parallel() // nearly all of its time is the server's write deadline running out
-	srv, addr := newTestServer(t, Options{Workers: 1, SweepInterval: 10 * time.Millisecond})
+	srv, addr := newTestServer(t, Options{SweepInterval: 10 * time.Millisecond})
 	holder, other := dialT(t, addr), dialT(t, addr)
 	holder.send("trylock 1 60000\r\n")
 	holder.expect("GRANTED 0x1")
@@ -113,11 +114,11 @@ func TestStalledReaderDoesNotParkPool(t *testing.T) {
 	holder.send("unlock 1\r\n")
 	holder.expect("RELEASED 0x1")
 
-	// The pool must come back: another session's waits need its worker.
+	// Another session's waits do not notice.
 	for key := uint64(10); key < 14; key++ {
 		other.send("wait 1 " + fmtKey(key) + "\r\n")
 		other.expect("QUEUED 1")
-		_ = other.nc.SetReadDeadline(time.Now().Add(3 * writeTimeout))
+		_ = other.nc.SetReadDeadline(time.Now().Add(time.Second))
 		line, err := other.br.ReadString('\n')
 		if err != nil || !strings.HasPrefix(line, "GRANT 1 "+fmtKey(key)+" ") {
 			t.Fatalf("wait on a free key while a peer is stalled: %q, %v", line, err)
