@@ -105,6 +105,9 @@ func TestHighCardinalityChurn(t *testing.T) {
 	if snap.Retired.Locks == 0 {
 		t.Fatal("churn retired no telemetry registrations")
 	}
+	if n := reg.Len(); n >= workers*perWorker {
+		t.Fatalf("registry holds %d stats for %d churned keys: the MaxLocks cap did not bound it", n, workers*perWorker)
+	}
 	// The service itself must still work end to end.
 	s.Lock(1)
 	s.Unlock(1)

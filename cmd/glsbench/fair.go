@@ -1,11 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,15 +14,15 @@ import (
 	"gls/locks"
 )
 
-// The glsfair family measures admission fairness where -rw measures
-// throughput: writer-stream and reader-flood mixes, run over a small
-// ensemble of locks (a modelled system's lock set, not one hot key) with
-// enough goroutines to push the process into the multiprogrammed regime,
-// per side: how many operations each side completed and the worst single
-// acquisition wait it suffered. A fair lock keeps both max-wait columns
-// bounded; a one-sided lock shows one side's throughput bought with the
-// other side's tail. The JSON it emits (BENCH_glsfair.json) is the
-// fairness trajectory; EXPERIMENTS.md has the protocol.
+// The glsfair family measures admission fairness (throughput against read
+// ratio is BenchmarkRWReadMostly's table): writer-stream and reader-flood
+// mixes, run over a small ensemble of locks (a modelled system's lock set,
+// not one hot key) with enough goroutines to push the process into the
+// multiprogrammed regime, per side: how many operations each side completed
+// and the worst single acquisition wait it suffered. A fair lock keeps both
+// max-wait columns bounded; a one-sided lock shows one side's throughput
+// bought with the other side's tail. The JSON it emits (BENCH_glsfair.json)
+// is the fairness trajectory; EXPERIMENTS.md has the protocol.
 
 // fairKeys is the lock-ensemble size: each goroutine round-robins its
 // operations over this many independent locks, so the mix exercises a
@@ -50,6 +49,20 @@ type fairReport struct {
 	Reps        int          `json:"reps"`
 	Keys        int          `json:"keys"`
 	Results     []fairResult `json:"results"`
+}
+
+// rwLockish is the measurement contract; sync.RWMutex satisfies it too.
+type rwLockish interface {
+	Lock()
+	Unlock()
+	RLock()
+	RUnlock()
+}
+
+// median reports the middle value of a (sorted in place) sample.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	return xs[len(xs)/2]
 }
 
 // fairImpls builds the competitors, fresh per point. The plain rwstriped
@@ -204,14 +217,5 @@ func runFair(path string, progress io.Writer, o opts) error {
 				time.Duration(res.MaxReaderWaitNs).Round(time.Microsecond))
 		}
 	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(data)
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
+	return writeJSON(path, report)
 }

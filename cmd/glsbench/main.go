@@ -9,16 +9,19 @@
 //	glsbench -fig 1 -fig 8 -fig 13  # several
 //	glsbench -all                   # everything
 //	glsbench -all -quick            # short runs (CI smoke)
-//	glsbench -hotpath FILE          # this tree's own line-bounce family
+//	glsbench -scenario FILE [-wire] # a committed .scn plan and its assertion lanes
+//	glsbench -fair FILE             # writer-stream/reader-flood fairness sweep
 //	glsbench -server FILE           # glsd wire-path sweep vs connection count
-//	glsbench -stat                  # glstat telemetry demo (report + diff)
+//	glsbench -cardinality           # ~1M-key footprint and zipf throughput
 //
-// Absolute numbers differ from the paper (different machine, Go runtime,
+// Those three sweeps are the ones nothing else answers; every other number
+// comes from glsmark (bash bench/run.sh) or go test -bench. Absolute numbers differ from the paper (different machine, Go runtime,
 // modelled systems); the shapes — which lock wins where, and where the
 // crossovers fall — are the reproduction target. See EXPERIMENTS.md.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -98,41 +101,56 @@ func knownFigures() string {
 	return strings.Join(parts, ",")
 }
 
-func main() {
-	figs := figSet{}
-	flag.Var(figs, "fig", "figure number to regenerate (repeatable)")
-	all := flag.Bool("all", false, "run every figure")
-	hotpath := flag.String("hotpath", "",
-		"run the hot-path line-bounce family and write the JSON report to this file (\"-\" for stdout)")
-	stat := flag.Bool("stat", false,
-		"run the glstat telemetry demo: two workload phases, then the contention report and interval diff")
-	cardinality := flag.Bool("cardinality", false,
+// writeJSON writes v, indented, to path ("-" for stdout).
+func writeJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	data = append(data, '\n')
+	if path == "-" {
+		_, err = os.Stdout.Write(data)
+		return err
+	}
+	return os.WriteFile(path, data, 0o644)
+}
+
+// The command line. Package-level so the doc-command lint (main_test.go)
+// can ask flag.Lookup which flags exist.
+var (
+	figs      = figSet{}
+	scenarios scnList
+
+	all         = flag.Bool("all", false, "run every figure")
+	cardinality = flag.Bool("cardinality", false,
 		"run the high-cardinality footprint scenario: ~1M keys, zipf access, bytes/lock and ns/op")
-	rw := flag.String("rw", "",
-		"run the glsrw read-ratio sweep and write the JSON report to this file (\"-\" for stdout)")
-	fair := flag.String("fair", "",
+	fair = flag.String("fair", "",
 		"run the glsfair writer-stream/reader-flood fairness sweep and write the JSON report to this file (\"-\" for stdout)")
-	shard := flag.String("shard", "",
-		"run the shard/batch sweep (handle miss rate under Free churn, LockMany vs singles) and write the JSON report to this file (\"-\" for stdout)")
-	srvBench := flag.String("server", "",
+	srvBench = flag.String("server", "",
 		"run the glsd wire-path sweep (open-loop load vs connection count, parked waiters) and write the JSON report to this file (\"-\" for stdout)")
-	var scenarios scnList
+	wire = flag.Bool("wire", false,
+		"with -scenario: drive the ops over the glsd wire path (loopback server) instead of the in-process Service")
+	seed = flag.Uint64("seed", 0,
+		"with -scenario: override the scenario file's seed (0 keeps the file's; same seed replays the identical op sequence)")
+	replay = flag.String("replay", "",
+		"with a single -scenario: write the deterministic replay log (every planned op) to this file (\"-\" for stdout)")
+	scnJSON = flag.String("scnjson", "",
+		"with -scenario: write the scenario engine's JSON report to this file (\"-\" for stdout)")
+	contention = flag.Bool("contention", false,
+		"with -fig 13/14/15: attach a telemetry registry to every lock configuration and print per-role contention after each cell")
+	quick      = flag.Bool("quick", false, "short runs for smoke testing")
+	duration   = flag.Duration("duration", 400*time.Millisecond, "measurement window per point")
+	reps       = flag.Int("reps", 3, "repetitions per point (median reported; paper uses 11)")
+	maxThreads = flag.Int("maxthreads", 0, "thread-sweep ceiling (default ~2.5x GOMAXPROCS)")
+)
+
+func init() {
+	flag.Var(figs, "fig", "figure number to regenerate (repeatable)")
 	flag.Var(&scenarios, "scenario",
 		"run a committed .scn scenario file through the glscn engine and evaluate its assertion lanes (repeatable)")
-	wire := flag.Bool("wire", false,
-		"with -scenario: drive the ops over the glsd wire path (loopback server) instead of the in-process Service")
-	seed := flag.Uint64("seed", 0,
-		"with -scenario: override the scenario file's seed (0 keeps the file's; same seed replays the identical op sequence)")
-	replay := flag.String("replay", "",
-		"with a single -scenario: write the deterministic replay log (every planned op) to this file (\"-\" for stdout)")
-	scnJSON := flag.String("scnjson", "",
-		"with -scenario: write the scenario engine's JSON report to this file (\"-\" for stdout)")
-	contention := flag.Bool("contention", false,
-		"with -fig 13/14/15: attach a telemetry registry to every lock configuration and print per-role contention after each cell")
-	quick := flag.Bool("quick", false, "short runs for smoke testing")
-	duration := flag.Duration("duration", 400*time.Millisecond, "measurement window per point")
-	reps := flag.Int("reps", 3, "repetitions per point (median reported; paper uses 11)")
-	maxThreads := flag.Int("maxthreads", 0, "thread-sweep ceiling (default ~2.5x GOMAXPROCS)")
+}
+
+func main() {
 	flag.Parse()
 
 	o := opts{duration: *duration, reps: *reps, maxThreads: *maxThreads, quick: *quick}
@@ -152,9 +170,8 @@ func main() {
 			figs[k] = true
 		}
 	}
-	reportContention = *contention
-	if len(figs) == 0 && *hotpath == "" && !*stat && !*cardinality && *rw == "" && *fair == "" && *shard == "" && *srvBench == "" && len(scenarios) == 0 {
-		fmt.Fprintf(os.Stderr, "usage: glsbench -fig N [-fig M ...] | -all | -hotpath FILE | -rw FILE | -fair FILE | -shard FILE | -server FILE | -scenario FILE [-wire] | -stat | -cardinality  (figures: %s)\n", knownFigures())
+	if len(figs) == 0 && !*cardinality && *fair == "" && *srvBench == "" && len(scenarios) == 0 {
+		fmt.Fprintf(os.Stderr, "usage: glsbench -fig N [-fig M ...] | -all | -fair FILE | -server FILE | -scenario FILE [-wire] | -cardinality  (figures: %s)\n", knownFigures())
 		os.Exit(2)
 	}
 	if len(scenarios) == 0 && (*wire || *seed != 0 || *replay != "" || *scnJSON != "") {
@@ -162,16 +179,16 @@ func main() {
 		os.Exit(2)
 	}
 	jsonSinks := 0
-	for _, path := range []string{*hotpath, *rw, *fair, *shard, *srvBench, *scnJSON, *replay} {
+	for _, path := range []string{*fair, *srvBench, *scnJSON, *replay} {
 		if path == "-" {
 			jsonSinks++
 		}
 	}
-	if jsonSinks > 1 || (jsonSinks == 1 && (*stat || *cardinality)) {
-		// A "-" sink reserves stdout for one JSON report; the stat and
-		// cardinality text reports (or a second JSON report) would
-		// interleave with it. Run them separately.
-		fmt.Fprintln(os.Stderr, "glsbench: only one of -hotpath -/-rw -/-fair -/-shard -/-server - may own stdout, and not combined with -stat/-cardinality")
+	if jsonSinks > 1 || (jsonSinks == 1 && *cardinality) {
+		// A "-" sink reserves stdout for one JSON report; the cardinality
+		// text report (or a second JSON report) would interleave with it.
+		// Run them separately.
+		fmt.Fprintln(os.Stderr, "glsbench: only one of -fair -/-server -/-scnjson -/-replay - may own stdout, and not combined with -cardinality")
 		os.Exit(2)
 	}
 
@@ -186,37 +203,10 @@ func main() {
 	fmt.Fprintf(progress, "# glsbench: GOMAXPROCS=%d, nominal frequency %.1f GHz, %v/point, %d rep(s)\n\n",
 		runtime.GOMAXPROCS(0), cycles.FrequencyGHz(), o.duration, o.reps)
 
-	if *hotpath != "" {
-		fmt.Fprintf(progress, "== Hot path: single hot lock, arrival/release line-bounce family ==\n")
-		if err := runHotpath(*hotpath, progress, o); err != nil {
-			fmt.Fprintf(os.Stderr, "glsbench: -hotpath: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintln(progress)
-	}
-
-	if *rw != "" {
-		fmt.Fprintf(progress, "== glsrw: read-ratio sweep, striped vs single-counter readers ==\n")
-		if err := runRW(*rw, progress, o); err != nil {
-			fmt.Fprintf(os.Stderr, "glsbench: -rw: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintln(progress)
-	}
-
 	if *fair != "" {
 		fmt.Fprintf(progress, "== glsfair: writer-stream vs reader-flood fairness sweep ==\n")
 		if err := runFair(*fair, progress, o); err != nil {
 			fmt.Fprintf(os.Stderr, "glsbench: -fair: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintln(progress)
-	}
-
-	if *shard != "" {
-		fmt.Fprintf(progress, "== shard/batch: handle miss rate under Free churn, LockMany vs singles ==\n")
-		if err := runShard(*shard, progress, o); err != nil {
-			fmt.Fprintf(os.Stderr, "glsbench: -shard: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Fprintln(progress)
@@ -238,15 +228,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintln(progress)
-	}
-
-	if *stat {
-		fmt.Printf("== glstat: always-on lock telemetry ==\n")
-		if err := runStat(o); err != nil {
-			fmt.Fprintf(os.Stderr, "glsbench: -stat: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println()
 	}
 
 	if *cardinality {

@@ -1,10 +1,10 @@
 package main
 
 import (
-	"encoding/json"
-	"io"
+	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
 	"testing"
 	"time"
 )
@@ -49,38 +49,31 @@ func TestEveryFigureRuns(t *testing.T) {
 	}
 }
 
-// TestHotpathRunsAndEmitsJSON smoke-tests the line-bounce family end to
-// end: it must run with tiny parameters and produce a parseable report
-// covering every (bench, mode) pair.
-func TestHotpathRunsAndEmitsJSON(t *testing.T) {
-	// No Short guard: with quickOpts this runs in well under a second, and
-	// the JSON schema is a contract (BENCH_glk_hotpath.json) that CI must
-	// cover.
-	path := filepath.Join(t.TempDir(), "hotpath.json")
-	if err := runHotpath(path, io.Discard, quickOpts()); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report hotpathReport
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatalf("report is not valid JSON: %v", err)
-	}
-	seen := map[string]bool{}
-	for _, r := range report.Results {
-		if r.OpsPerSec <= 0 || r.NsPerOp <= 0 {
-			t.Errorf("non-positive measurement: %+v", r)
+// TestDocCommandsExist is the doc-command lint: every `glsbench -flag` and
+// every BENCH_*.json the three top-level documents mention must still
+// exist, so a number they quote stays reproducible from a command that
+// runs. Removing a flag or a trajectory file fails here until the docs
+// follow.
+func TestDocCommandsExist(t *testing.T) {
+	command := regexp.MustCompile("glsbench[^`\n|;()]*")
+	dashed := regexp.MustCompile(`(^|[\s/])-([a-z]+)`)
+	benchFile := regexp.MustCompile(`BENCH_[a-z_]+\.json`)
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md", "DESIGN.md"} {
+		data, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
 		}
-		seen[r.Bench+"/"+r.Mode] = true
-	}
-	for _, want := range []string{
-		"glk/ticket", "glk/mcs", "glk/adaptive",
-		"gls/ticket", "gls/mcs", "gls/adaptive",
-	} {
-		if !seen[want] {
-			t.Errorf("report missing series %s", want)
+		for _, cmd := range command.FindAllString(string(data), -1) {
+			for _, m := range dashed.FindAllStringSubmatch(cmd, -1) {
+				if flag.Lookup(m[2]) == nil {
+					t.Errorf("%s: %q names -%s, which glsbench does not have", doc, cmd, m[2])
+				}
+			}
+		}
+		for _, f := range benchFile.FindAllString(string(data), -1) {
+			if _, err := os.Stat(filepath.Join("..", "..", f)); err != nil {
+				t.Errorf("%s mentions %s, which is not committed", doc, f)
+			}
 		}
 	}
 }

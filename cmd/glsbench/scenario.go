@@ -1,20 +1,13 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"strings"
-	"time"
 
-	"gls"
-	"gls/glk"
 	"gls/internal/scenario"
-	"gls/internal/sysmon"
-	"gls/server"
-	"gls/telemetry"
 )
 
 // The -scenario family is glscn, the trace-driven regression surface
@@ -25,14 +18,6 @@ import (
 // (tail latency, timeout counts, fairness counters, adaptation arcs) are
 // evaluated. The exit code says whether the lanes held; BENCH_scenario.json
 // is the committed full-mode run of the golden corpus.
-
-// scnQuickDiv and scnQuickFloor are the -quick transform: durations are
-// divided by scnQuickDiv and floored at scnQuickFloor, so CI smoke still
-// spans a few pacing intervals and at least one sysmon round per phase.
-const (
-	scnQuickDiv   = 4
-	scnQuickFloor = 60 * time.Millisecond
-)
 
 // scnList collects repeated -scenario flags in order.
 type scnList []string
@@ -80,7 +65,7 @@ func runScenarios(files []string, wire bool, seed uint64, replayPath, jsonPath s
 			return fmt.Errorf("%s: %w", path, err)
 		}
 		if o.quick {
-			scn = scn.Scaled(scnQuickDiv, scnQuickFloor)
+			scn = scn.Quick()
 		}
 		plan := scenario.BuildPlan(scn, seed)
 		if replayPath != "" {
@@ -93,7 +78,7 @@ func runScenarios(files []string, wire bool, seed uint64, replayPath, jsonPath s
 			mode = "wire"
 		}
 		fmt.Fprintf(progress, "-- scenario %s (%s, seed %d, %d phases) --\n", scn.Name, mode, plan.Seed, len(scn.Phases))
-		rep, err := runOneScenario(scn, plan, wire, progress)
+		rep, err := scenario.RunRig(plan, wire, progress)
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
@@ -103,16 +88,7 @@ func runScenarios(files []string, wire bool, seed uint64, replayPath, jsonPath s
 		}
 	}
 	if jsonPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		data = append(data, '\n')
-		if jsonPath == "-" {
-			if _, err := os.Stdout.Write(data); err != nil {
-				return err
-			}
-		} else if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
+		if err := writeJSON(jsonPath, report); err != nil {
 			return err
 		}
 	}
@@ -120,53 +96,6 @@ func runScenarios(files []string, wire bool, seed uint64, replayPath, jsonPath s
 		return fmt.Errorf("%d assertion lane(s) failed:\n  %s", len(failures), strings.Join(failures, "\n  "))
 	}
 	return nil
-}
-
-// runOneScenario builds the rig — registry, monitor, service or loopback
-// glsd — runs the plan, and tears the rig down.
-func runOneScenario(scn *scenario.Scenario, plan *scenario.Plan, wire bool, progress io.Writer) (*scenario.Report, error) {
-	// Sample period 1: the fairness and histogram lanes assert exact-ish
-	// interval counts, so the registry times every acquisition.
-	reg := telemetry.New(telemetry.Options{SamplePeriod: 1})
-	// A private probe-less monitor: only `mphint` directives move the
-	// multiprogramming flag, never the bench host's own scheduling noise.
-	mon := sysmon.New(sysmon.Options{DisableProbes: true})
-	mon.Start()
-	defer mon.Stop()
-	cfg := &glk.Config{
-		SamplePeriod: scn.GLKSample,
-		AdaptPeriod:  scn.GLKAdapt,
-		Monitor:      mon,
-	}
-	svcOpts := gls.Options{
-		SizeHint:  int(scn.Keys),
-		GLK:       cfg,
-		Telemetry: reg,
-	}
-
-	var drv scenario.Driver
-	if wire {
-		srv, err := server.New(server.Options{Service: svcOpts})
-		if err != nil {
-			return nil, err
-		}
-		defer srv.Close()
-		ln, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		go func() { _ = srv.Serve(ln) }()
-		drv = scenario.NewWireDriver(ln.Addr().String())
-	} else {
-		drv = &scenario.ServiceDriver{Svc: gls.New(svcOpts)}
-	}
-	defer drv.Close()
-
-	return scenario.Run(plan, drv, scenario.Options{
-		Registry: reg,
-		Monitor:  mon,
-		Progress: progress,
-	})
 }
 
 // writeReplay writes the plan's replay log to path ("-" for stdout).

@@ -2,11 +2,9 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -14,6 +12,7 @@ import (
 	"time"
 
 	"gls/client"
+	"gls/internal/scenario"
 	"gls/server"
 )
 
@@ -61,15 +60,6 @@ func serverSweep(quick bool) []int {
 	return []int{64, 256, 1024}
 }
 
-// pct reports the q-quantile of a sorted sample, in microseconds.
-func pct(sorted []time.Duration, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(sorted)-1))
-	return float64(sorted[i]) / float64(time.Microsecond)
-}
-
 // runServer measures the sweep against a fresh in-process glsd and writes
 // the JSON report to path ("-" for stdout).
 func runServer(path string, progress io.Writer, o opts) error {
@@ -113,16 +103,7 @@ func runServer(path string, progress io.Writer, o opts) error {
 			res.Conns, res.ParkedWaiters, res.OfferedPerSec, res.OpsPerSec, res.Busy, res.P50us, res.P95us, res.P99us, res.DrainMS)
 	}
 
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(data)
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
+	return writeJSON(path, report)
 }
 
 // serverPoint runs one sweep point: dial conns sessions, park conns/4
@@ -272,9 +253,9 @@ func serverPoint(addr string, conns int, offered float64, d time.Duration) (serv
 		OfferedPerSec: offered,
 		OpsPerSec:     float64(len(all)) / elapsed.Seconds(),
 		Busy:          busy.Load(),
-		P50us:         pct(all, 0.50),
-		P95us:         pct(all, 0.95),
-		P99us:         pct(all, 0.99),
+		P50us:         scenario.PctUS(all, 0.50),
+		P95us:         scenario.PctUS(all, 0.95),
+		P99us:         scenario.PctUS(all, 0.99),
 		Goroutines:    goroutines,
 		DrainMS:       float64(drain) / float64(time.Millisecond),
 	}, nil

@@ -19,15 +19,12 @@ import (
 	"gls/telemetry"
 )
 
-// reportContention is the -contention flag: attach a registry to every
-// provider the systems figures build and print per-role contention after
-// each cell (ROADMAP telemetry follow-up — the five modelled systems feed
-// the registry through appsync's role labels).
-var reportContention bool
-
-// cellRegistry returns a fresh registry when -contention is on.
+// cellRegistry returns a fresh registry when -contention is on: every
+// provider the systems figures build gets one, and per-role contention is
+// printed after each cell (the five modelled systems feed the registry
+// through appsync's role labels).
 func cellRegistry() *telemetry.Registry {
-	if !reportContention {
+	if !*contention {
 		return nil
 	}
 	return telemetry.New(telemetry.Options{})

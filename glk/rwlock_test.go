@@ -211,7 +211,9 @@ func TestRWLockWriterInflates(t *testing.T) {
 func TestRWLockDeflatesAfterIdleWrites(t *testing.T) {
 	reg := telemetry.New(telemetry.Options{SamplePeriod: 1})
 	st := reg.Register(2, "glkrw")
-	l := NewRW(&RWConfig{SamplePeriod: 2, DeflatePeriods: 2, Stats: st})
+	// The test monitor, not the probing default: a busy host raising the
+	// multiprogramming flag sends the lock to write-preference instead.
+	l := NewRW(&RWConfig{SamplePeriod: 2, DeflatePeriods: 2, Stats: st, Monitor: newTestMonitor()})
 	l.RLock()
 	l.RLock()
 	l.RUnlock()

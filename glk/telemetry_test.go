@@ -92,7 +92,7 @@ func TestInstrumentedContentionAndTransitions(t *testing.T) {
 
 // TestInstrumentedMutexTransition drives the multiprogramming path and
 // checks the spinlock→mutex edge lands in the telemetry, reasons included —
-// the counter the lockstress oversubscription scenario asserts on.
+// the events multiprog.scn's `expect transition ticket mutex` reads.
 func TestInstrumentedMutexTransition(t *testing.T) {
 	mon := sysmon.New(sysmon.Options{DisableProbes: true})
 	mon.Start()

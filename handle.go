@@ -60,8 +60,8 @@ type Handle struct {
 	// misses counts cache misses — every lookup that had to resolve
 	// through the table, including each key's first use. A handle is
 	// single-goroutine by contract, so this is a plain field; CacheMisses
-	// exposes it, and the freechurn stress asserts it stays *exactly*
-	// flat in shards no Free touches.
+	// exposes it, and TestFreeEpochShardIsolation asserts it stays
+	// *exactly* flat in shards no Free touches.
 	misses uint64
 }
 
@@ -110,8 +110,8 @@ func (h *Handle) cacheStore(key uint64, sh *shard, e *entry, start, done uint64)
 // one-entry cache and resolved via the table, including each key's first
 // use. It is the exact observable behind the per-shard epoch isolation
 // claim: park a handle on a hot key, Free-churn keys in other shards, and
-// this counter must not move (lockstress -bug freechurn; glsbench -shard
-// reports the rate).
+// this counter must not move (TestFreeEpochShardIsolation; glsmark's
+// gls.handle_miss_share reports the rate).
 func (h *Handle) CacheMisses() uint64 { return h.misses }
 
 // lookup resolves key via the one-entry cache, creating the entry on a

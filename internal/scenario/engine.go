@@ -267,9 +267,9 @@ func runPhase(pp *PhasePlan, conns []WorkerConn, drv Driver, opt Options) (Phase
 	res.Issued = res.Grants + res.Timeouts + res.Errors
 	res.Achieved = float64(res.Issued) / elapsed.Seconds()
 	sort.Slice(all, func(a, b int) bool { return all[a] < all[b] })
-	res.P50us = pctUS(all, 0.50)
-	res.P95us = pctUS(all, 0.95)
-	res.P99us = pctUS(all, 0.99)
+	res.P50us = PctUS(all, 0.50)
+	res.P95us = PctUS(all, 0.95)
+	res.P99us = PctUS(all, 0.99)
 	for _, ev := range events {
 		if ev.Kind == telemetry.EventTransition {
 			res.Transitions = append(res.Transitions, fmt.Sprintf("%s→%s ×%d", ev.From, ev.To, ev.Count))
@@ -323,8 +323,9 @@ func holdFor(t0 time.Time, d time.Duration) {
 	}
 }
 
-// pctUS reports the q-quantile of a sorted sample in microseconds.
-func pctUS(sorted []time.Duration, q float64) float64 {
+// PctUS reports the q-quantile of a sorted sample in microseconds: the
+// exact sample at index q·(n−1), no interpolation.
+func PctUS(sorted []time.Duration, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}

@@ -2,12 +2,13 @@ package locks
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"gls/internal/xatomic"
+	"gls/internal/backoff"
 )
 
 // The bounded-reader-wait soak's shared knobs: fairVariants derives each
@@ -18,46 +19,69 @@ const (
 	fairSoakReaders   = 2
 	fairSoakReadsEach = 40
 	fairSoakMaxBypass = 8
+	// fairSoakHold is the ticketed writers' critical section, in pause
+	// units: long enough (tens of microseconds) to outlast one probe of a
+	// backed-out reader. With empty sections a reader that backs out once
+	// is charged the hundreds of phases that fit between two of its own
+	// probes, and the count measures the probe interval, not the lock.
+	fairSoakHold = 1024
 )
 
 // fairVariants are the RW locks that promise a bounded reader wait under a
-// continuous writer stream, with the bound (in writer phases) each promises.
-// RWPhaseFair admits a blocked reader at the next phase boundary; a
-// bounded-bypass RWStriped admits it after at most MaxBypass waiting rounds
-// plus the writer queue it joins. The slack on top covers the measurement
-// window (the phase counter is read before the reader's arrival lands) and
-// scheduling noise — the property under test is "tens, not thousands".
+// continuous writer stream, with the bound (in writer phases) each promises
+// and the stream it promises it under. RWPhaseFair admits a blocked reader
+// at the next phase boundary whatever the stream, so it also faces the
+// gapless one — a single writer that holds for `hold` pause units and
+// re-acquires at once, the stream plain RWStriped misses the bound under by
+// two to three orders of magnitude (90th percentile 2 000–31 000 phases in
+// 19 of 20 runs on 2 CPUs).
+// A bounded-bypass RWStriped admits the reader after at most MaxBypass
+// waiting rounds plus the writer queue it joins; its unit is rounds, so its
+// phase bound is stated for writers that hand the ticket around. The slack
+// on top covers scheduling noise — the property under test is "tens, not
+// thousands".
 func fairVariants() []struct {
-	name  string
-	mk    func() RWLock
-	bound uint64
+	name    string
+	mk      func() RWLock
+	writers int
+	hold    uint32
+	bound   uint64
 } {
 	return []struct {
-		name  string
-		mk    func() RWLock
-		bound uint64
+		name    string
+		mk      func() RWLock
+		writers int
+		hold    uint32
+		bound   uint64
 	}{
-		{"rwphasefair", func() RWLock { return NewRWPhaseFair() }, 2 + 12},
+		{"rwphasefair/gapless", func() RWLock { return NewRWPhaseFair() }, 1, 32, 2 + 12},
+		{"rwphasefair", func() RWLock { return NewRWPhaseFair() }, fairSoakWriters, fairSoakHold, 2 + 12},
 		{"rwstriped-bounded", func() RWLock { return NewRWStripedBounded(fairSoakMaxBypass) },
-			fairSoakMaxBypass + fairSoakWriters + 12},
+			fairSoakWriters, fairSoakHold, fairSoakMaxBypass + fairSoakWriters + 12},
 	}
 }
 
 // TestRWBoundedReaderWait is the bounded-reader-wait conformance property:
-// with a continuous writer stream (writers re-acquiring with no pause),
-// no reader acquisition may span more than the variant's bound of writer
-// phases. Plain RWStriped deliberately fails this property — that
+// with a continuous writer stream (writers re-acquiring with no pause), a
+// reader acquisition spans no more than the variant's bound of writer
+// phases. The phase counter can only be read before RLock is entered, so a
+// reader descheduled between that load and its arrival at the lock is
+// charged every phase it slept through — hundreds, on a busy 2-CPU host,
+// for a lock that made it wait for none. The assertion is therefore on the
+// 90th percentile of the per-read counts, which a few such samples cannot
+// move and a starving lock cannot hide under; outright starvation is the
+// 60 s deadline. Plain RWStriped deliberately fails this property — that
 // demonstration lives in lockstress -bug readerstarvation, where an
 // unbounded observation is a result, not a flake.
 func TestRWBoundedReaderWait(t *testing.T) {
-	const writers, readers, readsEach = fairSoakWriters, fairSoakReaders, fairSoakReadsEach
+	const readers, readsEach = fairSoakReaders, fairSoakReadsEach
 	for _, v := range fairVariants() {
 		t.Run(v.name, func(t *testing.T) {
 			l := v.mk()
-			var phases atomic.Uint64 // completed writer phases (incremented in CS)
+			var phases atomic.Uint64 // writer phases begun (incremented in CS)
 			stop := make(chan struct{})
 			var wg sync.WaitGroup
-			for w := 0; w < writers; w++ {
+			for w := 0; w < v.writers; w++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
@@ -69,22 +93,25 @@ func TestRWBoundedReaderWait(t *testing.T) {
 						}
 						l.Lock()
 						phases.Add(1)
+						backoff.Pause(v.hold)
 						l.Unlock()
 					}
 				}()
 			}
-			var maxCrossed atomic.Uint64
+			crossed := make([][]uint64, readers)
 			var rg sync.WaitGroup
 			for r := 0; r < readers; r++ {
 				rg.Add(1)
 				go func() {
 					defer rg.Done()
+					for phases.Load() == 0 {
+						runtime.Gosched() // the stream is not running yet
+					}
 					for i := 0; i < readsEach; i++ {
 						p0 := phases.Load()
 						l.RLock()
-						crossed := phases.Load() - p0
+						crossed[r] = append(crossed[r], phases.Load()-p0)
 						l.RUnlock()
-						xatomic.MaxUint64(&maxCrossed, crossed)
 						runtime.Gosched()
 					}
 				}()
@@ -98,8 +125,12 @@ func TestRWBoundedReaderWait(t *testing.T) {
 			}
 			close(stop)
 			wg.Wait()
-			if got := maxCrossed.Load(); got > v.bound {
-				t.Errorf("a reader waited across %d writer phases, bound is %d", got, v.bound)
+			<-done // the stream has ended, so any reader still inside RLock drains now
+			all := slices.Concat(crossed...)
+			slices.Sort(all)
+			if got := all[(len(all)-1)*9/10]; got > v.bound {
+				t.Errorf("90%% of reads waited across <= %d writer phases (worst %d), bound is %d",
+					got, all[len(all)-1], v.bound)
 			}
 		})
 	}

@@ -5,9 +5,9 @@
 // fairness regression the scenario corpus was written to catch — fix
 // the regression, don't loosen the lane.
 //
-// The quick transform (durations ÷4, floored at 60ms) matches
-// `glsbench -scenario -quick`, so CI and this suite exercise identical
-// plans for a given seed.
+// The quick transform and the rig are internal/scenario's (Quick, RunRig),
+// the ones `glsbench -scenario -quick` calls, so the command and this suite
+// exercise identical plans for a given seed.
 package gls_test
 
 import (
@@ -17,21 +17,11 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
-	"gls"
-	"gls/glk"
 	"gls/internal/scenario"
-	"gls/internal/sysmon"
-	"gls/server"
-	"gls/telemetry"
 )
 
-const (
-	goldenDir        = "testdata/scenarios"
-	goldenQuickDiv   = 4
-	goldenQuickFloor = 60 * time.Millisecond
-)
+const goldenDir = "testdata/scenarios"
 
 // goldenScenarios loads and quick-scales every committed scenario.
 func goldenScenarios(t *testing.T) map[string]*scenario.Scenario {
@@ -54,54 +44,15 @@ func goldenScenarios(t *testing.T) map[string]*scenario.Scenario {
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
-		out[strings.TrimSuffix(filepath.Base(p), ".scn")] = s.Scaled(goldenQuickDiv, goldenQuickFloor)
+		out[strings.TrimSuffix(filepath.Base(p), ".scn")] = s.Quick()
 	}
 	return out
 }
 
-// runGolden builds the same rig as `glsbench -scenario`: a
-// sample-everything registry, a probe-less monitor so only mphint
-// directives flip the multiprogramming flag, and either the in-process
-// service or a loopback glsd.
+// runGolden runs s on the shared rig under the scenario's own seed.
 func runGolden(t *testing.T, s *scenario.Scenario, wire bool) *scenario.Report {
 	t.Helper()
-	reg := telemetry.New(telemetry.Options{SamplePeriod: 1})
-	mon := sysmon.New(sysmon.Options{DisableProbes: true})
-	mon.Start()
-	defer mon.Stop()
-	svcOpts := gls.Options{
-		SizeHint: int(s.Keys),
-		GLK: &glk.Config{
-			SamplePeriod: s.GLKSample,
-			AdaptPeriod:  s.GLKAdapt,
-			Monitor:      mon,
-		},
-		Telemetry: reg,
-	}
-
-	var drv scenario.Driver
-	if wire {
-		srv, err := server.New(server.Options{Service: svcOpts})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		ln, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() { _ = srv.Serve(ln) }()
-		drv = scenario.NewWireDriver(ln.Addr().String())
-	} else {
-		drv = &scenario.ServiceDriver{Svc: gls.New(svcOpts)}
-	}
-	defer drv.Close()
-
-	rep, err := scenario.Run(scenario.BuildPlan(s, 0), drv, scenario.Options{
-		Registry: reg,
-		Monitor:  mon,
-		Progress: io.Discard,
-	})
+	rep, err := scenario.RunRig(scenario.BuildPlan(s, 0), wire, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -214,7 +214,7 @@ type shardHeader struct {
 
 	// creates counts entries built in this shard; frees counts mappings
 	// Free actually removed. The difference from table.Len gives churn at
-	// a glance (glsbench -shard, ShardStats).
+	// a glance (ShardStats).
 	creates atomic.Uint64
 	frees   atomic.Uint64
 
@@ -335,8 +335,8 @@ func (s *Service) getEntry(key uint64) *entry {
 func (s *Service) NumShards() int { return len(s.shards) }
 
 // ShardOf reports the shard index key routes to — for tests, benchmarks,
-// and tools that need to construct same-shard or cross-shard key sets (the
-// freechurn stress probes this to prove epoch isolation).
+// and tools that need to construct same-shard or cross-shard key sets
+// (TestFreeEpochShardIsolation probes this to prove epoch isolation).
 func (s *Service) ShardOf(key uint64) int { return int(s.shardIdx(key)) }
 
 // ShardInfo is one shard's occupancy snapshot (ShardStats).
@@ -694,7 +694,7 @@ func (s *Service) Free(key uint64) {
 	// so the pair stays equal at rest; Free is rare, so the spurious
 	// invalidation is noise. Handles whose cached key lives in another
 	// shard never see these counters move — that isolation is the point
-	// of sharding (lockstress -bug freechurn asserts it exactly).
+	// of sharding (TestFreeEpochShardIsolation asserts it exactly).
 	sh.freeStart.Add(1)
 	if sh.table.Delete(key) != nil {
 		sh.frees.Add(1)

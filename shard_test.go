@@ -2,14 +2,14 @@ package gls
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"gls/telemetry"
 )
 
 // keysInShard returns n distinct non-zero keys that all route to shard want,
-// found by probing ShardOf from a seed — the same technique the freechurn
-// stress uses to build same-shard and cross-shard key sets.
+// found by probing ShardOf from a seed.
 func keysInShard(t *testing.T, s *Service, want int, n int, seed uint64) []uint64 {
 	t.Helper()
 	out := make([]uint64, 0, n)
@@ -95,52 +95,85 @@ func TestOptionsValidateNumShards(t *testing.T) {
 	New(Options{NumShards: 3})
 }
 
-// TestFreeEpochShardIsolation is the unit twin of lockstress -bug freechurn:
-// with NumShards=8, a handle parked on a key in one shard takes ZERO cache
-// misses while other shards churn through Free — the exact-counter claim
-// sharding makes — and a Free in the handle's own shard still invalidates.
+// TestFreeEpochShardIsolation is the exact-counter claim sharding makes:
+// with NumShards=8, handles parked on keys in seven shards take ZERO cache
+// misses after their warm-up while the eighth churns through Free
+// concurrently, the churn shard's books are exact and no other shard's
+// free epoch moves — and a Free in a handle's own shard still invalidates
+// it, so the counter would have caught a violation.
 func TestFreeEpochShardIsolation(t *testing.T) {
-	s := New(Options{NumShards: 8})
+	const numShards, churnShard, rounds = 8, 0, 50
+	s := New(Options{NumShards: numShards})
 	defer s.Close()
-
-	hotShard := 0
-	churnShard := 1
-	hot := keysInShard(t, s, hotShard, 1, 1)[0]
 	churn := keysInShard(t, s, churnShard, 64, 1<<20)
 
-	h := s.NewHandle()
-	h.Lock(hot)
-	h.Unlock(hot)
-	base := h.CacheMisses() // the warm-up resolution (exactly 1)
-	if base != 1 {
-		t.Fatalf("warm-up misses = %d, want 1", base)
+	// One worker per other shard, warmed (exactly one miss: the first
+	// resolution) behind a barrier so no worker can miss the churn.
+	misses := make([]uint64, numShards)
+	stop := make(chan struct{})
+	var warmed, wg sync.WaitGroup
+	for sh := 0; sh < numShards; sh++ {
+		if sh == churnShard {
+			continue
+		}
+		hot := keysInShard(t, s, sh, 1, 1)[0]
+		warmed.Add(1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h := s.NewHandle()
+			h.Lock(hot)
+			h.Unlock(hot)
+			warmed.Done()
+			for {
+				select {
+				case <-stop:
+					misses[sh] = h.CacheMisses()
+					return
+				default:
+				}
+				h.Lock(hot)
+				h.Unlock(hot)
+			}
+		}()
 	}
-
-	// Churn a different shard hard: create, free, repeat.
-	for round := 0; round < 50; round++ {
+	warmed.Wait()
+	for round := 0; round < rounds; round++ {
 		for _, k := range churn {
 			s.Lock(k)
 			s.Unlock(k)
 			s.Free(k)
 		}
-		h.Lock(hot)
-		h.Unlock(hot)
 	}
-	if got := h.CacheMisses(); got != base {
-		t.Errorf("cross-shard churn caused %d cache misses, want 0 (shard isolation broken)", got-base)
+	close(stop)
+	wg.Wait()
+	for sh, m := range misses {
+		if sh != churnShard && m != 1 {
+			t.Errorf("shard %d handle: %d cache misses under cross-shard churn, want exactly 1 (shard isolation broken)", sh, m)
+		}
+	}
+	for _, st := range s.ShardStats() {
+		if st.Shard == churnShard {
+			if want := uint64(rounds * len(churn)); st.Frees != want {
+				t.Errorf("churn shard recorded %d frees, want %d", st.Frees, want)
+			}
+		} else if st.FreeEpoch != 0 {
+			t.Errorf("shard %d free epoch moved to %d with no Free there", st.Shard, st.FreeEpoch)
+		}
 	}
 
-	// Control: a Free in the hot key's own shard must invalidate.
-	sib := keysInShard(t, s, hotShard, 2, 1<<21)
-	s.Lock(sib[0])
-	s.Unlock(sib[0])
-	s.Free(sib[0])
-	h.Lock(hot)
-	h.Unlock(hot)
-	if got := h.CacheMisses(); got != base+1 {
-		t.Errorf("same-shard Free: misses went %d -> %d, want exactly one new miss", base, got)
+	// Control: a Free in a handle's own shard must invalidate it.
+	ctrl := s.NewHandle()
+	ctrl.Lock(churn[0])
+	ctrl.Unlock(churn[0])
+	s.Lock(churn[1])
+	s.Unlock(churn[1])
+	s.Free(churn[1])
+	ctrl.Lock(churn[0])
+	ctrl.Unlock(churn[0])
+	if got := ctrl.CacheMisses(); got != 2 {
+		t.Errorf("same-shard Free: %d misses, want 2 (warm-up + one re-resolve)", got)
 	}
-	_ = sib[1]
 }
 
 // TestShardStats checks the per-shard occupancy report: creates and frees
