@@ -19,8 +19,8 @@ import (
 // bucket share), then runs a zipf-skewed workload over the whole key space
 // and reports ns/op plus how much the hot keys' lazy inflation (presence
 // spills, mcs/mutex allocations) added. Before lazy striping every key paid
-// the full 8-stripe layout up front; now only the keys the skew actually
-// contends pay it.
+// the full 8-stripe layout up front; now only the keys the skew contends
+// hard enough to leave ticket mode pay it.
 
 // cardinalityKeys is the key-space size: ~1M (the ROADMAP's north-star
 // scale); -quick shrinks it to keep CI smoke runs in memory and seconds.
@@ -44,7 +44,7 @@ func runCardinality(o opts) error {
 	if o.quick {
 		n = cardinalityKeysQuick
 	}
-	fmt.Printf("inline footprint: glk.Lock %dB (+%dB presence spill when contended), table entry %dB\n",
+	fmt.Printf("inline footprint: glk.Lock %dB (+%dB presence spill once it leaves ticket mode), table entry %dB\n",
 		unsafe.Sizeof(glk.Lock{}), stripe.SpillBytes, gls.EntryBytes)
 
 	before := heapAlloc()
@@ -59,7 +59,7 @@ func runCardinality(o opts) error {
 		n, float64(created-before)/(1<<20), perLock)
 
 	// Zipf access over the whole key space: the skew concentrates real
-	// contention on a handful of keys (which inflate) while the tail stays
+	// contention on a handful of keys (which leave ticket mode and inflate) while the tail stays
 	// idle — exactly the regime the lazy layout is built for.
 	threads := runtime.GOMAXPROCS(0)
 	if threads < 2 {

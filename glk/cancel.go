@@ -27,48 +27,49 @@ func (l *Lock) LockCancel(c *locks.Cancel) bool {
 		l.Lock()
 		return true
 	}
-	tok := stripe.Self()
-	l.present.Add(tok, 1)
 	if l.stats != nil {
-		return l.lockCancelInstrumented(tok, c)
+		return l.lockCancelInstrumented(c)
 	}
+	var a arrival
 	for {
 		cur := Mode(l.lockType.Load())
+		l.count(cur, &a)
 		if !l.lockLowCancel(cur, c) {
-			l.abortDepart(tok)
+			l.abortDepart(&a)
 			return false
 		}
-		if Mode(l.lockType.Load()) == cur && !l.tryAdapt(cur) {
-			l.acquiredMode = cur
-			l.presentToken = tok
+		if Mode(l.lockType.Load()) == cur && !(l.sampleDue(cur) && l.sampleAndAdapt(cur)) {
+			l.settle(cur, &a)
 			return true
 		}
-		l.unlockLow(cur)
+		l.backOut(cur)
 	}
 }
 
 // lockCancelInstrumented is LockCancel's telemetry twin: the same loop,
 // with the try-first contended probe and the Arrive/Acquired/Aborted hooks.
-func (l *Lock) lockCancelInstrumented(tok uint64, c *locks.Cancel) bool {
-	a := l.stats.Arrive(tok)
+func (l *Lock) lockCancelInstrumented(c *locks.Cancel) bool {
+	a := arrival{tok: stripe.Self()}
+	acq := l.stats.Arrive(a.tok)
 	contended := false
 	for {
 		cur := Mode(l.lockType.Load())
+		l.count(cur, &a)
 		if !l.tryLockLow(cur) {
 			contended = true
 			if !l.lockLowCancel(cur, c) {
-				l.abortDepart(tok)
-				a.Aborted(c.TimedOut())
+				l.abortDepart(&a)
+				acq.Aborted(c.TimedOut())
 				return false
 			}
 		}
-		if Mode(l.lockType.Load()) == cur && !l.tryAdapt(cur) {
-			l.acquiredMode = cur
-			l.presentToken = tok
-			a.Acquired(contended)
+		if Mode(l.lockType.Load()) == cur && !(l.sampleDue(cur) && l.sampleAndAdapt(cur)) {
+			l.settle(cur, &a)
+			l.presentToken = a.tok
+			acq.Acquired(contended)
 			return true
 		}
-		l.unlockLow(cur)
+		l.backOut(cur)
 	}
 }
 
@@ -164,14 +165,11 @@ func pollCancel(try func() bool, c *locks.Cancel) bool {
 	}
 }
 
-// abortDepart is the bookkeeping of a waiter leaving without the lock: the
-// presence stripe taken at arrival is repaid, the counter is inflated first
-// — an aborted waiter observed contention by definition, and its departure
-// write should hit a stripe, not the shared line — and the abort is
-// recorded for the adaptation signal (sampleAndAdapt folds the delta into
-// the queue EMA).
-func (l *Lock) abortDepart(tok uint64) {
-	l.present.Inflate()
-	l.present.Add(tok, -1)
+// abortDepart is the bookkeeping of a waiter leaving without the lock: its
+// presence count, if it was counted, is repaid, and the abort is recorded
+// for the adaptation signal (sampleAndAdapt folds the delta into the queue
+// sample).
+func (l *Lock) abortDepart(a *arrival) {
+	l.depart(a)
 	l.aborts.Add(1)
 }

@@ -1,6 +1,7 @@
 package glk
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -84,6 +85,95 @@ func TestAbortsFeedAdaptation(t *testing.T) {
 	}
 	if got := l.Mode(); got != ModeMCS {
 		t.Fatalf("mode after abort burst = %v, want mcs (aborts did not feed adaptation)", got)
+	}
+	abortsCountOnce(t)
+}
+
+// abortsCountOnce pins how the abort delta meets the ticket-distance
+// sample (TestAbortsFeedAdaptation's second half). Abandoned tickets stay in next − owner until the
+// owner word steps over them, so a sample taken behind them sees the same
+// departures twice — once queued, once in the delta. The signal is the
+// larger of the two, never the sum: with K waiters gone, however they split
+// between retired and abandoned tickets, the sample reads 1 + K.
+func abortsCountOnce(t *testing.T) {
+	const k = 6
+	l := New(&Config{SamplePeriod: 1, AdaptPeriod: 1, DisableAdaptation: true, Monitor: newTestMonitor()})
+	l.Lock() // sample 1: the holder alone
+	// A plain waiter first, so the aborters queue behind a live ticket and
+	// the next holder samples with theirs still ahead of owner.
+	acquired := make(chan struct{})
+	release := make(chan struct{})
+	go func() {
+		l.Lock() // sample 2, taken behind the abandoned tickets
+		close(acquired)
+		<-release
+		l.Unlock()
+	}()
+	for l.ticket.QueueLen() != 2 {
+		runtime.Gosched()
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < k; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if l.LockCancel(deadlineIn(time.Millisecond)) {
+				t.Error("LockCancel acquired a held lock")
+			}
+		}()
+	}
+	wg.Wait()
+	if got := l.Aborts(); got != k {
+		t.Fatalf("Aborts = %d, want %d", got, k)
+	}
+	pending := l.ticket.QueueLen() - 2 // abandoned, not yet stepped over
+	l.Unlock()
+	<-acquired
+	if got, want := l.Stats().QueueTotal, uint64(1+1+k); got != want {
+		t.Fatalf("QueueTotal = %d after a sample behind %d abandoned tickets and %d aborts, want %d (holder sample 1 + abort sample 1+%d)",
+			got, pending, k, want, k)
+	}
+	close(release)
+	l.Lock()
+	l.Unlock()
+	if q := l.ticket.QueueLen(); q != 0 {
+		t.Fatalf("ticket queue reads %d at rest", q)
+	}
+}
+
+// mcsSpell drives a quiet ticket-mode lock into mcs and back with nothing
+// but its own goroutine: a burst of already-expired LockCancels against the
+// held lock (each retires its ticket at once) is the contention signal, and
+// uncontended use afterwards decays the average again. The lock's
+// thresholds must put 1+16 aborts above Up and a lone holder below Down.
+func mcsSpell(t *testing.T, l *Lock) {
+	t.Helper()
+	l.Lock()
+	for i := 0; i < 16; i++ {
+		if l.LockCancel(expiredCancel()) {
+			t.Fatal("LockCancel acquired a held lock")
+		}
+	}
+	l.Unlock()
+	for i := 0; i < 8 && l.Mode() == ModeTicket; i++ {
+		l.Lock()
+		l.Unlock()
+	}
+	if got := l.Mode(); got != ModeMCS {
+		t.Fatalf("mode after abort burst = %v, want mcs", got)
+	}
+	if !l.PresenceInflated() {
+		t.Fatal("lock left ticket mode without its presence spill")
+	}
+	for i := 0; i < 64 && l.Mode() != ModeTicket; i++ {
+		l.Lock()
+		if n := l.present.Sum(); l.Mode() == ModeMCS && n != 1 {
+			t.Fatalf("presence counter reads %d with a lone mcs-mode holder, want 1", n)
+		}
+		l.Unlock()
+	}
+	if got := l.Mode(); got != ModeTicket {
+		t.Fatalf("mode after contention ceased = %v, want ticket", got)
 	}
 }
 
@@ -207,4 +297,123 @@ func TestRWLockCancel(t *testing.T) {
 	l.Unlock()
 	l.RLock()
 	l.RUnlock()
+}
+
+// TestPresenceSettlesAcrossTransitions runs the presence rule through every
+// hand-over it has: goroutines mixing Lock, TryLock and LockCancel — some
+// counted under mcs or mutex, some not counted under ticket, some caught
+// mid-wait by a switch — on a lock that re-decides every other acquisition,
+// while the test's monitor raises and drops the multiprogramming flag
+// between storms so the lock goes ticket → mcs → mutex → ticket each round.
+// Mutual exclusion holds throughout; whenever the lock is at rest every
+// count has been repaid, every queue is empty, and Acquired is exact.
+func TestPresenceSettlesAcrossTransitions(t *testing.T) {
+	mon := newTestMonitor()
+	mon.Start()
+	defer mon.Stop()
+	var visited [ModeMutex + 1]atomic.Bool
+	l := New(&Config{
+		SamplePeriod: 1, AdaptPeriod: 2,
+		UpThreshold: 2, DownThreshold: 1.2, EMAWeight: 0.5,
+		Monitor:      mon,
+		OnTransition: func(_, to Mode, _ string) { visited[to].Store(true) },
+	})
+	const workers = 6
+	rounds, iters := 3, 1500
+	if testing.Short() {
+		rounds, iters = 2, 500
+	}
+	var inSection atomic.Int32
+	var granted atomic.Uint64
+	section := func(i int) {
+		if n := inSection.Add(1); n != 1 {
+			t.Errorf("mutual exclusion violated: %d in section", n)
+		}
+		if i%8 == 0 {
+			runtime.Gosched() // let arrivals pile up behind the holder
+		}
+		inSection.Add(-1)
+		granted.Add(1)
+		l.Unlock()
+	}
+	setFlag := func(want bool) {
+		t.Helper()
+		hint := 0
+		if want {
+			hint = workers + runtime.GOMAXPROCS(0)
+		}
+		mon.SetHint(hint)
+		for deadline := time.Now().Add(20 * time.Second); mon.Multiprogrammed() != want; {
+			if time.Now().After(deadline) {
+				t.Fatalf("monitor flag never became %v", want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	storm := func() {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			w := w
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < iters; i++ {
+					var ok bool
+					switch (w + i) % 3 {
+					case 0:
+						l.Lock()
+						ok = true
+					case 1:
+						ok = l.TryLock()
+					case 2:
+						ok = l.LockCancel(deadlineIn(time.Duration(i%3) * 50 * time.Microsecond))
+					}
+					if ok {
+						section(i)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	atRest := func(when string) {
+		t.Helper()
+		if n := l.present.Sum(); n != 0 {
+			t.Fatalf("%s: presence counter reads %d at rest", when, n)
+		}
+		if q := l.presentNow(); q != 0 {
+			t.Fatalf("%s: presence gauge reads %d at rest (mode %v)", when, q, l.Mode())
+		}
+		for _, m := range []Mode{ModeTicket, ModeMCS, ModeMutex} {
+			if q := l.queueLenLow(m); q != 0 {
+				t.Fatalf("%s: %v queue reads %d at rest", when, m, q)
+			}
+		}
+		if got, want := l.Stats().Acquired, granted.Load(); got != want {
+			t.Fatalf("%s: Acquired = %d, want %d (%d transitions, %d aborts)", when, got, want, l.Transitions(), l.Aborts())
+		}
+	}
+	for r := 0; r < rounds; r++ {
+		setFlag(false)
+		storm() // contention alone: mcs
+		atRest("after the calm storm")
+		setFlag(true)
+		storm() // contention under multiprogramming: mutex
+		atRest("after the multiprogrammed storm")
+		setFlag(false)
+		for i := 0; i < 10000 && l.Mode() != ModeTicket; i++ {
+			l.Lock() // a lone goroutine: back to ticket
+			section(1)
+		}
+		atRest("after the quiet spell")
+	}
+	for _, m := range []Mode{ModeTicket, ModeMCS, ModeMutex} {
+		if !visited[m].Load() {
+			t.Errorf("the run never entered %v mode (%d transitions)", m, l.Transitions())
+		}
+	}
+	if !l.TryLock() {
+		t.Fatal("lock wedged after the run")
+	}
+	l.Unlock()
 }

@@ -94,20 +94,14 @@ const (
 	DefaultEMAWeight = 0.25
 )
 
-// inflateQueueLen is the sampled queue length (holder included) at which a
-// lock inflates its presence counter from the inline cell to the striped
-// spill: 2 means "someone besides the holder was at the lock".
-const inflateQueueLen = 2
-
 // deflateIdlePeriods is how many consecutive adaptation periods must
 // sample nothing but the holder (every queue sample ≤ 1) before the holder
 // folds an inflated presence counter back into its inline cell, returning
-// the stripe.SpillBytes of heap. Inflation was one-way before this
-// (ROADMAP footprint follow-up): harmless for correctness, but a table
-// whose contention storm has passed kept paying the storm's footprint
-// forever. Deflation only runs in ticket mode — a lock held in mcs or
-// mutex mode (including the frozen InitialMode baselines) expects
-// contention and keeps its stripes.
+// the stripe.SpillBytes of heap, so a table whose contention storm has
+// passed stops paying the storm's footprint. Deflation only runs in ticket
+// mode, where nobody is counted — a lock in mcs or mutex mode (including
+// the frozen InitialMode baselines) is counting arrivals and keeps its
+// stripes.
 const deflateIdlePeriods = 4
 
 // Config tunes a GLK lock. The zero value of every field selects the
@@ -133,8 +127,8 @@ type Config struct {
 	Monitor *sysmon.Monitor
 	// DisableAdaptation freezes the lock in its initial mode. The paper's
 	// overhead experiments (Figure 6/7) compare against this configuration.
-	// Sampling still runs (it feeds the queue statistics and the presence-
-	// counter inflation trigger); only the mode decision is skipped.
+	// Sampling still runs (it feeds the queue statistics); only the mode
+	// decision is skipped.
 	DisableAdaptation bool
 	// InitialMode is the mode a fresh lock starts in (default ModeTicket).
 	// The paper's Figure 6 baseline "fix[es] the non-adaptive GLK to ticket
@@ -142,13 +136,17 @@ type Config struct {
 	// contention, so it is built with its low-level lock allocated and its
 	// presence counter pre-inflated.
 	InitialMode Mode
-	// SampleLowLevelQueues selects the paper's original queue measurement:
-	// ticket−owner distance in ticket mode, a queue traversal in mcs mode,
-	// and the waiter count in mutex mode. The default (false) measures a
-	// mode-uniform presence count instead, which is robust to preempted
-	// waiters that have not enqueued yet (see DESIGN.md §4); this flag
-	// exists for the ablation benchmarks and for paper-faithful runs on
-	// machines with plenty of hardware contexts.
+	// SampleLowLevelQueues chooses the queue measurement in mcs and mutex
+	// modes: true selects the paper's own — a queue traversal in mcs mode,
+	// the waiter count in mutex mode; the default (false) a presence count
+	// kept while the lock is in those modes, which is robust to preempted
+	// waiters that have not enqueued yet (see DESIGN.md §4). Ticket mode
+	// uses the paper's measurement either way — the ticket−owner distance,
+	// which is free and sees a waiter from the instant it takes its ticket;
+	// the default only adds whoever a mode switch has left draining through
+	// the other low-level lock. The flag exists for the ablation benchmarks
+	// and for paper-faithful runs on machines with plenty of hardware
+	// contexts.
 	SampleLowLevelQueues bool
 	// OnTransition, if non-nil, is invoked (by the lock holder) after every
 	// mode change with the old mode, new mode, and the triggering reason.
@@ -162,7 +160,8 @@ type Config struct {
 	// without Stats runs the exact uninstrumented hot path, gated by a
 	// single predicted branch on the already-hot shared line. The stats
 	// object is also handed a presence sampler so telemetry reads this
-	// lock's own counter instead of keeping a duplicate (DESIGN.md §8).
+	// lock's own measurement — ticket holders plus counted arrivals —
+	// instead of keeping a duplicate (DESIGN.md §8).
 	Stats *telemetry.LockStats
 }
 
@@ -202,13 +201,15 @@ func (c Config) Validate() error {
 		return fmt.Errorf("glk: AdaptPeriod %d < SamplePeriod %d", d.AdaptPeriod, d.SamplePeriod)
 	}
 	if d.AdaptPeriod%d.SamplePeriod != 0 {
-		// Adaptation happens on sampling boundaries (the periods are stored
-		// as countdowns); a non-multiple would silently shorten the
-		// configured adaptation period.
+		// Adaptation happens on sampling boundaries (the adaptation period
+		// is stored as a countdown of samples); a non-multiple would
+		// silently shorten the configured adaptation period.
 		return fmt.Errorf("glk: AdaptPeriod %d is not a multiple of SamplePeriod %d", d.AdaptPeriod, d.SamplePeriod)
 	}
-	if d.SamplePeriod > math.MaxUint32 || d.AdaptPeriod/d.SamplePeriod > math.MaxUint32 {
-		return fmt.Errorf("glk: periods %d/%d exceed the 32-bit countdown range", d.SamplePeriod, d.AdaptPeriod)
+	// SamplePeriod is added to a 32-bit ticket number and the result compared
+	// by signed distance (see sampleDue), so it must stay below 2^31.
+	if d.SamplePeriod > math.MaxInt32 || d.AdaptPeriod/d.SamplePeriod > math.MaxUint32 {
+		return fmt.Errorf("glk: periods %d/%d exceed the 32-bit clock range", d.SamplePeriod, d.AdaptPeriod)
 	}
 	switch d.InitialMode {
 	case 0, ModeTicket, ModeMCS, ModeMutex:
@@ -220,30 +221,40 @@ func (c Config) Validate() error {
 
 // lockShared is the section of a Lock that arriving goroutines touch: the
 // mode word and stats pointer every arrival reads, the ticket words (GLK's
-// only inline low-level lock — in ticket mode this line carries the lock's
-// whole fast path), the lazy presence counter, and the lazily-allocated
-// mcs/mutex locks. In mcs and mutex modes the ticket words and (after
-// inflation) the presence cell go quiet, so the line is read-mostly exactly
-// when other goroutines spin elsewhere.
+// only inline low-level lock) with the clock that times their sampling, the
+// lazy presence counter, and the lazily-allocated mcs/mutex locks. In
+// ticket mode this line carries the lock's whole fast path: between
+// sampling boundaries an uncontended Lock/TryLock/Unlock reads and writes
+// nothing else (TestFastPathLeavesHolderLinesAlone). In mcs and mutex modes
+// the ticket words go quiet and presence is counted on the spill's own
+// lines, so the line is read-mostly exactly when other goroutines spin
+// elsewhere.
 type lockShared struct {
-	lockType atomic.Uint32    // current Mode
+	lockType atomic.Uint32 // current Mode
+	// sampleAt is the ticket-mode sampling clock: the ticket whose holder
+	// takes the next queue sample. Holder-only like the statistics, but it
+	// lives here — in the alignment hole before the ticket words — because
+	// every ticket-mode acquisition reads it and must not pull in a holder
+	// line to do so; it is written once per SamplePeriod.
+	sampleAt uint32
 	ticket   locks.TicketCore // low-contention mode lock, always present
 	stats    *telemetry.LockStats
-	present  stripe.Counter                  // inline cell + spill pointer (see below)
+	present  stripe.Counter                  // arrivals that read the mode as mcs/mutex (see arrival)
 	mcs      atomic.Pointer[locks.MCSLock]   // published before mode becomes mcs
 	mutex    atomic.Pointer[locks.MutexLock] // published before mode becomes mutex
 }
 
 // lockConfig is the stored form of a Config: the fields consulted after
-// construction, compacted (periods as 32-bit countdown reload values, the
-// EMA weight folded into the EMA itself, Stats hoisted to the shared
-// section, thresholds narrowed to float32 — they are human-chosen numbers
-// like 3.0 compared against a smoothed average, where single precision is
+// construction, compacted (periods as 32-bit reload values, the EMA weight
+// folded into the EMA itself, Stats hoisted to the shared section,
+// thresholds narrowed to float32 — they are human-chosen numbers like 3.0
+// compared against a smoothed average, where single precision is
 // indistinguishable, and the 12 bytes bought keep the holder section inside
 // its two lines after the glsx abort counters). It lives on the holder
-// lines because only the holder — inside tryAdapt and decide — reads it.
+// lines because only the holder — inside sampleAndAdapt and decide — reads
+// it.
 type lockConfig struct {
-	samplePeriod         uint32 // sampleIn reload value, in critical sections
+	samplePeriod         uint32 // critical sections between queue samples
 	adaptSamples         uint32 // adaptIn reload value, in samples
 	upThreshold          float32
 	downThreshold        float32
@@ -254,33 +265,39 @@ type lockConfig struct {
 	onTransition         func(from, to Mode, reason string)
 }
 
-// lockHolder is the holder-only section: statistics written every critical
-// section, the countdowns driving sampling and adaptation, and the cold
-// config. All of it is guarded by the lock itself — plain (non-atomic)
-// updates are safe because the low-level lock orders them — except
-// transitions, which outside readers poll.
+// lockHolder is the holder-only section: the statistics, the countdowns
+// driving sampling and adaptation, and the cold config. In ticket mode it is
+// touched on sampling boundaries only; in mcs and mutex modes every
+// acquisition writes it. All of it is guarded by the lock itself — plain
+// (non-atomic) updates are safe because the low-level lock orders them —
+// except the three atomics, whose writers or readers are not the holder.
 type lockHolder struct {
-	numAcquired uint64       // completed critical sections
+	// numAcquired counts the acquisitions made in mcs/mutex modes plus the
+	// ticket-mode ones up to the last sampling boundary; Stats adds the
+	// rest off the ticket counter (see acquired).
+	numAcquired uint64
 	queueTotal  uint64       // sum of sampled queue lengths (paper's counter)
 	queueEMA    emastats.EMA // moving average of queue samples
-	// transitions and aborts are the two atomics on the holder lines:
-	// transitions because outside readers poll it, aborts because its
-	// writers are departing waiters, not the holder. Both are rare events
-	// (32 bits suffice), and an aborter's write to the holder line is the
-	// price of not spending a fourth line on it.
+	// transitions, aborts and ticketSkips are the atomics on the holder
+	// lines: transitions because outside readers poll it, the other two
+	// because their writers are not the holder (departing waiters; a
+	// goroutine handing back a ticket it took under a stale mode word). All
+	// are rare events (32 bits suffice), and their write to a holder line
+	// is the price of not spending a fourth line on them.
 	transitions  atomic.Uint32 // mode changes, for observability
 	aborts       atomic.Uint32 // abandoned acquisitions, cumulative (see abortDepart)
-	presentToken uint64        // holder's stripe token, repaid in Unlock
-	sampleIn     uint32        // critical sections until the next queue sample
+	presentToken uint64        // holder's stripe token, repaid in an mcs/mutex-mode Unlock
+	sampleIn     uint32        // mcs/mutex modes: critical sections until the next queue sample
 	adaptIn      uint32        // samples until the next adaptation decision
-	acquiredMode Mode          // which low-level lock the current holder took
+	acquiredMode Mode          // mcs/mutex modes: the mode the holder acquired in, 0 while free
 	// The deflation bookkeeping is deliberately byte-sized: it shares the
 	// alignment hole before cfg, keeping the holder section inside two
 	// lines (TestLockFootprint).
-	idlePeriods uint8  // consecutive adaptation periods with max queue ≤ 1
-	periodMaxQ  uint8  // max sampled queue this period, clamped at 255
-	deflations  uint16 // presence-counter deflations, for observability
-	lastAborts  uint32 // aborts value at the last sample, for the delta signal
+	idlePeriods uint8         // consecutive adaptation periods with max queue ≤ 1
+	periodMaxQ  uint8         // max sampled queue this period, clamped at 255
+	deflations  uint16        // presence-counter deflations, for observability
+	lastAborts  uint32        // aborts value at the last sample, for the delta signal
+	ticketSkips atomic.Uint32 // ticket-lock releases that ended no critical section (see backOut)
 	cfg         lockConfig
 }
 
@@ -300,15 +317,29 @@ type lockHolder struct {
 // telemetry accumulator live behind pointers, allocated only when first
 // needed: an idle, never-contended lock — the overwhelming majority in a
 // million-key table — is 3 cache lines instead of the 15 an eagerly-striped
-// layout costs (DESIGN.md §8). The presence counter starts as an inline
-// cell on the shared line; once contention is observed — the holder's
-// sampling reads a queue (inflateQueueLen), or a TryLock finds the lock
-// held — it inflates to one line per stripe, so under sustained contention
-// arrival/release writes leave the shared line exactly as in the eager
-// layout, preserving MCS's local-spinning guarantee. The pre-inflation
-// window (at most one sample period of contended use, or a single failed
-// try) is the only time an arrival's write can invalidate a line another
-// goroutine reads.
+// layout costs (DESIGN.md §8).
+//
+// Ticket mode — the mode every lock is born in and the only one an
+// uncontended lock ever sees — costs what the ticket lock costs: contention
+// is read off the ticket words (next − owner, the paper's measurement),
+// the ticket being served is the sampling clock, and nobody is counted, so
+// an acquisition and its release are the ticket lock's two atomic
+// read-modify-writes on the shared line and nothing else. Arrivals count
+// themselves present only when they read the mode as mcs or mutex, where a
+// goroutine can be at the lock without yet being in its queue (DESIGN.md
+// §4); the spill that keeps that counting off the shared line is allocated
+// on the way out of ticket mode, together with the low-level lock
+// (ensureLow), so mcs's local-spinning guarantee never shares a line with
+// arrival traffic.
+//
+// Invariant: the mode word is stable while the lock is held. Its only
+// writer after construction is sampleAndAdapt, reached only by a goroutine
+// that holds the low-level lock of the mode the word currently names and
+// has not yet been handed the acquisition (having switched, it releases
+// and retries: Figure 4, line 15). A caller that was handed the lock in
+// mode m holds that same low-level lock, so nobody can reach the writer
+// until it releases. Unlock relies on this to pick its release path from
+// the mode word instead of remembering one.
 type Lock struct {
 	lockShared
 	_ [(pad.CacheLineSize - unsafe.Sizeof(lockShared{})%pad.CacheLineSize) % pad.CacheLineSize]byte
@@ -348,6 +379,7 @@ func New(cfg *Config) *Lock {
 		sampleLowLevelQueues: c.SampleLowLevelQueues,
 	}
 	l.sampleIn = l.cfg.samplePeriod
+	l.sampleAt = l.cfg.samplePeriod - 1 // tickets start at 0: the SamplePeriod-th acquisition samples
 	l.adaptIn = l.cfg.adaptSamples
 	l.queueEMA = emastats.NewEMA(c.EMAWeight)
 	initial := c.InitialMode
@@ -355,15 +387,10 @@ func New(cfg *Config) *Lock {
 		initial = ModeTicket
 	}
 	l.ensureLow(initial)
-	if initial != ModeTicket {
-		// A lock frozen or started in a contended mode expects contention:
-		// pre-inflate so arrival traffic never writes the shared line.
-		l.present.Inflate()
-	}
 	l.lockType.Store(uint32(initial))
 	if c.Stats != nil {
 		l.stats = c.Stats
-		l.stats.SetPresenceSampler(l.present.Sum)
+		l.stats.SetPresenceSampler(l.presentNow)
 		l.stats.SetMode(initial.String())
 	}
 	return l
@@ -387,117 +414,200 @@ func (l *Lock) Transitions() uint64 { return uint64(l.transitions.Load()) }
 // and cancellations), cumulative over the lock's life.
 func (l *Lock) Aborts() uint64 { return uint64(l.aborts.Load()) }
 
-// PresenceInflated reports whether the lock has spilled its presence
-// counter to the striped form — i.e. whether it ever observed contention.
-// Introspection for footprint accounting (glsbench -cardinality) and tests.
+// PresenceInflated reports whether the lock currently holds the striped
+// form of its presence counter — i.e. whether it has left ticket mode (or
+// was born outside it) and has not idled back since. Introspection for
+// footprint accounting and tests.
 func (l *Lock) PresenceInflated() bool { return l.present.Inflated() }
+
+// arrival is one acquisition attempt's presence bookkeeping. The rule, the
+// same on every path (plain, TryLock, LockCancel, instrumented): a
+// goroutine at the lock is counted in l.present exactly while the mode word
+// it last read says mcs or mutex. One that last read ticket is not counted —
+// it holds, or is about to take, a ticket, and the ticket words already say
+// so. The two populations are disjoint, so ticket.QueueLen() +
+// present.Sum() is everyone at the lock in every mode, including the
+// stragglers of a mode switch still draining through the old low-level lock.
+type arrival struct {
+	tok     uint64 // stripe token; the plain paths take it when first counted
+	counted bool
+}
+
+// count brings the caller's count in line with the mode word it just read.
+// Between switches this is one predicted branch, inlined into the
+// acquisition loops: nobody is counted in ticket mode, and an mcs/mutex-mode
+// arrival counts itself once.
+func (l *Lock) count(m Mode, a *arrival) {
+	if (m != ModeTicket) != a.counted {
+		l.recount(a)
+	}
+}
+
+// recount flips the caller's count: in, taking its stripe token if it has
+// none yet, or out.
+func (l *Lock) recount(a *arrival) {
+	a.counted = !a.counted
+	if !a.counted {
+		l.present.Add(a.tok, -1)
+		return
+	}
+	if a.tok == 0 {
+		a.tok = stripe.Self()
+	}
+	l.present.Add(a.tok, 1)
+}
+
+// depart takes back the caller's count, if any: it is leaving without the
+// lock.
+func (l *Lock) depart(a *arrival) {
+	if a.counted {
+		l.recount(a)
+	}
+}
+
+// settle records what the Unlock of an mcs/mutex-mode acquisition needs: the
+// holder stays counted until then. A ticket-mode holder is not counted and
+// leaves the holder lines alone; its Unlock needs nothing remembered.
+func (l *Lock) settle(m Mode, a *arrival) {
+	if m != ModeTicket {
+		l.numAcquired++
+		l.acquiredMode = m
+		l.presentToken = a.tok
+	}
+}
+
+// backOut releases mode m's low-level lock without a critical section
+// having run under it: the mode word moved while the caller waited, or the
+// caller itself just moved it. Ticket-mode acquisitions are counted off the
+// owner word, which this release is about to advance, so it is noted for
+// Stats to take back.
+func (l *Lock) backOut(m Mode) {
+	if m == ModeTicket {
+		l.ticketSkips.Add(1)
+	}
+	l.unlockLow(m)
+}
 
 // Lock acquires l, adapting the mode if the statistics call for it
 // (paper Figure 4).
 func (l *Lock) Lock() {
-	tok := stripe.Self()
-	l.present.Add(tok, 1)
 	if l.stats != nil {
-		l.lockInstrumented(tok)
+		l.lockInstrumented()
 		return
 	}
+	var a arrival
 	for {
 		cur := Mode(l.lockType.Load())
+		l.count(cur, &a)
 		l.lockLow(cur)
 		// Re-check the mode: another holder may have adapted while we
 		// waited on the (now stale) low-level lock.
-		if Mode(l.lockType.Load()) == cur && !l.tryAdapt(cur) {
-			l.acquiredMode = cur
-			l.presentToken = tok
+		if Mode(l.lockType.Load()) == cur && !(l.sampleDue(cur) && l.sampleAndAdapt(cur)) {
+			l.settle(cur, &a)
 			return
 		}
-		l.unlockLow(cur)
+		l.backOut(cur)
 	}
 }
 
 // lockInstrumented is Lock's telemetry twin: same adaptation loop, plus a
 // try-first probe of the low-level lock so a blocked arrival is counted as
 // a contended acquisition, and the Arrive/Acquired hook pair around it.
-func (l *Lock) lockInstrumented(tok uint64) {
-	a := l.stats.Arrive(tok)
+func (l *Lock) lockInstrumented() {
+	a := arrival{tok: stripe.Self()}
+	acq := l.stats.Arrive(a.tok)
 	contended := false
 	for {
 		cur := Mode(l.lockType.Load())
+		l.count(cur, &a)
 		if !l.tryLockLow(cur) {
 			contended = true
 			l.lockLow(cur)
 		}
-		if Mode(l.lockType.Load()) == cur && !l.tryAdapt(cur) {
-			l.acquiredMode = cur
-			l.presentToken = tok
-			a.Acquired(contended)
+		if Mode(l.lockType.Load()) == cur && !(l.sampleDue(cur) && l.sampleAndAdapt(cur)) {
+			l.settle(cur, &a)
+			l.presentToken = a.tok // Release's lane, in every mode
+			acq.Acquired(contended)
 			return
 		}
-		l.unlockLow(cur)
+		l.backOut(cur)
 	}
 }
 
 // TryLock attempts to acquire l without waiting.
 func (l *Lock) TryLock() bool {
-	tok := stripe.Self()
-	l.present.Add(tok, 1)
 	if l.stats != nil {
-		return l.tryLockInstrumented(tok)
+		return l.tryLockInstrumented()
 	}
+	var a arrival
 	for {
 		cur := Mode(l.lockType.Load())
+		l.count(cur, &a)
 		if !l.tryLockLow(cur) {
-			// A failed try observed the lock held — contention by
-			// definition, and the one contended pattern holder-side
-			// sampling can miss (pollers are present only transiently, so
-			// a TryLock-dominated workload might never sample q >= 2).
-			// Inflate here so repeated polling writes stripes, not the
-			// shared line.
-			l.present.Inflate()
-			l.present.Add(tok, -1)
+			l.depart(&a)
 			return false
 		}
-		if Mode(l.lockType.Load()) == cur && !l.tryAdapt(cur) {
-			l.acquiredMode = cur
-			l.presentToken = tok
+		if Mode(l.lockType.Load()) == cur && !(l.sampleDue(cur) && l.sampleAndAdapt(cur)) {
+			l.settle(cur, &a)
 			return true
 		}
-		l.unlockLow(cur)
+		l.backOut(cur)
 	}
 }
 
 // tryLockInstrumented is TryLock's telemetry twin.
-func (l *Lock) tryLockInstrumented(tok uint64) bool {
-	a := l.stats.Arrive(tok)
+func (l *Lock) tryLockInstrumented() bool {
+	a := arrival{tok: stripe.Self()}
+	acq := l.stats.Arrive(a.tok)
 	for {
 		cur := Mode(l.lockType.Load())
+		l.count(cur, &a)
 		if !l.tryLockLow(cur) {
-			l.present.Inflate() // observed held: see TryLock
-			l.present.Add(tok, -1)
-			a.Failed()
+			l.depart(&a)
+			acq.Failed()
 			return false
 		}
-		if Mode(l.lockType.Load()) == cur && !l.tryAdapt(cur) {
-			l.acquiredMode = cur
-			l.presentToken = tok
-			a.Acquired(false)
+		if Mode(l.lockType.Load()) == cur && !(l.sampleDue(cur) && l.sampleAndAdapt(cur)) {
+			l.settle(cur, &a)
+			l.presentToken = a.tok
+			acq.Acquired(false)
 			return true
 		}
-		l.unlockLow(cur)
+		l.backOut(cur)
 	}
 }
 
 // Unlock releases l. It must be called by the goroutine that acquired it.
+// The release path is picked from the mode word, which cannot move while
+// the caller holds the lock (see the invariant on Lock); a caller that does
+// not hold it panics before anything is written.
 func (l *Lock) Unlock() {
-	m := l.acquiredMode
-	l.acquiredMode = 0
+	if m := Mode(l.lockType.Load()); m != ModeTicket {
+		l.unlockCounted(m)
+		return
+	}
+	if !l.ticket.Locked() {
+		panic("glk: Unlock of unlocked lock")
+	}
 	if l.stats != nil {
 		// Record the hold sample while still holding: the hold timer is
 		// holder-only state.
 		l.stats.Release(l.presentToken)
 	}
-	// Repay the stripe taken in Lock/TryLock while still holding the lock:
-	// presentToken is holder-only state.
+	l.ticket.Unlock()
+}
+
+// unlockCounted is Unlock in mcs and mutex modes, whose holder is counted
+// present: the count taken in Lock/TryLock is repaid while still holding
+// the lock (presentToken is holder-only state).
+func (l *Lock) unlockCounted(m Mode) {
+	if l.acquiredMode != m {
+		panic("glk: Unlock of unlocked lock")
+	}
+	l.acquiredMode = 0
+	if l.stats != nil {
+		l.stats.Release(l.presentToken)
+	}
 	l.present.Add(l.presentToken, -1)
 	l.unlockLow(m)
 }
@@ -507,9 +617,13 @@ func (l *Lock) Unlock() {
 // on the first transition to (or construction in) their mode — rare,
 // holder-only events, so a plain atomic publish suffices: arrivals only
 // dereference the pointer after loading a mode word that was stored after
-// the pointer.
+// the pointer. Leaving ticket mode is also when arrivals start being
+// counted, so the presence spill is allocated here too: the counting never
+// writes the shared line that mcs waiters' neighbours read.
 func (l *Lock) ensureLow(m Mode) {
 	switch m {
+	case ModeTicket:
+		return
 	case ModeMCS:
 		if l.mcs.Load() == nil {
 			l.mcs.Store(locks.NewMCS())
@@ -519,6 +633,7 @@ func (l *Lock) ensureLow(m Mode) {
 			l.mutex.Store(locks.NewMutex())
 		}
 	}
+	l.present.Inflate()
 }
 
 // lockLow acquires the low-level lock for mode m.
@@ -559,16 +674,19 @@ func (l *Lock) unlockLow(m Mode) {
 	case ModeMutex:
 		l.mutex.Load().Unlock()
 	default:
-		panic(fmt.Sprintf("glk: Unlock of unlocked or corrupt lock (mode %v)", m))
+		panic(fmt.Sprintf("glk: corrupt mode %v (use glk.New)", m))
 	}
 }
 
-// queueLen samples the number of goroutines at the lock, holder included.
-// The sample is mode-independent by design; see the present field. It sums
-// the inline cell and any stripes, and is only called by the holder, once
-// per SamplePeriod.
-func (l *Lock) queueLen() int {
-	return int(l.present.Sum())
+// presentNow is how many goroutines are at the lock, holder included: those
+// holding a ticket plus those counted present (see arrival). In ticket mode
+// it is the paper's ticket distance, plus any stragglers of an mcs/mutex
+// spell still draining; in mcs and mutex modes the presence count, plus any
+// stragglers still holding tickets. It is the default queue sample and the
+// gauge handed to telemetry; safe from any goroutine (unlike queueLenLow's
+// mcs traversal).
+func (l *Lock) presentNow() int64 {
+	return int64(l.ticket.QueueLen()) + l.present.Sum()
 }
 
 // queueLenLow samples the low-level lock's own queue for mode m — the
@@ -593,42 +711,48 @@ func (l *Lock) queueLenLow(m Mode) int {
 	}
 }
 
-// tryAdapt runs the statistics/adaptation step. The caller holds the
-// low-level lock for mode cur. It returns true when the mode changed, in
-// which case the caller must release the low-level lock and restart (paper
-// Figure 4, line 15).
-//
-// All statistics fields are holder-only, so plain (non-atomic) updates are
-// safe: the low-level lock orders them. The periods are countdowns rather
-// than the paper's modulo tests so the per-section cost is a decrement and
-// a predicted branch, cheap enough to keep running when adaptation is
-// disabled — frozen locks still sample, because sampling is also what
-// triggers presence-counter inflation.
-//
-//go:noinline
-func (l *Lock) tryAdapt(cur Mode) bool {
-	l.numAcquired++
-	l.sampleIn--
-	if l.sampleIn != 0 {
-		return false
+// sampleDue reports whether the caller, who holds the low-level lock for
+// the current mode cur, is on a sampling boundary. In ticket mode the clock
+// is the ticket being served — owner, which is the caller's own ticket while
+// it holds the lock — against sampleAt, by signed distance so that the
+// 32-bit wrap, and owner jumping over abandoned tickets or passes made under
+// a stale mode word, only ever make a sample due, never lose one: nothing is
+// written. In mcs and mutex modes, where the holder lines are written per
+// acquisition anyway, it is a countdown. Either is cheap enough to keep
+// running when adaptation is disabled, so frozen locks still feed the queue
+// statistics. (Split from sampleAndAdapt so that the test inlines into the
+// acquisition loops and an acquisition between boundaries makes no call.)
+func (l *Lock) sampleDue(cur Mode) bool {
+	if cur == ModeTicket {
+		return int32(l.ticket.Handoffs()-l.sampleAt) >= 0
 	}
-	return l.sampleAndAdapt(cur)
+	l.sampleIn--
+	return l.sampleIn == 0
 }
 
-// sampleAndAdapt is the sampling-boundary slow path of tryAdapt: record a
-// queue sample, run the footprint housekeeping, and — on adaptation
-// boundaries — re-decide the mode. Splitting it out keeps tryAdapt's body
-// — the per-acquisition countdown — at its pre-glsrw size (the larger
-// boundary path grew this PR and was dragging acquisition-path I-cache
-// behaviour with it).
+// sampleAndAdapt is the statistics/adaptation step of a sampling boundary
+// (sampleDue): rewind the clock, record a queue sample, run the footprint
+// housekeeping, and — on adaptation boundaries — re-decide the mode. It
+// returns true when the mode changed, in which case the caller must release
+// the low-level lock and restart (paper Figure 4, line 15). It is the only
+// writer of the mode word after construction (see the invariant on Lock).
 func (l *Lock) sampleAndAdapt(cur Mode) bool {
-	l.sampleIn = l.cfg.samplePeriod
+	if cur == ModeTicket {
+		// Fold the tickets served since the last boundary, this one
+		// included, into numAcquired (see acquired) and set the next one.
+		t := l.ticket.Handoffs()
+		l.numAcquired += uint64(t-l.sampleAt) + uint64(l.cfg.samplePeriod)
+		l.sampleAt = t + l.cfg.samplePeriod
+	} else {
+		l.sampleIn = l.cfg.samplePeriod
+	}
 
+	// The queue behind the lock, holder included.
 	var q int
 	if l.cfg.sampleLowLevelQueues {
 		q = l.queueLenLow(cur)
 	} else {
-		q = l.queueLen()
+		q = int(l.presentNow())
 	}
 	if q < 0 {
 		q = 0
@@ -637,27 +761,22 @@ func (l *Lock) sampleAndAdapt(cur Mode) bool {
 	// that gave up was queued goroutines the instantaneous sample cannot
 	// see anymore, and a timeout storm is exactly the contention regime the
 	// mcs/mutex modes exist for. The clamp keeps one pathological burst
-	// from saturating the EMA for many periods.
+	// from saturating the EMA for many periods. One kind of departure the
+	// sample does still see: an abandoned ticket stays in the ticket
+	// distance until owner steps over it. So the departed are added only
+	// beyond the number of tickets waiting (the holder's own, in ticket
+	// mode, is not one of them) — merged by max, each departure counts once.
 	if ab := l.aborts.Load(); ab != l.lastAborts {
-		delta := ab - l.lastAborts
+		delta := int(min(ab-l.lastAborts, 64))
 		l.lastAborts = ab
-		if delta > 64 {
-			delta = 64
+		waiting := l.ticket.QueueLen()
+		if cur == ModeTicket {
+			waiting--
 		}
-		q += int(delta)
-	}
-	if q >= inflateQueueLen {
-		// First observed contention: spill the presence counter off the
-		// shared line before the contenders keep hammering it. Inflate is
-		// idempotent and almost always already done.
-		l.present.Inflate()
+		q += max(delta-max(waiting, 0), 0)
 	}
 	if q > int(l.periodMaxQ) {
-		qc := q
-		if qc > 255 {
-			qc = 255 // the deflation test is "≤ 1"; the clamp loses nothing
-		}
-		l.periodMaxQ = uint8(qc)
+		l.periodMaxQ = uint8(min(q, 255)) // the deflation test is "≤ 1"; the clamp loses nothing
 	}
 	l.queueTotal += uint64(q)
 	l.queueEMA.Add(float64(q))
@@ -670,10 +789,9 @@ func (l *Lock) sampleAndAdapt(cur Mode) bool {
 
 	// Footprint housekeeping, independent of the mode decision (it runs
 	// for frozen locks too, mirroring sampling): after deflateIdlePeriods
-	// fully-uncontended periods in ticket mode, fold the spill back into
-	// the inline cell. The holder performs the fold while holding, so it
-	// cannot race its own queue sampling; arriving goroutines divert
-	// sum-exactly (stripe.Counter.Deflate).
+	// fully-uncontended periods in ticket mode, fold the spill a spell in
+	// mcs or mutex mode left behind back into the inline cell. Stragglers
+	// still counted in it divert sum-exactly (stripe.Counter.Deflate).
 	if cur == ModeTicket && l.periodMaxQ <= 1 {
 		if l.idlePeriods < deflateIdlePeriods {
 			l.idlePeriods++
@@ -754,12 +872,12 @@ func (l *Lock) decide(cur Mode) (Mode, string) {
 // Stats is an observability snapshot of a GLK lock.
 type Stats struct {
 	Mode        Mode
-	Acquired    uint64  // completed critical sections (approximate while held)
+	Acquired    uint64  // critical sections entered (exact at rest)
 	QueueEMA    float64 // smoothed queue length
 	QueueTotal  uint64  // paper's queue_total counter
 	Transitions uint64
 	Aborts      uint64 // acquisitions abandoned mid-wait (timeouts + cancels)
-	Deflations  uint64 // presence-counter spills folded back after idling
+	Deflations  uint64 // presence-counter spills folded back after idling in ticket mode
 }
 
 // Stats returns a racy snapshot of the lock's counters. Intended for
@@ -767,11 +885,26 @@ type Stats struct {
 func (l *Lock) Stats() Stats {
 	return Stats{
 		Mode:        l.Mode(),
-		Acquired:    l.numAcquired,
+		Acquired:    l.acquired(),
 		QueueEMA:    l.queueEMA.Value(),
 		QueueTotal:  l.queueTotal,
 		Transitions: uint64(l.transitions.Load()),
 		Aborts:      uint64(l.aborts.Load()),
 		Deflations:  uint64(l.deflations),
 	}
+}
+
+// acquired derives the acquisition count. Ticket mode keeps no counter of
+// its own: every release advances owner, so the acquisitions since the last
+// fold are the distance owner has moved — less the abandoned tickets it
+// stepped over and the passes handed back unused (backOut). sampleAt −
+// SamplePeriod + 1 is the owner value numAcquired is folded up to; the
+// distance is signed because a boundary folds its own acquisition before
+// that one's release. Exact once the lock is at rest, a racy estimate while
+// it is in use.
+func (l *Lock) acquired() uint64 {
+	unfolded := int32(l.ticket.Handoffs() - (l.sampleAt - l.cfg.samplePeriod + 1))
+	n := int64(l.numAcquired) + int64(unfolded) -
+		int64(l.ticketSkips.Load()) - int64(l.ticket.Abandons())
+	return uint64(max(n, 0))
 }

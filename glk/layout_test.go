@@ -3,11 +3,13 @@ package glk
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
 
 	"gls/internal/pad"
+	"gls/telemetry"
 )
 
 // headLockBytes is the footprint of glk.Lock before lazy striping (PR 1's
@@ -143,8 +145,9 @@ func TestRWLockFootprint(t *testing.T) {
 }
 
 // TestPresenceCounterLazy pins the lazy-striping contract at the lock
-// level: a fresh lock is deflated, contention observed through sampling
-// inflates it, and an uncontended life never allocates the spill.
+// level: a fresh lock is deflated, contention that sampling turns into a
+// move out of ticket mode inflates it, and an uncontended life never
+// allocates the spill.
 func TestPresenceCounterLazy(t *testing.T) {
 	l := New(&Config{Monitor: newTestMonitor(), SamplePeriod: 2, AdaptPeriod: 4})
 	if l.PresenceInflated() {
@@ -159,9 +162,10 @@ func TestPresenceCounterLazy(t *testing.T) {
 	}
 
 	// Sustained contention: two goroutines with a yield inside the critical
-	// section (so arrivals overlap even on one P) and sample-every-section
-	// config. The first sample that sees a queue inflates.
-	l2 := New(&Config{Monitor: newTestMonitor(), SamplePeriod: 1, AdaptPeriod: 4, DisableAdaptation: true})
+	// section (so arrivals overlap even on one P), sample-every-section
+	// config, and thresholds a queue of two crosses. The spill arrives with
+	// the move to mcs, where arrivals start being counted.
+	l2 := New(&Config{Monitor: newTestMonitor(), SamplePeriod: 1, AdaptPeriod: 4, UpThreshold: 1.5, DownThreshold: 1})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {
@@ -186,7 +190,7 @@ func TestPresenceCounterLazy(t *testing.T) {
 		case <-deadline:
 			close(stop)
 			wg.Wait()
-			t.Fatal("sampled contention never inflated the presence counter")
+			t.Fatal("sampled contention never moved the lock to mcs and inflated the presence counter")
 		default:
 			runtime.Gosched()
 		}
@@ -195,26 +199,168 @@ func TestPresenceCounterLazy(t *testing.T) {
 	wg.Wait()
 }
 
-// TestTryLockFailureInflates: a failed TryLock observed the lock held —
-// contention holder-side sampling can miss entirely when the contenders
-// are transient pollers — so it must inflate the presence counter itself.
-func TestTryLockFailureInflates(t *testing.T) {
-	l := New(&Config{Monitor: newTestMonitor()})
-	if !l.TryLock() {
-		t.Fatal("TryLock on a free lock failed")
+// TestTicketModeCountsNobody pins the ticket-mode half of the presence rule
+// on every path, with and without telemetry: holding, failing a TryLock
+// and abandoning a LockCancel all leave the presence counter at zero and
+// never allocate its spill — the ticket words are the measurement.
+func TestTicketModeCountsNobody(t *testing.T) {
+	for _, instrumented := range []bool{false, true} {
+		cfg := &Config{Monitor: newTestMonitor(), SamplePeriod: 2, AdaptPeriod: 4}
+		if instrumented {
+			cfg.Stats = telemetry.New(telemetry.Options{SamplePeriod: 1}).Register(1, "glk")
+		}
+		l := New(cfg)
+		check := func(when string, wantQueue int64) {
+			t.Helper()
+			if n := l.present.Sum(); n != 0 {
+				t.Fatalf("instrumented=%v, %s: presence counter reads %d, want 0", instrumented, when, n)
+			}
+			if l.PresenceInflated() {
+				t.Fatalf("instrumented=%v, %s: presence counter inflated in ticket mode", instrumented, when)
+			}
+			if q := l.presentNow(); q != wantQueue {
+				t.Fatalf("instrumented=%v, %s: presence gauge reads %d, want %d (the ticket distance)", instrumented, when, q, wantQueue)
+			}
+		}
+		for i := 0; i < 10; i++ { // across sampling and adaptation boundaries
+			l.Lock()
+			check("holding after Lock", 1)
+			l.Unlock()
+			check("after Unlock", 0)
+		}
+		if !l.TryLock() {
+			t.Fatal("TryLock on a free lock failed")
+		}
+		check("holding after TryLock", 1)
+		res := make(chan bool)
+		go func() { res <- l.TryLock() }()
+		if <-res {
+			t.Fatal("TryLock succeeded on a held lock")
+		}
+		check("after a failed TryLock", 1)
+		go func() { res <- l.LockCancel(deadlineIn(time.Millisecond)) }()
+		if <-res {
+			t.Fatal("LockCancel acquired a held lock")
+		}
+		check("after an aborted LockCancel", 1)
+		l.Unlock()
+		if !l.LockCancel(deadlineIn(time.Hour)) {
+			t.Fatal("LockCancel on a free lock failed")
+		}
+		check("holding after LockCancel", 1)
+		l.Unlock()
+		check("at rest", 0)
+		if got := l.Mode(); got != ModeTicket {
+			t.Fatalf("instrumented=%v: lock left ticket mode (%v)", instrumented, got)
+		}
 	}
-	if l.PresenceInflated() {
-		t.Fatal("successful TryLock inflated")
+}
+
+// holderBytes copies the holder section of l.
+func holderBytes(l *Lock) [unsafe.Sizeof(lockHolder{})]byte {
+	return *(*[unsafe.Sizeof(lockHolder{})]byte)(unsafe.Pointer(&l.lockHolder))
+}
+
+// TestFastPathLeavesHolderLinesAlone pins what an uncontended ticket-mode
+// operation touches: between sampling boundaries Lock, TryLock and Unlock
+// store nothing outside the shared line — not a byte of the holder section
+// moves over SamplePeriod−1 acquisitions — and the clock they read sits on
+// the shared line too. The boundary acquisition is the one that writes.
+func TestFastPathLeavesHolderLinesAlone(t *testing.T) {
+	const period = 50
+	l := New(&Config{Monitor: newTestMonitor(), SamplePeriod: period, AdaptPeriod: 4 * period})
+	if off := unsafe.Offsetof(l.sampleAt); off/pad.CacheLineSize != unsafe.Offsetof(l.lockType)/pad.CacheLineSize {
+		t.Errorf("sampleAt at offset %d: the per-acquisition clock read would pull in another line", off)
 	}
-	done := make(chan bool)
-	go func() { done <- l.TryLock() }()
-	if <-done {
-		t.Fatal("TryLock succeeded on a held lock")
+	for round := 0; round < 3; round++ {
+		before := holderBytes(l)
+		for i := 0; i < period-1; i++ {
+			if i%2 == 0 {
+				l.Lock()
+			} else if !l.TryLock() {
+				t.Fatal("TryLock on a free lock failed")
+			}
+			l.Unlock()
+		}
+		if holderBytes(l) != before {
+			t.Fatalf("round %d: the holder section changed between sampling boundaries", round)
+		}
+		l.Lock()
+		l.Unlock()
+		if holderBytes(l) == before {
+			t.Fatalf("round %d: acquisition %d of the period did not sample", round, period)
+		}
 	}
-	if !l.PresenceInflated() {
-		t.Fatal("failed TryLock did not inflate the presence counter")
+	if got, want := l.Stats().Acquired, uint64(3*period); got != want {
+		t.Fatalf("Acquired = %d, want %d", got, want)
+	}
+}
+
+// startTicketsAt moves a fresh lock's ticket words, and the clock that
+// follows them, to v — a long-lived lock's state without the 2^32
+// acquisitions. The words are locks.TicketCore's first two fields.
+func startTicketsAt(l *Lock, v uint32) {
+	words := (*[2]atomic.Uint32)(unsafe.Pointer(&l.ticket))
+	words[0].Store(v)
+	words[1].Store(v)
+	l.sampleAt += v
+}
+
+// TestTicketClockWraps runs the ticket-mode clock across the 32-bit wrap
+// with a period that divides nothing: a sample every SamplePeriod
+// acquisitions, Acquired exact after each one, and an abandoned ticket —
+// which owner steps over without anyone acquiring — subtracted.
+func TestTicketClockWraps(t *testing.T) {
+	const period = 37
+	l := New(&Config{Monitor: newTestMonitor(), SamplePeriod: period, AdaptPeriod: 3 * period})
+	startTicketsAt(l, ^uint32(0)-5*period/2)
+	n := uint64(0)
+	for ; n < 10*period; n++ {
+		if got := l.Stats().Acquired; got != n {
+			t.Fatalf("Acquired = %d after %d acquisitions (owner word %#x)", got, n, l.ticket.Handoffs())
+		}
+		if got := l.Stats().QueueTotal; got != n/period {
+			t.Fatalf("%d samples after %d acquisitions, want %d", got, n, n/period)
+		}
+		if n%3 == 0 {
+			if !l.TryLock() {
+				t.Fatal("TryLock on a free lock failed")
+			}
+		} else {
+			l.Lock()
+		}
+		l.Unlock()
+	}
+	if l.ticket.Handoffs() > 10*period {
+		t.Fatalf("owner word %#x: the run did not cross the wrap", l.ticket.Handoffs())
+	}
+
+	// A waiter with a later ticket behind it cannot retire its own: it
+	// abandons, and the release steps over it.
+	l.Lock()
+	n++
+	res := make(chan bool)
+	go func() { res <- l.LockCancel(deadlineIn(20 * time.Millisecond)) }()
+	for l.ticket.QueueLen() != 2 {
+		runtime.Gosched()
+	}
+	go func() { l.Lock(); res <- true }()
+	for l.ticket.QueueLen() != 3 {
+		runtime.Gosched()
+	}
+	if <-res {
+		t.Fatal("LockCancel acquired a held lock")
+	}
+	if l.ticket.Abandons() != 1 {
+		t.Fatalf("Abandons = %d, want 1 (the waiter should not have been able to retire)", l.ticket.Abandons())
 	}
 	l.Unlock()
+	<-res
+	n++
+	l.Unlock()
+	if got := l.Stats().Acquired; got != n {
+		t.Fatalf("Acquired = %d after %d acquisitions and one abandoned ticket", got, n)
+	}
 }
 
 // TestInitialModePreInflates: a lock born in a contended mode (frozen mcs —

@@ -327,25 +327,14 @@ func TestRWLockNoLostWakeups(t *testing.T) {
 }
 
 // TestExclusiveLockDeflatesWhenIdle pins the satellite at the exclusive
-// lock: contention inflates the presence counter; deflateIdlePeriods
-// fully-quiet adaptation periods fold it back, the Stats counter records
-// it, and the round trip stays sum-exact (the lock keeps working and
-// re-inflates on the next contention).
+// lock: a spell in mcs mode inflates the presence counter;
+// deflateIdlePeriods fully-quiet adaptation periods back in ticket mode
+// fold it back, the Stats counter records it, and the round trip stays
+// sum-exact (the lock keeps working and re-inflates on the next spell).
 func TestExclusiveLockDeflatesWhenIdle(t *testing.T) {
-	l := New(&Config{Monitor: newTestMonitor(), SamplePeriod: 1, AdaptPeriod: 2, DisableAdaptation: true})
-	inflate := func() {
-		l.Lock()
-		done := make(chan bool)
-		go func() { done <- l.TryLock() }()
-		if <-done {
-			t.Fatal("TryLock succeeded on a held lock")
-		}
-		l.Unlock()
-		if !l.PresenceInflated() {
-			t.Fatal("failed TryLock did not inflate")
-		}
-	}
-	inflate()
+	l := New(&Config{Monitor: newTestMonitor(), SamplePeriod: 1, AdaptPeriod: 2,
+		UpThreshold: 4, DownThreshold: 1.5, EMAWeight: 0.5})
+	mcsSpell(t, l)
 	// deflateIdlePeriods periods × AdaptPeriod CS, plus slack.
 	for i := 0; i < 2*deflateIdlePeriods*2+4; i++ {
 		l.Lock()
@@ -357,7 +346,10 @@ func TestExclusiveLockDeflatesWhenIdle(t *testing.T) {
 	if got := l.Stats().Deflations; got != 1 {
 		t.Fatalf("Stats.Deflations = %d, want 1", got)
 	}
-	inflate() // round trip: the trigger re-arms
+	mcsSpell(t, l) // round trip: leaving ticket mode again re-inflates
+	if n := l.present.Sum(); n != 0 {
+		t.Fatalf("presence counter reads %d at rest after the round trip", n)
+	}
 	l.Lock()
 	l.Unlock()
 }

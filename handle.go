@@ -3,6 +3,7 @@ package gls
 import (
 	"fmt"
 
+	"gls/internal/pad"
 	"gls/locks"
 )
 
@@ -63,6 +64,13 @@ type Handle struct {
 	// exposes it, and TestFreeEpochShardIsolation asserts it stays
 	// *exactly* flat in shards no Free touches.
 	misses uint64
+	// Every op writes the cache (a miss) or reads it between two lock
+	// operations (a hit), so a Handle owns its cache lines: the 72 bytes
+	// above are padded to two whole lines, which the allocator's 128-byte
+	// size class also aligns. Without the pad two handles allocated back
+	// to back — one per goroutine, as asked above — share a line, and each
+	// goroutine's ops cost twice as much (TestHandleLayout).
+	_ [2*pad.CacheLineSize - 72]byte
 }
 
 // noFreeEpoch is the cache-epoch sentinel for pairs resolved while a Free

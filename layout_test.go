@@ -73,3 +73,24 @@ func TestEntryLayout(t *testing.T) {
 		t.Errorf("entry is %d bytes, not a multiple of %d", s, pad.CacheLineSize)
 	}
 }
+
+// TestHandleLayout pins the Handle's padding (see its last field): a whole
+// number of cache lines, so that handles allocated back to back — one per
+// goroutine — start on line boundaries and therefore never share a line.
+func TestHandleLayout(t *testing.T) {
+	if s := unsafe.Sizeof(Handle{}); s%pad.CacheLineSize != 0 {
+		t.Errorf("Handle is %d bytes, not a multiple of %d", s, pad.CacheLineSize)
+	}
+	svc := New(Options{})
+	defer svc.Close()
+	var hs [8]*Handle
+	for i := range hs {
+		hs[i] = svc.NewHandle()
+	}
+	for i, h := range hs {
+		addr := uintptr(unsafe.Pointer(h))
+		if addr%pad.CacheLineSize != 0 {
+			t.Errorf("handle %d at address %#x, not %d-byte aligned", i, addr, pad.CacheLineSize)
+		}
+	}
+}
