@@ -74,6 +74,28 @@ func TestDecideUnseededNeverTransitions(t *testing.T) {
 	}
 }
 
+// TestDecideKeepsModeForFree: a lock told to stay where it is gets no reason
+// string — an uncontended ticket lock comes through decide every adaptation
+// period, and formatting "avg queue 1.00 < 2.00" for nobody cost glsmark's
+// inproc_spread 400 KB/s of garbage (it showed the day the multiprogramming
+// flag stopped being falsely up, whose branch returns early).
+func TestDecideKeepsModeForFree(t *testing.T) {
+	mon := sysmon.New(sysmon.Options{DisableProbes: true})
+	for _, c := range []struct {
+		cur Mode
+		avg float64
+	}{{ModeTicket, 1}, {ModeMCS, 8}, {ModeTicket, 2.5}, {ModeMCS, 2.5}} {
+		l := New(&Config{Monitor: mon})
+		l.queueEMA.Add(c.avg)
+		if got, reason := l.decide(c.cur); got != c.cur || reason != "" {
+			t.Fatalf("decide(%v) at avg %.1f = %v, %q", c.cur, c.avg, got, reason)
+		}
+		if n := testing.AllocsPerRun(100, func() { l.decide(c.cur) }); n != 0 {
+			t.Fatalf("decide(%v) at avg %.1f allocates %.0f times to keep its mode", c.cur, c.avg, n)
+		}
+	}
+}
+
 // TestDecideProperties checks the invariants of the decision function for
 // arbitrary EMA values without multiprogramming:
 //

@@ -854,10 +854,18 @@ func (l *Lock) decide(cur Mode) (Mode, string) {
 		return cur, ""
 	}
 
+	// A reason is formatted only for a change of mode: an uncontended lock
+	// comes through here every adaptation period to be told "ticket" again.
 	switch {
 	case avg > float64(l.cfg.upThreshold):
+		if cur == ModeMCS {
+			return cur, ""
+		}
 		return ModeMCS, fmt.Sprintf("avg queue %.2f > %.2f", avg, l.cfg.upThreshold)
 	case avg < float64(l.cfg.downThreshold):
+		if cur == ModeTicket {
+			return cur, ""
+		}
 		return ModeTicket, fmt.Sprintf("avg queue %.2f < %.2f", avg, l.cfg.downThreshold)
 	default:
 		// Inside the hysteresis band: leaving mutex needs a decision even

@@ -129,14 +129,14 @@ func TestRWLockFootprint(t *testing.T) {
 		t.Errorf("rw holder section at offset %d, want a later line boundary", off)
 	}
 	for name, off := range map[string]uintptr{
-		"readers":     unsafe.Offsetof(l.readers),
-		"rwmode":      unsafe.Offsetof(l.rwmode),
-		"writer":      unsafe.Offsetof(l.writer),
-		"wmu":         unsafe.Offsetof(l.wmu),
-		"stats":       unsafe.Offsetof(l.stats),
-		"subs":        unsafe.Offsetof(l.subs),
-		"transitions": unsafe.Offsetof(l.transitions),
-		"starve":      unsafe.Offsetof(l.starve),
+		"readers": unsafe.Offsetof(l.readers),
+		"rwmode":  unsafe.Offsetof(l.rwmode),
+		"writer":  unsafe.Offsetof(l.writer),
+		"wmu":     unsafe.Offsetof(l.wmu),
+		"stats":   unsafe.Offsetof(l.stats),
+		"subs":    unsafe.Offsetof(l.subs),
+		"starve":  unsafe.Offsetof(l.starve),
+		"rseen":   unsafe.Offsetof(l.rseen),
 	} {
 		if off/pad.CacheLineSize != 0 {
 			t.Errorf("%s at offset %d left the shared line", name, off)

@@ -101,14 +101,20 @@ const (
 	DefaultRWDeflatePeriods = 4
 	// DefaultRWStarveBackouts is how many writer phases may bypass one
 	// blocked reader before it raises the starvation signal that sends the
-	// lock to phase-fair admission. The same order of magnitude as
-	// locks.DefaultMaxBypass, for the same reason: a couple of
-	// back-to-back writers are normal, dozens are a stream.
-	DefaultRWStarveBackouts = 8
+	// lock to phase-fair admission: a couple of back-to-back writers are
+	// normal, dozens are a stream. Dozens, because a bypass is a sample
+	// (rlockNative): a backed-off reader looks every few microseconds, and
+	// on one hot key whose writers are inside 45 % of the time each look is
+	// a coin flip. Eight heads in a row turn up hundreds of times a second
+	// at millions of reads a second, sixteen still once every couple of
+	// seconds (measured, two goroutines, 10 % writes); telling a duty cycle
+	// of one half from a stream at one error in 10⁹ takes thirty.
+	DefaultRWStarveBackouts = 32
 	// DefaultRWFairPeriods is the hysteresis dwell, in sampled write
 	// periods, for the striped↔phase-fair decision: this many consecutive
-	// writer-stream periods (queue ≥ 2 with readers present) escalate, and
-	// this many calm ones de-escalate.
+	// writer-stream periods (half the period's writers queued behind
+	// another, with readers present) escalate, and this many calm ones
+	// (writer queue < 2 at the boundary) de-escalate.
 	DefaultRWFairPeriods = 2
 )
 
@@ -243,16 +249,18 @@ func (l *RWLock) delegate(f rwFamily) rwDelegate {
 // and delegate pointers, and the starvation signal. In the striped steady
 // state the only per-operation write on this line is a writer's — readers
 // write their stripes and merely read the flag; in the delegate modes the
-// whole line goes read-only and the traffic moves to the delegate.
+// whole line goes read-only and the traffic moves to the delegate. (rseen
+// is the one word a striped reader may write: once per write-side sampling
+// period, by whichever reader finds it clear.)
 type rwShared struct {
-	readers     stripe.Counter         // lazily-striped count of native-mode readers
-	rwmode      atomic.Uint32          // current RWMode
-	writer      atomic.Uint32          // native: 1 while a writer holds or is draining
-	wmu         locks.TicketCore       // native: writer↔writer exclusion, FIFO
-	stats       *telemetry.LockStats   // telemetry hooks, or nil
-	subs        atomic.Pointer[rwSubs] // delegate locks; nil until first needed
-	transitions atomic.Uint32          // mode changes, polled by outside readers (32-bit: rare, dwell-gated)
-	starve      atomic.Uint32          // set by a bypassed reader, consumed at Unlock
+	readers stripe.Counter         // lazily-striped count of native-mode readers
+	rwmode  atomic.Uint32          // current RWMode
+	writer  atomic.Uint32          // native: 1 while a writer holds or is draining
+	wmu     locks.TicketCore       // native: writer↔writer exclusion, FIFO
+	stats   *telemetry.LockStats   // telemetry hooks, or nil
+	subs    atomic.Pointer[rwSubs] // delegate locks; nil until first needed
+	starve  atomic.Uint32          // set by a bypassed reader, consumed at Unlock
+	rseen   atomic.Uint32          // set by a native reader that finds it 0, cleared at the sampling boundary
 }
 
 // rwConfig is the stored form of an RWConfig (the fields consulted after
@@ -270,7 +278,10 @@ type rwConfig struct {
 }
 
 // rwHolder is the writer-only section, guarded by whichever family's write
-// lock the holder acquired — plain updates throughout.
+// lock the holder acquired — plain updates throughout, but for transitions:
+// nearly every mode change is the holder's, the one exception (a reader's
+// inline→striped inflation) happens once per inflated life, and the
+// outside pollers that read the count read writes beside it.
 type rwHolder struct {
 	writes   uint64 // completed write sections
 	wtok     uint64 // writer's stripe token, repaid in Unlock
@@ -278,10 +289,12 @@ type rwHolder struct {
 	wfam     uint8  // rwFamily the current write was acquired under
 	// Dwell counters for the three adaptation decisions (byte-sized: they
 	// share the holder line with the config).
-	idlePeriods   uint8 // consecutive sampled periods with no readers seen (deflation)
-	streakPeriods uint8 // consecutive writer-stream periods (→ phase-fair)
-	calmPeriods   uint8 // consecutive calm periods in phase-fair mode (→ striped)
-	sawReaders    bool  // any drain in the current period met readers
+	idlePeriods   uint8         // consecutive sampled periods in which no reader came (deflation)
+	streakPeriods uint8         // consecutive writer-stream periods (→ phase-fair)
+	calmPeriods   uint8         // consecutive calm periods in phase-fair mode (→ striped)
+	sawReaders    bool          // any drain in the current period met readers
+	queued        uint16        // native writes this period that waited behind another writer (saturating)
+	transitions   atomic.Uint32 // mode changes (32-bit: rare, dwell-gated)
 	cfg           rwConfig
 }
 
@@ -296,13 +309,13 @@ type rwHolder struct {
 //   - rwstriped — BRAVO-style striped readers (locks.RWStriped's
 //     protocol), entered when a reader observes a second simultaneous
 //     reader or a writer's drain meets readers; deflated back after
-//     DeflatePeriods reader-free sampled write periods.
+//     DeflatePeriods sampled write periods in which no reader came.
 //   - rwphasefair — delegate to locks.RWPhaseFair, entered when a blocked
 //     reader reports being bypassed past StarveBackouts writer phases, or
 //     when FairPeriods consecutive sampled periods show a writer stream
-//     (queue ≥ 2) with readers present. Neither side can starve; read
-//     throughput pays a shared-line ticket, so calm periods return the
-//     lock to rwstriped.
+//     (half their writers queued behind another) with readers present.
+//     Neither side can starve; read throughput pays a shared-line ticket,
+//     so calm periods return the lock to rwstriped.
 //   - rwwritepref — delegate to the blocking locks.RWWritePref under
 //     multiprogramming, detected via the same sysmon probe the exclusive
 //     lock uses for its mutex transition; cleared when the flag drops.
@@ -516,18 +529,51 @@ func (l *RWLock) inflateReaders(reason string) {
 // returning 2 proves a second simultaneous reader.
 const rwInflateReaders = 2
 
+// noteReader marks the current write-side sampling period as one a reader
+// came in: deflation asks whether readers still use the lock, not whether a
+// drain happened to overlap one. The store happens once per period, by
+// whichever reader finds the word clear; everyone else's load is of the line
+// the flag check just read.
+func (l *RWLock) noteReader() {
+	if l.rseen.Load() == 0 {
+		l.rseen.Store(1)
+	}
+}
+
+// sawSecondReader acts on a post-increment reader count ≥ rwInflateReaders.
+// Only a deflated count means anything (stripe.Counter.AddGet): once
+// inflated it is one stripe's running total, which a +1 inline / −1 striped
+// pair leaves skewed for good — and the lock is striped already.
+func (l *RWLock) sawSecondReader() {
+	if !l.readers.Inflated() && !l.cfg.disableAdaptation {
+		l.inflateReaders("reader concurrency")
+	}
+}
+
+// handedOff is one look at the writer ticket's handoff counter: 1 if it
+// moved since the last look (recorded in *seen), else 0.
+func (l *RWLock) handedOff(seen *uint32) uint64 {
+	h := l.wmu.Handoffs()
+	if h == *seen {
+		return 0
+	}
+	*seen = h
+	return 1
+}
+
 // rlockNative attempts a native (inline/striped) read acquisition: the
 // locks.RWStriped protocol plus the adaptation triggers. It reports whether
 // the share was taken — false means the lock left the native family while
 // we waited and the caller must re-dispatch — how many writer phases
-// (ticket handoffs) bypassed us while we waited, and whether we raised the
-// starvation signal. The bypass count uses the writer ticket's handoff
-// counter, so it measures real phases even when the reader spends whole
-// scheduler slices asleep; the rounds backstop covers a single writer that
-// holds without handing off.
+// bypassed us while we waited, and whether we raised the starvation signal.
+// A bypass is a look at the writer ticket's handoff counter that finds it
+// moved: a reader the scheduler kept off the processor across eight
+// hand-offs saw one, not eight — it was descheduled, not starved, and
+// phase-fair admission would not have run it sooner. The rounds backstop
+// covers a single writer that holds without handing off.
 func (l *RWLock) rlockNative(tok uint64) (ok bool, bypassed uint64, starved bool) {
 	var s backoff.Spinner
-	var since uint32
+	var seen uint32 // the handoff counter at our last look
 	waiting := false
 	rounds := uint32(0)
 	for {
@@ -541,7 +587,7 @@ func (l *RWLock) rlockNative(tok uint64) (ok bool, bypassed uint64, starved bool
 				return false, bypassed, starved
 			}
 			if waiting {
-				bypassed = uint64(l.wmu.Handoffs() - since)
+				bypassed += l.handedOff(&seen)
 				if !starved && !l.cfg.disableAdaptation && bypassed >= uint64(l.cfg.starveBackouts) {
 					// We got in, but only after the stream bypassed us past
 					// the bound: raise the signal anyway, so the next
@@ -551,8 +597,9 @@ func (l *RWLock) rlockNative(tok uint64) (ok bool, bypassed uint64, starved bool
 					l.starve.Store(1)
 				}
 			}
-			if n >= rwInflateReaders && !l.cfg.disableAdaptation {
-				l.inflateReaders("reader concurrency")
+			l.noteReader()
+			if n >= rwInflateReaders {
+				l.sawSecondReader()
 			}
 			return true, bypassed, starved
 		}
@@ -561,15 +608,17 @@ func (l *RWLock) rlockNative(tok uint64) (ok bool, bypassed uint64, starved bool
 		l.readers.Add(tok, -1)
 		if !waiting {
 			waiting = true
-			since = l.wmu.Handoffs()
+			seen = l.wmu.Handoffs()
+			l.noteReader()
 		}
-		bypassed = uint64(l.wmu.Handoffs() - since)
+		bypassed += l.handedOff(&seen)
 		rounds++
+		bound := uint64(l.cfg.starveBackouts) // on the writers' line: read only once we wait
 		// The backstop product is computed in uint64: a deliberately huge
 		// StarveBackouts ("never escalate") must not wrap into an
 		// always-true threshold.
 		if !l.cfg.disableAdaptation && !starved &&
-			(bypassed >= uint64(l.cfg.starveBackouts) || uint64(rounds) >= rwStarveRoundsFactor*uint64(l.cfg.starveBackouts)) {
+			(bypassed >= bound || uint64(rounds) >= rwStarveRoundsFactor*bound) {
 			// Bypassed past the bound: ask for phase-fair admission. The
 			// store lands on the shared line the writer stream already
 			// owns, and the next Unlock acts on it.
@@ -588,13 +637,13 @@ func (l *RWLock) rlockNative(tok uint64) (ok bool, bypassed uint64, starved bool
 			}
 			continue
 		}
-		// Bounded waiting round (see rwBackoutSpins), re-reading the
-		// handoff counter as it waits: a reader that sleeps through whole
-		// phases must raise the signal mid-wait, not after it is
-		// eventually admitted. Both words live on the shared line the spin
-		// is already polling.
+		// Bounded waiting round (see rwBackoutSpins), looking at the
+		// handoff counter as it waits: a reader bypassed again and again
+		// must raise the signal mid-wait, not after it is eventually
+		// admitted. Both words live on the shared line the spin is already
+		// polling.
 		for i := 0; l.writer.Load() != 0 && i < rwBackoutSpins; i++ {
-			if uint64(l.wmu.Handoffs()-since) >= uint64(l.cfg.starveBackouts) {
+			if bypassed += l.handedOff(&seen); bypassed >= bound {
 				starved = true
 				l.starve.Store(1)
 				break
@@ -690,8 +739,9 @@ func (l *RWLock) tryRLockNative(tok uint64) (ok, decided bool) {
 			l.readers.Add(tok, -1)
 			return false, false
 		}
-		if n >= rwInflateReaders && !l.cfg.disableAdaptation {
-			l.inflateReaders("reader concurrency")
+		l.noteReader()
+		if n >= rwInflateReaders {
+			l.sawSecondReader()
 		}
 		return true, true
 	}
@@ -790,6 +840,9 @@ func (l *RWLock) Lock() {
 			met := l.drain(tok, a.Timed())
 			contended = contended || met
 			l.wfam = uint8(rwFamNative)
+			if c && l.queued < math.MaxUint16 {
+				l.queued++
+			}
 			break
 		}
 		d := l.delegate(f)
@@ -955,7 +1008,7 @@ func (l *RWLock) tryAdaptRW() {
 		return
 	}
 	if starved && rwFamily(l.wfam) == rwFamNative {
-		l.sawReaders = false
+		l.sawReaders, l.queued = false, 0
 		l.streakPeriods, l.calmPeriods, l.idlePeriods = 0, 0, 0
 		l.transitionTo(RWModePhaseFair,
 			fmt.Sprintf("reader bypassed past %d writer phases", l.cfg.starveBackouts))
@@ -964,9 +1017,9 @@ func (l *RWLock) tryAdaptRW() {
 	if !boundary {
 		return
 	}
-	saw := l.sawReaders
-	l.sawReaders = false
-	q := l.writerQueueLen() // includes us: a queue ≥ 2 means writers are streaming
+	saw, queued := l.sawReaders, uint32(l.queued)
+	l.sawReaders, l.queued = false, 0
+	q := l.writerQueueLen() // includes us: a queue ≥ 2 means another writer waits right now
 
 	if l.monitor().Multiprogrammed() {
 		// Contended locks must block so preempted holders get the
@@ -999,23 +1052,34 @@ func (l *RWLock) tryAdaptRW() {
 	default:
 		// Writer-stream detection: sustained writer queueing with readers
 		// present is the starvation precondition — move to phase-fair
-		// admission before a reader has to raise the signal itself.
-		if q >= 2 && saw {
+		// admission before a reader has to raise the signal itself. A
+		// stream is a period in which at least half the writers arrived to
+		// find another writer ahead of them; that two writers collide at
+		// the instant a boundary samples the queue is luck, and happens on
+		// a hot key at two goroutines and 10 % writes.
+		if queued >= min((l.cfg.samplePeriod+1)/2, math.MaxUint16) && saw {
 			if l.streakPeriods < math.MaxUint8 {
 				l.streakPeriods++
 			}
 			if l.streakPeriods >= l.cfg.fairPeriods {
 				l.streakPeriods = 0
 				l.transitionTo(RWModePhaseFair,
-					fmt.Sprintf("sustained writer stream (queue %d) with readers present", q))
+					fmt.Sprintf("sustained writer stream (%d of %d writes queued) with readers present", queued, l.cfg.samplePeriod))
 				return
 			}
 		} else {
 			l.streakPeriods = 0
 		}
-		// Footprint housekeeping: reader-free periods fold the stripes
-		// back inline (stripe.Counter.Deflate's holder-side contract).
-		if saw || l.readers.Sum() != 0 {
+		// Footprint housekeeping: periods in which no reader came fold the
+		// stripes back inline (stripe.Counter.Deflate's holder-side
+		// contract). Reader silence, not drain luck — saw is false for
+		// 4 × 64 writes in a row on a key that is read nine times per
+		// write, whenever no drain happens to overlap a reader.
+		came := l.rseen.Load() != 0
+		if came {
+			l.rseen.Store(0)
+		}
+		if came || l.readers.Sum() != 0 {
 			l.idlePeriods = 0
 			return
 		}

@@ -2,11 +2,13 @@ package glk
 
 import (
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"gls/internal/sysmon"
 	"gls/telemetry"
 )
 
@@ -252,6 +254,96 @@ func TestRWLockDeflatesAfterIdleWrites(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("deflation transition not telemetry-visible: %+v", snap.Transitions)
+	}
+}
+
+// TestRWLockReadBetweenWritesStaysStriped: deflation is decided by reader
+// silence, not by whether a drain happened to overlap a reader. One
+// goroutine reads nine times per write, so no drain ever meets a reader;
+// the key is still read-mostly and must keep its stripes.
+func TestRWLockReadBetweenWritesStaysStriped(t *testing.T) {
+	l := NewRW(&RWConfig{InitialRWMode: RWModeStriped, Monitor: newTestMonitor()})
+	for w := 0; w < (DefaultRWDeflatePeriods+2)*DefaultRWSamplePeriod; w++ {
+		for r := 0; r < 9; r++ {
+			l.RLock()
+			l.RUnlock()
+		}
+		l.Lock()
+		l.Unlock()
+	}
+	if !l.ReadersInflated() || l.RWMode() != RWModeStriped || l.Transitions() != 0 {
+		t.Fatalf("a key read between its writes deflated: mode %v, inflated %v, %d transitions",
+			l.RWMode(), l.ReadersInflated(), l.Transitions())
+	}
+}
+
+// readMostly runs n goroutines of 90 % RLock / 10 % Lock on l until stop
+// returns true, and waits for them.
+func readMostly(l *RWLock, n int, stop func() bool) {
+	var wg sync.WaitGroup
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for !stop() {
+				for n := 0; n < 100; n, i = n+1, i+1 {
+					if i%10 == 0 {
+						l.Lock()
+						l.Unlock()
+					} else {
+						l.RLock()
+						l.RUnlock()
+					}
+				}
+			}
+		}(g * 5)
+	}
+	wg.Wait()
+}
+
+// TestRWLockSettles: a read-mostly key under the real shared monitor finds
+// its mode and stays there. Two goroutines, 90 % RLock / 10 % Lock, default
+// configuration: neither a multiprogramming verdict on a box that merely has
+// every P busy, nor drain luck, nor a reader the scheduler kept off the
+// processor may move the lock once its stripes are up.
+func TestRWLockSettles(t *testing.T) {
+	if testing.Short() || runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("runs two CPU-bound goroutines for 300 ms; on one P they are the oversubscription")
+	}
+	defer sysmon.StopShared()
+	var mu sync.Mutex
+	var trace []string
+	l := NewRW(&RWConfig{OnTransition: func(from, to RWMode, reason string) {
+		mu.Lock()
+		trace = append(trace, from.String()+"→"+to.String()+" ("+reason+")")
+		mu.Unlock()
+	}})
+	deadline := time.Now().Add(300 * time.Millisecond)
+	readMostly(l, 2, func() bool { return time.Now().After(deadline) })
+	// (On a loaded box the two may never have met inside the lock: then it
+	// is still rwinline, and has nothing to settle from.)
+	if got := l.RWMode(); got != l.nativeMode() || len(trace) > 3 {
+		t.Fatalf("ended in %v after %d transitions, want %v after at most 3:\n%s",
+			got, len(trace), l.nativeMode(), strings.Join(trace, "\n"))
+	}
+}
+
+// TestRWLockBlocksWhenOversubscribed is the other half of TestRWLockSettles:
+// with four goroutines per P on the key the shared monitor's estimate is
+// real, and the lock reaches the blocking mode on it.
+func TestRWLockBlocksWhenOversubscribed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 4 × GOMAXPROCS CPU-bound goroutines")
+	}
+	defer sysmon.StopShared()
+	l := NewRW(nil)
+	deadline := time.Now().Add(5 * time.Second)
+	readMostly(l, 4*runtime.GOMAXPROCS(0), func() bool {
+		return l.RWMode() == RWModeWritePref || time.Now().After(deadline)
+	})
+	if got := l.RWMode(); got != RWModeWritePref {
+		t.Fatalf("mode %v after 5 s of %d goroutines on %d Ps, want rwwritepref",
+			got, 4*runtime.GOMAXPROCS(0), runtime.GOMAXPROCS(0))
 	}
 }
 

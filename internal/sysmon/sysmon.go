@@ -9,15 +9,15 @@
 // increasing the number of consecutive rounds with no oversubscription
 // required to switch away from mutex".
 //
-// Go substitution (see DESIGN.md): "hardware contexts" is GOMAXPROCS and
-// "running tasks" is estimated from two probes plus an optional explicit
-// hint:
+// Go substitution (see DESIGN.md §5): "hardware contexts" is GOMAXPROCS and
+// "running tasks" is measured, not guessed from how late the monitor's own
+// timer fires:
 //
 //   - the runtime's scheduling-latency histogram (runtime/metrics
-//     "/sched/latencies:seconds"): when runnable goroutines outnumber Ps,
-//     time-to-schedule jumps from microseconds to milliseconds;
-//   - timer slippage: the monitor's own wakeups arrive late when every P is
-//     busy;
+//     "/sched/latencies:seconds") is summed over a window and divided by
+//     the window's wall time — by Little's law the mean number of goroutines
+//     that were runnable without a P — and two windows in a row must agree
+//     before the verdict changes;
 //   - Hint/AddHint: benchmarks and applications that know their CPU-bound
 //     goroutine census report it directly, exactly as the paper's monitor
 //     reads the OS run queue.
@@ -39,28 +39,33 @@ const (
 	// thousands of critical sections, so the flag is still fresh).
 	DefaultInterval = time.Millisecond
 
-	// DefaultLatencyThreshold is the mean scheduling latency above which the
-	// system is considered oversubscribed.
-	DefaultLatencyThreshold = 500 * time.Microsecond
+	// window is the wall time one load estimate covers. Scheduling events
+	// are sparse exactly when it matters — CPU-bound goroutines change
+	// hands once per 10 ms time slice and the runtime records one
+	// transition in eight — so a verdict per tick would mostly judge the
+	// monitor's own wake-up; a hundred ticks see the others.
+	window = 100 * time.Millisecond
 
-	// DefaultSlippageFactor: a wakeup arriving later than
-	// interval*factor counts as an oversubscription signal.
-	DefaultSlippageFactor = 8
+	// waitingThreshold is the estimate above which a window votes
+	// "oversubscribed". The histogram holds one transition in eight, so the
+	// estimate is ⅛ of the goroutines truly waiting for a P: (N−P)/8 for N
+	// CPU-bound goroutines on P Ps. 0.08 sits under one extra goroutine
+	// (0.125; 0.09 when its 10 ms waits are sampled once per window), and
+	// over what parking and waking leaves behind on a box that is not
+	// oversubscribed (DESIGN.md §5 has the measurements).
+	waitingThreshold = 0.08
+
+	// schedLatencyMetric is the runtime/metrics histogram of the time
+	// goroutines spend runnable before running.
+	schedLatencyMetric = "/sched/latencies:seconds"
 )
-
-// schedLatencyMetric is the runtime/metrics histogram of time goroutines
-// spend runnable before running.
-const schedLatencyMetric = "/sched/latencies:seconds"
 
 // Options configures a Monitor. The zero value selects every default.
 type Options struct {
 	// Interval between load samples. 0 means DefaultInterval.
 	Interval time.Duration
-	// LatencyThreshold for the scheduling-latency probe. 0 means
-	// DefaultLatencyThreshold.
-	LatencyThreshold time.Duration
-	// DisableProbes turns off both runtime probes, leaving only explicit
-	// hints. Deterministic benchmarks use this.
+	// DisableProbes turns off the scheduling-latency probe, leaving only
+	// explicit hints: for runs whose mode transitions must replay exactly.
 	DisableProbes bool
 }
 
@@ -81,7 +86,9 @@ type Monitor struct {
 	everMultiprog bool   // whether the flag has been set at least once
 
 	// Scheduling-latency probe state, owned by the monitor goroutine.
-	prevHist *metrics.Float64Histogram
+	prev           []uint64 // the histogram's bucket counts at windowStart
+	windowStart    time.Time
+	lastVote, over bool // the last window's vote; what two in a row agreed on
 
 	mu      sync.Mutex // guards start/stop transitions
 	stop    chan struct{}
@@ -104,9 +111,6 @@ const maxRequiredCalm = 1 << 12
 func New(opts Options) *Monitor {
 	if opts.Interval <= 0 {
 		opts.Interval = DefaultInterval
-	}
-	if opts.LatencyThreshold <= 0 {
-		opts.LatencyThreshold = DefaultLatencyThreshold
 	}
 	return &Monitor{
 		opts:         opts,
@@ -178,23 +182,20 @@ func (m *Monitor) run(stop <-chan struct{}, stopped chan<- struct{}) {
 	defer close(stopped)
 	ticker := time.NewTicker(m.opts.Interval)
 	defer ticker.Stop()
-	last := time.Now()
 	for {
 		select {
 		case <-stop:
 			return
-		case now := <-ticker.C:
-			over := m.sample(now.Sub(last))
-			last = now
-			m.update(over)
+		case <-ticker.C:
+			m.update(m.sample(time.Now()))
 			m.rounds.Add(1)
 		}
 	}
 }
 
 // sample runs the probes once and reports whether any signals
-// oversubscription. elapsed is the time since the previous sample.
-func (m *Monitor) sample(elapsed time.Duration) bool {
+// oversubscription.
+func (m *Monitor) sample(now time.Time) bool {
 	// Probe 0: explicit census.
 	if int(m.hint.Load()) > runtime.GOMAXPROCS(0) {
 		return true
@@ -202,15 +203,34 @@ func (m *Monitor) sample(elapsed time.Duration) bool {
 	if m.opts.DisableProbes {
 		return false
 	}
-	// Probe 1: our own wakeup slipped badly.
-	if elapsed > m.opts.Interval*DefaultSlippageFactor {
-		return true
+	// Probe 1: goroutines waiting for a P, a window at a time. Between
+	// window edges the verdict stands.
+	if now.Sub(m.windowStart) >= window {
+		m.closeWindow(now, readSchedLatencies())
 	}
-	// Probe 2: scheduling latencies.
-	if mean, ok := m.schedLatencyMean(); ok && mean > m.opts.LatencyThreshold {
-		return true
+	return m.over
+}
+
+// closeWindow turns the histogram's growth since the previous edge into this
+// window's vote — Σ scheduling latency ÷ wall time, the mean number of
+// goroutines that waited for a P (×⅛, see waitingThreshold) — and changes
+// the verdict when two consecutive windows vote alike. One window alone
+// decides nothing, either way: the monitor is itself a goroutine that
+// sometimes waits a time slice for a P (its wake-ups are in the histogram,
+// and which of them cannot be told), and CPU-bound goroutines are recorded
+// so rarely that a window of real oversubscription can come up empty.
+func (m *Monitor) closeWindow(now time.Time, hist *metrics.Float64Histogram) {
+	var waited float64
+	if m.prev != nil {
+		for i, c := range hist.Counts {
+			waited += float64(c-m.prev[i]) * bucketMid(hist.Buckets, i)
+		}
 	}
-	return false
+	vote := waited/now.Sub(m.windowStart).Seconds() > waitingThreshold
+	if vote == m.lastVote {
+		m.over = vote
+	}
+	m.lastVote, m.prev, m.windowStart = vote, hist.Counts, now
 }
 
 // update applies one probe verdict to the flag with the paper's
@@ -238,39 +258,12 @@ func (m *Monitor) update(over bool) {
 	}
 }
 
-// schedLatencyMean reads the runtime scheduling-latency histogram and
-// returns the mean latency of goroutine scheduling events since the last
-// call. ok is false when no new events were recorded.
-func (m *Monitor) schedLatencyMean() (time.Duration, bool) {
+// readSchedLatencies reads the runtime's scheduling-latency histogram
+// (exported since Go 1.17; go.mod asks for more).
+func readSchedLatencies() *metrics.Float64Histogram {
 	samples := []metrics.Sample{{Name: schedLatencyMetric}}
 	metrics.Read(samples)
-	if samples[0].Value.Kind() != metrics.KindFloat64Histogram {
-		return 0, false
-	}
-	hist := samples[0].Value.Float64Histogram()
-	if hist == nil {
-		return 0, false
-	}
-	defer func() { m.prevHist = hist }()
-
-	var count uint64
-	var sum float64
-	for i, c := range hist.Counts {
-		prev := uint64(0)
-		if m.prevHist != nil && i < len(m.prevHist.Counts) {
-			prev = m.prevHist.Counts[i]
-		}
-		d := c - prev
-		if d == 0 {
-			continue
-		}
-		count += d
-		sum += float64(d) * bucketMid(hist.Buckets, i)
-	}
-	if count == 0 {
-		return 0, false
-	}
-	return time.Duration(sum / float64(count) * float64(time.Second)), true
+	return samples[0].Value.Float64Histogram()
 }
 
 // bucketMid returns a representative latency (seconds) for histogram bucket
@@ -292,21 +285,25 @@ func bucketMid(buckets []float64, i int) float64 {
 // shared across all GLK objects in a system". StopShared exists for tests
 // and orderly shutdown.
 func Shared() *Monitor {
+	if m := shared.Load(); m != nil {
+		return m // every adaptation boundary of every default lock comes through here
+	}
 	sharedMu.Lock()
 	defer sharedMu.Unlock()
-	if shared == nil {
-		shared = New(Options{})
-		shared.Start()
+	m := shared.Load()
+	if m == nil {
+		m = New(Options{})
+		m.Start()
+		shared.Store(m)
 	}
-	return shared
+	return m
 }
 
 // StopShared stops and discards the process-wide monitor, if any. The next
 // Shared call creates a fresh one.
 func StopShared() {
 	sharedMu.Lock()
-	s := shared
-	shared = nil
+	s := shared.Swap(nil)
 	sharedMu.Unlock()
 	if s != nil {
 		s.Stop()
@@ -314,6 +311,6 @@ func StopShared() {
 }
 
 var (
-	sharedMu sync.Mutex
-	shared   *Monitor
+	sharedMu sync.Mutex // first use and StopShared only
+	shared   atomic.Pointer[Monitor]
 )

@@ -2,6 +2,7 @@ package sysmon
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -132,36 +133,70 @@ func TestStartStopIdempotent(t *testing.T) {
 	m.Stop() // double stop is fine
 }
 
-func TestSchedLatencyProbeDetectsSpinners(t *testing.T) {
-	if testing.Short() {
-		t.Skip("load-generation test")
-	}
-	m := New(Options{Interval: time.Millisecond, LatencyThreshold: 200 * time.Microsecond})
-	m.Start()
-	defer m.Stop()
-
-	// Saturate the scheduler: several CPU-bound goroutines per P.
-	stop := make(chan struct{})
-	var stopped atomic.Bool
-	defer func() { stopped.Store(true); close(stop) }()
-	for i := 0; i < runtime.GOMAXPROCS(0)*6; i++ {
+// spinners starts n CPU-bound goroutines — a millisecond or so of arithmetic,
+// then a Gosched, the way real work meets the scheduler now and then — and
+// returns the function that stops them and waits for them.
+func spinners(n int) (stop func()) {
+	var quit atomic.Bool
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
 		go func() {
-			for !stopped.Load() {
-				for j := 0; j < 1000; j++ {
-					_ = j * j
+			defer wg.Done()
+			x := uint64(1)
+			for !quit.Load() {
+				for j := 0; j < 1<<20; j++ {
+					x = x*6364136223846793005 + 1442695040888963407
 				}
 				runtime.Gosched()
 			}
+			_ = x
 		}()
 	}
-	deadline := time.After(20 * time.Second)
-	for !m.Multiprogrammed() {
-		select {
-		case <-deadline:
-			t.Skip("probe did not fire; scheduler too quiet on this machine")
-		default:
-			time.Sleep(5 * time.Millisecond)
+	return func() { quit.Store(true); wg.Wait() }
+}
+
+// awaitFlag polls the flag (sparsely: the poller is a goroutine too) until
+// it reads want or d has passed, and reports whether it got there.
+func awaitFlag(m *Monitor, want bool, d time.Duration) bool {
+	for deadline := time.Now().Add(d); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		if m.Multiprogrammed() == want {
+			return true
 		}
+	}
+	return m.Multiprogrammed() == want
+}
+
+// TestRegimes is the live check of what the estimator is for: as many
+// CPU-bound goroutines as Ps keep every P busy and every timer late, and
+// are not multiprogramming; four times as many are, and the flag says so
+// within half a second and takes it back when they stop.
+func TestRegimes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("load-generation test")
+	}
+	m := New(Options{})
+	m.Start()
+	defer m.Stop()
+	procs := runtime.GOMAXPROCS(0)
+
+	stop := spinners(procs)
+	raised := awaitFlag(m, true, 400*time.Millisecond)
+	stop()
+	if raised {
+		t.Fatalf("%d spinners on %d Ps raised the flag", procs, procs)
+	}
+
+	stop = spinners(4 * procs)
+	raised = awaitFlag(m, true, 500*time.Millisecond)
+	stop()
+	if !raised {
+		t.Fatalf("%d spinners on %d Ps did not raise the flag within 500 ms", 4*procs, procs)
+	}
+	// Two calm windows, then the calm rounds the relapses (if the flag
+	// flapped on the way up) have earned.
+	if !awaitFlag(m, false, 10*time.Second) {
+		t.Fatal("flag still up 10 s after the spinners stopped")
 	}
 }
 
