@@ -3,6 +3,7 @@ package gls
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"gls/internal/xrand"
@@ -36,12 +37,12 @@ func TestInitLockValidation(t *testing.T) {
 
 // TestHighCardinalityChurn is the -race stress for the free/re-create
 // protocol under the lazy-stripe layout: many keys, every worker locking
-// through its own handle (so the freeStart/freeDone epoch validation is
-// under fire from every Free), stable keys carrying plain counters whose
-// mutual exclusion the race detector and a final tally both check, and a
-// per-worker churn range that is freed and re-created continuously. The
-// telemetry registry runs with a small MaxLocks so the idle-fold sweeps
-// race the churn too.
+// through its own handle (so the dead-mark validation is under fire from
+// every Free of a key that handle has cached), stable keys carrying plain
+// counters whose mutual exclusion the race detector and a final tally both
+// check, and a per-worker churn range that is freed and re-created
+// continuously. The telemetry registry runs with a small MaxLocks so the
+// idle-fold sweeps race the churn too.
 func TestHighCardinalityChurn(t *testing.T) {
 	reg := telemetry.New(telemetry.Options{SamplePeriod: 16, MaxLocks: 24})
 	s := newTestService(t, Options{Telemetry: reg})
@@ -81,8 +82,8 @@ func TestHighCardinalityChurn(t *testing.T) {
 				// owner frees its range, so no goroutine can be inside a
 				// lock when its key dies (freeing a key in use is the
 				// caller lifecycle bug the paper documents, not this
-				// test's subject) — but every Free invalidates every
-				// handle's cache service-wide.
+				// test's subject) — and each Free kills the entry its
+				// owner's handle cached last.
 				ck := myBase + rng.Uintn(perWorker)
 				h.Lock(ck)
 				h.Unlock(ck)
@@ -111,4 +112,81 @@ func TestHighCardinalityChurn(t *testing.T) {
 	// The service itself must still work end to end.
 	s.Lock(1)
 	s.Unlock(1)
+}
+
+// TestEveryUnmappedEntryIsDead races two raw Frees of one key against a
+// goroutine re-creating it through the service and another working it
+// through a handle. A Free can find its entry already replaced by the time
+// it deletes, so it marks what the delete removed as well as what it looked
+// up; the invariant at rest is that of every incarnation anybody saw,
+// exactly the mapped one is alive — so no handle can be left hitting an
+// entry the table has let go of. Only TryLock is used: an Unlock racing a
+// Free is the caller's hazard, not this test's subject.
+func TestEveryUnmappedEntryIsDead(t *testing.T) {
+	s := newTestService(t, Options{NumShards: 2})
+	const key = 42
+	iters := 20000
+	if testing.Short() {
+		iters = 5000
+	}
+	h := s.NewHandle()
+	seen := [2]map[*entry]bool{{}, {}}
+	var done atomic.Bool
+	var freers, users sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		freers.Add(1)
+		go func() {
+			defer freers.Done()
+			for i := 0; !done.Load(); i++ {
+				s.Free(key)
+				if i%64 == 0 {
+					runtime.Gosched() // one CPU: let the other three in
+				}
+			}
+		}()
+		users.Add(1)
+		go func() {
+			defer users.Done()
+			// Past iters, until this goroutine too has seen the key turn
+			// over.
+			for i := 0; i < iters || len(seen[g]) < 8; i++ {
+				if i%64 == 0 {
+					runtime.Gosched()
+				}
+				if g == 0 {
+					s.TryLock(key)
+					if e := s.getEntry(key); e != nil {
+						seen[g][e] = true
+					}
+				} else {
+					h.TryLock(key)
+					seen[g][h.last] = true
+				}
+			}
+		}()
+	}
+	users.Wait()
+	done.Store(true)
+	freers.Wait()
+
+	h.TryLock(key)
+	mapped := s.getEntry(key)
+	if h.last != mapped || mapped == nil {
+		t.Fatalf("at rest the handle caches %p, the table maps %p", h.last, mapped)
+	}
+	for _, m := range seen {
+		for e := range m {
+			if e.dead.Load() == (e == mapped) {
+				t.Errorf("entry %p: dead = %v, mapped = %v", e, e.dead.Load(), e == mapped)
+			}
+		}
+	}
+	var creates, frees uint64
+	for _, st := range s.ShardStats() {
+		creates += st.Creates
+		frees += st.Frees
+	}
+	if s.Locks() != 1 || creates-frees != 1 {
+		t.Errorf("Locks() = %d, creates %d, frees %d: want exactly the one mapped incarnation", s.Locks(), creates, frees)
+	}
 }

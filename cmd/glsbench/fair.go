@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"gls/glk"
-	"gls/internal/xatomic"
 	"gls/locks"
 )
 
@@ -89,6 +88,17 @@ func fairImpls() []struct {
 	}
 }
 
+// raiseMax raises *m to v if v is larger, retrying through concurrent
+// updates.
+func raiseMax(m *atomic.Int64, v int64) {
+	for {
+		cur := m.Load()
+		if v <= cur || m.CompareAndSwap(cur, v) {
+			return
+		}
+	}
+}
+
 // fairMeasure runs writers writer goroutines (streaming write sections
 // back to back) and readers reader goroutines against a fairKeys-lock
 // ensemble for d, timing every acquisition.
@@ -112,7 +122,7 @@ func fairMeasure(writers, readers int, d time.Duration, mk func() rwLockish) fai
 				l := ls[i%fairKeys]
 				t0 := time.Now()
 				l.Lock()
-				xatomic.MaxInt64(&wMax, time.Since(t0).Nanoseconds())
+				raiseMax(&wMax, time.Since(t0).Nanoseconds())
 				l.Unlock()
 				local++
 			}
@@ -129,7 +139,7 @@ func fairMeasure(writers, readers int, d time.Duration, mk func() rwLockish) fai
 				l := ls[i%fairKeys]
 				t0 := time.Now()
 				l.RLock()
-				xatomic.MaxInt64(&rMax, time.Since(t0).Nanoseconds())
+				raiseMax(&rMax, time.Since(t0).Nanoseconds())
 				l.RUnlock()
 				local++
 			}

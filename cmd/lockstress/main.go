@@ -10,7 +10,7 @@
 // their own criterion through the telemetry registry or over real sockets;
 // they are the runs with no go test twin. (The multiprogramming arc is
 // multiprog.scn; Free churn under handles is TestHighCardinalityChurn and
-// TestFreeEpochShardIsolation.)
+// TestFreeInvalidatesOnlyItsKey.)
 //
 // Exit status is 0 when every requested scenario detected what it plants.
 package main

@@ -21,7 +21,6 @@ var docLintDirs = []string{
 	"telemetry",
 	"telemetry/telemetryhttp",
 	"internal/stripe",
-	"internal/xatomic",
 }
 
 // TestDocComments is the doc-lint step (the revive `exported` rule,

@@ -3,7 +3,6 @@ package glk
 import (
 	"fmt"
 
-	"gls/internal/backoff"
 	"gls/internal/stripe"
 	"gls/locks"
 )
@@ -106,14 +105,14 @@ func (l *RWLock) LockCancel(c *locks.Cancel) bool {
 	}
 	tok := stripe.Self()
 	if l.stats == nil {
-		return pollCancel(func() bool { return l.tryLockLow(tok) }, c)
+		return locks.PollAcquire(func() bool { return l.tryLockLow(tok) }, c)
 	}
 	a := l.stats.Arrive(tok)
 	if l.tryLockLow(tok) {
 		a.Acquired(false)
 		return true
 	}
-	if !pollCancel(func() bool { return l.tryLockLow(tok) }, c) {
+	if !locks.PollAcquire(func() bool { return l.tryLockLow(tok) }, c) {
 		a.Aborted(c.TimedOut())
 		return false
 	}
@@ -134,35 +133,19 @@ func (l *RWLock) RLockCancel(c *locks.Cancel) bool {
 	}
 	tok := stripe.Self()
 	if l.stats == nil {
-		return pollCancel(func() bool { return l.tryRLockLow(tok) }, c)
+		return locks.PollAcquire(func() bool { return l.tryRLockLow(tok) }, c)
 	}
 	a := l.stats.RArrive(tok)
 	if l.tryRLockLow(tok) {
 		a.RAcquired(false)
 		return true
 	}
-	if !pollCancel(func() bool { return l.tryRLockLow(tok) }, c) {
+	if !locks.PollAcquire(func() bool { return l.tryRLockLow(tok) }, c) {
 		a.RAborted(c.TimedOut())
 		return false
 	}
 	a.RAcquired(true)
 	return true
-}
-
-// pollCancel is the probe/abort-check/back-off loop shared by the RW
-// cancellable paths; the probe runs before the abort check so a free lock
-// is taken even when c has already fired (grant beats abort).
-func pollCancel(try func() bool, c *locks.Cancel) bool {
-	var s backoff.Spinner
-	for {
-		if try() {
-			return true
-		}
-		if c.Aborted() {
-			return false
-		}
-		s.Spin()
-	}
 }
 
 // abortDepart is the bookkeeping of a waiter leaving without the lock: its

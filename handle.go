@@ -2,6 +2,7 @@ package gls
 
 import (
 	"fmt"
+	"unsafe"
 
 	"gls/internal/pad"
 	"gls/locks"
@@ -22,104 +23,74 @@ import (
 // bypassed: those hooks live inside the lock objects themselves, so handle
 // acquisitions are observed like any other.
 //
-// Free interaction: the epoch protocol below makes a Handle exactly as
-// safe against Service.Free as the direct API, no more and no less. A
-// cached pair can never be used after its key's Free has *begun* (the
-// epoch check catches it and re-resolves through the table), so a Handle
-// never resurrects a freed lock object. What the epoch cannot repair is
-// the Free contract itself: freeing a key that is held, queued on, or
-// mid-acquisition splits the key across two lock objects regardless of
-// which accessor touched it — see the quiescence contract on
-// Service.Free. A Handle.Unlock after such a Free releases the new
-// incarnation, exactly like Service.Unlock would.
+// Free interaction: a Handle is exactly as safe against Service.Free as the
+// direct API, no more and no less. Free marks the entry it retires dead
+// before the key can map anything else, and a hit requires the cached entry
+// to be alive, so a Handle never resurrects a freed lock object — it
+// re-resolves through the table, and only handles caching the freed key do.
+// What the mark cannot repair is the Free contract itself: freeing a key
+// that is held, queued on, or mid-acquisition splits the key across two
+// lock objects regardless of which accessor touched it — see the quiescence
+// contract on Service.Free. A Handle.Unlock after such a Free releases the
+// new incarnation, exactly like Service.Unlock would.
 type Handle struct {
-	s        *Service
-	lastKey  uint64
-	lastLock locks.Lock
-	// epoch is the owning shard's free counter at the time the pair was
-	// cached (noFreeEpoch when a Free was in flight then, which never
-	// validates). A Free of any key in the same shard bumps the shard's
-	// freeStart before it touches the table, so a stale cache — key
-	// freed, then possibly remapped to a brand-new lock — is detected by
-	// two atomic loads of one line instead of a table lookup. Frees in
-	// *other* shards leave these counters (and therefore this cache)
-	// alone; that isolation is what Options.NumShards buys. Frees are
-	// rare; cache hits stay two compares in the common case.
-	epoch uint64
-	// lastShard is the shard the cached key routes to — cached alongside
-	// the pair so a hit validates against the right epoch counters
-	// without rehashing the key (key == lastKey implies the shard is
-	// unchanged: shard routing is a pure function of the key).
-	lastShard *shard
-	// lastRW is the cached lock's read-side interface, non-nil exactly
-	// when the cached key is a reader-writer key; RLock/RUnlock hit the
-	// same one-entry cache as Lock/Unlock (the glsrw read path is
-	// latency-sensitive in exactly the way Figure 11 measures for the
-	// exclusive one). It sits after the exclusive-path fields so their
-	// offsets — and the exclusive hit path's memory layout — stay stable.
-	lastRW locks.RWLock
-	// misses counts cache misses — every lookup that had to resolve
-	// through the table, including each key's first use. A handle is
-	// single-goroutine by contract, so this is a plain field; CacheMisses
-	// exposes it, and TestFreeEpochShardIsolation asserts it stays
-	// *exactly* flat in shards no Free touches.
-	misses uint64
+	handleCache
 	// Every op writes the cache (a miss) or reads it between two lock
-	// operations (a hit), so a Handle owns its cache lines: the 72 bytes
-	// above are padded to two whole lines, which the allocator's 128-byte
-	// size class also aligns. Without the pad two handles allocated back
-	// to back — one per goroutine, as asked above — share a line, and each
-	// goroutine's ops cost twice as much (TestHandleLayout).
-	_ [2*pad.CacheLineSize - 72]byte
+	// operations (a hit), so a Handle owns its cache lines: padded to two
+	// whole lines, which the allocator's 128-byte size class also aligns.
+	// Handles allocated back to back — one per goroutine, as asked above —
+	// then share neither a line (each op would cost twice as much) nor the
+	// 128-byte pair an adjacent-line prefetcher fetches together
+	// (TestHandleLayout).
+	_ [2*pad.CacheLineSize - unsafe.Sizeof(handleCache{})]byte
 }
 
-// noFreeEpoch is the cache-epoch sentinel for pairs resolved while a Free
-// was in flight: it never matches a real counter value, so such a pair is
-// cached but never trusted. (The free counters would need 2^64 Frees to
-// reach it.)
-const noFreeEpoch = ^uint64(0)
+// handleCache is the populated part of a Handle (same idiom as
+// entry/entryHeader).
+type handleCache struct {
+	s       *Service
+	lastKey uint64
+	// last is the entry lastKey resolved to, consulted only for its dead
+	// mark; lastLock and lastRW are its two interfaces, copied beside it so
+	// a hit reaches the lock object without a dependent load through the
+	// entry. lastRW is nil for an exclusive key, so RLock/RUnlock share the
+	// one slot with Lock/Unlock.
+	last     *entry
+	lastLock locks.Lock
+	lastRW   locks.RWLock
+	// misses counts every lookup that had to resolve through the table,
+	// including each key's first use. A handle is single-goroutine by
+	// contract, so this is a plain field.
+	misses uint64
+}
 
 // NewHandle returns a fresh handle bound to s.
 func (s *Service) NewHandle() *Handle {
-	return &Handle{s: s}
+	return &Handle{handleCache: handleCache{s: s}}
 }
 
-// cacheHit reports whether the cached pair may be used for key.
-//
-// The staleness protocol (see shard.freeStart): a hit requires both of the
-// cached shard's free counters to equal the cached epoch — freeStart
-// catches any Free in that shard that has so much as begun since the pair
-// was resolved, freeDone catches Frees that were already mid-delete back
-// then. Frees in other shards move other counters and cannot miss us.
+// cacheHit reports whether the cached entry may be used for key: it is
+// key's, and no Free has retired it (entryHeader.dead). The key compare goes
+// first: a miss then costs one compare, and with the nil test ahead of it
+// two workers walking shuffled keys ran 6 % slower (86 against 79–81 ns/op
+// over 20 alternating runs).
 func (h *Handle) cacheHit(key uint64) bool {
-	if key != h.lastKey || h.lastLock == nil {
-		return false
-	}
-	e := h.lastShard.freeDone.Load()
-	return e == h.epoch && h.lastShard.freeStart.Load() == e
+	return key == h.lastKey && h.last != nil && !h.last.dead.Load()
 }
 
-// cacheStore records a resolved entry while its shard's free counters read
-// (start, done). start and done must have been loaded, in that field order
-// done then start, *before* resolving the lock: the pair is only trusted
-// when no Free was in flight across the resolution, so a lookup racing a
-// delete can cache but never hit. Both interfaces of the entry are cached
-// (rw is nil for exclusive keys), so a key's read and write paths share the
-// one cache slot.
-func (h *Handle) cacheStore(key uint64, sh *shard, e *entry, start, done uint64) {
-	epoch := start
-	if start != done {
-		epoch = noFreeEpoch // a Free was in flight: never trust this pair
-	}
-	h.lastKey, h.lastLock, h.lastRW, h.lastShard, h.epoch = key, e.lock, e.rw, sh, epoch
+// cacheStore records a resolved entry. One that a Free is retiring right
+// now is stored like any other: it is dead already, or will be before the
+// key can map a successor.
+func (h *Handle) cacheStore(key uint64, e *entry) {
+	h.lastKey, h.last, h.lastLock, h.lastRW = key, e, e.lock, e.rw
 }
 
 // CacheMisses reports how many lookups through this handle missed the
 // one-entry cache and resolved via the table, including each key's first
-// use. It is the exact observable behind the per-shard epoch isolation
-// claim: park a handle on a hot key, Free-churn keys in other shards, and
-// this counter must not move (TestFreeEpochShardIsolation; glsmark's
-// gls.handle_miss_share reports the rate).
+// use. It is the exact observable behind the invalidation claim: park a
+// handle on a hot key, Free-churn any other keys, and this counter must not
+// move (TestFreeInvalidatesOnlyItsKey; glsmark's gls.handle_miss_share
+// reports the rate).
 func (h *Handle) CacheMisses() uint64 { return h.misses }
 
 // lookup resolves key via the one-entry cache, creating the entry on a
@@ -131,11 +102,8 @@ func (h *Handle) lookup(key uint64) locks.Lock {
 		return h.lastLock
 	}
 	h.misses++
-	sh := h.s.shardOf(key)
-	done := sh.freeDone.Load()
-	start := sh.freeStart.Load()
-	e, _ := h.s.entryIn(sh, key, algoGLK)
-	h.cacheStore(key, sh, e, start, done)
+	e, _ := h.s.entryIn(h.s.shardOf(key), key, algoGLK)
+	h.cacheStore(key, e)
 	return e.lock
 }
 
@@ -160,14 +128,11 @@ func (h *Handle) lookupExisting(key uint64) locks.Lock {
 		return h.lastLock
 	}
 	h.misses++
-	sh := h.s.shardOf(key)
-	done := sh.freeDone.Load()
-	start := sh.freeStart.Load()
-	e := sh.table.Get(key)
+	e := h.s.tableFor(key).Get(key)
 	if e == nil {
 		panic(fmt.Sprintf("gls: Unlock(%#x): key was never locked", key))
 	}
-	h.cacheStore(key, sh, e, start, done)
+	h.cacheStore(key, e)
 	return e.lock
 }
 
@@ -188,11 +153,8 @@ func (h *Handle) lookupRW(key uint64) locks.RWLock {
 		return h.lastRW
 	}
 	h.misses++
-	sh := h.s.shardOf(key)
-	done := sh.freeDone.Load()
-	start := sh.freeStart.Load()
-	e, _ := h.s.entryRWIn(sh, key, algoGLKRW)
-	h.cacheStore(key, sh, e, start, done)
+	e, _ := h.s.entryForRW(key, algoGLKRW)
+	h.cacheStore(key, e)
 	return e.rw
 }
 
@@ -203,17 +165,14 @@ func (h *Handle) lookupExistingRW(key uint64) locks.RWLock {
 		return h.lastRW
 	}
 	h.misses++
-	sh := h.s.shardOf(key)
-	done := sh.freeDone.Load()
-	start := sh.freeStart.Load()
-	e := sh.table.Get(key)
+	e := h.s.tableFor(key).Get(key)
 	if e == nil {
 		panic(fmt.Sprintf("gls: RUnlock(%#x): key was never locked", key))
 	}
 	if e.rw == nil {
 		panic(fmt.Sprintf("gls: RUnlock(%#x): key is mapped to an exclusive lock", key))
 	}
-	h.cacheStore(key, sh, e, start, done)
+	h.cacheStore(key, e)
 	return e.rw
 }
 
@@ -233,10 +192,9 @@ func (h *Handle) RUnlock(key uint64) {
 	h.lookupExistingRW(key).RUnlock()
 }
 
-// Invalidate drops the cached pair. Since Free already advances the owning
-// shard's epoch the cache checks, this is only needed when the caller
-// wants to drop the reference to the lock object itself (e.g. to let a
-// freed lock be collected promptly).
+// Invalidate drops the cached entry. Since Free already marks it dead, this
+// is only needed when the caller wants to drop the reference to the lock
+// object itself (e.g. to let a freed lock be collected promptly).
 func (h *Handle) Invalidate() {
-	h.lastKey, h.lastLock, h.lastRW, h.lastShard = 0, nil, nil, nil
+	h.lastKey, h.last, h.lastLock, h.lastRW = 0, nil, nil, nil
 }

@@ -109,7 +109,7 @@ func LockWithCancel(l Lock, c *Cancel) bool {
 	if cl, ok := l.(CancelableLock); ok {
 		return cl.LockCancel(c)
 	}
-	return pollAcquire(l.TryLock, c)
+	return PollAcquire(l.TryLock, c)
 }
 
 // RLockWithCancel is the read-side twin of LockWithCancel. No RW algorithm
@@ -125,14 +125,16 @@ func RLockWithCancel(l RWLock, c *Cancel) bool {
 	if cl, ok := l.(CancelableRWLock); ok {
 		return cl.RLockCancel(c)
 	}
-	return pollAcquire(l.TryRLock, c)
+	return PollAcquire(l.TryRLock, c)
 }
 
-// pollAcquire is the generic abortable acquisition: probe, check the abort
-// conditions, back off, repeat. The probe runs before the abort check so a
-// free lock is taken even when c has already fired (grant beats abort);
-// callers wanting fail-fast on a dead context check c before calling.
-func pollAcquire(try func() bool, c *Cancel) bool {
+// PollAcquire is the generic abortable acquisition: probe with try, check
+// c's abort conditions, back off, repeat. It reports whether try succeeded.
+// The probe runs before the abort check so a free lock is taken even when c
+// has already fired (grant beats abort); callers wanting fail-fast on a dead
+// context check c before calling. Lock implementations outside this package
+// whose abort path is a try-loop (glk's reader-writer lock) call it too.
+func PollAcquire(try func() bool, c *Cancel) bool {
 	var s backoff.Spinner
 	for {
 		if try() {

@@ -42,7 +42,7 @@ func (l *TASLock) LockCancel(c *Cancel) bool {
 		l.Lock()
 		return true
 	}
-	return pollAcquire(l.TryLock, c)
+	return PollAcquire(l.TryLock, c)
 }
 
 // TryLock attempts a single test-and-set.
@@ -94,7 +94,7 @@ func (l *TTASLock) LockCancel(c *Cancel) bool {
 		l.Lock()
 		return true
 	}
-	return pollAcquire(l.TryLock, c)
+	return PollAcquire(l.TryLock, c)
 }
 
 // TryLock attempts one test-and-test-and-set.

@@ -8,8 +8,8 @@ import (
 	"gls/locks"
 )
 
-// pinsDead is the pin count of an entry whose last Pin is gone and whose
-// Free is in flight or done. The count never leaves this value, so a late
+// pinsDead is the pin count of an entry whose last Pin is gone and which is
+// being retired or has been. The count never leaves this value, so a late
 // Pin that still resolves the dying entry cannot revive it.
 const pinsDead = -1
 
@@ -126,5 +126,5 @@ func (p Pin) Unpin() {
 			break
 		}
 	}
-	p.s.Free(e.key)
+	p.s.retire(sh, e)
 }

@@ -203,3 +203,38 @@ func TestPinWithAlgorithm(t *testing.T) {
 	}()
 	s.PinWith(locks.Algorithm(99), key)
 }
+
+// TestLastUnpinInvalidatesHandle parks a handle on a pinned key: dropping a
+// pin that is not the last leaves the handle's cache alone, and the last
+// Unpin — which frees the key by marking the entry it holds — costs the
+// handle exactly one re-resolve, onto the next incarnation.
+func TestLastUnpinInvalidatesHandle(t *testing.T) {
+	s := New(Options{})
+	defer s.Close()
+	const key = 9
+	p1, p2 := s.Pin(key), s.Pin(key)
+	h := s.NewHandle()
+	use := func() {
+		h.Lock(key)
+		h.Unlock(key)
+	}
+	use()
+	p1.Unpin()
+	use()
+	if got := h.CacheMisses(); got != 1 {
+		t.Fatalf("%d misses with a pin still out, want 1 (the warm-up alone)", got)
+	}
+	old := h.last
+	p2.Unpin()
+	if n := s.Locks(); n != 0 || !old.dead.Load() {
+		t.Fatalf("after the last Unpin: Locks() = %d, dead = %v; want 0, true", n, old.dead.Load())
+	}
+	use()
+	use()
+	if got := h.CacheMisses(); got != 2 {
+		t.Errorf("%d misses after the last Unpin, want 2 (warm-up + one re-resolve)", got)
+	}
+	if h.last == old || h.last != s.getEntry(key) {
+		t.Error("the handle does not cache the key's new incarnation")
+	}
+}

@@ -95,14 +95,13 @@ type Options struct {
 	GLKRW *glk.RWConfig
 
 	// NumShards partitions the key→lock table: each shard owns its own
-	// clht table and its own free-epoch pair, so a Free only invalidates
-	// handle caches in the freed key's shard and table growth locks never
-	// cross shards. Must be a power of two. 0 selects a GOMAXPROCS-derived
-	// default (the next power of two ≥ GOMAXPROCS at New, capped at 256);
-	// 1 is the pre-shard single-table behavior — the fast path then skips
-	// the shard hash entirely. Keys are routed with a different mix than
-	// the tables' own bucket hash, so shard choice and bucket choice stay
-	// independent (see shardMix).
+	// clht table, so table growth locks never cross shards and LockMany
+	// resolves a batch one shard's run at a time. Must be a power of two.
+	// 0 selects a GOMAXPROCS-derived default (the next power of two ≥
+	// GOMAXPROCS at New, capped at 256); 1 is the pre-shard single-table
+	// behavior — the fast path then skips the shard hash entirely. Keys
+	// are routed with a different mix than the tables' own bucket hash, so
+	// shard choice and bucket choice stay independent (see shardMix).
 	NumShards int
 }
 
@@ -116,8 +115,9 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// entryHeader is the read-only part of an entry: written once at creation,
-// then only read (by every Lock/Unlock that resolves the key).
+// entryHeader is the read-mostly part of an entry: written once at creation
+// and once more, dead alone, when the key is freed; otherwise only read (by
+// every Lock/Unlock that resolves the key and every Handle hit).
 type entryHeader struct {
 	key  uint64
 	algo locks.Algorithm // algoGLK or the explicit algorithm (exclusive keys)
@@ -131,6 +131,12 @@ type entryHeader struct {
 	// or RW — is decided at first use, like its algorithm.
 	rw     locks.RWLock
 	rwalgo locks.RWAlgorithm
+
+	// dead is set, and never cleared, when the entry is taken out of the
+	// table: retire is its only writer. A Handle trusts its cached entry
+	// exactly while this reads false, so a Free invalidates the handles
+	// caching that key and no others.
+	dead atomic.Bool
 }
 
 // entryStats is the mutable part of an entry: the debug owner word and the
@@ -170,19 +176,12 @@ type entry struct {
 // accounting (glsbench -cardinality).
 const EntryBytes = unsafe.Sizeof(entry{})
 
-// shard is one partition of the service: a clht table plus the free-epoch
-// pair that guards handle caches for this shard's keys. Shards are the unit
-// of Free isolation — a Free bumps only its own shard's counters, so handle
-// caches pointing into other shards keep hitting (the pre-shard service was
-// exactly one of these, and NumShards=1 still is).
-//
-// Layout is pinned by layout_test.go: the epoch pair starts at offset 16
-// within the shard and the shard is a whole number of 16-byte units, so in
-// the shards slice — whose backing array Go aligns to the element's natural
-// requirement inside 16-multiple size classes — every shard's pair is
-// 16-aligned and can never straddle a cache line (the PR 4 regression
-// class, now per shard). The trailing pad rounds the shard to a full cache
-// line so one shard's epoch line is never written by a neighbor's Free.
+// shard is one partition of the service: a clht table with its own growth
+// locks, plus the churn counters and the pin-sequence floor of the keys
+// routed to it (the pre-shard service was exactly one of these, and
+// NumShards=1 still is). The trailing pad rounds the shard to a full cache
+// line, so the line every look-up reads its table pointer from is never
+// written by a neighbor's create or Free (layout_test.go).
 type shard struct {
 	shardHeader
 	_ [(pad.CacheLineSize - unsafe.Sizeof(shardHeader{})%pad.CacheLineSize) % pad.CacheLineSize]byte
@@ -196,21 +195,6 @@ type shardHeader struct {
 	// idx is this shard's position in Service.shards, stamped at New for
 	// telemetry registration and the ShardStats report.
 	idx uint32
-	_   [4]byte // keeps the epoch pair below at offset 16
-
-	// freeStart/freeDone count this shard's Free calls, seqlock style:
-	// freeStart is bumped before the table delete, freeDone after, so the
-	// pair is equal exactly when no Free is in flight. Handles validate
-	// their cached (key, lock) pair against the owning shard's counters
-	// and only cache when the pair was equal at resolution, so a key
-	// freed and remapped by another goroutine cannot be locked through a
-	// stale cache — including caches populated while a Free was
-	// mid-delete, and with any number of concurrent Frees (see handle.go).
-	// The counters share a cache line, so the hit-path check is two loads
-	// of one line that only changes when something in *this shard* is
-	// freed.
-	freeStart atomic.Uint64
-	freeDone  atomic.Uint64
 
 	// creates counts entries built in this shard; frees counts mappings
 	// Free actually removed. The difference from table.Len gives churn at
@@ -336,7 +320,7 @@ func (s *Service) NumShards() int { return len(s.shards) }
 
 // ShardOf reports the shard index key routes to — for tests, benchmarks,
 // and tools that need to construct same-shard or cross-shard key sets
-// (TestFreeEpochShardIsolation probes this to prove epoch isolation).
+// (TestFreeInvalidatesOnlyItsKey probes this for a same-shard neighbour).
 func (s *Service) ShardOf(key uint64) int { return int(s.shardIdx(key)) }
 
 // ShardInfo is one shard's occupancy snapshot (ShardStats).
@@ -349,11 +333,6 @@ type ShardInfo struct {
 	Creates uint64
 	// Frees counts mappings Free removed from the shard.
 	Frees uint64
-	// FreeEpoch is the shard's completed-Free counter — the value handle
-	// caches validate against. It advances on every Free of a key routed
-	// here (mapped or not), so two snapshots with equal FreeEpoch bracket
-	// a window in which no handle cache in this shard was invalidated.
-	FreeEpoch uint64
 }
 
 // ShardStats reports per-shard occupancy and churn, in shard order.
@@ -362,11 +341,10 @@ func (s *Service) ShardStats() []ShardInfo {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		out[i] = ShardInfo{
-			Shard:     i,
-			Locks:     sh.table.Len(),
-			Creates:   sh.creates.Load(),
-			Frees:     sh.frees.Load(),
-			FreeEpoch: sh.freeDone.Load(),
+			Shard:   i,
+			Locks:   sh.table.Len(),
+			Creates: sh.creates.Load(),
+			Frees:   sh.frees.Load(),
 		}
 	}
 	return out
@@ -489,7 +467,7 @@ func (s *Service) entryFor(key uint64, algo locks.Algorithm) (*entry, bool) {
 }
 
 // entryIn is entryFor for a key whose shard the caller already resolved
-// (handles cache the shard; LockMany resolves whole per-shard runs).
+// (LockMany resolves whole per-shard runs).
 func (s *Service) entryIn(sh *shard, key uint64, algo locks.Algorithm) (*entry, bool) {
 	if key == 0 {
 		panic("gls: zero key (the paper's NULL) is not a valid lock")
@@ -654,24 +632,32 @@ func (s *Service) initLockWith(a locks.Algorithm, key uint64) {
 // while other goroutines may touch them should reach the key through Pin
 // and let the last Unpin free it: the pin count lives in the entry, so
 // "nobody uses it" and the Free are one atomic step (glsd does this; see
-// pin.go). Handles add no hazard beyond the above: their caches detect the
-// Free and re-resolve (see Handle).
+// pin.go). Handles add no hazard beyond the above: the Free marks the entry
+// dead and every handle caching it re-resolves (see Handle). Free of a key
+// that is not mapped does nothing.
 func (s *Service) Free(key uint64) {
 	if key == 0 {
 		return
 	}
 	sh := s.shardOf(key)
+	if e := sh.table.Get(key); e != nil {
+		s.retire(sh, e)
+	}
+}
+
+// retire unmaps e's key; e is the entry the caller found mapped there (Free)
+// or holds a dead pin count on (Unpin).
+func (s *Service) retire(sh *shard, e *entry) {
+	key := e.key
 	if s.dbg != nil {
-		if e := sh.table.Get(key); e != nil {
-			if owner := e.owner.Load(); owner != 0 {
-				s.report(Issue{
-					Kind:      IssueFreeHeld,
-					Key:       key,
-					Goroutine: uint64(gid.Get()),
-					Owner:     owner,
-					Message:   "freeing a lock that is currently held",
-				})
-			}
+		if owner := e.owner.Load(); owner != 0 {
+			s.report(Issue{
+				Kind:      IssueFreeHeld,
+				Key:       key,
+				Goroutine: uint64(gid.Get()),
+				Owner:     owner,
+				Message:   "freeing a lock that is currently held",
+			})
 		}
 		s.dbg.forget(key)
 	}
@@ -686,20 +672,17 @@ func (s *Service) Free(key uint64) {
 		// incarnation registers fresh and stays visible.
 		s.tele.Unregister(key)
 	}
-	// Bracket the delete with the owning shard's free counters (see the
-	// shard.freeStart field and Handle.lookup): freeStart makes every
-	// handle cache populated before this point miss, and the start/done
-	// inequality keeps lookups that run *during* the delete from caching
-	// at all. Both are bumped unconditionally (even for an unmapped key)
-	// so the pair stays equal at rest; Free is rare, so the spurious
-	// invalidation is noise. Handles whose cached key lives in another
-	// shard never see these counters move — that isolation is the point
-	// of sharding (TestFreeEpochShardIsolation asserts it exactly).
-	sh.freeStart.Add(1)
-	if sh.table.Delete(key) != nil {
+	// Dead before unmapped: a handle that resolves e between the two steps
+	// caches an entry it will never trust, and once the key can map a new
+	// incarnation no handle still hits the old one. A racing Free may have
+	// replaced e in the table since the caller looked, so whatever the
+	// delete removes is marked too — every entry that has left the table
+	// is dead, whichever Free removed it.
+	e.dead.Store(true)
+	if d := sh.table.Delete(key); d != nil {
+		d.dead.Store(true)
 		sh.frees.Add(1)
 	}
-	sh.freeDone.Add(1)
 }
 
 // Locks returns the number of lock objects currently mapped, summed over

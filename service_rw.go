@@ -70,15 +70,10 @@ func (s *Service) newRWEntry(sh *shard, key uint64, a locks.RWAlgorithm) func() 
 // algorithm a on first use. It panics when the key is already mapped to an
 // exclusive lock (debug mode reports the mismatch first).
 func (s *Service) entryForRW(key uint64, a locks.RWAlgorithm) (*entry, bool) {
-	return s.entryRWIn(s.shardOf(key), key, a)
-}
-
-// entryRWIn is entryForRW for a key whose shard the caller already resolved
-// — the RW twin of entryIn.
-func (s *Service) entryRWIn(sh *shard, key uint64, a locks.RWAlgorithm) (*entry, bool) {
 	if key == 0 {
 		panic("gls: zero key (the paper's NULL) is not a valid lock")
 	}
+	sh := s.shardOf(key)
 	e, created := sh.table.GetOrInsert(key, s.newRWEntry(sh, key, a))
 	if e.rw == nil {
 		s.reportRWMismatch(key, "reader-writer use of a key mapped to an exclusive lock")

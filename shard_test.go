@@ -95,13 +95,14 @@ func TestOptionsValidateNumShards(t *testing.T) {
 	New(Options{NumShards: 3})
 }
 
-// TestFreeEpochShardIsolation is the exact-counter claim sharding makes:
-// with NumShards=8, handles parked on keys in seven shards take ZERO cache
-// misses after their warm-up while the eighth churns through Free
-// concurrently, the churn shard's books are exact and no other shard's
-// free epoch moves — and a Free in a handle's own shard still invalidates
-// it, so the counter would have caught a violation.
-func TestFreeEpochShardIsolation(t *testing.T) {
+// TestFreeInvalidatesOnlyItsKey is the exact-counter claim the death mark
+// makes: with NumShards=8, handles parked on keys in seven shards take ZERO
+// cache misses after their warm-up while the eighth churns through Free
+// concurrently, and the churn shard's books are exact; a Free of a
+// neighbour key in a handle's own shard leaves it alone too, and a Free of
+// the handle's own key costs it exactly one re-resolve, onto the new
+// incarnation — so the counter would have caught a violation.
+func TestFreeInvalidatesOnlyItsKey(t *testing.T) {
 	const numShards, churnShard, rounds = 8, 0, 50
 	s := New(Options{NumShards: numShards})
 	defer s.Close()
@@ -149,20 +150,20 @@ func TestFreeEpochShardIsolation(t *testing.T) {
 	wg.Wait()
 	for sh, m := range misses {
 		if sh != churnShard && m != 1 {
-			t.Errorf("shard %d handle: %d cache misses under cross-shard churn, want exactly 1 (shard isolation broken)", sh, m)
+			t.Errorf("shard %d handle: %d cache misses under churn of other keys, want exactly 1", sh, m)
 		}
 	}
 	for _, st := range s.ShardStats() {
+		want := uint64(0)
 		if st.Shard == churnShard {
-			if want := uint64(rounds * len(churn)); st.Frees != want {
-				t.Errorf("churn shard recorded %d frees, want %d", st.Frees, want)
-			}
-		} else if st.FreeEpoch != 0 {
-			t.Errorf("shard %d free epoch moved to %d with no Free there", st.Shard, st.FreeEpoch)
+			want = uint64(rounds * len(churn))
+		}
+		if st.Frees != want {
+			t.Errorf("shard %d recorded %d frees, want %d", st.Shard, st.Frees, want)
 		}
 	}
 
-	// Control: a Free in a handle's own shard must invalidate it.
+	// A Free of a neighbour key in the handle's own shard leaves it alone.
 	ctrl := s.NewHandle()
 	ctrl.Lock(churn[0])
 	ctrl.Unlock(churn[0])
@@ -171,14 +172,28 @@ func TestFreeEpochShardIsolation(t *testing.T) {
 	s.Free(churn[1])
 	ctrl.Lock(churn[0])
 	ctrl.Unlock(churn[0])
+	if got := ctrl.CacheMisses(); got != 1 {
+		t.Errorf("Free of a same-shard neighbour: %d misses, want 1 (the warm-up alone)", got)
+	}
+
+	// Control: a Free of the handle's own key costs exactly one re-resolve,
+	// and the handle then locks the key's new incarnation.
+	old := ctrl.lastLock
+	s.Free(churn[0])
+	ctrl.Lock(churn[0])
+	ctrl.Unlock(churn[0])
+	ctrl.Lock(churn[0])
+	ctrl.Unlock(churn[0])
 	if got := ctrl.CacheMisses(); got != 2 {
-		t.Errorf("same-shard Free: %d misses, want 2 (warm-up + one re-resolve)", got)
+		t.Errorf("Free of the handle's own key: %d misses, want 2 (warm-up + one re-resolve)", got)
+	}
+	if ctrl.lastLock == old || ctrl.last != s.getEntry(churn[0]) {
+		t.Error("after the Free the handle still locks the freed lock object, not the mapped one")
 	}
 }
 
 // TestShardStats checks the per-shard occupancy report: creates and frees
-// land in the right shard, Locks sums match, and FreeEpoch only advances in
-// the shard that freed.
+// land in the right shard, and Locks sums match.
 func TestShardStats(t *testing.T) {
 	s := New(Options{NumShards: 4})
 	defer s.Close()
@@ -197,9 +212,6 @@ func TestShardStats(t *testing.T) {
 	}
 	if st[3].Creates != 2 || st[3].Frees != 0 || st[3].Locks != 2 {
 		t.Errorf("shard 3 = %+v, want creates 2, frees 0, locks 2", st[3])
-	}
-	if st[0].FreeEpoch != 1 || st[3].FreeEpoch != 0 {
-		t.Errorf("FreeEpoch = %d/%d, want 1 in shard 0 only", st[0].FreeEpoch, st[3].FreeEpoch)
 	}
 	if s.Locks() != 4 {
 		t.Errorf("Locks() = %d, want 4", s.Locks())
