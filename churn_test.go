@@ -176,8 +176,8 @@ func TestEveryUnmappedEntryIsDead(t *testing.T) {
 	}
 	for _, m := range seen {
 		for e := range m {
-			if e.dead.Load() == (e == mapped) {
-				t.Errorf("entry %p: dead = %v, mapped = %v", e, e.dead.Load(), e == mapped)
+			if e.dead() == (e == mapped) {
+				t.Errorf("entry %p: dead = %v, mapped = %v", e, e.dead(), e == mapped)
 			}
 		}
 	}

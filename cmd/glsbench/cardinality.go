@@ -10,23 +10,36 @@ import (
 	"gls/glk"
 	"gls/internal/harness"
 	"gls/internal/stripe"
+	"gls/locks"
 )
 
 // The cardinality family is the footprint side of the hot-path story: a
 // production table holds millions of fine-grained keys, and almost all of
 // them are idle at any instant. The scenario builds a ~1M-key service,
-// reports the marginal heap bytes per lock (lock object + table entry +
-// bucket share), then runs a zipf-skewed workload over the whole key space
-// and reports ns/op plus how much the hot keys' lazy inflation (presence
-// spills, mcs/mutex allocations) added. Before lazy striping every key paid
-// the full 8-stripe layout up front; now only the keys the skew contends
-// hard enough to leave ticket mode pay it.
+// reports the marginal heap bytes per lock (the entry that is the lock, plus
+// its bucket share), then runs a zipf-skewed workload over the whole key
+// space and reports ns/op plus how much the hot keys' lazy state (the
+// adaptation block, presence spills, mcs/mutex allocations) added. Before
+// lazy striping every key paid the full 8-stripe layout up front; now only
+// the keys the skew contends pay anything beyond their entry. The run is a
+// guard as well as a report: it fails when a created key costs more than
+// its budget, or when the workload leaves the idle tail heavier.
 
 // cardinalityKeys is the key-space size: ~1M (the ROADMAP's north-star
 // scale); -quick shrinks it to keep CI smoke runs in memory and seconds.
 const (
 	cardinalityKeys      = 1 << 20
 	cardinalityKeysQuick = 1 << 16
+)
+
+// The guard's two budgets. A created default key may cost its entry plus
+// 48 bytes of clht bucket (a 64-byte bucket of three slots, filled to the
+// table's load factor). The zipf phase contends a handful of keys, whose
+// state is a few KB in all: amortised over the table that is well under a
+// byte per key, and a whole byte means idle keys started paying.
+const (
+	maxBytesPerKey      = float64(gls.EntryBytes) + 48
+	maxInflationPerLock = 1.0
 )
 
 // heapAlloc returns the live heap after a GC, for marginal-footprint
@@ -44,8 +57,9 @@ func runCardinality(o opts) error {
 	if o.quick {
 		n = cardinalityKeysQuick
 	}
-	fmt.Printf("inline footprint: glk.Lock %dB (+%dB presence spill once it leaves ticket mode), table entry %dB\n",
-		unsafe.Sizeof(glk.Lock{}), stripe.SpillBytes, gls.EntryBytes)
+	fmt.Printf("footprint: default key %dB (the entry is the glk.Lock, %dB, plus the holder's line; +%dB presence spill once it leaves ticket mode); boxed key %dB entry + its lock object (glk.RWLock %dB, locks.MutexLock %dB)\n",
+		gls.EntryBytes, unsafe.Sizeof(glk.Lock{}), stripe.SpillBytes,
+		gls.EntryBytes, unsafe.Sizeof(glk.RWLock{}), unsafe.Sizeof(locks.MutexLock{}))
 
 	before := heapAlloc()
 	svc := gls.New(gls.Options{SizeHint: n})
@@ -87,5 +101,11 @@ func runCardinality(o opts) error {
 	after := heapAlloc()
 	inflated := float64(int64(after)-int64(created)) / float64(n)
 	fmt.Printf("after workload: %+.1f B/lock from lazy inflation on the hot keys\n", inflated)
+	if perLock > maxBytesPerKey {
+		return fmt.Errorf("a created default key costs %.0f B, budget %.0f (entry %d + bucket share)", perLock, maxBytesPerKey, gls.EntryBytes)
+	}
+	if inflated > maxInflationPerLock {
+		return fmt.Errorf("the zipf phase added %.1f B/lock, budget %.1f: the idle tail is paying for the hot keys", inflated, maxInflationPerLock)
+	}
 	return nil
 }

@@ -336,7 +336,7 @@ func (s *Service) debugPreLock(me gid.ID, e *entry, created bool, requested lock
 			Stack:     captureStack(4),
 		})
 	}
-	if !created && e.algo != requested {
+	if !created && e.algo() != requested {
 		s.dbg.mu.Lock()
 		dup := s.dbg.mismatchReported[e.key]
 		if !dup {
@@ -349,7 +349,7 @@ func (s *Service) debugPreLock(me gid.ID, e *entry, created bool, requested lock
 				Key:       e.key,
 				Goroutine: uint64(me),
 				Message: fmt.Sprintf("lock requested as %s but key is mapped to %s",
-					algoName(requested), algoName(e.algo)),
+					algoName(requested), algoName(e.algo())),
 				Stack: captureStack(4),
 			})
 		}
@@ -364,7 +364,7 @@ func (s *Service) debugPreLock(me gid.ID, e *entry, created bool, requested lock
 			Stack:     captureStack(4),
 		})
 	}
-	if e.rw != nil && s.dbg.holdsReadShare(e.key, me) {
+	if e.rwLock() != nil && s.dbg.holdsReadShare(e.key, me) {
 		// RLock→Lock on one key: the write acquisition drains all readers,
 		// this caller included — it waits for itself (§4.2's deadlock
 		// family, caught before it blocks rather than by the watchdog).
@@ -388,9 +388,9 @@ func (s *Service) debugPreLock(me gid.ID, e *entry, created bool, requested lock
 // acquisitions stay exact. Debug mode is a diagnostic configuration; its
 // reports describe what the service did on the lock, probes included.
 func (s *Service) debugLock(me gid.ID, e *entry) {
-	if !e.lock.TryLock() {
+	if !e.exclusive().TryLock() {
 		s.dbg.setWaiting(me, e.key)
-		e.lock.Lock()
+		e.exclusive().Lock()
 		s.dbg.clearWaiting(me)
 	}
 	e.owner.Store(uint64(me))
@@ -398,7 +398,7 @@ func (s *Service) debugLock(me gid.ID, e *entry) {
 
 // debugTryLock try-acquires e's lock with owner bookkeeping.
 func (s *Service) debugTryLock(me gid.ID, e *entry) bool {
-	if !e.lock.TryLock() {
+	if !e.exclusive().TryLock() {
 		return false
 	}
 	e.owner.Store(uint64(me))
@@ -444,7 +444,7 @@ func (s *Service) debugUnlock(key uint64, e *entry) {
 		return
 	}
 	e.owner.Store(0)
-	e.lock.Unlock()
+	e.exclusive().Unlock()
 }
 
 // debugPreRLock runs the read-acquisition checks: StrictInit, RW-algorithm
@@ -460,7 +460,7 @@ func (s *Service) debugPreRLock(me gid.ID, e *entry, created bool, requested loc
 			Stack:     captureStack(5),
 		})
 	}
-	if !created && e.rwalgo != requested {
+	if !created && e.boxed().rwalgo != requested {
 		s.dbg.mu.Lock()
 		dup := s.dbg.mismatchReported[e.key]
 		if !dup {
@@ -473,7 +473,7 @@ func (s *Service) debugPreRLock(me gid.ID, e *entry, created bool, requested loc
 				Key:       e.key,
 				Goroutine: uint64(me),
 				Message: fmt.Sprintf("rlock requested as %s but key is mapped to %s",
-					rwAlgoName(requested), rwAlgoName(e.rwalgo)),
+					rwAlgoName(requested), rwAlgoName(e.boxed().rwalgo)),
 				Stack: captureStack(5),
 			})
 		}
@@ -495,9 +495,9 @@ func (s *Service) debugPreRLock(me gid.ID, e *entry, created bool, requested loc
 func (s *Service) debugRLock(e *entry, created bool, requested locks.RWAlgorithm) {
 	me := gid.Get()
 	s.debugPreRLock(me, e, created, requested)
-	if !e.rw.TryRLock() {
+	if !e.rwLock().TryRLock() {
 		s.dbg.setWaiting(me, e.key)
-		e.rw.RLock()
+		e.rwLock().RLock()
 		s.dbg.clearWaiting(me)
 	}
 	s.dbg.addReader(e.key, me)
@@ -507,7 +507,7 @@ func (s *Service) debugRLock(e *entry, created bool, requested locks.RWAlgorithm
 func (s *Service) debugTryRLock(e *entry, created bool, requested locks.RWAlgorithm) bool {
 	me := gid.Get()
 	s.debugPreRLock(me, e, created, requested)
-	if !e.rw.TryRLock() {
+	if !e.rwLock().TryRLock() {
 		return false
 	}
 	s.dbg.addReader(e.key, me)
@@ -530,7 +530,7 @@ func (s *Service) debugRUnlock(key uint64, e *entry) {
 		})
 		return
 	}
-	if e.rw == nil {
+	if e.rwLock() == nil {
 		s.report(Issue{
 			Kind:      IssueAlgorithmMismatch,
 			Key:       key,
@@ -551,7 +551,7 @@ func (s *Service) debugRUnlock(key uint64, e *entry) {
 		})
 		return
 	}
-	e.rw.RUnlock()
+	e.rwLock().RUnlock()
 }
 
 // CheckDeadlocks scans the wait-for graph once and reports every new cycle

@@ -63,8 +63,7 @@ func (l *Lock) lockCancelInstrumented(c *locks.Cancel) bool {
 			}
 		}
 		if Mode(l.lockType.Load()) == cur && !(l.sampleDue(cur) && l.sampleAndAdapt(cur)) {
-			l.settle(cur, &a)
-			l.presentToken = a.tok
+			l.settleInstrumented(cur, &a)
 			acq.Acquired(contended)
 			return true
 		}
@@ -80,9 +79,9 @@ func (l *Lock) lockLowCancel(m Mode, c *locks.Cancel) bool {
 	case ModeTicket:
 		return l.ticket.LockCancel(c)
 	case ModeMCS:
-		return l.mcs.Load().LockCancel(c)
+		return l.mcs().LockCancel(c)
 	case ModeMutex:
-		return l.mutex.Load().LockCancel(c)
+		return l.mutex().LockCancel(c)
 	default:
 		panic(fmt.Sprintf("glk: corrupt mode %v (use glk.New)", m))
 	}
@@ -154,5 +153,5 @@ func (l *RWLock) RLockCancel(c *locks.Cancel) bool {
 // sample).
 func (l *Lock) abortDepart(a *arrival) {
 	l.depart(a)
-	l.aborts.Add(1)
+	l.state().aborts.Add(1)
 }

@@ -167,7 +167,7 @@ func mcsSpell(t *testing.T, l *Lock) {
 	}
 	for i := 0; i < 64 && l.Mode() != ModeTicket; i++ {
 		l.Lock()
-		if n := l.present.Sum(); l.Mode() == ModeMCS && n != 1 {
+		if n := presentSum(l); l.Mode() == ModeMCS && n != 1 {
 			t.Fatalf("presence counter reads %d with a lone mcs-mode holder, want 1", n)
 		}
 		l.Unlock()
@@ -378,7 +378,7 @@ func TestPresenceSettlesAcrossTransitions(t *testing.T) {
 	}
 	atRest := func(when string) {
 		t.Helper()
-		if n := l.present.Sum(); n != 0 {
+		if n := presentSum(l); n != 0 {
 			t.Fatalf("%s: presence counter reads %d at rest", when, n)
 		}
 		if q := l.presentNow(); q != 0 {

@@ -23,7 +23,7 @@ func mkLockWithEMA(avg float64, multiprog bool) *Lock {
 		mon.Stop() // flag freezes at its last value
 	}
 	l := New(&Config{Monitor: mon})
-	l.queueEMA.Add(avg) // first Add seeds the EMA exactly
+	l.state().queueEMA.Add(avg) // first Add seeds the EMA exactly
 	return l
 }
 
@@ -67,6 +67,7 @@ func TestDecideTable(t *testing.T) {
 func TestDecideUnseededNeverTransitions(t *testing.T) {
 	mon := sysmon.New(sysmon.Options{DisableProbes: true})
 	l := New(&Config{Monitor: mon})
+	l.state() // decide is reached from a sampling boundary that has one
 	for _, cur := range []Mode{ModeTicket, ModeMCS, ModeMutex} {
 		if got, _ := l.decide(cur); got != cur {
 			t.Fatalf("unseeded decide(%v) = %v", cur, got)
@@ -86,7 +87,7 @@ func TestDecideKeepsModeForFree(t *testing.T) {
 		avg float64
 	}{{ModeTicket, 1}, {ModeMCS, 8}, {ModeTicket, 2.5}, {ModeMCS, 2.5}} {
 		l := New(&Config{Monitor: mon})
-		l.queueEMA.Add(c.avg)
+		l.state().queueEMA.Add(c.avg)
 		if got, reason := l.decide(c.cur); got != c.cur || reason != "" {
 			t.Fatalf("decide(%v) at avg %.1f = %v, %q", c.cur, c.avg, got, reason)
 		}
@@ -109,15 +110,15 @@ func TestDecideProperties(t *testing.T) {
 		avg := float64(avgRaw) / 1000 // 0 .. 65.5
 		cur := []Mode{ModeTicket, ModeMCS, ModeMutex}[int(curRaw)%3]
 		l := New(&Config{Monitor: mon})
-		l.queueEMA.Add(avg)
+		l.state().queueEMA.Add(avg)
 		got, _ := l.decide(cur)
 		switch got {
 		case ModeTicket, ModeMCS, ModeMutex:
 		default:
 			return false
 		}
-		down := float64(l.cfg.downThreshold)
-		up := float64(l.cfg.upThreshold)
+		down := float64(l.set.downThreshold)
+		up := float64(l.set.upThreshold)
 		if cur != ModeMutex && avg >= down && avg <= up && got != cur {
 			return false // hysteresis band violated
 		}

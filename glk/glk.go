@@ -105,8 +105,8 @@ const (
 const deflateIdlePeriods = 4
 
 // Config tunes a GLK lock. The zero value of every field selects the
-// default above. Configs are copied at lock construction; later mutation has
-// no effect.
+// default above. A Config is read once, by NewSettings (which New calls);
+// later mutation has no effect.
 type Config struct {
 	// SamplePeriod is the queue-sampling period in critical sections.
 	SamplePeriod uint64
@@ -158,7 +158,7 @@ type Config struct {
 	// and queue lengths, and mode transitions (package telemetry). The
 	// instrumented paths are selected once, at construction — a lock built
 	// without Stats runs the exact uninstrumented hot path, gated by a
-	// single predicted branch on the already-hot shared line. The stats
+	// single predicted branch on the lock's already-hot line. The stats
 	// object is also handed a presence sampler so telemetry reads this
 	// lock's own measurement — ticket holders plus counted arrivals —
 	// instead of keeping a duplicate (DESIGN.md §8).
@@ -219,62 +219,93 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// lockShared is the section of a Lock that arriving goroutines touch: the
-// mode word and stats pointer every arrival reads, the ticket words (GLK's
-// only inline low-level lock) with the clock that times their sampling, the
-// lazy presence counter, and the lazily-allocated mcs/mutex locks. In
-// ticket mode this line carries the lock's whole fast path: between
-// sampling boundaries an uncontended Lock/TryLock/Unlock reads and writes
-// nothing else (TestFastPathLeavesHolderLinesAlone). In mcs and mutex modes
-// the ticket words go quiet and presence is counted on the spill's own
-// lines, so the line is read-mostly exactly when other goroutines spin
-// elsewhere.
-type lockShared struct {
-	lockType atomic.Uint32 // current Mode
-	// sampleAt is the ticket-mode sampling clock: the ticket whose holder
-	// takes the next queue sample. Holder-only like the statistics, but it
-	// lives here — in the alignment hole before the ticket words — because
-	// every ticket-mode acquisition reads it and must not pull in a holder
-	// line to do so; it is written once per SamplePeriod.
-	sampleAt uint32
-	ticket   locks.TicketCore // low-contention mode lock, always present
-	stats    *telemetry.LockStats
-	present  stripe.Counter                  // arrivals that read the mode as mcs/mutex (see arrival)
-	mcs      atomic.Pointer[locks.MCSLock]   // published before mode becomes mcs
-	mutex    atomic.Pointer[locks.MutexLock] // published before mode becomes mutex
-}
-
-// lockConfig is the stored form of a Config: the fields consulted after
-// construction, compacted (periods as 32-bit reload values, the EMA weight
-// folded into the EMA itself, Stats hoisted to the shared section,
-// thresholds narrowed to float32 — they are human-chosen numbers like 3.0
-// compared against a smoothed average, where single precision is
-// indistinguishable, and the 12 bytes bought keep the holder section inside
-// its two lines after the glsx abort counters). It lives on the holder
-// lines because only the holder — inside sampleAndAdapt and decide — reads
-// it.
-type lockConfig struct {
+// Settings is a validated Config in the form locks consult after
+// construction: defaults filled in, periods as 32-bit reload values,
+// thresholds narrowed to float32 (human-chosen numbers like 3.0 compared
+// against a smoothed average, where single precision is indistinguishable).
+// It is immutable, so any number of locks share one: a Lock carries a
+// pointer to it, not a copy (the copy was 40 of the idle lock's bytes).
+// Config.Stats is not part of it — a statistics object belongs to one lock
+// and is handed to Init beside the Settings.
+type Settings struct {
 	samplePeriod         uint32 // critical sections between queue samples
 	adaptSamples         uint32 // adaptIn reload value, in samples
 	upThreshold          float32
 	downThreshold        float32
 	mutexQueueFloor      float32
+	emaWeight            float64
+	initialMode          Mode
 	disableAdaptation    bool
 	sampleLowLevelQueues bool
-	monitor              *sysmon.Monitor
-	onTransition         func(from, to Mode, reason string)
+	// eager is set when a queue of one — all an uncontended lock ever
+	// samples — could itself change the mode (UpThreshold below 1,
+	// MutexQueueFloor at or below it): such a lock cannot skip the samples
+	// that show no queue, so it builds its adaptation state at Init.
+	eager        bool
+	monitor      *sysmon.Monitor
+	onTransition func(from, to Mode, reason string)
 }
 
-// lockHolder is the holder-only section: the statistics, the countdowns
-// driving sampling and adaptation, and the cold config. In ticket mode it is
-// touched on sampling boundaries only; in mcs and mutex modes every
-// acquisition writes it. All of it is guarded by the lock itself — plain
-// (non-atomic) updates are safe because the low-level lock orders them —
-// except the three atomics, whose writers or readers are not the holder.
-type lockHolder struct {
-	// numAcquired counts the acquisitions made in mcs/mutex modes plus the
-	// ticket-mode ones up to the last sampling boundary; Stats adds the
-	// rest off the ticket counter (see acquired).
+// defaultSettings is what New(nil) and NewSettings(nil) hand out.
+var defaultSettings = newSettings(Config{})
+
+// NewSettings validates cfg and returns its shared form; nil selects all
+// defaults. Invalid configurations panic, as in New. Embedders that create
+// many locks from one Config (gls.Service) call this once and Init each
+// lock from the result.
+func NewSettings(cfg *Config) *Settings {
+	if cfg == nil {
+		return defaultSettings
+	}
+	return newSettings(*cfg)
+}
+
+func newSettings(c Config) *Settings {
+	if err := c.Validate(); err != nil {
+		panic(err)
+	}
+	c = c.withDefaults()
+	initial := c.InitialMode
+	if initial == 0 {
+		initial = ModeTicket
+	}
+	return &Settings{
+		samplePeriod:         uint32(c.SamplePeriod),
+		adaptSamples:         uint32(c.AdaptPeriod / c.SamplePeriod),
+		upThreshold:          float32(c.UpThreshold),
+		downThreshold:        float32(c.DownThreshold),
+		mutexQueueFloor:      float32(c.MutexQueueFloor),
+		emaWeight:            c.EMAWeight,
+		initialMode:          initial,
+		disableAdaptation:    c.DisableAdaptation,
+		sampleLowLevelQueues: c.SampleLowLevelQueues,
+		eager:                c.UpThreshold < 1 || c.MutexQueueFloor <= 1,
+		monitor:              c.Monitor,
+		onTransition:         c.OnTransition,
+	}
+}
+
+// adaptShared is the part of a lock's adaptation state that arrivals read
+// once the lock has left ticket mode: the mcs and mutex low-level locks and
+// the presence counter. It is written when one of those is first built and
+// when the counter inflates or deflates, never per acquisition, so mcs
+// waiters' neighbours read a quiet line.
+type adaptShared struct {
+	mcs     atomic.Pointer[locks.MCSLock]   // published before mode becomes mcs
+	mutex   atomic.Pointer[locks.MutexLock] // published before mode becomes mutex
+	present stripe.Counter                  // arrivals that read the mode as mcs/mutex (see arrival)
+}
+
+// adaptHolder is the holder-only part: the statistics and the countdowns
+// driving sampling and adaptation. In ticket mode it is touched on sampling
+// boundaries only; in mcs and mutex modes every acquisition writes it. All
+// of it is guarded by the lock itself — plain (non-atomic) updates are safe
+// because the low-level lock orders them — except the three atomics, whose
+// writers or readers are not the holder.
+type adaptHolder struct {
+	// numAcquired counts the acquisitions the ticket counter does not show:
+	// those made in mcs/mutex modes, plus 2^32 for each time the ticket
+	// clock's base has wrapped (see acquired).
 	numAcquired uint64
 	queueTotal  uint64       // sum of sampled queue lengths (paper's counter)
 	queueEMA    emastats.EMA // moving average of queue samples
@@ -283,54 +314,65 @@ type lockHolder struct {
 	// because their writers are not the holder (departing waiters; a
 	// goroutine handing back a ticket it took under a stale mode word). All
 	// are rare events (32 bits suffice), and their write to a holder line
-	// is the price of not spending a fourth line on them.
+	// is the price of not spending another line on them.
 	transitions  atomic.Uint32 // mode changes, for observability
 	aborts       atomic.Uint32 // abandoned acquisitions, cumulative (see abortDepart)
-	presentToken uint64        // holder's stripe token, repaid in an mcs/mutex-mode Unlock
+	presentToken uint64        // mcs/mutex modes: the holder's stripe token, repaid (and its telemetry lane released) in Unlock
 	sampleIn     uint32        // mcs/mutex modes: critical sections until the next queue sample
 	adaptIn      uint32        // samples until the next adaptation decision
 	acquiredMode Mode          // mcs/mutex modes: the mode the holder acquired in, 0 while free
-	// The deflation bookkeeping is deliberately byte-sized: it shares the
-	// alignment hole before cfg, keeping the holder section inside two
-	// lines (TestLockFootprint).
-	idlePeriods uint8         // consecutive adaptation periods with max queue ≤ 1
-	periodMaxQ  uint8         // max sampled queue this period, clamped at 255
-	deflations  uint16        // presence-counter deflations, for observability
-	lastAborts  uint32        // aborts value at the last sample, for the delta signal
-	ticketSkips atomic.Uint32 // ticket-lock releases that ended no critical section (see backOut)
-	cfg         lockConfig
+	idlePeriods  uint8         // consecutive adaptation periods with max queue ≤ 1
+	periodMaxQ   uint8         // max sampled queue this period, clamped at 255
+	deflations   uint16        // presence-counter deflations, for observability
+	lastAborts   uint32        // aborts value at the last sample, for the delta signal
+	ticketSkips  atomic.Uint32 // ticket-lock releases that ended no critical section (see backOut)
+	// primed records that the sampling boundaries passed before this state
+	// existed have been entered into it (see prime). State built at Init has
+	// no such history.
+	primed bool
 }
 
-// Lock is a GLK adaptive lock (the paper's glk_t, Figure 3). It contains
-// the mode flag, the underlying lock objects, and the statistics counters.
-// Construct with New; the zero value is not usable.
+// adaptState is everything a Lock needs only once it is contended: built
+// once, by whoever first needs it (state), and reached through the one
+// pointer on the lock's line. A lock that is only ever acquired
+// uncontended — nearly every key of a large table — never has one.
+// Two line-aligned sections, so the words the holder writes per
+// acquisition in mcs and mutex modes share no line with what arrivals read
+// (layout_test.go).
+type adaptState struct {
+	adaptShared
+	_ [(pad.CacheLineSize - unsafe.Sizeof(adaptShared{})%pad.CacheLineSize) % pad.CacheLineSize]byte
+	adaptHolder
+	_ [(pad.CacheLineSize - unsafe.Sizeof(adaptHolder{})%pad.CacheLineSize) % pad.CacheLineSize]byte
+}
+
+// Lock is a GLK adaptive lock (the paper's glk_t, Figure 3): the mode flag,
+// the ticket lock, and a pointer to everything else. Construct with New, or
+// embed one and call Init; the zero value is not usable.
 //
-// Field order is cache-line layout, not taxonomy (§3.2 pads every lock "for
-// fairness and for avoiding false cache-line sharing"; layout_test.go pins
-// the invariants). Two line-aligned sections:
+// A Lock is one cache line (§3.2 pads every lock "for fairness and for
+// avoiding false cache-line sharing"; layout_test.go pins the invariants),
+// and in ticket mode — the mode every lock is born in and the only one an
+// uncontended lock ever sees — that line is the whole lock: contention is
+// read off the ticket words (next − owner, the paper's measurement), the
+// ticket being served is the sampling clock, and nobody is counted, so an
+// acquisition and its release are the ticket lock's two atomic
+// read-modify-writes on the line and nothing else
+// (TestFastPathLeavesHolderLinesAlone). A sampling boundary that finds no
+// queue behind the holder moves the clock and stores nothing more: the
+// statistics such a lock would have gathered follow from the clock (Stats).
 //
-//  1. lockShared — everything an arriving goroutine touches (one line);
-//  2. lockHolder — statistics and config touched only by the current
-//     holder (two lines).
-//
-// The mcs and mutex low-level locks, the striped presence spill, and the
-// telemetry accumulator live behind pointers, allocated only when first
-// needed: an idle, never-contended lock — the overwhelming majority in a
-// million-key table — is 3 cache lines instead of the 15 an eagerly-striped
-// layout costs (DESIGN.md §8).
-//
-// Ticket mode — the mode every lock is born in and the only one an
-// uncontended lock ever sees — costs what the ticket lock costs: contention
-// is read off the ticket words (next − owner, the paper's measurement),
-// the ticket being served is the sampling clock, and nobody is counted, so
-// an acquisition and its release are the ticket lock's two atomic
-// read-modify-writes on the shared line and nothing else. Arrivals count
-// themselves present only when they read the mode as mcs or mutex, where a
-// goroutine can be at the lock without yet being in its queue (DESIGN.md
-// §4); the spill that keeps that counting off the shared line is allocated
-// on the way out of ticket mode, together with the low-level lock
-// (ensureLow), so mcs's local-spinning guarantee never shares a line with
-// arrival traffic.
+// The rest — queue statistics, adaptation countdowns, the mcs and mutex
+// low-level locks, the striped presence counter — is the adaptState, built
+// by the first sampling boundary that sees a queue, the first abandoned or
+// handed-back acquisition, or at Init when the Settings need it from the
+// start. An idle, never-contended lock — the overwhelming
+// majority in a million-key table — is 1 cache line instead of the 15 an
+// eagerly-striped layout costs (DESIGN.md §8). Arrivals count themselves
+// present only when they read the mode as mcs or mutex, where a goroutine
+// can be at the lock without yet being in its queue (DESIGN.md §4); the
+// counting and mcs's local spinning happen on the adaptState's lines, so in
+// those modes this line is read-mostly.
 //
 // Invariant: the mode word is stable while the lock is held. Its only
 // writer after construction is sampleAndAdapt, reached only by a goroutine
@@ -341,15 +383,29 @@ type lockHolder struct {
 // until it releases. Unlock relies on this to pick its release path from
 // the mode word instead of remembering one.
 type Lock struct {
-	lockShared
-	_ [(pad.CacheLineSize - unsafe.Sizeof(lockShared{})%pad.CacheLineSize) % pad.CacheLineSize]byte
-	lockHolder
-	// Trailing pad rounds the holder section up to its two full lines. If
-	// lockHolder ever grows back to an exact multiple of the line size,
-	// delete this field rather than leaving a zero-length trailing array (a
-	// zero-size final field would itself add padding); TestLockFootprint
-	// pins the whole-lines invariant either way.
-	_ [(pad.CacheLineSize - unsafe.Sizeof(lockHolder{})%pad.CacheLineSize) % pad.CacheLineSize]byte
+	lockType atomic.Uint32 // current Mode
+	// sampleAt is the ticket-mode sampling clock: the ticket whose holder
+	// takes the next queue sample. Holder-only like the statistics, but it
+	// lives here — in the alignment hole before the ticket words — because
+	// every ticket-mode acquisition reads it and must not pull in another
+	// line to do so; it is written once per SamplePeriod.
+	sampleAt uint32
+	ticket   locks.TicketCore // low-contention mode lock, always present
+	stats    *telemetry.LockStats
+	adapt    atomic.Pointer[adaptState] // nil until contention, an abort or a non-default Settings asks for it
+	set      *Settings
+
+	// Aux belongs to whoever embeds the Lock: GLK never reads or writes it.
+	// It exists so that a table entry that is a Lock (gls) can keep the few
+	// bits every look-up tests — which kind of entry this is, whether it is
+	// still mapped — on the line the acquisition is about to touch anyway.
+	Aux atomic.Uint32
+
+	// lane is the stripe token of an instrumented ticket-mode holder, the
+	// telemetry lane its Unlock releases on (an mcs/mutex-mode holder's is
+	// the state's presentToken). Holder-only; it fills the line, so there
+	// is no pad to add — and no room for another field (TestLockFootprint).
+	lane uint64
 }
 
 var _ locks.Lock = (*Lock)(nil)
@@ -358,48 +414,79 @@ var _ locks.Lock = (*Lock)(nil)
 // Invalid configurations panic: lock construction sites are static and a
 // bad period is a programming error, not a runtime condition.
 func New(cfg *Config) *Lock {
-	var c Config
+	l := new(Lock)
+	var stats *telemetry.LockStats
 	if cfg != nil {
-		c = *cfg
+		stats = cfg.Stats
 	}
-	if err := c.Validate(); err != nil {
-		panic(err)
-	}
-	c = c.withDefaults()
-	l := &Lock{}
-	l.cfg = lockConfig{
-		samplePeriod:         uint32(c.SamplePeriod),
-		adaptSamples:         uint32(c.AdaptPeriod / c.SamplePeriod),
-		upThreshold:          float32(c.UpThreshold),
-		downThreshold:        float32(c.DownThreshold),
-		mutexQueueFloor:      float32(c.MutexQueueFloor),
-		monitor:              c.Monitor,
-		onTransition:         c.OnTransition,
-		disableAdaptation:    c.DisableAdaptation,
-		sampleLowLevelQueues: c.SampleLowLevelQueues,
-	}
-	l.sampleIn = l.cfg.samplePeriod
-	l.sampleAt = l.cfg.samplePeriod - 1 // tickets start at 0: the SamplePeriod-th acquisition samples
-	l.adaptIn = l.cfg.adaptSamples
-	l.queueEMA = emastats.NewEMA(c.EMAWeight)
-	initial := c.InitialMode
-	if initial == 0 {
-		initial = ModeTicket
-	}
-	l.ensureLow(initial)
-	l.lockType.Store(uint32(initial))
-	if c.Stats != nil {
-		l.stats = c.Stats
-		l.stats.SetPresenceSampler(l.presentNow)
-		l.stats.SetMode(initial.String())
-	}
+	l.Init(NewSettings(cfg), stats)
 	return l
+}
+
+// Init readies a zero Lock in place — for one embedded in a larger object,
+// where New's allocation would be a second one. stats is Config.Stats: nil
+// for an uninstrumented lock. Init must happen before the lock is shared.
+func (l *Lock) Init(set *Settings, stats *telemetry.LockStats) {
+	l.set = set
+	l.sampleAt = set.samplePeriod - 1 // tickets start at 0: the SamplePeriod-th acquisition samples
+	if set.initialMode != ModeTicket || set.eager {
+		// A lock born in mcs or mutex mode expects contention, and is built
+		// with its low-level lock allocated and its presence counter
+		// inflated.
+		st := l.state()
+		st.adaptIn, st.primed = set.adaptSamples, true
+		l.ensureLow(set.initialMode)
+	}
+	l.lockType.Store(uint32(set.initialMode))
+	if stats != nil {
+		l.stats = stats
+		stats.SetPresenceSampler(l.presentNow)
+		stats.SetMode(set.initialMode.String())
+	}
+}
+
+// state returns the lock's adaptation state, building it if this is the
+// first call to need it. Builders may race — a sampling holder against a
+// departing waiter — and exactly one state is ever published.
+func (l *Lock) state() *adaptState {
+	if st := l.adapt.Load(); st != nil {
+		return st
+	}
+	st := new(adaptState)
+	st.sampleIn = l.set.samplePeriod
+	st.queueEMA = emastats.NewEMA(l.set.emaWeight)
+	if l.adapt.CompareAndSwap(nil, st) {
+		return st
+	}
+	return l.adapt.Load()
+}
+
+// prime enters into st the sampling boundaries the lock passed before it
+// had a state. Each of them found a queue of one and moved the clock by
+// exactly SamplePeriod — anything else would have built the state — so
+// their number follows from sampleAt, and the statistics and the adaptation
+// countdown continue as if every one had been recorded. Holder-only, on the
+// state's first ticket-mode boundary, before sampleAt moves again.
+func (l *Lock) prime(st *adaptState) {
+	n := l.skippedSamples()
+	if n > 0 {
+		st.queueTotal = n
+		st.queueEMA.Add(1)
+	}
+	st.adaptIn = l.set.adaptSamples - uint32(n%uint64(l.set.adaptSamples))
+	st.primed = true
+}
+
+// skippedSamples is how many sampling boundaries a lock without a state has
+// passed.
+func (l *Lock) skippedSamples() uint64 {
+	return (uint64(l.sampleAt)+1)/uint64(l.set.samplePeriod) - 1
 }
 
 // monitor returns the configured or shared multiprogramming monitor.
 func (l *Lock) monitor() *sysmon.Monitor {
-	if l.cfg.monitor != nil {
-		return l.cfg.monitor
+	if l.set.monitor != nil {
+		return l.set.monitor
 	}
 	return sysmon.Shared()
 }
@@ -408,17 +495,30 @@ func (l *Lock) monitor() *sysmon.Monitor {
 func (l *Lock) Mode() Mode { return Mode(l.lockType.Load()) }
 
 // Transitions returns the number of mode changes performed so far.
-func (l *Lock) Transitions() uint64 { return uint64(l.transitions.Load()) }
+func (l *Lock) Transitions() uint64 {
+	if st := l.adapt.Load(); st != nil {
+		return uint64(st.transitions.Load())
+	}
+	return 0
+}
 
 // Aborts returns the number of acquisitions abandoned mid-wait (timeouts
 // and cancellations), cumulative over the lock's life.
-func (l *Lock) Aborts() uint64 { return uint64(l.aborts.Load()) }
+func (l *Lock) Aborts() uint64 {
+	if st := l.adapt.Load(); st != nil {
+		return uint64(st.aborts.Load())
+	}
+	return 0
+}
 
 // PresenceInflated reports whether the lock currently holds the striped
 // form of its presence counter — i.e. whether it has left ticket mode (or
 // was born outside it) and has not idled back since. Introspection for
 // footprint accounting and tests.
-func (l *Lock) PresenceInflated() bool { return l.present.Inflated() }
+func (l *Lock) PresenceInflated() bool {
+	st := l.adapt.Load()
+	return st != nil && st.present.Inflated()
+}
 
 // arrival is one acquisition attempt's presence bookkeeping. The rule, the
 // same on every path (plain, TryLock, LockCancel, instrumented): a
@@ -444,17 +544,19 @@ func (l *Lock) count(m Mode, a *arrival) {
 }
 
 // recount flips the caller's count: in, taking its stripe token if it has
-// none yet, or out.
+// none yet, or out. Either way the caller has read the mode as mcs or mutex
+// at some point, so the state exists.
 func (l *Lock) recount(a *arrival) {
+	st := l.adapt.Load()
 	a.counted = !a.counted
 	if !a.counted {
-		l.present.Add(a.tok, -1)
+		st.present.Add(a.tok, -1)
 		return
 	}
 	if a.tok == 0 {
 		a.tok = stripe.Self()
 	}
-	l.present.Add(a.tok, 1)
+	st.present.Add(a.tok, 1)
 }
 
 // depart takes back the caller's count, if any: it is leaving without the
@@ -467,13 +569,27 @@ func (l *Lock) depart(a *arrival) {
 
 // settle records what the Unlock of an mcs/mutex-mode acquisition needs: the
 // holder stays counted until then. A ticket-mode holder is not counted and
-// leaves the holder lines alone; its Unlock needs nothing remembered.
+// leaves everything but the lock's own line alone; its Unlock needs nothing
+// remembered.
 func (l *Lock) settle(m Mode, a *arrival) {
 	if m != ModeTicket {
-		l.numAcquired++
-		l.acquiredMode = m
-		l.presentToken = a.tok
+		st := l.adapt.Load()
+		st.numAcquired++
+		st.acquiredMode = m
+		st.presentToken = a.tok
 	}
+}
+
+// settleInstrumented is settle for an acquisition with telemetry, which
+// also remembers the lane its Unlock will release on: in ticket mode on the
+// lock's own line, which the holder has just written anyway; in the other
+// modes it is the token settle keeps.
+func (l *Lock) settleInstrumented(m Mode, a *arrival) {
+	if m == ModeTicket {
+		l.lane = a.tok
+		return
+	}
+	l.settle(m, a)
 }
 
 // backOut releases mode m's low-level lock without a critical section
@@ -483,7 +599,7 @@ func (l *Lock) settle(m Mode, a *arrival) {
 // Stats to take back.
 func (l *Lock) backOut(m Mode) {
 	if m == ModeTicket {
-		l.ticketSkips.Add(1)
+		l.state().ticketSkips.Add(1)
 	}
 	l.unlockLow(m)
 }
@@ -525,8 +641,7 @@ func (l *Lock) lockInstrumented() {
 			l.lockLow(cur)
 		}
 		if Mode(l.lockType.Load()) == cur && !(l.sampleDue(cur) && l.sampleAndAdapt(cur)) {
-			l.settle(cur, &a)
-			l.presentToken = a.tok // Release's lane, in every mode
+			l.settleInstrumented(cur, &a)
 			acq.Acquired(contended)
 			return
 		}
@@ -568,8 +683,7 @@ func (l *Lock) tryLockInstrumented() bool {
 			return false
 		}
 		if Mode(l.lockType.Load()) == cur && !(l.sampleDue(cur) && l.sampleAndAdapt(cur)) {
-			l.settle(cur, &a)
-			l.presentToken = a.tok
+			l.settleInstrumented(cur, &a)
 			acq.Acquired(false)
 			return true
 		}
@@ -592,7 +706,7 @@ func (l *Lock) Unlock() {
 	if l.stats != nil {
 		// Record the hold sample while still holding: the hold timer is
 		// holder-only state.
-		l.stats.Release(l.presentToken)
+		l.stats.Release(l.lane)
 	}
 	l.ticket.Unlock()
 }
@@ -601,14 +715,15 @@ func (l *Lock) Unlock() {
 // present: the count taken in Lock/TryLock is repaid while still holding
 // the lock (presentToken is holder-only state).
 func (l *Lock) unlockCounted(m Mode) {
-	if l.acquiredMode != m {
+	st := l.adapt.Load()
+	if st == nil || st.acquiredMode != m {
 		panic("glk: Unlock of unlocked lock")
 	}
-	l.acquiredMode = 0
+	st.acquiredMode = 0
 	if l.stats != nil {
-		l.stats.Release(l.presentToken)
+		l.stats.Release(st.presentToken)
 	}
-	l.present.Add(l.presentToken, -1)
+	st.present.Add(st.presentToken, -1)
 	l.unlockLow(m)
 }
 
@@ -619,22 +734,28 @@ func (l *Lock) unlockCounted(m Mode) {
 // dereference the pointer after loading a mode word that was stored after
 // the pointer. Leaving ticket mode is also when arrivals start being
 // counted, so the presence spill is allocated here too: the counting never
-// writes the shared line that mcs waiters' neighbours read.
+// writes the lock's own line, which mcs waiters' neighbours read.
 func (l *Lock) ensureLow(m Mode) {
+	st := l.adapt.Load()
 	switch m {
 	case ModeTicket:
 		return
 	case ModeMCS:
-		if l.mcs.Load() == nil {
-			l.mcs.Store(locks.NewMCS())
+		if st.mcs.Load() == nil {
+			st.mcs.Store(locks.NewMCS())
 		}
 	case ModeMutex:
-		if l.mutex.Load() == nil {
-			l.mutex.Store(locks.NewMutex())
+		if st.mutex.Load() == nil {
+			st.mutex.Store(locks.NewMutex())
 		}
 	}
-	l.present.Inflate()
+	st.present.Inflate()
 }
+
+// mcs and mutex return the low-level locks of those modes; the caller has
+// read a mode word that names the one it asks for, so it exists.
+func (l *Lock) mcs() *locks.MCSLock     { return l.adapt.Load().mcs.Load() }
+func (l *Lock) mutex() *locks.MutexLock { return l.adapt.Load().mutex.Load() }
 
 // lockLow acquires the low-level lock for mode m.
 func (l *Lock) lockLow(m Mode) {
@@ -642,9 +763,9 @@ func (l *Lock) lockLow(m Mode) {
 	case ModeTicket:
 		l.ticket.Lock()
 	case ModeMCS:
-		l.mcs.Load().Lock()
+		l.mcs().Lock()
 	case ModeMutex:
-		l.mutex.Load().Lock()
+		l.mutex().Lock()
 	default:
 		panic(fmt.Sprintf("glk: corrupt mode %v (use glk.New)", m))
 	}
@@ -656,9 +777,9 @@ func (l *Lock) tryLockLow(m Mode) bool {
 	case ModeTicket:
 		return l.ticket.TryLock()
 	case ModeMCS:
-		return l.mcs.Load().TryLock()
+		return l.mcs().TryLock()
 	case ModeMutex:
-		return l.mutex.Load().TryLock()
+		return l.mutex().TryLock()
 	default:
 		panic(fmt.Sprintf("glk: corrupt mode %v (use glk.New)", m))
 	}
@@ -670,9 +791,9 @@ func (l *Lock) unlockLow(m Mode) {
 	case ModeTicket:
 		l.ticket.Unlock()
 	case ModeMCS:
-		l.mcs.Load().Unlock()
+		l.mcs().Unlock()
 	case ModeMutex:
-		l.mutex.Load().Unlock()
+		l.mutex().Unlock()
 	default:
 		panic(fmt.Sprintf("glk: corrupt mode %v (use glk.New)", m))
 	}
@@ -686,7 +807,11 @@ func (l *Lock) unlockLow(m Mode) {
 // gauge handed to telemetry; safe from any goroutine (unlike queueLenLow's
 // mcs traversal).
 func (l *Lock) presentNow() int64 {
-	return int64(l.ticket.QueueLen()) + l.present.Sum()
+	n := int64(l.ticket.QueueLen())
+	if st := l.adapt.Load(); st != nil {
+		n += st.present.Sum()
+	}
+	return n
 }
 
 // queueLenLow samples the low-level lock's own queue for mode m — the
@@ -697,13 +822,13 @@ func (l *Lock) queueLenLow(m Mode) int {
 	case ModeTicket:
 		return l.ticket.QueueLen()
 	case ModeMCS:
-		if q := l.mcs.Load(); q != nil {
-			return q.QueueLen()
+		if st := l.adapt.Load(); st != nil && st.mcs.Load() != nil {
+			return st.mcs.Load().QueueLen()
 		}
 		return 0
 	case ModeMutex:
-		if q := l.mutex.Load(); q != nil {
-			return q.QueueLen()
+		if st := l.adapt.Load(); st != nil && st.mutex.Load() != nil {
+			return st.mutex.Load().QueueLen()
 		}
 		return 0
 	default:
@@ -717,8 +842,8 @@ func (l *Lock) queueLenLow(m Mode) int {
 // it holds the lock — against sampleAt, by signed distance so that the
 // 32-bit wrap, and owner jumping over abandoned tickets or passes made under
 // a stale mode word, only ever make a sample due, never lose one: nothing is
-// written. In mcs and mutex modes, where the holder lines are written per
-// acquisition anyway, it is a countdown. Either is cheap enough to keep
+// written. In mcs and mutex modes, where the state's holder section is
+// written per acquisition anyway, it is a countdown. Either is cheap enough to keep
 // running when adaptation is disabled, so frozen locks still feed the queue
 // statistics. (Split from sampleAndAdapt so that the test inlines into the
 // acquisition loops and an acquisition between boundaries makes no call.)
@@ -726,8 +851,9 @@ func (l *Lock) sampleDue(cur Mode) bool {
 	if cur == ModeTicket {
 		return int32(l.ticket.Handoffs()-l.sampleAt) >= 0
 	}
-	l.sampleIn--
-	return l.sampleIn == 0
+	st := l.adapt.Load()
+	st.sampleIn--
+	return st.sampleIn == 0
 }
 
 // sampleAndAdapt is the statistics/adaptation step of a sampling boundary
@@ -736,20 +862,43 @@ func (l *Lock) sampleDue(cur Mode) bool {
 // returns true when the mode changed, in which case the caller must release
 // the low-level lock and restart (paper Figure 4, line 15). It is the only
 // writer of the mode word after construction (see the invariant on Lock).
+//
+// A lock with no adaptation state that finds nobody behind the holder does
+// the first of those only: the sample it skips is a queue of one, like
+// every sample before it, and no run of those changes the mode (Settings
+// that could are eager). The first boundary that does see a queue builds
+// the state and enters the skipped samples into it (prime).
 func (l *Lock) sampleAndAdapt(cur Mode) bool {
+	st := l.adapt.Load()
+	period := l.set.samplePeriod
 	if cur == ModeTicket {
-		// Fold the tickets served since the last boundary, this one
-		// included, into numAcquired (see acquired) and set the next one.
+		// The caller's own ticket, t, sets the clock to t + period and its
+		// base to t + 1. Once either goes round the 32-bit counter the lock
+		// needs a state: the skipped samples no longer follow from the
+		// clock, and the 2^32 the base drops are kept there (see acquired).
 		t := l.ticket.Handoffs()
-		l.numAcquired += uint64(t-l.sampleAt) + uint64(l.cfg.samplePeriod)
-		l.sampleAt = t + l.cfg.samplePeriod
+		next := t + period
+		if st == nil {
+			if l.ticket.QueueLen() <= 1 && next > l.sampleAt {
+				l.sampleAt = next
+				return false
+			}
+			st = l.state()
+		}
+		if !st.primed {
+			l.prime(st)
+		}
+		if t+1 < l.sampleAt-period+1 {
+			st.numAcquired += 1 << 32
+		}
+		l.sampleAt = next
 	} else {
-		l.sampleIn = l.cfg.samplePeriod
+		st.sampleIn = period
 	}
 
 	// The queue behind the lock, holder included.
 	var q int
-	if l.cfg.sampleLowLevelQueues {
+	if l.set.sampleLowLevelQueues {
 		q = l.queueLenLow(cur)
 	} else {
 		q = int(l.presentNow())
@@ -766,48 +915,48 @@ func (l *Lock) sampleAndAdapt(cur Mode) bool {
 	// distance until owner steps over it. So the departed are added only
 	// beyond the number of tickets waiting (the holder's own, in ticket
 	// mode, is not one of them) — merged by max, each departure counts once.
-	if ab := l.aborts.Load(); ab != l.lastAborts {
-		delta := int(min(ab-l.lastAborts, 64))
-		l.lastAborts = ab
+	if ab := st.aborts.Load(); ab != st.lastAborts {
+		delta := int(min(ab-st.lastAborts, 64))
+		st.lastAborts = ab
 		waiting := l.ticket.QueueLen()
 		if cur == ModeTicket {
 			waiting--
 		}
 		q += max(delta-max(waiting, 0), 0)
 	}
-	if q > int(l.periodMaxQ) {
-		l.periodMaxQ = uint8(min(q, 255)) // the deflation test is "≤ 1"; the clamp loses nothing
+	if q > int(st.periodMaxQ) {
+		st.periodMaxQ = uint8(min(q, 255)) // the deflation test is "≤ 1"; the clamp loses nothing
 	}
-	l.queueTotal += uint64(q)
-	l.queueEMA.Add(float64(q))
+	st.queueTotal += uint64(q)
+	st.queueEMA.Add(float64(q))
 
-	l.adaptIn--
-	if l.adaptIn != 0 {
+	st.adaptIn--
+	if st.adaptIn != 0 {
 		return false
 	}
-	l.adaptIn = l.cfg.adaptSamples
+	st.adaptIn = l.set.adaptSamples
 
 	// Footprint housekeeping, independent of the mode decision (it runs
 	// for frozen locks too, mirroring sampling): after deflateIdlePeriods
 	// fully-uncontended periods in ticket mode, fold the spill a spell in
 	// mcs or mutex mode left behind back into the inline cell. Stragglers
 	// still counted in it divert sum-exactly (stripe.Counter.Deflate).
-	if cur == ModeTicket && l.periodMaxQ <= 1 {
-		if l.idlePeriods < deflateIdlePeriods {
-			l.idlePeriods++
+	if cur == ModeTicket && st.periodMaxQ <= 1 {
+		if st.idlePeriods < deflateIdlePeriods {
+			st.idlePeriods++
 		}
-		if l.idlePeriods >= deflateIdlePeriods && l.present.Inflated() {
-			if l.present.Deflate() {
-				l.deflations++
+		if st.idlePeriods >= deflateIdlePeriods && st.present.Inflated() {
+			if st.present.Deflate() {
+				st.deflations++
 			}
-			l.idlePeriods = 0
+			st.idlePeriods = 0
 		}
 	} else {
-		l.idlePeriods = 0
+		st.idlePeriods = 0
 	}
-	l.periodMaxQ = 0
+	st.periodMaxQ = 0
 
-	if l.cfg.disableAdaptation {
+	if l.set.disableAdaptation {
 		return false
 	}
 	target, reason := l.decide(cur)
@@ -816,12 +965,12 @@ func (l *Lock) sampleAndAdapt(cur Mode) bool {
 	}
 	l.ensureLow(target)
 	l.lockType.Store(uint32(target))
-	l.transitions.Add(1)
+	st.transitions.Add(1)
 	if l.stats != nil {
 		l.stats.Transition(cur.String(), target.String(), reason)
 	}
-	if l.cfg.onTransition != nil {
-		l.cfg.onTransition(cur, target, reason)
+	if l.set.onTransition != nil {
+		l.set.onTransition(cur, target, reason)
 	}
 	return true
 }
@@ -829,8 +978,9 @@ func (l *Lock) sampleAndAdapt(cur Mode) bool {
 // decide picks the mode for the next adaptation period from the queue EMA
 // and the multiprogramming flag.
 func (l *Lock) decide(cur Mode) (Mode, string) {
-	avg := l.queueEMA.Value()
-	if !l.queueEMA.Seeded() {
+	ema := &l.adapt.Load().queueEMA
+	avg := ema.Value()
+	if !ema.Seeded() {
 		return cur, ""
 	}
 
@@ -845,7 +995,7 @@ func (l *Lock) decide(cur Mode) (Mode, string) {
 		// Contended locks must block; near-idle locks stay in ticket mode
 		// "in order to complete these critical sections as fast as
 		// possible" (paper §3).
-		if avg >= float64(l.cfg.mutexQueueFloor) {
+		if avg >= float64(l.set.mutexQueueFloor) {
 			return ModeMutex, fmt.Sprintf("multiprogramming (avg queue %.2f)", avg)
 		}
 		if cur != ModeTicket {
@@ -857,16 +1007,16 @@ func (l *Lock) decide(cur Mode) (Mode, string) {
 	// A reason is formatted only for a change of mode: an uncontended lock
 	// comes through here every adaptation period to be told "ticket" again.
 	switch {
-	case avg > float64(l.cfg.upThreshold):
+	case avg > float64(l.set.upThreshold):
 		if cur == ModeMCS {
 			return cur, ""
 		}
-		return ModeMCS, fmt.Sprintf("avg queue %.2f > %.2f", avg, l.cfg.upThreshold)
-	case avg < float64(l.cfg.downThreshold):
+		return ModeMCS, fmt.Sprintf("avg queue %.2f > %.2f", avg, l.set.upThreshold)
+	case avg < float64(l.set.downThreshold):
 		if cur == ModeTicket {
 			return cur, ""
 		}
-		return ModeTicket, fmt.Sprintf("avg queue %.2f < %.2f", avg, l.cfg.downThreshold)
+		return ModeTicket, fmt.Sprintf("avg queue %.2f < %.2f", avg, l.set.downThreshold)
 	default:
 		// Inside the hysteresis band: leaving mutex needs a decision even
 		// when the band says "keep". Mid-band contention maps to mcs.
@@ -889,30 +1039,40 @@ type Stats struct {
 }
 
 // Stats returns a racy snapshot of the lock's counters. Intended for
-// logging and tests, not for synchronisation decisions.
+// logging and tests, not for synchronisation decisions. A lock that never
+// built an adaptation state reports what its skipped samples would have
+// recorded: one queue of one per boundary passed.
 func (l *Lock) Stats() Stats {
-	return Stats{
-		Mode:        l.Mode(),
-		Acquired:    l.acquired(),
-		QueueEMA:    l.queueEMA.Value(),
-		QueueTotal:  l.queueTotal,
-		Transitions: uint64(l.transitions.Load()),
-		Aborts:      uint64(l.aborts.Load()),
-		Deflations:  uint64(l.deflations),
+	s := Stats{Mode: l.Mode(), Acquired: l.acquired()}
+	st := l.adapt.Load()
+	if st != nil && st.primed {
+		s.QueueTotal, s.QueueEMA = st.queueTotal, st.queueEMA.Value()
+	} else if n := l.skippedSamples(); n > 0 {
+		s.QueueTotal, s.QueueEMA = n, 1
 	}
+	if st != nil {
+		s.Transitions = uint64(st.transitions.Load())
+		s.Aborts = uint64(st.aborts.Load())
+		s.Deflations = uint64(st.deflations)
+	}
+	return s
 }
 
 // acquired derives the acquisition count. Ticket mode keeps no counter of
-// its own: every release advances owner, so the acquisitions since the last
-// fold are the distance owner has moved — less the abandoned tickets it
-// stepped over and the passes handed back unused (backOut). sampleAt −
-// SamplePeriod + 1 is the owner value numAcquired is folded up to; the
-// distance is signed because a boundary folds its own acquisition before
-// that one's release. Exact once the lock is at rest, a racy estimate while
-// it is in use.
+// its own: every release advances owner, so the acquisitions made in it are
+// the distance owner has moved — less the abandoned tickets it stepped over
+// and the passes handed back unused (backOut). The distance is taken from
+// the clock's base, sampleAt − SamplePeriod + 1, which a boundary sets to
+// just past its own ticket: signed, because that acquisition's release comes
+// after, and short, so it stays right when owner wraps. The base itself is
+// read as the count up to it; the 2^32 it drops each time round are added
+// to numAcquired by the boundary that sees it wrap. Exact once the lock is
+// at rest, a racy estimate while it is in use.
 func (l *Lock) acquired() uint64 {
-	unfolded := int32(l.ticket.Handoffs() - (l.sampleAt - l.cfg.samplePeriod + 1))
-	n := int64(l.numAcquired) + int64(unfolded) -
-		int64(l.ticketSkips.Load()) - int64(l.ticket.Abandons())
+	base := l.sampleAt - l.set.samplePeriod + 1
+	n := int64(base) + int64(int32(l.ticket.Handoffs()-base)) - int64(l.ticket.Abandons())
+	if st := l.adapt.Load(); st != nil {
+		n += int64(st.numAcquired) - int64(st.ticketSkips.Load())
+	}
 	return uint64(max(n, 0))
 }

@@ -22,12 +22,12 @@ func TestNewDefaults(t *testing.T) {
 	if got := l.Mode(); got != ModeTicket {
 		t.Fatalf("fresh lock mode = %v, want ticket", got)
 	}
-	if l.cfg.samplePeriod != DefaultSamplePeriod {
-		t.Fatalf("defaults not applied: %+v", l.cfg)
+	if l.set.samplePeriod != DefaultSamplePeriod {
+		t.Fatalf("defaults not applied: %+v", l.set)
 	}
-	if l.cfg.adaptSamples != 32 {
+	if l.set.adaptSamples != 32 {
 		t.Fatalf("default periods give %d samples per adaptation, paper wants 32",
-			l.cfg.adaptSamples)
+			l.set.adaptSamples)
 	}
 }
 

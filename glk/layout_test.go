@@ -14,93 +14,120 @@ import (
 
 // headLockBytes is the footprint of glk.Lock before lazy striping (PR 1's
 // eagerly-sectioned layout: 2 shared lines + holder line + ticket + mcs +
-// 2-line mutex + 8 presence stripes = 960 bytes). The ISSUE-3 acceptance
-// bar is an idle footprint at least 4× smaller, pinned here so a field
-// added in the wrong place fails tests, not a future capacity planning
-// exercise.
-const headLockBytes = 960
+// 2-line mutex + 8 presence stripes = 960 bytes); lazyStripedLockBytes the
+// three-line lock that replaced it (arrival line + two holder lines, 40 of
+// those bytes a per-lock copy of the config). Pinned here so a field added
+// in the wrong place fails tests, not a future capacity planning exercise.
+const (
+	headLockBytes        = 960
+	lazyStripedLockBytes = 192
+)
+
+// presentSum reads l's presence counter; a lock with no adaptation state
+// has counted nobody.
+func presentSum(l *Lock) int64 {
+	if st := l.adapt.Load(); st != nil {
+		return st.present.Sum()
+	}
+	return 0
+}
 
 // TestLockFootprint pins the compact layout: an idle (never-contended) lock
-// is exactly three cache lines — the shared arrival line plus two holder
-// lines — at least 4× below the eager-striping layout it replaced.
+// is exactly one cache line, a third of the lazily-striped layout and a
+// fifteenth of the eager one; the state a contended lock adds is whole
+// lines too.
 func TestLockFootprint(t *testing.T) {
 	got := unsafe.Sizeof(Lock{})
-	if want := uintptr(3 * pad.CacheLineSize); got != want {
-		t.Errorf("Lock is %d bytes, want %d (3 cache lines; DESIGN.md §8)", got, want)
+	if want := uintptr(pad.CacheLineSize); got != want {
+		t.Errorf("Lock is %d bytes, want %d (1 cache line; DESIGN.md §8)", got, want)
 	}
-	if got > headLockBytes/4 {
-		t.Errorf("Lock is %d bytes, above the ≥4× reduction bar (%d/4 = %d)",
-			got, headLockBytes, headLockBytes/4)
+	if got > lazyStripedLockBytes/3 || got > headLockBytes/15 {
+		t.Errorf("Lock is %d bytes, above a third of %d", got, lazyStripedLockBytes)
 	}
-	if s := unsafe.Sizeof(lockShared{}); s > pad.CacheLineSize {
-		t.Errorf("shared section is %d bytes, spills past its single line (%d)", s, pad.CacheLineSize)
+	if s := unsafe.Sizeof(adaptShared{}); s > pad.CacheLineSize {
+		t.Errorf("the state's arrival section is %d bytes, spills past its single line (%d)", s, pad.CacheLineSize)
 	}
-	if s := unsafe.Sizeof(lockHolder{}); s > 2*pad.CacheLineSize {
-		t.Errorf("holder section is %d bytes, spills past its two lines", s)
+	if s := unsafe.Sizeof(adaptState{}); s > 3*pad.CacheLineSize {
+		t.Errorf("adaptation state is %d bytes, more than the three lines a contended lock used to be", s)
 	}
 }
 
-// TestLockSectionsLineAligned pins the cache-line layout the Lock doc
-// comment promises, mirroring locks/layout_test.go: each section starts on
-// its own line, so a future field addition cannot silently put a
-// holder-side write back onto the line arriving goroutines read.
+// TestLockSectionsLineAligned pins the cache-line layout the Lock and
+// adaptState doc comments promise, mirroring locks/layout_test.go: the lock
+// is one whole line, and each section of the state starts on its own, so a
+// future field addition cannot silently put a holder-side write back onto
+// a line arriving goroutines read.
 func TestLockSectionsLineAligned(t *testing.T) {
 	var l Lock
 	if off := unsafe.Offsetof(l.lockType); off != 0 {
-		t.Errorf("lockType at offset %d, want 0 (head of the shared section)", off)
-	}
-	if off := unsafe.Offsetof(l.lockHolder); off%pad.CacheLineSize != 0 {
-		t.Errorf("holder section at offset %d, not %d-byte aligned", off, pad.CacheLineSize)
-	}
-	if off := unsafe.Offsetof(l.lockHolder); off/pad.CacheLineSize == 0 {
-		t.Error("holder section shares the shared section's cache line")
+		t.Errorf("lockType at offset %d, want 0 (head of the lock's line)", off)
 	}
 	if s := unsafe.Sizeof(l); s%pad.CacheLineSize != 0 {
 		t.Errorf("Lock is %d bytes, not a multiple of %d (heap slots would lose line alignment)", s, pad.CacheLineSize)
 	}
+	var st adaptState
+	if off := unsafe.Offsetof(st.adaptShared); off != 0 {
+		t.Errorf("the state's arrival section at offset %d, want 0", off)
+	}
+	if off := unsafe.Offsetof(st.adaptHolder); off%pad.CacheLineSize != 0 || off == 0 {
+		t.Errorf("the state's holder section at offset %d, want a later line boundary", off)
+	}
+	if s := unsafe.Sizeof(st); s%pad.CacheLineSize != 0 {
+		t.Errorf("adaptation state is %d bytes, not a multiple of %d", s, pad.CacheLineSize)
+	}
 }
 
 // TestHolderFieldsOffSharedLine verifies the separation the layout exists
-// for: the statistics the holder writes every critical section never share
-// a line with the mode word and ticket words every arrival touches.
+// for: the statistics the holder writes every critical section in mcs and
+// mutex modes are not in the Lock at all, and inside the adaptation state
+// they never share a line with what arrivals read there.
 func TestHolderFieldsOffSharedLine(t *testing.T) {
-	var l Lock
+	var st adaptState
 	line := func(off uintptr) uintptr { return off / pad.CacheLineSize }
-	sharedLine := line(unsafe.Offsetof(l.lockType))
+	arrivalLines := map[uintptr]string{
+		line(unsafe.Offsetof(st.mcs)):     "mcs",
+		line(unsafe.Offsetof(st.mutex)):   "mutex",
+		line(unsafe.Offsetof(st.present)): "present",
+	}
 	holderFields := map[string]uintptr{
-		"numAcquired":  unsafe.Offsetof(l.numAcquired),
-		"queueTotal":   unsafe.Offsetof(l.queueTotal),
-		"queueEMA":     unsafe.Offsetof(l.queueEMA),
-		"transitions":  unsafe.Offsetof(l.transitions),
-		"presentToken": unsafe.Offsetof(l.presentToken),
-		"sampleIn":     unsafe.Offsetof(l.sampleIn),
-		"acquiredMode": unsafe.Offsetof(l.acquiredMode),
-		"cfg":          unsafe.Offsetof(l.cfg),
+		"numAcquired":  unsafe.Offsetof(st.numAcquired),
+		"queueTotal":   unsafe.Offsetof(st.queueTotal),
+		"queueEMA":     unsafe.Offsetof(st.queueEMA),
+		"transitions":  unsafe.Offsetof(st.transitions),
+		"aborts":       unsafe.Offsetof(st.aborts),
+		"presentToken": unsafe.Offsetof(st.presentToken),
+		"sampleIn":     unsafe.Offsetof(st.sampleIn),
+		"adaptIn":      unsafe.Offsetof(st.adaptIn),
+		"acquiredMode": unsafe.Offsetof(st.acquiredMode),
+		"ticketSkips":  unsafe.Offsetof(st.ticketSkips),
+		"primed":       unsafe.Offsetof(st.primed),
 	}
 	for name, off := range holderFields {
-		if line(off) == sharedLine {
-			t.Errorf("holder-written field %s shares the arrival line", name)
+		if with, shared := arrivalLines[line(off)]; shared {
+			t.Errorf("holder-written field %s shares a line with %s, which arrivals read", name, with)
 		}
 	}
 }
 
-// TestSharedLineContents pins which fields cohabit the arrival line — a
+// TestSharedLineContents pins which fields make up the lock's one line — a
 // deliberate decision, not an accident (see the Lock doc comment): the mode
-// word, ticket words, stats pointer, deflated presence cell, and the lazy
-// lock pointers. Everything written per-acquisition on this line goes
-// quiet once the lock leaves the uncontended/pre-inflation regime.
+// word, the sampling clock, the ticket words, the stats, state and settings
+// pointers, the embedder's word and the telemetry lane. Nothing a lock in
+// ticket mode reads or writes per acquisition is anywhere else.
 func TestSharedLineContents(t *testing.T) {
 	var l Lock
-	line := func(off uintptr) uintptr { return off / pad.CacheLineSize }
-	for name, off := range map[string]uintptr{
-		"ticket":  unsafe.Offsetof(l.ticket),
-		"stats":   unsafe.Offsetof(l.stats),
-		"present": unsafe.Offsetof(l.present),
-		"mcs":     unsafe.Offsetof(l.mcs),
-		"mutex":   unsafe.Offsetof(l.mutex),
+	for name, f := range map[string]struct{ off, size uintptr }{
+		"lockType": {unsafe.Offsetof(l.lockType), unsafe.Sizeof(l.lockType)},
+		"sampleAt": {unsafe.Offsetof(l.sampleAt), unsafe.Sizeof(l.sampleAt)},
+		"ticket":   {unsafe.Offsetof(l.ticket), unsafe.Sizeof(l.ticket)},
+		"stats":    {unsafe.Offsetof(l.stats), unsafe.Sizeof(l.stats)},
+		"adapt":    {unsafe.Offsetof(l.adapt), unsafe.Sizeof(l.adapt)},
+		"set":      {unsafe.Offsetof(l.set), unsafe.Sizeof(l.set)},
+		"Aux":      {unsafe.Offsetof(l.Aux), unsafe.Sizeof(l.Aux)},
+		"lane":     {unsafe.Offsetof(l.lane), unsafe.Sizeof(l.lane)},
 	} {
-		if line(off) != line(unsafe.Offsetof(l.lockType)) {
-			t.Errorf("%s at offset %d left the shared line (the idle footprint depends on it fitting)", name, off)
+		if f.off+f.size > pad.CacheLineSize {
+			t.Errorf("%s at offset %d (+%d) left the lock's line (the idle footprint depends on it fitting)", name, f.off, f.size)
 		}
 	}
 }
@@ -212,7 +239,7 @@ func TestTicketModeCountsNobody(t *testing.T) {
 		l := New(cfg)
 		check := func(when string, wantQueue int64) {
 			t.Helper()
-			if n := l.present.Sum(); n != 0 {
+			if n := presentSum(l); n != 0 {
 				t.Fatalf("instrumented=%v, %s: presence counter reads %d, want 0", instrumented, when, n)
 			}
 			if l.PresenceInflated() {
@@ -227,6 +254,9 @@ func TestTicketModeCountsNobody(t *testing.T) {
 			check("holding after Lock", 1)
 			l.Unlock()
 			check("after Unlock", 0)
+		}
+		if l.adapt.Load() != nil {
+			t.Fatalf("instrumented=%v: an uncontended lock built its adaptation state", instrumented)
 		}
 		if !l.TryLock() {
 			t.Fatal("TryLock on a free lock failed")
@@ -256,24 +286,20 @@ func TestTicketModeCountsNobody(t *testing.T) {
 	}
 }
 
-// holderBytes copies the holder section of l.
-func holderBytes(l *Lock) [unsafe.Sizeof(lockHolder{})]byte {
-	return *(*[unsafe.Sizeof(lockHolder{})]byte)(unsafe.Pointer(&l.lockHolder))
-}
-
 // TestFastPathLeavesHolderLinesAlone pins what an uncontended ticket-mode
-// operation touches: between sampling boundaries Lock, TryLock and Unlock
-// store nothing outside the shared line — not a byte of the holder section
-// moves over SamplePeriod−1 acquisitions — and the clock they read sits on
-// the shared line too. The boundary acquisition is the one that writes.
+// operation touches: Lock, TryLock and Unlock store nothing outside the
+// lock's own line — there is nothing else: no adaptation state is built,
+// over sampling and adaptation boundaries alike — and between boundaries
+// they do not move the clock either, which sits on that line too. The
+// boundary acquisition is the one that writes it.
 func TestFastPathLeavesHolderLinesAlone(t *testing.T) {
 	const period = 50
-	l := New(&Config{Monitor: newTestMonitor(), SamplePeriod: period, AdaptPeriod: 4 * period})
+	l := New(&Config{Monitor: newTestMonitor(), SamplePeriod: period, AdaptPeriod: 2 * period})
 	if off := unsafe.Offsetof(l.sampleAt); off/pad.CacheLineSize != unsafe.Offsetof(l.lockType)/pad.CacheLineSize {
 		t.Errorf("sampleAt at offset %d: the per-acquisition clock read would pull in another line", off)
 	}
-	for round := 0; round < 3; round++ {
-		before := holderBytes(l)
+	for round := 0; round < 5; round++ {
+		before := l.sampleAt
 		for i := 0; i < period-1; i++ {
 			if i%2 == 0 {
 				l.Lock()
@@ -282,23 +308,27 @@ func TestFastPathLeavesHolderLinesAlone(t *testing.T) {
 			}
 			l.Unlock()
 		}
-		if holderBytes(l) != before {
-			t.Fatalf("round %d: the holder section changed between sampling boundaries", round)
+		if l.sampleAt != before {
+			t.Fatalf("round %d: the clock moved between sampling boundaries", round)
 		}
 		l.Lock()
 		l.Unlock()
-		if holderBytes(l) == before {
+		if l.sampleAt != before+period {
 			t.Fatalf("round %d: acquisition %d of the period did not sample", round, period)
 		}
+		if l.adapt.Load() != nil {
+			t.Fatalf("round %d: an uncontended lock built its adaptation state", round)
+		}
 	}
-	if got, want := l.Stats().Acquired, uint64(3*period); got != want {
+	if got, want := l.Stats().Acquired, uint64(5*period); got != want {
 		t.Fatalf("Acquired = %d, want %d", got, want)
 	}
 }
 
 // startTicketsAt moves a fresh lock's ticket words, and the clock that
-// follows them, to v — a long-lived lock's state without the 2^32
-// acquisitions. The words are locks.TicketCore's first two fields.
+// follows them, to v — the state of a lock that has made v uncontended
+// acquisitions, without making them. The words are locks.TicketCore's
+// first two fields.
 func startTicketsAt(l *Lock, v uint32) {
 	words := (*[2]atomic.Uint32)(unsafe.Pointer(&l.ticket))
 	words[0].Store(v)
@@ -313,14 +343,21 @@ func startTicketsAt(l *Lock, v uint32) {
 func TestTicketClockWraps(t *testing.T) {
 	const period = 37
 	l := New(&Config{Monitor: newTestMonitor(), SamplePeriod: period, AdaptPeriod: 3 * period})
-	startTicketsAt(l, ^uint32(0)-5*period/2)
-	n := uint64(0)
-	for ; n < 10*period; n++ {
+	const before uint64 = 1<<32 - 1 - 5*period/2
+	startTicketsAt(l, uint32(before))
+	samplesBefore := l.Stats().QueueTotal
+	n := before
+	for ; n < before+10*period; n++ {
 		if got := l.Stats().Acquired; got != n {
 			t.Fatalf("Acquired = %d after %d acquisitions (owner word %#x)", got, n, l.ticket.Handoffs())
 		}
-		if got := l.Stats().QueueTotal; got != n/period {
-			t.Fatalf("%d samples after %d acquisitions, want %d", got, n, n/period)
+		if got := l.Stats().QueueTotal - samplesBefore; got != (n-before)/period {
+			t.Fatalf("%d samples after %d acquisitions, want %d", got, n-before, (n-before)/period)
+		}
+		// An uncontended lock needs no state until its clock is set past
+		// the wrap, by the last boundary before it.
+		if n+period < 1<<32 && l.adapt.Load() != nil {
+			t.Fatalf("adaptation state built %d acquisitions before the wrap", 1<<32-n)
 		}
 		if n%3 == 0 {
 			if !l.TryLock() {
@@ -375,7 +412,7 @@ func TestInitialModePreInflates(t *testing.T) {
 		l.Lock()
 		l.Unlock()
 	}
-	if l := New(&Config{Monitor: newTestMonitor()}); l.mcs.Load() != nil || l.mutex.Load() != nil {
-		t.Error("ticket-mode lock eagerly allocated mcs/mutex low-level locks")
+	if l := New(&Config{Monitor: newTestMonitor()}); l.adapt.Load() != nil {
+		t.Error("ticket-mode lock eagerly built its adaptation state")
 	}
 }

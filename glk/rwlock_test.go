@@ -439,7 +439,7 @@ func TestExclusiveLockDeflatesWhenIdle(t *testing.T) {
 		t.Fatalf("Stats.Deflations = %d, want 1", got)
 	}
 	mcsSpell(t, l) // round trip: leaving ticket mode again re-inflates
-	if n := l.present.Sum(); n != 0 {
+	if n := presentSum(l); n != 0 {
 		t.Fatalf("presence counter reads %d at rest after the round trip", n)
 	}
 	l.Lock()

@@ -12,7 +12,9 @@ import (
 // "Lock-cache Optimization": it remembers the last (key, lock) pair it
 // touched, so the common pattern — acquire a lock and release that same lock
 // with no other lock in between — skips the hash-table lookup entirely, and
-// repeated use of one lock hits the cache on the lock side too.
+// repeated use of one lock hits the cache on the lock side too. What it
+// remembers is the table entry, which for a default key is the lock (see
+// entry): a hit is one load of the line it then locks, and a direct call.
 //
 // The paper caches per thread; goroutines have no cheap identity, so the
 // cache lives in an explicit handle instead (see DESIGN.md). Create one
@@ -46,18 +48,14 @@ type Handle struct {
 }
 
 // handleCache is the populated part of a Handle (same idiom as
-// entry/entryHeader).
+// entry/entryStats).
 type handleCache struct {
 	s       *Service
 	lastKey uint64
-	// last is the entry lastKey resolved to, consulted only for its dead
-	// mark; lastLock and lastRW are its two interfaces, copied beside it so
-	// a hit reaches the lock object without a dependent load through the
-	// entry. lastRW is nil for an exclusive key, so RLock/RUnlock share the
-	// one slot with Lock/Unlock.
-	last     *entry
-	lastLock locks.Lock
-	lastRW   locks.RWLock
+	// last is the entry lastKey resolved to. For a default key it is the
+	// lock, so a hit tests the dead mark on the very line it then locks;
+	// for any other key that line holds the lock's interfaces.
+	last *entry
 	// misses counts every lookup that had to resolve through the table,
 	// including each key's first use. A handle is single-goroutine by
 	// contract, so this is a plain field.
@@ -70,19 +68,12 @@ func (s *Service) NewHandle() *Handle {
 }
 
 // cacheHit reports whether the cached entry may be used for key: it is
-// key's, and no Free has retired it (entryHeader.dead). The key compare goes
+// key's, and no Free has retired it (entryDead). The key compare goes
 // first: a miss then costs one compare, and with the nil test ahead of it
 // two workers walking shuffled keys ran 6 % slower (86 against 79–81 ns/op
 // over 20 alternating runs).
 func (h *Handle) cacheHit(key uint64) bool {
-	return key == h.lastKey && h.last != nil && !h.last.dead.Load()
-}
-
-// cacheStore records a resolved entry. One that a Free is retiring right
-// now is stored like any other: it is dead already, or will be before the
-// key can map a successor.
-func (h *Handle) cacheStore(key uint64, e *entry) {
-	h.lastKey, h.last, h.lastLock, h.lastRW = key, e, e.lock, e.rw
+	return key == h.lastKey && h.last != nil && !h.last.dead()
 }
 
 // CacheMisses reports how many lookups through this handle missed the
@@ -93,47 +84,77 @@ func (h *Handle) cacheStore(key uint64, e *entry) {
 // reports the rate).
 func (h *Handle) CacheMisses() uint64 { return h.misses }
 
-// lookup resolves key via the one-entry cache, creating the entry on a
-// first use. A Free racing the acquisition itself (resolve, then the lock
-// is freed and the key remapped before Lock returns) is the caller's
-// lifecycle hazard, with or without a handle, exactly as in the paper.
-func (h *Handle) lookup(key uint64) locks.Lock {
-	if h.cacheHit(key) {
-		return h.lastLock
-	}
+// A Handle operation resolves its entry in one step — cacheHit, which
+// inlines, and on a miss one of the functions below: miss to acquire,
+// missHeld to release, rw and heldRW for the read side — and then calls
+// the lock the entry holds, directly when that is the entry's own. An
+// entry that a Free is retiring right now is cached like any other: it is
+// dead already, or will be before the key can map a successor.
+
+// miss resolves key for an acquisition through the table, creating the
+// default GLK key on a first use. A Free racing the acquisition itself
+// (resolve, then the lock is freed and the key remapped before Lock
+// returns) is the caller's lifecycle hazard, with or without a handle,
+// exactly as in the paper.
+func (h *Handle) miss(key uint64) *entry {
 	h.misses++
-	e, _ := h.s.entryIn(h.s.shardOf(key), key, algoGLK)
-	h.cacheStore(key, e)
-	return e.lock
+	e := h.s.tableFor(key).Get(key)
+	if e == nil {
+		e, _ = h.s.entryFor(key, algoGLK)
+	}
+	h.lastKey, h.last = key, e
+	return e
+}
+
+// entry is the acquisition-side resolve step as a function, for the bounded
+// acquisitions (service_ctx.go). Lock and TryLock spell it out: at cost 102
+// against the inliner's 80 it would be a frame on every hit.
+func (h *Handle) entry(key uint64) *entry {
+	if h.cacheHit(key) {
+		return h.last
+	}
+	return h.miss(key)
 }
 
 // Lock acquires the GLK lock for key.
 func (h *Handle) Lock(key uint64) {
-	h.lookup(key).Lock()
+	e := h.last
+	if !h.cacheHit(key) {
+		e = h.miss(key)
+	}
+	if e.inline() {
+		e.lk.Lock()
+	} else {
+		e.boxed().lock.Lock()
+	}
 }
 
 // TryLock try-acquires the GLK lock for key.
 func (h *Handle) TryLock(key uint64) bool {
-	return h.lookup(key).TryLock()
+	e := h.last
+	if !h.cacheHit(key) {
+		e = h.miss(key)
+	}
+	if e.inline() {
+		return e.lk.TryLock()
+	}
+	return e.boxed().lock.TryLock()
 }
 
-// lookupExisting resolves key via the cache without ever creating an
-// entry, for the release path: a miss that finds no mapping is a caller
-// bug, not a first use. It panics with Service.Unlock's fast-path message;
-// unlike Service.Unlock it panics even when the service runs in debug mode
-// — handles bypass the debug checks by design (see the Handle doc), so
-// there is no reporter to hand the issue to.
-func (h *Handle) lookupExisting(key uint64) locks.Lock {
-	if h.cacheHit(key) {
-		return h.lastLock
-	}
+// missHeld resolves key for a release through the table, never creating an
+// entry: a miss that finds no mapping is a caller bug, not a first use. It
+// panics with Service.Unlock's (or RUnlock's) fast-path message; unlike the
+// service it panics even in debug mode — handles bypass the debug checks by
+// design (see the Handle doc), so there is no reporter to hand the issue
+// to.
+func (h *Handle) missHeld(key uint64, op string) *entry {
 	h.misses++
 	e := h.s.tableFor(key).Get(key)
 	if e == nil {
-		panic(fmt.Sprintf("gls: Unlock(%#x): key was never locked", key))
+		panic(fmt.Sprintf("gls: %s(%#x): key was never locked", op, key))
 	}
-	h.cacheStore(key, e)
-	return e.lock
+	h.lastKey, h.last = key, e
+	return e
 }
 
 // Unlock releases the lock for key. With no lock nesting this always hits
@@ -142,59 +163,69 @@ func (h *Handle) lookupExisting(key uint64) locks.Lock {
 // table without creating an entry, so the handle cannot conjure (and then
 // corrupt) a fresh lock the way releasing through a creating lookup would.
 func (h *Handle) Unlock(key uint64) {
-	h.lookupExisting(key).Unlock()
-}
-
-// lookupRW resolves key's reader-writer lock via the one-entry cache,
-// creating the entry (adaptive glsrw default) on a first use. It panics
-// when the key is mapped to an exclusive lock, like Service.RLock.
-func (h *Handle) lookupRW(key uint64) locks.RWLock {
-	if h.cacheHit(key) && h.lastRW != nil {
-		return h.lastRW
+	e := h.last
+	if !h.cacheHit(key) {
+		e = h.missHeld(key, "Unlock")
 	}
-	h.misses++
-	e, _ := h.s.entryForRW(key, algoGLKRW)
-	h.cacheStore(key, e)
-	return e.rw
+	if e.inline() {
+		e.lk.Unlock()
+	} else {
+		e.boxed().lock.Unlock()
+	}
 }
 
-// lookupExistingRW is lookupRW's release-path twin: a miss that finds no
-// mapping (or an exclusive mapping) is a caller bug, never a first use.
-func (h *Handle) lookupExistingRW(key uint64) locks.RWLock {
-	if h.cacheHit(key) && h.lastRW != nil {
-		return h.lastRW
+// rw resolves key's reader-writer lock for an acquisition, creating the
+// entry (adaptive glsrw default) on a first use. It panics when the key is
+// mapped to an exclusive lock, like Service.RLock.
+func (h *Handle) rw(key uint64) locks.RWLock {
+	if h.cacheHit(key) {
+		if rw := h.last.rwLock(); rw != nil {
+			return rw
+		}
 	}
 	h.misses++
 	e := h.s.tableFor(key).Get(key)
-	if e == nil {
-		panic(fmt.Sprintf("gls: RUnlock(%#x): key was never locked", key))
+	if e == nil || e.rwLock() == nil {
+		e, _ = h.s.entryForRW(key, algoGLKRW)
 	}
-	if e.rw == nil {
+	h.lastKey, h.last = key, e
+	return e.boxed().rw
+}
+
+// heldRW is rw's release-path twin: a miss that finds no mapping (or an
+// exclusive mapping) is a caller bug, never a first use.
+func (h *Handle) heldRW(key uint64) locks.RWLock {
+	if h.cacheHit(key) {
+		if rw := h.last.rwLock(); rw != nil {
+			return rw
+		}
+	}
+	rw := h.missHeld(key, "RUnlock").rwLock()
+	if rw == nil {
 		panic(fmt.Sprintf("gls: RUnlock(%#x): key is mapped to an exclusive lock", key))
 	}
-	h.cacheStore(key, e)
-	return e.rw
+	return rw
 }
 
 // RLock acquires a read share of the reader-writer lock for key.
 func (h *Handle) RLock(key uint64) {
-	h.lookupRW(key).RLock()
+	h.rw(key).RLock()
 }
 
 // TryRLock try-acquires a read share of the reader-writer lock for key.
 func (h *Handle) TryRLock(key uint64) bool {
-	return h.lookupRW(key).TryRLock()
+	return h.rw(key).TryRLock()
 }
 
 // RUnlock releases a read share of the lock for key. With no lock nesting
 // this always hits the cache, exactly like Unlock.
 func (h *Handle) RUnlock(key uint64) {
-	h.lookupExistingRW(key).RUnlock()
+	h.heldRW(key).RUnlock()
 }
 
 // Invalidate drops the cached entry. Since Free already marks it dead, this
 // is only needed when the caller wants to drop the reference to the lock
 // object itself (e.g. to let a freed lock be collected promptly).
 func (h *Handle) Invalidate() {
-	h.lastKey, h.last, h.lastLock, h.lastRW = 0, nil, nil, nil
+	h.lastKey, h.last = 0, nil
 }

@@ -23,12 +23,12 @@ func TestHandleCacheHit(t *testing.T) {
 	h := s.NewHandle()
 	h.Lock(9)
 	h.Unlock(9)
-	if h.lastKey != 9 || h.lastLock == nil {
+	if h.lastKey != 9 || h.last == nil {
 		t.Fatal("cache not populated")
 	}
-	cached := h.lastLock
+	cached := h.last
 	h.Lock(9) // must reuse the cached lock
-	if h.lastLock != cached {
+	if h.last != cached {
 		t.Fatal("cache miss on repeated key")
 	}
 	h.Unlock(9)
@@ -39,10 +39,10 @@ func TestHandleCacheUpdatesOnNewKey(t *testing.T) {
 	h := s.NewHandle()
 	h.Lock(1)
 	h.Unlock(1)
-	first := h.lastLock
+	first := h.last
 	h.Lock(2)
 	h.Unlock(2)
-	if h.lastKey != 2 || h.lastLock == first {
+	if h.lastKey != 2 || h.last == first {
 		t.Fatal("cache not updated on new key")
 	}
 }
@@ -202,7 +202,7 @@ func TestHandleUnlockMissResolvesExistingLock(t *testing.T) {
 	s.Lock(42)
 	h := s.NewHandle()
 	h.Unlock(42)
-	if h.lastKey != 42 || h.lastLock == nil {
+	if h.lastKey != 42 || h.last == nil {
 		t.Fatal("Unlock miss did not populate the cache")
 	}
 	h.Lock(42) // must hit the cache and the same lock
@@ -215,7 +215,7 @@ func TestHandleInvalidate(t *testing.T) {
 	h.Lock(3)
 	h.Unlock(3)
 	h.Invalidate()
-	if h.lastKey != 0 || h.lastLock != nil {
+	if h.lastKey != 0 || h.last != nil {
 		t.Fatal("Invalidate left cache populated")
 	}
 	h.Lock(3) // must re-resolve without issue

@@ -1,6 +1,7 @@
 package gls
 
 import (
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -17,32 +18,88 @@ func TestShardLayout(t *testing.T) {
 	}
 }
 
-// TestEntryLayout pins the entry padding invariants (see the entry doc
-// comment): the read-mostly header the lookup path touches never shares a
-// cache line with the debug/profile accumulators, the dead mark every
-// Handle hit loads sits on that header line (it took the line's spare
-// bytes: the entry did not grow), and the entry is a whole number of lines
-// so heap slots stay line-aligned.
+// TestEntryLayout pins the entry's two lines (see the entry doc comment):
+// the first is the lock — its arrival words with the flag word every
+// look-up and every Handle hit loads among them — the second the words a
+// holder, a pinner or the debugger writes, so neither of those ever dirties
+// the line a look-up ends on; the boxed layout agrees with it on everything
+// both have; and the entry is exactly two lines, so heap slots stay
+// line-aligned.
 func TestEntryLayout(t *testing.T) {
 	var e entry
-	if end := unsafe.Offsetof(e.dead) + unsafe.Sizeof(e.dead); end > pad.CacheLineSize {
-		t.Errorf("dead ends at offset %d, past the header's first line", end)
+	if off := unsafe.Offsetof(e.lk); off != 0 {
+		t.Errorf("the lock at offset %d, want 0: the slot's pointer is the lock's", off)
 	}
-	if off := unsafe.Offsetof(e.entryHeader); off != 0 {
-		t.Errorf("entryHeader at offset %d, want 0", off)
+	if s := unsafe.Sizeof(e.lk); s != pad.CacheLineSize {
+		t.Errorf("the lock is %d bytes, want the first line exactly", s)
 	}
-	statsOff := unsafe.Offsetof(e.entryStats)
-	if statsOff%pad.CacheLineSize != 0 {
-		t.Errorf("entryStats at offset %d, not %d-byte aligned", statsOff, pad.CacheLineSize)
+	if end := auxOffset + unsafe.Sizeof(e.lk.Aux); end > pad.CacheLineSize {
+		t.Errorf("the flag word ends at offset %d, past the first line", end)
 	}
-	headerEnd := unsafe.Sizeof(entryHeader{})
-	if statsOff/pad.CacheLineSize <= (headerEnd-1)/pad.CacheLineSize {
-		t.Errorf("entryStats (offset %d) shares a cache line with the header (%d bytes)",
-			statsOff, headerEnd)
+	for name, off := range map[string]uintptr{
+		"key":   unsafe.Offsetof(e.key),
+		"owner": unsafe.Offsetof(e.owner),
+		"pins":  unsafe.Offsetof(e.pins),
+		"seq":   unsafe.Offsetof(e.seq),
+	} {
+		if off/pad.CacheLineSize != 1 {
+			t.Errorf("%s at offset %d, want it on the second line", name, off)
+		}
 	}
 	if s := unsafe.Sizeof(e); s != 2*pad.CacheLineSize {
-		t.Errorf("entry is %d bytes, want %d (a header line and a stats line)", s, 2*pad.CacheLineSize)
+		t.Errorf("entry is %d bytes, want %d (the lock's line and the holder's)", s, 2*pad.CacheLineSize)
 	}
+
+	var b boxedEntry
+	if off := unsafe.Offsetof(b.flags); off != auxOffset {
+		t.Errorf("boxed flag word at offset %d, the inline one at %d", off, auxOffset)
+	}
+	if end := unsafe.Sizeof(b.boxedHead); end > auxOffset {
+		t.Errorf("boxed head is %d bytes, runs into the flag word at %d", end, auxOffset)
+	}
+	if a, b := unsafe.Offsetof(e.entryStats), unsafe.Offsetof(b.entryStats); a != b {
+		t.Errorf("second line at offset %d inline, %d boxed", a, b)
+	}
+	if s := unsafe.Sizeof(b); s != unsafe.Sizeof(e) {
+		t.Errorf("boxed entry is %d bytes, inline %d", s, unsafe.Sizeof(e))
+	}
+	if EntryBytes != unsafe.Sizeof(e) {
+		t.Errorf("EntryBytes = %d, an entry is %d", EntryBytes, unsafe.Sizeof(e))
+	}
+}
+
+// TestDefaultKeyIsOneObject pins what the layout buys: creating a default
+// key is one heap allocation (entry and lock were two), and a table of them
+// costs its entries plus the clht bucket share and nothing per key besides.
+func TestDefaultKeyIsOneObject(t *testing.T) {
+	const n = 100_000
+	svc := New(Options{SizeHint: 2 * n})
+	defer svc.Close()
+	key := uint64(n)
+	if got := testing.AllocsPerRun(1000, func() {
+		key++
+		svc.InitLock(key)
+	}); got != 1 {
+		t.Errorf("InitLock of a fresh key makes %.0f heap objects, want 1", got)
+	}
+
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	svc2 := New(Options{SizeHint: n})
+	defer svc2.Close()
+	before := heap()
+	for k := uint64(1); k <= n; k++ {
+		svc2.InitLock(k)
+	}
+	perKey := float64(heap()-before) / n
+	if limit := float64(EntryBytes + 48); perKey > limit {
+		t.Errorf("%d default keys cost %.0f B/key, want ≤ %.0f (the entry plus the bucket share)", n, perKey, limit)
+	}
+	runtime.KeepAlive(svc2)
 }
 
 // TestHandleLayout pins the Handle's padding (see its last field): two

@@ -64,20 +64,20 @@ func (s *Service) pinWith(a locks.Algorithm, key uint64) Pin {
 }
 
 // TryLock try-acquires the pinned lock.
-func (p Pin) TryLock() bool { return p.e.lock.TryLock() }
+func (p Pin) TryLock() bool { return p.e.exclusive().TryLock() }
 
 // LockCtx acquires the pinned lock, giving up when ctx fires while queued;
 // the contract is Service.LockCtx's (the grant beats the abort, and a
 // context that can never fire takes the plain blocking path).
 func (p Pin) LockCtx(ctx context.Context) error {
-	if c := cancelFromCtx(ctx); !locks.LockWithCancel(p.e.lock, c) {
+	if c := cancelFromCtx(ctx); !locks.LockWithCancel(p.e.exclusive(), c) {
 		return abortErr(ctx, c)
 	}
 	return nil
 }
 
 // Unlock releases the pinned lock.
-func (p Pin) Unlock() { p.e.lock.Unlock() }
+func (p Pin) Unlock() { p.e.exclusive().Unlock() }
 
 // NextSeq advances the key's sequence and returns the new value. The caller
 // must hold the pinned lock: values are then handed out in grant order and

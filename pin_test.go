@@ -160,12 +160,15 @@ func TestPinWithAlgorithm(t *testing.T) {
 	const key = 0xa190
 
 	first := s.PinWith(locks.Mutex, key)
-	if _, ok := first.e.lock.(*locks.MutexLock); !ok || first.e.algo != locks.Mutex {
-		t.Fatalf("PinWith(Mutex) created %T (algo %v)", first.e.lock, first.e.algo)
+	if first.e.inline() {
+		t.Fatal("PinWith(Mutex) created a default key")
+	}
+	if _, ok := first.e.boxed().lock.(*locks.MutexLock); !ok || first.e.algo() != locks.Mutex {
+		t.Fatalf("PinWith(Mutex) created %T (algo %v)", first.e.boxed().lock, first.e.algo())
 	}
 	for name, p := range map[string]Pin{"Pin": s.Pin(key), "PinWith(MCS)": s.PinWith(locks.MCS, key)} {
 		if p.e != first.e {
-			t.Errorf("%s of a mapped key resolved a second object (%T)", name, p.e.lock)
+			t.Errorf("%s of a mapped key resolved a second object (%p, not %p)", name, p.e, first.e)
 		}
 		p.Unpin()
 	}
@@ -184,8 +187,8 @@ func TestPinWithAlgorithm(t *testing.T) {
 
 	// Next incarnation: the algorithm is chosen again, the sequence is not.
 	next := s.PinWith(locks.Ticket, key)
-	if next.e == first.e || next.e.algo != locks.Ticket {
-		t.Fatalf("PinWith(Ticket) after the free: same entry %v, algo %v", next.e == first.e, next.e.algo)
+	if next.e == first.e || next.e.algo() != locks.Ticket {
+		t.Fatalf("PinWith(Ticket) after the free: same entry %v, algo %v", next.e == first.e, next.e.algo())
 	}
 	if !next.TryLock() {
 		t.Fatal("next incarnation not acquirable")
@@ -226,8 +229,8 @@ func TestLastUnpinInvalidatesHandle(t *testing.T) {
 	}
 	old := h.last
 	p2.Unpin()
-	if n := s.Locks(); n != 0 || !old.dead.Load() {
-		t.Fatalf("after the last Unpin: Locks() = %d, dead = %v; want 0, true", n, old.dead.Load())
+	if n := s.Locks(); n != 0 || !old.dead() {
+		t.Fatalf("after the last Unpin: Locks() = %d, dead = %v; want 0, true", n, old.dead())
 	}
 	use()
 	use()

@@ -115,12 +115,51 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// entryHeader is the read-mostly part of an entry: written once at creation
-// and once more, dead alone, when the key is freed; otherwise only read (by
-// every Lock/Unlock that resolves the key and every Handle hit).
-type entryHeader struct {
-	key  uint64
-	algo locks.Algorithm // algoGLK or the explicit algorithm (exclusive keys)
+// An entry's flag word says which of the two layouts a table slot points
+// at and whether it is still mapped. It sits where glk.Lock keeps the word
+// it leaves to its embedder, in both layouts, so every look-up learns both
+// facts from the one line it is about to use. The zero word is a live
+// default key.
+const (
+	// entryBoxed: the object is a boxedEntry, its lock behind an interface.
+	// Set before the entry is published and never changed.
+	entryBoxed uint32 = 1 << iota
+	// entryDead is set, and never cleared, when the entry is taken out of
+	// the table: retire is its only writer. A Handle trusts its cached
+	// entry exactly while this is clear, so a Free invalidates the handles
+	// caching that key and no others.
+	entryDead
+)
+
+// entry is what a table slot points at, and for a key created through the
+// default surface — GLK, exclusive: Lock, TryLock, InitLock, LockMany, a
+// Handle, Pin — it is the lock itself: one 128-byte object whose first line
+// is the glk.Lock (mode word, sampling clock, ticket words, the pointers to
+// what a contended lock builds later, and the flag word in Aux) and whose
+// second holds the words only a holder, a pinner or the debugger writes.
+// A look-up therefore ends on the line the acquisition is about to write:
+// bucket → lock, with a call to a concrete *glk.Lock and no interface in
+// between, and the dead mark a Handle hit tests is on that line too. The
+// two lines never mix their writers — §3.2's false-sharing rule, applied to
+// the table values — and the entry is whole lines, which the allocator's
+// 128-byte size class also aligns (layout_test.go pins all of it).
+//
+// Every other species — an explicit algorithm (LockWith, PinWith), a
+// reader-writer key, any of them wrapped for telemetry — is a boxedEntry
+// behind the same pointer type: same size, same second line, same flag
+// word, and a first line that holds the lock's interfaces instead of a
+// lock. Nothing but the flag word may be read through lk until it says
+// which one this is; the methods below are the only code that looks.
+type entry struct {
+	lk glk.Lock
+	entryStats
+	_ [(pad.CacheLineSize - unsafe.Sizeof(entryStats{})%pad.CacheLineSize) % pad.CacheLineSize]byte
+}
+
+// boxedHead is the first line of a boxedEntry up to the flag word: written
+// once at creation, then only read (by every operation that resolves the
+// key).
+type boxedHead struct {
 	lock locks.Lock
 
 	// rw is non-nil exactly when the key was introduced through the
@@ -130,20 +169,39 @@ type entryHeader struct {
 	// algoGLKRW or the explicit RW algorithm. A key's species — exclusive
 	// or RW — is decided at first use, like its algorithm.
 	rw     locks.RWLock
+	algo   locks.Algorithm // the explicit algorithm of an exclusive key
 	rwalgo locks.RWAlgorithm
-
-	// dead is set, and never cleared, when the entry is taken out of the
-	// table: retire is its only writer. A Handle trusts its cached entry
-	// exactly while this reads false, so a Free invalidates the handles
-	// caching that key and no others.
-	dead atomic.Bool
 }
 
-// entryStats is the mutable part of an entry: the debug owner word and the
-// key-lifetime words behind Pin (pin.go). The profile-mode accumulators
-// that used to live here moved into the telemetry subsystem (each lock's
-// LockStats).
+// auxOffset is where the flag word sits in either layout.
+const auxOffset = unsafe.Offsetof(entry{}.lk.Aux)
+
+// boxedEntry is the entry of a key whose lock is not the inline GLK lock.
+// The pads put flags at auxOffset and the second line where entry has it;
+// a head that outgrows its room does not compile.
+type boxedEntry struct {
+	boxedHead
+	_     [auxOffset - unsafe.Sizeof(boxedHead{})]byte
+	flags atomic.Uint32
+	_     [pad.CacheLineSize - auxOffset - unsafe.Sizeof(atomic.Uint32{})]byte
+	entryStats
+	_ [(pad.CacheLineSize - unsafe.Sizeof(entryStats{})%pad.CacheLineSize) % pad.CacheLineSize]byte
+}
+
+// Both directions must be non-negative: the two layouts are the same size
+// and keep their second line at the same offset.
+var (
+	_ [unsafe.Sizeof(entry{}) - unsafe.Sizeof(boxedEntry{})]byte
+	_ [unsafe.Sizeof(boxedEntry{}) - unsafe.Sizeof(entry{})]byte
+	_ [unsafe.Offsetof(entry{}.entryStats) - unsafe.Offsetof(boxedEntry{}.entryStats)]byte
+	_ [unsafe.Offsetof(boxedEntry{}.entryStats) - unsafe.Offsetof(entry{}.entryStats)]byte
+)
+
+// entryStats is the second line of either layout: the key, the debug owner
+// word and the key-lifetime words behind Pin (pin.go).
 type entryStats struct {
+	key uint64
+
 	// owner is the goroutine currently holding the lock (0 = free).
 	// Maintained only in debug mode.
 	owner atomic.Uint64
@@ -155,25 +213,57 @@ type entryStats struct {
 	seq  atomic.Uint64
 }
 
-// entry is the lock object a key maps to, plus its debug metadata. The
-// header and the stats are separated by a full line of padding so the
-// (key, lock) words the lookup path reads never share a cache line with the
-// owner word the debug path writes — otherwise every debug-mode acquisition
-// would invalidate the line every other goroutine needs just to find its
-// lock (§3.2's false-sharing rule, applied to the table values). The
-// trailing pad keeps the entry a whole number of lines so heap slots stay
-// line-aligned; layout_test.go pins both invariants.
-type entry struct {
-	entryHeader
-	_ [(pad.CacheLineSize - unsafe.Sizeof(entryHeader{})%pad.CacheLineSize) % pad.CacheLineSize]byte
-	entryStats
-	_ [(pad.CacheLineSize - unsafe.Sizeof(entryStats{})%pad.CacheLineSize) % pad.CacheLineSize]byte
+// asEntry is the table's view of a boxed entry.
+func (b *boxedEntry) asEntry() *entry { return (*entry)(unsafe.Pointer(b)) }
+
+// boxed is e's real layout once its flag word has said entryBoxed.
+func (e *entry) boxed() *boxedEntry { return (*boxedEntry)(unsafe.Pointer(e)) }
+
+// inline reports whether e is a default key, whose lock is e.lk.
+func (e *entry) inline() bool { return e.lk.Aux.Load()&entryBoxed == 0 }
+
+// dead reports whether e has been retired.
+func (e *entry) dead() bool { return e.lk.Aux.Load()&entryDead != 0 }
+
+// markDead retires e. The species bit beside the mark never changes, so
+// racing retirers store the same word.
+func (e *entry) markDead() { e.lk.Aux.Store(e.lk.Aux.Load() | entryDead) }
+
+// exclusive returns whichever lock e holds as an interface — for an RW key
+// its write side. It is for the paths where an indirect call is noise: the
+// debugger, batches, pins, bounded waits, first uses. The six operations
+// whose whole cost is the look-up (Lock, TryLock and Unlock, here and on
+// Handle) test inline themselves and call e.lk directly.
+func (e *entry) exclusive() locks.Lock {
+	if e.inline() {
+		return &e.lk
+	}
+	return e.boxed().lock
 }
 
-// EntryBytes is the inline size of one table entry (key, algorithm tag,
-// lock interface header, debug owner word, line padding) — the per-key
-// table cost on top of the lock object itself, exported for footprint
-// accounting (glsbench -cardinality).
+// rwLock returns e's reader-writer lock, nil when the key is exclusive.
+func (e *entry) rwLock() locks.RWLock {
+	if e.inline() {
+		return nil
+	}
+	return e.boxed().rw
+}
+
+// algo returns the algorithm tag of e's exclusive side: algoGLK for a
+// default key (and for an RW key, which has none).
+func (e *entry) algo() locks.Algorithm {
+	if e.inline() {
+		return algoGLK
+	}
+	return e.boxed().algo
+}
+
+// EntryBytes is the size of one table entry, in either layout. For a key
+// created through the default surface that is the whole key — entry and
+// lock are one object, and stay so until the lock is contended; for any
+// other key it is the cost on top of the lock object the entry points at.
+// Exported for footprint accounting (glsbench -cardinality); a key's share
+// of its clht bucket is extra.
 const EntryBytes = unsafe.Sizeof(entry{})
 
 // shard is one partition of the service: a clht table with its own growth
@@ -228,6 +318,10 @@ type Service struct {
 	// read, and no shard hash. Multi-shard services leave it nil and take
 	// the masked-index arm.
 	table0 *clht.Table[entry]
+
+	// glkSet is Options.GLK validated once, shared by every default key's
+	// lock.
+	glkSet *glk.Settings
 
 	dbg *debugState // nil unless Options.Debug
 
@@ -382,6 +476,7 @@ func New(opts Options) *Service {
 		opts:      opts,
 		shards:    make([]shard, n),
 		shardMask: uint64(n - 1),
+		glkSet:    glk.NewSettings(opts.GLK),
 		tele:      tele,
 		fast:      !opts.Debug,
 		sharded:   n > 1,
@@ -417,36 +512,39 @@ func (s *Service) Close() {
 	}
 }
 
-// newEntry builds the lock object for a key on first use. Telemetry is
-// resolved here, once per lock: a GLK lock gets the hooks compiled in via
-// its config, any explicit algorithm is wrapped by telemetry.Instrument,
-// and without a registry the locks are built exactly as before — the
-// lock/unlock paths never branch on whether telemetry is on.
+// newEntry builds a key's entry on first use: for the default algorithm
+// the one object that is entry and lock, for an explicit one a boxedEntry
+// pointing at it. Telemetry is resolved here, once per lock: a GLK lock
+// gets the hooks compiled in via Init, any explicit algorithm is wrapped by
+// telemetry.Instrument, and without a registry the locks are built bare —
+// the lock/unlock paths never branch on whether telemetry is on.
 func (s *Service) newEntry(sh *shard, key uint64, algo locks.Algorithm) func() *entry {
 	return func() *entry {
 		sh.creates.Add(1)
-		e := &entry{entryHeader: entryHeader{key: key, algo: algo}}
-		if s.tele != nil {
-			st := s.registerLock(sh, key, algoName(algo))
-			if algo == algoGLK {
-				var cfg glk.Config
-				if s.opts.GLK != nil {
-					cfg = *s.opts.GLK
-				}
-				cfg.Stats = st
-				e.lock = glk.New(&cfg)
-			} else {
-				e.lock = telemetry.Instrument(locks.New(algo), st)
+		if algo == algoGLK {
+			e := &entry{entryStats: entryStats{key: key}}
+			var st *telemetry.LockStats
+			if s.tele != nil {
+				st = s.registerLock(sh, key, algoName(algo))
+			} else if s.opts.GLK != nil {
+				st = s.opts.GLK.Stats
 			}
+			e.lk.Init(s.glkSet, st)
 			return e
 		}
-		if algo == algoGLK {
-			e.lock = glk.New(s.opts.GLK)
-		} else {
-			e.lock = locks.New(algo)
+		l := locks.New(algo)
+		if s.tele != nil {
+			l = telemetry.Instrument(l, s.registerLock(sh, key, algoName(algo)))
 		}
-		return e
+		return newBoxed(key, boxedHead{lock: l, algo: algo})
 	}
+}
+
+// newBoxed returns the table's view of a fresh boxedEntry.
+func newBoxed(key uint64, head boxedHead) *entry {
+	b := &boxedEntry{boxedHead: head, entryStats: entryStats{key: key}}
+	b.flags.Store(entryBoxed)
+	return b.asEntry()
 }
 
 // registerLock registers a new lock with the telemetry registry, carrying
@@ -484,7 +582,11 @@ func (s *Service) entryIn(sh *shard, key uint64, algo locks.Algorithm) (*entry, 
 func (s *Service) Lock(key uint64) {
 	if s.fast {
 		if e := s.tableFor(key).Get(key); e != nil {
-			e.lock.Lock()
+			if e.inline() {
+				e.lk.Lock()
+			} else {
+				e.boxed().lock.Lock()
+			}
 			return
 		}
 	}
@@ -509,14 +611,17 @@ func (s *Service) lockWith(a locks.Algorithm, key uint64) {
 		s.debugLock(me, e)
 		return
 	}
-	e.lock.Lock()
+	e.exclusive().Lock()
 }
 
 // TryLock try-acquires the GLK lock for key (gls_trylock).
 func (s *Service) TryLock(key uint64) bool {
 	if s.fast {
 		if e := s.tableFor(key).Get(key); e != nil {
-			return e.lock.TryLock()
+			if e.inline() {
+				return e.lk.TryLock()
+			}
+			return e.boxed().lock.TryLock()
 		}
 	}
 	return s.tryLockWith(algoGLK, key)
@@ -537,7 +642,7 @@ func (s *Service) tryLockWith(a locks.Algorithm, key uint64) bool {
 		s.debugPreLock(me, e, created, a)
 		return s.debugTryLock(me, e)
 	}
-	return e.lock.TryLock()
+	return e.exclusive().TryLock()
 }
 
 // Unlock releases the lock for key (gls_unlock). Unlocking a key that was
@@ -556,7 +661,11 @@ func (s *Service) Unlock(key uint64) {
 		if e == nil {
 			panic(fmt.Sprintf("gls: Unlock(%#x): key was never locked", key))
 		}
-		e.lock.Unlock()
+		if e.inline() {
+			e.lk.Unlock()
+		} else {
+			e.boxed().lock.Unlock()
+		}
 		return
 	}
 	s.debugUnlock(key, e)
@@ -569,12 +678,12 @@ func (s *Service) UnlockWith(a locks.Algorithm, key uint64) {
 		panic(fmt.Sprintf("gls: UnlockWith(%v): unknown algorithm", a))
 	}
 	if s.dbg != nil {
-		if e := s.getEntry(key); e != nil && e.algo != a {
+		if e := s.getEntry(key); e != nil && e.algo() != a {
 			s.report(Issue{
 				Kind:      IssueAlgorithmMismatch,
 				Key:       key,
 				Goroutine: uint64(gid.Get()),
-				Message:   fmt.Sprintf("unlock as %v but lock is %v", a, algoName(e.algo)),
+				Message:   fmt.Sprintf("unlock as %v but lock is %v", a, algoName(e.algo())),
 			})
 		}
 	}
@@ -678,9 +787,9 @@ func (s *Service) retire(sh *shard, e *entry) {
 	// replaced e in the table since the caller looked, so whatever the
 	// delete removes is marked too — every entry that has left the table
 	// is dead, whichever Free removed it.
-	e.dead.Store(true)
+	e.markDead()
 	if d := sh.table.Delete(key); d != nil {
-		d.dead.Store(true)
+		d.markDead()
 		sh.frees.Add(1)
 	}
 }
@@ -709,12 +818,8 @@ func algoName(a locks.Algorithm) string {
 // a given lock object", §4.3).
 func (s *Service) GLKStats(key uint64) (glk.Stats, bool) {
 	e := s.getEntry(key)
-	if e == nil || e.algo != algoGLK {
+	if e == nil || !e.inline() {
 		return glk.Stats{}, false
 	}
-	l, ok := e.lock.(*glk.Lock)
-	if !ok {
-		return glk.Stats{}, false
-	}
-	return l.Stats(), true
+	return e.lk.Stats(), true
 }

@@ -58,7 +58,7 @@ func (s *Service) LockCtx(ctx context.Context, key uint64) error {
 	}
 	if s.fast {
 		if e := s.tableFor(key).Get(key); e != nil {
-			if locks.LockWithCancel(e.lock, c) {
+			if locks.LockWithCancel(e.exclusive(), c) {
 				return nil
 			}
 			return abortErr(ctx, c)
@@ -80,7 +80,7 @@ func (s *Service) TryLockFor(key uint64, d time.Duration) bool {
 	c := &locks.Cancel{Deadline: time.Now().Add(d)}
 	if s.fast {
 		if e := s.tableFor(key).Get(key); e != nil {
-			return locks.LockWithCancel(e.lock, c)
+			return locks.LockWithCancel(e.exclusive(), c)
 		}
 	}
 	return s.lockCancelWith(algoGLK, key, c)
@@ -95,16 +95,16 @@ func (s *Service) lockCancelWith(a locks.Algorithm, key uint64, c *locks.Cancel)
 		s.debugPreLock(me, e, created, a)
 		return s.debugLockCancel(me, e, c)
 	}
-	return locks.LockWithCancel(e.lock, c)
+	return locks.LockWithCancel(e.exclusive(), c)
 }
 
 // debugLockCancel is debugLock with an abort path: the waiting record is
 // cleared whether the wait ended in a grant or a departure, and the owner
 // word is only written on a grant.
 func (s *Service) debugLockCancel(me gid.ID, e *entry, c *locks.Cancel) bool {
-	if !e.lock.TryLock() {
+	if !e.exclusive().TryLock() {
 		s.dbg.setWaiting(me, e.key)
-		ok := locks.LockWithCancel(e.lock, c)
+		ok := locks.LockWithCancel(e.exclusive(), c)
 		s.dbg.clearWaiting(me)
 		if !ok {
 			return false
@@ -126,10 +126,11 @@ func (s *Service) RLockCtx(ctx context.Context, key uint64) error {
 	}
 	if s.fast {
 		if e := s.tableFor(key).Get(key); e != nil {
-			if e.rw == nil {
+			rw := e.rwLock()
+			if rw == nil {
 				s.entryForRW(key, algoGLKRW) // panics with the species message
 			}
-			if locks.RLockWithCancel(e.rw, c) {
+			if locks.RLockWithCancel(rw, c) {
 				return nil
 			}
 			return abortErr(ctx, c)
@@ -151,10 +152,11 @@ func (s *Service) TryRLockFor(key uint64, d time.Duration) bool {
 	c := &locks.Cancel{Deadline: time.Now().Add(d)}
 	if s.fast {
 		if e := s.tableFor(key).Get(key); e != nil {
-			if e.rw == nil {
+			rw := e.rwLock()
+			if rw == nil {
 				s.entryForRW(key, algoGLKRW)
 			}
-			return locks.RLockWithCancel(e.rw, c)
+			return locks.RLockWithCancel(rw, c)
 		}
 	}
 	return s.rlockCancelWith(algoGLKRW, key, c)
@@ -166,7 +168,7 @@ func (s *Service) rlockCancelWith(a locks.RWAlgorithm, key uint64, c *locks.Canc
 	if s.dbg != nil {
 		return s.debugRLockCancel(e, created, a, c)
 	}
-	return locks.RLockWithCancel(e.rw, c)
+	return locks.RLockWithCancel(e.rwLock(), c)
 }
 
 // debugRLockCancel is debugRLock with an abort path; the reader record is
@@ -174,9 +176,9 @@ func (s *Service) rlockCancelWith(a locks.RWAlgorithm, key uint64, c *locks.Canc
 func (s *Service) debugRLockCancel(e *entry, created bool, requested locks.RWAlgorithm, c *locks.Cancel) bool {
 	me := gid.Get()
 	s.debugPreRLock(me, e, created, requested)
-	if !e.rw.TryRLock() {
+	if !e.rwLock().TryRLock() {
 		s.dbg.setWaiting(me, e.key)
-		ok := locks.RLockWithCancel(e.rw, c)
+		ok := locks.RLockWithCancel(e.rwLock(), c)
 		s.dbg.clearWaiting(me)
 		if !ok {
 			return false
@@ -211,7 +213,7 @@ func (h *Handle) LockCtx(ctx context.Context, key uint64) error {
 		h.Lock(key)
 		return nil
 	}
-	if locks.LockWithCancel(h.lookup(key), c) {
+	if locks.LockWithCancel(h.entry(key).exclusive(), c) {
 		return nil
 	}
 	return abortErr(ctx, c)
@@ -222,7 +224,7 @@ func (h *Handle) TryLockFor(key uint64, d time.Duration) bool {
 	if d <= 0 {
 		return h.TryLock(key)
 	}
-	return locks.LockWithCancel(h.lookup(key), &locks.Cancel{Deadline: time.Now().Add(d)})
+	return locks.LockWithCancel(h.entry(key).exclusive(), &locks.Cancel{Deadline: time.Now().Add(d)})
 }
 
 // RLockCtx is the handle twin of Service.RLockCtx.
@@ -232,7 +234,7 @@ func (h *Handle) RLockCtx(ctx context.Context, key uint64) error {
 		h.RLock(key)
 		return nil
 	}
-	if locks.RLockWithCancel(h.lookupRW(key), c) {
+	if locks.RLockWithCancel(h.rw(key), c) {
 		return nil
 	}
 	return abortErr(ctx, c)
@@ -243,7 +245,7 @@ func (h *Handle) TryRLockFor(key uint64, d time.Duration) bool {
 	if d <= 0 {
 		return h.TryRLock(key)
 	}
-	return locks.RLockWithCancel(h.lookupRW(key), &locks.Cancel{Deadline: time.Now().Add(d)})
+	return locks.RLockWithCancel(h.rw(key), &locks.Cancel{Deadline: time.Now().Add(d)})
 }
 
 // WithLock is the handle twin of Service.WithLock: fn runs under key's

@@ -117,7 +117,7 @@ func (s *Service) LockMany(keys ...uint64) {
 		return
 	}
 	for i := range refs {
-		refs[i].e.lock.Lock()
+		refs[i].e.exclusive().Lock()
 	}
 }
 
@@ -148,9 +148,9 @@ func (s *Service) TryLockMany(keys ...uint64) bool {
 		return true
 	}
 	for i := range refs {
-		if !refs[i].e.lock.TryLock() {
+		if !refs[i].e.exclusive().TryLock() {
 			for j := i - 1; j >= 0; j-- {
-				refs[j].e.lock.Unlock()
+				refs[j].e.exclusive().Unlock()
 			}
 			return false
 		}
@@ -179,7 +179,7 @@ func (s *Service) UnlockMany(keys ...uint64) {
 		return
 	}
 	for i := len(refs) - 1; i >= 0; i-- {
-		refs[i].e.lock.Unlock()
+		refs[i].e.exclusive().Unlock()
 	}
 }
 

@@ -43,7 +43,7 @@ func rwAlgoName(a locks.RWAlgorithm) string {
 func (s *Service) newRWEntry(sh *shard, key uint64, a locks.RWAlgorithm) func() *entry {
 	return func() *entry {
 		sh.creates.Add(1)
-		e := &entry{entryHeader: entryHeader{key: key, rwalgo: a}}
+		var rw locks.RWLock
 		if s.tele != nil {
 			st := s.registerLock(sh, key, rwAlgoName(a))
 			if a == algoGLKRW {
@@ -52,17 +52,16 @@ func (s *Service) newRWEntry(sh *shard, key uint64, a locks.RWAlgorithm) func() 
 					cfg = *s.opts.GLKRW
 				}
 				cfg.Stats = st
-				e.rw = glk.NewRW(&cfg)
+				rw = glk.NewRW(&cfg)
 			} else {
-				e.rw = telemetry.InstrumentRW(locks.NewRW(a), st)
+				rw = telemetry.InstrumentRW(locks.NewRW(a), st)
 			}
 		} else if a == algoGLKRW {
-			e.rw = glk.NewRW(s.opts.GLKRW)
+			rw = glk.NewRW(s.opts.GLKRW)
 		} else {
-			e.rw = locks.NewRW(a)
+			rw = locks.NewRW(a)
 		}
-		e.lock = e.rw
-		return e
+		return newBoxed(key, boxedHead{lock: rw, rw: rw, rwalgo: a})
 	}
 }
 
@@ -75,7 +74,7 @@ func (s *Service) entryForRW(key uint64, a locks.RWAlgorithm) (*entry, bool) {
 	}
 	sh := s.shardOf(key)
 	e, created := sh.table.GetOrInsert(key, s.newRWEntry(sh, key, a))
-	if e.rw == nil {
+	if e.rwLock() == nil {
 		s.reportRWMismatch(key, "reader-writer use of a key mapped to an exclusive lock")
 		panic(fmt.Sprintf("gls: key %#x is mapped to an exclusive lock; RW entry points need an RW key (use a fresh key or InitRWLock first)", key))
 	}
@@ -107,10 +106,11 @@ func (s *Service) reportRWMismatch(key uint64, msg string) {
 func (s *Service) RLock(key uint64) {
 	if s.fast {
 		if e := s.tableFor(key).Get(key); e != nil {
-			if e.rw == nil {
+			rw := e.rwLock()
+			if rw == nil {
 				s.entryForRW(key, algoGLKRW) // panics with the species message
 			}
-			e.rw.RLock()
+			rw.RLock()
 			return
 		}
 	}
@@ -133,17 +133,18 @@ func (s *Service) rlockWith(a locks.RWAlgorithm, key uint64) {
 		s.debugRLock(e, created, a)
 		return
 	}
-	e.rw.RLock()
+	e.rwLock().RLock()
 }
 
 // TryRLock try-acquires a read share of key's reader-writer lock.
 func (s *Service) TryRLock(key uint64) bool {
 	if s.fast {
 		if e := s.tableFor(key).Get(key); e != nil {
-			if e.rw == nil {
+			rw := e.rwLock()
+			if rw == nil {
 				s.entryForRW(key, algoGLKRW)
 			}
-			return e.rw.TryRLock()
+			return rw.TryRLock()
 		}
 	}
 	return s.tryRLockWith(algoGLKRW, key)
@@ -162,7 +163,7 @@ func (s *Service) tryRLockWith(a locks.RWAlgorithm, key uint64) bool {
 	if s.dbg != nil {
 		return s.debugTryRLock(e, created, a)
 	}
-	return e.rw.TryRLock()
+	return e.rwLock().TryRLock()
 }
 
 // RUnlock releases a read share of key's lock. Releasing a key that was
@@ -177,10 +178,11 @@ func (s *Service) RUnlock(key uint64) {
 		if e == nil {
 			panic(fmt.Sprintf("gls: RUnlock(%#x): key was never locked", key))
 		}
-		if e.rw == nil {
+		rw := e.rwLock()
+		if rw == nil {
 			panic(fmt.Sprintf("gls: RUnlock(%#x): key is mapped to an exclusive lock", key))
 		}
-		e.rw.RUnlock()
+		rw.RUnlock()
 		return
 	}
 	s.debugRUnlock(key, e)
@@ -214,7 +216,7 @@ func (s *Service) initRWLockWith(a locks.RWAlgorithm, key uint64) {
 // IsRWKey reports whether key is currently mapped to a reader-writer lock.
 func (s *Service) IsRWKey(key uint64) bool {
 	e := s.getEntry(key)
-	return e != nil && e.rw != nil
+	return e != nil && e.rwLock() != nil
 }
 
 // GLKRWStats returns the adaptive-RW statistics for key's lock, if the key
@@ -222,10 +224,10 @@ func (s *Service) IsRWKey(key uint64) bool {
 // GLKStats, supporting the same transition-tracing workflow.
 func (s *Service) GLKRWStats(key uint64) (glk.RWStats, bool) {
 	e := s.getEntry(key)
-	if e == nil || e.rw == nil || e.rwalgo != algoGLKRW {
+	if e == nil || e.rwLock() == nil || e.boxed().rwalgo != algoGLKRW {
 		return glk.RWStats{}, false
 	}
-	l, ok := e.rw.(*glk.RWLock)
+	l, ok := e.boxed().rw.(*glk.RWLock)
 	if !ok {
 		return glk.RWStats{}, false
 	}

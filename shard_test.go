@@ -178,7 +178,7 @@ func TestFreeInvalidatesOnlyItsKey(t *testing.T) {
 
 	// Control: a Free of the handle's own key costs exactly one re-resolve,
 	// and the handle then locks the key's new incarnation.
-	old := ctrl.lastLock
+	old := ctrl.last
 	s.Free(churn[0])
 	ctrl.Lock(churn[0])
 	ctrl.Unlock(churn[0])
@@ -187,7 +187,7 @@ func TestFreeInvalidatesOnlyItsKey(t *testing.T) {
 	if got := ctrl.CacheMisses(); got != 2 {
 		t.Errorf("Free of the handle's own key: %d misses, want 2 (warm-up + one re-resolve)", got)
 	}
-	if ctrl.lastLock == old || ctrl.last != s.getEntry(churn[0]) {
+	if ctrl.last == old || ctrl.last != s.getEntry(churn[0]) {
 		t.Error("after the Free the handle still locks the freed lock object, not the mapped one")
 	}
 }
