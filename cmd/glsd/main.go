@@ -1,12 +1,12 @@
 // Command glsd runs the GLS lock server: a TCP service speaking the glsd
 // line protocol (sessions, leases, fencing tokens, async waits, batched
-// ops — see package server and DESIGN.md §14) over a sharded gls.Service,
+// ops — see package server and DESIGN.md §14) over a gls.Service,
 // with the service's telemetry served over HTTP so glsstat can watch it
 // live.
 //
 // Usage:
 //
-//	glsd [-addr :4850] [-stats :4851] [-shards N] [-queue N] ...
+//	glsd [-addr :4850] [-stats :4851] [-queue N] [-ttl D] [-max-ttl D] [-sweep D] [-quiet]
 //
 // The stats listener serves the glstat lock report at / (text, ?format=json,
 // ?format=prom, ?top=N — point glsstat -top at it), a Prometheus scrape
@@ -31,17 +31,19 @@ import (
 	"gls/telemetry/telemetryhttp"
 )
 
+// The flags are package-level so the doc-command lint (main_test.go) can
+// ask flag.Lookup which flags exist.
+var (
+	addr   = flag.String("addr", ":4850", "lock protocol listen address")
+	stats  = flag.String("stats", ":4851", "stats HTTP listen address (empty disables)")
+	queue  = flag.Int("queue", 0, "outstanding wait/lockmany bound (0 = 1024)")
+	ttl    = flag.Duration("ttl", 0, "default lease TTL (0 = 10s)")
+	maxTTL = flag.Duration("max-ttl", 0, "lease TTL cap (0 = 60s)")
+	sweep  = flag.Duration("sweep", 0, "expiry sweep interval (0 = 50ms, min 10ms)")
+	quiet  = flag.Bool("quiet", false, "suppress log output")
+)
+
 func main() {
-	var (
-		addr   = flag.String("addr", ":4850", "lock protocol listen address")
-		stats  = flag.String("stats", ":4851", "stats HTTP listen address (empty disables)")
-		shards = flag.Int("shards", 0, "service shard count (0 = auto)")
-		queue  = flag.Int("queue", 0, "outstanding wait/lockmany bound (0 = 1024)")
-		ttl    = flag.Duration("ttl", 0, "default lease TTL (0 = 10s)")
-		maxTTL = flag.Duration("max-ttl", 0, "lease TTL cap (0 = 60s)")
-		sweep  = flag.Duration("sweep", 0, "expiry sweep interval (0 = 50ms, min 10ms)")
-		quiet  = flag.Bool("quiet", false, "suppress log output")
-	)
 	flag.Parse()
 	if flag.NArg() != 0 {
 		fmt.Fprintf(os.Stderr, "glsd: unexpected arguments %v\n", flag.Args())
@@ -55,10 +57,7 @@ func main() {
 
 	reg := telemetry.New(telemetry.Options{})
 	srv, err := server.New(server.Options{
-		Service: gls.Options{
-			NumShards: *shards,
-			Telemetry: reg,
-		},
+		Service:       gls.Options{Telemetry: reg},
 		DefaultTTL:    *ttl,
 		MaxTTL:        *maxTTL,
 		SweepInterval: *sweep,

@@ -198,17 +198,8 @@ func renderTopFrame(w io.Writer, p telemetry.Point, ticker []string) {
 		fmt.Fprintf(w, "  drain %s/s", time.Duration(p.DrainNsPerSec))
 	}
 	fmt.Fprintln(w)
-	// The SHARD column appears only when the interval carries the per-shard
-	// roll-up (a service with NumShards > 1); unsharded views keep the
-	// exact pre-shard frame.
-	sharded := p.Interval != nil && len(p.Interval.Shards) > 0
-	if sharded {
-		fmt.Fprintf(w, "%-18s %-10s %-7s %-7s %5s %9s %9s %6s %5s %9s %7s\n",
-			"KEY", "LABEL", "KIND", "MODE", "SHARD", "ACQ/S", "R-ACQ/S", "CONT%", "TRANS", "P95-WAIT", "PRESENT")
-	} else {
-		fmt.Fprintf(w, "%-18s %-10s %-7s %-7s %9s %9s %6s %5s %9s %7s\n",
-			"KEY", "LABEL", "KIND", "MODE", "ACQ/S", "R-ACQ/S", "CONT%", "TRANS", "P95-WAIT", "PRESENT")
-	}
+	fmt.Fprintf(w, "%-18s %-10s %-7s %-7s %9s %9s %6s %5s %9s %7s\n",
+		"KEY", "LABEL", "KIND", "MODE", "ACQ/S", "R-ACQ/S", "CONT%", "TRANS", "P95-WAIT", "PRESENT")
 	for i := range p.Top {
 		r := &p.Top[i]
 		racq := "-"
@@ -218,12 +209,6 @@ func renderTopFrame(w io.Writer, p telemetry.Point, ticker []string) {
 		p95 := "-"
 		if r.P95Wait > 0 {
 			p95 = r.P95Wait.Round(time.Microsecond).String()
-		}
-		if sharded {
-			fmt.Fprintf(w, "%-18s %-10s %-7s %-7s %5d %9.0f %9s %5.1f%% %5d %9s %7d\n",
-				fmt.Sprintf("%#x", r.Key), clip(r.Label, 10), r.Kind, r.Mode,
-				r.Shard, r.AcqPerSec, racq, r.ContentionPct, r.Transitions, p95, r.Present)
-			continue
 		}
 		fmt.Fprintf(w, "%-18s %-10s %-7s %-7s %9.0f %9s %5.1f%% %5d %9s %7d\n",
 			fmt.Sprintf("%#x", r.Key), clip(r.Label, 10), r.Kind, r.Mode,

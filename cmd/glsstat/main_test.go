@@ -137,6 +137,14 @@ func TestRenderTop(t *testing.T) {
 	if strings.Contains(b.String(), "0x2") {
 		t.Fatalf("-top 1 kept the less contended lock:\n%s", b.String())
 	}
+
+	// The live frame's columns, exactly: one table, whatever the producer.
+	var frame bytes.Buffer
+	renderTopFrame(&frame, telemetry.Point{Top: []telemetry.LockRate{{Key: 1, Kind: "glk"}}}, nil)
+	const header = "KEY                LABEL      KIND    MODE        ACQ/S   R-ACQ/S  CONT% TRANS  P95-WAIT PRESENT"
+	if lines := strings.Split(frame.String(), "\n"); len(lines) < 3 || lines[1] != header {
+		t.Fatalf("live frame columns changed:\n%s", frame.String())
+	}
 }
 
 func TestDemoProducesReport(t *testing.T) {
@@ -152,30 +160,63 @@ func TestDemoProducesReport(t *testing.T) {
 	}
 }
 
-// TestUnknownFieldsStillRender: a snapshot produced by a newer build (extra
-// per-lock fields) must render anyway — the strict pass only warns — and
-// the known fields must survive the lenient decode.
+// TestUnknownFieldsStillRender: a snapshot produced by another build must
+// render anyway — the strict pass only warns — and the known fields must
+// survive the lenient decode. Skew runs both ways: a newer producer adds
+// per-lock fields, and a glsd from before the table was one still writes a
+// shard on every lock and a shards block.
 func TestUnknownFieldsStillRender(t *testing.T) {
-	path, _ := writeSnapshotFile(t, 0)
-	data, err := os.ReadFile(path)
+	for name, edit := range map[string][2]string{
+		"newer":      {`"kind": "glk"`, `"kind": "glk", "field_from_the_future": 7`},
+		"older":      {`"retired": {`, `"shards": [{"shard": 3, "locks": 1, "acquisitions": 10}], "retired": {`},
+		"older lock": {`"kind": "glk"`, `"kind": "glk", "shard": 3`},
+	} {
+		t.Run(name, func(t *testing.T) {
+			path, _ := writeSnapshotFile(t, 0)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			skewed := strings.Replace(string(data), edit[0], edit[1], 1)
+			if skewed == string(data) {
+				t.Fatal("fixture substitution failed")
+			}
+			if err := os.WriteFile(path, []byte(skewed), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var out bytes.Buffer
+			warning := captureStderr(t, func() {
+				if err := reportFile(&out, path, 0, "text"); err != nil {
+					t.Fatalf("reportFile on a skewed snapshot: %v", err)
+				}
+			})
+			if !strings.Contains(out.String(), "hot") {
+				t.Fatalf("skewed snapshot dropped known fields:\n%s", out.String())
+			}
+			if !strings.Contains(warning, "carries fields this build does not render") {
+				t.Fatalf("no unknown-field warning on stderr: %q", warning)
+			}
+		})
+	}
+}
+
+// captureStderr returns what fn wrote to os.Stderr.
+func captureStderr(t *testing.T, fn func()) string {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	future := strings.Replace(string(data), `"kind": "glk"`,
-		`"kind": "glk", "field_from_the_future": 7`, 1)
-	if future == string(data) {
-		t.Fatal("fixture substitution failed")
-	}
-	if err := os.WriteFile(path, []byte(future), 0o644); err != nil {
+	defer f.Close()
+	saved := os.Stderr
+	os.Stderr = f
+	defer func() { os.Stderr = saved }()
+	fn()
+	data, err := os.ReadFile(f.Name())
+	if err != nil {
 		t.Fatal(err)
 	}
-	var out bytes.Buffer
-	if err := reportFile(&out, path, 0, "text"); err != nil {
-		t.Fatalf("reportFile on a future snapshot: %v", err)
-	}
-	if !strings.Contains(out.String(), "hot") {
-		t.Fatalf("future snapshot dropped known fields:\n%s", out.String())
-	}
+	return string(data)
 }
 
 // TestRendersFairnessLanes: the glsfair starvation/phase lanes appear in

@@ -643,7 +643,7 @@ func (s *Service) walkCycleLocked(start gid.ID, startKey uint64) []WaitEdge {
 // owner when one is recorded, else every read-share holder. Caller holds
 // d.mu.
 func (s *Service) holdersLocked(key uint64) []gid.ID {
-	e := s.getEntry(key)
+	e := s.table.Get(key)
 	if e == nil {
 		return nil
 	}

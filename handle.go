@@ -98,7 +98,7 @@ func (h *Handle) CacheMisses() uint64 { return h.misses }
 // exactly as in the paper.
 func (h *Handle) miss(key uint64) *entry {
 	h.misses++
-	e := h.s.tableFor(key).Get(key)
+	e := h.s.table.Get(key)
 	if e == nil {
 		e, _ = h.s.entryFor(key, algoGLK)
 	}
@@ -149,7 +149,7 @@ func (h *Handle) TryLock(key uint64) bool {
 // to.
 func (h *Handle) missHeld(key uint64, op string) *entry {
 	h.misses++
-	e := h.s.tableFor(key).Get(key)
+	e := h.s.table.Get(key)
 	if e == nil {
 		panic(fmt.Sprintf("gls: %s(%#x): key was never locked", op, key))
 	}
@@ -184,7 +184,7 @@ func (h *Handle) rw(key uint64) locks.RWLock {
 		}
 	}
 	h.misses++
-	e := h.s.tableFor(key).Get(key)
+	e := h.s.table.Get(key)
 	if e == nil || e.rwLock() == nil {
 		e, _ = h.s.entryForRW(key, algoGLKRW)
 	}

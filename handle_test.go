@@ -221,3 +221,95 @@ func TestHandleInvalidate(t *testing.T) {
 	h.Lock(3) // must re-resolve without issue
 	h.Unlock(3)
 }
+
+// TestFreeInvalidatesOnlyItsKey is the exact-counter claim the death mark
+// makes: seven handles parked on keys of their own take ZERO cache misses
+// after their warm-up while 64 other keys go through 3 200 Frees
+// concurrently, and the free count is exact; a Free of another key leaves
+// a handle alone at rest too, and a Free of the handle's own key costs it
+// exactly one re-resolve, onto the new incarnation — so the counter would
+// have caught a violation.
+func TestFreeInvalidatesOnlyItsKey(t *testing.T) {
+	const bystanders, rounds = 7, 50
+	s := New(Options{})
+	defer s.Close()
+	churn := make([]uint64, 64)
+	for i := range churn {
+		churn[i] = 1<<20 + uint64(i)
+	}
+
+	// Warmed (exactly one miss: the first resolution) behind a barrier so
+	// no worker can miss the churn.
+	var misses [bystanders]uint64
+	stop := make(chan struct{})
+	var warmed, wg sync.WaitGroup
+	for i := range misses {
+		hot := uint64(i + 1)
+		warmed.Add(1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h := s.NewHandle()
+			h.Lock(hot)
+			h.Unlock(hot)
+			warmed.Done()
+			for {
+				select {
+				case <-stop:
+					misses[i] = h.CacheMisses()
+					return
+				default:
+				}
+				h.Lock(hot)
+				h.Unlock(hot)
+			}
+		}()
+	}
+	warmed.Wait()
+	for round := 0; round < rounds; round++ {
+		for _, k := range churn {
+			s.Lock(k)
+			s.Unlock(k)
+			s.Free(k)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	for i, m := range misses {
+		if m != 1 {
+			t.Errorf("handle on key %d: %d cache misses under churn of other keys, want exactly 1", i+1, m)
+		}
+	}
+	want := ShardInfo{Locks: bystanders, Creates: bystanders + rounds*uint64(len(churn)), Frees: rounds * uint64(len(churn))}
+	if got := s.ShardStats(); len(got) != 1 || got[0] != want {
+		t.Errorf("ShardStats() = %+v, want the one row %+v", got, want)
+	}
+
+	// A Free of another key leaves the handle alone.
+	ctrl := s.NewHandle()
+	ctrl.Lock(churn[0])
+	ctrl.Unlock(churn[0])
+	s.Lock(churn[1])
+	s.Unlock(churn[1])
+	s.Free(churn[1])
+	ctrl.Lock(churn[0])
+	ctrl.Unlock(churn[0])
+	if got := ctrl.CacheMisses(); got != 1 {
+		t.Errorf("Free of another key: %d misses, want 1 (the warm-up alone)", got)
+	}
+
+	// Control: a Free of the handle's own key costs exactly one re-resolve,
+	// and the handle then locks the key's new incarnation.
+	old := ctrl.last
+	s.Free(churn[0])
+	ctrl.Lock(churn[0])
+	ctrl.Unlock(churn[0])
+	ctrl.Lock(churn[0])
+	ctrl.Unlock(churn[0])
+	if got := ctrl.CacheMisses(); got != 2 {
+		t.Errorf("Free of the handle's own key: %d misses, want 2 (warm-up + one re-resolve)", got)
+	}
+	if ctrl.last == old || ctrl.last != s.table.Get(churn[0]) {
+		t.Error("after the Free the handle still locks the freed lock object, not the mapped one")
+	}
+}

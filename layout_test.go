@@ -8,13 +8,49 @@ import (
 	"gls/internal/pad"
 )
 
-// TestShardLayout pins the shard padding (see the shard doc): shards sit
-// back to back in Service.shards, so each must be a whole number of lines
-// for one shard's creates and Frees never to write the line a neighbour's
-// look-ups read their table pointer from.
-func TestShardLayout(t *testing.T) {
-	if s := unsafe.Sizeof(shard{}); s%pad.CacheLineSize != 0 {
-		t.Errorf("shard is %d bytes, not a multiple of %d", s, pad.CacheLineSize)
+// TestServiceLayout pins the Service's sections (see its doc comment): the
+// words every look-up loads sit together on the first line, and nothing a
+// create, a Free, an Unpin, an issue report or Close writes shares a line
+// with them or with anything else New wrote for good; the struct is whole
+// lines, which the allocator then aligns.
+func TestServiceLayout(t *testing.T) {
+	var s Service
+	line := func(off uintptr) uintptr { return off / pad.CacheLineSize }
+	for name, off := range map[string]uintptr{
+		"table":  unsafe.Offsetof(s.table),
+		"fast":   unsafe.Offsetof(s.fast),
+		"glkSet": unsafe.Offsetof(s.glkSet),
+		"dbg":    unsafe.Offsetof(s.dbg),
+		"tele":   unsafe.Offsetof(s.tele),
+	} {
+		if line(off) != 0 {
+			t.Errorf("%s at offset %d, want it on the first line", name, off)
+		}
+	}
+	readOnlyEnd := unsafe.Offsetof(s.opts) + unsafe.Sizeof(s.opts)
+	for name, off := range map[string]uintptr{
+		"frees":       unsafe.Offsetof(s.frees),
+		"seqFloor":    unsafe.Offsetof(s.seqFloor),
+		"issueCounts": unsafe.Offsetof(s.issueCounts),
+		"closed":      unsafe.Offsetof(s.closed),
+	} {
+		if line(off) <= line(readOnlyEnd-1) {
+			t.Errorf("%s at offset %d shares a line with the read-only words, which end at %d", name, off, readOnlyEnd)
+		}
+	}
+	if a, b := line(unsafe.Offsetof(s.frees)), line(unsafe.Offsetof(s.seqFloor)); a != b {
+		t.Errorf("frees on line %d, seqFloor on line %d: a freeing Unpin should write one line", a, b)
+	}
+	if churn, rare := line(unsafe.Offsetof(s.seqFloor)), line(unsafe.Offsetof(s.issueCounts)); churn >= rare {
+		t.Errorf("issueCounts starts on line %d, the churn words are on line %d", rare, churn)
+	}
+	if size := unsafe.Sizeof(s); size%pad.CacheLineSize != 0 {
+		t.Errorf("Service is %d bytes, not a multiple of %d", size, pad.CacheLineSize)
+	}
+	svc := New(Options{})
+	defer svc.Close()
+	if addr := uintptr(unsafe.Pointer(svc)); addr%pad.CacheLineSize != 0 {
+		t.Errorf("Service at address %#x, not %d-byte aligned", addr, pad.CacheLineSize)
 	}
 }
 

@@ -49,9 +49,8 @@ func (s *Service) PinWith(a locks.Algorithm, key uint64) Pin {
 }
 
 func (s *Service) pinWith(a locks.Algorithm, key uint64) Pin {
-	sh := s.shardOf(key)
 	for {
-		e, _ := s.entryIn(sh, key, a)
+		e, _ := s.entryFor(key, a)
 		for n := e.pins.Load(); n != pinsDead; n = e.pins.Load() {
 			if e.pins.CompareAndSwap(n, n+1) {
 				return Pin{s: s, e: e}
@@ -82,12 +81,12 @@ func (p Pin) Unlock() { p.e.exclusive().Unlock() }
 // NextSeq advances the key's sequence and returns the new value. The caller
 // must hold the pinned lock: values are then handed out in grant order and
 // strictly increase per key — across holders, and across Frees of the key,
-// since every value exceeds the shard's floor and the freeing Unpin raises
-// the floor to the entry's last value. A floor raised by a neighbouring key
-// makes this key's next value jump; only "larger than every earlier one" is
+// since every value exceeds the service's floor and the freeing Unpin raises
+// the floor to the entry's last value. A floor raised by another key makes
+// this key's next value jump; only "larger than every earlier one" is
 // promised. glsd's fencing tokens are these values.
 func (p Pin) NextSeq() uint64 {
-	next := max(p.e.seq.Load(), p.s.shardOf(p.e.key).seqFloor.Load()) + 1
+	next := max(p.e.seq.Load(), p.s.seqFloor.Load()) + 1
 	p.e.seq.Store(next)
 	return next
 }
@@ -95,11 +94,10 @@ func (p Pin) NextSeq() uint64 {
 // Seq reports key's sequence high-water mark without creating the key: no
 // pin of key that is still locked got a larger value from NextSeq, and
 // every later NextSeq will return one. For a key that is not mapped this is
-// its shard's floor — 0 until some sequenced key of the shard is freed.
+// the service's floor — 0 until some sequenced key is freed.
 func (s *Service) Seq(key uint64) uint64 {
-	sh := s.shardOf(key)
-	seq := sh.seqFloor.Load()
-	if e := sh.table.Get(key); e != nil {
+	seq := s.seqFloor.Load()
+	if e := s.table.Get(key); e != nil {
 		seq = max(seq, e.seq.Load())
 	}
 	return seq
@@ -119,12 +117,12 @@ func (p Pin) Unpin() {
 	}
 	// Floor before delete: the key's next incarnation is mapped after the
 	// delete, and so mints above this entry's last value.
-	sh := p.s.shardOf(e.key)
+	s := p.s
 	for seq := e.seq.Load(); ; {
-		f := sh.seqFloor.Load()
-		if seq <= f || sh.seqFloor.CompareAndSwap(f, seq) {
+		f := s.seqFloor.Load()
+		if seq <= f || s.seqFloor.CompareAndSwap(f, seq) {
 			break
 		}
 	}
-	p.s.retire(sh, e)
+	s.retire(e)
 }

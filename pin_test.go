@@ -17,7 +17,7 @@ import (
 // freed or a revived lock object), and the per-key sequence must rise
 // across every one of those incarnations.
 func TestPinChurn(t *testing.T) {
-	s := New(Options{NumShards: 2})
+	s := New(Options{})
 	defer s.Close()
 	const goroutines, keys = 8, 3
 	iters := 4000
@@ -69,17 +69,13 @@ func TestPinChurn(t *testing.T) {
 	if got := s.Locks(); got != 0 {
 		t.Errorf("Locks() = %d with every pin dropped, want 0", got)
 	}
-	var creates, frees uint64
-	for _, sh := range s.ShardStats() {
-		creates += sh.Creates
-		frees += sh.Frees
-	}
-	if creates != frees || frees <= keys {
+	books := s.ShardStats()[0]
+	if creates, frees := books.Creates, books.Frees; creates != frees || frees <= keys {
 		t.Errorf("creates = %d, frees = %d: want equal, and more than %d (keys must have turned over)", creates, frees, keys)
 	}
 	for k := range count {
 		// Each key's sequence counts at least its own critical sections;
-		// shard-floor jumps only add.
+		// floor jumps only add.
 		if uint64(count[k]) > lastSeq[k] {
 			t.Errorf("key %d: %d critical sections but sequence only reached %d", k+1, count[k], lastSeq[k])
 		}
@@ -123,7 +119,7 @@ func TestPinDuringFreeTakesNextIncarnation(t *testing.T) {
 	}
 
 	// Second half: what Unpin does after marking the entry dead.
-	s.shardOf(key).seqFloor.Store(old.e.seq.Load())
+	s.seqFloor.Store(old.e.seq.Load())
 	s.Free(key)
 	var next Pin
 	select {
@@ -146,7 +142,7 @@ func TestPinDuringFreeTakesNextIncarnation(t *testing.T) {
 		t.Fatalf("Locks() = %d after the last Unpin, want 0", got)
 	}
 	if got := s.Seq(key); got != 2 {
-		t.Fatalf("Seq of the freed key = %d, want its shard floor 2", got)
+		t.Fatalf("Seq of the freed key = %d, want the floor 2", got)
 	}
 }
 
@@ -237,7 +233,7 @@ func TestLastUnpinInvalidatesHandle(t *testing.T) {
 	if got := h.CacheMisses(); got != 2 {
 		t.Errorf("%d misses after the last Unpin, want 2 (warm-up + one re-resolve)", got)
 	}
-	if h.last == old || h.last != s.getEntry(key) {
+	if h.last == old || h.last != s.table.Get(key) {
 		t.Error("the handle does not cache the key's new incarnation")
 	}
 }

@@ -49,7 +49,7 @@ func (s *Service) ProfileStats() []ProfileStat {
 		// A shared registry (telemetry.Default()) may carry other
 		// services' locks; the paper's profile is per-service, so keep
 		// only keys this service currently maps (one wait-free Get each).
-		if s.getEntry(l.Key) == nil {
+		if s.table.Get(l.Key) == nil {
 			continue
 		}
 		out = append(out, ProfileStat{

@@ -38,7 +38,7 @@ import (
 // DESIGN.md §14 for the full response grammar.
 // token <key> answers TOKEN <key> <n>: no live grant of the key carries a
 // token larger than n, every later grant will. For a key nobody holds or
-// waits on, n is its shard's floor (gls.Service.Seq): 0 on a fresh server.
+// waits on, n is the service's floor (gls.Service.Seq): 0 on a fresh server.
 
 // Op enumerates the wire commands.
 type Op int
@@ -330,7 +330,7 @@ func parseCommand[T byteseq](line T, maxBatch int) (Command, *ProtoError) {
 			}
 			nargs--
 		}
-		// Duplicates are allowed on the wire — the service's (shard, key)
+		// Duplicates are allowed on the wire — the service's key-order
 		// canonicalization coalesces them, so a client built from a messy
 		// key list stays balanced (see gls.LockMany).
 		cmd.Keys = make([]uint64, nargs)

@@ -1,12 +1,12 @@
 // Package server implements glsd, the network-facing GLS lock service: a
-// TCP server speaking a memcached-style text protocol over the sharded
+// TCP server speaking a memcached-style text protocol over a
 // gls.Service, with sessions (lock ownership scoped to a client
 // connection's lifetime), lease-based locks (every grant carries a TTL,
 // renewable, reaped by an expiry sweeper), monotonic per-key fencing
 // tokens on every grant, asynchronous acquisition (a blocked client costs
 // one goroutine parked in the key's own FIFO queue, never a connection's
 // reader and never a CPU), and batched wire ops riding gls.LockMany's
-// canonical (shard, key) order.
+// key order.
 //
 // Every key is a locks.Mutex — spin briefly, then park, release hands the
 // lock to the longest waiter — not the adaptive GLK lock the service gives
@@ -37,7 +37,7 @@ import (
 )
 
 // Options configures a Server. The zero value listens on no address (use
-// Serve with your own listener), creates a default sharded service, and
+// Serve with your own listener), creates a default service, and
 // uses the documented defaults for every limit.
 type Options struct {
 	// Service configures the underlying gls.Service the server owns. Debug
@@ -118,7 +118,7 @@ func (o Options) Validate() error {
 	if o.Service.Debug {
 		return errors.New("glsd: Service.Debug is not supported: the server acquires on a wait's goroutine and releases on the sweeper, so goroutine-attributed ownership checks would misfire")
 	}
-	return o.Service.Validate()
+	return nil
 }
 
 // Stats is a point-in-time snapshot of the server's counters.
@@ -612,7 +612,7 @@ func dedupeKeys(keys []uint64) []uint64 {
 }
 
 // handleTryLockMany is the synchronous all-or-nothing batch: it maps to
-// Service.TryLockMany, which acquires in canonical (shard, key) order and
+// Service.TryLockMany, which acquires in key order and
 // backs out completely on the first busy key.
 func (s *Server) handleTryLockMany(ss *session, cmd Command) {
 	keys := dedupeKeys(cmd.Keys)
@@ -715,8 +715,8 @@ func (s *Server) runWait(ctx context.Context, ss *session, w *wait) {
 }
 
 // runLockMany executes one batched asynchronous acquisition via the
-// blocking Service.LockMany — deadlock-free against any other batch by the
-// canonical (shard, key) order, and bounded in time because every blocking
+// blocking Service.LockMany — deadlock-free against any other batch by
+// its key order, and bounded in time because every blocking
 // hold ahead of it carries a lease. LockMany resolves the keys through the
 // table, which is safe here because the wait's pins keep every key mapped
 // to the object they name. Session death cannot abort the batch

@@ -606,18 +606,15 @@ func TestGrantOrderIsArrivalOrder(t *testing.T) {
 	}
 }
 
-// shardTotals sums the service's per-shard create and free counters.
-func shardTotals(svc *gls.Service) (creates, frees uint64) {
-	for _, sh := range svc.ShardStats() {
-		creates += sh.Creates
-		frees += sh.Frees
-	}
-	return creates, frees
+// tableChurn reads the service's create and free counts.
+func tableChurn(svc *gls.Service) (creates, frees uint64) {
+	st := svc.ShardStats()[0]
+	return st.Creates, st.Frees
 }
 
 // TestManyKeysLeaveNothingBehind drives 10 000 distinct keys through
 // trylock+unlock on one session. At rest the server must hold nothing per
-// key: no lock object, no lease record, no grant — and the shard counters
+// key: no lock object, no lease record, no grant — and the table's counters
 // show the wire path's whole table traffic, one create and one free per
 // key (the key is resolved once, by the trylock; the unlock and the free
 // go through the grant's pin).
@@ -625,7 +622,7 @@ func TestManyKeysLeaveNothingBehind(t *testing.T) {
 	srv, addr := newTestServer(t, Options{})
 	c := dialT(t, addr)
 	const n, batch = 10000, 100
-	creates0, frees0 := shardTotals(srv.Service())
+	creates0, frees0 := tableChurn(srv.Service())
 	for base := 1; base <= n; base += batch {
 		var req strings.Builder
 		for k := base; k < base+batch; k++ {
@@ -647,7 +644,7 @@ func TestManyKeysLeaveNothingBehind(t *testing.T) {
 	if st.Grants != n || st.Releases != n {
 		t.Errorf("Grants = %d, Releases = %d, want %d each", st.Grants, st.Releases, n)
 	}
-	creates, frees := shardTotals(srv.Service())
+	creates, frees := tableChurn(srv.Service())
 	if creates-creates0 != n || frees-frees0 != n {
 		t.Errorf("table creates/frees = %d/%d for %d trylock+unlock pairs, want one of each per pair",
 			creates-creates0, frees-frees0, n)
@@ -655,18 +652,13 @@ func TestManyKeysLeaveNothingBehind(t *testing.T) {
 }
 
 // TestTokenSurvivesIdleReap pins fencing monotonicity to the one thing that
-// outlives a reaped key, its shard's sequence floor: a key's token keeps
-// rising across its own reap, and across a reap of a same-shard neighbour
-// in between.
+// outlives a reaped key, the service's sequence floor: a key's token keeps
+// rising across its own reap, and across a reap of another key in between.
 func TestTokenSurvivesIdleReap(t *testing.T) {
-	srv, addr := newTestServer(t, Options{Service: gls.Options{NumShards: 4}})
+	srv, addr := newTestServer(t, Options{})
 	svc := srv.Service()
 	c := dialT(t, addr)
-	const a = 7
-	b := uint64(a + 1)
-	for svc.ShardOf(b) != svc.ShardOf(a) {
-		b++
-	}
+	const a, b = 7, 8
 	cycle := func(key uint64) uint64 {
 		t.Helper()
 		c.send(fmt.Sprintf("trylock %d\r\n", key))
@@ -689,7 +681,7 @@ func TestTokenSurvivesIdleReap(t *testing.T) {
 	if a3 <= a2 || b2 <= b1 {
 		t.Fatalf("tokens fell across a neighbour's reap: %#x %d→%d, %#x %d→%d", a, a2, a3, b, b1, b2)
 	}
-	// An unmapped key reports its shard's floor: no live grant is above it,
+	// An unmapped key reports the floor: no live grant is above it,
 	// every later grant will be.
 	c.send(fmt.Sprintf("token %d\r\n", a))
 	floor := tokenOf(t, c.expect("TOKEN "+fmtKey(a)), 2)

@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"gls"
 )
 
 // Tests of the wire path's write side: the response grammar byte for byte,
@@ -17,13 +15,9 @@ import (
 // TestResponseLinesPinned drives every response verb of DESIGN §14 and
 // compares each line, terminator included, with the bytes clients have
 // always been sent (the expectations were recorded from the formatter's
-// string-joining predecessor). One shard makes the tokens (its one sequence
-// floor) the same on every machine.
+// string-joining predecessor).
 func TestResponseLinesPinned(t *testing.T) {
-	_, addr := newTestServer(t, Options{
-		SweepInterval: 10 * time.Millisecond,
-		Service:       gls.Options{NumShards: 1},
-	})
+	_, addr := newTestServer(t, Options{SweepInterval: 10 * time.Millisecond})
 	conns := map[string]*tconn{"a": dialT(t, addr)}
 	steps := []struct {
 		conn, send, want string

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -93,26 +92,6 @@ type Options struct {
 	// multiprogramming (glsfair; the policy knobs — StarveBackouts,
 	// FairPeriods, Monitor — live on glk.RWConfig).
 	GLKRW *glk.RWConfig
-
-	// NumShards partitions the key→lock table: each shard owns its own
-	// clht table, so table growth locks never cross shards and LockMany
-	// resolves a batch one shard's run at a time. Must be a power of two.
-	// 0 selects a GOMAXPROCS-derived default (the next power of two ≥
-	// GOMAXPROCS at New, capped at 256); 1 is the pre-shard single-table
-	// behavior — the fast path then skips the shard hash entirely. Keys
-	// are routed with a different mix than the tables' own bucket hash, so
-	// shard choice and bucket choice stay independent (see shardMix).
-	NumShards int
-}
-
-// Validate reports configuration errors. New panics on the first one; call
-// Validate directly to check options built from external input (a config
-// file, a future glsd handshake) before they reach New.
-func (o Options) Validate() error {
-	if o.NumShards < 0 || o.NumShards&(o.NumShards-1) != 0 {
-		return fmt.Errorf("gls: NumShards %d is not a power of two (use 1, 2, 4, ...; 0 selects the GOMAXPROCS-derived default)", o.NumShards)
-	}
-	return nil
 }
 
 // An entry's flag word says which of the two layouts a table slot points
@@ -266,58 +245,38 @@ func (e *entry) algo() locks.Algorithm {
 // of its clht bucket is extra.
 const EntryBytes = unsafe.Sizeof(entry{})
 
-// shard is one partition of the service: a clht table with its own growth
-// locks, plus the churn counters and the pin-sequence floor of the keys
-// routed to it (the pre-shard service was exactly one of these, and
-// NumShards=1 still is). The trailing pad rounds the shard to a full cache
-// line, so the line every look-up reads its table pointer from is never
-// written by a neighbor's create or Free (layout_test.go).
-type shard struct {
-	shardHeader
-	_ [(pad.CacheLineSize - unsafe.Sizeof(shardHeader{})%pad.CacheLineSize) % pad.CacheLineSize]byte
+// Service is one GLS instance: a concurrent key→lock table plus the optional
+// debug and profile machinery. Create with New; a Service must not be
+// copied.
+//
+// The struct is sectioned like the entries it maps: what New writes and
+// every operation afterwards only reads, then the words a create's
+// counterpart writes, then the rare ones — each section whole cache lines,
+// so a Free or an Unpin never dirties the line a look-up loads its table
+// pointer from (TestServiceLayout).
+type Service struct {
+	serviceConfig
+	_ [(pad.CacheLineSize - unsafe.Sizeof(serviceConfig{})%pad.CacheLineSize) % pad.CacheLineSize]byte
+	serviceChurn
+	_ [(pad.CacheLineSize - unsafe.Sizeof(serviceChurn{})%pad.CacheLineSize) % pad.CacheLineSize]byte
+	serviceRare
+	_ [(pad.CacheLineSize - unsafe.Sizeof(serviceRare{})%pad.CacheLineSize) % pad.CacheLineSize]byte
 }
 
-// shardHeader is the populated part of a shard; the embedding shard pads it
-// to a whole number of cache lines (same idiom as entry/entryHeader).
-type shardHeader struct {
+// serviceConfig is written by New and read-only afterwards. The words every
+// look-up loads come first, so they share the struct's first line.
+type serviceConfig struct {
+	// table maps every key of the service to its entry — the paper's one
+	// CLHT (§4.1).
 	table *clht.Table[entry]
 
-	// idx is this shard's position in Service.shards, stamped at New for
-	// telemetry registration and the ShardStats report.
-	idx uint32
-
-	// creates counts entries built in this shard; frees counts mappings
-	// Free actually removed. The difference from table.Len gives churn at
-	// a glance (ShardStats).
-	creates atomic.Uint64
-	frees   atomic.Uint64
-
-	// seqFloor is the largest Pin sequence a freed entry of this shard
-	// ended on. Every NextSeq exceeds it, so a key freed and re-created
-	// keeps rising — one word per shard, not a record per key ever used.
-	seqFloor atomic.Uint64
-}
-
-// Service is one GLS instance: a sharded concurrent key→lock table plus the
-// optional debug and profile machinery. Create with New; a Service must not
-// be copied.
-type Service struct {
-	opts Options
-
-	// shards is the partitioned table front-end, length Options.NumShards
-	// (a power of two). shardMask is len(shards)-1; zero means one shard,
-	// and shardOf then skips the hash — the NumShards=1 fast path is the
-	// pre-shard one plus a single predictable branch.
-	shards    []shard
-	shardMask uint64
-
-	// table0 is shards[0].table when the service has exactly one shard,
-	// nil otherwise. Hoisting it lets the NumShards=1 hot path resolve
-	// keys with one load and a nil test — the same dependent-load chain
-	// the pre-shard service had, with no slice-header hop, no shard-mask
-	// read, and no shard hash. Multi-shard services leave it nil and take
-	// the masked-index arm.
-	table0 *clht.Table[entry]
+	// fast is precomputed at New: no debug. The hot entry points check
+	// this one bool instead of re-deriving the service's mode from the
+	// options on every call, so the non-debug path is a wait-free table
+	// Get plus the lock call and nothing else. (Profile/telemetry no
+	// longer force the slow path: their instrumentation is resolved into
+	// the lock objects when entries are built.)
+	fast bool
 
 	// glkSet is Options.GLK validated once, shared by every default key's
 	// lock.
@@ -331,125 +290,49 @@ type Service struct {
 	// telemetry solely through the hooks compiled into each lock object.
 	tele *telemetry.Registry
 
-	// fast is precomputed at New: no debug. The hot entry points check
-	// this one bool instead of re-deriving the service's mode from the
-	// options on every call, so the non-debug path is a wait-free table
-	// Get plus the lock call and nothing else. (Profile/telemetry no
-	// longer force the slow path: their instrumentation is resolved into
-	// the lock objects when entries are built.)
-	fast bool
+	opts Options
+}
 
-	// sharded is len(shards) > 1: telemetry registrations then carry the
-	// shard index so snapshots can roll up per shard. A single-shard
-	// service registers exactly as before, keeping its telemetry output
-	// byte-identical to the pre-shard service.
-	sharded bool
+// serviceChurn is what taking keys out of the table writes: once per Free,
+// twice per freeing Unpin.
+type serviceChurn struct {
+	// frees counts the mappings Free and Unpin removed. With table.Len it
+	// also gives the entries ever built (ShardStats).
+	frees atomic.Uint64
 
+	// seqFloor is the largest Pin sequence a freed entry ended on. Every
+	// NextSeq exceeds it, so a key freed and re-created keeps rising — one
+	// word per service, not a record per key ever used.
+	seqFloor atomic.Uint64
+}
+
+// serviceRare is written by issue reports and Close.
+type serviceRare struct {
 	issueCounts [issueKindCount]atomic.Uint64
 	closed      atomic.Bool
 }
 
-// shardMix spreads a key over the shards. It must not be the table's own
-// bucket hash: clht indexes buckets with the LOW bits of a splitmix64
-// finalizer, and masking the same bits here would make every shard's table
-// see only 1/NumShards of the bucket space. This is the murmur3 fmix64
-// finalizer — different constants, so the two indices are independent.
-func shardMix(k uint64) uint64 {
-	k ^= k >> 33
-	k *= 0xff51afd7ed558ccd
-	k ^= k >> 33
-	k *= 0xc4ceb9fe1a85ec53
-	k ^= k >> 33
-	return k
-}
-
-// defaultNumShards derives Options.NumShards=0: the next power of two ≥
-// GOMAXPROCS, capped at 256 (beyond that the per-shard tables are too empty
-// to matter and ShardStats reports get silly).
-func defaultNumShards() int {
-	p := runtime.GOMAXPROCS(0)
-	n := 1
-	for n < p && n < 256 {
-		n <<= 1
-	}
-	return n
-}
-
-// shardIdx maps a key to its shard index. The mask==0 short-circuit keeps
-// the NumShards=1 configuration off the hash entirely.
-func (s *Service) shardIdx(key uint64) uint64 {
-	if s.shardMask == 0 {
-		return 0
-	}
-	return shardMix(key) & s.shardMask
-}
-
-// shardOf maps a key to its shard.
-func (s *Service) shardOf(key uint64) *shard {
-	return &s.shards[s.shardIdx(key)]
-}
-
-// tableFor routes a key to its shard's table. The table0 arm keeps a
-// single-shard service on the pre-shard load chain: one pointer load whose
-// nil test doubles as the "am I sharded?" branch. tableFor is small enough
-// to inline, so the hot entry points write s.tableFor(key).Get(key) and the
-// whole resolution flattens into them exactly as the pre-shard s.table.Get
-// did (getEntry bundles the two calls for the paths where an extra frame
-// doesn't matter, but itself exceeds the inlining budget).
-func (s *Service) tableFor(key uint64) *clht.Table[entry] {
-	if t := s.table0; t != nil {
-		return t
-	}
-	return s.shards[shardMix(key)&s.shardMask].table
-}
-
-// getEntry resolves a key through the shard front-end without creating it —
-// the shared read step behind every fast path and release path.
-func (s *Service) getEntry(key uint64) *entry {
-	return s.tableFor(key).Get(key)
-}
-
-// NumShards reports how many shards partition the service's table.
-func (s *Service) NumShards() int { return len(s.shards) }
-
-// ShardOf reports the shard index key routes to — for tests, benchmarks,
-// and tools that need to construct same-shard or cross-shard key sets
-// (TestFreeInvalidatesOnlyItsKey probes this for a same-shard neighbour).
-func (s *Service) ShardOf(key uint64) int { return int(s.shardIdx(key)) }
-
-// ShardInfo is one shard's occupancy snapshot (ShardStats).
+// ShardInfo is the table's occupancy and churn (ShardStats).
 type ShardInfo struct {
-	// Shard is the shard index.
-	Shard int
-	// Locks is the number of lock objects currently mapped in the shard.
+	// Locks is the number of lock objects currently mapped.
 	Locks int
-	// Creates counts entries ever built in the shard.
+	// Creates counts entries ever built.
 	Creates uint64
-	// Frees counts mappings Free removed from the shard.
+	// Frees counts mappings Free and Unpin removed.
 	Frees uint64
 }
 
-// ShardStats reports per-shard occupancy and churn, in shard order.
+// ShardStats reports the table's occupancy and churn as a one-row slice —
+// the shape glsmark reads. Creates is derived: every entry ever mapped is
+// still mapped or was counted in Frees, so at rest it is exact; read while
+// keys come and go it is a racy sum like Locks itself.
 func (s *Service) ShardStats() []ShardInfo {
-	out := make([]ShardInfo, len(s.shards))
-	for i := range s.shards {
-		sh := &s.shards[i]
-		out[i] = ShardInfo{
-			Shard:   i,
-			Locks:   sh.table.Len(),
-			Creates: sh.creates.Load(),
-			Frees:   sh.frees.Load(),
-		}
-	}
-	return out
+	frees, locks := s.frees.Load(), s.table.Len()
+	return []ShardInfo{{Locks: locks, Creates: frees + uint64(locks), Frees: frees}}
 }
 
-// New returns a ready Service (gls_init). It panics on invalid Options
-// (see Options.Validate).
+// New returns a ready Service (gls_init).
 func New(opts Options) *Service {
-	if err := opts.Validate(); err != nil {
-		panic(err)
-	}
 	if opts.DeadlockCheckInterval <= 0 {
 		opts.DeadlockCheckInterval = 250 * time.Millisecond
 	}
@@ -465,29 +348,13 @@ func New(opts Options) *Service {
 		// every acquisition, matching the paper's per-operation profiling.
 		tele = telemetry.New(telemetry.Options{SamplePeriod: 1})
 	}
-	n := opts.NumShards
-	if n == 0 {
-		n = defaultNumShards()
-	}
-	// Split the size hint across shards (rounded up) so the aggregate
-	// pre-sized capacity matches what the caller asked for.
-	hint := (opts.SizeHint + n - 1) / n
-	s := &Service{
-		opts:      opts,
-		shards:    make([]shard, n),
-		shardMask: uint64(n - 1),
-		glkSet:    glk.NewSettings(opts.GLK),
-		tele:      tele,
-		fast:      !opts.Debug,
-		sharded:   n > 1,
-	}
-	for i := range s.shards {
-		s.shards[i].table = clht.New[entry](hint)
-		s.shards[i].idx = uint32(i)
-	}
-	if n == 1 {
-		s.table0 = s.shards[0].table
-	}
+	s := &Service{serviceConfig: serviceConfig{
+		table:  clht.New[entry](opts.SizeHint),
+		fast:   !opts.Debug,
+		glkSet: glk.NewSettings(opts.GLK),
+		tele:   tele,
+		opts:   opts,
+	}}
 	if opts.Debug {
 		s.dbg = newDebugState()
 		s.dbg.start(s)
@@ -518,14 +385,13 @@ func (s *Service) Close() {
 // gets the hooks compiled in via Init, any explicit algorithm is wrapped by
 // telemetry.Instrument, and without a registry the locks are built bare —
 // the lock/unlock paths never branch on whether telemetry is on.
-func (s *Service) newEntry(sh *shard, key uint64, algo locks.Algorithm) func() *entry {
+func (s *Service) newEntry(key uint64, algo locks.Algorithm) func() *entry {
 	return func() *entry {
-		sh.creates.Add(1)
 		if algo == algoGLK {
 			e := &entry{entryStats: entryStats{key: key}}
 			var st *telemetry.LockStats
 			if s.tele != nil {
-				st = s.registerLock(sh, key, algoName(algo))
+				st = s.tele.Register(key, algoName(algo))
 			} else if s.opts.GLK != nil {
 				st = s.opts.GLK.Stats
 			}
@@ -534,7 +400,7 @@ func (s *Service) newEntry(sh *shard, key uint64, algo locks.Algorithm) func() *
 		}
 		l := locks.New(algo)
 		if s.tele != nil {
-			l = telemetry.Instrument(l, s.registerLock(sh, key, algoName(algo)))
+			l = telemetry.Instrument(l, s.tele.Register(key, algoName(algo)))
 		}
 		return newBoxed(key, boxedHead{lock: l, algo: algo})
 	}
@@ -547,30 +413,13 @@ func newBoxed(key uint64, head boxedHead) *entry {
 	return b.asEntry()
 }
 
-// registerLock registers a new lock with the telemetry registry, carrying
-// the shard index when the service is sharded (single-shard services
-// register exactly as the pre-shard service did, so their telemetry output
-// is unchanged).
-func (s *Service) registerLock(sh *shard, key uint64, kind string) *telemetry.LockStats {
-	if s.sharded {
-		return s.tele.RegisterSharded(key, kind, int(sh.idx))
-	}
-	return s.tele.Register(key, kind)
-}
-
 // entryFor maps a key to its lock entry, creating it with algo on first
 // use. The boolean reports whether this call created the entry.
 func (s *Service) entryFor(key uint64, algo locks.Algorithm) (*entry, bool) {
-	return s.entryIn(s.shardOf(key), key, algo)
-}
-
-// entryIn is entryFor for a key whose shard the caller already resolved
-// (LockMany resolves whole per-shard runs).
-func (s *Service) entryIn(sh *shard, key uint64, algo locks.Algorithm) (*entry, bool) {
 	if key == 0 {
 		panic("gls: zero key (the paper's NULL) is not a valid lock")
 	}
-	return sh.table.GetOrInsert(key, s.newEntry(sh, key, algo))
+	return s.table.GetOrInsert(key, s.newEntry(key, algo))
 }
 
 // Lock acquires the GLK lock for key, creating it on first use (gls_lock).
@@ -581,7 +430,7 @@ func (s *Service) entryIn(sh *shard, key uint64, algo locks.Algorithm) (*entry, 
 // service) goes through the general path.
 func (s *Service) Lock(key uint64) {
 	if s.fast {
-		if e := s.tableFor(key).Get(key); e != nil {
+		if e := s.table.Get(key); e != nil {
 			if e.inline() {
 				e.lk.Lock()
 			} else {
@@ -617,7 +466,7 @@ func (s *Service) lockWith(a locks.Algorithm, key uint64) {
 // TryLock try-acquires the GLK lock for key (gls_trylock).
 func (s *Service) TryLock(key uint64) bool {
 	if s.fast {
-		if e := s.tableFor(key).Get(key); e != nil {
+		if e := s.table.Get(key); e != nil {
 			if e.inline() {
 				return e.lk.TryLock()
 			}
@@ -656,7 +505,7 @@ func (s *Service) Unlock(key uint64) {
 	if key == 0 {
 		panic("gls: zero key (the paper's NULL) is not a valid lock")
 	}
-	e := s.tableFor(key).Get(key)
+	e := s.table.Get(key)
 	if s.fast {
 		if e == nil {
 			panic(fmt.Sprintf("gls: Unlock(%#x): key was never locked", key))
@@ -678,7 +527,7 @@ func (s *Service) UnlockWith(a locks.Algorithm, key uint64) {
 		panic(fmt.Sprintf("gls: UnlockWith(%v): unknown algorithm", a))
 	}
 	if s.dbg != nil {
-		if e := s.getEntry(key); e != nil && e.algo() != a {
+		if e := s.table.Get(key); e != nil && e.algo() != a {
 			s.report(Issue{
 				Kind:      IssueAlgorithmMismatch,
 				Key:       key,
@@ -748,15 +597,14 @@ func (s *Service) Free(key uint64) {
 	if key == 0 {
 		return
 	}
-	sh := s.shardOf(key)
-	if e := sh.table.Get(key); e != nil {
-		s.retire(sh, e)
+	if e := s.table.Get(key); e != nil {
+		s.retire(e)
 	}
 }
 
 // retire unmaps e's key; e is the entry the caller found mapped there (Free)
 // or holds a dead pin count on (Unpin).
-func (s *Service) retire(sh *shard, e *entry) {
+func (s *Service) retire(e *entry) {
 	key := e.key
 	if s.dbg != nil {
 		if owner := e.owner.Load(); owner != 0 {
@@ -788,21 +636,14 @@ func (s *Service) retire(sh *shard, e *entry) {
 	// delete removes is marked too — every entry that has left the table
 	// is dead, whichever Free removed it.
 	e.markDead()
-	if d := sh.table.Delete(key); d != nil {
+	if d := s.table.Delete(key); d != nil {
 		d.markDead()
-		sh.frees.Add(1)
+		s.frees.Add(1)
 	}
 }
 
-// Locks returns the number of lock objects currently mapped, summed over
-// the shards.
-func (s *Service) Locks() int {
-	n := 0
-	for i := range s.shards {
-		n += s.shards[i].table.Len()
-	}
-	return n
-}
+// Locks returns the number of lock objects currently mapped.
+func (s *Service) Locks() int { return s.table.Len() }
 
 // algoName names an entry's algorithm, including the GLK default.
 func algoName(a locks.Algorithm) string {
@@ -817,7 +658,7 @@ func algoName(a locks.Algorithm) string {
 // ("decide on a pre-determined lock algorithm that is the most suitable for
 // a given lock object", §4.3).
 func (s *Service) GLKStats(key uint64) (glk.Stats, bool) {
-	e := s.getEntry(key)
+	e := s.table.Get(key)
 	if e == nil || !e.inline() {
 		return glk.Stats{}, false
 	}

@@ -57,7 +57,7 @@ func (s *Service) LockCtx(ctx context.Context, key uint64) error {
 		return nil
 	}
 	if s.fast {
-		if e := s.tableFor(key).Get(key); e != nil {
+		if e := s.table.Get(key); e != nil {
 			if locks.LockWithCancel(e.exclusive(), c) {
 				return nil
 			}
@@ -79,7 +79,7 @@ func (s *Service) TryLockFor(key uint64, d time.Duration) bool {
 	}
 	c := &locks.Cancel{Deadline: time.Now().Add(d)}
 	if s.fast {
-		if e := s.tableFor(key).Get(key); e != nil {
+		if e := s.table.Get(key); e != nil {
 			return locks.LockWithCancel(e.exclusive(), c)
 		}
 	}
@@ -125,7 +125,7 @@ func (s *Service) RLockCtx(ctx context.Context, key uint64) error {
 		return nil
 	}
 	if s.fast {
-		if e := s.tableFor(key).Get(key); e != nil {
+		if e := s.table.Get(key); e != nil {
 			rw := e.rwLock()
 			if rw == nil {
 				s.entryForRW(key, algoGLKRW) // panics with the species message
@@ -151,7 +151,7 @@ func (s *Service) TryRLockFor(key uint64, d time.Duration) bool {
 	}
 	c := &locks.Cancel{Deadline: time.Now().Add(d)}
 	if s.fast {
-		if e := s.tableFor(key).Get(key); e != nil {
+		if e := s.table.Get(key); e != nil {
 			rw := e.rwLock()
 			if rw == nil {
 				s.entryForRW(key, algoGLKRW)

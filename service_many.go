@@ -1,8 +1,9 @@
 package gls
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"gls/internal/gid"
 )
@@ -14,44 +15,18 @@ import (
 // two batches with overlapping key sets can never deadlock against each
 // other.
 //
-// The discipline: keys are sorted by (shard, key) and deduplicated before
-// any lock is touched. Shard-major order means each shard's entries are
-// resolved in one run (one stretch of locality per shard table, the shape
-// a per-shard server loop will want); the key tiebreak makes the order a
-// strict total order, so any two batches acquire their common keys in the
-// same sequence — the classic ordered-acquisition argument. Duplicate keys
-// are coalesced: LockMany(k, k) holds k once, and UnlockMany(k, k)
-// releases it once, so a batch built from a messy key list stays balanced.
+// The discipline: keys are sorted and deduplicated before any lock is
+// touched. Key order is a strict total order, so any two batches acquire
+// their common keys in the same sequence — the classic ordered-acquisition
+// argument. Duplicate keys are coalesced: LockMany(k, k) holds k once, and
+// UnlockMany(k, k) releases it once, so a batch built from a messy key
+// list stays balanced.
 
 // manyRef is one resolved key of a batch.
 type manyRef struct {
 	key     uint64
-	shard   uint32
 	e       *entry
 	created bool
-}
-
-// sortRefs orders a batch by (shard, key). Small batches — the common case
-// for a multi-key critical section — use insertion sort to stay off the
-// sort.Slice allocation; large ones fall through to it.
-func sortRefs(refs []manyRef) {
-	if len(refs) <= 16 {
-		for i := 1; i < len(refs); i++ {
-			for j := i; j > 0 && refLess(refs[j], refs[j-1]); j-- {
-				refs[j], refs[j-1] = refs[j-1], refs[j]
-			}
-		}
-		return
-	}
-	sort.Slice(refs, func(i, j int) bool { return refLess(refs[i], refs[j]) })
-}
-
-// refLess is the batch order: shard-major, key within shard.
-func refLess(a, b manyRef) bool {
-	if a.shard != b.shard {
-		return a.shard < b.shard
-	}
-	return a.key < b.key
 }
 
 // resolveMany maps a key list to its sorted, deduplicated entry refs.
@@ -65,27 +40,18 @@ func (s *Service) resolveMany(keys []uint64, create bool, op string) []manyRef {
 		if k == 0 {
 			panic("gls: zero key (the paper's NULL) is not a valid lock")
 		}
-		refs = append(refs, manyRef{key: k, shard: uint32(s.shardIdx(k))})
+		refs = append(refs, manyRef{key: k})
 	}
-	sortRefs(refs)
-	out := refs[:0]
+	slices.SortFunc(refs, func(a, b manyRef) int { return cmp.Compare(a.key, b.key) })
+	// A duplicate key is coalesced: held once.
+	refs = slices.CompactFunc(refs, func(a, b manyRef) bool { return a.key == b.key })
 	for i := range refs {
-		if i > 0 && refs[i].key == out[len(out)-1].key {
-			continue // duplicate key: coalesced, held once
-		}
-		out = append(out, refs[i])
-	}
-	refs = out
-	for i := 0; i < len(refs); {
-		sh := &s.shards[refs[i].shard]
-		for ; i < len(refs) && &s.shards[refs[i].shard] == sh; i++ {
-			if create {
-				refs[i].e, refs[i].created = s.entryIn(sh, refs[i].key, algoGLK)
-			} else {
-				refs[i].e = sh.table.Get(refs[i].key)
-				if refs[i].e == nil && s.dbg == nil {
-					panic(fmt.Sprintf("gls: %s(%#x): key was never locked", op, refs[i].key))
-				}
+		if create {
+			refs[i].e, refs[i].created = s.entryFor(refs[i].key, algoGLK)
+		} else {
+			refs[i].e = s.table.Get(refs[i].key)
+			if refs[i].e == nil && s.dbg == nil {
+				panic(fmt.Sprintf("gls: %s(%#x): key was never locked", op, refs[i].key))
 			}
 		}
 	}
@@ -93,7 +59,7 @@ func (s *Service) resolveMany(keys []uint64, create bool, op string) []manyRef {
 }
 
 // LockMany acquires the GLK locks for every key in one batch, creating
-// locks on first use like Lock. Keys are acquired in (shard, key) order and
+// locks on first use like Lock. Keys are acquired in key order and
 // duplicates are coalesced, so concurrent LockMany calls with overlapping —
 // even identical — key sets cannot deadlock against each other. Batches do
 // NOT compose with out-of-order singles: a goroutine interleaving LockMany

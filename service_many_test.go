@@ -2,7 +2,6 @@ package gls
 
 import (
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -14,18 +13,12 @@ import (
 	"gls/telemetry"
 )
 
-// batchOrder returns keys sorted the way LockMany acquires them:
-// shard-major, key within shard. Tests use it to address "the i-th lock the
-// batch will take" without reaching into unexported state.
-func batchOrder(s *Service, keys []uint64) []uint64 {
-	out := append([]uint64(nil), keys...)
-	sort.Slice(out, func(i, j int) bool {
-		si, sj := s.ShardOf(out[i]), s.ShardOf(out[j])
-		if si != sj {
-			return si < sj
-		}
-		return out[i] < out[j]
-	})
+// batchOrder returns keys sorted the way LockMany acquires them: by key.
+// Tests use it to address "the i-th lock the batch will take" without
+// reaching into unexported state.
+func batchOrder(keys []uint64) []uint64 {
+	out := slices.Clone(keys)
+	slices.Sort(out)
 	return out
 }
 
@@ -33,7 +26,7 @@ func batchOrder(s *Service, keys []uint64) []uint64 {
 // their shared keys: every batch increments a plain counter per held key,
 // and the totals come out exact only if each key's lock was really held.
 func TestLockManyMutualExclusion(t *testing.T) {
-	s := New(Options{NumShards: 8})
+	s := New(Options{})
 	defer s.Close()
 
 	keys := []uint64{3, 1_000_003, 2_000_003, 3_000_003, 4_000_003}
@@ -94,7 +87,7 @@ func TestLockManyMutualExclusion(t *testing.T) {
 // duplicated key lists to check that order is imposed by the service, not
 // by the caller.
 func TestLockManyOrderedAcquisition(t *testing.T) {
-	s := New(Options{NumShards: 4})
+	s := New(Options{})
 	defer s.Close()
 
 	universe := make([]uint64, 10)
@@ -144,11 +137,11 @@ func TestLockManyOrderedAcquisition(t *testing.T) {
 // had granted, whether it failed on the first key, the last, or any in
 // between.
 func TestTryLockManyBackout(t *testing.T) {
-	s := New(Options{NumShards: 8})
+	s := New(Options{})
 	defer s.Close()
 
-	keys := []uint64{11, 1_000_011, 2_000_011, 3_000_011, 4_000_011, 5_000_011}
-	ordered := batchOrder(s, keys)
+	keys := []uint64{3_000_011, 11, 5_000_011, 1_000_011, 4_000_011, 2_000_011}
+	ordered := batchOrder(keys)
 	for i, blocked := range ordered {
 		acquired := make(chan struct{})
 		release := make(chan struct{})
@@ -200,7 +193,7 @@ func TestTryLockManyBackout(t *testing.T) {
 // with repeats holds each key once (a plain Unlock balances it) and
 // UnlockMany with the same messy list releases once, not thrice.
 func TestLockManyDuplicatesCoalesce(t *testing.T) {
-	s := New(Options{NumShards: 4})
+	s := New(Options{})
 	defer s.Close()
 
 	s.LockMany(9, 9, 7, 9, 7)
@@ -262,7 +255,7 @@ func TestUnlockManyNeverLocked(t *testing.T) {
 // singles, including the TryLockMany backout path (which unwinds owner
 // state, not just lock words).
 func TestLockManyDebugMode(t *testing.T) {
-	s, c := newDebugService(t, Options{NumShards: 4})
+	s, c := newDebugService(t, Options{})
 
 	s.LockMany(3, 5, 7)
 	s.UnlockMany(7, 5, 3)
@@ -300,11 +293,11 @@ func TestLockManyDebugMode(t *testing.T) {
 
 // TestLockManyFreeFoldSoak is the -race soak: batch workers over a stable
 // key set, a churn goroutine Lock/Free-ing a disjoint set, and a telemetry
-// FoldIdle loop — the three writers to shard state running together. The
-// assertion is simply "no race, no wedge, counters exact".
+// FoldIdle loop — the three writers to table and registry state running
+// together. The assertion is simply "no race, no wedge, counters exact".
 func TestLockManyFreeFoldSoak(t *testing.T) {
 	reg := telemetry.New(telemetry.Options{})
-	s := New(Options{NumShards: 8, Telemetry: reg})
+	s := New(Options{Telemetry: reg})
 	defer s.Close()
 
 	stable := []uint64{21, 1_000_021, 2_000_021, 3_000_021}
@@ -404,7 +397,7 @@ func BenchmarkLockMany(b *testing.B) {
 							n += uint64(batch)
 							continue
 						}
-						held := slices.Compact(batchOrder(s, keys))
+						held := slices.Compact(batchOrder(keys))
 						for _, k := range held {
 							s.Lock(k)
 						}

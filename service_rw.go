@@ -40,12 +40,11 @@ func rwAlgoName(a locks.RWAlgorithm) string {
 // algorithm is wrapped by telemetry.InstrumentRW, and without a registry
 // the locks are built bare. The entry's exclusive lock aliases the write
 // side.
-func (s *Service) newRWEntry(sh *shard, key uint64, a locks.RWAlgorithm) func() *entry {
+func (s *Service) newRWEntry(key uint64, a locks.RWAlgorithm) func() *entry {
 	return func() *entry {
-		sh.creates.Add(1)
 		var rw locks.RWLock
 		if s.tele != nil {
-			st := s.registerLock(sh, key, rwAlgoName(a))
+			st := s.tele.Register(key, rwAlgoName(a))
 			if a == algoGLKRW {
 				var cfg glk.RWConfig
 				if s.opts.GLKRW != nil {
@@ -72,8 +71,7 @@ func (s *Service) entryForRW(key uint64, a locks.RWAlgorithm) (*entry, bool) {
 	if key == 0 {
 		panic("gls: zero key (the paper's NULL) is not a valid lock")
 	}
-	sh := s.shardOf(key)
-	e, created := sh.table.GetOrInsert(key, s.newRWEntry(sh, key, a))
+	e, created := s.table.GetOrInsert(key, s.newRWEntry(key, a))
 	if e.rwLock() == nil {
 		s.reportRWMismatch(key, "reader-writer use of a key mapped to an exclusive lock")
 		panic(fmt.Sprintf("gls: key %#x is mapped to an exclusive lock; RW entry points need an RW key (use a fresh key or InitRWLock first)", key))
@@ -105,7 +103,7 @@ func (s *Service) reportRWMismatch(key uint64, msg string) {
 // of the shared line).
 func (s *Service) RLock(key uint64) {
 	if s.fast {
-		if e := s.tableFor(key).Get(key); e != nil {
+		if e := s.table.Get(key); e != nil {
 			rw := e.rwLock()
 			if rw == nil {
 				s.entryForRW(key, algoGLKRW) // panics with the species message
@@ -139,7 +137,7 @@ func (s *Service) rlockWith(a locks.RWAlgorithm, key uint64) {
 // TryRLock try-acquires a read share of key's reader-writer lock.
 func (s *Service) TryRLock(key uint64) bool {
 	if s.fast {
-		if e := s.tableFor(key).Get(key); e != nil {
+		if e := s.table.Get(key); e != nil {
 			rw := e.rwLock()
 			if rw == nil {
 				s.entryForRW(key, algoGLKRW)
@@ -173,7 +171,7 @@ func (s *Service) RUnlock(key uint64) {
 	if key == 0 {
 		panic("gls: zero key (the paper's NULL) is not a valid lock")
 	}
-	e := s.tableFor(key).Get(key)
+	e := s.table.Get(key)
 	if s.fast {
 		if e == nil {
 			panic(fmt.Sprintf("gls: RUnlock(%#x): key was never locked", key))
@@ -215,7 +213,7 @@ func (s *Service) initRWLockWith(a locks.RWAlgorithm, key uint64) {
 
 // IsRWKey reports whether key is currently mapped to a reader-writer lock.
 func (s *Service) IsRWKey(key uint64) bool {
-	e := s.getEntry(key)
+	e := s.table.Get(key)
 	return e != nil && e.rwLock() != nil
 }
 
@@ -223,7 +221,7 @@ func (s *Service) IsRWKey(key uint64) bool {
 // is mapped to an adaptive (default) reader-writer lock — the RW twin of
 // GLKStats, supporting the same transition-tracing workflow.
 func (s *Service) GLKRWStats(key uint64) (glk.RWStats, bool) {
-	e := s.getEntry(key)
+	e := s.table.Get(key)
 	if e == nil || e.rwLock() == nil || e.boxed().rwalgo != algoGLKRW {
 		return glk.RWStats{}, false
 	}

@@ -189,6 +189,26 @@ func TestFree(t *testing.T) {
 	s.Unlock(9)
 }
 
+// TestShardStats checks the occupancy report's books at unit scale: one
+// row, a create per key, a free per mapping removed (a Free of an unmapped
+// key is none), and Locks what is left.
+func TestShardStats(t *testing.T) {
+	s := newTestService(t, Options{})
+	for k := uint64(1); k <= 5; k++ {
+		s.InitLock(k)
+	}
+	s.Free(1)
+	s.Free(1)
+	s.Free(99)
+	want := ShardInfo{Locks: 4, Creates: 5, Frees: 1}
+	if got := s.ShardStats(); len(got) != 1 || got[0] != want {
+		t.Errorf("ShardStats() = %+v, want the one row %+v", got, want)
+	}
+	if s.Locks() != 4 {
+		t.Errorf("Locks() = %d, want 4", s.Locks())
+	}
+}
+
 func TestGLKStats(t *testing.T) {
 	s := newTestService(t, Options{})
 	for i := 0; i < 300; i++ {

@@ -24,7 +24,7 @@ func speciesOptions() map[string]Options {
 // would acquire memory that is not this key's lock and leave it free.
 func exerciseExclusive(t *testing.T, s *Service, key uint64, wantInline bool) {
 	t.Helper()
-	e := s.getEntry(key)
+	e := s.table.Get(key)
 	if e == nil {
 		t.Fatalf("key %#x not mapped", key)
 	}
@@ -109,7 +109,7 @@ func TestSpeciesDispatch(t *testing.T) {
 			for _, a := range locks.Algorithms() {
 				k := next()
 				s.InitLockWith(a, k)
-				if got := s.getEntry(k).algo(); got != a {
+				if got := s.table.Get(k).algo(); got != a {
 					t.Errorf("InitLockWith(%v): entry says %v", a, got)
 				}
 				if _, ok := s.GLKStats(k); ok {
@@ -180,7 +180,7 @@ func TestRespeciesUnderLiveHandle(t *testing.T) {
 		if got := h.CacheMisses(); got != misses {
 			t.Fatalf("%s: %d misses, want %d", when, got, misses)
 		}
-		e := s.getEntry(key)
+		e := s.table.Get(key)
 		if h.last != e {
 			t.Fatalf("%s: the handle caches %p, the table maps %p", when, h.last, e)
 		}

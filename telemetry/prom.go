@@ -133,27 +133,6 @@ func (s *Snapshot) WritePromText(w io.Writer) error {
 	p.printf("# HELP gls_retired_locks_total Locks unregistered or idle-folded.\n# TYPE gls_retired_locks_total counter\ngls_retired_locks_total %d\n", s.Retired.Locks)
 	p.printf("# HELP gls_retired_acquisitions_total Acquisitions folded from retired locks.\n# TYPE gls_retired_acquisitions_total counter\ngls_retired_acquisitions_total %d\n", s.Retired.Acquisitions+s.Retired.RAcquisitions)
 
-	// Per-shard roll-up, present only for sharded services: the labels are
-	// just {shard}, so these families stay low-cardinality however many
-	// keys the tables hold.
-	if len(s.Shards) > 0 {
-		famShLocks := fam{"gls_shard_locks", "gauge", "Live locks in the table shard."}
-		famShHeld := fam{"gls_shard_held", "gauge", "Shard locks with at least one goroutine present."}
-		famShAcq := fam{"gls_shard_acquisitions_total", "counter", "Acquisitions (both sides, retired included) in the shard."}
-		famShCont := fam{"gls_shard_contended_total", "counter", "Contended acquisitions (both sides, retired included) in the shard."}
-		famShRet := fam{"gls_shard_retired_locks_total", "counter", "Locks freed or idle-folded out of the shard."}
-		famShEvict := fam{"gls_shard_evicted_locks_total", "counter", "Idle-evicted subset of the shard's retired locks."}
-		for i := range s.Shards {
-			sh := &s.Shards[i]
-			lbl := fmt.Sprintf(`shard="%d"`, sh.Shard)
-			add(famShLocks, lbl, promUint(sh.Locks))
-			add(famShHeld, lbl, promUint(sh.Held))
-			add(famShAcq, lbl, promUint(sh.Acquisitions))
-			add(famShCont, lbl, promUint(sh.Contended))
-			add(famShRet, lbl, promUint(sh.Retired))
-			add(famShEvict, lbl, promUint(sh.Evicted))
-		}
-	}
 	for _, f := range order {
 		p.family(f.name, f.typ, f.help, rows[f.name])
 	}

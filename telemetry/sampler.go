@@ -34,9 +34,6 @@ type LockRate struct {
 	Label string `json:"label,omitempty"`
 	Kind  string `json:"kind"`
 	Mode  string `json:"mode,omitempty"`
-	// Shard is the lock's table shard (sharded services); glsstat -top
-	// shows it as a column when the interval carries a shards block.
-	Shard uint32 `json:"shard,omitempty"`
 
 	// AcqPerSec and RAcqPerSec are acquisitions per second over the
 	// interval, writer and reader side.
@@ -96,7 +93,7 @@ func DerivePoint(diff *Snapshot, at time.Time, elapsed time.Duration, topK int) 
 			continue
 		}
 		r := LockRate{
-			Key: l.Key, Label: l.Label, Kind: l.Kind, Mode: l.Mode, Shard: l.Shard,
+			Key: l.Key, Label: l.Label, Kind: l.Kind, Mode: l.Mode,
 			AcqPerSec:     float64(l.Acquisitions) / secs,
 			RAcqPerSec:    float64(l.RAcquisitions) / secs,
 			DrainNsPerSec: float64(l.WDrainNanos) / secs,

@@ -20,9 +20,6 @@ type LockSnapshot struct {
 	Label string `json:"label,omitempty"`
 	Kind  string `json:"kind"`
 	Mode  string `json:"mode,omitempty"`
-	// Shard is the table shard the lock lives in (services with
-	// NumShards > 1 register through RegisterSharded); 0 otherwise.
-	Shard uint32 `json:"shard,omitempty"`
 
 	Arrivals     uint64 `json:"arrivals"`
 	Acquisitions uint64 `json:"acquisitions"`
@@ -216,29 +213,6 @@ type RetiredSnapshot struct {
 	RWaitHist []uint64 `json:"r_wait_hist,omitempty"`
 }
 
-// ShardSnapshot is one table shard's roll-up: how many locks live there,
-// how busy they are, and how much has been retired out of it. The block
-// exists so imbalance — one shard soaking up the acquisitions or the Free
-// churn — is visible at a glance before glsd puts a network between the
-// operator and the keys. Emitted only for sharded registries (a service
-// with NumShards > 1); shards that have never held a lock are omitted.
-type ShardSnapshot struct {
-	Shard uint32 `json:"shard"`
-	// Locks counts the live locks registered in the shard; Held is how
-	// many of them had at least one goroutine present at snapshot time.
-	Locks uint64 `json:"locks"`
-	Held  uint64 `json:"held,omitempty"`
-	// Acquisitions and Contended sum both sides (write + read) of every
-	// lock the shard has ever held, retired included, so interval math
-	// stays monotonic across Free.
-	Acquisitions uint64 `json:"acquisitions"`
-	Contended    uint64 `json:"contended,omitempty"`
-	// Retired counts locks folded out of the shard (freed or evicted);
-	// Evicted is the idle-eviction subset.
-	Retired uint64 `json:"retired,omitempty"`
-	Evicted uint64 `json:"evicted,omitempty"`
-}
-
 // Snapshot is a point-in-time (or, after Diff, an interval) view of a
 // Registry. Locks are sorted most-contended first: by contended
 // acquisitions (writer plus reader side), then arrivals (both sides), then
@@ -248,9 +222,6 @@ type Snapshot struct {
 	SamplePeriod uint64          `json:"sample_period"`
 	Locks        []LockSnapshot  `json:"locks"`
 	Retired      RetiredSnapshot `json:"retired"`
-	// Shards is the per-shard roll-up, present only for sharded registries
-	// (see ShardSnapshot), in shard order.
-	Shards []ShardSnapshot `json:"shards,omitempty"`
 }
 
 // Lock returns the snapshot entry for key, or nil.
@@ -302,7 +273,6 @@ func (s *Snapshot) Diff(prev *Snapshot) *Snapshot {
 			RWaitHist:     subBuckets(s.Retired.RWaitHist, prev.Retired.RWaitHist),
 		},
 	}
-	out.Shards = diffShards(s.Shards, prev.Shards)
 	curGen := make(map[uint64]uint64, len(s.Locks))
 	for i := range s.Locks {
 		curGen[s.Locks[i].Key] = s.Locks[i].Gen
@@ -368,30 +338,6 @@ func (s *Snapshot) Diff(prev *Snapshot) *Snapshot {
 		}
 	}
 	out.sort()
-	return out
-}
-
-// diffShards subtracts prev's per-shard monotonic counters (a shard's
-// acquisition total keeps growing across Free: folds move counts from the
-// live side to the retired side of the same sum). Locks and Held are
-// states, taken from the current snapshot.
-func diffShards(cur, prev []ShardSnapshot) []ShardSnapshot {
-	if len(cur) == 0 {
-		return nil
-	}
-	prevBy := make(map[uint32]ShardSnapshot, len(prev))
-	for _, p := range prev {
-		prevBy[p.Shard] = p
-	}
-	out := make([]ShardSnapshot, 0, len(cur))
-	for _, c := range cur {
-		p := prevBy[c.Shard]
-		c.Acquisitions = sub0(c.Acquisitions, p.Acquisitions)
-		c.Contended = sub0(c.Contended, p.Contended)
-		c.Retired = sub0(c.Retired, p.Retired)
-		c.Evicted = sub0(c.Evicted, p.Evicted)
-		out = append(out, c)
-	}
 	return out
 }
 
@@ -478,17 +424,6 @@ func (s *Snapshot) WriteText(w io.Writer) error {
 	if s.Retired.Locks > 0 {
 		if _, err := fmt.Fprintf(w, "[glstat] retired: %d locks (%d idle-evicted), %d acquisitions (%d contended), %d transitions\n",
 			s.Retired.Locks, s.Retired.Evicted, s.Retired.Acquisitions, s.Retired.Contended, s.Retired.Transitions); err != nil {
-			return err
-		}
-	}
-	for i := range s.Shards {
-		sh := &s.Shards[i]
-		shPct := 0.0
-		if sh.Acquisitions > 0 {
-			shPct = 100 * float64(sh.Contended) / float64(sh.Acquisitions)
-		}
-		if _, err := fmt.Fprintf(w, "[glstat] shard %d: locks %d (%d held)  acquisitions %d (%.1f%% contended)  retired %d (%d evicted)\n",
-			sh.Shard, sh.Locks, sh.Held, sh.Acquisitions, shPct, sh.Retired, sh.Evicted); err != nil {
 			return err
 		}
 	}

@@ -154,26 +154,6 @@ type Registry struct {
 	// does not rescan the whole map per insertion (see Register).
 	sweepAt int
 
-	// sharded is set by the first RegisterSharded: snapshots then carry the
-	// per-shard roll-up block and the MaxLocks sweeps go shard-at-a-time. A
-	// registry fed only by Register (a single-shard service) never sets it,
-	// keeping its snapshots and reports byte-identical to the pre-shard
-	// subsystem.
-	sharded bool
-
-	// shardSets groups the live stats by shard so an automatic idle-fold
-	// can sweep one shard's set instead of the world; shardIDs lists the
-	// shards ever seen (sets are never removed, only emptied) and
-	// sweepShard is the rotating cursor over it. Register files everything
-	// under shard 0 so the bookkeeping is uniform.
-	shardSets  map[uint32]map[uint64]*LockStats
-	shardIDs   []uint32
-	sweepShard int
-
-	// retiredShards accumulates per-shard retirement counters (the shard
-	// twin of retired), keyed by shard index.
-	retiredShards map[uint32]*retiredShard
-
 	// gen stamps each registration with a unique incarnation id, so Diff
 	// can tell a key that was freed and re-created apart from the same
 	// lock continuing (their counters must not be subtracted).
@@ -210,16 +190,6 @@ type retiredTotals struct {
 	rwaitHist []uint64
 }
 
-// retiredShard is one shard's slice of the retired totals — just the
-// counters the per-shard roll-up reports (see ShardSnapshot), so interval
-// math per shard stays monotonic across Free and eviction.
-type retiredShard struct {
-	locks        uint64
-	evicted      uint64
-	acquisitions uint64
-	contended    uint64
-}
-
 // New returns an empty registry.
 func New(opts Options) *Registry {
 	p := opts.SamplePeriod
@@ -234,12 +204,10 @@ func New(opts Options) *Registry {
 		mask <<= 1
 	}
 	return &Registry{
-		sampleMask:    mask - 1,
-		maxLocks:      opts.MaxLocks,
-		locks:         make(map[uint64]*LockStats),
-		shardSets:     make(map[uint32]map[uint64]*LockStats),
-		retiredShards: make(map[uint32]*retiredShard),
-		hub:           newHub(opts.EventBuffer),
+		sampleMask: mask - 1,
+		maxLocks:   opts.MaxLocks,
+		locks:      make(map[uint64]*LockStats),
+		hub:        newHub(opts.EventBuffer),
 	}
 }
 
@@ -265,28 +233,13 @@ func (r *Registry) SamplePeriod() uint64 { return r.sampleMask + 1 }
 // of a live key returns the existing stats unchanged, so two racing entry
 // constructions agree on one accumulator.
 func (r *Registry) Register(key uint64, kind string) *LockStats {
-	return r.register(key, kind, 0, false)
-}
-
-// RegisterSharded is Register for a lock living in shard of a partitioned
-// service: the stats carry the shard index, snapshots gain the per-shard
-// roll-up block, and the MaxLocks idle-fold sweeps go one shard at a time
-// (a rotating cursor) instead of scanning every live lock per trigger.
-func (r *Registry) RegisterSharded(key uint64, kind string, shard int) *LockStats {
-	return r.register(key, kind, uint32(shard), true)
-}
-
-func (r *Registry) register(key uint64, kind string, shard uint32, sharded bool) *LockStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if sharded {
-		r.sharded = true
-	}
 	if st := r.locks[key]; st != nil {
 		return st
 	}
 	r.gen++
-	st := &LockStats{statsHeader: statsHeader{key: key, kind: kind, gen: r.gen, shard: shard, sampleMask: r.sampleMask, hub: r.hub}}
+	st := &LockStats{statsHeader: statsHeader{key: key, kind: kind, gen: r.gen, sampleMask: r.sampleMask, hub: r.hub}}
 	// The sentinel guarantees one full sweep interval of grace: the first
 	// scan observes lastArrivals != arrivals and re-arms instead of folding,
 	// so a lock registered moments before a sweep cannot lose its stats
@@ -297,25 +250,13 @@ func (r *Registry) register(key uint64, kind string, shard uint32, sharded bool)
 		delete(r.pendingLabels, key)
 	}
 	r.locks[key] = st
-	set := r.shardSets[shard]
-	if set == nil {
-		set = make(map[uint64]*LockStats)
-		r.shardSets[shard] = set
-		r.shardIDs = append(r.shardIDs, shard)
-	}
-	set[key] = st
 	// High-cardinality guard: once past the cap, periodically fold idle
-	// stats into the retired totals. The sweep is O(live locks) — or, for a
-	// sharded registry, O(one shard's locks) — so it is amortized by
-	// deferring the next one until the registry has grown by a fraction of
+	// stats into the retired totals. The sweep is O(live locks), so it is
+	// amortized by deferring the next one until the registry has grown by a fraction of
 	// the cap: if everything is active (nothing foldable), the cost stays
 	// one scan per maxLocks/8 registrations, not one per insert.
 	if r.maxLocks > 0 && len(r.locks) > r.maxLocks && len(r.locks) >= r.sweepAt {
-		if r.sharded {
-			r.foldIdleShardLocked(st)
-		} else {
-			r.foldIdleLocked(st)
-		}
+		r.foldIdleLocked(st)
 		step := r.maxLocks / 8
 		if step < 1 {
 			step = 1
@@ -329,29 +270,10 @@ func (r *Registry) register(key uint64, kind string, shard uint32, sharded bool)
 // from the live map. Caller holds r.mu.
 func (r *Registry) foldLocked(st *LockStats, evicted bool) {
 	delete(r.locks, st.key)
-	if set := r.shardSets[st.shard]; set != nil {
-		delete(set, st.key)
-	}
 	sums := st.lanes.SumAll()
 	r.retired.locks++
 	if evicted {
 		r.retired.evicted++
-	}
-	rs := r.retiredShards[st.shard]
-	if rs == nil {
-		rs = &retiredShard{}
-		r.retiredShards[st.shard] = rs
-	}
-	rs.locks++
-	if evicted {
-		rs.evicted++
-	}
-	rs.acquisitions += sub0(sums[slotArrivals], sums[slotTryFails])
-	rs.contended += sums[slotContended]
-	if rw := st.rw.Load(); rw != nil {
-		rwSums := rw.lanes.SumAll()
-		rs.acquisitions += sub0(rwSums[rwSlotRArrivals], rwSums[rwSlotRTryFails])
-		rs.contended += rwSums[rwSlotRContended]
 	}
 	for i, v := range sums {
 		r.retired.counters[i] += v
@@ -410,35 +332,6 @@ func (r *Registry) foldIdleLocked(keep *LockStats) int {
 		}
 	}
 	return folded
-}
-
-// foldIdleShardLocked is the sharded automatic sweep: it scans exactly one
-// shard's live set — the next non-empty one under a rotating cursor — so a
-// Register storm over a partitioned service pays O(cap/NumShards) per
-// trigger instead of rescanning the world, and successive triggers visit
-// the shards round-robin. The idle test is per lock and unchanged; a lock
-// that stays busy in an otherwise-swept shard is re-armed exactly as in the
-// full scan. Caller holds r.mu.
-func (r *Registry) foldIdleShardLocked(keep *LockStats) int {
-	for tries := 0; tries < len(r.shardIDs); tries++ {
-		id := r.shardIDs[r.sweepShard%len(r.shardIDs)]
-		r.sweepShard++
-		set := r.shardSets[id]
-		if len(set) == 0 {
-			continue
-		}
-		folded := 0
-		for _, st := range set {
-			if st == keep {
-				continue
-			}
-			if r.foldIfIdleLocked(st) {
-				folded++
-			}
-		}
-		return folded
-	}
-	return 0
 }
 
 // FoldIdle immediately folds the stats of every idle lock (see
@@ -529,7 +422,6 @@ type statsHeader struct {
 	key        uint64
 	gen        uint64 // registration incarnation (see Registry.gen)
 	sampleMask uint64
-	shard      uint32 // owning shard (RegisterSharded); 0 for unsharded registries
 	kind       string
 	presence   atomic.Pointer[PresenceSampler]
 	// readers reports how many readers are currently at the lock, for
@@ -913,7 +805,6 @@ func (s *LockStats) snapshot() LockSnapshot {
 		Key:        s.key,
 		Gen:        s.gen,
 		Kind:       s.kind,
-		Shard:      s.shard,
 		Arrivals:   sums[slotArrivals],
 		TryFails:   sums[slotTryFails],
 		Contended:  sums[slotContended],
@@ -983,14 +874,6 @@ func (r *Registry) Snapshot() *Snapshot {
 	retired.waitHist = append([]uint64(nil), r.retired.waitHist...)
 	retired.holdHist = append([]uint64(nil), r.retired.holdHist...)
 	retired.rwaitHist = append([]uint64(nil), r.retired.rwaitHist...)
-	sharded := r.sharded
-	var shardRetired map[uint32]retiredShard
-	if sharded {
-		shardRetired = make(map[uint32]retiredShard, len(r.retiredShards))
-		for id, rs := range r.retiredShards {
-			shardRetired[id] = *rs
-		}
-	}
 	r.mu.RUnlock()
 
 	snap := &Snapshot{
@@ -1020,50 +903,8 @@ func (r *Registry) Snapshot() *Snapshot {
 	for _, st := range stats {
 		snap.Locks = append(snap.Locks, st.snapshot())
 	}
-	if sharded {
-		snap.Shards = shardRollup(snap.Locks, shardRetired)
-	}
 	snap.sort()
 	return snap
-}
-
-// shardRollup aggregates per-lock snapshots (and per-shard retired totals)
-// into the shards summary block, in shard order. Shards that currently hold
-// no live locks still appear if they ever retired one, so a shard drained
-// by Free churn stays visible.
-func shardRollup(locks []LockSnapshot, retired map[uint32]retiredShard) []ShardSnapshot {
-	m := make(map[uint32]*ShardSnapshot)
-	at := func(id uint32) *ShardSnapshot {
-		sh := m[id]
-		if sh == nil {
-			sh = &ShardSnapshot{Shard: id}
-			m[id] = sh
-		}
-		return sh
-	}
-	for i := range locks {
-		l := &locks[i]
-		sh := at(l.Shard)
-		sh.Locks++
-		if l.Present > 0 || l.RPresent > 0 {
-			sh.Held++
-		}
-		sh.Acquisitions += l.Acquisitions + l.RAcquisitions
-		sh.Contended += l.Contended + l.RContended
-	}
-	for id, rs := range retired {
-		sh := at(id)
-		sh.Retired += rs.locks
-		sh.Evicted += rs.evicted
-		sh.Acquisitions += rs.acquisitions
-		sh.Contended += rs.contended
-	}
-	out := make([]ShardSnapshot, 0, len(m))
-	for _, sh := range m {
-		out = append(out, *sh)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Shard < out[j].Shard })
-	return out
 }
 
 // sub0 is a-b clamped at zero, for derived counters built from racy reads.

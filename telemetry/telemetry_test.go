@@ -320,6 +320,64 @@ func TestMaxLocksAutoSweep(t *testing.T) {
 	}
 }
 
+// touch drives one uncontended acquisition through st.
+func touch(st *LockStats) {
+	tok := stripe.Self()
+	a := st.Arrive(tok)
+	a.Acquired(false)
+	st.Release(tok)
+}
+
+// TestAutoSweepSparesActiveAndTrigger is the rest of the MaxLocks contract,
+// under a Register storm well past the cap: a sweep folds the idle, keeps
+// and re-arms a lock that moved since the last one however often it runs,
+// never folds the registration that triggered it, and moves counts from
+// the live side to the retired side without losing or double-counting one
+// — so the retired totals only rise.
+func TestAutoSweepSparesActiveAndTrigger(t *testing.T) {
+	r := New(Options{SamplePeriod: 1, MaxLocks: 8})
+	const busyKey, storm = 1, 64
+	busy := r.Register(busyKey, "glk")
+	touches := uint64(0)
+	var prev RetiredSnapshot
+	for i := 0; i < storm; i++ {
+		key := uint64(100 + i)
+		st := r.Register(key, "glk")
+		if r.Get(key) != st {
+			t.Fatalf("registration %d: the sweep it triggered folded it", i)
+		}
+		touch(st)
+		touch(busy)
+		touches += 2
+		snap := r.Snapshot()
+		if snap.Retired.Locks < prev.Locks || snap.Retired.Evicted < prev.Evicted || snap.Retired.Acquisitions < prev.Acquisitions {
+			t.Fatalf("registration %d: retired totals fell: %+v after %+v", i, snap.Retired, prev)
+		}
+		if got := snap.Retired.Acquisitions + totalAcquisitions(snap); got != touches {
+			t.Fatalf("registration %d: live+retired acquisitions = %d, want %d", i, got, touches)
+		}
+		prev = snap.Retired
+	}
+	if r.Get(busyKey) != busy {
+		t.Error("the lock that was active before every sweep was folded")
+	}
+	if got := busy.snapshot().Acquisitions; got != storm {
+		t.Errorf("the active lock shows %d acquisitions, want %d", got, storm)
+	}
+	if n := r.Len(); n > 12 {
+		t.Errorf("Len = %d after %d idle registrations, want near the cap of 8", n, storm)
+	}
+	if prev.Evicted == 0 || prev.Evicted != prev.Locks {
+		t.Errorf("retired %d locks, %d of them evicted: want every one, and some", prev.Locks, prev.Evicted)
+	}
+
+	// The manual scan is the same one: arm, then fold everything idle.
+	r.FoldIdle()
+	if n, left := r.FoldIdle(), r.Len(); left != 0 || n == 0 {
+		t.Errorf("second FoldIdle folded %d and left %d, want everything folded", n, left)
+	}
+}
+
 func totalAcquisitions(s *Snapshot) uint64 {
 	var n uint64
 	for i := range s.Locks {

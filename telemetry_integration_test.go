@@ -1,6 +1,7 @@
 package gls
 
 import (
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -186,5 +187,54 @@ func TestProfileUsesSuppliedRegistry(t *testing.T) {
 	stats := s.ProfileStats()
 	if len(stats) != 1 || stats[0].Key != 2 {
 		t.Fatalf("ProfileStats via supplied registry: %+v", stats)
+	}
+}
+
+// TestDefaultServiceReportBytes pins what a service's registry emits, in
+// all three formats, for a fixed run of operations over every species of
+// key, a failed TryLock and a Free. The files under testdata/telemetry are
+// the bytes a one-table service produced while the table could still be
+// partitioned (recorded at commit 688fd04, partition count 1): a consumer
+// that parsed them then parses them now.
+func TestDefaultServiceReportBytes(t *testing.T) {
+	reg := telemetry.New(telemetry.Options{})
+	s := newTestService(t, Options{Telemetry: reg})
+	reg.SetLabel(1, "hot")
+	for i := 0; i < 3; i++ {
+		s.Lock(1)
+		s.Unlock(1)
+	}
+	s.Lock(2)
+	if s.TryLock(2) {
+		t.Fatal("TryLock of a held key succeeded")
+	}
+	s.Unlock(2)
+	s.LockWith(locks.MCS, 3)
+	s.UnlockWith(locks.MCS, 3)
+	s.RLock(4)
+	s.RUnlock(4)
+	s.Lock(4)
+	s.Unlock(4)
+	s.Lock(5)
+	s.Unlock(5)
+	s.Free(5)
+
+	snap := reg.Snapshot()
+	for file, write := range map[string]func(*strings.Builder) error{
+		"report.txt":  func(b *strings.Builder) error { return snap.WriteText(b) },
+		"report.json": func(b *strings.Builder) error { return snap.WriteJSON(b) },
+		"report.prom": func(b *strings.Builder) error { return snap.WritePromText(b) },
+	} {
+		want, err := os.ReadFile("testdata/telemetry/" + file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got strings.Builder
+		if err := write(&got); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != string(want) {
+			t.Errorf("%s differs from the recorded bytes:\n got:\n%s\nwant:\n%s", file, got.String(), want)
+		}
 	}
 }
