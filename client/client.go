@@ -439,7 +439,10 @@ func (c *Conn) Lock(ctx context.Context, key uint64, ttl, timeout time.Duration)
 
 // LockMany acquires every key of the batch, waiting in the server's
 // queue; the server takes them in its canonical deadlock-free order. It
-// returns the fencing token per key.
+// returns the fencing token per key. The wait ends like Lock's — the
+// server's default wait bound (ErrTimeout; the op carries no timeout of its
+// own) or ctx — and a batch that ends without its grant holds none of its
+// keys.
 func (c *Conn) LockMany(ctx context.Context, ttl time.Duration, keys ...uint64) (map[uint64]uint64, error) {
 	if len(keys) == 0 {
 		return map[uint64]uint64{}, nil

@@ -178,6 +178,67 @@ func TestClientBatches(t *testing.T) {
 	}
 }
 
+// TestAbandonedLockManyHoldsNothing is the client's side of the server's
+// TestAbandonedBatchHoldsNothing: a LockMany over {1, 2} parked behind a
+// holder that keeps renewing key 2 comes back with ctx.Err() as soon as ctx
+// is cancelled, and leaves key 1 free.
+func TestAbandonedLockManyHoldsNothing(t *testing.T) {
+	addr := startServer(t, server.Options{SweepInterval: 10 * time.Millisecond})
+	a, b, c := dial(t, addr), dial(t, addr), dial(t, addr)
+	if _, err := a.TryLock(2, 200*time.Millisecond); err != nil {
+		t.Fatalf("TryLock: %v", err)
+	}
+	stop, renewing := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(renewing)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(20 * time.Millisecond):
+			}
+			if _, err := a.Renew(2, 200*time.Millisecond); err != nil {
+				t.Errorf("Renew: %v", err)
+				return
+			}
+		}
+	}()
+	defer func() { close(stop); <-renewing }()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := b.LockMany(ctx, 0, 1, 2)
+		done <- err
+	}()
+	// Abandon the batch once it sits on key 1.
+	for {
+		_, err := c.TryLock(1, 0)
+		if errors.Is(err, client.ErrBusy) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("TryLock: %v", err)
+		}
+		if err := c.Unlock(1); err != nil {
+			t.Fatalf("Unlock: %v", err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled LockMany: %v, want context.Canceled", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("LockMany still waiting 1s after its context was cancelled")
+	}
+	if _, err := c.TryLock(1, 0); err != nil {
+		t.Fatalf("TryLock of the abandoned batch's key: %v", err)
+	}
+}
+
 func TestPool(t *testing.T) {
 	addr := startServer(t, server.Options{})
 	p := client.NewPool(addr, 2)

@@ -22,6 +22,7 @@ import (
 	"sync/atomic"
 
 	"gls/internal/backoff"
+	"gls/internal/pad"
 )
 
 // slotsPerBucket is the number of key/value pairs in one bucket. Three
@@ -63,11 +64,19 @@ type table[V any] struct {
 
 // Table is a resizable concurrent hash table from non-zero uint64 keys to
 // *V. The zero value is not usable; call New.
+//
+// cur, the word every look-up loads, has the first cache line to itself: it
+// changes at a resize, while count is written by every insert and delete —
+// on a table whose keys come and go (glsd's), every operation. The struct is
+// two whole lines, which the allocator aligns (TestTableLayout).
 type Table[V any] struct {
-	cur      atomic.Pointer[table[V]]
+	cur atomic.Pointer[table[V]]
+	_   [pad.CacheLineSize - 8]byte
+
 	count    atomic.Int64
 	resizeMu sync.Mutex
 	resizes  atomic.Uint64
+	_        [pad.CacheLineSize - 24]byte
 }
 
 // New returns an empty table with capacity for at least sizeHint entries

@@ -5,9 +5,36 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
+	"gls/internal/pad"
 	"gls/internal/xrand"
 )
+
+// TestTableLayout pins the Table's two lines (see its doc comment): the
+// table pointer every look-up loads shares its line with nothing an insert
+// or a delete writes.
+func TestTableLayout(t *testing.T) {
+	var tb Table[int]
+	if off := unsafe.Offsetof(tb.cur); off != 0 {
+		t.Errorf("cur at offset %d, want 0", off)
+	}
+	for name, off := range map[string]uintptr{
+		"count":    unsafe.Offsetof(tb.count),
+		"resizeMu": unsafe.Offsetof(tb.resizeMu),
+		"resizes":  unsafe.Offsetof(tb.resizes),
+	} {
+		if off/pad.CacheLineSize != 1 {
+			t.Errorf("%s at offset %d, want it on the second line", name, off)
+		}
+	}
+	if size := unsafe.Sizeof(tb); size != 2*pad.CacheLineSize {
+		t.Errorf("Table is %d bytes, want %d", size, 2*pad.CacheLineSize)
+	}
+	if addr := uintptr(unsafe.Pointer(New[int](0))); addr%pad.CacheLineSize != 0 {
+		t.Errorf("Table at address %#x, not %d-byte aligned", addr, pad.CacheLineSize)
+	}
+}
 
 func TestGetAbsent(t *testing.T) {
 	tb := New[int](0)

@@ -11,9 +11,10 @@ import (
 // absolute deadline. The zero value — and a nil *Cancel — never fires, so
 // LockCancel(nil) degenerates to Lock.
 //
-// A Cancel belongs to a single acquisition on a single goroutine; it is not
-// safe for concurrent use (like backoff.Spinner, it is cheap per-call
-// state). After Aborted first reports true, the cause is latched and
+// A Cancel belongs to a single goroutine — one acquisition, or several in
+// turn under one bound (glsd's batches); it is not safe for concurrent use
+// (like backoff.Spinner, it is cheap per-call state). After Aborted first
+// reports true, the cause is latched — a fired Cancel stays fired — and
 // TimedOut reports which condition fired — the telemetry layer uses it to
 // split aborts into timeout and cancel lanes.
 type Cancel struct {

@@ -1,7 +1,6 @@
 package gls
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 
@@ -65,14 +64,15 @@ func (s *Service) pinWith(a locks.Algorithm, key uint64) Pin {
 // TryLock try-acquires the pinned lock.
 func (p Pin) TryLock() bool { return p.e.exclusive().TryLock() }
 
-// LockCtx acquires the pinned lock, giving up when ctx fires while queued;
-// the contract is Service.LockCtx's (the grant beats the abort, and a
-// context that can never fire takes the plain blocking path).
-func (p Pin) LockCtx(ctx context.Context) error {
-	if c := cancelFromCtx(ctx); !locks.LockWithCancel(p.e.exclusive(), c) {
-		return abortErr(ctx, c)
-	}
-	return nil
+// LockCancel acquires the pinned lock, giving up when c fires while queued,
+// and reports whether the lock is held. The contract is locks.LockWithCancel's:
+// the grant beats the abort, c.TimedOut tells a deadline from a closed Done
+// after a false return, and a Cancel that can never fire (nil included) takes
+// the plain blocking path. One Cancel may bound several acquisitions in turn
+// on one goroutine — a batch's shared deadline — since a fired Cancel stays
+// fired.
+func (p Pin) LockCancel(c *locks.Cancel) bool {
+	return locks.LockWithCancel(p.e.exclusive(), c)
 }
 
 // Unlock releases the pinned lock.

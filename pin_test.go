@@ -1,7 +1,6 @@
 package gls
 
 import (
-	"context"
 	"sync"
 	"testing"
 	"time"
@@ -29,7 +28,6 @@ func TestPinChurn(t *testing.T) {
 		count   [keys]int
 		lastSeq [keys]uint64
 	)
-	ctx := context.Background()
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -43,8 +41,8 @@ func TestPinChurn(t *testing.T) {
 						p.Unpin()
 						continue
 					}
-				} else if err := p.LockCtx(ctx); err != nil {
-					t.Errorf("LockCtx(Background) = %v", err)
+				} else if !p.LockCancel(nil) {
+					t.Errorf("LockCancel(nil) gave up")
 					p.Unpin()
 					return
 				}
@@ -82,6 +80,53 @@ func TestPinChurn(t *testing.T) {
 		if got := s.Seq(uint64(k + 1)); got < lastSeq[k] {
 			t.Errorf("key %d: Seq = %d at rest, below its last value %d", k+1, got, lastSeq[k])
 		}
+	}
+}
+
+// TestPinLockCancel walks one Cancel through what glsd asks of it: it bounds
+// a wait by deadline and by its done channel, says which of the two fired,
+// stays fired for the acquisitions after it (a batch stops there), and still
+// lets a free lock be taken — the grant beats the abort.
+func TestPinLockCancel(t *testing.T) {
+	for _, algo := range []locks.Algorithm{locks.Mutex, locks.Ticket} {
+		s := New(Options{})
+		holder, waiter := s.PinWith(algo, 7), s.PinWith(algo, 7)
+		free := s.PinWith(algo, 8)
+		if !holder.TryLock() {
+			t.Fatalf("%v: fresh key not acquirable", algo)
+		}
+
+		timed := &locks.Cancel{Deadline: time.Now().Add(20 * time.Millisecond)}
+		if waiter.LockCancel(timed) || !timed.TimedOut() {
+			t.Errorf("%v: deadline: acquired a held lock, or TimedOut = %v", algo, timed.TimedOut())
+		}
+		if !free.LockCancel(timed) {
+			t.Errorf("%v: a fired Cancel kept a free lock from being taken", algo)
+		}
+		free.Unlock()
+
+		done := make(chan struct{})
+		closed := &locks.Cancel{Done: done, Deadline: time.Now().Add(time.Minute)}
+		time.AfterFunc(20*time.Millisecond, func() { close(done) })
+		if waiter.LockCancel(closed) || closed.TimedOut() {
+			t.Errorf("%v: done: acquired a held lock, or TimedOut = %v", algo, closed.TimedOut())
+		}
+		if waiter.LockCancel(closed) {
+			t.Errorf("%v: a fired Cancel waited out the holder", algo)
+		}
+
+		holder.Unlock()
+		if !waiter.LockCancel(nil) {
+			t.Errorf("%v: LockCancel(nil) gave up on a free lock", algo)
+		}
+		waiter.Unlock()
+		for _, p := range []Pin{holder, waiter, free} {
+			p.Unpin()
+		}
+		if got := s.Locks(); got != 0 {
+			t.Errorf("%v: Locks() = %d with every pin dropped, want 0", algo, got)
+		}
+		s.Close()
 	}
 }
 

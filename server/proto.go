@@ -35,7 +35,10 @@ import (
 // service's panic). Wait ids are client-chosen uint64s scoped to the
 // session. Durations are milliseconds; 0 or absent selects the server
 // default. Responses are single lines with an uppercase verb; see
-// DESIGN.md §14 for the full response grammar.
+// DESIGN.md §14 for the full response grammar. wait and lockmany are
+// answered QUEUED <id> and then, once, by their terminal line: GRANT or
+// GRANTMANY, TIMEOUT <id> (lockmany has no timeout field, so its bound is
+// always the server default) or CANCELLED <id>.
 // token <key> answers TOKEN <key> <n>: no live grant of the key carries a
 // token larger than n, every later grant will. For a key nobody holds or
 // waits on, n is the service's floor (gls.Service.Seq): 0 on a fresh server.
@@ -93,6 +96,12 @@ func (o Op) String() string {
 		return "quit"
 	}
 	return "invalid"
+}
+
+// many reports whether o's operand is a key list (Command.Keys) rather than
+// one key (Command.Key).
+func (o Op) many() bool {
+	return o == OpTryLockMany || o == OpLockMany || o == OpUnlockMany
 }
 
 // Command is one parsed request line.

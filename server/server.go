@@ -5,8 +5,8 @@
 // renewable, reaped by an expiry sweeper), monotonic per-key fencing
 // tokens on every grant, asynchronous acquisition (a blocked client costs
 // one goroutine parked in the key's own FIFO queue, never a connection's
-// reader and never a CPU), and batched wire ops riding gls.LockMany's
-// key order.
+// reader and never a CPU), and batched wire ops that are the single-key op
+// once per key, in key order.
 //
 // Every key is a locks.Mutex — spin briefly, then park, release hands the
 // lock to the longest waiter — not the adaptive GLK lock the service gives
@@ -24,10 +24,11 @@ package server
 import (
 	"bufio"
 	"bytes"
-	"context"
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,9 +55,10 @@ type Options struct {
 	// MaxTTL caps requested lease durations (default 60s).
 	MaxTTL time.Duration
 
-	// DefaultWaitTimeout bounds a wait op that carries no timeout (default
-	// 60s). With every wait bounded and every lease bounded, every parked
-	// waiter comes back, so QueueDepth's slots cannot leak to a hot key.
+	// DefaultWaitTimeout bounds a wait op that carries no timeout, and every
+	// lockmany, whose line has no timeout field (default 60s). With every
+	// asynchronous acquisition and every lease bounded, every parked waiter
+	// comes back, so QueueDepth's slots cannot leak to a hot key.
 	DefaultWaitTimeout time.Duration
 
 	// SweepInterval is the expiry sweeper's cadence. It follows the
@@ -289,9 +291,9 @@ func (s *Server) Close() {
 	// path runs the teardown (clamp leases, cancel waits).
 	s.sessions.each(func(ss *session) { _ = ss.conn.Close() })
 	s.connWG.Wait()
-	// No readers ⇒ no new acquisitions. Parked LockCtx waits were cancelled
-	// by the teardowns; a blocking lockmany finishes once the sweeper (still
-	// running) reaps the leases it is stuck behind.
+	// No readers ⇒ no new acquisitions, and the teardowns aborted every
+	// parked one — a batch gave back what it had taken — so this waits on no
+	// lease.
 	s.waitWG.Wait()
 	close(s.sweepStop)
 	s.sweepWG.Wait()
@@ -339,10 +341,12 @@ func (s *Server) handleConn(conn net.Conn) {
 // clamped to "now" and left to the sweeper — disconnect release IS lease
 // expiry, one code path — and the session leaves the registry.
 func (s *Server) teardown(ss *session) {
-	ss.cancel()
 	now := time.Now()
 	ss.mu.Lock()
 	ss.dead = true
+	for _, w := range ss.waits {
+		w.abort()
+	}
 	hadHeld := len(ss.held) > 0
 	for _, g := range ss.held {
 		s.leases.schedule(g, now)
@@ -371,30 +375,61 @@ func (s *Server) clampTTL(ttl time.Duration) time.Duration {
 // glsd key is (see the package comment).
 func (s *Server) pin(key uint64) gls.Pin { return s.svc.PinWith(locks.Mutex, key) }
 
-// pinAll pins every key of a batch before the server touches its locks.
-func (s *Server) pinAll(keys []uint64) []gls.Pin {
-	pins := make([]gls.Pin, len(keys))
-	for i, k := range keys {
-		pins[i] = s.pin(k)
+// pinAll pins every slot's key before the server touches its locks.
+func (s *Server) pinAll(slots []slot) {
+	for i := range slots {
+		slots[i].pin = s.pin(slots[i].key)
 	}
-	return pins
 }
 
-// giveBack releases locks the server holds and drops their pins. The Unpin
-// that finds a key unused — no grant, no waiter, no request in flight —
+// unpinAll drops the pins of slots whose locks the server does not hold. The
+// Unpin that finds a key unused — no grant, no waiter, no request in flight —
 // frees its lock object.
-func giveBack(pins ...gls.Pin) {
-	for _, p := range pins {
-		p.Unlock()
-		p.Unpin()
+func unpinAll(slots []slot) {
+	for _, sl := range slots {
+		sl.pin.Unpin()
 	}
+}
+
+// acquire takes every slot's lock through its pin with lock, in the slots'
+// order — key order, whatever the request. It is all or nothing: the first
+// lock that reports false makes it release what it had taken, last first,
+// and report false. The pins stay the caller's either way.
+func acquire(slots []slot, lock func(gls.Pin) bool) bool {
+	for i := range slots {
+		if !lock(slots[i].pin) {
+			for j := i - 1; j >= 0; j-- {
+				slots[j].pin.Unlock()
+			}
+			return false
+		}
+	}
+	return true
+}
+
+// grant registers an acquired set with its session, counts it, and puts the
+// slots in wire order for the reply. On a session that died under the
+// acquisition the locks go straight back and it reports false.
+func (s *Server) grant(ss *session, slots []slot, ttl time.Duration) bool {
+	if !ss.registerGrants(slots, ttl) {
+		for _, sl := range slots {
+			sl.pin.Unlock()
+			sl.pin.Unpin()
+		}
+		return false
+	}
+	s.grants.Add(uint64(len(slots)))
+	s.held.Add(int64(len(slots)))
+	slices.SortFunc(slots, func(a, b slot) int { return cmp.Compare(a.pos, b.pos) })
+	return true
 }
 
 // releaseGrant returns g's lock to the service and retires the grant's
 // lease record and pin. The caller must have removed g from the session's
 // held map (the single-remover rule); the counter it bumps is the caller's.
 func (s *Server) releaseGrant(g *grant) {
-	giveBack(g.pin) // first: a queued waiter gets the lock before the bookkeeping
+	g.pin.Unlock() // first: a queued waiter gets the lock before the bookkeeping
+	g.pin.Unpin()
 	s.leases.remove(g)
 	s.held.Add(-1)
 }
@@ -414,8 +449,8 @@ func (s *Server) dispatch(ss *session, cmd Command) bool {
 		ss.begin(s.statsLine()).end()
 	case OpToken:
 		ss.begin("TOKEN").key(cmd.Key).num(s.svc.Seq(cmd.Key)).end()
-	case OpTryLock:
-		s.handleTryLock(ss, cmd)
+	case OpTryLock, OpTryLockMany:
+		s.handleTry(ss, cmd)
 	case OpUnlock:
 		s.handleUnlock(ss, cmd)
 	case OpRenew:
@@ -424,8 +459,6 @@ func (s *Server) dispatch(ss *session, cmd Command) bool {
 		s.handleAsync(ss, cmd)
 	case OpCancel:
 		s.handleCancel(ss, cmd)
-	case OpTryLockMany:
-		s.handleTryLockMany(ss, cmd)
 	case OpUnlockMany:
 		s.handleUnlockMany(ss, cmd)
 	default:
@@ -443,42 +476,49 @@ func (s *Server) statsLine() string {
 		st.Expiries, st.Timeouts, st.Cancels, st.Disconnects, st.Overloads)
 }
 
-// holdsAny reports (under ss.mu) a key of keys this session already holds.
+// holdsAny reports (under ss.mu) a key of slots this session already holds.
 // Re-acquiring a held key would park the waiter behind its own session
 // until the lease expires, so it is refused up front.
-func (ss *session) holdsAny(keys []uint64) (uint64, bool) {
-	for _, k := range keys {
-		if _, ok := ss.held[k]; ok {
-			return k, true
+func (ss *session) holdsAny(slots []slot) (uint64, bool) {
+	for _, sl := range slots {
+		if _, ok := ss.held[sl.key]; ok {
+			return sl.key, true
 		}
 	}
 	return 0, false
 }
 
-// handleTryLock is the synchronous single-key acquisition: safe on the
-// reader goroutine because TryLock never waits.
-func (s *Server) handleTryLock(ss *session, cmd Command) {
+// handleTry is the synchronous acquisition, trylock and trylockmany: safe on
+// the reader goroutine because TryLock never waits. A batch is all or
+// nothing, backing out completely on the first busy key.
+func (s *Server) handleTry(ss *session, cmd Command) {
+	var one [1]slot
+	slots := slotsOf(one[:0], cmd)
 	ss.mu.Lock()
-	_, held := ss.held[cmd.Key]
+	k, held := ss.holdsAny(slots)
 	ss.mu.Unlock()
 	if held {
-		ss.writeErr(protoErrf(ErrCodeHeld, "key %#x already held by this session", cmd.Key))
+		ss.writeErr(protoErrf(ErrCodeHeld, "key %#x already held by this session", k))
 		return
 	}
 	ttl := s.clampTTL(cmd.TTL)
-	pin := s.pin(cmd.Key)
-	if !pin.TryLock() {
-		pin.Unpin()
-		ss.begin("BUSY").key(cmd.Key).end()
-		return
+	s.pinAll(slots)
+	many := cmd.Op.many()
+	switch {
+	case !acquire(slots, gls.Pin.TryLock):
+		unpinAll(slots)
+		if many {
+			ss.begin("BUSY many").end()
+		} else {
+			ss.begin("BUSY").key(cmd.Key).end()
+		}
+	case !s.grant(ss, slots, ttl):
+		// the session died under us (Close racing the reader)
+	case many:
+		ss.begin("GRANTEDMANY").ms(ttl).grants(slots).end()
+	default:
+		ss.begin("GRANTED").key(cmd.Key).num(slots[0].token).ms(ttl).end()
 	}
-	g, alive := ss.registerGrant(cmd.Key, pin, ttl)
-	if !alive {
-		return // the session died under us (Close racing the reader)
-	}
-	s.grants.Add(1)
-	s.held.Add(1)
-	ss.begin("GRANTED").key(cmd.Key).num(g.token).ms(ttl).end()
 }
 
 // handleUnlock releases a held lease.
@@ -522,17 +562,17 @@ func (s *Server) handleRenew(ss *session, cmd Command) {
 	ss.begin("RENEWED").key(cmd.Key).num(tok).ms(ttl).end()
 }
 
-// handleCancel aborts an outstanding wait. Always acknowledged: the race
-// between a cancel and a grant is real, and its outcome arrives as the
-// wait's own terminal line (GRANT if the grant won, CANCELLED otherwise).
+// handleCancel aborts an outstanding wait. Always acknowledged, and before
+// the abort fires, so the acknowledgement precedes the CANCELLED it causes:
+// the race between a cancel and a grant is real, and its outcome arrives as
+// the wait's own terminal line (GRANT if the grant won, CANCELLED otherwise).
 func (s *Server) handleCancel(ss *session, cmd Command) {
-	ss.mu.Lock()
-	w := ss.waits[cmd.ID]
-	ss.mu.Unlock()
-	if w != nil {
-		w.cancel()
-	}
 	ss.begin("OK cancel").num(cmd.ID).end()
+	ss.mu.Lock()
+	if w := ss.waits[cmd.ID]; w != nil {
+		w.abort()
+	}
+	ss.mu.Unlock()
 }
 
 // handleAsync admits a wait or lockmany: count it against QueueDepth,
@@ -541,12 +581,19 @@ func (s *Server) handleCancel(ss *session, cmd Command) {
 // program order. From there the waiter is parked in the lock's own FIFO
 // queue; nothing else stands in for it.
 func (s *Server) handleAsync(ss *session, cmd Command) {
-	many := cmd.Op == OpLockMany
-	run, keys := s.runWait, []uint64{cmd.Key}
-	if many {
-		run, keys = s.runLockMany, dedupeKeys(cmd.Keys)
+	timeout := cmd.Timeout // a lockmany carries none
+	if timeout <= 0 {
+		timeout = s.opts.DefaultWaitTimeout
 	}
-	w := &wait{id: cmd.ID, keys: keys, ttl: s.clampTTL(cmd.TTL)}
+	done := make(chan struct{})
+	w := &wait{
+		id:    cmd.ID,
+		many:  cmd.Op.many(),
+		ttl:   s.clampTTL(cmd.TTL),
+		bound: locks.Cancel{Done: done, Deadline: time.Now().Add(timeout)},
+		done:  done,
+	}
+	w.slots = slotsOf(w.one[:0], cmd)
 
 	ss.mu.Lock()
 	if ss.dead {
@@ -558,7 +605,7 @@ func (s *Server) handleAsync(ss *session, cmd Command) {
 		ss.writeErr(protoErrf(ErrCodeDupID, "wait id %d already outstanding", cmd.ID))
 		return
 	}
-	if k, held := ss.holdsAny(keys); held {
+	if k, held := ss.holdsAny(w.slots); held {
 		ss.mu.Unlock()
 		ss.writeErr(protoErrf(ErrCodeHeld, "key %#x already held by this session", k))
 		return
@@ -570,101 +617,22 @@ func (s *Server) handleAsync(ss *session, cmd Command) {
 		ss.writeErr(protoErrf(ErrCodeOverload, "acquisition queue full (%d pending)", s.opts.QueueDepth))
 		return
 	}
-	// The wait's context: session lifetime + cancel op (+ timeout; a
-	// lockmany has none, LockMany cannot abandon a half-taken batch).
-	var ctx context.Context
-	if many {
-		ctx, w.cancel = context.WithCancel(ss.ctx)
-	} else {
-		timeout := cmd.Timeout
-		if timeout <= 0 {
-			timeout = s.opts.DefaultWaitTimeout
-		}
-		ctx, w.cancel = context.WithTimeout(ss.ctx, timeout)
-	}
 	ss.waits[cmd.ID] = w
 	ss.mu.Unlock()
 
-	w.pins = s.pinAll(keys)
+	s.pinAll(w.slots)
 	ss.begin("QUEUED").num(cmd.ID).end()
 	s.waitWG.Add(1)
-	go func() {
-		defer s.waitWG.Done()
-		run(ctx, ss, w)
-		s.waiting.Add(-1)
-	}()
-}
-
-// dedupeKeys coalesces duplicate keys, preserving first-occurrence order
-// (the service would coalesce inside LockMany too; the server needs the
-// deduplicated set for its own grant bookkeeping).
-func dedupeKeys(keys []uint64) []uint64 {
-	seen := make(map[uint64]struct{}, len(keys))
-	out := keys[:0:len(keys)]
-	for _, k := range keys {
-		if _, ok := seen[k]; ok {
-			continue
-		}
-		seen[k] = struct{}{}
-		out = append(out, k)
-	}
-	return out
-}
-
-// handleTryLockMany is the synchronous all-or-nothing batch: it maps to
-// Service.TryLockMany, which acquires in key order and
-// backs out completely on the first busy key.
-func (s *Server) handleTryLockMany(ss *session, cmd Command) {
-	keys := dedupeKeys(cmd.Keys)
-	ss.mu.Lock()
-	k, held := ss.holdsAny(keys)
-	ss.mu.Unlock()
-	if held {
-		ss.writeErr(protoErrf(ErrCodeHeld, "key %#x already held by this session", k))
-		return
-	}
-	ttl := s.clampTTL(cmd.TTL)
-	pins := s.pinAll(keys)
-	if !s.svc.TryLockMany(keys...) {
-		for _, p := range pins {
-			p.Unpin()
-		}
-		ss.begin("BUSY many").end()
-		return
-	}
-	granted := s.registerMany(ss, keys, pins, ttl)
-	if granted == nil {
-		return // session died; registerMany rolled everything back
-	}
-	ss.begin("GRANTEDMANY").ms(ttl).grants(keys, granted).end()
-}
-
-// registerMany records a grant per key of an acquired batch (pins[i] is
-// keys[i]'s). On a dead session every lock not yet registered goes back —
-// a death between iterations leaves the earlier registrations to the
-// teardown clamp and the sweeper — and it reports nil.
-func (s *Server) registerMany(ss *session, keys []uint64, pins []gls.Pin, ttl time.Duration) map[uint64]uint64 {
-	tokens := make(map[uint64]uint64, len(keys))
-	for i, k := range keys {
-		g, alive := ss.registerGrant(k, pins[i], ttl)
-		if !alive {
-			giveBack(pins[i+1:]...)
-			return nil
-		}
-		s.grants.Add(1)
-		s.held.Add(1)
-		tokens[k] = g.token
-	}
-	return tokens
+	go s.runWait(ss, w)
 }
 
 // handleUnlockMany releases a batch of held leases. Keys not held by this
-// session are skipped and reported in the count — a batch release after a
-// partial expiry should release what remains, not fail entirely.
+// session — a key's second appearance on the line included — are skipped and
+// left out of the count: a batch release after a partial expiry should
+// release what remains, not fail entirely.
 func (s *Server) handleUnlockMany(ss *session, cmd Command) {
-	keys := dedupeKeys(cmd.Keys)
 	released := 0
-	for _, k := range keys {
+	for _, k := range cmd.Keys {
 		if g, ok := ss.takeGrant(k); ok {
 			s.releaseGrant(g)
 			s.releases.Add(1)
@@ -674,73 +642,41 @@ func (s *Server) handleUnlockMany(ss *session, cmd Command) {
 	ss.begin("RELEASEDMANY").num(uint64(released)).end()
 }
 
-// finishWait retires the wait record and its timeout context.
-func (s *Server) finishWait(ss *session, w *wait) {
+// runWait executes one asynchronous acquisition, wait or lockmany, on its
+// own goroutine: for each key in key order, the pin's LockCancel spins a few
+// tries and then parks in the key's FIFO queue until the releaser hands it
+// the lock or the wait's one Cancel fires — the timeout, a cancel op, the
+// session's death. An abandoned wait unlinks itself from the queue it is
+// parked in (locks.Cancel protocol) instead of occupying a slot until its
+// turn, and gives back the locks it had already taken: it holds nothing.
+// The QueueDepth slot comes back before the terminal line goes out, so a
+// client that has read the line can count on the slot.
+func (s *Server) runWait(ss *session, w *wait) {
+	defer s.waitWG.Done()
+	locked := acquire(w.slots, func(p gls.Pin) bool { return p.LockCancel(&w.bound) })
 	ss.mu.Lock()
 	delete(ss.waits, w.id)
 	ss.mu.Unlock()
-	w.cancel()
-}
-
-// runWait executes one single-key asynchronous acquisition on its own
-// goroutine: the pin's LockCtx spins a few tries and then parks in the
-// key's FIFO queue until the releaser hands it the lock, the wait is
-// cancelled, or its deadline passes — an abandoned wait unlinks itself
-// (locks.Cancel protocol) instead of occupying a slot until its turn.
-func (s *Server) runWait(ctx context.Context, ss *session, w *wait) {
-	key, pin := w.keys[0], w.pins[0]
-	err := pin.LockCtx(ctx)
-	s.finishWait(ss, w)
-	if err != nil {
-		pin.Unpin()
-		if errors.Is(err, context.DeadlineExceeded) {
-			s.timeouts.Add(1)
-			ss.begin("TIMEOUT").num(w.id).end()
-		} else {
-			s.cancels.Add(1)
-			ss.begin("CANCELLED").num(w.id).end()
-		}
-		return
-	}
-	g, alive := ss.registerGrant(key, pin, w.ttl)
-	if !alive {
-		// Granted after the session died: the grant beat the teardown's
-		// cancel, and went straight back.
-		s.cancels.Add(1)
-		return
-	}
-	s.grants.Add(1)
-	s.held.Add(1)
-	ss.begin("GRANT").num(w.id).key(key).num(g.token).ms(w.ttl).end()
-}
-
-// runLockMany executes one batched asynchronous acquisition via the
-// blocking Service.LockMany — deadlock-free against any other batch by
-// its key order, and bounded in time because every blocking
-// hold ahead of it carries a lease. LockMany resolves the keys through the
-// table, which is safe here because the wait's pins keep every key mapped
-// to the object they name. Session death cannot abort the batch
-// mid-acquisition (LockMany has no cancel path); it completes and is then
-// rolled straight back.
-func (s *Server) runLockMany(ctx context.Context, ss *session, w *wait) {
-	s.svc.LockMany(w.keys...)
-	// Read the context before finishWait retires it (finishWait cancels).
-	aborted := ctx.Err() != nil
-	s.finishWait(ss, w)
-	if aborted {
-		// Cancelled (or the session died) while the batch was being
-		// assembled; the locks were still taken — release them.
-		giveBack(w.pins...)
+	s.waiting.Add(-1)
+	switch {
+	case !locked && w.bound.TimedOut():
+		unpinAll(w.slots)
+		s.timeouts.Add(1)
+		ss.begin("TIMEOUT").num(w.id).end()
+	case !locked:
+		unpinAll(w.slots)
 		s.cancels.Add(1)
 		ss.begin("CANCELLED").num(w.id).end()
-		return
-	}
-	granted := s.registerMany(ss, w.keys, w.pins, w.ttl)
-	if granted == nil {
+	case !s.grant(ss, w.slots, w.ttl):
+		// Granted after the session died: the grant beat the teardown's
+		// abort, and went straight back.
 		s.cancels.Add(1)
-		return
+	case w.many:
+		ss.begin("GRANTMANY").num(w.id).ms(w.ttl).grants(w.slots).end()
+	default:
+		sl := w.slots[0]
+		ss.begin("GRANT").num(w.id).key(sl.key).num(sl.token).ms(w.ttl).end()
 	}
-	ss.begin("GRANTMANY").num(w.id).ms(w.ttl).grants(w.keys, granted).end()
 }
 
 // sweeper is the lease-expiry loop: a ticker at Options.SweepInterval plus

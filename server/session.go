@@ -2,13 +2,15 @@ package server
 
 import (
 	"bufio"
-	"context"
+	"cmp"
 	"net"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
 
 	"gls"
+	"gls/locks"
 )
 
 // Sessions. A session is one client connection's identity on the server:
@@ -43,13 +45,58 @@ type grant struct {
 	idx    int
 }
 
+// slot is one key of an acquisition on its way to a grant: its place on the
+// request line (replies list keys in wire order), the pin that keeps the key
+// mapped while the request is in flight, and the token once it is granted.
+type slot struct {
+	key   uint64
+	pos   int
+	pin   gls.Pin
+	token uint64
+}
+
+// slotsOf appends cmd's keys to dst as slots in key order, each key once
+// (the first place it has on the line): the order every acquisition takes
+// its locks in, so two overlapping requests can never deadlock against each
+// other. A single-key op fits the caller's one-slot buffer; a batch costs
+// one allocation.
+func slotsOf(dst []slot, cmd Command) []slot {
+	if !cmd.Op.many() {
+		return append(dst, slot{key: cmd.Key})
+	}
+	dst = slices.Grow(dst, len(cmd.Keys))
+	for i, k := range cmd.Keys {
+		dst = append(dst, slot{key: k, pos: i})
+	}
+	slices.SortFunc(dst, func(a, b slot) int {
+		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.pos, b.pos))
+	})
+	return slices.CompactFunc(dst, func(a, b slot) bool { return a.key == b.key })
+}
+
 // wait is one outstanding asynchronous acquisition (wait or lockmany).
 type wait struct {
-	id     uint64
-	keys   []uint64  // single-element for wait; wire order for lockmany
-	pins   []gls.Pin // keys' lock objects, pinned until granted or abandoned
-	ttl    time.Duration
-	cancel context.CancelFunc // aborts the parked LockCtx
+	id    uint64
+	many  bool // a lockmany: the terminal line is GRANTMANY's shape
+	ttl   time.Duration
+	slots []slot  // in key order; pinned until granted or abandoned
+	one   [1]slot // a single-key wait's slots: no second object
+
+	// bound is the wait's one abort condition, handed to every lock it queues
+	// on (it lives here so the acquisition allocates none): its Deadline is
+	// the timeout, its Done is done, which a cancel op or the session's death
+	// closes — once, under session.mu. Only the wait's goroutine touches it.
+	bound locks.Cancel
+	done  chan struct{}
+}
+
+// abort fires the wait's done channel. The caller holds session.mu.
+func (w *wait) abort() {
+	select {
+	case <-w.done:
+	default:
+		close(w.done)
+	}
 }
 
 // session is one connection's server-side state.
@@ -69,11 +116,6 @@ type session struct {
 	held  map[uint64]*grant
 	waits map[uint64]*wait
 	dead  bool
-
-	// ctx is the session's lifetime; teardown cancels it, aborting every
-	// queued acquisition at once.
-	ctx    context.Context
-	cancel context.CancelFunc
 }
 
 // writeTimeout bounds one write to a peer. A write blocks only when the
@@ -135,10 +177,10 @@ func (l line) str(s string) line {
 	return l
 }
 
-// grants appends a batch's (key, token) pairs in wire order.
-func (l line) grants(keys []uint64, tokens map[uint64]uint64) line {
-	for _, k := range keys {
-		l = l.key(k).num(tokens[k])
+// grants appends a batch's (key, token) pairs, in the slots' order.
+func (l line) grants(slots []slot) line {
+	for _, sl := range slots {
+		l = l.key(sl.key).num(sl.token)
 	}
 	return l
 }
@@ -156,22 +198,27 @@ func (ss *session) writeErr(perr *ProtoError) {
 	ss.begin("ERR").str(perr.Code).str(perr.Detail).end()
 }
 
-// registerGrant turns an acquisition into a grant, while the caller
-// physically holds pin's lock: it mints key's fencing token, records the
-// grant and schedules its lease. The pin is the grant's from here on. If
-// the session died while the acquisition was in flight, the lock goes
-// straight back instead and registerGrant reports false.
-func (ss *session) registerGrant(key uint64, pin gls.Pin, ttl time.Duration) (*grant, bool) {
+// registerGrants turns an acquisition into grants, while the caller
+// physically holds every slot's lock: it mints each key's fencing token
+// (left in the slot for the reply), records the grants and schedules their
+// leases, all under one hold of mu — so a batch is registered whole or, the
+// session having died while the acquisition was in flight, not at all. The
+// pins are the grants' from here on; on false they are still the caller's.
+func (ss *session) registerGrants(slots []slot, ttl time.Duration) bool {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	if ss.dead {
-		giveBack(pin)
-		return nil, false
+		return false
 	}
-	g := &grant{sess: ss, key: key, pin: pin, token: pin.NextSeq(), ttl: ttl, idx: -1}
-	ss.held[key] = g
-	ss.srv.leases.schedule(g, time.Now().Add(ttl))
-	return g, true
+	expiry := time.Now().Add(ttl)
+	for i := range slots {
+		sl := &slots[i]
+		sl.token = sl.pin.NextSeq()
+		g := &grant{sess: ss, key: sl.key, pin: sl.pin, token: sl.token, ttl: ttl, idx: -1}
+		ss.held[sl.key] = g
+		ss.srv.leases.schedule(g, expiry)
+	}
+	return true
 }
 
 // takeGrant removes and returns key's grant if this session holds it —
@@ -200,18 +247,15 @@ func newSessionSet() *sessionSet {
 
 // add registers a new session for conn and returns it.
 func (set *sessionSet) add(srv *Server, conn net.Conn) *session {
-	ctx, cancel := context.WithCancel(context.Background())
 	set.mu.Lock()
 	set.next++
 	ss := &session{
-		id:     set.next,
-		srv:    srv,
-		conn:   conn,
-		bw:     bufio.NewWriter(peerWriter{conn}),
-		held:   make(map[uint64]*grant),
-		waits:  make(map[uint64]*wait),
-		ctx:    ctx,
-		cancel: cancel,
+		id:    set.next,
+		srv:   srv,
+		conn:  conn,
+		bw:    bufio.NewWriter(peerWriter{conn}),
+		held:  make(map[uint64]*grant),
+		waits: make(map[uint64]*wait),
 	}
 	set.m[ss.id] = ss
 	set.mu.Unlock()

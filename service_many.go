@@ -1,19 +1,12 @@
 package gls
 
-import (
-	"cmp"
-	"fmt"
-	"slices"
-
-	"gls/internal/gid"
-)
+import "slices"
 
 // This file is the batched multi-key surface: LockMany/TryLockMany/
-// UnlockMany/WithLockMany. It is the in-process template for glsd's
-// lock-many wire op — a client that needs N keys sends one batch instead
-// of N round trips, and the server acquires them in a canonical order so
-// two batches with overlapping key sets can never deadlock against each
-// other.
+// UnlockMany/WithLockMany. A batch is the single-key operation, once per
+// key, in key order: there is no second acquire, try or release here, so
+// every mode (debug, telemetry, profile) and every first-use rule of Lock,
+// TryLock and Unlock holds for a batch because it is those calls.
 //
 // The discipline: keys are sorted and deduplicated before any lock is
 // touched. Key order is a strict total order, so any two batches acquire
@@ -22,40 +15,20 @@ import (
 // UnlockMany(k, k) releases it once, so a batch built from a messy key
 // list stays balanced.
 
-// manyRef is one resolved key of a batch.
-type manyRef struct {
-	key     uint64
-	e       *entry
-	created bool
-}
+// batchStack is the batch size whose working copy of the keys lives on the
+// caller's stack; a longer batch costs one allocation.
+const batchStack = 16
 
-// resolveMany maps a key list to its sorted, deduplicated entry refs.
-// With create set, missing entries are built (GLK default, like Lock);
-// otherwise a missing key panics with op's never-locked message — except
-// in debug mode, where the nil entry is kept so the per-key debug release
-// can report it instead (matching Unlock's split behavior).
-func (s *Service) resolveMany(keys []uint64, create bool, op string) []manyRef {
-	refs := make([]manyRef, 0, len(keys))
-	for _, k := range keys {
-		if k == 0 {
-			panic("gls: zero key (the paper's NULL) is not a valid lock")
-		}
-		refs = append(refs, manyRef{key: k})
+// batchKeys copies keys (the caller's slice, left alone) into dst (a stack
+// buffer) and returns them in batch order: ascending, each key once. It
+// panics on a zero key, before the caller has touched any lock.
+func batchKeys(dst, keys []uint64) []uint64 {
+	if slices.Contains(keys, 0) {
+		panic("gls: zero key (the paper's NULL) is not a valid lock")
 	}
-	slices.SortFunc(refs, func(a, b manyRef) int { return cmp.Compare(a.key, b.key) })
-	// A duplicate key is coalesced: held once.
-	refs = slices.CompactFunc(refs, func(a, b manyRef) bool { return a.key == b.key })
-	for i := range refs {
-		if create {
-			refs[i].e, refs[i].created = s.entryFor(refs[i].key, algoGLK)
-		} else {
-			refs[i].e = s.table.Get(refs[i].key)
-			if refs[i].e == nil && s.dbg == nil {
-				panic(fmt.Sprintf("gls: %s(%#x): key was never locked", op, refs[i].key))
-			}
-		}
-	}
-	return refs
+	dst = append(dst, keys...)
+	slices.Sort(dst)
+	return slices.Compact(dst)
 }
 
 // LockMany acquires the GLK locks for every key in one batch, creating
@@ -66,24 +39,9 @@ func (s *Service) resolveMany(keys []uint64, create bool, op string) []manyRef {
 // with hand-ordered Lock calls takes ordering back into its own hands,
 // exactly as with nested Lock today. Release with UnlockMany.
 func (s *Service) LockMany(keys ...uint64) {
-	if len(keys) == 0 {
-		return
-	}
-	if len(keys) == 1 {
-		s.Lock(keys[0])
-		return
-	}
-	refs := s.resolveMany(keys, true, "LockMany")
-	if s.dbg != nil {
-		me := gid.Get()
-		for i := range refs {
-			s.debugPreLock(me, refs[i].e, refs[i].created, algoGLK)
-			s.debugLock(me, refs[i].e)
-		}
-		return
-	}
-	for i := range refs {
-		refs[i].e.exclusive().Lock()
+	var buf [batchStack]uint64
+	for _, k := range batchKeys(buf[:0], keys) {
+		s.Lock(k)
 	}
 }
 
@@ -93,31 +51,11 @@ func (s *Service) LockMany(keys ...uint64) {
 // everything it had taken — in reverse order — and report false, so every
 // failure path balances grants and releases exactly.
 func (s *Service) TryLockMany(keys ...uint64) bool {
-	if len(keys) == 0 {
-		return true
-	}
-	if len(keys) == 1 {
-		return s.TryLock(keys[0])
-	}
-	refs := s.resolveMany(keys, true, "TryLockMany")
-	if s.dbg != nil {
-		me := gid.Get()
-		for i := range refs {
-			s.debugPreLock(me, refs[i].e, refs[i].created, algoGLK)
-			if !s.debugTryLock(me, refs[i].e) {
-				for j := i - 1; j >= 0; j-- {
-					s.debugUnlock(refs[j].key, refs[j].e)
-				}
-				return false
-			}
-		}
-		return true
-	}
-	for i := range refs {
-		if !refs[i].e.exclusive().TryLock() {
-			for j := i - 1; j >= 0; j-- {
-				refs[j].e.exclusive().Unlock()
-			}
+	var buf [batchStack]uint64
+	batch := batchKeys(buf[:0], keys)
+	for i, k := range batch {
+		if !s.TryLock(k) {
+			s.unlockReversed(batch[:i])
 			return false
 		}
 	}
@@ -126,26 +64,19 @@ func (s *Service) TryLockMany(keys ...uint64) bool {
 
 // UnlockMany releases every key's lock. The set is deduplicated with the
 // same rule as LockMany (a key appearing twice is released once) and
-// released in reverse batch order, unwinding the acquisition. A key that
-// was never locked panics in normal mode and is reported per key in debug
-// mode, like Unlock.
+// released in reverse batch order, unwinding the acquisition. Each release
+// is Unlock's: a key that was never locked panics in normal mode — when its
+// turn comes, so the keys above it have been released by then — and is
+// reported per key in debug mode.
 func (s *Service) UnlockMany(keys ...uint64) {
-	if len(keys) == 0 {
-		return
-	}
-	if len(keys) == 1 {
-		s.Unlock(keys[0])
-		return
-	}
-	refs := s.resolveMany(keys, false, "UnlockMany")
-	if s.dbg != nil {
-		for i := len(refs) - 1; i >= 0; i-- {
-			s.debugUnlock(refs[i].key, refs[i].e)
-		}
-		return
-	}
-	for i := len(refs) - 1; i >= 0; i-- {
-		refs[i].e.exclusive().Unlock()
+	var buf [batchStack]uint64
+	s.unlockReversed(batchKeys(buf[:0], keys))
+}
+
+// unlockReversed releases batch (in batch order) last key first.
+func (s *Service) unlockReversed(batch []uint64) {
+	for i := len(batch) - 1; i >= 0; i-- {
+		s.Unlock(batch[i])
 	}
 }
 

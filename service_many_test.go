@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"gls/internal/xrand"
+	"gls/locks"
 	"gls/telemetry"
 )
 
@@ -288,6 +289,122 @@ func TestLockManyDebugMode(t *testing.T) {
 	defer c.mu.Unlock()
 	if n := len(c.issues); n != 0 {
 		t.Fatalf("debug checker reported %d issues for balanced batches: %v", n, c.issues)
+	}
+}
+
+// batchSurface is LockMany/TryLockMany/UnlockMany, or what they promise to
+// be: the single-key calls, once per key, in key order.
+type batchSurface struct {
+	lock    func(s *Service, keys ...uint64)
+	tryLock func(s *Service, keys ...uint64) bool
+	unlock  func(s *Service, keys ...uint64)
+}
+
+var batchSurfaces = map[string]batchSurface{
+	"many": {(*Service).LockMany, (*Service).TryLockMany, (*Service).UnlockMany},
+	"singles": {
+		lock: func(s *Service, keys ...uint64) {
+			for _, k := range slices.Compact(batchOrder(keys)) {
+				s.Lock(k)
+			}
+		},
+		tryLock: func(s *Service, keys ...uint64) bool {
+			held := slices.Compact(batchOrder(keys))
+			for i, k := range held {
+				if !s.TryLock(k) {
+					for j := i - 1; j >= 0; j-- {
+						s.Unlock(held[j])
+					}
+					return false
+				}
+			}
+			return true
+		},
+		unlock: func(s *Service, keys ...uint64) {
+			held := slices.Compact(batchOrder(keys))
+			for i := len(held) - 1; i >= 0; i-- {
+				s.Unlock(held[i])
+			}
+		},
+	},
+}
+
+// TestLockManyDebugParity runs each misuse the debug checker knows through
+// the batch calls and through the equivalent single-key sequence, and
+// requires the same issues — kind and key, in order — from both: a batch has
+// no debug path of its own to drift.
+func TestLockManyDebugParity(t *testing.T) {
+	// elsewhere runs fn on another goroutine, to its end.
+	elsewhere := func(fn func()) {
+		done := make(chan struct{})
+		go func() { defer close(done); fn() }()
+		<-done
+	}
+	misuses := []struct {
+		name string
+		opts Options
+		want []IssueKind
+		run  func(s *Service, b batchSurface)
+	}{
+		{"double lock", Options{}, []IssueKind{IssueDoubleLock}, func(s *Service, b batchSurface) {
+			b.lock(s, 5, 3)
+			if b.tryLock(s, 3, 5, 3) {
+				t.Error("TryLock of an owned batch succeeded")
+			}
+			b.unlock(s, 3, 5)
+		}},
+		{"unlock free", Options{}, []IssueKind{IssueUnlockFree, IssueUnlockFree}, func(s *Service, b batchSurface) {
+			b.lock(s, 3, 5)
+			b.unlock(s, 3, 5)
+			b.unlock(s, 5, 3, 5)
+		}},
+		{"never locked", Options{}, []IssueKind{IssueUninitializedLock, IssueUninitializedLock}, func(s *Service, b batchSurface) {
+			b.unlock(s, 7, 9)
+		}},
+		{"wrong owner", Options{}, []IssueKind{IssueUnlockWrongOwner, IssueUnlockWrongOwner}, func(s *Service, b batchSurface) {
+			b.lock(s, 3, 5)
+			elsewhere(func() { b.unlock(s, 3, 5) })
+			b.unlock(s, 3, 5)
+		}},
+		{"strict init", Options{StrictInit: true}, []IssueKind{IssueUninitializedLock}, func(s *Service, b batchSurface) {
+			s.InitLock(3)
+			if !b.tryLock(s, 3, 5) {
+				t.Error("TryLock of a free batch failed")
+			}
+			b.unlock(s, 3, 5)
+		}},
+		{"algorithm mismatch", Options{}, []IssueKind{IssueAlgorithmMismatch}, func(s *Service, b batchSurface) {
+			s.LockWith(locks.Ticket, 5)
+			s.UnlockWith(locks.Ticket, 5)
+			b.lock(s, 3, 5)
+			b.unlock(s, 3, 5)
+		}},
+	}
+	type seen struct {
+		Kind IssueKind
+		Key  uint64
+	}
+	for _, m := range misuses {
+		t.Run(m.name, func(t *testing.T) {
+			got := map[string][]seen{}
+			for name, b := range batchSurfaces {
+				s, c := newDebugService(t, m.opts)
+				m.run(s, b)
+				for _, iss := range c.issues {
+					got[name] = append(got[name], seen{iss.Kind, iss.Key})
+				}
+			}
+			if !slices.Equal(got["many"], got["singles"]) {
+				t.Errorf("batch calls reported %v, the single-key sequence %v", got["many"], got["singles"])
+			}
+			kinds := make([]IssueKind, 0, len(got["many"]))
+			for _, g := range got["many"] {
+				kinds = append(kinds, g.Kind)
+			}
+			if !slices.Equal(kinds, m.want) {
+				t.Errorf("reported %v, want %v", kinds, m.want)
+			}
+		})
 	}
 }
 
