@@ -429,6 +429,7 @@ func runSlowSubscriber() (string, bool) {
 	defer stalled.Close()
 
 	var seen []*telemetry.Event
+	var caughtUp atomic.Uint64 // events the live subscriber has taken or lost
 	drainStop := make(chan struct{})
 	drainDone := make(chan struct{})
 	go func() {
@@ -440,6 +441,7 @@ func runSlowSubscriber() (string, bool) {
 				return
 			case <-live.C():
 				seen = append(seen, live.Poll(0)...)
+				caughtUp.Store(uint64(len(seen)) + live.Dropped())
 			}
 		}
 	}()
@@ -472,8 +474,8 @@ func runSlowSubscriber() (string, bool) {
 			}
 		}()
 	}
-	transitioned := func(to string) bool {
-		if l := reg.Snapshot().Lock(hotKey); l != nil {
+	transitioned := func(key uint64, to string) bool {
+		if l := reg.Snapshot().Lock(key); l != nil {
 			for _, tr := range l.Transitions {
 				if tr.To == to {
 					return true
@@ -485,7 +487,7 @@ func runSlowSubscriber() (string, bool) {
 	waitFor := func(to string, d time.Duration) bool {
 		deadline := time.Now().Add(d)
 		for time.Now().Before(deadline) {
-			if transitioned(to) {
+			if transitioned(hotKey, to) {
 				return true
 			}
 			time.Sleep(5 * time.Millisecond)
@@ -500,15 +502,34 @@ func runSlowSubscriber() (string, bool) {
 	wg.Wait()
 
 	// Phase 3: the adversarial writer stream starves readers on the service
-	// RW key until the adaptive policy escalates to phase-fair admission.
+	// RW key until the adaptive policy escalates to phase-fair admission. It
+	// starts once the monitor has cleared the flag phase 2 raised (it wants
+	// calm rounds first): under the flag the first sampled release sends the
+	// key to the blocking write-preferring family instead, and the readers
+	// get through there without ever raising the starvation signal. A round
+	// can also end with the writer never overtaking a reader — three
+	// spinning goroutines on two Ps, and the writer descheduled while every
+	// read goes through — so a round that did not escalate is run again, up
+	// to three.
+	for deadline := time.Now().Add(5 * time.Second); mon.Multiprogrammed() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	readsEach := 25
 	if quickMode {
 		readsEach = 12
 	}
-	_, _, rwStarvedOut := starveProbe(serviceRW{svc: svc, key: rwKey}, 1, 2, readsEach, 45*time.Second)
+	rwStarvedOut := false
+	for round := 0; round < 3 && !rwStarvedOut && !transitioned(rwKey, glk.RWModePhaseFair.String()); round++ {
+		_, _, rwStarvedOut = starveProbe(serviceRW{svc: svc, key: rwKey}, 1, 2, readsEach, 45*time.Second)
+	}
 
 	// Phase 4: Free churn floods the ring with retired events — far more
-	// than its capacity, so the stalled subscriber is definitely lapped.
+	// than its capacity, so the stalled subscriber is definitely lapped. The
+	// live one takes phase 3's events first: off the processor during the
+	// flood, it would be lapped too.
+	for target, deadline := reg.Events().Published(), time.Now().Add(5*time.Second); caughtUp.Load() < target && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
 	for i := 0; i < frees; i++ {
 		k := churnBase + uint64(i%32)
 		svc.Lock(k)

@@ -2,18 +2,16 @@ package glk
 
 import (
 	"strconv"
-	"sync"
 	"testing"
 	"time"
 
-	"gls/internal/cycles"
 	"gls/internal/sysmon"
 )
 
-// The ablation benchmarks isolate the design choices DESIGN.md calls out:
-// the queue-measurement source, the hysteresis band, and the EMA weight.
-// Each reports transitions/op alongside ns/op so flapping is visible, not
-// just raw cost.
+// The ablation benchmarks isolate design choices DESIGN.md calls out. The
+// queue-source, hysteresis-band and EMA-weight sweeps were measured and
+// removed with the knobs they swept (EXPERIMENTS.md, "Measured and
+// removed"); what is left is the cost of the adaptation period.
 
 func ablationMonitor(b *testing.B) *sysmon.Monitor {
 	b.Helper()
@@ -21,80 +19,6 @@ func ablationMonitor(b *testing.B) *sysmon.Monitor {
 	m.Start()
 	b.Cleanup(m.Stop)
 	return m
-}
-
-// runAblation hammers one lock from `threads` goroutines for b.N total
-// acquisitions and reports the transition rate.
-func runAblation(b *testing.B, cfg *Config, threads int) {
-	b.Helper()
-	l := New(cfg)
-	per := b.N/threads + 1
-	var wg sync.WaitGroup
-	b.ResetTimer()
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				l.Lock()
-				cycles.Wait(512)
-				l.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	b.StopTimer()
-	b.ReportMetric(float64(l.Transitions())/float64(b.N), "transitions/op")
-}
-
-// BenchmarkAblationQueueSource compares the presence-counter measurement
-// (this repo's default) against the paper's low-level queue sampling, under
-// contention. On preemption-heavy runtimes the low-level source reads the
-// MCS queue as nearly empty and flaps.
-func BenchmarkAblationQueueSource(b *testing.B) {
-	mon := ablationMonitor(b)
-	for _, src := range []struct {
-		name     string
-		lowLevel bool
-	}{{"presence", false}, {"lowlevel", true}} {
-		b.Run(src.name, func(b *testing.B) {
-			runAblation(b, &Config{
-				Monitor: mon, SamplePeriod: 16, AdaptPeriod: 128,
-				SampleLowLevelQueues: src.lowLevel,
-			}, 8)
-		})
-	}
-}
-
-// BenchmarkAblationHysteresis compares the paper's 3/2 hysteresis band
-// against a degenerate band (up == down == 3), which invites ticket↔mcs
-// flapping near the threshold.
-func BenchmarkAblationHysteresis(b *testing.B) {
-	mon := ablationMonitor(b)
-	for _, h := range []struct {
-		name     string
-		up, down float64
-	}{{"band-3-2", 3, 2}, {"no-band-3-3", 3, 3}} {
-		b.Run(h.name, func(b *testing.B) {
-			runAblation(b, &Config{
-				Monitor: mon, SamplePeriod: 16, AdaptPeriod: 128,
-				UpThreshold: h.up, DownThreshold: h.down,
-			}, 3) // right at the threshold: worst case for flapping
-		})
-	}
-}
-
-// BenchmarkAblationEMAWeight sweeps the smoothing factor. Heavier weights
-// react faster but flap more on noisy queues.
-func BenchmarkAblationEMAWeight(b *testing.B) {
-	mon := ablationMonitor(b)
-	for _, w := range []float64{0.1, 0.25, 0.5, 0.9} {
-		b.Run("w="+strconv.FormatFloat(w, 'f', 2, 64), func(b *testing.B) {
-			runAblation(b, &Config{
-				Monitor: mon, SamplePeriod: 16, AdaptPeriod: 128, EMAWeight: w,
-			}, 4)
-		})
-	}
 }
 
 // BenchmarkAblationAdaptationPeriod isolates the cost of frequent

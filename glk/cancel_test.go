@@ -55,11 +55,7 @@ func TestLockCancelGLK(t *testing.T) {
 // waiters are pressure the presence count alone no longer shows once they
 // leave.
 func TestAbortsFeedAdaptation(t *testing.T) {
-	l := New(&Config{
-		SamplePeriod: 1, AdaptPeriod: 2,
-		UpThreshold: 4, DownThreshold: 1, EMAWeight: 1,
-		Monitor: newTestMonitor(),
-	})
+	l := New(&Config{SamplePeriod: 1, AdaptPeriod: 2, Monitor: newTestMonitor()})
 	if got := l.Mode(); got != ModeTicket {
 		t.Fatalf("fresh lock in %v, want ticket", got)
 	}
@@ -78,7 +74,8 @@ func TestAbortsFeedAdaptation(t *testing.T) {
 	}
 	l.Unlock()
 	// Walk the sampling boundaries: the abort delta is folded into the
-	// first sampled queue after the burst, and EMAWeight=1 adopts it.
+	// first sampled queue after the burst — the holder and up to 32
+	// departed waiters, which at weight ¼ lift an average of 1 past 3.
 	for i := 0; i < 8 && Mode(l.lockType.Load()) == ModeTicket; i++ {
 		l.Lock()
 		l.Unlock()
@@ -144,8 +141,9 @@ func abortsCountOnce(t *testing.T) {
 // mcsSpell drives a quiet ticket-mode lock into mcs and back with nothing
 // but its own goroutine: a burst of already-expired LockCancels against the
 // held lock (each retires its ticket at once) is the contention signal, and
-// uncontended use afterwards decays the average again. The lock's
-// thresholds must put 1+16 aborts above Up and a lone holder below Down.
+// uncontended use afterwards decays the average again: a sample of 1+16,
+// averaged in at the paper's weight of ¼, takes an average of 1 to 5, past
+// the up-threshold of 3, and lone holders take it back under 2.
 func mcsSpell(t *testing.T, l *Lock) {
 	t.Helper()
 	l.Lock()
@@ -184,11 +182,7 @@ func mcsSpell(t *testing.T, l *Lock) {
 // Run with -race: the soak exists to let the detector see an abort on
 // family A interleave with the handoff and the ticket→mcs transition.
 func TestAbortVsAdaptationRaceSoak(t *testing.T) {
-	l := New(&Config{
-		SamplePeriod: 1, AdaptPeriod: 2,
-		UpThreshold: 2, DownThreshold: 1, EMAWeight: 0.9,
-		Monitor: newTestMonitor(),
-	})
+	l := New(&Config{SamplePeriod: 1, AdaptPeriod: 2, Monitor: newTestMonitor()})
 	const workers = 8
 	iters := 400
 	if testing.Short() {
@@ -314,7 +308,6 @@ func TestPresenceSettlesAcrossTransitions(t *testing.T) {
 	var visited [ModeMutex + 1]atomic.Bool
 	l := New(&Config{
 		SamplePeriod: 1, AdaptPeriod: 2,
-		UpThreshold: 2, DownThreshold: 1.2, EMAWeight: 0.5,
 		Monitor:      mon,
 		OnTransition: func(_, to Mode, _ string) { visited[to].Store(true) },
 	})
@@ -343,12 +336,7 @@ func TestPresenceSettlesAcrossTransitions(t *testing.T) {
 			hint = workers + runtime.GOMAXPROCS(0)
 		}
 		mon.SetHint(hint)
-		for deadline := time.Now().Add(20 * time.Second); mon.Multiprogrammed() != want; {
-			if time.Now().After(deadline) {
-				t.Fatalf("monitor flag never became %v", want)
-			}
-			time.Sleep(time.Millisecond)
-		}
+		waitFlag(t, mon, want)
 	}
 	storm := func() {
 		var wg sync.WaitGroup
@@ -384,8 +372,8 @@ func TestPresenceSettlesAcrossTransitions(t *testing.T) {
 		if q := l.presentNow(); q != 0 {
 			t.Fatalf("%s: presence gauge reads %d at rest (mode %v)", when, q, l.Mode())
 		}
-		for _, m := range []Mode{ModeTicket, ModeMCS, ModeMutex} {
-			if q := l.queueLenLow(m); q != 0 {
+		for m, q := range lowQueueLens(l) {
+			if q != 0 {
 				t.Fatalf("%s: %v queue reads %d at rest", when, m, q)
 			}
 		}
@@ -416,4 +404,20 @@ func TestPresenceSettlesAcrossTransitions(t *testing.T) {
 		t.Fatal("lock wedged after the run")
 	}
 	l.Unlock()
+}
+
+// lowQueueLens reads the queue of each low-level lock the lock has built,
+// by the lock's own count: the ticket distance, the mcs nodes from holder
+// to tail, the mutex's parked waiters.
+func lowQueueLens(l *Lock) map[Mode]int {
+	q := map[Mode]int{ModeTicket: l.ticket.QueueLen()}
+	if st := l.adapt.Load(); st != nil {
+		if m := st.mcs.Load(); m != nil {
+			q[ModeMCS] = m.QueueLen()
+		}
+		if m := st.mutex.Load(); m != nil {
+			q[ModeMutex] = m.QueueLen()
+		}
+	}
+	return q
 }

@@ -49,6 +49,17 @@ func TestDecideTable(t *testing.T) {
 		{"multiprog near-zero queue stays ticket", 1.0, true, ModeTicket, ModeTicket},
 		{"multiprog near-zero queue leaves mcs for ticket", 1.0, true, ModeMCS, ModeTicket},
 		{"multiprog keeps mutex sticky", 1.0, true, ModeMutex, ModeMutex},
+		// The band's edges, pinned at the paper's constants: leaving ticket
+		// takes more than 3, leaving mcs less than 2, mutex 1.5 or more.
+		{"up edge minus stays ticket", 2.99, false, ModeTicket, ModeTicket},
+		{"up edge stays ticket", 3.0, false, ModeTicket, ModeTicket},
+		{"up edge plus switches to mcs", 3.01, false, ModeTicket, ModeMCS},
+		{"down edge minus leaves mcs", 1.99, false, ModeMCS, ModeTicket},
+		{"down edge stays mcs", 2.0, false, ModeMCS, ModeMCS},
+		{"down edge plus stays mcs", 2.01, false, ModeMCS, ModeMCS},
+		{"multiprog floor minus stays ticket", 1.49, true, ModeTicket, ModeTicket},
+		{"multiprog floor -> mutex", 1.5, true, ModeTicket, ModeMutex},
+		{"multiprog floor plus -> mutex", 1.51, true, ModeTicket, ModeMutex},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -117,15 +128,13 @@ func TestDecideProperties(t *testing.T) {
 		default:
 			return false
 		}
-		down := float64(l.set.downThreshold)
-		up := float64(l.set.upThreshold)
-		if cur != ModeMutex && avg >= down && avg <= up && got != cur {
+		if cur != ModeMutex && avg >= downThreshold && avg <= upThreshold && got != cur {
 			return false // hysteresis band violated
 		}
-		if avg > up && got == ModeTicket {
+		if avg > upThreshold && got == ModeTicket {
 			return false
 		}
-		if avg < down && got == ModeMCS {
+		if avg < downThreshold && got == ModeMCS {
 			return false
 		}
 		if got == ModeMutex {
@@ -135,49 +144,5 @@ func TestDecideProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestLowLevelQueueSampling exercises the paper-faithful measurement path.
-func TestLowLevelQueueSampling(t *testing.T) {
-	mon := sysmon.New(sysmon.Options{DisableProbes: true})
-	l := New(&Config{Monitor: mon, SamplePeriod: 2, AdaptPeriod: 8, SampleLowLevelQueues: true})
-	for i := 0; i < 64; i++ {
-		l.Lock()
-		l.Unlock()
-	}
-	st := l.Stats()
-	// Single-threaded ticket mode: every sample reads exactly 1 (the
-	// holder), via the ticket counter distance.
-	if st.QueueEMA < 0.99 || st.QueueEMA > 1.01 {
-		t.Fatalf("low-level QueueEMA = %.2f, want 1.0", st.QueueEMA)
-	}
-	if st.QueueTotal != 32 {
-		t.Fatalf("QueueTotal = %d, want 32 (64 CS / period 2)", st.QueueTotal)
-	}
-}
-
-// TestLowLevelSamplingMutualExclusion stresses the ablation path under
-// concurrency and adaptation.
-func TestLowLevelSamplingMutualExclusion(t *testing.T) {
-	mon := sysmon.New(sysmon.Options{DisableProbes: true})
-	l := New(&Config{Monitor: mon, SamplePeriod: 4, AdaptPeriod: 16, SampleLowLevelQueues: true})
-	counter := 0
-	done := make(chan struct{}, 6)
-	for g := 0; g < 6; g++ {
-		go func() {
-			for i := 0; i < 2000; i++ {
-				l.Lock()
-				counter++
-				l.Unlock()
-			}
-			done <- struct{}{}
-		}()
-	}
-	for i := 0; i < 6; i++ {
-		<-done
-	}
-	if counter != 12000 {
-		t.Fatalf("counter = %d, want 12000", counter)
 	}
 }

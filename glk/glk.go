@@ -13,7 +13,10 @@
 // an exponential moving average of those samples. Multiprogramming is
 // reported by a process-wide background monitor (package sysmon), exactly as
 // in the paper. Different locks in one process can therefore run in
-// different modes at the same time (cf. MySQL in the paper's §5.2).
+// different modes at the same time (cf. MySQL in the paper's §5.2). The
+// policy itself — the 3/2 ticket↔mcs band, the 1.5 mutex floor, the EMA
+// weight of 0.25 — is the paper's, fixed by its sensitivity analysis (§3.1);
+// only the periods, the monitor and the initial mode are configurable.
 //
 // RWLock applies the same adapt-per-lock discipline to reader-writer
 // admission: inline reader counting while readers are solitary, BRAVO-style
@@ -72,26 +75,32 @@ const (
 	// adaptation period to 4096 critical sections". With the default sample
 	// period this yields 4096/128 = 32 queue samples per decision.
 	DefaultAdaptPeriod = 4096
+)
 
-	// DefaultUpThreshold is the average queuing above which ticket switches
-	// to mcs: "TICKET is consistently faster than MCS when up to three
+// The decision policy, also from §3.1. These are not configurable: no
+// program in the repository ever set them, and the ablations that measured
+// the alternatives found none that won (EXPERIMENTS.md, "Measured and
+// removed").
+const (
+	// upThreshold is the average queuing above which ticket switches to
+	// mcs: "TICKET is consistently faster than MCS when up to three
 	// concurrent threads are accessing the lock".
-	DefaultUpThreshold = 3.0
+	upThreshold = 3.0
 
-	// DefaultDownThreshold is the average queuing below which mcs switches
-	// back to ticket; lower than UpThreshold "to avoid frequent, unnecessary
+	// downThreshold is the average queuing below which mcs switches back to
+	// ticket; lower than upThreshold "to avoid frequent, unnecessary
 	// transitions".
-	DefaultDownThreshold = 2.0
+	downThreshold = 2.0
 
-	// DefaultMutexQueueFloor is the average queuing below which a lock
-	// ignores the multiprogramming flag: "locks that face close-to-zero
-	// contention ... do not switch to mutex, but remain in ticket mode".
-	// Queue length includes the holder, so 1.5 means "waiters are rare".
-	DefaultMutexQueueFloor = 1.5
+	// mutexQueueFloor is the average queuing below which a lock ignores the
+	// multiprogramming flag: "locks that face close-to-zero contention ...
+	// do not switch to mutex, but remain in ticket mode". Queue length
+	// includes the holder, so 1.5 means "waiters are rare".
+	mutexQueueFloor = 1.5
 
-	// DefaultEMAWeight is the smoothing factor for the queue-length moving
-	// average that "hide[s] possible short-term workload fluctuations".
-	DefaultEMAWeight = 0.25
+	// emaWeight is the smoothing factor for the queue-length moving average
+	// that "hide[s] possible short-term workload fluctuations".
+	emaWeight = 0.25
 )
 
 // deflateIdlePeriods is how many consecutive adaptation periods must
@@ -104,9 +113,12 @@ const (
 // stripes.
 const deflateIdlePeriods = 4
 
-// Config tunes a GLK lock. The zero value of every field selects the
-// default above. A Config is read once, by NewSettings (which New calls);
-// later mutation has no effect.
+// Config sets what a program using GLK chooses: the sampling and
+// adaptation periods, the multiprogramming monitor, a frozen or non-ticket
+// starting mode for the paper's baselines, a transition trace and
+// telemetry. The decision policy is the paper's and is not part of it. The
+// zero value of every field selects the default. A Config is read once, by
+// NewSettings (which New calls); later mutation has no effect.
 type Config struct {
 	// SamplePeriod is the queue-sampling period in critical sections.
 	SamplePeriod uint64
@@ -115,13 +127,6 @@ type Config struct {
 	// boundaries, every AdaptPeriod/SamplePeriod samples); Validate
 	// rejects other values.
 	AdaptPeriod uint64
-	// UpThreshold and DownThreshold bound the ticket↔mcs hysteresis band.
-	UpThreshold   float64
-	DownThreshold float64
-	// MutexQueueFloor exempts near-uncontended locks from mutex mode.
-	MutexQueueFloor float64
-	// EMAWeight is the moving-average smoothing factor in (0, 1].
-	EMAWeight float64
 	// Monitor supplies the multiprogramming flag. nil selects the shared
 	// process-wide monitor, which is started on first use.
 	Monitor *sysmon.Monitor
@@ -136,18 +141,6 @@ type Config struct {
 	// contention, so it is built with its low-level lock allocated and its
 	// presence counter pre-inflated.
 	InitialMode Mode
-	// SampleLowLevelQueues chooses the queue measurement in mcs and mutex
-	// modes: true selects the paper's own — a queue traversal in mcs mode,
-	// the waiter count in mutex mode; the default (false) a presence count
-	// kept while the lock is in those modes, which is robust to preempted
-	// waiters that have not enqueued yet (see DESIGN.md §4). Ticket mode
-	// uses the paper's measurement either way — the ticket−owner distance,
-	// which is free and sees a waiter from the instant it takes its ticket;
-	// the default only adds whoever a mode switch has left draining through
-	// the other low-level lock. The flag exists for the ablation benchmarks
-	// and for paper-faithful runs on machines with plenty of hardware
-	// contexts.
-	SampleLowLevelQueues bool
 	// OnTransition, if non-nil, is invoked (by the lock holder) after every
 	// mode change with the old mode, new mode, and the triggering reason.
 	// The paper's §4.3: "GLK can be configured to print the mode transitions
@@ -173,30 +166,12 @@ func (c Config) withDefaults() Config {
 	if c.AdaptPeriod == 0 {
 		c.AdaptPeriod = DefaultAdaptPeriod
 	}
-	if c.UpThreshold == 0 {
-		c.UpThreshold = DefaultUpThreshold
-	}
-	if c.DownThreshold == 0 {
-		c.DownThreshold = DefaultDownThreshold
-	}
-	if c.MutexQueueFloor == 0 {
-		c.MutexQueueFloor = DefaultMutexQueueFloor
-	}
-	if c.EMAWeight == 0 {
-		c.EMAWeight = DefaultEMAWeight
-	}
 	return c
 }
 
 // Validate reports configuration errors after defaulting.
 func (c Config) Validate() error {
 	d := c.withDefaults()
-	if d.DownThreshold > d.UpThreshold {
-		return fmt.Errorf("glk: DownThreshold %.2f > UpThreshold %.2f", d.DownThreshold, d.UpThreshold)
-	}
-	if d.EMAWeight <= 0 || d.EMAWeight > 1 {
-		return fmt.Errorf("glk: EMAWeight %v out of (0,1]", d.EMAWeight)
-	}
 	if d.AdaptPeriod < d.SamplePeriod {
 		return fmt.Errorf("glk: AdaptPeriod %d < SamplePeriod %d", d.AdaptPeriod, d.SamplePeriod)
 	}
@@ -220,30 +195,18 @@ func (c Config) Validate() error {
 }
 
 // Settings is a validated Config in the form locks consult after
-// construction: defaults filled in, periods as 32-bit reload values,
-// thresholds narrowed to float32 (human-chosen numbers like 3.0 compared
-// against a smoothed average, where single precision is indistinguishable).
-// It is immutable, so any number of locks share one: a Lock carries a
-// pointer to it, not a copy (the copy was 40 of the idle lock's bytes).
-// Config.Stats is not part of it — a statistics object belongs to one lock
-// and is handed to Init beside the Settings.
+// construction: defaults filled in, periods as 32-bit reload values. It is
+// immutable, so any number of locks share one: a Lock carries a pointer to
+// it, not a copy (the copy was 40 of the idle lock's bytes). Config.Stats
+// is not part of it — a statistics object belongs to one lock and is handed
+// to Init beside the Settings.
 type Settings struct {
-	samplePeriod         uint32 // critical sections between queue samples
-	adaptSamples         uint32 // adaptIn reload value, in samples
-	upThreshold          float32
-	downThreshold        float32
-	mutexQueueFloor      float32
-	emaWeight            float64
-	initialMode          Mode
-	disableAdaptation    bool
-	sampleLowLevelQueues bool
-	// eager is set when a queue of one — all an uncontended lock ever
-	// samples — could itself change the mode (UpThreshold below 1,
-	// MutexQueueFloor at or below it): such a lock cannot skip the samples
-	// that show no queue, so it builds its adaptation state at Init.
-	eager        bool
-	monitor      *sysmon.Monitor
-	onTransition func(from, to Mode, reason string)
+	samplePeriod      uint32 // critical sections between queue samples
+	adaptSamples      uint32 // adaptIn reload value, in samples
+	initialMode       Mode
+	disableAdaptation bool
+	monitor           *sysmon.Monitor
+	onTransition      func(from, to Mode, reason string)
 }
 
 // defaultSettings is what New(nil) and NewSettings(nil) hand out.
@@ -270,18 +233,12 @@ func newSettings(c Config) *Settings {
 		initial = ModeTicket
 	}
 	return &Settings{
-		samplePeriod:         uint32(c.SamplePeriod),
-		adaptSamples:         uint32(c.AdaptPeriod / c.SamplePeriod),
-		upThreshold:          float32(c.UpThreshold),
-		downThreshold:        float32(c.DownThreshold),
-		mutexQueueFloor:      float32(c.MutexQueueFloor),
-		emaWeight:            c.EMAWeight,
-		initialMode:          initial,
-		disableAdaptation:    c.DisableAdaptation,
-		sampleLowLevelQueues: c.SampleLowLevelQueues,
-		eager:                c.UpThreshold < 1 || c.MutexQueueFloor <= 1,
-		monitor:              c.Monitor,
-		onTransition:         c.OnTransition,
+		samplePeriod:      uint32(c.SamplePeriod),
+		adaptSamples:      uint32(c.AdaptPeriod / c.SamplePeriod),
+		initialMode:       initial,
+		disableAdaptation: c.DisableAdaptation,
+		monitor:           c.Monitor,
+		onTransition:      c.OnTransition,
 	}
 }
 
@@ -365,14 +322,14 @@ type adaptState struct {
 // The rest — queue statistics, adaptation countdowns, the mcs and mutex
 // low-level locks, the striped presence counter — is the adaptState, built
 // by the first sampling boundary that sees a queue, the first abandoned or
-// handed-back acquisition, or at Init when the Settings need it from the
-// start. An idle, never-contended lock — the overwhelming
-// majority in a million-key table — is 1 cache line instead of the 15 an
-// eagerly-striped layout costs (DESIGN.md §8). Arrivals count themselves
-// present only when they read the mode as mcs or mutex, where a goroutine
-// can be at the lock without yet being in its queue (DESIGN.md §4); the
-// counting and mcs's local spinning happen on the adaptState's lines, so in
-// those modes this line is read-mostly.
+// handed-back acquisition, or at Init for a lock born in mcs or mutex mode.
+// An idle, never-contended lock — the overwhelming majority in a million-key
+// table — is 1 cache line instead of the 15 a layout striped up front costs
+// (DESIGN.md §8). Arrivals count themselves present only when they read the
+// mode as mcs or mutex, where a goroutine can be at the lock without yet
+// being in its queue (DESIGN.md §4); the counting and mcs's local spinning
+// happen on the adaptState's lines, so in those modes this line is
+// read-mostly.
 //
 // Invariant: the mode word is stable while the lock is held. Its only
 // writer after construction is sampleAndAdapt, reached only by a goroutine
@@ -392,7 +349,7 @@ type Lock struct {
 	sampleAt uint32
 	ticket   locks.TicketCore // low-contention mode lock, always present
 	stats    *telemetry.LockStats
-	adapt    atomic.Pointer[adaptState] // nil until contention, an abort or a non-default Settings asks for it
+	adapt    atomic.Pointer[adaptState] // nil until contention, an abort or a non-ticket InitialMode asks for it
 	set      *Settings
 
 	// Aux belongs to whoever embeds the Lock: GLK never reads or writes it.
@@ -429,10 +386,12 @@ func New(cfg *Config) *Lock {
 func (l *Lock) Init(set *Settings, stats *telemetry.LockStats) {
 	l.set = set
 	l.sampleAt = set.samplePeriod - 1 // tickets start at 0: the SamplePeriod-th acquisition samples
-	if set.initialMode != ModeTicket || set.eager {
+	if set.initialMode != ModeTicket {
 		// A lock born in mcs or mutex mode expects contention, and is built
 		// with its low-level lock allocated and its presence counter
-		// inflated.
+		// inflated. One born in ticket mode needs no state until it sees a
+		// queue: at the paper's thresholds a queue of one never changes the
+		// mode.
 		st := l.state()
 		st.adaptIn, st.primed = set.adaptSamples, true
 		l.ensureLow(set.initialMode)
@@ -454,7 +413,7 @@ func (l *Lock) state() *adaptState {
 	}
 	st := new(adaptState)
 	st.sampleIn = l.set.samplePeriod
-	st.queueEMA = emastats.NewEMA(l.set.emaWeight)
+	st.queueEMA = emastats.NewEMA(emaWeight)
 	if l.adapt.CompareAndSwap(nil, st) {
 		return st
 	}
@@ -803,37 +762,14 @@ func (l *Lock) unlockLow(m Mode) {
 // holding a ticket plus those counted present (see arrival). In ticket mode
 // it is the paper's ticket distance, plus any stragglers of an mcs/mutex
 // spell still draining; in mcs and mutex modes the presence count, plus any
-// stragglers still holding tickets. It is the default queue sample and the
-// gauge handed to telemetry; safe from any goroutine (unlike queueLenLow's
-// mcs traversal).
+// stragglers still holding tickets. It is the queue sample and the gauge
+// handed to telemetry; safe from any goroutine.
 func (l *Lock) presentNow() int64 {
 	n := int64(l.ticket.QueueLen())
 	if st := l.adapt.Load(); st != nil {
 		n += st.present.Sum()
 	}
 	return n
-}
-
-// queueLenLow samples the low-level lock's own queue for mode m — the
-// paper's measurement. Must be called by the holder (the MCS sample
-// traverses the waiter queue, which is only safe from inside the lock).
-func (l *Lock) queueLenLow(m Mode) int {
-	switch m {
-	case ModeTicket:
-		return l.ticket.QueueLen()
-	case ModeMCS:
-		if st := l.adapt.Load(); st != nil && st.mcs.Load() != nil {
-			return st.mcs.Load().QueueLen()
-		}
-		return 0
-	case ModeMutex:
-		if st := l.adapt.Load(); st != nil && st.mutex.Load() != nil {
-			return st.mutex.Load().QueueLen()
-		}
-		return 0
-	default:
-		return 0
-	}
 }
 
 // sampleDue reports whether the caller, who holds the low-level lock for
@@ -865,9 +801,10 @@ func (l *Lock) sampleDue(cur Mode) bool {
 //
 // A lock with no adaptation state that finds nobody behind the holder does
 // the first of those only: the sample it skips is a queue of one, like
-// every sample before it, and no run of those changes the mode (Settings
-// that could are eager). The first boundary that does see a queue builds
-// the state and enters the skipped samples into it (prime).
+// every sample before it, and no run of those changes the mode (one is
+// below downThreshold and mutexQueueFloor). The first boundary that does
+// see a queue builds the state and enters the skipped samples into it
+// (prime).
 func (l *Lock) sampleAndAdapt(cur Mode) bool {
 	st := l.adapt.Load()
 	period := l.set.samplePeriod
@@ -897,15 +834,7 @@ func (l *Lock) sampleAndAdapt(cur Mode) bool {
 	}
 
 	// The queue behind the lock, holder included.
-	var q int
-	if l.set.sampleLowLevelQueues {
-		q = l.queueLenLow(cur)
-	} else {
-		q = int(l.presentNow())
-	}
-	if q < 0 {
-		q = 0
-	}
+	q := max(int(l.presentNow()), 0)
 	// Fold aborts since the last sample into the queue signal: a waiter
 	// that gave up was queued goroutines the instantaneous sample cannot
 	// see anymore, and a timeout storm is exactly the contention regime the
@@ -995,7 +924,7 @@ func (l *Lock) decide(cur Mode) (Mode, string) {
 		// Contended locks must block; near-idle locks stay in ticket mode
 		// "in order to complete these critical sections as fast as
 		// possible" (paper §3).
-		if avg >= float64(l.set.mutexQueueFloor) {
+		if avg >= mutexQueueFloor {
 			return ModeMutex, fmt.Sprintf("multiprogramming (avg queue %.2f)", avg)
 		}
 		if cur != ModeTicket {
@@ -1007,16 +936,16 @@ func (l *Lock) decide(cur Mode) (Mode, string) {
 	// A reason is formatted only for a change of mode: an uncontended lock
 	// comes through here every adaptation period to be told "ticket" again.
 	switch {
-	case avg > float64(l.set.upThreshold):
+	case avg > upThreshold:
 		if cur == ModeMCS {
 			return cur, ""
 		}
-		return ModeMCS, fmt.Sprintf("avg queue %.2f > %.2f", avg, l.set.upThreshold)
-	case avg < float64(l.set.downThreshold):
+		return ModeMCS, fmt.Sprintf("avg queue %.2f > %.2f", avg, upThreshold)
+	case avg < downThreshold:
 		if cur == ModeTicket {
 			return cur, ""
 		}
-		return ModeTicket, fmt.Sprintf("avg queue %.2f < %.2f", avg, l.set.downThreshold)
+		return ModeTicket, fmt.Sprintf("avg queue %.2f < %.2f", avg, downThreshold)
 	default:
 		// Inside the hysteresis band: leaving mutex needs a decision even
 		// when the band says "keep". Mid-band contention maps to mcs.

@@ -17,6 +17,18 @@ func newTestMonitor() *sysmon.Monitor {
 	return sysmon.New(sysmon.Options{Interval: time.Millisecond, DisableProbes: true})
 }
 
+// waitFlag waits for a started test monitor's multiprogramming flag to read
+// want, after the test has moved its hint.
+func waitFlag(t *testing.T, mon *sysmon.Monitor, want bool) {
+	t.Helper()
+	for deadline := time.Now().Add(20 * time.Second); mon.Multiprogrammed() != want; {
+		if time.Now().After(deadline) {
+			t.Fatalf("monitor flag never became %v", want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestNewDefaults(t *testing.T) {
 	l := New(nil)
 	if got := l.Mode(); got != ModeTicket {
@@ -33,9 +45,6 @@ func TestNewDefaults(t *testing.T) {
 
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
-		{DownThreshold: 5, UpThreshold: 3},
-		{EMAWeight: 1.5},
-		{EMAWeight: -0.5},
 		{SamplePeriod: 512, AdaptPeriod: 128},
 		// Non-multiple periods would silently shorten the adaptation
 		// cadence (the periods are countdowns on sampling boundaries).
@@ -57,7 +66,7 @@ func TestNewPanicsOnInvalidConfig(t *testing.T) {
 			t.Fatal("New with invalid config did not panic")
 		}
 	}()
-	New(&Config{DownThreshold: 9, UpThreshold: 1})
+	New(&Config{SamplePeriod: 512, AdaptPeriod: 128})
 }
 
 func TestModeString(t *testing.T) {
@@ -107,7 +116,7 @@ func TestUnlockWithoutLockPanics(t *testing.T) {
 // of the paper's Figure 4 protocol loses updates or admits two holders.
 func TestMutualExclusionWithFrequentAdaptation(t *testing.T) {
 	mon := newTestMonitor()
-	l := New(&Config{SamplePeriod: 1, AdaptPeriod: 2, Monitor: mon, EMAWeight: 0.9})
+	l := New(&Config{SamplePeriod: 1, AdaptPeriod: 2, Monitor: mon})
 	const goroutines, iters = 8, 3000
 	var counter int
 	var inCS atomic.Int32
@@ -136,7 +145,7 @@ func TestMutualExclusionWithFrequentAdaptation(t *testing.T) {
 // TestAdaptsToMCSUnderContention: sustained queuing above the threshold must
 // flip the lock to mcs mode (paper Figure 8 behaviour).
 func TestAdaptsToMCSUnderContention(t *testing.T) {
-	l := New(&Config{SamplePeriod: 8, AdaptPeriod: 64, Monitor: newTestMonitor(), EMAWeight: 0.5})
+	l := New(&Config{SamplePeriod: 8, AdaptPeriod: 64, Monitor: newTestMonitor()})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -175,7 +184,7 @@ func TestAdaptsToMCSUnderContention(t *testing.T) {
 // TestAdaptsBackToTicket: once contention vanishes the EMA decays below the
 // down-threshold and the lock returns to ticket mode.
 func TestAdaptsBackToTicket(t *testing.T) {
-	l := New(&Config{SamplePeriod: 4, AdaptPeriod: 16, Monitor: newTestMonitor(), EMAWeight: 0.5})
+	l := New(&Config{SamplePeriod: 4, AdaptPeriod: 16, Monitor: newTestMonitor()})
 	// Force mcs via contention.
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -226,7 +235,7 @@ func TestMultiprogrammingSwitchesToMutex(t *testing.T) {
 	defer mon.Stop()
 	mon.SetHint(runtime.GOMAXPROCS(0) + 8)
 
-	l := New(&Config{SamplePeriod: 4, AdaptPeriod: 16, Monitor: mon, EMAWeight: 0.5})
+	l := New(&Config{SamplePeriod: 4, AdaptPeriod: 16, Monitor: mon})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
@@ -296,7 +305,7 @@ func TestOnTransitionCallback(t *testing.T) {
 	var mu sync.Mutex
 	var seen []tr
 	l := New(&Config{
-		SamplePeriod: 4, AdaptPeriod: 16, Monitor: newTestMonitor(), EMAWeight: 0.9,
+		SamplePeriod: 4, AdaptPeriod: 16, Monitor: newTestMonitor(),
 		OnTransition: func(from, to Mode, reason string) {
 			mu.Lock()
 			seen = append(seen, tr{from, to, reason})
@@ -395,7 +404,7 @@ func TestStatsSnapshot(t *testing.T) {
 // must drain through it and re-acquire via the new mode.
 func TestModeTransitionLiveness(t *testing.T) {
 	mon := newTestMonitor()
-	l := New(&Config{SamplePeriod: 2, AdaptPeriod: 4, Monitor: mon, EMAWeight: 0.9})
+	l := New(&Config{SamplePeriod: 2, AdaptPeriod: 4, Monitor: mon})
 	var total atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < 10; g++ {

@@ -188,14 +188,15 @@ func TestPresenceCounterLazy(t *testing.T) {
 		t.Fatal("uncontended lock inflated its presence counter")
 	}
 
-	// Sustained contention: two goroutines with a yield inside the critical
-	// section (so arrivals overlap even on one P), sample-every-section
-	// config, and thresholds a queue of two crosses. The spill arrives with
-	// the move to mcs, where arrivals start being counted.
-	l2 := New(&Config{Monitor: newTestMonitor(), SamplePeriod: 1, AdaptPeriod: 4, UpThreshold: 1.5, DownThreshold: 1})
+	// Sustained contention: six goroutines with a yield inside the critical
+	// section (so arrivals overlap even on one P) hold tickets at once, a
+	// queue past the up-threshold of 3, under a sample-every-section config.
+	// The spill arrives with the move to mcs, where arrivals start being
+	// counted.
+	l2 := New(&Config{Monitor: newTestMonitor(), SamplePeriod: 1, AdaptPeriod: 4})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for g := 0; g < 2; g++ {
+	for g := 0; g < 6; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

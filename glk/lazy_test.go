@@ -95,7 +95,6 @@ func TestContendedLockPublishesOneState(t *testing.T) {
 	var transitions atomic.Uint64
 	l := New(&Config{
 		Monitor: newTestMonitor(), SamplePeriod: 2, AdaptPeriod: 4,
-		UpThreshold: 1.5, DownThreshold: 1.2, EMAWeight: 1,
 		OnTransition: func(from, to Mode, reason string) { transitions.Add(1) },
 	})
 	var acquired, aborted atomic.Uint64

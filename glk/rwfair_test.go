@@ -76,6 +76,19 @@ func TestRWLockStarvationEscalatesToPhaseFair(t *testing.T) {
 	l.Unlock()
 }
 
+// starveOnce raises the starvation signal the way a bypassed reader does
+// and lets one writer release consume it, which moves l to phase-fair
+// admission.
+func starveOnce(t *testing.T, l *RWLock) {
+	t.Helper()
+	l.starve.Store(1)
+	l.Lock()
+	l.Unlock()
+	if l.RWMode() != RWModePhaseFair {
+		t.Fatalf("a raised starvation signal left the lock in %v", l.RWMode())
+	}
+}
+
 // TestRWLockPhaseFairReturnsToNative: with the writer stream gone (queue
 // never exceeds the holder), FairPeriods calm sampled periods bring the
 // lock back to the native family — in whichever shape the reader counter
@@ -84,11 +97,8 @@ func TestRWLockStarvationEscalatesToPhaseFair(t *testing.T) {
 func TestRWLockPhaseFairReturnsToNative(t *testing.T) {
 	reg := telemetry.New(telemetry.Options{SamplePeriod: 1})
 	st := reg.Register(2, "glkrw")
-	l := NewRW(&RWConfig{Monitor: newTestMonitor(), InitialRWMode: RWModePhaseFair,
-		SamplePeriod: 2, FairPeriods: 1, Stats: st})
-	if l.RWMode() != RWModePhaseFair {
-		t.Fatal("InitialRWMode not honored")
-	}
+	l := NewRW(&RWConfig{Monitor: newTestMonitor(), SamplePeriod: 2, FairPeriods: 1, Stats: st})
+	starveOnce(t, l)
 	for i := 0; i < 6; i++ { // ≥ SamplePeriod × FairPeriods solitary writes
 		l.Lock()
 		l.Unlock()
@@ -99,10 +109,14 @@ func TestRWLockPhaseFairReturnsToNative(t *testing.T) {
 	if _, ok := transitionEdge(reg, 2, "rwphasefair", "rwinline"); !ok {
 		t.Fatal("rwphasefair→rwinline transition not telemetry-visible")
 	}
-	// A lock whose stripes were live when it escalated returns to striped.
-	l2 := NewRW(&RWConfig{Monitor: newTestMonitor(), InitialRWMode: RWModePhaseFair,
-		SamplePeriod: 2, FairPeriods: 1, DeflatePeriods: 200})
-	l2.readers.Inflate()
+	// A lock whose stripes were live when it escalated returns to striped
+	// (six writes are too few for the deflation dwell to fold them).
+	l2 := NewRW(&RWConfig{Monitor: newTestMonitor(), SamplePeriod: 2, FairPeriods: 1})
+	l2.RLock()
+	l2.RLock()
+	l2.RUnlock()
+	l2.RUnlock()
+	starveOnce(t, l2)
 	for i := 0; i < 6; i++ {
 		l2.Lock()
 		l2.Unlock()
@@ -165,14 +179,36 @@ func TestRWLockBlocksUnderMultiprogramming(t *testing.T) {
 	l.Unlock()
 }
 
-// TestRWLockWritePrefReturnsWhenCalm: a lock born blocking under a calm
-// monitor leaves rwwritepref at its first sampled release, landing in the
-// native shape its reader counter is in (deflated here → rwinline).
+// TestRWLockWritePrefReturnsWhenCalm: a lock sent blocking by the
+// monitor's flag and a queued writer leaves rwwritepref at its first
+// sampled release once the flag is down, landing in the native shape its
+// reader counter is in (deflated here → rwinline).
 func TestRWLockWritePrefReturnsWhenCalm(t *testing.T) {
+	mon := newTestMonitor()
+	mon.Start()
+	defer mon.Stop()
 	reg := telemetry.New(telemetry.Options{SamplePeriod: 1})
 	st := reg.Register(4, "glkrw")
-	l := NewRW(&RWConfig{Monitor: newTestMonitor(), InitialRWMode: RWModeWritePref,
-		SamplePeriod: 1, Stats: st})
+	l := NewRW(&RWConfig{Monitor: mon, SamplePeriod: 1, Stats: st})
+	mon.SetHint(64)
+	waitFlag(t, mon, true)
+	l.Lock()
+	done := make(chan struct{})
+	go func() {
+		l.Lock() // the second writer: a queue of two at the next boundary
+		l.Unlock()
+		close(done)
+	}()
+	for l.writerQueueLen() < 2 {
+		runtime.Gosched()
+	}
+	l.Unlock()
+	<-done
+	if got := l.RWMode(); got != RWModeWritePref {
+		t.Fatalf("mode after a contended release under the flag = %v, want rwwritepref", got)
+	}
+	mon.SetHint(0)
+	waitFlag(t, mon, false)
 	l.Lock()
 	l.Unlock()
 	if got := l.RWMode(); got != RWModeInline {
@@ -183,32 +219,10 @@ func TestRWLockWritePrefReturnsWhenCalm(t *testing.T) {
 	}
 }
 
-// TestRWLockFrozenDelegateMode: DisableAdaptation pins a delegate initial
-// mode exactly as it pins the native ones.
-func TestRWLockFrozenDelegateMode(t *testing.T) {
-	l := NewRW(&RWConfig{Monitor: newTestMonitor(), DisableAdaptation: true,
-		InitialRWMode: RWModePhaseFair, SamplePeriod: 1, StarveBackouts: 1})
-	for i := 0; i < 20; i++ {
-		l.Lock()
-		l.Unlock()
-		l.RLock()
-		l.RUnlock()
-	}
-	if got := l.RWMode(); got != RWModePhaseFair || l.Transitions() != 0 {
-		t.Fatalf("frozen phase-fair lock moved: mode %v, %d transitions", got, l.Transitions())
-	}
-}
-
 // TestRWLockConfigValidation pins the new config errors.
 func TestRWLockConfigValidation(t *testing.T) {
-	if err := (RWConfig{InitialRWMode: RWModeWritePref}).Validate(); err != nil {
-		t.Fatalf("delegate InitialRWMode rejected: %v", err)
-	}
 	if err := (RWConfig{FairPeriods: 300}).Validate(); err == nil {
 		t.Fatal("FairPeriods past the 8-bit dwell range accepted")
-	}
-	if err := (RWConfig{DeflatePeriods: 1 << 20}).Validate(); err == nil {
-		t.Fatal("DeflatePeriods past the 8-bit dwell range accepted")
 	}
 }
 
@@ -225,7 +239,7 @@ func TestRWLockFamilyStormExclusion(t *testing.T) {
 	defer mon.Stop()
 	reg := telemetry.New(telemetry.Options{SamplePeriod: 4})
 	l := NewRW(&RWConfig{Monitor: mon, SamplePeriod: 2, FairPeriods: 1,
-		DeflatePeriods: 1, StarveBackouts: 2, Stats: reg.Register(5, "glkrw")})
+		StarveBackouts: 2, Stats: reg.Register(5, "glkrw")})
 	var x, y int // guarded by l
 	stop := make(chan struct{})
 	var togglerWG sync.WaitGroup

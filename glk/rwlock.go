@@ -96,9 +96,6 @@ const (
 	// DefaultRWSamplePeriod is how often (in completed write sections) the
 	// writer re-examines the mode decision.
 	DefaultRWSamplePeriod = 64
-	// DefaultRWDeflatePeriods is how many consecutive reader-free sampled
-	// write periods deflate the striped readers back to the inline cell.
-	DefaultRWDeflatePeriods = 4
 	// DefaultRWStarveBackouts is how many writer phases may bypass one
 	// blocked reader before it raises the starvation signal that sends the
 	// lock to phase-fair admission: a couple of back-to-back writers are
@@ -118,6 +115,10 @@ const (
 	DefaultRWFairPeriods = 2
 )
 
+// rwDeflatePeriods is how many consecutive sampled write periods in which
+// no reader came deflate the striped readers back to the inline cell.
+const rwDeflatePeriods = 4
+
 // rwBackoutSpins caps one waiting round of a backed-out native reader, so
 // a gapless writer stream cannot pin the reader in a spin where its bypass
 // count — and therefore the starvation signal — never advances.
@@ -130,15 +131,15 @@ const rwBackoutSpins = 64
 // rwStarveRoundsFactor × StarveBackouts bounded waiting rounds.
 const rwStarveRoundsFactor = 8
 
-// RWConfig tunes an adaptive RW lock. The zero value selects every default.
+// RWConfig tunes an adaptive RW lock: the write-side sampling period, the
+// two fairness bounds, the multiprogramming monitor and telemetry. Every
+// lock is born rwinline and adapts; the deflation dwell is fixed at four
+// sampled periods. The zero value selects every default.
 type RWConfig struct {
 	// SamplePeriod is the write-side sampling period, in completed write
 	// sections: every SamplePeriod-th write acquisition folds its
 	// observations into the mode decision.
 	SamplePeriod uint64
-	// DeflatePeriods is how many consecutive sampled periods must observe
-	// zero readers before a writer folds the stripes back inline.
-	DeflatePeriods uint32
 	// StarveBackouts is how many writer phases may bypass one blocked
 	// reader before it raises the starvation signal (0 selects
 	// DefaultRWStarveBackouts). The next writer release then switches the
@@ -147,28 +148,15 @@ type RWConfig struct {
 	// FairPeriods is the striped↔phase-fair hysteresis dwell in sampled
 	// write periods (0 selects DefaultRWFairPeriods).
 	FairPeriods uint32
-	// DisableAdaptation freezes the lock in its initial mode: no
-	// inflation, no deflation, no family changes. A frozen-inline lock is
-	// the compact baseline the rw benchmarks compare against.
-	DisableAdaptation bool
-	// InitialRWMode is the mode a fresh lock starts in (default
-	// RWModeInline). A lock born striped expects reader concurrency and
-	// allocates its spill up front; one born phase-fair or write-preferring
-	// allocates its delegate lock up front.
-	InitialRWMode RWMode
 	// Monitor supplies the multiprogramming flag for the blocking-mode
 	// decision — the same probe Config.Monitor feeds the exclusive lock.
 	// nil selects the shared process-wide monitor.
 	Monitor *sysmon.Monitor
-	// OnTransition, if non-nil, is invoked after every mode change with
-	// the old mode, new mode, and the triggering reason — the RW analogue
-	// of Config.OnTransition (§4.3 transition tracing).
-	OnTransition func(from, to RWMode, reason string)
 	// Stats, if non-nil, receives this lock's telemetry: writer
 	// acquisitions through the exclusive lanes, reader acquisitions through
 	// the rw lanes, writer drain time, reader wait phases and starvation
-	// events, and every mode transition. EnableRW and the read-side
-	// samplers are wired at construction.
+	// events, and every mode transition with its reason. EnableRW and the
+	// read-side samplers are wired at construction.
 	Stats *telemetry.LockStats
 }
 
@@ -177,17 +165,11 @@ func (c RWConfig) withDefaults() RWConfig {
 	if c.SamplePeriod == 0 {
 		c.SamplePeriod = DefaultRWSamplePeriod
 	}
-	if c.DeflatePeriods == 0 {
-		c.DeflatePeriods = DefaultRWDeflatePeriods
-	}
 	if c.StarveBackouts == 0 {
 		c.StarveBackouts = DefaultRWStarveBackouts
 	}
 	if c.FairPeriods == 0 {
 		c.FairPeriods = DefaultRWFairPeriods
-	}
-	if c.InitialRWMode == 0 {
-		c.InitialRWMode = RWModeInline
 	}
 	return c
 }
@@ -198,14 +180,9 @@ func (c RWConfig) Validate() error {
 	if d.SamplePeriod > math.MaxUint32 {
 		return fmt.Errorf("glk: RW SamplePeriod %d exceeds the 32-bit countdown range", d.SamplePeriod)
 	}
-	if d.DeflatePeriods > math.MaxUint8 || d.FairPeriods > math.MaxUint8 {
-		return fmt.Errorf("glk: RW dwell periods %d/%d exceed the 8-bit counter range (the holder line is a budget)",
-			d.DeflatePeriods, d.FairPeriods)
-	}
-	switch d.InitialRWMode {
-	case RWModeInline, RWModeStriped, RWModePhaseFair, RWModeWritePref:
-	default:
-		return fmt.Errorf("glk: invalid InitialRWMode %v", d.InitialRWMode)
+	if d.FairPeriods > math.MaxUint8 {
+		return fmt.Errorf("glk: RW FairPeriods %d exceeds the 8-bit counter range (the holder line is a budget)",
+			d.FairPeriods)
 	}
 	return nil
 }
@@ -264,17 +241,14 @@ type rwShared struct {
 }
 
 // rwConfig is the stored form of an RWConfig (the fields consulted after
-// construction; Stats is hoisted to the shared section). The dwell periods
-// are bytes on purpose — Validate bounds them — so the whole holder section
+// construction; Stats is hoisted to the shared section). The dwell period
+// is a byte on purpose — Validate bounds it — so the whole holder section
 // keeps to one line.
 type rwConfig struct {
-	samplePeriod      uint32
-	starveBackouts    uint32
-	deflatePeriods    uint8
-	fairPeriods       uint8
-	disableAdaptation bool
-	onTransition      func(from, to RWMode, reason string)
-	monitor           *sysmon.Monitor
+	samplePeriod   uint32
+	starveBackouts uint32
+	fairPeriods    uint8
+	monitor        *sysmon.Monitor
 }
 
 // rwHolder is the writer-only section, guarded by whichever family's write
@@ -305,11 +279,11 @@ type rwHolder struct {
 // demonstrates the need:
 //
 //   - rwinline — a single inline reader cell; the whole idle lock is two
-//     cache lines. The default birth mode.
+//     cache lines. Every lock is born in it.
 //   - rwstriped — BRAVO-style striped readers (locks.RWStriped's
 //     protocol), entered when a reader observes a second simultaneous
-//     reader or a writer's drain meets readers; deflated back after
-//     DeflatePeriods sampled write periods in which no reader came.
+//     reader or a writer's drain meets readers; deflated back after four
+//     sampled write periods in which no reader came.
 //   - rwphasefair — delegate to locks.RWPhaseFair, entered when a blocked
 //     reader reports being bypassed past StarveBackouts writer phases, or
 //     when FairPeriods consecutive sampled periods show a writer stream
@@ -339,15 +313,16 @@ type RWLock struct {
 	rwShared
 	_ [(pad.CacheLineSize - unsafe.Sizeof(rwShared{})%pad.CacheLineSize) % pad.CacheLineSize]byte
 	rwHolder
-	// No trailing pad: rwHolder fills its line exactly (a zero-length
-	// trailing array would itself add padding); TestRWLockFootprint pins
-	// the whole-lines invariant.
+	// The trailing pad must not come out at zero length (a zero-length
+	// trailing array itself adds padding); TestRWLockFootprint pins the
+	// whole-lines invariant.
+	_ [(pad.CacheLineSize - unsafe.Sizeof(rwHolder{})%pad.CacheLineSize) % pad.CacheLineSize]byte
 }
 
 var _ locks.RWLock = (*RWLock)(nil)
 
-// NewRW returns an adaptive reader-writer lock. cfg == nil selects all
-// defaults. Invalid configurations panic, like New.
+// NewRW returns an adaptive reader-writer lock in rwinline mode. cfg == nil
+// selects all defaults. Invalid configurations panic, like New.
 func NewRW(cfg *RWConfig) *RWLock {
 	var c RWConfig
 	if cfg != nil {
@@ -359,24 +334,13 @@ func NewRW(cfg *RWConfig) *RWLock {
 	c = c.withDefaults()
 	l := &RWLock{}
 	l.cfg = rwConfig{
-		samplePeriod:      uint32(c.SamplePeriod),
-		starveBackouts:    c.StarveBackouts,
-		deflatePeriods:    uint8(c.DeflatePeriods),
-		fairPeriods:       uint8(c.FairPeriods),
-		disableAdaptation: c.DisableAdaptation,
-		onTransition:      c.OnTransition,
-		monitor:           c.Monitor,
+		samplePeriod:   uint32(c.SamplePeriod),
+		starveBackouts: c.StarveBackouts,
+		fairPeriods:    uint8(c.FairPeriods),
+		monitor:        c.Monitor,
 	}
 	l.sampleIn = l.cfg.samplePeriod
-	switch c.InitialRWMode {
-	case RWModeStriped:
-		// Born striped: expects reader concurrency, allocates the spill up
-		// front so no arrival pays the detection window.
-		l.readers.Inflate()
-	case RWModePhaseFair, RWModeWritePref:
-		l.ensureSub(c.InitialRWMode.family())
-	}
-	l.rwmode.Store(uint32(c.InitialRWMode))
+	l.rwmode.Store(uint32(RWModeInline))
 	if c.Stats != nil {
 		l.stats = c.Stats
 		l.stats.EnableRW()
@@ -384,7 +348,7 @@ func NewRW(cfg *RWConfig) *RWLock {
 		// The write-side presence is the active family's writer queue: the
 		// ticket exposes it for free, exactly the paper's ticket measure.
 		l.stats.SetPresenceSampler(func() int64 { return int64(l.writerQueueLen()) })
-		l.stats.SetMode(c.InitialRWMode.String())
+		l.stats.SetMode(RWModeInline.String())
 	}
 	return l
 }
@@ -398,9 +362,9 @@ func (l *RWLock) monitor() *sysmon.Monitor {
 }
 
 // ensureSub makes sure family f's delegate lock exists before the mode word
-// can name it. Delegates are allocated on the first transition to (or
-// construction in) their family — rare events performed while holding the
-// lock — by publishing a fresh, immutable rwSubs.
+// can name it. Delegates are allocated on the first transition to their
+// family — a rare event performed while holding the lock — by publishing a
+// fresh, immutable rwSubs.
 func (l *RWLock) ensureSub(f rwFamily) {
 	cur := l.subs.Load()
 	var ns rwSubs
@@ -470,26 +434,18 @@ func (l *RWLock) WriteLocked() bool {
 	return l.writer.Load() != 0
 }
 
-// noteTransition publishes a mode change's bookkeeping (counter, telemetry
-// edge, trace callback).
-func (l *RWLock) noteTransition(from, to RWMode, reason string) {
-	l.transitions.Add(1)
-	if l.stats != nil {
-		l.stats.Transition(from.String(), to.String(), reason)
-	}
-	if l.cfg.onTransition != nil {
-		l.cfg.onTransition(from, to, reason)
-	}
-}
-
-// setRWMode publishes a mode change with its bookkeeping. The CAS makes
-// racing triggers (two readers observing each other at once, or a reader
-// inflation racing a writer's family decision) report one transition.
+// setRWMode publishes a mode change with its bookkeeping (counter,
+// telemetry edge). The CAS makes racing triggers (two readers observing
+// each other at once, or a reader inflation racing a writer's family
+// decision) report one transition.
 func (l *RWLock) setRWMode(from, to RWMode, reason string) bool {
 	if !l.rwmode.CompareAndSwap(uint32(from), uint32(to)) {
 		return false
 	}
-	l.noteTransition(from, to, reason)
+	l.transitions.Add(1)
+	if l.stats != nil {
+		l.stats.Transition(from.String(), to.String(), reason)
+	}
 	return true
 }
 
@@ -545,7 +501,7 @@ func (l *RWLock) noteReader() {
 // inflated it is one stripe's running total, which a +1 inline / −1 striped
 // pair leaves skewed for good — and the lock is striped already.
 func (l *RWLock) sawSecondReader() {
-	if !l.readers.Inflated() && !l.cfg.disableAdaptation {
+	if !l.readers.Inflated() {
 		l.inflateReaders("reader concurrency")
 	}
 }
@@ -588,7 +544,7 @@ func (l *RWLock) rlockNative(tok uint64) (ok bool, bypassed uint64, starved bool
 			}
 			if waiting {
 				bypassed += l.handedOff(&seen)
-				if !starved && !l.cfg.disableAdaptation && bypassed >= uint64(l.cfg.starveBackouts) {
+				if !starved && bypassed >= uint64(l.cfg.starveBackouts) {
 					// We got in, but only after the stream bypassed us past
 					// the bound: raise the signal anyway, so the next
 					// release moves the lock before the next reader waits
@@ -617,21 +573,19 @@ func (l *RWLock) rlockNative(tok uint64) (ok bool, bypassed uint64, starved bool
 		// The backstop product is computed in uint64: a deliberately huge
 		// StarveBackouts ("never escalate") must not wrap into an
 		// always-true threshold.
-		if !l.cfg.disableAdaptation && !starved &&
-			(bypassed >= bound || uint64(rounds) >= rwStarveRoundsFactor*bound) {
+		if !starved && (bypassed >= bound || uint64(rounds) >= rwStarveRoundsFactor*bound) {
 			// Bypassed past the bound: ask for phase-fair admission. The
 			// store lands on the shared line the writer stream already
 			// owns, and the next Unlock acts on it.
 			starved = true
 			l.starve.Store(1)
 		}
-		// Once the signal is raised (or adaptation is off) there is nothing
-		// left to count: wait for the flag like locks.RWStriped, with no
-		// per-round counter re-attempts churning the drain the writer is
-		// trying to finish. A family transition still releases us — the
-		// transitioning writer drops the flag when it releases the native
-		// write lock.
-		if starved || l.cfg.disableAdaptation {
+		// Once the signal is raised there is nothing left to count: wait for
+		// the flag like locks.RWStriped, with no per-round counter
+		// re-attempts churning the drain the writer is trying to finish. A
+		// family transition still releases us — the transitioning writer
+		// drops the flag when it releases the native write lock.
+		if starved {
 			for l.writer.Load() != 0 {
 				s.Spin()
 			}
@@ -885,9 +839,7 @@ func (l *RWLock) drain(tok uint64, timed bool) (met bool) {
 		if timed {
 			l.stats.WriterDrained(tok, time.Since(t0))
 		}
-		if !l.cfg.disableAdaptation {
-			l.inflateReaders("readers overlap writers")
-		}
+		l.inflateReaders("readers overlap writers")
 	}
 	return met
 }
@@ -927,9 +879,7 @@ func (l *RWLock) tryLockLow(tok uint64) bool {
 			if l.readers.Sum() != 0 {
 				l.writer.Store(0)
 				l.wmu.Unlock()
-				if !l.cfg.disableAdaptation {
-					l.inflateReaders("readers overlap writers")
-				}
+				l.inflateReaders("readers overlap writers")
 				return false
 			}
 			l.wfam = uint8(rwFamNative)
@@ -1000,12 +950,6 @@ func (l *RWLock) tryAdaptRW() {
 	l.sampleIn--
 	if boundary {
 		l.sampleIn = l.cfg.samplePeriod
-	}
-	if l.cfg.disableAdaptation {
-		if boundary {
-			l.sawReaders = false
-		}
-		return
 	}
 	if starved && rwFamily(l.wfam) == rwFamNative {
 		l.sawReaders, l.queued = false, 0
@@ -1086,13 +1030,13 @@ func (l *RWLock) tryAdaptRW() {
 		if l.idlePeriods < math.MaxUint8 {
 			l.idlePeriods++
 		}
-		if l.idlePeriods < l.cfg.deflatePeriods || !l.readers.Inflated() {
+		if l.idlePeriods < rwDeflatePeriods || !l.readers.Inflated() {
 			return
 		}
 		l.readers.Deflate()
 		l.idlePeriods = 0
 		l.setRWMode(RWModeStriped, RWModeInline,
-			fmt.Sprintf("no readers for %d write periods", l.cfg.deflatePeriods))
+			fmt.Sprintf("no readers for %d write periods", rwDeflatePeriods))
 	}
 }
 

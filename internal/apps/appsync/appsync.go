@@ -120,9 +120,8 @@ func (r *Raw) GetRWLock(role string) locks.RWLock {
 // the paper's footnote-7 TTAS substitution is what the RWTTAS baseline
 // models, while the GLK configuration adapts both lock species.
 type GLK struct {
-	cfg   *glk.Config
-	rwcfg *glk.RWConfig
-	tele  *telemetry.Registry
+	cfg  *glk.Config
+	tele *telemetry.Registry
 
 	mu  sync.Mutex
 	m   map[string]locks.Lock
@@ -132,13 +131,6 @@ type GLK struct {
 // NewGLK returns a provider creating GLK locks with the given config.
 func NewGLK(cfg *glk.Config) *GLK {
 	return &GLK{cfg: cfg, m: make(map[string]locks.Lock), rwm: make(map[string]locks.RWLock)}
-}
-
-// WithRWConfig sets the config for the adaptive RW locks the provider
-// hands out (nil selects defaults). Returns g for chaining.
-func (g *GLK) WithRWConfig(cfg *glk.RWConfig) *GLK {
-	g.rwcfg = cfg
-	return g
 }
 
 // WithTelemetry makes every lock the provider hands out feed reg with the
@@ -184,14 +176,9 @@ func (g *GLK) GetRWLock(role string) locks.RWLock {
 		if g.tele != nil {
 			k := roleKey(role)
 			g.tele.SetLabel(k, role)
-			var cfg glk.RWConfig
-			if g.rwcfg != nil {
-				cfg = *g.rwcfg
-			}
-			cfg.Stats = g.tele.Register(k, "glkrw")
-			l = glk.NewRW(&cfg)
+			l = glk.NewRW(&glk.RWConfig{Stats: g.tele.Register(k, "glkrw")})
 		} else {
-			l = glk.NewRW(g.rwcfg)
+			l = glk.NewRW(nil)
 		}
 		g.rwm[role] = l
 	}

@@ -144,7 +144,7 @@ func TestOversubscribedWorkload(t *testing.T) {
 // contended dictionary mutex need not share a mode.
 func TestGLKAdaptsDifferentLocksDifferently(t *testing.T) {
 	mon := sysmon.New(sysmon.Options{DisableProbes: true})
-	p := appsync.NewGLK(&glk.Config{Monitor: mon, SamplePeriod: 8, AdaptPeriod: 32, EMAWeight: 0.5})
+	p := appsync.NewGLK(&glk.Config{Monitor: mon, SamplePeriod: 8, AdaptPeriod: 32})
 	db := smallDB(p, MEM)
 	RunWorkload(db, WorkloadConfig{Threads: 8, Duration: 150 * time.Millisecond, Seed: 6})
 

@@ -48,10 +48,7 @@ type cohortNode struct {
 	_           [pad.CacheLineSize - 16]byte
 }
 
-var (
-	_ Lock         = (*CohortLock)(nil)
-	_ QueueSampler = (*CohortLock)(nil)
-)
+var _ Lock = (*CohortLock)(nil)
 
 // NewCohort returns an unlocked cohort lock with DefaultCohorts cohorts.
 func NewCohort() *CohortLock { return NewCohortN(DefaultCohorts) }

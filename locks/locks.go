@@ -46,16 +46,6 @@ type Lock interface {
 	Unlock()
 }
 
-// QueueSampler is implemented by locks that can report the instantaneous
-// number of goroutines at the lock (holder included). GLK samples it to
-// measure contention (paper §3, "Measuring Contention").
-//
-// For MCS the sample traverses the waiter queue and is only safe when called
-// by the current lock holder; GLK samples immediately after acquiring.
-type QueueSampler interface {
-	QueueLen() int
-}
-
 // Algorithm identifies a lock implementation.
 type Algorithm int
 

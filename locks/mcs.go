@@ -59,7 +59,6 @@ type MCSLock struct {
 var (
 	_ Lock           = (*MCSLock)(nil)
 	_ CancelableLock = (*MCSLock)(nil)
-	_ QueueSampler   = (*MCSLock)(nil)
 )
 
 // mcsNodePool recycles queue nodes across all MCS locks. A node enters the
@@ -191,8 +190,9 @@ func (l *MCSLock) Unlock() {
 //
 // Per the paper, this traversal "breaks the 'each node is accessed by a
 // single thread' design goal of MCS" and must be infrequent. It is only
-// safe when invoked by the current holder (GLK samples right after
-// acquiring); called on a free lock it returns 0.
+// safe when invoked by the current holder; called on a free lock it
+// returns 0. (GLK counts an mcs-mode queue by presence instead, DESIGN.md
+// §4.)
 func (l *MCSLock) QueueLen() int {
 	n := l.holder
 	if n == nil {

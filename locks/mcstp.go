@@ -53,10 +53,7 @@ type MCSTPLock struct {
 	_ [pad.CacheLineSize - 32]byte
 }
 
-var (
-	_ Lock         = (*MCSTPLock)(nil)
-	_ QueueSampler = (*MCSTPLock)(nil)
-)
+var _ Lock = (*MCSTPLock)(nil)
 
 // NewMCSTP returns an unlocked time-published MCS lock with the default
 // patience.

@@ -43,7 +43,6 @@ type MutexLock struct {
 var (
 	_ Lock           = (*MutexLock)(nil)
 	_ CancelableLock = (*MutexLock)(nil)
-	_ QueueSampler   = (*MutexLock)(nil)
 )
 
 // NewMutex returns an unlocked blocking lock.

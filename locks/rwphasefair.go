@@ -76,10 +76,7 @@ type RWPhaseFair struct {
 	_    [pad.CacheLineSize - 16]byte
 }
 
-var (
-	_ RWLock       = (*RWPhaseFair)(nil)
-	_ QueueSampler = (*RWPhaseFair)(nil)
-)
+var _ RWLock = (*RWPhaseFair)(nil)
 
 // NewRWPhaseFair returns an unlocked phase-fair reader-writer lock.
 func NewRWPhaseFair() *RWPhaseFair { return new(RWPhaseFair) }

@@ -73,7 +73,6 @@ type TicketLock struct {
 var (
 	_ Lock           = (*TicketLock)(nil)
 	_ CancelableLock = (*TicketLock)(nil)
-	_ QueueSampler   = (*TicketLock)(nil)
 )
 
 // NewTicket returns an unlocked ticket lock.

@@ -84,13 +84,14 @@ type Options struct {
 	Stderr io.Writer
 
 	// GLKRW tunes the adaptive reader-writer locks created by
-	// RLock/TryRLock (the glsrw default). nil selects glk.RWConfig
-	// defaults: compact inline reader counting, striping on observed
-	// reader concurrency, deflation after idle write periods, phase-fair
-	// admission on observed reader starvation or a sustained writer
-	// stream, and the blocking write-preferring mode under
-	// multiprogramming (glsfair; the policy knobs — StarveBackouts,
-	// FairPeriods, Monitor — live on glk.RWConfig).
+	// RLock/TryRLock (the glsrw default). Every such lock is born with
+	// compact inline reader counting, stripes on observed reader
+	// concurrency, deflates after four write periods no reader came in,
+	// moves to phase-fair admission on observed reader starvation or a
+	// sustained writer stream, and to the blocking write-preferring mode
+	// under multiprogramming (glsfair). What can be tuned — SamplePeriod,
+	// StarveBackouts, FairPeriods, Monitor — lives on glk.RWConfig; the
+	// service sets Stats itself. nil selects the defaults.
 	GLKRW *glk.RWConfig
 }
 
