@@ -163,7 +163,6 @@ func TestRWLockFootprint(t *testing.T) {
 		"stats":   unsafe.Offsetof(l.stats),
 		"subs":    unsafe.Offsetof(l.subs),
 		"starve":  unsafe.Offsetof(l.starve),
-		"rseen":   unsafe.Offsetof(l.rseen),
 	} {
 		if off/pad.CacheLineSize != 0 {
 			t.Errorf("%s at offset %d left the shared line", name, off)

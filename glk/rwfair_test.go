@@ -1,12 +1,17 @@
 package glk
 
 import (
+	"fmt"
+	"math"
 	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"gls/internal/sysmon"
+	"gls/internal/xrand"
 	"gls/telemetry"
 )
 
@@ -123,6 +128,94 @@ func TestRWLockPhaseFairReturnsToNative(t *testing.T) {
 	}
 	if got := l2.RWMode(); got != RWModeStriped {
 		t.Fatalf("inflated lock de-escalated to %v, want rwstriped", got)
+	}
+}
+
+// striped returns a lock whose stripes two overlapping shares put up, with
+// the test monitor and telemetry under key.
+func striped(t *testing.T, reg *telemetry.Registry, key uint64) *RWLock {
+	t.Helper()
+	l := NewRW(&RWConfig{Monitor: newTestMonitor(), Stats: reg.Register(key, "glkrw")})
+	l.RLock()
+	l.RLock()
+	l.RUnlock()
+	l.RUnlock()
+	if l.RWMode() != RWModeStriped {
+		t.Fatalf("two overlapping shares left the lock in %v", l.RWMode())
+	}
+	return l
+}
+
+// readWriteUntil runs two goroutines on l, one operation in every a write,
+// until the lock leaves mode from or 20 s pass.
+func readWriteUntil(l *RWLock, every int, from RWMode) {
+	deadline := time.Now().Add(20 * time.Second)
+	readWrite(l, 2, every, func() bool { return l.RWMode() != from || time.Now().After(deadline) })
+}
+
+// TestRWLockWriteMixGoesPhaseFair: two goroutines on a striped key at 10 %
+// writes read it nine times per write, below rwMixToPhaseFair, and the
+// write-mix rule moves it to phase-fair admission with its reason in
+// telemetry. Nothing else would: two goroutines make no writer stream.
+func TestRWLockWriteMixGoesPhaseFair(t *testing.T) {
+	reg := telemetry.New(telemetry.Options{SamplePeriod: 1})
+	l := striped(t, reg, 6)
+	readWriteUntil(l, 10, RWModeStriped)
+	if got := l.RWMode(); got != RWModePhaseFair {
+		t.Fatalf("a striped key at 10 %% writes is in %v, want rwphasefair", got)
+	}
+	reason, ok := transitionEdge(reg, 6, "rwstriped", "rwphasefair")
+	if !ok || !strings.HasPrefix(reason, "write-mixed") {
+		t.Fatalf("rwstriped→rwphasefair edge missing or not the write mix (ok=%v reason=%q)", ok, reason)
+	}
+	if got := l.Transitions(); got != 2 {
+		t.Fatalf("Transitions = %d, want 2 (inflate, then phase-fair)", got)
+	}
+}
+
+// TestRWLockReadMostlyReturnsToNative is the other direction: a striped key
+// in phase-fair admission that two goroutines then read 99 times per write,
+// past rwMixToNative, returns to its stripes once the writers are calm, and
+// stays there — 99 reads per write is above the bound that would send it
+// back.
+func TestRWLockReadMostlyReturnsToNative(t *testing.T) {
+	reg := telemetry.New(telemetry.Options{SamplePeriod: 1})
+	l := striped(t, reg, 7)
+	starveOnce(t, l)
+	readWriteUntil(l, 100, RWModePhaseFair)
+	if got := l.RWMode(); got != RWModeStriped {
+		t.Fatalf("a read-mostly key is in %v, want rwstriped", got)
+	}
+	if reason, ok := transitionEdge(reg, 7, "rwphasefair", "rwstriped"); !ok || reason == "" {
+		t.Fatalf("rwphasefair→rwstriped edge missing or reasonless (ok=%v reason=%q)", ok, reason)
+	}
+	// Each call of stop after a goroutine's first ends a batch of 100
+	// operations holding exactly one write: eight periods' worth.
+	n := l.Transitions()
+	var batches atomic.Int64
+	readWrite(l, 2, 100, func() bool { return batches.Add(1) > 2+8*DefaultRWSamplePeriod })
+	if got := l.Transitions(); got != n || l.RWMode() != RWModeStriped {
+		t.Fatalf("%d more transitions in eight read-mostly periods, now %v", got-n, l.RWMode())
+	}
+}
+
+// TestRWLockInlineReturnsWhileRead: the read ratio holds back only a key
+// with stripes to sweep. An inline key sent to phase-fair by starvation, then
+// read nine times per write by one goroutine — write-mixed, were it striped —
+// returns to rwinline once its writers are calm.
+func TestRWLockInlineReturnsWhileRead(t *testing.T) {
+	l := NewRW(&RWConfig{Monitor: newTestMonitor(), SamplePeriod: 2, FairPeriods: 1})
+	starveOnce(t, l)
+	for i := 0; i < 6; i++ { // ≥ SamplePeriod × FairPeriods calm writes
+		for r := 0; r < 9; r++ {
+			l.RLock()
+			l.RUnlock()
+		}
+		l.Lock()
+		l.Unlock()
+	}
+	if got := l.RWMode(); got != RWModeInline {
+		t.Fatalf("a calm inline key read nine times per write is in %v, want rwinline", got)
 	}
 }
 
@@ -295,5 +388,66 @@ func TestRWLockFamilyStormExclusion(t *testing.T) {
 	}
 	if got := l.Readers(); got != 0 {
 		t.Fatalf("Readers after storm = %d, want 0", got)
+	}
+}
+
+// pinnedRW returns a lock held in mode for the length of a benchmark: its
+// sampling boundary and starvation bound are out of reach, and it got to
+// mode the way tryAdaptRW moves a lock, as the holder.
+func pinnedRW(mode RWMode) *RWLock {
+	l := NewRW(&RWConfig{SamplePeriod: math.MaxUint32, StarveBackouts: math.MaxUint32, Monitor: newTestMonitor()})
+	l.Lock()
+	if mode == RWModeStriped {
+		l.readers.Inflate()
+	}
+	l.transitionTo(mode, "pinned")
+	l.Unlock()
+	return l
+}
+
+// BenchmarkRWWriteShare is the crossover sweep behind rwMixToPhaseFair and
+// rwMixToNative: two goroutines on 16 keys, each operation a write with the
+// given probability and a read otherwise, on the adaptive lock and on each
+// family it picks between, pinned. Each goroutine makes b.N operations, so
+// ns/op is the time of one operation on one goroutine. The locks live across
+// the b.N rounds, so the adaptive one is measured settled.
+func BenchmarkRWWriteShare(b *testing.B) {
+	const keys, workers = 16, 2
+	for _, pct := range []uint64{0, 2, 5, 10, 20} {
+		for _, mode := range []RWMode{0, RWModeStriped, RWModePhaseFair} {
+			name := "adaptive"
+			if mode != 0 {
+				name = mode.String()
+			}
+			ls := make([]*RWLock, keys)
+			for i := range ls {
+				if mode == 0 {
+					ls[i] = NewRW(nil)
+				} else {
+					ls[i] = pinnedRW(mode)
+				}
+			}
+			b.Run(fmt.Sprintf("writes=%d%%/%s", pct, name), func(b *testing.B) {
+				var wg sync.WaitGroup
+				for w := uint64(1); w <= workers; w++ {
+					wg.Add(1)
+					go func(rng xrand.SplitMix64) {
+						defer wg.Done()
+						for i := 0; i < b.N; i++ {
+							r := rng.Next()
+							l := ls[r%keys]
+							if (r>>32)%100 < pct {
+								l.Lock()
+								l.Unlock()
+							} else {
+								l.RLock()
+								l.RUnlock()
+							}
+						}
+					}(xrand.Seeded(w))
+				}
+				wg.Wait()
+			})
+		}
 	}
 }

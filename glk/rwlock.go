@@ -37,9 +37,13 @@ const (
 	// RWModePhaseFair delegates to a locks.RWPhaseFair: reader and writer
 	// phases alternate, so a continuous writer stream cannot starve
 	// readers (nor the reverse). Selected when the lock observes reader
-	// starvation or a sustained writer stream with readers present; read
-	// throughput costs a shared-line ticket, so the lock returns to
-	// striped once the stream subsides.
+	// starvation, a sustained writer stream with readers present, or a
+	// striped key's reads per write falling below rwMixToPhaseFair: a write
+	// there announces in one word instead of sweeping every reader stripe,
+	// which makes it the faster family once writes are a few percent. Reads
+	// cost a shared-line ticket, so the lock returns to the native family
+	// once writers are calm and, for a key with reader stripes, reads have
+	// gone or outnumber writes rwMixToNative to one.
 	RWModePhaseFair
 	// RWModeWritePref delegates to a locks.RWWritePref: the blocking mode,
 	// selected under multiprogramming via the same sysmon probe GLK's
@@ -110,14 +114,46 @@ const (
 	// DefaultRWFairPeriods is the hysteresis dwell, in sampled write
 	// periods, for the striped↔phase-fair decision: this many consecutive
 	// writer-stream periods (half the period's writers queued behind
-	// another, with readers present) escalate, and this many calm ones
-	// (writer queue < 2 at the boundary) de-escalate.
+	// another, with readers present) or write-mixed ones (a striped key
+	// read fewer than rwMixToPhaseFair times per write) escalate, and this
+	// many calm ones (writer queue < 2 at the boundary and, for a striped
+	// key, no reads or at least rwMixToNative per write) de-escalate.
 	DefaultRWFairPeriods = 2
 )
 
 // rwDeflatePeriods is how many consecutive sampled write periods in which
 // no reader came deflate the striped readers back to the inline cell.
 const rwDeflatePeriods = 4
+
+// The write-mix rule's bounds, in reads per write over a sampled period. A
+// striped write sweeps every reader stripe and pulls each reader's line
+// away; a phase-fair write announces in one word, while every phase-fair
+// read writes a shared line. On two goroutines and 16 keys
+// (BenchmarkRWWriteShare, EXPERIMENTS.md) the two cross near 5 % writes:
+// a striped key read fewer than rwMixToPhaseFair times per write goes
+// phase-fair, and a phase-fair key returns once reads outnumber writes
+// rwMixToNative to one. Between the two a key stays where it is. The
+// crossover was measured at two workers only: a striped write sweeps at most
+// stripe.NumStripes stripes while every phase-fair read serialises on one
+// line, so with more concurrent readers it may sit elsewhere.
+const (
+	rwMixToPhaseFair = 16
+	rwMixToNative    = 32
+)
+
+// rwArrival is what a native reader adds to the reader counter on arrival,
+// and takes back if it backs out; RUnlock takes back 1. The counter's low 32
+// bits are then the readers present (rwPresent), and the bits above them an
+// arrival clock (rwArrivals): the reads admitted so far, modulo 2³¹ — the
+// counter is exact modulo 2⁶³ (stripe.Counter). The write-mix rule reads the
+// clock once per sampling period; a reader adds it for free.
+const rwArrival = 1<<32 + 1
+
+// rwPresent is the readers-present half of a reader-counter value.
+func rwPresent(v int64) int64 { return int64(int32(v)) }
+
+// rwArrivals is the arrival-clock half of a reader-counter value.
+func rwArrivals(v int64) uint32 { return uint32(uint64(v-rwPresent(v)) >> 32) }
 
 // rwBackoutSpins caps one waiting round of a backed-out native reader, so
 // a gapless writer stream cannot pin the reader in a spin where its bypass
@@ -226,18 +262,15 @@ func (l *RWLock) delegate(f rwFamily) rwDelegate {
 // and delegate pointers, and the starvation signal. In the striped steady
 // state the only per-operation write on this line is a writer's — readers
 // write their stripes and merely read the flag; in the delegate modes the
-// whole line goes read-only and the traffic moves to the delegate. (rseen
-// is the one word a striped reader may write: once per write-side sampling
-// period, by whichever reader finds it clear.)
+// whole line goes read-only and the traffic moves to the delegate.
 type rwShared struct {
-	readers stripe.Counter         // lazily-striped count of native-mode readers
+	readers stripe.Counter         // lazily-striped native readers: present count below, arrival clock above (rwArrival)
 	rwmode  atomic.Uint32          // current RWMode
 	writer  atomic.Uint32          // native: 1 while a writer holds or is draining
 	wmu     locks.TicketCore       // native: writer↔writer exclusion, FIFO
 	stats   *telemetry.LockStats   // telemetry hooks, or nil
 	subs    atomic.Pointer[rwSubs] // delegate locks; nil until first needed
 	starve  atomic.Uint32          // set by a bypassed reader, consumed at Unlock
-	rseen   atomic.Uint32          // set by a native reader that finds it 0, cleared at the sampling boundary
 }
 
 // rwConfig is the stored form of an RWConfig (the fields consulted after
@@ -258,17 +291,18 @@ type rwConfig struct {
 // outside pollers that read the count read writes beside it.
 type rwHolder struct {
 	writes   uint64 // completed write sections
-	wtok     uint64 // writer's stripe token, repaid in Unlock
+	wtok     uint32 // writer's stripe token (stripe.Self is 32 bits wide), repaid in Unlock
 	sampleIn uint32 // write sections until the next mode check
 	wfam     uint8  // rwFamily the current write was acquired under
 	// Dwell counters for the three adaptation decisions (byte-sized: they
 	// share the holder line with the config).
 	idlePeriods   uint8         // consecutive sampled periods in which no reader came (deflation)
-	streakPeriods uint8         // consecutive writer-stream periods (→ phase-fair)
-	calmPeriods   uint8         // consecutive calm periods in phase-fair mode (→ striped)
+	streakPeriods uint8         // consecutive writer-stream or write-mixed periods (→ phase-fair)
+	calmPeriods   uint8         // consecutive calm, read-mostly or unread periods in phase-fair mode (→ native)
 	sawReaders    bool          // any drain in the current period met readers
 	queued        uint16        // native writes this period that waited behind another writer (saturating)
 	transitions   atomic.Uint32 // mode changes (32-bit: rare, dwell-gated)
+	readMark      uint32        // the active family's read clock at the last boundary (periodReads)
 	cfg           rwConfig
 }
 
@@ -287,9 +321,13 @@ type rwHolder struct {
 //   - rwphasefair — delegate to locks.RWPhaseFair, entered when a blocked
 //     reader reports being bypassed past StarveBackouts writer phases, or
 //     when FairPeriods consecutive sampled periods show a writer stream
-//     (half their writers queued behind another) with readers present.
-//     Neither side can starve; read throughput pays a shared-line ticket,
-//     so calm periods return the lock to rwstriped.
+//     (half their writers queued behind another) with readers present, or
+//     a striped key read fewer than rwMixToPhaseFair times per write.
+//     Neither side can starve, and a write costs one announcement instead
+//     of a sweep of the stripes; reads pay a shared-line ticket, so
+//     FairPeriods calm periods return the lock to the native family — a
+//     striped key's only when they saw no reads, or rwMixToNative reads
+//     per write.
 //   - rwwritepref — delegate to the blocking locks.RWWritePref under
 //     multiprogramming, detected via the same sysmon probe the exclusive
 //     lock uses for its mutex transition; cleared when the flag drops.
@@ -404,7 +442,7 @@ func (l *RWLock) readersNow() int64 {
 	if f := RWMode(l.rwmode.Load()).family(); f != rwFamNative {
 		return int64(l.delegate(f).Readers())
 	}
-	return l.readers.Sum()
+	return rwPresent(l.readers.Sum())
 }
 
 // writerQueueLen counts the writers at the lock (holder included) under the
@@ -464,14 +502,46 @@ func (l *RWLock) nativeMode() RWMode {
 
 // transitionTo moves the lock from its current mode to a new one. Called
 // only by a writer holding the lock exclusively; the CAS still guards
-// against a concurrent reader-side inline→striped inflation.
+// against a concurrent reader-side inline→striped inflation. The read mark
+// moves to the new family's clock, so the first period there counts its own
+// reads.
 func (l *RWLock) transitionTo(to RWMode, reason string) bool {
 	from := RWMode(l.rwmode.Load())
 	if from == to {
 		return false
 	}
 	l.ensureSub(to.family())
-	return l.setRWMode(from, to, reason)
+	mark := l.readMark
+	l.readMark = l.readClock(to.family())
+	if !l.setRWMode(from, to, reason) {
+		l.readMark = mark // still in from's family: keep counting its clock
+		return false
+	}
+	return true
+}
+
+// readClock is family f's read clock: the native arrival clock (admitted
+// reads, modulo 2³¹) or the phase-fair delegate's completed reads (modulo
+// 2³⁰). The write-preferring family keeps none.
+func (l *RWLock) readClock(f rwFamily) uint32 {
+	switch f {
+	case rwFamNative:
+		return rwArrivals(l.readers.Sum())
+	case rwFamPhaseFair:
+		return l.subs.Load().pf.ReadsDone()
+	}
+	return 0
+}
+
+// periodReads returns the reads family f counted since the last mark and
+// moves the mark. The two clocks are compared modulo 2³⁰, far above a
+// period's reads; a step below zero — a native arrival counted at the last
+// mark that has since backed out — reads as none.
+func (l *RWLock) periodReads(f rwFamily) uint32 {
+	now := l.readClock(f)
+	d := int32((now-l.readMark)<<2) >> 2
+	l.readMark = now
+	return uint32(max(d, 0))
 }
 
 // inflateReaders switches the native counter to striped readers
@@ -482,19 +552,8 @@ func (l *RWLock) inflateReaders(reason string) {
 }
 
 // rwInflateReaders mirrors locks.rwInflateReaders: a deflated count update
-// returning 2 proves a second simultaneous reader.
+// returning 2 present proves a second simultaneous reader.
 const rwInflateReaders = 2
-
-// noteReader marks the current write-side sampling period as one a reader
-// came in: deflation asks whether readers still use the lock, not whether a
-// drain happened to overlap one. The store happens once per period, by
-// whichever reader finds the word clear; everyone else's load is of the line
-// the flag check just read.
-func (l *RWLock) noteReader() {
-	if l.rseen.Load() == 0 {
-		l.rseen.Store(1)
-	}
-}
 
 // sawSecondReader acts on a post-increment reader count ≥ rwInflateReaders.
 // Only a deflated count means anything (stripe.Counter.AddGet): once
@@ -533,13 +592,14 @@ func (l *RWLock) rlockNative(tok uint64) (ok bool, bypassed uint64, starved bool
 	waiting := false
 	rounds := uint32(0)
 	for {
-		n := l.readers.AddGet(tok, 1)
+		n := l.readers.AddGet(tok, rwArrival)
 		if l.writer.Load() == 0 {
 			if RWMode(l.rwmode.Load()).family() != rwFamNative {
 				// The family moved while we arrived: this share counts
 				// toward a protocol no writer is watching any more. Return
-				// it before anyone could mistake it for an admission.
-				l.readers.Add(tok, -1)
+				// it, arrival and all, before anyone could mistake it for
+				// an admission.
+				l.readers.Add(tok, -rwArrival)
 				return false, bypassed, starved
 			}
 			if waiting {
@@ -553,19 +613,18 @@ func (l *RWLock) rlockNative(tok uint64) (ok bool, bypassed uint64, starved bool
 					l.starve.Store(1)
 				}
 			}
-			l.noteReader()
-			if n >= rwInflateReaders {
+			if rwPresent(n) >= rwInflateReaders {
 				l.sawSecondReader()
 			}
 			return true, bypassed, starved
 		}
-		// A writer holds or is draining: back our count out so the drain
-		// can finish, then wait for the flag to drop.
-		l.readers.Add(tok, -1)
+		// A writer holds or is draining: back our arrival out so the drain
+		// can finish and the clock counts only admissions, then wait for the
+		// flag to drop.
+		l.readers.Add(tok, -rwArrival)
 		if !waiting {
 			waiting = true
 			seen = l.wmu.Handoffs()
-			l.noteReader()
 		}
 		bypassed += l.handedOff(&seen)
 		rounds++
@@ -687,19 +746,18 @@ func (l *RWLock) tryRLockNative(tok uint64) (ok, decided bool) {
 	if l.writer.Load() != 0 {
 		return false, true
 	}
-	n := l.readers.AddGet(tok, 1)
+	n := l.readers.AddGet(tok, rwArrival)
 	if l.writer.Load() == 0 {
 		if RWMode(l.rwmode.Load()).family() != rwFamNative {
-			l.readers.Add(tok, -1)
+			l.readers.Add(tok, -rwArrival)
 			return false, false
 		}
-		l.noteReader()
-		if n >= rwInflateReaders {
+		if rwPresent(n) >= rwInflateReaders {
 			l.sawSecondReader()
 		}
 		return true, true
 	}
-	l.readers.Add(tok, -1)
+	l.readers.Add(tok, -rwArrival)
 	return false, true
 }
 
@@ -755,7 +813,7 @@ func (l *RWLock) RUnlock() {
 		l.delegate(f).RUnlock()
 		return
 	}
-	l.readers.Add(tok, -1)
+	l.readers.Add(tok, -1) // the arrival's clock tick stays: it was a read
 }
 
 // Lock acquires the write lock under the active family, re-dispatching if
@@ -811,7 +869,7 @@ func (l *RWLock) Lock() {
 		}
 		d.Unlock()
 	}
-	l.wtok = tok
+	l.wtok = uint32(tok)
 	if l.stats != nil {
 		a.Acquired(contended)
 	}
@@ -825,7 +883,7 @@ func (l *RWLock) drain(tok uint64, timed bool) (met bool) {
 	var s backoff.Spinner
 	var t0 time.Time
 	timed = timed && l.stats != nil
-	for l.readers.Sum() != 0 {
+	for rwPresent(l.readers.Sum()) != 0 {
 		if !met {
 			met = true
 			if timed {
@@ -876,14 +934,14 @@ func (l *RWLock) tryLockLow(tok uint64) bool {
 				continue
 			}
 			l.writer.Store(1)
-			if l.readers.Sum() != 0 {
+			if rwPresent(l.readers.Sum()) != 0 {
 				l.writer.Store(0)
 				l.wmu.Unlock()
 				l.inflateReaders("readers overlap writers")
 				return false
 			}
 			l.wfam = uint8(rwFamNative)
-			l.wtok = tok
+			l.wtok = uint32(tok)
 			return true
 		}
 		d := l.delegate(f)
@@ -892,7 +950,7 @@ func (l *RWLock) tryLockLow(tok uint64) bool {
 		}
 		if RWMode(l.rwmode.Load()).family() == f {
 			l.wfam = uint8(f)
-			l.wtok = tok
+			l.wtok = uint32(tok)
 			return true
 		}
 		d.Unlock()
@@ -914,7 +972,7 @@ func (l *RWLock) tryLockLow(tok uint64) bool {
 func (l *RWLock) Unlock() {
 	fam := rwFamily(l.wfam)
 	if l.stats != nil {
-		l.stats.Release(l.wtok)
+		l.stats.Release(uint64(l.wtok))
 	}
 	l.tryAdaptRW()
 	if fam == rwFamNative {
@@ -931,8 +989,9 @@ func (l *RWLock) Unlock() {
 // a reader must cross to raise it, and making a starving reader wait out a
 // sampling period would defeat the point. Everything else happens every
 // samplePeriod write sections: multiprogramming check (blocking mode),
-// writer-stream detection (phase-fair), calm detection (back to the
-// native family), and the reader-free deflation countdown.
+// writer-stream and write-mix detection (phase-fair), calm detection (back
+// to the native family), and the reader-free deflation countdown. The
+// period's reads come off the active family's read clock (periodReads).
 //
 // All fields are writer-only, ordered by the held write lock — which is
 // why every cross-family transitionTo below is the LAST holder-state
@@ -964,26 +1023,35 @@ func (l *RWLock) tryAdaptRW() {
 	saw, queued := l.sawReaders, uint32(l.queued)
 	l.sawReaders, l.queued = false, 0
 	q := l.writerQueueLen() // includes us: a queue ≥ 2 means another writer waits right now
+	mode := RWMode(l.rwmode.Load())
+	reads, period := l.periodReads(mode.family()), uint64(l.cfg.samplePeriod)
 
 	if l.monitor().Multiprogrammed() {
 		// Contended locks must block so preempted holders get the
 		// processor back (paper §3's mutex rationale, applied to both
 		// sides); a near-idle lock stays where it is.
 		l.streakPeriods, l.calmPeriods = 0, 0
-		if cur := RWMode(l.rwmode.Load()); cur.family() != rwFamWritePref && (q >= 2 || saw || l.readersNow() > 0) {
+		if mode.family() != rwFamWritePref && (q >= 2 || saw || l.readersNow() > 0) {
 			l.transitionTo(RWModeWritePref, fmt.Sprintf("multiprogramming (writer queue %d)", q))
 		}
 		return
 	}
 
-	switch RWMode(l.rwmode.Load()).family() {
+	switch mode.family() {
 	case rwFamWritePref:
 		// The multiprogramming flag dropped (the monitor makes it sticky,
 		// so this is already damped): return to the native spin family.
 		l.streakPeriods, l.calmPeriods = 0, 0
 		l.transitionTo(l.nativeMode(), "no multiprogramming")
 	case rwFamPhaseFair:
-		if q >= 2 {
+		// Calm is no writer queued behind the holder. A key going back to
+		// striped readers must also have reads that either stopped or
+		// outnumber writes enough that the stripes win again: a write-mixed
+		// striped key is where phase-fair admission is the faster family, so
+		// it stays. An inline key has no stripes to sweep, and the write mix
+		// never sent one here, so calm writers alone return it.
+		mixed := l.nativeMode() == RWModeStriped && reads > 0 && uint64(reads) < rwMixToNative*period
+		if q >= 2 || mixed {
 			l.calmPeriods = 0
 			return
 		}
@@ -991,24 +1059,35 @@ func (l *RWLock) tryAdaptRW() {
 		if l.calmPeriods >= l.cfg.fairPeriods {
 			l.calmPeriods = 0
 			l.transitionTo(l.nativeMode(),
-				fmt.Sprintf("writer stream subsided for %d periods", l.cfg.fairPeriods))
+				fmt.Sprintf("writers calm for %d periods, %d reads in the last %d writes", l.cfg.fairPeriods, reads, period))
 		}
 	default:
+		// Two reasons to move to phase-fair admission, sharing one dwell.
 		// Writer-stream detection: sustained writer queueing with readers
-		// present is the starvation precondition — move to phase-fair
-		// admission before a reader has to raise the signal itself. A
-		// stream is a period in which at least half the writers arrived to
-		// find another writer ahead of them; that two writers collide at
-		// the instant a boundary samples the queue is luck, and happens on
-		// a hot key at two goroutines and 10 % writes.
-		if queued >= min((l.cfg.samplePeriod+1)/2, math.MaxUint16) && saw {
+		// present is the starvation precondition — move before a reader has
+		// to raise the signal itself. A stream is a period in which at least
+		// half the writers arrived to find another writer ahead of them;
+		// that two writers collide at the instant a boundary samples the
+		// queue is luck, and happens on a hot key at two goroutines and 10 %
+		// writes. The write mix: a striped key that readers used, but fewer
+		// than rwMixToPhaseFair times per write, pays more for sweeping its
+		// stripes than phase-fair reads would cost. (An inline key has no
+		// stripes to sweep.)
+		stream := queued >= min((l.cfg.samplePeriod+1)/2, math.MaxUint16) && saw
+		mixed := mode == RWModeStriped && reads > 0 && uint64(reads) < rwMixToPhaseFair*period
+		if stream || mixed {
 			if l.streakPeriods < math.MaxUint8 {
 				l.streakPeriods++
 			}
 			if l.streakPeriods >= l.cfg.fairPeriods {
 				l.streakPeriods = 0
-				l.transitionTo(RWModePhaseFair,
-					fmt.Sprintf("sustained writer stream (%d of %d writes queued) with readers present", queued, l.cfg.samplePeriod))
+				var reason string
+				if stream {
+					reason = fmt.Sprintf("sustained writer stream (%d of %d writes queued) with readers present", queued, period)
+				} else {
+					reason = fmt.Sprintf("write-mixed: %d reads in the last %d writes, %d periods running", reads, period, l.cfg.fairPeriods)
+				}
+				l.transitionTo(RWModePhaseFair, reason)
 				return
 			}
 		} else {
@@ -1016,14 +1095,10 @@ func (l *RWLock) tryAdaptRW() {
 		}
 		// Footprint housekeeping: periods in which no reader came fold the
 		// stripes back inline (stripe.Counter.Deflate's holder-side
-		// contract). Reader silence, not drain luck — saw is false for
-		// 4 × 64 writes in a row on a key that is read nine times per
-		// write, whenever no drain happens to overlap a reader.
-		came := l.rseen.Load() != 0
-		if came {
-			l.rseen.Store(0)
-		}
-		if came || l.readers.Sum() != 0 {
+		// contract). Reader silence, not drain luck: the arrival clock
+		// counts every read, where a drain meets a reader only when their
+		// timing overlaps.
+		if reads > 0 || rwPresent(l.readers.Sum()) != 0 {
 			l.idlePeriods = 0
 			return
 		}

@@ -31,6 +31,13 @@
 // is sum-exact: every delta lands exactly once, in the stripe total the
 // folder captured or in the inline cell.
 //
+// A Counter is exact modulo 2⁶³: a stripe keeps its total with bit 63 clear,
+// so no count a stripe reaches can ever read as Deflate's sentinel, and Sum
+// and the fold sign-extend from bit 62. A presence count never comes near the
+// difference; an owner that packs an arrival clock above a 32-bit count (the
+// glk reader-writer lock adds 2³² + 1 per reader) gets a clock that wraps at
+// 31 bits beside an exact count.
+//
 // The trade-off is exactly the one the paper makes for sampling in general:
 // writes must be cheap and uncoordinated, reads may be expensive and
 // slightly stale.
@@ -52,11 +59,19 @@ import (
 const NumStripes = 8
 
 // cellClosed is the sentinel a Deflate installs in each stripe of a
-// detached spill. It is never a real count (counts are small signed values:
-// presence counts are bounded by live goroutines), so an updater that reads
-// it knows the stripe is dead and diverts to the inline cell. A closed
-// stripe never reopens — re-inflation allocates a fresh spill.
+// detached spill. It is never a real count — an open stripe keeps bit 63
+// clear (cellMask) — so an updater that reads it knows the stripe is dead
+// and diverts to the inline cell. A closed stripe never reopens —
+// re-inflation allocates a fresh spill.
 const cellClosed = math.MinInt64
+
+// cellMask keeps an open stripe's total modulo 2⁶³. Without it a stripe
+// whose owner packs a clock above the count (see the package comment) would
+// read cellClosed after 2³¹ arrivals with nobody present.
+const cellMask = math.MaxInt64
+
+// wrap sign-extends a total kept modulo 2⁶³ from bit 62.
+func wrap(v int64) int64 { return v << 1 >> 1 }
 
 // cell is one stripe: a counter alone on its cache line.
 type cell struct {
@@ -64,13 +79,13 @@ type cell struct {
 	_ [pad.CacheLineSize - 8]byte
 }
 
-// addGet CASes delta into the stripe and returns the new stripe total,
-// reporting false when the stripe is closed (the caller must divert to the
-// inline cell). The CAS loop replaces a plain atomic add so closing is
-// linearizable: every delta is captured either by the close (it landed
-// before the sentinel was installed) or by the caller's inline fallback —
-// never both, never neither. Uncontended, the CAS costs the same line
-// ownership as the add it replaced; contended retries are rare by
+// addGet CASes delta into the stripe and returns the new stripe total
+// (modulo 2⁶³), reporting false when the stripe is closed (the caller must
+// divert to the inline cell). The CAS loop replaces a plain atomic add so
+// closing is linearizable: every delta is captured either by the close (it
+// landed before the sentinel was installed) or by the caller's inline
+// fallback — never both, never neither. Uncontended, the CAS costs the same
+// line ownership as the add it replaced; contended retries are rare by
 // construction (striping exists to keep simultaneous updaters on different
 // cells).
 func (c *cell) addGet(delta int64) (int64, bool) {
@@ -79,8 +94,8 @@ func (c *cell) addGet(delta int64) (int64, bool) {
 		if v == cellClosed {
 			return 0, false
 		}
-		if c.n.CompareAndSwap(v, v+delta) {
-			return v + delta, true
+		if nv := (v + delta) & cellMask; c.n.CompareAndSwap(v, nv) {
+			return nv, true
 		}
 	}
 }
@@ -231,7 +246,7 @@ func (c *Counter) Sum() int64 {
 			}
 		}
 	}
-	return s + c.inline.Load()
+	return wrap(s + c.inline.Load())
 }
 
 // Inflate switches the counter to its striped form, allocating the stripe
@@ -262,7 +277,8 @@ func (c *Counter) Inflated() bool { return c.loadSpill() != nil }
 // straggler that loaded the old pointer before the detach either lands its
 // CAS before the close (captured in the total) or observes the sentinel and
 // diverts to the inline cell. The captured totals are then added to the
-// inline cell in one shot.
+// inline cell in one shot, sign-extended, so a deflated AddGet keeps
+// returning the true running total.
 //
 // Sum calls concurrent with the fold may transiently miss in-flight
 // captured totals (exactness holds once the fold returns); callers whose
@@ -281,7 +297,7 @@ func (c *Counter) Deflate() bool {
 	for i := range sp.cells {
 		total += sp.cells[i].close()
 	}
-	if total != 0 {
+	if total = wrap(total); total != 0 {
 		c.inline.Add(total)
 	}
 	return true

@@ -219,6 +219,83 @@ func TestConcurrentDeflate(t *testing.T) {
 	}
 }
 
+// TestArrivalClockWraps drives one stripe's arrival clock across 2³¹
+// arrivals: an owner that adds 2³² + 1 per arrival and −1 per departure (the
+// glk reader-writer lock) would, unmasked, leave that stripe reading
+// cellClosed once 2³¹ arrivals had come with nobody present. The stripe
+// starts 64 arrivals short of the wrap (the state a long-lived key reaches,
+// without making the two billion reads). Departures first leave through the
+// arrival's stripe, which therefore passes through exactly 2³¹ arrivals with
+// nobody present; then they alternate with another stripe, so one cell
+// carries a count below zero. No open stripe may ever read the sentinel, the
+// count half of Sum stays exact, its clock half exact modulo 2³¹, and a
+// Deflate fold — with a reader present, after the wrap — keeps both.
+func TestArrivalClockWraps(t *testing.T) {
+	const arrival = 1<<32 + 1
+	const start = 1<<31 - 64
+	const tok, other = 3, 5
+	var c Counter
+	c.Inflate()
+	c.loadSpill().cells[tok].n.Store(start << 32)
+	clock := uint64(start)
+	departure := func(i int) uint64 {
+		if i < 128 || i%2 == 0 {
+			return tok
+		}
+		return other
+	}
+	check := func(when string, present int64) {
+		t.Helper()
+		s := c.Sum()
+		if got := int64(int32(s)); got != present {
+			t.Fatalf("%s, clock %#x: count half reads %d, want %d (Sum %#x)", when, clock, got, present, s)
+		}
+		if got, want := uint64(s-int64(int32(s)))>>32&(1<<31-1), clock%(1<<31); got != want {
+			t.Fatalf("%s: clock half reads %#x, want %#x (Sum %#x)", when, got, want, s)
+		}
+		if sp := c.loadSpill(); sp != nil {
+			for i := range sp.cells {
+				if sp.cells[i].n.Load() == cellClosed {
+					t.Fatalf("%s, clock %#x: open stripe %d reads cellClosed", when, clock, i)
+				}
+			}
+		}
+	}
+	check("preloaded", 0)
+	for i := 0; i < 256; i++ {
+		c.Add(tok, arrival)
+		clock++
+		check("after an arrival", 1)
+		c.Add(departure(i), -1)
+		check("after its departure", 0)
+	}
+	if clock < 1<<31 {
+		t.Fatalf("clock %#x: the run did not cross the wrap", clock)
+	}
+	c.Add(tok, arrival) // a reader stays present across the fold
+	clock++
+	check("before the fold", 1)
+	if !c.Deflate() {
+		t.Fatal("Deflate failed")
+	}
+	check("after the fold", 1)
+	c.Add(tok, -1)
+	check("after the fold's reader left", 0)
+	for i := 0; i < 4; i++ { // inline, then onto a fresh spill
+		c.Add(tok, arrival)
+		clock++
+		c.Add(other, -1)
+		check("inline", 0)
+	}
+	if got := c.AddGet(tok, arrival); int32(got) != 1 {
+		t.Fatalf("deflated AddGet after the fold reads count %d, want 1 (value %#x)", int32(got), got)
+	}
+	clock++
+	c.Inflate()
+	c.Add(other, -1)
+	check("re-inflated", 0)
+}
+
 // TestAddGetDeflatedIsGlobal pins the contention-detection contract: while
 // deflated, AddGet returns the counter's running total, so a second
 // concurrent arrival reads ≥2.

@@ -63,9 +63,13 @@ const (
 //
 // The cost is RWTTAS-shaped on the read side: every RLock and RUnlock is an
 // atomic update on a shared line, so read acquisitions do not scale the way
-// RWStriped's do. RWPhaseFair is the fairness member of the family, not the
-// read-throughput one; glk.RWLock switches to it exactly when starvation,
-// not throughput, is the observed problem.
+// RWStriped's do. Writes are where it wins: a writer announces in one word
+// and waits on one, where RWStriped's sweeps every reader stripe and so
+// pulls each reader's line away. Two goroutines on two cores, 16 keys
+// (glk's BenchmarkRWWriteShare) put the crossover near 5 % writes: below it
+// striped reads are faster, above it this lock is (58 against 77 ns per
+// operation at 10 %). glk.RWLock uses it for both: against starvation, and
+// for keys whose reads per write fall below that crossover.
 //
 // The whole lock is one cache line (locks/layout_test.go pins it).
 type RWPhaseFair struct {
@@ -210,6 +214,11 @@ func (l *RWPhaseFair) QueueLen() int {
 // bounded-reader-wait property is stated against (a blocked reader is
 // admitted within one phase).
 func (l *RWPhaseFair) Phases() uint64 { return uint64(l.wout.Load()) }
+
+// ReadsDone returns the number of completed read sections modulo 2³⁰ — the
+// rout word in reader units. The difference of two samples, taken modulo
+// 2³⁰, counts the reads that ended between them.
+func (l *RWPhaseFair) ReadsDone() uint32 { return l.rout.Load() / pfReader }
 
 // Readers returns the current reader count (racy snapshot; diagnostics
 // only).

@@ -87,11 +87,12 @@ type Options struct {
 	// RLock/TryRLock (the glsrw default). Every such lock is born with
 	// compact inline reader counting, stripes on observed reader
 	// concurrency, deflates after four write periods no reader came in,
-	// moves to phase-fair admission on observed reader starvation or a
-	// sustained writer stream, and to the blocking write-preferring mode
-	// under multiprogramming (glsfair). What can be tuned — SamplePeriod,
-	// StarveBackouts, FairPeriods, Monitor — lives on glk.RWConfig; the
-	// service sets Stats itself. nil selects the defaults.
+	// moves to phase-fair admission on observed reader starvation, a
+	// sustained writer stream or fewer than 16 reads per write, and to the
+	// blocking write-preferring mode under multiprogramming (glsfair).
+	// What can be tuned — SamplePeriod, StarveBackouts, FairPeriods,
+	// Monitor — lives on glk.RWConfig; the service sets Stats itself. nil
+	// selects the defaults.
 	GLKRW *glk.RWConfig
 }
 
