@@ -64,13 +64,12 @@ func median(xs []float64) float64 {
 	return xs[len(xs)/2]
 }
 
-// fairImpls builds the competitors, fresh per point. The plain rwstriped
-// row is the baseline with the documented reader-starvation hole; the
-// bounded-bypass row prices the fix; rwphasefair is fairness by
-// construction; rwwritepref trades the reader tail for the writer's;
-// glkrw is the adaptive policy that is supposed to find phase-fair (or,
-// oversubscribed, blocking) admission on its own; sync.RWMutex is the
-// runtime's reference point.
+// fairImpls builds the competitors, fresh per point. The rwstriped row is
+// the baseline with the documented reader-starvation hole; rwphasefair is
+// fairness by construction; rwwritepref trades the reader tail for the
+// writer's; glkrw is the adaptive policy that is supposed to find
+// phase-fair (or, oversubscribed, blocking) admission on its own;
+// sync.RWMutex is the runtime's reference point.
 func fairImpls() []struct {
 	name string
 	mk   func() rwLockish
@@ -80,7 +79,6 @@ func fairImpls() []struct {
 		mk   func() rwLockish
 	}{
 		{"rwstriped", func() rwLockish { return locks.NewRWStriped() }},
-		{"rwstriped-b16", func() rwLockish { return locks.NewRWStripedBounded(locks.DefaultMaxBypass) }},
 		{"rwphasefair", func() rwLockish { return locks.NewRWPhaseFair() }},
 		{"rwwritepref", func() rwLockish { return locks.NewRWWritePref() }},
 		{"glkrw", func() rwLockish { return glk.NewRW(nil) }},

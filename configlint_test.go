@@ -28,33 +28,7 @@ func TestGLKConfigFieldsHaveCallers(t *testing.T) {
 	for _, typ := range glkConfigTypes {
 		set[typ] = map[string]bool{}
 	}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != "." && (strings.HasPrefix(name, ".") || name == "testdata" || name == "bench" || path == "glk") {
-			return filepath.SkipDir // bench is its own module
-		}
-		fset := token.NewFileSet()
-		pkgs, err := parser.ParseDir(fset, path,
-			func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }, 0)
-		if err != nil {
-			return err
-		}
-		for _, pkg := range pkgs {
-			for _, f := range pkg.Files {
-				collectConfigSets(f, set)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eachProgramFile(t, "glk", func(f *ast.File) { collectConfigSets(f, set) })
 	for _, typ := range glkConfigTypes {
 		for _, field := range fields[typ] {
 			if !set[typ][field] {
@@ -64,8 +38,34 @@ func TestGLKConfigFieldsHaveCallers(t *testing.T) {
 	}
 }
 
-// exportedFields lists the exported fields of the named struct types in dir.
-func exportedFields(t *testing.T, dir string, types []string) map[string][]string {
+// eachProgramFile parses every non-test Go file of the module outside the
+// package directory skip and hands it to visit. bench is its own module and
+// testdata holds no program, so both stay out.
+func eachProgramFile(t *testing.T, skip string, visit func(*ast.File)) {
+	t.Helper()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if !d.IsDir() {
+			return nil
+		}
+		name := d.Name()
+		if path != "." && (strings.HasPrefix(name, ".") || name == "testdata" || name == "bench" || path == skip) {
+			return filepath.SkipDir
+		}
+		for _, f := range parseProgram(t, path) {
+			visit(f)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// parseProgram parses the non-test Go files of dir.
+func parseProgram(t *testing.T, dir string) []*ast.File {
 	t.Helper()
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir,
@@ -73,28 +73,38 @@ func exportedFields(t *testing.T, dir string, types []string) map[string][]strin
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := map[string][]string{}
+	var files []*ast.File
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				ts, ok := n.(*ast.TypeSpec)
-				if !ok {
-					return true
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					return false
-				}
-				for _, fl := range st.Fields.List {
-					for _, name := range fl.Names {
-						if name.IsExported() {
-							out[ts.Name.Name] = append(out[ts.Name.Name], name.Name)
-						}
+			files = append(files, f)
+		}
+	}
+	return files
+}
+
+// exportedFields lists the exported fields of the named struct types in dir.
+func exportedFields(t *testing.T, dir string, types []string) map[string][]string {
+	t.Helper()
+	out := map[string][]string{}
+	for _, f := range parseProgram(t, dir) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok {
+				return false
+			}
+			for _, fl := range st.Fields.List {
+				for _, name := range fl.Names {
+					if name.IsExported() {
+						out[ts.Name.Name] = append(out[ts.Name.Name], name.Name)
 					}
 				}
-				return false
-			})
-		}
+			}
+			return false
+		})
 	}
 	for _, typ := range types {
 		if len(out[typ]) == 0 {

@@ -73,9 +73,9 @@ func (c *Cancel) Aborted() bool {
 func (c *Cancel) TimedOut() bool { return c.cause == causeTimeout }
 
 // CancelableLock is the capability interface for exclusive locks that can
-// abandon an in-progress acquisition. TAS, TTAS, Ticket, MCS, Mutex and
-// glk.Lock implement it natively; the rest are served by LockWithCancel's
-// polling fallback.
+// abandon an in-progress acquisition. Ticket, MCS, Mutex and glk.Lock
+// implement it natively; the rest are served by LockWithCancel's polling
+// fallback.
 type CancelableLock interface {
 	Lock
 	// LockCancel acquires the lock, abandoning the attempt when c fires.
@@ -99,9 +99,9 @@ type CancelableRWLock interface {
 // LockWithCancel acquires l, abandoning the attempt when c fires, and
 // reports whether the lock was acquired. Locks implementing CancelableLock
 // abort natively (a queued waiter departs without waiting for its turn);
-// for the rest — CLH, MCSTP, Cohort — it degrades to bounded polling of
-// TryLock, which never enqueues and so is trivially abortable, at the cost
-// of losing FIFO admission while a Cancel is in play.
+// for the rest — TAS, TTAS and CLH — it polls TryLock, which never enqueues
+// and so is trivially abortable. For TAS and TTAS that is their Lock loop
+// anyway; CLH loses FIFO admission while a Cancel is in play.
 func LockWithCancel(l Lock, c *Cancel) bool {
 	if c.Never() {
 		l.Lock()

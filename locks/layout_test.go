@@ -23,9 +23,6 @@ func TestLockSizesCacheLinePadded(t *testing.T) {
 		"RWWritePref": unsafe.Sizeof(RWWritePref{}),
 		"RWPhaseFair": unsafe.Sizeof(RWPhaseFair{}),
 		"MutexLock":   unsafe.Sizeof(MutexLock{}),
-		"MCSTPLock":   unsafe.Sizeof(MCSTPLock{}),
-		"CohortLock":  unsafe.Sizeof(CohortLock{}),
-		"cohortNode":  unsafe.Sizeof(cohortNode{}),
 	}
 	for name, size := range cases {
 		if size%pad.CacheLineSize != 0 {
@@ -40,9 +37,6 @@ func TestLockSizesCacheLinePadded(t *testing.T) {
 	}
 	if s := unsafe.Sizeof(clhNode{}); s%pad.CacheLineSize != 0 {
 		t.Errorf("clhNode is %d bytes, not line-aligned", s)
-	}
-	if s := unsafe.Sizeof(tpNode{}); s%pad.CacheLineSize != 0 {
-		t.Errorf("tpNode is %d bytes, not line-aligned", s)
 	}
 }
 

@@ -1,21 +1,17 @@
 // Package locks implements the lock algorithms studied in "Locking Made
-// Easy" (Middleware'16) plus the extensions this tree has grown around
-// them.
+// Easy" (Middleware'16) plus the reader-writer family glk.RWLock walks.
 //
-// Exclusive locks (the Lock interface, constructed via New): the simple
-// spinlocks TAS, TTAS and TICKET, the queue-based spinlocks MCS and CLH, a
-// lightweight blocking MUTEX, and the two extensions the paper names — a
-// time-published MCS lock (MCSTP) and a lock-cohorting composition
-// (Cohort).
+// Exclusive locks (the Lock interface, constructed via New) are exactly the
+// paper's Table 1: the simple spinlocks TAS, TTAS and TICKET, the
+// queue-based spinlocks MCS and CLH, and a lightweight blocking MUTEX.
 //
 // Reader-writer locks (the RWLock interface, constructed via NewRW): RWTTAS
 // (the TTAS-based lock the paper substitutes for pthread rwlocks in its
 // systems evaluation, §5.2 footnote 7), RWStriped (BRAVO-style striped
-// readers with an optional bounded-bypass fairness knob), RWWritePref (a
-// blocking, write-preferring composition), and RWPhaseFair (Brandenburg-
-// style alternating reader/writer phases — neither side can starve). The
-// README's algorithm-selection table and DESIGN.md §§9–10 say which to pick
-// when; glk.RWLock picks among them adaptively.
+// readers), RWWritePref (a blocking, write-preferring composition), and
+// RWPhaseFair (Brandenburg-style alternating reader/writer phases — neither
+// side can starve). The README's algorithm-selection table and DESIGN.md
+// §§9–10 say which to pick when; glk.RWLock picks among them adaptively.
 //
 // All locks are padded to cache-line size "for fairness and for avoiding
 // false cache-line sharing" (paper §3.2), expose the same Lock/TryLock/
@@ -49,11 +45,7 @@ type Lock interface {
 // Algorithm identifies a lock implementation.
 type Algorithm int
 
-// The algorithms offered by the explicit GLS interface. The first six are
-// the paper's Table 1; MCSTP and Cohort are the extensions the paper points
-// at (§3.2 footnote 4 and §3 "Including Additional Lock Algorithms"),
-// deployed through the same interface — "GLS ... allows for easy deployment
-// of more algorithms".
+// The algorithms offered by the explicit GLS interface: the paper's Table 1.
 const (
 	TAS Algorithm = iota + 1
 	TTAS
@@ -61,8 +53,6 @@ const (
 	MCS
 	CLH
 	Mutex
-	MCSTP
-	Cohort
 )
 
 var algorithmNames = map[Algorithm]string{
@@ -72,8 +62,6 @@ var algorithmNames = map[Algorithm]string{
 	MCS:    "mcs",
 	CLH:    "clh",
 	Mutex:  "mutex",
-	MCSTP:  "mcstp",
-	Cohort: "cohort",
 }
 
 // String returns the lower-case name the paper uses for the algorithm.
@@ -112,14 +100,9 @@ func algorithmList() string {
 	return strings.Join(names, ", ")
 }
 
-// Algorithms lists every supported algorithm in declaration order.
+// Algorithms lists every supported algorithm — the paper's Table 1 — in
+// declaration order.
 func Algorithms() []Algorithm {
-	return []Algorithm{TAS, TTAS, Ticket, MCS, CLH, Mutex, MCSTP, Cohort}
-}
-
-// Table1Algorithms lists exactly the paper's Table-1 set, without the
-// extension algorithms.
-func Table1Algorithms() []Algorithm {
 	return []Algorithm{TAS, TTAS, Ticket, MCS, CLH, Mutex}
 }
 
@@ -140,10 +123,6 @@ func New(a Algorithm) Lock {
 		return NewCLH()
 	case Mutex:
 		return NewMutex()
-	case MCSTP:
-		return NewMCSTP()
-	case Cohort:
-		return NewCohort()
 	default:
 		panic(fmt.Sprintf("locks: New(%v): unknown algorithm", a))
 	}

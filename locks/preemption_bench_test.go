@@ -6,33 +6,35 @@ import (
 	"testing"
 )
 
-// BenchmarkPreemptionAdaptivity is the ablation for the MCS-TP extension:
-// fair queue locks against their time-published variant, with and without
-// CPU-bound background goroutines. The paper's §3.2 footnote 4 motivates
-// MCS-TP exactly here — fair locks hand the lock to preempted waiters under
-// multiprogramming; MCS-TP skips them.
+// BenchmarkPreemptionAdaptivity prices the paper's §3.2 preemption problem
+// for the locks the tree acts on: the FIFO queue locks hand the lock to
+// waiters the scheduler has descheduled, while MUTEX (the remedy GLK's mutex
+// mode uses) and TTAS (the paper's non-FIFO baseline) give it to whoever
+// runs. Four lockers share one lock; "4lockers" alone already outnumber the
+// Ps on a 2-P box, and "4lockers+yielders" adds 4×GOMAXPROCS goroutines that
+// do nothing but yield, so every hand-off competes with the run queue.
 func BenchmarkPreemptionAdaptivity(b *testing.B) {
 	algos := []struct {
 		name string
 		mk   func() Lock
 	}{
 		{"MCS", func() Lock { return NewMCS() }},
-		{"MCSTP", func() Lock { return NewMCSTP() }},
 		{"Ticket", func() Lock { return NewTicket() }},
-		{"Cohort", func() Lock { return NewCohort() }},
+		{"Mutex", func() Lock { return NewMutex() }},
+		{"TTAS", func() Lock { return NewTTAS() }},
 	}
 	for _, load := range []struct {
 		name     string
-		spinners int
-	}{{"idle", 0}, {"oversubscribed", runtime.GOMAXPROCS(0) * 4}} {
+		yielders int
+	}{{"4lockers", 0}, {"4lockers+yielders", runtime.GOMAXPROCS(0) * 4}} {
 		for _, a := range algos {
 			b.Run(load.name+"/"+a.name, func(b *testing.B) {
 				stop := make(chan struct{})
-				var spinWG sync.WaitGroup
-				for i := 0; i < load.spinners; i++ {
-					spinWG.Add(1)
+				var yieldWG sync.WaitGroup
+				for i := 0; i < load.yielders; i++ {
+					yieldWG.Add(1)
 					go func() {
-						defer spinWG.Done()
+						defer yieldWG.Done()
 						for {
 							select {
 							case <-stop:
@@ -61,10 +63,7 @@ func BenchmarkPreemptionAdaptivity(b *testing.B) {
 				wg.Wait()
 				b.StopTimer()
 				close(stop)
-				spinWG.Wait()
-				if tp, ok := l.(*MCSTPLock); ok {
-					b.ReportMetric(float64(tp.Skips())/float64(b.N), "skips/op")
-				}
+				yieldWG.Wait()
 			})
 		}
 	}

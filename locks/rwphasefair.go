@@ -57,9 +57,9 @@ const (
 // two writer phases, every reader that queued during the earlier phase is
 // admitted as one batch. A reader waits at most one full writer phase plus
 // one drain; a writer waits at most one reader batch plus the writers ahead
-// of it in the ticket queue. Compare RWStriped, which bounds neither side
-// against a continuous stream of the other (see its MaxBypass knob), and
-// RWTTAS, which bounds nothing.
+// of it in the ticket queue. Compare RWStriped, which leaves a reader
+// unbounded against a continuous writer stream, and RWTTAS, which bounds
+// nothing.
 //
 // The cost is RWTTAS-shaped on the read side: every RLock and RUnlock is an
 // atomic update on a shared line, so read acquisitions do not scale the way

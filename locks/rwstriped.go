@@ -42,66 +42,24 @@ const rwInflateReaders = 2
 // are not starved by a reader flood; between writers, readers flow freely.
 //
 // The reverse is not free: a continuous writer stream keeps the flag up
-// almost continuously, and a plain RWStriped reader can be bypassed by an
-// unbounded number of writer phases (lockstress -bug readerstarvation
-// demonstrates it). The MaxBypass knob closes that hole without touching
-// the steady-state read path or the 1-line idle footprint: a reader that
-// has waited out MaxBypass bounded rounds — each a capped spin burst
-// (rwBypassSpins), sized to ride out a normal writer phase — stops waiting
-// for a gap and instead takes a ticket in the writer queue (wmu), which is
-// FIFO: it is admitted behind at most the writers already queued, holds
-// the ticket just long enough to register its read share, and releases it.
-// The unit of the bound is deliberately waiting *rounds*, not writer
-// phases: rounds advance even against a single writer that holds without
-// handing off, so escalation is guaranteed on time at the lock, while the
-// number of actual phases one round spans depends on how fast the stream
-// hands off (the phase-exact measure lives in glk.RWLock's
-// handoff-counted starvation signal). MaxBypass zero (the default, and
-// the pre-glsfair behavior) leaves the bypass unbounded; write-heavy
-// workloads wanting a phase bound by construction should use
-// RWPhaseFairAlgo instead (DESIGN.md §10 has the decision table).
+// almost continuously, and a reader can be bypassed by an unbounded number
+// of writer phases (lockstress -bug readerstarvation demonstrates it). The
+// remedy is a different admission order, not a knob on this one:
+// RWPhaseFair bounds a reader's wait by construction, and glk.RWLock, whose
+// native mode is this protocol, sees the bypass through its handoff-counted
+// starvation signal and switches the key to phase-fair (DESIGN.md §10 has
+// the decision table).
 type RWStriped struct {
-	readers   stripe.Counter // lazily-striped count of present readers
-	writer    atomic.Uint32  // 1 while a writer holds or is draining
-	maxBypass uint32         // reader escalation bound; 0 = unbounded (see SetMaxBypass)
-	bypasses  atomic.Uint64  // escalations taken, for tests and reports
-	wmu       TicketCore     // writer↔writer exclusion, FIFO
-	_         [pad.CacheLineSize - unsafe.Sizeof(stripe.Counter{}) - 4 - 4 - 8 - unsafe.Sizeof(TicketCore{})]byte
+	readers stripe.Counter // lazily-striped count of present readers
+	wmu     TicketCore     // writer↔writer exclusion, FIFO
+	writer  atomic.Uint32  // 1 while a writer holds or is draining
+	_       [pad.CacheLineSize - unsafe.Sizeof(stripe.Counter{}) - unsafe.Sizeof(TicketCore{}) - 4]byte
 }
 
 var _ RWLock = (*RWStriped)(nil)
 
-// NewRWStriped returns an unlocked striped reader-writer lock with an
-// unbounded writer bypass (see NewRWStripedBounded for the fair variant).
+// NewRWStriped returns an unlocked striped reader-writer lock.
 func NewRWStriped() *RWStriped { return new(RWStriped) }
-
-// NewRWStripedBounded returns an unlocked striped reader-writer lock whose
-// readers escalate into the writer ticket queue after maxBypass bounded
-// waiting rounds (see the type comment for the unit) — the bounded-bypass
-// variant. DefaultMaxBypass is the recommended bound.
-func NewRWStripedBounded(maxBypass uint32) *RWStriped {
-	l := new(RWStriped)
-	l.maxBypass = maxBypass
-	return l
-}
-
-// DefaultMaxBypass is the recommended bounded-bypass setting: small enough
-// that a reader under a writer stream waits tens, not thousands, of rounds,
-// large enough that a couple of back-to-back writers never force the
-// escalation path (which serializes the escalating reader behind the writer
-// ticket).
-const DefaultMaxBypass = 16
-
-// SetMaxBypass sets the bounded-bypass knob: after maxBypass bounded
-// waiting rounds against writers, an arriving reader queues behind the
-// next writer's ticket instead of waiting for a flag gap. Zero restores
-// the unbounded default. Call it before the lock is shared (the field is
-// read without synchronization on the reader slow path).
-func (l *RWStriped) SetMaxBypass(maxBypass uint32) { l.maxBypass = maxBypass }
-
-// Bypasses returns how many readers have taken the bounded-bypass
-// escalation so far (always zero while MaxBypass is zero).
-func (l *RWStriped) Bypasses() uint64 { return l.bypasses.Load() }
 
 // RLock acquires a read share. In the steady state (no writer) this is one
 // atomic update on the caller's stripe line plus one read of the shared
@@ -110,7 +68,6 @@ func (l *RWStriped) Bypasses() uint64 { return l.bypasses.Load() }
 func (l *RWStriped) RLock() {
 	tok := stripe.Self()
 	var s backoff.Spinner
-	bypassed := uint32(0)
 	for {
 		n := l.readers.AddGet(tok, 1)
 		if l.writer.Load() == 0 {
@@ -126,47 +83,10 @@ func (l *RWStriped) RLock() {
 		// A writer holds or is draining: back our count out so the drain can
 		// finish, then wait for the flag to drop off the shared line.
 		l.readers.Add(tok, -1)
-		if max := l.maxBypass; max != 0 {
-			bypassed++
-			if bypassed >= max {
-				l.rlockQueued(tok)
-				return
-			}
-			// Bounded waiting round: a gapless writer stream may never show
-			// this reader a down flag, so cap the spin and come back to
-			// count the round — the escalation must fire on time elapsed at
-			// the lock, not on gaps the stream happens to leak.
-			for i := 0; l.writer.Load() != 0 && i < rwBypassSpins; i++ {
-				s.Spin()
-			}
-			continue
-		}
 		for l.writer.Load() != 0 {
 			s.Spin()
 		}
 	}
-}
-
-// rwBypassSpins caps one bounded-bypass waiting round: enough spins (each
-// escalating through backoff.Spinner's pause→yield policy) to ride out a
-// normal writer phase, few enough that MaxBypass rounds pass quickly when
-// the stream is gapless.
-const rwBypassSpins = 64
-
-// rlockQueued is the bounded-bypass escalation: take a writer ticket (FIFO
-// — at most the writers already queued go first), register the read share
-// while holding it, and hand the ticket straight back. Holding wmu
-// guarantees the writer flag is down (only the wmu holder raises it, and
-// both Unlock paths clear it before releasing wmu), so the share
-// registration cannot race a drain; writers that queued behind us will
-// drain it like any other reader's.
-func (l *RWStriped) rlockQueued(tok uint64) {
-	l.wmu.Lock()
-	if l.readers.AddGet(tok, 1) >= rwInflateReaders {
-		l.readers.Inflate()
-	}
-	l.wmu.Unlock()
-	l.bypasses.Add(1)
 }
 
 // TryRLock attempts to acquire a read share without waiting.

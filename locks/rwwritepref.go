@@ -8,13 +8,12 @@ import (
 )
 
 // RWWritePref is a write-preferring blocking reader-writer lock composed
-// from the package's existing low-level locks, the way the paper composes
-// Cohort from two spinlock tiers: a MutexLock carries the writer side (so
-// writers and the first-reader cohort park instead of burning cycles), a
-// TASLock guards the reader count (held for a handful of instructions), and
-// a waiting-writers word gives writers preference — readers that arrive
-// while a writer is waiting or holding stand aside until the writer count
-// drains.
+// from the package's existing low-level locks: a MutexLock carries the
+// writer side (so writers and the first-reader cohort park instead of
+// burning cycles), a TASLock guards the reader count (held for a handful of
+// instructions), and a waiting-writers word gives writers preference —
+// readers that arrive while a writer is waiting or holding stand aside until
+// the writer count drains.
 //
 // The preference inverts RWTTAS's throughput-first policy: there a reader
 // flood can hold the state word above zero indefinitely and a writer never

@@ -19,10 +19,7 @@ type TASLock struct {
 	_     [pad.CacheLineSize - 4]byte
 }
 
-var (
-	_ Lock           = (*TASLock)(nil)
-	_ CancelableLock = (*TASLock)(nil)
-)
+var _ Lock = (*TASLock)(nil)
 
 // NewTAS returns an unlocked TAS lock.
 func NewTAS() *TASLock { return new(TASLock) }
@@ -33,16 +30,6 @@ func (l *TASLock) Lock() {
 	for !l.state.CompareAndSwap(0, 1) {
 		s.Spin()
 	}
-}
-
-// LockCancel acquires l, giving up when c fires. A TAS waiter holds no
-// queue state, so abort is simply ceasing to probe.
-func (l *TASLock) LockCancel(c *Cancel) bool {
-	if c.Never() {
-		l.Lock()
-		return true
-	}
-	return PollAcquire(l.TryLock, c)
 }
 
 // TryLock attempts a single test-and-set.
@@ -68,10 +55,7 @@ type TTASLock struct {
 	_     [pad.CacheLineSize - 4]byte
 }
 
-var (
-	_ Lock           = (*TTASLock)(nil)
-	_ CancelableLock = (*TTASLock)(nil)
-)
+var _ Lock = (*TTASLock)(nil)
 
 // NewTTAS returns an unlocked TTAS lock.
 func NewTTAS() *TTASLock { return new(TTASLock) }
@@ -85,16 +69,6 @@ func (l *TTASLock) Lock() {
 		}
 		s.Spin()
 	}
-}
-
-// LockCancel acquires l, giving up when c fires; like TAS, a TTAS waiter
-// holds no queue state and abort is free.
-func (l *TTASLock) LockCancel(c *Cancel) bool {
-	if c.Never() {
-		l.Lock()
-		return true
-	}
-	return PollAcquire(l.TryLock, c)
 }
 
 // TryLock attempts one test-and-test-and-set.

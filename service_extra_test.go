@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"gls/glk"
-	"gls/locks"
 )
 
 // TestFreeWhileOthersLockSameKeySpace: Free on one key must never disturb
@@ -96,32 +95,6 @@ func TestHandleFeedsProfiling(t *testing.T) {
 	stats = s.ProfileStats()
 	if len(stats) != 1 || stats[0].Acquisitions != 2 {
 		t.Fatalf("profile entries after mixed use: %+v", stats)
-	}
-}
-
-// TestExtensionAlgorithmsThroughGLS: the MCSTP and Cohort extensions are
-// first-class citizens of the explicit interface.
-func TestExtensionAlgorithmsThroughGLS(t *testing.T) {
-	s := newTestService(t, Options{})
-	for _, a := range []locks.Algorithm{locks.MCSTP, locks.Cohort} {
-		key := uint64(500 + int(a))
-		var wg sync.WaitGroup
-		counter := 0
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < 1000; i++ {
-					s.LockWith(a, key)
-					counter++
-					s.UnlockWith(a, key)
-				}
-			}()
-		}
-		wg.Wait()
-		if counter != 4000 {
-			t.Fatalf("%v: counter = %d, want 4000", a, counter)
-		}
 	}
 }
 
