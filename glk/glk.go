@@ -19,12 +19,12 @@
 // only the periods, the monitor and the initial mode are configurable.
 //
 // RWLock applies the same adapt-per-lock discipline to reader-writer
-// admission: inline reader counting while readers are solitary, BRAVO-style
-// striped readers under reader concurrency, phase-fair admission when a
-// writer stream starves readers or writes are frequent enough that a
-// striped writer's sweep costs more than phase-fair reads, and a blocking
-// write-preferring delegate under multiprogramming — with every transition
-// and its reason observable, like Mode transitions (DESIGN.md §§9–10).
+// admission: BRAVO-style striped readers whose counter stays one inline cell
+// while readers are solitary, phase-fair admission when a writer stream
+// starves readers or writes are frequent enough that a striped writer's
+// sweep costs more than phase-fair reads, and a blocking write-preferring
+// delegate under multiprogramming — with every transition and its reason
+// observable, like Mode transitions (DESIGN.md §§9–10).
 package glk
 
 import (

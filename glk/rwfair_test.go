@@ -49,7 +49,7 @@ func TestRWLockStarvationEscalatesToPhaseFair(t *testing.T) {
 	// The reader needs two bounded waiting rounds (a few thousand spins) to
 	// raise the signal; give it wall-clock room before releasing.
 	time.Sleep(100 * time.Millisecond)
-	l.Unlock() // consumes the signal: rwinline → rwphasefair, then releases
+	l.Unlock() // consumes the signal: rwstriped → rwphasefair, then releases
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
@@ -58,9 +58,9 @@ func TestRWLockStarvationEscalatesToPhaseFair(t *testing.T) {
 	if got := l.RWMode(); got != RWModePhaseFair {
 		t.Fatalf("mode after starvation signal = %v, want rwphasefair", got)
 	}
-	reason, ok := transitionEdge(reg, 1, "rwinline", "rwphasefair")
+	reason, ok := transitionEdge(reg, 1, "rwstriped", "rwphasefair")
 	if !ok {
-		t.Fatal("rwinline→rwphasefair transition not telemetry-visible")
+		t.Fatal("rwstriped→rwphasefair transition not telemetry-visible")
 	}
 	if reason == "" {
 		t.Fatal("starvation transition has no reason")
@@ -96,9 +96,8 @@ func starveOnce(t *testing.T, l *RWLock) {
 
 // TestRWLockPhaseFairReturnsToNative: with the writer stream gone (queue
 // never exceeds the holder), FairPeriods calm sampled periods bring the
-// lock back to the native family — in whichever shape the reader counter
-// is actually in: this lock never observed reader concurrency, so it lands
-// in rwinline, not a mislabeled rwstriped.
+// lock back to rwstriped, its reader counter in whichever shape it was: this
+// lock never observed reader concurrency, so the counter is still inline.
 func TestRWLockPhaseFairReturnsToNative(t *testing.T) {
 	reg := telemetry.New(telemetry.Options{SamplePeriod: 1})
 	st := reg.Register(2, "glkrw")
@@ -108,11 +107,12 @@ func TestRWLockPhaseFairReturnsToNative(t *testing.T) {
 		l.Lock()
 		l.Unlock()
 	}
-	if got := l.RWMode(); got != RWModeInline {
-		t.Fatalf("mode after calm periods = %v, want rwinline (counter never inflated)", got)
+	if got := l.RWMode(); got != RWModeStriped || l.ReadersInflated() {
+		t.Fatalf("mode after calm periods = %v, inflated %v; want rwstriped, inline (counter never inflated)",
+			got, l.ReadersInflated())
 	}
-	if _, ok := transitionEdge(reg, 2, "rwphasefair", "rwinline"); !ok {
-		t.Fatal("rwphasefair→rwinline transition not telemetry-visible")
+	if _, ok := transitionEdge(reg, 2, "rwphasefair", "rwstriped"); !ok {
+		t.Fatal("rwphasefair→rwstriped transition not telemetry-visible")
 	}
 	// A lock whose stripes were live when it escalated returns to striped
 	// (six writes are too few for the deflation dwell to fold them).
@@ -126,8 +126,8 @@ func TestRWLockPhaseFairReturnsToNative(t *testing.T) {
 		l2.Lock()
 		l2.Unlock()
 	}
-	if got := l2.RWMode(); got != RWModeStriped {
-		t.Fatalf("inflated lock de-escalated to %v, want rwstriped", got)
+	if got := l2.RWMode(); got != RWModeStriped || !l2.ReadersInflated() {
+		t.Fatalf("inflated lock de-escalated to %v, inflated %v; want rwstriped, striped", got, l2.ReadersInflated())
 	}
 }
 
@@ -140,8 +140,8 @@ func striped(t *testing.T, reg *telemetry.Registry, key uint64) *RWLock {
 	l.RLock()
 	l.RUnlock()
 	l.RUnlock()
-	if l.RWMode() != RWModeStriped {
-		t.Fatalf("two overlapping shares left the lock in %v", l.RWMode())
+	if !l.ReadersInflated() || l.RWMode() != RWModeStriped {
+		t.Fatalf("two overlapping shares left the lock in %v, inflated %v", l.RWMode(), l.ReadersInflated())
 	}
 	return l
 }
@@ -156,7 +156,7 @@ func readWriteUntil(l *RWLock, every int, from RWMode) {
 // TestRWLockWriteMixGoesPhaseFair: two goroutines on a striped key at 10 %
 // writes read it nine times per write, below rwMixToPhaseFair, and the
 // write-mix rule moves it to phase-fair admission with its reason in
-// telemetry. Nothing else would: two goroutines make no writer stream.
+// telemetry, in the lock's one transition.
 func TestRWLockWriteMixGoesPhaseFair(t *testing.T) {
 	reg := telemetry.New(telemetry.Options{SamplePeriod: 1})
 	l := striped(t, reg, 6)
@@ -168,8 +168,8 @@ func TestRWLockWriteMixGoesPhaseFair(t *testing.T) {
 	if !ok || !strings.HasPrefix(reason, "write-mixed") {
 		t.Fatalf("rwstriped→rwphasefair edge missing or not the write mix (ok=%v reason=%q)", ok, reason)
 	}
-	if got := l.Transitions(); got != 2 {
-		t.Fatalf("Transitions = %d, want 2 (inflate, then phase-fair)", got)
+	if got := l.Transitions(); got != 1 {
+		t.Fatalf("Transitions = %d, want 1 (striping the readers is no transition)", got)
 	}
 }
 
@@ -200,9 +200,10 @@ func TestRWLockReadMostlyReturnsToNative(t *testing.T) {
 }
 
 // TestRWLockInlineReturnsWhileRead: the read ratio holds back only a key
-// with stripes to sweep. An inline key sent to phase-fair by starvation, then
-// read nine times per write by one goroutine — write-mixed, were it striped —
-// returns to rwinline once its writers are calm.
+// with stripes to sweep. A key with an inline counter sent to phase-fair by
+// starvation, then read nine times per write by one goroutine — write-mixed,
+// were it striped — returns to rwstriped, still inline, once its writers are
+// calm.
 func TestRWLockInlineReturnsWhileRead(t *testing.T) {
 	l := NewRW(&RWConfig{Monitor: newTestMonitor(), SamplePeriod: 2, FairPeriods: 1})
 	starveOnce(t, l)
@@ -214,8 +215,9 @@ func TestRWLockInlineReturnsWhileRead(t *testing.T) {
 		l.Lock()
 		l.Unlock()
 	}
-	if got := l.RWMode(); got != RWModeInline {
-		t.Fatalf("a calm inline key read nine times per write is in %v, want rwinline", got)
+	if got := l.RWMode(); got != RWModeStriped || l.ReadersInflated() {
+		t.Fatalf("a calm inline key read nine times per write is in %v, inflated %v; want rwstriped, inline",
+			got, l.ReadersInflated())
 	}
 }
 
@@ -262,8 +264,8 @@ func TestRWLockBlocksUnderMultiprogramming(t *testing.T) {
 	if got := l.RWMode(); got != RWModeWritePref {
 		t.Fatalf("mode under multiprogramming = %v, want rwwritepref", got)
 	}
-	if reason, ok := transitionEdge(reg, 3, "rwinline", "rwwritepref"); !ok || reason == "" {
-		t.Fatalf("rwinline→rwwritepref transition missing or reasonless (ok=%v reason=%q)", ok, reason)
+	if reason, ok := transitionEdge(reg, 3, "rwstriped", "rwwritepref"); !ok || reason == "" {
+		t.Fatalf("rwstriped→rwwritepref transition missing or reasonless (ok=%v reason=%q)", ok, reason)
 	}
 	// The blocking family still honors the full contract.
 	l.RLock()
@@ -274,8 +276,8 @@ func TestRWLockBlocksUnderMultiprogramming(t *testing.T) {
 
 // TestRWLockWritePrefReturnsWhenCalm: a lock sent blocking by the
 // monitor's flag and a queued writer leaves rwwritepref at its first
-// sampled release once the flag is down, landing in the native shape its
-// reader counter is in (deflated here → rwinline).
+// sampled release once the flag is down, landing in rwstriped with its
+// reader counter as it was (inline here).
 func TestRWLockWritePrefReturnsWhenCalm(t *testing.T) {
 	mon := newTestMonitor()
 	mon.Start()
@@ -304,11 +306,11 @@ func TestRWLockWritePrefReturnsWhenCalm(t *testing.T) {
 	waitFlag(t, mon, false)
 	l.Lock()
 	l.Unlock()
-	if got := l.RWMode(); got != RWModeInline {
-		t.Fatalf("mode after calm release = %v, want rwinline", got)
+	if got := l.RWMode(); got != RWModeStriped || l.ReadersInflated() {
+		t.Fatalf("mode after calm release = %v, inflated %v; want rwstriped, inline", got, l.ReadersInflated())
 	}
-	if _, ok := transitionEdge(reg, 4, "rwwritepref", "rwinline"); !ok {
-		t.Fatal("rwwritepref→rwinline transition not telemetry-visible")
+	if _, ok := transitionEdge(reg, 4, "rwwritepref", "rwstriped"); !ok {
+		t.Fatal("rwwritepref→rwstriped transition not telemetry-visible")
 	}
 }
 

@@ -15,35 +15,24 @@ import (
 	"gls/telemetry"
 )
 
-// RWMode identifies the operating mode of an adaptive RW lock — the
-// reader-writer analogue of Mode. Since glsfair the modes span two axes:
-// the native pair (inline/striped) shares one admission protocol and
-// differs only in how readers are counted, while the phase-fair and
-// write-preferring modes delegate to a different admission protocol
-// entirely — the RW analogue of GLK's ticket→mcs→mutex family walk.
+// RWMode identifies the admission protocol of an adaptive RW lock, as Mode
+// names the exclusive lock's algorithm: rwstriped is the native protocol,
+// the other two delegate to a different lock entirely. Whether the native
+// reader counter is inline or striped is footprint housekeeping, like the
+// exclusive lock's presence counter (DESIGN.md §8), not a mode.
 type RWMode uint32
 
-// The four reader-writer modes.
+// The three reader-writer modes.
 const (
-	// RWModeInline counts readers in a single inline cell: compact (the
-	// whole idle lock is two cache lines) and fine while readers are
-	// solitary, but concurrent readers bounce the cell's line.
-	RWModeInline RWMode = iota + 1
-	// RWModeStriped counts readers in per-stripe cells (stripe.Counter's
-	// inflated form): read acquisitions scale, writers sweep one extra line
-	// per stripe, and the lock carries stripe.SpillBytes of heap until the
-	// readers go quiet and a writer deflates it back.
-	RWModeStriped
+	// RWModeStriped is the native protocol, locks.RWStriped's: readers count
+	// themselves in a stripe.Counter, a writer takes a FIFO ticket, raises a
+	// flag and drains the counter. Every lock is born in it, its counter one
+	// inline cell (the idle lock is two cache lines) until readers meet.
+	RWModeStriped RWMode = iota + 1
 	// RWModePhaseFair delegates to a locks.RWPhaseFair: reader and writer
-	// phases alternate, so a continuous writer stream cannot starve
-	// readers (nor the reverse). Selected when the lock observes reader
-	// starvation, a sustained writer stream with readers present, or a
-	// striped key's reads per write falling below rwMixToPhaseFair: a write
-	// there announces in one word instead of sweeping every reader stripe,
-	// which makes it the faster family once writes are a few percent. Reads
-	// cost a shared-line ticket, so the lock returns to the native family
-	// once writers are calm and, for a key with reader stripes, reads have
-	// gone or outnumber writes rwMixToNative to one.
+	// phases alternate, so neither side can starve the other, and a write
+	// announces in one word instead of sweeping every reader stripe. Reads
+	// cost a shared-line ticket.
 	RWModePhaseFair
 	// RWModeWritePref delegates to a locks.RWWritePref: the blocking mode,
 	// selected under multiprogramming via the same sysmon probe GLK's
@@ -55,8 +44,6 @@ const (
 // String returns the reporting name of the mode, in GLK's lower-case style.
 func (m RWMode) String() string {
 	switch m {
-	case RWModeInline:
-		return "rwinline"
 	case RWModeStriped:
 		return "rwstriped"
 	case RWModePhaseFair:
@@ -65,31 +52,6 @@ func (m RWMode) String() string {
 		return "rwwritepref"
 	default:
 		return fmt.Sprintf("RWMode(%d)", uint32(m))
-	}
-}
-
-// rwFamily is the admission protocol behind a mode: the two native modes
-// share the flag+ticket+counter protocol (and can flip between each other
-// while readers run — only the counter's shape changes), while each
-// delegate family is a distinct lock object. Cross-family transitions only
-// happen while a writer holds the lock exclusively.
-type rwFamily uint8
-
-const (
-	rwFamNative rwFamily = iota // inline/striped: writer flag + ticket + reader counter
-	rwFamPhaseFair
-	rwFamWritePref
-)
-
-// family maps a mode to its admission protocol.
-func (m RWMode) family() rwFamily {
-	switch m {
-	case RWModePhaseFair:
-		return rwFamPhaseFair
-	case RWModeWritePref:
-		return rwFamWritePref
-	default:
-		return rwFamNative
 	}
 }
 
@@ -113,16 +75,15 @@ const (
 	DefaultRWStarveBackouts = 32
 	// DefaultRWFairPeriods is the hysteresis dwell, in sampled write
 	// periods, for the striped↔phase-fair decision: this many consecutive
-	// writer-stream periods (half the period's writers queued behind
-	// another, with readers present) or write-mixed ones (a striped key
-	// read fewer than rwMixToPhaseFair times per write) escalate, and this
-	// many calm ones (writer queue < 2 at the boundary and, for a striped
-	// key, no reads or at least rwMixToNative per write) de-escalate.
+	// write-mixed periods (a striped key read fewer than rwMixToPhaseFair
+	// times per write) escalate, and this many calm ones (writer queue < 2
+	// at the boundary and, for a striped key, no reads or at least
+	// rwMixToNative per write) de-escalate.
 	DefaultRWFairPeriods = 2
 )
 
 // rwDeflatePeriods is how many consecutive sampled write periods in which
-// no reader came deflate the striped readers back to the inline cell.
+// no reader came fold the striped readers back into the inline cell.
 const rwDeflatePeriods = 4
 
 // The write-mix rule's bounds, in reads per write over a sampled period. A
@@ -155,6 +116,11 @@ func rwPresent(v int64) int64 { return int64(int32(v)) }
 // rwArrivals is the arrival-clock half of a reader-counter value.
 func rwArrivals(v int64) uint32 { return uint32(uint64(v-rwPresent(v)) >> 32) }
 
+// rwInflateReaders mirrors locks.rwInflateReaders: a deflated count update
+// returning 2 present proves a second simultaneous reader. (Inflated, the
+// value is one stripe's skewed running total, and Inflate is a load.)
+const rwInflateReaders = 2
+
 // rwBackoutSpins caps one waiting round of a backed-out native reader, so
 // a gapless writer stream cannot pin the reader in a spin where its bypass
 // count — and therefore the starvation signal — never advances.
@@ -169,8 +135,9 @@ const rwStarveRoundsFactor = 8
 
 // RWConfig tunes an adaptive RW lock: the write-side sampling period, the
 // two fairness bounds, the multiprogramming monitor and telemetry. Every
-// lock is born rwinline and adapts; the deflation dwell is fixed at four
-// sampled periods. The zero value selects every default.
+// lock is born rwstriped with an inline reader cell and adapts; the
+// deflation dwell is fixed at four sampled periods. The zero value selects
+// every default.
 type RWConfig struct {
 	// SamplePeriod is the write-side sampling period, in completed write
 	// sections: every SamplePeriod-th write acquisition folds its
@@ -182,7 +149,8 @@ type RWConfig struct {
 	// lock to phase-fair admission.
 	StarveBackouts uint32
 	// FairPeriods is the striped↔phase-fair hysteresis dwell in sampled
-	// write periods (0 selects DefaultRWFairPeriods).
+	// write periods (0 selects DefaultRWFairPeriods): the write-mixed
+	// periods that escalate, and the calm ones that return.
 	FairPeriods uint32
 	// Monitor supplies the multiprogramming flag for the blocking-mode
 	// decision — the same probe Config.Monitor feeds the exclusive lock.
@@ -246,12 +214,12 @@ type rwDelegate interface {
 	QueueLen() int
 }
 
-// delegate returns family f's delegate lock. f must be a delegate family
-// read from the mode word — the subs entry is published before the mode
-// word that names it, so the load cannot return nil.
-func (l *RWLock) delegate(f rwFamily) rwDelegate {
+// delegate returns delegate mode m's lock. m must be a delegate mode read
+// from the mode word — the subs entry is published before the mode word
+// that names it, so the load cannot return nil.
+func (l *RWLock) delegate(m RWMode) rwDelegate {
 	s := l.subs.Load()
-	if f == rwFamPhaseFair {
+	if m == RWModePhaseFair {
 		return s.pf
 	}
 	return s.wp
@@ -265,7 +233,7 @@ func (l *RWLock) delegate(f rwFamily) rwDelegate {
 // whole line goes read-only and the traffic moves to the delegate.
 type rwShared struct {
 	readers stripe.Counter         // lazily-striped native readers: present count below, arrival clock above (rwArrival)
-	rwmode  atomic.Uint32          // current RWMode
+	rwmode  atomic.Uint32          // current RWMode; stored only by transitionTo
 	writer  atomic.Uint32          // native: 1 while a writer holds or is draining
 	wmu     locks.TicketCore       // native: writer↔writer exclusion, FIFO
 	stats   *telemetry.LockStats   // telemetry hooks, or nil
@@ -285,63 +253,58 @@ type rwConfig struct {
 }
 
 // rwHolder is the writer-only section, guarded by whichever family's write
-// lock the holder acquired — plain updates throughout, but for transitions:
-// nearly every mode change is the holder's, the one exception (a reader's
-// inline→striped inflation) happens once per inflated life, and the
-// outside pollers that read the count read writes beside it.
+// lock the holder acquired — plain updates throughout. Every mode change is
+// the holder's; transitions is atomic only for the outside pollers that
+// read it.
 type rwHolder struct {
 	writes   uint64 // completed write sections
 	wtok     uint32 // writer's stripe token (stripe.Self is 32 bits wide), repaid in Unlock
 	sampleIn uint32 // write sections until the next mode check
-	wfam     uint8  // rwFamily the current write was acquired under
+	wfam     uint8  // RWMode the current write was acquired under
 	// Dwell counters for the three adaptation decisions (byte-sized: they
 	// share the holder line with the config).
 	idlePeriods   uint8         // consecutive sampled periods in which no reader came (deflation)
-	streakPeriods uint8         // consecutive writer-stream or write-mixed periods (→ phase-fair)
-	calmPeriods   uint8         // consecutive calm, read-mostly or unread periods in phase-fair mode (→ native)
+	streakPeriods uint8         // consecutive write-mixed periods (→ phase-fair)
+	calmPeriods   uint8         // consecutive calm, read-mostly or unread periods in phase-fair mode (→ striped)
 	sawReaders    bool          // any drain in the current period met readers
-	queued        uint16        // native writes this period that waited behind another writer (saturating)
 	transitions   atomic.Uint32 // mode changes (32-bit: rare, dwell-gated)
 	readMark      uint32        // the active family's read clock at the last boundary (periodReads)
 	cfg           rwConfig
 }
 
 // RWLock is the adaptive reader-writer lock of the glsrw/glsfair
-// subsystems: GLK's per-lock adaptation applied to the read side. It walks
-// a family of admission protocols the way the exclusive lock walks
+// subsystems: GLK's per-lock adaptation applied to the read side. Its mode
+// word names an admission protocol, walked the way the exclusive lock walks
 // ticket→mcs→mutex, paying for each property exactly while the workload
 // demonstrates the need:
 //
-//   - rwinline — a single inline reader cell; the whole idle lock is two
-//     cache lines. Every lock is born in it.
 //   - rwstriped — BRAVO-style striped readers (locks.RWStriped's
-//     protocol), entered when a reader observes a second simultaneous
-//     reader or a writer's drain meets readers; deflated back after four
-//     sampled write periods in which no reader came.
+//     protocol), every lock's birth mode. The reader counter starts inline;
+//     a second simultaneous reader, or a drain that meets readers, stripes
+//     it, and four sampled write periods in which no reader came fold it
+//     back (rwDeflatePeriods). Neither is a mode change.
 //   - rwphasefair — delegate to locks.RWPhaseFair, entered when a blocked
 //     reader reports being bypassed past StarveBackouts writer phases, or
-//     when FairPeriods consecutive sampled periods show a writer stream
-//     (half their writers queued behind another) with readers present, or
-//     a striped key read fewer than rwMixToPhaseFair times per write.
-//     Neither side can starve, and a write costs one announcement instead
-//     of a sweep of the stripes; reads pay a shared-line ticket, so
-//     FairPeriods calm periods return the lock to the native family — a
-//     striped key's only when they saw no reads, or rwMixToNative reads
-//     per write.
+//     when FairPeriods consecutive sampled periods show a striped key read
+//     fewer than rwMixToPhaseFair times per write. Neither side can
+//     starve, and a write costs one announcement instead of a sweep of the
+//     stripes; reads pay a shared-line ticket, so FairPeriods calm periods
+//     return the lock to rwstriped — a striped key's only when they saw no
+//     reads, or rwMixToNative reads per write.
 //   - rwwritepref — delegate to the blocking locks.RWWritePref under
 //     multiprogramming, detected via the same sysmon probe the exclusive
 //     lock uses for its mutex transition; cleared when the flag drops.
 //
 // Every transition is telemetry-visible with its reason (§4.3 style).
 //
-// Cross-family transitions are performed by a releasing writer, which holds
-// the lock exclusively — no read shares are outstanding — and are published
-// through the mode word before the old family's write lock is released.
-// Arrivals re-check the family after acquiring under it and re-dispatch if
-// it moved, exactly the re-check loop glk.Lock runs on its mode word; a
-// share taken during the hand-over window is released before the caller
-// ever enters its critical section, so mutual exclusion only ever depends
-// on one family at a time.
+// Transitions are performed by a releasing writer, which holds the lock
+// exclusively — no read shares are outstanding — and are published through
+// the mode word before the old family's write lock is released. Arrivals
+// re-check the mode after acquiring under it and re-dispatch if it moved,
+// exactly the re-check loop glk.Lock runs on its mode word; a share taken
+// during the hand-over window is released before the caller ever enters its
+// critical section, so mutual exclusion only ever depends on one family at
+// a time.
 //
 // Layout follows glk.Lock's sectioning discipline: one shared arrival line,
 // one writer-only line; layout_test.go pins both and the ≤4-line ISSUE
@@ -359,8 +322,9 @@ type RWLock struct {
 
 var _ locks.RWLock = (*RWLock)(nil)
 
-// NewRW returns an adaptive reader-writer lock in rwinline mode. cfg == nil
-// selects all defaults. Invalid configurations panic, like New.
+// NewRW returns an adaptive reader-writer lock in rwstriped mode, its
+// reader counter inline. cfg == nil selects all defaults. Invalid
+// configurations panic, like New.
 func NewRW(cfg *RWConfig) *RWLock {
 	var c RWConfig
 	if cfg != nil {
@@ -378,7 +342,7 @@ func NewRW(cfg *RWConfig) *RWLock {
 		monitor:        c.Monitor,
 	}
 	l.sampleIn = l.cfg.samplePeriod
-	l.rwmode.Store(uint32(RWModeInline))
+	l.rwmode.Store(uint32(RWModeStriped))
 	if c.Stats != nil {
 		l.stats = c.Stats
 		l.stats.EnableRW()
@@ -386,7 +350,7 @@ func NewRW(cfg *RWConfig) *RWLock {
 		// The write-side presence is the active family's writer queue: the
 		// ticket exposes it for free, exactly the paper's ticket measure.
 		l.stats.SetPresenceSampler(func() int64 { return int64(l.writerQueueLen()) })
-		l.stats.SetMode(RWModeInline.String())
+		l.stats.SetMode(RWModeStriped.String())
 	}
 	return l
 }
@@ -399,23 +363,23 @@ func (l *RWLock) monitor() *sysmon.Monitor {
 	return sysmon.Shared()
 }
 
-// ensureSub makes sure family f's delegate lock exists before the mode word
+// ensureSub makes sure mode m's delegate lock exists before the mode word
 // can name it. Delegates are allocated on the first transition to their
-// family — a rare event performed while holding the lock — by publishing a
+// mode — a rare event performed while holding the lock — by publishing a
 // fresh, immutable rwSubs.
-func (l *RWLock) ensureSub(f rwFamily) {
+func (l *RWLock) ensureSub(m RWMode) {
 	cur := l.subs.Load()
 	var ns rwSubs
 	if cur != nil {
 		ns = *cur
 	}
-	switch f {
-	case rwFamPhaseFair:
+	switch m {
+	case RWModePhaseFair:
 		if ns.pf != nil {
 			return
 		}
 		ns.pf = locks.NewRWPhaseFair()
-	case rwFamWritePref:
+	case RWModeWritePref:
 		if ns.wp != nil {
 			return
 		}
@@ -439,8 +403,8 @@ func (l *RWLock) ReadersInflated() bool { return l.readers.Inflated() }
 // readersNow counts the readers currently at the lock under the active
 // family (racy snapshot).
 func (l *RWLock) readersNow() int64 {
-	if f := RWMode(l.rwmode.Load()).family(); f != rwFamNative {
-		return int64(l.delegate(f).Readers())
+	if m := l.RWMode(); m != RWModeStriped {
+		return int64(l.delegate(m).Readers())
 	}
 	return rwPresent(l.readers.Sum())
 }
@@ -448,8 +412,8 @@ func (l *RWLock) readersNow() int64 {
 // writerQueueLen counts the writers at the lock (holder included) under the
 // active family (racy snapshot).
 func (l *RWLock) writerQueueLen() int {
-	if f := RWMode(l.rwmode.Load()).family(); f != rwFamNative {
-		return l.delegate(f).QueueLen()
+	if m := l.RWMode(); m != RWModeStriped {
+		return l.delegate(m).QueueLen()
 	}
 	return l.wmu.QueueLen()
 }
@@ -466,103 +430,54 @@ func (l *RWLock) Readers() int {
 // WriteLocked reports whether a writer holds (or is acquiring) the lock
 // (racy snapshot).
 func (l *RWLock) WriteLocked() bool {
-	if f := RWMode(l.rwmode.Load()).family(); f != rwFamNative {
-		return l.delegate(f).WriteLocked()
+	if m := l.RWMode(); m != RWModeStriped {
+		return l.delegate(m).WriteLocked()
 	}
 	return l.writer.Load() != 0
 }
 
-// setRWMode publishes a mode change with its bookkeeping (counter,
-// telemetry edge). The CAS makes racing triggers (two readers observing
-// each other at once, or a reader inflation racing a writer's family
-// decision) report one transition.
-func (l *RWLock) setRWMode(from, to RWMode, reason string) bool {
-	if !l.rwmode.CompareAndSwap(uint32(from), uint32(to)) {
-		return false
+// transitionTo moves the lock to another mode. Only a writer holding the
+// lock exclusively calls it, so the mode word takes a plain store — and that
+// store is the holder's last access to holder state: the moment it lands,
+// the new family's never-held write lock is up for grabs. The read mark
+// moves to the new family's clock first, so the first period there counts
+// its own reads.
+func (l *RWLock) transitionTo(to RWMode, reason string) {
+	from := l.RWMode()
+	if from == to {
+		return
 	}
+	l.ensureSub(to)
+	l.readMark = l.readClock(to)
 	l.transitions.Add(1)
 	if l.stats != nil {
 		l.stats.Transition(from.String(), to.String(), reason)
 	}
-	return true
+	l.rwmode.Store(uint32(to))
 }
 
-// nativeMode is the mode a delegate family de-escalates to: the native
-// protocol in whichever shape its reader counter is actually in. Reporting
-// rwstriped while the counter sits deflated would mislabel the lock
-// indefinitely (the deflation housekeeping skips deflated counters) and
-// make a later genuine inflation's CAS fail silently, eating its
-// telemetry edge.
-func (l *RWLock) nativeMode() RWMode {
-	if l.readers.Inflated() {
-		return RWModeStriped
-	}
-	return RWModeInline
-}
-
-// transitionTo moves the lock from its current mode to a new one. Called
-// only by a writer holding the lock exclusively; the CAS still guards
-// against a concurrent reader-side inline→striped inflation. The read mark
-// moves to the new family's clock, so the first period there counts its own
-// reads.
-func (l *RWLock) transitionTo(to RWMode, reason string) bool {
-	from := RWMode(l.rwmode.Load())
-	if from == to {
-		return false
-	}
-	l.ensureSub(to.family())
-	mark := l.readMark
-	l.readMark = l.readClock(to.family())
-	if !l.setRWMode(from, to, reason) {
-		l.readMark = mark // still in from's family: keep counting its clock
-		return false
-	}
-	return true
-}
-
-// readClock is family f's read clock: the native arrival clock (admitted
+// readClock is mode m's read clock: the native arrival clock (admitted
 // reads, modulo 2³¹) or the phase-fair delegate's completed reads (modulo
-// 2³⁰). The write-preferring family keeps none.
-func (l *RWLock) readClock(f rwFamily) uint32 {
-	switch f {
-	case rwFamNative:
+// 2³⁰). The write-preferring delegate keeps none.
+func (l *RWLock) readClock(m RWMode) uint32 {
+	switch m {
+	case RWModeStriped:
 		return rwArrivals(l.readers.Sum())
-	case rwFamPhaseFair:
+	case RWModePhaseFair:
 		return l.subs.Load().pf.ReadsDone()
 	}
 	return 0
 }
 
-// periodReads returns the reads family f counted since the last mark and
+// periodReads returns the reads mode m counted since the last mark and
 // moves the mark. The two clocks are compared modulo 2³⁰, far above a
 // period's reads; a step below zero — a native arrival counted at the last
 // mark that has since backed out — reads as none.
-func (l *RWLock) periodReads(f rwFamily) uint32 {
-	now := l.readClock(f)
+func (l *RWLock) periodReads(m RWMode) uint32 {
+	now := l.readClock(m)
 	d := int32((now-l.readMark)<<2) >> 2
 	l.readMark = now
 	return uint32(max(d, 0))
-}
-
-// inflateReaders switches the native counter to striped readers
-// (idempotent).
-func (l *RWLock) inflateReaders(reason string) {
-	l.readers.Inflate()
-	l.setRWMode(RWModeInline, RWModeStriped, reason)
-}
-
-// rwInflateReaders mirrors locks.rwInflateReaders: a deflated count update
-// returning 2 present proves a second simultaneous reader.
-const rwInflateReaders = 2
-
-// sawSecondReader acts on a post-increment reader count ≥ rwInflateReaders.
-// Only a deflated count means anything (stripe.Counter.AddGet): once
-// inflated it is one stripe's running total, which a +1 inline / −1 striped
-// pair leaves skewed for good — and the lock is striped already.
-func (l *RWLock) sawSecondReader() {
-	if !l.readers.Inflated() {
-		l.inflateReaders("reader concurrency")
-	}
 }
 
 // handedOff is one look at the writer ticket's handoff counter: 1 if it
@@ -576,171 +491,9 @@ func (l *RWLock) handedOff(seen *uint32) uint64 {
 	return 1
 }
 
-// rlockNative attempts a native (inline/striped) read acquisition: the
-// locks.RWStriped protocol plus the adaptation triggers. It reports whether
-// the share was taken — false means the lock left the native family while
-// we waited and the caller must re-dispatch — how many writer phases
-// bypassed us while we waited, and whether we raised the starvation signal.
-// A bypass is a look at the writer ticket's handoff counter that finds it
-// moved: a reader the scheduler kept off the processor across eight
-// hand-offs saw one, not eight — it was descheduled, not starved, and
-// phase-fair admission would not have run it sooner. The rounds backstop
-// covers a single writer that holds without handing off.
-func (l *RWLock) rlockNative(tok uint64) (ok bool, bypassed uint64, starved bool) {
-	var s backoff.Spinner
-	var seen uint32 // the handoff counter at our last look
-	waiting := false
-	rounds := uint32(0)
-	for {
-		n := l.readers.AddGet(tok, rwArrival)
-		if l.writer.Load() == 0 {
-			if RWMode(l.rwmode.Load()).family() != rwFamNative {
-				// The family moved while we arrived: this share counts
-				// toward a protocol no writer is watching any more. Return
-				// it, arrival and all, before anyone could mistake it for
-				// an admission.
-				l.readers.Add(tok, -rwArrival)
-				return false, bypassed, starved
-			}
-			if waiting {
-				bypassed += l.handedOff(&seen)
-				if !starved && bypassed >= uint64(l.cfg.starveBackouts) {
-					// We got in, but only after the stream bypassed us past
-					// the bound: raise the signal anyway, so the next
-					// release moves the lock before the next reader waits
-					// as long.
-					starved = true
-					l.starve.Store(1)
-				}
-			}
-			if rwPresent(n) >= rwInflateReaders {
-				l.sawSecondReader()
-			}
-			return true, bypassed, starved
-		}
-		// A writer holds or is draining: back our arrival out so the drain
-		// can finish and the clock counts only admissions, then wait for the
-		// flag to drop.
-		l.readers.Add(tok, -rwArrival)
-		if !waiting {
-			waiting = true
-			seen = l.wmu.Handoffs()
-		}
-		bypassed += l.handedOff(&seen)
-		rounds++
-		bound := uint64(l.cfg.starveBackouts) // on the writers' line: read only once we wait
-		// The backstop product is computed in uint64: a deliberately huge
-		// StarveBackouts ("never escalate") must not wrap into an
-		// always-true threshold.
-		if !starved && (bypassed >= bound || uint64(rounds) >= rwStarveRoundsFactor*bound) {
-			// Bypassed past the bound: ask for phase-fair admission. The
-			// store lands on the shared line the writer stream already
-			// owns, and the next Unlock acts on it.
-			starved = true
-			l.starve.Store(1)
-		}
-		// Once the signal is raised there is nothing left to count: wait for
-		// the flag like locks.RWStriped, with no per-round counter
-		// re-attempts churning the drain the writer is trying to finish. A
-		// family transition still releases us — the transitioning writer
-		// drops the flag when it releases the native write lock.
-		if starved {
-			for l.writer.Load() != 0 {
-				s.Spin()
-			}
-			continue
-		}
-		// Bounded waiting round (see rwBackoutSpins), looking at the
-		// handoff counter as it waits: a reader bypassed again and again
-		// must raise the signal mid-wait, not after it is eventually
-		// admitted. Both words live on the shared line the spin is already
-		// polling.
-		for i := 0; l.writer.Load() != 0 && i < rwBackoutSpins; i++ {
-			if bypassed += l.handedOff(&seen); bypassed >= bound {
-				starved = true
-				l.starve.Store(1)
-				break
-			}
-			s.Spin()
-		}
-	}
-}
-
-// RLock acquires a read share under the active family, re-dispatching if
-// the family changes while we wait.
-func (l *RWLock) RLock() {
-	tok := stripe.Self()
-	if l.stats != nil {
-		l.rlockInstrumented(tok)
-		return
-	}
-	for {
-		f := RWMode(l.rwmode.Load()).family()
-		if f == rwFamNative {
-			if ok, _, _ := l.rlockNative(tok); ok {
-				return
-			}
-			continue
-		}
-		d := l.delegate(f)
-		d.RLock()
-		if RWMode(l.rwmode.Load()).family() == f {
-			return
-		}
-		d.RUnlock()
-	}
-}
-
-// rlockInstrumented is RLock's telemetry twin: the same dispatch loop plus
-// the RArrive/RAcquired pair, the bypassed-phase count, and the starvation
-// event.
-func (l *RWLock) rlockInstrumented(tok uint64) {
-	a := l.stats.RArrive(tok)
-	contended := false
-	var phases uint64
-	starved := false
-	for {
-		f := RWMode(l.rwmode.Load()).family()
-		if f == rwFamNative {
-			ok, b, st := l.rlockNative(tok)
-			phases += b
-			contended = contended || b > 0 || st
-			starved = starved || st
-			if ok {
-				l.recordReaderWait(tok, phases, starved)
-				a.RAcquired(contended)
-				return
-			}
-			continue
-		}
-		d := l.delegate(f)
-		if !d.TryRLock() {
-			contended = contended || d.WriteLocked()
-			d.RLock()
-		}
-		if RWMode(l.rwmode.Load()).family() == f {
-			l.recordReaderWait(tok, phases, starved)
-			a.RAcquired(contended)
-			return
-		}
-		d.RUnlock()
-	}
-}
-
-// recordReaderWait feeds the starvation/phase telemetry: the writer phases
-// that bypassed this reader, and the starvation event if it raised the
-// signal.
-func (l *RWLock) recordReaderWait(tok uint64, phases uint64, starved bool) {
-	if phases > 0 {
-		l.stats.RWaitedPhases(tok, phases)
-	}
-	if starved {
-		l.stats.RStarvedEvent(tok)
-	}
-}
-
-// tryRLockNative attempts a native read share without waiting. decided is
-// false when the family moved underneath us and the caller must
+// tryRLockNative attempts a native read share without waiting: the
+// locks.RWStriped arrival, the mode re-check and the inflation trigger.
+// decided is false when the mode moved underneath us and the caller must
 // re-dispatch.
 func (l *RWLock) tryRLockNative(tok uint64) (ok, decided bool) {
 	if l.writer.Load() != 0 {
@@ -748,17 +501,139 @@ func (l *RWLock) tryRLockNative(tok uint64) (ok, decided bool) {
 	}
 	n := l.readers.AddGet(tok, rwArrival)
 	if l.writer.Load() == 0 {
-		if RWMode(l.rwmode.Load()).family() != rwFamNative {
+		if l.RWMode() != RWModeStriped {
+			// The mode moved while we arrived: this share counts toward a
+			// protocol no writer is watching any more. Return it, arrival
+			// and all, before anyone could mistake it for an admission.
 			l.readers.Add(tok, -rwArrival)
 			return false, false
 		}
 		if rwPresent(n) >= rwInflateReaders {
-			l.sawSecondReader()
+			l.readers.Inflate()
 		}
 		return true, true
 	}
+	// A writer holds or is draining: back our arrival out so the drain can
+	// finish and the clock counts only admissions.
 	l.readers.Add(tok, -rwArrival)
 	return false, true
+}
+
+// rlockNative waits for a native read share after tryRLockNative met a
+// writer: the locks.RWStriped wait plus the starvation signal. It reports
+// whether the share was taken — false means the lock left rwstriped while we
+// waited and the caller must re-dispatch — how many writer phases bypassed
+// us, and whether we raised the starvation signal. A bypass is a look at the
+// writer ticket's handoff counter that finds it moved: a reader the
+// scheduler kept off the processor across eight hand-offs saw one, not
+// eight — it was descheduled, not starved, and phase-fair admission would
+// not have run it sooner. The rounds backstop covers a single writer that
+// holds without handing off.
+func (l *RWLock) rlockNative(tok uint64) (ok bool, bypassed uint64, starved bool) {
+	var s backoff.Spinner
+	seen := l.wmu.Handoffs()              // the handoff counter at our last look
+	bound := uint64(l.cfg.starveBackouts) // on the writers' line: read only once we wait
+	rounds := uint64(1)                   // failed tries: the caller's was the first
+	for {
+		if starved {
+			// Once the signal is raised there is nothing left to count: wait
+			// for the flag like locks.RWStriped, with no re-attempts churning
+			// the writer's drain. A transition still releases us — the
+			// transitioning writer drops the flag with the native write lock.
+			for l.writer.Load() != 0 {
+				s.Spin()
+			}
+		} else {
+			// Bounded waiting round (see rwBackoutSpins), looking at the
+			// handoff counter as it waits: a reader bypassed again and again
+			// must raise the signal mid-wait, not once admitted. Both words
+			// live on the shared line the spin is already polling.
+			for i := 0; l.writer.Load() != 0 && i < rwBackoutSpins; i++ {
+				if bypassed += l.handedOff(&seen); bypassed >= bound {
+					starved = true
+					l.starve.Store(1)
+					break
+				}
+				s.Spin()
+			}
+		}
+		ok, decided := l.tryRLockNative(tok)
+		if !decided {
+			return false, bypassed, starved
+		}
+		bypassed += l.handedOff(&seen)
+		if !ok {
+			rounds++
+		}
+		// The backstop product is computed in uint64: a deliberately huge
+		// StarveBackouts ("never escalate") must not wrap into an
+		// always-true threshold.
+		if !starved && (bypassed >= bound || rounds >= rwStarveRoundsFactor*bound) {
+			// Bypassed past the bound: ask for phase-fair admission. The
+			// store lands on the shared line the writer stream already
+			// owns, and the next Unlock acts on it — even if we got in just
+			// now, so the next reader does not wait as long.
+			starved = true
+			l.starve.Store(1)
+		}
+		if ok {
+			return true, bypassed, starved
+		}
+	}
+}
+
+// RLock acquires a read share under the active mode, re-dispatching if the
+// mode changes while we wait. With telemetry on, the same loop also records
+// the RArrive/RAcquired pair, the writer phases that bypassed us and the
+// starvation event.
+func (l *RWLock) RLock() {
+	tok := stripe.Self()
+	var a telemetry.Acq
+	if l.stats != nil {
+		a = l.stats.RArrive(tok)
+	}
+	contended, starved := false, false
+	var phases uint64
+	for {
+		m := l.RWMode()
+		if m == RWModeStriped {
+			// The try first, the wait only behind a writer: the uncontended
+			// read stays one call deep.
+			ok, decided := l.tryRLockNative(tok)
+			if !ok && decided {
+				var b uint64
+				var st bool
+				ok, b, st = l.rlockNative(tok)
+				phases += b
+				contended = contended || b > 0 || st
+				starved = starved || st
+			}
+			if ok {
+				break
+			}
+			continue
+		}
+		d := l.delegate(m)
+		if l.stats == nil {
+			d.RLock()
+		} else if !d.TryRLock() {
+			contended = contended || d.WriteLocked()
+			d.RLock()
+		}
+		if l.RWMode() == m {
+			break
+		}
+		d.RUnlock()
+	}
+	if l.stats != nil {
+		if phases > 0 {
+			l.stats.RWaitedPhases(tok, phases)
+		}
+		if starved {
+			l.stats.RStarvedEvent(tok)
+		}
+		a.RAcquired(contended)
+	}
 }
 
 // TryRLock attempts to acquire a read share without waiting.
@@ -776,24 +651,24 @@ func (l *RWLock) TryRLock() bool {
 	return false
 }
 
-// tryRLockLow is TryRLock without instrumentation: the family-dispatch loop
-// over the native try and the delegates. It only re-loops on a family move
+// tryRLockLow is TryRLock without instrumentation: the mode-dispatch loop
+// over the native try and the delegates. It only re-loops on a mode move
 // observed mid-try, so it never waits. RLockCancel's polling also drives
 // it, which is why it is factored out of TryRLock rather than inlined.
 func (l *RWLock) tryRLockLow(tok uint64) bool {
 	for {
-		f := RWMode(l.rwmode.Load()).family()
-		if f == rwFamNative {
+		m := l.RWMode()
+		if m == RWModeStriped {
 			if ok, decided := l.tryRLockNative(tok); decided {
 				return ok
 			}
 			continue
 		}
-		d := l.delegate(f)
+		d := l.delegate(m)
 		if !d.TryRLock() {
 			return false
 		}
-		if RWMode(l.rwmode.Load()).family() == f {
+		if l.RWMode() == m {
 			return true
 		}
 		d.RUnlock()
@@ -803,32 +678,32 @@ func (l *RWLock) tryRLockLow(tok uint64) bool {
 // RUnlock releases a read share. No mode transition can occur while any
 // read share is outstanding — every transition is performed by a writer
 // holding the lock exclusively — so the share was necessarily taken under
-// the current family.
+// the current mode.
 func (l *RWLock) RUnlock() {
 	tok := stripe.Self()
 	if l.stats != nil {
 		l.stats.RRelease(tok)
 	}
-	if f := RWMode(l.rwmode.Load()).family(); f != rwFamNative {
-		l.delegate(f).RUnlock()
+	if m := l.RWMode(); m != RWModeStriped {
+		l.delegate(m).RUnlock()
 		return
 	}
 	l.readers.Add(tok, -1) // the arrival's clock tick stays: it was a read
 }
 
-// Lock acquires the write lock under the active family, re-dispatching if
-// the family changes while we wait. Native acquisitions run the
+// Lock acquires the write lock under the active mode, re-dispatching if
+// the mode changes while we wait. Native acquisitions run the
 // FIFO-ticket → flag → drain protocol; the drain's reader observations feed
 // adaptation and its duration, on sampled acquisitions, feeds telemetry.
 //
-// The native arm re-checks the family after taking the ticket but *before*
+// The native arm re-checks the mode after taking the ticket but *before*
 // raising the flag and draining: a writer that waited across a transition
 // holds a lock the mode word no longer names, and letting it drain would
-// mutate holder-only state (sawReaders, the inflation trigger) in a race
-// with the genuine delegate-family holder. Once the check passes, no
-// further transition is possible — we hold the native write lock, and
-// transitions are made only by the holder — so the drain runs as the
-// genuine holder and no post-drain check is needed.
+// mutate holder-only state (sawReaders) in a race with the genuine
+// delegate holder. Once the check passes, no further transition is
+// possible — we hold the native write lock, and transitions are made only
+// by the holder — so the drain runs as the genuine holder and no post-drain
+// check is needed.
 func (l *RWLock) Lock() {
 	tok := stripe.Self()
 	var a telemetry.Acq
@@ -836,49 +711,44 @@ func (l *RWLock) Lock() {
 		a = l.stats.Arrive(tok)
 	}
 	contended := false
+	var m RWMode
 	for {
-		f := RWMode(l.rwmode.Load()).family()
-		if f == rwFamNative {
+		m = l.RWMode()
+		if m == RWModeStriped {
 			c := !l.wmu.TryLock()
 			if c {
 				l.wmu.Lock()
 			}
 			contended = contended || c
-			if RWMode(l.rwmode.Load()).family() != rwFamNative {
+			if l.RWMode() != RWModeStriped {
 				l.wmu.Unlock() // stale era: leave before touching anything
 				continue
 			}
 			l.writer.Store(1)
-			met := l.drain(tok, a.Timed())
-			contended = contended || met
-			l.wfam = uint8(rwFamNative)
-			if c && l.queued < math.MaxUint16 {
-				l.queued++
-			}
+			contended = l.drain(tok, a.Timed()) || contended
 			break
 		}
-		d := l.delegate(f)
+		d := l.delegate(m)
 		c := !d.TryLock()
 		if c {
 			d.Lock()
 		}
 		contended = contended || c
-		if RWMode(l.rwmode.Load()).family() == f {
-			l.wfam = uint8(f)
+		if l.RWMode() == m {
 			break
 		}
 		d.Unlock()
 	}
-	l.wtok = uint32(tok)
+	l.wfam, l.wtok = uint8(m), uint32(tok)
 	if l.stats != nil {
 		a.Acquired(contended)
 	}
 }
 
-// drain waits out present native-mode readers, recording what it saw for
-// adaptation and (on timed acquisitions) how long it stalled. Runs with the
-// flag up and the ticket held; sawReaders accumulates until the next
-// sampling boundary.
+// drain waits out present native readers, recording what it saw for
+// adaptation and (on timed acquisitions) how long it stalled, and stripes
+// the reader counter if it met anyone. Runs with the flag up and the ticket
+// held; sawReaders accumulates until the next sampling boundary.
 func (l *RWLock) drain(tok uint64, timed bool) (met bool) {
 	var s backoff.Spinner
 	var t0 time.Time
@@ -897,13 +767,13 @@ func (l *RWLock) drain(tok uint64, timed bool) (met bool) {
 		if timed {
 			l.stats.WriterDrained(tok, time.Since(t0))
 		}
-		l.inflateReaders("readers overlap writers")
+		l.readers.Inflate()
 	}
 	return met
 }
 
 // TryLock attempts to acquire the write lock without waiting. Like Lock,
-// the native arm re-checks the family right after taking the ticket, so
+// the native arm re-checks the mode right after taking the ticket, so
 // everything after the check runs as the genuine holder.
 func (l *RWLock) TryLock() bool {
 	tok := stripe.Self()
@@ -921,15 +791,15 @@ func (l *RWLock) TryLock() bool {
 
 // tryLockLow is TryLock without instrumentation, factored out so
 // LockCancel's polling can drive the same protocol without inflating the
-// arrival lanes. It only re-loops on a family move observed mid-try.
+// arrival lanes. It only re-loops on a mode move observed mid-try.
 func (l *RWLock) tryLockLow(tok uint64) bool {
 	for {
-		f := RWMode(l.rwmode.Load()).family()
-		if f == rwFamNative {
+		m := l.RWMode()
+		if m == RWModeStriped {
 			if !l.wmu.TryLock() {
 				return false
 			}
-			if RWMode(l.rwmode.Load()).family() != rwFamNative {
+			if l.RWMode() != RWModeStriped {
 				l.wmu.Unlock() // stale era: leave before touching anything
 				continue
 			}
@@ -937,50 +807,48 @@ func (l *RWLock) tryLockLow(tok uint64) bool {
 			if rwPresent(l.readers.Sum()) != 0 {
 				l.writer.Store(0)
 				l.wmu.Unlock()
-				l.inflateReaders("readers overlap writers")
+				l.readers.Inflate() // readers overlap writers
 				return false
 			}
-			l.wfam = uint8(rwFamNative)
-			l.wtok = uint32(tok)
-			return true
+		} else {
+			d := l.delegate(m)
+			if !d.TryLock() {
+				return false
+			}
+			if l.RWMode() != m {
+				d.Unlock()
+				continue
+			}
 		}
-		d := l.delegate(f)
-		if !d.TryLock() {
-			return false
-		}
-		if RWMode(l.rwmode.Load()).family() == f {
-			l.wfam = uint8(f)
-			l.wtok = uint32(tok)
-			return true
-		}
-		d.Unlock()
+		l.wfam, l.wtok = uint8(m), uint32(tok)
+		return true
 	}
 }
 
 // Unlock releases the write lock, running the sampled adaptation step
 // first: the releasing writer is the only goroutine that may touch the
-// holder section, and a family change must be published before the old
+// holder section, and a mode change must be published before the old
 // family's write lock hands over.
 //
-// Exclusivity effectively transfers at a cross-family transition's mode
-// store, not at the physical release below — the new family's lock was
-// never held, so its first writer can acquire the instant the mode names
-// it. Everything that touches holder-only state therefore happens before
-// tryAdaptRW (which in turn makes any transition its own final holder
-// action): the hold-timer sample and the wfam/wtok reads are hoisted
-// here, above the call.
+// Exclusivity effectively transfers at a transition's mode store, not at
+// the physical release below — the new family's lock was never held, so
+// its first writer can acquire the instant the mode names it. Everything
+// that touches holder-only state therefore happens before tryAdaptRW (which
+// in turn makes any transition its own final holder action): the
+// hold-timer sample and the wfam/wtok reads are hoisted here, above the
+// call.
 func (l *RWLock) Unlock() {
-	fam := rwFamily(l.wfam)
+	m := RWMode(l.wfam)
 	if l.stats != nil {
 		l.stats.Release(uint64(l.wtok))
 	}
 	l.tryAdaptRW()
-	if fam == rwFamNative {
+	if m == RWModeStriped {
 		l.writer.Store(0)
 		l.wmu.Unlock()
 		return
 	}
-	l.delegate(fam).Unlock()
+	l.delegate(m).Unlock()
 }
 
 // tryAdaptRW is the write-side adaptation step, run on every release while
@@ -989,16 +857,15 @@ func (l *RWLock) Unlock() {
 // a reader must cross to raise it, and making a starving reader wait out a
 // sampling period would defeat the point. Everything else happens every
 // samplePeriod write sections: multiprogramming check (blocking mode),
-// writer-stream and write-mix detection (phase-fair), calm detection (back
-// to the native family), and the reader-free deflation countdown. The
-// period's reads come off the active family's read clock (periodReads).
+// write-mix detection (phase-fair), calm detection (back to rwstriped), and
+// the reader-free deflation countdown. The period's reads come off the
+// active family's read clock (periodReads).
 //
 // All fields are writer-only, ordered by the held write lock — which is
-// why every cross-family transitionTo below is the LAST holder-state
-// access on its path: the moment the mode store lands, the new family's
-// (never-held) write lock is up for grabs and its first holder owns this
-// section. The intra-family striped→inline fold is the one exception that
-// may keep working afterwards: the native wmu stays held through Unlock.
+// why every transitionTo below is the LAST holder-state access on its path:
+// the moment the mode store lands, the new family's (never-held) write lock
+// is up for grabs and its first holder owns this section. Deflation is no
+// transition: the native wmu stays held through Unlock.
 func (l *RWLock) tryAdaptRW() {
 	l.writes++
 	starved := l.starve.Load() != 0
@@ -1010,8 +877,8 @@ func (l *RWLock) tryAdaptRW() {
 	if boundary {
 		l.sampleIn = l.cfg.samplePeriod
 	}
-	if starved && rwFamily(l.wfam) == rwFamNative {
-		l.sawReaders, l.queued = false, 0
+	if starved && RWMode(l.wfam) == RWModeStriped {
+		l.sawReaders = false
 		l.streakPeriods, l.calmPeriods, l.idlePeriods = 0, 0, 0
 		l.transitionTo(RWModePhaseFair,
 			fmt.Sprintf("reader bypassed past %d writer phases", l.cfg.starveBackouts))
@@ -1020,74 +887,56 @@ func (l *RWLock) tryAdaptRW() {
 	if !boundary {
 		return
 	}
-	saw, queued := l.sawReaders, uint32(l.queued)
-	l.sawReaders, l.queued = false, 0
+	saw := l.sawReaders
+	l.sawReaders = false
 	q := l.writerQueueLen() // includes us: a queue ≥ 2 means another writer waits right now
-	mode := RWMode(l.rwmode.Load())
-	reads, period := l.periodReads(mode.family()), uint64(l.cfg.samplePeriod)
+	mode := l.RWMode()
+	reads, period := l.periodReads(mode), uint64(l.cfg.samplePeriod)
 
 	if l.monitor().Multiprogrammed() {
 		// Contended locks must block so preempted holders get the
 		// processor back (paper §3's mutex rationale, applied to both
 		// sides); a near-idle lock stays where it is.
 		l.streakPeriods, l.calmPeriods = 0, 0
-		if mode.family() != rwFamWritePref && (q >= 2 || saw || l.readersNow() > 0) {
+		if mode != RWModeWritePref && (q >= 2 || saw || l.readersNow() > 0) {
 			l.transitionTo(RWModeWritePref, fmt.Sprintf("multiprogramming (writer queue %d)", q))
 		}
 		return
 	}
 
-	switch mode.family() {
-	case rwFamWritePref:
+	// The write mix weighs a striped write's sweep: an inline counter has
+	// nothing to sweep.
+	striped := l.readers.Inflated()
+	switch mode {
+	case RWModeWritePref:
 		// The multiprogramming flag dropped (the monitor makes it sticky,
-		// so this is already damped): return to the native spin family.
+		// so this is already damped): return to the native spin protocol.
 		l.streakPeriods, l.calmPeriods = 0, 0
-		l.transitionTo(l.nativeMode(), "no multiprogramming")
-	case rwFamPhaseFair:
-		// Calm is no writer queued behind the holder. A key going back to
-		// striped readers must also have reads that either stopped or
-		// outnumber writes enough that the stripes win again: a write-mixed
-		// striped key is where phase-fair admission is the faster family, so
-		// it stays. An inline key has no stripes to sweep, and the write mix
-		// never sent one here, so calm writers alone return it.
-		mixed := l.nativeMode() == RWModeStriped && reads > 0 && uint64(reads) < rwMixToNative*period
-		if q >= 2 || mixed {
+		l.transitionTo(RWModeStriped, "no multiprogramming")
+	case RWModePhaseFair:
+		// Calm is no writer queued behind the holder. A key with reader
+		// stripes must also have reads that stopped or outnumber writes
+		// enough for the stripes to win again: a write-mixed striped key
+		// stays, phase-fair being its faster family.
+		if q >= 2 || striped && reads > 0 && uint64(reads) < rwMixToNative*period {
 			l.calmPeriods = 0
 			return
 		}
 		l.calmPeriods++
 		if l.calmPeriods >= l.cfg.fairPeriods {
 			l.calmPeriods = 0
-			l.transitionTo(l.nativeMode(),
+			l.transitionTo(RWModeStriped,
 				fmt.Sprintf("writers calm for %d periods, %d reads in the last %d writes", l.cfg.fairPeriods, reads, period))
 		}
 	default:
-		// Two reasons to move to phase-fair admission, sharing one dwell.
-		// Writer-stream detection: sustained writer queueing with readers
-		// present is the starvation precondition — move before a reader has
-		// to raise the signal itself. A stream is a period in which at least
-		// half the writers arrived to find another writer ahead of them;
-		// that two writers collide at the instant a boundary samples the
-		// queue is luck, and happens on a hot key at two goroutines and 10 %
-		// writes. The write mix: a striped key that readers used, but fewer
-		// than rwMixToPhaseFair times per write, pays more for sweeping its
-		// stripes than phase-fair reads would cost. (An inline key has no
-		// stripes to sweep.)
-		stream := queued >= min((l.cfg.samplePeriod+1)/2, math.MaxUint16) && saw
-		mixed := mode == RWModeStriped && reads > 0 && uint64(reads) < rwMixToPhaseFair*period
-		if stream || mixed {
+		if striped && reads > 0 && uint64(reads) < rwMixToPhaseFair*period {
 			if l.streakPeriods < math.MaxUint8 {
 				l.streakPeriods++
 			}
 			if l.streakPeriods >= l.cfg.fairPeriods {
 				l.streakPeriods = 0
-				var reason string
-				if stream {
-					reason = fmt.Sprintf("sustained writer stream (%d of %d writes queued) with readers present", queued, period)
-				} else {
-					reason = fmt.Sprintf("write-mixed: %d reads in the last %d writes, %d periods running", reads, period, l.cfg.fairPeriods)
-				}
-				l.transitionTo(RWModePhaseFair, reason)
+				l.transitionTo(RWModePhaseFair,
+					fmt.Sprintf("write-mixed: %d reads in the last %d writes, %d periods running", reads, period, l.cfg.fairPeriods))
 				return
 			}
 		} else {
@@ -1105,13 +954,9 @@ func (l *RWLock) tryAdaptRW() {
 		if l.idlePeriods < math.MaxUint8 {
 			l.idlePeriods++
 		}
-		if l.idlePeriods < rwDeflatePeriods || !l.readers.Inflated() {
-			return
+		if l.idlePeriods >= rwDeflatePeriods && l.readers.Deflate() {
+			l.idlePeriods = 0
 		}
-		l.readers.Deflate()
-		l.idlePeriods = 0
-		l.setRWMode(RWModeStriped, RWModeInline,
-			fmt.Sprintf("no readers for %d write periods", rwDeflatePeriods))
 	}
 }
 

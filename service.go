@@ -84,12 +84,13 @@ type Options struct {
 	Stderr io.Writer
 
 	// GLKRW tunes the adaptive reader-writer locks created by
-	// RLock/TryRLock (the glsrw default). Every such lock is born with
-	// compact inline reader counting, stripes on observed reader
-	// concurrency, deflates after four write periods no reader came in,
-	// moves to phase-fair admission on observed reader starvation, a
-	// sustained writer stream or fewer than 16 reads per write, and to the
-	// blocking write-preferring mode under multiprogramming (glsfair).
+	// RLock/TryRLock (the glsrw default). Every such lock is born in the
+	// striped-reader mode with its reader counter in one inline cell,
+	// stripes the counter on observed reader concurrency and folds it back
+	// after four write periods no reader came in, moves to phase-fair
+	// admission on observed reader starvation or, once striped, fewer than
+	// 16 reads per write, and to the blocking write-preferring mode under
+	// multiprogramming (glsfair).
 	// What can be tuned — SamplePeriod, StarveBackouts, FairPeriods,
 	// Monitor — lives on glk.RWConfig; the service sets Stats itself. nil
 	// selects the defaults.

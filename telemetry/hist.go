@@ -138,8 +138,8 @@ func histPercentile(buckets []uint64, p float64) time.Duration {
 	return bucketValue(len(buckets) - 1)
 }
 
-// addBuckets accumulates src into dst (for retired folding), growing dst
-// as needed.
+// addBuckets accumulates src into dst element-wise (retired folding, lane
+// merging), growing dst as needed.
 func addBuckets(dst, src []uint64) []uint64 {
 	if len(src) > len(dst) {
 		grown := make([]uint64, len(src))

@@ -49,7 +49,7 @@ func ExtractLanes(s *Snapshot) LaneSet {
 		ls.RAcquisitions += l.RAcquisitions
 		ls.RStarved += l.RStarved
 		ls.RWaitPhases += l.RWaitPhases
-		ls.WaitHist = mergeBuckets(ls.WaitHist, l.WaitHist)
+		ls.WaitHist = addBuckets(ls.WaitHist, l.WaitHist)
 		for _, t := range l.Transitions {
 			k := [2]string{t.From, t.To}
 			if j, ok := edges[k]; ok {
@@ -69,7 +69,7 @@ func ExtractLanes(s *Snapshot) LaneSet {
 	ls.RAcquisitions += r.RAcquisitions
 	ls.RStarved += r.RStarved
 	ls.RWaitPhases += r.RWaitPhases
-	ls.WaitHist = mergeBuckets(ls.WaitHist, r.WaitHist)
+	ls.WaitHist = addBuckets(ls.WaitHist, r.WaitHist)
 	return ls
 }
 
@@ -90,17 +90,4 @@ func (ls *LaneSet) TransitionCount(from, to string) uint64 {
 // width, zero when nothing was sampled.
 func (ls *LaneSet) WaitPercentile(p float64) time.Duration {
 	return histPercentile(ls.WaitHist, p)
-}
-
-// mergeBuckets adds b into a element-wise, growing a as needed.
-func mergeBuckets(a, b []uint64) []uint64 {
-	if len(b) > len(a) {
-		grown := make([]uint64, len(b))
-		copy(grown, a)
-		a = grown
-	}
-	for i, v := range b {
-		a[i] += v
-	}
-	return a
 }

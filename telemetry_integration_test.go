@@ -195,7 +195,8 @@ func TestProfileUsesSuppliedRegistry(t *testing.T) {
 // key, a failed TryLock and a Free. The files under testdata/telemetry are
 // the bytes a one-table service produced while the table could still be
 // partitioned (recorded at commit 688fd04, partition count 1): a consumer
-// that parsed them then parses them now.
+// that parsed them then parses them now. Key 0x4's mode has read rwstriped,
+// not rwinline, since the RW lock's modes became its admission protocols.
 func TestDefaultServiceReportBytes(t *testing.T) {
 	reg := telemetry.New(telemetry.Options{})
 	s := newTestService(t, Options{Telemetry: reg})
