@@ -496,7 +496,7 @@ func BenchmarkFigure14_Kyoto(b *testing.B) {
 		for _, pr := range systemsBenchProviders(mon) {
 			variant := variant
 			b.Run(variant.String()+"/"+pr.name, func(b *testing.B) {
-				db := kyoto.New(kyoto.Config{Provider: pr.mk(), Variant: variant, Buckets: 1 << 10})
+				db := kyoto.New(kyoto.Config{Provider: pr.mk(), Variant: variant})
 				value := make([]byte, 64)
 				const threads = 4
 				per := b.N/threads + 1
@@ -569,7 +569,7 @@ func BenchmarkFigure14_SQLite(b *testing.B) {
 	for _, pr := range systemsBenchProviders(mon) {
 		b.Run(pr.name, func(b *testing.B) {
 			p := pr.mk()
-			db := litesql.New(litesql.Config{Provider: p, Warehouses: 20, Items: 100, Customers: 50})
+			db := litesql.New(litesql.Config{Provider: p, Warehouses: 20})
 			const conns = 8
 			mon.SetHint(conns)
 			defer mon.SetHint(0)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
 	"strings"
@@ -118,13 +119,52 @@ func TestTokenMapTracksHeldKeys(t *testing.T) {
 }
 
 // TestLongReplyLine: a reply longer than the read buffer (4 KB) is read
-// whole, not taken for a broken stream.
+// whole, not taken for a broken stream. glsd's 64-key batch cap keeps its
+// own grant lines shorter than that, so a scripted peer sends the long one:
+// the client reads bytes from another process, whatever build it runs.
 func TestLongReplyLine(t *testing.T) {
-	c := dial(t, startServer(t, server.Options{MaxBatchKeys: 200}))
 	keys := make([]uint64, 200)
+	grant := []byte("GRANTEDMANY 10000")
 	for i := range keys {
 		keys[i] = 1<<63 + uint64(i) // 16 hex digits: the request fits a line, the reply's pairs do not
+		grant = fmt.Appendf(grant, " %#x %d", keys[i], i+1)
 	}
+	grant = append(grant, "\r\n"...)
+	if len(grant) <= 4096 {
+		t.Fatalf("the grant line is %d bytes, want more than the 4 KB read buffer", len(grant))
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer ln.Close()
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		br := bufio.NewReader(nc)
+		for _, step := range []struct {
+			on    string
+			reply []byte
+		}{
+			{"session", []byte("SESSION 1\r\n")},
+			{"trylockmany", grant},
+			{"unlockmany", fmt.Appendf(nil, "RELEASEDMANY %d\r\n", len(keys))},
+		} {
+			if line, err := br.ReadString('\n'); err != nil || !strings.HasPrefix(line, step.on) {
+				return
+			}
+			_, _ = nc.Write(step.reply)
+		}
+		_, _ = br.ReadString('\n') // hold the socket open until the client hangs up
+	}()
+	c, err := client.Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
 	toks, err := c.TryLockMany(0, keys...)
 	if err != nil {
 		t.Fatalf("TryLockMany of %d keys: %v", len(keys), err)

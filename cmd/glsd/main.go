@@ -62,7 +62,6 @@ func main() {
 		MaxTTL:        *maxTTL,
 		SweepInterval: *sweep,
 		QueueDepth:    *queue,
-		Logf:          logf,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "glsd: %v\n", err)

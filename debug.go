@@ -2,6 +2,7 @@ package gls
 
 import (
 	"fmt"
+	"os"
 	"runtime"
 	"sort"
 	"strings"
@@ -288,7 +289,7 @@ func (s *Service) report(iss Issue) {
 		s.opts.OnIssue(iss)
 		return
 	}
-	fmt.Fprint(s.opts.Stderr, iss.String())
+	fmt.Fprint(os.Stderr, iss.String())
 }
 
 // IssueCount returns how many issues of the given kind have been detected.

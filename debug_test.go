@@ -1,6 +1,7 @@
 package gls
 
 import (
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -390,24 +391,22 @@ func TestIssueKindStrings(t *testing.T) {
 }
 
 func TestDefaultReporterWritesStderr(t *testing.T) {
-	var buf strings.Builder
-	var mu sync.Mutex
-	w := writerFunc(func(p []byte) (int, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		return buf.Write(p)
-	})
-	s := New(Options{Debug: true, Stderr: w, GLK: &glk.Config{Monitor: quietMonitor()}})
+	f, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stderr
+	os.Stderr = f
+	defer func() { os.Stderr = saved }()
+	s := New(Options{Debug: true, GLK: &glk.Config{Monitor: quietMonitor()}})
 	defer s.Close()
-	s.Unlock(0x77) // unlock of never-locked key
-	mu.Lock()
-	out := buf.String()
-	mu.Unlock()
-	if !strings.Contains(out, "[GLS]WARNING>") {
+	s.Unlock(0x77) // unlock of never-locked key: reported on this goroutine
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(out), "[GLS]WARNING>") {
 		t.Fatalf("default reporter wrote %q", out)
 	}
 }
-
-type writerFunc func(p []byte) (int, error)
-
-func (f writerFunc) Write(p []byte) (int, error) { return f(p) }

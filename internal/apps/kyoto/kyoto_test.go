@@ -13,6 +13,15 @@ import (
 
 func variants() []Variant { return []Variant{Cache, HashDB, TreeDB} }
 
+// records counts the stored records. Call it with no operation in flight.
+func records(db *DB) int {
+	n := 0
+	for i := range db.buckets {
+		n += len(db.buckets[i].entries)
+	}
+	return n
+}
+
 func TestVariantNames(t *testing.T) {
 	want := map[Variant]string{Cache: "CACHE", HashDB: "HT DB", TreeDB: "B+-TREE"}
 	for v, name := range want {
@@ -22,11 +31,11 @@ func TestVariantNames(t *testing.T) {
 	}
 }
 
-func TestGetSetRemoveAllVariants(t *testing.T) {
+func TestGetSetAllVariants(t *testing.T) {
 	for _, v := range variants() {
 		v := v
 		t.Run(v.String(), func(t *testing.T) {
-			db := New(Config{Provider: appsync.NewRaw(locks.Mutex), Variant: v, Buckets: 64})
+			db := New(Config{Provider: appsync.NewRaw(locks.Mutex), Variant: v})
 			if db.Get(1) != nil {
 				t.Fatal("empty store returned a value")
 			}
@@ -38,14 +47,8 @@ func TestGetSetRemoveAllVariants(t *testing.T) {
 			if string(db.Get(1)) != "b" {
 				t.Fatal("overwrite failed")
 			}
-			if db.Count() != 1 {
-				t.Fatalf("Count = %d", db.Count())
-			}
-			if !db.Remove(1) || db.Remove(1) {
-				t.Fatal("Remove semantics wrong")
-			}
-			if db.Count() != 0 {
-				t.Fatalf("Count after remove = %d", db.Count())
+			if n := records(db); n != 1 {
+				t.Fatalf("records = %d, want 1", n)
 			}
 		})
 	}
@@ -56,7 +59,7 @@ func TestConcurrentSetsNoLostUpdates(t *testing.T) {
 		for _, algo := range []locks.Algorithm{locks.Mutex, locks.Ticket, locks.MCS} {
 			v, algo := v, algo
 			t.Run(v.String()+"/"+algo.String(), func(t *testing.T) {
-				db := New(Config{Provider: appsync.NewRaw(algo), Variant: v, Buckets: 256})
+				db := New(Config{Provider: appsync.NewRaw(algo), Variant: v})
 				var wg sync.WaitGroup
 				const perG = 400
 				for g := 0; g < 4; g++ {
@@ -69,8 +72,8 @@ func TestConcurrentSetsNoLostUpdates(t *testing.T) {
 					}(uint64(g))
 				}
 				wg.Wait()
-				if got := db.Count(); got != 4*perG {
-					t.Fatalf("Count = %d, want %d", got, 4*perG)
+				if got := records(db); got != 4*perG {
+					t.Fatalf("records = %d, want %d", got, 4*perG)
 				}
 			})
 		}
@@ -80,7 +83,7 @@ func TestConcurrentSetsNoLostUpdates(t *testing.T) {
 func TestCacheNestingDoesNotDeadlock(t *testing.T) {
 	// CACHE's up-to-10-level nesting must be deadlock-free under contention
 	// (ordered acquisition). A wedged run fails via timeout.
-	db := New(Config{Provider: appsync.NewRaw(locks.MCS), Variant: Cache, Buckets: 64})
+	db := New(Config{Provider: appsync.NewRaw(locks.MCS), Variant: Cache})
 	done := make(chan struct{})
 	go func() {
 		var wg sync.WaitGroup
@@ -107,7 +110,7 @@ func TestCacheNestingDoesNotDeadlock(t *testing.T) {
 func TestGLKProviderRuns(t *testing.T) {
 	cfg := &glk.Config{Monitor: sysmon.New(sysmon.Options{DisableProbes: true})}
 	p := appsync.NewGLK(cfg)
-	db := New(Config{Provider: p, Variant: Cache, Buckets: 64})
+	db := New(Config{Provider: p, Variant: Cache})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -119,11 +122,18 @@ func TestGLKProviderRuns(t *testing.T) {
 		}(uint64(g))
 	}
 	wg.Wait()
-	if db.Count() != 4000 {
-		t.Fatalf("Count = %d", db.Count())
+	if n := records(db); n != 4000 {
+		t.Fatalf("records = %d, want 4000", n)
 	}
 	if len(p.Locks()) == 0 {
 		t.Fatal("GLK provider created no locks")
+	}
+}
+
+func TestBucketsRoundedToLockGroups(t *testing.T) {
+	db := New(Config{Provider: appsync.NewRaw(locks.Mutex), Variant: HashDB})
+	if len(db.buckets)%bucketGroups != 0 {
+		t.Fatalf("buckets = %d, not a multiple of %d", len(db.buckets), bucketGroups)
 	}
 }
 
@@ -131,7 +141,7 @@ func TestWorkloadSmokeAllVariants(t *testing.T) {
 	for _, v := range variants() {
 		v := v
 		t.Run(v.String(), func(t *testing.T) {
-			db := New(Config{Provider: appsync.NewRaw(locks.Mutex), Variant: v, Buckets: 256})
+			db := New(Config{Provider: appsync.NewRaw(locks.Mutex), Variant: v})
 			ops, elapsed := RunWorkload(db, WorkloadConfig{
 				Keys: 1024, Threads: 2, Duration: 25 * time.Millisecond, Seed: 4,
 			})
@@ -149,7 +159,7 @@ func TestHTSlowerThanCache(t *testing.T) {
 		t.Skip("race detector skews per-lock-op cost; ordering not meaningful")
 	}
 	mk := func(v Variant) float64 {
-		db := New(Config{Provider: appsync.NewRaw(locks.Mutex), Variant: v, Buckets: 256})
+		db := New(Config{Provider: appsync.NewRaw(locks.Mutex), Variant: v})
 		ops, el := RunWorkload(db, WorkloadConfig{
 			Keys: 1024, Threads: 2, Duration: 40 * time.Millisecond, Seed: 4,
 		})

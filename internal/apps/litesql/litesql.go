@@ -32,6 +32,12 @@ const (
 // DefaultWarehouses matches the paper's TPC-C configuration.
 const DefaultWarehouses = 100
 
+// Per-warehouse sizes.
+const (
+	items     = 1000 // stock items
+	customers = 300
+)
+
 // Per-operation work model, in cycles.
 const (
 	parseWorkCycles = 300 // SQL parse/plan under the connection mutex
@@ -39,12 +45,15 @@ const (
 	rowWorkCycles   = 120 // per row touched
 )
 
-// warehouse is the TPC-C per-warehouse state.
+// warehouse is the TPC-C per-warehouse state. The write transactions
+// update it under the root latch; OrderStatus reads orders and a balance
+// under whichever leaf latch its row hashes to, so those two words are
+// atomics: the latches model SQLite's lock traffic, not the Go memory model.
 type warehouse struct {
 	ytd       int64
 	stock     []int64 // per item
-	orders    uint64
-	customers []int64 // balances
+	orders    atomic.Uint64
+	customers []atomic.Int64 // balances
 }
 
 // DB is one SQLite database file shared by all connections.
@@ -64,8 +73,6 @@ type DB struct {
 type Config struct {
 	Provider   appsync.Provider
 	Warehouses int // default DefaultWarehouses
-	Items      int // stock items per warehouse (default 1000)
-	Customers  int // customers per warehouse (default 300)
 }
 
 const nodeLockPool = 16
@@ -74,12 +81,6 @@ const nodeLockPool = 16
 func New(cfg Config) *DB {
 	if cfg.Warehouses <= 0 {
 		cfg.Warehouses = DefaultWarehouses
-	}
-	if cfg.Items <= 0 {
-		cfg.Items = 1000
-	}
-	if cfg.Customers <= 0 {
-		cfg.Customers = 300
 	}
 	p := cfg.Provider
 	p.InitLock(RoleMalloc)
@@ -94,11 +95,11 @@ func New(cfg Config) *DB {
 		db.nodeLocks[i] = p.GetRWLock(RoleDBNodes + "-" + string(rune('a'+i)))
 	}
 	for w := range db.warehouses {
-		db.warehouses[w].stock = make([]int64, cfg.Items)
+		db.warehouses[w].stock = make([]int64, items)
 		for i := range db.warehouses[w].stock {
 			db.warehouses[w].stock[i] = 100000
 		}
-		db.warehouses[w].customers = make([]int64, cfg.Customers)
+		db.warehouses[w].customers = make([]atomic.Int64, customers)
 	}
 	return db
 }
@@ -174,7 +175,7 @@ func (c *Conn) NewOrder() {
 		}
 		cycles.Wait(rowWorkCycles)
 	}
-	w.orders++
+	w.orders.Add(1)
 	root.Unlock()
 
 	c.db.commits.Add(1)
@@ -193,7 +194,7 @@ func (c *Conn) Payment() {
 	amount := int64(1 + c.rng.Uintn(5000))
 	w.ytd += amount
 	cust := c.rng.Uintn(uint64(len(w.customers)))
-	w.customers[cust] -= amount
+	w.customers[cust].Add(-amount)
 	c.db.pageAccess()
 	cycles.Wait(rowWorkCycles)
 	root.Unlock()
@@ -212,8 +213,8 @@ func (c *Conn) OrderStatus() {
 	n1.RLock()
 	c.db.pageAccess()
 	w := &c.db.warehouses[h%uint64(len(c.db.warehouses))]
-	_ = w.orders
-	_ = w.customers[h%uint64(len(w.customers))]
+	_ = w.orders.Load()
+	_ = w.customers[h%uint64(len(w.customers))].Load()
 	cycles.Wait(rowWorkCycles)
 	n1.RUnlock()
 
@@ -229,22 +230,24 @@ func (db *DB) CheckConsistency() bool {
 	var ytd, balances int64
 	for w := range db.warehouses {
 		ytd += db.warehouses[w].ytd
-		for _, b := range db.warehouses[w].customers {
-			balances += b
+		for i := range db.warehouses[w].customers {
+			balances += db.warehouses[w].customers[i].Load()
 		}
 	}
 	return ytd == -balances
 }
+
+// The transaction mix: NewOrder, Payment, and OrderStatus for the rest.
+const (
+	newOrderRatio = 0.45
+	paymentRatio  = 0.43
+)
 
 // WorkloadConfig drives TPC-C with N connections (Table 2: 8/16/32/64).
 type WorkloadConfig struct {
 	Connections int
 	Duration    time.Duration
 	Seed        uint64
-	// Mix (fractions): NewOrder, Payment, rest OrderStatus. Defaults 0.45,
-	// 0.43.
-	NewOrderRatio float64
-	PaymentRatio  float64
 }
 
 // RunWorkload opens the connections and drives transactions, returning
@@ -255,12 +258,6 @@ func RunWorkload(db *DB, p appsync.Provider, w WorkloadConfig) (uint64, time.Dur
 	}
 	if w.Duration <= 0 {
 		w.Duration = 100 * time.Millisecond
-	}
-	if w.NewOrderRatio == 0 {
-		w.NewOrderRatio = 0.45
-	}
-	if w.PaymentRatio == 0 {
-		w.PaymentRatio = 0.43
 	}
 	conns := make([]*Conn, w.Connections)
 	for i := range conns {
@@ -275,9 +272,9 @@ func RunWorkload(db *DB, p appsync.Provider, w WorkloadConfig) (uint64, time.Dur
 			for !stop.Load() {
 				r := c.rng.Float64()
 				switch {
-				case r < w.NewOrderRatio:
+				case r < newOrderRatio:
 					c.NewOrder()
-				case r < w.NewOrderRatio+w.PaymentRatio:
+				case r < newOrderRatio+paymentRatio:
 					c.Payment()
 				default:
 					c.OrderStatus()

@@ -12,7 +12,7 @@ import (
 )
 
 func smallDB(p appsync.Provider) *DB {
-	return New(Config{Provider: p, Warehouses: 10, Items: 50, Customers: 20})
+	return New(Config{Provider: p, Warehouses: 10})
 }
 
 func TestTransactionsCommit(t *testing.T) {

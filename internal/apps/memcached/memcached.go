@@ -2,7 +2,8 @@
 // layout the paper evaluates and re-engineers (§5.1): a striped hash table
 // (assoc) guarded by item locks, a slab allocator guarded by slabs_lock, a
 // global LRU guarded by cache_lock, global statistics guarded by
-// stats_lock, and a slab rebalancer guarded by slabs_rebalance_lock.
+// stats_lock, and the slab rebalancer's slabs_rebalance_lock, which the
+// figures' Get/Set traffic never takes.
 //
 // The model reproduces the two real Memcached bugs GLS found (§5.1) when
 // constructed with Buggy: the stats_lock is used without initialization,
@@ -13,7 +14,6 @@ package memcached
 
 import (
 	"hash/maphash"
-	"sync/atomic"
 
 	"gls/internal/apps/appsync"
 	"gls/locks"
@@ -28,16 +28,14 @@ const (
 	roleItemFmt   = "item_lock"
 )
 
-// DefaultStripes is the item-lock stripe count. Memcached sizes its item
-// lock table by worker count; the paper runs 8 server threads.
-const DefaultStripes = 16
+// itemStripes is the item-lock stripe count. Memcached sizes its item lock
+// table by worker count; the paper runs 8 server threads.
+const itemStripes = 16
 
 // Config configures the model.
 type Config struct {
 	// Provider supplies every lock (the pthread overloading seam).
 	Provider appsync.Provider
-	// Stripes is the item-lock count (default DefaultStripes).
-	Stripes int
 	// Buckets is the assoc hash-table size (default 1<<14).
 	Buckets int
 	// CapacityItems bounds the cache; beyond it the LRU tail is evicted
@@ -51,27 +49,17 @@ type Config struct {
 type item struct {
 	key      string
 	value    []byte
-	casid    uint64 // CAS version, bumped on every mutation via cas
-	expires  int64  // UnixNano; 0 = never (lazy expiration, like memcached)
-	hnext    *item  // assoc chain
-	prev, nx *item  // LRU links
+	hnext    *item // assoc chain
+	prev, nx *item // LRU links
 }
 
 // Stats are Memcached's global counters (guarded by stats_lock).
 type Stats struct {
-	GetHits      uint64
-	GetMisses    uint64
-	CmdSet       uint64
-	Evictions    uint64
-	CurrItems    uint64
-	DeleteHits   uint64
-	DeleteMisses uint64
-	IncrHits     uint64
-	IncrMisses   uint64
-	CASHits      uint64
-	CASMisses    uint64
-	Expired      uint64
-	Flushes      uint64
+	GetHits   uint64
+	GetMisses uint64
+	CmdSet    uint64
+	Evictions uint64
+	CurrItems uint64
 }
 
 // Cache is the Memcached model instance.
@@ -83,7 +71,6 @@ type Cache struct {
 	statsLock locks.Lock
 	slabsLock locks.Lock
 	cacheLock locks.Lock // LRU
-	rebalLock locks.Lock
 
 	buckets []*item
 
@@ -95,17 +82,11 @@ type Cache struct {
 	slabBytes int64
 
 	stats Stats // guarded by statsLock
-
-	// rebalances counts completed Rebalance calls (atomic: test observability).
-	rebalances atomic.Uint64
 }
 
 // New builds the model, initializing every lock properly — except the two
 // the paper's bugs touch when cfg.Buggy is set.
 func New(cfg Config) *Cache {
-	if cfg.Stripes <= 0 {
-		cfg.Stripes = DefaultStripes
-	}
 	if cfg.Buckets <= 0 {
 		cfg.Buckets = 1 << 14
 	}
@@ -116,7 +97,7 @@ func New(cfg Config) *Cache {
 	c := &Cache{
 		cfg:       cfg,
 		seed:      maphash.MakeSeed(),
-		itemLocks: make([]locks.Lock, cfg.Stripes),
+		itemLocks: make([]locks.Lock, itemStripes),
 		buckets:   make([]*item, cfg.Buckets),
 	}
 	for i := range c.itemLocks {
@@ -136,13 +117,11 @@ func New(cfg Config) *Cache {
 		// Bug 2 (slabs.c): the rebalance lock is released before it is ever
 		// acquired. MUTEX shrugs; TICKET corrupts; GLS debug reports it.
 		p.InitLock(RoleRebalance)
-		c.rebalLock = p.GetLock(RoleRebalance)
-		c.rebalLock.Unlock()
+		p.GetLock(RoleRebalance).Unlock()
 	} else {
 		p.InitLock(RoleStats)
 		c.statsLock = p.GetLock(RoleStats)
 		p.InitLock(RoleRebalance)
-		c.rebalLock = p.GetLock(RoleRebalance)
 	}
 	return c
 }
@@ -296,34 +275,4 @@ func (c *Cache) lruUnlink(it *item) {
 		c.lruTail = it.prev
 	}
 	it.prev, it.nx = nil, nil
-}
-
-// Rebalance models one slab-rebalancer pass (slabs_rebalance_lock).
-func (c *Cache) Rebalance() {
-	c.rebalLock.Lock()
-	c.slabsLock.Lock()
-	// Move some bytes between slab classes (modelled as bookkeeping only).
-	c.slabBytes -= c.slabBytes / 64
-	c.slabsLock.Unlock()
-	c.rebalLock.Unlock()
-	c.rebalances.Add(1)
-}
-
-// Rebalances reports completed rebalancer passes.
-func (c *Cache) Rebalances() uint64 { return c.rebalances.Load() }
-
-// StatsSnapshot returns the global counters under stats_lock.
-func (c *Cache) StatsSnapshot() Stats {
-	c.statsLock.Lock()
-	s := c.stats
-	c.statsLock.Unlock()
-	return s
-}
-
-// Items returns the current item count.
-func (c *Cache) Items() int {
-	c.cacheLock.Lock()
-	n := c.nitems
-	c.cacheLock.Unlock()
-	return n
 }

@@ -34,10 +34,10 @@ func TestSetGet(t *testing.T) {
 	if got := string(c.Get("a")); got != "2" {
 		t.Fatalf("Get(a) after overwrite = %q", got)
 	}
-	if c.Items() != 1 {
-		t.Fatalf("Items = %d, want 1", c.Items())
+	if c.nitems != 1 {
+		t.Fatalf("items = %d, want 1", c.nitems)
 	}
-	st := c.StatsSnapshot()
+	st := c.stats
 	if st.GetHits != 2 || st.GetMisses != 1 || st.CmdSet != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -49,10 +49,10 @@ func TestEviction(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		c.Set("k"+string(rune('a'+i)), []byte{byte(i)})
 	}
-	if c.Items() > 8 {
-		t.Fatalf("Items = %d, capacity 8 not enforced", c.Items())
+	if c.nitems > 8 {
+		t.Fatalf("items = %d, capacity 8 not enforced", c.nitems)
 	}
-	if c.StatsSnapshot().Evictions == 0 {
+	if c.stats.Evictions == 0 {
 		t.Fatal("no evictions recorded")
 	}
 	// Most-recent key survives; check it is still readable.
@@ -73,15 +73,6 @@ func TestLRUOrdering(t *testing.T) {
 	}
 	if c.Get("x") == nil || c.Get("z") == nil {
 		t.Fatal("recently used items evicted")
-	}
-}
-
-func TestRebalance(t *testing.T) {
-	c := newCache(t, appsync.NewRaw(locks.Mutex))
-	c.Rebalance()
-	c.Rebalance()
-	if c.Rebalances() != 2 {
-		t.Fatalf("Rebalances = %d", c.Rebalances())
 	}
 }
 
@@ -112,7 +103,7 @@ func TestConcurrentMixedProviders(t *testing.T) {
 				}(g)
 			}
 			wg.Wait()
-			st := c.StatsSnapshot()
+			st := c.stats
 			if st.CmdSet != 4*500 {
 				t.Fatalf("CmdSet = %d, want %d", st.CmdSet, 4*500)
 			}
@@ -132,8 +123,7 @@ func TestWorkloadSmoke(t *testing.T) {
 	if ops == 0 || elapsed <= 0 {
 		t.Fatalf("workload did nothing: ops=%d elapsed=%v", ops, elapsed)
 	}
-	st := c.StatsSnapshot()
-	if st.GetHits == 0 {
+	if c.stats.GetHits == 0 {
 		t.Fatal("warmed cache recorded no hits at 90% GET")
 	}
 }
@@ -203,7 +193,9 @@ func TestFixedModeCleanUnderGLSDebug(t *testing.T) {
 	c := New(Config{Provider: p, Buckets: 64, CapacityItems: 64})
 	c.Set("k", []byte("v"))
 	c.Get("k")
-	c.Rebalance()
+	rebalance := p.GetLock(RoleRebalance)
+	rebalance.Lock()
+	rebalance.Unlock()
 	mu.Lock()
 	defer mu.Unlock()
 	if len(issues) != 0 {
@@ -214,15 +206,16 @@ func TestFixedModeCleanUnderGLSDebug(t *testing.T) {
 // TestBuggyModeHarmlessUnderMutex: the paper observes the default MUTEX
 // tolerates both bugs ("these issues do not manifest with MUTEX").
 func TestBuggyModeHarmlessUnderMutex(t *testing.T) {
-	c := New(Config{
-		Provider: appsync.NewRaw(locks.Mutex),
-		Buckets:  64, CapacityItems: 64, Buggy: true,
-	})
+	p := appsync.NewRaw(locks.Mutex)
+	c := New(Config{Provider: p, Buckets: 64, CapacityItems: 64, Buggy: true})
 	c.Set("k", []byte("v"))
 	if got := string(c.Get("k")); got != "v" {
 		t.Fatalf("Get = %q", got)
 	}
-	c.Rebalance() // must not hang despite the spurious unlock
+	// The lock New spuriously unlocked must still lock and unlock, not hang.
+	rebalance := p.GetLock(RoleRebalance)
+	rebalance.Lock()
+	rebalance.Unlock()
 }
 
 // TestGLSSpecializedProvider drives the cache through per-role explicit
@@ -252,7 +245,7 @@ func TestGLSSpecializedProvider(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if st := c.StatsSnapshot(); st.CmdSet != 4000 {
+	if st := c.stats; st.CmdSet != 4000 {
 		t.Fatalf("CmdSet = %d, want 4000", st.CmdSet)
 	}
 }

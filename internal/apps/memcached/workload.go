@@ -9,6 +9,13 @@ import (
 	"gls/internal/xrand"
 )
 
+// Key popularity is zipf with alpha keySkew (YCSB/Twitter-like), and every
+// value is valueBytes long.
+const (
+	keySkew    = 0.99
+	valueBytes = 64
+)
+
 // WorkloadConfig is the paper's Twitter-like benchmark (§5.2 Table 2): a
 // zipf-skewed key popularity with a configurable GET ratio — 10% (SET),
 // 50% (SET/GET), or 90% (GET).
@@ -17,15 +24,10 @@ type WorkloadConfig struct {
 	GetRatio float64
 	// Keys is the key-space size (default 65536).
 	Keys int
-	// KeySkew is the zipf alpha for key popularity (default 0.99,
-	// YCSB/Twitter-like).
-	KeySkew float64
 	// Threads is the number of client workers (the paper uses 8).
 	Threads int
 	// Duration is the measurement window.
 	Duration time.Duration
-	// ValueBytes is the object size (default 64).
-	ValueBytes int
 	// Seed fixes the random streams.
 	Seed uint64
 }
@@ -37,24 +39,18 @@ func RunWorkload(c *Cache, w WorkloadConfig) (uint64, time.Duration) {
 	if w.Keys <= 0 {
 		w.Keys = 65536
 	}
-	if w.KeySkew == 0 {
-		w.KeySkew = 0.99
-	}
 	if w.Threads <= 0 {
 		w.Threads = 1
 	}
 	if w.Duration <= 0 {
 		w.Duration = 100 * time.Millisecond
 	}
-	if w.ValueBytes <= 0 {
-		w.ValueBytes = 64
-	}
 
 	keys := make([]string, w.Keys)
 	for i := range keys {
 		keys[i] = "key:" + strconv.Itoa(i)
 	}
-	value := make([]byte, w.ValueBytes)
+	value := make([]byte, valueBytes)
 
 	// Warm the cache so GETs mostly hit, as in a steady-state cache.
 	warm := xrand.NewSplitMix64(w.Seed ^ 0xfeed)
@@ -70,7 +66,7 @@ func RunWorkload(c *Cache, w WorkloadConfig) (uint64, time.Duration) {
 		go func(id int) {
 			defer wg.Done()
 			rng := xrand.NewSplitMix64(w.Seed + uint64(id)*7919)
-			zipf := xrand.NewZipf(rng, w.Keys, w.KeySkew)
+			zipf := xrand.NewZipf(rng, w.Keys, keySkew)
 			ops := uint64(0)
 			for !stop.Load() {
 				k := keys[zipf.Next()]

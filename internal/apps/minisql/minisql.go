@@ -24,11 +24,10 @@ import (
 
 // Lock role names.
 const (
-	RoleLog       = "innodb_log_mutex"
-	RoleTrxSys    = "innodb_trx_sys"
-	RoleBufFmt    = "innodb_bufpool"
-	RoleRowFmt    = "innodb_rowlock"
-	RoleDictMutex = "innodb_dict"
+	RoleLog    = "innodb_log_mutex"
+	RoleTrxSys = "innodb_trx_sys"
+	RoleBufFmt = "innodb_bufpool"
+	RoleRowFmt = "innodb_rowlock"
 )
 
 // Pool sizes.
@@ -72,14 +71,13 @@ type DB struct {
 
 	logLock    locks.Lock
 	trxLock    locks.Lock
-	dictLock   locks.Lock
 	bufLatches [bufPoolStripes]locks.Lock
 	rowLocks   [rowLockStripes]locks.Lock
 
 	nodes []node // fixed id space; id = index
 
 	commits atomic.Uint64
-	ioWaits atomic.Uint64
+	ioWaits atomic.Uint64 // simulated SSD reads
 }
 
 // Config sizes the store.
@@ -100,12 +98,11 @@ func New(cfg Config) *DB {
 	}
 	p := cfg.Provider
 	db := &DB{mode: cfg.Mode, nodes: make([]node, cfg.Nodes)}
-	for _, role := range []string{RoleLog, RoleTrxSys, RoleDictMutex} {
+	for _, role := range []string{RoleLog, RoleTrxSys} {
 		p.InitLock(role)
 	}
 	db.logLock = p.GetLock(RoleLog)
 	db.trxLock = p.GetLock(RoleTrxSys)
-	db.dictLock = p.GetLock(RoleDictMutex)
 	for i := range db.bufLatches {
 		role := RoleBufFmt + "-" + string(rune('a'+i))
 		p.InitLock(role)
@@ -119,14 +116,8 @@ func New(cfg Config) *DB {
 	return db
 }
 
-// Mode reports the configuration.
-func (db *DB) Mode() Mode { return db.mode }
-
 // Commits returns committed transactions.
 func (db *DB) Commits() uint64 { return db.commits.Load() }
-
-// IOWaits returns how many simulated SSD reads happened.
-func (db *DB) IOWaits() uint64 { return db.ioWaits.Load() }
 
 func mix(k uint64) uint64 {
 	k = (k ^ (k >> 33)) * 0xff51afd7ed558ccd
@@ -229,6 +220,10 @@ func (db *DB) CountLinks(id1 uint64, rng *xrand.SplitMix64) int {
 	return db.GetLinkList(id1, rng)
 }
 
+// keySkew is the node-popularity zipf alpha: LinkBench's access pattern is
+// heavily skewed.
+const keySkew = 0.9
+
 // WorkloadConfig drives the LinkBench-like mix. Threads should exceed
 // GOMAXPROCS to reproduce the paper's oversubscription (MySQL's thread
 // pool outnumbers cores).
@@ -236,9 +231,6 @@ type WorkloadConfig struct {
 	Threads  int
 	Duration time.Duration
 	Seed     uint64
-	// KeySkew is the node-popularity zipf alpha (default 0.9; LinkBench's
-	// access pattern is heavily skewed).
-	KeySkew float64
 }
 
 // RunWorkload runs the operation mix and returns committed transactions
@@ -252,9 +244,6 @@ func RunWorkload(db *DB, w WorkloadConfig) (uint64, time.Duration) {
 	if w.Duration <= 0 {
 		w.Duration = 100 * time.Millisecond
 	}
-	if w.KeySkew == 0 {
-		w.KeySkew = 0.9
-	}
 	var stop atomic.Bool
 	done := make(chan struct{})
 	before := db.Commits()
@@ -262,7 +251,7 @@ func RunWorkload(db *DB, w WorkloadConfig) (uint64, time.Duration) {
 		go func(id int) {
 			defer func() { done <- struct{}{} }()
 			rng := xrand.NewSplitMix64(w.Seed + uint64(id)*9973)
-			zipf := xrand.NewZipf(rng, len(db.nodes), w.KeySkew)
+			zipf := xrand.NewZipf(rng, len(db.nodes), keySkew)
 			for !stop.Load() {
 				id1 := uint64(zipf.Next())
 				r := rng.Float64()

@@ -94,7 +94,7 @@ func TestSSDModeDoesIO(t *testing.T) {
 	if commits == 0 {
 		t.Fatal("SSD workload committed nothing")
 	}
-	if db.IOWaits() == 0 {
+	if db.ioWaits.Load() == 0 {
 		t.Fatal("SSD mode performed no simulated I/O")
 	}
 }
@@ -103,7 +103,7 @@ func TestMEMModeNoIO(t *testing.T) {
 	p := appsync.NewRaw(locks.Mutex)
 	db := smallDB(p, MEM)
 	RunWorkload(db, WorkloadConfig{Threads: 2, Duration: 30 * time.Millisecond, Seed: 4})
-	if db.IOWaits() != 0 {
+	if db.ioWaits.Load() != 0 {
 		t.Fatal("MEM mode performed I/O")
 	}
 }

@@ -113,15 +113,6 @@ func (s *Spinner) Spin() {
 	}
 }
 
-// Rounds reports how many wait steps this spinner has performed. The ticket
-// lock uses it to implement proportional backoff on top.
-func (s *Spinner) Rounds() uint32 { return s.round }
-
-// Reset rewinds the policy for reuse on a new acquisition. The jitter seed
-// is kept: the next acquisition re-enters the yield phase on a fresh
-// decorrelated sequence from the escalation baseline.
-func (s *Spinner) Reset() { s.round, s.pause = 0, 0 }
-
 // Yield unconditionally gives up the processor once. Blocking locks use it
 // during their pre-park spin phase.
 func Yield() { runtime.Gosched() }

@@ -12,19 +12,8 @@ func TestSpinnerProgresses(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		s.Spin()
 	}
-	if s.Rounds() == 0 && !s.singleProc {
+	if s.round == 0 && !s.singleProc {
 		t.Fatal("spinner never advanced its round counter")
-	}
-}
-
-func TestSpinnerReset(t *testing.T) {
-	var s Spinner
-	for i := 0; i < 10; i++ {
-		s.Spin()
-	}
-	s.Reset()
-	if s.Rounds() != 0 {
-		t.Fatalf("Rounds after Reset = %d, want 0", s.Rounds())
 	}
 }
 

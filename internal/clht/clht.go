@@ -226,35 +226,8 @@ func (t *Table[V]) Delete(key uint64) *V {
 // Len returns the number of entries (racy snapshot).
 func (t *Table[V]) Len() int { return int(t.count.Load()) }
 
-// Buckets returns the current top-level bucket count.
-func (t *Table[V]) Buckets() int { return len(t.cur.Load().buckets) }
-
 // Resizes returns how many table growths have happened.
 func (t *Table[V]) Resizes() uint64 { return t.resizes.Load() }
-
-// Range calls f for every entry until f returns false. It runs wait-free
-// against the current table generation; entries inserted or deleted during
-// iteration may or may not be observed.
-func (t *Table[V]) Range(f func(key uint64, v *V) bool) {
-	tab := t.cur.Load()
-	for bi := range tab.buckets {
-		for cb := &tab.buckets[bi]; cb != nil; cb = cb.next.Load() {
-			for i := 0; i < slotsPerBucket; i++ {
-				k := cb.keys[i].Load()
-				if k == 0 {
-					continue
-				}
-				v := cb.vals[i].Load()
-				if v == nil || cb.keys[i].Load() != k {
-					continue
-				}
-				if !f(k, v) {
-					return
-				}
-			}
-		}
-	}
-}
 
 // resize doubles the table if old is still current. Writers block briefly
 // (their bucket is locked while copied); readers are never blocked.

@@ -46,41 +46,6 @@ func TestSlotReuseAfterDelete(t *testing.T) {
 	}
 }
 
-func TestRangeDuringConcurrentInserts(t *testing.T) {
-	// Range must terminate and only yield valid pairs while writers churn.
-	tb := New[uint64](0)
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		k := uint64(1)
-		for !stop.Load() {
-			kk := k
-			tb.GetOrInsert(kk, func() *uint64 { return &kk })
-			if k%3 == 0 {
-				tb.Delete(k / 2)
-			}
-			k++
-			if k%64 == 0 {
-				runtime.Gosched()
-			}
-		}
-	}()
-	for i := 0; i < 50; i++ {
-		tb.Range(func(k uint64, v *uint64) bool {
-			if *v != k {
-				t.Errorf("Range yielded %d -> %d", k, *v)
-				return false
-			}
-			return true
-		})
-		runtime.Gosched()
-	}
-	stop.Store(true)
-	wg.Wait()
-}
-
 func TestGetDuringResize(t *testing.T) {
 	// Readers must always find previously inserted keys, even while a
 	// resize is copying the table.

@@ -144,33 +144,6 @@ func TestResizeGrowsAndPreserves(t *testing.T) {
 	}
 }
 
-func TestRangeVisitsAll(t *testing.T) {
-	tb := New[uint64](0)
-	want := map[uint64]bool{}
-	for k := uint64(1); k <= 500; k++ {
-		k := k
-		tb.GetOrInsert(k, func() *uint64 { return &k })
-		want[k] = true
-	}
-	got := map[uint64]bool{}
-	tb.Range(func(k uint64, v *uint64) bool {
-		if *v != k {
-			t.Fatalf("Range pair %d -> %d", k, *v)
-		}
-		got[k] = true
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("Range visited %d entries, want %d", len(got), len(want))
-	}
-	// Early termination.
-	visits := 0
-	tb.Range(func(uint64, *uint64) bool { visits++; return false })
-	if visits != 1 {
-		t.Fatalf("Range after false = %d visits, want 1", visits)
-	}
-}
-
 // TestMatchesReferenceMap drives the table and a plain map with the same
 // random operation sequence and compares observable behaviour.
 func TestMatchesReferenceMap(t *testing.T) {

@@ -5,28 +5,25 @@
 // per-phase durations of Figure 10). Portable Go cannot read the TSC, so this
 // package calibrates a tight arithmetic loop against the monotonic clock once
 // per process and converts "cycles" to loop iterations assuming a nominal
-// clock frequency (2.5 GHz, the paper's Haswell machine, unless changed with
-// SetFrequencyGHz).
+// clock frequency (2.5 GHz, the paper's Haswell machine).
 //
 // Absolute accuracy is irrelevant for the reproduction: what the figures need
 // is that a 2048-cycle section busy-works twice as long as a 1024-cycle one.
 package cycles
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// defaultGHz is the nominal clock used to convert cycles to nanoseconds.
+// nominalGHz is the nominal clock used to convert cycles to nanoseconds.
 // It matches the Haswell platform of the paper (E5-2680 v3, 2.5 GHz).
-const defaultGHz = 2.5
+const nominalGHz = 2.5
 
 var (
 	calibrateOnce sync.Once
 	itersPerNano  atomic.Uint64 // fixed-point: iterations per nanosecond << 16
-	freqGHzBits   atomic.Uint64 // math.Float64bits of the nominal frequency
 
 	// sink defeats dead-code elimination of the calibration/wait loops.
 	sink atomic.Uint64
@@ -34,23 +31,8 @@ var (
 
 const fixedShift = 16
 
-// SetFrequencyGHz overrides the nominal frequency used to convert cycles to
-// wall time. It only affects conversions performed after the call.
-func SetFrequencyGHz(ghz float64) {
-	if ghz <= 0 {
-		return
-	}
-	freqGHzBits.Store(floatBits(ghz))
-}
-
 // FrequencyGHz reports the nominal frequency used for conversions.
-func FrequencyGHz() float64 {
-	b := freqGHzBits.Load()
-	if b == 0 {
-		return defaultGHz
-	}
-	return floatFromBits(b)
-}
+func FrequencyGHz() float64 { return nominalGHz }
 
 // Calibrate measures the spin-loop rate. It is called automatically by the
 // first Wait, but benchmarks call it up front so the measurement does not
@@ -113,11 +95,6 @@ func itersForCycles(n uint64) uint64 {
 	return iters
 }
 
-// ToDuration converts a cycle count to wall time at the nominal frequency.
-func ToDuration(n uint64) time.Duration {
-	return time.Duration(float64(n) / FrequencyGHz())
-}
-
 // FromDuration converts wall time to cycles at the nominal frequency.
 func FromDuration(d time.Duration) uint64 {
 	if d <= 0 {
@@ -125,7 +102,3 @@ func FromDuration(d time.Duration) uint64 {
 	}
 	return uint64(float64(d.Nanoseconds()) * FrequencyGHz())
 }
-
-func floatBits(f float64) uint64 { return math.Float64bits(f) }
-
-func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }

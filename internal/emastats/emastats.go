@@ -1,17 +1,10 @@
-// Package emastats holds the small statistics types shared by GLK's
-// adaptation logic and GLS's profiler: an exponential moving average and a
-// running latency summary.
-//
-// GLK "keeps the exponential moving average of the statistics in order to
-// hide possible short-term workload fluctuations" (paper §3). The profiler
-// (paper §4.3) reports per-lock average queuing, acquisition latency, and
-// critical-section duration.
+// Package emastats holds the exponential moving average behind GLK's
+// adaptation logic: GLK "keeps the exponential moving average of the
+// statistics in order to hide possible short-term workload fluctuations"
+// (paper §3).
 package emastats
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // EMA is an exponential moving average with a fixed smoothing factor.
 // The zero value is empty; the first observation seeds the average.
@@ -47,75 +40,3 @@ func (e *EMA) Value() float64 { return e.value }
 
 // Seeded reports whether at least one observation has been added.
 func (e *EMA) Seeded() bool { return e.seeded }
-
-// Reset discards all history, keeping the weight.
-func (e *EMA) Reset() {
-	e.value = 0
-	e.seeded = false
-}
-
-// Summary accumulates count/sum/min/max of a series. The zero value is
-// ready to use. Not concurrency-safe; callers synchronise externally.
-type Summary struct {
-	count uint64
-	sum   float64
-	min   float64
-	max   float64
-}
-
-// Add incorporates one observation.
-func (s *Summary) Add(x float64) {
-	if s.count == 0 || x < s.min {
-		s.min = x
-	}
-	if s.count == 0 || x > s.max {
-		s.max = x
-	}
-	s.count++
-	s.sum += x
-}
-
-// AddDuration incorporates a duration observation in nanoseconds.
-func (s *Summary) AddDuration(d time.Duration) { s.Add(float64(d.Nanoseconds())) }
-
-// Count returns the number of observations.
-func (s *Summary) Count() uint64 { return s.count }
-
-// Mean returns the arithmetic mean (zero if empty).
-func (s *Summary) Mean() float64 {
-	if s.count == 0 {
-		return 0
-	}
-	return s.sum / float64(s.count)
-}
-
-// Sum returns the raw sum of observations.
-func (s *Summary) Sum() float64 { return s.sum }
-
-// Min returns the smallest observation (zero if empty).
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation (zero if empty).
-func (s *Summary) Max() float64 { return s.max }
-
-// Merge folds other into s.
-func (s *Summary) Merge(other Summary) {
-	if other.count == 0 {
-		return
-	}
-	if s.count == 0 {
-		*s = other
-		return
-	}
-	if other.min < s.min {
-		s.min = other.min
-	}
-	if other.max > s.max {
-		s.max = other.max
-	}
-	s.count += other.count
-	s.sum += other.sum
-}
-
-// Reset discards all observations.
-func (s *Summary) Reset() { *s = Summary{} }

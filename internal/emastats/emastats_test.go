@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestEMASeedsWithFirstValue(t *testing.T) {
@@ -61,15 +60,6 @@ func TestEMAStaysWithinObservedBounds(t *testing.T) {
 	}
 }
 
-func TestEMAReset(t *testing.T) {
-	e := NewEMA(0.5)
-	e.Add(3)
-	e.Reset()
-	if e.Seeded() || e.Value() != 0 {
-		t.Fatal("Reset did not clear state")
-	}
-}
-
 func TestNewEMAPanicsOnBadWeight(t *testing.T) {
 	for _, w := range []float64{0, -0.1, 1.5} {
 		func() {
@@ -80,70 +70,5 @@ func TestNewEMAPanicsOnBadWeight(t *testing.T) {
 			}()
 			NewEMA(w)
 		}()
-	}
-}
-
-func TestSummaryBasics(t *testing.T) {
-	var s Summary
-	for _, x := range []float64{5, 1, 9, 3} {
-		s.Add(x)
-	}
-	if s.Count() != 4 {
-		t.Errorf("Count = %d", s.Count())
-	}
-	if s.Min() != 1 || s.Max() != 9 {
-		t.Errorf("Min/Max = %v/%v", s.Min(), s.Max())
-	}
-	if s.Mean() != 4.5 {
-		t.Errorf("Mean = %v", s.Mean())
-	}
-	if s.Sum() != 18 {
-		t.Errorf("Sum = %v", s.Sum())
-	}
-}
-
-func TestSummaryEmpty(t *testing.T) {
-	var s Summary
-	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.Count() != 0 {
-		t.Fatal("empty summary not all-zero")
-	}
-}
-
-func TestSummaryAddDuration(t *testing.T) {
-	var s Summary
-	s.AddDuration(2 * time.Microsecond)
-	if s.Mean() != 2000 {
-		t.Fatalf("AddDuration mean = %v ns, want 2000", s.Mean())
-	}
-}
-
-func TestSummaryMergeEquivalentToSequential(t *testing.T) {
-	f := func(a, b []uint16) bool {
-		var all, left, right Summary
-		for _, x := range a {
-			all.Add(float64(x))
-			left.Add(float64(x))
-		}
-		for _, x := range b {
-			all.Add(float64(x))
-			right.Add(float64(x))
-		}
-		left.Merge(right)
-		return left.Count() == all.Count() &&
-			left.Min() == all.Min() &&
-			left.Max() == all.Max() &&
-			math.Abs(left.Sum()-all.Sum()) < 1e-6
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSummaryReset(t *testing.T) {
-	var s Summary
-	s.Add(1)
-	s.Reset()
-	if s.Count() != 0 {
-		t.Fatal("Reset did not clear count")
 	}
 }

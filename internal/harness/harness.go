@@ -78,9 +78,6 @@ type Config struct {
 	Locks int
 	// CSCycles is the critical-section duration in CPU cycles.
 	CSCycles uint64
-	// DelayCycles is the out-of-CS pause per iteration ("threads wait for a
-	// short duration to avoid long runs"). Zero selects a small default.
-	DelayCycles uint64
 	// ZipfAlpha skews lock selection (0 = uniform; Figure 9 uses 0.9).
 	ZipfAlpha float64
 	// Duration is the measurement window.
@@ -96,8 +93,9 @@ type Config struct {
 	Monitor *sysmon.Monitor
 }
 
-// defaultDelayCycles is the paper's "short duration" between iterations.
-const defaultDelayCycles = 64
+// delayCycles is the out-of-CS pause per iteration, the paper's "short
+// duration" ("threads wait for a short duration to avoid long runs").
+const delayCycles = 64
 
 // Result is one measured run.
 type Result struct {
@@ -134,9 +132,6 @@ func Run(cfg Config, factory LockerFactory) Result {
 	}
 	if cfg.Duration <= 0 {
 		cfg.Duration = 100 * time.Millisecond
-	}
-	if cfg.DelayCycles == 0 {
-		cfg.DelayCycles = defaultDelayCycles
 	}
 	cycles.Calibrate()
 
@@ -191,9 +186,7 @@ func Run(cfg Config, factory LockerFactory) Result {
 				}
 				locker.Release(i)
 				ops++
-				if cfg.DelayCycles > 0 {
-					cycles.Wait(cfg.DelayCycles)
-				}
+				cycles.Wait(delayCycles)
 			}
 			counters[id].n.Store(ops)
 		}(w)

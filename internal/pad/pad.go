@@ -1,8 +1,8 @@
-// Package pad provides cache-line padding helpers.
+// Package pad names the cache-line size.
 //
 // The paper pads every lock to one cache line (64 bytes) "for fairness and
-// for avoiding false cache-line sharing" (§3.2). The types here let other
-// packages do the same without repeating magic sizes.
+// for avoiding false cache-line sharing" (§3.2). The constant here lets
+// other packages size their padding without repeating the magic number.
 package pad
 
 // CacheLineSize is the assumed size of a CPU cache line in bytes.
@@ -10,25 +10,3 @@ package pad
 // Both evaluation platforms in the paper (Intel Ivy Bridge and Haswell Xeons)
 // use 64-byte lines, as does every amd64/arm64 part this library targets.
 const CacheLineSize = 64
-
-// Line is a full cache line of padding. Embed it between fields that must
-// not share a line.
-type Line [CacheLineSize]byte
-
-// PadTo returns the number of padding bytes needed to round size up to a
-// multiple of CacheLineSize. It is a helper for sizing trailing pad arrays:
-//
-//	type lock struct {
-//	    state uint32
-//	    _     [pad.PadTo(4)]byte
-//	}
-//
-// cannot be written directly (array lengths need constants), but PadTo is
-// used in tests to verify struct layouts stay line-aligned.
-func PadTo(size uintptr) uintptr {
-	r := size % CacheLineSize
-	if r == 0 {
-		return 0
-	}
-	return CacheLineSize - r
-}

@@ -27,8 +27,8 @@ type Hinter interface {
 	SetHint(n int)
 }
 
-// Options configures one engine run.
-type Options struct {
+// options configures one engine run.
+type options struct {
 	// Registry, when non-nil, supplies the telemetry-derived lanes
 	// (starved, waitphases) and the glslive event stream behind `expect
 	// transition`. A plan whose scenario uses those lanes fails fast
@@ -118,11 +118,11 @@ func (r *Report) Failures() []string {
 	return out
 }
 
-// Run executes the plan against drv and evaluates every declared lane.
+// run executes the plan against drv and evaluates every declared lane.
 // The returned error covers engine and driver failures (a failed lane is
 // not an error — it is a false Pass in the report, so callers can render
 // every verdict before deciding the exit code).
-func Run(p *Plan, drv Driver, opt Options) (*Report, error) {
+func run(p *Plan, drv Driver, opt options) (*Report, error) {
 	s := p.Scenario
 	if opt.Registry == nil {
 		for _, ph := range s.Phases {
@@ -176,7 +176,7 @@ type workerTally struct {
 }
 
 // runPhase executes one phase to completion and evaluates its lanes.
-func runPhase(pp *PhasePlan, conns []WorkerConn, drv Driver, opt Options) (PhaseResult, error) {
+func runPhase(pp *PhasePlan, conns []WorkerConn, drv Driver, opt options) (PhaseResult, error) {
 	ph := pp.Phase
 
 	// Phase setup: blocker hold, multiprogramming hint, telemetry window.

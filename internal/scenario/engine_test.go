@@ -15,7 +15,7 @@ func runService(t *testing.T, in string) *Report {
 	s := mustParse(t, in)
 	reg := telemetry.New(telemetry.Options{SamplePeriod: 1})
 	svc := gls.New(gls.Options{Telemetry: reg})
-	rep, err := Run(BuildPlan(s, 0), &ServiceDriver{Svc: svc}, Options{Registry: reg})
+	rep, err := run(BuildPlan(s, 0), &ServiceDriver{Svc: svc}, options{Registry: reg})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -108,7 +108,7 @@ rate 100
 expect transition ticket mutex
 `)
 	svc := gls.New(gls.Options{})
-	_, err := Run(BuildPlan(s, 0), &ServiceDriver{Svc: svc}, Options{})
+	_, err := run(BuildPlan(s, 0), &ServiceDriver{Svc: svc}, options{})
 	if err == nil || !strings.Contains(err.Error(), "no telemetry registry") {
 		t.Fatalf("want registry-required error, got %v", err)
 	}

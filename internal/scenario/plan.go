@@ -242,7 +242,3 @@ func (p *Plan) WriteReplay(w io.Writer) error {
 	}
 	return bw.Flush()
 }
-
-// Ops returns the phase's total planned op count across workers — it
-// always equals N; exported for report code that only holds the plan.
-func (pp *PhasePlan) Ops() int { return pp.N }

@@ -66,5 +66,5 @@ func RunRig(plan *Plan, wire bool, progress io.Writer) (*Report, error) {
 	}
 	defer drv.Close()
 
-	return Run(plan, drv, Options{Registry: reg, Monitor: mon, Progress: progress})
+	return run(plan, drv, options{Registry: reg, Monitor: mon, Progress: progress})
 }

@@ -288,8 +288,8 @@ type Phase struct {
 // Scenario is one parsed .scn file.
 type Scenario struct {
 	Name string
-	// Seed is the file's default seed; the engine's Options.Seed, when
-	// nonzero, overrides it.
+	// Seed is the file's default seed; BuildPlan's seed, when nonzero,
+	// overrides it.
 	Seed uint64
 	// Keys is the keyspace size: the scenario locks keys 1..Keys.
 	Keys uint64

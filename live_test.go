@@ -11,15 +11,14 @@ import (
 )
 
 // TestEventStreamFreeRaceSoak is the glslive -race stress: subscriber
-// churn (subscribe/poll/close) racing a Free/re-create storm and manual
-// FoldIdle sweeps, with a small MaxLocks so the automatic idle folds fire
-// too. Every Free and every eviction publishes a lifecycle event from
-// inside the registry's locked sections while subscribers attach and
-// detach — the soak pins that a lock retired mid-stream can neither
-// deadlock the fold against the subscriber list nor leak subscribers, and
-// that the stream still delivers exactly once publishers quiesce.
+// churn (subscribe/poll/close) racing a Free/re-create storm. Every Free
+// publishes a lifecycle event from inside the registry's locked section
+// while subscribers attach and detach — the soak pins that a lock retired
+// mid-stream can neither deadlock the fold against the subscriber list nor
+// leak subscribers, and that the stream still delivers exactly once
+// publishers quiesce.
 func TestEventStreamFreeRaceSoak(t *testing.T) {
-	reg := telemetry.New(telemetry.Options{SamplePeriod: 4, MaxLocks: 16, EventBuffer: 128})
+	reg := telemetry.New(telemetry.Options{SamplePeriod: 4, EventBuffer: 128})
 	s := newTestService(t, Options{Telemetry: reg})
 
 	const perWorker = 48
@@ -44,7 +43,7 @@ func TestEventStreamFreeRaceSoak(t *testing.T) {
 	longSub := reg.Events().Subscribe()
 	defer longSub.Close()
 	// Lock/Free churn: every Free folds stats and publishes a retired
-	// event; the MaxLocks cap makes Register sweeps publish evictions.
+	// event.
 	for w := 0; w < workers; w++ {
 		churn.Add(1)
 		go func(w int) {
@@ -61,20 +60,6 @@ func TestEventStreamFreeRaceSoak(t *testing.T) {
 			}
 		}(w)
 	}
-	// Manual fold sweeps on top of the automatic ones.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				reg.FoldIdle()
-				time.Sleep(time.Millisecond)
-			}
-		}
-	}()
 	// Subscriber churn: short-lived subscribers polling mid-storm, plus
 	// one long-lived subscriber draining throughout.
 	var drained, lastDrop uint64
@@ -109,9 +94,9 @@ func TestEventStreamFreeRaceSoak(t *testing.T) {
 		}()
 	}
 
-	// Churn workers exit by iteration count; the stop-driven goroutines
-	// (folder, subscribers) follow. A deadline turns a fold-vs-subscriber
-	// deadlock into a failure instead of a hung test run.
+	// Churn workers exit by iteration count; the stop-driven subscribers
+	// follow. A deadline turns a fold-vs-subscriber deadlock into a failure
+	// instead of a hung test run.
 	finished := make(chan struct{})
 	go func() {
 		churn.Wait()
@@ -128,11 +113,9 @@ func TestEventStreamFreeRaceSoak(t *testing.T) {
 	if drained == 0 && lastDrop == 0 {
 		t.Fatal("long-lived subscriber saw no lifecycle events despite Free storm")
 	}
-	// Stream still functional and exact after the storm. The probe key is
-	// outside every churn range: a storm-era key may have had its stats
-	// idle-folded while the service entry lived on (orphaned stats publish
-	// nothing on Free), but a fresh key registers fresh stats that survive
-	// at least one sweep, so its Free must fold and publish.
+	// Stream still functional and exact after the storm: a fresh key
+	// outside every churn range registers fresh stats, so its Free must fold
+	// and publish.
 	const probe = base - 1
 	sub := reg.Events().Subscribe()
 	defer sub.Close()

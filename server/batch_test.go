@@ -8,6 +8,14 @@ import (
 	"time"
 )
 
+// shortenWaitTimeout bounds every wait that carries no timeout by d for the
+// rest of the test. Call it before the test's server starts.
+func shortenWaitTimeout(t *testing.T, d time.Duration) {
+	saved := defaultWaitTimeout
+	defaultWaitTimeout = d
+	t.Cleanup(func() { defaultWaitTimeout = saved })
+}
+
 // renewUntil keeps c's lease on key alive — a renew every 20 ms for a 200 ms
 // lease — until stop closes; the returned channel closes once it has.
 func renewUntil(c *tconn, key uint64, stop <-chan struct{}) <-chan struct{} {
@@ -46,7 +54,7 @@ func renewUntil(c *tconn, key uint64, stop <-chan struct{}) <-chan struct{} {
 func TestAbandonedBatchHoldsNothing(t *testing.T) {
 	abandon := []struct {
 		name    string
-		timeout time.Duration // Options.DefaultWaitTimeout
+		timeout time.Duration // the wait bound, if shortened
 		do      func(srv *Server, b *tconn)
 		want    string // the batch's terminal line, if it gets one
 	}{
@@ -60,7 +68,10 @@ func TestAbandonedBatchHoldsNothing(t *testing.T) {
 	}
 	for _, ab := range abandon {
 		t.Run(ab.name, func(t *testing.T) {
-			srv, addr := newTestServer(t, Options{SweepInterval: 10 * time.Millisecond, DefaultWaitTimeout: ab.timeout})
+			if ab.timeout > 0 {
+				shortenWaitTimeout(t, ab.timeout)
+			}
+			srv, addr := newTestServer(t, Options{SweepInterval: 10 * time.Millisecond})
 			a, b, c := dialT(t, addr), dialT(t, addr), dialT(t, addr)
 			a.send("trylock 2 200\r\n")
 			a.expect("GRANTED 0x2")
@@ -161,11 +172,8 @@ func TestBatchOfOneIsTheSingleOp(t *testing.T) {
 	var tokens [][]uint64
 	for _, f := range wireForms {
 		t.Run(f.name, func(t *testing.T) {
-			srv, addr := newTestServer(t, Options{
-				QueueDepth:         2,
-				DefaultWaitTimeout: 500 * time.Millisecond,
-				SweepInterval:      10 * time.Millisecond,
-			})
+			shortenWaitTimeout(t, 500*time.Millisecond)
+			srv, addr := newTestServer(t, Options{QueueDepth: 2, SweepInterval: 10 * time.Millisecond})
 			h, w, x := dialT(t, addr), dialT(t, addr), dialT(t, addr)
 			var toks []uint64
 			say := func(c *tconn, req string) { c.send(req + "\r\n") }
@@ -191,7 +199,7 @@ func TestBatchOfOneIsTheSingleOp(t *testing.T) {
 			say(w, "cancel 5")
 			w.expect("OK cancel 5")
 			w.expect("CANCELLED 5")
-			x.expect("TIMEOUT 6") // nobody cancels it: DefaultWaitTimeout does
+			x.expect("TIMEOUT 6") // nobody cancels it: the wait bound does
 
 			// A queued grant: QUEUED is on the wire before the terminal line.
 			say(w, f.wait(8, 7))

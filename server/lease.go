@@ -7,11 +7,10 @@ import (
 )
 
 // Leases. Every grant carries a TTL; the expiry sweeper — one goroutine
-// per server, ticking on the same cadence discipline as the telemetry
-// Sampler (a bounded-minimum interval ticker, see Options.SweepInterval) —
-// releases leases whose holders went quiet. The heap holds exactly the held
-// grants: a grant knows its heap index, so a renew moves its record and a
-// release removes it. The grant registered in the session stays the
+// per server, a bounded-minimum interval ticker (see
+// Options.SweepInterval) — releases leases whose holders went quiet. The
+// heap holds exactly the held grants: a grant knows its heap index, so a
+// renew moves its record and a release removes it. The grant registered in the session stays the
 // authority — the sweeper revalidates a popped grant (still registered,
 // actually past expiry) under the session mutex before releasing, which
 // settles its races with a concurrent unlock or renew. Session death clamps

@@ -165,9 +165,9 @@ func protoErrf(code, format string, args ...any) *ProtoError {
 	return &ProtoError{Code: code, Detail: fmt.Sprintf(format, args...)}
 }
 
-// MaxBatchKeys is the default cap on keys per batched command. Grant
-// responses list every key with its token on one line, so the cap also
-// bounds response length (see Options.MaxBatchKeys).
+// MaxBatchKeys is glsd's cap on keys per batched command. Grant responses
+// list every key with its token on one line, so the cap also bounds
+// response length.
 const MaxBatchKeys = 64
 
 // byteseq is what a request line arrives as: a string through ParseCommand,

@@ -55,16 +55,10 @@ type Options struct {
 	// MaxTTL caps requested lease durations (default 60s).
 	MaxTTL time.Duration
 
-	// DefaultWaitTimeout bounds a wait op that carries no timeout, and every
-	// lockmany, whose line has no timeout field (default 60s). With every
-	// asynchronous acquisition and every lease bounded, every parked waiter
-	// comes back, so QueueDepth's slots cannot leak to a hot key.
-	DefaultWaitTimeout time.Duration
-
-	// SweepInterval is the expiry sweeper's cadence. It follows the
-	// telemetry Sampler's discipline — default 50ms, minimum 10ms (below
-	// that the sweep competes with what it bounds). Session death kicks the
-	// sweeper immediately, so disconnect release does not wait a tick.
+	// SweepInterval is the expiry sweeper's cadence: default 50ms, minimum
+	// 10ms (below that the sweep competes with what it bounds). Session
+	// death kicks the sweeper immediately, so disconnect release does not
+	// wait a tick.
 	SweepInterval time.Duration
 
 	// QueueDepth bounds the outstanding asynchronous acquisitions — wait
@@ -73,18 +67,19 @@ type Options struct {
 	// few KB of stack and no CPU. Beyond the bound, requests are refused
 	// with ERR overload — open-loop honesty instead of unbounded buffering.
 	QueueDepth int
-
-	// MaxLineBytes bounds one request line (default 4096). A longer line is
-	// answered with ERR toolong and the connection is closed, since the
-	// stream can no longer be framed.
-	MaxLineBytes int
-	// MaxBatchKeys bounds keys per batched op (default MaxBatchKeys = 64);
-	// grant responses carry every (key, token) pair on one line.
-	MaxBatchKeys int
-
-	// Logf receives server lifecycle and error lines; nil discards them.
-	Logf func(format string, args ...any)
 }
+
+// maxLineBytes bounds one request line. A longer line is answered with ERR
+// toolong and the connection is closed, since the stream can no longer be
+// framed.
+const maxLineBytes = 4096
+
+// defaultWaitTimeout bounds a wait op that carries no timeout, and every
+// lockmany, whose line has no timeout field. With every asynchronous
+// acquisition and every lease bounded, every parked waiter comes back, so
+// QueueDepth's slots cannot leak to a hot key. A variable only so tests can
+// shorten it.
+var defaultWaitTimeout = 60 * time.Second
 
 // withDefaults resolves the documented defaults.
 func (o Options) withDefaults() Options {
@@ -94,9 +89,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxTTL <= 0 {
 		o.MaxTTL = 60 * time.Second
 	}
-	if o.DefaultWaitTimeout <= 0 {
-		o.DefaultWaitTimeout = 60 * time.Second
-	}
 	if o.SweepInterval <= 0 {
 		o.SweepInterval = 50 * time.Millisecond
 	}
@@ -105,12 +97,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 1024
-	}
-	if o.MaxLineBytes <= 0 {
-		o.MaxLineBytes = 4096
-	}
-	if o.MaxBatchKeys <= 0 {
-		o.MaxBatchKeys = MaxBatchKeys
 	}
 	return o
 }
@@ -224,13 +210,6 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// logf writes one log line through Options.Logf, if set.
-func (s *Server) logf(format string, args ...any) {
-	if s.opts.Logf != nil {
-		s.opts.Logf(format, args...)
-	}
-}
-
 // ListenAndServe listens on addr and serves until Close, blocking like
 // http.Server.ListenAndServe. Use Listen + Serve to learn the bound
 // address first.
@@ -309,13 +288,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	defer s.teardown(ss)
 
 	sc := bufio.NewScanner(conn)
-	// The scanner's token cap is max(cap(buf), limit), so the initial
-	// buffer must not exceed the configured line limit.
-	initial := 512
-	if initial > s.opts.MaxLineBytes {
-		initial = s.opts.MaxLineBytes
-	}
-	sc.Buffer(make([]byte, 0, initial), s.opts.MaxLineBytes)
+	sc.Buffer(make([]byte, 0, 512), maxLineBytes)
 	for sc.Scan() {
 		// The scanner's own bytes, valid until the next Scan: the parser
 		// keeps none of them.
@@ -323,7 +296,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		if len(line) == 0 {
 			continue
 		}
-		cmd, perr := parseCommand(line, s.opts.MaxBatchKeys)
+		cmd, perr := parseCommand(line, MaxBatchKeys)
 		if perr != nil {
 			ss.writeErr(perr)
 			continue
@@ -333,7 +306,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 	}
 	if err := sc.Err(); errors.Is(err, bufio.ErrTooLong) {
-		ss.writeErr(protoErrf(ErrCodeTooLong, "request line exceeds %d bytes", s.opts.MaxLineBytes))
+		ss.writeErr(protoErrf(ErrCodeTooLong, "request line exceeds %d bytes", maxLineBytes))
 	}
 }
 
@@ -583,7 +556,7 @@ func (s *Server) handleCancel(ss *session, cmd Command) {
 func (s *Server) handleAsync(ss *session, cmd Command) {
 	timeout := cmd.Timeout // a lockmany carries none
 	if timeout <= 0 {
-		timeout = s.opts.DefaultWaitTimeout
+		timeout = defaultWaitTimeout
 	}
 	done := make(chan struct{})
 	w := &wait{

@@ -219,9 +219,9 @@ func TestPipelinedRequests(t *testing.T) {
 }
 
 func TestOversizedLineClosesConn(t *testing.T) {
-	_, addr := newTestServer(t, Options{MaxLineBytes: 128})
+	_, addr := newTestServer(t, Options{})
 	c := dialT(t, addr)
-	c.send("trylock " + strings.Repeat("7", 200) + "\r\n")
+	c.send("trylock " + strings.Repeat("7", maxLineBytes) + "\r\n")
 	c.expect("ERR toolong")
 	// The stream can no longer be framed; the server hangs up.
 	_ = c.nc.SetReadDeadline(time.Now().Add(5 * time.Second))

@@ -2,8 +2,6 @@ package gls
 
 import (
 	"fmt"
-	"io"
-	"os"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -79,9 +77,6 @@ type Options struct {
 	// process-wide registry, or a private Registry to scope or tune
 	// sampling.
 	Telemetry *telemetry.Registry
-
-	// Stderr overrides the default issue report destination (tests).
-	Stderr io.Writer
 
 	// GLKRW tunes the adaptive reader-writer locks created by
 	// RLock/TryRLock (the glsrw default). Every such lock is born in the
@@ -341,9 +336,6 @@ func New(opts Options) *Service {
 	}
 	if opts.DeadlockWaitThreshold <= 0 {
 		opts.DeadlockWaitThreshold = time.Second
-	}
-	if opts.Stderr == nil {
-		opts.Stderr = os.Stderr
 	}
 	tele := opts.Telemetry
 	if tele == nil && opts.Profile {

@@ -409,9 +409,10 @@ func TestLockManyDebugParity(t *testing.T) {
 }
 
 // TestLockManyFreeFoldSoak is the -race soak: batch workers over a stable
-// key set, a churn goroutine Lock/Free-ing a disjoint set, and a telemetry
-// FoldIdle loop — the three writers to table and registry state running
-// together. The assertion is simply "no race, no wedge, counters exact".
+// key set and a churn goroutine Lock/Free-ing a disjoint set, each Free
+// folding its stats out of the telemetry registry — the writers to table
+// and registry state running together. The assertion is simply "no race,
+// no wedge, counters exact".
 func TestLockManyFreeFoldSoak(t *testing.T) {
 	reg := telemetry.New(telemetry.Options{})
 	s := New(Options{Telemetry: reg})
@@ -454,20 +455,6 @@ func TestLockManyFreeFoldSoak(t *testing.T) {
 			s.Free(k)
 		}
 	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			reg.FoldIdle()
-			time.Sleep(time.Millisecond)
-		}
-	}()
-
 	dur := 500 * time.Millisecond
 	if testing.Short() {
 		dur = 100 * time.Millisecond

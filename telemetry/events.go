@@ -2,8 +2,8 @@ package telemetry
 
 // glslive: the streaming side of glstat. Snapshots answer "what happened
 // between two reads"; the event hub answers "what just changed" — mode and
-// family transitions, starvation escalations, deadlock reports, idle-fold
-// evictions, abort storms — as they occur, pushed through a bounded
+// family transitions, starvation escalations, deadlock reports,
+// retirements, abort storms — as they occur, pushed through a bounded
 // lock-free broadcast ring to any number of subscribers.
 //
 // The design constraint is the same one that shaped the counters: the
@@ -39,9 +39,7 @@ const (
 	EventAbortStorm
 	// EventDeadlock: debug mode found a wait-for cycle through this lock.
 	EventDeadlock
-	// EventEvicted: the registry's idle-fold policy retired this lock's
-	// stats (Options.MaxLocks); the lock itself keeps working.
-	EventEvicted
+	_ // unused: Kind is a number in an event's JSON, so EventRetired stays 5
 	// EventRetired: the lock was freed and its stats folded into the
 	// retired totals.
 	EventRetired
@@ -58,8 +56,6 @@ func (k EventKind) String() string {
 		return "abort-storm"
 	case EventDeadlock:
 		return "deadlock"
-	case EventEvicted:
-		return "evicted"
 	case EventRetired:
 		return "retired"
 	default:

@@ -164,8 +164,8 @@ func TestStarvationAndAbortEvents(t *testing.T) {
 	}
 }
 
-// TestFoldPublishesLifecycleEvents: Unregister emits retired, the idle
-// policy emits evicted.
+// TestFoldPublishesLifecycleEvents: Unregister emits retired for the key
+// it folds, and only for it.
 func TestFoldPublishesLifecycleEvents(t *testing.T) {
 	reg := New(Options{})
 	reg.Register(0x1, "glk")
@@ -178,17 +178,10 @@ func TestFoldPublishesLifecycleEvents(t *testing.T) {
 	if len(evs) != 1 || evs[0].Kind != EventRetired || evs[0].Key != 0x1 {
 		t.Fatalf("unregister events: %+v", evs)
 	}
-
-	reg.FoldIdle() // first scan arms lastArrivals
-	reg.FoldIdle() // second scan folds the idle lock
-	evs = sub.Poll(0)
-	if len(evs) != 1 || evs[0].Kind != EventEvicted || evs[0].Key != 0x2 {
-		t.Fatalf("evict events: %+v", evs)
-	}
 }
 
-// TestEventStreamRaceSoak: subscribe/poll/close churn racing publishers,
-// FoldIdle sweeps, and register/unregister storms. Run under -race in CI;
+// TestEventStreamRaceSoak: subscribe/poll/close churn racing publishers
+// and register/unregister storms. Run under -race in CI;
 // the assertion here is "no deadlock, no race, drops still account".
 func TestEventStreamRaceSoak(t *testing.T) {
 	reg := New(Options{SamplePeriod: 1, EventBuffer: 64})
@@ -213,7 +206,7 @@ func TestEventStreamRaceSoak(t *testing.T) {
 			}
 		}(p)
 	}
-	// Lifecycle churn: register/unregister and idle folds.
+	// Lifecycle churn: register/unregister.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -227,9 +220,6 @@ func TestEventStreamRaceSoak(t *testing.T) {
 			reg.Register(k, "glk")
 			if i%3 == 0 {
 				reg.Unregister(k)
-			}
-			if i%64 == 0 {
-				reg.FoldIdle()
 			}
 		}
 	}()

@@ -24,15 +24,6 @@ func Instrument(l locks.Lock, st *LockStats) locks.Lock {
 	return &instrumentedLock{inner: l, st: st}
 }
 
-// Unwrap returns the lock underneath the instrumentation (tests,
-// introspection).
-func Unwrap(l locks.Lock) locks.Lock {
-	if w, ok := l.(*instrumentedLock); ok {
-		return w.inner
-	}
-	return l
-}
-
 func (w *instrumentedLock) Lock() {
 	tok := stripe.Self()
 	a := w.st.Arrive(tok)
@@ -123,14 +114,6 @@ func InstrumentRW(l locks.RWLock, st *LockStats) locks.RWLock {
 		w.writeLocked = wr.WriteLocked
 	}
 	return w
-}
-
-// UnwrapRW returns the lock underneath the instrumentation.
-func UnwrapRW(l locks.RWLock) locks.RWLock {
-	if w, ok := l.(*instrumentedRWLock); ok {
-		return w.inner
-	}
-	return l
 }
 
 func (w *instrumentedRWLock) Lock() {

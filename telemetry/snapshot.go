@@ -182,14 +182,10 @@ func (l *LockSnapshot) TransitionCount() uint64 {
 	return n
 }
 
-// RetiredSnapshot aggregates the locks unregistered before this snapshot —
-// freed by the service, or folded by the idle-eviction policy
-// (Options.MaxLocks) — so totals remain monotonic across both.
+// RetiredSnapshot aggregates the locks unregistered (freed by the service)
+// before this snapshot, so totals remain monotonic across Free.
 type RetiredSnapshot struct {
-	Locks uint64 `json:"locks"`
-	// Evicted counts the subset of Locks folded because they went idle
-	// rather than because they were freed.
-	Evicted      uint64 `json:"evicted,omitempty"`
+	Locks        uint64 `json:"locks"`
 	Arrivals     uint64 `json:"arrivals"`
 	Acquisitions uint64 `json:"acquisitions"`
 	Contended    uint64 `json:"contended"`
@@ -254,7 +250,6 @@ func (s *Snapshot) Diff(prev *Snapshot) *Snapshot {
 		Locks:        make([]LockSnapshot, 0, len(s.Locks)),
 		Retired: RetiredSnapshot{
 			Locks:         s.Retired.Locks - prev.Retired.Locks,
-			Evicted:       s.Retired.Evicted - prev.Retired.Evicted,
 			Arrivals:      s.Retired.Arrivals - prev.Retired.Arrivals,
 			Acquisitions:  s.Retired.Acquisitions - prev.Retired.Acquisitions,
 			Contended:     s.Retired.Contended - prev.Retired.Contended,
@@ -422,8 +417,8 @@ func (s *Snapshot) WriteText(w io.Writer) error {
 		}
 	}
 	if s.Retired.Locks > 0 {
-		if _, err := fmt.Fprintf(w, "[glstat] retired: %d locks (%d idle-evicted), %d acquisitions (%d contended), %d transitions\n",
-			s.Retired.Locks, s.Retired.Evicted, s.Retired.Acquisitions, s.Retired.Contended, s.Retired.Transitions); err != nil {
+		if _, err := fmt.Fprintf(w, "[glstat] retired: %d locks, %d acquisitions (%d contended), %d transitions\n",
+			s.Retired.Locks, s.Retired.Acquisitions, s.Retired.Contended, s.Retired.Transitions); err != nil {
 			return err
 		}
 	}

@@ -122,18 +122,6 @@ type Options struct {
 	// DefaultEventBuffer. The ring is allocated on first subscribe, so the
 	// setting costs nothing until someone streams.
 	EventBuffer int
-
-	// MaxLocks soft-caps the number of live per-lock stats (0 = unlimited).
-	// A very-high-cardinality key space would otherwise hold one LockStats
-	// (several cache lines) per live key forever; with a cap, a Register
-	// that grows the registry past it folds *idle* stats — locks whose
-	// arrival count has not moved since the previous scan — into the
-	// Retired totals, exactly as Unregister does. An evicted lock keeps
-	// working (its hooks feed the now-orphaned stats object); it just stops
-	// appearing in snapshots, and its post-eviction activity goes
-	// uncounted. The cap is soft: if every lock is active, nothing is
-	// evicted and the registry grows anyway.
-	MaxLocks int
 }
 
 // Registry is a process- or service-wide collection of per-lock statistics.
@@ -144,15 +132,9 @@ type Options struct {
 // mutex, but they run at lock creation/destruction, never per operation.
 type Registry struct {
 	sampleMask uint64
-	maxLocks   int
 
 	mu    sync.RWMutex
 	locks map[uint64]*LockStats
-
-	// sweepAt defers the next automatic idle-fold until the registry has
-	// grown past it, so a Register storm over a cap full of *active* locks
-	// does not rescan the whole map per insertion (see Register).
-	sweepAt int
 
 	// gen stamps each registration with a unique incarnation id, so Diff
 	// can tell a key that was freed and re-created apart from the same
@@ -174,7 +156,6 @@ type Registry struct {
 
 type retiredTotals struct {
 	locks        uint64
-	evicted      uint64 // subset of locks folded by the idle policy, not Free
 	counters     [stripe.LaneSlots]uint64
 	rwCounters   [stripe.LaneSlots]uint64 // read-side lanes of retired RW locks
 	rwWaitPhases uint64                   // starvation/phase counters of retired RW locks
@@ -184,7 +165,7 @@ type retiredTotals struct {
 	transitions  uint64
 
 	// Latency histograms of retired locks, in the summed-bucket form (see
-	// hist.go), so percentile data survives Free and idle eviction.
+	// hist.go), so percentile data survives Free.
 	waitHist  []uint64
 	holdHist  []uint64
 	rwaitHist []uint64
@@ -205,7 +186,6 @@ func New(opts Options) *Registry {
 	}
 	return &Registry{
 		sampleMask: mask - 1,
-		maxLocks:   opts.MaxLocks,
 		locks:      make(map[uint64]*LockStats),
 		hub:        newHub(opts.EventBuffer),
 	}
@@ -240,41 +220,27 @@ func (r *Registry) Register(key uint64, kind string) *LockStats {
 	}
 	r.gen++
 	st := &LockStats{statsHeader: statsHeader{key: key, kind: kind, gen: r.gen, sampleMask: r.sampleMask, hub: r.hub}}
-	// The sentinel guarantees one full sweep interval of grace: the first
-	// scan observes lastArrivals != arrivals and re-arms instead of folding,
-	// so a lock registered moments before a sweep cannot lose its stats
-	// before its first arrival lands.
-	st.lastArrivals = ^uint64(0)
 	if label, ok := r.pendingLabels[key]; ok {
 		st.label = label
 		delete(r.pendingLabels, key)
 	}
 	r.locks[key] = st
-	// High-cardinality guard: once past the cap, periodically fold idle
-	// stats into the retired totals. The sweep is O(live locks), so it is
-	// amortized by deferring the next one until the registry has grown by a fraction of
-	// the cap: if everything is active (nothing foldable), the cost stays
-	// one scan per maxLocks/8 registrations, not one per insert.
-	if r.maxLocks > 0 && len(r.locks) > r.maxLocks && len(r.locks) >= r.sweepAt {
-		r.foldIdleLocked(st)
-		step := r.maxLocks / 8
-		if step < 1 {
-			step = 1
-		}
-		r.sweepAt = len(r.locks) + step
-	}
 	return st
 }
 
-// foldLocked folds st's counters into the retired totals and removes it
-// from the live map. Caller holds r.mu.
-func (r *Registry) foldLocked(st *LockStats, evicted bool) {
-	delete(r.locks, st.key)
+// Unregister removes key's stats from the registry, folding its counters
+// into the retired totals. Locks freed while goroutines still use them keep
+// their (now orphaned) LockStats working; only reporting forgets them.
+func (r *Registry) Unregister(key uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	st := r.locks[key]
+	if st == nil {
+		return
+	}
+	delete(r.locks, key)
 	sums := st.lanes.SumAll()
 	r.retired.locks++
-	if evicted {
-		r.retired.evicted++
-	}
 	for i, v := range sums {
 		r.retired.counters[i] += v
 	}
@@ -299,65 +265,7 @@ func (r *Registry) foldLocked(st *LockStats, evicted bool) {
 		r.retired.transitions += tr.Count
 	}
 	st.cold.Unlock()
-	kind := EventRetired
-	if evicted {
-		kind = EventEvicted
-	}
-	r.hub.Publish(Event{Kind: kind, Key: st.key, Label: label, LockKind: st.kind})
-}
-
-// foldIfIdleLocked folds st when it is idle — arrivals unchanged since the
-// previous scan and nobody currently at the lock — and otherwise re-arms it
-// for the next scan. Caller holds r.mu.
-func (r *Registry) foldIfIdleLocked(st *LockStats) bool {
-	arrivals := st.lanes.Sum(slotArrivals)
-	if arrivals != st.lastArrivals || st.presentNow() > 0 {
-		st.lastArrivals = arrivals // active: re-arm for the next scan
-		return false
-	}
-	r.foldLocked(st, true)
-	return true
-}
-
-// foldIdleLocked folds every idle lock except keep, the entry that
-// triggered the sweep. Caller holds r.mu.
-func (r *Registry) foldIdleLocked(keep *LockStats) int {
-	folded := 0
-	for _, st := range r.locks {
-		if st == keep {
-			continue
-		}
-		if r.foldIfIdleLocked(st) {
-			folded++
-		}
-	}
-	return folded
-}
-
-// FoldIdle immediately folds the stats of every idle lock (see
-// Options.MaxLocks) into the Retired totals, returning how many were
-// folded. A lock is idle when its arrival count has not moved since the
-// previous FoldIdle or automatic sweep and no goroutine is currently at it;
-// a freshly registered lock therefore survives at least one scan. Manual
-// entry point for operators and tests — the MaxLocks policy calls the same
-// scan automatically.
-func (r *Registry) FoldIdle() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.foldIdleLocked(nil)
-}
-
-// Unregister removes key's stats from the registry, folding its counters
-// into the retired totals. Locks freed while goroutines still use them keep
-// their (now orphaned) LockStats working; only reporting forgets them.
-func (r *Registry) Unregister(key uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	st := r.locks[key]
-	if st == nil {
-		return
-	}
-	r.foldLocked(st, false)
+	r.hub.Publish(Event{Kind: EventRetired, Key: st.key, Label: label, LockKind: st.kind})
 }
 
 // Get returns the registered stats for key, or nil.
@@ -480,11 +388,6 @@ type LockStats struct {
 	label       string
 	mode        string // current GLK mode; empty for fixed-algorithm locks
 	transitions []Transition
-
-	// lastArrivals is the arrival count at the previous idle-fold scan. It
-	// belongs to the registry's sweeps and is guarded by Registry.mu, not
-	// by cold; it lives down here so the hot-path header stays one line.
-	lastArrivals uint64
 }
 
 // Key returns the lock key this stats block was registered under.
@@ -881,7 +784,6 @@ func (r *Registry) Snapshot() *Snapshot {
 		Locks:        make([]LockSnapshot, 0, len(stats)),
 		Retired: RetiredSnapshot{
 			Locks:         retired.locks,
-			Evicted:       retired.evicted,
 			Arrivals:      retired.counters[slotArrivals],
 			Contended:     retired.counters[slotContended],
 			TryFails:      retired.counters[slotTryFails],

@@ -132,9 +132,6 @@ func TestInstrumentedLockRecords(t *testing.T) {
 	if snap.Kind != "mcs" {
 		t.Fatalf("Kind = %q", snap.Kind)
 	}
-	if Unwrap(l) == l {
-		t.Fatal("Unwrap did not strip the instrumentation")
-	}
 }
 
 func TestInstrumentedLockConcurrent(t *testing.T) {
@@ -246,144 +243,6 @@ func TestSelfCountingLockSkipsPresenceSlot(t *testing.T) {
 	if got := r.Snapshot().Lock(8).Present; got != 0 {
 		t.Fatalf("negative sampler reading surfaced as Present = %d", got)
 	}
-}
-
-// TestFoldIdleEviction exercises the high-cardinality retention policy:
-// idle stats fold into the retired totals (flagged as evicted), active ones
-// and freshly registered ones survive.
-func TestFoldIdleEviction(t *testing.T) {
-	r := New(Options{SamplePeriod: 1, MaxLocks: 100})
-	tok := stripe.Self()
-	stats := make([]*LockStats, 10)
-	for i := range stats {
-		stats[i] = r.Register(uint64(i+1), "glk")
-		a := stats[i].Arrive(tok)
-		a.Acquired(false)
-		stats[i].Release(tok)
-	}
-	// First scan only arms the idle detector (every lock carries the fresh-
-	// registration sentinel).
-	if n := r.FoldIdle(); n != 0 {
-		t.Fatalf("first FoldIdle folded %d locks, want 0 (grace scan)", n)
-	}
-	// Activity on two locks; everything else stays idle.
-	for _, i := range []int{0, 1} {
-		a := stats[i].Arrive(tok)
-		a.Acquired(false)
-		stats[i].Release(tok)
-	}
-	if n := r.FoldIdle(); n != 8 {
-		t.Fatalf("second FoldIdle folded %d locks, want 8", n)
-	}
-	if r.Len() != 2 {
-		t.Fatalf("Len = %d after fold, want 2", r.Len())
-	}
-	snap := r.Snapshot()
-	if snap.Retired.Locks != 8 || snap.Retired.Evicted != 8 {
-		t.Fatalf("Retired: %+v, want 8 locks / 8 evicted", snap.Retired)
-	}
-	if snap.Retired.Acquisitions != 8 {
-		t.Fatalf("Retired.Acquisitions = %d, want 8 (one per evicted lock)", snap.Retired.Acquisitions)
-	}
-	// A lock with a goroutine present never folds, idle arrivals or not.
-	a := stats[0].Arrive(tok)
-	a.Acquired(false) // held: presence 1
-	r.FoldIdle()      // arm
-	if n := r.FoldIdle(); n != 0 {
-		t.Fatalf("FoldIdle folded %d, want 0 (one lock held, one just-active)", n)
-	}
-	stats[0].Release(tok)
-}
-
-// TestMaxLocksAutoSweep: crossing the cap triggers the idle fold from
-// Register itself, no manual FoldIdle needed.
-func TestMaxLocksAutoSweep(t *testing.T) {
-	r := New(Options{SamplePeriod: 1, MaxLocks: 4})
-	tok := stripe.Self()
-	for i := 0; i < 16; i++ {
-		st := r.Register(uint64(i+1), "glk")
-		a := st.Arrive(tok)
-		a.Acquired(false)
-		st.Release(tok)
-	}
-	// Every registration past the cap swept; each lock is idle after its
-	// burst, so the registry stays near the cap instead of growing to 16.
-	if n := r.Len(); n > 8 {
-		t.Fatalf("Len = %d, want <= 8 (cap 4 plus sweep hysteresis)", n)
-	}
-	snap := r.Snapshot()
-	if snap.Retired.Evicted == 0 {
-		t.Fatal("auto-sweep evicted nothing")
-	}
-	if got := snap.Retired.Acquisitions + totalAcquisitions(snap); got != 16 {
-		t.Fatalf("live+retired acquisitions = %d, want 16 (eviction lost counts)", got)
-	}
-}
-
-// touch drives one uncontended acquisition through st.
-func touch(st *LockStats) {
-	tok := stripe.Self()
-	a := st.Arrive(tok)
-	a.Acquired(false)
-	st.Release(tok)
-}
-
-// TestAutoSweepSparesActiveAndTrigger is the rest of the MaxLocks contract,
-// under a Register storm well past the cap: a sweep folds the idle, keeps
-// and re-arms a lock that moved since the last one however often it runs,
-// never folds the registration that triggered it, and moves counts from
-// the live side to the retired side without losing or double-counting one
-// — so the retired totals only rise.
-func TestAutoSweepSparesActiveAndTrigger(t *testing.T) {
-	r := New(Options{SamplePeriod: 1, MaxLocks: 8})
-	const busyKey, storm = 1, 64
-	busy := r.Register(busyKey, "glk")
-	touches := uint64(0)
-	var prev RetiredSnapshot
-	for i := 0; i < storm; i++ {
-		key := uint64(100 + i)
-		st := r.Register(key, "glk")
-		if r.Get(key) != st {
-			t.Fatalf("registration %d: the sweep it triggered folded it", i)
-		}
-		touch(st)
-		touch(busy)
-		touches += 2
-		snap := r.Snapshot()
-		if snap.Retired.Locks < prev.Locks || snap.Retired.Evicted < prev.Evicted || snap.Retired.Acquisitions < prev.Acquisitions {
-			t.Fatalf("registration %d: retired totals fell: %+v after %+v", i, snap.Retired, prev)
-		}
-		if got := snap.Retired.Acquisitions + totalAcquisitions(snap); got != touches {
-			t.Fatalf("registration %d: live+retired acquisitions = %d, want %d", i, got, touches)
-		}
-		prev = snap.Retired
-	}
-	if r.Get(busyKey) != busy {
-		t.Error("the lock that was active before every sweep was folded")
-	}
-	if got := busy.snapshot().Acquisitions; got != storm {
-		t.Errorf("the active lock shows %d acquisitions, want %d", got, storm)
-	}
-	if n := r.Len(); n > 12 {
-		t.Errorf("Len = %d after %d idle registrations, want near the cap of 8", n, storm)
-	}
-	if prev.Evicted == 0 || prev.Evicted != prev.Locks {
-		t.Errorf("retired %d locks, %d of them evicted: want every one, and some", prev.Locks, prev.Evicted)
-	}
-
-	// The manual scan is the same one: arm, then fold everything idle.
-	r.FoldIdle()
-	if n, left := r.FoldIdle(), r.Len(); left != 0 || n == 0 {
-		t.Errorf("second FoldIdle folded %d and left %d, want everything folded", n, left)
-	}
-}
-
-func totalAcquisitions(s *Snapshot) uint64 {
-	var n uint64
-	for i := range s.Locks {
-		n += s.Locks[i].Acquisitions
-	}
-	return n
 }
 
 func TestSetLabel(t *testing.T) {
