@@ -8,7 +8,9 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"sort"
 	"strings"
@@ -20,6 +22,17 @@ import (
 // program caller, one line each with its reason. Keys are the names the lint
 // prints: package path, then type and member.
 var callerExemptions = map[string]string{
+	"gls/client.Conn.LockMany":                      "the client half of glsd's lockmany op",
+	"gls/client.Conn.Ping":                          "the client half of glsd's ping op",
+	"gls/client.Conn.Renew":                         "the client half of glsd's renew op",
+	"gls/client.Conn.TryLockMany":                   "the client half of glsd's trylockmany op",
+	"gls/glk.Lock.PresenceInflated":                 "test seam: whether the presence counter is striped, which no operation shows",
+	"gls/glk.RWLock.ReadersInflated":                "test seam: whether the native reader counter is striped, which no operation shows",
+	"gls/locks.Algorithms":                          "test seam: Table 1 as a list, which the conformance tests and BenchmarkTable1 iterate",
+	"gls/locks.MCSLock.QueueLen":                    "test seam: the queue a test waits to fill before it acts",
+	"gls/locks.MutexLock.QueueLen":                  "test seam: the queue a test waits to fill before it acts",
+	"gls/locks.RWPhaseFair.Phases":                  "test seam: the writer-phase clock the bounded-wait tests count against",
+	"gls/locks.RWStriped.ReadersInflated":           "test seam: whether the reader counter is striped, which no operation shows",
 	"gls/internal/apps/appsync.GLK.Locks":           "test seam: the per-role GLK locks whose modes and stats tests inspect",
 	"gls/internal/apps/appsync.GLS.Key":             "test seam: the service key of a role, so a test can tell which lock an issue names",
 	"gls/internal/apps/litesql.DB.CheckConsistency": "test oracle: the TPC-C invariants the concurrency tests assert",
@@ -34,54 +47,119 @@ var callerExemptions = map[string]string{
 // algorithms GLS offers whether or not a program names one.
 var paperTable1 = []string{"TAS", "TTAS", "Ticket", "MCS", "CLH", "Mutex"}
 
+// paperAPI is the paper's GLS interface by lint name: gls_lock, gls_trylock
+// and gls_unlock, also through the §4.1 lock cache, their gls_A_lock forms,
+// init and debug. Rule (d) lets these stand without a program caller,
+// because the paper is their caller.
+var paperAPI = []string{
+	"gls.Lock", "gls.TryLock", "gls.Unlock",
+	"gls.Service.Lock", "gls.Service.TryLock", "gls.Service.Unlock",
+	"gls.Handle.Lock", "gls.Handle.TryLock", "gls.Handle.Unlock",
+	"gls.Service.LockWith", "gls.Service.TryLockWith", "gls.Service.UnlockWith",
+	"gls.New", "gls.Service.InitLock", "gls.Service.InitLockWith",
+	"gls.Service.CheckDeadlocks",
+}
+
+// callerPackages are loaded for the uses they make of the module and for
+// nothing else: their own declarations are not linted. bench/ is the
+// benchmark's own module, and example_test.go holds the runnable Examples,
+// which need nothing but the module.
+var callerPackages = map[string]pkgSource{
+	"gls/bench": {dir: "bench", callerOnly: true},
+	"gls_test":  {dir: ".", file: "example_test.go", callerOnly: true},
+}
+
 // TestCallers is the caller lint (ROADMAP aim 2: a knob, algorithm or
 // declaration no program reaches is code nothing exercises). It type-checks
-// the module's non-test Go as one program and fails on three rules:
+// the module's non-test Go as one program and fails on four rules:
 //
 //   - options: an exported field of an exported …Options or …Config struct
 //     that no non-test file outside its package sets, in a composite
 //     literal, by assignment, or through its address (flag.IntVar(&o.F, …));
-//   - algorithms: a locks.Algorithm outside Table 1, or any
-//     locks.RWAlgorithm, that no non-test file outside package locks uses as
-//     the constant or through New plus its name without the Algo suffix
-//     (locks.NewRWStriped);
+//   - algorithms: a locks.Algorithm outside Table 1 that no non-test file
+//     outside package locks uses as the constant or through New plus its
+//     name (locks.NewX for a constant X);
 //   - declarations: a func, method, type, const or var declared in an
 //     internal package, or unexported anywhere, that no non-test code uses.
 //     A use inside the declaration itself (recursion, a type's own methods)
 //     does not count; a method that satisfies an interface the module uses
-//     does.
+//     does;
+//   - public: the same for an exported declaration of a public package
+//     (one that is neither internal nor a command), where bench/'s program
+//     and the runnable Examples count as callers too, and paperAPI stands
+//     on the paper.
 //
 // Tests do not count: they can justify a constant, not a configuration
-// surface or an operation.
+// surface or an operation. README's tables are held to the same program:
+// every Service.X, Handle.X or pkg.X they name must resolve in it.
 func TestCallers(t *testing.T) {
 	prog := loadProgram(t)
 	found := map[string]string{}
 	report := func(name, msg string) { found[name] = msg }
 	t.Run("options", func(t *testing.T) { prog.lintOptions(report) })
 	t.Run("algorithms", func(t *testing.T) { prog.lintAlgorithms(t, report) })
-	t.Run("declarations", func(t *testing.T) { prog.lintDeclarations(report) })
-	for name, reason := range callerExemptions {
-		if _, ok := found[name]; !ok {
-			t.Errorf("stale exemption %s (%s): it has a program caller now, or is gone", name, reason)
-		}
-		delete(found, name)
+	t.Run("declarations", func(t *testing.T) { prog.lintDeclarations(report, false) })
+	t.Run("public", func(t *testing.T) { prog.lintDeclarations(report, true) })
+	for _, msg := range judgeCallers(found, callerExemptions) {
+		t.Error(msg)
 	}
+	for _, name := range paperAPI {
+		if !prog.resolves(name) {
+			t.Errorf("paperAPI names %s, which the program does not declare (renamed?)", name)
+		}
+	}
+	t.Run("readme", func(t *testing.T) {
+		readme, err := os.ReadFile("README.md")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ref := range prog.tableRefs(string(readme)) {
+			if !prog.resolves(ref.name) {
+				t.Errorf("README.md:%d names `%s`, which the program does not declare", ref.line, ref.text)
+			}
+		}
+	})
+}
+
+// judgeCallers matches what the rules found against the exemptions: it
+// returns one message per exemption that no longer names a finding (stale)
+// and one per finding that no exemption covers, in name order.
+func judgeCallers(found, exemptions map[string]string) []string {
+	var msgs []string
+	for name, reason := range exemptions {
+		if _, ok := found[name]; !ok {
+			msgs = append(msgs, fmt.Sprintf("stale exemption %s (%s): it has a program caller now, or is gone", name, reason))
+		}
+	}
+	sort.Strings(msgs)
 	names := make([]string, 0, len(found))
 	for name := range found {
-		names = append(names, name)
+		if _, ok := exemptions[name]; !ok {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		t.Errorf("%s %s: delete it, give it a caller, or exempt it with a reason", name, found[name])
+		msgs = append(msgs, fmt.Sprintf("%s %s: delete it, give it a caller, or exempt it with a reason", name, found[name]))
 	}
+	return msgs
+}
+
+// pkgSource is where the lint reads a package's files from.
+type pkgSource struct {
+	dir        string            // the directory whose non-test files make the package
+	file       string            // if set, the one file of dir that does
+	mem        map[string]string // if set, the files themselves by name, instead of dir
+	callerOnly bool              // its uses count, its declarations are not linted
 }
 
 // typedPackage is one package of the module, type-checked without its tests.
 type typedPackage struct {
-	path  string
-	files []*ast.File
-	pkg   *types.Package
-	info  *types.Info
+	path       string
+	callerOnly bool
+	files      []*ast.File
+	pkg        *types.Package
+	info       *types.Info
 }
 
 // typedProgram is the module's non-test code, type-checked as one program so
@@ -89,7 +167,7 @@ type typedPackage struct {
 // package uses it.
 type typedProgram struct {
 	fset  *token.FileSet
-	dirs  map[string]string // import path → directory
+	srcs  map[string]pkgSource // import path → its files
 	pkgs  map[string]*typedPackage
 	order []*typedPackage // dependencies first
 	std   types.Importer
@@ -102,14 +180,13 @@ var (
 )
 
 // loadProgram type-checks every non-test Go file of the module, run from the
-// repository root, once per test binary. bench is its own module and
-// testdata holds no program, so both stay out. The standard library is
-// type-checked from source, so no export data or network is needed.
+// repository root, once per test binary, and then callerPackages. testdata
+// holds no program and stays out. The standard library is type-checked from
+// source, so no export data or network is needed.
 func loadProgram(t *testing.T) *typedProgram {
 	t.Helper()
 	programOnce.Do(func() {
-		p := &typedProgram{fset: token.NewFileSet(), dirs: map[string]string{}, pkgs: map[string]*typedPackage{}}
-		p.std = importer.ForCompiler(p.fset, "source", nil)
+		srcs := map[string]pkgSource{}
 		programErr = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 			if err != nil || !d.IsDir() {
 				return err
@@ -118,20 +195,15 @@ func loadProgram(t *testing.T) *typedProgram {
 			if path != "." && (strings.HasPrefix(name, ".") || name == "testdata" || name == "bench") {
 				return filepath.SkipDir
 			}
-			p.dirs[filepath.ToSlash(filepath.Join("gls", path))] = path
+			srcs[filepath.ToSlash(filepath.Join("gls", path))] = pkgSource{dir: path}
 			return nil
 		})
-		paths := make([]string, 0, len(p.dirs))
-		for path := range p.dirs {
-			paths = append(paths, path)
+		for path, src := range callerPackages {
+			srcs[path] = src
 		}
-		sort.Strings(paths)
-		for _, path := range paths {
-			if programErr == nil {
-				_, programErr = p.Import(path)
-			}
+		if programErr == nil {
+			program, programErr = newProgram(srcs)
 		}
-		program = p
 	})
 	if programErr != nil {
 		t.Fatal(programErr)
@@ -139,10 +211,27 @@ func loadProgram(t *testing.T) *typedProgram {
 	return program
 }
 
-// Import type-checks a package of the module on first use and hands every
+// newProgram type-checks every package of srcs, in import-path order.
+func newProgram(srcs map[string]pkgSource) (*typedProgram, error) {
+	p := &typedProgram{fset: token.NewFileSet(), srcs: srcs, pkgs: map[string]*typedPackage{}}
+	p.std = importer.ForCompiler(p.fset, "source", nil)
+	paths := make([]string, 0, len(srcs))
+	for path := range srcs {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	for _, path := range paths {
+		if _, err := p.Import(path); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
+}
+
+// Import type-checks a package of the program on first use and hands every
 // other import to the standard library's source importer.
 func (p *typedProgram) Import(path string) (*types.Package, error) {
-	dir, ok := p.dirs[path]
+	src, ok := p.srcs[path]
 	if !ok {
 		return p.std.Import(path)
 	}
@@ -152,20 +241,39 @@ func (p *typedProgram) Import(path string) (*types.Package, error) {
 		}
 		return tp.pkg, nil
 	}
-	tp := &typedPackage{path: path}
+	tp := &typedPackage{path: path, callerOnly: src.callerOnly}
 	p.pkgs[path] = tp
-	parsed, err := parser.ParseDir(p.fset, dir,
-		func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }, 0)
-	if err != nil {
-		return nil, err
-	}
-	for _, pkg := range parsed {
-		for _, f := range pkg.Files {
+	if src.mem != nil {
+		names := make([]string, 0, len(src.mem))
+		for name := range src.mem {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			f, err := parser.ParseFile(p.fset, name, src.mem[name], 0)
+			if err != nil {
+				return nil, err
+			}
 			tp.files = append(tp.files, f)
+		}
+	} else {
+		parsed, err := parser.ParseDir(p.fset, src.dir, func(fi fs.FileInfo) bool {
+			if src.file != "" {
+				return fi.Name() == src.file
+			}
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, 0)
+		if err != nil {
+			return nil, err
+		}
+		for _, pkg := range parsed {
+			for _, f := range pkg.Files {
+				tp.files = append(tp.files, f)
+			}
 		}
 	}
 	if len(tp.files) == 0 { // a directory of tests or data only
-		tp.pkg = types.NewPackage(path, filepath.Base(dir))
+		tp.pkg = types.NewPackage(path, filepath.Base(src.dir))
 		return tp.pkg, nil
 	}
 	tp.info = &types.Info{
@@ -173,6 +281,7 @@ func (p *typedProgram) Import(path string) (*types.Package, error) {
 		Defs:  map[*ast.Ident]types.Object{},
 		Uses:  map[*ast.Ident]types.Object{},
 	}
+	var err error
 	tp.pkg, err = (&types.Config{Importer: p}).Check(path, p.fset, tp.files, tp.info)
 	if err != nil {
 		return nil, err
@@ -191,6 +300,87 @@ func lintName(obj types.Object) string {
 		}
 	}
 	return obj.Pkg().Path() + "." + obj.Name()
+}
+
+// resolves reports whether name, as lintName prints it, is declared in the
+// program: a package-level object, or a field or method of one.
+func (p *typedProgram) resolves(name string) bool {
+	slash := strings.LastIndex(name, "/")
+	dot := strings.Index(name[slash+1:], ".")
+	if dot < 0 {
+		return false
+	}
+	tp := p.pkgs[name[:slash+1+dot]]
+	if tp == nil || tp.pkg == nil {
+		return false
+	}
+	parts := strings.Split(name[slash+2+dot:], ".")
+	obj := tp.pkg.Scope().Lookup(parts[0])
+	for _, member := range parts[1:] {
+		if obj == nil {
+			return false
+		}
+		obj, _, _ = types.LookupFieldOrMethod(obj.Type(), true, tp.pkg, member)
+	}
+	return obj != nil
+}
+
+// tableRef is one API name a README table row gives in backticks.
+type tableRef struct {
+	line       int
+	text, name string // as written, and as lintName would print it
+}
+
+var (
+	// backticked is a code span; qualified is a dotted name inside one, with
+	// its slash-separated siblings (Service.Lock/TryLock/Unlock).
+	backticked = regexp.MustCompile("`[^`]*`")
+	qualified  = regexp.MustCompile(`\b([A-Za-z]\w*)((?:\.[A-Za-z]\w*)+)((?:/[A-Za-z]\w*)*)`)
+	// derefRecv is a method expression's receiver, (*glk.Lock).Init.
+	derefRecv = regexp.MustCompile(`\(\*([\w.]+)\)`)
+)
+
+// tableRefs lists the names README's table rows qualify by a public
+// package (glk.New) or by a type of package gls (Service.Lock); other
+// dotted spans, such as file names, are not API names.
+func (p *typedProgram) tableRefs(readme string) []tableRef {
+	pkgOf := map[string]string{}
+	for _, tp := range p.order {
+		if isPublic(tp) {
+			pkgOf[tp.pkg.Name()] = tp.path
+		}
+	}
+	var refs []tableRef
+	for i, line := range strings.Split(readme, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			continue
+		}
+		for _, span := range backticked.FindAllString(line, -1) {
+			span = derefRecv.ReplaceAllString(span, "$1")
+			for _, m := range qualified.FindAllStringSubmatch(span, -1) {
+				var prefix string
+				if path, ok := pkgOf[m[1]]; ok {
+					prefix = path + m[2]
+				} else if obj, ok := p.pkgs["gls"].pkg.Scope().Lookup(m[1]).(*types.TypeName); ok && obj.Exported() {
+					prefix = "gls." + m[1] + m[2]
+				} else {
+					continue
+				}
+				refs = append(refs, tableRef{i + 1, m[0], prefix})
+				head := prefix[:strings.LastIndex(prefix, ".")+1]
+				for _, sibling := range strings.Split(m[3], "/")[1:] {
+					refs = append(refs, tableRef{i + 1, m[0], head + sibling})
+				}
+			}
+		}
+	}
+	return refs
+}
+
+// isPublic reports whether tp is a public package of the module: one a
+// program outside it can import, so neither internal nor a command.
+func isPublic(tp *typedPackage) bool {
+	return !tp.callerOnly && !strings.Contains(tp.path+"/", "/internal/") && tp.pkg.Name() != "main"
 }
 
 // receiverNamed is the named type of a method receiver, through its pointer.
@@ -271,6 +461,9 @@ func (p *typedProgram) lintOptions(report func(name, msg string)) {
 		}
 	}
 	for _, tp := range p.order {
+		if tp.callerOnly {
+			continue
+		}
 		scope := tp.pkg.Scope()
 		for _, name := range scope.Names() {
 			tn, ok := scope.Lookup(name).(*types.TypeName)
@@ -308,37 +501,35 @@ func (p *typedProgram) lintAlgorithms(t *testing.T, report func(name, msg string
 		}
 	}
 	scope := locks.pkg.Scope()
-	consts := map[string][]string{}
+	var consts []string
 	for _, name := range scope.Names() {
 		c, ok := scope.Lookup(name).(*types.Const)
 		if !ok {
 			continue
 		}
 		typ, ok := c.Type().(*types.Named)
-		if !ok || typ.Obj().Pkg() != locks.pkg || (typ.Obj().Name() != "Algorithm" && typ.Obj().Name() != "RWAlgorithm") {
+		if !ok || typ.Obj().Pkg() != locks.pkg || typ.Obj().Name() != "Algorithm" {
 			continue
 		}
-		consts[typ.Obj().Name()] = append(consts[typ.Obj().Name()], name)
-		if typ.Obj().Name() == "Algorithm" && slices.Contains(paperTable1, name) {
+		consts = append(consts, name)
+		if slices.Contains(paperTable1, name) {
 			continue
 		}
-		ctor := "New" + strings.TrimSuffix(name, "Algo")
+		ctor := "New" + name
 		if !used[c] && (scope.Lookup(ctor) == nil || !used[scope.Lookup(ctor)]) {
 			report("gls/locks."+name, fmt.Sprintf("(algorithms) is used by no program outside package locks, as the constant or through %s", ctor))
 		}
 	}
 	for _, name := range paperTable1 {
-		if !slices.Contains(consts["Algorithm"], name) {
+		if !slices.Contains(consts, name) {
 			t.Fatalf("locks.%s is not a locks.Algorithm constant (renamed?)", name)
 		}
 	}
-	if len(consts["RWAlgorithm"]) == 0 {
-		t.Fatal("found no locks.RWAlgorithm constants (renamed?)")
-	}
 }
 
-// lintDeclarations applies the declarations rule.
-func (p *typedProgram) lintDeclarations(report func(name, msg string)) {
+// lintDeclarations applies the declarations rule, or with public the public
+// rule.
+func (p *typedProgram) lintDeclarations(report func(name, msg string), public bool) {
 	// used holds every object some non-test code refers to from outside the
 	// object's own declaration.
 	used := map[types.Object]bool{}
@@ -386,10 +577,24 @@ func (p *typedProgram) lintDeclarations(report func(name, msg string)) {
 		}
 		return false
 	}
+	rule, by := "declarations", "non-test code"
+	if public {
+		rule, by = "public", "program, bench/ or Example"
+	}
 	for _, tp := range p.order {
+		if tp.callerOnly {
+			continue
+		}
 		internal := strings.Contains(tp.path+"/", "/internal/")
 		check := func(obj types.Object) {
-			if obj == nil || obj.Name() == "_" || (!internal && obj.Exported()) || used[obj] {
+			if obj == nil || obj.Name() == "_" || used[obj] {
+				return
+			}
+			exported := !internal && obj.Exported()
+			if exported != public || (public && !isPublic(tp)) {
+				return
+			}
+			if public && slices.Contains(paperAPI, lintName(obj)) {
 				return
 			}
 			if fn, ok := obj.(*types.Func); ok {
@@ -400,7 +605,7 @@ func (p *typedProgram) lintDeclarations(report func(name, msg string)) {
 					return
 				}
 			}
-			report(lintName(obj), fmt.Sprintf("(declarations, %s) is used by no non-test code", p.fset.Position(obj.Pos())))
+			report(lintName(obj), fmt.Sprintf("(%s, %s) is used by no %s", rule, p.fset.Position(obj.Pos()), by))
 		}
 		for _, f := range tp.files {
 			for _, decl := range f.Decls {
@@ -479,4 +684,56 @@ func (p *typedProgram) usedInterfaces() []*types.Interface {
 		}
 	}
 	return out
+}
+
+// TestCallersPublicRule runs rule (d) over a tiny program held in memory: an
+// exported func of a public package that nothing calls is reported, one that
+// a caller-only bench file or an Example calls is not, a caller-only
+// package's own declarations are not linted, and an exemption that names no
+// finding fails as stale.
+func TestCallersPublicRule(t *testing.T) {
+	prog, err := newProgram(map[string]pkgSource{
+		"gls": {mem: map[string]string{"gls.go": `package gls
+func Lock()      {}
+func Unused()    {}
+func ByProgram() {}
+func ByBench()   {}
+func ByExample() {}
+`}},
+		"gls/cmd/tool": {mem: map[string]string{"main.go": `package main
+import "gls"
+func main() { gls.ByProgram() }
+`}},
+		"gls/bench": {mem: map[string]string{"main.go": `package main
+import "gls"
+func main() { gls.ByBench() }
+func unlinted() {}
+`}, callerOnly: true},
+		"gls_test": {mem: map[string]string{"example_test.go": `package gls_test
+import "gls"
+func ExampleByExample() { gls.ByExample() }
+`}, callerOnly: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := map[string]string{}
+	for _, public := range []bool{false, true} {
+		prog.lintDeclarations(func(name, msg string) { found[name] = msg }, public)
+	}
+	names := make([]string, 0, len(found))
+	for name := range found {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	if want := []string{"gls.Unused"}; !slices.Equal(names, want) {
+		t.Fatalf("the declaration rules found %v, want %v (gls.Lock is paperAPI, the rest have callers, bench is not linted)", names, want)
+	}
+	if msgs := judgeCallers(found, map[string]string{"gls.Unused": "test seam"}); len(msgs) != 0 {
+		t.Errorf("an exemption that covers the finding still fails: %v", msgs)
+	}
+	msgs := judgeCallers(found, map[string]string{"gls.Unused": "test seam", "gls.ByBench": "test seam"})
+	if len(msgs) != 1 || !strings.HasPrefix(msgs[0], "stale exemption gls.ByBench") {
+		t.Errorf("a stale exemption gave %v, want one stale-exemption message", msgs)
+	}
 }

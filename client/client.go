@@ -2,8 +2,7 @@
 // server): a connection speaks the line protocol, demultiplexes
 // asynchronous grant/expiry notices from synchronous replies, and keeps
 // the session-scoped key→fencing-token map that callers pass to
-// token-checking consumers (see FencedStore). A Pool recycles connections
-// for callers that want lock-service calls without connection management.
+// token-checking consumers (see FencedStore).
 package client
 
 import (
@@ -89,7 +88,6 @@ type Conn struct {
 	expired func(key, token uint64)
 
 	nextWait atomic.Uint64
-	session  uint64
 
 	done    chan struct{}
 	readErr error
@@ -120,12 +118,8 @@ func Dial(addr string) (*Conn, error) {
 		_ = nc.Close()
 		return nil, fmt.Errorf("glsd client: bad session reply %q", r)
 	}
-	c.session = r.num[0]
 	return c, nil
 }
-
-// SessionID reports the server-assigned session id.
-func (c *Conn) SessionID() uint64 { return c.session }
 
 // OnExpired installs a callback for server-initiated lease expiries
 // (EXPIRED notices). Called from the read loop; keep it quick.

@@ -10,32 +10,28 @@ import (
 // the key was granted onward, so the write must be dropped.
 var ErrStaleToken = errors.New("glsd client: stale fencing token")
 
-// FencedStore is the consumer side of fencing: a token-checked register
-// per key. It models the storage system a lock client guards — every write
-// carries the writer's fencing token, and the store rejects any token
-// older than the newest it has accepted for that key. A client that
-// acquired, stalled past its lease, and woke up to write anyway is fenced
-// off: the next holder's token is strictly larger (the server mints them
-// in grant order), so the stale write loses deterministically.
+// FencedStore is the consumer side of fencing: a token check per key. It
+// models the storage system a lock client guards — every write carries the
+// writer's fencing token, and the store rejects any token older than the
+// newest it has accepted for that key. A client that acquired, stalled past
+// its lease, and woke up to write anyway is fenced off: the next holder's
+// token is strictly larger (the server mints them in grant order), so the
+// stale write loses deterministically.
 //
-// The store is deliberately tiny — uint64 values, last-writer-wins — it
-// exists so tests, the chaos harness and the e2e smoke can assert the
-// token protocol end to end rather than to be a database.
+// The store is deliberately tiny — it keeps the tokens, which decide every
+// write, and drops the values — and exists so tests and the chaos harness
+// can assert the token protocol end to end rather than to be a database.
 type FencedStore struct {
 	mu   sync.Mutex
 	last map[uint64]uint64 // key → newest accepted token
-	vals map[uint64]uint64 // key → value written with that token
 }
 
 // NewFencedStore builds an empty store.
 func NewFencedStore() *FencedStore {
-	return &FencedStore{
-		last: make(map[uint64]uint64),
-		vals: make(map[uint64]uint64),
-	}
+	return &FencedStore{last: make(map[uint64]uint64)}
 }
 
-// Write applies value to key iff token is no older than the newest
+// Write accepts value for key iff token is no older than the newest
 // accepted token for key. Equal tokens are accepted (same holder writing
 // twice); older tokens fail with ErrStaleToken.
 func (st *FencedStore) Write(key, token, value uint64) error {
@@ -45,13 +41,5 @@ func (st *FencedStore) Write(key, token, value uint64) error {
 		return ErrStaleToken
 	}
 	st.last[key] = token
-	st.vals[key] = value
 	return nil
-}
-
-// Read returns key's current value and the token that wrote it.
-func (st *FencedStore) Read(key uint64) (value, token uint64) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.vals[key], st.last[key]
 }

@@ -85,7 +85,7 @@ func warnUnknownFields(path string, data []byte) {
 }
 
 // parseFormat validates the -format flag value, naming the valid set on
-// rejection (same contract as glk.ParseAlgorithm).
+// rejection.
 func parseFormat(s string) (string, error) {
 	switch s {
 	case "text", "json", "prom":

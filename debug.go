@@ -46,8 +46,6 @@ const (
 	// IssueRUnlockNotReader: RUnlock by a goroutine that holds no read
 	// share of the key (the read-side sibling of wrong-owner/already-free).
 	IssueRUnlockNotReader
-
-	issueKindCount = int(IssueRUnlockNotReader) + 1
 )
 
 // String returns the warning label used in reports.
@@ -270,11 +268,8 @@ func (d *debugState) clearWaiting(g gid.ID) {
 	d.mu.Unlock()
 }
 
-// report counts and delivers an issue.
+// report delivers an issue.
 func (s *Service) report(iss Issue) {
-	if int(iss.Kind) < issueKindCount {
-		s.issueCounts[iss.Kind].Add(1)
-	}
 	// Deadlocks also go out on the telemetry event stream: a live glsstat
 	// -top (or any subscriber) sees the cycle without wiring OnIssue.
 	if s.tele != nil && iss.Kind == IssueDeadlock {
@@ -290,14 +285,6 @@ func (s *Service) report(iss Issue) {
 		return
 	}
 	fmt.Fprint(os.Stderr, iss.String())
-}
-
-// IssueCount returns how many issues of the given kind have been detected.
-func (s *Service) IssueCount(k IssueKind) uint64 {
-	if int(k) >= issueKindCount || k < 0 {
-		return 0
-	}
-	return s.issueCounts[k].Load()
 }
 
 // captureStack formats the caller's stack for issue reports, skipping the
@@ -448,10 +435,10 @@ func (s *Service) debugUnlock(key uint64, e *entry) {
 	e.exclusive().Unlock()
 }
 
-// debugPreRLock runs the read-acquisition checks: StrictInit, RW-algorithm
-// mismatch, and the Lock→RLock half of the upgrade deadlock (the write
-// holder read-locking its own key blocks on its own writer flag).
-func (s *Service) debugPreRLock(me gid.ID, e *entry, created bool, requested locks.RWAlgorithm) {
+// debugPreRLock runs the read-acquisition checks: StrictInit and the
+// Lock→RLock half of the upgrade deadlock (the write holder read-locking its
+// own key blocks on its own writer flag).
+func (s *Service) debugPreRLock(me gid.ID, e *entry, created bool) {
 	if created && s.opts.StrictInit && !s.dbg.isInitialized(e.key) {
 		s.report(Issue{
 			Kind:      IssueUninitializedLock,
@@ -460,24 +447,6 @@ func (s *Service) debugPreRLock(me gid.ID, e *entry, created bool, requested loc
 			Message:   "rlock of a key never initialized (StrictInit)",
 			Stack:     captureStack(5),
 		})
-	}
-	if !created && e.boxed().rwalgo != requested {
-		s.dbg.mu.Lock()
-		dup := s.dbg.mismatchReported[e.key]
-		if !dup {
-			s.dbg.mismatchReported[e.key] = true
-		}
-		s.dbg.mu.Unlock()
-		if !dup {
-			s.report(Issue{
-				Kind:      IssueAlgorithmMismatch,
-				Key:       e.key,
-				Goroutine: uint64(me),
-				Message: fmt.Sprintf("rlock requested as %s but key is mapped to %s",
-					rwAlgoName(requested), rwAlgoName(e.boxed().rwalgo)),
-				Stack: captureStack(5),
-			})
-		}
 	}
 	if gid.ID(e.owner.Load()) == me {
 		s.report(Issue{
@@ -493,9 +462,9 @@ func (s *Service) debugPreRLock(me gid.ID, e *entry, created bool, requested loc
 
 // debugRLock acquires a read share with waiting/reader bookkeeping. Like
 // debugLock, only the contended path pays the wait-record cost.
-func (s *Service) debugRLock(e *entry, created bool, requested locks.RWAlgorithm) {
+func (s *Service) debugRLock(e *entry, created bool) {
 	me := gid.Get()
-	s.debugPreRLock(me, e, created, requested)
+	s.debugPreRLock(me, e, created)
 	if !e.rwLock().TryRLock() {
 		s.dbg.setWaiting(me, e.key)
 		e.rwLock().RLock()
@@ -505,9 +474,9 @@ func (s *Service) debugRLock(e *entry, created bool, requested locks.RWAlgorithm
 }
 
 // debugTryRLock try-acquires a read share with reader bookkeeping.
-func (s *Service) debugTryRLock(e *entry, created bool, requested locks.RWAlgorithm) bool {
+func (s *Service) debugTryRLock(e *entry, created bool) bool {
 	me := gid.Get()
-	s.debugPreRLock(me, e, created, requested)
+	s.debugPreRLock(me, e, created)
 	if !e.rwLock().TryRLock() {
 		return false
 	}

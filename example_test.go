@@ -13,8 +13,8 @@ import (
 // first use through the RW surface, the exclusive entry points then operate
 // on the same lock's write side, and read shares coexist. The lock behind
 // the key is the adaptive glsrw/glsfair default — it starts two cache lines
-// and walks inline → striped → phase-fair → blocking admission as the
-// workload demands (DESIGN.md §§9–10).
+// and admits readers striped, phase-fair or write-preferring (blocking) as
+// the workload demands (DESIGN.md §§9–10).
 func ExampleService_RLock() {
 	svc := gls.New(gls.Options{})
 	defer svc.Close()

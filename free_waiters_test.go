@@ -116,7 +116,7 @@ func TestFreeAfterQuiesceIsSafe(t *testing.T) {
 	const key = 0xbeef
 
 	for round := 0; round < 3; round++ {
-		holder := s.Pin(key)
+		holder := s.pinWith(algoGLK, key)
 		if !holder.TryLock() {
 			t.Fatalf("round %d: fresh incarnation not acquirable", round)
 		}
@@ -124,7 +124,7 @@ func TestFreeAfterQuiesceIsSafe(t *testing.T) {
 		waiterDone := make(chan struct{})
 		go func() {
 			defer close(waiterDone)
-			w := s.Pin(key)
+			w := s.pinWith(algoGLK, key)
 			close(waiterPinned)
 			if !w.LockCancel(nil) { // queues behind the holder
 				t.Errorf("round %d: waiter gave up", round)

@@ -37,8 +37,8 @@ func TestLockCancelGLK(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("aborting waiter never returned")
 	}
-	if l.Aborts() != 1 {
-		t.Fatalf("Aborts = %d, want 1", l.Aborts())
+	if l.Stats().Aborts != 1 {
+		t.Fatalf("Aborts = %d, want 1", l.Stats().Aborts)
 	}
 	l.Unlock()
 	l.Lock()
@@ -69,7 +69,7 @@ func TestAbortsFeedAdaptation(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if l.Aborts() == 0 {
+	if l.Stats().Aborts == 0 {
 		t.Fatal("no aborts recorded")
 	}
 	l.Unlock()
@@ -120,7 +120,7 @@ func abortsCountOnce(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := l.Aborts(); got != k {
+	if got := l.Stats().Aborts; got != k {
 		t.Fatalf("Aborts = %d, want %d", got, k)
 	}
 	pending := l.ticket.QueueLen() - 2 // abandoned, not yet stepped over
@@ -378,7 +378,7 @@ func TestPresenceSettlesAcrossTransitions(t *testing.T) {
 			}
 		}
 		if got, want := l.Stats().Acquired, granted.Load(); got != want {
-			t.Fatalf("%s: Acquired = %d, want %d (%d transitions, %d aborts)", when, got, want, l.Transitions(), l.Aborts())
+			t.Fatalf("%s: Acquired = %d, want %d (%d transitions, %d aborts)", when, got, want, l.Stats().Transitions, l.Stats().Aborts)
 		}
 	}
 	for r := 0; r < rounds; r++ {
@@ -397,7 +397,7 @@ func TestPresenceSettlesAcrossTransitions(t *testing.T) {
 	}
 	for _, m := range []Mode{ModeTicket, ModeMCS, ModeMutex} {
 		if !visited[m].Load() {
-			t.Errorf("the run never entered %v mode (%d transitions)", m, l.Transitions())
+			t.Errorf("the run never entered %v mode (%d transitions)", m, l.Stats().Transitions)
 		}
 	}
 	if !l.TryLock() {

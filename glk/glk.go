@@ -454,23 +454,6 @@ func (l *Lock) monitor() *sysmon.Monitor {
 // Mode returns the lock's current operating mode (racy snapshot).
 func (l *Lock) Mode() Mode { return Mode(l.lockType.Load()) }
 
-// Transitions returns the number of mode changes performed so far.
-func (l *Lock) Transitions() uint64 {
-	if st := l.adapt.Load(); st != nil {
-		return uint64(st.transitions.Load())
-	}
-	return 0
-}
-
-// Aborts returns the number of acquisitions abandoned mid-wait (timeouts
-// and cancellations), cumulative over the lock's life.
-func (l *Lock) Aborts() uint64 {
-	if st := l.adapt.Load(); st != nil {
-		return uint64(st.aborts.Load())
-	}
-	return 0
-}
-
 // PresenceInflated reports whether the lock currently holds the striped
 // form of its presence counter — i.e. whether it has left ticket mode (or
 // was born outside it) and has not idled back since. Introspection for

@@ -168,7 +168,7 @@ func TestRWLockWriteMixGoesPhaseFair(t *testing.T) {
 	if !ok || !strings.HasPrefix(reason, "write-mixed") {
 		t.Fatalf("rwstriped→rwphasefair edge missing or not the write mix (ok=%v reason=%q)", ok, reason)
 	}
-	if got := l.Transitions(); got != 1 {
+	if got := l.Stats().Transitions; got != 1 {
 		t.Fatalf("Transitions = %d, want 1 (striping the readers is no transition)", got)
 	}
 }
@@ -191,10 +191,10 @@ func TestRWLockReadMostlyReturnsToNative(t *testing.T) {
 	}
 	// Each call of stop after a goroutine's first ends a batch of 100
 	// operations holding exactly one write: eight periods' worth.
-	n := l.Transitions()
+	n := l.Stats().Transitions
 	var batches atomic.Int64
 	readWrite(l, 2, 100, func() bool { return batches.Add(1) > 2+8*DefaultRWSamplePeriod })
-	if got := l.Transitions(); got != n || l.RWMode() != RWModeStriped {
+	if got := l.Stats().Transitions; got != n || l.RWMode() != RWModeStriped {
 		t.Fatalf("%d more transitions in eight read-mostly periods, now %v", got-n, l.RWMode())
 	}
 }

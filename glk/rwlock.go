@@ -393,9 +393,6 @@ func (l *RWLock) ensureSub(m RWMode) {
 // RWMode returns the lock's current mode (racy snapshot).
 func (l *RWLock) RWMode() RWMode { return RWMode(l.rwmode.Load()) }
 
-// Transitions returns the number of mode changes performed so far.
-func (l *RWLock) Transitions() uint64 { return uint64(l.transitions.Load()) }
-
 // ReadersInflated reports whether the native reader counter is currently
 // striped.
 func (l *RWLock) ReadersInflated() bool { return l.readers.Inflated() }

@@ -137,8 +137,8 @@ func TestRWLockTryUnderWriter(t *testing.T) {
 // the reader counter's shape is footprint housekeeping, not a mode.
 func noTransitions(t *testing.T, l *RWLock, reg *telemetry.Registry, key uint64) {
 	t.Helper()
-	if l.RWMode() != RWModeStriped || l.Transitions() != 0 {
-		t.Fatalf("mode %v after %d transitions, want rwstriped after none", l.RWMode(), l.Transitions())
+	if l.RWMode() != RWModeStriped || l.Stats().Transitions != 0 {
+		t.Fatalf("mode %v after %d transitions, want rwstriped after none", l.RWMode(), l.Stats().Transitions)
 	}
 	if reg == nil {
 		return
@@ -270,7 +270,7 @@ func TestRWLockReadBetweenWritesStaysStriped(t *testing.T) {
 	}
 	if !l.ReadersInflated() {
 		t.Fatalf("a key read between its writes deflated: mode %v, inflated %v, %d transitions",
-			l.RWMode(), l.ReadersInflated(), l.Transitions())
+			l.RWMode(), l.ReadersInflated(), l.Stats().Transitions)
 	}
 }
 
@@ -328,9 +328,9 @@ func TestRWLockSettles(t *testing.T) {
 		})
 	}
 	run(10*time.Second, func() bool { return l.RWMode() == RWModePhaseFair })
-	settled := l.Transitions()
+	settled := l.Stats().Transitions
 	run(300*time.Millisecond, func() bool { return false })
-	got, n := l.RWMode(), l.Transitions()
+	got, n := l.RWMode(), l.Stats().Transitions
 	if flagged.Load() {
 		t.Fatalf("multiprogramming verdict on two goroutines and %d Ps (ended in %v after %d transitions)",
 			runtime.GOMAXPROCS(0), got, n)

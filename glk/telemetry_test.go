@@ -79,8 +79,8 @@ func TestInstrumentedContentionAndTransitions(t *testing.T) {
 	}
 	// Sustained queuing over 3 must have pushed the lock to mcs, and the
 	// telemetry transition log must agree with the lock's own counter.
-	if got := s.TransitionCount(); got != l.Transitions() {
-		t.Fatalf("telemetry transitions %d != lock transitions %d", got, l.Transitions())
+	if got := s.TransitionCount(); got != l.Stats().Transitions {
+		t.Fatalf("telemetry transitions %d != lock transitions %d", got, l.Stats().Transitions)
 	}
 	if s.TransitionCount() == 0 {
 		t.Fatal("no transitions recorded under sustained contention")
@@ -157,7 +157,7 @@ func TestUninstrumentedLockHasNoTelemetry(t *testing.T) {
 	l := New(cfg)
 	l.Lock()
 	l.Unlock()
-	if reg.Len() != 0 {
+	if len(reg.Snapshot().Locks) != 0 {
 		t.Fatal("uninstrumented lock registered telemetry")
 	}
 }

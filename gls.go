@@ -18,13 +18,13 @@
 // process-wide Service with default options.
 //
 // Beyond the paper's exclusive surface, read-mostly keys get reader-writer
-// locking through RLock/TryRLock/RUnlock (and the *With/Init variants):
-// first use through that surface creates an adaptive glk.RWLock whose
-// write side *is* the key's exclusive lock, so Lock(key) on an RW key is
-// its write lock. A key's species — exclusive or reader-writer — is fixed
-// at first use; InitRWLock pins it explicitly, and using the read surface
-// on an exclusive key panics (see ExampleService_InitRWLock). The adaptive
-// RW lock walks inline → striped → phase-fair → blocking admission as the
+// locking through RLock/TryRLock/RUnlock and InitRWLock: first use through
+// that surface creates an adaptive glk.RWLock whose write side *is* the
+// key's exclusive lock, so Lock(key) on an RW key is its write lock. A
+// key's species — exclusive or reader-writer — is fixed at first use;
+// InitRWLock pins it explicitly, and using the read surface on an exclusive
+// key panics (see ExampleService_InitRWLock). The adaptive RW lock admits
+// readers striped, phase-fair or write-preferring (blocking) as the
 // workload demands (DESIGN.md §§9–10).
 //
 // Three extensions mirror and extend the paper's §4.2 and §4.3:

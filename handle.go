@@ -106,16 +106,6 @@ func (h *Handle) miss(key uint64) *entry {
 	return e
 }
 
-// entry is the acquisition-side resolve step as a function, for the bounded
-// acquisitions (service_ctx.go). Lock and TryLock spell it out: at cost 102
-// against the inliner's 80 it would be a frame on every hit.
-func (h *Handle) entry(key uint64) *entry {
-	if h.cacheHit(key) {
-		return h.last
-	}
-	return h.miss(key)
-}
-
 // Lock acquires the GLK lock for key.
 func (h *Handle) Lock(key uint64) {
 	e := h.last
@@ -186,7 +176,7 @@ func (h *Handle) rw(key uint64) locks.RWLock {
 	h.misses++
 	e := h.s.table.Get(key)
 	if e == nil || e.rwLock() == nil {
-		e, _ = h.s.entryForRW(key, algoGLKRW)
+		e, _ = h.s.entryForRW(key)
 	}
 	h.lastKey, h.last = key, e
 	return e.boxed().rw
@@ -212,20 +202,8 @@ func (h *Handle) RLock(key uint64) {
 	h.rw(key).RLock()
 }
 
-// TryRLock try-acquires a read share of the reader-writer lock for key.
-func (h *Handle) TryRLock(key uint64) bool {
-	return h.rw(key).TryRLock()
-}
-
 // RUnlock releases a read share of the lock for key. With no lock nesting
 // this always hits the cache, exactly like Unlock.
 func (h *Handle) RUnlock(key uint64) {
 	h.heldRW(key).RUnlock()
-}
-
-// Invalidate drops the cached entry. Since Free already marks it dead, this
-// is only needed when the caller wants to drop the reference to the lock
-// object itself (e.g. to let a freed lock be collected promptly).
-func (h *Handle) Invalidate() {
-	h.lastKey, h.last = 0, nil
 }

@@ -209,19 +209,6 @@ func TestHandleUnlockMissResolvesExistingLock(t *testing.T) {
 	h.Unlock(42)
 }
 
-func TestHandleInvalidate(t *testing.T) {
-	s := newTestService(t, Options{})
-	h := s.NewHandle()
-	h.Lock(3)
-	h.Unlock(3)
-	h.Invalidate()
-	if h.lastKey != 0 || h.last != nil {
-		t.Fatal("Invalidate left cache populated")
-	}
-	h.Lock(3) // must re-resolve without issue
-	h.Unlock(3)
-}
-
 // TestFreeInvalidatesOnlyItsKey is the exact-counter claim the death mark
 // makes: seven handles parked on keys of their own take ZERO cache misses
 // after their warm-up while 64 other keys go through 3 200 Frees

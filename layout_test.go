@@ -10,7 +10,7 @@ import (
 
 // TestServiceLayout pins the Service's sections (see its doc comment): the
 // words every look-up loads sit together on the first line, and nothing a
-// create, a Free, an Unpin, an issue report or Close writes shares a line
+// create, a Free, an Unpin or Close writes shares a line
 // with them or with anything else New wrote for good; the struct is whole
 // lines, which the allocator then aligns.
 func TestServiceLayout(t *testing.T) {
@@ -29,10 +29,9 @@ func TestServiceLayout(t *testing.T) {
 	}
 	readOnlyEnd := unsafe.Offsetof(s.opts) + unsafe.Sizeof(s.opts)
 	for name, off := range map[string]uintptr{
-		"frees":       unsafe.Offsetof(s.frees),
-		"seqFloor":    unsafe.Offsetof(s.seqFloor),
-		"issueCounts": unsafe.Offsetof(s.issueCounts),
-		"closed":      unsafe.Offsetof(s.closed),
+		"frees":    unsafe.Offsetof(s.frees),
+		"seqFloor": unsafe.Offsetof(s.seqFloor),
+		"closed":   unsafe.Offsetof(s.closed),
 	} {
 		if line(off) <= line(readOnlyEnd-1) {
 			t.Errorf("%s at offset %d shares a line with the read-only words, which end at %d", name, off, readOnlyEnd)
@@ -41,8 +40,8 @@ func TestServiceLayout(t *testing.T) {
 	if a, b := line(unsafe.Offsetof(s.frees)), line(unsafe.Offsetof(s.seqFloor)); a != b {
 		t.Errorf("frees on line %d, seqFloor on line %d: a freeing Unpin should write one line", a, b)
 	}
-	if churn, rare := line(unsafe.Offsetof(s.seqFloor)), line(unsafe.Offsetof(s.issueCounts)); churn >= rare {
-		t.Errorf("issueCounts starts on line %d, the churn words are on line %d", rare, churn)
+	if churn, rare := line(unsafe.Offsetof(s.seqFloor)), line(unsafe.Offsetof(s.closed)); churn >= rare {
+		t.Errorf("closed is on line %d, the churn words are on line %d", rare, churn)
 	}
 	if size := unsafe.Sizeof(s); size%pad.CacheLineSize != 0 {
 		t.Errorf("Service is %d bytes, not a multiple of %d", size, pad.CacheLineSize)

@@ -78,6 +78,3 @@ func (l *CLHLock) Unlock() {
 	l.holderNode = nil
 	n.locked.Store(0)
 }
-
-// Locked reports whether the lock is currently held (racy; diagnostics only).
-func (l *CLHLock) Locked() bool { return l.tail.Load().locked.Load() != 0 }

@@ -7,17 +7,19 @@ import (
 
 func TestCLHInitialSentinelFree(t *testing.T) {
 	l := NewCLH()
-	if l.Locked() {
-		t.Fatal("fresh CLH lock reports Locked")
-	}
-	l.Lock()
-	if !l.Locked() {
-		t.Fatal("held CLH lock reports free")
+	if !l.TryLock() {
+		t.Fatal("fresh CLH lock refused TryLock")
 	}
 	l.Unlock()
-	if l.Locked() {
-		t.Fatal("released CLH lock reports Locked")
+	l.Lock()
+	if l.TryLock() {
+		t.Fatal("held CLH lock granted TryLock")
 	}
+	l.Unlock()
+	if !l.TryLock() {
+		t.Fatal("released CLH lock refused TryLock")
+	}
+	l.Unlock()
 }
 
 func TestCLHTryLockQueued(t *testing.T) {

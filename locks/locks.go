@@ -27,7 +27,6 @@ package locks
 
 import (
 	"fmt"
-	"strings"
 )
 
 // Lock is the mutual-exclusion contract shared by every algorithm in this
@@ -76,28 +75,6 @@ func (a Algorithm) String() string {
 func (a Algorithm) Valid() bool {
 	_, ok := algorithmNames[a]
 	return ok
-}
-
-// ParseAlgorithm converts a name from String back to an Algorithm. Unknown
-// names are rejected with the valid set in the error, matching
-// ParseRWAlgorithm.
-func ParseAlgorithm(name string) (Algorithm, error) {
-	for _, a := range Algorithms() {
-		if a.String() == name {
-			return a, nil
-		}
-	}
-	return 0, fmt.Errorf("locks: unknown algorithm %q (valid: %s)", name, algorithmList())
-}
-
-// algorithmList names every algorithm in declaration order, for error
-// messages — the exclusive twin of rwAlgorithmList.
-func algorithmList() string {
-	names := make([]string, 0, len(algorithmNames))
-	for _, a := range Algorithms() {
-		names = append(names, a.String())
-	}
-	return strings.Join(names, ", ")
 }
 
 // Algorithms lists every supported algorithm — the paper's Table 1 — in

@@ -208,6 +208,3 @@ func (l *MCSLock) QueueLen() int {
 		n = next
 	}
 }
-
-// Locked reports whether the lock is currently held (racy; diagnostics only).
-func (l *MCSLock) Locked() bool { return l.tail.Load() != nil }

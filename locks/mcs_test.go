@@ -83,17 +83,21 @@ func TestMCSNodeRecycling(t *testing.T) {
 	}
 }
 
+// TestMCSLockedSnapshot: an empty queue is a free lock and a held one
+// refuses a try, as TryLock's one look at the tail sees them.
 func TestMCSLockedSnapshot(t *testing.T) {
 	l := NewMCS()
-	if l.Locked() {
-		t.Fatal("free lock reports Locked")
-	}
-	l.Lock()
-	if !l.Locked() {
-		t.Fatal("held lock reports free")
+	if !l.TryLock() {
+		t.Fatal("free lock refused TryLock")
 	}
 	l.Unlock()
-	if l.Locked() {
-		t.Fatal("released lock reports Locked")
+	l.Lock()
+	if l.TryLock() {
+		t.Fatal("held lock granted TryLock")
 	}
+	l.Unlock()
+	if !l.TryLock() {
+		t.Fatal("released lock refused TryLock")
+	}
+	l.Unlock()
 }

@@ -9,51 +9,33 @@ import (
 	"time"
 )
 
-// forEachRWAlgorithm runs f once per reader-writer algorithm as a subtest —
+// rwFamilies are the reader-writer lock families by the name their subtests
+// carry, each with its constructor.
+var rwFamilies = []struct {
+	name  string
+	newRW func() RWLock
+}{
+	{"rwttas", func() RWLock { return NewRWTTAS() }},
+	{"rwstriped", func() RWLock { return NewRWStriped() }},
+	{"rwwritepref", func() RWLock { return NewRWWritePref() }},
+	{"rwphasefair", func() RWLock { return NewRWPhaseFair() }},
+}
+
+// forEachRWAlgorithm runs f once per reader-writer family as a subtest —
 // the RW counterpart of forEachAlgorithm. glk.RWLock lives a package up and
 // cannot appear here; glk/rwlock_test.go runs the same contract checks
 // against it.
-func forEachRWAlgorithm(t *testing.T, f func(t *testing.T, a RWAlgorithm)) {
+func forEachRWAlgorithm(t *testing.T, f func(t *testing.T, newRW func() RWLock)) {
 	t.Helper()
-	for _, a := range RWAlgorithms() {
-		t.Run(a.String(), func(t *testing.T) { f(t, a) })
+	for _, fam := range rwFamilies {
+		t.Run(fam.name, func(t *testing.T) { f(t, fam.newRW) })
 	}
-}
-
-func TestRWAlgorithmStringRoundTrip(t *testing.T) {
-	for _, a := range RWAlgorithms() {
-		got, err := ParseRWAlgorithm(a.String())
-		if err != nil {
-			t.Fatalf("ParseRWAlgorithm(%q): %v", a.String(), err)
-		}
-		if got != a {
-			t.Fatalf("round trip %v -> %q -> %v", a, a.String(), got)
-		}
-	}
-	if _, err := ParseRWAlgorithm("nope"); err == nil {
-		t.Fatal("ParseRWAlgorithm accepted garbage")
-	}
-	if RWAlgorithm(0).Valid() {
-		t.Fatal("zero RWAlgorithm reported valid")
-	}
-	if s := RWAlgorithm(99).String(); s != "RWAlgorithm(99)" {
-		t.Fatalf("unknown rw algorithm String = %q", s)
-	}
-}
-
-func TestNewRWPanicsOnUnknown(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewRW(0) did not panic")
-		}
-	}()
-	NewRW(RWAlgorithm(0))
 }
 
 // TestRWBasic exercises the plain sequential contract of every mode pair.
 func TestRWBasic(t *testing.T) {
-	forEachRWAlgorithm(t, func(t *testing.T, a RWAlgorithm) {
-		l := NewRW(a)
+	forEachRWAlgorithm(t, func(t *testing.T, newRW func() RWLock) {
+		l := newRW()
 		for i := 0; i < 100; i++ {
 			l.Lock()
 			l.Unlock()
@@ -73,8 +55,8 @@ func TestRWBasic(t *testing.T) {
 // reader overlapped a writer (or two writers overlapped).
 func TestRWWriterExclusion(t *testing.T) {
 	const writers, readers, iters = 4, 4, 1500
-	forEachRWAlgorithm(t, func(t *testing.T, a RWAlgorithm) {
-		l := NewRW(a)
+	forEachRWAlgorithm(t, func(t *testing.T, newRW func() RWLock) {
+		l := newRW()
 		var x, y int // guarded by l; y is updated after a reschedule point
 		var wg sync.WaitGroup
 		for w := 0; w < writers; w++ {
@@ -116,8 +98,8 @@ func TestRWWriterExclusion(t *testing.T) {
 // parks inside its critical section until a second reader also gets in. A
 // lock that serialized readers would deadlock here (guarded by a timeout).
 func TestRWReaderParallelism(t *testing.T) {
-	forEachRWAlgorithm(t, func(t *testing.T, a RWAlgorithm) {
-		l := NewRW(a)
+	forEachRWAlgorithm(t, func(t *testing.T, newRW func() RWLock) {
+		l := newRW()
 		firstIn := make(chan struct{})
 		secondIn := make(chan struct{})
 		done := make(chan struct{})
@@ -145,8 +127,8 @@ func TestRWReaderParallelism(t *testing.T) {
 // TestRWTryUnderWriter: both try variants must fail while a writer holds,
 // and succeed once it releases.
 func TestRWTryUnderWriter(t *testing.T) {
-	forEachRWAlgorithm(t, func(t *testing.T, a RWAlgorithm) {
-		l := NewRW(a)
+	forEachRWAlgorithm(t, func(t *testing.T, newRW func() RWLock) {
+		l := newRW()
 		l.Lock()
 		tried := make(chan [2]bool)
 		go func() { tried <- [2]bool{l.TryRLock(), l.TryLock()} }()
@@ -174,8 +156,8 @@ func TestRWTryUnderWriter(t *testing.T) {
 // exclusion check.
 func TestRWNoLostWakeups(t *testing.T) {
 	const writers, readers, iters = 3, 5, 800
-	forEachRWAlgorithm(t, func(t *testing.T, a RWAlgorithm) {
-		l := NewRW(a)
+	forEachRWAlgorithm(t, func(t *testing.T, newRW func() RWLock) {
+		l := newRW()
 		var shared int64 // guarded by l
 		var inWrite atomic.Int32
 		var wg sync.WaitGroup
@@ -243,8 +225,8 @@ func TestRWWriterProgressUnderReaderFlood(t *testing.T) {
 	if testing.Short() {
 		t.Skip("starvation soak is slow")
 	}
-	forEachRWAlgorithm(t, func(t *testing.T, a RWAlgorithm) {
-		l := NewRW(a)
+	forEachRWAlgorithm(t, func(t *testing.T, newRW func() RWLock) {
+		l := newRW()
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
 		for r := 0; r < 4; r++ {
@@ -306,15 +288,16 @@ func TestRWStripedInflation(t *testing.T) {
 	}
 	l.RUnlock()
 	l.RUnlock()
-	if got := l.Readers(); got != 0 {
-		t.Fatalf("Readers after drain = %d, want 0", got)
+	if !l.TryLock() {
+		t.Fatal("TryLock refused after the shares drained")
 	}
+	l.Unlock()
 }
 
 func BenchmarkRWUncontendedRead(b *testing.B) {
-	for _, a := range RWAlgorithms() {
-		b.Run(a.String(), func(b *testing.B) {
-			l := NewRW(a)
+	for _, fam := range rwFamilies {
+		b.Run(fam.name, func(b *testing.B) {
+			l := fam.newRW()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				l.RLock()
@@ -330,10 +313,10 @@ func BenchmarkRWUncontendedRead(b *testing.B) {
 // BenchmarkRWUncontendedRead). Each goroutine interleaves reads and writes
 // deterministically, so every run sees the same mix.
 func BenchmarkRWReadMostly(b *testing.B) {
-	for _, a := range RWAlgorithms() {
+	for _, fam := range rwFamilies {
 		for _, reads := range []int{0, 50, 99} {
-			b.Run(a.String()+"/reads="+strconv.Itoa(reads)+"/goroutines=4", func(b *testing.B) {
-				l := NewRW(a)
+			b.Run(fam.name+"/reads="+strconv.Itoa(reads)+"/goroutines=4", func(b *testing.B) {
+				l := fam.newRW()
 				b.SetParallelism(4)
 				b.RunParallel(func(pb *testing.PB) {
 					i := 0

@@ -118,8 +118,8 @@ func TestRWBoundedReaderWait(t *testing.T) {
 // -race in CI.
 func TestRWAlternatingFloodSoak(t *testing.T) {
 	const flooders, workers, quota, rounds = 4, 2, 300, 2
-	forEachRWAlgorithm(t, func(t *testing.T, a RWAlgorithm) {
-		l := NewRW(a)
+	forEachRWAlgorithm(t, func(t *testing.T, newRW func() RWLock) {
+		l := newRW()
 		var shared int64 // guarded by l
 		for round := 0; round < rounds; round++ {
 			for _, writerFloods := range []bool{false, true} {

@@ -97,14 +97,5 @@ func (l *RWTTAS) RUnlock() {
 	l.state.Add(-1)
 }
 
-// Readers returns the number of current read holders (racy snapshot;
-// diagnostics only). A write-held lock reports zero readers.
-func (l *RWTTAS) Readers() int {
-	if s := l.state.Load(); s > 0 {
-		return int(s)
-	}
-	return 0
-}
-
 // WriteLocked reports whether a writer holds the lock (racy snapshot).
 func (l *RWTTAS) WriteLocked() bool { return l.state.Load() == rwWriter }

@@ -16,14 +16,16 @@ func TestRWTTASBasic(t *testing.T) {
 	l.Unlock()
 	l.RLock()
 	l.RLock()
-	if got := l.Readers(); got != 2 {
-		t.Fatalf("Readers = %d, want 2", got)
+	for shares := 2; shares > 0; shares-- {
+		if l.TryLock() {
+			t.Fatalf("TryLock granted beside %d read shares", shares)
+		}
+		l.RUnlock()
 	}
-	l.RUnlock()
-	l.RUnlock()
-	if got := l.Readers(); got != 0 {
-		t.Fatalf("Readers after release = %d, want 0", got)
+	if !l.TryLock() {
+		t.Fatal("TryLock refused after every share was released")
 	}
+	l.Unlock()
 }
 
 func TestRWTTASTryVariants(t *testing.T) {

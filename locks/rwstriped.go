@@ -150,15 +150,6 @@ func (l *RWStriped) Unlock() {
 	l.wmu.Unlock()
 }
 
-// Readers returns the current reader count (racy snapshot; diagnostics
-// only). Transient negatives from in-flight backouts read as zero.
-func (l *RWStriped) Readers() int {
-	if n := l.readers.Sum(); n > 0 {
-		return int(n)
-	}
-	return 0
-}
-
 // WriteLocked reports whether a writer holds (or is acquiring) the lock
 // (racy snapshot).
 func (l *RWStriped) WriteLocked() bool { return l.writer.Load() != 0 }

@@ -42,10 +42,6 @@ func (l *TASLock) Unlock() {
 	l.state.Store(0)
 }
 
-// Locked reports whether the lock is currently held. It is a racy snapshot
-// intended for diagnostics.
-func (l *TASLock) Locked() bool { return l.state.Load() != 0 }
-
 // TTASLock is a test-and-test-and-set spinlock. Waiters spin on a read-only
 // probe of the lock word and only attempt the atomic exchange when they
 // observe it free, which keeps the line in shared state while waiting and
@@ -80,6 +76,3 @@ func (l *TTASLock) TryLock() bool {
 func (l *TTASLock) Unlock() {
 	l.state.Store(0)
 }
-
-// Locked reports whether the lock is currently held (racy; diagnostics only).
-func (l *TTASLock) Locked() bool { return l.state.Load() != 0 }

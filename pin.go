@@ -28,18 +28,15 @@ type Pin struct {
 	e *entry
 }
 
-// Pin resolves key's lock object — creating the GLK lock on first use, like
-// Lock — and takes a reference to it. Every Pin needs exactly one Unpin.
-// Because the last Unpin frees the key, the object a GLK lock adapts on
-// lives only as long as its pins overlap: a caller that knows how its keys
-// are waited on should name the algorithm with PinWith instead.
-func (s *Service) Pin(key uint64) Pin { return s.pinWith(algoGLK, key) }
-
-// PinWith is Pin with the explicit algorithm a for a key's first use — the
-// paper's "pre-determined algorithm" for a lock whose behaviour is known
-// (§4.3). The contract is LockWith's: if the key is already mapped, the
-// existing lock is pinned regardless of a. A key's algorithm is decided per
-// incarnation, so the first PinWith after the last Unpin chooses again.
+// PinWith resolves key's lock object — creating it with the explicit
+// algorithm a on first use, the paper's "pre-determined algorithm" for a
+// lock whose behaviour is known (§4.3) — and takes a reference to it. Every
+// Pin needs exactly one Unpin. The contract is LockWith's: if the key is
+// already mapped, the existing lock is pinned regardless of a. A key's
+// algorithm is decided per incarnation, so the first PinWith after the last
+// Unpin chooses again. An algorithm is named because the last Unpin frees
+// the key: the object a GLK lock adapts on would live only as long as its
+// pins overlap.
 func (s *Service) PinWith(a locks.Algorithm, key uint64) Pin {
 	if !a.Valid() {
 		panic(fmt.Sprintf("gls: PinWith(%v): unknown algorithm", a))

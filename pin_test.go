@@ -35,7 +35,7 @@ func TestPinChurn(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				k := (g + i) % keys
-				p := s.Pin(uint64(k + 1))
+				p := s.pinWith(algoGLK, uint64(k+1))
 				if i%4 == 0 {
 					if !p.TryLock() {
 						p.Unpin()
@@ -139,7 +139,7 @@ func TestPinDuringFreeTakesNextIncarnation(t *testing.T) {
 	defer s.Close()
 	const key = 0xdead
 
-	old := s.Pin(key)
+	old := s.pinWith(algoGLK, key)
 	if !old.TryLock() {
 		t.Fatal("fresh key not acquirable")
 	}
@@ -153,7 +153,7 @@ func TestPinDuringFreeTakesNextIncarnation(t *testing.T) {
 	}
 
 	pinned := make(chan Pin)
-	go func() { pinned <- s.Pin(key) }()
+	go func() { pinned <- s.pinWith(algoGLK, key) }()
 	select {
 	case p := <-pinned:
 		t.Fatalf("Pin returned while the dying entry was still mapped (same entry: %v)", p.e == old.e)
@@ -207,7 +207,7 @@ func TestPinWithAlgorithm(t *testing.T) {
 	if _, ok := first.e.boxed().lock.(*locks.MutexLock); !ok || first.e.algo() != locks.Mutex {
 		t.Fatalf("PinWith(Mutex) created %T (algo %v)", first.e.boxed().lock, first.e.algo())
 	}
-	for name, p := range map[string]Pin{"Pin": s.Pin(key), "PinWith(MCS)": s.PinWith(locks.MCS, key)} {
+	for name, p := range map[string]Pin{"pinWith(GLK)": s.pinWith(algoGLK, key), "PinWith(MCS)": s.PinWith(locks.MCS, key)} {
 		if p.e != first.e {
 			t.Errorf("%s of a mapped key resolved a second object (%p, not %p)", name, p.e, first.e)
 		}
@@ -256,7 +256,7 @@ func TestLastUnpinInvalidatesHandle(t *testing.T) {
 	s := New(Options{})
 	defer s.Close()
 	const key = 9
-	p1, p2 := s.Pin(key), s.Pin(key)
+	p1, p2 := s.pinWith(algoGLK, key), s.pinWith(algoGLK, key)
 	h := s.NewHandle()
 	use := func() {
 		h.Lock(key)

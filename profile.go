@@ -46,7 +46,7 @@ func (s *Service) ProfileStats() []ProfileStat {
 		if l.Acquisitions == 0 {
 			continue
 		}
-		// A shared registry (telemetry.Default()) may carry other
+		// A shared registry may carry other
 		// services' locks; the paper's profile is per-service, so keep
 		// only keys this service currently maps (one wait-free Get each).
 		if s.table.Get(l.Key) == nil {

@@ -60,14 +60,14 @@ func FuzzParseCommand(f *testing.F) {
 			if !knownCodes[perr.Code] {
 				t.Fatalf("ParseCommand(%q): unknown error code %q", line, perr.Code)
 			}
-			if cmd.Op != OpInvalid {
+			if cmd.Op != 0 {
 				t.Fatalf("ParseCommand(%q): error %v but op %v", line, perr, cmd.Op)
 			}
 			return
 		}
 		// Accepted commands must be internally consistent.
-		if cmd.Op == OpInvalid {
-			t.Fatalf("ParseCommand(%q): accepted with OpInvalid", line)
+		if cmd.Op == 0 {
+			t.Fatalf("ParseCommand(%q): accepted with the zero Op", line)
 		}
 		if cmd.Key == 0 {
 			switch cmd.Op {

@@ -46,10 +46,10 @@ import (
 // Op enumerates the wire commands.
 type Op int
 
-// The command set. OpInvalid is the zero value so an unparsed Command is
+// The command set. The zero Op is none of them, so an unparsed Command is
 // never mistaken for a real one.
 const (
-	OpInvalid Op = iota
+	_ Op = iota
 	OpSession
 	OpPing
 	OpTryLock

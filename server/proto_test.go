@@ -172,8 +172,8 @@ func TestOpString(t *testing.T) {
 			t.Errorf("ParseCommand(%q).Op = %v, want %v", line, cmd.Op, op)
 		}
 	}
-	if OpInvalid.String() != "invalid" {
-		t.Errorf("OpInvalid.String() = %q", OpInvalid.String())
+	if Op(0).String() != "invalid" {
+		t.Errorf("Op(0).String() = %q", Op(0).String())
 	}
 }
 

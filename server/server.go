@@ -139,8 +139,8 @@ type Stats struct {
 	Overloads uint64
 }
 
-// Server is one glsd instance. Create with New, serve with Serve or
-// ListenAndServe, stop with Close.
+// Server is one glsd instance. Create with New, serve with Listen and
+// Serve, stop with Close.
 type Server struct {
 	opts Options
 	svc  *gls.Service
@@ -171,7 +171,7 @@ type Server struct {
 }
 
 // New builds a server (its own gls.Service included) and starts the expiry
-// sweeper. It does not listen; call Serve or ListenAndServe.
+// sweeper. It does not listen; call Listen and Serve.
 func New(opts Options) (*Server, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -208,17 +208,6 @@ func (s *Server) Stats() Stats {
 		Disconnects:   s.disconnects.Load(),
 		Overloads:     s.overloads.Load(),
 	}
-}
-
-// ListenAndServe listens on addr and serves until Close, blocking like
-// http.Server.ListenAndServe. Use Listen + Serve to learn the bound
-// address first.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := s.Listen(addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
 }
 
 // Listen opens a TCP listener on addr and registers it for Close.

@@ -73,9 +73,8 @@ type Options struct {
 	// and queue lengths, GLK mode transitions — see package telemetry).
 	// The hooks are wired into each lock object at entry construction, so
 	// services without telemetry run the exact zero-options fast path with
-	// no per-operation branches. Use telemetry.Default() for the
-	// process-wide registry, or a private Registry to scope or tune
-	// sampling.
+	// no per-operation branches. Services may share one Registry, or
+	// each carry its own to scope or tune sampling.
 	Telemetry *telemetry.Registry
 
 	// GLKRW tunes the adaptive reader-writer locks created by
@@ -109,11 +108,11 @@ const (
 )
 
 // entry is what a table slot points at, and for a key created through the
-// default surface — GLK, exclusive: Lock, TryLock, InitLock, LockMany, a
-// Handle, Pin — it is the lock itself: one 128-byte object whose first line
-// is the glk.Lock (mode word, sampling clock, ticket words, the pointers to
-// what a contended lock builds later, and the flag word in Aux) and whose
-// second holds the words only a holder, a pinner or the debugger writes.
+// default surface — GLK, exclusive: Lock, TryLock, InitLock, a Handle — it
+// is the lock itself: one 128-byte object whose first line is the glk.Lock
+// (mode word, sampling clock, ticket words, the pointers to what a
+// contended lock builds later, and the flag word in Aux) and whose second
+// holds the words only a holder, a pinner or the debugger writes.
 // A look-up therefore ends on the line the acquisition is about to write:
 // bucket → lock, with a call to a concrete *glk.Lock and no interface in
 // between, and the dead mark a Handle hit tests is on that line too. The
@@ -142,12 +141,11 @@ type boxedHead struct {
 	// rw is non-nil exactly when the key was introduced through the
 	// reader-writer surface (RLock/InitRWLock); lock then aliases the same
 	// object's write side, so the exclusive entry points keep working on
-	// an RW key (Lock == write-lock) with zero extra branches. rwalgo is
-	// algoGLKRW or the explicit RW algorithm. A key's species — exclusive
-	// or RW — is decided at first use, like its algorithm.
-	rw     locks.RWLock
-	algo   locks.Algorithm // the explicit algorithm of an exclusive key
-	rwalgo locks.RWAlgorithm
+	// an RW key (Lock == write-lock) with zero extra branches. A key's
+	// species — exclusive or RW — is decided at first use, like its
+	// algorithm.
+	rw   locks.RWLock
+	algo locks.Algorithm // the explicit algorithm of an exclusive key
 }
 
 // auxOffset is where the flag word sits in either layout.
@@ -304,10 +302,9 @@ type serviceChurn struct {
 	seqFloor atomic.Uint64
 }
 
-// serviceRare is written by issue reports and Close.
+// serviceRare is written by Close.
 type serviceRare struct {
-	issueCounts [issueKindCount]atomic.Uint64
-	closed      atomic.Bool
+	closed atomic.Bool
 }
 
 // ShardInfo is the table's occupancy and churn (ShardStats).

@@ -114,151 +114,11 @@ func (s *Service) debugLockCancel(me gid.ID, e *entry, c *locks.Cancel) bool {
 	return true
 }
 
-// RLockCtx acquires a read share of key's reader-writer lock like RLock,
-// but gives up when ctx fires while waiting, returning the context's error
-// (nil means the share is held). Same species rules as RLock: the key must
-// be (or become) a reader-writer key.
-func (s *Service) RLockCtx(ctx context.Context, key uint64) error {
-	c := cancelFromCtx(ctx)
-	if c.Never() {
-		s.RLock(key)
-		return nil
-	}
-	if s.fast {
-		if e := s.table.Get(key); e != nil {
-			rw := e.rwLock()
-			if rw == nil {
-				s.entryForRW(key, algoGLKRW) // panics with the species message
-			}
-			if locks.RLockWithCancel(rw, c) {
-				return nil
-			}
-			return abortErr(ctx, c)
-		}
-	}
-	if !s.rlockCancelWith(algoGLKRW, key, c) {
-		return abortErr(ctx, c)
-	}
-	return nil
-}
-
-// TryRLockFor acquires a read share of key's reader-writer lock, waiting up
-// to d, and reports whether the share was taken. d <= 0 degenerates to
-// TryRLock.
-func (s *Service) TryRLockFor(key uint64, d time.Duration) bool {
-	if d <= 0 {
-		return s.TryRLock(key)
-	}
-	c := &locks.Cancel{Deadline: time.Now().Add(d)}
-	if s.fast {
-		if e := s.table.Get(key); e != nil {
-			rw := e.rwLock()
-			if rw == nil {
-				s.entryForRW(key, algoGLKRW)
-			}
-			return locks.RLockWithCancel(rw, c)
-		}
-	}
-	return s.rlockCancelWith(algoGLKRW, key, c)
-}
-
-// rlockCancelWith is the bounded twin of rlockWith.
-func (s *Service) rlockCancelWith(a locks.RWAlgorithm, key uint64, c *locks.Cancel) bool {
-	e, created := s.entryForRW(key, a)
-	if s.dbg != nil {
-		return s.debugRLockCancel(e, created, a, c)
-	}
-	return locks.RLockWithCancel(e.rwLock(), c)
-}
-
-// debugRLockCancel is debugRLock with an abort path; the reader record is
-// only added on a grant.
-func (s *Service) debugRLockCancel(e *entry, created bool, requested locks.RWAlgorithm, c *locks.Cancel) bool {
-	me := gid.Get()
-	s.debugPreRLock(me, e, created, requested)
-	if !e.rwLock().TryRLock() {
-		s.dbg.setWaiting(me, e.key)
-		ok := locks.RLockWithCancel(e.rwLock(), c)
-		s.dbg.clearWaiting(me)
-		if !ok {
-			return false
-		}
-	}
-	s.dbg.addReader(e.key, me)
-	return true
-}
-
 // WithLock runs fn while holding key's lock. The unlock is deferred, so a
 // panicking fn releases the lock before the panic propagates — the critical
 // section cannot leak a held lock into the recover path above it.
 func (s *Service) WithLock(key uint64, fn func()) {
 	s.Lock(key)
 	defer s.Unlock(key)
-	fn()
-}
-
-// WithRLock runs fn while holding a read share of key's lock, with the same
-// panic safety as WithLock.
-func (s *Service) WithRLock(key uint64, fn func()) {
-	s.RLock(key)
-	defer s.RUnlock(key)
-	fn()
-}
-
-// LockCtx is the handle twin of Service.LockCtx, resolving key through the
-// one-entry cache.
-func (h *Handle) LockCtx(ctx context.Context, key uint64) error {
-	c := cancelFromCtx(ctx)
-	if c.Never() {
-		h.Lock(key)
-		return nil
-	}
-	if locks.LockWithCancel(h.entry(key).exclusive(), c) {
-		return nil
-	}
-	return abortErr(ctx, c)
-}
-
-// TryLockFor is the handle twin of Service.TryLockFor.
-func (h *Handle) TryLockFor(key uint64, d time.Duration) bool {
-	if d <= 0 {
-		return h.TryLock(key)
-	}
-	return locks.LockWithCancel(h.entry(key).exclusive(), &locks.Cancel{Deadline: time.Now().Add(d)})
-}
-
-// RLockCtx is the handle twin of Service.RLockCtx.
-func (h *Handle) RLockCtx(ctx context.Context, key uint64) error {
-	c := cancelFromCtx(ctx)
-	if c.Never() {
-		h.RLock(key)
-		return nil
-	}
-	if locks.RLockWithCancel(h.rw(key), c) {
-		return nil
-	}
-	return abortErr(ctx, c)
-}
-
-// TryRLockFor is the handle twin of Service.TryRLockFor.
-func (h *Handle) TryRLockFor(key uint64, d time.Duration) bool {
-	if d <= 0 {
-		return h.TryRLock(key)
-	}
-	return locks.RLockWithCancel(h.rw(key), &locks.Cancel{Deadline: time.Now().Add(d)})
-}
-
-// WithLock is the handle twin of Service.WithLock: fn runs under key's
-// lock, and a panic releases before propagating.
-func (h *Handle) WithLock(key uint64, fn func()) {
-	h.Lock(key)
-	defer h.Unlock(key)
-	fn()
-}
-
-// WithRLock is the handle twin of Service.WithRLock.
-func (h *Handle) WithRLock(key uint64, fn func()) {
-	h.RLock(key)
-	defer h.RUnlock(key)
 	fn()
 }

@@ -93,31 +93,6 @@ func TestTryLockFor(t *testing.T) {
 	s.Unlock(key)
 }
 
-// TestRLockCtx covers the read-side bounded acquisition against a writer.
-func TestRLockCtx(t *testing.T) {
-	s := New(Options{})
-	defer s.Close()
-	const key = 11
-	s.InitRWLock(key)
-	s.Lock(key) // write side of the RW key
-	short, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	errc := make(chan error)
-	go func() { errc <- s.RLockCtx(short, key) }()
-	if err := <-errc; !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("RLockCtx behind a writer = %v, want DeadlineExceeded", err)
-	}
-	s.Unlock(key)
-	if err := s.RLockCtx(context.Background(), key); err != nil {
-		t.Fatalf("RLockCtx on free key = %v", err)
-	}
-	s.RUnlock(key)
-	if !s.TryRLockFor(key, 10*time.Millisecond) {
-		t.Fatal("TryRLockFor on free key failed")
-	}
-	s.RUnlock(key)
-}
-
 // TestLockCtxDebugMode runs the bounded paths through the debug service:
 // owner bookkeeping must only record grants, and an aborted wait must leave
 // no waiting record behind (the deadlock detector would see a phantom).
@@ -170,62 +145,6 @@ func TestWithLockPanicSafe(t *testing.T) {
 		t.Fatal("lock still held after a panicking WithLock")
 	}
 	s.Unlock(key)
-
-	s.InitRWLock(19)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("WithRLock swallowed the panic")
-			}
-		}()
-		s.WithRLock(19, func() { panic("reader failed") })
-	}()
-	if !s.TryLock(19) {
-		t.Fatal("read share still held after a panicking WithRLock")
-	}
-	s.Unlock(19)
-}
-
-// TestHandleCtxSurface runs the handle twins through the same outcomes.
-func TestHandleCtxSurface(t *testing.T) {
-	s := New(Options{})
-	defer s.Close()
-	h := s.NewHandle()
-	const key = 23
-	if err := h.LockCtx(context.Background(), key); err != nil {
-		t.Fatalf("Handle.LockCtx = %v", err)
-	}
-	short, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	errc := make(chan error)
-	go func() { errc <- s.NewHandle().LockCtx(short, key) }()
-	if err := <-errc; !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Handle.LockCtx on held key = %v, want DeadlineExceeded", err)
-	}
-	h.Unlock(key)
-	if !h.TryLockFor(key, 10*time.Millisecond) {
-		t.Fatal("Handle.TryLockFor on free key failed")
-	}
-	h.Unlock(key)
-
-	s.InitRWLock(29)
-	if err := h.RLockCtx(context.Background(), 29); err != nil {
-		t.Fatalf("Handle.RLockCtx = %v", err)
-	}
-	h.RUnlock(29)
-	if !h.TryRLockFor(29, 10*time.Millisecond) {
-		t.Fatal("Handle.TryRLockFor on free key failed")
-	}
-	h.RUnlock(29)
-
-	func() {
-		defer func() { _ = recover() }()
-		h.WithLock(key, func() { panic("x") })
-	}()
-	if !h.TryLock(key) {
-		t.Fatal("lock held after panicking Handle.WithLock")
-	}
-	h.Unlock(key)
 }
 
 // TestLockCtxExplicitAlgorithms exercises the polling fallback end to end:

@@ -5,14 +5,12 @@ import (
 
 	"gls/glk"
 	"gls/internal/gid"
-	"gls/locks"
-	"gls/telemetry"
 )
 
 // This file is the service surface of glsrw: reader-writer locking with
 // the same key-addressed, auto-creating contract as the exclusive entry
 // points. A key becomes a reader-writer key on its first use through this
-// surface (RLock, TryRLock, InitRWLock, or a *With variant); from then on
+// surface (RLock, TryRLock or InitRWLock); from then on
 // the exclusive entry points operate on the same lock's write side — the
 // paper's gls_lock(k) is the write lock of an RW key — and the read
 // entry points hand out shares. Using the read surface on a key that was
@@ -21,57 +19,34 @@ import (
 // that undefined behavior into a clean failure (debug mode reports the
 // issue first).
 
-// algoGLKRW is the internal RW-algorithm tag for adaptive glk RW entries,
-// the RW twin of algoGLK: deliberately not a valid locks.RWAlgorithm,
-// because adaptive is the default, not one of the explicit choices.
-const algoGLKRW locks.RWAlgorithm = 0
-
-// rwAlgoName names an RW entry's algorithm, including the adaptive default.
-func rwAlgoName(a locks.RWAlgorithm) string {
-	if a == algoGLKRW {
-		return "glkrw"
-	}
-	return a.String()
-}
-
 // newRWEntry builds the reader-writer lock object for a key on first use —
-// the RW twin of newEntry, with the same one-time telemetry resolution: an
-// adaptive lock gets the hooks compiled in via its config, an explicit
-// algorithm is wrapped by telemetry.InstrumentRW, and without a registry
-// the locks are built bare. The entry's exclusive lock aliases the write
-// side.
-func (s *Service) newRWEntry(key uint64, a locks.RWAlgorithm) func() *entry {
+// the RW twin of newEntry, with the same one-time telemetry resolution: with
+// a registry the adaptive lock gets the hooks compiled in via its config,
+// without one it is built bare. The entry's exclusive lock aliases the
+// write side.
+func (s *Service) newRWEntry(key uint64) func() *entry {
 	return func() *entry {
-		var rw locks.RWLock
+		cfg := s.opts.GLKRW
 		if s.tele != nil {
-			st := s.tele.Register(key, rwAlgoName(a))
-			if a == algoGLKRW {
-				var cfg glk.RWConfig
-				if s.opts.GLKRW != nil {
-					cfg = *s.opts.GLKRW
-				}
-				cfg.Stats = st
-				rw = glk.NewRW(&cfg)
-			} else {
-				rw = telemetry.InstrumentRW(locks.NewRW(a), st)
+			cfg = &glk.RWConfig{}
+			if s.opts.GLKRW != nil {
+				*cfg = *s.opts.GLKRW
 			}
-		} else if a == algoGLKRW {
-			rw = glk.NewRW(s.opts.GLKRW)
-		} else {
-			rw = locks.NewRW(a)
+			cfg.Stats = s.tele.Register(key, "glkrw")
 		}
-		return newBoxed(key, boxedHead{lock: rw, rw: rw, rwalgo: a})
+		rw := glk.NewRW(cfg)
+		return newBoxed(key, boxedHead{lock: rw, rw: rw})
 	}
 }
 
-// entryForRW maps a key to its reader-writer entry, creating it with
-// algorithm a on first use. It panics when the key is already mapped to an
+// entryForRW maps a key to its reader-writer entry, creating the adaptive
+// lock on first use. It panics when the key is already mapped to an
 // exclusive lock (debug mode reports the mismatch first).
-func (s *Service) entryForRW(key uint64, a locks.RWAlgorithm) (*entry, bool) {
+func (s *Service) entryForRW(key uint64) (*entry, bool) {
 	if key == 0 {
 		panic("gls: zero key (the paper's NULL) is not a valid lock")
 	}
-	e, created := s.table.GetOrInsert(key, s.newRWEntry(key, a))
+	e, created := s.table.GetOrInsert(key, s.newRWEntry(key))
 	if e.rwLock() == nil {
 		s.reportRWMismatch(key, "reader-writer use of a key mapped to an exclusive lock")
 		panic(fmt.Sprintf("gls: key %#x is mapped to an exclusive lock; RW entry points need an RW key (use a fresh key or InitRWLock first)", key))
@@ -106,29 +81,20 @@ func (s *Service) RLock(key uint64) {
 		if e := s.table.Get(key); e != nil {
 			rw := e.rwLock()
 			if rw == nil {
-				s.entryForRW(key, algoGLKRW) // panics with the species message
+				s.entryForRW(key) // panics with the species message
 			}
 			rw.RLock()
 			return
 		}
 	}
-	s.rlockWith(algoGLKRW, key)
+	s.rlockWith(key)
 }
 
-// RLockWith acquires a read share using the explicit RW algorithm a — the
-// read-side gls_A_lock family. If the key is already mapped the existing
-// lock is used regardless of a (debug mode reports the mismatch).
-func (s *Service) RLockWith(a locks.RWAlgorithm, key uint64) {
-	if !a.Valid() {
-		panic(fmt.Sprintf("gls: RLockWith(%v): unknown rw algorithm", a))
-	}
-	s.rlockWith(a, key)
-}
-
-func (s *Service) rlockWith(a locks.RWAlgorithm, key uint64) {
-	e, created := s.entryForRW(key, a)
+// rlockWith is RLock's general path: first uses and debug-mode services.
+func (s *Service) rlockWith(key uint64) {
+	e, created := s.entryForRW(key)
 	if s.dbg != nil {
-		s.debugRLock(e, created, a)
+		s.debugRLock(e, created)
 		return
 	}
 	e.rwLock().RLock()
@@ -140,26 +106,19 @@ func (s *Service) TryRLock(key uint64) bool {
 		if e := s.table.Get(key); e != nil {
 			rw := e.rwLock()
 			if rw == nil {
-				s.entryForRW(key, algoGLKRW)
+				s.entryForRW(key)
 			}
 			return rw.TryRLock()
 		}
 	}
-	return s.tryRLockWith(algoGLKRW, key)
+	return s.tryRLockWith(key)
 }
 
-// TryRLockWith try-acquires a read share with the explicit RW algorithm a.
-func (s *Service) TryRLockWith(a locks.RWAlgorithm, key uint64) bool {
-	if !a.Valid() {
-		panic(fmt.Sprintf("gls: TryRLockWith(%v): unknown rw algorithm", a))
-	}
-	return s.tryRLockWith(a, key)
-}
-
-func (s *Service) tryRLockWith(a locks.RWAlgorithm, key uint64) bool {
-	e, created := s.entryForRW(key, a)
+// tryRLockWith is TryRLock's general path.
+func (s *Service) tryRLockWith(key uint64) bool {
+	e, created := s.entryForRW(key)
 	if s.dbg != nil {
-		return s.debugTryRLock(e, created, a)
+		return s.debugTryRLock(e, created)
 	}
 	return e.rwLock().TryRLock()
 }
@@ -190,22 +149,7 @@ func (s *Service) RUnlock(key uint64) {
 // analogue of pthread_rwlock_init, and the way to fix a key's species
 // before any exclusive entry point can auto-create it as exclusive.
 func (s *Service) InitRWLock(key uint64) {
-	s.initRWLockWith(algoGLKRW, key)
-}
-
-// InitRWLockWith pre-creates key's reader-writer lock with an explicit
-// algorithm. Passing an invalid algorithm panics — including the zero
-// RWAlgorithm, which is GLS's internal adaptive tag; external callers
-// reach the default through InitRWLock.
-func (s *Service) InitRWLockWith(a locks.RWAlgorithm, key uint64) {
-	if !a.Valid() {
-		panic(fmt.Sprintf("gls: InitRWLockWith(%v): unknown rw algorithm", a))
-	}
-	s.initRWLockWith(a, key)
-}
-
-func (s *Service) initRWLockWith(a locks.RWAlgorithm, key uint64) {
-	e, _ := s.entryForRW(key, a)
+	e, _ := s.entryForRW(key)
 	if s.dbg != nil {
 		s.dbg.markInitialized(e.key)
 	}
@@ -222,12 +166,8 @@ func (s *Service) IsRWKey(key uint64) bool {
 // GLKStats, supporting the same transition-tracing workflow.
 func (s *Service) GLKRWStats(key uint64) (glk.RWStats, bool) {
 	e := s.table.Get(key)
-	if e == nil || e.rwLock() == nil || e.boxed().rwalgo != algoGLKRW {
+	if e == nil || e.rwLock() == nil {
 		return glk.RWStats{}, false
 	}
-	l, ok := e.boxed().rw.(*glk.RWLock)
-	if !ok {
-		return glk.RWStats{}, false
-	}
-	return l.Stats(), true
+	return e.boxed().rw.(*glk.RWLock).Stats(), true
 }

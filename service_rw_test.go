@@ -9,7 +9,6 @@ import (
 
 	"gls/glk"
 	"gls/internal/sysmon"
-	"gls/locks"
 	"gls/telemetry"
 )
 
@@ -54,32 +53,6 @@ func TestServiceRWBasic(t *testing.T) {
 	}
 }
 
-func TestServiceRWExplicitAlgorithms(t *testing.T) {
-	reg := telemetry.New(telemetry.Options{})
-	s := testRWService(t, Options{Telemetry: reg})
-	key := uint64(0x100)
-	for _, a := range locks.RWAlgorithms() {
-		key++
-		s.InitRWLockWith(a, key)
-		s.RLockWith(a, key)
-		s.RUnlock(key)
-		if !s.TryRLockWith(a, key) {
-			t.Fatalf("%v: TryRLockWith failed on free lock", a)
-		}
-		s.RUnlock(key)
-		snap := reg.Snapshot().Lock(key)
-		if snap == nil || snap.Kind != a.String() {
-			t.Fatalf("%v: telemetry kind = %+v", a, snap)
-		}
-		if !snap.IsRW || snap.RAcquisitions != 2 {
-			t.Fatalf("%v: read side not counted: %+v", a, snap)
-		}
-	}
-	if _, ok := s.GLKRWStats(key); ok {
-		t.Fatal("GLKRWStats reported ok for an explicit-algorithm key")
-	}
-}
-
 func TestServiceRWSpeciesMismatchPanics(t *testing.T) {
 	s := testRWService(t, Options{})
 	s.Lock(0x7)
@@ -98,7 +71,6 @@ func TestServiceRWSpeciesMismatchPanics(t *testing.T) {
 	mustPanic("RUnlock", func() { s.RUnlock(0x7) })
 	mustPanic("InitRWLock", func() { s.InitRWLock(0x7) })
 	mustPanic("RUnlock-never-locked", func() { s.RUnlock(0x8) })
-	mustPanic("InitRWLockWith-zero", func() { s.InitRWLockWith(locks.RWAlgorithm(0), 0x9) })
 	mustPanic("RLock-zero-key", func() { s.RLock(0) })
 }
 
@@ -154,10 +126,6 @@ func TestHandleRWCaching(t *testing.T) {
 	if !s.IsRWKey(key) {
 		t.Fatal("handle RLock did not create an RW key")
 	}
-	if !h.TryRLock(key) {
-		t.Fatal("handle TryRLock failed on free lock")
-	}
-	h.RUnlock(key)
 	// Exclusive ops through the same handle cache slot.
 	h.Lock(key)
 	h.Unlock(key)
@@ -251,9 +219,6 @@ func TestDebugRUnlockNotReaderDetected(t *testing.T) {
 	if n := len(c.byKind(IssueRUnlockNotReader)); n != 2 {
 		t.Fatalf("IssueRUnlockNotReader count = %d, want 2", n)
 	}
-	if s.IssueCount(IssueRUnlockNotReader) != 2 {
-		t.Fatalf("IssueCount = %d, want 2", s.IssueCount(IssueRUnlockNotReader))
-	}
 }
 
 func TestDebugRWStrictInitAndMismatch(t *testing.T) {
@@ -262,12 +227,6 @@ func TestDebugRWStrictInitAndMismatch(t *testing.T) {
 	s.RUnlock(0x31)
 	if len(c.byKind(IssueUninitializedLock)) == 0 {
 		t.Fatal("uninitialized rlock not reported")
-	}
-	s.InitRWLockWith(locks.RWStripedAlgo, 0x32)
-	s.RLockWith(locks.RWTTASAlgo, 0x32) // wrong algorithm
-	s.RUnlock(0x32)
-	if len(c.byKind(IssueAlgorithmMismatch)) == 0 {
-		t.Fatal("rw algorithm mismatch not reported")
 	}
 	// RUnlock of an exclusive key reports (and does not forward).
 	s.InitLock(0x33)

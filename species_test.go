@@ -68,10 +68,6 @@ func exerciseExclusive(t *testing.T, s *Service, key uint64, wantInline bool) {
 	}
 	held("after Service.TryLock", true)
 	s.Unlock(key)
-	s.LockMany(key, key+1<<40)
-	held("after LockMany", true)
-	s.UnlockMany(key, key+1<<40)
-	held("after UnlockMany", false)
 	if h.CacheMisses() != 1 {
 		t.Fatalf("key %#x: %d handle misses over one key, want 1", key, h.CacheMisses())
 	}
@@ -80,7 +76,7 @@ func exerciseExclusive(t *testing.T, s *Service, key uint64, wantInline bool) {
 // TestSpeciesDispatch: only a key created through the default surface is an
 // inline GLK lock, and every operation on a key of either layout, through
 // the service or a handle, reaches that key's own lock — for every explicit
-// algorithm, both reader-writer defaults, pins with a named algorithm, with
+// algorithm, the reader-writer default, pins with a named algorithm, with
 // telemetry wrapping the locks and with the debugger in front of them.
 func TestSpeciesDispatch(t *testing.T) {
 	for name, opts := range speciesOptions() {
@@ -94,9 +90,7 @@ func TestSpeciesDispatch(t *testing.T) {
 				"InitLock": s.InitLock,
 				"Lock":     func(k uint64) { s.Lock(k); s.Unlock(k) },
 				"TryLock":  func(k uint64) { s.TryLock(k); s.Unlock(k) },
-				"LockMany": func(k uint64) { s.LockMany(k, k+1); s.UnlockMany(k, k+1) },
 				"Handle":   func(k uint64) { h := s.NewHandle(); h.Lock(k); h.Unlock(k) },
-				"Pin":      func(k uint64) { p := s.Pin(k); t.Cleanup(p.Unpin) },
 			} {
 				k := next()
 				create(k)
@@ -134,33 +128,26 @@ func TestSpeciesDispatch(t *testing.T) {
 			p.Unlock()
 			p.Unpin()
 
-			rwKeys := []uint64{next()}
-			s.InitRWLock(rwKeys[0])
-			for _, a := range locks.RWAlgorithms() {
-				k := next()
-				s.InitRWLockWith(a, k)
-				rwKeys = append(rwKeys, k)
+			k = next()
+			s.InitRWLock(k)
+			exerciseExclusive(t, s, k, false) // the write side
+			h := s.NewHandle()
+			h.RLock(k)
+			if !s.TryRLock(k) {
+				t.Fatalf("rw key %#x: second read share refused", k)
 			}
-			for _, k := range rwKeys {
-				exerciseExclusive(t, s, k, false) // the write side
-				h := s.NewHandle()
-				s.RLock(k)
-				if !h.TryRLock(k) {
-					t.Fatalf("rw key %#x: second read share refused", k)
-				}
-				if s.TryLock(k) || h.TryLock(k) {
-					t.Fatalf("rw key %#x: write lock granted beside read shares", k)
-				}
-				h.RUnlock(k)
-				s.RUnlock(k)
-				if !h.TryLock(k) {
-					t.Fatalf("rw key %#x: write lock refused with no reader", k)
-				}
-				if s.TryRLock(k) {
-					t.Fatalf("rw key %#x: read share granted beside the writer", k)
-				}
-				h.Unlock(k)
+			if s.TryLock(k) || h.TryLock(k) {
+				t.Fatalf("rw key %#x: write lock granted beside read shares", k)
 			}
+			h.RUnlock(k)
+			s.RUnlock(k)
+			if !h.TryLock(k) {
+				t.Fatalf("rw key %#x: write lock refused with no reader", k)
+			}
+			if s.TryRLock(k) {
+				t.Fatalf("rw key %#x: read share granted beside the writer", k)
+			}
+			h.Unlock(k)
 		})
 	}
 }

@@ -75,7 +75,7 @@ func TestHistogramLaneRoundTrip(t *testing.T) {
 	if l == nil || sumb(l.WaitHist) != 10 || sumb(l.HoldHist) != 10 {
 		t.Fatalf("snapshot histograms: %+v", l)
 	}
-	if l.WaitPercentile(50) == 0 || l.HoldPercentile(99) == 0 {
+	if l.WaitPercentile(50) == 0 || histPercentile(l.HoldHist, 99) == 0 {
 		t.Fatalf("percentiles empty: %+v", l)
 	}
 
@@ -131,7 +131,7 @@ func TestHistogramRWLane(t *testing.T) {
 	}
 	snap := reg.Snapshot()
 	l := snap.Lock(0xb2)
-	if sumb(l.RWaitHist) != 8 || l.RWaitPercentile(95) == 0 {
+	if sumb(l.RWaitHist) != 8 || histPercentile(l.RWaitHist, 95) == 0 {
 		t.Fatalf("rw histogram: %+v", l)
 	}
 	var txt bytes.Buffer

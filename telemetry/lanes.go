@@ -1,7 +1,5 @@
 package telemetry
 
-import "time"
-
 // LaneSet is a snapshot flattened into the scalar "assertion lanes" the
 // glscn scenario engine (internal/scenario) checks bounds against: the
 // per-lock counters summed over every lock — live and retired, write and
@@ -71,23 +69,4 @@ func ExtractLanes(s *Snapshot) LaneSet {
 	ls.RWaitPhases += r.RWaitPhases
 	ls.WaitHist = addBuckets(ls.WaitHist, r.WaitHist)
 	return ls
-}
-
-// TransitionCount returns the summed count of adaptation edges matching
-// from→to, where "*" matches any mode or family name on that side.
-func (ls *LaneSet) TransitionCount(from, to string) uint64 {
-	var n uint64
-	for _, t := range ls.Transitions {
-		if (from == "*" || t.From == from) && (to == "*" || t.To == to) {
-			n += t.Count
-		}
-	}
-	return n
-}
-
-// WaitPercentile returns the p-th percentile (0 < p < 100) of the merged
-// sampled wait histogram — accurate to the log2 bucket's factor-of-two
-// width, zero when nothing was sampled.
-func (ls *LaneSet) WaitPercentile(p float64) time.Duration {
-	return histPercentile(ls.WaitHist, p)
 }

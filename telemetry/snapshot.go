@@ -70,7 +70,7 @@ type LockSnapshot struct {
 	// WaitHist, HoldHist, and RWaitHist are the sampled latency histograms:
 	// bucket i counts timed samples whose duration fell in [2^(i-1), 2^i)
 	// nanoseconds, trailing zero buckets trimmed (see hist.go). They feed
-	// the percentile accessors (WaitPercentile and friends); the mean
+	// the percentiles of reports and exports; the mean
 	// accessors above use the exact nanosecond sums instead.
 	WaitHist  []uint64 `json:"wait_hist,omitempty"`
 	HoldHist  []uint64 `json:"hold_hist,omitempty"`
@@ -159,18 +159,6 @@ func (l *LockSnapshot) AvgWriterDrain() time.Duration {
 // the bucket's factor-of-two width. Zero when nothing was sampled.
 func (l *LockSnapshot) WaitPercentile(p float64) time.Duration {
 	return histPercentile(l.WaitHist, p)
-}
-
-// HoldPercentile returns the p-th percentile of the sampled hold
-// (critical-section) latency.
-func (l *LockSnapshot) HoldPercentile(p float64) time.Duration {
-	return histPercentile(l.HoldHist, p)
-}
-
-// RWaitPercentile returns the p-th percentile of the sampled read-side
-// acquisition wait latency of an RW lock.
-func (l *LockSnapshot) RWaitPercentile(p float64) time.Duration {
-	return histPercentile(l.RWaitHist, p)
 }
 
 // TransitionCount is the total number of mode changes.

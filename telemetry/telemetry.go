@@ -191,20 +191,6 @@ func New(opts Options) *Registry {
 	}
 }
 
-var (
-	defaultOnce sync.Once
-	defaultReg  *Registry
-)
-
-// Default returns the process-wide registry, creating it with default
-// options on first use — the analogue of the kernel's single
-// /proc/lock_stat. Independent services may share it (keys are expected to
-// be addresses, so collisions mean shared objects) or carry their own.
-func Default() *Registry {
-	defaultOnce.Do(func() { defaultReg = New(Options{}) })
-	return defaultReg
-}
-
 // SamplePeriod reports the effective (power-of-two) timed-sampling period.
 func (r *Registry) SamplePeriod() uint64 { return r.sampleMask + 1 }
 
@@ -299,13 +285,6 @@ func (r *Registry) SetLabel(key uint64, label string) {
 	r.pendingLabels[key] = label
 }
 
-// Len reports the number of registered (live) locks.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.locks)
-}
-
 // Transition is one observed mode change, aggregated per (From, To) edge.
 // Reason is the most recent trigger for that edge, in GLK's own words.
 type Transition struct {
@@ -390,9 +369,6 @@ type LockStats struct {
 	transitions []Transition
 }
 
-// Key returns the lock key this stats block was registered under.
-func (s *LockStats) Key() uint64 { return s.key }
-
 // SetPresenceSampler hands the stats a reader for the lock's own presence
 // count. Call it at lock construction, before the lock is used: from then
 // on Arrive/Failed/Release skip the slotPresent accounting (the lock is
@@ -411,9 +387,6 @@ func (s *LockStats) EnableRW() {
 		s.rw.CompareAndSwap(nil, new(rwExtra))
 	}
 }
-
-// IsRW reports whether this stats block carries a read side.
-func (s *LockStats) IsRW() bool { return s.rw.Load() != nil }
 
 // SetReaderSampler hands the stats a reader for the lock's own count of
 // present readers — the RW analogue of SetPresenceSampler. Self-counting RW

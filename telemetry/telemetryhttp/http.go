@@ -4,7 +4,7 @@
 //
 // Typical wiring:
 //
-//	reg := telemetry.Default()
+//	reg := telemetry.New(telemetry.Options{})
 //	http.Handle("/debug/glstat", telemetryhttp.Handler(reg))
 //	telemetryhttp.Publish("glstat", reg)
 package telemetryhttp

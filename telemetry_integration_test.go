@@ -169,8 +169,8 @@ func TestProfileScopedToService(t *testing.T) {
 		t.Fatalf("service B profile leaked foreign locks: %+v", statsB)
 	}
 	// The shared registry still sees both.
-	if reg.Len() != 2 {
-		t.Fatalf("registry Len = %d, want 2", reg.Len())
+	if len(reg.Snapshot().Locks) != 2 {
+		t.Fatalf("registry Len = %d, want 2", len(reg.Snapshot().Locks))
 	}
 }
 
