@@ -22,10 +22,8 @@ import (
 // program caller, one line each with its reason. Keys are the names the lint
 // prints: package path, then type and member.
 var callerExemptions = map[string]string{
-	"gls/client.Conn.LockMany":                      "the client half of glsd's lockmany op",
 	"gls/client.Conn.Ping":                          "the client half of glsd's ping op",
 	"gls/client.Conn.Renew":                         "the client half of glsd's renew op",
-	"gls/client.Conn.TryLockMany":                   "the client half of glsd's trylockmany op",
 	"gls/glk.Lock.PresenceInflated":                 "test seam: whether the presence counter is striped, which no operation shows",
 	"gls/glk.RWLock.ReadersInflated":                "test seam: whether the native reader counter is striped, which no operation shows",
 	"gls/locks.Algorithms":                          "test seam: Table 1 as a list, which the conformance tests and BenchmarkTable1 iterate",

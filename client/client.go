@@ -153,7 +153,7 @@ type reply struct {
 	verb string    // the protocol's spelling, interned; "" for a verb unknown here
 	n    int       // leading numeric fields parsed into num (at most the verb's count)
 	num  [4]uint64 // keys, tokens, ids, milliseconds, in wire order
-	text string    // whatever followed: ERR's code and detail, STATS' fields, a batch's pairs
+	text string    // whatever followed: ERR's code and detail, STATS' fields
 }
 
 // replyVerbs is the response grammar: each verb with how many leading
@@ -164,8 +164,7 @@ var replyVerbs = [...]struct {
 }{
 	{"GRANTED", 3}, {"RELEASED", 1}, {"GRANT", 4}, {"TOKEN", 2}, {"QUEUED", 1},
 	{"BUSY", 1}, {"RENEWED", 3}, {"TIMEOUT", 1}, {"CANCELLED", 1}, {"EXPIRED", 2},
-	{"PONG", 0}, {"RELEASEDMANY", 1}, {"GRANTEDMANY", 1}, {"GRANTMANY", 2},
-	{"SESSION", 1}, {"OK", 0}, {"STATS", 0}, {"ERR", 0}, {"BYE", 0},
+	{"PONG", 0}, {"SESSION", 1}, {"OK", 0}, {"STATS", 0}, {"ERR", 0}, {"BYE", 0},
 }
 
 // parseReply parses one line out of the read buffer; only text is copied.
@@ -231,8 +230,8 @@ func (c *Conn) readLoop(br *bufio.Reader) {
 	for {
 		line, err := br.ReadSlice('\n')
 		if err == bufio.ErrBufferFull {
-			// Longer than the read buffer (a large batch's pairs, a long ERR
-			// detail): the one kind of line that is copied.
+			// Longer than the read buffer (a long ERR detail): the one kind
+			// of line that is copied.
 			head := bytes.Clone(line)
 			line, err = br.ReadBytes('\n')
 			line = append(head, line...)
@@ -243,7 +242,7 @@ func (c *Conn) readLoop(br *bufio.Reader) {
 		}
 		r := parseReply(line)
 		switch r.verb {
-		case "GRANT", "GRANTMANY", "TIMEOUT", "CANCELLED":
+		case "GRANT", "TIMEOUT", "CANCELLED":
 			if r.n == 0 {
 				continue
 			}
@@ -301,14 +300,6 @@ func (c *Conn) begin(verb string) request {
 // key appends a key (hex, as the server prints them).
 func (q request) key(k uint64) request {
 	q.b = strconv.AppendUint(append(q.b, " 0x"...), k, 16)
-	return q
-}
-
-// keys appends a batch of keys.
-func (q request) keys(ks []uint64) request {
-	for _, k := range ks {
-		q = q.key(k)
-	}
 	return q
 }
 
@@ -420,7 +411,7 @@ func (c *Conn) TryLock(key uint64, ttl time.Duration) (uint64, error) {
 // the grant wins the race anyway, the lock is released and ctx.Err()
 // returned.
 func (c *Conn) Lock(ctx context.Context, key uint64, ttl, timeout time.Duration) (uint64, error) {
-	r, err := c.wait(ctx, []uint64{key}, ttl, timeout, false)
+	r, err := c.wait(ctx, key, ttl, timeout)
 	if err != nil {
 		return 0, err
 	}
@@ -431,39 +422,17 @@ func (c *Conn) Lock(ctx context.Context, key uint64, ttl, timeout time.Duration)
 	return r.num[2], nil
 }
 
-// LockMany acquires every key of the batch, waiting in the server's
-// queue; the server takes them in its canonical deadlock-free order. It
-// returns the fencing token per key. The wait ends like Lock's — the
-// server's default wait bound (ErrTimeout; the op carries no timeout of its
-// own) or ctx — and a batch that ends without its grant holds none of its
-// keys.
-func (c *Conn) LockMany(ctx context.Context, ttl time.Duration, keys ...uint64) (map[uint64]uint64, error) {
-	if len(keys) == 0 {
-		return map[uint64]uint64{}, nil
-	}
-	r, err := c.wait(ctx, keys, ttl, 0, true)
-	if err != nil {
-		return nil, err
-	}
-	return c.noteTokenPairs(r, 2) // id ttl, then the pairs
-}
-
 // wait runs one asynchronous acquisition to its terminal reply.
-func (c *Conn) wait(ctx context.Context, keys []uint64, ttl, timeout time.Duration, many bool) (reply, error) {
+func (c *Conn) wait(ctx context.Context, key uint64, ttl, timeout time.Duration) (reply, error) {
 	id := c.nextWait.Add(1)
 	ch := make(chan reply, 1)
 	c.mu.Lock()
 	c.waits[id] = ch
 	c.mu.Unlock()
 
-	var q request
-	if many {
-		q = c.begin("lockmany").num(id).ms(ttl).keys(keys)
-	} else {
-		q = c.begin("wait").num(id).key(keys[0]).ms(ttl)
-		if timeout > 0 {
-			q = q.ms(timeout)
-		}
+	q := c.begin("wait").num(id).key(key).ms(ttl)
+	if timeout > 0 {
+		q = q.ms(timeout)
 	}
 	if _, err := q.do(); err != nil {
 		c.mu.Lock()
@@ -491,8 +460,8 @@ func (c *Conn) wait(ctx context.Context, keys []uint64, ttl, timeout time.Durati
 			}
 			if cancelled {
 				// The grant beat the cancel; the caller wanted out, so hand
-				// the locks straight back.
-				c.releaseWon(r)
+				// the lock straight back.
+				_ = c.Unlock(key)
 				return reply{}, ctx.Err()
 			}
 			return r, nil
@@ -504,74 +473,6 @@ func (c *Conn) wait(ctx context.Context, keys []uint64, ttl, timeout time.Durati
 			}
 		}
 	}
-}
-
-// releaseWon unlocks a grant that arrived after the caller cancelled.
-func (c *Conn) releaseWon(r reply) {
-	switch {
-	case r.is("GRANT", 4):
-		_ = c.Unlock(r.num[1])
-	case r.verb == "GRANTMANY":
-		if tokens, err := parseTokenPairs(r.text); err == nil {
-			keys := make([]uint64, 0, len(tokens))
-			for k := range tokens {
-				keys = append(keys, k)
-			}
-			_, _ = c.UnlockMany(keys...)
-		}
-	}
-}
-
-// parseTokenPairs decodes a batched grant's alternating key/token fields.
-func parseTokenPairs(text string) (map[uint64]uint64, error) {
-	tokens := make(map[uint64]uint64)
-	for text != "" {
-		var key, tok string
-		key, text, _ = strings.Cut(text, " ")
-		tok, text, _ = strings.Cut(text, " ")
-		k, e1 := strconv.ParseUint(key, 0, 64)
-		t, e2 := strconv.ParseUint(tok, 10, 64)
-		if e1 != nil || e2 != nil {
-			return nil, fmt.Errorf("glsd client: bad key/token pair %q %q", key, tok)
-		}
-		tokens[k] = t
-	}
-	return tokens, nil
-}
-
-// noteTokenPairs decodes a batched grant (lead numbers, then the pairs) and
-// records its tokens.
-func (c *Conn) noteTokenPairs(r reply, lead int) (map[uint64]uint64, error) {
-	if r.n != lead {
-		return nil, fmt.Errorf("glsd client: bad %s reply %q", r.verb, r)
-	}
-	tokens, err := parseTokenPairs(r.text)
-	if err != nil {
-		return nil, err
-	}
-	for k, t := range tokens {
-		c.noteToken(k, t)
-	}
-	return tokens, nil
-}
-
-// TryLockMany attempts the whole batch without waiting: all granted (token
-// per key) or ErrBusy with nothing held.
-func (c *Conn) TryLockMany(ttl time.Duration, keys ...uint64) (map[uint64]uint64, error) {
-	if len(keys) == 0 {
-		return map[uint64]uint64{}, nil
-	}
-	r, err := c.begin("trylockmany").ms(ttl).keys(keys).do()
-	if err != nil {
-		return nil, err
-	}
-	switch r.verb {
-	case "BUSY":
-		return nil, ErrBusy
-	case "GRANTEDMANY":
-		return c.noteTokenPairs(r, 1) // ttl, then the pairs
-	}
-	return nil, fmt.Errorf("glsd client: unexpected reply %q", r)
 }
 
 // Unlock releases a held key.
@@ -588,29 +489,6 @@ func (c *Conn) Unlock(key uint64) error {
 		return fmt.Errorf("glsd client: unexpected reply %q", r)
 	}
 	return nil
-}
-
-// UnlockMany releases a batch, returning how many keys were actually held
-// and released (keys already expired are skipped, not errors).
-func (c *Conn) UnlockMany(keys ...uint64) (int, error) {
-	if len(keys) == 0 {
-		return 0, nil
-	}
-	toks := make([]uint64, len(keys))
-	for i, k := range keys {
-		toks[i] = c.LastToken(k)
-	}
-	r, err := c.begin("unlockmany").keys(keys).do()
-	if err != nil {
-		return 0, err
-	}
-	for i, k := range keys {
-		c.forget(k, toks[i])
-	}
-	if !r.is("RELEASEDMANY", 1) {
-		return 0, fmt.Errorf("glsd client: unexpected reply %q", r)
-	}
-	return int(r.num[0]), nil
 }
 
 // Renew extends a held lease and returns its (unchanged) fencing token.

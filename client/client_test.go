@@ -140,102 +140,6 @@ func TestClientLockTimeoutAndCancel(t *testing.T) {
 	}
 }
 
-func TestClientBatches(t *testing.T) {
-	addr := startServer(t, server.Options{})
-	a, b := dial(t, addr), dial(t, addr)
-
-	tokens, err := a.TryLockMany(0, 1, 2, 3)
-	if err != nil {
-		t.Fatalf("TryLockMany: %v", err)
-	}
-	if len(tokens) != 3 {
-		t.Fatalf("tokens: %v", tokens)
-	}
-	if _, err := b.TryLockMany(0, 3, 4); !errors.Is(err, client.ErrBusy) {
-		t.Fatalf("overlapping TryLockMany: %v, want ErrBusy", err)
-	}
-
-	done := make(chan error, 1)
-	go func() {
-		toks, err := b.LockMany(context.Background(), 0, 2, 3)
-		if err == nil && len(toks) != 2 {
-			err = errors.New("short token map")
-		}
-		done <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
-	if n, err := a.UnlockMany(1, 2, 3); err != nil || n != 3 {
-		t.Fatalf("UnlockMany: %d, %v", n, err)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("LockMany: %v", err)
-	}
-	if n, err := b.UnlockMany(2, 3, 9); err != nil || n != 2 {
-		t.Fatalf("UnlockMany (b): %d, %v (key 9 never held)", n, err)
-	}
-}
-
-// TestAbandonedLockManyHoldsNothing is the client's side of the server's
-// TestAbandonedBatchHoldsNothing: a LockMany over {1, 2} parked behind a
-// holder that keeps renewing key 2 comes back with ctx.Err() as soon as ctx
-// is cancelled, and leaves key 1 free.
-func TestAbandonedLockManyHoldsNothing(t *testing.T) {
-	addr := startServer(t, server.Options{SweepInterval: 10 * time.Millisecond})
-	a, b, c := dial(t, addr), dial(t, addr), dial(t, addr)
-	if _, err := a.TryLock(2, 200*time.Millisecond); err != nil {
-		t.Fatalf("TryLock: %v", err)
-	}
-	stop, renewing := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(renewing)
-		for {
-			select {
-			case <-stop:
-				return
-			case <-time.After(20 * time.Millisecond):
-			}
-			if _, err := a.Renew(2, 200*time.Millisecond); err != nil {
-				t.Errorf("Renew: %v", err)
-				return
-			}
-		}
-	}()
-	defer func() { close(stop); <-renewing }()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := b.LockMany(ctx, 0, 1, 2)
-		done <- err
-	}()
-	// Abandon the batch once it sits on key 1.
-	for {
-		_, err := c.TryLock(1, 0)
-		if errors.Is(err, client.ErrBusy) {
-			break
-		}
-		if err != nil {
-			t.Fatalf("TryLock: %v", err)
-		}
-		if err := c.Unlock(1); err != nil {
-			t.Fatalf("Unlock: %v", err)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled LockMany: %v, want context.Canceled", err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("LockMany still waiting 1s after its context was cancelled")
-	}
-	if _, err := c.TryLock(1, 0); err != nil {
-		t.Fatalf("TryLock of the abandoned batch's key: %v", err)
-	}
-}
-
 func TestE2EFencing(t *testing.T) {
 	addr := startServer(t, server.Options{SweepInterval: 10 * time.Millisecond})
 	store := client.NewFencedStore()

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"errors"
-	"fmt"
 	"net"
 	"runtime"
 	"strings"
@@ -88,20 +87,21 @@ func TestTokenMapTracksHeldKeys(t *testing.T) {
 			t.Fatalf("LastToken(%d) = %d %s, want %d", key, got, when, tok)
 		}
 	}
-	toks, err := c.TryLockMany(0, 1, 2, 3)
-	if err != nil {
-		t.Fatalf("TryLockMany: %v", err)
+	toks := map[uint64]uint64{}
+	for _, k := range []uint64{1, 2, 3} {
+		tok, err := c.TryLock(k, 0)
+		if err != nil {
+			t.Fatalf("TryLock(%d): %v", k, err)
+		}
+		toks[k] = tok
 	}
-	want(2, toks[2], "while held")
-	if err := c.Unlock(1); err != nil {
-		t.Fatalf("Unlock: %v", err)
+	for _, k := range []uint64{1, 2, 3} {
+		want(k, toks[k], "while held")
+		if err := c.Unlock(k); err != nil {
+			t.Fatalf("Unlock(%d): %v", k, err)
+		}
+		want(k, 0, "after Unlock")
 	}
-	want(1, 0, "after Unlock")
-	if _, err := c.UnlockMany(2, 3); err != nil {
-		t.Fatalf("UnlockMany: %v", err)
-	}
-	want(2, 0, "after UnlockMany")
-	want(3, 0, "after UnlockMany")
 
 	expired := make(chan struct{}, 1)
 	c.OnExpired(func(key, tok uint64) { expired <- struct{}{} })
@@ -119,20 +119,11 @@ func TestTokenMapTracksHeldKeys(t *testing.T) {
 }
 
 // TestLongReplyLine: a reply longer than the read buffer (4 KB) is read
-// whole, not taken for a broken stream. glsd's 64-key batch cap keeps its
-// own grant lines shorter than that, so a scripted peer sends the long one:
-// the client reads bytes from another process, whatever build it runs.
+// whole, not taken for a broken stream. glsd's own lines are shorter than
+// that, so a scripted peer answers a trylock with a long ERR: the client
+// reads bytes from another process, whatever build it runs.
 func TestLongReplyLine(t *testing.T) {
-	keys := make([]uint64, 200)
-	grant := []byte("GRANTEDMANY 10000")
-	for i := range keys {
-		keys[i] = 1<<63 + uint64(i) // 16 hex digits: the request fits a line, the reply's pairs do not
-		grant = fmt.Appendf(grant, " %#x %d", keys[i], i+1)
-	}
-	grant = append(grant, "\r\n"...)
-	if len(grant) <= 4096 {
-		t.Fatalf("the grant line is %d bytes, want more than the 4 KB read buffer", len(grant))
-	}
+	detail := "key 0x7 " + strings.Repeat("x", 5000)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -145,18 +136,14 @@ func TestLongReplyLine(t *testing.T) {
 		}
 		defer nc.Close()
 		br := bufio.NewReader(nc)
-		for _, step := range []struct {
-			on    string
-			reply []byte
-		}{
-			{"session", []byte("SESSION 1\r\n")},
-			{"trylockmany", grant},
-			{"unlockmany", fmt.Appendf(nil, "RELEASEDMANY %d\r\n", len(keys))},
+		for _, step := range []struct{ on, reply string }{
+			{"session", "SESSION 1\r\n"},
+			{"trylock", "ERR held " + detail + "\r\n"},
 		} {
 			if line, err := br.ReadString('\n'); err != nil || !strings.HasPrefix(line, step.on) {
 				return
 			}
-			_, _ = nc.Write(step.reply)
+			_, _ = nc.Write([]byte(step.reply))
 		}
 		_, _ = br.ReadString('\n') // hold the socket open until the client hangs up
 	}()
@@ -165,17 +152,10 @@ func TestLongReplyLine(t *testing.T) {
 		t.Fatalf("Dial: %v", err)
 	}
 	defer c.Close()
-	toks, err := c.TryLockMany(0, keys...)
-	if err != nil {
-		t.Fatalf("TryLockMany of %d keys: %v", len(keys), err)
-	}
-	for _, k := range keys {
-		if toks[k] == 0 || c.LastToken(k) != toks[k] {
-			t.Fatalf("key %#x: token %d, LastToken %d", k, toks[k], c.LastToken(k))
-		}
-	}
-	if n, err := c.UnlockMany(keys...); err != nil || n != len(keys) {
-		t.Fatalf("UnlockMany = %d, %v", n, err)
+	_, err = c.TryLock(7, 0)
+	var serr *client.ServerError
+	if !errors.As(err, &serr) || serr.Code != "held" || serr.Detail != detail {
+		t.Fatalf("TryLock answered by a %d-byte ERR detail: %v, want a *ServerError carrying all of it", len(detail), err)
 	}
 }
 

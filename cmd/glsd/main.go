@@ -1,6 +1,6 @@
 // Command glsd runs the GLS lock server: a TCP service speaking the glsd
-// line protocol (sessions, leases, fencing tokens, async waits, batched
-// ops — see package server and DESIGN.md §14) over a gls.Service,
+// line protocol (sessions, leases, fencing tokens, async waits, one key
+// per request — see package server and DESIGN.md §14) over a gls.Service,
 // with the service's telemetry served over HTTP so glsstat can watch it
 // live.
 //
@@ -36,7 +36,7 @@ import (
 var (
 	addr   = flag.String("addr", ":4850", "lock protocol listen address")
 	stats  = flag.String("stats", ":4851", "stats HTTP listen address (empty disables)")
-	queue  = flag.Int("queue", 0, "outstanding wait/lockmany bound (0 = 1024)")
+	queue  = flag.Int("queue", 0, "outstanding wait bound (0 = 1024)")
 	ttl    = flag.Duration("ttl", 0, "default lease TTL (0 = 10s)")
 	maxTTL = flag.Duration("max-ttl", 0, "lease TTL cap (0 = 60s)")
 	sweep  = flag.Duration("sweep", 0, "expiry sweep interval (0 = 50ms, min 10ms)")

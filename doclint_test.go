@@ -5,6 +5,10 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -126,4 +130,192 @@ func funcKind(d *ast.FuncDecl) string {
 // declKind names a GenDecl token for the error message.
 func declKind(tok token.Token) string {
 	return strings.ToLower(tok.String())
+}
+
+// TestCIPatternsResolve keeps the CI workflow from naming a test that is
+// gone: a -run, -skip or -bench pattern that matches nothing passes
+// silently. Every top-level | alternative of the pattern's first /-element
+// must match a Test, Fuzz or Example function (-run, -skip) or a Benchmark
+// function (-bench) declared in the packages that go test command line
+// names. "^$", the way to select nothing, is exempt.
+func TestCIPatternsResolve(t *testing.T) {
+	const workflow = ".github/workflows/ci.yml"
+	src, err := os.ReadFile(workflow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for n, line := range strings.Split(string(src), "\n") {
+		base := "."
+		for _, cmd := range strings.Split(line, "&&") {
+			args := shellWords(cmd)
+			if i := slices.Index(args, "run:"); i >= 0 {
+				args = args[i+1:]
+			}
+			if len(args) == 2 && args[0] == "cd" {
+				base = filepath.Join(base, args[1])
+				continue
+			}
+			if len(args) < 2 || args[0] != "go" || args[1] != "test" {
+				continue
+			}
+			flags, pkgs := map[string]string{}, []string{}
+			for i := 2; i < len(args); i++ {
+				a := args[i]
+				if !strings.HasPrefix(a, "-") {
+					pkgs = append(pkgs, a)
+					continue
+				}
+				name, val, hasVal := strings.Cut(strings.TrimLeft(a, "-"), "=")
+				if !hasVal && !goTestBoolFlags[name] && i+1 < len(args) {
+					i++
+					val = args[i]
+				}
+				if name == "run" || name == "skip" || name == "bench" {
+					flags[name] = val
+				}
+			}
+			if len(flags) == 0 {
+				continue
+			}
+			funcs := testFuncs(t, base, pkgs)
+			for flag, pattern := range flags {
+				prefixes := []string{"Test", "Fuzz", "Example"}
+				if flag == "bench" {
+					prefixes = []string{"Benchmark"}
+				}
+				for _, alt := range splitTopLevel(splitTopLevel(pattern, '/')[0], '|') {
+					if alt == "^$" {
+						continue
+					}
+					checked++
+					re, err := regexp.Compile(alt)
+					if err != nil {
+						t.Errorf("%s:%d: -%s alternative %q: %v", workflow, n+1, flag, alt, err)
+						continue
+					}
+					if !slices.ContainsFunc(funcs, func(f string) bool {
+						return re.MatchString(f) && slices.ContainsFunc(prefixes, func(p string) bool { return strings.HasPrefix(f, p) })
+					}) {
+						t.Errorf("%s:%d: -%s alternative %q matches no %s function in %v", workflow, n+1, flag, alt, strings.Join(prefixes, "/"), pkgs)
+					}
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatalf("%s: no -run, -skip or -bench pattern found", workflow)
+	}
+}
+
+// goTestBoolFlags are the go test flags that take no value after a space.
+var goTestBoolFlags = map[string]bool{
+	"race": true, "short": true, "v": true, "json": true, "failfast": true,
+	"cover": true, "benchmem": true, "msan": true, "asan": true,
+}
+
+// shellWords splits one line of shell into words, honouring single and
+// double quotes — enough for the go test lines of the CI workflow.
+func shellWords(s string) []string {
+	var words []string
+	var w strings.Builder
+	inWord := false
+	var quote rune
+	for _, r := range s {
+		switch {
+		case quote != 0 && r == quote:
+			quote = 0
+		case quote != 0:
+			w.WriteRune(r)
+		case r == '\'' || r == '"':
+			quote, inWord = r, true
+		case r == ' ' || r == '\t':
+			if inWord {
+				words, inWord = append(words, w.String()), false
+				w.Reset()
+			}
+		default:
+			w.WriteRune(r)
+			inWord = true
+		}
+	}
+	if inWord {
+		words = append(words, w.String())
+	}
+	return words
+}
+
+// splitTopLevel splits a regular expression at each sep outside brackets
+// and parentheses.
+func splitTopLevel(re string, sep byte) []string {
+	var parts []string
+	depth, start := 0, 0
+	for i := 0; i < len(re); i++ {
+		switch re[i] {
+		case '\\':
+			i++
+		case '(', '[':
+			depth++
+		case ')', ']':
+			depth--
+		case sep:
+			if depth == 0 {
+				parts = append(parts, re[start:i])
+				start = i + 1
+			}
+		}
+	}
+	return append(parts, re[start:])
+}
+
+// testFuncs lists the top-level functions declared in the _test.go files of
+// the packages that pkgs (go test's package patterns, relative to base)
+// name. A /... pattern stops at testdata and at nested modules, as go does.
+func testFuncs(t *testing.T, base string, pkgs []string) []string {
+	var dirs []string
+	for _, p := range pkgs {
+		root, recursive := strings.CutSuffix(p, "/...")
+		root = filepath.Join(base, root)
+		if !recursive {
+			dirs = append(dirs, root)
+			continue
+		}
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			if path != root {
+				name := d.Name()
+				if name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+					return filepath.SkipDir
+				}
+				if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+					return filepath.SkipDir
+				}
+			}
+			dirs = append(dirs, path)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+	}
+	var funcs []string
+	for _, dir := range dirs {
+		pkgs, err := parser.ParseDir(token.NewFileSet(), dir,
+			func(fi fs.FileInfo) bool { return strings.HasSuffix(fi.Name(), "_test.go") }, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", dir, err)
+		}
+		for _, pkg := range pkgs {
+			for _, f := range pkg.Files {
+				for _, decl := range f.Decls {
+					if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil {
+						funcs = append(funcs, fd.Name.Name)
+					}
+				}
+			}
+		}
+	}
+	return funcs
 }

@@ -88,7 +88,6 @@ func (l *Lock) lockLowCancel(m Mode, c *locks.Cancel) bool {
 }
 
 var _ locks.CancelableLock = (*RWLock)(nil)
-var _ locks.CancelableRWLock = (*RWLock)(nil)
 
 // LockCancel acquires the write lock, abandoning the attempt when c fires.
 // Unlike glk.Lock, the RW write stream has no native per-family abort — the
@@ -116,34 +115,6 @@ func (l *RWLock) LockCancel(c *locks.Cancel) bool {
 		return false
 	}
 	a.Acquired(true)
-	return true
-}
-
-// RLockCancel acquires a read share, abandoning the attempt when c fires.
-// Like LockCancel it polls the uninstrumented try core: a reader that has
-// not yet registered presence can always walk away, so every poll is a
-// clean abort point, and the single RArrive/RAborted pair keeps the
-// telemetry lanes honest (polling the public TryRLock would count one
-// arrival per poll).
-func (l *RWLock) RLockCancel(c *locks.Cancel) bool {
-	if c.Never() {
-		l.RLock()
-		return true
-	}
-	tok := stripe.Self()
-	if l.stats == nil {
-		return locks.PollAcquire(func() bool { return l.tryRLockLow(tok) }, c)
-	}
-	a := l.stats.RArrive(tok)
-	if l.tryRLockLow(tok) {
-		a.RAcquired(false)
-		return true
-	}
-	if !locks.PollAcquire(func() bool { return l.tryRLockLow(tok) }, c) {
-		a.RAborted(c.TimedOut())
-		return false
-	}
-	a.RAcquired(true)
 	return true
 }
 

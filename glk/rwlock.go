@@ -650,8 +650,7 @@ func (l *RWLock) TryRLock() bool {
 
 // tryRLockLow is TryRLock without instrumentation: the mode-dispatch loop
 // over the native try and the delegates. It only re-loops on a mode move
-// observed mid-try, so it never waits. RLockCancel's polling also drives
-// it, which is why it is factored out of TryRLock rather than inlined.
+// observed mid-try, so it never waits.
 func (l *RWLock) tryRLockLow(tok uint64) bool {
 	for {
 		m := l.RWMode()

@@ -1,6 +1,7 @@
 package kyoto
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -165,8 +166,19 @@ func TestHTSlowerThanCache(t *testing.T) {
 		})
 		return float64(ops) / el.Seconds()
 	}
-	cache, ht := mk(Cache), mk(HashDB)
-	if cache <= ht {
-		t.Fatalf("CACHE (%.0f ops/s) not faster than HT DB (%.0f ops/s)", cache, ht)
+	// One 40 ms window a side loses to scheduler noise now and then under a
+	// loaded go test ./..., so compare the medians of five alternating runs a
+	// side — §3.2's method (the median of repetitions), as internal/harness
+	// does.
+	const pairs = 5
+	var cache, ht []float64
+	for i := 0; i < pairs; i++ {
+		cache = append(cache, mk(Cache))
+		ht = append(ht, mk(HashDB))
+	}
+	slices.Sort(cache)
+	slices.Sort(ht)
+	if c, h := cache[pairs/2], ht[pairs/2]; c <= h {
+		t.Fatalf("median CACHE (%.0f ops/s) not faster than median HT DB (%.0f ops/s); runs %.0f vs %.0f", c, h, cache, ht)
 	}
 }

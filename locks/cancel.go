@@ -87,15 +87,6 @@ type CancelableLock interface {
 	LockCancel(c *Cancel) bool
 }
 
-// CancelableRWLock is the read-side capability twin: RW locks whose RLock
-// can be abandoned mid-wait.
-type CancelableRWLock interface {
-	RWLock
-	// RLockCancel acquires a read share, abandoning the attempt when c
-	// fires, with the same grant-beats-abort convention as LockCancel.
-	RLockCancel(c *Cancel) bool
-}
-
 // LockWithCancel acquires l, abandoning the attempt when c fires, and
 // reports whether the lock was acquired. Locks implementing CancelableLock
 // abort natively (a queued waiter departs without waiting for its turn);
@@ -111,22 +102,6 @@ func LockWithCancel(l Lock, c *Cancel) bool {
 		return cl.LockCancel(c)
 	}
 	return PollAcquire(l.TryLock, c)
-}
-
-// RLockWithCancel is the read-side twin of LockWithCancel. No RW algorithm
-// in this package supports native read-side abort (a striped reader that
-// has registered its presence cannot cheaply vanish), so non-
-// CancelableRWLock implementations poll TryRLock, which backs out cleanly
-// by construction.
-func RLockWithCancel(l RWLock, c *Cancel) bool {
-	if c.Never() {
-		l.RLock()
-		return true
-	}
-	if cl, ok := l.(CancelableRWLock); ok {
-		return cl.RLockCancel(c)
-	}
-	return PollAcquire(l.TryRLock, c)
 }
 
 // PollAcquire is the generic abortable acquisition: probe with try, check

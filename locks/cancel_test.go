@@ -289,20 +289,3 @@ func TestMutexCancelWakeRace(t *testing.T) {
 	}
 	l.Unlock()
 }
-
-// TestRLockWithCancel covers the read-side polling fallback on a plain RW
-// lock: abort while a writer holds, acquire once free.
-func TestRLockWithCancel(t *testing.T) {
-	l := NewRWStriped()
-	l.Lock()
-	res := make(chan bool)
-	go func() { res <- RLockWithCancel(l, shortDeadline(10*time.Millisecond)) }()
-	if <-res {
-		t.Fatal("read-locked while a writer held")
-	}
-	l.Unlock()
-	if !RLockWithCancel(l, expired()) {
-		t.Fatal("uncontended RLockWithCancel failed")
-	}
-	l.RUnlock()
-}

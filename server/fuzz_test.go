@@ -8,10 +8,10 @@ import (
 
 // FuzzParseCommand asserts the parser is total: any line either yields a
 // well-formed Command or a ProtoError with a known code — never a panic,
-// never a half-parsed command, never an accepted zero key or oversized
-// batch. The seed corpus (testdata/fuzz/FuzzParseCommand) pins one input
-// per verb plus the historically fiddly shapes: doubled spaces, hex keys,
-// overflow-boundary numbers, and batch-limit edges.
+// never a half-parsed command, never an accepted zero key. The seed corpus
+// (testdata/fuzz/FuzzParseCommand) pins one input per verb plus the
+// historically fiddly shapes: doubled spaces, hex keys, overflow-boundary
+// numbers, and multi-key lines, which no verb accepts.
 func FuzzParseCommand(f *testing.F) {
 	seeds := []string{
 		"session",
@@ -48,12 +48,12 @@ func FuzzParseCommand(f *testing.F) {
 	}
 	knownCodes := map[string]bool{
 		ErrCodeCommand: true, ErrCodeArgs: true, ErrCodeKey: true,
-		ErrCodeNumber: true, ErrCodeTooMany: true,
+		ErrCodeNumber: true,
 	}
 	f.Fuzz(func(t *testing.T, line string) {
 		cmd, perr := ParseCommand(line, 0)
 		// The connection reader gives the same parser body the line as bytes.
-		if bcmd, bperr := parseCommand([]byte(line), 0); !reflect.DeepEqual(cmd, bcmd) || !reflect.DeepEqual(perr, bperr) {
+		if bcmd, bperr := parseCommand([]byte(line)); !reflect.DeepEqual(cmd, bcmd) || !reflect.DeepEqual(perr, bperr) {
 			t.Fatalf("ParseCommand(%q) = %+v, %v as a string but %+v, %v as bytes", line, cmd, perr, bcmd, bperr)
 		}
 		if perr != nil {
@@ -72,16 +72,8 @@ func FuzzParseCommand(f *testing.F) {
 		if cmd.Key == 0 {
 			switch cmd.Op {
 			case OpTryLock, OpWait, OpUnlock, OpRenew, OpToken:
-				t.Fatalf("ParseCommand(%q): single-key op %v accepted zero key", line, cmd.Op)
+				t.Fatalf("ParseCommand(%q): keyed op %v accepted zero key", line, cmd.Op)
 			}
-		}
-		for _, k := range cmd.Keys {
-			if k == 0 {
-				t.Fatalf("ParseCommand(%q): batch op %v accepted zero key", line, cmd.Op)
-			}
-		}
-		if len(cmd.Keys) > MaxBatchKeys {
-			t.Fatalf("ParseCommand(%q): batch of %d exceeds MaxBatchKeys", line, len(cmd.Keys))
 		}
 		if cmd.TTL < 0 || cmd.Timeout < 0 {
 			t.Fatalf("ParseCommand(%q): negative duration (ttl=%v timeout=%v)", line, cmd.TTL, cmd.Timeout)

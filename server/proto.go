@@ -23,9 +23,6 @@ import (
 //	cancel <id>
 //	unlock <key>
 //	renew <key> [<ttl_ms>]
-//	trylockmany <ttl_ms> <key> [<key> ...]
-//	lockmany <id> <ttl_ms> <key> [<key> ...]
-//	unlockmany <key> [<key> ...]
 //	token <key>
 //	stats
 //	quit
@@ -35,10 +32,8 @@ import (
 // service's panic). Wait ids are client-chosen uint64s scoped to the
 // session. Durations are milliseconds; 0 or absent selects the server
 // default. Responses are single lines with an uppercase verb; see
-// DESIGN.md §14 for the full response grammar. wait and lockmany are
-// answered QUEUED <id> and then, once, by their terminal line: GRANT or
-// GRANTMANY, TIMEOUT <id> (lockmany has no timeout field, so its bound is
-// always the server default) or CANCELLED <id>.
+// DESIGN.md §14 for the full response grammar. wait is answered QUEUED <id>
+// and then, once, by its terminal line: GRANT, TIMEOUT <id> or CANCELLED <id>.
 // token <key> answers TOKEN <key> <n>: no live grant of the key carries a
 // token larger than n, every later grant will. For a key nobody holds or
 // waits on, n is the service's floor (gls.Service.Seq): 0 on a fresh server.
@@ -57,9 +52,6 @@ const (
 	OpCancel
 	OpUnlock
 	OpRenew
-	OpTryLockMany
-	OpLockMany
-	OpUnlockMany
 	OpToken
 	OpStats
 	OpQuit
@@ -82,12 +74,6 @@ func (o Op) String() string {
 		return "unlock"
 	case OpRenew:
 		return "renew"
-	case OpTryLockMany:
-		return "trylockmany"
-	case OpLockMany:
-		return "lockmany"
-	case OpUnlockMany:
-		return "unlockmany"
 	case OpToken:
 		return "token"
 	case OpStats:
@@ -98,24 +84,15 @@ func (o Op) String() string {
 	return "invalid"
 }
 
-// many reports whether o's operand is a key list (Command.Keys) rather than
-// one key (Command.Key).
-func (o Op) many() bool {
-	return o == OpTryLockMany || o == OpLockMany || o == OpUnlockMany
-}
-
 // Command is one parsed request line.
 type Command struct {
 	// Op is the command verb.
 	Op Op
-	// ID is the client-chosen wait id (OpWait, OpLockMany, OpCancel).
+	// ID is the client-chosen wait id (OpWait, OpCancel).
 	ID uint64
-	// Key is the single-key operand (OpTryLock, OpWait, OpUnlock, OpRenew,
+	// Key is the key operand (OpTryLock, OpWait, OpUnlock, OpRenew,
 	// OpToken).
 	Key uint64
-	// Keys is the batch operand (OpTryLockMany, OpLockMany, OpUnlockMany),
-	// in wire order; the service canonicalizes.
-	Keys []uint64
 	// TTL is the requested lease duration; 0 selects the server default.
 	TTL time.Duration
 	// Timeout bounds an OpWait; 0 selects the server default.
@@ -133,8 +110,6 @@ const (
 	ErrCodeKey = "key"
 	// ErrCodeNumber is an unparseable numeric field (id, ttl, timeout).
 	ErrCodeNumber = "number"
-	// ErrCodeTooMany is a batch exceeding the server's key limit.
-	ErrCodeTooMany = "toomany"
 	// ErrCodeTooLong is a request line exceeding the server's byte limit.
 	ErrCodeTooLong = "toolong"
 	// ErrCodeNotHeld is a release/renew of a lock this session does not hold.
@@ -164,11 +139,6 @@ func (e *ProtoError) Error() string { return "glsd: " + e.Code + ": " + e.Detail
 func protoErrf(code, format string, args ...any) *ProtoError {
 	return &ProtoError{Code: code, Detail: fmt.Sprintf(format, args...)}
 }
-
-// MaxBatchKeys is glsd's cap on keys per batched command. Grant responses
-// list every key with its token on one line, so the cap also bounds
-// response length.
-const MaxBatchKeys = 64
 
 // byteseq is what a request line arrives as: a string through ParseCommand,
 // the connection reader's own buffer bytes on the wire path. One parser body
@@ -215,17 +185,14 @@ const maxDuration = time.Duration(1<<63 - 1)
 
 // form is a verb's argument shape. Every request is
 //
-//	verb [id] key [ttl [timeout]]      (single-key: key set, opt trailing durations)
-//	verb [id] [ttl] key [key ...]      (batched: many set, ttl mandatory where present)
+//	verb [id] [key [ttl [timeout]]]
 //
 // so one table and one loop parse the whole grammar.
 type form struct {
-	op   Op
-	id   bool // a leading wait id
-	key  bool // one key...
-	opt  int  // ...then up to opt optional durations: ttl, timeout
-	many bool // a batch of keys...
-	ttl  bool // ...after a mandatory ttl
+	op  Op
+	id  bool // a leading wait id
+	key bool // one key...
+	opt int  // ...then up to opt optional durations: ttl, timeout
 }
 
 // formOf looks a verb up. (A switch on string(bytes) does not allocate.)
@@ -251,12 +218,6 @@ func formOf[T byteseq](verb T) (form, bool) {
 		return form{op: OpRenew, key: true, opt: 1}, true
 	case "token":
 		return form{op: OpToken, key: true}, true
-	case "trylockmany":
-		return form{op: OpTryLockMany, many: true, ttl: true}, true
-	case "lockmany":
-		return form{op: OpLockMany, id: true, many: true, ttl: true}, true
-	case "unlockmany":
-		return form{op: OpUnlockMany, many: true}, true
 	}
 	return form{}, false
 }
@@ -272,19 +233,16 @@ func cut[T byteseq](s T) (field, rest T) {
 }
 
 // ParseCommand parses one request line (already stripped of its LF/CRLF
-// terminator) under the given batch cap. It never panics; any input is
-// either a Command or a *ProtoError. maxBatch <= 0 selects MaxBatchKeys.
-func ParseCommand(line string, maxBatch int) (Command, *ProtoError) {
-	return parseCommand(line, maxBatch)
+// terminator). It never panics; any input is either a Command or a
+// *ProtoError. The int is ignored: every verb takes at most one key.
+func ParseCommand(line string, _ int) (Command, *ProtoError) {
+	return parseCommand(line)
 }
 
 // parseCommand is the parser body, shared by ParseCommand and the
 // connection reader (which hands it the scanner's own bytes; nothing of
 // line is retained).
-func parseCommand[T byteseq](line T, maxBatch int) (Command, *ProtoError) {
-	if maxBatch <= 0 {
-		maxBatch = MaxBatchKeys
-	}
+func parseCommand[T byteseq](line T) (Command, *ProtoError) {
 	// The wire grammar is single-space separated, like memcached's: an empty
 	// line, a leading, trailing or doubled space is an empty field.
 	empty := len(line) == 0 || line[0] == ' ' || line[len(line)-1] == ' '
@@ -307,16 +265,10 @@ func parseCommand[T byteseq](line T, maxBatch int) (Command, *ProtoError) {
 	if f.id {
 		min++
 	}
-	if f.key || f.ttl {
+	if f.key {
 		min++
 	}
 	max := min + f.opt
-	if f.many {
-		if nargs > min+maxBatch {
-			return Command{}, protoErrf(ErrCodeTooMany, "%s batch of %d exceeds limit %d", string(verb), nargs-min, maxBatch)
-		}
-		min, max = min+1, min+maxBatch
-	}
 	if nargs < min || nargs > max {
 		return Command{}, protoErrf(ErrCodeArgs, "%s takes %d-%d args, got %d", string(verb), min, max, nargs)
 	}
@@ -330,26 +282,6 @@ func parseCommand[T byteseq](line T, maxBatch int) (Command, *ProtoError) {
 			return Command{}, perr
 		}
 		nargs--
-	}
-	if f.many {
-		if f.ttl {
-			field, rest = cut(rest)
-			if cmd.TTL, perr = parseMillis("ttl", field); perr != nil {
-				return Command{}, perr
-			}
-			nargs--
-		}
-		// Duplicates are allowed on the wire — the service's key-order
-		// canonicalization coalesces them, so a client built from a messy
-		// key list stays balanced (see gls.LockMany).
-		cmd.Keys = make([]uint64, nargs)
-		for i := range cmd.Keys {
-			field, rest = cut(rest)
-			if cmd.Keys[i], perr = parseKey(field); perr != nil {
-				return Command{}, perr
-			}
-		}
-		return cmd, nil
 	}
 	if f.key {
 		field, rest = cut(rest)

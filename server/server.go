@@ -3,10 +3,10 @@
 // gls.Service, with sessions (lock ownership scoped to a client
 // connection's lifetime), lease-based locks (every grant carries a TTL,
 // renewable, reaped by an expiry sweeper), monotonic per-key fencing
-// tokens on every grant, asynchronous acquisition (a blocked client costs
-// one goroutine parked in the key's own FIFO queue, never a connection's
-// reader and never a CPU), and batched wire ops that are the single-key op
-// once per key, in key order.
+// tokens on every grant, and asynchronous acquisition (a blocked client
+// costs one goroutine parked in the key's own FIFO queue, never a
+// connection's reader and never a CPU). Every request names at most one key;
+// a client that needs several takes them one at a time, in key order.
 //
 // Every key is a locks.Mutex — spin briefly, then park, release hands the
 // lock to the longest waiter — not the adaptive GLK lock the service gives
@@ -24,11 +24,9 @@ package server
 import (
 	"bufio"
 	"bytes"
-	"cmp"
 	"errors"
 	"fmt"
 	"net"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,7 +60,7 @@ type Options struct {
 	SweepInterval time.Duration
 
 	// QueueDepth bounds the outstanding asynchronous acquisitions — wait
-	// and lockmany ops admitted and not yet answered — across all sessions
+	// ops admitted and not yet answered — across all sessions
 	// (default 1024). Each is one goroutine parked in its key's queue: a
 	// few KB of stack and no CPU. Beyond the bound, requests are refused
 	// with ERR overload — open-loop honesty instead of unbounded buffering.
@@ -74,11 +72,10 @@ type Options struct {
 // framed.
 const maxLineBytes = 4096
 
-// defaultWaitTimeout bounds a wait op that carries no timeout, and every
-// lockmany, whose line has no timeout field. With every asynchronous
-// acquisition and every lease bounded, every parked waiter comes back, so
-// QueueDepth's slots cannot leak to a hot key. A variable only so tests can
-// shorten it.
+// defaultWaitTimeout bounds a wait op that carries no timeout. With every
+// asynchronous acquisition and every lease bounded, every parked waiter
+// comes back, so QueueDepth's slots cannot leak to a hot key. A variable
+// only so tests can shorten it.
 var defaultWaitTimeout = 60 * time.Second
 
 // withDefaults resolves the documented defaults.
@@ -123,7 +120,7 @@ type Stats struct {
 	Leases int
 	// Grants counts leases ever granted (every fencing token minted).
 	Grants uint64
-	// Releases counts explicit unlocks (single and batched).
+	// Releases counts explicit unlocks.
 	Releases uint64
 	// Expiries counts sweeper releases — TTL expiries plus session-death
 	// releases, which are clamped leases swept through the same path.
@@ -260,8 +257,7 @@ func (s *Server) Close() {
 	s.sessions.each(func(ss *session) { _ = ss.conn.Close() })
 	s.connWG.Wait()
 	// No readers ⇒ no new acquisitions, and the teardowns aborted every
-	// parked one — a batch gave back what it had taken — so this waits on no
-	// lease.
+	// parked one, so this waits on no lease.
 	s.waitWG.Wait()
 	close(s.sweepStop)
 	s.sweepWG.Wait()
@@ -285,7 +281,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		if len(line) == 0 {
 			continue
 		}
-		cmd, perr := parseCommand(line, MaxBatchKeys)
+		cmd, perr := parseCommand(line)
 		if perr != nil {
 			ss.writeErr(perr)
 			continue
@@ -337,53 +333,20 @@ func (s *Server) clampTTL(ttl time.Duration) time.Duration {
 // glsd key is (see the package comment).
 func (s *Server) pin(key uint64) gls.Pin { return s.svc.PinWith(locks.Mutex, key) }
 
-// pinAll pins every slot's key before the server touches its locks.
-func (s *Server) pinAll(slots []slot) {
-	for i := range slots {
-		slots[i].pin = s.pin(slots[i].key)
+// grant registers a lock the server has just taken through pin with its
+// session, counts it, and returns its fencing token. On a session that died
+// under the acquisition the lock goes straight back — the Unpin that finds
+// the key unused frees its lock object — and it reports false.
+func (s *Server) grant(ss *session, key uint64, pin gls.Pin, ttl time.Duration) (uint64, bool) {
+	token, ok := ss.registerGrant(key, pin, ttl)
+	if !ok {
+		pin.Unlock()
+		pin.Unpin()
+		return 0, false
 	}
-}
-
-// unpinAll drops the pins of slots whose locks the server does not hold. The
-// Unpin that finds a key unused — no grant, no waiter, no request in flight —
-// frees its lock object.
-func unpinAll(slots []slot) {
-	for _, sl := range slots {
-		sl.pin.Unpin()
-	}
-}
-
-// acquire takes every slot's lock through its pin with lock, in the slots'
-// order — key order, whatever the request. It is all or nothing: the first
-// lock that reports false makes it release what it had taken, last first,
-// and report false. The pins stay the caller's either way.
-func acquire(slots []slot, lock func(gls.Pin) bool) bool {
-	for i := range slots {
-		if !lock(slots[i].pin) {
-			for j := i - 1; j >= 0; j-- {
-				slots[j].pin.Unlock()
-			}
-			return false
-		}
-	}
-	return true
-}
-
-// grant registers an acquired set with its session, counts it, and puts the
-// slots in wire order for the reply. On a session that died under the
-// acquisition the locks go straight back and it reports false.
-func (s *Server) grant(ss *session, slots []slot, ttl time.Duration) bool {
-	if !ss.registerGrants(slots, ttl) {
-		for _, sl := range slots {
-			sl.pin.Unlock()
-			sl.pin.Unpin()
-		}
-		return false
-	}
-	s.grants.Add(uint64(len(slots)))
-	s.held.Add(int64(len(slots)))
-	slices.SortFunc(slots, func(a, b slot) int { return cmp.Compare(a.pos, b.pos) })
-	return true
+	s.grants.Add(1)
+	s.held.Add(1)
+	return token, true
 }
 
 // releaseGrant returns g's lock to the service and retires the grant's
@@ -411,18 +374,16 @@ func (s *Server) dispatch(ss *session, cmd Command) bool {
 		ss.begin(s.statsLine()).end()
 	case OpToken:
 		ss.begin("TOKEN").key(cmd.Key).num(s.svc.Seq(cmd.Key)).end()
-	case OpTryLock, OpTryLockMany:
+	case OpTryLock:
 		s.handleTry(ss, cmd)
 	case OpUnlock:
 		s.handleUnlock(ss, cmd)
 	case OpRenew:
 		s.handleRenew(ss, cmd)
-	case OpWait, OpLockMany:
+	case OpWait:
 		s.handleAsync(ss, cmd)
 	case OpCancel:
 		s.handleCancel(ss, cmd)
-	case OpUnlockMany:
-		s.handleUnlockMany(ss, cmd)
 	default:
 		ss.writeErr(protoErrf(ErrCodeCommand, "unhandled op %v", cmd.Op))
 	}
@@ -438,49 +399,39 @@ func (s *Server) statsLine() string {
 		st.Expiries, st.Timeouts, st.Cancels, st.Disconnects, st.Overloads)
 }
 
-// holdsAny reports (under ss.mu) a key of slots this session already holds.
+// holds reports (under ss.mu) whether this session already holds key.
 // Re-acquiring a held key would park the waiter behind its own session
 // until the lease expires, so it is refused up front.
-func (ss *session) holdsAny(slots []slot) (uint64, bool) {
-	for _, sl := range slots {
-		if _, ok := ss.held[sl.key]; ok {
-			return sl.key, true
-		}
-	}
-	return 0, false
+func (ss *session) holds(key uint64) bool {
+	_, ok := ss.held[key]
+	return ok
 }
 
-// handleTry is the synchronous acquisition, trylock and trylockmany: safe on
-// the reader goroutine because TryLock never waits. A batch is all or
-// nothing, backing out completely on the first busy key.
+// errHeld is the refusal of an acquisition of a key the session holds.
+func errHeld(key uint64) *ProtoError {
+	return protoErrf(ErrCodeHeld, "key %#x already held by this session", key)
+}
+
+// handleTry is the synchronous acquisition: safe on the reader goroutine
+// because TryLock never waits.
 func (s *Server) handleTry(ss *session, cmd Command) {
-	var one [1]slot
-	slots := slotsOf(one[:0], cmd)
 	ss.mu.Lock()
-	k, held := ss.holdsAny(slots)
+	held := ss.holds(cmd.Key)
 	ss.mu.Unlock()
 	if held {
-		ss.writeErr(protoErrf(ErrCodeHeld, "key %#x already held by this session", k))
+		ss.writeErr(errHeld(cmd.Key))
 		return
 	}
 	ttl := s.clampTTL(cmd.TTL)
-	s.pinAll(slots)
-	many := cmd.Op.many()
-	switch {
-	case !acquire(slots, gls.Pin.TryLock):
-		unpinAll(slots)
-		if many {
-			ss.begin("BUSY many").end()
-		} else {
-			ss.begin("BUSY").key(cmd.Key).end()
-		}
-	case !s.grant(ss, slots, ttl):
-		// the session died under us (Close racing the reader)
-	case many:
-		ss.begin("GRANTEDMANY").ms(ttl).grants(slots).end()
-	default:
-		ss.begin("GRANTED").key(cmd.Key).num(slots[0].token).ms(ttl).end()
+	pin := s.pin(cmd.Key)
+	if !pin.TryLock() {
+		pin.Unpin()
+		ss.begin("BUSY").key(cmd.Key).end()
+		return
 	}
+	if token, ok := s.grant(ss, cmd.Key, pin, ttl); ok {
+		ss.begin("GRANTED").key(cmd.Key).num(token).ms(ttl).end()
+	} // else the session died under us (Close racing the reader)
 }
 
 // handleUnlock releases a held lease.
@@ -537,25 +488,24 @@ func (s *Server) handleCancel(ss *session, cmd Command) {
 	ss.mu.Unlock()
 }
 
-// handleAsync admits a wait or lockmany: count it against QueueDepth,
-// register the wait, pin its keys, acknowledge with QUEUED and only then
-// start the goroutine that acquires — so GRANT follows QUEUED on the wire by
-// program order. From there the waiter is parked in the lock's own FIFO
-// queue; nothing else stands in for it.
+// handleAsync admits a wait: count it against QueueDepth, register the
+// wait, pin its key, acknowledge with QUEUED and only then start the
+// goroutine that acquires — so GRANT follows QUEUED on the wire by program
+// order. From there the waiter is parked in the lock's own FIFO queue;
+// nothing else stands in for it.
 func (s *Server) handleAsync(ss *session, cmd Command) {
-	timeout := cmd.Timeout // a lockmany carries none
+	timeout := cmd.Timeout
 	if timeout <= 0 {
 		timeout = defaultWaitTimeout
 	}
 	done := make(chan struct{})
 	w := &wait{
 		id:    cmd.ID,
-		many:  cmd.Op.many(),
+		key:   cmd.Key,
 		ttl:   s.clampTTL(cmd.TTL),
 		bound: locks.Cancel{Done: done, Deadline: time.Now().Add(timeout)},
 		done:  done,
 	}
-	w.slots = slotsOf(w.one[:0], cmd)
 
 	ss.mu.Lock()
 	if ss.dead {
@@ -567,9 +517,9 @@ func (s *Server) handleAsync(ss *session, cmd Command) {
 		ss.writeErr(protoErrf(ErrCodeDupID, "wait id %d already outstanding", cmd.ID))
 		return
 	}
-	if k, held := ss.holdsAny(w.slots); held {
+	if ss.holds(cmd.Key) {
 		ss.mu.Unlock()
-		ss.writeErr(protoErrf(ErrCodeHeld, "key %#x already held by this session", k))
+		ss.writeErr(errHeld(cmd.Key))
 		return
 	}
 	if s.waiting.Add(1) > int64(s.opts.QueueDepth) {
@@ -582,63 +532,46 @@ func (s *Server) handleAsync(ss *session, cmd Command) {
 	ss.waits[cmd.ID] = w
 	ss.mu.Unlock()
 
-	s.pinAll(w.slots)
+	w.pin = s.pin(cmd.Key)
 	ss.begin("QUEUED").num(cmd.ID).end()
 	s.waitWG.Add(1)
 	go s.runWait(ss, w)
 }
 
-// handleUnlockMany releases a batch of held leases. Keys not held by this
-// session — a key's second appearance on the line included — are skipped and
-// left out of the count: a batch release after a partial expiry should
-// release what remains, not fail entirely.
-func (s *Server) handleUnlockMany(ss *session, cmd Command) {
-	released := 0
-	for _, k := range cmd.Keys {
-		if g, ok := ss.takeGrant(k); ok {
-			s.releaseGrant(g)
-			s.releases.Add(1)
-			released++
-		}
-	}
-	ss.begin("RELEASEDMANY").num(uint64(released)).end()
-}
-
-// runWait executes one asynchronous acquisition, wait or lockmany, on its
-// own goroutine: for each key in key order, the pin's LockCancel spins a few
-// tries and then parks in the key's FIFO queue until the releaser hands it
-// the lock or the wait's one Cancel fires — the timeout, a cancel op, the
-// session's death. An abandoned wait unlinks itself from the queue it is
-// parked in (locks.Cancel protocol) instead of occupying a slot until its
-// turn, and gives back the locks it had already taken: it holds nothing.
-// The QueueDepth slot comes back before the terminal line goes out, so a
-// client that has read the line can count on the slot.
+// runWait executes one asynchronous acquisition on its own goroutine: the
+// pin's LockCancel spins a few tries and then parks in the key's FIFO queue
+// until the releaser hands it the lock or the wait's one Cancel fires — the
+// timeout, a cancel op, the session's death. An abandoned wait unlinks
+// itself from the queue it is parked in (locks.Cancel protocol) instead of
+// occupying a slot until its turn: it holds nothing. The QueueDepth slot
+// comes back before the terminal line goes out, so a client that has read
+// the line can count on the slot.
 func (s *Server) runWait(ss *session, w *wait) {
 	defer s.waitWG.Done()
-	locked := acquire(w.slots, func(p gls.Pin) bool { return p.LockCancel(&w.bound) })
+	locked := w.pin.LockCancel(&w.bound)
 	ss.mu.Lock()
 	delete(ss.waits, w.id)
 	ss.mu.Unlock()
 	s.waiting.Add(-1)
-	switch {
-	case !locked && w.bound.TimedOut():
-		unpinAll(w.slots)
-		s.timeouts.Add(1)
-		ss.begin("TIMEOUT").num(w.id).end()
-	case !locked:
-		unpinAll(w.slots)
-		s.cancels.Add(1)
-		ss.begin("CANCELLED").num(w.id).end()
-	case !s.grant(ss, w.slots, w.ttl):
+	if !locked {
+		w.pin.Unpin()
+		if w.bound.TimedOut() {
+			s.timeouts.Add(1)
+			ss.begin("TIMEOUT").num(w.id).end()
+		} else {
+			s.cancels.Add(1)
+			ss.begin("CANCELLED").num(w.id).end()
+		}
+		return
+	}
+	token, ok := s.grant(ss, w.key, w.pin, w.ttl)
+	if !ok {
 		// Granted after the session died: the grant beat the teardown's
 		// abort, and went straight back.
 		s.cancels.Add(1)
-	case w.many:
-		ss.begin("GRANTMANY").num(w.id).ms(w.ttl).grants(w.slots).end()
-	default:
-		sl := w.slots[0]
-		ss.begin("GRANT").num(w.id).key(sl.key).num(sl.token).ms(w.ttl).end()
+		return
 	}
+	ss.begin("GRANT").num(w.id).key(w.key).num(token).ms(w.ttl).end()
 }
 
 // sweeper is the lease-expiry loop: a ticker at Options.SweepInterval plus

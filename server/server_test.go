@@ -83,13 +83,10 @@ func (c *tconn) expect(prefix string) string {
 // fmtKey renders a key as responses carry it.
 func fmtKey(k uint64) string { return "0x" + strconv.FormatUint(k, 16) }
 
-// fields splits a response line.
-func fields(line string) []string { return strings.Fields(line) }
-
 // tokenOf extracts the token field of a GRANTED/GRANT/RENEWED line.
 func tokenOf(t *testing.T, line string, idx int) uint64 {
 	t.Helper()
-	f := fields(line)
+	f := strings.Fields(line)
 	if len(f) <= idx {
 		t.Fatalf("short reply %q", line)
 	}
@@ -306,35 +303,6 @@ func TestRenewExtendsAndExpiryIsAuthoritative(t *testing.T) {
 	if tok2 := tokenOf(t, c.expect("GRANTED 0x7"), 2); tok2 <= tok {
 		t.Fatalf("post-expiry token %d not above %d", tok2, tok)
 	}
-}
-
-func TestBatchOps(t *testing.T) {
-	_, addr := newTestServer(t, Options{})
-	a, b := dialT(t, addr), dialT(t, addr)
-
-	a.send("trylockmany 0 1 2 3\r\n")
-	line := a.expect("GRANTEDMANY")
-	f := fields(line)
-	if len(f) != 2+2*3 {
-		t.Fatalf("GRANTEDMANY shape: %q", line)
-	}
-	// A batch overlapping a held key backs out completely: key 9 stays
-	// free after the refusal.
-	b.send("trylockmany 0 9 2\r\n")
-	b.expect("BUSY many")
-	b.send("trylock 9\r\n")
-	b.expect("GRANTED 0x9")
-	b.send("unlock 9\r\n")
-	b.expect("RELEASED 0x9")
-
-	// Async batch: queues, grants when the overlap releases.
-	b.send("lockmany 8 0 2 4\r\n")
-	b.expect("QUEUED 8")
-	a.send("unlockmany 1 2 3\r\n")
-	a.expect("RELEASEDMANY 3")
-	b.expect("GRANTMANY 8")
-	b.send("unlockmany 2 4 3\r\n") // 3 is not held: skipped, not an error
-	b.expect("RELEASEDMANY 2")
 }
 
 func TestStatsCounters(t *testing.T) {

@@ -2,9 +2,7 @@ package server
 
 import (
 	"bufio"
-	"cmp"
 	"net"
-	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -45,44 +43,14 @@ type grant struct {
 	idx    int
 }
 
-// slot is one key of an acquisition on its way to a grant: its place on the
-// request line (replies list keys in wire order), the pin that keeps the key
-// mapped while the request is in flight, and the token once it is granted.
-type slot struct {
-	key   uint64
-	pos   int
-	pin   gls.Pin
-	token uint64
-}
-
-// slotsOf appends cmd's keys to dst as slots in key order, each key once
-// (the first place it has on the line): the order every acquisition takes
-// its locks in, so two overlapping requests can never deadlock against each
-// other. A single-key op fits the caller's one-slot buffer; a batch costs
-// one allocation.
-func slotsOf(dst []slot, cmd Command) []slot {
-	if !cmd.Op.many() {
-		return append(dst, slot{key: cmd.Key})
-	}
-	dst = slices.Grow(dst, len(cmd.Keys))
-	for i, k := range cmd.Keys {
-		dst = append(dst, slot{key: k, pos: i})
-	}
-	slices.SortFunc(dst, func(a, b slot) int {
-		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.pos, b.pos))
-	})
-	return slices.CompactFunc(dst, func(a, b slot) bool { return a.key == b.key })
-}
-
-// wait is one outstanding asynchronous acquisition (wait or lockmany).
+// wait is one outstanding asynchronous acquisition.
 type wait struct {
-	id    uint64
-	many  bool // a lockmany: the terminal line is GRANTMANY's shape
-	ttl   time.Duration
-	slots []slot  // in key order; pinned until granted or abandoned
-	one   [1]slot // a single-key wait's slots: no second object
+	id  uint64
+	key uint64
+	pin gls.Pin // keeps key mapped until the wait is granted or abandoned
+	ttl time.Duration
 
-	// bound is the wait's one abort condition, handed to every lock it queues
+	// bound is the wait's one abort condition, handed to the lock it queues
 	// on (it lives here so the acquisition allocates none): its Deadline is
 	// the timeout, its Done is done, which a cancel op or the session's death
 	// closes — once, under session.mu. Only the wait's goroutine touches it.
@@ -177,14 +145,6 @@ func (l line) str(s string) line {
 	return l
 }
 
-// grants appends a batch's (key, token) pairs, in the slots' order.
-func (l line) grants(slots []slot) line {
-	for _, sl := range slots {
-		l = l.key(sl.key).num(sl.token)
-	}
-	return l
-}
-
 // end completes the line and flushes it. Write errors need no handling
 // here: peerWriter has closed the connection, and the teardown follows.
 func (l line) end() {
@@ -198,27 +158,22 @@ func (ss *session) writeErr(perr *ProtoError) {
 	ss.begin("ERR").str(perr.Code).str(perr.Detail).end()
 }
 
-// registerGrants turns an acquisition into grants, while the caller
-// physically holds every slot's lock: it mints each key's fencing token
-// (left in the slot for the reply), records the grants and schedules their
-// leases, all under one hold of mu — so a batch is registered whole or, the
-// session having died while the acquisition was in flight, not at all. The
-// pins are the grants' from here on; on false they are still the caller's.
-func (ss *session) registerGrants(slots []slot, ttl time.Duration) bool {
+// registerGrant turns an acquisition into a grant while the caller
+// physically holds key's lock through pin: it mints the fencing token,
+// records the grant and schedules its lease, all under one hold of mu, and
+// returns the token — or false, the session having died while the
+// acquisition was in flight. The pin is the grant's from here on; on false it
+// is still the caller's.
+func (ss *session) registerGrant(key uint64, pin gls.Pin, ttl time.Duration) (uint64, bool) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	if ss.dead {
-		return false
+		return 0, false
 	}
-	expiry := time.Now().Add(ttl)
-	for i := range slots {
-		sl := &slots[i]
-		sl.token = sl.pin.NextSeq()
-		g := &grant{sess: ss, key: sl.key, pin: sl.pin, token: sl.token, ttl: ttl, idx: -1}
-		ss.held[sl.key] = g
-		ss.srv.leases.schedule(g, expiry)
-	}
-	return true
+	g := &grant{sess: ss, key: key, pin: pin, token: pin.NextSeq(), ttl: ttl, idx: -1}
+	ss.held[key] = g
+	ss.srv.leases.schedule(g, time.Now().Add(ttl))
+	return g.token, true
 }
 
 // takeGrant removes and returns key's grant if this session holds it —

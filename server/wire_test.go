@@ -36,11 +36,7 @@ func TestResponseLinesPinned(t *testing.T) {
 		{"b", "", "EXPIRED 0x7 2\r\n"}, // the 100 ms lease runs out
 		{"b", "unlock 7\r\n", "ERR notheld key 0x7 is not held by this session\r\n"},
 		{"b", "renew 7\r\n", "ERR notheld key 0x7 is not held by this session\r\n"},
-		{"a", "trylockmany 60000 1 0xab\r\n", "GRANTEDMANY 60000 0x1 3 0xab 3\r\n"},
-		{"b", "trylockmany 0 0xab 9\r\n", "BUSY many\r\n"},
-		{"b", "lockmany 8 60000 0xab 4\r\n", "QUEUED 8\r\n"},
-		{"a", "unlockmany 1 0xab 3\r\n", "RELEASEDMANY 2\r\n"},
-		{"b", "", "GRANTMANY 8 60000 0xab 4 0x4 4\r\n"},
+		{"b", "trylock 4 60000\r\n", "GRANTED 0x4 3 60000\r\n"},
 		{"a", "wait 5 4 0 30\r\n", "QUEUED 5\r\n"},
 		{"a", "", "TIMEOUT 5\r\n"},
 		{"a", "wait 6 4\r\n", "QUEUED 6\r\n"},
@@ -50,12 +46,10 @@ func TestResponseLinesPinned(t *testing.T) {
 		{"a", "bogus\r\n", "ERR command unknown command \"bogus\"\r\n"},
 		{"a", "trylock  7\r\n", "ERR command empty field (single spaces, no leading/trailing space)\r\n"},
 		{"a", "trylock\r\n", "ERR args trylock takes 1-2 args, got 0\r\n"},
-		{"a", "lockmany 1 0\r\n", "ERR args lockmany takes 3-66 args, got 2\r\n"},
 		{"a", "trylock 0\r\n", "ERR key zero key is not a valid lock\r\n"},
 		{"a", "unlock x\r\n", "ERR key bad key \"x\"\r\n"},
 		{"a", "wait y 7\r\n", "ERR number bad id \"y\"\r\n"},
 		{"a", "trylock 7 18446744073709551615\r\n", "ERR number ttl 18446744073709551615 ms overflows\r\n"},
-		{"a", "unlockmany" + strings.Repeat(" 7", 65) + "\r\n", "ERR toomany unlockmany batch of 65 exceeds limit 64\r\n"},
 		{"b", "quit\r\n", "BYE\r\n"},
 		{"a", "ping " + strings.Repeat("x", 5000) + "\r\n", "ERR toolong request line exceeds 4096 bytes\r\n"},
 	}

@@ -77,29 +77,3 @@ func TestAbortCountsExactlyOnce(t *testing.T) {
 			d2.Retired.Timeouts, d2.Retired.Cancels)
 	}
 }
-
-// TestRAbortSharesCauseLanes pins the RW twin: a read-side abort counts
-// once in the read failed lane and lands in the same per-lock cause
-// counters as write-side aborts (the split is per lock, not per side).
-func TestRAbortSharesCauseLanes(t *testing.T) {
-	r := New(Options{SamplePeriod: 1})
-	st := r.Register(6, "glkrw")
-	st.EnableRW()
-	tok := stripe.Self()
-
-	ra := st.RArrive(tok)
-	ra.RAborted(true)
-	ra = st.RArrive(tok)
-	ra.RAborted(false)
-	wa := st.Arrive(tok)
-	wa.Aborted(false)
-
-	l := r.Snapshot().Lock(6)
-	if l.Timeouts != 1 || l.Cancels != 2 {
-		t.Fatalf("timeouts/cancels = %d/%d, want 1/2", l.Timeouts, l.Cancels)
-	}
-	if l.RTryFails != 2 || l.TryFails != 1 {
-		t.Fatalf("rtryfails/tryfails = %d/%d, want 2/1 (one fail per abort, per side)",
-			l.RTryFails, l.TryFails)
-	}
-}

@@ -195,26 +195,3 @@ func (w *instrumentedRWLock) LockCancel(c *locks.Cancel) bool {
 	a.Acquired(true)
 	return true
 }
-
-// RLockCancel is the read-side twin: one RArrive, then RAcquired or
-// RAborted. The contended classification mirrors RLock — a writer probe
-// where the lock offers one, else trust the failed try.
-func (w *instrumentedRWLock) RLockCancel(c *locks.Cancel) bool {
-	if c.Never() {
-		w.RLock()
-		return true
-	}
-	tok := stripe.Self()
-	a := w.st.RArrive(tok)
-	if w.inner.TryRLock() {
-		a.RAcquired(false)
-		return true
-	}
-	contended := w.writeLocked == nil || w.writeLocked()
-	if !locks.RLockWithCancel(w.inner, c) {
-		a.RAborted(c.TimedOut())
-		return false
-	}
-	a.RAcquired(contended)
-	return true
-}

@@ -579,19 +579,6 @@ func (a Acq) RFailed() {
 	}
 }
 
-// RAborted is Aborted's read-side twin: the abort lands in the reader
-// failed lane exactly once, and in the same lock-level timeouts/cancels
-// cause counters as writer-side aborts (the counters describe the lock,
-// not a side; snapshots carry both sides' failed lanes separately).
-func (a Acq) RAborted(timeout bool) {
-	a.RFailed()
-	if timeout {
-		a.st.publishAbort(a.st.timeouts.Add(1), "deadline timeout")
-	} else {
-		a.st.publishAbort(a.st.cancels.Add(1), "context cancel")
-	}
-}
-
 // RRelease records a reader leaving.
 func (s *LockStats) RRelease(tok uint64) {
 	if !s.selfCountingReaders() {
