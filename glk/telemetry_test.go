@@ -54,12 +54,15 @@ func TestInstrumentedContentionAndTransitions(t *testing.T) {
 	cfg, reg := telemetryConfig(t)
 	cfg.Stats = reg.Register(7, "glk")
 	l := New(cfg)
+	// Eight workers, so the queue can stand well above upThreshold (3): a
+	// worker or two descheduled between Unlock and its next Lock, as on a
+	// box shared with other test binaries, still leaves the average over it.
 	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
+	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 2000; i++ {
+			for i := 0; i < 1000; i++ {
 				l.Lock()
 				runtime.Gosched() // pile waiters up even on one P
 				l.Unlock()

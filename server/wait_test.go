@@ -127,50 +127,54 @@ func TestAbandonedWaitHoldsNothing(t *testing.T) {
 	}
 }
 
-// TestSingleKeyScript drives one script — a grant, a refusal of each kind, a
-// cancel, a timeout, a queued grant — and requires its replies in order,
-// rising fencing tokens, and exactly the Stats the script implies.
-func TestSingleKeyScript(t *testing.T) {
-	shortenWaitTimeout(t, 500*time.Millisecond)
-	srv, addr := newTestServer(t, Options{QueueDepth: 2, SweepInterval: 10 * time.Millisecond})
-	h, w, x := dialT(t, addr), dialT(t, addr), dialT(t, addr)
+// TestBatchOfOneIsTheSingleOp drives one single-key script — a grant, a
+// refusal of each kind, a cancel, a timeout, a queued grant — and requires its
+// replies in order, rising fencing tokens, and exactly the Stats the script
+// implies. Its name is from when a one-key batch spelling ran the same script
+// beside it; glsd grants one key per request, so the single form is all left.
+func TestBatchOfOneIsTheSingleOp(t *testing.T) {
+	t.Run("single", func(t *testing.T) {
+		shortenWaitTimeout(t, 500*time.Millisecond)
+		srv, addr := newTestServer(t, Options{QueueDepth: 2, SweepInterval: 10 * time.Millisecond})
+		h, w, x := dialT(t, addr), dialT(t, addr), dialT(t, addr)
 
-	h.send("trylock 7\r\n")
-	first := tokenOf(t, h.expect("GRANTED 0x7"), 2) // GRANTED key token ttl
-	h.send("trylock 7\r\n")
-	h.expect("ERR held")
-	h.send("wait 1 7\r\n")
-	h.expect("ERR held")
-	w.send("trylock 7\r\n")
-	w.expect("BUSY 0x7")
+		h.send("trylock 7\r\n")
+		first := tokenOf(t, h.expect("GRANTED 0x7"), 2) // GRANTED key token ttl
+		h.send("trylock 7\r\n")
+		h.expect("ERR held")
+		h.send("wait 1 7\r\n")
+		h.expect("ERR held")
+		w.send("trylock 7\r\n")
+		w.expect("BUSY 0x7")
 
-	w.send("wait 5 7\r\n")
-	w.expect("QUEUED 5")
-	w.send("wait 5 9\r\n")
-	w.expect("ERR dupid")
-	x.send("wait 6 7\r\n")
-	x.expect("QUEUED 6")
-	x.send("wait 7 9\r\n") // a free key, refused all the same: the bound is on waits
-	x.expect("ERR overload")
+		w.send("wait 5 7\r\n")
+		w.expect("QUEUED 5")
+		w.send("wait 5 9\r\n")
+		w.expect("ERR dupid")
+		x.send("wait 6 7\r\n")
+		x.expect("QUEUED 6")
+		x.send("wait 7 9\r\n") // a free key, refused all the same: the bound is on waits
+		x.expect("ERR overload")
 
-	w.send("cancel 5\r\n")
-	w.expect("OK cancel 5")
-	w.expect("CANCELLED 5")
-	x.expect("TIMEOUT 6") // nobody cancels it: the wait bound does
+		w.send("cancel 5\r\n")
+		w.expect("OK cancel 5")
+		w.expect("CANCELLED 5")
+		x.expect("TIMEOUT 6") // nobody cancels it: the wait bound does
 
-	// A queued grant: QUEUED is on the wire before the terminal line.
-	w.send("wait 8 7\r\n")
-	w.expect("QUEUED 8")
-	h.send("unlock 7\r\n")
-	h.expect("RELEASED 0x7")
-	if second := tokenOf(t, w.expect("GRANT 8 0x7"), 3); second <= first { // GRANT id key token ttl
-		t.Errorf("queued grant's token %d not above the first grant's %d", second, first)
-	}
-	w.send("unlock 7\r\n")
-	w.expect("RELEASED 0x7")
+		// A queued grant: QUEUED is on the wire before the terminal line.
+		w.send("wait 8 7\r\n")
+		w.expect("QUEUED 8")
+		h.send("unlock 7\r\n")
+		h.expect("RELEASED 0x7")
+		if second := tokenOf(t, w.expect("GRANT 8 0x7"), 3); second <= first { // GRANT id key token ttl
+			t.Errorf("queued grant's token %d not above the first grant's %d", second, first)
+		}
+		w.send("unlock 7\r\n")
+		w.expect("RELEASED 0x7")
 
-	want := Stats{Sessions: 3, SessionsTotal: 3, Grants: 2, Releases: 2, Timeouts: 1, Cancels: 1, Overloads: 1}
-	if st := srv.Stats(); st != want {
-		t.Errorf("stats %+v, want %+v", st, want)
-	}
+		want := Stats{Sessions: 3, SessionsTotal: 3, Grants: 2, Releases: 2, Timeouts: 1, Cancels: 1, Overloads: 1}
+		if st := srv.Stats(); st != want {
+			t.Errorf("stats %+v, want %+v", st, want)
+		}
+	})
 }
