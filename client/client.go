@@ -63,7 +63,9 @@ func errForCode(code, detail string) error {
 
 // Conn is one session with a glsd server. It is safe for concurrent use:
 // synchronous requests are serialized, and each outstanding asynchronous
-// acquisition has its own delivery channel keyed by wait id.
+// acquisition has its own delivery channel keyed by wait id. Its buffers are
+// sized to the line protocol (writeBufBytes, readBufBytes), so an idle Conn
+// holds its lines, not bufio's 4 KB defaults.
 type Conn struct {
 	nc net.Conn
 	bw *bufio.Writer
@@ -94,21 +96,37 @@ type Conn struct {
 	closed  atomic.Bool
 }
 
+// The connection's buffers. A request is written and flushed whole, so the
+// write buffer is empty between requests and needs only room for one: none
+// is longer than 90 B. The read buffer matches glsd's request scanner, which
+// starts at 512 B; a longer reply (a long ERR detail) is read whole by the
+// read loop's copy.
+const (
+	writeBufBytes = 128
+	readBufBytes  = 512
+)
+
 // Dial connects to a glsd server and opens a session.
 func Dial(addr string) (*Conn, error) {
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
+	return open(nc)
+}
+
+// open runs the session over nc, which it closes if the session does not
+// open.
+func open(nc net.Conn) (*Conn, error) {
 	c := &Conn{
 		nc:     nc,
-		bw:     bufio.NewWriter(nc),
+		bw:     bufio.NewWriterSize(nc, writeBufBytes),
 		syncCh: make(chan reply, 1),
 		waits:  make(map[uint64]chan reply),
 		tokens: make(map[uint64]uint64),
 		done:   make(chan struct{}),
 	}
-	go c.readLoop(bufio.NewReader(nc))
+	go c.readLoop(bufio.NewReaderSize(nc, readBufBytes))
 	r, err := c.begin("session").do()
 	if err != nil {
 		_ = nc.Close()

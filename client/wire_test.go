@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -24,13 +25,6 @@ import (
 // shows here as ≈10 MB after 20 000 round-trip pairs.
 func TestWireOpLeavesNoTimers(t *testing.T) {
 	c := dial(t, startServer(t, server.Options{}))
-	heap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
 	pair := func(key uint64) {
 		if _, err := c.TryLock(key, 10*time.Second); err != nil {
 			t.Fatalf("TryLock(%d): %v", key, err)
@@ -42,16 +36,25 @@ func TestWireOpLeavesNoTimers(t *testing.T) {
 	for i := 0; i < 1000; i++ { // buffers, maps and pools reach their size
 		pair(uint64(1 + i%128))
 	}
-	before := heap()
+	before := liveHeap()
 	for i := 0; i < 20000; i++ {
 		pair(uint64(1 + i%128))
 	}
-	if after := heap(); after > before+1<<20 {
+	if after := liveHeap(); after > before+1<<20 {
 		t.Fatalf("heap grew %d KB over 20000 TryLock+Unlock pairs, want < 1024 KB", (after-before)>>10)
 	}
 	if got := c.LastToken(1); got != 0 {
 		t.Fatalf("LastToken of an unlocked key = %d, want 0", got)
 	}
+}
+
+// liveHeap is the heap in use after two collections.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 // TestWireOpAllocs bounds what one TryLock+Unlock allocates, in the client
@@ -118,10 +121,10 @@ func TestTokenMapTracksHeldKeys(t *testing.T) {
 	want(4, 0, "after EXPIRED")
 }
 
-// TestLongReplyLine: a reply longer than the read buffer (4 KB) is read
-// whole, not taken for a broken stream. glsd's own lines are shorter than
-// that, so a scripted peer answers a trylock with a long ERR: the client
-// reads bytes from another process, whatever build it runs.
+// TestLongReplyLine: a reply longer than the read buffer is read whole, not
+// taken for a broken stream. glsd's own lines are shorter than that, so a
+// scripted peer answers a trylock with a long ERR: the client reads bytes
+// from another process, whatever build it runs.
 func TestLongReplyLine(t *testing.T) {
 	detail := "key 0x7 " + strings.Repeat("x", 5000)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -156,6 +159,104 @@ func TestLongReplyLine(t *testing.T) {
 	var serr *client.ServerError
 	if !errors.As(err, &serr) || serr.Code != "held" || serr.Detail != detail {
 		t.Fatalf("TryLock answered by a %d-byte ERR detail: %v, want a *ServerError carrying all of it", len(detail), err)
+	}
+}
+
+// TestReplyReadBoundary: replies of one byte under, exactly at and one byte
+// over the read buffer's 512 B, terminator included, are each read whole,
+// and the line after each is read as it was sent. A scripted peer answers
+// trylocks with ERR lines padded to those lengths.
+func TestReplyReadBoundary(t *testing.T) {
+	const pre = "ERR held " // then the detail, then "\r\n"
+	lengths := []int{511, 512, 513}
+	details := map[string]string{} // request line → the detail of its reply
+	for i, n := range lengths {
+		details["trylock 0x"+strconv.Itoa(i+1)] = "key " + strings.Repeat("x", n-len(pre)-len("key ")-len("\r\n"))
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer ln.Close()
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		br := bufio.NewReader(nc)
+		for {
+			line, err := br.ReadString('\n')
+			if err != nil {
+				return
+			}
+			req := strings.TrimRight(line, "\r\n")
+			switch {
+			case req == "session":
+				_, _ = nc.Write([]byte("SESSION 1\r\n"))
+			case req == "ping":
+				_, _ = nc.Write([]byte("PONG\r\n"))
+			case details[req] != "":
+				_, _ = nc.Write([]byte(pre + details[req] + "\r\n"))
+			default:
+				return
+			}
+		}
+	}()
+	c, err := client.Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+	for i, n := range lengths {
+		want := details["trylock 0x"+strconv.Itoa(i+1)]
+		_, err := c.TryLock(uint64(i+1), 0)
+		var serr *client.ServerError
+		if !errors.As(err, &serr) || serr.Code != "held" || serr.Detail != want {
+			t.Fatalf("TryLock answered by a %d-byte line: %v, want a *ServerError carrying its %d-byte detail", n, err, len(want))
+		}
+		if err := c.Ping(); err != nil {
+			t.Fatalf("Ping after a %d-byte line: %v", n, err)
+		}
+	}
+}
+
+// TestIdleConnFootprint bounds what one idle connection costs on the heap,
+// both ends counted, as the pair a client.Dial makes with an in-process
+// glsd: the Conn with its maps, channels and buffers, the session, and each
+// side's socket objects and reader goroutine record. Every Conn takes and
+// releases one key, then sits. Goroutine stacks are not heap, and not
+// counted.
+func TestIdleConnFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what goroutines and channels cost")
+	}
+	addr := startServer(t, server.Options{})
+	const conns = 256
+	before := liveHeap()
+	cs := make([]*client.Conn, 0, conns)
+	defer func() {
+		for _, c := range cs {
+			_ = c.Close()
+		}
+	}()
+	for i := 0; i < conns; i++ {
+		c, err := client.Dial(addr)
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		cs = append(cs, c)
+		if _, err := c.TryLock(1, 0); err != nil {
+			t.Fatalf("TryLock: %v", err)
+		}
+		if err := c.Unlock(1); err != nil {
+			t.Fatalf("Unlock: %v", err)
+		}
+	}
+	per := (int64(liveHeap()) - int64(before)) / conns
+	t.Logf("%d B of heap per idle connection pair", per)
+	if per > 6<<10 {
+		t.Fatalf("an idle connection pair costs %d B of heap, want <= 6 KB", per)
 	}
 }
 

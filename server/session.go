@@ -67,7 +67,10 @@ func (w *wait) abort() {
 	}
 }
 
-// session is one connection's server-side state.
+// session is one connection's server-side state. Idle, it is ≈ 2 KB of
+// heap (TestIdleSessionFootprint): this struct and its two maps, the
+// reader's 512 B scanner buffer, the one-line write buffer and the reader
+// goroutine's record; the goroutine's stack comes on top.
 type session struct {
 	id   uint64
 	srv  *Server
@@ -75,7 +78,8 @@ type session struct {
 
 	// wmu serializes response lines: synchronous responses from the reader
 	// goroutine interleave with asynchronous grants from waits' goroutines
-	// and expiry notices from the sweeper, one whole line at a time.
+	// and expiry notices from the sweeper, one whole line at a time. bw
+	// holds one line (writeBufBytes) and is empty between lines.
 	wmu sync.Mutex
 	bw  *bufio.Writer
 
@@ -92,10 +96,19 @@ type session struct {
 // and no sweeper pass waits on a stalled reader for longer than this.
 const writeTimeout = 5 * time.Second
 
+// writeBufBytes sizes a session's write buffer to the line protocol, not to
+// bufio's 4 KB default: every line is flushed as it ends, so the buffer is
+// empty between lines, and no fixed-form response is longer than 90 B. A
+// longer line (STATS, an ERR echoing a long field) goes out in one write
+// straight from the line, bufio's large write into an empty buffer.
+const writeBufBytes = 128
+
 // peerWriter is the session's only way to the socket: every write carries a
 // deadline, and a failed one closes the connection, which ends the reader
 // goroutine and so runs the session's teardown. (bufio.Writer keeps the
-// error, so later lines to a broken session are dropped without a syscall.)
+// error, so later lines to a broken session are dropped without a syscall:
+// the first failed write is the session's last.) One write is one whole
+// line, however long.
 type peerWriter struct{ conn net.Conn }
 
 func (w peerWriter) Write(p []byte) (int, error) {
@@ -109,7 +122,8 @@ func (w peerWriter) Write(p []byte) (int, error) {
 
 // line is one response line under construction in the session's write
 // buffer: begin takes wmu and writes the verb, the field methods append
-// (nothing is rendered to a string on the way), end completes the line,
+// (nothing is rendered to a string on the way; a line that outgrows the
+// buffer's spare bytes moves to a slice of its own), end completes the line,
 // flushes it and releases wmu.
 type line struct {
 	ss *session
@@ -208,7 +222,7 @@ func (set *sessionSet) add(srv *Server, conn net.Conn) *session {
 		id:    set.next,
 		srv:   srv,
 		conn:  conn,
-		bw:    bufio.NewWriter(peerWriter{conn}),
+		bw:    bufio.NewWriterSize(peerWriter{conn}, writeBufBytes),
 		held:  make(map[uint64]*grant),
 		waits: make(map[uint64]*wait),
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"net"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -202,4 +203,174 @@ func (l countedListener) Accept() (net.Conn, error) {
 		return nil, err
 	}
 	return countedConn{c, l.writes}, nil
+}
+
+// TestLongResponseOneWrite: a response longer than the session's write
+// buffer still reaches the peer whole, in one write, and leaves the buffer
+// as the next line expects it. The long line is the ERR echo of a 3 KB verb.
+func TestLongResponseOneWrite(t *testing.T) {
+	srv, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ln, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var writes atomic.Int64
+	go func() { _ = srv.Serve(countedListener{ln, &writes}) }()
+	c := dialT(t, ln.Addr().String())
+	c.send("session\r\n")
+	c.expect("SESSION")
+
+	verb := strings.Repeat("x", 3000)
+	for _, st := range []struct{ send, want string }{
+		{verb + "\r\n", "ERR command unknown command \"" + verb + "\"\r\n"},
+		{"token 7\r\n", "TOKEN 0x7 0\r\n"}, // TestResponseLinesPinned's row
+	} {
+		before := writes.Load()
+		c.send(st.send)
+		_ = c.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		got, err := c.br.ReadString('\n')
+		if err != nil || got != st.want {
+			t.Fatalf("after a %d-byte request: %d-byte reply %.40q..., %v; want the %d-byte %.40q...", len(st.send), len(got), got, err, len(st.want), st.want)
+		}
+		if n := writes.Load() - before; n != 1 {
+			t.Fatalf("a %d-byte reply took %d writes, want 1", len(got), n)
+		}
+	}
+}
+
+// splitConn is a connection whose two directions are separate in-memory
+// pipes, so a test can close the peer's reading end — the session's writes
+// then fail — while the session's reader still waits for requests. It
+// counts the writes that reach it and remembers which one failed first.
+type splitConn struct {
+	net.Conn          // the session's end of the request pipe
+	out      net.Conn // the session's end of the response pipe
+	writes   *atomic.Int64
+	failedAt *atomic.Int64 // the number of the first failed write, 0 before
+}
+
+func (c splitConn) Write(p []byte) (int, error) {
+	n := c.writes.Add(1)
+	w, err := c.out.Write(p)
+	if err != nil {
+		c.failedAt.CompareAndSwap(0, n)
+	}
+	return w, err
+}
+
+func (c splitConn) SetWriteDeadline(t time.Time) error { return c.out.SetWriteDeadline(t) }
+
+func (c splitConn) Close() error {
+	_ = c.out.Close()
+	return c.Conn.Close()
+}
+
+// TestDeadPeerLastWrite: once the peer has closed, the session's first
+// failed write is the last write it makes — the lines behind it, already
+// read and dispatched, are dropped by the writer's sticky error — and the
+// teardown runs: the session leaves the registry and its lease is swept.
+func TestDeadPeerLastWrite(t *testing.T) {
+	srv, _ := newTestServer(t, Options{SweepInterval: 10 * time.Millisecond})
+	reqs, theirReqs := net.Pipe()
+	resps, theirResps := net.Pipe()
+	defer reqs.Close()
+	var writes, failedAt atomic.Int64
+	handled := make(chan struct{})
+	go func() {
+		defer close(handled)
+		srv.handleConn(splitConn{theirReqs, theirResps, &writes, &failedAt})
+	}()
+	br := bufio.NewReader(resps)
+	for _, st := range []struct{ send, want string }{
+		{"session\r\n", "SESSION "},
+		{"trylock 9 60000\r\n", "GRANTED 0x9 "},
+	} {
+		if _, err := reqs.Write([]byte(st.send)); err != nil {
+			t.Fatalf("send %q: %v", st.send, err)
+		}
+		if line, err := br.ReadString('\n'); err != nil || !strings.HasPrefix(line, st.want) {
+			t.Fatalf("after %q: %q, %v; want %q...", st.send, line, err, st.want)
+		}
+	}
+	_ = resps.Close() // the peer is gone; its requests are still on their way
+	if _, err := reqs.Write([]byte("ping\r\nping\r\ntoken 9\r\n")); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	select {
+	case <-handled:
+	case <-time.After(5 * time.Second):
+		t.Fatal("session never torn down after its write failed")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for st := srv.Stats(); st.Sessions != 0 || st.Held != 0; st = srv.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("dead session left behind: %+v", st)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got, last := failedAt.Load(), writes.Load(); got != 3 || last != got {
+		t.Fatalf("first failed write is #%d of %d, want #3 of 3 (SESSION, GRANTED, then the failed PONG and nothing after it)", got, last)
+	}
+}
+
+// TestIdleSessionFootprint bounds what one idle session costs glsd on the
+// heap: the session and its maps, the request scanner's first buffer, the
+// write buffer, and its reader goroutine's record. The peers are raw TCP
+// (their socket objects, ≈ 0.4 KB each, count too) that open a session and
+// take and release one key. Goroutine stacks are not heap, and not counted.
+func TestIdleSessionFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what goroutines and channels cost")
+	}
+	srv, addr := newTestServer(t, Options{})
+	const peers = 256
+	before := liveHeap()
+	conns := make([]net.Conn, 0, peers)
+	defer func() {
+		for _, nc := range conns {
+			_ = nc.Close()
+		}
+	}()
+	br := bufio.NewReaderSize(nil, 64) // one small reader, moved from peer to peer
+	for i := 0; i < peers; i++ {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		conns = append(conns, nc)
+		br.Reset(nc)
+		for _, st := range []struct{ send, want string }{
+			{"session\r\n", "SESSION "},
+			{"trylock 1\r\n", "GRANTED 0x1 "},
+			{"unlock 1\r\n", "RELEASED 0x1"},
+		} {
+			if _, err := nc.Write([]byte(st.send)); err != nil {
+				t.Fatalf("peer %d: send %q: %v", i, st.send, err)
+			}
+			if line, err := br.ReadString('\n'); err != nil || !strings.HasPrefix(line, st.want) {
+				t.Fatalf("peer %d: after %q: %q, %v", i, st.send, line, err)
+			}
+		}
+	}
+	if n := srv.Stats().Sessions; n != peers {
+		t.Fatalf("%d sessions, want %d", n, peers)
+	}
+	per := (int64(liveHeap()) - int64(before)) / peers
+	t.Logf("%d B of heap per idle session", per)
+	if per > 3584 {
+		t.Fatalf("an idle session costs %d B of heap, want <= 3.5 KB", per)
+	}
+}
+
+// liveHeap is the heap in use after two collections.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
