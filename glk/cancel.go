@@ -1,18 +1,19 @@
 package glk
 
 import (
-	"fmt"
-
 	"gls/internal/stripe"
 	"gls/locks"
+	"gls/telemetry"
 )
 
 var _ locks.CancelableLock = (*Lock)(nil)
 
 // LockCancel acquires l, abandoning the attempt when c fires, and reports
-// whether the lock was acquired. A nil or never-firing Cancel takes the
-// exact Lock path, so cancellable call sites cost nothing until a deadline
-// or done channel is actually in play.
+// whether the lock was acquired. Its loop is paper Figure 4, and it is one
+// of glk.Lock's two acquisition loops: this plain one, which Lock runs with
+// a nil Cancel, and acquireInstrumented, which every entry point of a lock
+// built with Stats runs. Telemetry is chosen here, once, at the loop's
+// entry; a Cancel that never fires waits exactly as Lock does.
 //
 // Abort composes with adaptation (DESIGN.md §11): the Cancel is only ever
 // armed against one low-level family at a time. If the wait on family A
@@ -22,68 +23,24 @@ var _ locks.CancelableLock = (*Lock)(nil)
 // released A, and both queues stay clean. A latched Cancel aborts the retry
 // immediately, after the release.
 func (l *Lock) LockCancel(c *locks.Cancel) bool {
-	if c.Never() {
-		l.Lock()
-		return true
-	}
 	if l.stats != nil {
-		return l.lockCancelInstrumented(c)
+		return l.acquireInstrumented(true, c)
 	}
 	var a arrival
 	for {
 		cur := Mode(l.lockType.Load())
 		l.count(cur, &a)
-		if !l.lockLowCancel(cur, c) {
+		if !l.lockLow(cur, c) {
 			l.abortDepart(&a)
 			return false
 		}
+		// Re-check the mode: another holder may have adapted while we
+		// waited on the (now stale) low-level lock.
 		if Mode(l.lockType.Load()) == cur && !(l.sampleDue(cur) && l.sampleAndAdapt(cur)) {
 			l.settle(cur, &a)
 			return true
 		}
 		l.backOut(cur)
-	}
-}
-
-// lockCancelInstrumented is LockCancel's telemetry twin: the same loop,
-// with the try-first contended probe and the Arrive/Acquired/Aborted hooks.
-func (l *Lock) lockCancelInstrumented(c *locks.Cancel) bool {
-	a := arrival{tok: stripe.Self()}
-	acq := l.stats.Arrive(a.tok)
-	contended := false
-	for {
-		cur := Mode(l.lockType.Load())
-		l.count(cur, &a)
-		if !l.tryLockLow(cur) {
-			contended = true
-			if !l.lockLowCancel(cur, c) {
-				l.abortDepart(&a)
-				acq.Aborted(c.TimedOut())
-				return false
-			}
-		}
-		if Mode(l.lockType.Load()) == cur && !(l.sampleDue(cur) && l.sampleAndAdapt(cur)) {
-			l.settleInstrumented(cur, &a)
-			acq.Acquired(contended)
-			return true
-		}
-		l.backOut(cur)
-	}
-}
-
-// lockLowCancel runs the cancellable acquisition of mode m's low-level
-// lock. Every GLK family aborts natively: ticket by retire-or-abandon, mcs
-// by node marking, mutex by queue unlinking (package locks).
-func (l *Lock) lockLowCancel(m Mode, c *locks.Cancel) bool {
-	switch m {
-	case ModeTicket:
-		return l.ticket.LockCancel(c)
-	case ModeMCS:
-		return l.mcs().LockCancel(c)
-	case ModeMutex:
-		return l.mutex().LockCancel(c)
-	default:
-		panic(fmt.Sprintf("glk: corrupt mode %v (use glk.New)", m))
 	}
 }
 
@@ -102,19 +59,20 @@ func (l *RWLock) LockCancel(c *locks.Cancel) bool {
 		return true
 	}
 	tok := stripe.Self()
-	if l.stats == nil {
-		return locks.PollAcquire(func() bool { return l.tryLockLow(tok) }, c)
+	var a telemetry.Acq
+	if l.stats != nil {
+		a = l.stats.Arrive(tok)
 	}
-	a := l.stats.Arrive(tok)
-	if l.tryLockLow(tok) {
-		a.Acquired(false)
-		return true
-	}
-	if !locks.PollAcquire(func() bool { return l.tryLockLow(tok) }, c) {
-		a.Aborted(c.TimedOut())
+	contended := !l.tryLockLow(tok)
+	if contended && !locks.PollAcquire(func() bool { return l.tryLockLow(tok) }, c) {
+		if l.stats != nil {
+			a.Aborted(c.TimedOut())
+		}
 		return false
 	}
-	a.Acquired(true)
+	if l.stats != nil {
+		a.Acquired(contended)
+	}
 	return true
 }
 

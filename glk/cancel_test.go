@@ -266,6 +266,74 @@ func TestLockCancelInstrumented(t *testing.T) {
 	}
 }
 
+// TestInstrumentedMatchesPlain runs one single-goroutine script of every
+// acquisition shape on a lock without Stats and on one with them, in each
+// frozen mode: the instrumented loop must leave the same glk.Stats as the
+// plain loops, and its lanes must reconcile with them.
+func TestInstrumentedMatchesPlain(t *testing.T) {
+	const reps = 20
+	script := func(t *testing.T, l *Lock) (failedTries uint64) {
+		closed := make(chan struct{})
+		close(closed)
+		for i := 0; i < reps; i++ {
+			l.Lock()
+			l.Unlock()
+			if !l.TryLock() {
+				t.Fatal("TryLock failed on a free lock")
+			}
+			l.Unlock()
+			l.Lock()
+			if l.TryLock() {
+				t.Fatal("TryLock succeeded on a held lock")
+			}
+			failedTries++
+			if l.LockCancel(expiredCancel()) || l.LockCancel(&locks.Cancel{Done: closed}) {
+				t.Fatal("an aborting LockCancel acquired a held lock")
+			}
+			l.Unlock()
+			if !l.LockCancel(expiredCancel()) {
+				t.Fatal("an expired LockCancel did not take a free lock (grant beats abort)")
+			}
+			l.Unlock()
+			if !l.LockCancel(&locks.Cancel{Done: make(chan struct{})}) {
+				t.Fatal("a never-firing LockCancel did not take a free lock")
+			}
+			l.Unlock()
+		}
+		return failedTries
+	}
+	for _, m := range []Mode{ModeTicket, ModeMCS, ModeMutex} {
+		t.Run(m.String(), func(t *testing.T) {
+			cfg := Config{Monitor: newTestMonitor(), SamplePeriod: 4, AdaptPeriod: 16, DisableAdaptation: true, InitialMode: m}
+			plain := New(&cfg)
+			script(t, plain)
+			reg := telemetry.New(telemetry.Options{SamplePeriod: 1})
+			cfg.Stats = reg.Register(1, "glk")
+			inst := New(&cfg)
+			failedTries := script(t, inst)
+
+			ps, is := plain.Stats(), inst.Stats()
+			if ps != is {
+				t.Fatalf("instrumented Stats %+v, plain %+v", is, ps)
+			}
+			if is.Acquired != 5*reps || is.Aborts != 2*reps || is.Transitions != 0 || is.QueueTotal == 0 {
+				t.Fatalf("Stats %+v, want %d acquired, %d aborts, no transitions, some queue samples", is, 5*reps, 2*reps)
+			}
+			ls := reg.Snapshot().Lock(1)
+			if ls.Acquisitions != is.Acquired {
+				t.Fatalf("Acquisitions lane %d, Stats().Acquired %d", ls.Acquisitions, is.Acquired)
+			}
+			if ls.Timeouts != reps || ls.Cancels != reps {
+				t.Fatalf("timeouts/cancels = %d/%d, want %d/%d", ls.Timeouts, ls.Cancels, reps, reps)
+			}
+			if ls.TryFails != ls.Timeouts+ls.Cancels+failedTries {
+				t.Fatalf("TryFails %d != timeouts %d + cancels %d + failed TryLocks %d",
+					ls.TryFails, ls.Timeouts, ls.Cancels, failedTries)
+			}
+		})
+	}
+}
+
 // TestRWLockCancel covers the adaptive RW lock's bounded write acquisition:
 // abort behind a holder, acquire when free, clean state after.
 func TestRWLockCancel(t *testing.T) {

@@ -464,7 +464,8 @@ func (l *Lock) PresenceInflated() bool {
 }
 
 // arrival is one acquisition attempt's presence bookkeeping. The rule, the
-// same on every path (plain, TryLock, LockCancel, instrumented): a
+// same in both acquisition loops (the plain LockCancel, which Lock is, and
+// acquireInstrumented) and in the plain TryLock: a
 // goroutine at the lock is counted in l.present exactly while the mode word
 // it last read says mcs or mutex. One that last read ticket is not counted —
 // it holds, or is about to take, a ticket, and the ticket words already say
@@ -523,18 +524,6 @@ func (l *Lock) settle(m Mode, a *arrival) {
 	}
 }
 
-// settleInstrumented is settle for an acquisition with telemetry, which
-// also remembers the lane its Unlock will release on: in ticket mode on the
-// lock's own line, which the holder has just written anyway; in the other
-// modes it is the token settle keeps.
-func (l *Lock) settleInstrumented(m Mode, a *arrival) {
-	if m == ModeTicket {
-		l.lane = a.tok
-		return
-	}
-	l.settle(m, a)
-}
-
 // backOut releases mode m's low-level lock without a critical section
 // having run under it: the mode word moved while the caller waited, or the
 // caller itself just moved it. Ticket-mode acquisitions are counted off the
@@ -548,54 +537,15 @@ func (l *Lock) backOut(m Mode) {
 }
 
 // Lock acquires l, adapting the mode if the statistics call for it
-// (paper Figure 4).
-func (l *Lock) Lock() {
-	if l.stats != nil {
-		l.lockInstrumented()
-		return
-	}
-	var a arrival
-	for {
-		cur := Mode(l.lockType.Load())
-		l.count(cur, &a)
-		l.lockLow(cur)
-		// Re-check the mode: another holder may have adapted while we
-		// waited on the (now stale) low-level lock.
-		if Mode(l.lockType.Load()) == cur && !(l.sampleDue(cur) && l.sampleAndAdapt(cur)) {
-			l.settle(cur, &a)
-			return
-		}
-		l.backOut(cur)
-	}
-}
-
-// lockInstrumented is Lock's telemetry twin: same adaptation loop, plus a
-// try-first probe of the low-level lock so a blocked arrival is counted as
-// a contended acquisition, and the Arrive/Acquired hook pair around it.
-func (l *Lock) lockInstrumented() {
-	a := arrival{tok: stripe.Self()}
-	acq := l.stats.Arrive(a.tok)
-	contended := false
-	for {
-		cur := Mode(l.lockType.Load())
-		l.count(cur, &a)
-		if !l.tryLockLow(cur) {
-			contended = true
-			l.lockLow(cur)
-		}
-		if Mode(l.lockType.Load()) == cur && !(l.sampleDue(cur) && l.sampleAndAdapt(cur)) {
-			l.settleInstrumented(cur, &a)
-			acq.Acquired(contended)
-			return
-		}
-		l.backOut(cur)
-	}
-}
+// (paper Figure 4). It is LockCancel with a Cancel that never fires, and
+// stays a one-line call so that it inlines into its callers: the wait is
+// no deeper than the loop it runs.
+func (l *Lock) Lock() { l.LockCancel(nil) }
 
 // TryLock attempts to acquire l without waiting.
 func (l *Lock) TryLock() bool {
 	if l.stats != nil {
-		return l.tryLockInstrumented()
+		return l.acquireInstrumented(false, nil)
 	}
 	var a arrival
 	for {
@@ -613,21 +563,41 @@ func (l *Lock) TryLock() bool {
 	}
 }
 
-// tryLockInstrumented is TryLock's telemetry twin.
-func (l *Lock) tryLockInstrumented() bool {
+// acquireInstrumented is the adaptation loop of a lock built with Stats,
+// behind all three entry points: TryLock (wait false) and Lock and
+// LockCancel (wait true, c nil for Lock). It is LockCancel's loop plus a
+// try-first probe of the low-level lock, so a blocked arrival is counted as
+// a contended acquisition, and one Arrive followed by exactly one of
+// Acquired, Failed or Aborted. The holder remembers the lane its Unlock
+// releases on: in ticket mode on the lock's own line, which it has just
+// written anyway; in the other modes it is the token settle keeps.
+func (l *Lock) acquireInstrumented(wait bool, c *locks.Cancel) bool {
 	a := arrival{tok: stripe.Self()}
 	acq := l.stats.Arrive(a.tok)
+	contended := false
 	for {
 		cur := Mode(l.lockType.Load())
 		l.count(cur, &a)
 		if !l.tryLockLow(cur) {
-			l.depart(&a)
-			acq.Failed()
-			return false
+			if !wait {
+				l.depart(&a)
+				acq.Failed()
+				return false
+			}
+			contended = true
+			if !l.lockLow(cur, c) {
+				l.abortDepart(&a)
+				acq.Aborted(c.TimedOut())
+				return false
+			}
 		}
 		if Mode(l.lockType.Load()) == cur && !(l.sampleDue(cur) && l.sampleAndAdapt(cur)) {
-			l.settleInstrumented(cur, &a)
-			acq.Acquired(false)
+			if cur == ModeTicket {
+				l.lane = a.tok
+			} else {
+				l.settle(cur, &a)
+			}
+			acq.Acquired(contended)
 			return true
 		}
 		l.backOut(cur)
@@ -700,15 +670,18 @@ func (l *Lock) ensureLow(m Mode) {
 func (l *Lock) mcs() *locks.MCSLock     { return l.adapt.Load().mcs.Load() }
 func (l *Lock) mutex() *locks.MutexLock { return l.adapt.Load().mutex.Load() }
 
-// lockLow acquires the low-level lock for mode m.
-func (l *Lock) lockLow(m Mode) {
+// lockLow acquires the low-level lock for mode m, abandoning the wait when
+// c fires, and reports whether it did. Every GLK family aborts natively:
+// ticket by retire-or-abandon, mcs by node marking, mutex by queue
+// unlinking (package locks).
+func (l *Lock) lockLow(m Mode, c *locks.Cancel) bool {
 	switch m {
 	case ModeTicket:
-		l.ticket.Lock()
+		return l.ticket.LockCancel(c)
 	case ModeMCS:
-		l.mcs().Lock()
+		return l.mcs().LockCancel(c)
 	case ModeMutex:
-		l.mutex().Lock()
+		return l.mutex().LockCancel(c)
 	default:
 		panic(fmt.Sprintf("glk: corrupt mode %v (use glk.New)", m))
 	}

@@ -8,12 +8,12 @@ import (
 
 // Cancel carries the abort conditions for one cancellable acquisition: an
 // optional done channel (context-style cancellation) and an optional
-// absolute deadline. The zero value — and a nil *Cancel — never fires, so
-// LockCancel(nil) degenerates to Lock.
+// absolute deadline. The zero value — and a nil *Cancel — never fires: the
+// Lock of Ticket, MCS and Mutex is their LockCancel with a nil Cancel.
 //
-// A Cancel belongs to a single goroutine — one acquisition, or several in
-// turn under one bound (glsd's batches); it is not safe for concurrent use
-// (like backoff.Spinner, it is cheap per-call state). After Aborted first
+// A Cancel belongs to one acquisition on one goroutine (a glsd wait, a
+// LockCtx or TryLockFor call); it is not safe for concurrent use (like
+// backoff.Spinner, it is cheap per-call state). After Aborted first
 // reports true, the cause is latched — a fired Cancel stays fired — and
 // TimedOut reports which condition fired — the telemetry layer uses it to
 // split aborts into timeout and cancel lanes.
@@ -35,8 +35,8 @@ const (
 )
 
 // Never reports whether c can never fire — in which case cancellable
-// acquisition paths should take the plain blocking path, keeping the
-// uncontended fast path untouched.
+// acquisition paths take the plain blocking path: LockWithCancel calls
+// Lock, and a parked mutex waiter starts no timer.
 func (c *Cancel) Never() bool {
 	return c == nil || (c.Done == nil && c.Deadline.IsZero())
 }

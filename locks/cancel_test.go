@@ -121,6 +121,73 @@ func TestAbortedWaitersSuccessorAcquires(t *testing.T) {
 	}
 }
 
+// TestNeverFiringCancelWaits holds each queue lock while waiters whose
+// Cancel can never fire — nil, the zero Cancel, a Done that is never
+// closed, a deadline an hour out — queue in its one wait body: none may
+// return while the holder holds, each must acquire in its turn once it
+// lets go, and the lock must be left clean.
+func TestNeverFiringCancelWaits(t *testing.T) {
+	for _, a := range []Algorithm{Ticket, MCS, Mutex} {
+		t.Run(a.String(), func(t *testing.T) {
+			l := New(a)
+			cl := l.(CancelableLock)
+			queue := l.(interface{ QueueLen() int })
+			cancels := []*Cancel{nil, {}, {Done: make(chan struct{})}, {Deadline: time.Now().Add(time.Hour)}}
+			l.Lock()
+			var inSection atomic.Int32
+			res := make(chan bool, len(cancels))
+			for _, c := range cancels {
+				go func() {
+					ok := cl.LockCancel(c)
+					if ok {
+						if n := inSection.Add(1); n != 1 {
+							t.Errorf("mutual exclusion violated: %d in section", n)
+						}
+						inSection.Add(-1)
+						l.Unlock()
+					}
+					res <- ok
+				}()
+			}
+			// Every waiter queued behind the holder (the MCS count is the
+			// holder's to take, and this goroutine holds).
+			deadline := time.Now().Add(5 * time.Second)
+			for queue.QueueLen() < 1+len(cancels) {
+				if time.Now().After(deadline) {
+					t.Fatalf("QueueLen = %d, want %d", queue.QueueLen(), 1+len(cancels))
+				}
+				time.Sleep(time.Millisecond)
+			}
+			select {
+			case ok := <-res:
+				t.Fatalf("a waiter returned %v while the holder held", ok)
+			case <-time.After(20 * time.Millisecond):
+			}
+			l.Unlock()
+			for range cancels {
+				select {
+				case ok := <-res:
+					if !ok {
+						t.Fatal("a never-firing wait gave up")
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("a waiter never acquired after the holder let go")
+				}
+			}
+			if n := queue.QueueLen(); n != 0 {
+				t.Fatalf("QueueLen = %d after every waiter left, want 0", n)
+			}
+			if tl, ok := l.(*TicketLock); ok && tl.Abandons() != 0 {
+				t.Fatalf("Abandons = %d, want 0", tl.Abandons())
+			}
+			if !l.TryLock() {
+				t.Fatal("lock not free after every waiter left")
+			}
+			l.Unlock()
+		})
+	}
+}
+
 // TestLockCancelMutualExclusionSoak races cancellable acquisitions, plain
 // acquisitions and releases; the protected counter detects any mutual-
 // exclusion violation (run under -race for the full effect).

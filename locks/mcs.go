@@ -8,8 +8,8 @@ import (
 	"gls/internal/pad"
 )
 
-// MCS node states. Granted is zero so the hot non-cancellable wait loop
-// stays a plain spin-until-zero, exactly as in the classic algorithm.
+// MCS node states. Granted is zero, so the wait is the classic algorithm's
+// spin-until-zero plus an abort poll.
 const (
 	mcsGranted   uint32 = 0 // predecessor handed the lock over
 	mcsWaiting   uint32 = 1 // enqueued, spinning
@@ -87,17 +87,9 @@ func (l *MCSLock) enqueue() (n, pred *mcsNode) {
 }
 
 // Lock appends the caller to the waiter queue and spins on its private node
-// until its predecessor hands over the lock.
-func (l *MCSLock) Lock() {
-	n, pred := l.enqueue()
-	if pred != nil {
-		var s backoff.Spinner
-		for n.state.Load() != mcsGranted {
-			s.Spin()
-		}
-	}
-	l.holder = n
-}
+// until its predecessor hands over the lock: LockCancel with a Cancel that
+// never fires.
+func (l *MCSLock) Lock() { l.LockCancel(nil) }
 
 // LockCancel acquires the lock, abandoning the wait when c fires. An
 // aborting waiter CASes its node from waiting to abandoned; if the CAS
@@ -106,10 +98,6 @@ func (l *MCSLock) Lock() {
 // passes to the future releaser — the departing goroutine never touches it
 // again, and in particular never returns it to the pool.
 func (l *MCSLock) LockCancel(c *Cancel) bool {
-	if c.Never() {
-		l.Lock()
-		return true
-	}
 	n, pred := l.enqueue()
 	if pred == nil {
 		l.holder = n

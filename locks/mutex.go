@@ -48,12 +48,27 @@ var (
 // NewMutex returns an unlocked blocking lock.
 func NewMutex() *MutexLock { return new(MutexLock) }
 
-// Lock acquires l, parking the goroutine if a short spin phase fails.
-func (l *MutexLock) Lock() {
-	// Busy-waiting phase.
+// Lock acquires l, parking the goroutine if a short spin phase fails:
+// LockCancel with a Cancel that never fires.
+func (l *MutexLock) Lock() { l.LockCancel(nil) }
+
+// LockCancel acquires l, parking the goroutine if a short spin phase fails,
+// and abandons the attempt when c fires. Unlike the spinlocks, a parked
+// mutex waiter does not poll: it blocks on a select of its wake channel,
+// the done channel and a deadline timer, so an aborted wait costs no CPU —
+// and a wait that can never abort parks on its wake channel alone, starting
+// no timer. On abort the waiter unlinks itself from the queue under qlock;
+// if an Unlock dequeued it first, the handoff is already in flight and the
+// lock is ours (grant beats abort).
+func (l *MutexLock) LockCancel(c *Cancel) bool {
+	// Busy-waiting phase, with abort polling: nothing is enqueued yet, so
+	// giving up here is free.
 	for i := 0; i < spinBeforePark; i++ {
 		if l.state.CompareAndSwap(0, 1) {
-			return
+			return true
+		}
+		if c.Aborted() {
+			return false
 		}
 		if i >= spinBeforePark/2 {
 			backoff.Yield()
@@ -71,7 +86,7 @@ func (l *MutexLock) Lock() {
 	if l.state.CompareAndSwap(0, 1) {
 		l.qlock.Unlock()
 		l.nwait.Add(-1)
-		return
+		return true
 	}
 	if l.tail == nil {
 		l.head = w
@@ -80,93 +95,48 @@ func (l *MutexLock) Lock() {
 	}
 	l.tail = w
 	l.qlock.Unlock()
-	<-w.wake
-	// Direct handoff: the releaser left state == 1 on our behalf.
-	l.nwait.Add(-1)
-}
 
-// LockCancel acquires l, abandoning the attempt when c fires. Unlike the
-// spinlocks, a parked mutex waiter does not poll: it blocks on a select of
-// its wake channel, the done channel and a deadline timer, so an aborted
-// wait costs no CPU. On abort the waiter unlinks itself from the queue
-// under qlock; if an Unlock dequeued it first, the handoff is already in
-// flight and the lock is ours (grant beats abort).
-func (l *MutexLock) LockCancel(c *Cancel) bool {
-	if c.Never() {
-		l.Lock()
-		return true
-	}
-	// Busy-waiting phase, with abort polling: nothing is enqueued yet, so
-	// giving up here is free.
-	for i := 0; i < spinBeforePark; i++ {
-		if l.state.CompareAndSwap(0, 1) {
-			return true
+	if !c.Never() {
+		var timeC <-chan time.Time
+		if !c.Deadline.IsZero() {
+			d := time.Until(c.Deadline)
+			if d < 0 {
+				d = 0
+			}
+			timer := time.NewTimer(d)
+			defer timer.Stop()
+			timeC = timer.C
 		}
-		if c.Aborted() {
+		select {
+		case <-w.wake:
+			l.nwait.Add(-1)
+			return true
+		case <-c.Done: // nil when no done channel: never fires
+			// Deadline-first, matching Cancel.Aborted: a context's own timer
+			// closes Done at the deadline, and select picks randomly between
+			// two ready cases — without this check that race would
+			// misclassify a timeout as a cancellation.
+			if !c.Deadline.IsZero() && !time.Now().Before(c.Deadline) {
+				c.cause = causeTimeout
+			} else {
+				c.cause = causeCancel
+			}
+		case <-timeC:
+			c.cause = causeTimeout
+		}
+		// Aborted while parked. If we are still queued, unlink and depart;
+		// an empty removal means an Unlock already dequeued us and its wake
+		// is in flight — receive it below and keep the lock.
+		l.qlock.Lock()
+		if l.removeWaiter(w) {
+			l.qlock.Unlock()
+			l.nwait.Add(-1)
 			return false
 		}
-		if i >= spinBeforePark/2 {
-			backoff.Yield()
-		} else {
-			backoff.Pause(1 << uint(i%6))
-		}
-	}
-	// Parking phase, as in Lock.
-	w := &mutexWaiter{wake: make(chan struct{}, 1)}
-	l.nwait.Add(1)
-	l.qlock.Lock()
-	if l.state.CompareAndSwap(0, 1) {
 		l.qlock.Unlock()
-		l.nwait.Add(-1)
-		return true
 	}
-	if l.tail == nil {
-		l.head = w
-	} else {
-		l.tail.next = w
-	}
-	l.tail = w
-	l.qlock.Unlock()
-
-	var timeC <-chan time.Time
-	if !c.Deadline.IsZero() {
-		d := time.Until(c.Deadline)
-		if d < 0 {
-			d = 0
-		}
-		timer := time.NewTimer(d)
-		defer timer.Stop()
-		timeC = timer.C
-	}
-	select {
-	case <-w.wake:
-		// Direct handoff: the releaser left state == 1 on our behalf.
-		l.nwait.Add(-1)
-		return true
-	case <-c.Done: // nil when no done channel: never fires
-		// Deadline-first, matching Cancel.Aborted: a context's own timer
-		// closes Done at the deadline, and select picks randomly between two
-		// ready cases — without this check that race would misclassify a
-		// timeout as a cancellation.
-		if !c.Deadline.IsZero() && !time.Now().Before(c.Deadline) {
-			c.cause = causeTimeout
-		} else {
-			c.cause = causeCancel
-		}
-	case <-timeC:
-		c.cause = causeTimeout
-	}
-	// Aborted while parked. If we are still queued, unlink and depart; an
-	// empty removal means an Unlock already dequeued us and its wake is in
-	// flight — receive it and keep the lock.
-	l.qlock.Lock()
-	if l.removeWaiter(w) {
-		l.qlock.Unlock()
-		l.nwait.Add(-1)
-		return false
-	}
-	l.qlock.Unlock()
 	<-w.wake
+	// Direct handoff: the releaser left state == 1 on our behalf.
 	l.nwait.Add(-1)
 	return true
 }

@@ -78,38 +78,18 @@ var (
 // NewTicket returns an unlocked ticket lock.
 func NewTicket() *TicketLock { return new(TicketLock) }
 
-// Lock takes the next ticket and waits for its turn. Waiting is
-// proportional: a thread whose ticket is far from the owner backs off
-// longer, which reduces traffic on the shared line.
-func (l *TicketCore) Lock() {
-	t := l.next.Add(1) - 1
-	var s backoff.Spinner
-	for {
-		o := l.owner.Load()
-		if o == t {
-			return
-		}
-		// Proportional component: one pause per waiter ahead of us, on top
-		// of the escalating policy.
-		dist := t - o
-		if dist > 16 {
-			dist = 16
-		}
-		backoff.Pause(dist)
-		s.Spin()
-	}
-}
+// Lock takes the next ticket and waits for its turn: LockCancel with a
+// Cancel that never fires.
+func (l *TicketCore) Lock() { l.LockCancel(nil) }
 
 // LockCancel takes a ticket and waits for its turn, abandoning the wait
-// when c fires. Abort prefers retiring the ticket — CASing next from t+1
-// back to t, which succeeds only while no later ticket has been issued and
-// leaves no trace — and otherwise records t in the abandonment table for
-// Unlock's drain to step over.
+// when c fires. Waiting is proportional: a thread whose ticket is far from
+// the owner backs off longer, which reduces traffic on the shared line.
+// Abort prefers retiring the ticket — CASing next from t+1 back to t, which
+// succeeds only while no later ticket has been issued and leaves no trace —
+// and otherwise records t in the abandonment table for Unlock's drain to
+// step over.
 func (l *TicketCore) LockCancel(c *Cancel) bool {
-	if c.Never() {
-		l.Lock()
-		return true
-	}
 	t := l.next.Add(1) - 1
 	var s backoff.Spinner
 	for {
@@ -133,6 +113,8 @@ func (l *TicketCore) LockCancel(c *Cancel) bool {
 			}
 			return false
 		}
+		// Proportional component: one pause per waiter ahead of us, on top
+		// of the escalating policy.
 		dist := t - o
 		if dist > 16 {
 			dist = 16

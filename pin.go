@@ -65,9 +65,7 @@ func (p Pin) TryLock() bool { return p.e.exclusive().TryLock() }
 // and reports whether the lock is held. The contract is locks.LockWithCancel's:
 // the grant beats the abort, c.TimedOut tells a deadline from a closed Done
 // after a false return, and a Cancel that can never fire (nil included) takes
-// the plain blocking path. One Cancel may bound several acquisitions in turn
-// on one goroutine — a batch's shared deadline — since a fired Cancel stays
-// fired.
+// the plain blocking path. glsd's waits call it, one Cancel per wait.
 func (p Pin) LockCancel(c *locks.Cancel) bool {
 	return locks.LockWithCancel(p.e.exclusive(), c)
 }

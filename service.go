@@ -206,7 +206,7 @@ func (e *entry) markDead() { e.lk.Aux.Store(e.lk.Aux.Load() | entryDead) }
 
 // exclusive returns whichever lock e holds as an interface — for an RW key
 // its write side. It is for the paths where an indirect call is noise: the
-// debugger, batches, pins, bounded waits, first uses. The six operations
+// debugger, pins, bounded waits, first uses. The six operations
 // whose whole cost is the look-up (Lock, TryLock and Unlock, here and on
 // Handle) test inline themselves and call e.lk directly.
 func (e *entry) exclusive() locks.Lock {

@@ -24,18 +24,9 @@ func Instrument(l locks.Lock, st *LockStats) locks.Lock {
 	return &instrumentedLock{inner: l, st: st}
 }
 
-func (w *instrumentedLock) Lock() {
-	tok := stripe.Self()
-	a := w.st.Arrive(tok)
-	// Probe before waiting: a failed TryLock is the "found it held"
-	// definition of a contended acquisition, the same one glk uses.
-	if w.inner.TryLock() {
-		a.Acquired(false)
-		return
-	}
-	w.inner.Lock()
-	a.Acquired(true)
-}
+// Lock is LockCancel with a Cancel that never fires, which
+// locks.LockWithCancel turns into the inner lock's own Lock.
+func (w *instrumentedLock) Lock() { w.LockCancel(nil) }
 
 func (w *instrumentedLock) TryLock() bool {
 	tok := stripe.Self()
@@ -48,17 +39,16 @@ func (w *instrumentedLock) TryLock() bool {
 	return true
 }
 
-// LockCancel makes the wrapper itself cancellable, so locks.LockWithCancel
-// on an instrumented lock reaches the inner algorithm's native abort path
-// instead of polling the wrapper's TryLock — which would count one arrival
-// per poll. One Arrive, then exactly one of Acquired or Aborted.
+// LockCancel is the wrapper's one wait body. Being cancellable itself, it
+// lets locks.LockWithCancel on an instrumented lock reach the inner
+// algorithm's native abort path instead of polling the wrapper's TryLock —
+// which would count one arrival per poll. One Arrive, then exactly one of
+// Acquired or Aborted.
 func (w *instrumentedLock) LockCancel(c *locks.Cancel) bool {
-	if c.Never() {
-		w.Lock()
-		return true
-	}
 	tok := stripe.Self()
 	a := w.st.Arrive(tok)
+	// Probe before waiting: a failed TryLock is the "found it held"
+	// definition of a contended acquisition, the same one glk uses.
 	if w.inner.TryLock() {
 		a.Acquired(false)
 		return true
@@ -80,15 +70,15 @@ func (w *instrumentedLock) Unlock() {
 }
 
 // instrumentedRWLock wraps an explicit reader-writer lock with telemetry
-// hooks, the RW counterpart of instrumentedLock: the write side flows
-// through the exclusive lanes, the read side through the rw lane block.
-// glk.RWLock does not use this wrapper — it calls the hooks natively, which
-// lets it also report its inline↔striped mode transitions and writer drain
-// time.
+// hooks, the RW counterpart of instrumentedLock: the write side is an
+// instrumentedLock over the same lock, flowing through the exclusive lanes,
+// and the read side flows through the rw lane block. glk.RWLock does not
+// use this wrapper — it calls the hooks natively, which lets it also
+// report its inline↔striped mode transitions and writer drain time.
 type instrumentedRWLock struct {
-	inner locks.RWLock
-	st    *LockStats
-	// writeLocked reports whether a writer currently holds inner, when the
+	instrumentedLock // the write side, over rw
+	rw               locks.RWLock
+	// writeLocked reports whether a writer currently holds rw, when the
 	// lock can say (every lock in the locks package can); nil otherwise.
 	// It classifies blocked read acquisitions: a TryRLock failure alone is
 	// not proof of a writer — RWWritePref's try also fails on a busy count
@@ -109,38 +99,11 @@ type writerReporter interface {
 // call EnableRW before first use).
 func InstrumentRW(l locks.RWLock, st *LockStats) locks.RWLock {
 	st.EnableRW()
-	w := &instrumentedRWLock{inner: l, st: st}
+	w := &instrumentedRWLock{instrumentedLock: instrumentedLock{inner: l, st: st}, rw: l}
 	if wr, ok := l.(writerReporter); ok {
 		w.writeLocked = wr.WriteLocked
 	}
 	return w
-}
-
-func (w *instrumentedRWLock) Lock() {
-	tok := stripe.Self()
-	a := w.st.Arrive(tok)
-	if w.inner.TryLock() {
-		a.Acquired(false)
-		return
-	}
-	w.inner.Lock()
-	a.Acquired(true)
-}
-
-func (w *instrumentedRWLock) TryLock() bool {
-	tok := stripe.Self()
-	a := w.st.Arrive(tok)
-	if !w.inner.TryLock() {
-		a.Failed()
-		return false
-	}
-	a.Acquired(false)
-	return true
-}
-
-func (w *instrumentedRWLock) Unlock() {
-	w.st.Release(stripe.Self())
-	w.inner.Unlock()
 }
 
 func (w *instrumentedRWLock) RLock() {
@@ -150,19 +113,19 @@ func (w *instrumentedRWLock) RLock() {
 	// evidence, not proof, of a writer (see the writeLocked field): ask
 	// the lock whether a writer is actually active before blocking. With
 	// no introspection available, fall back to trusting the probe.
-	if w.inner.TryRLock() {
+	if w.rw.TryRLock() {
 		a.RAcquired(false)
 		return
 	}
 	contended := w.writeLocked == nil || w.writeLocked()
-	w.inner.RLock()
+	w.rw.RLock()
 	a.RAcquired(contended)
 }
 
 func (w *instrumentedRWLock) TryRLock() bool {
 	tok := stripe.Self()
 	a := w.st.RArrive(tok)
-	if !w.inner.TryRLock() {
+	if !w.rw.TryRLock() {
 		a.RFailed()
 		return false
 	}
@@ -172,26 +135,5 @@ func (w *instrumentedRWLock) TryRLock() bool {
 
 func (w *instrumentedRWLock) RUnlock() {
 	w.st.RRelease(stripe.Self())
-	w.inner.RUnlock()
-}
-
-// LockCancel is the write-side cancellable acquisition; see
-// instrumentedLock.LockCancel for the one-Arrive discipline.
-func (w *instrumentedRWLock) LockCancel(c *locks.Cancel) bool {
-	if c.Never() {
-		w.Lock()
-		return true
-	}
-	tok := stripe.Self()
-	a := w.st.Arrive(tok)
-	if w.inner.TryLock() {
-		a.Acquired(false)
-		return true
-	}
-	if !locks.LockWithCancel(w.inner, c) {
-		a.Aborted(c.TimedOut())
-		return false
-	}
-	a.Acquired(true)
-	return true
+	w.rw.RUnlock()
 }
