@@ -62,18 +62,26 @@ func errForCode(code, detail string) error {
 }
 
 // Conn is one session with a glsd server. It is safe for concurrent use:
-// synchronous requests are serialized, and each outstanding asynchronous
-// acquisition has its own delivery channel keyed by wait id. Its buffers are
-// sized to the line protocol (writeBufBytes, readBufBytes), so an idle Conn
-// holds its lines, not bufio's 4 KB defaults.
+// synchronous requests are serialized, one round trip at a time, and each
+// outstanding asynchronous acquisition has its own delivery channel keyed by
+// wait id. Goroutines sharing a Conn queue for their round trips on a lock
+// that parks them rather than spinning (reqLock): the goroutine they wait
+// for is blocked on the network, not running, so spinning would only take
+// CPU from the read loop and the server it waits on. Its buffers are sized
+// to the line protocol (writeBufBytes, readBufBytes), so an idle Conn holds
+// its lines, not bufio's 4 KB defaults.
 type Conn struct {
 	nc net.Conn
 	bw *bufio.Writer
 
 	// reqMu serializes request/response pairs: the protocol answers
 	// synchronous requests in order, so one round trip at a time keeps the
-	// pairing trivial.
-	reqMu sync.Mutex
+	// pairing trivial. Its holder is blocked on the network for the whole
+	// round trip, so it is a reqLock, not a sync.Mutex: a waiter parks at
+	// once instead of spinning first, and admission is otherwise
+	// sync.Mutex's (barging, with a hand-off to a waiter starved for
+	// starvationThreshold).
+	reqMu reqLock
 	// wmu guards bw (Close writes its quit while a round trip may be
 	// building its request).
 	wmu sync.Mutex

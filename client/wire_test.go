@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -364,6 +366,55 @@ func TestUnsolicitedReplyFailsConn(t *testing.T) {
 			t.Fatal("connection still up 2 s after an unsolicited reply")
 		}
 	}
+}
+
+// TestSharedConnEveryCallerProgresses: eight goroutines sharing one Conn
+// all get round trips, not just the one that keeps re-taking the request
+// lock as its last round trip ends. Each runs TryLock+Unlock on keys of its
+// own for 300 ms and must finish at least 10 ops, every one correct: a
+// token larger than the last one it saw for that key, and a RELEASED
+// unlock. A request lock that barges with no starvation hand-off fails
+// this: the goroutines it passes over wait out the whole run.
+func TestSharedConnEveryCallerProgresses(t *testing.T) {
+	c := dial(t, startServer(t, server.Options{}))
+	const goroutines, keys, floor = 8, 16, 10
+	var ops [goroutines]int
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			last := make(map[uint64]uint64)
+			for i := 0; !stop.Load(); i++ {
+				key := uint64(g*keys + 1 + i%keys)
+				tok, err := c.TryLock(key, 10*time.Second)
+				if err != nil {
+					t.Errorf("goroutine %d: TryLock(%d): %v", g, key, err)
+					return
+				}
+				if tok <= last[key] {
+					t.Errorf("goroutine %d: TryLock(%d) token %d, not above the last grant's %d", g, key, tok, last[key])
+					return
+				}
+				last[key] = tok
+				if err := c.Unlock(key); err != nil {
+					t.Errorf("goroutine %d: Unlock(%d): %v", g, key, err)
+					return
+				}
+				ops[g]++
+			}
+		}(g)
+	}
+	time.Sleep(300 * time.Millisecond)
+	stop.Store(true)
+	wg.Wait()
+	for g, n := range ops {
+		if n < floor {
+			t.Errorf("goroutine %d finished %d ops in 300 ms, want >= %d (all: %v)", g, n, floor, ops)
+		}
+	}
+	t.Logf("ops per goroutine: %v", ops)
 }
 
 // BenchmarkWireRoundTrip is the client's TryLock+Unlock over loopback, one
