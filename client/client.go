@@ -1,8 +1,9 @@
 // Package client is the Go client for glsd, the GLS lock server (package
-// server): a connection speaks the line protocol, demultiplexes
-// asynchronous grant/expiry notices from synchronous replies, and keeps
-// the session-scoped key→fencing-token map that callers pass to
-// token-checking consumers (see FencedStore).
+// server): a connection speaks the line protocol and demultiplexes
+// asynchronous grant/expiry notices from synchronous replies. It keeps no
+// per-key state: a grant's fencing token is the return value of the call
+// that took it, which the caller hands to a token-checking consumer (see
+// FencedStore) alongside the guarded write.
 package client
 
 import (
@@ -69,7 +70,9 @@ func errForCode(code, detail string) error {
 // for is blocked on the network, not running, so spinning would only take
 // CPU from the read loop and the server it waits on. Its buffers are sized
 // to the line protocol (writeBufBytes, readBufBytes), so an idle Conn holds
-// its lines, not bufio's 4 KB defaults.
+// its lines, not bufio's 4 KB defaults. A Conn keeps no per-key state: the
+// token of a grant is what TryLock or Lock returned, and the session's
+// holdings are the server's to track.
 type Conn struct {
 	nc net.Conn
 	bw *bufio.Writer
@@ -82,9 +85,6 @@ type Conn struct {
 	// sync.Mutex's (barging, with a hand-off to a waiter starved for
 	// starvationThreshold).
 	reqMu reqLock
-	// wmu guards bw (Close writes its quit while a round trip may be
-	// building its request).
-	wmu sync.Mutex
 
 	// syncCh carries the reply to the round trip in flight. reqMu allows at
 	// most one synchronous reply outstanding and the channel holds one, so
@@ -94,14 +94,12 @@ type Conn struct {
 
 	mu      sync.Mutex
 	waits   map[uint64]chan reply
-	tokens  map[uint64]uint64 // key → token, for the keys this session holds
 	expired func(key, token uint64)
 
 	nextWait atomic.Uint64
 
 	done    chan struct{}
 	readErr error
-	closed  atomic.Bool
 }
 
 // The connection's buffers. A request is written and flushed whole, so the
@@ -131,7 +129,6 @@ func open(nc net.Conn) (*Conn, error) {
 		bw:     bufio.NewWriterSize(nc, writeBufBytes),
 		syncCh: make(chan reply, 1),
 		waits:  make(map[uint64]chan reply),
-		tokens: make(map[uint64]uint64),
 		done:   make(chan struct{}),
 	}
 	go c.readLoop(bufio.NewReaderSize(nc, readBufBytes))
@@ -155,18 +152,12 @@ func (c *Conn) OnExpired(fn func(key, token uint64)) {
 	c.mu.Unlock()
 }
 
-// Close ends the session. The server releases every lease the session
-// still holds (through the lease sweeper, tokens advancing past them).
+// Close ends the session by closing the socket; it sends nothing. glsd
+// tears a session down on EOF as it does on quit, releasing every lease the
+// session still holds, and a call still in flight on this Conn returns an
+// error wrapping ErrClosed. Closing twice is not an error.
 func (c *Conn) Close() error {
-	if c.closed.Swap(true) {
-		return nil
-	}
-	// Best-effort polite quit; the server tears the session down either way.
-	c.wmu.Lock()
-	_, _ = c.bw.WriteString("quit\r\n")
-	_ = c.bw.Flush()
-	c.wmu.Unlock()
-	if err := c.nc.Close(); !errors.Is(err, net.ErrClosed) { // the read loop may have hung up first
+	if err := c.nc.Close(); !errors.Is(err, net.ErrClosed) { // closed before, by Close or the read loop
 		return err
 	}
 	return nil
@@ -283,13 +274,11 @@ func (c *Conn) readLoop(br *bufio.Reader) {
 			if r.n != 2 {
 				continue
 			}
-			key, tok := r.num[0], r.num[1]
-			c.forget(key, tok)
 			c.mu.Lock()
 			fn := c.expired
 			c.mu.Unlock()
 			if fn != nil {
-				fn(key, tok)
+				fn(r.num[0], r.num[1])
 			}
 		default:
 			if r.verb == "" && r.text == "" {
@@ -309,7 +298,7 @@ func (c *Conn) readLoop(br *bufio.Reader) {
 }
 
 // request is one request line under construction in the connection's write
-// buffer: begin takes reqMu and wmu and writes the verb, the field methods
+// buffer: begin takes reqMu and writes the verb, the field methods
 // append (no string is made on the way), do sends the line and waits for
 // its reply.
 type request struct {
@@ -319,7 +308,6 @@ type request struct {
 
 func (c *Conn) begin(verb string) request {
 	c.reqMu.Lock()
-	c.wmu.Lock()
 	return request{c, append(c.bw.AvailableBuffer(), verb...)}
 }
 
@@ -352,7 +340,6 @@ func (q request) do() (reply, error) {
 	if err == nil {
 		err = c.bw.Flush()
 	}
-	c.wmu.Unlock()
 	if err != nil {
 		return reply{}, c.broken(err)
 	}
@@ -379,36 +366,6 @@ func (c *Conn) broken(err error) error {
 	return errors.Join(ErrClosed, err)
 }
 
-// noteToken records a grant in the session's key→token map.
-func (c *Conn) noteToken(key, token uint64) {
-	c.mu.Lock()
-	c.tokens[key] = token
-	c.mu.Unlock()
-}
-
-// forget drops the grant (key, token) the session no longer holds from the
-// token map, which is therefore bounded by the keys held, not by the keys
-// ever granted. Only that grant: another goroutine on this Conn may have
-// been granted key since (its wait was queued behind the release), and a
-// newer token stays.
-func (c *Conn) forget(key, token uint64) {
-	c.mu.Lock()
-	if c.tokens[key] == token {
-		delete(c.tokens, key)
-	}
-	c.mu.Unlock()
-}
-
-// LastToken reports the fencing token of this session's current grant of
-// key — the value to hand to a fencing consumer alongside the guarded
-// write — and 0 for a key the session does not hold (never granted,
-// unlocked, or expired).
-func (c *Conn) LastToken(key uint64) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.tokens[key]
-}
-
 // TryLock attempts key without waiting. On success it returns the grant's
 // fencing token; a held key returns ErrBusy. ttl <= 0 uses the server
 // default.
@@ -425,7 +382,6 @@ func (c *Conn) TryLock(key uint64, ttl time.Duration) (uint64, error) {
 	case r.verb == "BUSY":
 		return 0, ErrBusy
 	case r.is("GRANTED", 3): // key token ttl
-		c.noteToken(key, r.num[1])
 		return r.num[1], nil
 	}
 	return 0, fmt.Errorf("glsd client: unexpected reply %q", r)
@@ -444,7 +400,6 @@ func (c *Conn) Lock(ctx context.Context, key uint64, ttl, timeout time.Duration)
 	if !r.is("GRANT", 4) { // id key token ttl
 		return 0, fmt.Errorf("glsd client: bad GRANT reply %q", r)
 	}
-	c.noteToken(key, r.num[2])
 	return r.num[2], nil
 }
 
@@ -503,11 +458,7 @@ func (c *Conn) wait(ctx context.Context, key uint64, ttl, timeout time.Duration)
 
 // Unlock releases a held key.
 func (c *Conn) Unlock(key uint64) error {
-	tok := c.LastToken(key)
 	r, err := c.begin("unlock").key(key).do()
-	if err == nil || errors.Is(err, ErrNotHeld) {
-		c.forget(key, tok)
-	}
 	if err != nil {
 		return err
 	}
@@ -520,16 +471,12 @@ func (c *Conn) Unlock(key uint64) error {
 // Renew extends a held lease and returns its (unchanged) fencing token.
 // ErrExpired means the lease lapsed: the lock is gone, reacquire.
 func (c *Conn) Renew(key uint64, ttl time.Duration) (uint64, error) {
-	tok := c.LastToken(key)
 	q := c.begin("renew").key(key)
 	if ttl > 0 {
 		q = q.ms(ttl)
 	}
 	r, err := q.do()
 	if err != nil {
-		if errors.Is(err, ErrExpired) {
-			c.forget(key, tok)
-		}
 		return 0, err
 	}
 	if !r.is("RENEWED", 3) { // key token ttl

@@ -51,9 +51,6 @@ func TestClientBasics(t *testing.T) {
 	if tok == 0 {
 		t.Fatal("zero token")
 	}
-	if got := c.LastToken(7); got != tok {
-		t.Fatalf("LastToken = %d, want %d", got, tok)
-	}
 	if cur, err := c.Token(7); err != nil || cur != tok {
 		t.Fatalf("Token = %d, %v; want %d", cur, err, tok)
 	}
@@ -137,6 +134,84 @@ func TestClientLockTimeoutAndCancel(t *testing.T) {
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled Lock: %v, want context.Canceled", err)
+	}
+}
+
+// TestCloseMidRoundTrip: Close on a Conn that holds one key and has a Lock
+// queued for another sends nothing and waits for nothing. It returns within
+// a second, and a second Close returns nil; the queued Lock returns an error
+// wrapping ErrClosed; and glsd, seeing EOF, tears the session down: the
+// session count drops by one and another Conn can take the held key.
+func TestCloseMidRoundTrip(t *testing.T) {
+	srv, err := server.New(server.Options{SweepInterval: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("server.New: %v", err)
+	}
+	t.Cleanup(srv.Close)
+	ln, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	go func() { _ = srv.Serve(ln) }()
+	addr := ln.Addr().String()
+	holder, other, c := dial(t, addr), dial(t, addr), dial(t, addr)
+	if _, err := holder.TryLock(1, 0); err != nil {
+		t.Fatalf("TryLock(1): %v", err)
+	}
+	if _, err := c.TryLock(2, 0); err != nil {
+		t.Fatalf("TryLock(2): %v", err)
+	}
+	sessions := srv.Stats().Sessions
+	locked := make(chan error, 1)
+	go func() {
+		_, err := c.Lock(context.Background(), 1, 0, 0)
+		locked <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Stats().Waiting != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("Lock(1) never queued on the server")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	closed := make(chan error, 1)
+	go func() { closed <- c.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Close still blocked after 1 s")
+	}
+	if err := c.Close(); err != nil {
+		t.Fatalf("second Close: %v, want nil", err)
+	}
+	select {
+	case err := <-locked:
+		if !errors.Is(err, client.ErrClosed) {
+			t.Fatalf("Lock queued across Close: %v, want ErrClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Lock queued across Close still blocked after 5 s")
+	}
+
+	for srv.Stats().Sessions != sessions-1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("glsd has %d sessions after Close, want %d", srv.Stats().Sessions, sessions-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for {
+		_, err := other.TryLock(2, 0)
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, client.ErrBusy) || time.Now().After(deadline) {
+			t.Fatalf("TryLock(2) after its holder's Close: %v", err)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

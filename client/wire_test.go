@@ -45,9 +45,6 @@ func TestWireOpLeavesNoTimers(t *testing.T) {
 	if after := liveHeap(); after > before+1<<20 {
 		t.Fatalf("heap grew %d KB over 20000 TryLock+Unlock pairs, want < 1024 KB", (after-before)>>10)
 	}
-	if got := c.LastToken(1); got != 0 {
-		t.Fatalf("LastToken of an unlocked key = %d, want 0", got)
-	}
 }
 
 // liveHeap is the heap in use after two collections.
@@ -79,48 +76,6 @@ func TestWireOpAllocs(t *testing.T) {
 		t.Fatalf("TryLock+Unlock allocates %.1f times per op, want <= 10", allocs)
 	}
 	t.Logf("%.1f allocs per TryLock+Unlock", allocs)
-}
-
-// TestTokenMapTracksHeldKeys: LastToken answers for the keys the session
-// holds and forgets a key with its release, whichever way that comes.
-func TestTokenMapTracksHeldKeys(t *testing.T) {
-	addr := startServer(t, server.Options{SweepInterval: 10 * time.Millisecond})
-	c := dial(t, addr)
-	want := func(key, tok uint64, when string) {
-		t.Helper()
-		if got := c.LastToken(key); got != tok {
-			t.Fatalf("LastToken(%d) = %d %s, want %d", key, got, when, tok)
-		}
-	}
-	toks := map[uint64]uint64{}
-	for _, k := range []uint64{1, 2, 3} {
-		tok, err := c.TryLock(k, 0)
-		if err != nil {
-			t.Fatalf("TryLock(%d): %v", k, err)
-		}
-		toks[k] = tok
-	}
-	for _, k := range []uint64{1, 2, 3} {
-		want(k, toks[k], "while held")
-		if err := c.Unlock(k); err != nil {
-			t.Fatalf("Unlock(%d): %v", k, err)
-		}
-		want(k, 0, "after Unlock")
-	}
-
-	expired := make(chan struct{}, 1)
-	c.OnExpired(func(key, tok uint64) { expired <- struct{}{} })
-	tok, err := c.TryLock(4, 30*time.Millisecond)
-	if err != nil {
-		t.Fatalf("TryLock: %v", err)
-	}
-	want(4, tok, "while held")
-	select {
-	case <-expired:
-	case <-time.After(5 * time.Second):
-		t.Fatal("lease never expired")
-	}
-	want(4, 0, "after EXPIRED")
 }
 
 // TestLongReplyLine: a reply longer than the read buffer is read whole, not
@@ -225,7 +180,7 @@ func TestReplyReadBoundary(t *testing.T) {
 
 // TestIdleConnFootprint bounds what one idle connection costs on the heap,
 // both ends counted, as the pair a client.Dial makes with an in-process
-// glsd: the Conn with its maps, channels and buffers, the session, and each
+// glsd: the Conn with its map, channels and buffers, the session, and each
 // side's socket objects and reader goroutine record. Every Conn takes and
 // releases one key, then sits. Goroutine stacks are not heap, and not
 // counted.
@@ -262,12 +217,12 @@ func TestIdleConnFootprint(t *testing.T) {
 	}
 }
 
-// TestLateForgetKeepsNewerGrant: a release drops the grant it released, not
-// whatever the token map holds for the key by then. Two goroutines share a
-// Conn, one waiting for the key the other holds, and the scripted server
-// lets the waiter's GRANT overtake the holder's RELEASED, as the real one
-// may.
-func TestLateForgetKeepsNewerGrant(t *testing.T) {
+// TestGrantOvertakesRelease: a GRANT that arrives before the RELEASED of
+// the unlock that caused it still reaches the waiting Lock, with its own
+// token, and the unlock still gets its reply. Two goroutines share a Conn,
+// one waiting for the key the other holds, and the scripted server lets the
+// waiter's GRANT overtake the holder's RELEASED, as the real one may.
+func TestGrantOvertakesRelease(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -295,7 +250,7 @@ func TestLateForgetKeepsNewerGrant(t *testing.T) {
 				close(queued)
 			}
 		}
-		<-regranted // Lock has returned, its token is recorded
+		<-regranted // Lock has returned with the GRANT's token
 		_, _ = nc.Write([]byte("RELEASED 0x7\r\n"))
 		_, _ = br.ReadString('\n') // hold the socket open until the client hangs up
 	}()
@@ -320,9 +275,6 @@ func TestLateForgetKeepsNewerGrant(t *testing.T) {
 	}
 	if err := c.Unlock(7); err != nil {
 		t.Fatalf("Unlock: %v", err)
-	}
-	if got := c.LastToken(7); got != 2 {
-		t.Fatalf("LastToken after the first grant's release = %d, want the second grant's 2", got)
 	}
 }
 

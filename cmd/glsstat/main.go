@@ -357,7 +357,6 @@ const usage = `usage: glsstat [-format text|json|prom] [-n N] FILE.json
 
 func main() {
 	diff := flag.Bool("diff", false, "treat the two file arguments as old and new snapshots and report the interval")
-	asJSON := flag.Bool("json", false, "shorthand for -format json")
 	format := flag.String("format", "text", `output format: "text", "json", or "prom"`)
 	n := flag.Int("n", 0, "limit output to the N most contended locks (0 = all)")
 	top := flag.Bool("top", false, "live view: refresh, sort by contention, show rates and an event ticker (needs -demo or a URL argument)")
@@ -376,9 +375,6 @@ func main() {
 	fmtName, err := parseFormat(*format)
 	if err != nil {
 		fail(err)
-	}
-	if *asJSON {
-		fmtName = "json"
 	}
 
 	switch {

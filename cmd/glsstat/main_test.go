@@ -64,7 +64,7 @@ func TestReportFileJSONRoundTrip(t *testing.T) {
 	}
 	snap, err := telemetry.ReadJSON(&b)
 	if err != nil {
-		t.Fatalf("glsstat -json output not parseable: %v", err)
+		t.Fatalf("glsstat -format json output not parseable: %v", err)
 	}
 	if snap.Lock(0xabc) == nil || snap.Lock(0xabc).Acquisitions != 10 {
 		t.Fatalf("snapshot after round trip: %+v", snap)

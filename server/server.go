@@ -468,7 +468,6 @@ func (s *Server) handleRenew(ss *session, cmd Command) {
 		ss.writeErr(protoErrf(ErrCodeExpired, "lease on %#x expired %v ago", cmd.Key, now.Sub(g.expiry).Round(time.Millisecond)))
 		return
 	}
-	g.ttl = ttl
 	s.leases.schedule(g, now.Add(ttl))
 	tok := g.token
 	ss.mu.Unlock()

@@ -36,7 +36,6 @@ type grant struct {
 	// held, so it rises per key across sessions, expiries and idle-key
 	// frees, and a store can reject a lapsed holder (client.FencedStore).
 	token uint64
-	ttl   time.Duration
 
 	// expiry and idx place the grant in the lease heap (see leaseQueue).
 	expiry time.Time
@@ -184,7 +183,7 @@ func (ss *session) registerGrant(key uint64, pin gls.Pin, ttl time.Duration) (ui
 	if ss.dead {
 		return 0, false
 	}
-	g := &grant{sess: ss, key: key, pin: pin, token: pin.NextSeq(), ttl: ttl, idx: -1}
+	g := &grant{sess: ss, key: key, pin: pin, token: pin.NextSeq(), idx: -1}
 	ss.held[key] = g
 	ss.srv.leases.schedule(g, time.Now().Add(ttl))
 	return g.token, true
