@@ -687,6 +687,48 @@ func BenchmarkHotPathGLS(b *testing.B) {
 	}
 }
 
+// BenchmarkHotPathAdjacentKeys — two goroutines, each on its own of two
+// default keys created one after the other, so their entries are likely
+// heap neighbours and nothing else is shared. A default key is one 64-byte
+// line, so the two may share the 128-byte pair an adjacent-line prefetcher
+// fetches together: this row is where that would show, through the
+// service and through a Handle each.
+func BenchmarkHotPathAdjacentKeys(b *testing.B) {
+	mon := benchMonitor(b)
+	for _, via := range []string{"gls", "handle"} {
+		b.Run(via, func(b *testing.B) {
+			svc := gls.New(gls.Options{GLK: &glk.Config{Monitor: mon}})
+			defer svc.Close()
+			keys := []uint64{1, 2}
+			for _, k := range keys {
+				svc.InitLock(k)
+			}
+			per := b.N/len(keys) + 1
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			for _, k := range keys {
+				wg.Add(1)
+				go func(k uint64) {
+					defer wg.Done()
+					if via == "handle" {
+						h := svc.NewHandle()
+						for i := 0; i < per; i++ {
+							h.Lock(k)
+							h.Unlock(k)
+						}
+						return
+					}
+					for i := 0; i < per; i++ {
+						svc.Lock(k)
+						svc.Unlock(k)
+					}
+				}(k)
+			}
+			wg.Wait()
+		})
+	}
+}
+
 // BenchmarkHotPathUncontended — single-goroutine Lock/Unlock latency through
 // each entry point. The acceptance bar for hot-path work: these must not
 // regress while the contended family improves.

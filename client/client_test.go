@@ -276,3 +276,59 @@ func TestE2EFencing(t *testing.T) {
 		t.Fatalf("Unlock (b): %v", err)
 	}
 }
+
+// TestFencingSurvivesRestart restarts glsd while a client holds a key, under
+// one FencedStore. The restarted server knows nothing of the old grant and
+// hands the key straight to the next client; that client's token must still
+// exceed the one the old server minted, so the old holder's late write is
+// fenced off although the two tokens came from different processes.
+func TestFencingSurvivesRestart(t *testing.T) {
+	store := client.NewFencedStore()
+	const key = 7
+
+	first, err := server.New(server.Options{})
+	if err != nil {
+		t.Fatalf("server.New: %v", err)
+	}
+	ln, err := first.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	go func() { _ = first.Serve(ln) }()
+	addr := ln.Addr().String()
+	a := dial(t, addr)
+	tokA, err := a.TryLock(key, 0)
+	if err != nil {
+		t.Fatalf("TryLock (a): %v", err)
+	}
+	if err := store.Write(key, tokA, 100); err != nil {
+		t.Fatalf("first holder's write: %v", err)
+	}
+
+	first.Close() // glsd goes down mid-hold and comes back on the same address
+	second, err := server.New(server.Options{})
+	if err != nil {
+		t.Fatalf("server.New after the restart: %v", err)
+	}
+	t.Cleanup(second.Close)
+	ln, err = second.Listen(addr)
+	if err != nil {
+		t.Fatalf("Listen on %s after the restart: %v", addr, err)
+	}
+	go func() { _ = second.Serve(ln) }()
+
+	b := dial(t, addr)
+	tokB, err := b.TryLock(key, 0)
+	if err != nil {
+		t.Fatalf("TryLock (b) after the restart: %v", err)
+	}
+	if err := store.Write(key, tokB, 200); err != nil {
+		t.Fatalf("new holder's write: %v", err)
+	}
+	if err := store.Write(key, tokA, 999); !errors.Is(err, client.ErrStaleToken) {
+		t.Fatalf("old holder's write with token %d after the restarted server granted %d: %v, want ErrStaleToken", tokA, tokB, err)
+	}
+	if err := b.Unlock(key); err != nil {
+		t.Fatalf("Unlock (b): %v", err)
+	}
+}

@@ -57,9 +57,9 @@ func runCardinality(o opts) error {
 	if o.quick {
 		n = cardinalityKeysQuick
 	}
-	fmt.Printf("footprint: default key %dB (the entry is the glk.Lock, %dB, plus the holder's line; +%dB presence spill once it leaves ticket mode); boxed key %dB entry + its lock object (glk.RWLock %dB, locks.MutexLock %dB)\n",
+	fmt.Printf("footprint: default key %dB (the entry is the glk.Lock, %dB; +%dB presence spill once it leaves ticket mode); boxed key a two-line entry + its lock object (glk.RWLock %dB, locks.MutexLock %dB)\n",
 		gls.EntryBytes, unsafe.Sizeof(glk.Lock{}), stripe.SpillBytes,
-		gls.EntryBytes, unsafe.Sizeof(glk.RWLock{}), unsafe.Sizeof(locks.MutexLock{}))
+		unsafe.Sizeof(glk.RWLock{}), unsafe.Sizeof(locks.MutexLock{}))
 
 	before := heapAlloc()
 	svc := gls.New(gls.Options{SizeHint: n})

@@ -62,8 +62,8 @@ func TestDeadlockWalkerMatchesGraphTheory(t *testing.T) {
 
 		keyOf := func(i int) uint64 { return uint64(1000 + i) }
 		for i := 1; i <= n; i++ {
-			e, _ := s.entryFor(keyOf(i), algoGLK)
-			e.owner.Store(uint64(i)) // g_i owns k_i
+			s.InitLock(keyOf(i))
+			s.dbg.setOwner(keyOf(i), gid.ID(i)) // g_i owns k_i
 		}
 		s.dbg.mu.Lock()
 		for i := 1; i <= n; i++ {
@@ -103,10 +103,10 @@ func TestDeadlockWalkerIgnoresRunningOwners(t *testing.T) {
 	defer s.Close()
 
 	// g1 waits on k2 (owned by g2); g2 is running (no waiting record).
-	e1, _ := s.entryFor(1, algoGLK)
-	e1.owner.Store(1)
-	e2, _ := s.entryFor(2, algoGLK)
-	e2.owner.Store(2)
+	s.InitLock(1)
+	s.dbg.setOwner(1, 1)
+	s.InitLock(2)
+	s.dbg.setOwner(2, 2)
 	s.dbg.mu.Lock()
 	s.dbg.waiting[gid.ID(1)] = &waitRecord{key: 2, since: time.Now().Add(-time.Hour)}
 	s.dbg.mu.Unlock()

@@ -135,14 +135,20 @@ type waitRecord struct {
 	pcs   []uintptr
 }
 
-// debugState is the §4.2 bookkeeping: who waits on what, who owns what
-// (owners live in the entries), and the watchdog.
+// debugState is the §4.2 bookkeeping: who waits on what, who owns what,
+// and the watchdog.
 type debugState struct {
 	mu               sync.Mutex
 	waiting          map[gid.ID]*waitRecord
 	initialized      map[uint64]bool
 	mismatchReported map[uint64]bool
 	reportedCycles   map[string]bool
+
+	// owners maps each exclusively held key to its holder: the owner
+	// checks of lock and unlock, IssueFreeHeld and the single-holder edges
+	// of the deadlock walk all read it. It lives here rather than in the
+	// entry so a default key stays one line with or without Debug.
+	owners map[uint64]gid.ID
 
 	// readers tracks the current read-share holders per key (share count
 	// per goroutine — RLock is not reentrant, but a buggy program's double
@@ -161,6 +167,7 @@ func newDebugState() *debugState {
 		initialized:      make(map[uint64]bool),
 		mismatchReported: make(map[uint64]bool),
 		reportedCycles:   make(map[string]bool),
+		owners:           make(map[uint64]gid.ID),
 		readers:          make(map[uint64]map[gid.ID]int),
 		stop:             make(chan struct{}),
 		done:             make(chan struct{}),
@@ -203,12 +210,43 @@ func (d *debugState) isInitialized(key uint64) bool {
 	return d.initialized[key]
 }
 
-func (d *debugState) forget(key uint64) {
+// forget drops everything recorded about key, which is being freed, and
+// returns the owner it held then (0 for none).
+func (d *debugState) forget(key uint64) gid.ID {
 	d.mu.Lock()
+	defer d.mu.Unlock()
+	owner := d.owners[key]
+	delete(d.owners, key)
 	delete(d.initialized, key)
 	delete(d.mismatchReported, key)
 	delete(d.readers, key)
+	return owner
+}
+
+// ownerOf returns key's exclusive holder, 0 when there is none.
+func (d *debugState) ownerOf(key uint64) gid.ID {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.owners[key]
+}
+
+// setOwner records g as key's exclusive holder.
+func (d *debugState) setOwner(key uint64, g gid.ID) {
+	d.mu.Lock()
+	d.owners[key] = g
 	d.mu.Unlock()
+}
+
+// release returns key's exclusive holder and, when that is g, clears it:
+// g's unlock checks and the hand-back are one step.
+func (d *debugState) release(key uint64, g gid.ID) gid.ID {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	owner := d.owners[key]
+	if owner == g {
+		delete(d.owners, key)
+	}
+	return owner
 }
 
 // addReader records g as holding a read share of key.
@@ -313,12 +351,12 @@ func formatPCs(pcs []uintptr) string {
 	return b.String()
 }
 
-// debugPreLock runs the acquisition-time checks.
-func (s *Service) debugPreLock(me gid.ID, e *entry, created bool, requested locks.Algorithm) {
-	if created && s.opts.StrictInit && !s.dbg.isInitialized(e.key) {
+// debugPreLock runs the acquisition-time checks on key's entry e.
+func (s *Service) debugPreLock(me gid.ID, e *entry, key uint64, created bool, requested locks.Algorithm) {
+	if created && s.opts.StrictInit && !s.dbg.isInitialized(key) {
 		s.report(Issue{
 			Kind:      IssueUninitializedLock,
-			Key:       e.key,
+			Key:       key,
 			Goroutine: uint64(me),
 			Message:   "lock of a key never initialized (StrictInit)",
 			Stack:     captureStack(4),
@@ -326,15 +364,15 @@ func (s *Service) debugPreLock(me gid.ID, e *entry, created bool, requested lock
 	}
 	if !created && e.algo() != requested {
 		s.dbg.mu.Lock()
-		dup := s.dbg.mismatchReported[e.key]
+		dup := s.dbg.mismatchReported[key]
 		if !dup {
-			s.dbg.mismatchReported[e.key] = true
+			s.dbg.mismatchReported[key] = true
 		}
 		s.dbg.mu.Unlock()
 		if !dup {
 			s.report(Issue{
 				Kind:      IssueAlgorithmMismatch,
-				Key:       e.key,
+				Key:       key,
 				Goroutine: uint64(me),
 				Message: fmt.Sprintf("lock requested as %s but key is mapped to %s",
 					algoName(requested), algoName(e.algo())),
@@ -342,23 +380,23 @@ func (s *Service) debugPreLock(me gid.ID, e *entry, created bool, requested lock
 			})
 		}
 	}
-	if gid.ID(e.owner.Load()) == me {
+	if s.dbg.ownerOf(key) == me {
 		s.report(Issue{
 			Kind:      IssueDoubleLock,
-			Key:       e.key,
+			Key:       key,
 			Goroutine: uint64(me),
 			Owner:     uint64(me),
 			Message:   "goroutine already owns this lock",
 			Stack:     captureStack(4),
 		})
 	}
-	if e.rwLock() != nil && s.dbg.holdsReadShare(e.key, me) {
+	if e.rwLock() != nil && s.dbg.holdsReadShare(key, me) {
 		// RLock→Lock on one key: the write acquisition drains all readers,
 		// this caller included — it waits for itself (§4.2's deadlock
 		// family, caught before it blocks rather than by the watchdog).
 		s.report(Issue{
 			Kind:      IssueUpgradeDeadlock,
-			Key:       e.key,
+			Key:       key,
 			Goroutine: uint64(me),
 			Message:   "write lock requested while holding a read share (RLock→Lock upgrade deadlocks)",
 			Stack:     captureStack(4),
@@ -375,21 +413,21 @@ func (s *Service) debugPreLock(me gid.ID, e *entry, created bool, requested lock
 // debug-mode Lock reads as two arrivals and one TryLock failure — while
 // acquisitions stay exact. Debug mode is a diagnostic configuration; its
 // reports describe what the service did on the lock, probes included.
-func (s *Service) debugLock(me gid.ID, e *entry) {
+func (s *Service) debugLock(me gid.ID, e *entry, key uint64) {
 	if !e.exclusive().TryLock() {
-		s.dbg.setWaiting(me, e.key)
+		s.dbg.setWaiting(me, key)
 		e.exclusive().Lock()
 		s.dbg.clearWaiting(me)
 	}
-	e.owner.Store(uint64(me))
+	s.dbg.setOwner(key, me)
 }
 
 // debugTryLock try-acquires e's lock with owner bookkeeping.
-func (s *Service) debugTryLock(me gid.ID, e *entry) bool {
+func (s *Service) debugTryLock(me gid.ID, e *entry, key uint64) bool {
 	if !e.exclusive().TryLock() {
 		return false
 	}
-	e.owner.Store(uint64(me))
+	s.dbg.setOwner(key, me)
 	return true
 }
 
@@ -409,7 +447,7 @@ func (s *Service) debugUnlock(key uint64, e *entry) {
 		})
 		return
 	}
-	owner := gid.ID(e.owner.Load())
+	owner := s.dbg.release(key, me)
 	switch {
 	case owner == 0:
 		s.report(Issue{
@@ -431,27 +469,26 @@ func (s *Service) debugUnlock(key uint64, e *entry) {
 		})
 		return
 	}
-	e.owner.Store(0)
 	e.exclusive().Unlock()
 }
 
 // debugPreRLock runs the read-acquisition checks: StrictInit and the
 // Lock→RLock half of the upgrade deadlock (the write holder read-locking its
 // own key blocks on its own writer flag).
-func (s *Service) debugPreRLock(me gid.ID, e *entry, created bool) {
-	if created && s.opts.StrictInit && !s.dbg.isInitialized(e.key) {
+func (s *Service) debugPreRLock(me gid.ID, key uint64, created bool) {
+	if created && s.opts.StrictInit && !s.dbg.isInitialized(key) {
 		s.report(Issue{
 			Kind:      IssueUninitializedLock,
-			Key:       e.key,
+			Key:       key,
 			Goroutine: uint64(me),
 			Message:   "rlock of a key never initialized (StrictInit)",
 			Stack:     captureStack(5),
 		})
 	}
-	if gid.ID(e.owner.Load()) == me {
+	if s.dbg.ownerOf(key) == me {
 		s.report(Issue{
 			Kind:      IssueUpgradeDeadlock,
-			Key:       e.key,
+			Key:       key,
 			Goroutine: uint64(me),
 			Owner:     uint64(me),
 			Message:   "read share requested while holding the write lock (Lock→RLock self-blocks)",
@@ -462,25 +499,25 @@ func (s *Service) debugPreRLock(me gid.ID, e *entry, created bool) {
 
 // debugRLock acquires a read share with waiting/reader bookkeeping. Like
 // debugLock, only the contended path pays the wait-record cost.
-func (s *Service) debugRLock(e *entry, created bool) {
+func (s *Service) debugRLock(e *entry, key uint64, created bool) {
 	me := gid.Get()
-	s.debugPreRLock(me, e, created)
+	s.debugPreRLock(me, key, created)
 	if !e.rwLock().TryRLock() {
-		s.dbg.setWaiting(me, e.key)
+		s.dbg.setWaiting(me, key)
 		e.rwLock().RLock()
 		s.dbg.clearWaiting(me)
 	}
-	s.dbg.addReader(e.key, me)
+	s.dbg.addReader(key, me)
 }
 
 // debugTryRLock try-acquires a read share with reader bookkeeping.
-func (s *Service) debugTryRLock(e *entry, created bool) bool {
+func (s *Service) debugTryRLock(e *entry, key uint64, created bool) bool {
 	me := gid.Get()
-	s.debugPreRLock(me, e, created)
+	s.debugPreRLock(me, key, created)
 	if !e.rwLock().TryRLock() {
 		return false
 	}
-	s.dbg.addReader(e.key, me)
+	s.dbg.addReader(key, me)
 	return true
 }
 
@@ -515,7 +552,7 @@ func (s *Service) debugRUnlock(key uint64, e *entry) {
 			Kind:      IssueRUnlockNotReader,
 			Key:       key,
 			Goroutine: uint64(me),
-			Owner:     e.owner.Load(),
+			Owner:     uint64(s.dbg.ownerOf(key)),
 			Message:   "runlock by a goroutine that holds no read share",
 			Stack:     captureStack(4),
 		})
@@ -613,11 +650,7 @@ func (s *Service) walkCycleLocked(start gid.ID, startKey uint64) []WaitEdge {
 // owner when one is recorded, else every read-share holder. Caller holds
 // d.mu.
 func (s *Service) holdersLocked(key uint64) []gid.ID {
-	e := s.table.Get(key)
-	if e == nil {
-		return nil
-	}
-	if owner := gid.ID(e.owner.Load()); owner != 0 {
+	if owner := s.dbg.owners[key]; owner != 0 {
 		return []gid.ID{owner}
 	}
 	rs := s.dbg.readers[key]

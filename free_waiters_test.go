@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"gls/locks"
 )
 
 // These tests pin the Free-with-queued-waiters contract (see the Free doc
@@ -116,7 +118,7 @@ func TestFreeAfterQuiesceIsSafe(t *testing.T) {
 	const key = 0xbeef
 
 	for round := 0; round < 3; round++ {
-		holder := s.pinWith(algoGLK, key)
+		holder := s.PinWith(locks.Mutex, key)
 		if !holder.TryLock() {
 			t.Fatalf("round %d: fresh incarnation not acquirable", round)
 		}
@@ -124,7 +126,7 @@ func TestFreeAfterQuiesceIsSafe(t *testing.T) {
 		waiterDone := make(chan struct{})
 		go func() {
 			defer close(waiterDone)
-			w := s.pinWith(algoGLK, key)
+			w := s.PinWith(locks.Mutex, key)
 			close(waiterPinned)
 			if !w.LockCancel(nil) { // queues behind the holder
 				t.Errorf("round %d: waiter gave up", round)

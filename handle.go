@@ -48,7 +48,7 @@ type Handle struct {
 }
 
 // handleCache is the populated part of a Handle (same idiom as
-// entry/entryStats).
+// boxedEntry/pinLine).
 type handleCache struct {
 	s       *Service
 	lastKey uint64

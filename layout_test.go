@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"gls/internal/pad"
+	"gls/locks"
 )
 
 // TestServiceLayout pins the Service's sections (see its doc comment): the
@@ -53,36 +54,25 @@ func TestServiceLayout(t *testing.T) {
 	}
 }
 
-// TestEntryLayout pins the entry's two lines (see the entry doc comment):
-// the first is the lock — its arrival words with the flag word every
-// look-up and every Handle hit loads among them — the second the words a
-// holder, a pinner or the debugger writes, so neither of those ever dirties
-// the line a look-up ends on; the boxed layout agrees with it on everything
-// both have; and the entry is exactly two lines, so heap slots stay
-// line-aligned.
+// TestEntryLayout pins the two layouts (see the entry doc comment): an
+// inline entry is its lock and nothing else — exactly one line, with the
+// flag word every look-up and every Handle hit loads inside it — and the
+// boxed entry keeps that flag word at the same offset, with the words a
+// pinner writes on a second line of their own, so a pinner never dirties
+// the line a look-up ends on. Entries on the heap start on line boundaries.
 func TestEntryLayout(t *testing.T) {
 	var e entry
 	if off := unsafe.Offsetof(e.lk); off != 0 {
 		t.Errorf("the lock at offset %d, want 0: the slot's pointer is the lock's", off)
 	}
-	if s := unsafe.Sizeof(e.lk); s != pad.CacheLineSize {
-		t.Errorf("the lock is %d bytes, want the first line exactly", s)
+	if s := unsafe.Sizeof(e); s != pad.CacheLineSize {
+		t.Errorf("entry is %d bytes, want one line (%d)", s, pad.CacheLineSize)
 	}
 	if end := auxOffset + unsafe.Sizeof(e.lk.Aux); end > pad.CacheLineSize {
-		t.Errorf("the flag word ends at offset %d, past the first line", end)
+		t.Errorf("the flag word ends at offset %d, past the line", end)
 	}
-	for name, off := range map[string]uintptr{
-		"key":   unsafe.Offsetof(e.key),
-		"owner": unsafe.Offsetof(e.owner),
-		"pins":  unsafe.Offsetof(e.pins),
-		"seq":   unsafe.Offsetof(e.seq),
-	} {
-		if off/pad.CacheLineSize != 1 {
-			t.Errorf("%s at offset %d, want it on the second line", name, off)
-		}
-	}
-	if s := unsafe.Sizeof(e); s != 2*pad.CacheLineSize {
-		t.Errorf("entry is %d bytes, want %d (the lock's line and the holder's)", s, 2*pad.CacheLineSize)
+	if EntryBytes != unsafe.Sizeof(e) {
+		t.Errorf("EntryBytes = %d, an entry is %d", EntryBytes, unsafe.Sizeof(e))
 	}
 
 	var b boxedEntry
@@ -92,20 +82,36 @@ func TestEntryLayout(t *testing.T) {
 	if end := unsafe.Sizeof(b.boxedHead); end > auxOffset {
 		t.Errorf("boxed head is %d bytes, runs into the flag word at %d", end, auxOffset)
 	}
-	if a, b := unsafe.Offsetof(e.entryStats), unsafe.Offsetof(b.entryStats); a != b {
-		t.Errorf("second line at offset %d inline, %d boxed", a, b)
+	for name, off := range map[string]uintptr{
+		"key":  unsafe.Offsetof(b.key),
+		"pins": unsafe.Offsetof(b.pins),
+		"seq":  unsafe.Offsetof(b.seq),
+	} {
+		if off/pad.CacheLineSize != 1 {
+			t.Errorf("boxed %s at offset %d, want it on the second line", name, off)
+		}
 	}
-	if s := unsafe.Sizeof(b); s != unsafe.Sizeof(e) {
-		t.Errorf("boxed entry is %d bytes, inline %d", s, unsafe.Sizeof(e))
+	if s := unsafe.Sizeof(b); s != 2*pad.CacheLineSize {
+		t.Errorf("boxed entry is %d bytes, want %d (the head's line and the pinner's)", s, 2*pad.CacheLineSize)
 	}
-	if EntryBytes != unsafe.Sizeof(e) {
-		t.Errorf("EntryBytes = %d, an entry is %d", EntryBytes, unsafe.Sizeof(e))
+
+	svc := New(Options{})
+	defer svc.Close()
+	for k := uint64(1); k <= 8; k++ {
+		svc.InitLock(k)
+		svc.InitLockWith(locks.Mutex, k+8)
+		for _, key := range []uint64{k, k + 8} {
+			if addr := uintptr(unsafe.Pointer(svc.table.Get(key))); addr%pad.CacheLineSize != 0 {
+				t.Errorf("key %d's entry at address %#x, not %d-byte aligned", key, addr, pad.CacheLineSize)
+			}
+		}
 	}
 }
 
 // TestDefaultKeyIsOneObject pins what the layout buys: creating a default
-// key is one heap allocation (entry and lock were two), and a table of them
-// costs its entries plus the clht bucket share and nothing per key besides.
+// key is one heap allocation of one line (the entry is the lock), and a
+// table of them costs its entries plus the clht bucket share and nothing
+// per key besides.
 func TestDefaultKeyIsOneObject(t *testing.T) {
 	const n = 100_000
 	svc := New(Options{SizeHint: 2 * n})
@@ -116,6 +122,17 @@ func TestDefaultKeyIsOneObject(t *testing.T) {
 		svc.InitLock(key)
 	}); got != 1 {
 		t.Errorf("InitLock of a fresh key makes %.0f heap objects, want 1", got)
+	}
+	const fresh = 1000
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < fresh; i++ {
+		key++
+		svc.InitLock(key)
+	}
+	runtime.ReadMemStats(&m1)
+	if got := (m1.TotalAlloc - m0.TotalAlloc) / fresh; got != uint64(EntryBytes) {
+		t.Errorf("InitLock of a fresh key allocates %d B, want the %d-byte entry", got, EntryBytes)
 	}
 
 	heap := func() uint64 {

@@ -25,7 +25,7 @@ const pinsDead = -1
 // Pin of the key. Like a Handle, a Pin bypasses the debug checks.
 type Pin struct {
 	s *Service
-	e *entry
+	b *boxedEntry
 }
 
 // PinWith resolves key's lock object — creating it with the explicit
@@ -37,19 +37,26 @@ type Pin struct {
 // Unpin chooses again. An algorithm is named because the last Unpin frees
 // the key: the object a GLK lock adapts on would live only as long as its
 // pins overlap.
+//
+// The pin count lives beside a named algorithm's lock, so PinWith of a key
+// the default surface created (Lock, TryLock, InitLock, a Handle) panics:
+// that key is its one-line glk.Lock and has no room for one. Like RLock on
+// an exclusive key, the mismatch is reported first in debug mode, and the
+// key stays mapped and usable through the surface that created it.
 func (s *Service) PinWith(a locks.Algorithm, key uint64) Pin {
 	if !a.Valid() {
 		panic(fmt.Sprintf("gls: PinWith(%v): unknown algorithm", a))
 	}
-	return s.pinWith(a, key)
-}
-
-func (s *Service) pinWith(a locks.Algorithm, key uint64) Pin {
 	for {
 		e, _ := s.entryFor(key, a)
-		for n := e.pins.Load(); n != pinsDead; n = e.pins.Load() {
-			if e.pins.CompareAndSwap(n, n+1) {
-				return Pin{s: s, e: e}
+		if e.inline() {
+			s.reportSpeciesMismatch(key, "pin of a key the default surface created")
+			panic(fmt.Sprintf("gls: key %#x was created through the default surface (Lock, TryLock, InitLock, a Handle) and has no pin count; PinWith needs a key it creates, or one created with an explicit algorithm or as an RW key", key))
+		}
+		b := e.boxed()
+		for n := b.pins.Load(); n != pinsDead; n = b.pins.Load() {
+			if b.pins.CompareAndSwap(n, n+1) {
+				return Pin{s: s, b: b}
 			}
 		}
 		// The last Unpin is between marking this entry dead and deleting
@@ -59,7 +66,7 @@ func (s *Service) pinWith(a locks.Algorithm, key uint64) Pin {
 }
 
 // TryLock try-acquires the pinned lock.
-func (p Pin) TryLock() bool { return p.e.exclusive().TryLock() }
+func (p Pin) TryLock() bool { return p.b.lock.TryLock() }
 
 // LockCancel acquires the pinned lock, giving up when c fires while queued,
 // and reports whether the lock is held. The contract is locks.LockWithCancel's:
@@ -67,11 +74,11 @@ func (p Pin) TryLock() bool { return p.e.exclusive().TryLock() }
 // after a false return, and a Cancel that can never fire (nil included) takes
 // the plain blocking path. glsd's waits call it, one Cancel per wait.
 func (p Pin) LockCancel(c *locks.Cancel) bool {
-	return locks.LockWithCancel(p.e.exclusive(), c)
+	return locks.LockWithCancel(p.b.lock, c)
 }
 
 // Unlock releases the pinned lock.
-func (p Pin) Unlock() { p.e.exclusive().Unlock() }
+func (p Pin) Unlock() { p.b.lock.Unlock() }
 
 // NextSeq advances the key's sequence and returns the new value. The caller
 // must hold the pinned lock: values are then handed out in grant order and
@@ -81,19 +88,20 @@ func (p Pin) Unlock() { p.e.exclusive().Unlock() }
 // this key's next value jump; only "larger than every earlier one" is
 // promised. glsd's fencing tokens are these values.
 func (p Pin) NextSeq() uint64 {
-	next := max(p.e.seq.Load(), p.s.seqFloor.Load()) + 1
-	p.e.seq.Store(next)
+	next := max(p.b.seq.Load(), p.s.seqFloor.Load()) + 1
+	p.b.seq.Store(next)
 	return next
 }
 
 // Seq reports key's sequence high-water mark without creating the key: no
 // pin of key that is still locked got a larger value from NextSeq, and
-// every later NextSeq will return one. For a key that is not mapped this is
-// the service's floor — 0 until some sequenced key is freed.
+// every later NextSeq will return one. For a key that is not mapped, or
+// that the default surface created and so was never pinned, this is the
+// service's floor: the wall clock in ns at New until a freed key raised it.
 func (s *Service) Seq(key uint64) uint64 {
 	seq := s.seqFloor.Load()
-	if e := s.table.Get(key); e != nil {
-		seq = max(seq, e.seq.Load())
+	if e := s.table.Get(key); e != nil && !e.inline() {
+		seq = max(seq, e.boxed().seq.Load())
 	}
 	return seq
 }
@@ -103,21 +111,21 @@ func (s *Service) Seq(key uint64) uint64 {
 // decrement keeps the entry alive (and owns its next zero); Pins arriving
 // after the CAS wait for the delete and resolve a fresh lock object.
 func (p Pin) Unpin() {
-	e := p.e
-	switch n := e.pins.Add(-1); {
+	b := p.b
+	switch n := b.pins.Add(-1); {
 	case n < 0:
 		panic("gls: Unpin without a matching Pin")
-	case n > 0 || !e.pins.CompareAndSwap(0, pinsDead):
+	case n > 0 || !b.pins.CompareAndSwap(0, pinsDead):
 		return
 	}
 	// Floor before delete: the key's next incarnation is mapped after the
 	// delete, and so mints above this entry's last value.
 	s := p.s
-	for seq := e.seq.Load(); ; {
+	for seq := b.seq.Load(); ; {
 		f := s.seqFloor.Load()
 		if seq <= f || s.seqFloor.CompareAndSwap(f, seq) {
 			break
 		}
 	}
-	s.retire(e)
+	s.retire(b.asEntry(), b.key)
 }

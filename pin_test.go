@@ -35,7 +35,7 @@ func TestPinChurn(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				k := (g + i) % keys
-				p := s.pinWith(algoGLK, uint64(k+1))
+				p := s.PinWith(locks.Mutex, uint64(k+1))
 				if i%4 == 0 {
 					if !p.TryLock() {
 						p.Unpin()
@@ -139,32 +139,33 @@ func TestPinDuringFreeTakesNextIncarnation(t *testing.T) {
 	defer s.Close()
 	const key = 0xdead
 
-	old := s.pinWith(algoGLK, key)
+	floor := s.Seq(key)
+	old := s.PinWith(locks.Mutex, key)
 	if !old.TryLock() {
 		t.Fatal("fresh key not acquirable")
 	}
-	if seq := old.NextSeq(); seq != 1 {
-		t.Fatalf("first sequence = %d, want 1", seq)
+	if seq := old.NextSeq(); seq != floor+1 {
+		t.Fatalf("first sequence = %d, want the floor %d + 1", seq, floor)
 	}
 	old.Unlock()
 	// First half of the last Unpin.
-	if !old.e.pins.CompareAndSwap(1, pinsDead) {
-		t.Fatalf("pin count = %d, want 1", old.e.pins.Load())
+	if !old.b.pins.CompareAndSwap(1, pinsDead) {
+		t.Fatalf("pin count = %d, want 1", old.b.pins.Load())
 	}
 
 	pinned := make(chan Pin)
-	go func() { pinned <- s.pinWith(algoGLK, key) }()
+	go func() { pinned <- s.PinWith(locks.Mutex, key) }()
 	select {
 	case p := <-pinned:
-		t.Fatalf("Pin returned while the dying entry was still mapped (same entry: %v)", p.e == old.e)
+		t.Fatalf("Pin returned while the dying entry was still mapped (same entry: %v)", p.b == old.b)
 	case <-time.After(50 * time.Millisecond):
 	}
-	if got := old.e.pins.Load(); got != pinsDead {
+	if got := old.b.pins.Load(); got != pinsDead {
 		t.Fatalf("late Pin revived the dying entry: count = %d", got)
 	}
 
 	// Second half: what Unpin does after marking the entry dead.
-	s.seqFloor.Store(old.e.seq.Load())
+	s.seqFloor.Store(old.b.seq.Load())
 	s.Free(key)
 	var next Pin
 	select {
@@ -172,22 +173,22 @@ func TestPinDuringFreeTakesNextIncarnation(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Pin still waiting after the free completed")
 	}
-	if next.e == old.e {
+	if next.b == old.b {
 		t.Fatal("Pin landed on the freed entry")
 	}
 	if !next.TryLock() {
 		t.Fatal("next incarnation not acquirable")
 	}
-	if seq := next.NextSeq(); seq != 2 {
-		t.Fatalf("next incarnation's first sequence = %d, want 2", seq)
+	if seq := next.NextSeq(); seq != floor+2 {
+		t.Fatalf("next incarnation's first sequence = %d, want the floor %d + 2", seq, floor)
 	}
 	next.Unlock()
 	next.Unpin()
 	if got := s.Locks(); got != 0 {
 		t.Fatalf("Locks() = %d after the last Unpin, want 0", got)
 	}
-	if got := s.Seq(key); got != 2 {
-		t.Fatalf("Seq of the freed key = %d, want the floor 2", got)
+	if got := s.Seq(key); got != floor+2 {
+		t.Fatalf("Seq of the freed key = %d, want the raised floor %d + 2", got, floor)
 	}
 }
 
@@ -201,15 +202,12 @@ func TestPinWithAlgorithm(t *testing.T) {
 	const key = 0xa190
 
 	first := s.PinWith(locks.Mutex, key)
-	if first.e.inline() {
-		t.Fatal("PinWith(Mutex) created a default key")
+	if _, ok := first.b.lock.(*locks.MutexLock); !ok || first.b.algo != locks.Mutex {
+		t.Fatalf("PinWith(Mutex) created %T (algo %v)", first.b.lock, first.b.algo)
 	}
-	if _, ok := first.e.boxed().lock.(*locks.MutexLock); !ok || first.e.algo() != locks.Mutex {
-		t.Fatalf("PinWith(Mutex) created %T (algo %v)", first.e.boxed().lock, first.e.algo())
-	}
-	for name, p := range map[string]Pin{"pinWith(GLK)": s.pinWith(algoGLK, key), "PinWith(MCS)": s.PinWith(locks.MCS, key)} {
-		if p.e != first.e {
-			t.Errorf("%s of a mapped key resolved a second object (%p, not %p)", name, p.e, first.e)
+	for name, p := range map[string]Pin{"PinWith(TAS)": s.PinWith(locks.TAS, key), "PinWith(MCS)": s.PinWith(locks.MCS, key)} {
+		if p.b != first.b {
+			t.Errorf("%s of a mapped key resolved a second object (%p, not %p)", name, p.b, first.b)
 		}
 		p.Unpin()
 	}
@@ -228,8 +226,8 @@ func TestPinWithAlgorithm(t *testing.T) {
 
 	// Next incarnation: the algorithm is chosen again, the sequence is not.
 	next := s.PinWith(locks.Ticket, key)
-	if next.e == first.e || next.e.algo() != locks.Ticket {
-		t.Fatalf("PinWith(Ticket) after the free: same entry %v, algo %v", next.e == first.e, next.e.algo())
+	if next.b == first.b || next.b.algo != locks.Ticket {
+		t.Fatalf("PinWith(Ticket) after the free: same entry %v, algo %v", next.b == first.b, next.b.algo)
 	}
 	if !next.TryLock() {
 		t.Fatal("next incarnation not acquirable")
@@ -256,7 +254,7 @@ func TestLastUnpinInvalidatesHandle(t *testing.T) {
 	s := New(Options{})
 	defer s.Close()
 	const key = 9
-	p1, p2 := s.pinWith(algoGLK, key), s.pinWith(algoGLK, key)
+	p1, p2 := s.PinWith(locks.Mutex, key), s.PinWith(locks.Mutex, key)
 	h := s.NewHandle()
 	use := func() {
 		h.Lock(key)

@@ -80,6 +80,10 @@ func (c *tconn) expect(prefix string) string {
 	return line
 }
 
+// tokenFloor is the value srv's tokens start above: Service.Seq of a key no
+// test maps. A fresh server's first grant carries tokenFloor + 1.
+func tokenFloor(srv *Server) uint64 { return srv.Service().Seq(1 << 63) }
+
 // fmtKey renders a key as responses carry it.
 func fmtKey(k uint64) string { return "0x" + strconv.FormatUint(k, 16) }
 
@@ -98,14 +102,14 @@ func tokenOf(t *testing.T, line string, idx int) uint64 {
 }
 
 func TestWireBasics(t *testing.T) {
-	_, addr := newTestServer(t, Options{})
+	srv, addr := newTestServer(t, Options{})
 	c := dialT(t, addr)
 	c.send("session\r\n")
 	c.expect("SESSION")
 	c.send("ping\n") // bare LF is as good as CRLF
 	c.expect("PONG")
 	c.send("token 7\r\n")
-	c.expect("TOKEN 0x7 0")
+	c.expect(fmt.Sprintf("TOKEN 0x7 %d", tokenFloor(srv)))
 	c.send("stats\r\n")
 	c.expect("STATS")
 	c.send("bogus\r\n")
@@ -115,13 +119,13 @@ func TestWireBasics(t *testing.T) {
 }
 
 func TestTryLockUnlock(t *testing.T) {
-	_, addr := newTestServer(t, Options{})
+	srv, addr := newTestServer(t, Options{})
 	a, b := dialT(t, addr), dialT(t, addr)
 
 	a.send("trylock 7\r\n")
 	tok1 := tokenOf(t, a.expect("GRANTED 0x7"), 2)
-	if tok1 != 1 {
-		t.Fatalf("first grant token = %d, want 1", tok1)
+	if floor := tokenFloor(srv); tok1 != floor+1 {
+		t.Fatalf("first grant token = %d, want the floor %d + 1", tok1, floor)
 	}
 	// Same session re-acquiring is refused (it would self-deadlock a
 	// worker); another session just loses the race.
@@ -204,13 +208,14 @@ func TestWaitValidation(t *testing.T) {
 }
 
 func TestPipelinedRequests(t *testing.T) {
-	_, addr := newTestServer(t, Options{})
+	srv, addr := newTestServer(t, Options{})
 	c := dialT(t, addr)
+	tok := tokenFloor(srv) + 1
 	// One write, many commands: replies come back in order.
 	c.send("ping\r\ntrylock 7\r\ntoken 7\r\nunlock 7\r\nping\r\n")
 	c.expect("PONG")
-	c.expect("GRANTED 0x7 1")
-	c.expect("TOKEN 0x7 1")
+	c.expect(fmt.Sprintf("GRANTED 0x7 %d", tok))
+	c.expect(fmt.Sprintf("TOKEN 0x7 %d", tok))
 	c.expect("RELEASED 0x7")
 	c.expect("PONG")
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"net"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -18,26 +19,28 @@ import (
 // always been sent (the expectations were recorded from the formatter's
 // string-joining predecessor).
 func TestResponseLinesPinned(t *testing.T) {
-	_, addr := newTestServer(t, Options{SweepInterval: 10 * time.Millisecond})
+	srv, addr := newTestServer(t, Options{SweepInterval: 10 * time.Millisecond})
 	conns := map[string]*tconn{"a": dialT(t, addr)}
+	// Token n of this script is the server's floor + n.
+	tok := func(n uint64) string { return strconv.FormatUint(tokenFloor(srv)+n, 10) }
 	steps := []struct {
 		conn, send, want string
 	}{
 		{"a", "session\r\n", "SESSION 1\r\n"},
 		{"a", "ping\n", "PONG\r\n"},
-		{"a", "token 7\r\n", "TOKEN 0x7 0\r\n"},
-		{"a", "trylock 7 250\r\n", "GRANTED 0x7 1 250\r\n"},
+		{"a", "token 7\r\n", "TOKEN 0x7 " + tok(0) + "\r\n"},
+		{"a", "trylock 7 250\r\n", "GRANTED 0x7 " + tok(1) + " 250\r\n"},
 		{"a", "stats\r\n", "STATS sessions=1 held=1 waiting=0 leases=1 grants=1 releases=0 expiries=0 timeouts=0 cancels=0 disconnects=0 overloads=0\r\n"},
 		{"a", "trylock 7\r\n", "ERR held key 0x7 already held by this session\r\n"},
-		{"a", "renew 0x7 60000\r\n", "RENEWED 0x7 1 60000\r\n"},
+		{"a", "renew 0x7 60000\r\n", "RENEWED 0x7 " + tok(1) + " 60000\r\n"},
 		{"b", "trylock 7\r\n", "BUSY 0x7\r\n"},
 		{"b", "wait 3 7 100 5000\r\n", "QUEUED 3\r\n"},
 		{"a", "unlock 7\r\n", "RELEASED 0x7\r\n"},
-		{"b", "", "GRANT 3 0x7 2 100\r\n"},
-		{"b", "", "EXPIRED 0x7 2\r\n"}, // the 100 ms lease runs out
+		{"b", "", "GRANT 3 0x7 " + tok(2) + " 100\r\n"},
+		{"b", "", "EXPIRED 0x7 " + tok(2) + "\r\n"}, // the 100 ms lease runs out
 		{"b", "unlock 7\r\n", "ERR notheld key 0x7 is not held by this session\r\n"},
 		{"b", "renew 7\r\n", "ERR notheld key 0x7 is not held by this session\r\n"},
-		{"b", "trylock 4 60000\r\n", "GRANTED 0x4 3 60000\r\n"},
+		{"b", "trylock 4 60000\r\n", "GRANTED 0x4 " + tok(3) + " 60000\r\n"},
 		{"a", "wait 5 4 0 30\r\n", "QUEUED 5\r\n"},
 		{"a", "", "TIMEOUT 5\r\n"},
 		{"a", "wait 6 4\r\n", "QUEUED 6\r\n"},
@@ -227,7 +230,7 @@ func TestLongResponseOneWrite(t *testing.T) {
 	verb := strings.Repeat("x", 3000)
 	for _, st := range []struct{ send, want string }{
 		{verb + "\r\n", "ERR command unknown command \"" + verb + "\"\r\n"},
-		{"token 7\r\n", "TOKEN 0x7 0\r\n"}, // TestResponseLinesPinned's row
+		{"token 7\r\n", "TOKEN 0x7 " + strconv.FormatUint(tokenFloor(srv), 10) + "\r\n"}, // TestResponseLinesPinned's row
 	} {
 		before := writes.Load()
 		c.send(st.send)

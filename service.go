@@ -109,27 +109,25 @@ const (
 
 // entry is what a table slot points at, and for a key created through the
 // default surface — GLK, exclusive: Lock, TryLock, InitLock, a Handle — it
-// is the lock itself: one 128-byte object whose first line is the glk.Lock
-// (mode word, sampling clock, ticket words, the pointers to what a
-// contended lock builds later, and the flag word in Aux) and whose second
-// holds the words only a holder, a pinner or the debugger writes.
-// A look-up therefore ends on the line the acquisition is about to write:
-// bucket → lock, with a call to a concrete *glk.Lock and no interface in
-// between, and the dead mark a Handle hit tests is on that line too. The
-// two lines never mix their writers — §3.2's false-sharing rule, applied to
-// the table values — and the entry is whole lines, which the allocator's
-// 128-byte size class also aligns (layout_test.go pins all of it).
+// is the lock itself: one 64-byte line, the glk.Lock (mode word, sampling
+// clock, ticket words, the pointers to what a contended lock builds later,
+// and the flag word in Aux), and nothing else. A look-up therefore ends on
+// the line the acquisition is about to write: bucket → lock, with a call to
+// a concrete *glk.Lock and no interface in between, and the dead mark a
+// Handle hit tests is on that line too. The entry is one whole line, which
+// the allocator's 64-byte size class also aligns (layout_test.go pins it).
+// A default key keeps no other word: its key is the caller's, its debug
+// owner lives in debugState, and it takes no Pin (PinWith).
 //
 // Every other species — an explicit algorithm (LockWith, PinWith), a
 // reader-writer key, any of them wrapped for telemetry — is a boxedEntry
-// behind the same pointer type: same size, same second line, same flag
-// word, and a first line that holds the lock's interfaces instead of a
-// lock. Nothing but the flag word may be read through lk until it says
-// which one this is; the methods below are the only code that looks.
+// behind the same pointer type: the same flag word at the same offset, a
+// first line that holds the lock's interfaces instead of a lock, and a
+// second line for the key-lifetime words behind Pin. Nothing but the flag
+// word may be read through lk until it says which one this is; the methods
+// below are the only code that looks.
 type entry struct {
 	lk glk.Lock
-	entryStats
-	_ [(pad.CacheLineSize - unsafe.Sizeof(entryStats{})%pad.CacheLineSize) % pad.CacheLineSize]byte
 }
 
 // boxedHead is the first line of a boxedEntry up to the flag word: written
@@ -151,35 +149,24 @@ type boxedHead struct {
 // auxOffset is where the flag word sits in either layout.
 const auxOffset = unsafe.Offsetof(entry{}.lk.Aux)
 
-// boxedEntry is the entry of a key whose lock is not the inline GLK lock.
-// The pads put flags at auxOffset and the second line where entry has it;
-// a head that outgrows its room does not compile.
+// boxedEntry is the entry of a key whose lock is not the inline GLK lock:
+// two lines, 128 bytes. The pads put flags at auxOffset and pinLine on the
+// second line; a head that outgrows its room does not compile.
 type boxedEntry struct {
 	boxedHead
 	_     [auxOffset - unsafe.Sizeof(boxedHead{})]byte
 	flags atomic.Uint32
 	_     [pad.CacheLineSize - auxOffset - unsafe.Sizeof(atomic.Uint32{})]byte
-	entryStats
-	_ [(pad.CacheLineSize - unsafe.Sizeof(entryStats{})%pad.CacheLineSize) % pad.CacheLineSize]byte
+	pinLine
+	_ [(pad.CacheLineSize - unsafe.Sizeof(pinLine{})%pad.CacheLineSize) % pad.CacheLineSize]byte
 }
 
-// Both directions must be non-negative: the two layouts are the same size
-// and keep their second line at the same offset.
-var (
-	_ [unsafe.Sizeof(entry{}) - unsafe.Sizeof(boxedEntry{})]byte
-	_ [unsafe.Sizeof(boxedEntry{}) - unsafe.Sizeof(entry{})]byte
-	_ [unsafe.Offsetof(entry{}.entryStats) - unsafe.Offsetof(boxedEntry{}.entryStats)]byte
-	_ [unsafe.Offsetof(boxedEntry{}.entryStats) - unsafe.Offsetof(entry{}.entryStats)]byte
-)
-
-// entryStats is the second line of either layout: the key, the debug owner
-// word and the key-lifetime words behind Pin (pin.go).
-type entryStats struct {
+// pinLine is a boxed entry's second line: the words a pinner writes, kept
+// off the line every look-up loads. Every pinned key is boxed, because
+// PinWith names an explicit algorithm.
+type pinLine struct {
+	// key is the entry's key, for the Unpin that frees it.
 	key uint64
-
-	// owner is the goroutine currently holding the lock (0 = free).
-	// Maintained only in debug mode.
-	owner atomic.Uint64
 
 	// pins counts outstanding Pins (pinsDead once the last is gone and the
 	// entry is being freed); seq is the last value Pin.NextSeq handed out,
@@ -206,7 +193,7 @@ func (e *entry) markDead() { e.lk.Aux.Store(e.lk.Aux.Load() | entryDead) }
 
 // exclusive returns whichever lock e holds as an interface — for an RW key
 // its write side. It is for the paths where an indirect call is noise: the
-// debugger, pins, bounded waits, first uses. The six operations
+// debugger, bounded waits, first uses. The six operations
 // whose whole cost is the look-up (Lock, TryLock and Unlock, here and on
 // Handle) test inline themselves and call e.lk directly.
 func (e *entry) exclusive() locks.Lock {
@@ -233,12 +220,11 @@ func (e *entry) algo() locks.Algorithm {
 	return e.boxed().algo
 }
 
-// EntryBytes is the size of one table entry, in either layout. For a key
-// created through the default surface that is the whole key — entry and
-// lock are one object, and stay so until the lock is contended; for any
-// other key it is the cost on top of the lock object the entry points at.
-// Exported for footprint accounting (glsbench -cardinality); a key's share
-// of its clht bucket is extra.
+// EntryBytes is the size of a default key's table entry, which is the whole
+// key: entry and lock are one 64-byte object, and stay so until the lock is
+// contended. Any other key's entry is a boxedEntry, two lines (128 bytes)
+// on top of the lock object it points at. Exported for footprint accounting
+// (glsbench -cardinality); a key's share of its clht bucket is extra.
 const EntryBytes = unsafe.Sizeof(entry{})
 
 // Service is one GLS instance: a concurrent key→lock table plus the optional
@@ -296,9 +282,13 @@ type serviceChurn struct {
 	// also gives the entries ever built (ShardStats).
 	frees atomic.Uint64
 
-	// seqFloor is the largest Pin sequence a freed entry ended on. Every
-	// NextSeq exceeds it, so a key freed and re-created keeps rising — one
-	// word per service, not a record per key ever used.
+	// seqFloor is the largest Pin sequence a freed entry ended on, and
+	// starts at the wall clock in ns at New. Every NextSeq exceeds it, so a
+	// key freed and re-created keeps rising — one word per service, not a
+	// record per key ever used — and a service that replaces another (glsd
+	// restarted) mints above every value its predecessor handed out, one
+	// value per ns of its uptime at most, unless the clock stepped back
+	// (DESIGN §14).
 	seqFloor atomic.Uint64
 }
 
@@ -347,6 +337,7 @@ func New(opts Options) *Service {
 		tele:   tele,
 		opts:   opts,
 	}}
+	s.seqFloor.Store(uint64(time.Now().UnixNano()))
 	if opts.Debug {
 		s.dbg = newDebugState()
 		s.dbg.start(s)
@@ -380,7 +371,7 @@ func (s *Service) Close() {
 func (s *Service) newEntry(key uint64, algo locks.Algorithm) func() *entry {
 	return func() *entry {
 		if algo == algoGLK {
-			e := &entry{entryStats: entryStats{key: key}}
+			e := &entry{}
 			var st *telemetry.LockStats
 			if s.tele != nil {
 				st = s.tele.Register(key, algoName(algo))
@@ -400,7 +391,7 @@ func (s *Service) newEntry(key uint64, algo locks.Algorithm) func() *entry {
 
 // newBoxed returns the table's view of a fresh boxedEntry.
 func newBoxed(key uint64, head boxedHead) *entry {
-	b := &boxedEntry{boxedHead: head, entryStats: entryStats{key: key}}
+	b := &boxedEntry{boxedHead: head, pinLine: pinLine{key: key}}
 	b.flags.Store(entryBoxed)
 	return b.asEntry()
 }
@@ -448,8 +439,8 @@ func (s *Service) lockWith(a locks.Algorithm, key uint64) {
 	e, created := s.entryFor(key, a)
 	if s.dbg != nil {
 		me := gid.Get()
-		s.debugPreLock(me, e, created, a)
-		s.debugLock(me, e)
+		s.debugPreLock(me, e, key, created, a)
+		s.debugLock(me, e, key)
 		return
 	}
 	e.exclusive().Lock()
@@ -480,8 +471,8 @@ func (s *Service) tryLockWith(a locks.Algorithm, key uint64) bool {
 	e, created := s.entryFor(key, a)
 	if s.dbg != nil {
 		me := gid.Get()
-		s.debugPreLock(me, e, created, a)
-		return s.debugTryLock(me, e)
+		s.debugPreLock(me, e, key, created, a)
+		return s.debugTryLock(me, e, key)
 	}
 	return e.exclusive().TryLock()
 }
@@ -552,9 +543,9 @@ func (s *Service) InitLockWith(a locks.Algorithm, key uint64) {
 // initLockWith is the shared pre-creation path; a is algoGLK or an
 // already-validated explicit algorithm.
 func (s *Service) initLockWith(a locks.Algorithm, key uint64) {
-	e, _ := s.entryFor(key, a)
+	s.entryFor(key, a)
 	if s.dbg != nil {
-		s.dbg.markInitialized(e.key)
+		s.dbg.markInitialized(key)
 	}
 }
 
@@ -590,25 +581,23 @@ func (s *Service) Free(key uint64) {
 		return
 	}
 	if e := s.table.Get(key); e != nil {
-		s.retire(e)
+		s.retire(e, key)
 	}
 }
 
-// retire unmaps e's key; e is the entry the caller found mapped there (Free)
-// or holds a dead pin count on (Unpin).
-func (s *Service) retire(e *entry) {
-	key := e.key
+// retire unmaps key; e is the entry the caller found mapped there (Free) or
+// holds a dead pin count on (Unpin).
+func (s *Service) retire(e *entry, key uint64) {
 	if s.dbg != nil {
-		if owner := e.owner.Load(); owner != 0 {
+		if owner := s.dbg.forget(key); owner != 0 {
 			s.report(Issue{
 				Kind:      IssueFreeHeld,
 				Key:       key,
 				Goroutine: uint64(gid.Get()),
-				Owner:     owner,
+				Owner:     uint64(owner),
 				Message:   "freeing a lock that is currently held",
 			})
 		}
-		s.dbg.forget(key)
 	}
 	if s.tele != nil {
 		// Fold the lock's counters into the registry's retired totals

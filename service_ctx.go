@@ -92,25 +92,25 @@ func (s *Service) lockCancelWith(a locks.Algorithm, key uint64, c *locks.Cancel)
 	e, created := s.entryFor(key, a)
 	if s.dbg != nil {
 		me := gid.Get()
-		s.debugPreLock(me, e, created, a)
-		return s.debugLockCancel(me, e, c)
+		s.debugPreLock(me, e, key, created, a)
+		return s.debugLockCancel(me, e, key, c)
 	}
 	return locks.LockWithCancel(e.exclusive(), c)
 }
 
 // debugLockCancel is debugLock with an abort path: the waiting record is
 // cleared whether the wait ended in a grant or a departure, and the owner
-// word is only written on a grant.
-func (s *Service) debugLockCancel(me gid.ID, e *entry, c *locks.Cancel) bool {
+// is only recorded on a grant.
+func (s *Service) debugLockCancel(me gid.ID, e *entry, key uint64, c *locks.Cancel) bool {
 	if !e.exclusive().TryLock() {
-		s.dbg.setWaiting(me, e.key)
+		s.dbg.setWaiting(me, key)
 		ok := locks.LockWithCancel(e.exclusive(), c)
 		s.dbg.clearWaiting(me)
 		if !ok {
 			return false
 		}
 	}
-	e.owner.Store(uint64(me))
+	s.dbg.setOwner(key, me)
 	return true
 }
 

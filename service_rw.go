@@ -48,15 +48,15 @@ func (s *Service) entryForRW(key uint64) (*entry, bool) {
 	}
 	e, created := s.table.GetOrInsert(key, s.newRWEntry(key))
 	if e.rwLock() == nil {
-		s.reportRWMismatch(key, "reader-writer use of a key mapped to an exclusive lock")
+		s.reportSpeciesMismatch(key, "reader-writer use of a key mapped to an exclusive lock")
 		panic(fmt.Sprintf("gls: key %#x is mapped to an exclusive lock; RW entry points need an RW key (use a fresh key or InitRWLock first)", key))
 	}
 	return e, created
 }
 
-// reportRWMismatch surfaces a species mismatch through the debug reporter
-// before the caller panics, so OnIssue consumers see it.
-func (s *Service) reportRWMismatch(key uint64, msg string) {
+// reportSpeciesMismatch surfaces a species mismatch through the debug
+// reporter before the caller panics, so OnIssue consumers see it.
+func (s *Service) reportSpeciesMismatch(key uint64, msg string) {
 	if s.dbg == nil {
 		return
 	}
@@ -94,7 +94,7 @@ func (s *Service) RLock(key uint64) {
 func (s *Service) rlockWith(key uint64) {
 	e, created := s.entryForRW(key)
 	if s.dbg != nil {
-		s.debugRLock(e, created)
+		s.debugRLock(e, key, created)
 		return
 	}
 	e.rwLock().RLock()
@@ -118,7 +118,7 @@ func (s *Service) TryRLock(key uint64) bool {
 func (s *Service) tryRLockWith(key uint64) bool {
 	e, created := s.entryForRW(key)
 	if s.dbg != nil {
-		return s.debugTryRLock(e, created)
+		return s.debugTryRLock(e, key, created)
 	}
 	return e.rwLock().TryRLock()
 }
@@ -149,9 +149,9 @@ func (s *Service) RUnlock(key uint64) {
 // analogue of pthread_rwlock_init, and the way to fix a key's species
 // before any exclusive entry point can auto-create it as exclusive.
 func (s *Service) InitRWLock(key uint64) {
-	e, _ := s.entryForRW(key)
+	s.entryForRW(key)
 	if s.dbg != nil {
-		s.dbg.markInitialized(e.key)
+		s.dbg.markInitialized(key)
 	}
 }
 

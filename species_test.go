@@ -2,6 +2,7 @@ package gls
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"gls/locks"
@@ -148,6 +149,62 @@ func TestSpeciesDispatch(t *testing.T) {
 				t.Fatalf("rw key %#x: read share granted beside the writer", k)
 			}
 			h.Unlock(k)
+		})
+	}
+}
+
+// TestPinWithDefaultKeyPanics: a key the default surface created is its
+// one-line lock and has no pin count, so PinWith of it panics with the
+// species message — reported first in debug mode, like RLock on an
+// exclusive key — and leaves the key mapped, inline and usable. A key
+// PinWith finds as an RW key is boxed and is pinned.
+func TestPinWithDefaultKeyPanics(t *testing.T) {
+	for name, opts := range speciesOptions() {
+		t.Run(name, func(t *testing.T) {
+			var mismatches atomic.Int32
+			if opts.Debug {
+				opts.OnIssue = func(i Issue) {
+					if i.Kind == IssueAlgorithmMismatch {
+						mismatches.Add(1)
+					}
+				}
+			}
+			s := newTestService(t, opts)
+			k := uint64(0x5000)
+			doors := map[string]func(uint64){
+				"InitLock": s.InitLock,
+				"Lock":     func(k uint64) { s.Lock(k); s.Unlock(k) },
+				"TryLock":  func(k uint64) { s.TryLock(k); s.Unlock(k) },
+				"Handle":   func(k uint64) { h := s.NewHandle(); h.Lock(k); h.Unlock(k) },
+			}
+			for door, create := range doors {
+				k++
+				create(k)
+				msg := mustPanic(t, "PinWith of a key "+door+" created", func() { s.PinWith(locks.Mutex, k) })
+				want := fmt.Sprintf("gls: key %#x was created through the default surface (Lock, TryLock, InitLock, a Handle) and has no pin count; PinWith needs a key it creates, or one created with an explicit algorithm or as an RW key", k)
+				if msg != want {
+					t.Errorf("%s: PinWith panicked with %q, want %q", door, msg, want)
+				}
+				exerciseExclusive(t, s, k, true)
+			}
+			if got := s.Locks(); got != len(doors) {
+				t.Errorf("Locks() = %d after the refused pins, want %d", got, len(doors))
+			}
+			if want := map[bool]int32{false: 0, true: int32(len(doors))}[opts.Debug]; mismatches.Load() != want {
+				t.Errorf("%d species issues reported, want %d", mismatches.Load(), want)
+			}
+
+			k++
+			s.InitRWLock(k)
+			p := s.PinWith(locks.Mutex, k)
+			if !p.TryLock() {
+				t.Fatalf("pinned rw key %#x not acquirable", k)
+			}
+			p.Unlock()
+			p.Unpin()
+			if s.IsRWKey(k) {
+				t.Errorf("rw key %#x still mapped after its last Unpin", k)
+			}
 		})
 	}
 }
