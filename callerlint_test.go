@@ -22,23 +22,22 @@ import (
 // program caller, one line each with its reason. Keys are the names the lint
 // prints: package path, then type and member.
 var callerExemptions = map[string]string{
-	"gls/client.Conn.Ping":                          "the client half of glsd's ping op",
-	"gls/client.Conn.Renew":                         "the client half of glsd's renew op",
-	"gls/glk.Lock.PresenceInflated":                 "test seam: whether the presence counter is striped, which no operation shows",
-	"gls/glk.RWLock.ReadersInflated":                "test seam: whether the native reader counter is striped, which no operation shows",
-	"gls/locks.Algorithms":                          "test seam: Table 1 as a list, which the conformance tests and BenchmarkTable1 iterate",
-	"gls/locks.MCSLock.QueueLen":                    "test seam: the queue a test waits to fill before it acts",
-	"gls/locks.MutexLock.QueueLen":                  "test seam: the queue a test waits to fill before it acts",
-	"gls/locks.RWPhaseFair.Phases":                  "test seam: the writer-phase clock the bounded-wait tests count against",
-	"gls/locks.RWStriped.ReadersInflated":           "test seam: whether the reader counter is striped, which no operation shows",
-	"gls/internal/apps/appsync.GLK.Locks":           "test seam: the per-role GLK locks whose modes and stats tests inspect",
-	"gls/internal/apps/appsync.GLS.Key":             "test seam: the service key of a role, so a test can tell which lock an issue names",
-	"gls/internal/apps/litesql.DB.CheckConsistency": "test oracle: the TPC-C invariants the concurrency tests assert",
-	"gls/internal/clht.Table.Resizes":               "test seam: lets the resize tests see that a resize happened",
-	"gls/internal/sysmon.Monitor.Hint":              "test seam: reads back the hint a test or the harness set",
-	"gls/internal/sysmon.Monitor.Rounds":            "test seam: tests wait for the sampler to finish rounds",
-	"gls/internal/sysmon.StopShared":                "test seam: stops the shared sampler so a test can start a fresh one",
-	"gls/internal/xrand.Zipf.Prob":                  "test oracle: the distribution the sampling tests compare against",
+	"gls/client.Conn.Ping":                "the client half of glsd's ping op",
+	"gls/client.Conn.Renew":               "the client half of glsd's renew op",
+	"gls/glk.Lock.PresenceInflated":       "test seam: whether the presence counter is striped, which no operation shows",
+	"gls/glk.RWLock.ReadersInflated":      "test seam: whether the native reader counter is striped, which no operation shows",
+	"gls/locks.Algorithms":                "test seam: Table 1 as a list, which the conformance tests and BenchmarkTable1 iterate",
+	"gls/locks.MCSLock.QueueLen":          "test seam: the queue a test waits to fill before it acts",
+	"gls/locks.MutexLock.QueueLen":        "test seam: the queue a test waits to fill before it acts",
+	"gls/locks.RWPhaseFair.Phases":        "test seam: the writer-phase clock the bounded-wait tests count against",
+	"gls/locks.RWStriped.ReadersInflated": "test seam: whether the reader counter is striped, which no operation shows",
+	"gls/internal/apps/appsync.GLK.Locks": "test seam: the per-role GLK locks whose modes and stats tests inspect",
+	"gls/internal/apps/appsync.GLS.Key":   "test seam: the service key of a role, so a test can tell which lock an issue names",
+	"gls/internal/clht.Table.Resizes":     "test seam: lets the resize tests see that a resize happened",
+	"gls/internal/sysmon.Monitor.Hint":    "test seam: reads back the hint a test or the harness set",
+	"gls/internal/sysmon.Monitor.Rounds":  "test seam: tests wait for the sampler to finish rounds",
+	"gls/internal/sysmon.StopShared":      "test seam: stops the shared sampler so a test can start a fresh one",
+	"gls/internal/xrand.Zipf.Prob":        "test oracle: the distribution the sampling tests compare against",
 }
 
 // paperTable1 is the paper's Table 1 by constant name: the exclusive

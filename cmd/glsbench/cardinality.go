@@ -8,6 +8,7 @@ import (
 
 	"gls"
 	"gls/glk"
+	"gls/internal/figures"
 	"gls/internal/harness"
 	"gls/internal/stripe"
 	"gls/locks"
@@ -52,9 +53,9 @@ func heapAlloc() uint64 {
 }
 
 // runCardinality measures the million-key scenario.
-func runCardinality(o opts) error {
+func runCardinality(s figures.Scale) error {
 	n := cardinalityKeys
-	if o.quick {
+	if s.Quick {
 		n = cardinalityKeysQuick
 	}
 	fmt.Printf("footprint: default key %dB (the entry is the glk.Lock, %dB; +%dB presence spill once it leaves ticket mode); boxed key a two-line entry + its lock object (glk.RWLock %dB, locks.MutexLock %dB)\n",
@@ -84,16 +85,10 @@ func runCardinality(o opts) error {
 		Locks:     n,
 		ZipfAlpha: 0.99,
 		CSCycles:  128,
-		Duration:  o.duration,
+		Duration:  s.Duration,
 		Seed:      42,
 	}
-	factory := func(int) harness.Locker {
-		return harness.FuncLocker{
-			AcquireFn: func(i int) { svc.Lock(uint64(i) + 1) },
-			ReleaseFn: func(i int) { svc.Unlock(uint64(i) + 1) },
-		}
-	}
-	res := harness.RunMedian(cfg, factory, o.reps)
+	res := harness.RunMedian(cfg, harness.ServiceLocks(svc, 0), s.Reps)
 	nsPerOp := float64(res.Elapsed.Nanoseconds()) / float64(res.Ops) * float64(threads)
 	fmt.Printf("zipf(0.99) over %d keys, %d threads, %v: %.2f Mops/s, %.1f ns/op (per-thread)\n",
 		n, threads, res.Elapsed.Round(time.Millisecond), res.Mops(), nsPerOp)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"gls/glk"
+	"gls/internal/figures"
 	"gls/locks"
 )
 
@@ -184,24 +185,24 @@ func fairMixes() []struct {
 
 // runFair measures the full fairness family and writes the JSON report to
 // path ("-" for stdout), with the table on progress.
-func runFair(path string, progress io.Writer, o opts) error {
+func runFair(path string, progress io.Writer, s figures.Scale) error {
 	report := fairReport{
 		GeneratedBy: "glsbench -fair",
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		DurationMS:  o.duration.Milliseconds(),
-		Reps:        o.reps,
+		DurationMS:  s.Duration.Milliseconds(),
+		Reps:        s.Reps,
 		Keys:        fairKeys,
 	}
 	for _, mix := range fairMixes() {
 		for _, impl := range fairImpls() {
 			// Medians per column over reps (each rep re-measures the whole
 			// point with fresh locks).
-			wops := make([]float64, 0, o.reps)
-			rops := make([]float64, 0, o.reps)
-			wmax := make([]float64, 0, o.reps)
-			rmax := make([]float64, 0, o.reps)
-			for r := 0; r < o.reps; r++ {
-				res := fairMeasure(mix.writers, mix.readers, o.duration, impl.mk)
+			wops := make([]float64, 0, s.Reps)
+			rops := make([]float64, 0, s.Reps)
+			wmax := make([]float64, 0, s.Reps)
+			rmax := make([]float64, 0, s.Reps)
+			for r := 0; r < s.Reps; r++ {
+				res := fairMeasure(mix.writers, mix.readers, s.Duration, impl.mk)
 				wops = append(wops, res.WriterOpsPerSec)
 				rops = append(rops, res.ReaderOpsPerSec)
 				wmax = append(wmax, float64(res.MaxWriterWaitNs))

@@ -1,7 +1,9 @@
 // Command glsbench regenerates the evaluation figures of "Locking Made
-// Easy" (Middleware'16). Each -fig N prints the rows/series of the paper's
+// Easy" (Middleware'16). Each -fig N prints the tables of the paper's
 // figure N, measured on this machine with this repository's GLS/GLK
-// implementation.
+// implementation. The figures are defined in internal/figures, which
+// BenchmarkFigures also reads; glsbench exits 1 when a figure fails its
+// checks (a broken workload invariant, a value that is not finite).
 //
 // Usage:
 //
@@ -9,14 +11,16 @@
 //	glsbench -fig 1 -fig 8 -fig 13  # several
 //	glsbench -all                   # everything
 //	glsbench -all -quick            # short runs (CI smoke)
+//	glsbench -fig 13 -contention    # per-role contention of a systems figure (13, 14, 15)
 //	glsbench -scenario FILE [-wire] # a committed .scn plan and its assertion lanes
 //	glsbench -fair FILE             # writer-stream/reader-flood fairness sweep
 //	glsbench -server FILE           # glsd wire-path sweep vs connection count
 //	glsbench -cardinality           # ~1M-key footprint and zipf throughput
 //
 // Those three sweeps are the ones nothing else answers; every other number
-// comes from glsmark (bash bench/run.sh) or go test -bench. Absolute numbers differ from the paper (different machine, Go runtime,
-// modelled systems); the shapes — which lock wins where, and where the
+// comes from glsmark (bash bench/run.sh) or go test -bench. Absolute
+// numbers differ from the paper (different machine, Go runtime, modelled
+// systems); the shapes — which lock wins where, and where the
 // crossovers fall — are the reproduction target. See EXPERIMENTS.md.
 package main
 
@@ -33,6 +37,7 @@ import (
 	"time"
 
 	"gls/internal/cycles"
+	"gls/internal/figures"
 )
 
 // figSet collects repeated -fig flags.
@@ -52,53 +57,41 @@ func (f figSet) Set(s string) error {
 	if err != nil {
 		return err
 	}
-	if _, ok := figures[n]; !ok {
-		return fmt.Errorf("no figure %d (known: %s)", n, knownFigures())
+	for _, fig := range figures.All {
+		if fig.Number == n {
+			f[n] = true
+			return nil
+		}
 	}
-	f[n] = true
-	return nil
-}
-
-// opts are the run-scale knobs shared by all figures.
-type opts struct {
-	duration   time.Duration // per measurement point
-	reps       int           // repetitions (median taken)
-	maxThreads int           // sweep ceiling
-	quick      bool
-}
-
-// figure is one reproducible experiment.
-type figure struct {
-	title string
-	run   func(o opts)
-}
-
-var figures = map[int]figure{
-	1:  {"Different lock strategies under varying contention", fig1},
-	5:  {"Performance crosspoint: threads for MCS to beat TICKET vs CS size", fig5},
-	6:  {"GLK overhead vs adaptation and sampling periods", fig6},
-	7:  {"Relative throughput of GLK vs best per-configuration lock", fig7},
-	8:  {"A single lock on varying contention (CS=1024 cycles)", fig8},
-	9:  {"Eight locks on varying contention (zipf 0.9, CS=1024)", fig9},
-	10: {"One lock under varying contention levels over time (14 phases)", fig10},
-	11: {"Latency overhead of GLS over directly using locks (1 thread)", fig11},
-	12: {"Relative throughput of GLS over directly using locks (10 threads)", fig12},
-	13: {"Memcached: MUTEX vs GLK vs GLS vs GLS SPECIALIZED", fig13},
-	14: {"Five systems x {MUTEX,TICKET,MCS,GLK}, normalized to MUTEX", fig14},
-	15: {"Same as figure 14 (second platform in the paper)", fig15},
+	return fmt.Errorf("no figure %d (known: %s)", n, knownFigures())
 }
 
 func knownFigures() string {
-	keys := make([]int, 0, len(figures))
-	for k := range figures {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = strconv.Itoa(k)
+	parts := make([]string, len(figures.All))
+	for i, f := range figures.All {
+		parts[i] = strconv.Itoa(f.Number)
 	}
 	return strings.Join(parts, ",")
+}
+
+// runFigure measures figure f at scale s and prints it: its title, note,
+// tables and the paper's claim.
+func runFigure(w io.Writer, f figures.Figure, s figures.Scale) error {
+	fmt.Fprintf(w, "== Figure %d: %s ==\n", f.Number, f.Title)
+	tables, err := f.Run(s)
+	if err != nil {
+		return err
+	}
+	if f.Note != "" {
+		fmt.Fprintln(w, f.Note)
+	}
+	for _, t := range tables {
+		t.Print(w)
+	}
+	if f.Paper != "" {
+		fmt.Fprintln(w, f.Paper)
+	}
+	return nil
 }
 
 // writeJSON writes v, indented, to path ("-" for stdout).
@@ -153,22 +146,18 @@ func init() {
 func main() {
 	flag.Parse()
 
-	o := opts{duration: *duration, reps: *reps, maxThreads: *maxThreads, quick: *quick}
-	if o.quick {
-		o.duration = 40 * time.Millisecond
-		o.reps = 1
-	}
-	if o.reps < 1 {
-		o.reps = 1 // a zero-sample sweep has no median
-	}
-	if o.maxThreads <= 0 {
-		o.maxThreads = runtime.GOMAXPROCS(0)*2 + 8
+	s := figures.Scale{Duration: *duration, Reps: max(*reps, 1), MaxThreads: *maxThreads} // a zero-sample sweep has no median
+	if *quick {
+		s = figures.Quick()
+		s.MaxThreads = *maxThreads
 	}
 
-	if *all {
-		for k := range figures {
-			figs[k] = true
+	systems := false
+	for _, f := range figures.All {
+		if *all {
+			figs[f.Number] = true
 		}
+		systems = systems || figs[f.Number] && f.Systems
 	}
 	if len(figs) == 0 && !*cardinality && *fair == "" && *srvBench == "" && len(scenarios) == 0 {
 		fmt.Fprintf(os.Stderr, "usage: glsbench -fig N [-fig M ...] | -all | -fair FILE | -server FILE | -scenario FILE [-wire] | -cardinality  (figures: %s)\n", knownFigures())
@@ -177,6 +166,13 @@ func main() {
 	if len(scenarios) == 0 && (*wire || *seed != 0 || *replay != "" || *scnJSON != "") {
 		fmt.Fprintln(os.Stderr, "glsbench: -wire/-seed/-replay/-scnjson only apply with -scenario")
 		os.Exit(2)
+	}
+	if *contention {
+		if !systems {
+			fmt.Fprintln(os.Stderr, "glsbench: -contention only applies with a systems figure (-fig 13, 14 or 15, or -all)")
+			os.Exit(2)
+		}
+		s.Contention = os.Stdout
 	}
 	jsonSinks := 0
 	for _, path := range []string{*fair, *srvBench, *scnJSON, *replay} {
@@ -201,11 +197,11 @@ func main() {
 	}
 	cycles.Calibrate()
 	fmt.Fprintf(progress, "# glsbench: GOMAXPROCS=%d, nominal frequency %.1f GHz, %v/point, %d rep(s)\n\n",
-		runtime.GOMAXPROCS(0), cycles.FrequencyGHz(), o.duration, o.reps)
+		runtime.GOMAXPROCS(0), cycles.FrequencyGHz(), s.Duration, s.Reps)
 
 	if *fair != "" {
 		fmt.Fprintf(progress, "== glsfair: writer-stream vs reader-flood fairness sweep ==\n")
-		if err := runFair(*fair, progress, o); err != nil {
+		if err := runFair(*fair, progress, s); err != nil {
 			fmt.Fprintf(os.Stderr, "glsbench: -fair: %v\n", err)
 			os.Exit(1)
 		}
@@ -214,7 +210,7 @@ func main() {
 
 	if *srvBench != "" {
 		fmt.Fprintf(progress, "== glsd: open-loop wire-path sweep vs connection count ==\n")
-		if err := runServer(*srvBench, progress, o); err != nil {
+		if err := runServer(*srvBench, progress, s); err != nil {
 			fmt.Fprintf(os.Stderr, "glsbench: -server: %v\n", err)
 			os.Exit(1)
 		}
@@ -223,7 +219,7 @@ func main() {
 
 	if len(scenarios) > 0 {
 		fmt.Fprintf(progress, "== glscn: trace-driven scenario engine, assertion lanes ==\n")
-		if err := runScenarios(scenarios, *wire, *seed, *replay, *scnJSON, progress, o); err != nil {
+		if err := runScenarios(scenarios, *wire, *seed, *replay, *scnJSON, progress, s); err != nil {
 			fmt.Fprintf(os.Stderr, "glsbench: -scenario: %v\n", err)
 			os.Exit(1)
 		}
@@ -232,22 +228,21 @@ func main() {
 
 	if *cardinality {
 		fmt.Printf("== Cardinality: footprint and throughput at ~1M keys ==\n")
-		if err := runCardinality(o); err != nil {
+		if err := runCardinality(s); err != nil {
 			fmt.Fprintf(os.Stderr, "glsbench: -cardinality: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Println()
 	}
 
-	keys := make([]int, 0, len(figs))
-	for k := range figs {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	for _, k := range keys {
-		f := figures[k]
-		fmt.Printf("== Figure %d: %s ==\n", k, f.title)
-		f.run(o)
+	for _, f := range figures.All {
+		if !figs[f.Number] {
+			continue
+		}
+		if err := runFigure(os.Stdout, f, s); err != nil {
+			fmt.Fprintf(os.Stderr, "glsbench: -fig %d: %v\n", f.Number, err)
+			os.Exit(1)
+		}
 		fmt.Println()
 	}
 }

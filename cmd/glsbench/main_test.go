@@ -5,45 +5,42 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 	"time"
+
+	"gls/internal/figures"
 )
 
-// quickOpts are the smallest possible run parameters: this test exists so
-// the figure-regeneration paths cannot rot, not to produce numbers.
-func quickOpts() opts {
-	return opts{
-		duration:   10 * time.Millisecond,
-		reps:       1,
-		maxThreads: 3,
-		quick:      true,
-	}
-}
-
-// TestEveryFigureRuns executes every registered figure once with tiny
-// parameters.
+// TestEveryFigureRuns prints every figure through glsbench's printer once
+// at the smallest scale, so no figure's run or print path can rot. Figure.Run
+// checks the workloads and the tables, so a broken invariant or a table that
+// is not rectangular or holds a value that is not finite or is negative
+// fails here.
 func TestEveryFigureRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure smoke test is slow")
 	}
-	o := quickOpts()
-	for id, f := range figures {
-		// Figures 14/15 run the five-system suites: the most expensive.
-		// They share runSystemsFigure, so one of them suffices here.
-		if id == 15 {
+	s := figures.Scale{Duration: 10 * time.Millisecond, Reps: 1, MaxThreads: 3, Quick: true}
+	for _, f := range figures.All {
+		// Figure 15 re-runs figure 14's suite, the most expensive one.
+		if f.Number == 15 {
 			continue
 		}
-		id, f := id, f
-		t.Run(f.title, func(t *testing.T) {
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				f.run(o)
-			}()
+		t.Run(f.Title, func(t *testing.T) {
+			var out strings.Builder
+			done := make(chan error, 1)
+			go func() { done <- runFigure(&out, f, s) }()
 			select {
-			case <-done:
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
 			case <-time.After(5 * time.Minute):
-				t.Fatalf("figure %d wedged", id)
+				t.Fatalf("figure %d wedged", f.Number)
+			}
+			if !strings.Contains(out.String(), f.Paper) {
+				t.Errorf("output lacks the paper line %q:\n%s", f.Paper, out.String())
 			}
 		})
 	}
@@ -101,7 +98,7 @@ func TestKnownFiguresListsAll(t *testing.T) {
 	s := knownFigures()
 	for _, want := range []string{"1", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15"} {
 		found := false
-		for _, part := range splitComma(s) {
+		for _, part := range strings.Split(s, ",") {
 			if part == want {
 				found = true
 			}
@@ -110,16 +107,4 @@ func TestKnownFiguresListsAll(t *testing.T) {
 			t.Fatalf("knownFigures() = %q missing %s", s, want)
 		}
 	}
-}
-
-func splitComma(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			out = append(out, s[start:i])
-			start = i + 1
-		}
-	}
-	return out
 }

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 
+	"gls/internal/figures"
 	"gls/internal/scenario"
 )
 
@@ -45,14 +46,14 @@ type scenarioReport struct {
 // runScenarios executes each scenario file and writes the optional
 // artifacts: the replay log (single scenario only) and the JSON report.
 // It returns an error if any declared lane failed.
-func runScenarios(files []string, wire bool, seed uint64, replayPath, jsonPath string, progress io.Writer, o opts) error {
+func runScenarios(files []string, wire bool, seed uint64, replayPath, jsonPath string, progress io.Writer, s figures.Scale) error {
 	if replayPath != "" && len(files) != 1 {
 		return fmt.Errorf("-replay records one scenario's plan; got %d -scenario flags", len(files))
 	}
 	report := scenarioReport{
 		GeneratedBy: "glsbench -scenario",
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Quick:       o.quick,
+		Quick:       s.Quick,
 	}
 	var failures []string
 	for _, path := range files {
@@ -64,7 +65,7 @@ func runScenarios(files []string, wire bool, seed uint64, replayPath, jsonPath s
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
-		if o.quick {
+		if s.Quick {
 			scn = scn.Quick()
 		}
 		plan := scenario.BuildPlan(scn, seed)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"gls/client"
+	"gls/internal/figures"
 	"gls/internal/scenario"
 	"gls/server"
 )
@@ -62,7 +63,7 @@ func serverSweep(quick bool) []int {
 
 // runServer measures the sweep against a fresh in-process glsd and writes
 // the JSON report to path ("-" for stdout).
-func runServer(path string, progress io.Writer, o opts) error {
+func runServer(path string, progress io.Writer, s figures.Scale) error {
 	srv, err := server.New(server.Options{})
 	if err != nil {
 		return err
@@ -75,7 +76,7 @@ func runServer(path string, progress io.Writer, o opts) error {
 	go func() { _ = srv.Serve(ln) }()
 	addr := ln.Addr().String()
 
-	d := o.duration
+	d := s.Duration
 	if d < 100*time.Millisecond {
 		d = 100 * time.Millisecond // pacing needs a few intervals per conn
 	}
@@ -89,11 +90,11 @@ func runServer(path string, progress io.Writer, o opts) error {
 	// server keeps up (see EXPERIMENTS.md on reading these numbers from a
 	// small machine).
 	offered := 4000.0
-	if o.quick {
+	if s.Quick {
 		offered = 1000.0
 	}
 
-	for _, conns := range serverSweep(o.quick) {
+	for _, conns := range serverSweep(s.Quick) {
 		res, err := serverPoint(addr, conns, offered, d)
 		if err != nil {
 			return fmt.Errorf("%d conns: %w", conns, err)

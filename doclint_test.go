@@ -1,6 +1,7 @@
 package gls_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -159,53 +160,118 @@ func TestCIPatternsResolve(t *testing.T) {
 			if len(args) < 2 || args[0] != "go" || args[1] != "test" {
 				continue
 			}
-			flags, pkgs := map[string]string{}, []string{}
-			for i := 2; i < len(args); i++ {
-				a := args[i]
-				if !strings.HasPrefix(a, "-") {
-					pkgs = append(pkgs, a)
-					continue
-				}
-				name, val, hasVal := strings.Cut(strings.TrimLeft(a, "-"), "=")
-				if !hasVal && !goTestBoolFlags[name] && i+1 < len(args) {
-					i++
-					val = args[i]
-				}
-				if name == "run" || name == "skip" || name == "bench" {
-					flags[name] = val
-				}
-			}
-			if len(flags) == 0 {
-				continue
-			}
-			funcs := testFuncs(t, base, pkgs)
-			for flag, pattern := range flags {
-				prefixes := []string{"Test", "Fuzz", "Example"}
-				if flag == "bench" {
-					prefixes = []string{"Benchmark"}
-				}
-				for _, alt := range splitTopLevel(splitTopLevel(pattern, '/')[0], '|') {
-					if alt == "^$" {
-						continue
-					}
-					checked++
-					re, err := regexp.Compile(alt)
-					if err != nil {
-						t.Errorf("%s:%d: -%s alternative %q: %v", workflow, n+1, flag, alt, err)
-						continue
-					}
-					if !slices.ContainsFunc(funcs, func(f string) bool {
-						return re.MatchString(f) && slices.ContainsFunc(prefixes, func(p string) bool { return strings.HasPrefix(f, p) })
-					}) {
-						t.Errorf("%s:%d: -%s alternative %q matches no %s function in %v", workflow, n+1, flag, alt, strings.Join(prefixes, "/"), pkgs)
-					}
-				}
+			flags, pkgs := goTestArgs(args[2:])
+			if len(flags) > 0 {
+				checked += checkPatterns(t, fmt.Sprintf("%s:%d", workflow, n+1), flags, pkgs, testFuncs(t, base, pkgs))
 			}
 		}
 	}
 	if checked == 0 {
 		t.Fatalf("%s: no -run, -skip or -bench pattern found", workflow)
 	}
+}
+
+// TestExperimentsEntryPointsResolve holds EXPERIMENTS.md's two entry-point
+// tables, the figure map and "Beyond the paper's figures", to the same rule:
+// every -run, -skip or -bench pattern of a `go test` command in a row must
+// match a function of the packages it names, and every `BenchmarkX` a row
+// names must be declared in that row's packages (the root package if the
+// row has no go test command). The history sections below the tables name
+// removed benchmarks on purpose and are not checked.
+func TestExperimentsEntryPointsResolve(t *testing.T) {
+	src, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables, _, ok := strings.Cut(string(src), "\n## Perf trajectory protocol")
+	if !ok {
+		t.Fatal("EXPERIMENTS.md: no \"## Perf trajectory protocol\" heading below the entry-point tables")
+	}
+	span := regexp.MustCompile("`([^`]+)`")
+	benchName := regexp.MustCompile(`^Benchmark\w+$`)
+	checked := 0
+	for n, line := range strings.Split(tables, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			continue
+		}
+		where := fmt.Sprintf("EXPERIMENTS.md:%d", n+1)
+		var rowPkgs, names []string
+		for _, m := range span.FindAllStringSubmatch(line, -1) {
+			if args := shellWords(m[1]); len(args) > 2 && args[0] == "go" && args[1] == "test" {
+				flags, pkgs := goTestArgs(args[2:])
+				rowPkgs = append(rowPkgs, pkgs...)
+				checked += checkPatterns(t, where, flags, pkgs, testFuncs(t, ".", pkgs))
+			} else if benchName.MatchString(m[1]) {
+				names = append(names, m[1])
+			}
+		}
+		if len(rowPkgs) == 0 {
+			rowPkgs = []string{"."}
+		}
+		funcs := testFuncs(t, ".", rowPkgs)
+		for _, name := range names {
+			checked++
+			if !slices.Contains(funcs, name) {
+				t.Errorf("%s: %s is not declared in %v", where, name, rowPkgs)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("EXPERIMENTS.md: no go test pattern or benchmark name found in the entry-point tables")
+	}
+}
+
+// goTestArgs splits the arguments after "go test" into the -run, -skip and
+// -bench patterns and the package patterns.
+func goTestArgs(args []string) (flags map[string]string, pkgs []string) {
+	flags = map[string]string{}
+	for i := 0; i < len(args); i++ {
+		a := args[i]
+		if !strings.HasPrefix(a, "-") {
+			pkgs = append(pkgs, a)
+			continue
+		}
+		name, val, hasVal := strings.Cut(strings.TrimLeft(a, "-"), "=")
+		if !hasVal && !goTestBoolFlags[name] && i+1 < len(args) {
+			i++
+			val = args[i]
+		}
+		if name == "run" || name == "skip" || name == "bench" {
+			flags[name] = val
+		}
+	}
+	return flags, pkgs
+}
+
+// checkPatterns reports each top-level | alternative of a pattern's first
+// /-element that matches no Test, Fuzz or Example function of funcs (-run,
+// -skip) or no Benchmark function (-bench), and returns how many
+// alternatives it checked. where names the line in the report.
+func checkPatterns(t *testing.T, where string, flags map[string]string, pkgs, funcs []string) int {
+	checked := 0
+	for flag, pattern := range flags {
+		prefixes := []string{"Test", "Fuzz", "Example"}
+		if flag == "bench" {
+			prefixes = []string{"Benchmark"}
+		}
+		for _, alt := range splitTopLevel(splitTopLevel(pattern, '/')[0], '|') {
+			if alt == "^$" {
+				continue
+			}
+			checked++
+			re, err := regexp.Compile(alt)
+			if err != nil {
+				t.Errorf("%s: -%s alternative %q: %v", where, flag, alt, err)
+				continue
+			}
+			if !slices.ContainsFunc(funcs, func(f string) bool {
+				return re.MatchString(f) && slices.ContainsFunc(prefixes, func(p string) bool { return strings.HasPrefix(f, p) })
+			}) {
+				t.Errorf("%s: -%s alternative %q matches no %s function in %v", where, flag, alt, strings.Join(prefixes, "/"), pkgs)
+			}
+		}
+	}
+	return checked
 }
 
 // goTestBoolFlags are the go test flags that take no value after a space.

@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gls"
 	"gls/internal/backoff"
 	"gls/internal/cycles"
 	"gls/internal/sysmon"
@@ -69,6 +70,23 @@ func (f FuncLocker) Acquire(i int) { f.AcquireFn(i) }
 
 // Release implements Locker.
 func (f FuncLocker) Release(i int) { f.ReleaseFn(i) }
+
+// ServiceLocks drives lock number i through key i+1 of svc, with LockWith(a)
+// or, for a zero a, Lock: the service's default GLK lock.
+func ServiceLocks(svc *gls.Service, a locks.Algorithm) LockerFactory {
+	return func(int) Locker {
+		if a == 0 {
+			return FuncLocker{
+				AcquireFn: func(i int) { svc.Lock(uint64(i) + 1) },
+				ReleaseFn: func(i int) { svc.Unlock(uint64(i) + 1) },
+			}
+		}
+		return FuncLocker{
+			AcquireFn: func(i int) { svc.LockWith(a, uint64(i)+1) },
+			ReleaseFn: func(i int) { svc.Unlock(uint64(i) + 1) },
+		}
+	}
+}
 
 // Config is one microbenchmark configuration.
 type Config struct {
