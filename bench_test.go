@@ -19,6 +19,7 @@ import (
 	"gls/glk"
 	"gls/internal/figures"
 	"gls/internal/sysmon"
+	"gls/internal/xrand"
 	"gls/locks"
 )
 
@@ -211,9 +212,13 @@ func BenchmarkHotPathAdjacentKeys(b *testing.B) {
 	}
 }
 
-// BenchmarkHotPathUncontended — single-goroutine Lock/Unlock latency through
+// BenchmarkHotPathUncontended — uncontended Lock/Unlock latency through
 // each entry point. The acceptance bar for hot-path work: these must not
-// regress while the contended family improves.
+// regress while the contended family improves. The first three rows repeat
+// one key on one goroutine, so everything they touch stays in L1; walk is
+// glsmark's inproc_spread shape — two goroutines, each with its own Handle
+// walking its own walkKeys default keys in a shuffled order — where every
+// Lock misses the handle cache and finds its lock's line out of L1.
 func BenchmarkHotPathUncontended(b *testing.B) {
 	mon := benchMonitor(b)
 	glkCfg := &glk.Config{Monitor: mon}
@@ -243,6 +248,40 @@ func BenchmarkHotPathUncontended(b *testing.B) {
 			h.Lock(1)
 			h.Unlock(1)
 		}
+	})
+	b.Run("walk", func(b *testing.B) {
+		const walkers, walkKeys = 2, 1024
+		svc := gls.New(gls.Options{GLK: glkCfg})
+		defer svc.Close()
+		rng := xrand.NewSplitMix64(1)
+		walks := make([][]uint64, walkers)
+		for w := range walks {
+			for i := 0; i < walkKeys; i++ {
+				k := 0xc000100000 + uint64(w*walkKeys+i)*64 // address-like, as GLS keys are
+				svc.InitLock(k)
+				walks[w] = append(walks[w], k)
+			}
+			for i := len(walks[w]) - 1; i > 0; i-- {
+				j := rng.Uintn(uint64(i + 1))
+				walks[w][i], walks[w][j] = walks[w][j], walks[w][i]
+			}
+		}
+		per := b.N/walkers + 1
+		var wg sync.WaitGroup
+		b.ResetTimer()
+		for _, keys := range walks {
+			wg.Add(1)
+			go func(keys []uint64) {
+				defer wg.Done()
+				h := svc.NewHandle()
+				for i := 0; i < per; i++ {
+					k := keys[i%walkKeys]
+					h.Lock(k)
+					h.Unlock(k)
+				}
+			}(keys)
+		}
+		wg.Wait()
 	})
 }
 

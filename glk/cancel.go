@@ -10,10 +10,11 @@ var _ locks.CancelableLock = (*Lock)(nil)
 
 // LockCancel acquires l, abandoning the attempt when c fires, and reports
 // whether the lock was acquired. Its loop is paper Figure 4, and it is one
-// of glk.Lock's two acquisition loops: this plain one, which Lock runs with
-// a nil Cancel, and acquireInstrumented, which every entry point of a lock
-// built with Stats runs. Telemetry is chosen here, once, at the loop's
-// entry; a Cancel that never fires waits exactly as Lock does.
+// of glk.Lock's two acquisition loops: this plain one, which Lock waits in
+// with a nil Cancel when its try does not finish the acquisition, and
+// acquireInstrumented, which every entry point of a lock built with Stats
+// runs. Telemetry is chosen here, once, at the loop's entry; a Cancel that
+// never fires waits exactly as Lock does.
 //
 // Abort composes with adaptation (DESIGN.md §11): the Cancel is only ever
 // armed against one low-level family at a time. If the wait on family A
