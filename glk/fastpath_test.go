@@ -9,13 +9,14 @@ import (
 	"unsafe"
 
 	"gls/internal/sysmon"
+	"gls/locks"
 	"gls/telemetry"
 )
 
-// The tests below cover every exit of the try in front of Lock and TryLock
-// (and of Unlock's ticket-mode release): each case the try does not finish
-// itself must end in the acquisition loops exactly as before the try
-// existed.
+// The tests below cover every exit of the try in front of Lock: each case
+// the try does not finish itself must end in the acquisition loops exactly
+// as before the try existed. TryLock, which takes a free ticket in its own
+// loop, and Unlock's ticket-mode release are held to the same cases.
 
 // ticketWords reads the ticket lock's next and owner words.
 func ticketWords(l *Lock) (next, owner uint32) {
@@ -64,18 +65,18 @@ func TestFastPathAbandonedOwner(t *testing.T) {
 	l := New(&Config{Monitor: newTestMonitor()})
 	l.Lock() // ticket 0
 	aborted := make(chan bool)
-	go func() { aborted <- l.LockCancel(deadlineIn(20 * time.Millisecond)) }() // ticket 1
-	for l.ticket.QueueLen() != 2 {
-		runtime.Gosched()
-	}
+	abort := make(chan struct{})
+	go func() { aborted <- l.LockCancel(&locks.Cancel{Done: abort}) }() // ticket 1
+	waitTicketQueue(t, l, 2)
 	// order is written by each holder inside its critical section.
 	var order []int
 	var done sync.WaitGroup
 	done.Add(2)
 	go func() { defer done.Done(); l.Lock(); order = append(order, 2); l.Unlock() }() // ticket 2
-	for l.ticket.QueueLen() != 3 {
-		runtime.Gosched()
-	}
+	// Ticket 2 is queued before ticket 1 is given up, so ticket 1 is
+	// abandoned behind a live waiter rather than retired as the last one.
+	waitTicketQueue(t, l, 3)
+	close(abort)
 	if <-aborted {
 		t.Fatal("LockCancel acquired a held lock")
 	}
@@ -93,9 +94,7 @@ func TestFastPathAbandonedOwner(t *testing.T) {
 		t.Fatalf("failed TryLock moved the words to next=%d owner=%d", next, owner)
 	}
 	go func() { defer done.Done(); l.Lock(); order = append(order, 3); l.Unlock() }()
-	for l.ticket.QueueLen() != 3 {
-		runtime.Gosched()
-	}
+	waitTicketQueue(t, l, 3)
 	if next, _ := ticketWords(l); next != 4 {
 		t.Fatalf("Lock did not queue: next = %d, want 4", next)
 	}
@@ -110,6 +109,17 @@ func TestFastPathAbandonedOwner(t *testing.T) {
 	}
 	if got := l.Stats().Acquired; got != 3 {
 		t.Fatalf("Acquired = %d, want 3 (three holders, one abandoned ticket)", got)
+	}
+}
+
+// waitTicketQueue waits until n goroutines hold or wait for l's ticket,
+// failing the test if that has not happened within ten seconds.
+func waitTicketQueue(t *testing.T, l *Lock, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); l.ticket.QueueLen() != n; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("ticket queue length %d, want %d", l.ticket.QueueLen(), n)
+		}
 	}
 }
 

@@ -465,8 +465,8 @@ func (l *Lock) PresenceInflated() bool {
 
 // arrival is one acquisition attempt's presence bookkeeping. The rule, the
 // same in both acquisition loops (the plain LockCancel, which Lock waits
-// in, and acquireInstrumented), in the plain TryLock and in the try in
-// front of them, which takes a ticket only after reading ticket mode: a
+// in, and acquireInstrumented), in the plain TryLock and in Lock's try,
+// which takes a ticket only after reading ticket mode: a
 // goroutine at the lock is counted in l.present exactly while the mode word
 // it last read says mcs or mutex. One that last read ticket is not counted —
 // it holds, or is about to take, a ticket, and the ticket words already say
@@ -543,49 +543,22 @@ func (l *Lock) backOut(m Mode) {
 // takes a free ticket with the inlined TicketCore.TryLock, and keeps it if
 // the mode word still says ticket and no sampling boundary is due — three
 // more loads of the line the try just wrote. That is the whole of an
-// uncontended acquisition: one call, one atomic. Anything else — another
-// mode, a ticket held or waited for, a mode word moved under the try, a
-// due boundary — finishes in keepTicket and LockCancel, the one wait path.
+// uncontended acquisition: one call, one atomic. After the try the tail is
+// the loops' own for ticket mode: a due boundary samples, and a moved mode
+// word backs out. Anything else — another mode, a ticket held or waited
+// for, a back-out — goes on to LockCancel, the one wait path.
 func (l *Lock) Lock() {
 	if l.stats == nil && Mode(l.lockType.Load()) == ModeTicket && l.ticket.TryLock() {
-		if Mode(l.lockType.Load()) == ModeTicket && int32(l.ticket.Handoffs()-l.sampleAt) < 0 || l.keepTicket() {
+		if Mode(l.lockType.Load()) == ModeTicket && !(l.sampleDue(ModeTicket) && l.sampleAndAdapt(ModeTicket)) {
 			return
 		}
+		l.backOut(ModeTicket)
 	}
 	l.LockCancel(nil)
 }
 
-// keepTicket finishes an acquisition that took the ticket under a mode word
-// reading ticket but did not pass Lock's or TryLock's inline re-check: it is
-// the acquisition loops' tail for cur == ModeTicket — re-read the mode, take
-// a due sample, and keep the ticket unless the mode moved, or back out. It
-// reports whether the caller holds the lock; one that does not retries in
-// the loop, holding nothing and counted nowhere.
-func (l *Lock) keepTicket() bool {
-	if Mode(l.lockType.Load()) == ModeTicket && !(l.sampleDue(ModeTicket) && l.sampleAndAdapt(ModeTicket)) {
-		return true
-	}
-	l.backOut(ModeTicket)
-	return false
-}
-
-// TryLock attempts to acquire l without waiting. In ticket mode, without
-// telemetry, it is Lock's try and nothing else: a held ticket fails it.
+// TryLock attempts to acquire l without waiting.
 func (l *Lock) TryLock() bool {
-	if l.stats == nil && Mode(l.lockType.Load()) == ModeTicket {
-		if !l.ticket.TryLock() {
-			return false
-		}
-		if Mode(l.lockType.Load()) == ModeTicket && int32(l.ticket.Handoffs()-l.sampleAt) < 0 || l.keepTicket() {
-			return true
-		}
-	}
-	return l.tryLockSlow()
-}
-
-// tryLockSlow is TryLock's loop: every mode, telemetry, and the retry after
-// a ticket taken under a moving mode word was backed out.
-func (l *Lock) tryLockSlow() bool {
 	if l.stats != nil {
 		return l.acquireInstrumented(false, nil)
 	}
@@ -649,21 +622,8 @@ func (l *Lock) acquireInstrumented(wait bool, c *locks.Cancel) bool {
 // Unlock releases l. It must be called by the goroutine that acquired it.
 // The release path is picked from the mode word, which cannot move while
 // the caller holds the lock (see the invariant on Lock); a caller that does
-// not hold it panics before anything is written. Without telemetry, in
-// ticket mode, it is that check and the inlined TicketCore.Unlock.
+// not hold it panics before anything is written.
 func (l *Lock) Unlock() {
-	if l.stats == nil && Mode(l.lockType.Load()) == ModeTicket {
-		if !l.ticket.Locked() {
-			panic("glk: Unlock of unlocked lock")
-		}
-		l.ticket.Unlock()
-		return
-	}
-	l.unlockSlow()
-}
-
-// unlockSlow is Unlock with telemetry or in mcs and mutex modes.
-func (l *Lock) unlockSlow() {
 	if m := Mode(l.lockType.Load()); m != ModeTicket {
 		l.unlockCounted(m)
 		return

@@ -713,7 +713,7 @@ func (l *RWLock) Lock() {
 		if m == RWModeStriped {
 			c := !l.wmu.TryLock()
 			if c {
-				l.wmu.LockCancel(nil) // the try already failed: straight to the wait
+				l.wmu.Lock()
 			}
 			contended = contended || c
 			if l.RWMode() != RWModeStriped {

@@ -18,18 +18,24 @@ import (
 // compiler must inline into it, and why it matters. A change that pushes
 // one of those callees over the inlining budget compiles and passes every
 // other test, and costs a call per operation (a lost TicketCore.Unlock
-// inline once cost 5 %). Only decisions that Go 1.22 and 1.24 both make are
-// listed.
+// inline once cost 5 %). The decisions were checked with go1.24 only; an
+// older go command skips the test (see checkedMinor).
 var hotInlines = []struct {
 	file, recv, fn, callee, why string
 }{
 	{"glk/glk.go", "Lock", "Lock", "locks.(*TicketCore).TryLock", "the ticket-mode try is the whole uncontended acquisition"},
-	{"glk/glk.go", "Lock", "TryLock", "locks.(*TicketCore).TryLock", "the ticket-mode try is the whole uncontended TryLock"},
 	{"glk/glk.go", "Lock", "Unlock", "locks.(*TicketCore).Unlock", "the ticket-mode release is the whole uncontended release"},
-	{"locks/ticket.go", "TicketCore", "Lock", "(*TicketCore).TryLock", "Table 1's TICKET takes a free lock without a call"},
 	{"handle.go", "Handle", "Lock", "(*Handle).cacheHit", "a handle hit is a compare and a load, not a call"},
 	{"handle.go", "Handle", "Unlock", "(*Handle).cacheHit", "a handle hit is a compare and a load, not a call"},
 }
+
+// checkedMinor is the oldest Go 1.x minor release the hotInlines decisions
+// were checked with. Inlining budgets and costs move between releases, so a
+// go command older than that skips the test rather than assert decisions
+// nobody has seen it make.
+const checkedMinor = 24
+
+var goMinor = regexp.MustCompile(`^go1\.(\d+)`)
 
 var inlineLine = regexp.MustCompile(`^(\S+\.go):(\d+):\d+: inlining call to (\S+)$`)
 
@@ -40,6 +46,15 @@ func TestHotPathInlines(t *testing.T) {
 	goBin, err := exec.LookPath("go")
 	if err != nil {
 		t.Skip("no go command to compile with")
+	}
+	ver, err := exec.Command(goBin, "env", "GOVERSION").Output()
+	if err != nil {
+		t.Fatalf("go env GOVERSION: %v", err)
+	}
+	if m := goMinor.FindSubmatch(ver); m == nil {
+		t.Skipf("go command reports %q, not a go1.x release", bytes.TrimSpace(ver))
+	} else if minor, _ := strconv.Atoi(string(m[1])); minor < checkedMinor {
+		t.Skipf("go command is %s; the inlining decisions were checked with go1.%d", bytes.TrimSpace(ver), checkedMinor)
 	}
 	out, err := exec.Command(goBin, "build", "-gcflags=-m", "./glk", "./locks", ".").CombinedOutput()
 	if err != nil {

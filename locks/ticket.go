@@ -79,16 +79,8 @@ var (
 func NewTicket() *TicketLock { return new(TicketLock) }
 
 // Lock takes the next ticket and waits for its turn: LockCancel with a
-// Cancel that never fires, behind the inlined TryLock, so a free lock is
-// taken with one CAS and no further call. A lock that is held, waited for
-// or resting on an abandoned ticket fails the try and queues in LockCancel,
-// which keeps the order FIFO: the try only succeeds where next == owner,
-// when there is nobody to overtake.
-func (l *TicketCore) Lock() {
-	if !l.TryLock() {
-		l.LockCancel(nil)
-	}
-}
+// Cancel that never fires.
+func (l *TicketCore) Lock() { l.LockCancel(nil) }
 
 // LockCancel takes a ticket and waits for its turn, abandoning the wait
 // when c fires. Waiting is proportional: a thread whose ticket is far from
