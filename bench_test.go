@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -317,6 +318,61 @@ func BenchmarkHotPathRWRead(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			h.RLock(1)
 			h.RUnlock(1)
+		}
+	})
+}
+
+// BenchmarkHotPathRWMix is glsmark's inproc_rw shape under go test -bench:
+// two goroutines, each with its own Handle, visit 16 shared InitRWLock keys
+// at random, writing on 10 % of the visits and reading otherwise. The keys
+// live across the b.N rounds, so their locks are measured settled, and each
+// goroutine makes half the operations: ns/op is the inverse of the pair's
+// throughput.
+func BenchmarkHotPathRWMix(b *testing.B) {
+	const workers, keys, writePct = 2, 16, 10
+	svc := gls.New(gls.Options{})
+	defer svc.Close()
+	type cell struct {
+		a, b uint64 // equal whenever no writer is inside
+		_    [48]byte
+	}
+	ks, cells := make([]uint64, keys), make([]cell, keys)
+	for i := range ks {
+		ks[i] = 0xc000200000 + uint64(i)*64
+		svc.InitRWLock(ks[i])
+	}
+	b.Run("writes=10%", func(b *testing.B) {
+		per := b.N/workers + 1
+		var torn atomic.Uint64
+		var wg sync.WaitGroup
+		b.ResetTimer()
+		for w := uint64(1); w <= workers; w++ {
+			wg.Add(1)
+			go func(rng xrand.SplitMix64) {
+				defer wg.Done()
+				h := svc.NewHandle()
+				for i := 0; i < per; i++ {
+					r := rng.Next()
+					idx := r % keys
+					k, c := ks[idx], &cells[idx]
+					if (r>>32)%100 < writePct {
+						h.Lock(k)
+						c.a++
+						c.b++
+						h.Unlock(k)
+						continue
+					}
+					h.RLock(k)
+					if c.a != c.b {
+						torn.Add(1)
+					}
+					h.RUnlock(k)
+				}
+			}(xrand.Seeded(w))
+		}
+		wg.Wait()
+		if n := torn.Load(); n != 0 {
+			b.Fatalf("%d reads saw a torn cell", n)
 		}
 	})
 }

@@ -29,7 +29,6 @@ var callerExemptions = map[string]string{
 	"gls/locks.Algorithms":                "test seam: Table 1 as a list, which the conformance tests and BenchmarkTable1 iterate",
 	"gls/locks.MCSLock.QueueLen":          "test seam: the queue a test waits to fill before it acts",
 	"gls/locks.MutexLock.QueueLen":        "test seam: the queue a test waits to fill before it acts",
-	"gls/locks.RWPhaseFair.Phases":        "test seam: the writer-phase clock the bounded-wait tests count against",
 	"gls/locks.RWStriped.ReadersInflated": "test seam: whether the reader counter is striped, which no operation shows",
 	"gls/internal/apps/appsync.GLK.Locks": "test seam: the per-role GLK locks whose modes and stats tests inspect",
 	"gls/internal/apps/appsync.GLS.Key":   "test seam: the service key of a role, so a test can tell which lock an issue names",

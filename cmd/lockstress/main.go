@@ -195,8 +195,11 @@ func runWriterStarvation() (string, bool) {
 // per-read counts, which a few such samples cannot move (the statistic the
 // bounds are asserted on, as in locks.TestRWBoundedReaderWait), and the
 // worst one. A reader that cannot finish its quota before the deadline
-// reports starved=true with the phases it was stuck across.
-func starveProbe(l locks.RWLock, writers, readers, readsEach int, deadline time.Duration) (p90, worst uint64, starved bool) {
+// reports starved=true with the phases it was stuck across. A non-nil more
+// keeps each reader reading past its quota while it returns true, until the
+// deadline: a probe whose reads could all land while the writer is off the
+// processor reads on until what it is waiting for has happened.
+func starveProbe(l locks.RWLock, writers, readers, readsEach int, deadline time.Duration, more func() bool) (p90, worst uint64, starved bool) {
 	var phases atomic.Uint64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -227,7 +230,7 @@ func starveProbe(l locks.RWLock, writers, readers, readsEach int, deadline time.
 			for phases.Load() == 0 {
 				runtime.Gosched() // the stream is not running yet
 			}
-			for i := 0; i < readsEach; i++ {
+			for i := 0; i < readsEach || more != nil && !isClosed(stop) && more(); i++ {
 				p0 := phases.Load()
 				l.RLock()
 				crossed[r] = append(crossed[r], phases.Load()-p0)
@@ -249,6 +252,16 @@ func starveProbe(l locks.RWLock, writers, readers, readsEach int, deadline time.
 	all := slices.Concat(crossed...)
 	slices.Sort(all)
 	return all[(len(all)-1)*9/10], all[len(all)-1], starved
+}
+
+// isClosed reports whether c has been closed.
+func isClosed(c <-chan struct{}) bool {
+	select {
+	case <-c:
+		return true
+	default:
+		return false
+	}
 }
 
 // runReaderStarvation is the mirror of runWriterStarvation: continuous
@@ -286,13 +299,13 @@ func runReaderStarvation() (string, bool) {
 	// The hole is shown on the worst read, not the percentile: half of plain
 	// rwstriped's reads land in a gap and wait for nothing, and a sample the
 	// scheduler inflated can only make a large count larger.
-	plainP90, plainMax, plainStarved := starveProbe(locks.NewRWStriped(), 1, readers, readsEach, 6*time.Second)
+	plainP90, plainMax, plainStarved := starveProbe(locks.NewRWStriped(), 1, readers, readsEach, 6*time.Second, nil)
 	unbounded := plainStarved || plainMax > adversarialBound
 	fmt.Printf("  rwstriped        p90 %8d max %8d phases  timed-out=%-5v  (hole %s)\n",
 		plainP90, plainMax, plainStarved, map[bool]string{true: "demonstrated", false: "NOT demonstrated"}[unbounded])
 	ok = ok && unbounded
 
-	pfP90, pfMax, pfStarved := starveProbe(locks.NewRWPhaseFair(), 1, readers, readsEach, 30*time.Second)
+	pfP90, pfMax, pfStarved := starveProbe(locks.NewRWPhaseFair(), 1, readers, readsEach, 30*time.Second, nil)
 	pfOK := !pfStarved && pfP90 <= 4 // admitted at the next phase boundary, even adversarially
 	fmt.Printf("  rwphasefair      p90 %8d max %8d phases  timed-out=%-5v  (bound %s)\n",
 		pfP90, pfMax, pfStarved, map[bool]string{true: "held", false: "VIOLATED"}[pfOK])
@@ -301,10 +314,12 @@ func runReaderStarvation() (string, bool) {
 	// The adaptive default under the adversarial stream, through the
 	// service: bypassed readers raise the starvation signal, the next
 	// writer release switches the lock to rwphasefair, and the reason is
-	// telemetry-visible. FairPeriods is set high because a single
-	// adversarial writer never shows a queue, so the calm heuristic would
-	// otherwise bounce the lock back mid-scenario (a 1-P artifact the
-	// starvation signal would correct, at wall-clock cost).
+	// telemetry-visible. The readers read on past their quota until the lock
+	// has left rwstriped: all of a quota's reads can land while the one
+	// writer is off the processor, which bypasses nobody. FairPeriods is set
+	// high because a single adversarial writer never shows a queue, so the
+	// calm heuristic would otherwise bounce the lock back mid-scenario (a 1-P
+	// artifact the starvation signal would correct, at wall-clock cost).
 	const hotKey = 0x88002
 	reg := telemetry.New(telemetry.Options{SamplePeriod: 8})
 	svc := gls.New(gls.Options{
@@ -315,7 +330,8 @@ func runReaderStarvation() (string, bool) {
 	defer svc.Close()
 	svc.InitRWLock(hotKey)
 	reg.SetLabel(hotKey, "hot-rw")
-	aP90, aMax, aStarved := starveProbe(serviceRW{svc: svc, key: hotKey}, 1, readers, readsEach, 45*time.Second)
+	striped := func() bool { return reg.Snapshot().Lock(hotKey).Mode == glk.RWModeStriped.String() }
+	aP90, aMax, aStarved := starveProbe(serviceRW{svc: svc, key: hotKey}, 1, readers, readsEach, 45*time.Second, striped)
 	st, _ := svc.GLKRWStats(hotKey)
 	snap := reg.Snapshot()
 	if err := snap.WriteText(os.Stdout); err != nil {
@@ -337,7 +353,7 @@ func runReaderStarvation() (string, bool) {
 
 	fmt.Printf("yield-heavy stream: %d ticketed writers vs %d readers × %d reads (bound: %d phases)\n",
 		streamWriters, readers, readsEach, streamBound)
-	p90, worst, starved := starveProbe(locks.NewRWPhaseFair(), streamWriters, readers, readsEach, 30*time.Second)
+	p90, worst, starved := starveProbe(locks.NewRWPhaseFair(), streamWriters, readers, readsEach, 30*time.Second, nil)
 	within := !starved && p90 <= streamBound
 	fmt.Printf("  %-16s p90 %8d max %8d phases  timed-out=%-5v  (bound %s)\n",
 		"rwphasefair", p90, worst, starved, map[bool]string{true: "held", false: "VIOLATED"}[within])
@@ -504,7 +520,7 @@ func runSlowSubscriber() (string, bool) {
 	}
 	rwStarvedOut := false
 	for round := 0; round < 3 && !rwStarvedOut && !transitioned(rwKey, glk.RWModePhaseFair.String()); round++ {
-		_, _, rwStarvedOut = starveProbe(serviceRW{svc: svc, key: rwKey}, 1, 2, readsEach, 45*time.Second)
+		_, _, rwStarvedOut = starveProbe(serviceRW{svc: svc, key: rwKey}, 1, 2, readsEach, 45*time.Second, nil)
 	}
 
 	// Phase 4: Free churn floods the ring with retired events — far more

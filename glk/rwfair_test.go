@@ -394,16 +394,15 @@ func TestRWLockFamilyStormExclusion(t *testing.T) {
 }
 
 // pinnedRW returns a lock held in mode for the length of a benchmark: its
-// sampling boundary and starvation bound are out of reach, and it got to
-// mode the way tryAdaptRW moves a lock, as the holder.
+// sampling boundary and starvation bound are out of reach, and it is moved
+// to mode before anyone has held it. (A holder may not transition and then
+// Unlock: Unlock releases the family the mode word names.)
 func pinnedRW(mode RWMode) *RWLock {
 	l := NewRW(&RWConfig{SamplePeriod: math.MaxUint32, StarveBackouts: math.MaxUint32, Monitor: newTestMonitor()})
-	l.Lock()
 	if mode == RWModeStriped {
 		l.readers.Inflate()
 	}
 	l.transitionTo(mode, "pinned")
-	l.Unlock()
 	return l
 }
 

@@ -257,10 +257,13 @@ type rwConfig struct {
 // the holder's; transitions is atomic only for the outside pollers that
 // read it.
 type rwHolder struct {
-	writes   uint64 // completed write sections
-	wtok     uint32 // writer's stripe token (stripe.Self is 32 bits wide), repaid in Unlock
-	sampleIn uint32 // write sections until the next mode check
-	wfam     uint8  // RWMode the current write was acquired under
+	writes uint64 // completed write sections, up to the last phase-fair boundary in that mode (Stats)
+	wtok   uint32 // telemetry only: the writer's stripe token (stripe.Self is 32 bits wide), repaid in Unlock
+	// clock counts the sampling period (tick): in rwstriped and rwwritepref
+	// the write sections until the next mode check, in rwphasefair the
+	// delegate's writer ticket that opened the current period.
+	clock   uint32
+	pfFresh bool // set on entering rwphasefair, until the era's first release sets clock
 	// Dwell counters for the three adaptation decisions (byte-sized: they
 	// share the holder line with the config).
 	idlePeriods   uint8         // consecutive sampled periods in which no reader came (deflation)
@@ -341,7 +344,7 @@ func NewRW(cfg *RWConfig) *RWLock {
 		fairPeriods:    uint8(c.FairPeriods),
 		monitor:        c.Monitor,
 	}
-	l.sampleIn = l.cfg.samplePeriod
+	l.clock = l.cfg.samplePeriod
 	l.rwmode.Store(uint32(RWModeStriped))
 	if c.Stats != nil {
 		l.stats = c.Stats
@@ -438,7 +441,9 @@ func (l *RWLock) WriteLocked() bool {
 // store is the holder's last access to holder state: the moment it lands,
 // the new family's never-held write lock is up for grabs. The read mark
 // moves to the new family's clock first, so the first period there counts
-// its own reads.
+// its own reads, and the write clock restarts in the new family's form. A
+// raised starvation signal belongs to the era being left: it is dropped, so
+// it cannot send the next rwstriped era straight back.
 func (l *RWLock) transitionTo(to RWMode, reason string) {
 	from := l.RWMode()
 	if from == to {
@@ -446,6 +451,12 @@ func (l *RWLock) transitionTo(to RWMode, reason string) {
 	}
 	l.ensureSub(to)
 	l.readMark = l.readClock(to)
+	if to == RWModePhaseFair {
+		l.pfFresh = true
+	} else {
+		l.clock = l.cfg.samplePeriod
+	}
+	l.starve.Store(0)
 	l.transitions.Add(1)
 	if l.stats != nil {
 		l.stats.Transition(from.String(), to.String(), reason)
@@ -583,7 +594,21 @@ func (l *RWLock) rlockNative(tok uint64) (ok bool, bypassed uint64, starved bool
 // mode changes while we wait. With telemetry on, the same loop also records
 // the RArrive/RAcquired pair, the writer phases that bypassed us and the
 // starvation event.
+//
+// In front of the loop, a lock without telemetry that reads rwphasefair
+// takes a share from the delegate with a static call whose arrival inlines
+// (DESIGN.md §10). It keeps the share if the mode word still names the
+// family, the loop's own re-check; otherwise it returns the share, which a
+// phase-fair reader can only do once admitted, and goes on to the loop.
 func (l *RWLock) RLock() {
+	if l.stats == nil && l.RWMode() == RWModePhaseFair {
+		pf := l.subs.Load().pf
+		pf.RLock()
+		if l.RWMode() == RWModePhaseFair {
+			return
+		}
+		pf.RUnlock()
+	}
 	tok := stripe.Self()
 	var a telemetry.Acq
 	if l.stats != nil {
@@ -676,11 +701,16 @@ func (l *RWLock) tryRLockLow(tok uint64) bool {
 // holding the lock exclusively — so the share was necessarily taken under
 // the current mode.
 func (l *RWLock) RUnlock() {
+	m := l.RWMode()
+	if m == RWModePhaseFair && l.stats == nil {
+		l.subs.Load().pf.RUnlock()
+		return
+	}
 	tok := stripe.Self()
 	if l.stats != nil {
 		l.stats.RRelease(tok)
 	}
-	if m := l.RWMode(); m != RWModeStriped {
+	if m != RWModeStriped {
 		l.delegate(m).RUnlock()
 		return
 	}
@@ -700,16 +730,30 @@ func (l *RWLock) RUnlock() {
 // possible — we hold the native write lock, and transitions are made only
 // by the holder — so the drain runs as the genuine holder and no post-drain
 // check is needed.
+//
+// In front of the loop, a lock without telemetry that reads rwphasefair
+// tries the delegate's write lock with a static call, and keeps it if the
+// mode word still names the family. If the word moved, it completes the
+// phase its delegate ticket announced before it goes on to the loop, the
+// one wait path.
 func (l *RWLock) Lock() {
+	if l.stats == nil && l.RWMode() == RWModePhaseFair {
+		pf := l.subs.Load().pf
+		if pf.TryLock() {
+			if l.RWMode() == RWModePhaseFair {
+				return
+			}
+			pf.Unlock()
+		}
+	}
 	tok := stripe.Self()
 	var a telemetry.Acq
 	if l.stats != nil {
 		a = l.stats.Arrive(tok)
 	}
 	contended := false
-	var m RWMode
 	for {
-		m = l.RWMode()
+		m := l.RWMode()
 		if m == RWModeStriped {
 			c := !l.wmu.TryLock()
 			if c {
@@ -725,18 +769,19 @@ func (l *RWLock) Lock() {
 			break
 		}
 		d := l.delegate(m)
-		c := !d.TryLock()
-		if c {
+		if l.stats == nil {
+			d.Lock()
+		} else if !d.TryLock() {
+			contended = true
 			d.Lock()
 		}
-		contended = contended || c
 		if l.RWMode() == m {
 			break
 		}
 		d.Unlock()
 	}
-	l.wfam, l.wtok = uint8(m), uint32(tok)
 	if l.stats != nil {
+		l.wtok = uint32(tok)
 		a.Acquired(contended)
 	}
 }
@@ -816,7 +861,9 @@ func (l *RWLock) tryLockLow(tok uint64) bool {
 				continue
 			}
 		}
-		l.wfam, l.wtok = uint8(m), uint32(tok)
+		if l.stats != nil {
+			l.wtok = uint32(tok)
+		}
 		return true
 	}
 }
@@ -826,19 +873,31 @@ func (l *RWLock) tryLockLow(tok uint64) bool {
 // holder section, and a mode change must be published before the old
 // family's write lock hands over.
 //
+// The mode word read first names the family the write was acquired under:
+// every transition is made by a holder in tryAdaptRW, after this read, and
+// the acquisition re-checked the word while holding. A phase-fair write of
+// a lock without telemetry that closes no sampling period (tick) is
+// released with a static call and writes nothing on the holder line.
+//
 // Exclusivity effectively transfers at a transition's mode store, not at
 // the physical release below — the new family's lock was never held, so
 // its first writer can acquire the instant the mode names it. Everything
 // that touches holder-only state therefore happens before tryAdaptRW (which
 // in turn makes any transition its own final holder action): the
-// hold-timer sample and the wfam/wtok reads are hoisted here, above the
-// call.
+// hold-timer sample and the wtok read are hoisted here, above the call.
 func (l *RWLock) Unlock() {
-	m := RWMode(l.wfam)
+	m := l.RWMode()
+	if m == RWModePhaseFair && l.stats == nil {
+		pf := l.subs.Load().pf
+		if !l.pfFresh && uint32(pf.Phases())-l.clock < l.cfg.samplePeriod-1 {
+			pf.Unlock()
+			return
+		}
+	}
 	if l.stats != nil {
 		l.stats.Release(uint64(l.wtok))
 	}
-	l.tryAdaptRW()
+	l.tryAdaptRW(m)
 	if m == RWModeStriped {
 		l.writer.Store(0)
 		l.wmu.Unlock()
@@ -847,33 +906,57 @@ func (l *RWLock) Unlock() {
 	l.delegate(m).Unlock()
 }
 
-// tryAdaptRW is the write-side adaptation step, run on every release while
-// still holding. The starvation signal is consumed out of band of the
-// sampling cadence — it is already rate-limited by the StarveBackouts bound
-// a reader must cross to raise it, and making a starving reader wait out a
-// sampling period would defeat the point. Everything else happens every
-// samplePeriod write sections: multiprogramming check (blocking mode),
-// write-mix detection (phase-fair), calm detection (back to rwstriped), and
-// the reader-free deflation countdown. The period's reads come off the
-// active family's read clock (periodReads).
+// tick advances mode m's write clock by the write being released and
+// reports whether that write closes a sampling period. In rwphasefair the
+// clock is the delegate's writer-phase counter, which while we hold is our
+// own ticket: the period opened at ticket clock closes at ticket
+// clock+samplePeriod-1, the test Unlock's phase-fair release makes too.
+// The era's first release takes its own ticket as the period's start
+// (pfFresh): a writer that backed out of the delegate completed a phase
+// with no write in it, and all such phases come before that release
+// (DESIGN.md §10). A boundary folds the period's writes into writes.
+func (l *RWLock) tick(m RWMode) bool {
+	if m != RWModePhaseFair {
+		l.writes++
+		if l.clock--; l.clock != 0 {
+			return false
+		}
+		l.clock = l.cfg.samplePeriod
+		return true
+	}
+	t := uint32(l.subs.Load().pf.Phases())
+	if l.pfFresh {
+		l.pfFresh, l.clock = false, t
+	}
+	n := t - l.clock + 1
+	if n < l.cfg.samplePeriod {
+		return false
+	}
+	l.writes += uint64(n)
+	l.clock = t + 1
+	return true
+}
+
+// tryAdaptRW is the write-side adaptation step, run on every release of a
+// write acquired under mode m while still holding (the phase-fair release
+// in Unlock runs it only at a boundary). The starvation signal is consumed
+// out of band of the sampling cadence — it is already rate-limited by the
+// StarveBackouts bound a reader must cross to raise it, and making a
+// starving reader wait out a sampling period would defeat the point.
+// Everything else happens every samplePeriod write sections:
+// multiprogramming check (blocking mode), write-mix detection
+// (phase-fair), calm detection (back to rwstriped), and the reader-free
+// deflation countdown. The period's reads come off the active family's
+// read clock (periodReads).
 //
 // All fields are writer-only, ordered by the held write lock — which is
 // why every transitionTo below is the LAST holder-state access on its path:
 // the moment the mode store lands, the new family's (never-held) write lock
 // is up for grabs and its first holder owns this section. Deflation is no
 // transition: the native wmu stays held through Unlock.
-func (l *RWLock) tryAdaptRW() {
-	l.writes++
-	starved := l.starve.Load() != 0
-	if starved {
-		l.starve.Store(0)
-	}
-	boundary := l.sampleIn == 1
-	l.sampleIn--
-	if boundary {
-		l.sampleIn = l.cfg.samplePeriod
-	}
-	if starved && RWMode(l.wfam) == RWModeStriped {
+func (l *RWLock) tryAdaptRW(mode RWMode) {
+	boundary := l.tick(mode)
+	if mode == RWModeStriped && l.starve.Load() != 0 {
 		l.sawReaders = false
 		l.streakPeriods, l.calmPeriods, l.idlePeriods = 0, 0, 0
 		l.transitionTo(RWModePhaseFair,
@@ -886,7 +969,6 @@ func (l *RWLock) tryAdaptRW() {
 	saw := l.sawReaders
 	l.sawReaders = false
 	q := l.writerQueueLen() // includes us: a queue ≥ 2 means another writer waits right now
-	mode := l.RWMode()
 	reads, period := l.periodReads(mode), uint64(l.cfg.samplePeriod)
 
 	if l.monitor().Multiprogrammed() {
@@ -964,11 +1046,18 @@ type RWStats struct {
 	Readers     int // racy instantaneous reader count
 }
 
-// Stats returns a racy snapshot of the lock's counters.
+// Stats returns a racy snapshot of the lock's counters. In rwphasefair the
+// writes since the last boundary are the delegate's phases since the
+// period's first ticket (tick).
 func (l *RWLock) Stats() RWStats {
+	m := l.RWMode()
+	w := l.writes
+	if m == RWModePhaseFair && !l.pfFresh {
+		w += uint64(uint32(l.subs.Load().pf.Phases()) - l.clock)
+	}
 	return RWStats{
-		RWMode:      l.RWMode(),
-		Writes:      l.writes,
+		RWMode:      m,
+		Writes:      w,
 		Transitions: uint64(l.transitions.Load()),
 		Readers:     l.Readers(),
 	}

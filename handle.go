@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"unsafe"
 
+	"gls/glk"
 	"gls/internal/pad"
-	"gls/locks"
 )
 
 // Handle is a per-goroutine accessor implementing the paper's §4.1
@@ -54,7 +54,7 @@ type handleCache struct {
 	lastKey uint64
 	// last is the entry lastKey resolved to. For a default key it is the
 	// lock, so a hit tests the dead mark on the very line it then locks;
-	// for any other key that line holds the lock's interfaces.
+	// for any other key that line points at the lock.
 	last *entry
 	// misses counts every lookup that had to resolve through the table,
 	// including each key's first use. A handle is single-goroutine by
@@ -84,10 +84,11 @@ func (h *Handle) cacheHit(key uint64) bool {
 // reports the rate).
 func (h *Handle) CacheMisses() uint64 { return h.misses }
 
-// A Handle operation resolves its entry in one step — cacheHit, which
-// inlines, and on a miss one of the functions below: miss to acquire,
-// missHeld to release, rw and heldRW for the read side — and then calls
-// the lock the entry holds, directly when that is the entry's own. An
+// A Handle operation resolves its entry in one step — cacheHit (rwHit on
+// the read side), which inlines, and on a miss one of the functions below:
+// miss to acquire, missHeld to release, rw and heldRW for the read side —
+// and then calls the lock the entry holds, directly when that is the
+// entry's own or the read side of an RW key. An
 // entry that a Free is retiring right now is cached like any other: it is
 // dead already, or will be before the key can map a successor.
 
@@ -164,15 +165,20 @@ func (h *Handle) Unlock(key uint64) {
 	}
 }
 
-// rw resolves key's reader-writer lock for an acquisition, creating the
-// entry (adaptive glsrw default) on a first use. It panics when the key is
-// mapped to an exclusive lock, like Service.RLock.
-func (h *Handle) rw(key uint64) locks.RWLock {
-	if h.cacheHit(key) {
-		if rw := h.last.rwLock(); rw != nil {
-			return rw
-		}
+// rwHit returns the cached entry's reader-writer lock when the cache holds
+// key and the key is an RW key, else nil. It inlines, so a hit calls the
+// lock directly, as Lock does.
+func (h *Handle) rwHit(key uint64) *glk.RWLock {
+	if !h.cacheHit(key) {
+		return nil
 	}
+	return h.last.rwLock()
+}
+
+// rw resolves key's reader-writer lock for an acquisition that missed
+// rwHit, creating the entry (adaptive glsrw default) on a first use. It
+// panics when the key is mapped to an exclusive lock, like Service.RLock.
+func (h *Handle) rw(key uint64) *glk.RWLock {
 	h.misses++
 	e := h.s.table.Get(key)
 	if e == nil || e.rwLock() == nil {
@@ -184,12 +190,7 @@ func (h *Handle) rw(key uint64) locks.RWLock {
 
 // heldRW is rw's release-path twin: a miss that finds no mapping (or an
 // exclusive mapping) is a caller bug, never a first use.
-func (h *Handle) heldRW(key uint64) locks.RWLock {
-	if h.cacheHit(key) {
-		if rw := h.last.rwLock(); rw != nil {
-			return rw
-		}
-	}
+func (h *Handle) heldRW(key uint64) *glk.RWLock {
 	rw := h.missHeld(key, "RUnlock").rwLock()
 	if rw == nil {
 		panic(fmt.Sprintf("gls: RUnlock(%#x): key is mapped to an exclusive lock", key))
@@ -199,11 +200,19 @@ func (h *Handle) heldRW(key uint64) locks.RWLock {
 
 // RLock acquires a read share of the reader-writer lock for key.
 func (h *Handle) RLock(key uint64) {
-	h.rw(key).RLock()
+	rw := h.rwHit(key)
+	if rw == nil {
+		rw = h.rw(key)
+	}
+	rw.RLock()
 }
 
 // RUnlock releases a read share of the lock for key. With no lock nesting
 // this always hits the cache, exactly like Unlock.
 func (h *Handle) RUnlock(key uint64) {
-	h.heldRW(key).RUnlock()
+	rw := h.rwHit(key)
+	if rw == nil {
+		rw = h.heldRW(key)
+	}
+	rw.RUnlock()
 }

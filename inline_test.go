@@ -25,6 +25,9 @@ var hotInlines = []struct {
 }{
 	{"glk/glk.go", "Lock", "Lock", "locks.(*TicketCore).TryLock", "the ticket-mode try is the whole uncontended acquisition"},
 	{"glk/glk.go", "Lock", "Unlock", "locks.(*TicketCore).Unlock", "the ticket-mode release is the whole uncontended release"},
+	{"glk/rwlock.go", "RWLock", "RLock", "locks.(*RWPhaseFair).RLock", "the phase-fair read try is the delegate's one fetch-and-add"},
+	{"glk/rwlock.go", "RWLock", "RUnlock", "locks.(*RWPhaseFair).RUnlock", "the phase-fair read release is the delegate's one add"},
+	{"glk/rwlock.go", "RWLock", "Unlock", "locks.(*RWPhaseFair).Unlock", "a phase-fair write between boundaries is released in the caller's frame"},
 	{"handle.go", "Handle", "Lock", "(*Handle).cacheHit", "a handle hit is a compare and a load, not a call"},
 	{"handle.go", "Handle", "Unlock", "(*Handle).cacheHit", "a handle hit is a compare and a load, not a call"},
 }

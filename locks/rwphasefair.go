@@ -89,12 +89,20 @@ func NewRWPhaseFair() *RWPhaseFair { return new(RWPhaseFair) }
 // captured prior value carried a writer's bits — a wait for that writer
 // phase to end. The reader is guaranteed admission at the next phase
 // boundary, even if another writer follows immediately (the parity bit
-// makes the boundary observable).
+// makes the boundary observable). The wait is a call of its own, so the
+// arrival inlines into its callers.
 func (l *RWPhaseFair) RLock() {
-	w := (l.rin.Add(pfReader) - pfReader) & pfWMask
-	if w == 0 {
-		return
+	if w := (l.rin.Add(pfReader) - pfReader) & pfWMask; w != 0 {
+		l.waitPhase(w)
 	}
+}
+
+// waitPhase is a blocked reader's wait: it returns once the writer bits w
+// its arrival captured have changed, which ends that writer phase. It is
+// kept out of line: inlined, it would push RLock over the inlining budget.
+//
+//go:noinline
+func (l *RWPhaseFair) waitPhase(w uint32) {
 	var s backoff.Spinner
 	for l.rin.Load()&pfWMask == w {
 		s.Spin()

@@ -122,7 +122,7 @@ const (
 // Every other species — an explicit algorithm (LockWith, PinWith), a
 // reader-writer key, any of them wrapped for telemetry — is a boxedEntry
 // behind the same pointer type: the same flag word at the same offset, a
-// first line that holds the lock's interfaces instead of a lock, and a
+// first line that points at the lock instead of holding one, and a
 // second line for the key-lifetime words behind Pin. Nothing but the flag
 // word may be read through lk until it says which one this is; the methods
 // below are the only code that looks.
@@ -141,8 +141,9 @@ type boxedHead struct {
 	// object's write side, so the exclusive entry points keep working on
 	// an RW key (Lock == write-lock) with zero extra branches. A key's
 	// species — exclusive or RW — is decided at first use, like its
-	// algorithm.
-	rw   locks.RWLock
+	// algorithm. newRWEntry is its only constructor, so it is the concrete
+	// adaptive lock, and every read-side operation is a static call.
+	rw   *glk.RWLock
 	algo locks.Algorithm // the explicit algorithm of an exclusive key
 }
 
@@ -204,7 +205,7 @@ func (e *entry) exclusive() locks.Lock {
 }
 
 // rwLock returns e's reader-writer lock, nil when the key is exclusive.
-func (e *entry) rwLock() locks.RWLock {
+func (e *entry) rwLock() *glk.RWLock {
 	if e.inline() {
 		return nil
 	}

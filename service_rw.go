@@ -169,5 +169,5 @@ func (s *Service) GLKRWStats(key uint64) (glk.RWStats, bool) {
 	if e == nil || e.rwLock() == nil {
 		return glk.RWStats{}, false
 	}
-	return e.boxed().rw.(*glk.RWLock).Stats(), true
+	return e.boxed().rw.Stats(), true
 }
