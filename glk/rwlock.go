@@ -206,7 +206,10 @@ type rwSubs struct {
 // operations plus the introspection the policy and telemetry sample. One
 // interface keeps the family dispatch in the acquire paths to a single
 // body per operation; the virtual call is noise on paths that exist for
-// fairness and blocking, not latency.
+// fairness and blocking, not latency. The exception is a settled
+// phase-fair lock without telemetry, whose every operation is the
+// delegate's: its acquire and release paths call locks.RWPhaseFair
+// directly.
 type rwDelegate interface {
 	locks.RWLock
 	WriteLocked() bool
@@ -590,56 +593,69 @@ func (l *RWLock) rlockNative(tok uint64) (ok bool, bypassed uint64, starved bool
 	}
 }
 
+// rwReadAcq is telemetry's record of one read acquisition while RLock's
+// loop runs: the arrival, and the writer phases, contention and starvation
+// the loop met.
+type rwReadAcq struct {
+	a                  telemetry.Acq
+	tok                uint64
+	phases             uint64
+	contended, starved bool
+}
+
 // RLock acquires a read share under the active mode, re-dispatching if the
 // mode changes while we wait. With telemetry on, the same loop also records
 // the RArrive/RAcquired pair, the writer phases that bypassed us and the
 // starvation event.
 //
-// In front of the loop, a lock without telemetry that reads rwphasefair
-// takes a share from the delegate with a static call whose arrival inlines
-// (DESIGN.md §10). It keeps the share if the mode word still names the
-// family, the loop's own re-check; otherwise it returns the share, which a
-// phase-fair reader can only do once admitted, and goes on to the loop.
+// Without telemetry the phase-fair arm calls the concrete delegate, whose
+// arrival inlines here, and the stripe token is hashed only in the native
+// arm. The record lives behind a pointer that stays nil without telemetry,
+// so such a read sets up no state before its arrival: a settled phase-fair
+// read pays the mode load, the subs load and the delegate's fetch-and-add
+// (DESIGN.md §10).
 func (l *RWLock) RLock() {
-	if l.stats == nil && l.RWMode() == RWModePhaseFair {
-		pf := l.subs.Load().pf
-		pf.RLock()
-		if l.RWMode() == RWModePhaseFair {
-			return
-		}
-		pf.RUnlock()
-	}
-	tok := stripe.Self()
-	var a telemetry.Acq
+	var r *rwReadAcq
 	if l.stats != nil {
-		a = l.stats.RArrive(tok)
+		tok := stripe.Self()
+		r = &rwReadAcq{a: l.stats.RArrive(tok), tok: tok}
 	}
-	contended, starved := false, false
-	var phases uint64
 	for {
 		m := l.RWMode()
 		if m == RWModeStriped {
 			// The try first, the wait only behind a writer: the uncontended
 			// read stays one call deep.
+			tok := stripe.Self()
 			ok, decided := l.tryRLockNative(tok)
 			if !ok && decided {
 				var b uint64
 				var st bool
 				ok, b, st = l.rlockNative(tok)
-				phases += b
-				contended = contended || b > 0 || st
-				starved = starved || st
+				if r != nil {
+					r.phases += b
+					r.contended = r.contended || b > 0 || st
+					r.starved = r.starved || st
+				}
 			}
 			if ok {
 				break
 			}
 			continue
 		}
+		if m == RWModePhaseFair && r == nil {
+			pf := l.subs.Load().pf
+			pf.RLock()
+			if l.RWMode() == m {
+				break
+			}
+			pf.RUnlock() // admitted under a family the word no longer names
+			continue
+		}
 		d := l.delegate(m)
-		if l.stats == nil {
+		if r == nil {
 			d.RLock()
 		} else if !d.TryRLock() {
-			contended = contended || d.WriteLocked()
+			r.contended = r.contended || d.WriteLocked()
 			d.RLock()
 		}
 		if l.RWMode() == m {
@@ -647,14 +663,14 @@ func (l *RWLock) RLock() {
 		}
 		d.RUnlock()
 	}
-	if l.stats != nil {
-		if phases > 0 {
-			l.stats.RWaitedPhases(tok, phases)
+	if r != nil {
+		if r.phases > 0 {
+			l.stats.RWaitedPhases(r.tok, r.phases)
 		}
-		if starved {
-			l.stats.RStarvedEvent(tok)
+		if r.starved {
+			l.stats.RStarvedEvent(r.tok)
 		}
-		a.RAcquired(contended)
+		r.a.RAcquired(r.contended)
 	}
 }
 
@@ -731,24 +747,15 @@ func (l *RWLock) RUnlock() {
 // by the holder — so the drain runs as the genuine holder and no post-drain
 // check is needed.
 //
-// In front of the loop, a lock without telemetry that reads rwphasefair
-// tries the delegate's write lock with a static call, and keeps it if the
-// mode word still names the family. If the word moved, it completes the
-// phase its delegate ticket announced before it goes on to the loop, the
-// one wait path.
+// Without telemetry the phase-fair arm calls the concrete delegate, and no
+// stripe token is hashed: only telemetry reads it. A writer that acquired
+// under a family the word no longer names completes the phase its ticket
+// announced before it re-dispatches.
 func (l *RWLock) Lock() {
-	if l.stats == nil && l.RWMode() == RWModePhaseFair {
-		pf := l.subs.Load().pf
-		if pf.TryLock() {
-			if l.RWMode() == RWModePhaseFair {
-				return
-			}
-			pf.Unlock()
-		}
-	}
-	tok := stripe.Self()
+	var tok uint64
 	var a telemetry.Acq
 	if l.stats != nil {
+		tok = stripe.Self()
 		a = l.stats.Arrive(tok)
 	}
 	contended := false
@@ -767,6 +774,15 @@ func (l *RWLock) Lock() {
 			l.writer.Store(1)
 			contended = l.drain(tok, a.Timed()) || contended
 			break
+		}
+		if m == RWModePhaseFair && l.stats == nil {
+			pf := l.subs.Load().pf
+			pf.Lock()
+			if l.RWMode() == m {
+				break
+			}
+			pf.Unlock()
+			continue
 		}
 		d := l.delegate(m)
 		if l.stats == nil {

@@ -30,6 +30,8 @@ var hotInlines = []struct {
 	{"glk/rwlock.go", "RWLock", "Unlock", "locks.(*RWPhaseFair).Unlock", "a phase-fair write between boundaries is released in the caller's frame"},
 	{"handle.go", "Handle", "Lock", "(*Handle).cacheHit", "a handle hit is a compare and a load, not a call"},
 	{"handle.go", "Handle", "Unlock", "(*Handle).cacheHit", "a handle hit is a compare and a load, not a call"},
+	{"handle.go", "Handle", "RLock", "(*Handle).rwHit", "a handle read hit is a compare and a load, not a call"},
+	{"handle.go", "Handle", "RUnlock", "(*Handle).rwHit", "a handle read hit is a compare and a load, not a call"},
 }
 
 // checkedMinor is the oldest Go 1.x minor release the hotInlines decisions
