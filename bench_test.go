@@ -216,9 +216,8 @@ func BenchmarkHotPathAdjacentKeys(b *testing.B) {
 // BenchmarkHotPathUncontended — uncontended Lock/Unlock latency through
 // each entry point. The acceptance bar for hot-path work: these must not
 // regress while the contended family improves. The first three rows repeat
-// one key on one goroutine, so everything they touch stays in L1; walk is
-// glsmark's inproc_spread shape — two goroutines, each with its own Handle
-// walking its own walkKeys default keys in a shuffled order — where every
+// one key on one goroutine, so everything they touch stays in L1; walk and
+// walkrandom are glsmark's inproc_spread shape (benchWalk), where every
 // Lock misses the handle cache and finds its lock's line out of L1.
 func BenchmarkHotPathUncontended(b *testing.B) {
 	mon := benchMonitor(b)
@@ -251,39 +250,58 @@ func BenchmarkHotPathUncontended(b *testing.B) {
 		}
 	})
 	b.Run("walk", func(b *testing.B) {
-		const walkers, walkKeys = 2, 1024
-		svc := gls.New(gls.Options{GLK: glkCfg})
-		defer svc.Close()
-		rng := xrand.NewSplitMix64(1)
-		walks := make([][]uint64, walkers)
-		for w := range walks {
-			for i := 0; i < walkKeys; i++ {
-				k := 0xc000100000 + uint64(w*walkKeys+i)*64 // address-like, as GLS keys are
-				svc.InitLock(k)
-				walks[w] = append(walks[w], k)
-			}
-			for i := len(walks[w]) - 1; i > 0; i-- {
-				j := rng.Uintn(uint64(i + 1))
-				walks[w][i], walks[w][j] = walks[w][j], walks[w][i]
-			}
-		}
-		per := b.N/walkers + 1
-		var wg sync.WaitGroup
-		b.ResetTimer()
-		for _, keys := range walks {
-			wg.Add(1)
-			go func(keys []uint64) {
-				defer wg.Done()
-				h := svc.NewHandle()
-				for i := 0; i < per; i++ {
-					k := keys[i%walkKeys]
-					h.Lock(k)
-					h.Unlock(k)
-				}
-			}(keys)
-		}
-		wg.Wait()
+		benchWalk(b, glkCfg, func(w, i int) uint64 {
+			return 0xc000100000 + uint64(w*walkKeys+i)*64 // address-like, as GLS keys are
+		})
 	})
+	b.Run("walkrandom", func(b *testing.B) {
+		rng := xrand.NewSplitMix64(2)
+		benchWalk(b, glkCfg, func(int, int) uint64 { return rng.Next() | 1 })
+	})
+}
+
+// walkKeys is how many keys each of benchWalk's two goroutines owns.
+const walkKeys = 1024
+
+// benchWalk is glsmark's inproc_spread shape: two goroutines, each with its
+// own Handle, walk their own walkKeys default keys (key(w, i) is worker w's
+// i-th) in a shuffled order. walk's strided keys measure the look-up as
+// glsmark sees it; walkrandom's random ones spread across the buckets the
+// way any hash spreads them, so a change to the slot select shows apart
+// from how evenly a hash happens to place a stride.
+func benchWalk(b *testing.B, glkCfg *glk.Config, key func(w, i int) uint64) {
+	const walkers = 2
+	svc := gls.New(gls.Options{GLK: glkCfg})
+	defer svc.Close()
+	rng := xrand.NewSplitMix64(1)
+	walks := make([][]uint64, walkers)
+	for w := range walks {
+		for i := 0; i < walkKeys; i++ {
+			k := key(w, i)
+			svc.InitLock(k)
+			walks[w] = append(walks[w], k)
+		}
+		for i := len(walks[w]) - 1; i > 0; i-- {
+			j := rng.Uintn(uint64(i + 1))
+			walks[w][i], walks[w][j] = walks[w][j], walks[w][i]
+		}
+	}
+	per := b.N/walkers + 1
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	for _, keys := range walks {
+		wg.Add(1)
+		go func(keys []uint64) {
+			defer wg.Done()
+			h := svc.NewHandle()
+			for i := 0; i < per; i++ {
+				k := keys[i%walkKeys]
+				h.Lock(k)
+				h.Unlock(k)
+			}
+		}(keys)
+	}
+	wg.Wait()
 }
 
 // BenchmarkHotPathRWRead — single-goroutine RLock/RUnlock latency through

@@ -28,6 +28,7 @@ var hotInlines = []struct {
 	{"glk/rwlock.go", "RWLock", "RLock", "locks.(*RWPhaseFair).RLock", "the phase-fair read try is the delegate's one fetch-and-add"},
 	{"glk/rwlock.go", "RWLock", "RUnlock", "locks.(*RWPhaseFair).RUnlock", "the phase-fair read release is the delegate's one add"},
 	{"glk/rwlock.go", "RWLock", "Unlock", "locks.(*RWPhaseFair).Unlock", "a phase-fair write between boundaries is released in the caller's frame"},
+	{"internal/clht/clht.go", "Table", "Get", "clht.slotOf", "the slot select is three SETcc and no branch, not a call per probe"},
 	{"handle.go", "Handle", "Lock", "(*Handle).cacheHit", "a handle hit is a compare and a load, not a call"},
 	{"handle.go", "Handle", "Unlock", "(*Handle).cacheHit", "a handle hit is a compare and a load, not a call"},
 	{"handle.go", "Handle", "RLock", "(*Handle).rwHit", "a handle read hit is a compare and a load, not a call"},
@@ -61,7 +62,9 @@ func TestHotPathInlines(t *testing.T) {
 	} else if minor, _ := strconv.Atoi(string(m[1])); minor < checkedMinor {
 		t.Skipf("go command is %s; the inlining decisions were checked with go1.%d", bytes.TrimSpace(ver), checkedMinor)
 	}
-	out, err := exec.Command(goBin, "build", "-gcflags=-m", "./glk", "./locks", ".").CombinedOutput()
+	// clht's generic Table.Get is compiled, and its inlining reported, where
+	// the gls package (".") instantiates it, not in ./internal/clht itself.
+	out, err := exec.Command(goBin, "build", "-gcflags=-m", "./glk", "./locks", "./internal/clht", ".").CombinedOutput()
 	if err != nil {
 		t.Fatalf("go build -gcflags=-m: %v\n%s", err, out)
 	}
@@ -108,17 +111,24 @@ func TestHotPathInlines(t *testing.T) {
 	}
 }
 
-// findMethod returns the declaration of method fn on *recv in f.
+// findMethod returns the declaration of method fn on *recv in f; recv may
+// be generic (*Table[V]).
 func findMethod(f *ast.File, recv, fn string) *ast.FuncDecl {
 	for _, d := range f.Decls {
 		fd, ok := d.(*ast.FuncDecl)
 		if !ok || fd.Recv == nil || fd.Name.Name != fn || len(fd.Recv.List) != 1 {
 			continue
 		}
-		if star, ok := fd.Recv.List[0].Type.(*ast.StarExpr); ok {
-			if id, ok := star.X.(*ast.Ident); ok && id.Name == recv {
-				return fd
-			}
+		star, ok := fd.Recv.List[0].Type.(*ast.StarExpr)
+		if !ok {
+			continue
+		}
+		typ := star.X
+		if ix, ok := typ.(*ast.IndexExpr); ok {
+			typ = ix.X
+		}
+		if id, ok := typ.(*ast.Ident); ok && id.Name == recv {
+			return fd
 		}
 	}
 	return nil

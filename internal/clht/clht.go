@@ -5,7 +5,8 @@
 //
 //  1. cache-line-sized buckets (three key/value slots per bucket), so
 //     operations typically touch one line;
-//  2. searching for a key is read-only and wait-free;
+//  2. searching for a key is read-only and wait-free (and, in the head
+//     bucket, one multiply and no branch per slot: Get);
 //  3. failing to insert an existing key is also read-only and wait-free
 //     (GetOrInsert probes before locking);
 //  4. the table is resizable.
@@ -18,6 +19,7 @@
 package clht
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -59,7 +61,19 @@ func (b *bucket[V]) release() { b.lock.Store(0) }
 // table is one immutable-size generation of the hash table.
 type table[V any] struct {
 	buckets []bucket[V]
-	mask    uint64
+	shift   uint // 64 − log2(len(buckets)): hash(key)>>shift indexes buckets
+}
+
+// newTable returns an empty table of n buckets (a power of two).
+func newTable[V any](n uint64) *table[V] {
+	return &table[V]{buckets: make([]bucket[V], n), shift: uint(64 - bits.TrailingZeros64(n))}
+}
+
+// head returns the bucket key hashes to. shift is at most 58, so masking
+// it changes nothing but spares the compiler's guard for shifts of 64 and
+// more.
+func (tab *table[V]) head(key uint64) *bucket[V] {
+	return &tab.buckets[hash(key)>>(tab.shift&63)]
 }
 
 // Table is a resizable concurrent hash table from non-zero uint64 keys to
@@ -87,26 +101,65 @@ func New[V any](sizeHint int) *Table[V] {
 		n *= 2
 	}
 	t := &Table[V]{}
-	t.cur.Store(&table[V]{buckets: make([]bucket[V], n), mask: n - 1})
+	t.cur.Store(newTable[V](n))
 	return t
 }
 
-// hash mixes the key so that pointer-derived keys (aligned, low entropy in
-// the low bits) spread across buckets. splitmix64 finalizer.
+// hash is one multiply by 2⁶⁴/φ (Fibonacci hashing) with the product's low
+// half folded into its high half; table.head indexes the buckets with the
+// top bits. The product's high bits alone spread sequential keys and keys
+// that differ only in their high bits perfectly, but strided keys — heap
+// objects of one size class, 16 to 112 bytes apart — piled up to 76 % of
+// them into overflow buckets at some table sizes; the fold brings in the
+// bits those strides vary, so no set tried does much worse than random
+// (TestHashSpread).
 func hash(k uint64) uint64 {
-	k = (k ^ (k >> 30)) * 0xbf58476d1ce4e5b9
-	k = (k ^ (k >> 27)) * 0x94d049bb133111eb
-	return k ^ (k >> 31)
+	h := k * 0x9e3779b97f4a7c15
+	return h ^ h<<32
 }
 
 // Get returns the value mapped to key, or nil if absent. It is wait-free:
 // no locks are taken and no writes are performed.
+//
+// The head bucket's slot is chosen without a branch per slot: which slot
+// a key sits in is a coin toss per look-up, so a loop whose exit depends
+// on it mispredicts. The chosen slot's value is loaded and its key
+// re-read, as the walk does; anything else — no slot matched (an overflow
+// chain or an absent key), the re-check failed (a racing Delete), or the
+// key showed in two slots (a Delete racing a re-insert) — takes the walk.
 func (t *Table[V]) Get(key uint64) *V {
 	if key == 0 {
 		return nil
 	}
-	tab := t.cur.Load()
-	b := &tab.buckets[hash(key)&tab.mask]
+	b := t.cur.Load().head(key)
+	i := slotOf(b.keys[0].Load() == key, b.keys[1].Load() == key, b.keys[2].Load() == key)
+	if i < slotsPerBucket {
+		if v := b.vals[i].Load(); v != nil && b.keys[i].Load() == key {
+			return v
+		}
+	}
+	return b.find(key)
+}
+
+// slotOf returns the one slot whose key matched, or slotsPerBucket when
+// none did. A key seen in two slots gives a value out of range (slots 0
+// and 1, or 0 and 2) or slot 0 (slots 1 and 2), whose re-check fails; the
+// caller walks either way. Each bool becomes a SETcc, not a jump.
+func slotOf(m0, m1, m2 bool) uint {
+	return slotsPerBucket - 3*b2u(m0) - 2*b2u(m1) - b2u(m2)
+}
+
+// b2u is 1 for true and 0 for false; the compiler emits no branch for it.
+func b2u(b bool) uint {
+	var u uint
+	if b {
+		u = 1
+	}
+	return u
+}
+
+// find is Get's slot-by-slot walk of the chain from b.
+func (b *bucket[V]) find(key uint64) *V {
 	for b != nil {
 		for i := 0; i < slotsPerBucket; i++ {
 			if b.keys[i].Load() != key {
@@ -141,7 +194,7 @@ func (t *Table[V]) GetOrInsert(key uint64, create func() *V) (*V, bool) {
 	}
 	for {
 		tab := t.cur.Load()
-		b := &tab.buckets[hash(key)&tab.mask]
+		b := tab.head(key)
 		b.acquire()
 		if t.cur.Load() != tab {
 			// Lost a race with a resize: retry against the new table.
@@ -196,7 +249,7 @@ func (t *Table[V]) Delete(key uint64) *V {
 	}
 	for {
 		tab := t.cur.Load()
-		b := &tab.buckets[hash(key)&tab.mask]
+		b := tab.head(key)
 		b.acquire()
 		if t.cur.Load() != tab {
 			b.release()
@@ -242,8 +295,7 @@ func (t *Table[V]) resize(old *table[V]) {
 	for i := range old.buckets {
 		old.buckets[i].acquire()
 	}
-	n := uint64(len(old.buckets)) * 2
-	nt := &table[V]{buckets: make([]bucket[V], n), mask: n - 1}
+	nt := newTable[V](uint64(len(old.buckets)) * 2)
 	for bi := range old.buckets {
 		for cb := &old.buckets[bi]; cb != nil; cb = cb.next.Load() {
 			for i := 0; i < slotsPerBucket; i++ {
@@ -268,7 +320,7 @@ func (t *Table[V]) resize(old *table[V]) {
 
 // insertUnlocked adds an entry to a table not yet visible to any reader.
 func (nt *table[V]) insertUnlocked(key uint64, v *V) {
-	b := &nt.buckets[hash(key)&nt.mask]
+	b := nt.head(key)
 	for {
 		for i := 0; i < slotsPerBucket; i++ {
 			if b.keys[i].Load() == 0 {
