@@ -1,6 +1,7 @@
 package glk
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -268,8 +269,8 @@ func TestLockCancelInstrumented(t *testing.T) {
 
 // TestInstrumentedMatchesPlain runs one single-goroutine script of every
 // acquisition shape on a lock without Stats and on one with them, in each
-// frozen mode: the instrumented loop must leave the same glk.Stats as the
-// plain loops, and its lanes must reconcile with them.
+// frozen mode: the one loop, run with telemetry, must leave the same
+// glk.Stats as without, and its lanes must reconcile with them.
 func TestInstrumentedMatchesPlain(t *testing.T) {
 	const reps = 20
 	script := func(t *testing.T, l *Lock) (failedTries uint64) {
@@ -329,6 +330,106 @@ func TestInstrumentedMatchesPlain(t *testing.T) {
 			if ls.TryFails != ls.Timeouts+ls.Cancels+failedTries {
 				t.Fatalf("TryFails %d != timeouts %d + cancels %d + failed TryLocks %d",
 					ls.TryFails, ls.Timeouts, ls.Cancels, failedTries)
+			}
+		})
+	}
+}
+
+// TestRWInstrumentedMatchesPlain is TestInstrumentedMatchesPlain for the RW
+// lock: one single-goroutine script of every read and write acquisition
+// shape, on a lock without Stats and on one with them, in each family. Both
+// sides run one loop whatever the telemetry, so the two locks must leave
+// the same RWStats, and the instrumented lanes must reconcile exactly: each
+// arrival is one acquisition or one failure, and each failure a timeout, a
+// cancel or a failed try.
+func TestRWInstrumentedMatchesPlain(t *testing.T) {
+	const reps = 20
+	type fails struct{ tries, rtries uint64 }
+	script := func(t *testing.T, l *RWLock) (f fails) {
+		closed := make(chan struct{})
+		close(closed)
+		for i := 0; i < reps; i++ {
+			l.RLock() // free
+			if l.TryLock() {
+				t.Fatal("TryLock succeeded under a reader")
+			}
+			f.tries++
+			if l.LockCancel(expiredCancel()) {
+				t.Fatal("an expired LockCancel acquired under a reader")
+			}
+			l.RUnlock()
+			if !l.TryRLock() {
+				t.Fatal("TryRLock failed on a free lock")
+			}
+			l.RUnlock()
+			l.Lock() // free
+			if l.TryRLock() {
+				t.Fatal("TryRLock succeeded under a writer")
+			}
+			f.rtries++
+			if l.TryLock() {
+				t.Fatal("TryLock succeeded under a writer")
+			}
+			f.tries++
+			if l.LockCancel(expiredCancel()) || l.LockCancel(&locks.Cancel{Done: closed}) {
+				t.Fatal("an aborting LockCancel acquired under a writer")
+			}
+			l.Unlock()
+			if !l.TryLock() {
+				t.Fatal("TryLock failed on a free lock")
+			}
+			l.Unlock()
+			if !l.LockCancel(expiredCancel()) {
+				t.Fatal("an expired LockCancel did not take a free lock (grant beats abort)")
+			}
+			l.Unlock()
+			if !l.LockCancel(&locks.Cancel{Done: make(chan struct{})}) {
+				t.Fatal("a never-firing LockCancel did not take a free lock")
+			}
+			l.Unlock()
+		}
+		return f
+	}
+	for _, m := range []RWMode{RWModeStriped, RWModePhaseFair, RWModeWritePref} {
+		t.Run(m.String(), func(t *testing.T) {
+			// Out of reach of the sampling boundary and the starvation
+			// bound, and moved to m before anyone holds it (pinnedRW).
+			lock := func(stats *telemetry.LockStats) *RWLock {
+				l := NewRW(&RWConfig{SamplePeriod: math.MaxUint32, StarveBackouts: math.MaxUint32, Monitor: newTestMonitor(), Stats: stats})
+				l.transitionTo(m, "pinned")
+				return l
+			}
+			plain := lock(nil)
+			script(t, plain)
+			reg := telemetry.New(telemetry.Options{SamplePeriod: 1})
+			inst := lock(reg.Register(1, "glkrw"))
+			f := script(t, inst)
+
+			ps, is := plain.Stats(), inst.Stats()
+			if ps != is {
+				t.Fatalf("instrumented Stats %+v, plain %+v", is, ps)
+			}
+			if is.RWMode != m || is.Writes != 4*reps || is.Readers != 0 {
+				t.Fatalf("Stats %+v, want mode %v, %d writes, no readers", is, m, 4*reps)
+			}
+			ls := reg.Snapshot().Lock(1)
+			if ls.Acquisitions != 4*reps || ls.RAcquisitions != 2*reps {
+				t.Fatalf("acquisitions %d/%d (write/read), want %d/%d", ls.Acquisitions, ls.RAcquisitions, 4*reps, 2*reps)
+			}
+			if ls.Arrivals != ls.Acquisitions+ls.TryFails || ls.RArrivals != ls.RAcquisitions+ls.RTryFails {
+				t.Fatalf("arrivals %d/%d != acquisitions %d/%d + failures %d/%d (write/read)",
+					ls.Arrivals, ls.RArrivals, ls.Acquisitions, ls.RAcquisitions, ls.TryFails, ls.RTryFails)
+			}
+			if ls.Timeouts != 2*reps || ls.Cancels != reps {
+				t.Fatalf("timeouts/cancels = %d/%d, want %d/%d", ls.Timeouts, ls.Cancels, 2*reps, reps)
+			}
+			if ls.TryFails != ls.Timeouts+ls.Cancels+f.tries || ls.RTryFails != f.rtries {
+				t.Fatalf("TryFails %d != timeouts %d + cancels %d + failed TryLocks %d, or RTryFails %d != failed TryRLocks %d",
+					ls.TryFails, ls.Timeouts, ls.Cancels, f.tries, ls.RTryFails, f.rtries)
+			}
+			if ls.Contended != 0 || ls.RContended != 0 || ls.Present != 0 {
+				t.Fatalf("contended %d/%d, present %d: a lone goroutine met no one and left nothing held",
+					ls.Contended, ls.RContended, ls.Present)
 			}
 		})
 	}

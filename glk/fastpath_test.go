@@ -14,8 +14,8 @@ import (
 )
 
 // The tests below cover every exit of the try in front of Lock: each case
-// the try does not finish itself must end in the acquisition loops exactly
-// as before the try existed. TryLock, which takes a free ticket in its own
+// the try does not finish itself must end in the acquisition loop exactly
+// as before the try existed. TryLock, which takes a free ticket in that
 // loop, and Unlock's ticket-mode release are held to the same cases.
 
 // ticketWords reads the ticket lock's next and owner words.
@@ -209,7 +209,7 @@ func TestFastPathUnlockOfFreeLockPanicsFirst(t *testing.T) {
 }
 
 // TestInstrumentedLockSkipsFastPath: a lock built with Config.Stats takes
-// every acquisition through acquireInstrumented and every release through
+// every acquisition through acquire's telemetry and every release through
 // Release, so the telemetry counts stay exact: one arrival per attempt, one
 // acquisition per success, one hold sample per release.
 func TestInstrumentedLockSkipsFastPath(t *testing.T) {

@@ -464,23 +464,22 @@ func (l *Lock) PresenceInflated() bool {
 }
 
 // arrival is one acquisition attempt's presence bookkeeping. The rule, the
-// same in both acquisition loops (the plain LockCancel, which Lock waits
-// in, and acquireInstrumented), in the plain TryLock and in Lock's try,
-// which takes a ticket only after reading ticket mode: a
-// goroutine at the lock is counted in l.present exactly while the mode word
-// it last read says mcs or mutex. One that last read ticket is not counted —
-// it holds, or is about to take, a ticket, and the ticket words already say
-// so. The two populations are disjoint, so ticket.QueueLen() +
-// present.Sum() is everyone at the lock in every mode, including the
-// stragglers of a mode switch still draining through the old low-level lock.
+// same in the acquisition loop (acquire) and in Lock's try, which takes a
+// ticket only after reading ticket mode: a goroutine at the lock is
+// counted in l.present exactly while the mode word it last read says mcs or
+// mutex. One that last read ticket is not counted — it holds, or is about
+// to take, a ticket, and the ticket words already say so. The two
+// populations are disjoint, so ticket.QueueLen() + present.Sum() is
+// everyone at the lock in every mode, including the stragglers of a mode
+// switch still draining through the old low-level lock.
 type arrival struct {
-	tok     uint64 // stripe token; the plain paths take it when first counted
+	tok     uint64 // stripe token; without telemetry taken when first counted
 	counted bool
 }
 
 // count brings the caller's count in line with the mode word it just read.
 // Between switches this is one predicted branch, inlined into the
-// acquisition loops: nobody is counted in ticket mode, and an mcs/mutex-mode
+// acquisition loop: nobody is counted in ticket mode, and an mcs/mutex-mode
 // arrival counts itself once.
 func (l *Lock) count(m Mode, a *arrival) {
 	if (m != ModeTicket) != a.counted {
@@ -544,9 +543,9 @@ func (l *Lock) backOut(m Mode) {
 // the mode word still says ticket and no sampling boundary is due — three
 // more loads of the line the try just wrote. That is the whole of an
 // uncontended acquisition: one call, one atomic. After the try the tail is
-// the loops' own for ticket mode: a due boundary samples, and a moved mode
+// the loop's own for ticket mode: a due boundary samples, and a moved mode
 // word backs out. Anything else — another mode, a ticket held or waited
-// for, a back-out — goes on to LockCancel, the one wait path.
+// for, a back-out — goes on to acquire, which waits without trying again.
 func (l *Lock) Lock() {
 	if l.stats == nil && Mode(l.lockType.Load()) == ModeTicket && l.ticket.TryLock() {
 		if Mode(l.lockType.Load()) == ModeTicket && !(l.sampleDue(ModeTicket) && l.sampleAndAdapt(ModeTicket)) {
@@ -554,65 +553,62 @@ func (l *Lock) Lock() {
 		}
 		l.backOut(ModeTicket)
 	}
-	l.LockCancel(nil)
+	l.acquire(true, nil)
 }
 
 // TryLock attempts to acquire l without waiting.
-func (l *Lock) TryLock() bool {
-	if l.stats != nil {
-		return l.acquireInstrumented(false, nil)
-	}
-	var a arrival
-	for {
-		cur := Mode(l.lockType.Load())
-		l.count(cur, &a)
-		if !l.tryLockLow(cur) {
-			l.depart(&a)
-			return false
-		}
-		if Mode(l.lockType.Load()) == cur && !(l.sampleDue(cur) && l.sampleAndAdapt(cur)) {
-			l.settle(cur, &a)
-			return true
-		}
-		l.backOut(cur)
-	}
-}
+func (l *Lock) TryLock() bool { return l.acquire(false, nil) }
 
-// acquireInstrumented is the adaptation loop of a lock built with Stats,
-// behind all three entry points: TryLock (wait false) and Lock and
-// LockCancel (wait true, c nil for Lock). It is LockCancel's loop plus a
-// try-first probe of the low-level lock, so a blocked arrival is counted as
-// a contended acquisition, and one Arrive followed by exactly one of
-// Acquired, Failed or Aborted. The holder remembers the lane its Unlock
-// releases on: in ticket mode on the lock's own line, which it has just
-// written anyway; in the other modes it is the token settle keeps.
-func (l *Lock) acquireInstrumented(wait bool, c *locks.Cancel) bool {
-	a := arrival{tok: stripe.Self()}
-	acq := l.stats.Arrive(a.tok)
+// acquire is glk.Lock's one acquisition loop, paper Figure 4, behind Lock
+// (wait, c nil), LockCancel (wait) and TryLock: read the mode, acquire that
+// mode's low-level lock, re-check the mode, and release and retry if it
+// moved. A plain wait goes straight to lockLow; a try, and every
+// acquisition of a lock built with Stats, probes tryLockLow first, so an
+// instrumented arrival that blocks is counted as a contended acquisition.
+// That choice is made once, here, so Lock's failed try is not repeated.
+// Telemetry records one Arrive and then exactly one of Acquired, Failed or
+// Aborted; the holder remembers the lane its Unlock releases on: in ticket
+// mode on the lock's own line, which it has just written anyway, in the
+// other modes the token settle keeps.
+func (l *Lock) acquire(wait bool, c *locks.Cancel) bool {
+	var a arrival
+	var acq telemetry.Acq
+	if l.stats != nil {
+		a.tok = stripe.Self()
+		acq = l.stats.Arrive(a.tok)
+	}
+	probe := !wait || l.stats != nil
 	contended := false
 	for {
 		cur := Mode(l.lockType.Load())
 		l.count(cur, &a)
-		if !l.tryLockLow(cur) {
+		if !probe || !l.tryLockLow(cur) {
 			if !wait {
 				l.depart(&a)
-				acq.Failed()
+				if l.stats != nil {
+					acq.Failed()
+				}
 				return false
 			}
 			contended = true
 			if !l.lockLow(cur, c) {
 				l.abortDepart(&a)
-				acq.Aborted(c.TimedOut())
+				if l.stats != nil {
+					acq.Aborted(c.TimedOut())
+				}
 				return false
 			}
 		}
+		// Re-check the mode: another holder may have adapted while we
+		// waited on the (now stale) low-level lock.
 		if Mode(l.lockType.Load()) == cur && !(l.sampleDue(cur) && l.sampleAndAdapt(cur)) {
-			if cur == ModeTicket {
-				l.lane = a.tok
-			} else {
-				l.settle(cur, &a)
+			l.settle(cur, &a)
+			if l.stats != nil {
+				if cur == ModeTicket {
+					l.lane = a.tok
+				}
+				acq.Acquired(contended)
 			}
-			acq.Acquired(contended)
 			return true
 		}
 		l.backOut(cur)
@@ -753,8 +749,9 @@ func (l *Lock) presentNow() int64 {
 // written. In mcs and mutex modes, where the state's holder section is
 // written per acquisition anyway, it is a countdown. Either is cheap enough to keep
 // running when adaptation is disabled, so frozen locks still feed the queue
-// statistics. (Split from sampleAndAdapt so that the test inlines into the
-// acquisition loops and an acquisition between boundaries makes no call.)
+// statistics. (Split from sampleAndAdapt so that the test inlines into
+// acquire and Lock's try, and an acquisition between boundaries makes no
+// call.)
 func (l *Lock) sampleDue(cur Mode) bool {
 	if cur == ModeTicket {
 		return int32(l.ticket.Handoffs()-l.sampleAt) >= 0

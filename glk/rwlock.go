@@ -593,7 +593,7 @@ func (l *RWLock) rlockNative(tok uint64) (ok bool, bypassed uint64, starved bool
 	}
 }
 
-// rwReadAcq is telemetry's record of one read acquisition while RLock's
+// rwReadAcq is telemetry's record of one read acquisition while rlock's
 // loop runs: the arrival, and the writer phases, contention and starvation
 // the loop met.
 type rwReadAcq struct {
@@ -603,62 +603,76 @@ type rwReadAcq struct {
 	contended, starved bool
 }
 
-// RLock acquires a read share under the active mode, re-dispatching if the
-// mode changes while we wait. With telemetry on, the same loop also records
-// the RArrive/RAcquired pair, the writer phases that bypassed us and the
-// starvation event.
+// RLock acquires a read share under the active mode.
+func (l *RWLock) RLock() { l.rlock(true) }
+
+// TryRLock attempts to acquire a read share without waiting.
+func (l *RWLock) TryRLock() bool { return l.rlock(false) }
+
+// rlock is the read side's one dispatch loop, behind RLock (wait) and
+// TryRLock: acquire a share under the active mode, and re-dispatch if the
+// mode moved while we arrived or waited. A try only re-loops on such a
+// move, so it never waits. With telemetry on, the same loop also records
+// the RArrive and then exactly one RAcquired or RFailed, the writer phases
+// that bypassed us and the starvation event.
 //
-// Without telemetry the phase-fair arm calls the concrete delegate, whose
-// arrival inlines here, and the stripe token is hashed only in the native
-// arm. The record lives behind a pointer that stays nil without telemetry,
-// so such a read sets up no state before its arrival: a settled phase-fair
-// read pays the mode load, the subs load and the delegate's fetch-and-add
-// (DESIGN.md §10).
-func (l *RWLock) RLock() {
+// Without telemetry the phase-fair arm of a wait calls the concrete
+// delegate, whose arrival inlines here, and the stripe token is hashed only
+// in the native arm. The record lives behind a pointer that stays nil
+// without telemetry, so such a read sets up no state before its arrival: a
+// settled phase-fair read pays the mode load, the subs load and the
+// delegate's fetch-and-add (DESIGN.md §10).
+func (l *RWLock) rlock(wait bool) bool {
 	var r *rwReadAcq
 	if l.stats != nil {
 		tok := stripe.Self()
 		r = &rwReadAcq{a: l.stats.RArrive(tok), tok: tok}
 	}
+	ok := false
 	for {
 		m := l.RWMode()
 		if m == RWModeStriped {
 			// The try first, the wait only behind a writer: the uncontended
 			// read stays one call deep.
 			tok := stripe.Self()
-			ok, decided := l.tryRLockNative(tok)
-			if !ok && decided {
+			var decided bool
+			ok, decided = l.tryRLockNative(tok)
+			if !ok && decided && wait {
 				var b uint64
 				var st bool
 				ok, b, st = l.rlockNative(tok)
+				decided = ok // false: the mode moved while we waited
 				if r != nil {
 					r.phases += b
 					r.contended = r.contended || b > 0 || st
 					r.starved = r.starved || st
 				}
 			}
-			if ok {
+			if decided {
 				break
 			}
 			continue
 		}
-		if m == RWModePhaseFair && r == nil {
+		if m == RWModePhaseFair && r == nil && wait {
 			pf := l.subs.Load().pf
 			pf.RLock()
-			if l.RWMode() == m {
+			if ok = l.RWMode() == m; ok {
 				break
 			}
 			pf.RUnlock() // admitted under a family the word no longer names
 			continue
 		}
 		d := l.delegate(m)
-		if r == nil {
+		if r == nil && wait {
 			d.RLock()
 		} else if !d.TryRLock() {
+			if !wait {
+				break
+			}
 			r.contended = r.contended || d.WriteLocked()
 			d.RLock()
 		}
-		if l.RWMode() == m {
+		if ok = l.RWMode() == m; ok {
 			break
 		}
 		d.RUnlock()
@@ -670,46 +684,13 @@ func (l *RWLock) RLock() {
 		if r.starved {
 			l.stats.RStarvedEvent(r.tok)
 		}
-		r.a.RAcquired(r.contended)
-	}
-}
-
-// TryRLock attempts to acquire a read share without waiting.
-func (l *RWLock) TryRLock() bool {
-	tok := stripe.Self()
-	if l.stats == nil {
-		return l.tryRLockLow(tok)
-	}
-	a := l.stats.RArrive(tok)
-	if l.tryRLockLow(tok) {
-		a.RAcquired(false)
-		return true
-	}
-	a.RFailed()
-	return false
-}
-
-// tryRLockLow is TryRLock without instrumentation: the mode-dispatch loop
-// over the native try and the delegates. It only re-loops on a mode move
-// observed mid-try, so it never waits.
-func (l *RWLock) tryRLockLow(tok uint64) bool {
-	for {
-		m := l.RWMode()
-		if m == RWModeStriped {
-			if ok, decided := l.tryRLockNative(tok); decided {
-				return ok
-			}
-			continue
+		if ok {
+			r.a.RAcquired(r.contended)
+		} else {
+			r.a.RFailed()
 		}
-		d := l.delegate(m)
-		if !d.TryRLock() {
-			return false
-		}
-		if l.RWMode() == m {
-			return true
-		}
-		d.RUnlock()
 	}
+	return ok
 }
 
 // RUnlock releases a read share. No mode transition can occur while any
@@ -733,10 +714,63 @@ func (l *RWLock) RUnlock() {
 	l.readers.Add(tok, -1) // the arrival's clock tick stays: it was a read
 }
 
-// Lock acquires the write lock under the active mode, re-dispatching if
-// the mode changes while we wait. Native acquisitions run the
-// FIFO-ticket → flag → drain protocol; the drain's reader observations feed
-// adaptation and its duration, on sampled acquisitions, feeds telemetry.
+// Lock acquires the write lock under the active mode. Without telemetry
+// it waits in lockW directly: a plain wait records nothing, and
+// acquireW's frame made an uncontended phase-fair write 16 % slower
+// (EXPERIMENTS.md, "A frame on the write path").
+func (l *RWLock) Lock() {
+	if l.stats == nil {
+		l.lockW(true, 0, false)
+		return
+	}
+	l.acquireW(true, nil)
+}
+
+// TryLock attempts to acquire the write lock without waiting.
+func (l *RWLock) TryLock() bool { return l.acquireW(false, nil) }
+
+// acquireW is the write side's one entry that records, behind TryLock,
+// LockCancel (wait) and Lock with telemetry (wait, c nil): it runs lockW,
+// and a cancellable wait polls lockW's try instead (LockCancel). With
+// telemetry on it records one Arrive and then exactly one of Acquired,
+// Failed or Aborted, and the holder keeps its stripe token for Unlock's
+// release; polls count no further arrival.
+func (l *RWLock) acquireW(wait bool, c *locks.Cancel) bool {
+	var tok uint64
+	var a telemetry.Acq
+	if l.stats != nil {
+		tok = stripe.Self()
+		a = l.stats.Arrive(tok)
+	}
+	poll := wait && !c.Never()
+	ok, contended := l.lockW(wait && !poll, tok, a.Timed())
+	if poll && !ok {
+		contended = true
+		ok = locks.PollAcquire(func() bool { got, _ := l.lockW(false, tok, false); return got }, c)
+	}
+	if l.stats != nil {
+		switch {
+		case ok:
+			l.wtok = uint32(tok)
+			a.Acquired(contended)
+		case wait:
+			a.Aborted(c.TimedOut())
+		default:
+			a.Failed()
+		}
+	}
+	return ok
+}
+
+// lockW is the write side's one dispatch loop: acquire the write lock under
+// the active mode, waiting if wait is set, and re-dispatch if the mode moved
+// while we waited. It reports whether the lock was taken and whether the
+// acquisition met contention (a held lock or readers to drain); a try only
+// re-loops on a mode move observed mid-try, so it never waits. Native
+// acquisitions run the FIFO-ticket → flag → drain protocol; the drain's
+// reader observations feed adaptation and its duration, on timed
+// acquisitions, feeds telemetry. A try that meets readers lowers the flag
+// and fails instead of draining.
 //
 // The native arm re-checks the mode after taking the ticket but *before*
 // raising the flag and draining: a writer that waited across a transition
@@ -747,58 +781,60 @@ func (l *RWLock) RUnlock() {
 // by the holder — so the drain runs as the genuine holder and no post-drain
 // check is needed.
 //
-// Without telemetry the phase-fair arm calls the concrete delegate, and no
-// stripe token is hashed: only telemetry reads it. A writer that acquired
-// under a family the word no longer names completes the phase its ticket
-// announced before it re-dispatches.
-func (l *RWLock) Lock() {
-	var tok uint64
-	var a telemetry.Acq
-	if l.stats != nil {
-		tok = stripe.Self()
-		a = l.stats.Arrive(tok)
-	}
-	contended := false
+// Without telemetry the phase-fair arm of a wait calls the concrete
+// delegate, and a wait on a delegate skips the try, as glk.Lock's loop
+// does. A writer that acquired under a family the word no longer names
+// completes the phase its ticket announced before it re-dispatches.
+func (l *RWLock) lockW(wait bool, tok uint64, timed bool) (ok, contended bool) {
 	for {
 		m := l.RWMode()
 		if m == RWModeStriped {
-			c := !l.wmu.TryLock()
-			if c {
+			if !l.wmu.TryLock() {
+				if !wait {
+					return false, true
+				}
+				contended = true
 				l.wmu.Lock()
 			}
-			contended = contended || c
 			if l.RWMode() != RWModeStriped {
 				l.wmu.Unlock() // stale era: leave before touching anything
 				continue
 			}
 			l.writer.Store(1)
-			contended = l.drain(tok, a.Timed()) || contended
-			break
+			if wait {
+				return true, l.drain(tok, timed) || contended
+			}
+			if rwPresent(l.readers.Sum()) == 0 {
+				return true, false
+			}
+			l.writer.Store(0)
+			l.wmu.Unlock()
+			l.readers.Inflate() // readers overlap writers
+			return false, true
 		}
-		if m == RWModePhaseFair && l.stats == nil {
+		if m == RWModePhaseFair && l.stats == nil && wait {
 			pf := l.subs.Load().pf
 			pf.Lock()
 			if l.RWMode() == m {
-				break
+				return true, false
 			}
 			pf.Unlock()
 			continue
 		}
 		d := l.delegate(m)
-		if l.stats == nil {
+		if l.stats == nil && wait {
 			d.Lock()
 		} else if !d.TryLock() {
+			if !wait {
+				return false, true
+			}
 			contended = true
 			d.Lock()
 		}
 		if l.RWMode() == m {
-			break
+			return true, contended
 		}
 		d.Unlock()
-	}
-	if l.stats != nil {
-		l.wtok = uint32(tok)
-		a.Acquired(contended)
 	}
 }
 
@@ -809,7 +845,6 @@ func (l *RWLock) Lock() {
 func (l *RWLock) drain(tok uint64, timed bool) (met bool) {
 	var s backoff.Spinner
 	var t0 time.Time
-	timed = timed && l.stats != nil
 	for rwPresent(l.readers.Sum()) != 0 {
 		if !met {
 			met = true
@@ -827,61 +862,6 @@ func (l *RWLock) drain(tok uint64, timed bool) (met bool) {
 		l.readers.Inflate()
 	}
 	return met
-}
-
-// TryLock attempts to acquire the write lock without waiting. Like Lock,
-// the native arm re-checks the mode right after taking the ticket, so
-// everything after the check runs as the genuine holder.
-func (l *RWLock) TryLock() bool {
-	tok := stripe.Self()
-	if l.stats == nil {
-		return l.tryLockLow(tok)
-	}
-	a := l.stats.Arrive(tok)
-	if l.tryLockLow(tok) {
-		a.Acquired(false)
-		return true
-	}
-	a.Failed()
-	return false
-}
-
-// tryLockLow is TryLock without instrumentation, factored out so
-// LockCancel's polling can drive the same protocol without inflating the
-// arrival lanes. It only re-loops on a mode move observed mid-try.
-func (l *RWLock) tryLockLow(tok uint64) bool {
-	for {
-		m := l.RWMode()
-		if m == RWModeStriped {
-			if !l.wmu.TryLock() {
-				return false
-			}
-			if l.RWMode() != RWModeStriped {
-				l.wmu.Unlock() // stale era: leave before touching anything
-				continue
-			}
-			l.writer.Store(1)
-			if rwPresent(l.readers.Sum()) != 0 {
-				l.writer.Store(0)
-				l.wmu.Unlock()
-				l.readers.Inflate() // readers overlap writers
-				return false
-			}
-		} else {
-			d := l.delegate(m)
-			if !d.TryLock() {
-				return false
-			}
-			if l.RWMode() != m {
-				d.Unlock()
-				continue
-			}
-		}
-		if l.stats != nil {
-			l.wtok = uint32(tok)
-		}
-		return true
-	}
 }
 
 // Unlock releases the write lock, running the sampled adaptation step

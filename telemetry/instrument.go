@@ -74,7 +74,9 @@ func (w *instrumentedLock) Unlock() {
 // instrumentedLock over the same lock, flowing through the exclusive lanes,
 // and the read side flows through the rw lane block. glk.RWLock does not
 // use this wrapper — it calls the hooks natively, which lets it also
-// report its inline↔striped mode transitions and writer drain time.
+// report its admission-mode transitions (rwstriped, rwphasefair,
+// rwwritepref), the writer phases that bypassed a reader, starved readers
+// and writer drain time.
 type instrumentedRWLock struct {
 	instrumentedLock // the write side, over rw
 	rw               locks.RWLock
