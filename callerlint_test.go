@@ -3,6 +3,7 @@ package gls_test
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -175,9 +176,9 @@ var (
 	programErr  error
 )
 
-// loadProgram type-checks every non-test Go file of the module, run from the
-// repository root, once per test binary, and then callerPackages. testdata
-// holds no program and stays out. The standard library is type-checked from
+// loadProgram type-checks every non-test Go file of the module that the
+// default build compiles, run from the repository root, once per test
+// binary, and then callerPackages. testdata holds no program and stays out. The standard library is type-checked from
 // source, so no export data or network is needed.
 func loadProgram(t *testing.T) *typedProgram {
 	t.Helper()
@@ -257,7 +258,10 @@ func (p *typedProgram) Import(path string) (*types.Package, error) {
 			if src.file != "" {
 				return fi.Name() == src.file
 			}
-			return !strings.HasSuffix(fi.Name(), "_test.go")
+			// The default build's files: a file behind a build tag (a test
+			// seam) would redeclare what its default twin declares.
+			match, err := build.Default.MatchFile(src.dir, fi.Name())
+			return err == nil && match && !strings.HasSuffix(fi.Name(), "_test.go")
 		}, 0)
 		if err != nil {
 			return nil, err

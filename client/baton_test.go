@@ -1,0 +1,428 @@
+package client
+
+import (
+	"bufio"
+	"context"
+	"errors"
+	"fmt"
+	"net"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+)
+
+// The read baton's rules, each pinned on a Conn whose peer is scripted:
+// the reply travels with the baton, a dead connection is read by nobody
+// again, a stray reply behind a round trip's own fails the connection, an
+// idle Conn still reads, and nothing is left running after the end.
+
+// pipeConn opens a Conn over an in-memory pipe to a scripted peer, which
+// answers "session" itself and every later request line (without its
+// CRLF) with answer's reply, written in one piece; an empty reply answers
+// nothing, and hangUp closes the peer's end instead. The test may write to
+// or close the returned peer end itself.
+func pipeConn(t *testing.T, answer func(req string) (reply string, hangUp bool)) (*Conn, net.Conn) {
+	t.Helper()
+	mine, theirs := net.Pipe()
+	go func() {
+		br := bufio.NewReader(theirs)
+		for {
+			line, err := br.ReadString('\n')
+			if err != nil {
+				return
+			}
+			req := strings.TrimRight(line, "\r\n")
+			if req == "session" {
+				_, _ = theirs.Write([]byte("SESSION 1\r\n"))
+				continue
+			}
+			reply, hangUp := answer(req)
+			if hangUp {
+				_ = theirs.Close()
+				return
+			}
+			if reply != "" {
+				_, _ = theirs.Write([]byte(reply))
+			}
+		}
+	}()
+	c, err := open(mine)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	t.Cleanup(func() {
+		_ = c.Close()
+		_ = theirs.Close()
+	})
+	return c, theirs
+}
+
+// pong answers a ping with PONG and a wait with QUEUED, and nothing else.
+func pong(req string) (string, bool) {
+	switch {
+	case req == "ping":
+		return "PONG\r\n", false
+	case strings.HasPrefix(req, "wait "):
+		return "QUEUED " + strings.Fields(req)[1] + "\r\n", false
+	}
+	return "", false
+}
+
+// within runs f and fails the test if it has not returned after d.
+func within(t *testing.T, d time.Duration, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("%s still blocked after %v", what, d)
+	}
+}
+
+// readerHolds waits until the reader goroutine has taken the baton on an
+// idle Conn: no call is in flight, so the holder can only be the reader.
+func readerHolds(t *testing.T, c *Conn) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); c.baton.Load()&1 == 0; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the reader goroutine never took the baton of an idle Conn")
+		}
+	}
+}
+
+// readerGone waits until c's reader goroutine has ended, then checks that
+// it left its idle timer stopped.
+func readerGone(t *testing.T, c *Conn) {
+	t.Helper()
+	frame := fmt.Sprintf("(*Conn).reader(%p", c)
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if !strings.Contains(string(buf[:runtime.Stack(buf, true)]), frame) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the reader goroutine still runs 5 s after the connection ended")
+		}
+	}
+	if c.idle.Stop() {
+		t.Fatal("the reader goroutine ended with its idle timer armed")
+	}
+}
+
+// TestReplyCarriesTheBaton: when the reader goroutine answers a round trip
+// and stops reading, the baton goes with the reply. While the reply waits
+// on syncCh the baton is taken, so a round trip cannot find it free and
+// read the socket for a reply already delivered (it would wait forever);
+// the round trip that receives it is the one that frees it. The test plays
+// that round trip by hand, between its request and its receive.
+func TestReplyCarriesTheBaton(t *testing.T) {
+	c, _ := pipeConn(t, pong)
+	readerHolds(t, c)
+	c.reqMu.Lock()
+	defer c.reqMu.Unlock()
+	if _, err := c.bw.WriteString("ping\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); len(c.syncCh) == 0; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the reader never delivered the PONG")
+		}
+	}
+	if c.takeBaton() {
+		t.Fatal("the baton was free while the reply waited on syncCh")
+	}
+	r := <-c.syncCh
+	if !r.is("PONG", 0) || !c.handed {
+		t.Fatalf("received %q, handed %v; want PONG with the baton", r, c.handed)
+	}
+	c.handed = false
+	c.releaseBaton()
+}
+
+// TestRoundTripAfterHandBack: round trips around the reader's hand-over
+// all get their own reply. The first finds the baton with the reader,
+// which answers it and hands the baton over; the next ones take it free.
+func TestRoundTripAfterHandBack(t *testing.T) {
+	c, _ := pipeConn(t, pong)
+	for i := 0; i < 3; i++ {
+		readerHolds(t, c)
+		for j := 0; j < 3; j++ {
+			within(t, 5*time.Second, "Ping", func() {
+				if err := c.Ping(); err != nil {
+					t.Errorf("Ping %d.%d: %v", i, j, err)
+				}
+			})
+		}
+	}
+}
+
+// TestDeadConnReadsNoMore: once the connection has died, nothing reads it
+// again. The peer hangs up while the reader goroutine holds the baton (a
+// Lock is queued) or while a round trip waits for its reply; either way
+// the connection is torn down once — a second teardown would close done
+// twice and panic — every call then returns ErrClosed at once, the baton
+// stays taken, and the reader goroutine ends with its timer stopped.
+func TestDeadConnReadsNoMore(t *testing.T) {
+	for _, queued := range []bool{true, false} {
+		t.Run(fmt.Sprintf("lockQueued=%v", queued), func(t *testing.T) {
+			c, _ := pipeConn(t, func(req string) (string, bool) {
+				if req == "ping" {
+					return "", true
+				}
+				return pong(req)
+			})
+			locked := make(chan error, 1)
+			if queued {
+				go func() {
+					_, err := c.Lock(context.Background(), 7, 0, 0)
+					locked <- err
+				}()
+				for deadline := time.Now().Add(5 * time.Second); !c.readerWaiting(); time.Sleep(100 * time.Microsecond) {
+					if time.Now().After(deadline) {
+						t.Fatal("the reader never took the baton for the queued Lock")
+					}
+				}
+			}
+			within(t, 5*time.Second, "Ping to a peer that hangs up", func() {
+				if err := c.Ping(); !errors.Is(err, ErrClosed) {
+					t.Errorf("Ping as the peer hangs up: %v, want ErrClosed", err)
+				}
+			})
+			if queued {
+				if err := <-locked; !errors.Is(err, ErrClosed) {
+					t.Errorf("Lock queued as the peer hangs up: %v, want ErrClosed", err)
+				}
+			}
+			for i := 0; i < 3; i++ {
+				c.wake()
+				within(t, time.Second, "Ping on a dead Conn", func() {
+					if err := c.Ping(); !errors.Is(err, ErrClosed) {
+						t.Errorf("Ping on a dead Conn: %v, want ErrClosed", err)
+					}
+				})
+			}
+			if c.takeBaton() {
+				t.Fatal("the baton of a dead Conn is free")
+			}
+			readerGone(t, c)
+			if err := c.Close(); err != nil {
+				t.Fatalf("Close of a dead Conn: %v", err)
+			}
+		})
+	}
+}
+
+// readerWaiting reports whether a wait is registered and the reader
+// goroutine holds the baton for it.
+func (c *Conn) readerWaiting() bool {
+	c.mu.Lock()
+	n := len(c.waits)
+	c.mu.Unlock()
+	return n > 0 && c.wanted.Load() && c.baton.Load()&1 == 1 && c.reqMu.state.Load() == 0
+}
+
+// TestStrayReplyBehindOwnReply: a second synchronous reply in the same
+// read as a round trip's own is one nobody asked for, and the holder must
+// route it before it lets the baton go: left in the buffer, the next round
+// trip would take it as its reply and the stream would stay out of step.
+// The peer answers one ping with two PONGs in one write. Whoever holds the
+// baton, the connection fails with the unsolicited reply, at the latest at
+// the next call, which must not succeed.
+func TestStrayReplyBehindOwnReply(t *testing.T) {
+	for _, readerFirst := range []bool{false, true} {
+		t.Run(fmt.Sprintf("readerHolds=%v", readerFirst), func(t *testing.T) {
+			answered := false
+			c, _ := pipeConn(t, func(req string) (string, bool) {
+				if req == "ping" && !answered {
+					answered = true
+					return "PONG\r\nPONG\r\n", false
+				}
+				return "", false
+			})
+			if readerFirst {
+				readerHolds(t, c)
+			}
+			var errs [2]error
+			within(t, 5*time.Second, "two Pings after a doubled PONG", func() {
+				errs[0] = c.Ping()
+				errs[1] = c.Ping()
+			})
+			if errs[1] == nil {
+				t.Fatal("the Ping after a doubled PONG succeeded: the stray PONG was taken as its reply")
+			}
+			for i, err := range errs {
+				if err != nil && (!errors.Is(err, ErrClosed) || !strings.Contains(err.Error(), "unsolicited reply")) {
+					t.Fatalf("Ping %d: %v, want ErrClosed (unsolicited reply)", i+1, err)
+				}
+			}
+			readerGone(t, c)
+		})
+	}
+}
+
+// TestExpiredWithNoCallInFlight: an EXPIRED notice reaches OnExpired on a
+// Conn that has no call in flight, through the reader goroutine taking the
+// baton of an idle Conn; and one that follows a round trip's reply in the
+// same read is routed by that round trip before it returns.
+func TestExpiredWithNoCallInFlight(t *testing.T) {
+	c, peer := pipeConn(t, func(req string) (string, bool) {
+		if req == "ping" {
+			return "PONG\r\nEXPIRED 0x9 4\r\n", false
+		}
+		return "", false
+	})
+	var mu sync.Mutex
+	var got [][2]uint64
+	c.OnExpired(func(key, token uint64) {
+		mu.Lock()
+		got = append(got, [2]uint64{key, token})
+		mu.Unlock()
+	})
+	seen := func() [][2]uint64 {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([][2]uint64(nil), got...)
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatalf("Ping: %v", err)
+	}
+	if g := seen(); len(g) != 1 || g[0] != [2]uint64{9, 4} {
+		t.Fatalf("after the Ping answered by PONG and EXPIRED: OnExpired saw %v, want [[9 4]]", g)
+	}
+	time.Sleep(10 * lingerWindow) // idle: no call in flight
+	if _, err := peer.Write([]byte("EXPIRED 0x7 3\r\n")); err != nil {
+		t.Fatalf("peer write: %v", err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); len(seen()) < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("an EXPIRED notice to an idle Conn never reached OnExpired")
+		}
+	}
+	if g := seen(); len(g) != 2 || g[1] != [2]uint64{7, 3} {
+		t.Fatalf("OnExpired saw %v, want [9 4] then [7 3]", g)
+	}
+}
+
+// TestClosedConnLeavesNothing: Close leaves no reader goroutine and no
+// armed timer, whether the reader held the baton (idle Conn), was waiting
+// out its idle timer (just after a round trip), or a Lock was queued.
+func TestClosedConnLeavesNothing(t *testing.T) {
+	for _, state := range []string{"idle", "busy", "lockQueued"} {
+		t.Run(state, func(t *testing.T) {
+			c, _ := pipeConn(t, pong)
+			locked := make(chan error, 1)
+			switch state {
+			case "idle":
+				readerHolds(t, c)
+			case "busy":
+				if err := c.Ping(); err != nil {
+					t.Fatalf("Ping: %v", err)
+				}
+			case "lockQueued":
+				go func() {
+					_, err := c.Lock(context.Background(), 7, 0, 0)
+					locked <- err
+				}()
+				for deadline := time.Now().Add(5 * time.Second); !c.readerWaiting(); time.Sleep(100 * time.Microsecond) {
+					if time.Now().After(deadline) {
+						t.Fatal("the reader never took the baton for the queued Lock")
+					}
+				}
+			}
+			if err := c.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			readerGone(t, c)
+			if state == "lockQueued" {
+				if err := <-locked; !errors.Is(err, ErrClosed) {
+					t.Fatalf("Lock queued across Close: %v, want ErrClosed", err)
+				}
+			}
+			if err := c.Ping(); !errors.Is(err, ErrClosed) {
+				t.Fatalf("Ping after Close: %v, want ErrClosed", err)
+			}
+		})
+	}
+}
+
+// TestReaderAllocatesNothing: neither a round trip that reads its own
+// reply nor the reader goroutine allocates, whether it ticks beside busy
+// round trips or sits on the baton of an idle Conn. The peer, over
+// loopback TCP (an in-memory pipe allocates now and then on its own
+// account), answers every line with PONG out of one buffer and allocates
+// nothing either, so the counts are process-wide mallocs; the bound allows
+// the runtime a few of its own (sudogs, after a collection empties their
+// cache) in the quietest of five.
+func TestReaderAllocatesNothing(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer ln.Close()
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		br := bufio.NewReader(nc)
+		session, pong := []byte("SESSION 1\r\n"), []byte("PONG\r\n")
+		for first := true; ; first = false {
+			if _, err := br.ReadSlice('\n'); err != nil {
+				return
+			}
+			out := pong
+			if first {
+				out = session
+			}
+			if _, err := nc.Write(out); err != nil {
+				return
+			}
+		}
+	}()
+	nc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	c, err := open(nc)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer c.Close()
+	for i := 0; i < 100; i++ { // buffers and sockets reach their size
+		if err := c.Ping(); err != nil {
+			t.Fatalf("Ping: %v", err)
+		}
+	}
+	const bound = 4
+	busy, idle := ^uint64(0), ^uint64(0)
+	var before, after runtime.MemStats
+	runtime.GC() // what earlier tests left is not this test's to count
+	for i := 0; i < 5; i++ {
+		runtime.ReadMemStats(&before)
+		for start := time.Now(); time.Since(start) < 10*lingerWindow; {
+			if err := c.Ping(); err != nil {
+				t.Fatalf("Ping: %v", err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		busy = min(busy, after.Mallocs-before.Mallocs)
+		runtime.ReadMemStats(&before)
+		time.Sleep(10 * lingerWindow)
+		runtime.ReadMemStats(&after)
+		idle = min(idle, after.Mallocs-before.Mallocs)
+	}
+	if busy > bound || idle > bound {
+		t.Fatalf("the quietest of five 10 ms spells allocated %d objects with round trips back to back and %d idle, want <= %d each", busy, idle, bound)
+	}
+	t.Logf("quietest spells: %d objects busy, %d idle", busy, idle)
+}

@@ -1,9 +1,11 @@
 // Package client is the Go client for glsd, the GLS lock server (package
 // server): a connection speaks the line protocol and demultiplexes
-// asynchronous grant/expiry notices from synchronous replies. It keeps no
-// per-key state: a grant's fencing token is the return value of the call
-// that took it, which the caller hands to a token-checking consumer (see
-// FencedStore) alongside the guarded write.
+// asynchronous grant/expiry notices from synchronous replies. A round trip
+// reads its own reply off the socket unless the connection's reader
+// goroutine holds the read baton (around waits, and on an idle connection).
+// It keeps no per-key state: a grant's fencing token is the return value of
+// the call that took it, which the caller hands to a token-checking consumer
+// (see FencedStore) alongside the guarded write.
 package client
 
 import (
@@ -68,14 +70,23 @@ func errForCode(code, detail string) error {
 // wait id. Goroutines sharing a Conn queue for their round trips on a lock
 // that parks them rather than spinning (reqLock): the goroutine they wait
 // for is blocked on the network, not running, so spinning would only take
-// CPU from the read loop and the server it waits on. Its buffers are sized
+// CPU from the reader and the server it waits on. Its buffers are sized
 // to the line protocol (writeBufBytes, readBufBytes), so an idle Conn holds
 // its lines, not bufio's 4 KB defaults. A Conn keeps no per-key state: the
 // token of a grant is what TryLock or Lock returned, and the session's
 // holdings are the server's to track.
+//
+// One goroutine at a time reads the socket: the holder of the read baton.
+// A round trip that finds the baton free takes it and reads its own reply,
+// so no second goroutine is woken to pass the reply on; the Conn's reader
+// goroutine holds the baton while a Lock waits and lingerWindow after, and
+// on a Conn idle for lingerWindow, so a GRANT, an EXPIRED notice or a dead
+// peer is seen with no call in flight. Whoever holds the baton routes the
+// asynchronous lines it reads to their owners.
 type Conn struct {
 	nc net.Conn
 	bw *bufio.Writer
+	br *bufio.Reader // read by the baton's holder only
 
 	// reqMu serializes request/response pairs: the protocol answers
 	// synchronous requests in order, so one round trip at a time keeps the
@@ -86,16 +97,32 @@ type Conn struct {
 	// starvationThreshold).
 	reqMu reqLock
 
-	// syncCh carries the reply to the round trip in flight. reqMu allows at
-	// most one synchronous reply outstanding and the channel holds one, so
-	// the read loop's delivery never blocks: a full channel is a reply
-	// nobody asked for.
+	// baton is the right to read nc: odd while a goroutine holds it. Every
+	// take and every release adds one, so the reader goroutine tells an
+	// idle Conn from a busy one by the word alone.
+	baton atomic.Uint64
+	// handed is set by the reader goroutine when it passes the baton on
+	// with the reply it sends on syncCh, and cleared by the round trip that
+	// receives it, which then releases the baton.
+	handed bool
+	// wanted asks for the reader goroutine to hold the baton: a wait was
+	// registered, and no sync reply has since found the Conn with no wait
+	// outstanding and none ended within lingerWindow. A round trip that
+	// releases the baton kicks the reader while it is set.
+	wanted atomic.Bool
+	kick   chan struct{} // one slot: the reader goroutine should try the baton
+	idle   *time.Timer   // the reader goroutine's idle check; armed only while it lacks the baton
+
+	// syncCh carries the reply to a round trip that found the baton held by
+	// the reader goroutine. reqMu allows at most one synchronous reply
+	// outstanding and the channel holds one, so the reader's delivery
+	// never blocks: a full channel is a reply nobody asked for.
 	syncCh chan reply
 
-	mu      sync.Mutex
-	waits   map[uint64]chan reply
-	expired func(key, token uint64)
-
+	mu       sync.Mutex
+	waits    map[uint64]chan reply
+	waitEnd  time.Time // when the last wait's terminal line was routed
+	expired  func(key, token uint64)
 	nextWait atomic.Uint64
 
 	done    chan struct{}
@@ -105,12 +132,21 @@ type Conn struct {
 // The connection's buffers. A request is written and flushed whole, so the
 // write buffer is empty between requests and needs only room for one: none
 // is longer than 90 B. The read buffer matches glsd's request scanner, which
-// starts at 512 B; a longer reply (a long ERR detail) is read whole by the
-// read loop's copy.
+// starts at 512 B; a longer reply (a long ERR detail) is read whole by
+// readLine's copy.
 const (
 	writeBufBytes = 128
 	readBufBytes  = 512
 )
+
+// lingerWindow is how long the reader goroutine keeps the baton after a
+// wait ends, and how long a Conn must go without a round trip before it
+// takes the baton. The first covers a Lock's Token and Unlock round trips
+// and the next Lock (≈ 0.1 ms on loopback): a round trip just after a wait
+// that read for itself was slower than one answered by the reader. The
+// second bounds how late an idle Conn sees an EXPIRED notice or a dead
+// peer, at two windows, and sets how often a busy Conn's reader wakes.
+const lingerWindow = time.Millisecond
 
 // Dial connects to a glsd server and opens a session.
 func Dial(addr string) (*Conn, error) {
@@ -127,25 +163,31 @@ func open(nc net.Conn) (*Conn, error) {
 	c := &Conn{
 		nc:     nc,
 		bw:     bufio.NewWriterSize(nc, writeBufBytes),
+		br:     bufio.NewReaderSize(nc, readBufBytes),
+		kick:   make(chan struct{}, 1),
+		idle:   time.NewTimer(lingerWindow),
 		syncCh: make(chan reply, 1),
 		waits:  make(map[uint64]chan reply),
 		done:   make(chan struct{}),
 	}
-	go c.readLoop(bufio.NewReaderSize(nc, readBufBytes))
+	go c.reader()
 	r, err := c.begin("session").do()
 	if err != nil {
-		_ = nc.Close()
+		_ = c.Close()
 		return nil, err
 	}
 	if !r.is("SESSION", 1) {
-		_ = nc.Close()
+		_ = c.Close()
 		return nil, fmt.Errorf("glsd client: bad session reply %q", r)
 	}
 	return c, nil
 }
 
 // OnExpired installs a callback for server-initiated lease expiries
-// (EXPIRED notices). Called from the read loop; keep it quick.
+// (EXPIRED notices). It is called by whichever goroutine reads the notice:
+// the Conn's reader, or a round trip in progress on this Conn, which holds
+// the Conn's request lock meanwhile. So keep it quick, and do not call the
+// Conn from it: such a call waits for the very round trip that runs it.
 func (c *Conn) OnExpired(fn func(key, token uint64)) {
 	c.mu.Lock()
 	c.expired = fn
@@ -157,13 +199,17 @@ func (c *Conn) OnExpired(fn func(key, token uint64)) {
 // session still holds, and a call still in flight on this Conn returns an
 // error wrapping ErrClosed. Closing twice is not an error.
 func (c *Conn) Close() error {
-	if err := c.nc.Close(); !errors.Is(err, net.ErrClosed) { // closed before, by Close or the read loop
+	err := c.nc.Close()
+	// A reader goroutine with the baton to take finds the socket closed,
+	// fails the connection and ends.
+	c.wake()
+	if !errors.Is(err, net.ErrClosed) { // closed before, by Close or a failed read
 		return err
 	}
 	return nil
 }
 
-// reply is one server line as the read loop parsed it, small enough to
+// reply is one server line as readLine parsed it, small enough to
 // travel by value: nothing is allocated for a reply made of a verb and
 // numbers, which is every reply on the single-key paths.
 type reply struct {
@@ -227,74 +273,252 @@ func (r reply) String() string {
 	return string(b) + r.text
 }
 
-// readLoop demultiplexes server lines: wait-id-bearing verbs and expiry
-// notices are asynchronous and route by id; everything else answers the
-// single outstanding synchronous request.
-func (c *Conn) readLoop(br *bufio.Reader) {
-	defer func() {
+// readLine reads and parses the next line; only the baton's holder calls
+// it.
+func (c *Conn) readLine() (reply, error) {
+	line, err := c.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		// Longer than the read buffer (a long ERR detail): the one kind
+		// of line that is copied.
+		head := bytes.Clone(line)
+		line, err = c.br.ReadBytes('\n')
+		line = append(head, line...)
+	}
+	if err != nil {
+		return reply{}, err
+	}
+	return parseReply(line), nil
+}
+
+// route delivers an asynchronous line to its owner and reports whether r
+// is instead a synchronous reply, which the caller answers: wait-id-bearing
+// verbs go to their wait by id, expiry notices to the OnExpired callback,
+// and blank lines nowhere.
+func (c *Conn) route(r reply) (synchronous bool) {
+	switch r.verb {
+	case "GRANT", "TIMEOUT", "CANCELLED":
+		if r.n == 0 {
+			return false
+		}
 		c.mu.Lock()
-		for id, ch := range c.waits {
-			close(ch)
-			delete(c.waits, id)
+		ch := c.waits[r.num[0]]
+		if ch != nil {
+			delete(c.waits, r.num[0])
+			c.waitEnd = time.Now()
 		}
 		c.mu.Unlock()
-		close(c.done)
-		// After done, so a round trip that trips over the closed socket
-		// reports what the read loop died of. The session is over either
-		// way; hanging up lets the server release what it held.
-		_ = c.nc.Close()
-	}()
+		if ch != nil {
+			ch <- r // never blocks: one terminal line per wait, one slot
+		}
+	case "EXPIRED":
+		if r.n != 2 {
+			return false
+		}
+		c.mu.Lock()
+		fn := c.expired
+		c.mu.Unlock()
+		if fn != nil {
+			fn(r.num[0], r.num[1])
+		}
+	default:
+		return r.verb != "" || r.text != ""
+	}
+	return false
+}
+
+// takeBaton takes the read baton if it is free.
+func (c *Conn) takeBaton() bool {
+	v := c.baton.Load()
+	return v&1 == 0 && c.baton.CompareAndSwap(v, v+1)
+}
+
+// releaseBaton frees the baton, having routed what is buffered
+// (routeBuffered), and kicks the reader goroutine if a wait wants it
+// reading. A stray reply fails the connection instead, and the baton stays
+// taken.
+func (c *Conn) releaseBaton() {
+	if stray, ok := c.routeBuffered(); !ok {
+		c.fail(unsolicited(stray))
+		return
+	}
+	c.baton.Add(1)
+	if c.wanted.Load() {
+		c.wake()
+	}
+}
+
+// routeBuffered routes the complete lines already buffered behind the
+// holder's last one, before the holder lets the baton go: after that
+// nobody reads until the next holder, and a line left in the buffer would
+// be taken by the next round trip as its reply. A synchronous line among
+// them is a reply nobody asked for (the next request cannot have been
+// written yet): routeBuffered stops there and returns it, ok false, for
+// the holder to fail the connection. A partial line stays for the next
+// holder.
+func (c *Conn) routeBuffered() (stray reply, ok bool) {
 	for {
-		line, err := br.ReadSlice('\n')
-		if err == bufio.ErrBufferFull {
-			// Longer than the read buffer (a long ERR detail): the one kind
-			// of line that is copied.
-			head := bytes.Clone(line)
-			line, err = br.ReadBytes('\n')
-			line = append(head, line...)
+		buf, _ := c.br.Peek(c.br.Buffered())
+		if bytes.IndexByte(buf, '\n') < 0 {
+			return reply{}, true
 		}
-		if err != nil {
-			c.readErr = err
-			return
-		}
-		r := parseReply(line)
-		switch r.verb {
-		case "GRANT", "TIMEOUT", "CANCELLED":
-			if r.n == 0 {
-				continue
-			}
-			c.mu.Lock()
-			ch := c.waits[r.num[0]]
-			delete(c.waits, r.num[0])
-			c.mu.Unlock()
-			if ch != nil {
-				ch <- r // never blocks: one terminal line per wait, one slot
-			}
-		case "EXPIRED":
-			if r.n != 2 {
-				continue
-			}
-			c.mu.Lock()
-			fn := c.expired
-			c.mu.Unlock()
-			if fn != nil {
-				fn(r.num[0], r.num[1])
-			}
-		default:
-			if r.verb == "" && r.text == "" {
-				continue // a blank line
-			}
-			select {
-			case c.syncCh <- r:
-			default:
-				// The one slot is taken and no round trip can be waiting
-				// for a second reply: the stream is out of step. Fail the
-				// connection now.
-				c.readErr = fmt.Errorf("glsd client: unsolicited reply %q", r)
-				return
-			}
+		r, _ := c.readLine() // buffered whole: cannot fail
+		if c.route(r) {
+			return r, false
 		}
 	}
+}
+
+// unsolicited is the error of a stream out of step: a synchronous reply
+// that no round trip can be waiting for.
+func unsolicited(r reply) error {
+	return fmt.Errorf("glsd client: unsolicited reply %q", r)
+}
+
+// wake kicks the reader goroutine to try the baton.
+func (c *Conn) wake() {
+	select {
+	case c.kick <- struct{}{}:
+	default:
+	}
+}
+
+// readOwn reads lines as the baton's holder until the synchronous reply to
+// its own request, routing the asynchronous ones on the way, and releases
+// the baton. A reply read whole is returned even if a stray line behind it
+// then fails the connection.
+func (c *Conn) readOwn() (reply, error) {
+	for {
+		r, err := c.readLine()
+		if err != nil {
+			c.fail(err)
+			return reply{}, c.broken(nil)
+		}
+		if c.route(r) {
+			c.releaseBaton()
+			return r, nil
+		}
+	}
+}
+
+// fail ends the connection: it records what the connection died of,
+// closes every wait's channel and done, and hangs up, so the server
+// releases what the session held. Only the baton's holder calls it, and
+// the baton is never released after, so it runs once and nothing reads the
+// socket again.
+func (c *Conn) fail(err error) {
+	c.readErr = err
+	c.mu.Lock()
+	for id, ch := range c.waits {
+		close(ch)
+		delete(c.waits, id)
+	}
+	c.mu.Unlock()
+	close(c.done)
+	// After done, so a round trip that trips over the closed socket
+	// reports what the connection died of.
+	_ = c.nc.Close()
+}
+
+// reader is the Conn's reader goroutine. Without the baton it sleeps until
+// kicked (a wait wants it reading, or Close) or until a tick of the idle
+// timer finds the baton word unchanged since the last one: no round trip
+// took the baton for a whole lingerWindow. It then takes the baton and
+// reads until readHeld passes it on, or until the connection dies.
+func (c *Conn) reader() {
+	defer c.idle.Stop()
+	armed, seen := true, c.baton.Load()
+	for {
+		select {
+		case <-c.kick:
+		case <-c.idle.C:
+			armed = false
+			if v := c.baton.Load(); v != seen {
+				seen, armed = v, true
+				c.idle.Reset(lingerWindow)
+				continue
+			}
+		case <-c.done:
+			return
+		}
+		if !c.takeBaton() {
+			// A round trip holds it. It kicks on release if a wait wants
+			// the reader; the ticks watch for idleness otherwise.
+			if !armed {
+				armed = true
+				c.idle.Reset(lingerWindow)
+			}
+			continue
+		}
+		if armed && !c.idle.Stop() {
+			select { // a tick that fired meanwhile would only be stale
+			case <-c.idle.C:
+			default:
+			}
+		}
+		if !c.readHeld() {
+			return
+		}
+		armed, seen = true, c.baton.Load()
+		c.idle.Reset(lingerWindow)
+	}
+}
+
+// readHeld reads as the reader goroutine, holding the baton. A synchronous
+// reply goes to the round trip waiting on syncCh. While keep says so the
+// reader reads on; otherwise it passes the baton to that round trip with
+// the reply, and returns true. It returns false if the connection died.
+// A round trip prefers a delivered reply to done, so a reply read whole
+// reaches its caller whichever goroutine read it.
+func (c *Conn) readHeld() bool {
+	for {
+		r, err := c.readLine()
+		if err != nil {
+			c.fail(err)
+			return false
+		}
+		if !c.route(r) {
+			continue
+		}
+		if len(c.syncCh) != 0 {
+			// The one slot is taken and no round trip can be waiting for a
+			// second reply: the stream is out of step.
+			c.fail(unsolicited(r))
+			return false
+		}
+		if c.keep() {
+			c.syncCh <- r
+			continue
+		}
+		// Pass the baton with the reply: the round trip that takes it frees
+		// the baton itself, so the next round trip can neither find it free
+		// before this reply is delivered nor find it held by a reader about
+		// to stop. The reply was read whole, so it is delivered before a
+		// stray line behind it fails the connection; the baton then stays
+		// taken.
+		stray, ok := c.routeBuffered()
+		c.handed = ok
+		c.syncCh <- r
+		if !ok {
+			c.fail(unsolicited(stray))
+		}
+		return ok
+	}
+}
+
+// keep reports whether the reader goroutine should go on holding the baton
+// after a synchronous reply: a wait is outstanding or ended within
+// lingerWindow. Once neither holds it clears wanted.
+func (c *Conn) keep() bool {
+	if !c.wanted.Load() {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.waits) > 0 || time.Since(c.waitEnd) < lingerWindow {
+		return true
+	}
+	c.wanted.Store(false)
+	return false
 }
 
 // request is one request line under construction in the connection's write
@@ -332,7 +556,9 @@ func (q request) ms(d time.Duration) request {
 }
 
 // do sends the request and returns its reply; an ERR reply comes back as
-// the error it names.
+// the error it names. The reply is read here if the baton is free; else the
+// reader goroutine, which holds it, sends the reply on syncCh, and may hand
+// the baton over with it.
 func (q request) do() (reply, error) {
 	c := q.c
 	defer c.reqMu.Unlock()
@@ -343,20 +569,37 @@ func (q request) do() (reply, error) {
 	if err != nil {
 		return reply{}, c.broken(err)
 	}
-	select {
-	case r := <-c.syncCh:
-		if r.verb == "ERR" {
-			code, detail, _ := strings.Cut(r.text, " ")
-			return reply{}, errForCode(code, detail)
+	var r reply
+	if c.takeBaton() {
+		// Free, so nobody has read since this request was written: the
+		// reply is still on the socket.
+		if r, err = c.readOwn(); err != nil {
+			return reply{}, err
 		}
-		return r, nil
-	case <-c.done:
-		return reply{}, c.broken(nil)
+	} else {
+		select {
+		case r = <-c.syncCh:
+		case <-c.done:
+			select {
+			case r = <-c.syncCh: // delivered before the connection failed
+			default:
+				return reply{}, c.broken(nil)
+			}
+		}
+		if c.handed {
+			c.handed = false
+			c.releaseBaton()
+		}
 	}
+	if r.verb == "ERR" {
+		code, detail, _ := strings.Cut(r.text, " ")
+		return reply{}, errForCode(code, detail)
+	}
+	return r, nil
 }
 
 // broken is a round trip's error on a dead connection: ErrClosed, with what
-// the read loop died of if it has (that came first), else the write error.
+// the connection died of if it has (that came first), else the write error.
 func (c *Conn) broken(err error) error {
 	select {
 	case <-c.done:
@@ -409,6 +652,7 @@ func (c *Conn) wait(ctx context.Context, key uint64, ttl, timeout time.Duration)
 	ch := make(chan reply, 1)
 	c.mu.Lock()
 	c.waits[id] = ch
+	c.wanted.Store(true) // before the wait request: its round trip kicks the reader
 	c.mu.Unlock()
 
 	q := c.begin("wait").num(id).key(key).ms(ttl)

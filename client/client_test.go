@@ -3,6 +3,8 @@ package client_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -331,4 +333,80 @@ func TestFencingSurvivesRestart(t *testing.T) {
 	if err := b.Unlock(key); err != nil {
 		t.Fatalf("Unlock (b): %v", err)
 	}
+}
+
+// TestRoundTripRacesLock: round trips and a waiting Lock share one Conn,
+// and every line reaches its owner. On Conn a, one goroutine runs
+// TryLock+Unlock on keys of its own (round trips that read their own
+// replies, and route what they read past them) while another runs
+// Lock+Unlock on a key that a goroutine on Conn b keeps taking, so a's
+// GRANTs arrive while a's round trips, or a's reader goroutine, hold the
+// read baton. Every call must succeed, every token must exceed the last one
+// seen for its key, and under -race no access may race.
+func TestRoundTripRacesLock(t *testing.T) {
+	addr := startServer(t, server.Options{})
+	a, b := dial(t, addr), dial(t, addr)
+	const shared = 7
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	var trips, locks atomic.Int64
+	run := func(name string, body func(last map[uint64]uint64) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			last := make(map[uint64]uint64)
+			for !stop.Load() {
+				if err := body(last); err != nil {
+					t.Errorf("%s: %v", name, err)
+					stop.Store(true)
+					return
+				}
+			}
+		}()
+	}
+	advance := func(last map[uint64]uint64, key, tok uint64) error {
+		if tok <= last[key] {
+			return fmt.Errorf("key %d: token %d, not above the last seen %d", key, tok, last[key])
+		}
+		last[key] = tok
+		return nil
+	}
+	i := uint64(0)
+	run("round trips on a", func(last map[uint64]uint64) error {
+		i++
+		key := 100 + i%16
+		tok, err := a.TryLock(key, 10*time.Second)
+		if err != nil {
+			return err
+		}
+		if err := advance(last, key, tok); err != nil {
+			return err
+		}
+		trips.Add(1)
+		return a.Unlock(key)
+	})
+	locker := func(c *client.Conn, n *atomic.Int64) func(map[uint64]uint64) error {
+		return func(last map[uint64]uint64) error {
+			tok, err := c.Lock(context.Background(), shared, 10*time.Second, 5*time.Second)
+			if err != nil {
+				return err
+			}
+			if err := advance(last, shared, tok); err != nil {
+				return err
+			}
+			if n != nil {
+				n.Add(1)
+			}
+			return c.Unlock(shared)
+		}
+	}
+	run("Lock on a", locker(a, &locks))
+	run("Lock on b", locker(b, nil))
+	time.Sleep(300 * time.Millisecond)
+	stop.Store(true)
+	wg.Wait()
+	if trips.Load() == 0 || locks.Load() == 0 {
+		t.Fatalf("%d round trips and %d Locks on the shared Conn, want both > 0", trips.Load(), locks.Load())
+	}
+	t.Logf("%d round trips and %d Locks on the shared Conn", trips.Load(), locks.Load())
 }

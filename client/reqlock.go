@@ -10,7 +10,7 @@ import (
 // blocked on the network (it holds the lock across a request and its
 // reply), so by the paper's rule a waiter blocks rather than spins: nothing
 // it does on its CPU brings the release closer, and that CPU is the one the
-// read loop or the server needs. reqLock keeps sync.Mutex's admission order
+// reader or the server needs. reqLock keeps sync.Mutex's admission order
 // and drops its spinning:
 //
 //   - Uncontended, Lock and Unlock are one CAS each.

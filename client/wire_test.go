@@ -372,21 +372,7 @@ func TestSharedConnEveryCallerProgresses(t *testing.T) {
 // BenchmarkWireRoundTrip is the client's TryLock+Unlock over loopback, one
 // request in flight: ns/op and allocs/op count both ends.
 func BenchmarkWireRoundTrip(b *testing.B) {
-	srv, err := server.New(server.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	ln, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	go func() { _ = srv.Serve(ln) }()
-	c, err := client.Dial(ln.Addr().String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
+	c := benchConn(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -398,4 +384,50 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkWireSoloLock is wire_handoff's op run by one goroutine alone:
+// Lock (a wait that is granted at once, its GRANT pushed after QUEUED),
+// Token, Unlock. Nothing contends, so it times what a wait costs the
+// client beside two plain round trips: the reader goroutine holds the read
+// baton from the wait on, and answers the round trips after it.
+func BenchmarkWireSoloLock(b *testing.B) {
+	c := benchConn(b)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		key := uint64(1 + i%128)
+		tok, err := c.Lock(ctx, key, 10*time.Second, 5*time.Second)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if cur, err := c.Token(key); err != nil || cur != tok {
+			b.Fatalf("Token = %d, %v; want %d", cur, err, tok)
+		}
+		if err := c.Unlock(key); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchConn dials an in-process glsd on loopback, both torn down when b
+// ends.
+func benchConn(b *testing.B) *client.Conn {
+	srv, err := server.New(server.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(srv.Close)
+	ln, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	go func() { _ = srv.Serve(ln) }()
+	c, err := client.Dial(ln.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = c.Close() })
+	return c
 }

@@ -5,14 +5,19 @@
 //
 //  1. cache-line-sized buckets (three key/value slots per bucket), so
 //     operations typically touch one line;
-//  2. searching for a key is read-only and wait-free (and, in the head
+//  2. searching for a key is read-only and lock-free (and, in the head
 //     bucket, one multiply and no branch per slot: Get);
-//  3. failing to insert an existing key is also read-only and wait-free
+//  3. failing to insert an existing key is also read-only and lock-free
 //     (GetOrInsert probes before locking);
 //  4. the table is resizable.
 //
-// Writers take a per-bucket spinlock; a resize briefly locks all buckets of
-// the old table, copies, and swaps the table pointer (readers never block).
+// Writers take a per-bucket spinlock whose word is also the bucket's
+// version, OPTIK-style (David/Guerraoui/Trigonakis, PPoPP'16): odd while
+// held, and one higher at every acquire and release. A look-up that reads
+// the same version before and after its loads returns what it found; one
+// that does not retries, which happens only when a writer made progress.
+// A resize briefly locks all buckets of the old table, copies, and swaps
+// the table pointer (readers never block).
 // Key 0 is reserved as the empty-slot sentinel — GLS rejects nil/zero keys
 // at its API boundary, mirroring the paper's "any arbitrary value ... except
 // for NULL".
@@ -39,8 +44,9 @@ const defaultBuckets = 64
 const maxLoadFactor = 2.25 // 75% of 3 slots
 
 // bucket is one hash bucket: a small open block plus an overflow chain.
+// A head bucket's lock guards its whole chain.
 type bucket[V any] struct {
-	lock atomic.Uint32 // TTAS bucket writer lock
+	lock atomic.Uint32 // TTAS writer lock and version: odd while held
 	keys [slotsPerBucket]atomic.Uint64
 	vals [slotsPerBucket]atomic.Pointer[V]
 	next atomic.Pointer[bucket[V]]
@@ -49,14 +55,16 @@ type bucket[V any] struct {
 func (b *bucket[V]) acquire() {
 	var s backoff.Spinner
 	for {
-		if b.lock.Load() == 0 && b.lock.CompareAndSwap(0, 1) {
+		if v := b.lock.Load(); v&1 == 0 && b.lock.CompareAndSwap(v, v+1) {
 			return
 		}
 		s.Spin()
 	}
 }
 
-func (b *bucket[V]) release() { b.lock.Store(0) }
+// release makes the version even again, one past the acquire's: only the
+// holder writes an odd word.
+func (b *bucket[V]) release() { b.lock.Store(b.lock.Load() + 1) }
 
 // table is one immutable-size generation of the hash table.
 type table[V any] struct {
@@ -118,8 +126,9 @@ func hash(k uint64) uint64 {
 	return h ^ h<<32
 }
 
-// Get returns the value mapped to key, or nil if absent. It is wait-free:
-// no locks are taken and no writes are performed.
+// Get returns the value mapped to key, or nil if absent. It takes no lock
+// and writes nothing; it is lock-free, not wait-free: it retries when a
+// writer acquired or released key's head bucket during its loads.
 //
 // The head bucket's slot is chosen without a branch per slot: which slot
 // a key sits in is a coin toss per look-up, so a loop whose exit depends
@@ -127,19 +136,52 @@ func hash(k uint64) uint64 {
 // re-read, as the walk does; anything else — no slot matched (an overflow
 // chain or an absent key), the re-check failed (a racing Delete), or the
 // key showed in two slots (a Delete racing a re-insert) — takes the walk.
+//
+// A value is returned only if the head bucket's version reads the same
+// before and after: the key re-check alone passes a slot that went key →
+// other key → key between the loads, with the other key's value. Within
+// one critical section a slot changes once, and in the order (value before
+// key on insert, key before value on delete) the re-check is built for;
+// the version wraps after 2³¹ of them, far more than fit in one look-up.
+// A nil result needs no check: a key that is in the table throughout a
+// look-up is in one slot throughout, and the look-up finds it.
 func (t *Table[V]) Get(key uint64) *V {
 	if key == 0 {
 		return nil
 	}
 	b := t.cur.Load().head(key)
+	ver := b.lock.Load()
 	i := slotOf(b.keys[0].Load() == key, b.keys[1].Load() == key, b.keys[2].Load() == key)
 	if i < slotsPerBucket {
-		if v := b.vals[i].Load(); v != nil && b.keys[i].Load() == key {
+		seam(seamKeys)
+		v := b.vals[i].Load()
+		seam(seamValue)
+		if v != nil && b.keys[i].Load() == key && b.lock.Load() == ver {
 			return v
 		}
 	}
-	return b.find(key)
+	return t.walk(key)
 }
+
+// walk is Get's slot-by-slot look-up of key's chain, repeated until the
+// head bucket's version holds across one whole walk.
+func (t *Table[V]) walk(key uint64) *V {
+	for {
+		b := t.cur.Load().head(key)
+		ver := b.lock.Load()
+		if v := b.find(key); v == nil || b.lock.Load() == ver {
+			return v
+		}
+	}
+}
+
+// seamPoint names a point between a look-up's loads (seam).
+type seamPoint uint8
+
+const (
+	seamKeys  seamPoint = iota // a key matched; its value is not yet loaded
+	seamValue                  // the value is loaded; the key is not yet re-read
+)
 
 // slotOf returns the one slot whose key matched, or slotsPerBucket when
 // none did. A key seen in two slots gives a value out of range (slots 0
@@ -158,14 +200,16 @@ func b2u(b bool) uint {
 	return u
 }
 
-// find is Get's slot-by-slot walk of the chain from b.
+// find walks the chain from b slot by slot; the caller checks the version.
 func (b *bucket[V]) find(key uint64) *V {
 	for b != nil {
 		for i := 0; i < slotsPerBucket; i++ {
 			if b.keys[i].Load() != key {
 				continue
 			}
+			seam(seamKeys)
 			v := b.vals[i].Load()
+			seam(seamValue)
 			// Re-check the key: a racing Delete may have cleared the slot
 			// between our two loads, in which case v may belong to nobody.
 			if v != nil && b.keys[i].Load() == key {
@@ -186,7 +230,7 @@ func (t *Table[V]) GetOrInsert(key uint64, create func() *V) (*V, bool) {
 	if key == 0 {
 		panic("clht: zero key")
 	}
-	// Wait-free fast path: most lookups hit existing keys once a system's
+	// Lock-free fast path: most lookups hit existing keys once a system's
 	// locks are warm ("this hash table converges to a read-mostly hash
 	// table", paper §1).
 	if v := t.Get(key); v != nil {
