@@ -14,7 +14,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"gls"
 	"gls/glk"
@@ -27,7 +26,7 @@ import (
 // benchMonitor is a hint-driven monitor so benches ignore machine noise.
 func benchMonitor(b *testing.B) *sysmon.Monitor {
 	b.Helper()
-	m := sysmon.New(sysmon.Options{Interval: time.Millisecond, DisableProbes: true})
+	m := sysmon.New(sysmon.Options{DisableProbes: true})
 	m.Start()
 	b.Cleanup(m.Stop)
 	return m

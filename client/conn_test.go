@@ -109,6 +109,23 @@ func storm(l *reqLock, goroutines, n int, body func()) (run func()) {
 	}
 }
 
+// quiesce waits until neither the goroutine count nor the process's malloc
+// count has moved for 10 ms, or two seconds have passed, and leaves the
+// last reading in ms.
+func quiesce(ms *runtime.MemStats) {
+	runtime.ReadMemStats(ms)
+	goroutines, mallocs := runtime.NumGoroutine(), ms.Mallocs
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		runtime.ReadMemStats(ms)
+		g, m := runtime.NumGoroutine(), ms.Mallocs
+		if g == goroutines && m == mallocs {
+			return
+		}
+		goroutines, mallocs = g, m
+	}
+}
+
 // TestReqLockExclusion: a plain counter under the lock counts every
 // acquisition of eight goroutines exactly (and, under -race, with no race
 // reported). Each holder yields between reading and writing the counter, as
@@ -177,11 +194,18 @@ func TestReqLockHandsOffToStarvedWaiter(t *testing.T) {
 // records to its peak, contended acquisitions allocate nothing. Holders
 // yield while they hold the lock, so every storm parks waiters. Each storm
 // after the warm-up is 8 x 10000 acquisitions, its goroutines started
-// before its Mallocs delta is taken; the runtime now and then allocates a
-// few objects of its own in one (sudogs, after a collection empties their
-// cache), so the bound is on the quietest of three. A Lock that allocated
-// per park would put thousands in every storm.
+// before its Mallocs delta is taken, and taken only once the process is
+// quiet: Mallocs counts the whole process, and goroutines an earlier test
+// left winding down allocate too. The storms run on one P. A parked
+// goroutine takes a sudog from its P's cache and may give it back to
+// another P's, so on two Ps the runtime allocates sudogs in storm after
+// storm (up to 16 objects in one, measured) until both caches are full.
+// One P's cache refills from itself. The runtime still allocates a few
+// objects of its own now and then (sudogs, after a collection empties the
+// central cache), so the bound is on the quietest of three. A Lock that
+// allocated per park would put thousands in every storm.
 func TestReqLockContendedAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var l reqLock
 	storm(&l, 8, 10000, runtime.Gosched)()
 	records := 0
@@ -198,7 +222,7 @@ func TestReqLockContendedAllocs(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		run := storm(&l, 8, 10000, runtime.Gosched)
 		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
+		quiesce(&before)
 		run()
 		runtime.ReadMemStats(&after)
 		least = min(least, after.Mallocs-before.Mallocs)

@@ -11,6 +11,7 @@ import (
 
 	"gls/glk"
 	"gls/internal/figures"
+	"gls/internal/harness"
 	"gls/locks"
 )
 
@@ -106,56 +107,40 @@ func fairMeasure(writers, readers int, d time.Duration, mk func() rwLockish) fai
 	for i := range ls {
 		ls[i] = mk()
 	}
-	var stop atomic.Bool
-	var wOps, rOps atomic.Int64
 	var wMax, rMax atomic.Int64
-	var start, wg sync.WaitGroup
-	start.Add(1)
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			start.Wait()
-			local := int64(0)
-			for i := id; !stop.Load(); i++ {
+	res := harness.Drive(writers+readers, d, 0, func(w *harness.Worker) {
+		if w.ID < writers {
+			for i := w.ID; w.Next(); i++ {
 				l := ls[i%fairKeys]
 				t0 := time.Now()
 				l.Lock()
 				raiseMax(&wMax, time.Since(t0).Nanoseconds())
 				l.Unlock()
-				local++
 			}
-			wOps.Add(local)
-		}(w)
+			return
+		}
+		for i := w.ID - writers; w.Next(); i++ {
+			l := ls[i%fairKeys]
+			t0 := time.Now()
+			l.RLock()
+			raiseMax(&rMax, time.Since(t0).Nanoseconds())
+			l.RUnlock()
+		}
+	})
+	var wOps, rOps uint64
+	for id, n := range res.PerThread {
+		if id < writers {
+			wOps += n
+		} else {
+			rOps += n
+		}
 	}
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			start.Wait()
-			local := int64(0)
-			for i := id; !stop.Load(); i++ {
-				l := ls[i%fairKeys]
-				t0 := time.Now()
-				l.RLock()
-				raiseMax(&rMax, time.Since(t0).Nanoseconds())
-				l.RUnlock()
-				local++
-			}
-			rOps.Add(local)
-		}(r)
-	}
-	t0 := time.Now()
-	start.Done()
-	time.Sleep(d)
-	stop.Store(true)
-	wg.Wait()
-	elapsed := time.Since(t0).Seconds()
+	elapsed := res.Elapsed.Seconds()
 	return fairResult{
 		Writers:         writers,
 		Readers:         readers,
-		WriterOpsPerSec: float64(wOps.Load()) / elapsed,
-		ReaderOpsPerSec: float64(rOps.Load()) / elapsed,
+		WriterOpsPerSec: float64(wOps) / elapsed,
+		ReaderOpsPerSec: float64(rOps) / elapsed,
 		MaxWriterWaitNs: wMax.Load(),
 		MaxReaderWaitNs: rMax.Load(),
 	}

@@ -32,12 +32,12 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"gls"
 	"gls/glk"
 	"gls/internal/cycles"
+	"gls/internal/harness"
 	"gls/internal/sysmon"
 	"gls/telemetry"
 	"gls/telemetry/telemetryhttp"
@@ -300,7 +300,7 @@ func fetchURL(url string) func() (*telemetry.Snapshot, error) {
 // demo runs a small contended workload against a telemetry-enabled service
 // and returns its registry, for -demo and -serve.
 func demo(d time.Duration) (*telemetry.Registry, func()) {
-	mon := sysmon.New(sysmon.Options{Interval: time.Millisecond, DisableProbes: true})
+	mon := sysmon.New(sysmon.Options{DisableProbes: true})
 	mon.Start()
 	reg := telemetry.New(telemetry.Options{SamplePeriod: 8})
 	svc := gls.New(gls.Options{
@@ -311,36 +311,24 @@ func demo(d time.Duration) (*telemetry.Registry, func()) {
 	reg.SetLabel(hot, "hot")
 	reg.SetLabel(cold, "cold")
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
 	workers := 2 * runtime.GOMAXPROCS(0)
 	if workers < 4 {
 		workers = 4
 	}
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for n := 0; ; n++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				svc.Lock(hot)
-				cycles.Wait(512)
-				svc.Unlock(hot)
-				if i == 0 && n%64 == 0 {
-					svc.Lock(cold)
-					cycles.Wait(128)
-					svc.Unlock(cold)
-				}
+	stop := harness.Start(workers, 0, func(w *harness.Worker) {
+		for n := 0; w.Next(); n++ {
+			svc.Lock(hot)
+			cycles.Wait(512)
+			svc.Unlock(hot)
+			if w.ID == 0 && n%64 == 0 {
+				svc.Lock(cold)
+				cycles.Wait(128)
+				svc.Unlock(cold)
 			}
-		}(g)
-	}
+		}
+	})
 	cleanup := func() {
-		close(stop)
-		wg.Wait()
+		stop()
 		svc.Close()
 		mon.Stop()
 	}

@@ -29,6 +29,7 @@ import (
 	"gls"
 	"gls/glk"
 	"gls/internal/cycles"
+	"gls/internal/harness"
 	"gls/internal/sysmon"
 	"gls/locks"
 	"gls/telemetry"
@@ -131,27 +132,16 @@ func runWriterStarvation() (string, bool) {
 	}
 	fmt.Printf("flooding one rw key with %d readers on %d procs; writer needs %d writes...\n",
 		readers, runtime.GOMAXPROCS(0), writerQuota)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				svc.RLock(hotKey)
-				// Yield while holding so read shares genuinely overlap (and
-				// overlap the writer's drain) even on GOMAXPROCS=1.
-				runtime.Gosched()
-				cycles.Wait(256)
-				svc.RUnlock(hotKey)
-			}
-		}()
-	}
+	stop := harness.Start(readers, 0, func(w *harness.Worker) {
+		for w.Next() {
+			svc.RLock(hotKey)
+			// Yield while holding so read shares genuinely overlap (and
+			// overlap the writer's drain) even on GOMAXPROCS=1.
+			runtime.Gosched()
+			cycles.Wait(256)
+			svc.RUnlock(hotKey)
+		}
+	})
 
 	writes := 0
 	deadline := time.Now().Add(30 * time.Second)
@@ -162,8 +152,7 @@ func runWriterStarvation() (string, bool) {
 		writes++
 		runtime.Gosched() // let the flood refill between writes
 	}
-	close(stop)
-	wg.Wait()
+	stop()
 
 	snap := reg.Snapshot()
 	if err := snap.WriteText(os.Stdout); err != nil {
@@ -204,25 +193,15 @@ func runWriterStarvation() (string, bool) {
 // it is stuck in counts in worst once the writers are gone.
 func starveProbe(l locks.RWLock, writers, readers, readsEach int, deadline time.Duration, more func(worst uint64) bool) (p90, worst uint64, starved bool) {
 	var phases atomic.Uint64
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				l.Lock()
-				phases.Add(1)
-				cycles.Wait(2000) // a real critical section: the flag stays up most of the time
-				l.Unlock()
-			}
-		}()
-	}
+	stop := harness.Start(writers, 0, func(w *harness.Worker) {
+		for w.Next() {
+			l.Lock()
+			phases.Add(1)
+			cycles.Wait(2000) // a real critical section: the flag stays up most of the time
+			l.Unlock()
+		}
+	})
+	var over atomic.Bool // the deadline has passed or every reader is done
 	crossed := make([][]uint64, readers)
 	var most atomic.Uint64 // the most phases a finished read has spanned
 	var short atomic.Int32 // readers short of their quota
@@ -236,7 +215,7 @@ func starveProbe(l locks.RWLock, writers, readers, readsEach int, deadline time.
 			for phases.Load() == 0 {
 				runtime.Gosched() // the stream is not running yet
 			}
-			for i := 0; i < readsEach || more != nil && !isClosed(stop) && more(most.Load()); i++ {
+			for i := 0; i < readsEach || more != nil && !over.Load() && more(most.Load()); i++ {
 				p0 := phases.Load()
 				l.RLock()
 				n := phases.Load() - p0
@@ -259,24 +238,14 @@ func starveProbe(l locks.RWLock, writers, readers, readsEach int, deadline time.
 	case <-time.After(deadline):
 		starved = short.Load() > 0
 	}
-	close(stop)
-	wg.Wait()
+	over.Store(true)
+	stop()
 	// Readers may still be blocked inside RLock; with the writers gone the
 	// stream has ended, so they drain now. Their recorded spans count.
 	<-done
 	all := slices.Concat(crossed...)
 	slices.Sort(all)
 	return all[(len(all)-1)*9/10], all[len(all)-1], starved
-}
-
-// isClosed reports whether c has been closed.
-func isClosed(c <-chan struct{}) bool {
-	select {
-	case <-c:
-		return true
-	default:
-		return false
-	}
 }
 
 // runReaderStarvation is the mirror of runWriterStarvation: continuous
@@ -422,7 +391,7 @@ func runSlowSubscriber() (string, bool) {
 	if quickMode {
 		frees = 192
 	}
-	mon := sysmon.New(sysmon.Options{Interval: time.Millisecond, DisableProbes: true})
+	mon := sysmon.New(sysmon.Options{DisableProbes: true})
 	mon.Start()
 	defer mon.Stop()
 	reg := telemetry.New(telemetry.Options{SamplePeriod: 8, EventBuffer: ringSize})
@@ -473,25 +442,14 @@ func runSlowSubscriber() (string, bool) {
 	}
 	fmt.Printf("transition storm: %d goroutines on %d procs, ring %d, one stalled subscriber...\n",
 		workers, runtime.GOMAXPROCS(0), ringSize)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				svc.Lock(hotKey)
-				runtime.Gosched()
-				cycles.Wait(512)
-				svc.Unlock(hotKey)
-			}
-		}()
-	}
+	stop := harness.Start(workers, 0, func(w *harness.Worker) {
+		for w.Next() {
+			svc.Lock(hotKey)
+			runtime.Gosched()
+			cycles.Wait(512)
+			svc.Unlock(hotKey)
+		}
+	})
 	transitioned := func(key uint64, to string) bool {
 		if l := reg.Snapshot().Lock(key); l != nil {
 			for _, tr := range l.Transitions {
@@ -516,8 +474,7 @@ func runSlowSubscriber() (string, bool) {
 	mon.SetHint(workers)
 	mutexSeen := waitFor(glk.ModeMutex.String(), 15*time.Second)
 	mon.SetHint(0)
-	close(stop)
-	wg.Wait()
+	stop()
 
 	// Phase 3: the adversarial writer stream starves readers on the service
 	// RW key until the adaptive policy escalates to phase-fair admission. It

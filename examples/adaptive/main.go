@@ -20,7 +20,7 @@ import (
 )
 
 func main() {
-	mon := sysmon.New(sysmon.Options{Interval: time.Millisecond, DisableProbes: true})
+	mon := sysmon.New(sysmon.Options{DisableProbes: true})
 	mon.Start()
 	defer mon.Stop()
 

@@ -3,7 +3,6 @@ package glk
 import (
 	"strconv"
 	"testing"
-	"time"
 
 	"gls/internal/sysmon"
 )
@@ -15,7 +14,7 @@ import (
 
 func ablationMonitor(b *testing.B) *sysmon.Monitor {
 	b.Helper()
-	m := sysmon.New(sysmon.Options{Interval: time.Millisecond, DisableProbes: true})
+	m := sysmon.New(sysmon.Options{DisableProbes: true})
 	m.Start()
 	b.Cleanup(m.Stop)
 	return m

@@ -12,7 +12,7 @@ import (
 // mkLockWithEMA builds a lock whose queue EMA reads avg, against a monitor
 // with the given multiprogramming state.
 func mkLockWithEMA(avg float64, multiprog bool) *Lock {
-	mon := sysmon.New(sysmon.Options{Interval: time.Millisecond, DisableProbes: true})
+	mon := sysmon.New(sysmon.Options{DisableProbes: true})
 	if multiprog {
 		mon.Start()
 		mon.SetHint(runtime.GOMAXPROCS(0) + 64)

@@ -14,7 +14,7 @@ import (
 // newTestMonitor returns a stopped, probe-free monitor: the multiprog flag
 // is driven purely by update()/hints, keeping tests deterministic.
 func newTestMonitor() *sysmon.Monitor {
-	return sysmon.New(sysmon.Options{Interval: time.Millisecond, DisableProbes: true})
+	return sysmon.New(sysmon.Options{DisableProbes: true})
 }
 
 // waitFlag waits for a started test monitor's multiprogramming flag to read

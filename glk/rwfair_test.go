@@ -226,7 +226,7 @@ func TestRWLockInlineReturnsWhileRead(t *testing.T) {
 // multiprogramming flag up and writers queued, a sampled release moves the
 // lock to rwwritepref.
 func TestRWLockBlocksUnderMultiprogramming(t *testing.T) {
-	mon := sysmon.New(sysmon.Options{Interval: time.Millisecond, DisableProbes: true})
+	mon := sysmon.New(sysmon.Options{DisableProbes: true})
 	mon.Start()
 	defer mon.Stop()
 	reg := telemetry.New(telemetry.Options{SamplePeriod: 4})
@@ -329,7 +329,7 @@ func TestRWLockConfigValidation(t *testing.T) {
 // lost. Run under -race in CI.
 func TestRWLockFamilyStormExclusion(t *testing.T) {
 	const writers, readers, iters = 3, 3, 1200
-	mon := sysmon.New(sysmon.Options{Interval: time.Millisecond, DisableProbes: true})
+	mon := sysmon.New(sysmon.Options{DisableProbes: true})
 	mon.Start()
 	defer mon.Stop()
 	reg := telemetry.New(telemetry.Options{SamplePeriod: 4})

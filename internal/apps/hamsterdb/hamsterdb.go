@@ -10,11 +10,11 @@
 package hamsterdb
 
 import (
-	"sync/atomic"
 	"time"
 
 	"gls/internal/apps/appsync"
 	"gls/internal/cycles"
+	"gls/internal/harness"
 	"gls/internal/xrand"
 	"gls/locks"
 )
@@ -79,9 +79,6 @@ func RunWorkload(db *DB, w WorkloadConfig) (uint64, time.Duration) {
 	if w.Threads <= 0 {
 		w.Threads = 2
 	}
-	if w.Duration <= 0 {
-		w.Duration = 100 * time.Millisecond
-	}
 	value := make([]byte, 64)
 	// Preload half the key space.
 	pre := xrand.NewSplitMix64(w.Seed ^ 0xabcd)
@@ -89,31 +86,15 @@ func RunWorkload(db *DB, w WorkloadConfig) (uint64, time.Duration) {
 		db.Insert(pre.Uintn(uint64(w.Keys)), value)
 	}
 
-	var stop atomic.Bool
-	var total atomic.Uint64
-	done := make(chan struct{})
-	for t := 0; t < w.Threads; t++ {
-		go func(id int) {
-			defer func() { done <- struct{}{} }()
-			rng := xrand.NewSplitMix64(w.Seed + uint64(id)*6151)
-			ops := uint64(0)
-			for !stop.Load() {
-				k := rng.Uintn(uint64(w.Keys))
-				if rng.Bool(w.ReadRatio) {
-					db.Find(k)
-				} else {
-					db.Insert(k, value)
-				}
-				ops++
+	res := harness.Drive(w.Threads, w.Duration, w.Seed, func(wk *harness.Worker) {
+		for wk.Next() {
+			k := wk.Rng.Uintn(uint64(w.Keys))
+			if wk.Rng.Bool(w.ReadRatio) {
+				db.Find(k)
+			} else {
+				db.Insert(k, value)
 			}
-			total.Add(ops)
-		}(t)
-	}
-	start := time.Now()
-	time.Sleep(w.Duration)
-	stop.Store(true)
-	for i := 0; i < w.Threads; i++ {
-		<-done
-	}
-	return total.Load(), time.Since(start)
+		}
+	})
+	return res.Ops, res.Elapsed
 }

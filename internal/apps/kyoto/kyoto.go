@@ -19,11 +19,11 @@
 package kyoto
 
 import (
-	"sync/atomic"
 	"time"
 
 	"gls/internal/apps/appsync"
 	"gls/internal/cycles"
+	"gls/internal/harness"
 	"gls/internal/xrand"
 	"gls/locks"
 )
@@ -309,40 +309,21 @@ func RunWorkload(db *DB, w WorkloadConfig) (uint64, time.Duration) {
 	if w.Threads <= 0 {
 		w.Threads = 4
 	}
-	if w.Duration <= 0 {
-		w.Duration = 100 * time.Millisecond
-	}
 	value := make([]byte, 64)
 	pre := xrand.NewSplitMix64(w.Seed ^ 0x5eed)
 	for i := 0; i < w.Keys/2; i++ {
 		db.Set(pre.Uintn(uint64(w.Keys)), value)
 	}
 
-	var stop atomic.Bool
-	var total atomic.Uint64
-	done := make(chan struct{})
-	for t := 0; t < w.Threads; t++ {
-		go func(id int) {
-			defer func() { done <- struct{}{} }()
-			rng := xrand.NewSplitMix64(w.Seed + uint64(id)*2029)
-			ops := uint64(0)
-			for !stop.Load() {
-				k := rng.Uintn(uint64(w.Keys))
-				if rng.Bool(setRatio) {
-					db.Set(k, value)
-				} else {
-					db.Get(k)
-				}
-				ops++
+	res := harness.Drive(w.Threads, w.Duration, w.Seed, func(wk *harness.Worker) {
+		for wk.Next() {
+			k := wk.Rng.Uintn(uint64(w.Keys))
+			if wk.Rng.Bool(setRatio) {
+				db.Set(k, value)
+			} else {
+				db.Get(k)
 			}
-			total.Add(ops)
-		}(t)
-	}
-	start := time.Now()
-	time.Sleep(w.Duration)
-	stop.Store(true)
-	for i := 0; i < w.Threads; i++ {
-		<-done
-	}
-	return total.Load(), time.Since(start)
+		}
+	})
+	return res.Ops, res.Elapsed
 }

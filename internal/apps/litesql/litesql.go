@@ -17,6 +17,7 @@ import (
 
 	"gls/internal/apps/appsync"
 	"gls/internal/cycles"
+	"gls/internal/harness"
 	"gls/internal/xrand"
 	"gls/locks"
 )
@@ -256,37 +257,20 @@ func RunWorkload(db *DB, p appsync.Provider, w WorkloadConfig) (uint64, time.Dur
 	if w.Connections <= 0 {
 		w.Connections = 8
 	}
-	if w.Duration <= 0 {
-		w.Duration = 100 * time.Millisecond
-	}
-	conns := make([]*Conn, w.Connections)
-	for i := range conns {
-		conns[i] = db.NewConn(p, i, w.Seed)
-	}
-	var stop atomic.Bool
-	done := make(chan struct{})
 	before := db.Commits()
-	for _, c := range conns {
-		go func(c *Conn) {
-			defer func() { done <- struct{}{} }()
-			for !stop.Load() {
-				r := c.rng.Float64()
-				switch {
-				case r < newOrderRatio:
-					c.NewOrder()
-				case r < newOrderRatio+paymentRatio:
-					c.Payment()
-				default:
-					c.OrderStatus()
-				}
+	res := harness.Drive(w.Connections, w.Duration, w.Seed, func(wk *harness.Worker) {
+		c := db.NewConn(p, wk.ID, w.Seed)
+		for wk.Next() {
+			r := c.rng.Float64()
+			switch {
+			case r < newOrderRatio:
+				c.NewOrder()
+			case r < newOrderRatio+paymentRatio:
+				c.Payment()
+			default:
+				c.OrderStatus()
 			}
-		}(c)
-	}
-	start := time.Now()
-	time.Sleep(w.Duration)
-	stop.Store(true)
-	for range conns {
-		<-done
-	}
-	return db.Commits() - before, time.Since(start)
+		}
+	})
+	return db.Commits() - before, res.Elapsed
 }

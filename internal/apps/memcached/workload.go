@@ -2,10 +2,9 @@ package memcached
 
 import (
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"gls/internal/harness"
 	"gls/internal/xrand"
 )
 
@@ -42,9 +41,6 @@ func RunWorkload(c *Cache, w WorkloadConfig) (uint64, time.Duration) {
 	if w.Threads <= 0 {
 		w.Threads = 1
 	}
-	if w.Duration <= 0 {
-		w.Duration = 100 * time.Millisecond
-	}
 
 	keys := make([]string, w.Keys)
 	for i := range keys {
@@ -58,31 +54,16 @@ func RunWorkload(c *Cache, w WorkloadConfig) (uint64, time.Duration) {
 		c.Set(keys[warm.Uintn(uint64(w.Keys))], value)
 	}
 
-	var stop atomic.Bool
-	var total atomic.Uint64
-	var wg sync.WaitGroup
-	for t := 0; t < w.Threads; t++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			rng := xrand.NewSplitMix64(w.Seed + uint64(id)*7919)
-			zipf := xrand.NewZipf(rng, w.Keys, keySkew)
-			ops := uint64(0)
-			for !stop.Load() {
-				k := keys[zipf.Next()]
-				if rng.Bool(w.GetRatio) {
-					c.Get(k)
-				} else {
-					c.Set(k, value)
-				}
-				ops++
+	res := harness.Drive(w.Threads, w.Duration, w.Seed, func(wk *harness.Worker) {
+		zipf := xrand.NewZipf(&wk.Rng, w.Keys, keySkew)
+		for wk.Next() {
+			k := keys[zipf.Next()]
+			if wk.Rng.Bool(w.GetRatio) {
+				c.Get(k)
+			} else {
+				c.Set(k, value)
 			}
-			total.Add(ops)
-		}(t)
-	}
-	start := time.Now()
-	time.Sleep(w.Duration)
-	stop.Store(true)
-	wg.Wait()
-	return total.Load(), time.Since(start)
+		}
+	})
+	return res.Ops, res.Elapsed
 }

@@ -18,6 +18,7 @@ import (
 
 	"gls/internal/apps/appsync"
 	"gls/internal/cycles"
+	"gls/internal/harness"
 	"gls/internal/xrand"
 	"gls/locks"
 )
@@ -241,42 +242,28 @@ func RunWorkload(db *DB, w WorkloadConfig) (uint64, time.Duration) {
 	if w.Threads <= 0 {
 		w.Threads = 8
 	}
-	if w.Duration <= 0 {
-		w.Duration = 100 * time.Millisecond
-	}
-	var stop atomic.Bool
-	done := make(chan struct{})
 	before := db.Commits()
-	for t := 0; t < w.Threads; t++ {
-		go func(id int) {
-			defer func() { done <- struct{}{} }()
-			rng := xrand.NewSplitMix64(w.Seed + uint64(id)*9973)
-			zipf := xrand.NewZipf(rng, len(db.nodes), keySkew)
-			for !stop.Load() {
-				id1 := uint64(zipf.Next())
-				r := rng.Float64()
-				switch {
-				case r < 0.51:
-					db.GetLinkList(id1, rng)
-				case r < 0.64:
-					db.GetNode(id1, rng)
-				case r < 0.76:
-					db.AddLink(id1, rng.Next(), rng)
-				case r < 0.85:
-					db.CountLinks(id1, rng)
-				case r < 0.93:
-					db.UpdateNode(id1, rng)
-				default:
-					db.AddLink(id1, rng.Next(), rng)
-				}
+	res := harness.Drive(w.Threads, w.Duration, w.Seed, func(wk *harness.Worker) {
+		rng := &wk.Rng
+		zipf := xrand.NewZipf(rng, len(db.nodes), keySkew)
+		for wk.Next() {
+			id1 := uint64(zipf.Next())
+			r := rng.Float64()
+			switch {
+			case r < 0.51:
+				db.GetLinkList(id1, rng)
+			case r < 0.64:
+				db.GetNode(id1, rng)
+			case r < 0.76:
+				db.AddLink(id1, rng.Next(), rng)
+			case r < 0.85:
+				db.CountLinks(id1, rng)
+			case r < 0.93:
+				db.UpdateNode(id1, rng)
+			default:
+				db.AddLink(id1, rng.Next(), rng)
 			}
-		}(t)
-	}
-	start := time.Now()
-	time.Sleep(w.Duration)
-	stop.Store(true)
-	for i := 0; i < w.Threads; i++ {
-		<-done
-	}
-	return db.Commits() - before, time.Since(start)
+		}
+	})
+	return db.Commits() - before, res.Elapsed
 }

@@ -111,7 +111,7 @@ func monitored(run func(Scale, *sysmon.Monitor) ([]Table, error)) func(Scale) ([
 // benchMonitor returns a started monitor driven purely by harness hints, so
 // figure runs are deterministic with respect to unrelated machine load.
 func benchMonitor() *sysmon.Monitor {
-	m := sysmon.New(sysmon.Options{Interval: time.Millisecond, DisableProbes: true})
+	m := sysmon.New(sysmon.Options{DisableProbes: true})
 	m.Start()
 	return m
 }

@@ -10,12 +10,17 @@
 //
 // Locks are abstracted behind Locker so the same workloads drive raw
 // algorithms, GLK, and GLS-mediated locking.
+//
+// Start and Drive are that loop for every closed-loop load in the module:
+// the figures' Run, the modelled systems' workloads and the tools' streams.
+// A body gets its Worker, does its set-up, and loops on Next; the window
+// opens at the gate its first Next waits at, once every worker has arrived,
+// and closes at the stop. Worker i draws from its own stream, seeded
+// seed + i·0x9e3779b9.
 package harness
 
 import (
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"gls"
@@ -134,12 +139,6 @@ func (r Result) Throughput() float64 {
 // Mops returns millions of operations per second (the paper's y-axis).
 func (r Result) Mops() float64 { return r.Throughput() / 1e6 }
 
-// paddedCounter avoids false sharing between workers' op counts.
-type paddedCounter struct {
-	n atomic.Uint64
-	_ [56]byte
-}
-
 // Run executes one measurement with the given lock provider.
 func Run(cfg Config, factory LockerFactory) Result {
 	if cfg.Threads <= 0 {
@@ -148,15 +147,8 @@ func Run(cfg Config, factory LockerFactory) Result {
 	if cfg.Locks <= 0 {
 		cfg.Locks = 1
 	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = 100 * time.Millisecond
-	}
 	cycles.Calibrate()
-
 	locker := factory(cfg.Locks)
-	counters := make([]paddedCounter, cfg.Threads)
-	var stop atomic.Bool
-	var started, done sync.WaitGroup
 
 	if cfg.Monitor != nil {
 		cfg.Monitor.AddHint(cfg.Threads + cfg.BackgroundSpinners)
@@ -164,66 +156,35 @@ func Run(cfg Config, factory LockerFactory) Result {
 	}
 
 	// Background spinners: runnable, CPU-bound, no locking.
-	for i := 0; i < cfg.BackgroundSpinners; i++ {
-		started.Add(1)
-		done.Add(1)
-		go func() {
-			started.Done()
-			defer done.Done()
-			for !stop.Load() {
-				cycles.Wait(512)
-				backoff.Yield()
-			}
-		}()
-	}
+	defer Start(cfg.BackgroundSpinners, 0, func(w *Worker) {
+		for w.Next() {
+			cycles.Wait(512)
+			backoff.Yield()
+		}
+	})()
 
-	for w := 0; w < cfg.Threads; w++ {
-		started.Add(1)
-		done.Add(1)
-		go func(id int) {
-			started.Done()
-			defer done.Done()
-			rng := xrand.NewSplitMix64(cfg.Seed + uint64(id)*0x9e3779b9)
-			var zipf *xrand.Zipf
-			if cfg.ZipfAlpha > 0 && cfg.Locks > 1 {
-				zipf = xrand.NewZipf(rng, cfg.Locks, cfg.ZipfAlpha)
-			}
-			ops := uint64(0)
-			for !stop.Load() {
-				i := 0
-				if cfg.Locks > 1 {
-					if zipf != nil {
-						i = zipf.Next()
-					} else {
-						i = int(rng.Uintn(uint64(cfg.Locks)))
-					}
+	return Drive(cfg.Threads, cfg.Duration, cfg.Seed, func(w *Worker) {
+		var zipf *xrand.Zipf
+		if cfg.ZipfAlpha > 0 && cfg.Locks > 1 {
+			zipf = xrand.NewZipf(&w.Rng, cfg.Locks, cfg.ZipfAlpha)
+		}
+		for w.Next() {
+			i := 0
+			if cfg.Locks > 1 {
+				if zipf != nil {
+					i = zipf.Next()
+				} else {
+					i = int(w.Rng.Uintn(uint64(cfg.Locks)))
 				}
-				locker.Acquire(i)
-				if cfg.CSCycles > 0 {
-					cycles.Wait(cfg.CSCycles)
-				}
-				locker.Release(i)
-				ops++
-				cycles.Wait(delayCycles)
 			}
-			counters[id].n.Store(ops)
-		}(w)
-	}
-
-	started.Wait()
-	start := time.Now()
-	time.Sleep(cfg.Duration)
-	stop.Store(true)
-	done.Wait()
-	elapsed := time.Since(start)
-
-	res := Result{Elapsed: elapsed, PerThread: make([]uint64, cfg.Threads)}
-	for i := range counters {
-		c := counters[i].n.Load()
-		res.PerThread[i] = c
-		res.Ops += c
-	}
-	return res
+			locker.Acquire(i)
+			if cfg.CSCycles > 0 {
+				cycles.Wait(cfg.CSCycles)
+			}
+			locker.Release(i)
+			cycles.Wait(delayCycles)
+		}
+	})
 }
 
 // RunMedian runs the configuration reps times and returns the run with the

@@ -113,7 +113,7 @@ func TestWindowEdge(t *testing.T) {
 }
 
 func TestMonitorStopFreezesFlag(t *testing.T) {
-	m := New(Options{Interval: time.Millisecond, DisableProbes: true})
+	m := New(Options{DisableProbes: true})
 	m.Start()
 	m.SetHint(1 << 20)
 	deadline := time.After(10 * time.Second)

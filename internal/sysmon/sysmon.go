@@ -31,13 +31,12 @@ import (
 	"time"
 )
 
-// Defaults for Options.
 const (
-	// DefaultInterval is the monitor's wake-up period. The paper uses
-	// ~100 µs; Go timers on a loaded single-P runtime cannot hold that
-	// cadence reliably, so the default is 1 ms (adaptation periods are
-	// thousands of critical sections, so the flag is still fresh).
-	DefaultInterval = time.Millisecond
+	// interval is the monitor's wake-up period. The paper uses ~100 µs; Go
+	// timers on a loaded single-P runtime cannot hold that cadence
+	// reliably, so it is 1 ms (adaptation periods are thousands of
+	// critical sections, so the flag is still fresh).
+	interval = time.Millisecond
 
 	// window is the wall time one load estimate covers. Scheduling events
 	// are sparse exactly when it matters — CPU-bound goroutines change
@@ -62,8 +61,6 @@ const (
 
 // Options configures a Monitor. The zero value selects every default.
 type Options struct {
-	// Interval between load samples. 0 means DefaultInterval.
-	Interval time.Duration
 	// DisableProbes turns off the scheduling-latency probe, leaving only
 	// explicit hints: for runs whose mode transitions must replay exactly.
 	DisableProbes bool
@@ -109,9 +106,6 @@ const maxRequiredCalm = 1 << 12
 
 // New returns a stopped monitor with the given options.
 func New(opts Options) *Monitor {
-	if opts.Interval <= 0 {
-		opts.Interval = DefaultInterval
-	}
 	return &Monitor{
 		opts:         opts,
 		requiredCalm: minRequiredCalm,
@@ -180,7 +174,7 @@ func (m *Monitor) Rounds() uint64 { return m.rounds.Load() }
 // run is the monitor loop.
 func (m *Monitor) run(stop <-chan struct{}, stopped chan<- struct{}) {
 	defer close(stopped)
-	ticker := time.NewTicker(m.opts.Interval)
+	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
 		select {

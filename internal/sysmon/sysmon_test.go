@@ -24,7 +24,7 @@ func waitRounds(t *testing.T, m *Monitor, n uint64) {
 }
 
 func TestHintTriggersMultiprog(t *testing.T) {
-	m := New(Options{Interval: time.Millisecond, DisableProbes: true})
+	m := New(Options{DisableProbes: true})
 	m.Start()
 	defer m.Stop()
 
@@ -39,7 +39,7 @@ func TestHintTriggersMultiprog(t *testing.T) {
 }
 
 func TestFlagClearsAfterCalmRounds(t *testing.T) {
-	m := New(Options{Interval: time.Millisecond, DisableProbes: true})
+	m := New(Options{DisableProbes: true})
 	m.Start()
 	defer m.Stop()
 
@@ -124,7 +124,7 @@ func TestAddHintNeverNegative(t *testing.T) {
 }
 
 func TestStartStopIdempotent(t *testing.T) {
-	m := New(Options{Interval: time.Millisecond})
+	m := New(Options{})
 	m.Stop() // stopping a never-started monitor is fine
 	m.Start()
 	m.Start() // double start is a no-op

@@ -13,7 +13,7 @@ import (
 // quietMonitor returns a monitor that never reports multiprogramming, so
 // service tests are independent of machine load.
 func quietMonitor() *sysmon.Monitor {
-	return sysmon.New(sysmon.Options{Interval: time.Millisecond, DisableProbes: true})
+	return sysmon.New(sysmon.Options{DisableProbes: true})
 }
 
 func newTestService(t *testing.T, opts Options) *Service {
