@@ -426,3 +426,98 @@ func TestReaderAllocatesNothing(t *testing.T) {
 	}
 	t.Logf("quietest spells: %d objects busy, %d idle", busy, idle)
 }
+
+// lockPeer is a scripted peer for a Lock of key 7 granted with token 5:
+// it answers the wait with QUEUED, and with the GRANT behind it in the
+// same piece if inOnePiece, and a token request with TOKEN 0x7 5.
+func lockPeer(inOnePiece bool) func(string) (string, bool) {
+	return func(req string) (string, bool) {
+		f := strings.Fields(req)
+		switch f[0] {
+		case "wait":
+			if inOnePiece {
+				return "QUEUED " + f[1] + "\r\nGRANT " + f[1] + " 0x7 5 10000\r\n", false
+			}
+			return "QUEUED " + f[1] + "\r\n", false
+		case "token":
+			return "TOKEN 0x7 5\r\n", false
+		}
+		return pong(req)
+	}
+}
+
+// lock7 and token7 run Lock and Token on key 7 and check the token.
+func lock7(t *testing.T, c *Conn) {
+	t.Helper()
+	within(t, 5*time.Second, "Lock", func() {
+		if tok, err := c.Lock(context.Background(), 7, 0, 0); err != nil || tok != 5 {
+			t.Errorf("Lock = %d, %v; want token 5", tok, err)
+		}
+	})
+}
+
+func token7(t *testing.T, c *Conn) {
+	t.Helper()
+	if tok, err := c.Token(7); err != nil || tok != 5 {
+		t.Fatalf("Token = %d, %v; want 5", tok, err)
+	}
+}
+
+// TestGrantInTheWaitsRead: a GRANT that the wait's own round trip routes
+// before it lets the baton go (the peer sent QUEUED and GRANT in one
+// piece) leaves nothing for the reader goroutine to wait for. It is not
+// asked to take the baton, and the Token after the Lock reads its own
+// reply, so the baton is free once each returns. (The reader may still
+// take an idle Conn's baton on its own: an attempt in which it did so
+// before the wait's round trip, and so read the GRANT itself, is retried.)
+func TestGrantInTheWaitsRead(t *testing.T) {
+	c, _ := pipeConn(t, lockPeer(true))
+	for i := 0; i < 3; i++ {
+		for attempt := 1; ; attempt++ {
+			v := c.baton.Load()
+			lock7(t, c)
+			if v&1 == 0 && c.baton.Load() != v+1 {
+				break // the wait's round trip took the baton itself
+			}
+			if attempt == 20 {
+				t.Fatal("in 20 attempts the reader goroutine always took the baton before the wait's round trip")
+			}
+			time.Sleep(2 * lingerWindow)
+			token7(t, c) // a reply this late takes the baton back from the reader
+		}
+		if c.wanted.Load() || len(c.kick) != 0 {
+			t.Fatalf("Lock %d: wanted %v, %d kicks pending; want the reader left alone once the GRANT is routed", i, c.wanted.Load(), len(c.kick))
+		}
+		token7(t, c)
+		if v := c.baton.Load(); v&1 != 0 {
+			t.Fatalf("Lock %d: the baton is held (word %d) after the Token: the reader answered it", i, v)
+		}
+	}
+}
+
+// TestGrantReadByTheReader: a GRANT that comes after the wait's round
+// trip is read by the reader goroutine, which holds the baton for it,
+// delivers it, and keeps the baton until a synchronous reply finds the
+// wait over for lingerWindow; that reply's round trip gets the baton with
+// it, and wanted is clear.
+func TestGrantReadByTheReader(t *testing.T) {
+	c, peer := pipeConn(t, lockPeer(false))
+	go func() {
+		for deadline := time.Now().Add(5 * time.Second); !c.readerWaiting(); time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				return // the Lock below times out and says so
+			}
+		}
+		_, _ = peer.Write([]byte("GRANT 1 0x7 5 10000\r\n"))
+	}()
+	lock7(t, c)
+	if v := c.baton.Load(); v&1 == 0 || !c.wanted.Load() {
+		t.Fatalf("after a GRANT the reader read: baton word %d, wanted %v; want the reader holding the baton", v, c.wanted.Load())
+	}
+	token7(t, c)
+	time.Sleep(2 * lingerWindow)
+	token7(t, c) // this reply finds the wait over for lingerWindow
+	if v := c.baton.Load(); v&1 != 0 || c.wanted.Load() {
+		t.Fatalf("a reply %v after the GRANT: baton word %d, wanted %v; want the baton handed over and wanted clear", 2*lingerWindow, v, c.wanted.Load())
+	}
+}

@@ -2,7 +2,8 @@
 // server): a connection speaks the line protocol and demultiplexes
 // asynchronous grant/expiry notices from synchronous replies. A round trip
 // reads its own reply off the socket unless the connection's reader
-// goroutine holds the read baton (around waits, and on an idle connection).
+// goroutine holds the read baton (around waits that glsd queues, and on an
+// idle connection).
 // It keeps no per-key state: a grant's fencing token is the return value of
 // the call that took it, which the caller hands to a token-checking consumer
 // (see FencedStore) alongside the guarded write.
@@ -81,8 +82,10 @@ func errForCode(code, detail string) error {
 // so no second goroutine is woken to pass the reply on; the Conn's reader
 // goroutine holds the baton while a Lock waits and lingerWindow after, and
 // on a Conn idle for lingerWindow, so a GRANT, an EXPIRED notice or a dead
-// peer is seen with no call in flight. Whoever holds the baton routes the
-// asynchronous lines it reads to their owners.
+// peer is seen with no call in flight. A Lock whose GRANT came in the same
+// read as its QUEUED (a free key) has not waited: the reader is not asked
+// for the baton. Whoever holds the baton routes the asynchronous lines it
+// reads to their owners.
 type Conn struct {
 	nc net.Conn
 	bw *bufio.Writer
@@ -108,7 +111,9 @@ type Conn struct {
 	// wanted asks for the reader goroutine to hold the baton: a wait was
 	// registered, and no sync reply has since found the Conn with no wait
 	// outstanding and none ended within lingerWindow. A round trip that
-	// releases the baton kicks the reader while it is set.
+	// releases the baton kicks the reader while it is set and a wait is
+	// outstanding, and clears it if none is: a GRANT that the round trip
+	// itself routed leaves the reader nothing to linger for.
 	wanted atomic.Bool
 	kick   chan struct{} // one slot: the reader goroutine should try the baton
 	idle   *time.Timer   // the reader goroutine's idle check; armed only while it lacks the baton
@@ -140,12 +145,15 @@ const (
 )
 
 // lingerWindow is how long the reader goroutine keeps the baton after a
-// wait ends, and how long a Conn must go without a round trip before it
-// takes the baton. The first covers a Lock's Token and Unlock round trips
-// and the next Lock (≈ 0.1 ms on loopback): a round trip just after a wait
-// that read for itself was slower than one answered by the reader. The
-// second bounds how late an idle Conn sees an EXPIRED notice or a dead
-// peer, at two windows, and sets how often a busy Conn's reader wakes.
+// wait whose GRANT it read, and how long a Conn must go without a round
+// trip before it takes the baton. The first covers a Lock's Token and
+// Unlock round trips and the next Lock (≈ 0.1 ms on loopback): a round trip
+// just after a wait that had parked the reader, read for itself, was slower
+// than one answered by the reader (EXPERIMENTS.md). A wait granted in
+// its own round trip's read parked nobody, and its round trips read for
+// themselves. The second bounds how late an idle Conn sees an EXPIRED
+// notice or a dead peer, at two windows, and sets how often a busy Conn's
+// reader wakes.
 const lingerWindow = time.Millisecond
 
 // Dial connects to a glsd server and opens a session.
@@ -334,7 +342,10 @@ func (c *Conn) takeBaton() bool {
 
 // releaseBaton frees the baton, having routed what is buffered
 // (routeBuffered), and kicks the reader goroutine if a wait wants it
-// reading. A stray reply fails the connection instead, and the baton stays
+// reading and is still outstanding. If routeBuffered ended the last wait
+// (glsd answers a wait on a free key QUEUED and GRANT in one write), it
+// clears wanted instead, so the round trips after the Lock read their own
+// replies. A stray reply fails the connection instead, and the baton stays
 // taken.
 func (c *Conn) releaseBaton() {
 	if stray, ok := c.routeBuffered(); !ok {
@@ -342,9 +353,22 @@ func (c *Conn) releaseBaton() {
 		return
 	}
 	c.baton.Add(1)
-	if c.wanted.Load() {
+	if c.wanted.Load() && c.waitOutstanding() {
 		c.wake()
 	}
+}
+
+// waitOutstanding reports whether a wait is registered, and clears wanted
+// if none is. Under mu, so a wait registered meanwhile sets wanted after
+// the clear and kicks the reader on its own round trip's release.
+func (c *Conn) waitOutstanding() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.waits) > 0 {
+		return true
+	}
+	c.wanted.Store(false)
+	return false
 }
 
 // routeBuffered routes the complete lines already buffered behind the
@@ -652,7 +676,7 @@ func (c *Conn) wait(ctx context.Context, key uint64, ttl, timeout time.Duration)
 	ch := make(chan reply, 1)
 	c.mu.Lock()
 	c.waits[id] = ch
-	c.wanted.Store(true) // before the wait request: its round trip kicks the reader
+	c.wanted.Store(true) // before the wait request: its round trip kicks the reader unless it routed the GRANT
 	c.mu.Unlock()
 
 	q := c.begin("wait").num(id).key(key).ms(ttl)

@@ -387,10 +387,11 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 }
 
 // BenchmarkWireSoloLock is wire_handoff's op run by one goroutine alone:
-// Lock (a wait that is granted at once, its GRANT pushed after QUEUED),
-// Token, Unlock. Nothing contends, so it times what a wait costs the
-// client beside two plain round trips: the reader goroutine holds the read
-// baton from the wait on, and answers the round trips after it.
+// Lock (a wait that is granted at once: glsd writes QUEUED and GRANT
+// together), Token, Unlock. Nothing contends, so it times what a wait
+// costs the client beside two plain round trips: the wait's round trip
+// routes its own GRANT, and the round trips after it read their own
+// replies, as a TryLock's would.
 func BenchmarkWireSoloLock(b *testing.B) {
 	c := benchConn(b)
 	ctx := context.Background()

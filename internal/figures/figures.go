@@ -368,6 +368,9 @@ func fig11(s Scale, mon *sysmon.Monitor) ([]Table, error) {
 }
 
 // fig12: relative throughput of GLS over direct locking with 10 threads.
+// Each side's locks live for the whole cell, its reps included: the direct
+// locks are built once, as the service builds each key once, so an adaptive
+// lock carries its mode from rep to rep on both sides alike.
 func fig12(s Scale, mon *sysmon.Monitor) ([]Table, error) {
 	glkCfg := &glk.Config{Monitor: mon}
 	t := Table{Labels: []Column{{Name: "locks", Width: 8}}, Values: columns(10, 3, lockNames...), Unit: "   (GLS/direct)"}
@@ -375,7 +378,8 @@ func fig12(s Scale, mon *sysmon.Monitor) ([]Table, error) {
 		r := Row{Labels: []string{strconv.Itoa(nLocks)}}
 		cfg := harness.Config{Threads: 10, Locks: nLocks, CSCycles: 1024, Duration: s.Duration, Seed: 37, Monitor: mon}
 		for i := range lockNames {
-			direct := harness.RunMedian(cfg, fourLocks(mon)[i], s.Reps)
+			built := fourLocks(mon)[i](nLocks)
+			direct := harness.RunMedian(cfg, func(int) harness.Locker { return built }, s.Reps)
 			svc := gls.New(gls.Options{GLK: glkCfg, SizeHint: nLocks * 2})
 			viaGLS := harness.RunMedian(cfg, harness.ServiceLocks(svc, glsAlgos[i]), s.Reps)
 			svc.Close()

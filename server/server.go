@@ -487,25 +487,16 @@ func (s *Server) handleCancel(ss *session, cmd Command) {
 	ss.mu.Unlock()
 }
 
-// handleAsync admits a wait: count it against QueueDepth, register the
-// wait, pin its key, acknowledge with QUEUED and only then start the
-// goroutine that acquires — so GRANT follows QUEUED on the wire by program
-// order. From there the waiter is parked in the lock's own FIFO queue;
-// nothing else stands in for it.
+// handleAsync admits a wait: count it against QueueDepth and pin its key,
+// then try the key's lock once. A free key is granted right here: the slot
+// comes back, and QUEUED and GRANT go out in one write, with no goroutine
+// started. Otherwise the wait is registered, acknowledged with QUEUED and
+// only then handed to the goroutine that acquires — so GRANT follows QUEUED
+// on the wire by program order either way. From there the waiter is parked
+// in the lock's own FIFO queue; nothing else stands in for it. Only this
+// reader goroutine looks a wait up by id (dupid, cancel) or ends a session,
+// so a wait registered after the try is one no request can miss.
 func (s *Server) handleAsync(ss *session, cmd Command) {
-	timeout := cmd.Timeout
-	if timeout <= 0 {
-		timeout = defaultWaitTimeout
-	}
-	done := make(chan struct{})
-	w := &wait{
-		id:    cmd.ID,
-		key:   cmd.Key,
-		ttl:   s.clampTTL(cmd.TTL),
-		bound: locks.Cancel{Done: done, Deadline: time.Now().Add(timeout)},
-		done:  done,
-	}
-
 	ss.mu.Lock()
 	if ss.dead {
 		ss.mu.Unlock()
@@ -528,10 +519,38 @@ func (s *Server) handleAsync(ss *session, cmd Command) {
 		ss.writeErr(protoErrf(ErrCodeOverload, "acquisition queue full (%d pending)", s.opts.QueueDepth))
 		return
 	}
-	ss.waits[cmd.ID] = w
 	ss.mu.Unlock()
 
-	w.pin = s.pin(cmd.Key)
+	ttl := s.clampTTL(cmd.TTL)
+	pin := s.pin(cmd.Key)
+	if pin.TryLock() {
+		s.waiting.Add(-1)
+		token, ok := s.grant(ss, cmd.Key, pin, ttl)
+		if !ok { // the session died under us
+			s.cancels.Add(1)
+			return
+		}
+		ss.begin("QUEUED").num(cmd.ID).
+			next("GRANT").num(cmd.ID).key(cmd.Key).num(token).ms(ttl).end()
+		return
+	}
+
+	timeout := cmd.Timeout
+	if timeout <= 0 {
+		timeout = defaultWaitTimeout
+	}
+	done := make(chan struct{})
+	w := &wait{
+		id:    cmd.ID,
+		key:   cmd.Key,
+		pin:   pin,
+		ttl:   ttl,
+		bound: locks.Cancel{Done: done, Deadline: time.Now().Add(timeout)},
+		done:  done,
+	}
+	ss.mu.Lock()
+	ss.waits[cmd.ID] = w
+	ss.mu.Unlock()
 	ss.begin("QUEUED").num(cmd.ID).end()
 	s.waitWG.Add(1)
 	go s.runWait(ss, w)

@@ -77,8 +77,9 @@ type session struct {
 
 	// wmu serializes response lines: synchronous responses from the reader
 	// goroutine interleave with asynchronous grants from waits' goroutines
-	// and expiry notices from the sweeper, one whole line at a time. bw
-	// holds one line (writeBufBytes) and is empty between lines.
+	// and expiry notices from the sweeper, one whole line at a time (a wait
+	// granted at once is one write of two lines). bw holds one write
+	// (writeBufBytes) and is empty between them.
 	wmu sync.Mutex
 	bw  *bufio.Writer
 
@@ -97,7 +98,8 @@ const writeTimeout = 5 * time.Second
 
 // writeBufBytes sizes a session's write buffer to the line protocol, not to
 // bufio's 4 KB default: every line is flushed as it ends, so the buffer is
-// empty between lines, and no fixed-form response is longer than 90 B. A
+// empty between lines, and no fixed-form response is longer than 90 B
+// (QUEUED and GRANT in one write, at most 114 B, fit as well). A
 // longer line (STATS, an ERR echoing a long field) goes out in one write
 // straight from the line, bufio's large write into an empty buffer.
 const writeBufBytes = 128
@@ -107,7 +109,7 @@ const writeBufBytes = 128
 // goroutine and so runs the session's teardown. (bufio.Writer keeps the
 // error, so later lines to a broken session are dropped without a syscall:
 // the first failed write is the session's last.) One write is one whole
-// line, however long.
+// line, however long, or an uncontended wait's QUEUED and GRANT.
 type peerWriter struct{ conn net.Conn }
 
 func (w peerWriter) Write(p []byte) (int, error) {
@@ -149,6 +151,13 @@ func (l line) num(n uint64) line {
 // ms appends a duration in milliseconds.
 func (l line) ms(d time.Duration) line {
 	l.b = strconv.AppendInt(append(l.b, ' '), d.Milliseconds(), 10)
+	return l
+}
+
+// next ends the line so far and begins another, to go out in the same
+// write: a wait granted at once is answered QUEUED and GRANT together.
+func (l line) next(verb string) line {
+	l.b = append(append(l.b, '\r', '\n'), verb...)
 	return l
 }
 

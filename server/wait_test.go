@@ -1,7 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
+	"net"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -177,4 +181,130 @@ func TestBatchOfOneIsTheSingleOp(t *testing.T) {
 			t.Errorf("stats %+v, want %+v", st, want)
 		}
 	})
+}
+
+// writeLog records every write the server makes on the connections it
+// accepts: the bytes, and whether a wait's goroutine made it.
+type writeLog struct {
+	mu     sync.Mutex
+	writes []loggedWrite
+}
+
+type loggedWrite struct {
+	data     string
+	fromWait bool // runWait's goroutine wrote it, not the session's reader
+}
+
+// with returns the writes that carry a line starting with one of verbs.
+func (l *writeLog) with(verbs ...string) []loggedWrite {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out []loggedWrite
+	for _, w := range l.writes {
+		for _, v := range verbs {
+			if strings.HasPrefix(w.data, v) || strings.Contains(w.data, "\n"+v) {
+				out = append(out, w)
+				break
+			}
+		}
+	}
+	return out
+}
+
+type loggedConn struct {
+	net.Conn
+	log *writeLog
+}
+
+func (c loggedConn) Write(p []byte) (int, error) {
+	stack := make([]byte, 4096)
+	stack = stack[:runtime.Stack(stack, false)]
+	c.log.mu.Lock()
+	c.log.writes = append(c.log.writes, loggedWrite{string(p), bytes.Contains(stack, []byte("(*Server).runWait"))})
+	c.log.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+type loggedListener struct {
+	net.Listener
+	log *writeLog
+}
+
+func (l loggedListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return loggedConn{c, l.log}, nil
+}
+
+// TestUncontendedWaitOneWrite: a wait on a free key is answered by the
+// session's reader itself, QUEUED and GRANT in one write, and no wait
+// goroutine runs for it; a wait behind a holder still gets QUEUED at once
+// and its GRANT, from the wait's goroutine, only once the holder lets go,
+// with a larger token; and admission is unchanged, so a wait on a free key
+// over a full QueueDepth is refused with ERR overload. The Stats are exact
+// after each step.
+func TestUncontendedWaitOneWrite(t *testing.T) {
+	srv, err := New(Options{QueueDepth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	ln, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := &writeLog{}
+	go func() { _ = srv.Serve(loggedListener{ln, log}) }()
+	addr := ln.Addr().String()
+	h, w, x := dialT(t, addr), dialT(t, addr), dialT(t, addr)
+	for _, c := range []*tconn{h, w, x} { // each session is registered once it answers
+		c.send("ping\r\n")
+		c.expect("PONG")
+	}
+	stats := func(step string, want Stats) {
+		t.Helper()
+		want.Sessions, want.SessionsTotal = 3, 3
+		want.Leases = int(want.Held)
+		if st := srv.Stats(); st != want {
+			t.Fatalf("after %s: stats %+v, want %+v", step, st, want)
+		}
+	}
+
+	// Uncontended: one write, from the reader, carrying both lines.
+	w.send("wait 1 9 5000\r\n")
+	w.expect("QUEUED 1")
+	first := tokenOf(t, w.expect("GRANT 1 0x9"), 3)
+	want := "QUEUED 1\r\nGRANT 1 0x9 " + strconv.FormatUint(first, 10) + " 5000\r\n"
+	if ws := log.with("QUEUED 1", "GRANT 1"); len(ws) != 1 || ws[0].data != want || ws[0].fromWait {
+		t.Fatalf("an uncontended wait was answered in %d writes %+v; want one, %q, from the session's reader", len(ws), ws, want)
+	}
+	stats("an uncontended wait", Stats{Held: 1, Grants: 1})
+
+	// Contended: QUEUED now, GRANT from the wait's goroutine after the unlock.
+	h.send("wait 2 9\r\n")
+	h.expect("QUEUED 2")
+	waitParked(t, 1)
+	if ws := log.with("QUEUED 2", "GRANT 2"); len(ws) != 1 || ws[0].data != "QUEUED 2\r\n" {
+		t.Fatalf("a wait behind a holder was answered %+v; want QUEUED alone", ws)
+	}
+	stats("a wait behind a holder", Stats{Held: 1, Waiting: 1, Grants: 1})
+
+	// Admission first: over a full QueueDepth even a free key is refused.
+	x.send("wait 3 11\r\n")
+	x.expect("ERR overload")
+	stats("a refused wait", Stats{Held: 1, Waiting: 1, Grants: 1, Overloads: 1})
+
+	w.send("unlock 9\r\n")
+	w.expect("RELEASED 0x9")
+	if second := tokenOf(t, h.expect("GRANT 2 0x9"), 3); second <= first {
+		t.Fatalf("the queued grant's token %d is not above the first's %d", second, first)
+	}
+	if ws := log.with("GRANT 2"); len(ws) != 1 || !ws[0].fromWait || strings.Contains(ws[0].data, "QUEUED") {
+		t.Fatalf("the queued GRANT was written %+v; want one write of its own, from the wait's goroutine", ws)
+	}
+	h.send("unlock 9\r\n")
+	h.expect("RELEASED 0x9")
+	stats("both unlocks", Stats{Grants: 2, Releases: 2, Overloads: 1})
 }
