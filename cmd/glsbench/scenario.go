@@ -16,7 +16,7 @@ import (
 // deterministic op plan (same -seed ⇒ byte-identical replay log) and
 // executed open-loop against the in-process Service or, with -wire, a
 // fresh glsd on loopback — then every phase's declared assertion lanes
-// (tail latency, timeout counts, fairness counters, adaptation arcs) are
+// (tail latency, grant and timeout counts, adaptation arcs) are
 // evaluated. The exit code says whether the lanes held; BENCH_scenario.json
 // is the committed full-mode run of the golden corpus.
 

@@ -325,8 +325,12 @@ func (s *Service) report(iss Issue) {
 	fmt.Fprint(os.Stderr, iss.String())
 }
 
-// captureStack formats the caller's stack for issue reports, skipping the
-// GLS frames themselves.
+// captureStack formats the stack for an issue report, skipping skip frames
+// as runtime.Callers counts them (1 is captureStack itself). Every
+// acquisition check passes the depth at which frame #0 is the public entry
+// point the program called — Lock, TryLockFor, RLock and the rest
+// (TestDebugStackStartsAtEntryPoint) — so the counts must follow any change
+// in call depth beneath those entry points.
 func captureStack(skip int) string {
 	pcs := make([]uintptr, 16)
 	n := runtime.Callers(skip, pcs)
@@ -404,28 +408,29 @@ func (s *Service) debugPreLock(me gid.ID, e *entry, key uint64, created bool, re
 	}
 }
 
-// debugLock acquires e's lock with owner/waiting bookkeeping. Profile and
-// telemetry statistics need no handling here: they are recorded inside the
-// lock object itself (the TryLock probe and the Lock both land in the same
+// debugAcquire acquires e's lock with owner/waiting bookkeeping: a try,
+// then — when the caller waits — the waiting record, the wait (which c may
+// end) and the record's removal, and the owner recorded only on a grant.
+// Only the contended path pays the wait-record cost. Profile and telemetry
+// statistics need no handling here: they are recorded inside the lock
+// object itself (the TryLock probe and the Lock both land in the same
 // per-lock accumulator, and failed probes are netted out as TryLock
 // failures). One visible consequence: with Debug and telemetry combined,
 // the raw arrivals/try-fail columns include the probes — a contended
 // debug-mode Lock reads as two arrivals and one TryLock failure — while
 // acquisitions stay exact. Debug mode is a diagnostic configuration; its
 // reports describe what the service did on the lock, probes included.
-func (s *Service) debugLock(me gid.ID, e *entry, key uint64) {
+func (s *Service) debugAcquire(me gid.ID, e *entry, key uint64, wait bool, c *locks.Cancel) bool {
 	if !e.exclusive().TryLock() {
+		if !wait {
+			return false
+		}
 		s.dbg.setWaiting(me, key)
-		e.exclusive().Lock()
+		ok := locks.LockWithCancel(e.exclusive(), c)
 		s.dbg.clearWaiting(me)
-	}
-	s.dbg.setOwner(key, me)
-}
-
-// debugTryLock try-acquires e's lock with owner bookkeeping.
-func (s *Service) debugTryLock(me gid.ID, e *entry, key uint64) bool {
-	if !e.exclusive().TryLock() {
-		return false
+		if !ok {
+			return false
+		}
 	}
 	s.dbg.setOwner(key, me)
 	return true
@@ -497,25 +502,18 @@ func (s *Service) debugPreRLock(me gid.ID, key uint64, created bool) {
 	}
 }
 
-// debugRLock acquires a read share with waiting/reader bookkeeping. Like
-// debugLock, only the contended path pays the wait-record cost.
-func (s *Service) debugRLock(e *entry, key uint64, created bool) {
+// debugRAcquire is debugAcquire's read-side twin: the read checks, a try,
+// the waiting record around a wait, and the share recorded only when taken.
+func (s *Service) debugRAcquire(e *entry, key uint64, created, wait bool) bool {
 	me := gid.Get()
 	s.debugPreRLock(me, key, created)
 	if !e.rwLock().TryRLock() {
+		if !wait {
+			return false
+		}
 		s.dbg.setWaiting(me, key)
 		e.rwLock().RLock()
 		s.dbg.clearWaiting(me)
-	}
-	s.dbg.addReader(key, me)
-}
-
-// debugTryRLock try-acquires a read share with reader bookkeeping.
-func (s *Service) debugTryRLock(e *entry, key uint64, created bool) bool {
-	me := gid.Get()
-	s.debugPreRLock(me, key, created)
-	if !e.rwLock().TryRLock() {
-		return false
 	}
 	s.dbg.addReader(key, me)
 	return true

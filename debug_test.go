@@ -1,6 +1,7 @@
 package gls
 
 import (
+	"context"
 	"os"
 	"strings"
 	"sync"
@@ -501,5 +502,127 @@ func TestDefaultReporterWritesStderr(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "[GLS]WARNING>") {
 		t.Fatalf("default reporter wrote %q", out)
+	}
+}
+
+// TestDebugStackStartsAtEntryPoint pins captureStack's skip counts: an
+// issue raised while acquiring has a backtrace whose frame #0 is the public
+// entry point the program called, however many service frames lie under it.
+func TestDebugStackStartsAtEntryPoint(t *testing.T) {
+	s, c := newDebugService(t, Options{StrictInit: true})
+	ctx, cancel := context.WithCancel(context.Background()) // can fire: LockCtx keeps its own path
+	defer cancel()
+	for i, e := range []struct {
+		name             string
+		acquire, release func(key uint64)
+	}{
+		{"Lock", s.Lock, s.Unlock},
+		{"LockWith", func(k uint64) { s.LockWith(locks.Mutex, k) }, s.Unlock},
+		{"TryLock", func(k uint64) { s.TryLock(k) }, s.Unlock},
+		{"TryLockWith", func(k uint64) { s.TryLockWith(locks.Mutex, k) }, s.Unlock},
+		{"LockCtx", func(k uint64) { _ = s.LockCtx(ctx, k) }, s.Unlock},
+		{"TryLockFor", func(k uint64) { s.TryLockFor(k, time.Second) }, s.Unlock},
+		{"RLock", s.RLock, s.RUnlock},
+		{"TryRLock", func(k uint64) { s.TryRLock(k) }, s.RUnlock},
+	} {
+		key := uint64(0x5100 + i)
+		e.acquire(key) // a key never initialized: one issue under StrictInit
+		e.release(key)
+		got := c.byKind(IssueUninitializedLock)
+		if len(got) != i+1 || got[i].Key != key {
+			t.Fatalf("%s: uninitialized-lock issues %+v, want a new one on %#x", e.name, got, key)
+		}
+		first, _, _ := strings.Cut(got[i].Stack, "\n")
+		if want := "(gls.(*Service)." + e.name + ")"; !strings.HasPrefix(first, "#0 ") || !strings.HasSuffix(first, want) {
+			t.Errorf("%s: backtrace starts %q, want frame #0 in %s", e.name, first, want)
+		}
+	}
+	if n := len(c.issues); n != 8 {
+		t.Errorf("%d issues, want the 8 uninitialized-lock ones: %+v", n, c.issues)
+	}
+}
+
+// TestDebugFailedTryRecordsNothing: a debug try that fails records no owner
+// and no reader, so neither the holder's release nor the loser's next clean
+// use of the key reports anything.
+func TestDebugFailedTryRecordsNothing(t *testing.T) {
+	s, c := newDebugService(t, Options{})
+	const rwKey = 0x5203
+	s.InitRWLock(rwKey)
+	for _, tc := range []struct {
+		name      string
+		key       uint64
+		hold, use func(key uint64)
+		try       func(key uint64) bool
+	}{
+		{"TryLock", 0x5201, s.Lock, func(k uint64) { s.Lock(k); s.Unlock(k) }, s.TryLock},
+		{"TryLockWith", 0x5202,
+			func(k uint64) { s.LockWith(locks.Mutex, k) },
+			func(k uint64) { s.LockWith(locks.Mutex, k); s.Unlock(k) },
+			func(k uint64) bool { return s.TryLockWith(locks.Mutex, k) }},
+		{"TryRLock", rwKey, s.Lock, func(k uint64) { s.RLock(k); s.RUnlock(k) }, s.TryRLock},
+	} {
+		holder, release, done := make(chan gid.ID), make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			tc.hold(tc.key)
+			holder <- gid.Get()
+			<-release
+			s.Unlock(tc.key)
+		}()
+		owner := <-holder
+		if tc.try(tc.key) {
+			t.Fatalf("%s succeeded on a key another goroutine holds", tc.name)
+		}
+		if got := s.dbg.ownerOf(tc.key); got != owner {
+			t.Fatalf("%s: owner %d after the failed try, want the holder %d", tc.name, got, owner)
+		}
+		if s.dbg.holdsReadShare(tc.key, gid.Get()) {
+			t.Fatalf("%s: the failed try recorded a read share", tc.name)
+		}
+		close(release)
+		<-done
+		tc.use(tc.key)
+	}
+	if n := len(c.issues); n != 0 {
+		t.Fatalf("failed tries left issues behind: %+v", c.issues)
+	}
+}
+
+// TestDebugBoundedWaitTimeoutLeavesNoWait: a debug LockCtx or TryLockFor
+// that gives up clears its waiting record and records no owner.
+func TestDebugBoundedWaitTimeoutLeavesNoWait(t *testing.T) {
+	s, c := newDebugService(t, Options{})
+	for i, tc := range []struct {
+		name string
+		wait func(key uint64) bool
+	}{
+		{"LockCtx", func(k uint64) bool {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+			defer cancel()
+			return s.LockCtx(ctx, k) == nil
+		}},
+		{"TryLockFor", func(k uint64) bool { return s.TryLockFor(k, 10*time.Millisecond) }},
+	} {
+		key := uint64(0x5300 + i)
+		s.Lock(key)
+		got := make(chan bool)
+		go func() { got <- tc.wait(key) }()
+		if <-got {
+			t.Fatalf("%s acquired a held key", tc.name)
+		}
+		s.dbg.mu.Lock()
+		waits := len(s.dbg.waiting)
+		s.dbg.mu.Unlock()
+		if waits != 0 {
+			t.Errorf("%s: %d waiting records after the timeout, want 0", tc.name, waits)
+		}
+		if owner := s.dbg.ownerOf(key); owner != gid.Get() {
+			t.Errorf("%s: owner %d after the timeout, want the holder %d", tc.name, owner, gid.Get())
+		}
+		s.Unlock(key)
+	}
+	if n := len(c.issues); n != 0 {
+		t.Fatalf("timed-out waits left issues behind: %+v", c.issues)
 	}
 }

@@ -29,11 +29,10 @@ type Hinter interface {
 
 // options configures one engine run.
 type options struct {
-	// Registry, when non-nil, supplies the telemetry-derived lanes
-	// (starved, waitphases) and the glslive event stream behind `expect
-	// transition`. A plan whose scenario uses those lanes fails fast
-	// without one. In wire mode, pass the registry the *server's* service
-	// feeds — the engine only reads snapshots and events, so it works on
+	// Registry, when non-nil, supplies the glslive event stream behind
+	// `expect transition`. A plan whose scenario expects transitions fails
+	// fast without one. In wire mode, pass the registry the *server's*
+	// service feeds — the engine only reads its events, so it works on
 	// either side of the wire.
 	Registry *telemetry.Registry
 	// Monitor, when non-nil, receives `mphint` values phase by phase.
@@ -64,11 +63,10 @@ type PhaseResult struct {
 	Achieved float64 `json:"achieved_ops_per_sec"`
 	// ElapsedMS is the phase's wall time.
 	ElapsedMS float64 `json:"elapsed_ms"`
-	// Issued = Grants + Timeouts + Errors, and equals the plan's op count.
+	// Issued = Grants + Timeouts, and equals the plan's op count.
 	Issued   uint64 `json:"issued"`
 	Grants   uint64 `json:"grants"`
 	Timeouts uint64 `json:"timeouts"`
-	Errors   uint64 `json:"errors"`
 	// Blocked is the planned op count on the phase's held key.
 	Blocked uint64 `json:"blocked,omitempty"`
 	// P50us/P95us/P99us are engine-measured grant-latency percentiles
@@ -76,10 +74,6 @@ type PhaseResult struct {
 	P50us float64 `json:"p50_us"`
 	P95us float64 `json:"p95_us"`
 	P99us float64 `json:"p99_us"`
-	// Starved and WaitPhases are the phase's fairness-lane deltas (zero
-	// without a registry).
-	Starved    uint64 `json:"starved"`
-	WaitPhases uint64 `json:"waitphases"`
 	// Transitions lists the adaptation edges observed in the phase via
 	// glslive, as "from→to ×count".
 	Transitions []string `json:"transitions,omitempty"`
@@ -179,7 +173,7 @@ type workerTally struct {
 func runPhase(pp *PhasePlan, conns []WorkerConn, drv Driver, opt options) (PhaseResult, error) {
 	ph := pp.Phase
 
-	// Phase setup: blocker hold, multiprogramming hint, telemetry window.
+	// Phase setup: blocker hold, multiprogramming hint, event window.
 	var release func() error
 	if ph.Block != 0 {
 		r, err := drv.Hold(ph.Block)
@@ -191,10 +185,8 @@ func runPhase(pp *PhasePlan, conns []WorkerConn, drv Driver, opt options) (Phase
 	if ph.MPHint != 0 && opt.Monitor != nil {
 		opt.Monitor.SetHint(ph.MPHint)
 	}
-	var before *telemetry.Snapshot
 	var sub *telemetry.Subscriber
 	if opt.Registry != nil {
-		before = opt.Registry.Snapshot()
 		sub = opt.Registry.Events().Subscribe()
 	}
 
@@ -221,8 +213,8 @@ func runPhase(pp *PhasePlan, conns []WorkerConn, drv Driver, opt options) (Phase
 		elapsed = ph.Duration
 	}
 
-	// Teardown before measuring the telemetry window, so a held blocker
-	// or hint never leaks into the next phase.
+	// Teardown before draining the event window, so a held blocker or
+	// hint never leaks into the next phase.
 	if ph.MPHint != 0 && opt.Monitor != nil {
 		opt.Monitor.SetHint(0)
 	}
@@ -231,10 +223,8 @@ func runPhase(pp *PhasePlan, conns []WorkerConn, drv Driver, opt options) (Phase
 			return PhaseResult{}, fmt.Errorf("release blocker key %d: %w", ph.Block, err)
 		}
 	}
-	var lanes telemetry.LaneSet
 	var events []*telemetry.Event
 	if opt.Registry != nil {
-		lanes = telemetry.ExtractLanes(opt.Registry.Snapshot().Diff(before))
 		for {
 			batch := sub.Poll(256)
 			if len(batch) == 0 {
@@ -247,12 +237,10 @@ func runPhase(pp *PhasePlan, conns []WorkerConn, drv Driver, opt options) (Phase
 
 	// Merge the tallies.
 	res := PhaseResult{
-		Name:       ph.Name,
-		Offered:    ph.Rate.Mean(),
-		ElapsedMS:  float64(elapsed) / float64(time.Millisecond),
-		Blocked:    pp.Blocked,
-		Starved:    lanes.RStarved,
-		WaitPhases: lanes.RWaitPhases,
+		Name:      ph.Name,
+		Offered:   ph.Rate.Mean(),
+		ElapsedMS: float64(elapsed) / float64(time.Millisecond),
+		Blocked:   pp.Blocked,
 	}
 	var all []time.Duration
 	for w := range tallies {
@@ -264,7 +252,7 @@ func runPhase(pp *PhasePlan, conns []WorkerConn, drv Driver, opt options) (Phase
 		res.Timeouts += t.timeouts
 		all = append(all, t.lats...)
 	}
-	res.Issued = res.Grants + res.Timeouts + res.Errors
+	res.Issued = res.Grants + res.Timeouts
 	res.Achieved = float64(res.Issued) / elapsed.Seconds()
 	sort.Slice(all, func(a, b int) bool { return all[a] < all[b] })
 	res.P50us = PctUS(all, 0.50)
@@ -365,12 +353,6 @@ func evaluate(res *PhaseResult, pp *PhasePlan, sorted []time.Duration, events []
 			got = res.Grants
 		case LaneTimeouts:
 			got = res.Timeouts
-		case LaneErrors:
-			got = res.Errors
-		case LaneStarved:
-			got = res.Starved
-		case LaneWaitPhases:
-			got = res.WaitPhases
 		}
 		want := a.Count
 		switch a.Ref {

@@ -443,7 +443,7 @@ func parseAssert(args []string, n int) (Assertion, *ParseError) {
 	}
 	a := Assertion{Lane: Lane(args[0]), Op: CmpOp(args[1]), Line: n}
 	if !validLane(a.Lane) {
-		return Assertion{}, perr(n, "unknown lane %q (want p50/p95/p99/issued/grants/timeouts/errors/starved/waitphases)", args[0])
+		return Assertion{}, perr(n, "unknown lane %q (want p50/p95/p99/issued/grants/timeouts)", args[0])
 	}
 	if !validOp(a.Op) {
 		return Assertion{}, perr(n, "unknown comparison %q (want <= < == >= >)", args[1])

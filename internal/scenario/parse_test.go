@@ -67,8 +67,7 @@ phase rotate
   duration 100ms
   rate 500
   dist rotate 8 80 64
-  assert starved == 0
-  assert waitphases <= 1000
+  assert issued == all
 `
 	s, err := ParseScenario([]byte(in))
 	if err != nil {
@@ -121,6 +120,9 @@ func TestParseErrors(t *testing.T) {
 		{"zipf nan", "scenario t\nphase p\nduration 10ms\nrate 1\ndist zipf NaN\n", "out of range"},
 		{"hot pct", "scenario t\nphase p\nduration 10ms\nrate 1\ndist hot 1 101\n", "out of range"},
 		{"unknown lane", "scenario t\nphase p\nduration 10ms\nrate 1\nassert p42 <= 1ms\n", "unknown lane"},
+		{"starved lane", "scenario t\nphase p\nduration 10ms\nrate 1\nassert starved == 0\n", "unknown lane"},
+		{"waitphases lane", "scenario t\nphase p\nduration 10ms\nrate 1\nassert waitphases <= 10\n", "unknown lane"},
+		{"errors lane", "scenario t\nphase p\nduration 10ms\nrate 1\nassert errors == 0\n", "unknown lane"},
 		{"unknown op", "scenario t\nphase p\nduration 10ms\nrate 1\nassert p99 != 1ms\n", "unknown comparison"},
 		{"latency count", "scenario t\nphase p\nduration 10ms\nrate 1\nassert p99 <= 12\n", "not a duration"},
 		{"count duration", "scenario t\nphase p\nduration 10ms\nrate 1\nassert grants <= 5ms\n", "not a decimal integer"},

@@ -28,8 +28,9 @@ func (s *Scenario) Quick() *Scenario { return s.Scaled(quickDiv, quickFloor) }
 // plan on it, and tears it down.
 func RunRig(plan *Plan, wire bool, progress io.Writer) (*Report, error) {
 	scn := plan.Scenario
-	// Sample period 1: the fairness and histogram lanes assert exact-ish
-	// interval counts, so the registry times every acquisition.
+	// The registry carries the event stream behind `expect transition`.
+	// Sample period 1 (every acquisition timed) is the load the committed
+	// scenario records were measured under.
 	reg := telemetry.New(telemetry.Options{SamplePeriod: 1})
 	// A private probe-less monitor: only `mphint` directives move the
 	// multiprogramming flag, never the host's own scheduling noise.

@@ -18,8 +18,7 @@
 //     how the scheduler interleaves the actual execution.
 //
 //   - Assertion lanes. Each phase declares what must hold — p99 grant
-//     latency ceilings, exact timeout-lane counts, reader-starvation
-//     bounds from the glsfair fairness counters, expected adaptation
+//     latency ceilings, exact timeout-lane counts, expected adaptation
 //     arcs checked against glslive transition events — so a scenario is
 //     a regression *test* over tail behavior, not just an ops/s meter.
 //
@@ -117,9 +116,7 @@ type Dist struct {
 type Lane string
 
 // The assertion lanes. The latency lanes compare durations; the count
-// lanes compare exact engine counters; starved and waitphases read the
-// glsfair fairness counters out of the telemetry snapshot diff for the
-// phase (zero when the engine runs without a registry).
+// lanes compare exact engine counters.
 const (
 	// LaneP50, LaneP95, LaneP99: grant-latency percentiles over the
 	// phase's granted acquisitions, measured by the engine at the call
@@ -134,17 +131,8 @@ const (
 	LaneGrants Lane = "grants"
 	// LaneTimeouts counts bounded acquisitions that hit their deadline —
 	// the timeout lane, exact by construction (every issued op is exactly
-	// one grant, one timeout, or one driver error).
+	// one grant or one timeout: a driver error fails the run).
 	LaneTimeouts Lane = "timeouts"
-	// LaneErrors counts driver failures (wire errors; always asserted ==0
-	// implicitly — a scenario with driver errors fails).
-	LaneErrors Lane = "errors"
-	// LaneStarved is the telemetry RStarved delta for the phase: readers
-	// pushed past the glsfair starvation bound.
-	LaneStarved Lane = "starved"
-	// LaneWaitPhases is the telemetry RWaitPhases delta: writer phases
-	// that bypassed blocked readers.
-	LaneWaitPhases Lane = "waitphases"
 )
 
 // latencyLane reports whether the lane's values are durations.
@@ -155,8 +143,7 @@ func latencyLane(l Lane) bool {
 // validLane reports whether l is an assertable lane.
 func validLane(l Lane) bool {
 	switch l {
-	case LaneP50, LaneP95, LaneP99, LaneIssued, LaneGrants, LaneTimeouts,
-		LaneErrors, LaneStarved, LaneWaitPhases:
+	case LaneP50, LaneP95, LaneP99, LaneIssued, LaneGrants, LaneTimeouts:
 		return true
 	}
 	return false

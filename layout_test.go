@@ -19,7 +19,6 @@ func TestServiceLayout(t *testing.T) {
 	line := func(off uintptr) uintptr { return off / pad.CacheLineSize }
 	for name, off := range map[string]uintptr{
 		"table":  unsafe.Offsetof(s.table),
-		"fast":   unsafe.Offsetof(s.fast),
 		"glkSet": unsafe.Offsetof(s.glkSet),
 		"dbg":    unsafe.Offsetof(s.dbg),
 		"tele":   unsafe.Offsetof(s.tele),

@@ -336,7 +336,10 @@ func (s *Server) pin(key uint64) gls.Pin { return s.svc.PinWith(locks.Mutex, key
 // grant registers a lock the server has just taken through pin with its
 // session, counts it, and returns its fencing token. On a session that died
 // under the acquisition the lock goes straight back — the Unpin that finds
-// the key unused frees its lock object — and it reports false.
+// the key unused frees its lock object — and it reports false. Only
+// runWait's goroutine can see that: handleTry and handleAsync run on the
+// session's reader goroutine, whose own exit is the one teardown that marks
+// the session dead (Close only closes the connection).
 func (s *Server) grant(ss *session, key uint64, pin gls.Pin, ttl time.Duration) (uint64, bool) {
 	token, ok := ss.registerGrant(key, pin, ttl)
 	if !ok {
@@ -429,9 +432,8 @@ func (s *Server) handleTry(ss *session, cmd Command) {
 		ss.begin("BUSY").key(cmd.Key).end()
 		return
 	}
-	if token, ok := s.grant(ss, cmd.Key, pin, ttl); ok {
-		ss.begin("GRANTED").key(cmd.Key).num(token).ms(ttl).end()
-	} // else the session died under us (Close racing the reader)
+	token, _ := s.grant(ss, cmd.Key, pin, ttl)
+	ss.begin("GRANTED").key(cmd.Key).num(token).ms(ttl).end()
 }
 
 // handleUnlock releases a held lease.
@@ -498,10 +500,6 @@ func (s *Server) handleCancel(ss *session, cmd Command) {
 // so a wait registered after the try is one no request can miss.
 func (s *Server) handleAsync(ss *session, cmd Command) {
 	ss.mu.Lock()
-	if ss.dead {
-		ss.mu.Unlock()
-		return
-	}
 	if _, dup := ss.waits[cmd.ID]; dup {
 		ss.mu.Unlock()
 		ss.writeErr(protoErrf(ErrCodeDupID, "wait id %d already outstanding", cmd.ID))
@@ -525,11 +523,7 @@ func (s *Server) handleAsync(ss *session, cmd Command) {
 	pin := s.pin(cmd.Key)
 	if pin.TryLock() {
 		s.waiting.Add(-1)
-		token, ok := s.grant(ss, cmd.Key, pin, ttl)
-		if !ok { // the session died under us
-			s.cancels.Add(1)
-			return
-		}
+		token, _ := s.grant(ss, cmd.Key, pin, ttl)
 		ss.begin("QUEUED").num(cmd.ID).
 			next("GRANT").num(cmd.ID).key(cmd.Key).num(token).ms(ttl).end()
 		return

@@ -253,19 +253,16 @@ type serviceConfig struct {
 	// CLHT (§4.1).
 	table *clht.Table[entry]
 
-	// fast is precomputed at New: no debug. The hot entry points check
-	// this one bool instead of re-deriving the service's mode from the
-	// options on every call, so the non-debug path is a wait-free table
-	// Get plus the lock call and nothing else. (Profile/telemetry no
-	// longer force the slow path: their instrumentation is resolved into
-	// the lock objects when entries are built.)
-	fast bool
-
 	// glkSet is Options.GLK validated once, shared by every default key's
 	// lock.
 	glkSet *glk.Settings
 
-	dbg *debugState // nil unless Options.Debug
+	// dbg is nil unless Options.Debug. The hot entry points test it and
+	// nothing else about the service's mode, so the non-debug path is a
+	// wait-free table Get plus the lock call. (Profile and telemetry take
+	// no branch there: their instrumentation is resolved into the lock
+	// objects when entries are built.)
+	dbg *debugState
 
 	// tele is the telemetry registry the service's locks feed, nil when
 	// telemetry (and profiling) are off. It is consulted only at entry
@@ -333,7 +330,6 @@ func New(opts Options) *Service {
 	}
 	s := &Service{serviceConfig: serviceConfig{
 		table:  clht.New[entry](opts.SizeHint),
-		fast:   !opts.Debug,
 		glkSet: glk.NewSettings(opts.GLK),
 		tele:   tele,
 		opts:   opts,
@@ -410,10 +406,10 @@ func (s *Service) entryFor(key uint64, algo locks.Algorithm) (*entry, bool) {
 //
 // With zero options (no debug, no profile) this is the paper's "negligible
 // overhead" path: one wait-free table Get and the lock call, with no
-// instrumentation branches. Only a first use of a key (or a non-fast
-// service) goes through the general path.
+// instrumentation branches. Only a first use of a key (or a debug-mode
+// service) goes through the general path, acquire.
 func (s *Service) Lock(key uint64) {
-	if s.fast {
+	if s.dbg == nil {
 		if e := s.table.Get(key); e != nil {
 			if e.inline() {
 				e.lk.Lock()
@@ -423,7 +419,7 @@ func (s *Service) Lock(key uint64) {
 			return
 		}
 	}
-	s.lockWith(algoGLK, key)
+	s.acquire(algoGLK, key, true, nil)
 }
 
 // LockWith acquires key's lock using the explicit algorithm a — the paper's
@@ -433,23 +429,12 @@ func (s *Service) LockWith(a locks.Algorithm, key uint64) {
 	if !a.Valid() {
 		panic(fmt.Sprintf("gls: LockWith(%v): unknown algorithm", a))
 	}
-	s.lockWith(a, key)
-}
-
-func (s *Service) lockWith(a locks.Algorithm, key uint64) {
-	e, created := s.entryFor(key, a)
-	if s.dbg != nil {
-		me := gid.Get()
-		s.debugPreLock(me, e, key, created, a)
-		s.debugLock(me, e, key)
-		return
-	}
-	e.exclusive().Lock()
+	s.acquire(a, key, true, nil)
 }
 
 // TryLock try-acquires the GLK lock for key (gls_trylock).
 func (s *Service) TryLock(key uint64) bool {
-	if s.fast {
+	if s.dbg == nil {
 		if e := s.table.Get(key); e != nil {
 			if e.inline() {
 				return e.lk.TryLock()
@@ -457,7 +442,7 @@ func (s *Service) TryLock(key uint64) bool {
 			return e.boxed().lock.TryLock()
 		}
 	}
-	return s.tryLockWith(algoGLK, key)
+	return s.acquire(algoGLK, key, false, nil)
 }
 
 // TryLockWith try-acquires key's lock with the explicit algorithm a.
@@ -465,17 +450,28 @@ func (s *Service) TryLockWith(a locks.Algorithm, key uint64) bool {
 	if !a.Valid() {
 		panic(fmt.Sprintf("gls: TryLockWith(%v): unknown algorithm", a))
 	}
-	return s.tryLockWith(a, key)
+	return s.acquire(a, key, false, nil)
 }
 
-func (s *Service) tryLockWith(a locks.Algorithm, key uint64) bool {
-	e, created := s.entryFor(key, a)
+// acquire is the general path of every exclusive acquisition: first uses,
+// explicit algorithms, bounded waits and debug-mode services. It resolves
+// key, creating its entry with a on a miss, then tries the lock once (wait
+// false) or waits for it until c fires (a nil c never does), and reports
+// whether the lock was taken.
+func (s *Service) acquire(a locks.Algorithm, key uint64, wait bool, c *locks.Cancel) bool {
+	e, created := s.table.Get(key), false
+	if e == nil {
+		e, created = s.entryFor(key, a)
+	}
 	if s.dbg != nil {
 		me := gid.Get()
 		s.debugPreLock(me, e, key, created, a)
-		return s.debugTryLock(me, e, key)
+		return s.debugAcquire(me, e, key, wait, c)
 	}
-	return e.exclusive().TryLock()
+	if !wait {
+		return e.exclusive().TryLock()
+	}
+	return locks.LockWithCancel(e.exclusive(), c)
 }
 
 // Unlock releases the lock for key (gls_unlock). Unlocking a key that was
@@ -483,14 +479,14 @@ func (s *Service) tryLockWith(a locks.Algorithm, key uint64) bool {
 // reported as an uninitialized-lock issue in debug mode.
 //
 // The single wait-free Get resolves the entry for whichever mode the
-// service runs in; the mode itself was decided once at New (s.fast), not
+// service runs in; the mode itself was decided once at New (s.dbg), not
 // per call.
 func (s *Service) Unlock(key uint64) {
 	if key == 0 {
 		panic("gls: zero key (the paper's NULL) is not a valid lock")
 	}
 	e := s.table.Get(key)
-	if s.fast {
+	if s.dbg == nil {
 		if e == nil {
 			panic(fmt.Sprintf("gls: Unlock(%#x): key was never locked", key))
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"gls/internal/gid"
 	"gls/locks"
 )
 
@@ -56,15 +55,7 @@ func (s *Service) LockCtx(ctx context.Context, key uint64) error {
 		s.Lock(key)
 		return nil
 	}
-	if s.fast {
-		if e := s.table.Get(key); e != nil {
-			if locks.LockWithCancel(e.exclusive(), c) {
-				return nil
-			}
-			return abortErr(ctx, c)
-		}
-	}
-	if !s.lockCancelWith(algoGLK, key, c) {
+	if !s.acquire(algoGLK, key, true, c) {
 		return abortErr(ctx, c)
 	}
 	return nil
@@ -77,41 +68,7 @@ func (s *Service) TryLockFor(key uint64, d time.Duration) bool {
 	if d <= 0 {
 		return s.TryLock(key)
 	}
-	c := &locks.Cancel{Deadline: time.Now().Add(d)}
-	if s.fast {
-		if e := s.table.Get(key); e != nil {
-			return locks.LockWithCancel(e.exclusive(), c)
-		}
-	}
-	return s.lockCancelWith(algoGLK, key, c)
-}
-
-// lockCancelWith is the bounded twin of lockWith: the general path for
-// first uses and debug-mode services.
-func (s *Service) lockCancelWith(a locks.Algorithm, key uint64, c *locks.Cancel) bool {
-	e, created := s.entryFor(key, a)
-	if s.dbg != nil {
-		me := gid.Get()
-		s.debugPreLock(me, e, key, created, a)
-		return s.debugLockCancel(me, e, key, c)
-	}
-	return locks.LockWithCancel(e.exclusive(), c)
-}
-
-// debugLockCancel is debugLock with an abort path: the waiting record is
-// cleared whether the wait ended in a grant or a departure, and the owner
-// is only recorded on a grant.
-func (s *Service) debugLockCancel(me gid.ID, e *entry, key uint64, c *locks.Cancel) bool {
-	if !e.exclusive().TryLock() {
-		s.dbg.setWaiting(me, key)
-		ok := locks.LockWithCancel(e.exclusive(), c)
-		s.dbg.clearWaiting(me)
-		if !ok {
-			return false
-		}
-	}
-	s.dbg.setOwner(key, me)
-	return true
+	return s.acquire(algoGLK, key, true, &locks.Cancel{Deadline: time.Now().Add(d)})
 }
 
 // WithLock runs fn while holding key's lock. The unlock is deferred, so a

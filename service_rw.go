@@ -77,7 +77,7 @@ func (s *Service) reportSpeciesMismatch(key uint64, msg string) {
 // adaptive default, is one update on the caller's stripe line plus a read
 // of the shared line).
 func (s *Service) RLock(key uint64) {
-	if s.fast {
+	if s.dbg == nil {
 		if e := s.table.Get(key); e != nil {
 			rw := e.rwLock()
 			if rw == nil {
@@ -87,22 +87,12 @@ func (s *Service) RLock(key uint64) {
 			return
 		}
 	}
-	s.rlockWith(key)
-}
-
-// rlockWith is RLock's general path: first uses and debug-mode services.
-func (s *Service) rlockWith(key uint64) {
-	e, created := s.entryForRW(key)
-	if s.dbg != nil {
-		s.debugRLock(e, key, created)
-		return
-	}
-	e.rwLock().RLock()
+	s.racquire(key, true)
 }
 
 // TryRLock try-acquires a read share of key's reader-writer lock.
 func (s *Service) TryRLock(key uint64) bool {
-	if s.fast {
+	if s.dbg == nil {
 		if e := s.table.Get(key); e != nil {
 			rw := e.rwLock()
 			if rw == nil {
@@ -111,16 +101,22 @@ func (s *Service) TryRLock(key uint64) bool {
 			return rw.TryRLock()
 		}
 	}
-	return s.tryRLockWith(key)
+	return s.racquire(key, false)
 }
 
-// tryRLockWith is TryRLock's general path.
-func (s *Service) tryRLockWith(key uint64) bool {
+// racquire is the general path of every read acquisition — first uses and
+// debug-mode services: the RW entry, then a try (wait false) or a wait, and
+// whether a share was taken.
+func (s *Service) racquire(key uint64, wait bool) bool {
 	e, created := s.entryForRW(key)
 	if s.dbg != nil {
-		return s.debugTryRLock(e, key, created)
+		return s.debugRAcquire(e, key, created, wait)
 	}
-	return e.rwLock().TryRLock()
+	if !wait {
+		return e.rwLock().TryRLock()
+	}
+	e.rwLock().RLock()
+	return true
 }
 
 // RUnlock releases a read share of key's lock. Releasing a key that was
@@ -131,7 +127,7 @@ func (s *Service) RUnlock(key uint64) {
 		panic("gls: zero key (the paper's NULL) is not a valid lock")
 	}
 	e := s.table.Get(key)
-	if s.fast {
+	if s.dbg == nil {
 		if e == nil {
 			panic(fmt.Sprintf("gls: RUnlock(%#x): key was never locked", key))
 		}

@@ -47,12 +47,12 @@ func TestServiceFeedsTelemetry(t *testing.T) {
 }
 
 // TestTelemetryStaysOnFastPath pins the construction-time wiring: a
-// telemetry-enabled service still reports itself fast (no per-op service
-// branches), and the instrumented locks record through the fast entry
-// points, handles included.
+// telemetry-enabled service builds no debug state, so its entry points take
+// the fast path (no per-op service branches), and the instrumented locks
+// record through the fast entry points, handles included.
 func TestTelemetryStaysOnFastPath(t *testing.T) {
 	s, reg := newTelemetryService(t, Options{})
-	if !s.fast {
+	if s.dbg != nil {
 		t.Fatal("telemetry forced the service off the fast path")
 	}
 	h := s.NewHandle()
