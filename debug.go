@@ -3,6 +3,7 @@ package gls
 import (
 	"fmt"
 	"os"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -87,9 +88,22 @@ type Issue struct {
 	Goroutine uint64 // the goroutine performing the faulty operation
 	Owner     uint64 // the lock's owner at detection time, if any
 	Message   string
-	Stack     string     // formatted backtrace of the faulty call site
+	Stack     string     // formatted backtrace, frame #0 the gls entry point called
 	Cycle     []WaitEdge // deadlocks only: the wait-for cycle, closed
+
+	op issueOp // the operation that raised the issue
 }
+
+// issueOp is the operation an issue was raised in, the verb of its report.
+type issueOp uint8
+
+const (
+	opLock issueOp = iota
+	opUnlock
+	opFree
+)
+
+func (o issueOp) String() string { return [...]string{"LOCK", "UNLOCK", "FREE"}[o] }
 
 // String formats the issue in the paper's report style.
 func (i Issue) String() string {
@@ -103,18 +117,7 @@ func (i Issue) String() string {
 		b.WriteString(strings.Join(parts, " ->\n"))
 		b.WriteByte('\n')
 	} else {
-		verb := "LOCK"
-		switch i.Kind {
-		case IssueUnlockFree, IssueUnlockWrongOwner, IssueRUnlockNotReader:
-			verb = "UNLOCK"
-		case IssueFreeHeld:
-			verb = "FREE"
-		case IssueUninitializedLock:
-			if strings.HasPrefix(i.Message, "unlock") {
-				verb = "UNLOCK"
-			}
-		}
-		fmt.Fprintf(&b, "[GLS]WARNING> %s %#x - %s", verb, i.Key, i.Kind)
+		fmt.Fprintf(&b, "[GLS]WARNING> %s %#x - %s", i.op, i.Key, i.Kind)
 		if i.Message != "" {
 			fmt.Fprintf(&b, " (%s)", i.Message)
 		}
@@ -292,9 +295,7 @@ func (d *debugState) holdsReadShare(key uint64, g gid.ID) bool {
 // Deadlock-detection Overhead" optimization (metadata is updated only when a
 // thread actually waits).
 func (d *debugState) setWaiting(g gid.ID, key uint64) {
-	pcs := make([]uintptr, 16)
-	n := runtime.Callers(4, pcs)
-	rec := &waitRecord{key: key, since: time.Now(), pcs: pcs[:n]}
+	rec := &waitRecord{key: key, since: time.Now(), pcs: callers()}
 	d.mu.Lock()
 	d.waiting[g] = rec
 	d.mu.Unlock()
@@ -304,6 +305,21 @@ func (d *debugState) clearWaiting(g gid.ID) {
 	d.mu.Lock()
 	delete(d.waiting, g)
 	d.mu.Unlock()
+}
+
+// flag reports an issue that the calling goroutine raised in operation op
+// on key — every issue but a deadlock is built here — with owner as the
+// lock's holder (0 for none) and a backtrace from the entry point called.
+func (s *Service) flag(op issueOp, kind IssueKind, key uint64, owner gid.ID, msg string) {
+	s.report(Issue{
+		Kind:      kind,
+		Key:       key,
+		Goroutine: uint64(gid.Get()),
+		Owner:     uint64(owner),
+		Message:   msg,
+		Stack:     formatPCs(callers()),
+		op:        op,
+	})
 }
 
 // report delivers an issue.
@@ -325,46 +341,58 @@ func (s *Service) report(iss Issue) {
 	fmt.Fprint(os.Stderr, iss.String())
 }
 
-// captureStack formats the stack for an issue report, skipping skip frames
-// as runtime.Callers counts them (1 is captureStack itself). Every
-// acquisition check passes the depth at which frame #0 is the public entry
-// point the program called — Lock, TryLockFor, RLock and the rest
-// (TestDebugStackStartsAtEntryPoint) — so the counts must follow any change
-// in call depth beneath those entry points.
-func captureStack(skip int) string {
+// callers records the calling goroutine's stack for a report. Where it
+// starts does not matter: formatPCs drops the frames beneath the entry
+// point by name.
+func callers() []uintptr {
 	pcs := make([]uintptr, 16)
-	n := runtime.Callers(skip, pcs)
-	return formatPCs(pcs[:n])
+	return pcs[:runtime.Callers(1, pcs)]
 }
 
+// pkgPrefix begins the name of every function of this package.
+var pkgPrefix = reflect.TypeOf(Issue{}).PkgPath() + "."
+
+// formatPCs formats a recorded stack from its innermost exported function
+// or method of this package — the entry point the program called, Lock,
+// Unlock, Free or another — so frame #0 is that entry point however many
+// unexported service frames lie beneath it.
 func formatPCs(pcs []uintptr) string {
-	if len(pcs) == 0 {
-		return ""
-	}
-	frames := runtime.CallersFrames(pcs)
 	var b strings.Builder
-	i := 0
-	for {
-		f, more := frames.Next()
+	frames, i := runtime.CallersFrames(pcs), 0
+	for more := len(pcs) > 0; more && i < 8; {
+		var f runtime.Frame
+		f, more = frames.Next()
+		if i == 0 && !entryPoint(f.Function) {
+			continue
+		}
 		fmt.Fprintf(&b, "#%d %s:%d (%s)\n", i, f.File, f.Line, f.Function)
 		i++
-		if !more || i >= 8 {
-			break
-		}
 	}
 	return b.String()
+}
+
+// entryPoint reports whether fn, a frame's function name, is an exported
+// function or an exported type's exported method of this package: "Free"
+// and "(*Service).Lock" are, "(*Service).acquire" and a closure are not.
+func entryPoint(fn string) bool {
+	name, ok := strings.CutPrefix(fn, pkgPrefix)
+	if !ok {
+		return false
+	}
+	parts := strings.Split(name, ".")
+	for _, p := range parts {
+		p = strings.TrimPrefix(p, "(*")
+		if p == "" || p[0] < 'A' || p[0] > 'Z' {
+			return false
+		}
+	}
+	return len(parts) <= 2
 }
 
 // debugPreLock runs the acquisition-time checks on key's entry e.
 func (s *Service) debugPreLock(me gid.ID, e *entry, key uint64, created bool, requested locks.Algorithm) {
 	if created && s.opts.StrictInit && !s.dbg.isInitialized(key) {
-		s.report(Issue{
-			Kind:      IssueUninitializedLock,
-			Key:       key,
-			Goroutine: uint64(me),
-			Message:   "lock of a key never initialized (StrictInit)",
-			Stack:     captureStack(4),
-		})
+		s.flag(opLock, IssueUninitializedLock, key, 0, "lock of a key never initialized (StrictInit)")
 	}
 	if !created && e.algo() != requested {
 		s.dbg.mu.Lock()
@@ -374,37 +402,18 @@ func (s *Service) debugPreLock(me gid.ID, e *entry, key uint64, created bool, re
 		}
 		s.dbg.mu.Unlock()
 		if !dup {
-			s.report(Issue{
-				Kind:      IssueAlgorithmMismatch,
-				Key:       key,
-				Goroutine: uint64(me),
-				Message: fmt.Sprintf("lock requested as %s but key is mapped to %s",
-					algoName(requested), algoName(e.algo())),
-				Stack: captureStack(4),
-			})
+			s.flag(opLock, IssueAlgorithmMismatch, key, 0, fmt.Sprintf("lock requested as %s but key is mapped to %s",
+				algoName(requested), algoName(e.algo())))
 		}
 	}
 	if s.dbg.ownerOf(key) == me {
-		s.report(Issue{
-			Kind:      IssueDoubleLock,
-			Key:       key,
-			Goroutine: uint64(me),
-			Owner:     uint64(me),
-			Message:   "goroutine already owns this lock",
-			Stack:     captureStack(4),
-		})
+		s.flag(opLock, IssueDoubleLock, key, me, "goroutine already owns this lock")
 	}
 	if e.rwLock() != nil && s.dbg.holdsReadShare(key, me) {
 		// RLock→Lock on one key: the write acquisition drains all readers,
 		// this caller included — it waits for itself (§4.2's deadlock
 		// family, caught before it blocks rather than by the watchdog).
-		s.report(Issue{
-			Kind:      IssueUpgradeDeadlock,
-			Key:       key,
-			Goroutine: uint64(me),
-			Message:   "write lock requested while holding a read share (RLock→Lock upgrade deadlocks)",
-			Stack:     captureStack(4),
-		})
+		s.flag(opLock, IssueUpgradeDeadlock, key, 0, "write lock requested while holding a read share (RLock→Lock upgrade deadlocks)")
 	}
 }
 
@@ -441,40 +450,19 @@ func (s *Service) debugAcquire(me gid.ID, e *entry, key uint64, wait bool, c *lo
 // buggy program keeps a consistent lock state (unlocking a free ticket lock
 // would corrupt it).
 func (s *Service) debugUnlock(key uint64, e *entry) {
-	me := gid.Get()
 	if e == nil {
-		s.report(Issue{
-			Kind:      IssueUninitializedLock,
-			Key:       key,
-			Goroutine: uint64(me),
-			Message:   "unlock of a key that was never locked",
-			Stack:     captureStack(4),
-		})
+		s.flag(opUnlock, IssueUninitializedLock, key, 0, "unlock of a key that was never locked")
 		return
 	}
-	owner := s.dbg.release(key, me)
-	switch {
+	me := gid.Get()
+	switch owner := s.dbg.release(key, me); {
 	case owner == 0:
-		s.report(Issue{
-			Kind:      IssueUnlockFree,
-			Key:       key,
-			Goroutine: uint64(me),
-			Message:   "unlock of an already-free lock",
-			Stack:     captureStack(4),
-		})
-		return
+		s.flag(opUnlock, IssueUnlockFree, key, 0, "unlock of an already-free lock")
 	case owner != me:
-		s.report(Issue{
-			Kind:      IssueUnlockWrongOwner,
-			Key:       key,
-			Goroutine: uint64(me),
-			Owner:     uint64(owner),
-			Message:   fmt.Sprintf("unlock by goroutine %d but owner is %d", me, owner),
-			Stack:     captureStack(4),
-		})
-		return
+		s.flag(opUnlock, IssueUnlockWrongOwner, key, owner, fmt.Sprintf("unlock by goroutine %d but owner is %d", me, owner))
+	default:
+		e.exclusive().Unlock()
 	}
-	e.exclusive().Unlock()
 }
 
 // debugPreRLock runs the read-acquisition checks: StrictInit and the
@@ -482,23 +470,10 @@ func (s *Service) debugUnlock(key uint64, e *entry) {
 // own key blocks on its own writer flag).
 func (s *Service) debugPreRLock(me gid.ID, key uint64, created bool) {
 	if created && s.opts.StrictInit && !s.dbg.isInitialized(key) {
-		s.report(Issue{
-			Kind:      IssueUninitializedLock,
-			Key:       key,
-			Goroutine: uint64(me),
-			Message:   "rlock of a key never initialized (StrictInit)",
-			Stack:     captureStack(5),
-		})
+		s.flag(opLock, IssueUninitializedLock, key, 0, "rlock of a key never initialized (StrictInit)")
 	}
 	if s.dbg.ownerOf(key) == me {
-		s.report(Issue{
-			Kind:      IssueUpgradeDeadlock,
-			Key:       key,
-			Goroutine: uint64(me),
-			Owner:     uint64(me),
-			Message:   "read share requested while holding the write lock (Lock→RLock self-blocks)",
-			Stack:     captureStack(5),
-		})
+		s.flag(opLock, IssueUpgradeDeadlock, key, me, "read share requested while holding the write lock (Lock→RLock self-blocks)")
 	}
 }
 
@@ -524,39 +499,16 @@ func (s *Service) debugRAcquire(e *entry, key uint64, created, wait bool) bool {
 // RUnlock from a non-reader would corrupt the reader count under every
 // implementation in the family.
 func (s *Service) debugRUnlock(key uint64, e *entry) {
-	me := gid.Get()
-	if e == nil {
-		s.report(Issue{
-			Kind:      IssueUninitializedLock,
-			Key:       key,
-			Goroutine: uint64(me),
-			Message:   "runlock of a key that was never locked",
-			Stack:     captureStack(4),
-		})
-		return
+	switch {
+	case e == nil:
+		s.flag(opUnlock, IssueUninitializedLock, key, 0, "runlock of a key that was never locked")
+	case e.rwLock() == nil:
+		s.flag(opUnlock, IssueAlgorithmMismatch, key, 0, "runlock of a key mapped to an exclusive lock")
+	case !s.dbg.dropReader(key, gid.Get()):
+		s.flag(opUnlock, IssueRUnlockNotReader, key, s.dbg.ownerOf(key), "runlock by a goroutine that holds no read share")
+	default:
+		e.rwLock().RUnlock()
 	}
-	if e.rwLock() == nil {
-		s.report(Issue{
-			Kind:      IssueAlgorithmMismatch,
-			Key:       key,
-			Goroutine: uint64(me),
-			Message:   "runlock of a key mapped to an exclusive lock",
-			Stack:     captureStack(4),
-		})
-		return
-	}
-	if !s.dbg.dropReader(key, me) {
-		s.report(Issue{
-			Kind:      IssueRUnlockNotReader,
-			Key:       key,
-			Goroutine: uint64(me),
-			Owner:     uint64(s.dbg.ownerOf(key)),
-			Message:   "runlock by a goroutine that holds no read share",
-			Stack:     captureStack(4),
-		})
-		return
-	}
-	e.rwLock().RUnlock()
 }
 
 // CheckDeadlocks scans the wait-for graph once and reports every new cycle

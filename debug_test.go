@@ -340,8 +340,14 @@ func TestDeadlockDetectionTwoCycle(t *testing.T) {
 	if !keys[keyA] || !keys[keyB] {
 		t.Fatalf("cycle keys %v, want both %#x and %#x", keys, keyA, keyB)
 	}
-	if iss.Stack == "" {
-		t.Fatal("deadlock report missing participant backtraces")
+	blocked := strings.Split(iss.Stack, "blocked at:\n")[1:]
+	if len(blocked) != 2 {
+		t.Fatalf("deadlock report has %d participant backtraces, want 2:\n%s", len(blocked), iss.Stack)
+	}
+	for _, bt := range blocked {
+		if first, _, _ := strings.Cut(bt, "\n"); !strings.HasPrefix(first, "#0 ") || !strings.HasSuffix(first, "(gls.(*Service).Lock)") {
+			t.Errorf("participant backtrace starts %q, want frame #0 in Lock", first)
+		}
 	}
 
 	// Re-running detection must not re-report the same cycle.
@@ -440,7 +446,7 @@ func TestIssueStringFormats(t *testing.T) {
 		t.Fatalf("missing backtrace:\n%s", str)
 	}
 
-	free := Issue{Kind: IssueUnlockFree, Key: 0x62a494, Message: "unlock of an already-free lock"}
+	free := Issue{Kind: IssueUnlockFree, Key: 0x62a494, Message: "unlock of an already-free lock", op: opUnlock}
 	if !strings.Contains(free.String(), "[GLS]WARNING> UNLOCK 0x62a494 - Already free") {
 		t.Fatalf("free format:\n%s", free.String())
 	}
@@ -505,9 +511,9 @@ func TestDefaultReporterWritesStderr(t *testing.T) {
 	}
 }
 
-// TestDebugStackStartsAtEntryPoint pins captureStack's skip counts: an
-// issue raised while acquiring has a backtrace whose frame #0 is the public
-// entry point the program called, however many service frames lie under it.
+// TestDebugStackStartsAtEntryPoint: an issue raised while acquiring has a
+// backtrace whose frame #0 is the public entry point the program called,
+// however many service frames lie under it (formatPCs drops them by name).
 func TestDebugStackStartsAtEntryPoint(t *testing.T) {
 	s, c := newDebugService(t, Options{StrictInit: true})
 	ctx, cancel := context.WithCancel(context.Background()) // can fire: LockCtx keeps its own path
@@ -539,6 +545,92 @@ func TestDebugStackStartsAtEntryPoint(t *testing.T) {
 	}
 	if n := len(c.issues); n != 8 {
 		t.Errorf("%d issues, want the 8 uninitialized-lock ones: %+v", n, c.issues)
+	}
+}
+
+// TestDebugIssueStartsAtEntryPoint: every issue raised outside the deadlock
+// walk has the expected kind, a backtrace whose frame #0 is the entry point
+// the program called, and a header naming the operation that raised it.
+func TestDebugIssueStartsAtEntryPoint(t *testing.T) {
+	recovered := func(f func()) {
+		defer func() { _ = recover() }() // the species mismatches panic once reported
+		f()
+	}
+	for _, tc := range []struct {
+		name, entry, verb string
+		kind              IssueKind
+		strict            bool
+		raise             func(s *Service, k uint64)
+	}{
+		{"Unlock never locked", "(*Service).Unlock", "UNLOCK", IssueUninitializedLock, false,
+			func(s *Service, k uint64) { s.Unlock(k) }},
+		{"Unlock already free", "(*Service).Unlock", "UNLOCK", IssueUnlockFree, false,
+			func(s *Service, k uint64) { s.Lock(k); s.Unlock(k); s.Unlock(k) }},
+		{"Unlock wrong owner", "(*Service).Unlock", "UNLOCK", IssueUnlockWrongOwner, false,
+			func(s *Service, k uint64) {
+				s.Lock(k)
+				done := make(chan struct{})
+				go func() { defer close(done); s.Unlock(k) }()
+				<-done
+				s.Unlock(k)
+			}},
+		{"RUnlock never locked", "(*Service).RUnlock", "UNLOCK", IssueUninitializedLock, false,
+			func(s *Service, k uint64) { s.RUnlock(k) }},
+		{"RUnlock exclusive key", "(*Service).RUnlock", "UNLOCK", IssueAlgorithmMismatch, false,
+			func(s *Service, k uint64) { s.Lock(k); s.Unlock(k); s.RUnlock(k) }},
+		{"RUnlock not a reader", "(*Service).RUnlock", "UNLOCK", IssueRUnlockNotReader, false,
+			func(s *Service, k uint64) { s.InitRWLock(k); s.RUnlock(k) }},
+		{"UnlockWith mismatch", "(*Service).UnlockWith", "UNLOCK", IssueAlgorithmMismatch, false,
+			func(s *Service, k uint64) { s.LockWith(locks.Mutex, k); s.UnlockWith(locks.Ticket, k) }},
+		{"Free held", "(*Service).Free", "FREE", IssueFreeHeld, false,
+			func(s *Service, k uint64) { s.Lock(k); s.Free(k) }},
+		{"RLock exclusive key", "(*Service).RLock", "LOCK", IssueAlgorithmMismatch, false,
+			func(s *Service, k uint64) { s.Lock(k); s.Unlock(k); recovered(func() { s.RLock(k) }) }},
+		{"TryRLock exclusive key", "(*Service).TryRLock", "LOCK", IssueAlgorithmMismatch, false,
+			func(s *Service, k uint64) { s.Lock(k); s.Unlock(k); recovered(func() { s.TryRLock(k) }) }},
+		{"InitRWLock exclusive key", "(*Service).InitRWLock", "LOCK", IssueAlgorithmMismatch, false,
+			func(s *Service, k uint64) { s.InitLock(k); recovered(func() { s.InitRWLock(k) }) }},
+		{"Handle.RLock exclusive key", "(*Handle).RLock", "LOCK", IssueAlgorithmMismatch, false,
+			func(s *Service, k uint64) { s.InitLock(k); recovered(func() { s.NewHandle().RLock(k) }) }},
+		{"PinWith default key", "(*Service).PinWith", "LOCK", IssueAlgorithmMismatch, false,
+			func(s *Service, k uint64) { s.InitLock(k); recovered(func() { s.PinWith(locks.Mutex, k) }) }},
+		{"Lock uninitialized", "(*Service).Lock", "LOCK", IssueUninitializedLock, true,
+			func(s *Service, k uint64) { s.Lock(k); s.Unlock(k) }},
+		{"RLock uninitialized", "(*Service).RLock", "LOCK", IssueUninitializedLock, true,
+			func(s *Service, k uint64) { s.RLock(k); s.RUnlock(k) }},
+		{"LockWith mismatch", "(*Service).LockWith", "LOCK", IssueAlgorithmMismatch, false,
+			func(s *Service, k uint64) {
+				s.LockWith(locks.Mutex, k)
+				s.Unlock(k)
+				s.LockWith(locks.Ticket, k)
+				s.Unlock(k)
+			}},
+		{"TryLock double lock", "(*Service).TryLock", "LOCK", IssueDoubleLock, false,
+			func(s *Service, k uint64) { s.Lock(k); s.TryLock(k); s.Unlock(k) }},
+		{"TryLock upgrade", "(*Service).TryLock", "LOCK", IssueUpgradeDeadlock, false,
+			func(s *Service, k uint64) { s.RLock(k); s.TryLock(k); s.RUnlock(k) }},
+		{"TryRLock upgrade", "(*Service).TryRLock", "LOCK", IssueUpgradeDeadlock, false,
+			func(s *Service, k uint64) { s.InitRWLock(k); s.Lock(k); s.TryRLock(k); s.Unlock(k) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, c := newDebugService(t, Options{StrictInit: tc.strict})
+			const key = 0x5400
+			tc.raise(s, key)
+			if len(c.issues) != 1 {
+				t.Fatalf("%d issues, want one: %+v", len(c.issues), c.issues)
+			}
+			iss := c.issues[0]
+			if iss.Kind != tc.kind || iss.Key != key {
+				t.Errorf("issue %v on %#x, want %v on %#x", iss.Kind, iss.Key, tc.kind, key)
+			}
+			first, _, _ := strings.Cut(iss.Stack, "\n")
+			if want := "(gls." + tc.entry + ")"; !strings.HasPrefix(first, "#0 ") || !strings.HasSuffix(first, want) {
+				t.Errorf("backtrace starts %q, want frame #0 in %s", first, want)
+			}
+			if want := "[GLS]WARNING> " + tc.verb + " "; !strings.HasPrefix(iss.String(), want) {
+				t.Errorf("report starts %q, want %q", iss.String(), want)
+			}
+		})
 	}
 }
 

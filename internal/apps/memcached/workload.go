@@ -55,9 +55,9 @@ func RunWorkload(c *Cache, w WorkloadConfig) (uint64, time.Duration) {
 	}
 
 	res := harness.Drive(w.Threads, w.Duration, w.Seed, func(wk *harness.Worker) {
-		zipf := xrand.NewZipf(&wk.Rng, w.Keys, keySkew)
+		zipf := xrand.NewZipf(w.Keys, keySkew)
 		for wk.Next() {
-			k := keys[zipf.Next()]
+			k := keys[zipf.Next(&wk.Rng)]
 			if wk.Rng.Bool(w.GetRatio) {
 				c.Get(k)
 			} else {

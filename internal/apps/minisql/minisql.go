@@ -245,9 +245,9 @@ func RunWorkload(db *DB, w WorkloadConfig) (uint64, time.Duration) {
 	before := db.Commits()
 	res := harness.Drive(w.Threads, w.Duration, w.Seed, func(wk *harness.Worker) {
 		rng := &wk.Rng
-		zipf := xrand.NewZipf(rng, len(db.nodes), keySkew)
+		zipf := xrand.NewZipf(len(db.nodes), keySkew)
 		for wk.Next() {
-			id1 := uint64(zipf.Next())
+			id1 := uint64(zipf.Next(rng))
 			r := rng.Float64()
 			switch {
 			case r < 0.51:

@@ -166,13 +166,13 @@ func Run(cfg Config, factory LockerFactory) Result {
 	return Drive(cfg.Threads, cfg.Duration, cfg.Seed, func(w *Worker) {
 		var zipf *xrand.Zipf
 		if cfg.ZipfAlpha > 0 && cfg.Locks > 1 {
-			zipf = xrand.NewZipf(&w.Rng, cfg.Locks, cfg.ZipfAlpha)
+			zipf = xrand.NewZipf(cfg.Locks, cfg.ZipfAlpha)
 		}
 		for w.Next() {
 			i := 0
 			if cfg.Locks > 1 {
 				if zipf != nil {
-					i = zipf.Next()
+					i = zipf.Next(&w.Rng)
 				} else {
 					i = int(w.Rng.Uintn(uint64(cfg.Locks)))
 				}

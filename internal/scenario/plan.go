@@ -100,11 +100,11 @@ func buildPhase(s *Scenario, ph *Phase, phaseIdx int, seed uint64) *PhasePlan {
 	for w := 0; w < s.Workers; w++ {
 		rngs[w] = xrand.Seeded(streamSeed(seed, phaseIdx, w))
 	}
-	// Zipf phases share one cumulative table; each worker samples it with
-	// its own stream (building a per-worker table would be O(keys) each).
-	var cdf []float64
+	// Zipf phases share one table; each worker samples it with its own
+	// stream (building a per-worker table would be O(keys) each).
+	var zipf *xrand.Zipf
 	if ph.Dist.Kind == DistZipf {
-		cdf = zipfCDF(int(s.Keys), ph.Dist.Alpha)
+		zipf = xrand.NewZipf(int(s.Keys), ph.Dist.Alpha)
 	}
 
 	for i := 0; i < n; i++ {
@@ -112,7 +112,7 @@ func buildPhase(s *Scenario, ph *Phase, phaseIdx int, seed uint64) *PhasePlan {
 		op := Op{
 			Index:  i,
 			Worker: w,
-			Key:    drawKey(s, ph, &rngs[w], cdf, i),
+			Key:    drawKey(s, ph, &rngs[w], zipf, i),
 			At:     arrivalAt(ph, i),
 		}
 		if ph.Block != 0 && op.Key == ph.Block {
@@ -135,12 +135,12 @@ func streamSeed(seed uint64, phase, worker int) uint64 {
 
 // drawKey draws op i's key from the worker's stream under the phase's
 // distribution. Keys are 1-based.
-func drawKey(s *Scenario, ph *Phase, rng *xrand.SplitMix64, cdf []float64, i int) uint64 {
+func drawKey(s *Scenario, ph *Phase, rng *xrand.SplitMix64, zipf *xrand.Zipf, i int) uint64 {
 	switch ph.Dist.Kind {
 	case DistUniform:
 		return 1 + rng.Uintn(s.Keys)
 	case DistZipf:
-		return 1 + uint64(sampleCDF(cdf, rng.Float64()))
+		return 1 + uint64(zipf.Next(rng))
 	case DistHot:
 		if rng.Bool(float64(ph.Dist.Pct) / 100) {
 			return ph.Dist.Hot
@@ -188,36 +188,6 @@ func arrivalAt(ph *Phase, i int) time.Duration {
 		t = d
 	}
 	return time.Duration(t * float64(time.Second))
-}
-
-// zipfCDF builds the cumulative table for P(i) ∝ 1/(i+1)^alpha over n
-// items (the same math as xrand.NewZipf, shared across workers here).
-func zipfCDF(n int, alpha float64) []float64 {
-	cdf := make([]float64, n)
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += 1 / math.Pow(float64(i+1), alpha)
-		cdf[i] = sum
-	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
-	cdf[n-1] = 1
-	return cdf
-}
-
-// sampleCDF inverse-samples the table at u ∈ [0, 1).
-func sampleCDF(cdf []float64, u float64) int {
-	lo, hi := 0, len(cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // WriteReplay writes the plan's replay log: a text record of every

@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"gls/internal/xrand"
 )
 
 // mustParse parses or fails the test.
@@ -250,17 +252,21 @@ dist rotate 4 70 32
 }
 
 func TestZipfCDFMatchesXrand(t *testing.T) {
-	// The plan's shared CDF must sample the same distribution as
-	// xrand.Zipf: spot-check the paper's zipf(0.9) over 8 keys, where the
-	// two busiest locks serve ~34% and ~18%.
-	cdf := zipfCDF(8, 0.9)
-	if p0 := cdf[0]; math.Abs(p0-0.34) > 0.01 {
-		t.Fatalf("P(0) = %.3f, want ~0.34", p0)
+	// A zipf phase samples xrand.Zipf's table, each worker with its own
+	// stream: over the paper's zipf(0.9) on 8 keys the planned keys fall
+	// as the table says (the two busiest locks serve ~34% and ~18%).
+	s := mustParse(t, "scenario t\nkeys 8\nworkers 3\nphase p\nduration 5s\nrate 20000\ndist zipf 0.9\n")
+	pp := BuildPlan(s, 7).Phases[0]
+	counts := make([]int, s.Keys)
+	for _, ops := range pp.PerWorker {
+		for _, op := range ops {
+			counts[op.Key-1]++
+		}
 	}
-	if p1 := cdf[1] - cdf[0]; math.Abs(p1-0.18) > 0.01 {
-		t.Fatalf("P(1) = %.3f, want ~0.18", p1)
-	}
-	if cdf[7] != 1 {
-		t.Fatalf("CDF does not end at 1: %v", cdf[7])
+	z := xrand.NewZipf(int(s.Keys), 0.9)
+	for i, n := range counts {
+		if got, want := float64(n)/float64(pp.N), z.Prob(i); math.Abs(got-want) > 0.01 {
+			t.Errorf("key %d: drawn %.3f of the time, want %.3f", i+1, got, want)
+		}
 	}
 }

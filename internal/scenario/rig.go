@@ -29,9 +29,7 @@ func (s *Scenario) Quick() *Scenario { return s.Scaled(quickDiv, quickFloor) }
 func RunRig(plan *Plan, wire bool, progress io.Writer) (*Report, error) {
 	scn := plan.Scenario
 	// The registry carries the event stream behind `expect transition`.
-	// Sample period 1 (every acquisition timed) is the load the committed
-	// scenario records were measured under.
-	reg := telemetry.New(telemetry.Options{SamplePeriod: 1})
+	reg := telemetry.New(telemetry.Options{})
 	// A private probe-less monitor: only `mphint` directives move the
 	// multiprogramming flag, never the host's own scheduling noise.
 	mon := sysmon.New(sysmon.Options{DisableProbes: true})

@@ -66,15 +66,16 @@ func (s *SplitMix64) Bool(p float64) bool {
 // Zipf samples from a zipfian distribution over {0, …, n-1} with exponent
 // alpha: P(i) ∝ 1/(i+1)^alpha. Any alpha ≥ 0 is accepted (alpha = 0 is
 // uniform). Sampling is inverse-CDF with binary search over a precomputed
-// cumulative table, so construction is O(n) and sampling O(log n).
+// cumulative table, so construction is O(n) and sampling O(log n). A Zipf
+// is only its table: each draw takes the caller's generator, so goroutines
+// with their own generators may share one.
 type Zipf struct {
 	cdf []float64
-	rng *SplitMix64
 }
 
-// NewZipf builds a sampler over n items with the given exponent, drawing
-// randomness from rng. n must be positive.
-func NewZipf(rng *SplitMix64, n int, alpha float64) *Zipf {
+// NewZipf builds a sampler over n items with the given exponent. n must be
+// positive.
+func NewZipf(n int, alpha float64) *Zipf {
 	if n <= 0 {
 		panic("xrand: NewZipf with n <= 0")
 	}
@@ -88,12 +89,12 @@ func NewZipf(rng *SplitMix64, n int, alpha float64) *Zipf {
 		cdf[i] /= sum
 	}
 	cdf[n-1] = 1 // guard against rounding
-	return &Zipf{cdf: cdf, rng: rng}
+	return &Zipf{cdf: cdf}
 }
 
-// Next returns the next sample in [0, n).
-func (z *Zipf) Next() int {
-	u := z.rng.Float64()
+// Next returns the next sample in [0, n), drawn from rng.
+func (z *Zipf) Next(rng *SplitMix64) int {
+	u := rng.Float64()
 	lo, hi := 0, len(z.cdf)-1
 	for lo < hi {
 		mid := (lo + hi) / 2

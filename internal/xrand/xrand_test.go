@@ -65,7 +65,7 @@ func TestFloat64Range(t *testing.T) {
 func TestZipfPaperProportions(t *testing.T) {
 	// Paper §3.2 "Multiple Locks Behavior": 8 locks, alpha = 0.9, "the two
 	// most busy locks serve 34% and 18% of the requests".
-	z := NewZipf(NewSplitMix64(1), 8, 0.9)
+	z := NewZipf(8, 0.9)
 	if p := z.Prob(0); math.Abs(p-0.34) > 0.01 {
 		t.Errorf("P(lock 0) = %.3f, paper reports 0.34", p)
 	}
@@ -76,10 +76,10 @@ func TestZipfPaperProportions(t *testing.T) {
 
 func TestZipfEmpiricalMatchesProb(t *testing.T) {
 	const n, samples = 8, 200000
-	z := NewZipf(NewSplitMix64(123), n, 0.9)
+	z, rng := NewZipf(n, 0.9), NewSplitMix64(123)
 	counts := make([]int, n)
 	for i := 0; i < samples; i++ {
-		counts[z.Next()]++
+		counts[z.Next(rng)]++
 	}
 	for i := 0; i < n; i++ {
 		got := float64(counts[i]) / samples
@@ -91,7 +91,7 @@ func TestZipfEmpiricalMatchesProb(t *testing.T) {
 }
 
 func TestZipfAlphaZeroIsUniform(t *testing.T) {
-	z := NewZipf(NewSplitMix64(5), 10, 0)
+	z := NewZipf(10, 0)
 	for i := 0; i < 10; i++ {
 		if math.Abs(z.Prob(i)-0.1) > 1e-9 {
 			t.Fatalf("alpha=0 Prob(%d) = %v, want 0.1", i, z.Prob(i))
@@ -100,10 +100,10 @@ func TestZipfAlphaZeroIsUniform(t *testing.T) {
 }
 
 func TestZipfCDFMonotoneAndComplete(t *testing.T) {
-	f := func(seed uint64, nRaw uint8, alphaRaw uint8) bool {
+	f := func(nRaw uint8, alphaRaw uint8) bool {
 		n := int(nRaw%64) + 1
 		alpha := float64(alphaRaw%30) / 10 // 0.0 .. 2.9
-		z := NewZipf(NewSplitMix64(seed), n, alpha)
+		z := NewZipf(n, alpha)
 		prev := 0.0
 		for _, c := range z.cdf {
 			if c < prev {
@@ -119,9 +119,9 @@ func TestZipfCDFMonotoneAndComplete(t *testing.T) {
 }
 
 func TestZipfNextInRange(t *testing.T) {
-	z := NewZipf(NewSplitMix64(77), 3, 0.9)
+	z, rng := NewZipf(3, 0.9), NewSplitMix64(77)
 	for i := 0; i < 10000; i++ {
-		v := z.Next()
+		v := z.Next(rng)
 		if v < 0 || v >= 3 {
 			t.Fatalf("Next = %d out of range", v)
 		}
@@ -134,7 +134,7 @@ func TestZipfPanicsOnBadN(t *testing.T) {
 			t.Fatal("NewZipf(0) did not panic")
 		}
 	}()
-	NewZipf(NewSplitMix64(1), 0, 1)
+	NewZipf(0, 1)
 }
 
 func BenchmarkSplitMix64(b *testing.B) {
@@ -145,8 +145,8 @@ func BenchmarkSplitMix64(b *testing.B) {
 }
 
 func BenchmarkZipfNext(b *testing.B) {
-	z := NewZipf(NewSplitMix64(1), 4096, 0.9)
+	z, rng := NewZipf(4096, 0.9), NewSplitMix64(1)
 	for i := 0; i < b.N; i++ {
-		_ = z.Next()
+		_ = z.Next(rng)
 	}
 }

@@ -508,12 +508,7 @@ func (s *Service) UnlockWith(a locks.Algorithm, key uint64) {
 	}
 	if s.dbg != nil {
 		if e := s.table.Get(key); e != nil && e.algo() != a {
-			s.report(Issue{
-				Kind:      IssueAlgorithmMismatch,
-				Key:       key,
-				Goroutine: uint64(gid.Get()),
-				Message:   fmt.Sprintf("unlock as %v but lock is %v", a, algoName(e.algo())),
-			})
+			s.flag(opUnlock, IssueAlgorithmMismatch, key, 0, fmt.Sprintf("unlock as %v but lock is %v", a, algoName(e.algo())))
 		}
 	}
 	s.Unlock(key)
@@ -587,13 +582,7 @@ func (s *Service) Free(key uint64) {
 func (s *Service) retire(e *entry, key uint64) {
 	if s.dbg != nil {
 		if owner := s.dbg.forget(key); owner != 0 {
-			s.report(Issue{
-				Kind:      IssueFreeHeld,
-				Key:       key,
-				Goroutine: uint64(gid.Get()),
-				Owner:     uint64(owner),
-				Message:   "freeing a lock that is currently held",
-			})
+			s.flag(opFree, IssueFreeHeld, key, owner, "freeing a lock that is currently held")
 		}
 	}
 	if s.tele != nil {

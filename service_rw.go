@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"gls/glk"
-	"gls/internal/gid"
 )
 
 // This file is the service surface of glsrw: reader-writer locking with
@@ -60,13 +59,7 @@ func (s *Service) reportSpeciesMismatch(key uint64, msg string) {
 	if s.dbg == nil {
 		return
 	}
-	s.report(Issue{
-		Kind:      IssueAlgorithmMismatch,
-		Key:       key,
-		Goroutine: uint64(gid.Get()),
-		Message:   msg,
-		Stack:     captureStack(4),
-	})
+	s.flag(opLock, IssueAlgorithmMismatch, key, 0, msg)
 }
 
 // RLock acquires a read share of key's reader-writer lock, creating the
