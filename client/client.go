@@ -85,7 +85,9 @@ func errForCode(code, detail string) error {
 // peer is seen with no call in flight. A Lock whose GRANT came in the same
 // read as its QUEUED (a free key) has not waited: the reader is not asked
 // for the baton. Whoever holds the baton routes the asynchronous lines it
-// reads to their owners.
+// reads to their owners. While waits end less than lingerWindow apart the
+// reader never lets the baton go, so every reply then reaches its caller
+// through syncCh, a second wake per round trip.
 type Conn struct {
 	nc net.Conn
 	bw *bufio.Writer

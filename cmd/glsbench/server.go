@@ -2,33 +2,34 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"gls/client"
 	"gls/internal/figures"
-	"gls/internal/scenario"
+	"gls/internal/harness"
 	"gls/server"
 )
 
 // The -server family measures glsd, the network-facing lock service, end to
 // end: an in-process server on loopback, a sweep of concurrent client
-// connections, and an open-loop load generator — arrivals are paced by the
-// clock, not by completions, so latency reflects queueing under a fixed
-// offered rate rather than the generator backing off. Each point then runs
+// connections, and an open-loop load on harness.Pace — arrivals are paced by
+// the clock, not by completions, and spread evenly over each connection's
+// interval. p50/p95/p99 are service times, from the TryLock call to its
+// reply; resp_p50/resp_p99 are response times, from the intended arrival, so
+// a backlog behind an overrun round trip shows there; late counts the round
+// trips already due when their connection reached them. Each point then runs
 // a second phase: a quarter of the connections park a waiter on one held
 // key, and the release cascade is timed — exercising the server's claim
 // that a blocked waiter costs one goroutine parked in the key's FIFO queue
 // and no CPU, so the cascade is one direct hand-off per waiter. The phases
 // are sequential so the latency columns and drain_ms each measure one thing
-// (EXPERIMENTS.md has the small-machine caveats). The JSON it emits
-// (BENCH_glsd.json) is the wire-path perf trajectory.
+// (EXPERIMENTS.md has the small-machine caveats). The committed
+// BENCH_glsd.json predates the even spread: its pacer sent every
+// connection's round trip at once, and its latency columns price that burst.
 
 // serverResult is one measured sweep point.
 type serverResult struct {
@@ -37,9 +38,12 @@ type serverResult struct {
 	OfferedPerSec float64 `json:"offered_ops_per_sec"`
 	OpsPerSec     float64 `json:"ops_per_sec"`
 	Busy          int64   `json:"busy"`
-	P50us         float64 `json:"p50_us"`
+	P50us         float64 `json:"p50_us"` // service time: the TryLock call to its reply
 	P95us         float64 `json:"p95_us"`
 	P99us         float64 `json:"p99_us"`
+	RespP50us     float64 `json:"resp_p50_us"` // response time: the intended arrival to the reply
+	RespP99us     float64 `json:"resp_p99_us"`
+	Late          uint64  `json:"late"`       // ops already due when their connection reached them
 	Goroutines    int     `json:"goroutines"` // bench + server, sampled mid-window
 	DrainMS       float64 `json:"drain_ms"`   // parked-waiter cascade after release
 }
@@ -85,10 +89,8 @@ func runServer(path string, progress io.Writer, s figures.Scale) error {
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		DurationMS:  d.Milliseconds(),
 	}
-	// Offered aggregate rate, split evenly across connections. Deliberately
-	// below saturation: open-loop latency is only meaningful while the
-	// server keeps up (see EXPERIMENTS.md on reading these numbers from a
-	// small machine).
+	// Offered aggregate rate, split evenly across connections, below
+	// saturation (EXPERIMENTS.md reads these numbers on a small machine).
 	offered := 4000.0
 	if s.Quick {
 		offered = 1000.0
@@ -100,8 +102,8 @@ func runServer(path string, progress io.Writer, s figures.Scale) error {
 			return fmt.Errorf("%d conns: %w", conns, err)
 		}
 		report.Results = append(report.Results, res)
-		fmt.Fprintf(progress, "conns=%-5d parked=%-4d offered=%6.0f ops/s  achieved=%7.0f ops/s  busy=%-5d p50=%6.0fµs p95=%6.0fµs p99=%6.0fµs  drain=%.1fms\n",
-			res.Conns, res.ParkedWaiters, res.OfferedPerSec, res.OpsPerSec, res.Busy, res.P50us, res.P95us, res.P99us, res.DrainMS)
+		fmt.Fprintf(progress, "conns=%-5d parked=%-4d offered=%6.0f ops/s  achieved=%7.0f ops/s  busy=%-5d p50=%6.0fµs p95=%6.0fµs p99=%6.0fµs  resp p50=%6.0fµs p99=%6.0fµs late=%-5d drain=%.1fms\n",
+			res.Conns, res.ParkedWaiters, res.OfferedPerSec, res.OpsPerSec, res.Busy, res.P50us, res.P95us, res.P99us, res.RespP50us, res.RespP99us, res.Late, res.DrainMS)
 	}
 
 	return writeJSON(path, report)
@@ -114,86 +116,40 @@ func serverPoint(addr string, conns int, offered float64, d time.Duration) (serv
 	// The hot parked-on key; the paced keyspace starts above it.
 	const parkKey = 1
 
-	clients := make([]*client.Conn, conns)
-	var dialWG sync.WaitGroup
-	var dialErr atomic.Value
-	sem := make(chan struct{}, 64)
-	for i := range clients {
-		dialWG.Add(1)
-		go func(i int) {
-			defer dialWG.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			c, err := client.Dial(addr)
-			if err != nil {
-				dialErr.Store(err)
-				return
-			}
-			clients[i] = c
-		}(i)
-	}
-	dialWG.Wait()
+	clients := make([]*client.Conn, 0, conns)
 	defer func() {
 		for _, c := range clients {
-			if c != nil {
-				_ = c.Close()
-			}
+			_ = c.Close()
 		}
 	}()
-	if err, _ := dialErr.Load().(error); err != nil {
-		return serverResult{}, err
+	for range conns {
+		c, err := client.Dial(addr)
+		if err != nil {
+			return serverResult{}, err
+		}
+		clients = append(clients, c)
 	}
 
 	// Phase 1 — the paced load: every connection issues trylock/unlock
-	// round trips on a wide keyspace at interval = conns/offered, catching
-	// up (not backing off) when a round trip overruns — the open-loop
-	// discipline.
+	// round trips on a wide keyspace, one per conns/offered, catching up
+	// (not backing off) when a round trip overruns.
 	interval := time.Duration(float64(conns) / offered * float64(time.Second))
-	var stop atomic.Bool
-	var busy atomic.Int64
-	lats := make([][]time.Duration, conns)
-	var loadWG sync.WaitGroup
-	var opErr atomic.Value
-	start := time.Now()
-	for i, c := range clients {
-		loadWG.Add(1)
-		go func(i int, c *client.Conn) {
-			defer loadWG.Done()
-			rng := rand.New(rand.NewSource(int64(i)*2654435761 + 12345))
-			next := time.Now()
-			for !stop.Load() {
-				next = next.Add(interval)
-				if wait := time.Until(next); wait > 0 {
-					time.Sleep(wait)
-				}
-				key := uint64(2 + rng.Intn(conns*8))
-				t0 := time.Now()
-				_, err := c.TryLock(key, 0)
-				if err != nil {
-					if err == client.ErrBusy {
-						busy.Add(1)
-						continue
-					}
-					opErr.Store(err)
-					return
-				}
-				lats[i] = append(lats[i], time.Since(t0))
-				if err := c.Unlock(key); err != nil {
-					opErr.Store(err)
-					return
-				}
+	sampled := make(chan int, 1)
+	time.AfterFunc(d/2, func() { sampled <- runtime.NumGoroutine() })
+	paced, err := harness.Pace(conns, 1, nil, interval, d, func(w *harness.Worker, _ int) (time.Time, error) {
+		c, key := clients[w.ID], 2+w.Rng.Uintn(uint64(conns*8))
+		if _, err := c.TryLock(key, 0); err != nil {
+			if errors.Is(err, client.ErrBusy) {
+				err = nil
 			}
-		}(i, c)
-	}
-	time.Sleep(d / 2)
-	goroutines := runtime.NumGoroutine()
-	time.Sleep(d / 2)
-	stop.Store(true)
-	loadWG.Wait()
-	elapsed := time.Since(start)
-	if err, _ := opErr.Load().(error); err != nil {
+			return time.Time{}, err
+		}
+		return time.Now(), c.Unlock(key)
+	})
+	if err != nil {
 		return serverResult{}, err
 	}
+	goroutines := <-sampled
 
 	// Phase 2 — parked waiters. A control connection holds the park key, a
 	// quarter of the sessions enqueue behind it (each blocks a bench
@@ -243,20 +199,19 @@ func serverPoint(addr string, conns int, offered float64, d time.Duration) (serv
 	}
 	drain := time.Since(t0)
 
-	var all []time.Duration
-	for _, l := range lats {
-		all = append(all, l...)
-	}
-	sort.Slice(all, func(a, b int) bool { return all[a] < all[b] })
+	served := len(paced.Service)
 	return serverResult{
 		Conns:         conns,
 		ParkedWaiters: parked,
 		OfferedPerSec: offered,
-		OpsPerSec:     float64(len(all)) / elapsed.Seconds(),
-		Busy:          busy.Load(),
-		P50us:         scenario.PctUS(all, 0.50),
-		P95us:         scenario.PctUS(all, 0.95),
-		P99us:         scenario.PctUS(all, 0.99),
+		OpsPerSec:     float64(served) / paced.Elapsed.Seconds(),
+		Busy:          int64(paced.Issued) - int64(served),
+		P50us:         harness.PctUS(paced.Service, 0.50),
+		P95us:         harness.PctUS(paced.Service, 0.95),
+		P99us:         harness.PctUS(paced.Service, 0.99),
+		RespP50us:     harness.PctUS(paced.Response, 0.50),
+		RespP99us:     harness.PctUS(paced.Response, 0.99),
+		Late:          paced.Late,
 		Goroutines:    goroutines,
 		DrainMS:       float64(drain) / float64(time.Millisecond),
 	}, nil

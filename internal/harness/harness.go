@@ -16,7 +16,8 @@
 // A body gets its Worker, does its set-up, and loops on Next; the window
 // opens at the gate its first Next waits at, once every worker has arrived,
 // and closes at the stop. Worker i draws from its own stream, seeded
-// seed + i·0x9e3779b9.
+// seed + i·0x9e3779b9. Pace is the one open loop, on the same workers: the
+// scenario engine's and glsbench -server's.
 package harness
 
 import (

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,6 +43,7 @@ type Worker struct {
 type run struct {
 	phase   atomic.Uint32
 	gate    chan struct{}
+	start   time.Time      // when the gate opened
 	arrived sync.WaitGroup // workers at the gate, or whose body returned first
 	done    sync.WaitGroup // workers whose body returned
 }
@@ -90,12 +93,12 @@ func Start(n int, seed uint64, body func(*Worker)) (stop func() Result) {
 	}
 	r.arrived.Wait()
 	r.phase.Store(running)
-	start := time.Now()
+	r.start = time.Now()
 	close(r.gate)
 	return func() Result {
 		r.phase.Store(stopped)
 		r.done.Wait()
-		res := Result{Elapsed: time.Since(start), PerThread: make([]uint64, n)}
+		res := Result{Elapsed: time.Since(r.start), PerThread: make([]uint64, n)}
 		for i, w := range ws {
 			res.PerThread[i] = w.ops
 			res.Ops += w.ops
@@ -113,4 +116,99 @@ func Drive(n int, d time.Duration, seed uint64, body func(*Worker)) Result {
 	stop := Start(n, seed, body)
 	time.Sleep(d)
 	return stop()
+}
+
+// Paced is one open-loop run: the ops Pace's workers issued, and two times
+// for each op that was served.
+type Paced struct {
+	// Issued counts every op the schedules held: none is skipped.
+	Issued uint64
+	// Late counts the ops whose arrival had passed when their worker
+	// reached them: an earlier op, or the sleep before it, ran past it.
+	Late uint64
+	// Elapsed runs from the gate to the last worker's return.
+	Elapsed time.Duration
+	// Service holds each served op's service time, from the call; Response
+	// its response time, from its intended arrival, which also counts the
+	// wait behind an overrun op. Both end when body says it was served, and
+	// both are sorted.
+	Service, Response []time.Duration
+}
+
+// Pace runs body open-loop on n workers. Worker i's k-th op is due at[i][k]
+// after the gate or, for a nil at, at (k + i/n)·every (every > 0) while that
+// is before window, so the workers' arrivals are spread evenly over each
+// interval. A worker sleeps only until its next op is due and issues an op
+// already due at once, so an op that overruns delays its worker's later ops
+// and the delay shows in their response times. body(w, k) issues op k and
+// returns when it was served, or the zero time if it was not (a timeout, a
+// refusal); what it does after that is not timed. A body error ends its
+// worker's schedule, and Pace returns the lowest worker's.
+func Pace(n int, seed uint64, at [][]time.Duration, every, window time.Duration, body func(w *Worker, k int) (time.Time, error)) (Paced, error) {
+	runs := make([]Paced, n)
+	errs := make([]error, n)
+	// The stop comes at once: the first Next is only the gate, and the
+	// schedule, not the stop, ends a worker's walk.
+	elapsed := Start(n, seed, func(w *Worker) {
+		w.Next()
+		var p Paced
+		for k := 0; ; k++ {
+			var due time.Duration
+			if at != nil {
+				if k == len(at[w.ID]) {
+					break
+				}
+				due = at[w.ID][k]
+			} else if due = arrival(w.ID, k, n, every); due >= window {
+				break
+			}
+			dueAt := w.run.start.Add(due)
+			called := time.Now()
+			if wait := dueAt.Sub(called); wait > 0 {
+				time.Sleep(wait)
+				called = time.Now()
+			} else if k > 0 {
+				p.Late++
+			}
+			p.Issued++
+			served, err := body(w, k)
+			if err != nil {
+				errs[w.ID] = err
+				break
+			}
+			if !served.IsZero() {
+				p.Service = append(p.Service, served.Sub(called))
+				p.Response = append(p.Response, served.Sub(dueAt))
+			}
+		}
+		runs[w.ID] = p
+	})().Elapsed
+	all := Paced{Elapsed: elapsed}
+	for i, p := range runs {
+		if errs[i] != nil {
+			return Paced{}, fmt.Errorf("worker %d: %w", i, errs[i])
+		}
+		all.Issued += p.Issued
+		all.Late += p.Late
+		all.Service = append(all.Service, p.Service...)
+		all.Response = append(all.Response, p.Response...)
+	}
+	slices.Sort(all.Service)
+	slices.Sort(all.Response)
+	return all, nil
+}
+
+// arrival is worker i's k-th due time on n workers' fixed-interval schedule.
+func arrival(i, k, n int, every time.Duration) time.Duration {
+	return time.Duration(k)*every + time.Duration(i)*every/time.Duration(n)
+}
+
+// PctUS reports the q-quantile of a sorted sample in microseconds: the
+// exact sample at index q·(n−1), no interpolation.
+func PctUS(sorted []time.Duration, q float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	i := int(q * float64(len(sorted)-1))
+	return float64(sorted[i]) / float64(time.Microsecond)
 }

@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -140,5 +142,91 @@ func BenchmarkRun(b *testing.B) {
 			}
 			b.ReportMetric(ns/float64(b.N), "ns/thread-op")
 		})
+	}
+}
+
+// TestPaceSpreadsArrivals: on the fixed-interval schedule, worker i's k-th
+// op is due at (k + i/n)·every, so n workers' arrivals split every
+// interval into n equal gaps rather than arriving together, and a run
+// whose window is two intervals issues exactly two ops per worker.
+func TestPaceSpreadsArrivals(t *testing.T) {
+	const n, every = 4, 100 * time.Millisecond
+	for k := 0; k < 3; k++ {
+		for i := 0; i < n; i++ {
+			if got, want := arrival(i, k, n, every), time.Duration(k*n+i)*every/n; got != want {
+				t.Errorf("worker %d, op %d: due at %v, want %v", i, k, got, want)
+			}
+		}
+	}
+	called := make([][]time.Time, n)
+	p, err := Pace(n, 1, nil, every, 2*every, func(w *Worker, k int) (time.Time, error) {
+		called[w.ID] = append(called[w.ID], time.Now())
+		return time.Now(), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Issued != 2*n || len(p.Service) != 2*n || len(p.Response) != 2*n {
+		t.Fatalf("issued %d, %d service and %d response samples; want %d each", p.Issued, len(p.Service), len(p.Response), 2*n)
+	}
+	// No op is called before it is due, and the workers' first ops, due
+	// (n−1)/n of an interval apart end to end, do not arrive together.
+	if p.Response[0] < 0 {
+		t.Errorf("an op was served %v before it was due", -p.Response[0])
+	}
+	if spread := called[n-1][0].Sub(called[0][0]); spread < every/2 {
+		t.Errorf("the %d workers' first ops span %v, want about %v", n, spread, every*(n-1)/n)
+	}
+}
+
+// TestPaceWalksThePlan: on a planned schedule each worker issues its own
+// list in order, once each, a body's zero time is not sampled, an op
+// reached after its arrival counts as late, and a body error ends only its
+// worker and is returned.
+func TestPaceWalksThePlan(t *testing.T) {
+	at := [][]time.Duration{
+		{0, time.Millisecond, 2 * time.Millisecond},
+		nil,
+		{0, 0, 0, 0},
+	}
+	seen := make([][]int, len(at))
+	p, err := Pace(len(at), 1, at, 0, 0, func(w *Worker, k int) (time.Time, error) {
+		seen[w.ID] = append(seen[w.ID], k)
+		if w.ID == 0 && k == 1 {
+			return time.Time{}, nil
+		}
+		return time.Now(), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ks := range seen {
+		if len(ks) != len(at[i]) {
+			t.Errorf("worker %d issued %v, want each of its %d ops once", i, ks, len(at[i]))
+		}
+		for k, got := range ks {
+			if got != k {
+				t.Errorf("worker %d issued %v, want 0, 1, 2, ... in order", i, ks)
+				break
+			}
+		}
+	}
+	if p.Issued != 7 || len(p.Service) != 6 || len(p.Response) != 6 {
+		t.Errorf("issued %d with %d/%d samples, want 7 with 6 (one op was not served)", p.Issued, len(p.Service), len(p.Response))
+	}
+	// Worker 2's last three ops are due at the gate with the first: each is
+	// reached after its arrival.
+	if p.Late < 3 {
+		t.Errorf("late = %d, want ≥ 3", p.Late)
+	}
+	boom := errors.New("boom")
+	_, err = Pace(2, 1, [][]time.Duration{{0, 0}, {0}}, 0, 0, func(w *Worker, k int) (time.Time, error) {
+		if w.ID == 1 {
+			return time.Time{}, boom
+		}
+		return time.Now(), nil
+	})
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "worker 1") {
+		t.Fatalf("err = %v, want worker 1's error", err)
 	}
 }

@@ -4,28 +4,27 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
-	"sync"
 	"time"
 
+	"gls/internal/harness"
+	"gls/internal/sysmon"
 	"gls/telemetry"
 )
 
-// The engine executes a Plan phase by phase. Pacing is open-loop: each
-// worker sleeps until an op's planned arrival offset and issues it then,
-// catching up (never skipping, never backing off) when an acquisition
-// overruns — so a slow service faces the scenario's offered rate, not a
-// politely throttled one, and `issued` is always exactly the plan's op
-// count. Phases are barriers: every worker finishes phase k before any
-// worker starts phase k+1, because the lanes are per-phase interval
-// measurements (telemetry diffs, event windows, latency samples).
-
-// Hinter is the slice of sysmon.Monitor the engine needs for `mphint`
-// phases: assert a multiprogramming hint, 0 to clear.
-type Hinter interface {
-	// SetHint sets the external multiprogramming hint.
-	SetHint(n int)
-}
+// The engine executes a Plan phase by phase. Pacing is open-loop, on
+// harness.Pace: each worker sleeps until an op's planned arrival offset and
+// issues it then, catching up (never skipping, never backing off) when an
+// acquisition overruns — so a slow service faces the scenario's offered
+// rate, not a politely throttled one, and `issued` is always exactly the
+// plan's op count. Each grant has two times. The service time runs from
+// the Acquire call to the grant; the p50/p95/p99 lanes read it. The
+// response time runs from the planned arrival to the grant, so it also
+// counts the wait behind an overrun op; it is reported beside the lanes
+// (resp_p50_us, resp_p99_us), with `late`, the ops that were already due
+// when their worker reached them. Phases are barriers: every worker
+// finishes phase k before any worker starts phase k+1, because the lanes
+// are per-phase interval measurements (telemetry diffs, event windows,
+// latency samples).
 
 // options configures one engine run.
 type options struct {
@@ -35,8 +34,9 @@ type options struct {
 	// service feeds — the engine only reads its events, so it works on
 	// either side of the wire.
 	Registry *telemetry.Registry
-	// Monitor, when non-nil, receives `mphint` values phase by phase.
-	Monitor Hinter
+	// Monitor, when non-nil, receives `mphint` values phase by phase (0 to
+	// clear).
+	Monitor *sysmon.Monitor
 	// Progress, when non-nil, receives one human line per phase.
 	Progress io.Writer
 }
@@ -69,11 +69,20 @@ type PhaseResult struct {
 	Timeouts uint64 `json:"timeouts"`
 	// Blocked is the planned op count on the phase's held key.
 	Blocked uint64 `json:"blocked,omitempty"`
-	// P50us/P95us/P99us are engine-measured grant-latency percentiles
-	// (in wire mode they include the round trip).
+	// P50us/P95us/P99us are the grants' service-time percentiles, from the
+	// Acquire call to the grant (in wire mode they include the round trip);
+	// the p50/p95/p99 lanes read them.
 	P50us float64 `json:"p50_us"`
 	P95us float64 `json:"p95_us"`
 	P99us float64 `json:"p99_us"`
+	// RespP50us/RespP99us are the grants' response-time percentiles, from
+	// the planned arrival to the grant, so they also count the wait behind
+	// an overrun op. No lane reads them.
+	RespP50us float64 `json:"resp_p50_us"`
+	RespP99us float64 `json:"resp_p99_us"`
+	// Late counts the ops whose planned arrival had passed when their
+	// worker reached them: an earlier op, or the sleep before it, ran late.
+	Late uint64 `json:"late"`
 	// Transitions lists the adaptation edges observed in the phase via
 	// glslive, as "from→to ×count".
 	Transitions []string `json:"transitions,omitempty"`
@@ -154,19 +163,11 @@ func run(p *Plan, drv Driver, opt options) (*Report, error) {
 			if !res.Pass {
 				verdict = "FAIL"
 			}
-			fmt.Fprintf(opt.Progress, "phase %-12s offered=%7.0f/s achieved=%7.0f/s issued=%-6d grants=%-6d timeouts=%-5d p50=%6.0fµs p99=%7.0fµs lanes=%d %s\n",
-				res.Name, res.Offered, res.Achieved, res.Issued, res.Grants, res.Timeouts, res.P50us, res.P99us, len(res.Lanes), verdict)
+			fmt.Fprintf(opt.Progress, "phase %-12s offered=%7.0f/s achieved=%7.0f/s issued=%-6d grants=%-6d timeouts=%-5d p50=%6.0fµs p99=%7.0fµs resp p50=%6.0fµs p99=%7.0fµs late=%-5d lanes=%d %s\n",
+				res.Name, res.Offered, res.Achieved, res.Issued, res.Grants, res.Timeouts, res.P50us, res.P99us, res.RespP50us, res.RespP99us, res.Late, len(res.Lanes), verdict)
 		}
 	}
 	return rep, nil
-}
-
-// workerTally is one worker's phase outcome.
-type workerTally struct {
-	grants   uint64
-	timeouts uint64
-	lats     []time.Duration
-	err      error
 }
 
 // runPhase executes one phase to completion and evaluates its lanes.
@@ -190,22 +191,32 @@ func runPhase(pp *PhasePlan, conns []WorkerConn, drv Driver, opt options) (Phase
 		sub = opt.Registry.Events().Subscribe()
 	}
 
-	// Execute: every worker paces its own op list against a shared start.
-	tallies := make([]workerTally, len(conns))
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := range conns {
-		if len(pp.PerWorker[w]) == 0 {
-			continue
+	// Execute: every worker walks its own op list against a shared start.
+	at := make([][]time.Duration, len(conns))
+	for w, ops := range pp.PerWorker {
+		for _, op := range ops {
+			at[w] = append(at[w], op.At)
 		}
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			runWorker(&tallies[w], conns[w], pp.PerWorker[w], ph, start)
-		}(w)
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
+	paced, runErr := harness.Pace(len(conns), 0, at, 0, 0, func(w *harness.Worker, k int) (time.Time, error) {
+		conn, key := conns[w.ID], pp.PerWorker[w.ID][k].Key
+		ok, err := conn.Acquire(key, ph.Timeout)
+		if err != nil {
+			return time.Time{}, fmt.Errorf("acquire key %d: %w", key, err)
+		}
+		if !ok {
+			return time.Time{}, nil
+		}
+		granted := time.Now()
+		if ph.Hold > 0 {
+			holdFor(granted, ph.Hold)
+		}
+		if err := conn.Release(key); err != nil {
+			return time.Time{}, fmt.Errorf("release key %d: %w", key, err)
+		}
+		return granted, nil
+	})
+	elapsed := paced.Elapsed
 	// The plan's nominal duration is a floor: the last arrival lands just
 	// under it, but its acquisition may still be in flight at D.
 	if rem := ph.Duration - elapsed; rem > 0 {
@@ -235,67 +246,34 @@ func runPhase(pp *PhasePlan, conns []WorkerConn, drv Driver, opt options) (Phase
 		sub.Close()
 	}
 
-	// Merge the tallies.
+	if runErr != nil {
+		return PhaseResult{}, runErr
+	}
+	grants := uint64(len(paced.Service))
 	res := PhaseResult{
 		Name:      ph.Name,
 		Offered:   ph.Rate.Mean(),
+		Achieved:  float64(paced.Issued) / elapsed.Seconds(),
 		ElapsedMS: float64(elapsed) / float64(time.Millisecond),
+		Issued:    paced.Issued,
+		Grants:    grants,
+		Timeouts:  paced.Issued - grants,
 		Blocked:   pp.Blocked,
+		P50us:     harness.PctUS(paced.Service, 0.50),
+		P95us:     harness.PctUS(paced.Service, 0.95),
+		P99us:     harness.PctUS(paced.Service, 0.99),
+		RespP50us: harness.PctUS(paced.Response, 0.50),
+		RespP99us: harness.PctUS(paced.Response, 0.99),
+		Late:      paced.Late,
 	}
-	var all []time.Duration
-	for w := range tallies {
-		t := &tallies[w]
-		if t.err != nil {
-			return PhaseResult{}, fmt.Errorf("worker %d: %w", w, t.err)
-		}
-		res.Grants += t.grants
-		res.Timeouts += t.timeouts
-		all = append(all, t.lats...)
-	}
-	res.Issued = res.Grants + res.Timeouts
-	res.Achieved = float64(res.Issued) / elapsed.Seconds()
-	sort.Slice(all, func(a, b int) bool { return all[a] < all[b] })
-	res.P50us = PctUS(all, 0.50)
-	res.P95us = PctUS(all, 0.95)
-	res.P99us = PctUS(all, 0.99)
 	for _, ev := range events {
 		if ev.Kind == telemetry.EventTransition {
 			res.Transitions = append(res.Transitions, fmt.Sprintf("%s→%s ×%d", ev.From, ev.To, ev.Count))
 		}
 	}
 
-	evaluate(&res, pp, all, events)
+	evaluate(&res, pp, events)
 	return res, nil
-}
-
-// runWorker paces one worker's op list open-loop against the shared
-// phase start time.
-func runWorker(t *workerTally, conn WorkerConn, ops []Op, ph *Phase, start time.Time) {
-	t.lats = make([]time.Duration, 0, len(ops))
-	for _, op := range ops {
-		if wait := op.At - time.Since(start); wait > 0 {
-			time.Sleep(wait)
-		}
-		t0 := time.Now()
-		ok, err := conn.Acquire(op.Key, ph.Timeout)
-		if err != nil {
-			t.err = fmt.Errorf("acquire key %d: %w", op.Key, err)
-			return
-		}
-		if !ok {
-			t.timeouts++
-			continue
-		}
-		t.lats = append(t.lats, time.Since(t0))
-		if ph.Hold > 0 {
-			holdFor(time.Now(), ph.Hold)
-		}
-		if err := conn.Release(op.Key); err != nil {
-			t.err = fmt.Errorf("release key %d: %w", op.Key, err)
-			return
-		}
-		t.grants++
-	}
 }
 
 // holdFor occupies the critical section for d past t0: short holds spin
@@ -311,18 +289,8 @@ func holdFor(t0 time.Time, d time.Duration) {
 	}
 }
 
-// PctUS reports the q-quantile of a sorted sample in microseconds: the
-// exact sample at index q·(n−1), no interpolation.
-func PctUS(sorted []time.Duration, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(sorted)-1))
-	return float64(sorted[i]) / float64(time.Microsecond)
-}
-
 // evaluate checks every declared lane against the phase's measurements.
-func evaluate(res *PhaseResult, pp *PhasePlan, sorted []time.Duration, events []*telemetry.Event) {
+func evaluate(res *PhaseResult, pp *PhasePlan, events []*telemetry.Event) {
 	ph := pp.Phase
 	res.Pass = true
 	record := func(a string, line int, got string, pass bool) {

@@ -3,6 +3,7 @@ package scenario
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"gls"
 	"gls/telemetry"
@@ -132,5 +133,57 @@ assert grants == 20
 `)
 	if !rep.Pass {
 		t.Fatalf("lanes failed: %v", rep.Failures())
+	}
+}
+
+// stallDriver is the in-process driver with one 50 ms stall: the first
+// Acquire after the stall offset sleeps before it takes the key.
+type stallDriver struct {
+	ServiceDriver
+	stallAt int
+	calls   int
+}
+
+func (d *stallDriver) Worker(int) (WorkerConn, error) { return d, nil }
+
+// Acquire implements WorkerConn; the one worker calls it serially.
+func (d *stallDriver) Acquire(key uint64, timeout time.Duration) (bool, error) {
+	d.calls++
+	if d.calls == d.stallAt {
+		time.Sleep(50 * time.Millisecond)
+	}
+	return serviceConn{d.Svc}.Acquire(key, timeout)
+}
+
+// Release implements WorkerConn.
+func (d *stallDriver) Release(key uint64) error { return serviceConn{d.Svc}.Release(key) }
+
+// TestStallShowsInResponseTime: one worker at 1 k ops/s, one acquisition
+// stalled for 50 ms. The ops planned during the stall are issued late, as
+// a backlog, each answering in well under a millisecond: their service
+// time is short, their response time (from the planned arrival) is not.
+func TestStallShowsInResponseTime(t *testing.T) {
+	s := mustParse(t, `scenario stall
+keys 8
+workers 1
+phase p
+duration 250ms
+rate 1000
+`)
+	drv := &stallDriver{ServiceDriver: ServiceDriver{Svc: gls.New(gls.Options{})}, stallAt: 50}
+	rep, err := run(BuildPlan(s, 0), drv, options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ph := rep.Phases[0]
+	if ph.Issued < 200 || ph.Grants != ph.Issued {
+		t.Fatalf("counts: %+v", ph)
+	}
+	t.Logf("issued %d, late %d; service p99 %.0f µs, response p50 %.0f µs, p99 %.0f µs", ph.Issued, ph.Late, ph.P99us, ph.RespP50us, ph.RespP99us)
+	if ph.RespP99us < 30_000 || ph.RespP99us < 10*ph.P99us {
+		t.Errorf("response p99 %.0f µs against service p99 %.0f µs: want ≥ 30 ms and ≥ 10× service", ph.RespP99us, ph.P99us)
+	}
+	if ph.Late < 40 {
+		t.Errorf("late = %d, want ≥ 40 of the ops planned during the 50 ms stall", ph.Late)
 	}
 }

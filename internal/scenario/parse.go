@@ -102,6 +102,33 @@ func ParseScenario(data []byte) (*Scenario, error) {
 				return nil, perr(n, "first directive must be `scenario NAME`, got %q", dir)
 			}
 		}
+		// Where a directive may stand, and how often: the scenario's once
+		// each before the first phase, a phase's once each inside it.
+		switch dir {
+		case "seed", "keys", "workers", "glk":
+			if cur != nil {
+				return nil, perr(n, "%s must precede the first phase", dir)
+			}
+			if seen[dir] {
+				return nil, perr(n, "duplicate %s directive", dir)
+			}
+			seen[dir] = true
+		case "duration", "hold", "timeout", "rate", "dist", "block", "mphint":
+			if cur == nil {
+				return nil, perr(n, "%s outside a phase", dir)
+			}
+			if phaseSeen[dir] {
+				return nil, perr(n, "duplicate %s directive", dir)
+			}
+			phaseSeen[dir] = true
+		case "assert", "expect":
+			if cur == nil {
+				return nil, perr(n, "%s outside a phase", dir)
+			}
+			if len(cur.Asserts)+len(cur.Expects) >= MaxAsserts {
+				return nil, perr(n, "too many assertions (max %d)", MaxAsserts)
+			}
+		}
 
 		switch dir {
 		case "scenario":
@@ -118,13 +145,6 @@ func ParseScenario(data []byte) (*Scenario, error) {
 			s.Name = args[0]
 
 		case "seed", "keys", "workers":
-			if cur != nil {
-				return nil, perr(n, "%s must precede the first phase", dir)
-			}
-			if seen[dir] {
-				return nil, perr(n, "duplicate %s directive", dir)
-			}
-			seen[dir] = true
 			if len(args) != 1 {
 				return nil, perr(n, "usage: %s N", dir)
 			}
@@ -151,13 +171,6 @@ func ParseScenario(data []byte) (*Scenario, error) {
 			}
 
 		case "glk":
-			if cur != nil {
-				return nil, perr(n, "glk must precede the first phase")
-			}
-			if seen[dir] {
-				return nil, perr(n, "duplicate glk directive")
-			}
-			seen[dir] = true
 			if len(args) != 2 {
 				return nil, perr(n, "usage: glk SAMPLE ADAPT")
 			}
@@ -202,13 +215,6 @@ func ParseScenario(data []byte) (*Scenario, error) {
 			s.Phases = append(s.Phases, cur)
 
 		case "duration", "hold", "timeout":
-			if cur == nil {
-				return nil, perr(n, "%s outside a phase", dir)
-			}
-			if phaseSeen[dir] {
-				return nil, perr(n, "duplicate %s directive", dir)
-			}
-			phaseSeen[dir] = true
 			if len(args) != 1 {
 				return nil, perr(n, "usage: %s DUR", dir)
 			}
@@ -235,13 +241,6 @@ func ParseScenario(data []byte) (*Scenario, error) {
 			}
 
 		case "rate":
-			if cur == nil {
-				return nil, perr(n, "rate outside a phase")
-			}
-			if phaseSeen[dir] {
-				return nil, perr(n, "duplicate rate directive")
-			}
-			phaseSeen[dir] = true
 			switch {
 			case len(args) == 1:
 				r, err := parseRate(args[0])
@@ -264,13 +263,6 @@ func ParseScenario(data []byte) (*Scenario, error) {
 			}
 
 		case "dist":
-			if cur == nil {
-				return nil, perr(n, "dist outside a phase")
-			}
-			if phaseSeen[dir] {
-				return nil, perr(n, "duplicate dist directive")
-			}
-			phaseSeen[dir] = true
 			d, err := parseDist(args)
 			if err != nil {
 				return nil, perr(n, "dist: %v", err)
@@ -278,13 +270,6 @@ func ParseScenario(data []byte) (*Scenario, error) {
 			cur.Dist = d
 
 		case "block", "mphint":
-			if cur == nil {
-				return nil, perr(n, "%s outside a phase", dir)
-			}
-			if phaseSeen[dir] {
-				return nil, perr(n, "duplicate %s directive", dir)
-			}
-			phaseSeen[dir] = true
 			if len(args) != 1 {
 				return nil, perr(n, "usage: %s N", dir)
 			}
@@ -306,12 +291,6 @@ func ParseScenario(data []byte) (*Scenario, error) {
 			}
 
 		case "assert":
-			if cur == nil {
-				return nil, perr(n, "assert outside a phase")
-			}
-			if len(cur.Asserts)+len(cur.Expects) >= MaxAsserts {
-				return nil, perr(n, "too many assertions (max %d)", MaxAsserts)
-			}
 			a, err := parseAssert(args, n)
 			if err != nil {
 				return nil, err
@@ -319,12 +298,6 @@ func ParseScenario(data []byte) (*Scenario, error) {
 			cur.Asserts = append(cur.Asserts, a)
 
 		case "expect":
-			if cur == nil {
-				return nil, perr(n, "expect outside a phase")
-			}
-			if len(cur.Asserts)+len(cur.Expects) >= MaxAsserts {
-				return nil, perr(n, "too many assertions (max %d)", MaxAsserts)
-			}
 			if len(args) != 3 || args[0] != "transition" {
 				return nil, perr(n, "usage: expect transition FROM TO")
 			}

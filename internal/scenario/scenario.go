@@ -118,9 +118,9 @@ type Lane string
 // The assertion lanes. The latency lanes compare durations; the count
 // lanes compare exact engine counters.
 const (
-	// LaneP50, LaneP95, LaneP99: grant-latency percentiles over the
-	// phase's granted acquisitions, measured by the engine at the call
-	// site (so in wire mode they include the round trip).
+	// LaneP50, LaneP95, LaneP99: service-time percentiles over the
+	// phase's granted acquisitions, from the Acquire call to the grant
+	// (so in wire mode they include the round trip).
 	LaneP50 Lane = "p50"
 	LaneP95 Lane = "p95"
 	LaneP99 Lane = "p99"
