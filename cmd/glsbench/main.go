@@ -13,15 +13,15 @@
 //	glsbench -all -quick            # short runs (CI smoke)
 //	glsbench -fig 13 -contention    # per-role contention of a systems figure (13, 14, 15)
 //	glsbench -scenario FILE [-wire] # a committed .scn plan and its assertion lanes
-//	glsbench -fair FILE             # writer-stream/reader-flood fairness sweep
 //	glsbench -server FILE           # glsd wire-path sweep vs connection count
 //	glsbench -cardinality           # ~1M-key footprint and zipf throughput
 //
-// Those three sweeps are the ones nothing else answers; every other number
-// comes from glsmark (bash bench/run.sh) or go test -bench. Absolute
-// numbers differ from the paper (different machine, Go runtime, modelled
-// systems); the shapes — which lock wins where, and where the
-// crossovers fall — are the reproduction target. See EXPERIMENTS.md.
+// Those two sweeps are the ones nothing else answers; every other number
+// comes from glsmark (bash bench/run.sh), go test -bench or a scenario
+// (RW fairness is testdata/scenarios/fair.scn). Absolute numbers differ
+// from the paper (different machine, Go runtime, modelled systems); the
+// shapes — which lock wins where, and where the crossovers fall — are the
+// reproduction target. See EXPERIMENTS.md.
 package main
 
 import (
@@ -117,8 +117,6 @@ var (
 	all         = flag.Bool("all", false, "run every figure")
 	cardinality = flag.Bool("cardinality", false,
 		"run the high-cardinality footprint scenario: ~1M keys, zipf access, bytes/lock and ns/op")
-	fair = flag.String("fair", "",
-		"run the glsfair writer-stream/reader-flood fairness sweep and write the JSON report to this file (\"-\" for stdout)")
 	srvBench = flag.String("server", "",
 		"run the glsd wire-path sweep (open-loop load vs connection count, parked waiters) and write the JSON report to this file (\"-\" for stdout)")
 	wire = flag.Bool("wire", false,
@@ -159,8 +157,8 @@ func main() {
 		}
 		systems = systems || figs[f.Number] && f.Systems
 	}
-	if len(figs) == 0 && !*cardinality && *fair == "" && *srvBench == "" && len(scenarios) == 0 {
-		fmt.Fprintf(os.Stderr, "usage: glsbench -fig N [-fig M ...] | -all | -fair FILE | -server FILE | -scenario FILE [-wire] | -cardinality  (figures: %s)\n", knownFigures())
+	if len(figs) == 0 && !*cardinality && *srvBench == "" && len(scenarios) == 0 {
+		fmt.Fprintf(os.Stderr, "usage: glsbench -fig N [-fig M ...] | -all | -server FILE | -scenario FILE [-wire] | -cardinality  (figures: %s)\n", knownFigures())
 		os.Exit(2)
 	}
 	if len(scenarios) == 0 && (*wire || *seed != 0 || *replay != "" || *scnJSON != "") {
@@ -175,7 +173,7 @@ func main() {
 		s.Contention = os.Stdout
 	}
 	jsonSinks := 0
-	for _, path := range []string{*fair, *srvBench, *scnJSON, *replay} {
+	for _, path := range []string{*srvBench, *scnJSON, *replay} {
 		if path == "-" {
 			jsonSinks++
 		}
@@ -184,7 +182,7 @@ func main() {
 		// A "-" sink reserves stdout for one JSON report; the cardinality
 		// text report (or a second JSON report) would interleave with it.
 		// Run them separately.
-		fmt.Fprintln(os.Stderr, "glsbench: only one of -fair -/-server -/-scnjson -/-replay - may own stdout, and not combined with -cardinality")
+		fmt.Fprintln(os.Stderr, "glsbench: only one of -server -/-scnjson -/-replay - may own stdout, and not combined with -cardinality")
 		os.Exit(2)
 	}
 
@@ -198,15 +196,6 @@ func main() {
 	cycles.Calibrate()
 	fmt.Fprintf(progress, "# glsbench: GOMAXPROCS=%d, nominal frequency %.1f GHz, %v/point, %d rep(s)\n\n",
 		runtime.GOMAXPROCS(0), cycles.FrequencyGHz(), s.Duration, s.Reps)
-
-	if *fair != "" {
-		fmt.Fprintf(progress, "== glsfair: writer-stream vs reader-flood fairness sweep ==\n")
-		if err := runFair(*fair, progress, s); err != nil {
-			fmt.Fprintf(os.Stderr, "glsbench: -fair: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintln(progress)
-	}
 
 	if *srvBench != "" {
 		fmt.Fprintf(progress, "== glsd: open-loop wire-path sweep vs connection count ==\n")

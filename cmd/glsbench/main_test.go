@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -107,20 +106,5 @@ func TestKnownFiguresListsAll(t *testing.T) {
 		if !found {
 			t.Fatalf("knownFigures() = %q missing %s", s, want)
 		}
-	}
-}
-
-// TestFairMeasureCountsBothSides: a short fairness point counts writer and
-// reader operations apart and times both sides' worst wait.
-func TestFairMeasureCountsBothSides(t *testing.T) {
-	res := fairMeasure(2, 2, 50*time.Millisecond, func() rwLockish { return new(sync.RWMutex) })
-	if res.Writers != 2 || res.Readers != 2 {
-		t.Fatalf("point labelled w=%d r=%d, want 2 and 2", res.Writers, res.Readers)
-	}
-	if res.WriterOpsPerSec <= 0 || res.ReaderOpsPerSec <= 0 {
-		t.Fatalf("writer %.0f ops/s, reader %.0f ops/s: a side was not counted", res.WriterOpsPerSec, res.ReaderOpsPerSec)
-	}
-	if res.MaxWriterWaitNs <= 0 || res.MaxReaderWaitNs <= 0 {
-		t.Fatalf("max waits writer %d ns, reader %d ns: a side was not timed", res.MaxWriterWaitNs, res.MaxReaderWaitNs)
 	}
 }

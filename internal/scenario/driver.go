@@ -2,10 +2,12 @@ package scenario
 
 import (
 	"context"
+	"sync"
 	"time"
 
 	"gls"
 	"gls/client"
+	"gls/locks"
 )
 
 // A Driver is the lock service a scenario runs against. The engine is
@@ -27,13 +29,13 @@ type Driver interface {
 
 // A WorkerConn issues one worker's acquisitions.
 type WorkerConn interface {
-	// Acquire locks key, waiting at most timeout (0 blocks until
-	// granted). It returns (true, nil) on grant, (false, nil) on
-	// deadline, and an error only for driver failures — which fail the
-	// scenario.
-	Acquire(key uint64, timeout time.Duration) (bool, error)
-	// Release unlocks a granted key.
-	Release(key uint64) error
+	// Acquire locks key, or takes a read share of it when read is set,
+	// waiting at most timeout (0 blocks until granted; a read always
+	// blocks). It returns (true, nil) on grant, (false, nil) on deadline,
+	// and an error only for driver failures — which fail the scenario.
+	Acquire(key uint64, read bool, timeout time.Duration) (bool, error)
+	// Release unlocks a granted key, or returns its read share.
+	Release(key uint64, read bool) error
 }
 
 // ServiceDriver runs scenarios against an in-process gls.Service.
@@ -64,17 +66,68 @@ type serviceConn struct{ svc *gls.Service }
 
 // Acquire implements WorkerConn. Bounded waits go through TryLockFor,
 // the same deadline surface glsx exposes.
-func (c serviceConn) Acquire(key uint64, timeout time.Duration) (bool, error) {
-	if timeout <= 0 {
+func (c serviceConn) Acquire(key uint64, read bool, timeout time.Duration) (bool, error) {
+	switch {
+	case read:
+		c.svc.RLock(key)
+	case timeout > 0:
+		return c.svc.TryLockFor(key, timeout), nil
+	default:
 		c.svc.Lock(key)
-		return true, nil
 	}
-	return c.svc.TryLockFor(key, timeout), nil
+	return true, nil
 }
 
 // Release implements WorkerConn.
-func (c serviceConn) Release(key uint64) error {
-	c.svc.Unlock(key)
+func (c serviceConn) Release(key uint64, read bool) error {
+	if read {
+		c.svc.RUnlock(key)
+	} else {
+		c.svc.Unlock(key)
+	}
+	return nil
+}
+
+// rwFamilies are the fixed reader-writer families a phase may name with
+// `rwlock`, each with the constructor of one unlocked lock.
+var rwFamilies = map[string]func() locks.RWLock{
+	"rwstriped":    func() locks.RWLock { return locks.NewRWStriped() },
+	"rwphasefair":  func() locks.RWLock { return locks.NewRWPhaseFair() },
+	"rwwritepref":  func() locks.RWLock { return locks.NewRWWritePref() },
+	"sync.RWMutex": func() locks.RWLock { return new(sync.RWMutex) },
+}
+
+// rwSet is one phase's fresh locks of a fixed family, lock i for key i+1,
+// which all of the phase's workers share. A reader-writer phase has no
+// timeout, so every acquisition blocks.
+type rwSet []locks.RWLock
+
+// newRWSet builds family's locks for keys 1..keys.
+func newRWSet(family string, keys uint64) rwSet {
+	s := make(rwSet, keys)
+	for i := range s {
+		s[i] = rwFamilies[family]()
+	}
+	return s
+}
+
+// Acquire implements WorkerConn.
+func (s rwSet) Acquire(key uint64, read bool, _ time.Duration) (bool, error) {
+	if read {
+		s[key-1].RLock()
+	} else {
+		s[key-1].Lock()
+	}
+	return true, nil
+}
+
+// Release implements WorkerConn.
+func (s rwSet) Release(key uint64, read bool) error {
+	if read {
+		s[key-1].RUnlock()
+	} else {
+		s[key-1].Unlock()
+	}
 	return nil
 }
 
@@ -148,11 +201,12 @@ func (d *WireDriver) Close() error {
 // wireConn adapts client.Conn to WorkerConn.
 type wireConn struct{ c *client.Conn }
 
-// Acquire implements WorkerConn. The wire protocol carries timeouts in
-// whole milliseconds, so sub-millisecond deadlines round up to 1ms (a
-// 0ms wire timeout would mean "server default"); timeout 0 blocks under
-// the server's default wait bound.
-func (c wireConn) Acquire(key uint64, timeout time.Duration) (bool, error) {
+// Acquire implements WorkerConn for writes only: glsd has no read side,
+// and RunRig refuses a reader-writer plan before its first op. The wire
+// protocol carries timeouts in whole milliseconds, so sub-millisecond
+// deadlines round up to 1ms (a 0ms wire timeout would mean "server
+// default"); timeout 0 blocks under the server's default wait bound.
+func (c wireConn) Acquire(key uint64, _ bool, timeout time.Duration) (bool, error) {
 	if timeout > 0 && timeout < time.Millisecond {
 		timeout = time.Millisecond
 	}
@@ -167,6 +221,6 @@ func (c wireConn) Acquire(key uint64, timeout time.Duration) (bool, error) {
 }
 
 // Release implements WorkerConn.
-func (c wireConn) Release(key uint64) error {
+func (c wireConn) Release(key uint64, _ bool) error {
 	return c.c.Unlock(key)
 }

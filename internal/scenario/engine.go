@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"time"
 
 	"gls/internal/harness"
@@ -21,10 +22,12 @@ import (
 // response time runs from the planned arrival to the grant, so it also
 // counts the wait behind an overrun op; it is reported beside the lanes
 // (resp_p50_us, resp_p99_us), with `late`, the ops that were already due
-// when their worker reached them. Phases are barriers: every worker
-// finishes phase k before any worker starts phase k+1, because the lanes
-// are per-phase interval measurements (telemetry diffs, event windows,
-// latency samples).
+// when their worker reached them. A reader-writer phase also splits the
+// service times by side, for the rp99 and wp99 lanes; a phase that names
+// a family runs on fresh locks of it instead of the driver's workers.
+// Phases are barriers: every worker finishes phase k before any worker
+// starts phase k+1, because the lanes are per-phase interval measurements
+// (telemetry diffs, event windows, latency samples).
 
 // options configures one engine run.
 type options struct {
@@ -80,6 +83,12 @@ type PhaseResult struct {
 	// an overrun op. No lane reads them.
 	RespP50us float64 `json:"resp_p50_us"`
 	RespP99us float64 `json:"resp_p99_us"`
+	// Reads counts a reader-writer phase's granted read shares; its other
+	// grants are writes. RP99us and WP99us are each side's service-time
+	// p99, which the rp99 and wp99 lanes read.
+	Reads  uint64  `json:"reads,omitempty"`
+	RP99us float64 `json:"rp99_us,omitempty"`
+	WP99us float64 `json:"wp99_us,omitempty"`
 	// Late counts the ops whose planned arrival had passed when their
 	// worker reached them: an earlier op, or the sleep before it, ran late.
 	Late uint64 `json:"late"`
@@ -150,7 +159,15 @@ func run(p *Plan, drv Driver, opt options) (*Report, error) {
 		Pass:       true,
 	}
 	for _, pp := range p.Phases {
-		res, err := runPhase(pp, conns, drv, opt)
+		cs := conns
+		if fam := pp.Phase.RWLock; fam != "" {
+			set := newRWSet(fam, s.Keys)
+			cs = make([]WorkerConn, s.Workers)
+			for w := range cs {
+				cs[w] = set
+			}
+		}
+		res, err := runPhase(pp, cs, drv, opt)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: phase %s: %w", s.Name, pp.Phase.Name, err)
 		}
@@ -163,8 +180,12 @@ func run(p *Plan, drv Driver, opt options) (*Report, error) {
 			if !res.Pass {
 				verdict = "FAIL"
 			}
-			fmt.Fprintf(opt.Progress, "phase %-12s offered=%7.0f/s achieved=%7.0f/s issued=%-6d grants=%-6d timeouts=%-5d p50=%6.0fµs p99=%7.0fµs resp p50=%6.0fµs p99=%7.0fµs late=%-5d lanes=%d %s\n",
-				res.Name, res.Offered, res.Achieved, res.Issued, res.Grants, res.Timeouts, res.P50us, res.P99us, res.RespP50us, res.RespP99us, res.Late, len(res.Lanes), verdict)
+			sides := ""
+			if pp.Phase.RW() {
+				sides = fmt.Sprintf(" reads=%-6d rp99=%7.0fµs wp99=%7.0fµs", res.Reads, res.RP99us, res.WP99us)
+			}
+			fmt.Fprintf(opt.Progress, "phase %-12s offered=%7.0f/s achieved=%7.0f/s issued=%-6d grants=%-6d timeouts=%-5d p50=%6.0fµs p99=%7.0fµs resp p50=%6.0fµs p99=%7.0fµs late=%-5d%s lanes=%d %s\n",
+				res.Name, res.Offered, res.Achieved, res.Issued, res.Grants, res.Timeouts, res.P50us, res.P99us, res.RespP50us, res.RespP99us, res.Late, sides, len(res.Lanes), verdict)
 		}
 	}
 	return rep, nil
@@ -198,21 +219,36 @@ func runPhase(pp *PhasePlan, conns []WorkerConn, drv Driver, opt options) (Phase
 			at[w] = append(at[w], op.At)
 		}
 	}
+	// A reader-writer phase times each side apart, worker by worker, so
+	// no two workers append to one slice.
+	rw := ph.RW()
+	reads, writes := make([][]time.Duration, len(conns)), make([][]time.Duration, len(conns))
 	paced, runErr := harness.Pace(len(conns), 0, at, 0, 0, func(w *harness.Worker, k int) (time.Time, error) {
-		conn, key := conns[w.ID], pp.PerWorker[w.ID][k].Key
-		ok, err := conn.Acquire(key, ph.Timeout)
+		conn, op := conns[w.ID], pp.PerWorker[w.ID][k]
+		var called time.Time
+		if rw {
+			called = time.Now()
+		}
+		ok, err := conn.Acquire(op.Key, op.Read, ph.Timeout)
 		if err != nil {
-			return time.Time{}, fmt.Errorf("acquire key %d: %w", key, err)
+			return time.Time{}, fmt.Errorf("acquire key %d: %w", op.Key, err)
 		}
 		if !ok {
 			return time.Time{}, nil
 		}
 		granted := time.Now()
+		if rw {
+			side := writes
+			if op.Read {
+				side = reads
+			}
+			side[w.ID] = append(side[w.ID], granted.Sub(called))
+		}
 		if ph.Hold > 0 {
 			holdFor(granted, ph.Hold)
 		}
-		if err := conn.Release(key); err != nil {
-			return time.Time{}, fmt.Errorf("release key %d: %w", key, err)
+		if err := conn.Release(op.Key, op.Read); err != nil {
+			return time.Time{}, fmt.Errorf("release key %d: %w", op.Key, err)
 		}
 		return granted, nil
 	})
@@ -266,6 +302,14 @@ func runPhase(pp *PhasePlan, conns []WorkerConn, drv Driver, opt options) (Phase
 		RespP99us: harness.PctUS(paced.Response, 0.99),
 		Late:      paced.Late,
 	}
+	if rw {
+		r, w := slices.Concat(reads...), slices.Concat(writes...)
+		slices.Sort(r)
+		slices.Sort(w)
+		res.Reads = uint64(len(r))
+		res.RP99us = harness.PctUS(r, 0.99)
+		res.WP99us = harness.PctUS(w, 0.99)
+	}
 	for _, ev := range events {
 		if ev.Kind == telemetry.EventTransition {
 			res.Transitions = append(res.Transitions, fmt.Sprintf("%s→%s ×%d", ev.From, ev.To, ev.Count))
@@ -301,15 +345,8 @@ func evaluate(res *PhaseResult, pp *PhasePlan, events []*telemetry.Event) {
 	}
 	for _, a := range ph.Asserts {
 		if latencyLane(a.Lane) {
-			var got time.Duration
-			switch a.Lane {
-			case LaneP50:
-				got = time.Duration(res.P50us * float64(time.Microsecond))
-			case LaneP95:
-				got = time.Duration(res.P95us * float64(time.Microsecond))
-			case LaneP99:
-				got = time.Duration(res.P99us * float64(time.Microsecond))
-			}
+			us := map[Lane]float64{LaneP50: res.P50us, LaneP95: res.P95us, LaneP99: res.P99us, LaneRP99: res.RP99us, LaneWP99: res.WP99us}[a.Lane]
+			got := time.Duration(us * float64(time.Microsecond))
 			record(a.String(), a.Line, got.String(), cmpU(uint64(got), a.Op, uint64(a.Dur)))
 			continue
 		}

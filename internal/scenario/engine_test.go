@@ -136,6 +136,55 @@ assert grants == 20
 	}
 }
 
+// TestEngineRWCountsBothSides: a reader-writer phase, on the service's
+// glkrw keys and on a fixed family, grants every planned op, counts the
+// read shares exactly as planned, and times each side apart.
+func TestEngineRWCountsBothSides(t *testing.T) {
+	s := mustParse(t, `scenario rw
+keys 4
+workers 4
+phase svc
+duration 80ms
+rate 500
+reads 50
+hold 200us
+assert grants == all
+assert rp99 <= 10s
+assert wp99 <= 10s
+phase fam
+duration 80ms
+rate 500
+reads 50
+hold 200us
+rwlock rwphasefair
+assert grants == all
+`)
+	plan := BuildPlan(s, 0)
+	rep, err := RunRig(plan, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Pass {
+		t.Fatalf("lanes failed: %v", rep.Failures())
+	}
+	for i, ph := range rep.Phases {
+		var planned uint64
+		for _, ops := range plan.Phases[i].PerWorker {
+			for _, op := range ops {
+				if op.Read {
+					planned++
+				}
+			}
+		}
+		if ph.Grants != 40 || ph.Reads != planned || planned == 0 || planned == ph.Grants {
+			t.Errorf("%s: %d grants, %d of them reads, %d reads planned", ph.Name, ph.Grants, ph.Reads, planned)
+		}
+		if ph.RP99us <= 0 || ph.WP99us <= 0 {
+			t.Errorf("%s: rp99 %.0f µs, wp99 %.0f µs: a side was not timed", ph.Name, ph.RP99us, ph.WP99us)
+		}
+	}
+}
+
 // stallDriver is the in-process driver with one 50 ms stall: the first
 // Acquire after the stall offset sleeps before it takes the key.
 type stallDriver struct {
@@ -147,16 +196,18 @@ type stallDriver struct {
 func (d *stallDriver) Worker(int) (WorkerConn, error) { return d, nil }
 
 // Acquire implements WorkerConn; the one worker calls it serially.
-func (d *stallDriver) Acquire(key uint64, timeout time.Duration) (bool, error) {
+func (d *stallDriver) Acquire(key uint64, read bool, timeout time.Duration) (bool, error) {
 	d.calls++
 	if d.calls == d.stallAt {
 		time.Sleep(50 * time.Millisecond)
 	}
-	return serviceConn{d.Svc}.Acquire(key, timeout)
+	return serviceConn{d.Svc}.Acquire(key, read, timeout)
 }
 
 // Release implements WorkerConn.
-func (d *stallDriver) Release(key uint64) error { return serviceConn{d.Svc}.Release(key) }
+func (d *stallDriver) Release(key uint64, read bool) error {
+	return serviceConn{d.Svc}.Release(key, read)
+}
 
 // TestStallShowsInResponseTime: one worker at 1 k ops/s, one acquisition
 // stalled for 50 ms. The ops planned during the stall are issued late, as

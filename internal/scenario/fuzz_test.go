@@ -20,6 +20,7 @@ func FuzzParseScenario(f *testing.F) {
 		"scenario t\nkeys 8\nphase p\nduration 50ms\nrate 100\ndist hot 3 90\ntimeout 5ms\nblock 3\nassert timeouts == blocked\nassert grants == 0\n",
 		"scenario t\nphase p\nduration 50ms\nrate 100\ndist rotate 4 80 32\nexpect transition ticket mutex\nmphint 64\n",
 		"scenario t\nphase p\nduration 50ms\nrate 100\nassert grants == all\nassert starved == 0\nassert waitphases <= 10\n",
+		"scenario t\nkeys 4\nphase p\nduration 50ms\nrate 100\nreads 80\nhold 10us\nassert rp99 <= 20ms\nassert wp99 <= 20ms\nphase q\nduration 50ms\nrate 100\nreads 100\nrwlock rwwritepref\n",
 		"# comment\nscenario t # trailing\n\nphase p\n  duration 1ms\n  rate 1\n",
 		"scenario t\nphase p\nduration 10m\nrate 1000000\n",
 		"scenario t\nseed 18446744073709551615\nkeys 1048576\nworkers 1024\nphase p\nduration 1ms\nrate 1\n",

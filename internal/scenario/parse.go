@@ -30,11 +30,18 @@ import (
 //	  timeout DUR            # acquisition deadline; 0 blocks (default 0)
 //	  block KEY              # engine holds KEY for the phase
 //	  mphint N               # sysmon multiprogramming hint
-//	  assert LANE OP VALUE   # p50/p95/p99 DUR; counts N | all | blocked
+//	  reads PCT              # PCT% of ops are RLock/RUnlock (default 0)
+//	  rwlock FAMILY          # fresh rwstriped | rwphasefair | rwwritepref
+//	                         # | sync.RWMutex locks, not the service's glkrw
+//	  assert LANE OP VALUE   # p50/p95/p99/rp99/wp99 DUR;
+//	                         # counts N | all | blocked
 //	  expect transition A B  # glslive must report an A→B adaptation
 //
-// Indentation is cosmetic. The parser is total: every input yields either
-// a validated *Scenario or a *ParseError naming the offending line.
+// A phase with reads or rwlock is a reader-writer phase: its writes block
+// (it refuses timeout), rp99 and wp99 split its p99 by side, and the wire
+// rig refuses it, since glsd has no read side. Indentation is cosmetic.
+// The parser is total: every input yields either a validated *Scenario or
+// a *ParseError naming the offending line.
 
 // ParseError reports why an input is not a scenario.
 type ParseError struct {
@@ -113,7 +120,7 @@ func ParseScenario(data []byte) (*Scenario, error) {
 				return nil, perr(n, "duplicate %s directive", dir)
 			}
 			seen[dir] = true
-		case "duration", "hold", "timeout", "rate", "dist", "block", "mphint":
+		case "duration", "hold", "timeout", "rate", "dist", "block", "mphint", "reads", "rwlock":
 			if cur == nil {
 				return nil, perr(n, "%s outside a phase", dir)
 			}
@@ -269,7 +276,7 @@ func ParseScenario(data []byte) (*Scenario, error) {
 			}
 			cur.Dist = d
 
-		case "block", "mphint":
+		case "block", "mphint", "reads":
 			if len(args) != 1 {
 				return nil, perr(n, "usage: %s N", dir)
 			}
@@ -288,7 +295,18 @@ func ParseScenario(data []byte) (*Scenario, error) {
 					return nil, perr(n, "mphint %d out of range [0, %d]", v, MaxRate)
 				}
 				cur.MPHint = int(v)
+			case "reads":
+				if v > 100 {
+					return nil, perr(n, "reads %d out of range [0, 100]", v)
+				}
+				cur.Reads = int(v)
 			}
+
+		case "rwlock":
+			if len(args) != 1 {
+				return nil, perr(n, "usage: rwlock FAMILY")
+			}
+			cur.RWLock = args[0] // Validate checks the family
 
 		case "assert":
 			a, err := parseAssert(args, n)
@@ -325,7 +343,8 @@ func ParseScenario(data []byte) (*Scenario, error) {
 	}
 	if err := s.Validate(); err != nil {
 		// Cross-field invariants (block vs timeout, hot key vs keyspace,
-		// blocked refs) surface here with the phase's source line.
+		// blocked refs, reader-writer phases) surface here with the
+		// phase's source line.
 		return nil, perr(phaseLine(s, err), "%v", err)
 	}
 	return s, nil
@@ -416,7 +435,7 @@ func parseAssert(args []string, n int) (Assertion, *ParseError) {
 	}
 	a := Assertion{Lane: Lane(args[0]), Op: CmpOp(args[1]), Line: n}
 	if !validLane(a.Lane) {
-		return Assertion{}, perr(n, "unknown lane %q (want p50/p95/p99/issued/grants/timeouts)", args[0])
+		return Assertion{}, perr(n, "unknown lane %q (want p50/p95/p99/rp99/wp99/issued/grants/timeouts)", args[0])
 	}
 	if !validOp(a.Op) {
 		return Assertion{}, perr(n, "unknown comparison %q (want <= < == >= >)", args[1])

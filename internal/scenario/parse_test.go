@@ -135,6 +135,14 @@ func TestParseErrors(t *testing.T) {
 		{"block outside keyspace", "scenario t\nkeys 8\nphase p\nduration 10ms\nrate 1\ntimeout 5ms\nblock 9\n", "outside keyspace"},
 		{"blocked ref without block", "scenario t\nphase p\nduration 10ms\nrate 1\nassert timeouts == blocked\n", "holds no blocker"},
 		{"ops cap", "scenario t\nphase p\nduration 10m\nrate 1000000\n", "cap"},
+		{"reads out of range", "scenario t\nphase p\nduration 10ms\nrate 1\nreads 101\n", "out of range"},
+		{"negative reads", "scenario t\nphase p\nduration 10ms\nrate 1\nreads -5\n", "not a decimal integer"},
+		{"unknown family", "scenario t\nphase p\nduration 10ms\nrate 1\nrwlock rwttas\n", "unknown rwlock family"},
+		{"rwlock usage", "scenario t\nphase p\nduration 10ms\nrate 1\nrwlock\n", "usage: rwlock"},
+		{"timeout with reads", "scenario t\nphase p\nduration 10ms\nrate 1\nreads 50\ntimeout 5ms\n", "writes block"},
+		{"timeout with rwlock", "scenario t\nphase p\nduration 10ms\nrate 1\nrwlock rwphasefair\ntimeout 5ms\n", "writes block"},
+		{"side lane exclusive", "scenario t\nphase p\nduration 10ms\nrate 1\nassert wp99 <= 5ms\n", "needs a reader-writer phase"},
+		{"side lane count", "scenario t\nphase p\nduration 10ms\nrate 1\nreads 50\nassert rp99 <= 5\n", "not a duration"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -150,6 +158,37 @@ func TestParseErrors(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", pe.Error(), tc.want)
 			}
 		})
+	}
+}
+
+func TestParseRW(t *testing.T) {
+	s, err := ParseScenario([]byte("scenario t\nphase svc\nduration 10ms\nrate 100\nreads 80\nassert rp99 <= 5ms\n" +
+		"phase fam\nduration 10ms\nrate 100\nrwlock sync.RWMutex\nassert wp99 <= 5ms\nphase excl\nduration 10ms\nrate 100\nreads 0\ntimeout 1ms\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, fam, excl := s.Phases[0], s.Phases[1], s.Phases[2]
+	if svc.Reads != 80 || svc.RWLock != "" || !svc.RW() {
+		t.Fatalf("service RW phase wrong: %+v", svc)
+	}
+	if fam.Reads != 0 || fam.RWLock != "sync.RWMutex" || !fam.RW() {
+		t.Fatalf("family phase wrong: %+v", fam)
+	}
+	// reads 0 is the default: the phase stays exclusive and may time out.
+	if excl.RW() || excl.Timeout != time.Millisecond {
+		t.Fatalf("reads 0 phase wrong: %+v", excl)
+	}
+}
+
+// TestWireRigRefusesRW: glsd has no read side, so the wire rig refuses a
+// reader-writer plan before it starts a server.
+func TestWireRigRefusesRW(t *testing.T) {
+	for _, dir := range []string{"reads 50", "rwlock rwphasefair"} {
+		s := mustParse(t, "scenario t\nphase p\nduration 10ms\nrate 100\n"+dir+"\n")
+		_, err := RunRig(BuildPlan(s, 0), true, nil)
+		if err == nil || !strings.Contains(err.Error(), "no read side") {
+			t.Fatalf("%s over the wire: got %v, want the no-read-side refusal", dir, err)
+		}
 	}
 }
 

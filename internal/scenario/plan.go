@@ -12,8 +12,8 @@ import (
 
 // The plan is where glscn's determinism lives. Before the first op is
 // issued, BuildPlan expands a scenario into every acquisition the run
-// will perform — which worker, which key, at what offset from phase
-// start — as a pure function of (scenario, seed). Execution then only
+// will perform — which worker, which key and side, at what offset from
+// phase start — as a pure function of (scenario, seed). Execution then only
 // *times* the plan; it never draws randomness. Two runs with the same
 // seed therefore replay the identical op sequence regardless of
 // scheduling, and the replay log (WriteReplay) is byte-identical by
@@ -23,10 +23,13 @@ import (
 // Keys come from per-(phase, worker) splitmix64 streams: worker w owns
 // the global arrival indices i ≡ w (mod workers) and draws their keys
 // from its own stream in index order, so no worker's sequence depends on
-// another worker's progress. Arrival offsets come from the inverse of
-// the cumulative arrival function: constant rate r gives tᵢ = i/r; a
-// linear ramp r₀→r₁ over D has Λ(t) = r₀t + (r₁−r₀)t²/2D and tᵢ solves
-// Λ(t) = i, a quadratic with one increasing root in [0, D].
+// another worker's progress. In a phase with reads, the worker draws each
+// op's side from the same stream right after its key, so a phase without
+// reads draws exactly what it drew before sides existed. Arrival offsets
+// come from the inverse of the cumulative arrival function: constant rate
+// r gives tᵢ = i/r; a linear ramp r₀→r₁ over D has
+// Λ(t) = r₀t + (r₁−r₀)t²/2D and tᵢ solves Λ(t) = i, a quadratic with one
+// increasing root in [0, D].
 
 // Op is one planned acquisition.
 type Op struct {
@@ -36,6 +39,8 @@ type Op struct {
 	Worker int
 	// Key is the planned lock key, in [1, keys].
 	Key uint64
+	// Read marks a read share (RLock/RUnlock) in a reader-writer phase.
+	Read bool
 	// At is the scheduled arrival offset from phase start.
 	At time.Duration
 }
@@ -115,6 +120,9 @@ func buildPhase(s *Scenario, ph *Phase, phaseIdx int, seed uint64) *PhasePlan {
 			Key:    drawKey(s, ph, &rngs[w], zipf, i),
 			At:     arrivalAt(ph, i),
 		}
+		if ph.Reads > 0 {
+			op.Read = rngs[w].Bool(float64(ph.Reads) / 100)
+		}
 		if ph.Block != 0 && op.Key == ph.Block {
 			pp.Blocked++
 		}
@@ -191,9 +199,10 @@ func arrivalAt(ph *Phase, i int) time.Duration {
 }
 
 // WriteReplay writes the plan's replay log: a text record of every
-// planned op in global arrival order. The log is a pure function of the
-// plan, so equal (scenario, seed) pairs produce byte-identical logs —
-// the determinism acceptance check diffs two of these.
+// planned op in global arrival order, a read marked at the end of its
+// line. The log is a pure function of the plan, so equal (scenario, seed)
+// pairs produce byte-identical logs — the determinism acceptance check
+// diffs two of these.
 func (p *Plan) WriteReplay(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	s := p.Scenario
@@ -207,7 +216,11 @@ func (p *Plan) WriteReplay(w io.Writer) error {
 		// PerWorker[i%workers][i/workers].
 		for i := 0; i < pp.N; i++ {
 			op := pp.PerWorker[i%s.Workers][i/s.Workers]
-			fmt.Fprintf(bw, "op %d %d w%d key %d at %d\n", pi, op.Index, op.Worker, op.Key, op.At.Nanoseconds())
+			side := ""
+			if op.Read {
+				side = " read"
+			}
+			fmt.Fprintf(bw, "op %d %d w%d key %d at %d%s\n", pi, op.Index, op.Worker, op.Key, op.At.Nanoseconds(), side)
 		}
 	}
 	return bw.Flush()

@@ -214,6 +214,11 @@ phase c
 duration 100ms
 rate 800
 dist rotate 4 70 32
+phase d
+duration 100ms
+rate 800
+reads 60
+rwlock rwphasefair
 `
 	log := func(seed uint64) []byte {
 		var buf bytes.Buffer
@@ -228,6 +233,9 @@ dist rotate 4 70 32
 	}
 	if len(a) < 1000 {
 		t.Fatalf("replay log suspiciously small (%d bytes) — is the plan empty?", len(a))
+	}
+	if reads := bytes.Count(a, []byte(" read\n")); reads < 20 || reads > 60 {
+		t.Fatalf("phase d marks %d of its 80 ops read, want about 48", reads)
 	}
 	c := log(54321)
 	if bytes.Equal(a, c) {

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"io"
 	"time"
 
@@ -28,6 +29,15 @@ func (s *Scenario) Quick() *Scenario { return s.Scaled(quickDiv, quickFloor) }
 // plan on it, and tears it down.
 func RunRig(plan *Plan, wire bool, progress io.Writer) (*Report, error) {
 	scn := plan.Scenario
+	// glsd has no read side. The service's reader-writer keys are created
+	// before the first phase, so no exclusive phase creates one first.
+	svcRW := false
+	for _, ph := range scn.Phases {
+		if wire && ph.RW() {
+			return nil, fmt.Errorf("scenario %s: phase %s is a reader-writer phase, and glsd has no read side", scn.Name, ph.Name)
+		}
+		svcRW = svcRW || ph.RW() && ph.RWLock == ""
+	}
 	// The registry carries the event stream behind `expect transition`.
 	reg := telemetry.New(telemetry.Options{})
 	// A private probe-less monitor: only `mphint` directives move the
@@ -42,6 +52,7 @@ func RunRig(plan *Plan, wire bool, progress io.Writer) (*Report, error) {
 			AdaptPeriod:  scn.GLKAdapt,
 			Monitor:      mon,
 		},
+		GLKRW:     &glk.RWConfig{Monitor: mon},
 		Telemetry: reg,
 	}
 
@@ -61,6 +72,9 @@ func RunRig(plan *Plan, wire bool, progress io.Writer) (*Report, error) {
 	} else {
 		svc := gls.New(svcOpts)
 		defer svc.Close()
+		for k := uint64(1); svcRW && k <= scn.Keys; k++ {
+			svc.InitRWLock(k)
+		}
 		drv = &ServiceDriver{Svc: svc}
 	}
 	defer drv.Close()

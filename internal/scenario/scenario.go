@@ -3,19 +3,21 @@
 // sequence of workload phases — arrival-rate schedules (constant rates,
 // diurnal ramps), key-choice distributions (uniform, zipf sweeps, flash
 // crowds onto a hot key, rotating tenant skew), per-acquisition deadlines,
-// engine-held blocker keys, and forced multiprogramming hints — and the
+// engine-held blocker keys, forced multiprogramming hints, and read shares
+// on reader-writer locks (the service's or a fixed family's) — and the
 // engine replays them open-loop against a lock-service driver (the
 // in-process gls.Service or a glsd server over the wire).
 //
 // Two properties separate this from the fixed-mix benchmark families:
 //
-//   - Determinism. Every random choice (keys, nothing else is random)
-//     comes from per-worker splitmix64 streams seeded from (seed, phase,
-//     worker), and the whole op sequence — keys, counts, scheduled
-//     arrival offsets — is computed as a pure plan before the first op is
-//     issued. The same seed and scenario file therefore replay the
-//     identical op sequence, byte for byte in the replay log, no matter
-//     how the scheduler interleaves the actual execution.
+//   - Determinism. Every random choice (the key, and in a phase with
+//     reads whether the op reads) comes from per-worker splitmix64 streams
+//     seeded from (seed, phase, worker), and the whole op sequence — keys,
+//     sides, counts, scheduled arrival offsets — is computed as a pure
+//     plan before the first op is issued. The same seed and scenario file
+//     therefore replay the identical op sequence, byte for byte in the
+//     replay log, no matter how the scheduler interleaves the actual
+//     execution.
 //
 //   - Assertion lanes. Each phase declares what must hold — p99 grant
 //     latency ceilings, exact timeout-lane counts, expected adaptation
@@ -124,6 +126,11 @@ const (
 	LaneP50 Lane = "p50"
 	LaneP95 Lane = "p95"
 	LaneP99 Lane = "p99"
+	// LaneRP99 and LaneWP99 split LaneP99 by side in a reader-writer
+	// phase: the read shares' service-time p99 and the writes'. wp99 is
+	// the lane that fails when readers bypass a planned writer.
+	LaneRP99 Lane = "rp99"
+	LaneWP99 Lane = "wp99"
 	// LaneIssued is the number of ops the phase issued (deterministic:
 	// it equals the plan's op count).
 	LaneIssued Lane = "issued"
@@ -137,13 +144,17 @@ const (
 
 // latencyLane reports whether the lane's values are durations.
 func latencyLane(l Lane) bool {
-	return l == LaneP50 || l == LaneP95 || l == LaneP99
+	return l == LaneP50 || l == LaneP95 || l == LaneP99 || sideLane(l)
 }
+
+// sideLane reports whether the lane reads one side of a reader-writer
+// phase.
+func sideLane(l Lane) bool { return l == LaneRP99 || l == LaneWP99 }
 
 // validLane reports whether l is an assertable lane.
 func validLane(l Lane) bool {
 	switch l {
-	case LaneP50, LaneP95, LaneP99, LaneIssued, LaneGrants, LaneTimeouts:
+	case LaneP50, LaneP95, LaneP99, LaneRP99, LaneWP99, LaneIssued, LaneGrants, LaneTimeouts:
 		return true
 	}
 	return false
@@ -264,6 +275,13 @@ type Phase struct {
 	// MPHint, if nonzero, is the sysmon multiprogramming hint asserted
 	// for the phase's duration (the forced-multiprogramming burst).
 	MPHint int
+	// Reads is the share of the phase's ops, in percent, that are read
+	// shares (RLock/RUnlock); the rest are writes.
+	Reads int
+	// RWLock, if set, names the fixed reader-writer family the phase runs
+	// on, a fresh lock for each key. Without it a phase with reads runs on
+	// the service's adaptive glkrw keys.
+	RWLock string
 
 	Asserts []Assertion
 	Expects []ExpectTransition
@@ -271,6 +289,10 @@ type Phase struct {
 	// Line is the `phase` directive's source line.
 	Line int
 }
+
+// RW reports whether the phase runs on reader-writer locks: it has reads
+// or names a family.
+func (p *Phase) RW() bool { return p.Reads > 0 || p.RWLock != "" }
 
 // Scenario is one parsed .scn file.
 type Scenario struct {
@@ -361,6 +383,17 @@ func (s *Scenario) validatePhase(p *Phase) error {
 	if p.MPHint < 0 || p.MPHint > MaxRate {
 		return fmt.Errorf("mphint %d out of range [0, %d]", p.MPHint, MaxRate)
 	}
+	if p.Reads < 0 || p.Reads > 100 {
+		return fmt.Errorf("reads %d out of range [0, 100]", p.Reads)
+	}
+	if p.RWLock != "" && rwFamilies[p.RWLock] == nil {
+		return fmt.Errorf("unknown rwlock family %q (want rwstriped, rwphasefair, rwwritepref or sync.RWMutex)", p.RWLock)
+	}
+	if p.RW() && p.Timeout != 0 {
+		// A bounded write polls the lock's try instead of queueing, so it
+		// would measure another admission than Lock's.
+		return fmt.Errorf("timeout in a reader-writer phase: its writes block")
+	}
 	switch p.Dist.Kind {
 	case DistUniform:
 	case DistZipf:
@@ -404,6 +437,9 @@ func (s *Scenario) validatePhase(p *Phase) error {
 			if a.Dur <= 0 || a.Dur > MaxDuration {
 				return fmt.Errorf("latency bound %v out of range (0, %v]", a.Dur, MaxDuration)
 			}
+		}
+		if sideLane(a.Lane) && !p.RW() {
+			return fmt.Errorf("lane %s needs a reader-writer phase (reads or rwlock)", a.Lane)
 		}
 		if a.Ref == RefBlocked && p.Block == 0 {
 			return fmt.Errorf("assertion %q references blocked but the phase holds no blocker", a)

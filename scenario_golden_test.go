@@ -78,7 +78,8 @@ func TestGoldenScenarios(t *testing.T) {
 // a loopback glsd. The latency-lane scenarios (diurnal, tenantskew) stay
 // in-process here: on a 1-CPU host the server pool's spin-waiters can
 // starve the holder and blow the tail bounds; `glsbench -scenario -wire`
-// covers them where CI grants more cores.
+// covers them where CI grants more cores. fair.scn is in-process only:
+// glsd has no read side, so the wire rig refuses it.
 func TestGoldenScenariosWire(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden scenarios run real-time phases; skipped in -short")
