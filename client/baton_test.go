@@ -239,24 +239,38 @@ func (c *Conn) readerWaiting() bool {
 
 // TestStrayReplyBehindOwnReply: a second synchronous reply in the same
 // read as a round trip's own is one nobody asked for, and the holder must
-// route it before it lets the baton go: left in the buffer, the next round
-// trip would take it as its reply and the stream would stay out of step.
-// The peer answers one ping with two PONGs in one write. Whoever holds the
-// baton, the connection fails with the unsolicited reply, at the latest at
-// the next call, which must not succeed.
+// route it before it lets the baton go or reads on: left in the buffer, or
+// read after the first reply was taken, the next round trip would take it
+// as its reply and the stream would stay out of step. The peer answers one
+// ping with two PONGs in one write. Whoever holds the baton (the round
+// trip, the reader of an idle Conn, or the reader kept by a queued Lock),
+// the connection fails with the unsolicited reply, at the latest at the
+// next call, which must not succeed.
 func TestStrayReplyBehindOwnReply(t *testing.T) {
-	for _, readerFirst := range []bool{false, true} {
-		t.Run(fmt.Sprintf("readerHolds=%v", readerFirst), func(t *testing.T) {
+	for _, holder := range []string{"false", "true", "queuedLock"} {
+		t.Run("readerHolds="+holder, func(t *testing.T) {
 			answered := false
 			c, _ := pipeConn(t, func(req string) (string, bool) {
 				if req == "ping" && !answered {
 					answered = true
 					return "PONG\r\nPONG\r\n", false
 				}
-				return "", false
+				return pong(req)
 			})
-			if readerFirst {
+			locked := make(chan error, 1)
+			switch holder {
+			case "true":
 				readerHolds(t, c)
+			case "queuedLock":
+				go func() {
+					_, err := c.Lock(context.Background(), 7, 0, 0)
+					locked <- err
+				}()
+				for deadline := time.Now().Add(5 * time.Second); !c.readerWaiting(); time.Sleep(100 * time.Microsecond) {
+					if time.Now().After(deadline) {
+						t.Fatal("the reader never took the baton for the queued Lock")
+					}
+				}
 			}
 			var errs [2]error
 			within(t, 5*time.Second, "two Pings after a doubled PONG", func() {
@@ -269,6 +283,11 @@ func TestStrayReplyBehindOwnReply(t *testing.T) {
 			for i, err := range errs {
 				if err != nil && (!errors.Is(err, ErrClosed) || !strings.Contains(err.Error(), "unsolicited reply")) {
 					t.Fatalf("Ping %d: %v, want ErrClosed (unsolicited reply)", i+1, err)
+				}
+			}
+			if holder == "queuedLock" {
+				if err := <-locked; !errors.Is(err, ErrClosed) {
+					t.Fatalf("Lock queued as the stream went out of step: %v, want ErrClosed", err)
 				}
 			}
 			readerGone(t, c)
@@ -436,7 +455,8 @@ func TestReaderAllocatesNothing(t *testing.T) {
 
 // lockPeer is a scripted peer for a Lock of key 7 granted with token 5:
 // it answers the wait with QUEUED, and with the GRANT behind it in the
-// same piece if inOnePiece, and a token request with TOKEN 0x7 5.
+// same piece if inOnePiece, a token request with TOKEN 0x7 5, and an
+// unlock with RELEASED 0x7.
 func lockPeer(inOnePiece bool) func(string) (string, bool) {
 	return func(req string) (string, bool) {
 		f := strings.Fields(req)
@@ -448,6 +468,8 @@ func lockPeer(inOnePiece bool) func(string) (string, bool) {
 			return "QUEUED " + f[1] + "\r\n", false
 		case "token":
 			return "TOKEN 0x7 5\r\n", false
+		case "unlock":
+			return "RELEASED 0x7\r\n", false
 		}
 		return pong(req)
 	}
@@ -470,35 +492,145 @@ func token7(t *testing.T, c *Conn) {
 	}
 }
 
-// TestGrantInTheWaitsRead: a GRANT that the wait's own round trip routes
-// before it lets the baton go (the peer sent QUEUED and GRANT in one
-// piece) leaves nothing for the reader goroutine to wait for. It is not
-// asked to take the baton, and the Token after the Lock reads its own
-// reply, so the baton is free once each returns. (The reader may still
-// take an idle Conn's baton on its own: an attempt in which it did so
-// before the wait's round trip, and so read the GRANT itself, is retried.)
+// unqueued checks that the Lock just returned, whose GRANT came in the
+// read that carried its QUEUED, left the reader goroutine nothing to do:
+// wanted is clear, no kick is pending and no wait end was stamped, so no
+// linger started.
+func unqueued(t *testing.T, c *Conn, what string) {
+	t.Helper()
+	c.mu.Lock()
+	stamped := !c.waitEnd.IsZero()
+	c.mu.Unlock()
+	if c.wanted.Load() || len(c.kick) != 0 || stamped {
+		t.Fatalf("%s: wanted %v, %d kicks pending, wait end stamped %v; want the reader left alone by a GRANT that came with its QUEUED", what, c.wanted.Load(), len(c.kick), stamped)
+	}
+}
+
+// readsOwn runs the round trip f on a Conn with no wait outstanding and
+// checks that it read its own reply: it found the baton free and it took
+// and freed it, so the word moved by two. The reader goroutine takes an
+// idle Conn's baton only once its ticks have seen no round trip for a
+// whole lingerWindow; if it did so just before f (the test was held up
+// that long), it must have answered f and handed the baton over with the
+// reply, leaving it free.
+func readsOwn(t *testing.T, c *Conn, what string, f func()) {
+	t.Helper()
+	v := c.baton.Load()
+	f()
+	after := c.baton.Load()
+	if v&1 == 0 && after != v+2 || v&1 == 1 && after&1 == 1 {
+		t.Fatalf("%s: baton word %d before the round trip, %d after; want the round trip to read its own reply", what, v, after)
+	}
+}
+
+// TestGrantInTheWaitsRead: a GRANT routed before its wait's QUEUED round
+// trip has returned (the peer sent QUEUED and GRANT in one piece) is not a
+// wait that queued, whichever goroutine routes it. If the wait's own round
+// trip took the baton, it routes the GRANT before it lets the baton go; if
+// the reader goroutine held the baton of an idle Conn, it routes the GRANT
+// buffered behind the QUEUED before it decides whether to go on reading.
+// Either way the reader is not asked for the baton, no linger starts, and
+// the baton is free once the Lock returns.
 func TestGrantInTheWaitsRead(t *testing.T) {
+	for _, readerFirst := range []bool{true, false} {
+		t.Run(fmt.Sprintf("readerHolds=%v", readerFirst), func(t *testing.T) {
+			c, _ := pipeConn(t, lockPeer(true))
+			for i := 0; i < 3; i++ {
+				if readerFirst {
+					readerHolds(t, c)
+					lock7(t, c)
+					if v := c.baton.Load(); v&1 != 0 {
+						t.Fatalf("Lock %d: the baton is held (word %d): the reader kept it after the QUEUED", i, v)
+					}
+				} else {
+					// A Ping leaves the baton free: it reads its own reply,
+					// or the reader answers it and hands the baton over.
+					within(t, 5*time.Second, "Ping", func() {
+						if err := c.Ping(); err != nil {
+							t.Errorf("Ping: %v", err)
+						}
+					})
+					readsOwn(t, c, fmt.Sprintf("Lock %d", i), func() { lock7(t, c) })
+				}
+				unqueued(t, c, fmt.Sprintf("Lock %d", i))
+			}
+		})
+	}
+}
+
+// TestFreeKeyLockOnIdleConn: on a Conn idle long enough for the reader
+// goroutine to hold the baton, Lock+Token+Unlock on a free key hands the
+// baton back for good. The reader answers the wait's QUEUED, routes the
+// GRANT behind it, and passes the baton over with the reply; the Token and
+// Unlock after it, and every later op, read their own replies, as on a
+// fresh Conn. (A reader that kept the baton for the GRANT would start its
+// linger, and while ops came less than lingerWindow apart every reply
+// would reach its caller through syncCh.)
+func TestFreeKeyLockOnIdleConn(t *testing.T) {
 	c, _ := pipeConn(t, lockPeer(true))
+	readerHolds(t, c)
 	for i := 0; i < 3; i++ {
-		for attempt := 1; ; attempt++ {
-			v := c.baton.Load()
-			lock7(t, c)
-			if v&1 == 0 && c.baton.Load() != v+1 {
-				break // the wait's round trip took the baton itself
+		lock7(t, c)
+		unqueued(t, c, fmt.Sprintf("op %d: Lock", i))
+		readsOwn(t, c, fmt.Sprintf("op %d: Token", i), func() { token7(t, c) })
+		readsOwn(t, c, fmt.Sprintf("op %d: Unlock", i), func() {
+			if err := c.Unlock(7); err != nil {
+				t.Fatalf("Unlock: %v", err)
 			}
-			if attempt == 20 {
-				t.Fatal("in 20 attempts the reader goroutine always took the baton before the wait's round trip")
-			}
-			time.Sleep(2 * lingerWindow)
-			token7(t, c) // a reply this late takes the baton back from the reader
+		})
+		if c.wanted.Load() {
+			t.Fatalf("op %d: wanted set after the Unlock", i)
 		}
-		if c.wanted.Load() || len(c.kick) != 0 {
-			t.Fatalf("Lock %d: wanted %v, %d kicks pending; want the reader left alone once the GRANT is routed", i, c.wanted.Load(), len(c.kick))
+	}
+}
+
+// TestQueuedWaitKeepsTheReader: free-key Locks on a Conn where another
+// wait has queued leave the reader goroutine holding the baton for that
+// wait. Whether a wait queued is marked on the wait itself, so a GRANT
+// routed with its QUEUED ends only its own wait, and every reply meanwhile
+// comes through the reader. The queued wait's GRANT, sent with no call in
+// flight, reaches its Lock.
+func TestQueuedWaitKeepsTheReader(t *testing.T) {
+	free := lockPeer(true)
+	c, peer := pipeConn(t, func(req string) (string, bool) {
+		if f := strings.Fields(req); f[0] == "wait" && f[2] == "0x8" {
+			return "QUEUED " + f[1] + "\r\n", false // key 8 is held elsewhere
 		}
+		return free(req)
+	})
+	queued := make(chan error, 1)
+	go func() {
+		tok, err := c.Lock(context.Background(), 8, 0, 0)
+		if err == nil && tok != 6 {
+			err = fmt.Errorf("token %d, want 6", tok)
+		}
+		queued <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); !c.readerWaiting(); time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the reader never took the baton for the queued Lock")
+		}
+	}
+	for i := 0; i < 3; i++ {
+		lock7(t, c)
 		token7(t, c)
-		if v := c.baton.Load(); v&1 != 0 {
-			t.Fatalf("Lock %d: the baton is held (word %d) after the Token: the reader answered it", i, v)
+		if err := c.Unlock(7); err != nil {
+			t.Fatalf("Unlock: %v", err)
 		}
+		if v := c.baton.Load(); v&1 == 0 || !c.wanted.Load() {
+			t.Fatalf("op %d on key 7: baton word %d, wanted %v; want the reader holding the baton for the queued wait", i, v, c.wanted.Load())
+		}
+	}
+	if _, err := peer.Write([]byte("GRANT 1 0x8 6 10000\r\n")); err != nil {
+		t.Fatalf("peer write: %v", err)
+	}
+	select {
+	case err := <-queued:
+		if err != nil {
+			t.Fatalf("queued Lock: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the queued Lock's GRANT was never delivered")
 	}
 }
 

@@ -80,14 +80,17 @@ func errForCode(code, detail string) error {
 // One goroutine at a time reads the socket: the holder of the read baton.
 // A round trip that finds the baton free takes it and reads its own reply,
 // so no second goroutine is woken to pass the reply on; the Conn's reader
-// goroutine holds the baton while a Lock waits and lingerWindow after, and
-// on a Conn idle for lingerWindow, so a GRANT, an EXPIRED notice or a dead
-// peer is seen with no call in flight. A Lock whose GRANT came in the same
-// read as its QUEUED (a free key) has not waited: the reader is not asked
-// for the baton. Whoever holds the baton routes the asynchronous lines it
-// reads to their owners. While waits end less than lingerWindow apart the
-// reader never lets the baton go, so every reply then reaches its caller
-// through syncCh, a second wake per round trip.
+// goroutine holds the baton while a Lock's wait is queued and lingerWindow
+// after, and on a Conn idle for lingerWindow, so a GRANT, an EXPIRED notice
+// or a dead peer is seen with no call in flight. A wait whose GRANT came in
+// the same read as its QUEUED (a free key) has not queued, whichever
+// goroutine read it: the reader is not asked for the baton, and one that
+// holds it (an idle Conn) hands it over with the QUEUED, so the round trips
+// after that Lock read their own replies. Whoever holds the baton routes
+// the asynchronous lines it reads to their owners. While queued waits end
+// less than lingerWindow apart the reader never lets the baton go, so
+// every reply then reaches its caller through syncCh, a second wake per
+// round trip.
 type Conn struct {
 	nc net.Conn
 	bw *bufio.Writer
@@ -111,11 +114,11 @@ type Conn struct {
 	// receives it, which then releases the baton.
 	handed bool
 	// wanted asks for the reader goroutine to hold the baton: a wait was
-	// registered, and no sync reply has since found the Conn with no wait
-	// outstanding and none ended within lingerWindow. A round trip that
-	// releases the baton kicks the reader while it is set and a wait is
-	// outstanding, and clears it if none is: a GRANT that the round trip
-	// itself routed leaves the reader nothing to linger for.
+	// registered, and keep has not since found the Conn with no wait
+	// registered and nothing to linger for. A round trip that releases the
+	// baton kicks the reader while it is set and a wait that queued is
+	// outstanding: a GRANT routed with its QUEUED leaves the reader nothing
+	// to read for.
 	wanted atomic.Bool
 	kick   chan struct{} // one slot: the reader goroutine should try the baton
 	idle   *time.Timer   // the reader goroutine's idle check; armed only while it lacks the baton
@@ -127,13 +130,24 @@ type Conn struct {
 	syncCh chan reply
 
 	mu       sync.Mutex
-	waits    map[uint64]chan reply
-	waitEnd  time.Time // when the last wait's terminal line was routed
+	waits    map[uint64]pending
+	queued   int       // the waits in waits that queued
+	waitEnd  time.Time // when the last wait that queued was ended
 	expired  func(key, token uint64)
 	nextWait atomic.Uint64
 
 	done    chan struct{}
 	readErr error
+}
+
+// pending is one outstanding wait.
+type pending struct {
+	ch chan reply // its terminal line: GRANT, TIMEOUT or CANCELLED
+	// queued is set by the baton's holder that read the wait's QUEUED, once
+	// it has routed the lines that came in the same read and found the wait
+	// still outstanding. Only a wait that queued keeps the reader goroutine
+	// reading, or starts its linger when it ends.
+	queued bool
 }
 
 // The connection's buffers. A request is written and flushed whole, so the
@@ -147,15 +161,15 @@ const (
 )
 
 // lingerWindow is how long the reader goroutine keeps the baton after a
-// wait whose GRANT it read, and how long a Conn must go without a round
+// wait that queued has ended, and how long a Conn must go without a round
 // trip before it takes the baton. The first covers a Lock's Token and
 // Unlock round trips and the next Lock (≈ 0.1 ms on loopback): a round trip
 // just after a wait that had parked the reader, read for itself, was slower
-// than one answered by the reader (EXPERIMENTS.md). A wait granted in
-// its own round trip's read parked nobody, and its round trips read for
-// themselves. The second bounds how late an idle Conn sees an EXPIRED
-// notice or a dead peer, at two windows, and sets how often a busy Conn's
-// reader wakes.
+// than one answered by the reader (EXPERIMENTS.md). A wait granted in the
+// read that carried its QUEUED never queued and starts no linger, whichever
+// goroutine read it, and the round trips after it read for themselves. The
+// second bounds how late an idle Conn sees an EXPIRED notice or a dead
+// peer, at two windows, and sets how often a busy Conn's reader wakes.
 const lingerWindow = time.Millisecond
 
 // Dial connects to a glsd server and opens a session.
@@ -177,7 +191,7 @@ func open(nc net.Conn) (*Conn, error) {
 		kick:   make(chan struct{}, 1),
 		idle:   time.NewTimer(lingerWindow),
 		syncCh: make(chan reply, 1),
-		waits:  make(map[uint64]chan reply),
+		waits:  make(map[uint64]pending),
 		done:   make(chan struct{}),
 	}
 	go c.reader()
@@ -303,7 +317,8 @@ func (c *Conn) readLine() (reply, error) {
 // route delivers an asynchronous line to its owner and reports whether r
 // is instead a synchronous reply, which the caller answers: wait-id-bearing
 // verbs go to their wait by id, expiry notices to the OnExpired callback,
-// and blank lines nowhere.
+// and blank lines nowhere. Ending a wait that queued stamps waitEnd, which
+// starts the reader's linger; ending one routed with its QUEUED does not.
 func (c *Conn) route(r reply) (synchronous bool) {
 	switch r.verb {
 	case "GRANT", "TIMEOUT", "CANCELLED":
@@ -311,14 +326,17 @@ func (c *Conn) route(r reply) (synchronous bool) {
 			return false
 		}
 		c.mu.Lock()
-		ch := c.waits[r.num[0]]
-		if ch != nil {
+		w, ok := c.waits[r.num[0]]
+		if ok {
 			delete(c.waits, r.num[0])
-			c.waitEnd = time.Now()
+			if w.queued {
+				c.queued--
+				c.waitEnd = time.Now()
+			}
 		}
 		c.mu.Unlock()
-		if ch != nil {
-			ch <- r // never blocks: one terminal line per wait, one slot
+		if ok {
+			w.ch <- r // never blocks: one terminal line per wait, one slot
 		}
 	case "EXPIRED":
 		if r.n != 2 {
@@ -342,56 +360,76 @@ func (c *Conn) takeBaton() bool {
 	return v&1 == 0 && c.baton.CompareAndSwap(v, v+1)
 }
 
-// releaseBaton frees the baton, having routed what is buffered
+// releaseBaton frees the baton, whose holder has routed what is buffered
 // (routeBuffered), and kicks the reader goroutine if a wait wants it
-// reading and is still outstanding. If routeBuffered ended the last wait
-// (glsd answers a wait on a free key QUEUED and GRANT in one write), it
-// clears wanted instead, so the round trips after the Lock read their own
-// replies. A stray reply fails the connection instead, and the baton stays
-// taken.
+// reading and has queued. If no wait is registered (glsd answered a wait
+// on a free key QUEUED and GRANT in one write, and routeBuffered ended
+// it), it clears wanted instead, so the round trips after the Lock read
+// their own replies.
 func (c *Conn) releaseBaton() {
-	if stray, ok := c.routeBuffered(); !ok {
-		c.fail(unsolicited(stray))
-		return
-	}
 	c.baton.Add(1)
-	if c.wanted.Load() && c.waitOutstanding() {
+	if c.keep(false) {
 		c.wake()
 	}
 }
 
-// waitOutstanding reports whether a wait is registered, and clears wanted
-// if none is. Under mu, so a wait registered meanwhile sets wanted after
-// the clear and kicks the reader on its own round trip's release.
-func (c *Conn) waitOutstanding() bool {
+// keep reports whether the reader goroutine should hold the baton: wanted
+// is set and a wait that queued is outstanding or, with linger, ended
+// within lingerWindow. The reader asks with linger once it has routed a
+// synchronous reply and the lines behind it; a release asks without, to
+// kick the reader. A wait ended by a GRANT that came with its QUEUED never
+// queued, so a Lock on a free key gives the reader of an idle Conn nothing
+// to read on for. Otherwise, if no wait is registered, keep clears wanted,
+// under mu, so a wait registered meanwhile sets wanted after the clear. A
+// wait registered but not yet queued neither counts nor clears: the holder
+// that reads its QUEUED decides, and keeps or kicks the reader if it
+// queued.
+func (c *Conn) keep(linger bool) bool {
+	if !c.wanted.Load() {
+		return false
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.waits) > 0 {
+	if c.queued > 0 || linger && time.Since(c.waitEnd) < lingerWindow {
 		return true
 	}
-	c.wanted.Store(false)
+	if len(c.waits) == 0 {
+		c.wanted.Store(false)
+	}
 	return false
 }
 
-// routeBuffered routes the complete lines already buffered behind the
-// holder's last one, before the holder lets the baton go: after that
-// nobody reads until the next holder, and a line left in the buffer would
-// be taken by the next round trip as its reply. A synchronous line among
-// them is a reply nobody asked for (the next request cannot have been
-// written yet): routeBuffered stops there and returns it, ok false, for
-// the holder to fail the connection. A partial line stays for the next
-// holder.
-func (c *Conn) routeBuffered() (stray reply, ok bool) {
+// routeBuffered routes the complete lines already buffered behind last,
+// the synchronous reply the holder just read, before the holder lets the
+// baton go or decides to read on: after a release nobody reads until the
+// next holder, and a line left in the buffer would be taken by the next
+// round trip as its reply. A synchronous line among them is a reply nobody
+// asked for (the next request cannot have been written yet):
+// routeBuffered stops there and returns it, ok false, for the holder to
+// fail the connection. A partial line stays for the next holder. If last
+// is a wait's QUEUED and that wait is still outstanding once the lines
+// that came with it are routed, the wait has queued.
+func (c *Conn) routeBuffered(last reply) (stray reply, ok bool) {
 	for {
 		buf, _ := c.br.Peek(c.br.Buffered())
 		if bytes.IndexByte(buf, '\n') < 0 {
-			return reply{}, true
+			break
 		}
 		r, _ := c.readLine() // buffered whole: cannot fail
 		if c.route(r) {
 			return r, false
 		}
 	}
+	if last.verb == "QUEUED" && last.n == 1 {
+		c.mu.Lock()
+		if w, ok := c.waits[last.num[0]]; ok && !w.queued {
+			w.queued = true
+			c.waits[last.num[0]] = w
+			c.queued++
+		}
+		c.mu.Unlock()
+	}
+	return reply{}, true
 }
 
 // unsolicited is the error of a stream out of step: a synchronous reply
@@ -409,9 +447,10 @@ func (c *Conn) wake() {
 }
 
 // readOwn reads lines as the baton's holder until the synchronous reply to
-// its own request, routing the asynchronous ones on the way, and releases
-// the baton. A reply read whole is returned even if a stray line behind it
-// then fails the connection.
+// its own request, routing the asynchronous ones on the way and those
+// buffered behind the reply, and releases the baton. A reply read whole is
+// returned even if a stray line behind it then fails the connection; the
+// baton then stays taken.
 func (c *Conn) readOwn() (reply, error) {
 	for {
 		r, err := c.readLine()
@@ -420,7 +459,11 @@ func (c *Conn) readOwn() (reply, error) {
 			return reply{}, c.broken(nil)
 		}
 		if c.route(r) {
-			c.releaseBaton()
+			if stray, ok := c.routeBuffered(r); ok {
+				c.releaseBaton()
+			} else {
+				c.fail(unsolicited(stray))
+			}
 			return r, nil
 		}
 	}
@@ -434,10 +477,11 @@ func (c *Conn) readOwn() (reply, error) {
 func (c *Conn) fail(err error) {
 	c.readErr = err
 	c.mu.Lock()
-	for id, ch := range c.waits {
-		close(ch)
+	for id, w := range c.waits {
+		close(w.ch)
 		delete(c.waits, id)
 	}
+	c.queued = 0
 	c.mu.Unlock()
 	close(c.done)
 	// After done, so a round trip that trips over the closed socket
@@ -490,11 +534,12 @@ func (c *Conn) reader() {
 }
 
 // readHeld reads as the reader goroutine, holding the baton. A synchronous
-// reply goes to the round trip waiting on syncCh. While keep says so the
-// reader reads on; otherwise it passes the baton to that round trip with
-// the reply, and returns true. It returns false if the connection died.
-// A round trip prefers a delivered reply to done, so a reply read whole
-// reaches its caller whichever goroutine read it.
+// reply goes to the round trip waiting on syncCh, once the lines that came
+// in the same read are routed. While keep says so the reader reads on;
+// otherwise it passes the baton to that round trip with the reply, and
+// returns true. It returns false if the connection died. A round trip
+// prefers a delivered reply to done, so a reply read whole reaches its
+// caller whichever goroutine read it.
 func (c *Conn) readHeld() bool {
 	for {
 		r, err := c.readLine()
@@ -511,7 +556,10 @@ func (c *Conn) readHeld() bool {
 			c.fail(unsolicited(r))
 			return false
 		}
-		if c.keep() {
+		// Routed first, a GRANT behind its wait's QUEUED ends a wait that
+		// never queued, and keep does not read on for it.
+		stray, ok := c.routeBuffered(r)
+		if ok && c.keep(true) {
 			c.syncCh <- r
 			continue
 		}
@@ -521,7 +569,6 @@ func (c *Conn) readHeld() bool {
 		// to stop. The reply was read whole, so it is delivered before a
 		// stray line behind it fails the connection; the baton then stays
 		// taken.
-		stray, ok := c.routeBuffered()
 		c.handed = ok
 		c.syncCh <- r
 		if !ok {
@@ -529,22 +576,6 @@ func (c *Conn) readHeld() bool {
 		}
 		return ok
 	}
-}
-
-// keep reports whether the reader goroutine should go on holding the baton
-// after a synchronous reply: a wait is outstanding or ended within
-// lingerWindow. Once neither holds it clears wanted.
-func (c *Conn) keep() bool {
-	if !c.wanted.Load() {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.waits) > 0 || time.Since(c.waitEnd) < lingerWindow {
-		return true
-	}
-	c.wanted.Store(false)
-	return false
 }
 
 // request is one request line under construction in the connection's write
@@ -614,7 +645,7 @@ func (q request) do() (reply, error) {
 		}
 		if c.handed {
 			c.handed = false
-			c.releaseBaton()
+			c.releaseBaton() // the reader routed what is buffered
 		}
 	}
 	if r.verb == "ERR" {
@@ -677,8 +708,8 @@ func (c *Conn) wait(ctx context.Context, key uint64, ttl, timeout time.Duration)
 	id := c.nextWait.Add(1)
 	ch := make(chan reply, 1)
 	c.mu.Lock()
-	c.waits[id] = ch
-	c.wanted.Store(true) // before the wait request: its round trip kicks the reader unless it routed the GRANT
+	c.waits[id] = pending{ch: ch}
+	c.wanted.Store(true) // before the wait request: if the wait queues, whoever reads its QUEUED keeps or kicks the reader
 	c.mu.Unlock()
 
 	q := c.begin("wait").num(id).key(key).ms(ttl)
@@ -687,7 +718,7 @@ func (c *Conn) wait(ctx context.Context, key uint64, ttl, timeout time.Duration)
 	}
 	if _, err := q.do(); err != nil {
 		c.mu.Lock()
-		delete(c.waits, id)
+		delete(c.waits, id) // not queued: its QUEUED never reached it
 		c.mu.Unlock()
 		return reply{}, err
 	}
