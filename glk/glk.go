@@ -10,13 +10,15 @@
 // The lock collects contention statistics as it is used: every SamplePeriod
 // critical sections it samples the queue length behind the lock, and every
 // AdaptPeriod critical sections the current holder re-decides the mode from
-// an exponential moving average of those samples. Multiprogramming is
-// reported by a process-wide background monitor (package sysmon), exactly as
-// in the paper. Different locks in one process can therefore run in
-// different modes at the same time (cf. MySQL in the paper's §5.2). The
-// policy itself — the 3/2 ticket↔mcs band, the 1.5 mutex floor, the EMA
-// weight of 0.25 — is the paper's, fixed by its sensitivity analysis (§3.1);
-// only the periods, the monitor and the initial mode are configurable.
+// an exponential moving average of those samples; the switch to mutex under
+// multiprogramming is taken at the first sample that calls for it.
+// Multiprogramming is reported by a process-wide background monitor
+// (package sysmon), exactly as in the paper. Different locks in one process
+// can therefore run in different modes at the same time (cf. MySQL in the
+// paper's §5.2). The policy itself — the 3/2 ticket↔mcs band, the 1.5 mutex
+// floor, the EMA weight of 0.25 — is the paper's, fixed by its sensitivity
+// analysis (§3.1); only the periods, the monitor and the initial mode are
+// configurable.
 //
 // RWLock applies the same adapt-per-lock discipline to reader-writer
 // admission: BRAVO-style striped readers whose counter stays one inline cell
@@ -763,7 +765,8 @@ func (l *Lock) sampleDue(cur Mode) bool {
 
 // sampleAndAdapt is the statistics/adaptation step of a sampling boundary
 // (sampleDue): rewind the clock, record a queue sample, run the footprint
-// housekeeping, and — on adaptation boundaries — re-decide the mode. It
+// housekeeping, and — on adaptation boundaries — re-decide the mode. Between
+// them it takes the multiprogramming switch to mutex only. It
 // returns true when the mode changed, in which case the caller must release
 // the low-level lock and restart (paper Figure 4, line 15). It is the only
 // writer of the mode word after construction (see the invariant on Lock).
@@ -830,7 +833,14 @@ func (l *Lock) sampleAndAdapt(cur Mode) bool {
 
 	st.adaptIn--
 	if st.adaptIn != 0 {
-		return false
+		// Between adaptation boundaries the switch to mutex alone is taken,
+		// and at once: an oversubscribed spin lock hands off to waiters that
+		// are not running, so a period of them lasts 17-300 ms (DESIGN §4).
+		// The queue test comes first, so a lock that sees no queue never
+		// reads the shared flag.
+		return cur != ModeMutex && !l.set.disableAdaptation &&
+			st.queueEMA.Value() >= mutexQueueFloor && l.monitor().Multiprogrammed() &&
+			l.retarget(st, cur, true)
 	}
 	st.adaptIn = l.set.adaptSamples
 
@@ -857,8 +867,16 @@ func (l *Lock) sampleAndAdapt(cur Mode) bool {
 	if l.set.disableAdaptation {
 		return false
 	}
+	return l.retarget(st, cur, false)
+}
+
+// retarget is the tail of a boundary that re-decides the mode: decide, and
+// move the lock when the decision is another mode. An early boundary (one
+// between adaptation boundaries) takes the switch to mutex only. It
+// reports whether the mode changed.
+func (l *Lock) retarget(st *adaptState, cur Mode, early bool) bool {
 	target, reason := l.decide(cur)
-	if target == cur {
+	if target == cur || early && target != ModeMutex {
 		return false
 	}
 	l.ensureLow(target)

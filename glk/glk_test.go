@@ -268,6 +268,91 @@ func TestMultiprogrammingSwitchesToMutex(t *testing.T) {
 	wg.Wait()
 }
 
+// TestMultiprogrammedSwitchWithinSamples: once the multiprogramming flag is
+// up, a lock whose queue EMA reaches mutexQueueFloor blocks from the sample
+// that sees it, not from the next adaptation boundary (paper §3: contended
+// locks under multiprogramming must block). Goroutines outnumbering
+// GOMAXPROCS run over a few locks at the default periods, each lock for
+// `samples` samples — a quarter of one adaptation period, so only a switch
+// taken between adaptation boundaries can move it — and every lock whose
+// EMA ends over the floor must be in mutex mode. glkrw re-decides on every
+// sample already; its subtest holds it to the same bound.
+func TestMultiprogrammedSwitchWithinSamples(t *testing.T) {
+	const (
+		goroutines = 8
+		nlocks     = 2
+		samples    = 8 // K, in samples of each lock's own period
+	)
+	// The flag rises on the hint and stays up: a stopped monitor keeps its
+	// last value.
+	mon := newTestMonitor()
+	mon.Start()
+	mon.SetHint(runtime.GOMAXPROCS(0) + goroutines)
+	waitFlag(t, mon, true)
+	mon.Stop()
+
+	// run gives each lock samples*period critical sections, shared by
+	// goroutines/nlocks goroutines. The holder yields inside: a holder
+	// that loses its P is what the flag is about, and it queues the rest.
+	run := func(period int, cs func(i int)) {
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				for n := 0; n < samples*period*nlocks/goroutines; n++ {
+					cs(i)
+				}
+			}(g % nlocks)
+		}
+		wg.Wait()
+	}
+
+	t.Run("glk", func(t *testing.T) {
+		var ls [nlocks]*Lock
+		for i := range ls {
+			ls[i] = New(&Config{Monitor: mon})
+		}
+		run(DefaultSamplePeriod, func(i int) {
+			ls[i].Lock()
+			runtime.Gosched()
+			ls[i].Unlock()
+		})
+		queued := 0
+		for i, l := range ls {
+			s := l.Stats()
+			if s.QueueEMA < mutexQueueFloor {
+				continue
+			}
+			queued++
+			if s.Mode != ModeMutex {
+				t.Errorf("lock %d: queue EMA %.2f ≥ %.1f under multiprogramming, still %v after %d acquisitions (%d samples)",
+					i, s.QueueEMA, mutexQueueFloor, s.Mode, s.Acquired, samples)
+			}
+		}
+		if queued == 0 {
+			t.Fatal("no lock's queue EMA reached the floor: the test checked nothing")
+		}
+	})
+
+	t.Run("glkrw", func(t *testing.T) {
+		var ls [nlocks]*RWLock
+		for i := range ls {
+			ls[i] = NewRW(&RWConfig{Monitor: mon})
+		}
+		run(DefaultRWSamplePeriod, func(i int) {
+			ls[i].Lock()
+			runtime.Gosched()
+			ls[i].Unlock()
+		})
+		for i, l := range ls {
+			if m := l.RWMode(); m != RWModeWritePref {
+				t.Errorf("lock %d: writers queued under multiprogramming, still %v after %d samples", i, m, samples)
+			}
+		}
+	})
+}
+
 // TestLowContentionStaysTicketUnderMultiprogramming: paper §3 — "GLK objects
 // that operate with minimal queuing do not switch to mutex, but remain in
 // ticket mode".

@@ -138,18 +138,18 @@ func histPercentile(buckets []uint64, p float64) time.Duration {
 	return bucketValue(len(buckets) - 1)
 }
 
-// addBuckets accumulates src into dst element-wise (retired folding, lane
-// merging), growing dst as needed.
+// addBuckets is element-wise dst+src (retired folding) in a new slice,
+// so a snapshot still holding dst is not written through.
 func addBuckets(dst, src []uint64) []uint64 {
-	if len(src) > len(dst) {
-		grown := make([]uint64, len(src))
-		copy(grown, dst)
-		dst = grown
+	if len(dst)+len(src) == 0 {
+		return nil
 	}
+	out := make([]uint64, max(len(dst), len(src)))
+	copy(out, dst)
 	for i, v := range src {
-		dst[i] += v
+		out[i] += v
 	}
-	return dst
+	return out
 }
 
 // subBuckets is element-wise sub0 (for Diff), trimmed like latHist.sum.

@@ -236,26 +236,9 @@ func (s *Snapshot) Diff(prev *Snapshot) *Snapshot {
 	out := &Snapshot{
 		SamplePeriod: s.SamplePeriod,
 		Locks:        make([]LockSnapshot, 0, len(s.Locks)),
-		Retired: RetiredSnapshot{
-			Locks:         s.Retired.Locks - prev.Retired.Locks,
-			Arrivals:      s.Retired.Arrivals - prev.Retired.Arrivals,
-			Acquisitions:  s.Retired.Acquisitions - prev.Retired.Acquisitions,
-			Contended:     s.Retired.Contended - prev.Retired.Contended,
-			TryFails:      s.Retired.TryFails - prev.Retired.TryFails,
-			Timeouts:      s.Retired.Timeouts - prev.Retired.Timeouts,
-			Cancels:       s.Retired.Cancels - prev.Retired.Cancels,
-			Transitions:   s.Retired.Transitions - prev.Retired.Transitions,
-			RArrivals:     s.Retired.RArrivals - prev.Retired.RArrivals,
-			RAcquisitions: s.Retired.RAcquisitions - prev.Retired.RAcquisitions,
-			RContended:    s.Retired.RContended - prev.Retired.RContended,
-			RTryFails:     s.Retired.RTryFails - prev.Retired.RTryFails,
-			RWaitPhases:   s.Retired.RWaitPhases - prev.Retired.RWaitPhases,
-			RStarved:      s.Retired.RStarved - prev.Retired.RStarved,
-			WaitHist:      subBuckets(s.Retired.WaitHist, prev.Retired.WaitHist),
-			HoldHist:      subBuckets(s.Retired.HoldHist, prev.Retired.HoldHist),
-			RWaitHist:     subBuckets(s.Retired.RWaitHist, prev.Retired.RWaitHist),
-		},
+		Retired:      s.Retired,
 	}
+	out.Retired.sub(&prev.Retired)
 	curGen := make(map[uint64]uint64, len(s.Locks))
 	for i := range s.Locks {
 		curGen[s.Locks[i].Key] = s.Locks[i].Gen
@@ -265,63 +248,115 @@ func (s *Snapshot) Diff(prev *Snapshot) *Snapshot {
 		// interval: the previous incarnation's counters belong to Retired,
 		// not to this lock, so the new life keeps its full counts.
 		if p := prevByKey[cur.Key]; p != nil && p.Gen == cur.Gen {
-			// sub0 throughout: the raw slots are monotonic, but both
-			// snapshots were racy reads, and the derived Acquisitions is
-			// re-derived from the diffed raw fields so its zero-clamp in
-			// snapshot() cannot underflow here.
-			cur.Arrivals = sub0(cur.Arrivals, p.Arrivals)
-			cur.Contended = sub0(cur.Contended, p.Contended)
-			cur.TryFails = sub0(cur.TryFails, p.TryFails)
-			cur.Timeouts = sub0(cur.Timeouts, p.Timeouts)
-			cur.Cancels = sub0(cur.Cancels, p.Cancels)
-			cur.Acquisitions = sub0(cur.Arrivals, cur.TryFails)
-			cur.Samples = sub0(cur.Samples, p.Samples)
-			cur.WaitNanos = sub0(cur.WaitNanos, p.WaitNanos)
-			cur.HoldNanos = sub0(cur.HoldNanos, p.HoldNanos)
-			cur.QueueTotal = sub0(cur.QueueTotal, p.QueueTotal)
-			cur.RArrivals = sub0(cur.RArrivals, p.RArrivals)
-			cur.RContended = sub0(cur.RContended, p.RContended)
-			cur.RTryFails = sub0(cur.RTryFails, p.RTryFails)
-			cur.RAcquisitions = sub0(cur.RArrivals, cur.RTryFails)
-			cur.RSamples = sub0(cur.RSamples, p.RSamples)
-			cur.RWaitNanos = sub0(cur.RWaitNanos, p.RWaitNanos)
-			cur.RQueueTotal = sub0(cur.RQueueTotal, p.RQueueTotal)
-			cur.WDrainNanos = sub0(cur.WDrainNanos, p.WDrainNanos)
-			cur.RWaitPhases = sub0(cur.RWaitPhases, p.RWaitPhases)
-			cur.RStarved = sub0(cur.RStarved, p.RStarved)
-			cur.WaitHist = subBuckets(cur.WaitHist, p.WaitHist)
-			cur.HoldHist = subBuckets(cur.HoldHist, p.HoldHist)
-			cur.RWaitHist = subBuckets(cur.RWaitHist, p.RWaitHist)
-			cur.Transitions = diffTransitions(cur.Transitions, p.Transitions)
+			cur.sub(p)
 		}
 		out.Locks = append(out.Locks, cur)
 	}
 	// A lock freed during the interval folded its *lifetime* totals into
 	// s.Retired, but everything up to prev was already reported live in
-	// prev — subtract it so the retired delta is interval activity, not a
-	// double count. (sub0 guards the racy-read edge where prev's live
-	// reading exceeded the quiescent fold.)
+	// prev — take it back out so the retired delta is interval activity,
+	// not a double count.
 	for i := range prev.Locks {
 		p := &prev.Locks[i]
 		if g, ok := curGen[p.Key]; !ok || g != p.Gen {
-			out.Retired.Arrivals = sub0(out.Retired.Arrivals, p.Arrivals)
-			out.Retired.Acquisitions = sub0(out.Retired.Acquisitions, p.Acquisitions)
-			out.Retired.Contended = sub0(out.Retired.Contended, p.Contended)
-			out.Retired.TryFails = sub0(out.Retired.TryFails, p.TryFails)
-			out.Retired.Timeouts = sub0(out.Retired.Timeouts, p.Timeouts)
-			out.Retired.Cancels = sub0(out.Retired.Cancels, p.Cancels)
-			out.Retired.RArrivals = sub0(out.Retired.RArrivals, p.RArrivals)
-			out.Retired.RAcquisitions = sub0(out.Retired.RAcquisitions, p.RAcquisitions)
-			out.Retired.RContended = sub0(out.Retired.RContended, p.RContended)
-			out.Retired.RTryFails = sub0(out.Retired.RTryFails, p.RTryFails)
-			out.Retired.Transitions = sub0(out.Retired.Transitions, p.TransitionCount())
-			out.Retired.WaitHist = subBuckets(out.Retired.WaitHist, p.WaitHist)
-			out.Retired.HoldHist = subBuckets(out.Retired.HoldHist, p.HoldHist)
-			out.Retired.RWaitHist = subBuckets(out.Retired.RWaitHist, p.RWaitHist)
+			out.Retired.fold(p, -1)
 		}
 	}
 	out.sort()
 	return out
+}
+
+// sub turns l into the interval delta since p, an earlier snapshot of the
+// same incarnation. sub0 throughout: the raw slots are monotonic, but both
+// snapshots were racy reads, and the derived Acquisitions/RAcquisitions
+// are re-derived from the diffed raw fields so the zero-clamp in
+// LockStats.snapshot cannot underflow here. States (mode, label, present)
+// stay l's.
+func (l *LockSnapshot) sub(p *LockSnapshot) {
+	l.Arrivals = sub0(l.Arrivals, p.Arrivals)
+	l.Contended = sub0(l.Contended, p.Contended)
+	l.TryFails = sub0(l.TryFails, p.TryFails)
+	l.Acquisitions = sub0(l.Arrivals, l.TryFails)
+	l.Timeouts = sub0(l.Timeouts, p.Timeouts)
+	l.Cancels = sub0(l.Cancels, p.Cancels)
+	l.Samples = sub0(l.Samples, p.Samples)
+	l.WaitNanos = sub0(l.WaitNanos, p.WaitNanos)
+	l.HoldNanos = sub0(l.HoldNanos, p.HoldNanos)
+	l.QueueTotal = sub0(l.QueueTotal, p.QueueTotal)
+	l.Transitions = diffTransitions(l.Transitions, p.Transitions)
+	l.RArrivals = sub0(l.RArrivals, p.RArrivals)
+	l.RContended = sub0(l.RContended, p.RContended)
+	l.RTryFails = sub0(l.RTryFails, p.RTryFails)
+	l.RAcquisitions = sub0(l.RArrivals, l.RTryFails)
+	l.RSamples = sub0(l.RSamples, p.RSamples)
+	l.RWaitNanos = sub0(l.RWaitNanos, p.RWaitNanos)
+	l.RQueueTotal = sub0(l.RQueueTotal, p.RQueueTotal)
+	l.WDrainNanos = sub0(l.WDrainNanos, p.WDrainNanos)
+	l.RWaitPhases = sub0(l.RWaitPhases, p.RWaitPhases)
+	l.RStarved = sub0(l.RStarved, p.RStarved)
+	l.WaitHist = subBuckets(l.WaitHist, p.WaitHist)
+	l.HoldHist = subBuckets(l.HoldHist, p.HoldHist)
+	l.RWaitHist = subBuckets(l.RWaitHist, p.RWaitHist)
+}
+
+// sub turns r into the interval delta since p, an earlier snapshot's
+// retired totals.
+func (r *RetiredSnapshot) sub(p *RetiredSnapshot) {
+	r.Locks = sub0(r.Locks, p.Locks)
+	r.Arrivals = sub0(r.Arrivals, p.Arrivals)
+	r.Acquisitions = sub0(r.Acquisitions, p.Acquisitions)
+	r.Contended = sub0(r.Contended, p.Contended)
+	r.TryFails = sub0(r.TryFails, p.TryFails)
+	r.Timeouts = sub0(r.Timeouts, p.Timeouts)
+	r.Cancels = sub0(r.Cancels, p.Cancels)
+	r.Transitions = sub0(r.Transitions, p.Transitions)
+	r.RArrivals = sub0(r.RArrivals, p.RArrivals)
+	r.RAcquisitions = sub0(r.RAcquisitions, p.RAcquisitions)
+	r.RContended = sub0(r.RContended, p.RContended)
+	r.RTryFails = sub0(r.RTryFails, p.RTryFails)
+	r.RWaitPhases = sub0(r.RWaitPhases, p.RWaitPhases)
+	r.RStarved = sub0(r.RStarved, p.RStarved)
+	r.WaitHist = subBuckets(r.WaitHist, p.WaitHist)
+	r.HoldHist = subBuckets(r.HoldHist, p.HoldHist)
+	r.RWaitHist = subBuckets(r.RWaitHist, p.RWaitHist)
+}
+
+// fold adds one lock's counters to r (sign +1: Registry.Unregister
+// retiring it) or takes them back out (sign -1: Diff netting out what prev
+// already reported live), clamping at zero against racy reads. Locks is
+// the caller's to count. The histogram slices are replaced, never written
+// into, so a snapshot holding the old ones keeps them intact.
+func (r *RetiredSnapshot) fold(l *LockSnapshot, sign int) {
+	add := func(dst *uint64, v uint64) {
+		if sign > 0 {
+			*dst += v
+		} else {
+			*dst = sub0(*dst, v)
+		}
+	}
+	addHist := func(dst *[]uint64, v []uint64) {
+		if sign > 0 {
+			*dst = addBuckets(*dst, v)
+		} else {
+			*dst = subBuckets(*dst, v)
+		}
+	}
+	add(&r.Arrivals, l.Arrivals)
+	add(&r.Acquisitions, l.Acquisitions)
+	add(&r.Contended, l.Contended)
+	add(&r.TryFails, l.TryFails)
+	add(&r.Timeouts, l.Timeouts)
+	add(&r.Cancels, l.Cancels)
+	add(&r.Transitions, l.TransitionCount())
+	add(&r.RArrivals, l.RArrivals)
+	add(&r.RAcquisitions, l.RAcquisitions)
+	add(&r.RContended, l.RContended)
+	add(&r.RTryFails, l.RTryFails)
+	add(&r.RWaitPhases, l.RWaitPhases)
+	add(&r.RStarved, l.RStarved)
+	addHist(&r.WaitHist, l.WaitHist)
+	addHist(&r.HoldHist, l.HoldHist)
+	addHist(&r.RWaitHist, l.RWaitHist)
 }
 
 // diffTransitions subtracts prev's per-edge counts, dropping edges that saw

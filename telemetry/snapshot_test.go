@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -195,5 +196,126 @@ func TestDerivedMetricsZeroSafe(t *testing.T) {
 	}
 	if l.Name() != "0x0" {
 		t.Fatalf("Name = %q", l.Name())
+	}
+}
+
+// driveEveryCounter registers an RW lock under key and moves every counter
+// a snapshot reports off zero: writer and reader acquisitions, contention,
+// TryLock failures, both abort causes, a transition, the fairness lanes
+// and all three histograms.
+func driveEveryCounter(r *Registry, key uint64) {
+	st := r.Register(key, "glkrw")
+	st.EnableRW()
+	tok := stripe.Self()
+	for i := 0; i < 3; i++ {
+		a := st.Arrive(tok)
+		a.Acquired(i > 0)
+		st.Release(tok)
+		ra := st.RArrive(tok)
+		ra.RAcquired(i > 0)
+		st.RRelease(tok)
+	}
+	st.Arrive(tok).Failed()
+	st.Arrive(tok).Aborted(true)
+	st.Arrive(tok).Aborted(false)
+	st.RArrive(tok).RFailed()
+	st.RWaitedPhases(tok, 4)
+	st.RStarvedEvent(tok)
+	st.Transition("ticket", "mutex", "x")
+}
+
+// TestRetiredFoldCoversEveryCounter: every RetiredSnapshot counter that
+// LockSnapshot also carries (same field name) is folded at Unregister, so
+// a counter added to both types cannot be left out of the retired totals.
+func TestRetiredFoldCoversEveryCounter(t *testing.T) {
+	r := New(Options{SamplePeriod: 1})
+	driveEveryCounter(r, 9)
+	live := r.Snapshot().Lock(9)
+	r.Unregister(9)
+	retired := reflect.ValueOf(r.Snapshot().Retired)
+	lv := reflect.ValueOf(*live)
+	for i := 0; i < retired.NumField(); i++ {
+		name := retired.Type().Field(i).Name
+		got := retired.Field(i).Interface()
+		switch name {
+		case "Locks":
+			if got != uint64(1) {
+				t.Errorf("Retired.Locks = %v, want 1", got)
+			}
+			continue
+		case "Transitions":
+			if got != live.TransitionCount() || got == uint64(0) {
+				t.Errorf("Retired.Transitions = %v, want %d", got, live.TransitionCount())
+			}
+			continue
+		}
+		want := lv.FieldByName(name)
+		if !want.IsValid() {
+			t.Errorf("RetiredSnapshot.%s has no LockSnapshot counterpart", name)
+			continue
+		}
+		if want.IsZero() {
+			t.Errorf("LockSnapshot.%s is zero: driveEveryCounter misses it", name)
+		}
+		if !reflect.DeepEqual(got, want.Interface()) {
+			t.Errorf("Retired.%s = %v, want the live lock's %v", name, got, want.Interface())
+		}
+	}
+}
+
+// TestDiffNetsOutQuietRetirement: a lock freed with no activity since the
+// previous snapshot adds one retired lock to the interval and nothing else
+// — every counter it folds was already reported live, the fairness lanes
+// and histograms included.
+func TestDiffNetsOutQuietRetirement(t *testing.T) {
+	r := New(Options{SamplePeriod: 1})
+	driveEveryCounter(r, 9)
+	before := r.Snapshot()
+	r.Unregister(9)
+	d := r.Snapshot().Diff(before)
+	if want := (RetiredSnapshot{Locks: 1}); !reflect.DeepEqual(d.Retired, want) {
+		t.Fatalf("interval retired = %+v, want %+v", d.Retired, want)
+	}
+}
+
+// TestRetiredFoldLeavesEarlierSnapshots: a snapshot shares the registry's
+// retired histograms, so a later Unregister must replace them, never write
+// into them. The concurrent half runs the fold against readers of older
+// snapshots, for the race detector.
+func TestRetiredFoldLeavesEarlierSnapshots(t *testing.T) {
+	r := New(Options{SamplePeriod: 1})
+	driveEveryCounter(r, 1)
+	r.Unregister(1)
+	first := r.Snapshot()
+	want := sumb(first.Retired.WaitHist)
+	driveEveryCounter(r, 2)
+	r.Unregister(2)
+	if got := sumb(first.Retired.WaitHist); got != want {
+		t.Fatalf("earlier snapshot's retired wait samples went %d -> %d", want, got)
+	}
+	if got := sumb(r.Snapshot().Retired.WaitHist); got != 2*want {
+		t.Fatalf("retired wait samples = %d, want %d", got, 2*want)
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for k := uint64(3); k < 40; k++ {
+			driveEveryCounter(r, k)
+			r.Unregister(k)
+		}
+	}()
+	for prev := uint64(0); ; {
+		s := r.Snapshot()
+		n := sumb(s.Retired.WaitHist) + sumb(s.Retired.HoldHist) + sumb(s.Retired.RWaitHist)
+		if n < prev {
+			t.Fatalf("retired samples fell %d -> %d", prev, n)
+		}
+		prev = n
+		select {
+		case <-done:
+			return
+		default:
+		}
 	}
 }

@@ -146,29 +146,14 @@ type Registry struct {
 	pendingLabels map[uint64]string
 
 	// retired accumulates the counters of unregistered locks so interval
-	// totals stay monotonic across Free.
-	retired retiredTotals
+	// totals stay monotonic across Free. Its histogram slices are replaced,
+	// never written into (see RetiredSnapshot.fold), so Snapshot may share
+	// them.
+	retired RetiredSnapshot
 
 	// hub is the registry's event stream (see Events); created with the
 	// registry so every LockStats can carry the pointer from birth.
 	hub *Hub
-}
-
-type retiredTotals struct {
-	locks        uint64
-	counters     [stripe.LaneSlots]uint64
-	rwCounters   [stripe.LaneSlots]uint64 // read-side lanes of retired RW locks
-	rwWaitPhases uint64                   // starvation/phase counters of retired RW locks
-	rwStarved    uint64
-	timeouts     uint64 // abort cause counters of retired locks (glsx)
-	cancels      uint64
-	transitions  uint64
-
-	// Latency histograms of retired locks, in the summed-bucket form (see
-	// hist.go), so percentile data survives Free.
-	waitHist  []uint64
-	holdHist  []uint64
-	rwaitHist []uint64
 }
 
 // New returns an empty registry.
@@ -225,33 +210,10 @@ func (r *Registry) Unregister(key uint64) {
 		return
 	}
 	delete(r.locks, key)
-	sums := st.lanes.SumAll()
-	r.retired.locks++
-	for i, v := range sums {
-		r.retired.counters[i] += v
-	}
-	if rw := st.rw.Load(); rw != nil {
-		rwSums := rw.lanes.SumAll()
-		for i, v := range rwSums {
-			r.retired.rwCounters[i] += v
-		}
-		r.retired.rwWaitPhases += rw.waitPhases.Load()
-		r.retired.rwStarved += rw.starved.Load()
-	}
-	r.retired.timeouts += st.timeouts.Load()
-	r.retired.cancels += st.cancels.Load()
-	if h := st.hist.Load(); h != nil {
-		r.retired.waitHist = addBuckets(r.retired.waitHist, h.wait.sum())
-		r.retired.holdHist = addBuckets(r.retired.holdHist, h.hold.sum())
-		r.retired.rwaitHist = addBuckets(r.retired.rwaitHist, h.rwait.sum())
-	}
-	st.cold.Lock()
-	label := st.label
-	for _, tr := range st.transitions {
-		r.retired.transitions += tr.Count
-	}
-	st.cold.Unlock()
-	r.hub.Publish(Event{Kind: EventRetired, Key: st.key, Label: label, LockKind: st.kind})
+	ls := st.snapshot()
+	r.retired.Locks++
+	r.retired.fold(&ls, +1)
+	r.hub.Publish(Event{Kind: EventRetired, Key: st.key, Label: ls.Label, LockKind: st.kind})
 }
 
 // Get returns the registered stats for key, or nil.
@@ -732,35 +694,12 @@ func (r *Registry) Snapshot() *Snapshot {
 		stats = append(stats, st)
 	}
 	retired := r.retired
-	// Clone the histogram slices before dropping the lock: a concurrent
-	// fold mutates their backing arrays in place under the write lock.
-	retired.waitHist = append([]uint64(nil), r.retired.waitHist...)
-	retired.holdHist = append([]uint64(nil), r.retired.holdHist...)
-	retired.rwaitHist = append([]uint64(nil), r.retired.rwaitHist...)
 	r.mu.RUnlock()
 
 	snap := &Snapshot{
 		SamplePeriod: r.SamplePeriod(),
 		Locks:        make([]LockSnapshot, 0, len(stats)),
-		Retired: RetiredSnapshot{
-			Locks:         retired.locks,
-			Arrivals:      retired.counters[slotArrivals],
-			Contended:     retired.counters[slotContended],
-			TryFails:      retired.counters[slotTryFails],
-			Acquisitions:  sub0(retired.counters[slotArrivals], retired.counters[slotTryFails]),
-			RArrivals:     retired.rwCounters[rwSlotRArrivals],
-			RContended:    retired.rwCounters[rwSlotRContended],
-			RTryFails:     retired.rwCounters[rwSlotRTryFails],
-			RAcquisitions: sub0(retired.rwCounters[rwSlotRArrivals], retired.rwCounters[rwSlotRTryFails]),
-			RWaitPhases:   retired.rwWaitPhases,
-			RStarved:      retired.rwStarved,
-			Timeouts:      retired.timeouts,
-			Cancels:       retired.cancels,
-			Transitions:   retired.transitions,
-			WaitHist:      retired.waitHist,
-			HoldHist:      retired.holdHist,
-			RWaitHist:     retired.rwaitHist,
-		},
+		Retired:      retired,
 	}
 	for _, st := range stats {
 		snap.Locks = append(snap.Locks, st.snapshot())
