@@ -139,43 +139,6 @@ func abortsCountOnce(t *testing.T) {
 	}
 }
 
-// mcsSpell drives a quiet ticket-mode lock into mcs and back with nothing
-// but its own goroutine: a burst of already-expired LockCancels against the
-// held lock (each retires its ticket at once) is the contention signal, and
-// uncontended use afterwards decays the average again: a sample of 1+16,
-// averaged in at the paper's weight of ¼, takes an average of 1 to 5, past
-// the up-threshold of 3, and lone holders take it back under 2.
-func mcsSpell(t *testing.T, l *Lock) {
-	t.Helper()
-	l.Lock()
-	for i := 0; i < 16; i++ {
-		if l.LockCancel(expiredCancel()) {
-			t.Fatal("LockCancel acquired a held lock")
-		}
-	}
-	l.Unlock()
-	for i := 0; i < 8 && l.Mode() == ModeTicket; i++ {
-		l.Lock()
-		l.Unlock()
-	}
-	if got := l.Mode(); got != ModeMCS {
-		t.Fatalf("mode after abort burst = %v, want mcs", got)
-	}
-	if !l.PresenceInflated() {
-		t.Fatal("lock left ticket mode without its presence spill")
-	}
-	for i := 0; i < 64 && l.Mode() != ModeTicket; i++ {
-		l.Lock()
-		if n := presentSum(l); l.Mode() == ModeMCS && n != 1 {
-			t.Fatalf("presence counter reads %d with a lone mcs-mode holder, want 1", n)
-		}
-		l.Unlock()
-	}
-	if got := l.Mode(); got != ModeTicket {
-		t.Fatalf("mode after contention ceased = %v, want ticket", got)
-	}
-}
-
 // TestAbortVsAdaptationRaceSoak races cancellable waiters (tiny, often-
 // expiring deadlines) against plain acquisitions on a lock adapting as fast
 // as it can, across every family boundary. Mutual exclusion is asserted on

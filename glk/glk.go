@@ -106,16 +106,6 @@ const (
 	emaWeight = 0.25
 )
 
-// deflateIdlePeriods is how many consecutive adaptation periods must
-// sample nothing but the holder (every queue sample ≤ 1) before the holder
-// folds an inflated presence counter back into its inline cell, returning
-// the stripe.SpillBytes of heap, so a table whose contention storm has
-// passed stops paying the storm's footprint. Deflation only runs in ticket
-// mode, where nobody is counted — a lock in mcs or mutex mode (including
-// the frozen InitialMode baselines) is counting arrivals and keeps its
-// stripes.
-const deflateIdlePeriods = 4
-
 // Config sets what a program using GLK chooses: the sampling and
 // adaptation periods, the multiprogramming monitor, a frozen or non-ticket
 // starting mode for the paper's baselines, a transition trace and
@@ -248,8 +238,8 @@ func newSettings(c Config) *Settings {
 // adaptShared is the part of a lock's adaptation state that arrivals read
 // once the lock has left ticket mode: the mcs and mutex low-level locks and
 // the presence counter. It is written when one of those is first built and
-// when the counter inflates or deflates, never per acquisition, so mcs
-// waiters' neighbours read a quiet line.
+// when the counter inflates, never per acquisition, so mcs waiters'
+// neighbours read a quiet line.
 type adaptShared struct {
 	mcs     atomic.Pointer[locks.MCSLock]   // published before mode becomes mcs
 	mutex   atomic.Pointer[locks.MutexLock] // published before mode becomes mutex
@@ -281,9 +271,6 @@ type adaptHolder struct {
 	sampleIn     uint32        // mcs/mutex modes: critical sections until the next queue sample
 	adaptIn      uint32        // samples until the next adaptation decision
 	acquiredMode Mode          // mcs/mutex modes: the mode the holder acquired in, 0 while free
-	idlePeriods  uint8         // consecutive adaptation periods with max queue ≤ 1
-	periodMaxQ   uint8         // max sampled queue this period, clamped at 255
-	deflations   uint16        // presence-counter deflations, for observability
 	lastAborts   uint32        // aborts value at the last sample, for the delta signal
 	ticketSkips  atomic.Uint32 // ticket-lock releases that ended no critical section (see backOut)
 	// primed records that the sampling boundaries passed before this state
@@ -456,9 +443,9 @@ func (l *Lock) monitor() *sysmon.Monitor {
 // Mode returns the lock's current operating mode (racy snapshot).
 func (l *Lock) Mode() Mode { return Mode(l.lockType.Load()) }
 
-// PresenceInflated reports whether the lock currently holds the striped
-// form of its presence counter — i.e. whether it has left ticket mode (or
-// was born outside it) and has not idled back since. Introspection for
+// PresenceInflated reports whether the lock holds the striped form of its
+// presence counter — i.e. whether it has ever left ticket mode (or was born
+// outside it). The stripes stay until the lock is freed. Introspection for
 // footprint accounting and tests.
 func (l *Lock) PresenceInflated() bool {
 	st := l.adapt.Load()
@@ -764,9 +751,9 @@ func (l *Lock) sampleDue(cur Mode) bool {
 }
 
 // sampleAndAdapt is the statistics/adaptation step of a sampling boundary
-// (sampleDue): rewind the clock, record a queue sample, run the footprint
-// housekeeping, and — on adaptation boundaries — re-decide the mode. Between
-// them it takes the multiprogramming switch to mutex only. It
+// (sampleDue): rewind the clock, record a queue sample, and — on
+// adaptation boundaries — re-decide the mode. Between them it takes the
+// multiprogramming switch to mutex only. It
 // returns true when the mode changed, in which case the caller must release
 // the low-level lock and restart (paper Figure 4, line 15). It is the only
 // writer of the mode word after construction (see the invariant on Lock).
@@ -825,9 +812,6 @@ func (l *Lock) sampleAndAdapt(cur Mode) bool {
 		}
 		q += max(delta-max(waiting, 0), 0)
 	}
-	if q > int(st.periodMaxQ) {
-		st.periodMaxQ = uint8(min(q, 255)) // the deflation test is "≤ 1"; the clamp loses nothing
-	}
 	st.queueTotal += uint64(q)
 	st.queueEMA.Add(float64(q))
 
@@ -843,26 +827,6 @@ func (l *Lock) sampleAndAdapt(cur Mode) bool {
 			l.retarget(st, cur, true)
 	}
 	st.adaptIn = l.set.adaptSamples
-
-	// Footprint housekeeping, independent of the mode decision (it runs
-	// for frozen locks too, mirroring sampling): after deflateIdlePeriods
-	// fully-uncontended periods in ticket mode, fold the spill a spell in
-	// mcs or mutex mode left behind back into the inline cell. Stragglers
-	// still counted in it divert sum-exactly (stripe.Counter.Deflate).
-	if cur == ModeTicket && st.periodMaxQ <= 1 {
-		if st.idlePeriods < deflateIdlePeriods {
-			st.idlePeriods++
-		}
-		if st.idlePeriods >= deflateIdlePeriods && st.present.Inflated() {
-			if st.present.Deflate() {
-				st.deflations++
-			}
-			st.idlePeriods = 0
-		}
-	} else {
-		st.idlePeriods = 0
-	}
-	st.periodMaxQ = 0
 
 	if l.set.disableAdaptation {
 		return false
@@ -951,7 +915,6 @@ type Stats struct {
 	QueueTotal  uint64  // paper's queue_total counter
 	Transitions uint64
 	Aborts      uint64 // acquisitions abandoned mid-wait (timeouts + cancels)
-	Deflations  uint64 // presence-counter spills folded back after idling in ticket mode
 }
 
 // Stats returns a racy snapshot of the lock's counters. Intended for
@@ -969,7 +932,6 @@ func (l *Lock) Stats() Stats {
 	if st != nil {
 		s.Transitions = uint64(st.transitions.Load())
 		s.Aborts = uint64(st.aborts.Load())
-		s.Deflations = uint64(st.deflations)
 	}
 	return s
 }

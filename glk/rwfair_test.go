@@ -114,8 +114,8 @@ func TestRWLockPhaseFairReturnsToNative(t *testing.T) {
 	if _, ok := transitionEdge(reg, 2, "rwphasefair", "rwstriped"); !ok {
 		t.Fatal("rwphasefair→rwstriped transition not telemetry-visible")
 	}
-	// A lock whose stripes were live when it escalated returns to striped
-	// (six writes are too few for the deflation dwell to fold them).
+	// A lock whose stripes were live when it escalated returns to striped,
+	// and keeps them.
 	l2 := NewRW(&RWConfig{Monitor: newTestMonitor(), SamplePeriod: 2, FairPeriods: 1})
 	l2.RLock()
 	l2.RLock()

@@ -82,10 +82,6 @@ const (
 	DefaultRWFairPeriods = 2
 )
 
-// rwDeflatePeriods is how many consecutive sampled write periods in which
-// no reader came fold the striped readers back into the inline cell.
-const rwDeflatePeriods = 4
-
 // The write-mix rule's bounds, in reads per write over a sampled period. A
 // striped write sweeps every reader stripe and pulls each reader's line
 // away; a phase-fair write announces in one word, while every phase-fair
@@ -105,9 +101,9 @@ const (
 // rwArrival is what a native reader adds to the reader counter on arrival,
 // and takes back if it backs out; RUnlock takes back 1. The counter's low 32
 // bits are then the readers present (rwPresent), and the bits above them an
-// arrival clock (rwArrivals): the reads admitted so far, modulo 2³¹ — the
-// counter is exact modulo 2⁶³ (stripe.Counter). The write-mix rule reads the
-// clock once per sampling period; a reader adds it for free.
+// arrival clock (rwArrivals): the reads admitted so far, modulo 2³². The
+// write-mix rule reads the clock once per sampling period; a reader adds it
+// for free.
 const rwArrival = 1<<32 + 1
 
 // rwPresent is the readers-present half of a reader-counter value.
@@ -116,7 +112,7 @@ func rwPresent(v int64) int64 { return int64(int32(v)) }
 // rwArrivals is the arrival-clock half of a reader-counter value.
 func rwArrivals(v int64) uint32 { return uint32(uint64(v-rwPresent(v)) >> 32) }
 
-// rwInflateReaders mirrors locks.rwInflateReaders: a deflated count update
+// rwInflateReaders mirrors locks.rwInflateReaders: an inline count update
 // returning 2 present proves a second simultaneous reader. (Inflated, the
 // value is one stripe's skewed running total, and Inflate is a load.)
 const rwInflateReaders = 2
@@ -135,9 +131,8 @@ const rwStarveRoundsFactor = 8
 
 // RWConfig tunes an adaptive RW lock: the write-side sampling period, the
 // two fairness bounds, the multiprogramming monitor and telemetry. Every
-// lock is born rwstriped with an inline reader cell and adapts; the
-// deflation dwell is fixed at four sampled periods. The zero value selects
-// every default.
+// lock is born rwstriped with an inline reader cell and adapts. The zero
+// value selects every default.
 type RWConfig struct {
 	// SamplePeriod is the write-side sampling period, in completed write
 	// sections: every SamplePeriod-th write acquisition folds its
@@ -267,9 +262,8 @@ type rwHolder struct {
 	// delegate's writer ticket that opened the current period.
 	clock   uint32
 	pfFresh bool // set on entering rwphasefair, until the era's first release sets clock
-	// Dwell counters for the three adaptation decisions (byte-sized: they
-	// share the holder line with the config).
-	idlePeriods   uint8         // consecutive sampled periods in which no reader came (deflation)
+	// Dwell counters for the two family decisions (byte-sized: they share
+	// the holder line with the config).
 	streakPeriods uint8         // consecutive write-mixed periods (→ phase-fair)
 	calmPeriods   uint8         // consecutive calm, read-mostly or unread periods in phase-fair mode (→ striped)
 	sawReaders    bool          // any drain in the current period met readers
@@ -287,8 +281,7 @@ type rwHolder struct {
 //   - rwstriped — BRAVO-style striped readers (locks.RWStriped's
 //     protocol), every lock's birth mode. The reader counter starts inline;
 //     a second simultaneous reader, or a drain that meets readers, stripes
-//     it, and four sampled write periods in which no reader came fold it
-//     back (rwDeflatePeriods). Neither is a mode change.
+//     it for the rest of the lock's life. That is no mode change.
 //   - rwphasefair — delegate to locks.RWPhaseFair, entered when a blocked
 //     reader reports being bypassed past StarveBackouts writer phases, or
 //     when FairPeriods consecutive sampled periods show a striped key read
@@ -468,7 +461,7 @@ func (l *RWLock) transitionTo(to RWMode, reason string) {
 }
 
 // readClock is mode m's read clock: the native arrival clock (admitted
-// reads, modulo 2³¹) or the phase-fair delegate's completed reads (modulo
+// reads, modulo 2³²) or the phase-fair delegate's completed reads (modulo
 // 2³⁰). The write-preferring delegate keeps none.
 func (l *RWLock) readClock(m RWMode) uint32 {
 	switch m {
@@ -941,20 +934,18 @@ func (l *RWLock) tick(m RWMode) bool {
 // starving reader wait out a sampling period would defeat the point.
 // Everything else happens every samplePeriod write sections:
 // multiprogramming check (blocking mode), write-mix detection
-// (phase-fair), calm detection (back to rwstriped), and the reader-free
-// deflation countdown. The period's reads come off the active family's
-// read clock (periodReads).
+// (phase-fair) and calm detection (back to rwstriped). The period's reads
+// come off the active family's read clock (periodReads).
 //
 // All fields are writer-only, ordered by the held write lock — which is
 // why every transitionTo below is the LAST holder-state access on its path:
 // the moment the mode store lands, the new family's (never-held) write lock
-// is up for grabs and its first holder owns this section. Deflation is no
-// transition: the native wmu stays held through Unlock.
+// is up for grabs and its first holder owns this section.
 func (l *RWLock) tryAdaptRW(mode RWMode) {
 	boundary := l.tick(mode)
 	if mode == RWModeStriped && l.starve.Load() != 0 {
 		l.sawReaders = false
-		l.streakPeriods, l.calmPeriods, l.idlePeriods = 0, 0, 0
+		l.streakPeriods, l.calmPeriods = 0, 0
 		l.transitionTo(RWModePhaseFair,
 			fmt.Sprintf("reader bypassed past %d writer phases", l.cfg.starveBackouts))
 		return
@@ -1011,25 +1002,9 @@ func (l *RWLock) tryAdaptRW(mode RWMode) {
 				l.streakPeriods = 0
 				l.transitionTo(RWModePhaseFair,
 					fmt.Sprintf("write-mixed: %d reads in the last %d writes, %d periods running", reads, period, l.cfg.fairPeriods))
-				return
 			}
 		} else {
 			l.streakPeriods = 0
-		}
-		// Footprint housekeeping: periods in which no reader came fold the
-		// stripes back inline (stripe.Counter.Deflate's holder-side
-		// contract). Reader silence, not drain luck: the arrival clock
-		// counts every read, where a drain meets a reader only when their
-		// timing overlaps.
-		if reads > 0 || rwPresent(l.readers.Sum()) != 0 {
-			l.idlePeriods = 0
-			return
-		}
-		if l.idlePeriods < math.MaxUint8 {
-			l.idlePeriods++
-		}
-		if l.idlePeriods >= rwDeflatePeriods && l.readers.Deflate() {
-			l.idlePeriods = 0
 		}
 	}
 }

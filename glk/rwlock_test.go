@@ -207,73 +207,6 @@ func TestRWLockWriterInflates(t *testing.T) {
 	noTransitions(t, l, reg, 8)
 }
 
-// TestRWLockDeflatesAfterIdleWrites pins the deflation arc: inflate under
-// reader concurrency, then run reader-free write periods; the writer folds
-// the stripes back inline, the counter stays sum-exact, and neither fold
-// nor re-inflation is a mode change.
-func TestRWLockDeflatesAfterIdleWrites(t *testing.T) {
-	reg := telemetry.New(telemetry.Options{SamplePeriod: 1})
-	st := reg.Register(2, "glkrw")
-	// The test monitor, not the probing default: a busy host raising the
-	// multiprogramming flag sends the lock to write-preference instead.
-	l := NewRW(&RWConfig{SamplePeriod: 2, Stats: st, Monitor: newTestMonitor()})
-	l.RLock()
-	l.RLock()
-	l.RUnlock()
-	l.RUnlock()
-	if !l.ReadersInflated() {
-		t.Fatal("setup: not inflated")
-	}
-	// 2 writes/period: one period the readers came in, then
-	// rwDeflatePeriods reader-free ones; one more for slack.
-	for i := 0; i < 2*(rwDeflatePeriods+2); i++ {
-		l.Lock()
-		l.Unlock()
-	}
-	if l.ReadersInflated() {
-		t.Fatal("reader-free write periods did not deflate")
-	}
-	noTransitions(t, l, reg, 2)
-	// Round trip stays sum-exact and re-armable.
-	l.RLock()
-	l.RLock()
-	if !l.ReadersInflated() {
-		t.Fatal("re-inflation after deflate failed")
-	}
-	l.RUnlock()
-	l.RUnlock()
-	if got := l.Readers(); got != 0 {
-		t.Fatalf("Readers after round trip = %d, want 0", got)
-	}
-	noTransitions(t, l, reg, 2)
-}
-
-// TestRWLockReadBetweenWritesStaysStriped: deflation is decided by reader
-// silence, not by whether a drain happened to overlap a reader. One
-// goroutine reads nine times per write, so no drain ever meets a reader;
-// the key is still read and must keep its stripes. (Two overlapping shares
-// stripe it first. Nine reads per write is write-mixed, so the lock may
-// also move to phase-fair admission, which leaves the stripes as they are.)
-func TestRWLockReadBetweenWritesStaysStriped(t *testing.T) {
-	l := NewRW(&RWConfig{Monitor: newTestMonitor()})
-	l.RLock()
-	l.RLock()
-	l.RUnlock()
-	l.RUnlock()
-	for w := 0; w < (rwDeflatePeriods+2)*DefaultRWSamplePeriod; w++ {
-		for r := 0; r < 9; r++ {
-			l.RLock()
-			l.RUnlock()
-		}
-		l.Lock()
-		l.Unlock()
-	}
-	if !l.ReadersInflated() {
-		t.Fatalf("a key read between its writes deflated: mode %v, inflated %v, %d transitions",
-			l.RWMode(), l.ReadersInflated(), l.Stats().Transitions)
-	}
-}
-
 // readWrite runs n goroutines on l until stop returns true, and waits for
 // them: one operation in every is a Lock/Unlock, the rest RLock/RUnlock.
 func readWrite(l *RWLock, n, every int, stop func() bool) {
@@ -404,46 +337,5 @@ func TestRWLockNoLostWakeups(t *testing.T) {
 	}
 	if got := l.Readers(); got != 0 {
 		t.Fatalf("Readers after storm = %d (inflate/deflate lost a delta)", got)
-	}
-}
-
-// TestExclusiveLockDeflatesWhenIdle pins the satellite at the exclusive
-// lock: a spell in mcs mode inflates the presence counter;
-// deflateIdlePeriods fully-quiet adaptation periods back in ticket mode
-// fold it back, the Stats counter records it, and the round trip stays
-// sum-exact (the lock keeps working and re-inflates on the next spell).
-func TestExclusiveLockDeflatesWhenIdle(t *testing.T) {
-	l := New(&Config{Monitor: newTestMonitor(), SamplePeriod: 1, AdaptPeriod: 2})
-	mcsSpell(t, l)
-	// deflateIdlePeriods periods × AdaptPeriod CS, plus slack.
-	for i := 0; i < 2*deflateIdlePeriods*2+4; i++ {
-		l.Lock()
-		l.Unlock()
-	}
-	if l.PresenceInflated() {
-		t.Fatal("idle periods did not deflate the presence counter")
-	}
-	if got := l.Stats().Deflations; got != 1 {
-		t.Fatalf("Stats.Deflations = %d, want 1", got)
-	}
-	mcsSpell(t, l) // round trip: leaving ticket mode again re-inflates
-	if n := presentSum(l); n != 0 {
-		t.Fatalf("presence counter reads %d at rest after the round trip", n)
-	}
-	l.Lock()
-	l.Unlock()
-}
-
-// TestFrozenContendedModeKeepsStripes: a lock frozen in mcs mode was
-// pre-inflated on purpose; idle periods must not undo that.
-func TestFrozenContendedModeKeepsStripes(t *testing.T) {
-	l := New(&Config{Monitor: newTestMonitor(), SamplePeriod: 1, AdaptPeriod: 2,
-		DisableAdaptation: true, InitialMode: ModeMCS})
-	for i := 0; i < 8*deflateIdlePeriods; i++ {
-		l.Lock()
-		l.Unlock()
-	}
-	if !l.PresenceInflated() {
-		t.Fatal("frozen-mcs lock deflated its deliberate pre-inflation")
 	}
 }

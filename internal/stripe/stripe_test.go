@@ -110,190 +110,55 @@ func TestConcurrentBalance(t *testing.T) {
 	}
 }
 
-// TestDeflateRoundTrip pins the satellite contract: inflate, spread updates
-// over the stripes, deflate — the total survives the fold exactly, updates
-// after deflation land inline again, and the counter can re-inflate onto a
-// fresh (open) spill.
-func TestDeflateRoundTrip(t *testing.T) {
-	var c Counter
-	if c.Deflate() {
-		t.Fatal("Deflate on a deflated counter reported work")
-	}
-	for i := 0; i < 7; i++ {
-		c.Add(uint64(i), 1) // inline
-	}
-	c.Inflate()
-	for i := 0; i < 100; i++ {
-		c.Add(uint64(i)*0x9e3779b9, 1) // striped
-	}
-	if got := c.Sum(); got != 107 {
-		t.Fatalf("pre-deflate Sum = %d, want 107", got)
-	}
-	if !c.Deflate() {
-		t.Fatal("Deflate on an inflated counter did nothing")
-	}
-	if c.Inflated() {
-		t.Fatal("counter still inflated after Deflate")
-	}
-	if got := c.Sum(); got != 107 {
-		t.Fatalf("post-deflate Sum = %d, want 107 (fold lost updates)", got)
-	}
-	if got := c.inline.Load(); got != 107 {
-		t.Fatalf("inline cell = %d after fold, want the whole total 107", got)
-	}
-	for i := 0; i < 107; i++ {
-		c.Add(uint64(i), -1) // inline again
-	}
-	if got := c.Sum(); got != 0 {
-		t.Fatalf("Sum after post-deflate drain = %d, want 0", got)
-	}
-	c.Inflate() // the round trip must be repeatable
-	if !c.Inflated() {
-		t.Fatal("re-Inflate after Deflate failed")
-	}
-	c.Add(1, 5)
-	if got := c.Sum(); got != 5 {
-		t.Fatalf("Sum on the fresh spill = %d, want 5", got)
-	}
-}
-
-// TestStragglerDivertsToInline exercises the closed-stripe fallback path
-// directly: an updater that loaded the spill before a Deflate lands its
-// delta in the inline cell, not the dead stripe.
-func TestStragglerDivertsToInline(t *testing.T) {
-	var c Counter
-	c.Inflate()
-	sp := c.loadSpill()
-	c.Add(3, 1)
-	if !c.Deflate() {
-		t.Fatal("Deflate failed")
-	}
-	// Simulate the straggler: its CAS on the closed stripe must fail and
-	// divert; the public path would re-load c.spill (nil) and go inline, so
-	// drive the cell directly to prove the stripe itself refuses the update.
-	if _, ok := sp.cells[3&(NumStripes-1)].addGet(1); ok {
-		t.Fatal("closed stripe accepted an update")
-	}
-	c.Add(3, 1) // public path: inline
-	if got := c.Sum(); got != 2 {
-		t.Fatalf("Sum = %d, want 2", got)
-	}
-}
-
-// TestConcurrentDeflate races paired +1/-1 updaters against repeated
-// inflate/deflate cycles: the total must settle to zero no matter where the
-// folds cut the update stream. Run with -race in CI.
-func TestConcurrentDeflate(t *testing.T) {
-	var c Counter
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(seed uint64) {
-			defer wg.Done()
-			for i := 0; i < 20000; i++ {
-				tok := seed + uint64(i)
-				c.Add(tok, 1)
-				c.Add(tok, -1)
-			}
-		}(uint64(g) * 1315423911)
-	}
-	cyclerDone := make(chan struct{})
-	go func() {
-		defer close(cyclerDone)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				c.Inflate()
-				c.Deflate()
-			}
-		}
-	}()
-	wg.Wait() // updaters
-	close(stop)
-	<-cyclerDone
-	if got := c.Sum(); got != 0 {
-		t.Fatalf("Sum after concurrent inflate/deflate churn = %d, want 0", got)
-	}
-}
-
-// TestArrivalClockWraps drives one stripe's arrival clock across 2³¹
-// arrivals: an owner that adds 2³² + 1 per arrival and −1 per departure (the
-// glk reader-writer lock) would, unmasked, leave that stripe reading
-// cellClosed once 2³¹ arrivals had come with nobody present. The stripe
-// starts 64 arrivals short of the wrap (the state a long-lived key reaches,
-// without making the two billion reads). Departures first leave through the
-// arrival's stripe, which therefore passes through exactly 2³¹ arrivals with
-// nobody present; then they alternate with another stripe, so one cell
-// carries a count below zero. No open stripe may ever read the sentinel, the
-// count half of Sum stays exact, its clock half exact modulo 2³¹, and a
-// Deflate fold — with a reader present, after the wrap — keeps both.
+// TestArrivalClockWraps drives an arrival clock across its 32-bit wrap: an
+// owner that adds 2³² + 1 per arrival and −1 per departure (the glk
+// reader-writer lock) keeps a count in the low 32 bits and a clock above
+// it, and the clock's carry out of bit 63 is dropped by the int64 add. The
+// clock starts 64 arrivals short of the wrap, in the inline cell (the state
+// a long-lived key reaches, without making the four billion reads), and a
+// reader arrives there and stays across the inflation and the wrap. The
+// arrivals after it go to one stripe and their departures alternate with
+// another, so cells carry counts below zero. The count half of Sum must
+// stay exact throughout and the clock half exact modulo 2³².
 func TestArrivalClockWraps(t *testing.T) {
 	const arrival = 1<<32 + 1
-	const start = 1<<31 - 64
+	const start = 1<<32 - 64
 	const tok, other = 3, 5
 	var c Counter
-	c.Inflate()
-	c.loadSpill().cells[tok].n.Store(start << 32)
 	clock := uint64(start)
-	departure := func(i int) uint64 {
-		if i < 128 || i%2 == 0 {
-			return tok
-		}
-		return other
-	}
+	c.inline.Store(int64(clock << 32))
 	check := func(when string, present int64) {
 		t.Helper()
 		s := c.Sum()
 		if got := int64(int32(s)); got != present {
 			t.Fatalf("%s, clock %#x: count half reads %d, want %d (Sum %#x)", when, clock, got, present, s)
 		}
-		if got, want := uint64(s-int64(int32(s)))>>32&(1<<31-1), clock%(1<<31); got != want {
+		if got, want := uint32(uint64(s-int64(int32(s)))>>32), uint32(clock); got != want {
 			t.Fatalf("%s: clock half reads %#x, want %#x (Sum %#x)", when, got, want, s)
-		}
-		if sp := c.loadSpill(); sp != nil {
-			for i := range sp.cells {
-				if sp.cells[i].n.Load() == cellClosed {
-					t.Fatalf("%s, clock %#x: open stripe %d reads cellClosed", when, clock, i)
-				}
-			}
 		}
 	}
 	check("preloaded", 0)
+	c.Add(other, arrival) // the reader that stays
+	clock++
+	check("reader present inline", 1)
+	c.Inflate()
+	check("inflated", 1)
 	for i := 0; i < 256; i++ {
 		c.Add(tok, arrival)
 		clock++
-		check("after an arrival", 1)
-		c.Add(departure(i), -1)
-		check("after its departure", 0)
+		check("after an arrival", 2)
+		dep := uint64(tok)
+		if i%2 == 1 {
+			dep = other
+		}
+		c.Add(dep, -1)
+		check("after its departure", 1)
 	}
-	if clock < 1<<31 {
+	if clock < 1<<32 {
 		t.Fatalf("clock %#x: the run did not cross the wrap", clock)
 	}
-	c.Add(tok, arrival) // a reader stays present across the fold
-	clock++
-	check("before the fold", 1)
-	if !c.Deflate() {
-		t.Fatal("Deflate failed")
-	}
-	check("after the fold", 1)
-	c.Add(tok, -1)
-	check("after the fold's reader left", 0)
-	for i := 0; i < 4; i++ { // inline, then onto a fresh spill
-		c.Add(tok, arrival)
-		clock++
-		c.Add(other, -1)
-		check("inline", 0)
-	}
-	if got := c.AddGet(tok, arrival); int32(got) != 1 {
-		t.Fatalf("deflated AddGet after the fold reads count %d, want 1 (value %#x)", int32(got), got)
-	}
-	clock++
-	c.Inflate()
-	c.Add(other, -1)
-	check("re-inflated", 0)
+	c.Add(other, -1) // the reader leaves through a stripe
+	check("after the reader left", 0)
 }
 
 // TestAddGetDeflatedIsGlobal pins the contention-detection contract: while

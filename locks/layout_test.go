@@ -45,7 +45,7 @@ func TestLockSizesCacheLinePadded(t *testing.T) {
 // ticket, and the deflated inline reader cell all on the line a reader
 // must touch anyway — and every RW lock in the family stays within four
 // lines idle. The striped spill (stripe.SpillBytes) is heap, paid only
-// after observed reader concurrency, and reclaimed by deflation.
+// after observed reader concurrency, and kept from then on.
 func TestRWLockFootprints(t *testing.T) {
 	if s := unsafe.Sizeof(RWStriped{}); s != pad.CacheLineSize {
 		t.Errorf("RWStriped is %d bytes, want exactly one %d-byte line (deflated idle footprint)",

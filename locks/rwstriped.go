@@ -9,7 +9,7 @@ import (
 	"gls/internal/stripe"
 )
 
-// rwInflateReaders is the deflated reader count at which an arriving reader
+// rwInflateReaders is the inline reader count at which an arriving reader
 // inflates the stripe spill: 2 means "another reader is here right now" —
 // the same observed-concurrency trigger GLK uses for its presence counter.
 const rwInflateReaders = 2
@@ -63,7 +63,7 @@ func NewRWStriped() *RWStriped { return new(RWStriped) }
 
 // RLock acquires a read share. In the steady state (no writer) this is one
 // atomic update on the caller's stripe line plus one read of the shared
-// line; while the counter is deflated the update lands in the inline cell
+// line; while the counter is inline the update lands in the inline cell
 // and doubles as the concurrency probe that triggers inflation.
 func (l *RWStriped) RLock() {
 	tok := stripe.Self()
@@ -71,7 +71,7 @@ func (l *RWStriped) RLock() {
 	for {
 		n := l.readers.AddGet(tok, 1)
 		if l.writer.Load() == 0 {
-			// The deflated AddGet value is the global reader count: a second
+			// The inline AddGet value is the global reader count: a second
 			// simultaneous reader proves reader concurrency, which is what
 			// the stripes exist for. (Inflated, n is stripe-local and the
 			// Inflate below is a no-op load.)

@@ -27,6 +27,9 @@ type Options struct {
 
 	// GLK tunes the adaptive locks created by Lock/TryLock. nil selects
 	// glk defaults (which include the shared multiprogramming monitor).
+	// Its Stats must be nil: one LockStats belongs to one lock, and every
+	// key shares this Config. New panics otherwise; per-key statistics
+	// come from Telemetry.
 	GLK *glk.Config
 
 	// Debug enables the §4.2 checks: uninitialized locks, double locking,
@@ -80,14 +83,15 @@ type Options struct {
 	// GLKRW tunes the adaptive reader-writer locks created by
 	// RLock/TryRLock (the glsrw default). Every such lock is born in the
 	// striped-reader mode with its reader counter in one inline cell,
-	// stripes the counter on observed reader concurrency and folds it back
-	// after four write periods no reader came in, moves to phase-fair
-	// admission on observed reader starvation or, once striped, fewer than
-	// 16 reads per write, and to the blocking write-preferring mode under
-	// multiprogramming (glsfair).
+	// stripes the counter on observed reader concurrency and keeps it
+	// striped from then on, moves to phase-fair admission on observed
+	// reader starvation or, once striped, fewer than 16 reads per write,
+	// and to the blocking write-preferring mode under multiprogramming
+	// (glsfair).
 	// What can be tuned — SamplePeriod, StarveBackouts, FairPeriods,
-	// Monitor — lives on glk.RWConfig; the service sets Stats itself. nil
-	// selects the defaults.
+	// Monitor — lives on glk.RWConfig. Its Stats must be nil, as in GLK:
+	// the service registers each key with Telemetry itself. nil selects
+	// the defaults.
 	GLKRW *glk.RWConfig
 }
 
@@ -322,6 +326,9 @@ func New(opts Options) *Service {
 	if opts.DeadlockWaitThreshold <= 0 {
 		opts.DeadlockWaitThreshold = time.Second
 	}
+	if opts.GLK != nil && opts.GLK.Stats != nil || opts.GLKRW != nil && opts.GLKRW.Stats != nil {
+		panic("gls: Options.GLK.Stats and Options.GLKRW.Stats must be nil: every key shares them, and a LockStats belongs to one lock (use Options.Telemetry)")
+	}
 	tele := opts.Telemetry
 	if tele == nil && opts.Profile {
 		// Profile mode with no explicit registry: a private one timing
@@ -372,8 +379,6 @@ func (s *Service) newEntry(key uint64, algo locks.Algorithm) func() *entry {
 			var st *telemetry.LockStats
 			if s.tele != nil {
 				st = s.tele.Register(key, algoName(algo))
-			} else if s.opts.GLK != nil {
-				st = s.opts.GLK.Stats
 			}
 			e.lk.Init(s.glkSet, st)
 			return e

@@ -1,6 +1,7 @@
 package gls
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"gls/glk"
 	"gls/internal/sysmon"
 	"gls/locks"
+	"gls/telemetry"
 )
 
 // quietMonitor returns a monitor that never reports multiprogramming, so
@@ -48,6 +50,29 @@ func TestZeroKeyPanics(t *testing.T) {
 				}
 			}()
 			f()
+		}()
+	}
+}
+
+// TestOptionsStatsPanics: a LockStats belongs to one lock (its hold timer
+// is holder-only state), so a Stats set on the config that every key of a
+// service shares is refused at New, not handed to each key.
+func TestOptionsStatsPanics(t *testing.T) {
+	st := telemetry.New(telemetry.Options{}).Register(1, "shared")
+	for name, opts := range map[string]Options{
+		"GLK":   {GLK: &glk.Config{Stats: st}},
+		"GLKRW": {GLKRW: &glk.RWConfig{Stats: st}},
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Errorf("New with Options.%s.Stats set did not panic", name)
+				} else if msg, _ := r.(string); !strings.Contains(msg, "Options.Telemetry") {
+					t.Errorf("New with Options.%s.Stats set panicked with %v, want a pointer to Options.Telemetry", name, r)
+				}
+			}()
+			New(opts).Close()
 		}()
 	}
 }
