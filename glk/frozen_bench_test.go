@@ -9,10 +9,10 @@ import (
 )
 
 // BenchmarkFrozenModeCost is what GLK adds to the low-level lock it runs
-// in mcs or mutex mode (ROADMAP item 20): one lock and an empty critical
-// section, GLK frozen in the mode beside the bare lock it delegates to. The
-// b.N acquisitions are split over the goroutines, so ns/op is the time one
-// Lock+Unlock occupies the lock. Bare MCS is left out at 10 goroutines: on
+// in mcs or mutex mode: one lock and an empty critical section, GLK frozen
+// in the mode beside the bare lock it delegates to. The b.N acquisitions
+// are split over the goroutines, so ns/op is the time one Lock+Unlock
+// occupies the lock. Bare MCS is left out at 10 goroutines: on
 // two Ps its waiters spin through preempted predecessors (the paper's
 // Figure 8 collapse) and a row takes tens of µs per op.
 func BenchmarkFrozenModeCost(b *testing.B) {
